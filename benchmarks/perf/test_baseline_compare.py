@@ -21,24 +21,18 @@ from repro.bench import (
 BASELINE_PATH = Path(__file__).parent / "baseline.json"
 
 
-def _record(name, speedup, vs_unfused=None, quick=True):
-    record = {"scenario": name, "quick": quick, "speedup": speedup}
-    if vs_unfused is not None:
-        record["speedup_vs_unfused"] = vs_unfused
-    return record
+def _record(name, speedup, quick=True, **extra):
+    return {"scenario": name, "quick": quick, "speedup": speedup, **extra}
 
 
 class TestBaselineRoundTrip:
     def test_distill_and_write(self, tmp_path):
-        records = [_record("a", 2.0), _record("b", 5.0, vs_unfused=4.0)]
+        records = [_record("a", 2.0), _record("b", 5.0)]
         path = write_baseline(records, str(tmp_path / "base.json"))
         loaded = load_baseline(str(path))
         assert loaded["tolerance"] == REGRESSION_TOLERANCE
         assert loaded["scenarios"]["a"] == {"speedup": 2.0}
-        assert loaded["scenarios"]["b"] == {
-            "speedup": 5.0,
-            "speedup_vs_unfused": 4.0,
-        }
+        assert loaded["scenarios"]["b"] == {"speedup": 5.0}
 
 
 class TestComparison:
@@ -54,12 +48,19 @@ class TestComparison:
         assert not comparison["ok"]
         assert "REGRESSION" in format_comparison(comparison)
 
-    def test_vs_unfused_metric_guarded_too(self):
-        baseline = baseline_from_records([_record("a", 5.0, vs_unfused=5.0)])
-        comparison = compare_records([_record("a", 5.2, vs_unfused=3.0)], baseline)
-        assert not comparison["ok"]
-        failing = [e for e in comparison["entries"] if not e["ok"]]
-        assert [e["metric"] for e in failing] == ["speedup_vs_unfused"]
+    def test_retired_vs_unfused_metric_is_not_gated(self):
+        """A baseline written before ``speedup_vs_unfused`` was retired
+        still compares: only ``speedup`` is guarded."""
+        baseline = {
+            "tolerance": REGRESSION_TOLERANCE,
+            "quick": True,
+            "scenarios": {"a": {"speedup": 5.0, "speedup_vs_unfused": 5.0}},
+        }
+        comparison = compare_records(
+            [_record("a", 5.2, speedup_vs_unfused=3.0)], baseline
+        )
+        assert comparison["ok"]
+        assert [e["metric"] for e in comparison["entries"]] == ["speedup"]
 
     def test_new_scenario_reported_not_failed(self):
         baseline = baseline_from_records([_record("a", 2.0)])
@@ -79,14 +80,14 @@ class TestComparison:
         its own entry — visible, passing (partial --scenarios runs are
         legitimate), never silently skipped."""
         baseline = baseline_from_records(
-            [_record("a", 2.0), _record("b", 5.0, vs_unfused=4.0)]
+            [_record("a", 2.0), _record("b", 5.0)]
         )
         comparison = compare_records([_record("a", 2.0)], baseline)
         assert comparison["ok"]
         missing = [e for e in comparison["entries"]
                    if e.get("note") == "scenario missing from run"]
         assert [(e["scenario"], e["metric"]) for e in missing] == [
-            ("b", "speedup"), ("b", "speedup_vs_unfused")
+            ("b", "speedup")
         ]
         for entry in missing:
             assert entry["current"] is None

@@ -8,7 +8,10 @@ to a temporary directory — the tracked tree stays clean.
 
 import json
 
-from repro.bench import SCENARIOS, format_record, run_bench
+import warnings
+
+from repro.bench import SCENARIOS, format_record, run_bench, run_scenario
+from repro.sim.fastpath import BACKENDS
 
 
 def test_quick_scenarios_agree_and_emit_artifacts(tmp_path):
@@ -29,12 +32,20 @@ def test_quick_scenarios_agree_and_emit_artifacts(tmp_path):
             assert "checks ok" in line
             continue
         assert record["speedup"] > 0
-        # jacobi_converge adds a third, per-issue-fast side; batch_shm's
-        # sides are transports (pickle vs shm), not backends
+        # batch_shm's sides are transports (pickle vs shm), not backends
         pair = on_disk.get("speedup_pair", ["reference", "fast"])
         assert set(on_disk["backends"]) >= set(pair)
         assert "parity ok" in line
     by_name = {r["scenario"]: r for r in records}
-    assert by_name["jacobi_converge"]["speedup_vs_unfused"] > 0
+    assert set(by_name["jacobi_converge"]["backends"]) == set(BACKENDS)
     scaling = by_name["hypercube_scaling"]["scaling"]
     assert [entry["n_nodes"] for entry in scaling] == [8, 16, 32, 64]
+
+
+def test_fused_coverage_quick_emits_no_runtime_warning():
+    """The NaN/inf parity runs scope numpy's warnings, so a real
+    RuntimeWarning would stand out in bench output."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = run_scenario("fused_coverage", quick=True)
+    assert record["ok"], record["checks"]

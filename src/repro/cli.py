@@ -434,16 +434,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"  -> {path}")
         if not record["ok"]:
             ok = False
-        if args.min_speedup > 0 and "speedup" in record:
-            # untimed scenarios (e.g. analysis_coverage) have no timing
-            gated = {"speedup": record["speedup"]}
-            if "speedup_vs_unfused" in record:
-                gated["speedup_vs_unfused"] = record["speedup_vs_unfused"]
-            for metric, value in gated.items():
-                if value < args.min_speedup:
-                    print(f"  {metric} {value:.1f}x below required "
-                          f"{args.min_speedup:g}x", file=sys.stderr)
-                    ok = False
+        # untimed scenarios (e.g. analysis_coverage) have no timing
+        if args.min_speedup > 0 and "speedup" in record \
+                and record["speedup"] < args.min_speedup:
+            print(f"  speedup {record['speedup']:.1f}x below required "
+                  f"{args.min_speedup:g}x", file=sys.stderr)
+            ok = False
     if args.save_baseline:
         base_path = write_baseline(records, args.save_baseline)
         print(f"baseline -> {base_path}")
@@ -714,8 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="benchmarks/perf/out",
                    help="directory for BENCH_<scenario>.json artifacts")
     p.add_argument("--min-speedup", type=float, default=0.0,
-                   help="fail unless every scenario reaches this speedup "
-                   "(gates speedup_vs_unfused too where reported)")
+                   help="fail unless every scenario reaches this speedup")
     p.add_argument("--compare", default=None, metavar="BASELINE",
                    help="diff speedups against a baseline JSON and fail on "
                    ">20%% regression (writes BENCH_compare.json)")

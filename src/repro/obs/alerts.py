@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 #: Bench-record metrics the history carries and the detector can watch.
-HISTORY_METRICS = ("speedup", "speedup_vs_unfused")
+HISTORY_METRICS = ("speedup",)
 
 
 def metric_value(entry: Dict[str, Any], metric: str) -> Optional[float]:
@@ -154,11 +154,8 @@ class AlertTrigger:
             raise ValueError("drop must be a fraction in (0, 1)")
 
 
-#: Default watch list: both guarded speedup metrics.
-DEFAULT_TRIGGERS = (
-    AlertTrigger(metric="speedup"),
-    AlertTrigger(metric="speedup_vs_unfused"),
-)
+#: Default watch list: the guarded speedup metric.
+DEFAULT_TRIGGERS = (AlertTrigger(metric="speedup"),)
 
 
 class RegressionDetector:

@@ -120,7 +120,7 @@ def format_record_stats(stats: Dict[str, Any]) -> str:
         )
         line = f"  tiers: {tiers}"
         if stats["fallbacks"]:
-            line += f" ({stats['fallbacks']} fused->per-issue fallbacks)"
+            line += f" ({stats['fallbacks']} engine fallbacks)"
         lines.append(line)
     slabs = stats.get("slabs") or {}
     if slabs.get("jobs"):

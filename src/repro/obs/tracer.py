@@ -10,7 +10,7 @@ The simulation stack is measured through one small vocabulary:
 - a **counter** is a monotonic integer (``tracer.count("cache.hit")``):
   cache hits and misses, plan-cache lookups, and — most importantly —
   which execution *tier* actually ran (``tier.fused`` /
-  ``tier.per_issue`` / ``tier.reference``).  The reliability layer adds
+  ``tier.batch_fused`` / ``tier.reference``).  The reliability layer adds
   ``retry.scheduled`` / ``retry.exhausted``, ``pool.rebuild``,
   ``transport.fallback``, ``resume.skipped``, and ``fault.<site>``
   (batch-level tracer; the matching ``retry`` / ``transport_fallback``

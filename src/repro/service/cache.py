@@ -133,8 +133,8 @@ class ProgramCache:
 
         Populates the shared plan cache so the machine's ``"fast"``
         backend starts fused on its first run.  Returns the plan, or
-        None when the program cannot be fused (the engine will use the
-        per-issue path — not an error).
+        None when the program cannot be fused (the machine will run the
+        reference interpreter — not an error).
         """
         from repro.sim.progplan import FusionUnsupported, compiled_plan
 

@@ -141,17 +141,7 @@ def execute_job(
         cache = _process_cache(cache_dir)
     if tracer is None:
         tracer = obs.Tracer()
-    record: Dict[str, Any] = {
-        "job_id": job.job_id,
-        "label": job.describe(),
-        "method": job.method,
-        "shape": list(job.shape),
-        "eps": job.eps,
-        "subset": job.subset,
-        "hypercube_dim": job.hypercube_dim,
-        "backend": job.backend,
-        "cache_key": job.cache_key(),
-    }
+    record = _record_head(job)
     hits_before = cache.stats.hits
     lookups_before = cache.stats.lookups
     try:
@@ -166,17 +156,58 @@ def execute_job(
                 record.update(_run_single(job, cache, inputs, fields_out))
         record["ok"] = True
     except Exception as exc:  # failure capture: one bad job != a dead batch
-        record["ok"] = False
-        record["error"] = f"{type(exc).__name__}: {exc}"
-        record["error_type"] = type(exc).__name__
+        _mark_failed(record, exc)
     if cache.stats.lookups > lookups_before:  # job reached compilation
         record["cache_hit"] = cache.stats.hits > hits_before
+    return _stamp_telemetry(record, tracer)
+
+
+def _record_head(job: SimJob) -> Dict[str, Any]:
+    """The identifying keys every job record starts with."""
+    return {
+        "job_id": job.job_id,
+        "label": job.describe(),
+        "method": job.method,
+        "shape": list(job.shape),
+        "eps": job.eps,
+        "subset": job.subset,
+        "hypercube_dim": job.hypercube_dim,
+        "backend": job.backend,
+        "cache_key": job.cache_key(),
+    }
+
+
+def _mark_failed(record: Dict[str, Any], exc: BaseException) -> None:
+    record["ok"] = False
+    record["error"] = f"{type(exc).__name__}: {exc}"
+    record["error_type"] = type(exc).__name__
+
+
+def _stamp_telemetry(record: Dict[str, Any],
+                     tracer: obs.Tracer) -> Dict[str, Any]:
+    """Stamp the job tracer's stage timings, tier, and decline reason."""
     telemetry = tracer.telemetry()
     record["timings"] = telemetry.stage_timings()
     record["tier"] = telemetry.annotations.get("tier")
     if "fallback_reason" in telemetry.annotations:
         record["fallback_reason"] = telemetry.annotations["fallback_reason"]
     return record
+
+
+def _exec_fault(job: SimJob, attempt: int) -> Optional[Dict[str, Any]]:
+    """Fire the ``worker.exec`` fault site for *job* outside
+    :func:`execute_job` (a slab member runs inside its slab's plan);
+    returns the failure record :func:`execute_job` would have produced
+    if the site fires, else None."""
+    tracer = obs.Tracer()
+    try:
+        with obs.use(tracer):
+            faults.check("worker.exec", job.job_id, attempt)
+    except FaultInjected as exc:
+        record = _record_head(job)
+        _mark_failed(record, exc)
+        return _stamp_telemetry(record, tracer)
+    return None
 
 
 def execute_job_shm(
@@ -540,7 +571,9 @@ class BatchRunner:
         bit-identical to per-job runs apart from the volatile timing
         fields and are stamped ``tier="batch_fused"`` + ``slab_size``.
         Serial path only — a declined slab (and every non-fusable job)
-        runs per job with ``fallback_reason`` recorded.
+        runs per job with ``fallback_reason`` recorded.  Records stream
+        to the store per slab, and ``worker.exec`` faults fire per slab
+        member, exactly as on the per-job path.
     retry:
         Batch-level :class:`~repro.service.retry.RetryPolicy`; when set
         it overrides every job's own ``max_attempts``/``backoff_base``.
@@ -888,7 +921,9 @@ class BatchRunner:
                 self._report(records, on_record)
                 return
         if self.cache is not None and self.batch_fusion == "auto":
-            records = self._run_serial_fused(round_specs, attempt)
+            self._run_serial_fused(round_jobs, round_specs, attempt,
+                                   on_record)
+            return
         elif self.cache is not None:
             # serial bypass: in-process execution, no transport involved
             # — stream record-by-record so checkpoints land per job
@@ -898,12 +933,7 @@ class BatchRunner:
             pool = WorkerPool(max_workers=1, timeout=self.timeout)
             for j, (job, spec) in enumerate(zip(round_jobs, round_specs)):
                 outcome = pool.map(fn, [spec])[0]
-                record = self._record_of(job, outcome)
-                if self.transport == "shm" and self._transport_degraded:
-                    record.setdefault(
-                        "transport_fallback", self._transport_degraded
-                    )
-                on_record(j, record)
+                on_record(j, self._stamped(self._record_of(job, outcome)))
             return
         else:
             fn = functools.partial(
@@ -926,13 +956,14 @@ class BatchRunner:
     ) -> None:
         """Report a completed round's records, stamping any transport
         degradation first."""
-        if self.transport == "shm" and self._transport_degraded:
-            for record in records:
-                record.setdefault(
-                    "transport_fallback", self._transport_degraded
-                )
         for j, record in enumerate(records):
-            on_record(j, record)
+            on_record(j, self._stamped(record))
+
+    def _stamped(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        """*record*, marked with this run's shm demotion if any."""
+        if self.transport == "shm" and self._transport_degraded:
+            record.setdefault("transport_fallback", self._transport_degraded)
+        return record
 
     def _degrade_transport(self, reason: str) -> None:
         """Demote the rest of this run from shm to pickling (once)."""
@@ -965,42 +996,58 @@ class BatchRunner:
     # batch-fused serial execution
     # ------------------------------------------------------------------
     def _run_serial_fused(
-        self, specs: List[Dict[str, Any]], attempt: int = 1
-    ) -> List[Dict[str, Any]]:
+        self,
+        jobs: Sequence[SimJob],
+        specs: List[Dict[str, Any]],
+        attempt: int,
+        on_record: Callable[[int, Dict[str, Any]], None],
+    ) -> None:
         """Serial execution with slab grouping (``batch_fusion="auto"``).
 
         Fusable same-program groups run as one slab each; everything
         else — non-fusable jobs, singleton groups, members of a slab
         that declined — runs through :func:`execute_job` exactly as the
-        ``"off"`` path would, with the decline reason recorded.  Output
-        order always matches input order.  The ``worker.exec`` fault
-        site applies to per-job execution only — a slab runs its whole
-        group as one plan, so it is not an injection point.
+        ``"off"`` path would, with the decline reason recorded.  Every
+        slab's records, and every other job's record, stream to
+        ``on_record`` the moment they exist, so the per-job checkpoint
+        holds here too.  The ``worker.exec`` fault site fires per slab
+        member before its slab runs: a faulted member leaves the slab
+        with the failure record :func:`execute_job` would have produced.
         """
         from repro.service.slab import execute_slab, slab_groups
 
         assert self.cache is not None
-        # specs carry the batch-level run_checker override; grouping and
-        # slab execution must see the effective jobs, not the originals
-        eff_jobs = [SimJob.from_dict(spec) for spec in specs]
-        records: List[Optional[Dict[str, Any]]] = [None] * len(specs)
+        done = [False] * len(jobs)
         declined: Dict[int, str] = {}
-        for idxs in slab_groups(eff_jobs):
-            group = [eff_jobs[i] for i in idxs]
+        for idxs in slab_groups(jobs):
+            members = []
+            for i in idxs:
+                failure = _exec_fault(jobs[i], attempt)
+                if failure is None:
+                    members.append(i)
+                    continue
+                failure["duration_s"] = 0.0
+                done[i] = True
+                on_record(i, self._stamped(failure))
+            if len(members) < 2:
+                continue  # a slab of one is the per-job path
             start = time.perf_counter()
-            slab_records, reason = execute_slab(group, self.cache)
+            slab_records, reason = execute_slab(
+                [jobs[i] for i in members], self.cache
+            )
             if slab_records is None:
-                for i in idxs:
+                for i in members:
                     declined[i] = reason or "slab declined"
                 continue
             duration = round(
-                (time.perf_counter() - start) / len(idxs), 6
+                (time.perf_counter() - start) / len(members), 6
             )
-            for i, record in zip(idxs, slab_records):
+            for i, record in zip(members, slab_records):
                 record["duration_s"] = duration
-                records[i] = record
+                done[i] = True
+                on_record(i, self._stamped(record))
         for i, spec in enumerate(specs):
-            if records[i] is not None:
+            if done[i]:
                 continue
             start = time.perf_counter()
             record = execute_job(spec, cache=self.cache, attempt=attempt)
@@ -1009,8 +1056,7 @@ class BatchRunner:
                 record.setdefault(
                     "fallback_reason", f"batch_fusion: {declined[i]}"
                 )
-            records[i] = record
-        return records  # type: ignore[return-value]
+            on_record(i, self._stamped(record))
 
     # ------------------------------------------------------------------
     # shm transport

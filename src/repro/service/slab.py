@@ -107,6 +107,7 @@ def _execute_slab(
         _field_shape,
         _initial_grid,
         _obtain_program,
+        _record_head,
     )
 
     n_jobs = len(jobs)
@@ -121,17 +122,7 @@ def _execute_slab(
     checkers: List[Optional[str]] = []
     value = None
     for job, tracer in zip(jobs, tracers):
-        record: Dict[str, Any] = {
-            "job_id": job.job_id,
-            "label": job.describe(),
-            "method": job.method,
-            "shape": list(job.shape),
-            "eps": job.eps,
-            "subset": job.subset,
-            "hypercube_dim": job.hypercube_dim,
-            "backend": job.backend,
-            "cache_key": job.cache_key(),
-        }
+        record = _record_head(job)
         hits_before = cache.stats.hits
         lookups_before = cache.stats.lookups
         with obs.use(tracer):

@@ -14,7 +14,7 @@ from repro.sim.machine import NSCMachine
 from repro.sim.metrics import RunMetrics
 from repro.sim.sequencer import SequencerResult
 from repro.sim.pipeline_exec import PipelineResult, execute_image
-from repro.sim.fastpath import BACKENDS, execute_image_fast, validate_backend
+from repro.sim.fastpath import BACKENDS, validate_backend
 from repro.sim.multinode import MultiNodeStencil, MultiNodeResult
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "PipelineResult",
     "execute_image",
     "BACKENDS",
-    "execute_image_fast",
     "validate_backend",
     "MultiNodeStencil",
     "MultiNodeResult",

@@ -1,16 +1,16 @@
-"""Vectorized fast-path execution backend.
+"""Per-image plans for the ``backend="fast"`` engine.
 
 The reference interpreter (:mod:`repro.sim.pipeline_exec`) re-resolves every
 operand, recomputes every shift/delay tap, and walks one machine at a time —
 faithful, but dominated by Python dispatch for the small vectors a single
-node streams.  This module provides the ``backend="fast"`` alternative:
+node streams.  This module holds the per-image layer of the fast backend:
 
 - a :class:`_FastPlan` compiled once per :class:`PipelineImage` — operand
   sources, shift/delay taps, write-backs, and the DMA cycle charges are all
-  resolved up front, so each issue is a straight run down precomputed steps;
-- :func:`execute_image_fast`, a drop-in replacement for
-  :func:`~repro.sim.pipeline_exec.execute_image` producing bit-identical
-  grids, cycle counts, exception flags, and interrupts;
+  resolved up front;
+- the exact evaluators (:func:`_eval_steps`) the fused engine re-runs
+  when its finiteness screen sees an inf/nan, so exception flags match
+  the reference bit for bit;
 - the keyed :data:`PLAN_CACHE`, shared with the whole-program compiler
   (:mod:`repro.sim.progplan`), so plans survive across programs, params
   sets, and batch-service jobs within one process.
@@ -20,10 +20,10 @@ batched multi-node engine that stacks every node's planes into
 ``(n_nodes, words)`` arrays — lives in :mod:`repro.sim.progplan` and
 builds on the per-image plans compiled here.
 
-Parity is a hard contract, not an aspiration: the fast path uses the same
-opcode kernels, the same operation order, and the same cycle formula as the
-reference, so results agree bit-for-bit (``nsc-vpe bench`` asserts this on
-every run, and CI runs it on every PR).
+Parity is a hard contract, not an aspiration: the fast backend uses the
+same opcode kernels, the same operation order, and the same cycle formula
+as the reference, so results agree bit-for-bit (``nsc-vpe bench`` asserts
+this on every run, and CI runs it on every PR).
 """
 
 from __future__ import annotations
@@ -31,25 +31,15 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.funcunit import OPCODES, Opcode
-from repro.arch.interrupts import InterruptKind
 from repro.arch.switch import DeviceKind, Endpoint
 from repro.codegen.generator import PipelineImage
-from repro.codegen.timing import instruction_cycles
-from repro.sim.pipeline_exec import ExecutionError, PipelineResult
-from repro.sim.streams import (
-    _ACCUMULATING,
-    StreamError,
-    detect_exceptions,
-    eval_feedback,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.machine import NSCMachine
+from repro.sim.pipeline_exec import ExecutionError
+from repro.sim.streams import _ACCUMULATING, StreamError, eval_feedback
 
 #: The selectable execution backends, in documentation order.
 BACKENDS = ("reference", "fast")
@@ -479,107 +469,10 @@ def _eval_steps(
     return outputs
 
 
-def _materialize_taps(
-    plan: _FastPlan, streams: Dict[Endpoint, np.ndarray]
-) -> Dict[Tuple[int, int], np.ndarray]:
-    return {
-        key: shift_last(streams[feeder], shift)
-        for key, (feeder, shift) in plan.taps.items()
-    }
-
-
-# ----------------------------------------------------------------------
-# single-node fast executor
-# ----------------------------------------------------------------------
-def execute_image_fast(
-    image: PipelineImage,
-    machine: "NSCMachine",
-    keep_outputs: bool = False,
-) -> PipelineResult:
-    """Issue one instruction through the precompiled fast path.
-
-    Observable behaviour — result values, DMA statistics, cycle and flop
-    counts, exception flags, and posted interrupts — matches
-    :func:`~repro.sim.pipeline_exec.execute_image` exactly.
-    """
-    plan = plan_for(image, machine.node.params)
-    n = plan.n
-    machine.dma.begin_instruction()
-    streams = {ep: machine.dma.read_stream(prog) for ep, prog in plan.reads}
-    taps = _materialize_taps(plan, streams)
-    outputs = _eval_steps(plan, streams, taps, (n,))
-
-    exceptions: List[str] = []
-    for step in plan.steps:
-        for flag in detect_exceptions(outputs[step.fu]):
-            exceptions.append(f"fu{step.fu}:{flag}")
-            kind = (
-                InterruptKind.FP_OVERFLOW
-                if flag == "overflow"
-                else InterruptKind.FP_INVALID
-            )
-            machine.interrupts.post(kind, machine.cycle, source=f"fu{step.fu}")
-
-    for write in plan.writes:
-        if write.code == _OP_OUTPUT:
-            values = outputs[write.key]
-        elif write.code == _OP_TAP:
-            values = taps[write.key]
-        else:
-            values = streams[write.key]
-        machine.dma.write_stream(write.prog, values)
-
-    condition_result: Optional[bool] = None
-    condition_value: Optional[float] = None
-    if image.condition is not None:
-        cond = image.condition
-        stream = outputs.get(cond.fu)
-        if stream is None or stream.size == 0:
-            raise ExecutionError(
-                f"condition watches fu{cond.fu}, which produced no stream"
-            )
-        condition_value = float(stream[-1])
-        condition_result = cond.evaluate(condition_value)
-
-    compute_cycles = image.total_cycles
-    dma_cycles = machine.dma.instruction_dma_cycles()
-    cycles = instruction_cycles(compute_cycles, dma_cycles, machine.node.params)
-
-    machine.interrupts.post(
-        InterruptKind.PIPELINE_COMPLETE,
-        machine.cycle + cycles,
-        source=f"pipeline{image.number}",
-    )
-    if condition_result is not None:
-        machine.interrupts.post(
-            InterruptKind.CONDITION_TRUE
-            if condition_result
-            else InterruptKind.CONDITION_FALSE,
-            machine.cycle + cycles,
-            source=f"pipeline{image.number}",
-            payload=float(outputs[image.condition.fu][-1]),
-        )
-
-    return PipelineResult(
-        number=image.number,
-        cycles=cycles,
-        compute_cycles=compute_cycles,
-        dma_cycles=dma_cycles,
-        flops=image.total_flops,
-        vector_length=n,
-        active_fus=len(image.fu_ops),
-        condition_result=condition_result,
-        condition_value=condition_value,
-        exceptions=exceptions,
-        fu_outputs=dict(outputs) if keep_outputs else {},
-    )
-
-
 __all__ = [
     "BACKENDS",
     "validate_backend",
     "shift_last",
-    "execute_image_fast",
     "plan_for",
     "image_fingerprint",
     "PlanCache",

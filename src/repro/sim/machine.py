@@ -41,9 +41,10 @@ class MachineError(Exception):
 class NSCMachine:
     """A simulated NSC node.
 
-    ``backend`` selects how pipeline instructions execute: ``"reference"``
-    is the per-stream interpreter, ``"fast"`` the vectorized fast path of
-    :mod:`repro.sim.fastpath` (bit-identical results, measured speedup).
+    ``backend`` selects how programs execute: ``"reference"`` is the
+    per-stream interpreter, ``"fast"`` the fused engine of
+    :mod:`repro.sim.progplan` (bit-identical results, measured speedup),
+    which falls back to the interpreter for anything it declines.
     """
 
     def __init__(
@@ -141,13 +142,10 @@ class NSCMachine:
         keep_outputs: bool = False,
         max_instructions: int = 1_000_000,
         backend: Optional[str] = None,
-        fuse: bool = True,
     ) -> SequencerResult:
         """Run the loaded program; ``backend`` overrides the machine's
         backend for this run only (the construction-time choice is
-        restored afterwards).  ``fuse=False`` keeps the fast backend on
-        the per-issue path instead of the whole-program compiled engine
-        (observable results are identical either way)."""
+        restored afterwards)."""
         previous_backend = self.backend
         if backend is not None:
             from repro.sim.fastpath import validate_backend
@@ -159,7 +157,7 @@ class NSCMachine:
             self.backend = previous_backend
             raise MachineError("no program loaded")
         self.reset()
-        sequencer = Sequencer(self, fuse=fuse)
+        sequencer = Sequencer(self)
         try:
             return sequencer.run(
                 self.program,

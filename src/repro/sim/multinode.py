@@ -214,38 +214,34 @@ class MultiNodeStencil:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _load_caches(self, backend: str = "reference") -> int:
+    def _load_caches(self) -> int:
         """Run the mask-cache load pipeline on every node (and swap the
         double buffers to expose the loaded masks); returns cycles."""
         worst = 0
         for machine in self.machines:
-            res = execute_image(
-                self.machine_program.images[0], machine, backend=backend
-            )
+            res = execute_image(self.machine_program.images[0], machine)
             machine.caches[0].swap()
             machine.caches[1].swap()
             worst = max(worst, res.cycles)
         return worst
 
-    def _sweep(self, backend: str = "reference") -> Tuple[int, float, int]:
+    def _sweep(self) -> Tuple[int, float, int, int, int]:
         """One Jacobi sweep on every node plus the halo exchange.
 
-        Returns (cycles, global residual, words exchanged this sweep)."""
+        Returns the stepper tuple: (cycles, global residual, comm cycles,
+        words exchanged, flops) for this sweep."""
         compute = 0
         residual = 0.0
         flops = 0
         for machine in self.machines:
-            res = execute_image(
-                self.machine_program.images[1], machine, backend=backend
-            )
+            res = execute_image(self.machine_program.images[1], machine)
             machine.swap_vars("u", "u_new")
             compute = max(compute, res.cycles)
             if res.condition_value is not None:
                 residual = max(residual, res.condition_value)
             flops += res.flops
-        self._sweep_flops = flops
-        words = self._exchange_halos()
-        return compute, residual, words
+        comm, words = self._exchange_halos()
+        return compute, residual, comm, words, flops
 
     def _halo_messages(self) -> List[Message]:
         """Router messages for one ghost-plane exchange (both directions)."""
@@ -258,15 +254,13 @@ class MultiNodeStencil:
             messages.append(Message(src=hi, dst=lo, words=plane_words, tag="down"))
         return messages
 
-    def _exchange_halos(self) -> int:
-        """Ghost-plane exchange between adjacent slabs through the router."""
+    def _exchange_halos(self) -> Tuple[int, int]:
+        """Ghost-plane exchange between adjacent slabs through the router;
+        returns (comm cycles, words exchanged)."""
         nx, ny, _nz = self.shape
         plane_words = nx * ny
         messages = self._halo_messages()
-        if messages:
-            self._comm_cycles_last = self.router.exchange(messages)
-        else:
-            self._comm_cycles_last = 0
+        comm = self.router.exchange(messages) if messages else 0
         # move the actual data
         for slab in range(self.n_nodes - 1):
             left = self.machines[slab]
@@ -277,56 +271,35 @@ class MultiNodeStencil:
             u_left[-1] = u_right[1]   # right's first real plane -> left's high ghost
             left.set_variable("u", u_left.reshape(-1))
             right.set_variable("u", u_right.reshape(-1))
-        return 2 * (self.n_nodes - 1) * plane_words
+        return comm, 2 * (self.n_nodes - 1) * plane_words
 
-    def _per_issue_stepper(self, backend: str = "reference"):
-        """(load, sweep, finish) callables walking node by node.
+    def _stepper(self):
+        """(load, sweep, finish) callables for this run's tier.
 
-        ``backend="reference"`` is the interpreter tier;
-        ``backend="fast"`` is the middle tier — the same walk, but every
-        instruction issues through the compiled per-image plans
-        (:func:`repro.sim.fastpath.execute_image_fast`): identical
-        results at per-node fast-path speed."""
-        def load():
-            return self._load_caches(backend=backend)
+        The fast backend drives the batched
+        :class:`~repro.sim.progplan.FastMultiNodeEngine` from one
+        compiled schedule.  A program the whole-system compiler declines
+        (rare: residual-skew ablation builds fuse too) falls back to the
+        reference interpreter's node-by-node walk, as does the reference
+        backend.  Either way the selected tier (and any decline's reason)
+        lands in the active tracer."""
+        if self.backend == "fast":
+            from repro.sim.progplan import FusionUnsupported, fused_stepper
 
-        def sweep():
-            cycles, residual, sweep_words = self._sweep(backend=backend)
-            return (cycles, residual, self._comm_cycles_last, sweep_words,
-                    self._sweep_flops)
-
-        return load, sweep, lambda: None
-
-    def _reference_stepper(self):
-        """(load, sweep, finish) callables for the per-node interpreter."""
+            try:
+                stepper = fused_stepper(self)
+            except FusionUnsupported as exc:
+                obs.count("fusion.fallback")
+                obs.annotate("fallback_reason", str(exc))
+                obs.event("fusion_fallback", scope="multinode",
+                          reason=str(exc))
+            else:
+                obs.count("tier.fused")
+                obs.annotate("tier", "fused")
+                return stepper
         obs.count("tier.reference")
         obs.annotate("tier", "reference")
-        return self._per_issue_stepper("reference")
-
-    def _fast_stepper(self):
-        """(load, sweep, finish) callables for the compiled engine.
-
-        Programs the whole-system compiler declines (an exotic build the
-        batched :class:`~repro.sim.progplan.FastMultiNodeEngine` cannot
-        prove fusable — residual-skew ablation builds fuse as of the
-        coverage work, so this is now rare) fall back to the *per-issue
-        fast* stepper, not the reference interpreter: identical results,
-        per-node fast-path speed.  Either way the selected tier (and any
-        decline's reason) lands in the active tracer."""
-        from repro.sim.progplan import FusionUnsupported, fused_stepper
-
-        try:
-            stepper = fused_stepper(self)
-        except FusionUnsupported as exc:
-            obs.count("tier.per_issue")
-            obs.count("fusion.fallback")
-            obs.annotate("tier", "per_issue")
-            obs.annotate("fallback_reason", str(exc))
-            obs.event("fusion_fallback", scope="multinode", reason=str(exc))
-            return self._per_issue_stepper("fast")
-        obs.count("tier.fused")
-        obs.annotate("tier", "fused")
-        return stepper
+        return self._load_caches, self._sweep, lambda: None
 
     def run(self, max_iterations: int = 1000) -> MultiNodeResult:
         """Iterate to convergence (or the bound); returns aggregate results.
@@ -339,10 +312,7 @@ class MultiNodeStencil:
         they cannot drift apart in accounting; only the three stepper
         callables differ.
         """
-        load, sweep, finish = (
-            self._fast_stepper() if self.backend == "fast"
-            else self._reference_stepper()
-        )
+        load, sweep, finish = self._stepper()
         compute_cycles = load()
         comm_cycles = 0
         words = 0

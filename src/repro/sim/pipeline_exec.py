@@ -122,19 +122,8 @@ def execute_image(
     image: PipelineImage,
     machine: "NSCMachine",
     keep_outputs: bool = False,
-    backend: str = "reference",
 ) -> PipelineResult:
-    """Issue one instruction against *machine* and return its result.
-
-    ``backend="fast"`` routes through the vectorized fast path
-    (:mod:`repro.sim.fastpath`), which produces bit-identical results and
-    cycle counts from a precompiled execution plan.
-    """
-    if backend != "reference":
-        from repro.sim.fastpath import execute_image_fast, validate_backend
-
-        validate_backend(backend)
-        return execute_image_fast(image, machine, keep_outputs=keep_outputs)
+    """Issue one instruction against *machine* and return its result."""
     n = image.vector_length
     machine.dma.begin_instruction()
     source_streams = _gather_source_streams(image, machine)

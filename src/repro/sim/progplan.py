@@ -1,12 +1,10 @@
 """Whole-program compiled execution: the control script as one fused plan.
 
-The per-image fast path (:mod:`repro.sim.fastpath`) removed the
-per-element interpretation cost, but a convergence run still walked the
-sequencer's ``Repeat``/``LoopUntil`` script in Python — re-pulling machine
-state, re-charging DMA controllers, and re-posting interrupts on every
-iteration, so thousands of Jacobi sweeps were dominated by per-iteration
-dispatch rather than arithmetic.  This module is the trace-compilation
-step: it compiles an entire :class:`~repro.codegen.generator.MachineProgram`
+The reference sequencer walks its ``Repeat``/``LoopUntil`` script in
+Python — re-pulling machine state, re-charging DMA controllers, and
+re-posting interrupts on every issue, so thousands of Jacobi sweeps are
+dominated by dispatch rather than arithmetic.  This module is the
+trace-compilation step: it compiles an entire :class:`~repro.codegen.generator.MachineProgram`
 — control script included — into a flat execution schedule where
 
 - machine state (plane memory, cache buffers) is pulled **once** into
@@ -35,27 +33,28 @@ materialize per-FU output streams from the already-bound buffers, and
 non-default interrupt *armed sets* (arm/disarm of any kind) fold into the
 exact heap replay.  Controllers with registered handlers stay on the
 fallback: handlers observe delivery order mid-run, which only the stepped
-paths model.
+reference models.
 
 Compiled plans are cached in :data:`repro.sim.fastpath.PLAN_CACHE` keyed
 by ``MachineProgram.fingerprint()`` + params (+ the ``keep_outputs``
 mode), so the batch service and sweeps reuse schedules across jobs.
 Anything the compiler cannot prove it can fuse raises
-:class:`FusionUnsupported` and the sequencer falls back to the per-issue
-fast path — fusion is an optimisation, never a semantics change.  That
+:class:`FusionUnsupported` and the sequencer falls back to the reference
+interpreter — fusion is an optimisation, never a semantics change.  That
 holds mid-run too: until the commit point at the end of a fused run, no
 machine state is mutated, so a late rejection falls back against
-pristine state.
+pristine state.  One engine walks every compiled schedule —
+:class:`~repro.sim.batchplan.BatchProgramRun`, with a single machine as
+a slab of one (:func:`try_run_fused`).
 
 The batched multi-node engine (:class:`FastMultiNodeEngine`) is built on
 the same bound-image machinery with a leading node axis, and
-:func:`run_multinode_fused` drives the whole outer sweep loop — compute
+:func:`fused_stepper` drives the whole outer sweep loop — compute
 sweeps, halo exchanges, convergence check — from one compiled schedule.
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 from dataclasses import dataclass
 from math import isfinite as _isfinite
@@ -71,7 +70,6 @@ from repro.analysis.plansafety import (
     REDUCIBLE_OPS,
 )
 from repro.arch.funcunit import Opcode
-from repro.arch.interrupts import Interrupt, InterruptKind
 from repro.arch.switch import DeviceKind
 from repro.codegen.generator import MachineProgram, PipelineImage
 from repro.codegen.timing import instruction_cycles
@@ -95,8 +93,7 @@ from repro.sim.fastpath import (
     _eval_steps,
     plan_for,
 )
-from repro.sim.pipeline_exec import PipelineResult
-from repro.sim.sequencer import SequencerError, SequencerResult
+from repro.sim.sequencer import SequencerResult
 from repro.sim.streams import _ACCUMULATING, detect_exceptions, eval_feedback
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,8 +104,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class FusionUnsupported(Exception):
     """The program (or machine state) cannot be proven fusable.
 
-    Raising this is always safe: the caller falls back to the per-issue
-    fast path, which handles every construct at reference fidelity.
+    Raising this is always safe: the caller falls back to the reference
+    interpreter, which handles every construct.
     """
 
 
@@ -1187,8 +1184,9 @@ class ProgramPlan:
     """A compiled control script plus the kernels and extents it needs.
 
     ``keep_outputs`` compiles every kernel in output-retention mode (full
-    per-FU streams, no reduction folding) so :class:`ProgramRun` can
-    snapshot ``fu_outputs`` per issue; such plans are cached separately.
+    per-FU streams, no reduction folding) so the engine
+    (:class:`~repro.sim.batchplan.BatchProgramRun`) can snapshot
+    ``fu_outputs`` per issue; such plans are cached separately.
     """
 
     def __init__(self, program: MachineProgram, params: Any,
@@ -1328,424 +1326,30 @@ def compiled_plan(program: MachineProgram, params: Any,
     return plan
 
 
-# ----------------------------------------------------------------------
-# fused execution against one machine
-# ----------------------------------------------------------------------
-class ProgramRun:
-    """Executes a :class:`ProgramPlan` against one :class:`NSCMachine`."""
-
-    MAX_TRACE = 100_000  # mirrors Sequencer.MAX_TRACE
-
-    def __init__(self, plan: ProgramPlan, machine: "NSCMachine",
-                 max_instructions: int) -> None:
-        self.plan = plan
-        self.machine = machine
-        self.max_instructions = max_instructions
-        irq_config = machine.interrupts.configuration()
-        if irq_config.handler_kinds:
-            # handlers observe delivery order mid-run; only the stepped
-            # paths model that
-            raise FusionUnsupported("interrupt handlers registered")
-        if irq_config.pending:
-            # pre-queued interrupts would interleave with the replay
-            raise FusionUnsupported("interrupts already pending")
-        # arm/disarm is host-driven (no handlers), so the armed set is
-        # constant for the whole run: the finish replay folds it in
-        self.armed = irq_config.armed
-        # machine variable table must match the program's layout (a host
-        # may have declared the same names elsewhere before loading)
-        self.variables: Dict[str, Any] = {}
-        for name, (plane, offset) in plan.var_homes.items():
-            var = machine.memory.variables.get(name)
-            if var is None or var.plane != plane or var.offset != offset \
-                    or var.length != plan.var_lengths[name]:
-                raise FusionUnsupported(f"variable {name!r} relocated")
-            self.variables[name] = var
-
-        storage = _Storage()
-        for plane, extent in plan.plane_extent.items():
-            storage.planes[plane] = machine.memory.plane(plane).read(0, extent)
-        for cache, extent in plan.cache_extent.items():
-            storage.cache_front[cache] = machine.caches[cache].front[:extent].copy()
-            storage.cache_back[cache] = machine.caches[cache].back[:extent].copy()
-        storage.variables = self.variables
-        self.storage = storage
-        self.bound = {
-            index: kernel.bind(storage, ())
-            for index, kernel in plan.kernels.items()
-        }
-        self.result = SequencerResult()
-        self.cycle = 0
-        self.halted = False
-        self.last_cond: Dict[int, Tuple[Optional[bool], Optional[float]]] = {}
-        # (issue-start cycle, fire cycle, source, cond result, payload,
-        #  exception tags) — everything the finish replay needs to repeat
-        # the reference's exact post/deliver sequence
-        self.irq_log: List[
-            Tuple[int, int, str, Optional[bool], float, Tuple[str, ...]]
-        ] = []
-        self.transfers = 0
-        self.words_read = 0
-        self.words_written = 0
-        self.busy_cycles = 0
-        self.issue_counts: Dict[int, int] = {}
-        self.last_device_busy: Optional[Tuple] = None
-        self.cache_swap_counts: Dict[int, int] = {}
-        self._swap_cache: Dict[Tuple[str, str], Tuple] = {}
-
-    # ------------------------------------------------------------------
-    def run(self) -> SequencerResult:
-        """Execute the fused schedule; commit to the machine at the end.
-
-        Everything up to :meth:`_finish` mutates only the run's local
-        storage copy, so a :class:`FusionUnsupported` surfacing mid-run
-        (a bound image refusing something it could not see at compile
-        time) leaves the machine pristine and the caller free to fall
-        back to the per-issue path.  Reference-visible faults
-        (:class:`SequencerError`, a host ``MachineError``) do commit —
-        a step-by-step run would have mutated state up to the same point.
-        """
-        try:
-            self._exec_block(self.plan.ops)
-        except FusionUnsupported:
-            raise
-        except BaseException:
-            self._finish()
-            raise
-        self._finish()
-        return self.result
-
-    # ------------------------------------------------------------------
-    def _exec_block(self, ops: Tuple[Tuple, ...]) -> None:
-        for op in ops:
-            if self.halted:
-                return
-            kind = op[0]
-            if kind == _S_ISSUE:
-                self._issue(op[1])
-            elif kind == _S_REPEAT:
-                _k, times, body = op
-                for _ in range(times):
-                    if self.halted:
-                        return
-                    self._exec_block(body)
-            elif kind == _S_LOOP:
-                self._loop_until(op)
-            elif kind == _S_SWAP:
-                self._swap_vars(op[1], op[2])
-            elif kind == _S_CACHESWAP:
-                self.storage.swap_caches(op[1])
-                for cache_id in op[1]:
-                    self.cache_swap_counts[cache_id] = (
-                        self.cache_swap_counts.get(cache_id, 0) + 1
-                    )
-                self.cycle += 1
-            elif kind == _S_HALT:
-                self.halted = True
-                self.result.halted = True
-                return
-            else:  # _S_BAD_ISSUE
-                if self.result.instructions_issued >= self.max_instructions:
-                    raise SequencerError(
-                        f"instruction budget of {self.max_instructions} "
-                        f"exhausted (runaway loop?)"
-                    )
-                raise SequencerError(f"no pipeline {op[1]} in this program")
-
-    def _issue(self, index: int) -> None:
-        result = self.result
-        if result.instructions_issued >= self.max_instructions:
-            raise SequencerError(
-                f"instruction budget of {self.max_instructions} exhausted "
-                f"(runaway loop?)"
-            )
-        bound = self.bound[index]
-        kernel = bound.kernel
-        consts = kernel.consts
-        start = self.cycle
-        if bound.issue_compute():
-            exceptions: List[str] = []
-        else:
-            # exception interrupts are *logged* here and posted in the
-            # finish replay: no machine state moves before the commit point
-            exceptions = bound.issue_exact()
-            bound.write_back_exact()
-        cond_last = bound.condition_last()
-        if cond_last is None:
-            cond_result: Optional[bool] = None
-            cond_value: Optional[float] = None
-        else:
-            cond_value = float(cond_last)
-            cond_result = kernel.cond_fn(cond_value, kernel.cond_threshold)
-
-        fire = start + consts.cycles
-        self.cycle = fire
-        record = PipelineResult.__new__(PipelineResult)
-        record.__dict__.update(kernel.result_template)
-        record.condition_result = cond_result
-        record.condition_value = cond_value
-        record.exceptions = exceptions
-        record.fu_outputs = (
-            bound.capture_outputs() if self.plan.keep_outputs else {}
-        )
-        result.pipeline_results.append(record)
-        result.instructions_issued += 1
-        trace = result.issue_trace
-        if len(trace) < self.MAX_TRACE:
-            trace.append(index)
-        self.last_cond[consts.number] = (cond_result, cond_value)
-        self.irq_log.append((start, fire, consts.source, cond_result,
-                             cond_value if cond_value is not None else 0.0,
-                             tuple(exceptions)))
-        counts = self.issue_counts
-        counts[index] = counts.get(index, 0) + 1
-        self.last_device_busy = consts.device_busy
-
-    def _loop_until(self, op: Tuple) -> None:
-        _k, body, key, max_iterations = op
-        iterations = 0
-        converged = False
-        # the canonical convergence body — issue, optionally relocate —
-        # contains no Halt and needs no block dispatch per iteration
-        simple = (
-            0 < len(body) <= 2
-            and body[0][0] == _S_ISSUE
-            and (len(body) == 1 or body[1][0] == _S_SWAP)
-        )
-        if simple:
-            index = body[0][1]
-            swap = body[1] if len(body) == 2 else None
-            issue = self._issue
-            swap_vars = self._swap_vars
-            last_cond = self.last_cond
-            while iterations < max_iterations:
-                issue(index)
-                if swap is not None:
-                    swap_vars(swap[1], swap[2])
-                iterations += 1
-                last = last_cond.get(key)
-                if last is None:
-                    raise SequencerError(
-                        f"LoopUntil watches pipeline {key}, which never "
-                        f"executed in the loop body"
-                    )
-                cond_result = last[0]
-                if cond_result is None:
-                    raise SequencerError(
-                        f"pipeline {key} raised no condition interrupt"
-                    )
-                if cond_result:
-                    converged = True
-                    break
-        else:
-            while iterations < max_iterations:
-                self._exec_block(body)
-                iterations += 1
-                if self.halted:
-                    break
-                last = self.last_cond.get(key)
-                if last is None:
-                    raise SequencerError(
-                        f"LoopUntil watches pipeline {key}, which never "
-                        f"executed in the loop body"
-                    )
-                cond_result, _value = last
-                if cond_result is None:
-                    raise SequencerError(
-                        f"pipeline {key} raised no condition interrupt"
-                    )
-                if cond_result:
-                    converged = True
-                    break
-        result = self.result
-        result.loop_iterations[key] = (
-            result.loop_iterations.get(key, 0) + iterations
-        )
-        result.converged = converged
-
-    def _swap_vars(self, a: str, b: str) -> None:
-        # mirrors NSCMachine.swap_vars: contents move, bindings stay
-        entry = self._swap_cache.get((a, b))
-        if entry is None:
-            va = self.variables[a]
-            vb = self.variables[b]
-            if va.length != vb.length:
-                from repro.sim.machine import MachineError
-
-                raise MachineError(
-                    f"cannot swap {a!r} ({va.length} words) with {b!r} "
-                    f"({vb.length} words)"
-                )
-            params = self.machine.node.params
-            cost = params.dma_startup_cycles + params.memory_latency + va.length
-            if va.plane == vb.plane:
-                cost += va.length
-            extents = self.plan.plane_extent
-            if (
-                va.plane != vb.plane
-                and va.offset == 0 and vb.offset == 0
-                and extents.get(va.plane) == va.length
-                and extents.get(vb.plane) == vb.length
-            ):
-                # each variable owns its pulled plane outright: swapping
-                # contents is just swapping the plane array references
-                entry = (va.plane, vb.plane, None, cost, 2 * va.length)
-            else:
-                shape = self.storage.planes[va.plane][
-                    ..., va.offset : va.end
-                ].shape
-                entry = (va, vb, np.empty(shape), cost, 2 * va.length)
-            self._swap_cache[(a, b)] = entry
-        va, vb, scratch, cost, words = entry
-        if scratch is None:
-            self.storage.swap_whole_planes(va, vb)
-        else:
-            self.storage.swap_var_contents(va, vb, scratch)
-        self.cycle += cost
-        self.transfers += 2
-        self.words_read += words
-        self.words_written += words
-
-    # ------------------------------------------------------------------
-    def _finish(self) -> None:
-        """Write local state, statistics, and interrupts back to the machine.
-
-        Runs on success *and* on an in-flight error, so the machine is left
-        exactly as a step-by-step reference run would have left it at the
-        same point.
-        """
-        machine = self.machine
-        storage = self.storage
-        for plane, arr in storage.planes.items():
-            machine.memory.plane(plane).write(0, arr)
-        for cache_id, swaps in self.cache_swap_counts.items():
-            for _ in range(swaps):
-                machine.caches[cache_id].swap()
-        for cache_id, arr in storage.cache_front.items():
-            machine.caches[cache_id].front[: arr.shape[-1]] = arr
-        for cache_id, arr in storage.cache_back.items():
-            machine.caches[cache_id].back[: arr.shape[-1]] = arr
-        for index, count in self.issue_counts.items():
-            consts = self.plan.kernels[index].consts
-            self.transfers += consts.transfers * count
-            self.words_read += consts.words_read * count
-            self.words_written += consts.words_written * count
-            self.busy_cycles += consts.busy_cycles * count
-        self.issue_counts.clear()
-        stats = machine.dma.stats
-        stats.transfers += self.transfers
-        stats.words_read += self.words_read
-        stats.words_written += self.words_written
-        stats.busy_cycles += self.busy_cycles
-        if self.last_device_busy is not None:
-            machine.dma.device_busy = dict(self.last_device_busy)
-        machine.cycle = self.cycle
-        self.result.total_cycles = self.cycle
-
-        replay_interrupts(machine, self.irq_log, self.armed)
-        self.irq_log.clear()
-
-
-def replay_interrupts(
-    machine: "NSCMachine",
-    irq_log: Sequence[Tuple[int, int, str, Optional[bool], float, Tuple[str, ...]]],
-    armed: Any,
-) -> None:
-    """Replay a fused run's interrupt log through the machine's controller.
-
-    One entry per issue: ``(start, fire, source, cond_result, payload,
-    exception tags)``.  Shared by the single-machine commit point
-    (:meth:`ProgramRun._finish`) and the batched slab engine
-    (:mod:`repro.sim.batchplan`), which replays one log per job."""
-    irq = machine.interrupts
-    latency = irq.latency_cycles
-    delivered = irq.delivered
-    dropped = irq.dropped
-    queue = irq._queue
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    new_interrupt = Interrupt.__new__
-    complete_kind = InterruptKind.PIPELINE_COMPLETE
-    overflow_kind = InterruptKind.FP_OVERFLOW
-    invalid_kind = InterruptKind.FP_INVALID
-    # replay the reference's exact post/deliver sequence through the
-    # same heap: per issue, FP exceptions post at the issue-start
-    # cycle, completion/condition at the fire cycle, delivery drains
-    # everything due.  The armed set routes each post to the queue or
-    # to ``dropped`` exactly as InterruptController.post would, so
-    # arm/disarm variations replay bit-identically.  Equal-cycle
-    # orderings fall out of heapq's mechanics, so only an identical
-    # operation sequence reproduces them (the frozen-dataclass
-    # __init__ is bypassed for speed; the instances are bit-identical)
-    for start, fire, source, cond_result, payload, exceptions in irq_log:
-        for tag in exceptions:
-            fu_source, flag = tag.split(":", 1)
-            kind = overflow_kind if flag == "overflow" else invalid_kind
-            exc = new_interrupt(Interrupt)
-            exc.__dict__.update(
-                cycle=start + latency, kind=kind, source=fu_source,
-                payload=0.0,
-            )
-            if kind in armed:
-                heappush(queue, exc)
-            else:
-                dropped.append(exc)
-        when = fire + latency
-        complete = new_interrupt(Interrupt)
-        complete.__dict__.update(
-            cycle=when, kind=complete_kind, source=source, payload=0.0
-        )
-        if complete_kind in armed:
-            heappush(queue, complete)
-        else:
-            dropped.append(complete)
-        if cond_result is not None:
-            cond_kind = (
-                InterruptKind.CONDITION_TRUE
-                if cond_result
-                else InterruptKind.CONDITION_FALSE
-            )
-            condition = new_interrupt(Interrupt)
-            condition.__dict__.update(
-                cycle=when, kind=cond_kind, source=source, payload=payload
-            )
-            if cond_kind in armed:
-                heappush(queue, condition)
-            else:
-                dropped.append(condition)
-        while queue and queue[0].cycle <= fire:
-            delivered.append(heappop(queue))
-
-
 def try_run_fused(
     machine: "NSCMachine",
     program: MachineProgram,
     max_instructions: int,
     keep_outputs: bool = False,
 ) -> Optional[SequencerResult]:
-    """Run *program* through the compiled engine, or return None.
+    """Run *program* on one machine through the fused engine, or return None.
 
-    None means "not fusable here" — registered interrupt handlers,
-    relocated variables, or a construct the compiler rejects — and the
-    caller should use the per-issue path instead.  Execution itself is
-    inside the guard: a :class:`FusionUnsupported` surfacing only once
-    the run has begun also returns None, and because the fused run
-    commits machine state only at its end, the fallback then executes
-    against untouched state.
+    The one-machine call of :func:`repro.sim.batchplan.try_run_batch_fused`:
+    a slab of one, its kernels bound with batch shape ``()``.  None means
+    "not fusable here" — registered interrupt handlers, relocated
+    variables, or a construct the compiler rejects — and the caller runs
+    the reference interpreter instead.  Execution itself is inside the
+    guard: a :class:`FusionUnsupported` surfacing only once the run has
+    begun also returns None, and because the fused run commits machine
+    state only at its end, the fallback then executes against untouched
+    state.
     """
-    try:
-        plan = compiled_plan(
-            program, machine.node.params, keep_outputs=keep_outputs
-        )
-        run = ProgramRun(plan, machine, max_instructions)
-        return run.run()
-    except FusionUnsupported as exc:
-        # tier telemetry: record *why* the compiled engine stood down —
-        # the caller's fallback is otherwise invisible in the records
-        obs.count("fusion.fallback")
-        obs.annotate("fallback_reason", str(exc))
-        obs.event("fusion_fallback", scope="program", reason=str(exc))
-        return None
+    from repro.sim.batchplan import try_run_batch_fused
+
+    results = try_run_batch_fused(
+        [machine], program, max_instructions, keep_outputs=keep_outputs
+    )
+    return None if results is None else results[0]
 
 
 # ----------------------------------------------------------------------
@@ -1963,10 +1567,8 @@ __all__ = [
     "ImageKernel",
     "BoundImage",
     "ProgramPlan",
-    "ProgramRun",
     "compiled_plan",
     "program_fingerprint",
-    "replay_interrupts",
     "try_run_fused",
     "HaloCommPlan",
     "FastMultiNodeEngine",

@@ -63,17 +63,15 @@ class Sequencer:
     loops, convergence checks, relocations — is first offered to the
     whole-program compiler (:mod:`repro.sim.progplan`), which executes it
     as one fused schedule with bit-identical observable behaviour.
-    Anything the compiler declines falls back to this walk, issuing one
-    image at a time.  ``fuse=False`` forces the per-issue walk (the
-    benchmark harness uses it to measure the compiled engine's gain).
+    Anything the compiler declines falls back to this walk: the reference
+    interpreter, issuing one image at a time.
     """
 
     #: Safety bound on issue-trace retention (traces are for debugging).
     MAX_TRACE = 100_000
 
-    def __init__(self, machine: "NSCMachine", fuse: bool = True) -> None:
+    def __init__(self, machine: "NSCMachine") -> None:
         self.machine = machine
-        self.fuse = fuse
 
     def run(
         self,
@@ -81,8 +79,7 @@ class Sequencer:
         keep_outputs: bool = False,
         max_instructions: int = 1_000_000,
     ) -> SequencerResult:
-        backend = getattr(self.machine, "backend", "reference")
-        if self.fuse and backend == "fast":
+        if getattr(self.machine, "backend", "reference") == "fast":
             from repro.sim.progplan import try_run_fused
 
             fused = try_run_fused(
@@ -94,11 +91,9 @@ class Sequencer:
                 # (a declined fusion logs its reason in try_run_fused)
                 obs.count("tier.fused")
                 obs.annotate("tier", "fused")
-                self.machine.interrupts.drain()
                 return fused
-        tier = "per_issue" if backend == "fast" else "reference"
-        obs.count(f"tier.{tier}")
-        obs.annotate("tier", tier)
+        obs.count("tier.reference")
+        obs.annotate("tier", "reference")
         result = SequencerResult()
         self._run_block(
             program, program.control, result, keep_outputs, max_instructions
@@ -163,12 +158,7 @@ class Sequencer:
         if not (0 <= index < len(program.images)):
             raise SequencerError(f"no pipeline {index} in this program")
         image = program.images[index]
-        res = execute_image(
-            image,
-            self.machine,
-            keep_outputs=keep_outputs,
-            backend=getattr(self.machine, "backend", "reference"),
-        )
+        res = execute_image(image, self.machine, keep_outputs=keep_outputs)
         result.pipeline_results.append(res)
         result.instructions_issued += 1
         if len(result.issue_trace) < self.MAX_TRACE:

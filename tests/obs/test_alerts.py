@@ -38,18 +38,34 @@ def _seed(path, speedups, **kw):
 
 class TestHistoryFile:
     def test_entries_distill_metrics_and_walls(self):
-        [entry] = history_entries(
-            [_record(4.0, speedup_vs_unfused=2.5)], timestamp=123.0
-        )
+        [entry] = history_entries([_record(4.0)], timestamp=123.0)
         assert entry == {
             "ts": 123.0,
             "scenario": "jacobi_single",
             "quick": True,
             "ok": True,
             "speedup": 4.0,
-            "speedup_vs_unfused": 2.5,
             "wall_s": {"reference": 1.0, "fast": 0.25},
         }
+
+    def test_history_with_retired_metric_still_evaluates(self, tmp_path):
+        """Older entries carry ``speedup_vs_unfused``, a metric the bench
+        no longer reports: they load and evaluate on ``speedup`` alone."""
+        path = tmp_path / "history.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for _ in range(3):
+                fh.write(json.dumps({
+                    "ts": 0.0, "scenario": "jacobi_converge", "quick": True,
+                    "ok": True, "speedup": 5.0, "speedup_vs_unfused": 5.5,
+                }) + "\n")
+        _seed(path, [5.1], scenario="jacobi_converge")
+        entries = load_history(str(path))
+        assert [("speedup_vs_unfused" in e) for e in entries] \
+            == [True, True, True, False]
+        alerts = detect_alerts(entries)
+        assert alerts["ok"]
+        assert [(s["metric"], s["window_size"]) for s in alerts["evaluated"]] \
+            == [("speedup", 3)]
 
     def test_append_and_load_roundtrip(self, tmp_path):
         path = tmp_path / "history.jsonl"
@@ -143,7 +159,7 @@ class TestDetector:
         path = tmp_path / "history.jsonl"
         _seed(path, [5.0, 5.0, 5.0, 5.0, 5.0])
         alerts = detect_alerts(load_history(str(path)))
-        # only "speedup" evaluated; no speedup_vs_unfused ghosts
+        # only metrics the series carries are evaluated
         assert {s["metric"] for s in alerts["evaluated"]} == {"speedup"}
 
 

@@ -26,7 +26,7 @@ class TestAggregateRecords:
     def test_sums_stages_tiers_and_cache(self):
         records = [
             _job_record(),
-            _job_record(tier="per_issue", cache_hit=False,
+            _job_record(tier="reference", cache_hit=False,
                         fallback_reason="injected"),
             _job_record(tier=None, ok=False),
         ]
@@ -35,7 +35,7 @@ class TestAggregateRecords:
         assert stats["ok"] == 2 and stats["failed"] == 1
         assert stats["timings"]["execute"] == 1.5
         assert stats["timings_mean"]["execute"] == 0.5
-        assert stats["tiers"] == {"fused": 1, "per_issue": 1}
+        assert stats["tiers"] == {"fused": 1, "reference": 1}
         assert stats["fallbacks"] == 1
         assert stats["cache"] == {"hits": 2, "misses": 1}
         assert stats["duration_s"] == 2.1

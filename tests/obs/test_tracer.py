@@ -42,7 +42,7 @@ class TestTracer:
         t = Tracer()
         t.count("cache.hit")
         t.count("cache.hit", 2)
-        t.annotate("tier", "per_issue")
+        t.annotate("tier", "reference")
         t.annotate("tier", "fused")  # last write wins
         assert t.counters["cache.hit"] == 3
         assert t.annotations["tier"] == "fused"
@@ -116,11 +116,11 @@ class TestTelemetry:
         a = Telemetry(timings={"execute": 1.0}, counters={"n": 1},
                       annotations={"tier": "fused"})
         b = Telemetry(timings={"execute": 2.0, "bind": 0.5},
-                      counters={"n": 2}, annotations={"tier": "per_issue"})
+                      counters={"n": 2}, annotations={"tier": "reference"})
         a.merge(b)
         assert a.timings == {"execute": 3.0, "bind": 0.5}
         assert a.counters == {"n": 3}
-        assert a.annotations["tier"] == "per_issue"
+        assert a.annotations["tier"] == "reference"
 
     def test_as_dict_and_format(self):
         t = Tracer()

@@ -96,6 +96,46 @@ class TestAutoMatchesOff:
             in format_record_stats(stats)
 
 
+class TestSlabStreaming:
+    def test_store_holds_each_unit_before_the_next_runs(
+        self, tmp_path, monkeypatch
+    ):
+        """Slab records, and each per-job record, reach the store as
+        their unit finishes — not at the end of the round."""
+        from repro.service import runner, slab
+        from repro.service.results import ResultStore
+
+        fast = dict(eps=1e-3, max_sweeps=500, backend="fast")
+        jobs = (
+            [SimJob(method="jacobi", shape=(5, 5, 5), u0_seed=s, **fast)
+             for s in range(2)]
+            + [SimJob(method="rb-gs", shape=(5, 5, 5), u0_seed=s, **fast)
+               for s in range(2)]
+            + [SimJob(method="jacobi", shape=(5, 5, 5), eps=1e-3,
+                      max_sweeps=500, backend="reference")]
+        )
+        store = ResultStore(str(tmp_path / "results.jsonl"))
+        stored_at_start = []
+
+        def spy(real):
+            def wrapper(*args, **kwargs):
+                stored_at_start.append(len(store.load()))
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(slab, "execute_slab", spy(slab.execute_slab))
+        monkeypatch.setattr(runner, "execute_job", spy(runner.execute_job))
+        records, summary = BatchRunner(
+            workers=1, store=store, batch_fusion="auto"
+        ).run(jobs)
+        assert summary.succeeded == len(jobs)
+        assert [r["tier"] for r in records] \
+            == ["batch_fused"] * 4 + ["reference"]
+        # slab 1, then slab 2, then the reference job
+        assert stored_at_start == [0, 2, 4]
+        assert len(store.load()) == len(jobs)
+
+
 class TestDeclinedSlabFallback:
     def test_mid_slab_decline_falls_back_per_job(self, monkeypatch):
         """A slab that declines mid-run must yield records identical to
@@ -103,7 +143,10 @@ class TestDeclinedSlabFallback:
         real_run = batchplan.BatchProgramRun.run
 
         def failing_run(self):
-            raise FusionUnsupported("injected mid-slab")
+            # slabs only: a single job runs on the same engine
+            if self.n_jobs > 1:
+                raise FusionUnsupported("injected mid-slab")
+            return real_run(self)
 
         jobs = _mixed_jobs()
         off_records, _ = _run(jobs, "off")
@@ -132,8 +175,12 @@ class TestDeclinedSlabFallback:
         assert all("fallback_reason" not in r for r in auto_records[3:])
 
     def test_unexpected_exception_also_falls_back(self, monkeypatch):
+        real_run = batchplan.BatchProgramRun.run
+
         def exploding_run(self):
-            raise RuntimeError("boom")
+            if self.n_jobs > 1:
+                raise RuntimeError("boom")
+            return real_run(self)
 
         monkeypatch.setattr(batchplan.BatchProgramRun, "run",
                             exploding_run)

@@ -31,7 +31,7 @@ from repro.service.faults import (
     FaultRule,
 )
 from repro.service.jobs import SimJob
-from repro.service.results import ResultStore
+from repro.service.results import ResultStore, canonical_record
 from repro.service.retry import (
     PERMANENT,
     TRANSIENT,
@@ -50,6 +50,16 @@ SHAPES = [(5, 5, 5), (5, 5, 6), (5, 5, 7), (5, 5, 8)]
 def _jobs(n=2, **extra):
     return [
         SimJob(method="jacobi", shape=SHAPES[i], **FAST, **extra)
+        for i in range(n)
+    ]
+
+
+def _slab_jobs(n=2, **extra):
+    """Same-program fast jobs told apart by their seed: distinct job_ids,
+    one cache key — under ``batch_fusion="auto"`` they form one slab."""
+    return [
+        SimJob(method="jacobi", shape=(5, 5, 5), backend="fast", u0_seed=i,
+               **FAST, **extra)
         for i in range(n)
     ]
 
@@ -223,23 +233,31 @@ class TestRetryDigestParity:
     """Per injection site: a fault plus retries changes *nothing* the
     store's canonical projection can see."""
 
-    def _reference(self, tmp_path, jobs):
+    def _reference(self, tmp_path, jobs, batch_fusion="off"):
         store = ResultStore(str(tmp_path / "clean.jsonl"))
-        _, summary = BatchRunner(workers=1, store=store).run(jobs)
+        _, summary = BatchRunner(
+            workers=1, store=store, batch_fusion=batch_fusion
+        ).run(jobs)
         assert summary.failed == 0
         return store
 
+    @pytest.mark.parametrize("batch_fusion", ["off", "auto"])
     @pytest.mark.parametrize("site", ["worker.exec", "pool.submit"])
     def test_transient_fault_store_matches_fault_free(
-        self, tmp_path, site
+        self, tmp_path, site, batch_fusion
     ):
-        jobs = _jobs(2, max_attempts=3)
-        clean = self._reference(tmp_path, jobs)
+        # under "auto" both jobs form one slab, so worker.exec must fire
+        # per slab member and the retry must re-form the slab
+        jobs = _slab_jobs(2, max_attempts=3)
+        clean = self._reference(tmp_path, jobs, batch_fusion)
         plan = FaultPlan(rules=(FaultRule(site=site),), seed=1)
         store = ResultStore(str(tmp_path / "faulty.jsonl"))
-        runner = BatchRunner(workers=1, store=store, fault_plan=plan)
+        runner = BatchRunner(workers=1, store=store, fault_plan=plan,
+                             batch_fusion=batch_fusion)
         records, summary = runner.run(jobs)
         assert summary.failed == 0
+        if batch_fusion == "auto":
+            assert [r["tier"] for r in records] == ["batch_fused"] * 2
         assert summary.retried == 2
         assert [r["attempts"] for r in records] == [2, 2]
         assert all(
@@ -252,6 +270,25 @@ class TestRetryDigestParity:
             # parent-side site: its firings land in the batch tracer
             # (worker.exec fires under the job's own shadowing tracer)
             assert counters["fault.pool.submit"] == 2
+
+    def test_faulted_slab_member_gets_the_per_job_failure(self):
+        """A member faulted at worker.exec leaves its slab with exactly
+        the record execute_job produces; the rest still run as a slab."""
+        jobs = _slab_jobs(3)
+        plan = FaultPlan(
+            rules=(FaultRule(site="worker.exec", match=jobs[1].job_id),)
+        )
+        runs = {
+            mode: BatchRunner(workers=1, fault_plan=plan,
+                              batch_fusion=mode).run(jobs)[0]
+            for mode in ("off", "auto")
+        }
+        auto = runs["auto"]
+        assert [r["tier"] for r in auto] == ["batch_fused", None,
+                                             "batch_fused"]
+        assert [r.get("slab_size") for r in auto] == [2, None, 2]
+        assert auto[1]["error_type"] == "FaultInjected"
+        assert canonical_record(auto[1]) == canonical_record(runs["off"][1])
 
     def test_batch_level_policy_overrides_jobs(self, tmp_path):
         jobs = _jobs(1)  # max_attempts=1 on the job itself

@@ -16,7 +16,7 @@ from repro.obs.tracer import STAGES, Tracer
 from repro.service.cache import ProgramCache
 from repro.service.jobs import SimJob
 from repro.service.runner import BatchRunner, execute_job
-from repro.sim import progplan
+from repro.sim import batchplan, progplan
 from repro.sim.machine import NSCMachine
 from repro.sim.multinode import MultiNodeStencil
 
@@ -52,14 +52,17 @@ class TestRecordTierStamp:
         assert record["ok"]
         assert record["tier"] == "reference"
 
-    def test_fast_falls_back_to_per_issue_when_fusion_declines(
+    def test_fast_falls_back_to_reference_when_fusion_declines(
         self, monkeypatch
     ):
-        monkeypatch.setattr(progplan, "try_run_fused",
-                            lambda *a, **kw: None)
+        def decline(*args, **kwargs):
+            raise progplan.FusionUnsupported("declined for the test")
+
+        monkeypatch.setattr(batchplan, "compiled_plan", decline)
         record = execute_job(_single("fast").to_dict(), cache=ProgramCache())
         assert record["ok"]
-        assert record["tier"] == "per_issue"
+        assert record["tier"] == "reference"
+        assert record["fallback_reason"] == "declined for the test"
 
     def test_multinode_tiers(self):
         fast = execute_job(_multi("fast").to_dict(), cache=ProgramCache())
@@ -69,7 +72,7 @@ class TestRecordTierStamp:
         assert fast["tier"] == "fused"
         assert ref["tier"] == "reference"
 
-    def test_multinode_decline_stamps_per_issue_and_reason(
+    def test_multinode_decline_stamps_reference_and_reason(
         self, monkeypatch
     ):
         def decline(stencil):
@@ -78,7 +81,7 @@ class TestRecordTierStamp:
         monkeypatch.setattr(progplan, "fused_stepper", decline)
         record = execute_job(_multi("fast").to_dict(), cache=ProgramCache())
         assert record["ok"]
-        assert record["tier"] == "per_issue"
+        assert record["tier"] == "reference"
         assert record["fallback_reason"] == "declined for the test"
 
 
@@ -108,7 +111,7 @@ class TestTierCounters:
         with obs.use(tracer):
             machine.run()
         assert tracer.counters["tier.fused"] == 1
-        assert "tier.per_issue" not in tracer.counters
+        assert "tier.reference" not in tracer.counters
         assert tracer.annotations["tier"] == "fused"
 
     def test_reference_run_counts_tier_reference(self):
@@ -119,20 +122,12 @@ class TestTierCounters:
         assert tracer.counters["tier.reference"] == 1
         assert tracer.annotations["tier"] == "reference"
 
-    def test_unfused_fast_run_counts_tier_per_issue(self):
-        tracer = Tracer()
-        machine = self._machine("fast")
-        with obs.use(tracer):
-            machine.run(fuse=False)
-        assert tracer.counters["tier.per_issue"] == 1
-        assert tracer.annotations["tier"] == "per_issue"
-
     def test_mid_run_rejection_records_fallback_tier_and_reason(
         self, monkeypatch
     ):
-        # PR 5's injection hook: the compiler accepts the program, then
-        # a FusionUnsupported surfaces mid-execution — the run must land
-        # on the per-issue tier with the decline's reason on record
+        # the compiler accepts the program, then a FusionUnsupported
+        # surfaces mid-execution — the run must land on the reference
+        # tier with the decline's reason on record
         calls = {"n": 0}
         real_issue = progplan.BoundImage.issue_compute
 
@@ -151,9 +146,9 @@ class TestTierCounters:
         assert calls["n"] >= 4  # the rejection really fired mid-run
         assert result.converged is not None
         assert tracer.counters["fusion.fallback"] == 1
-        assert tracer.counters["tier.per_issue"] == 1
+        assert tracer.counters["tier.reference"] == 1
         assert "tier.fused" not in tracer.counters
-        assert tracer.annotations["tier"] == "per_issue"
+        assert tracer.annotations["tier"] == "reference"
         assert tracer.annotations["fallback_reason"] == "injected mid-run"
         [event] = [e for e in tracer.events
                    if e["type"] == "fusion_fallback"]

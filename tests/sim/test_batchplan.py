@@ -2,7 +2,7 @@
 
 One :class:`~repro.sim.batchplan.BatchProgramRun` sweeping a stack of
 same-program jobs must be observationally indistinguishable from running
-each job through the compiled per-job engine — results, variables,
+each job alone through the same engine as a slab of one — results, variables,
 metrics, DMA statistics, and the interrupt stream all bit-identical per
 job, including when convergence diverges across the stack.  And a slab
 that declines, for any reason at any point, must leave every machine
@@ -83,7 +83,7 @@ class TestBatchParity:
         setup, program = _generate(node)
         seeds = (0, 1, 2, 3)
         per_job = _machines(node, setup, program, seeds)
-        results_ref = [m.run(fuse=True) for m in per_job]
+        results_ref = [m.run() for m in per_job]
         batch = _machines(node, setup, program, seeds)
         results = batchplan.try_run_batch_fused(batch, program)
         assert results is not None
@@ -101,7 +101,7 @@ class TestBatchParity:
         setup, program = _generate(node, eps=1e-30, max_iterations=7)
         seeds = (5, 6, 7)
         per_job = _machines(node, setup, program, seeds)
-        results_ref = [m.run(fuse=True) for m in per_job]
+        results_ref = [m.run() for m in per_job]
         batch = _machines(node, setup, program, seeds)
         results = batchplan.try_run_batch_fused(batch, program)
         assert results is not None
@@ -114,7 +114,7 @@ class TestBatchParity:
     def test_single_job_slab(self, node):
         setup, program = _generate(node)
         (ref,) = _machines(node, setup, program, (9,))
-        r_ref = ref.run(fuse=True)
+        r_ref = ref.run()
         (solo,) = batch = _machines(node, setup, program, (9,))
         results = batchplan.try_run_batch_fused(batch, program)
         assert results is not None
@@ -135,8 +135,8 @@ class TestBatchDeclines:
 
     def test_non_finite_declines_pristine(self, node):
         """A non-finite value anywhere in the stack declines the whole
-        slab (per-job tiers own FP-exception semantics), touching no
-        machine — including the finite ones."""
+        slab (single-machine runs own FP-exception semantics), touching
+        no machine — including the finite ones."""
         setup, program = _generate(node, max_iterations=10)
         machines = _machines(node, setup, program, (0, 1, 2))
         poisoned = machines[1].get_variable("u").copy()
@@ -167,7 +167,7 @@ class TestBatchDeclines:
         for machine, (before_u, before_stats) in zip(machines, snapshots):
             _assert_pristine(machine, before_u, before_stats)
         with pytest.raises(SequencerError):
-            machines[0].run(fuse=True, max_instructions=5)
+            machines[0].run(max_instructions=5)
 
     def test_mid_run_injection_pristine(self, node, monkeypatch):
         """A FusionUnsupported surfacing mid-execution (injected into the

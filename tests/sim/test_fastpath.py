@@ -1,9 +1,11 @@
-"""The vectorized fast path: single-node parity with the reference.
+"""The fast backend: single-node parity with the reference.
 
 The fast backend's contract is bit-identical observable behaviour — grids,
 cycle/flop counts, DMA statistics, exception flags, interrupts — so every
 test here runs the same program through both backends and compares whole
-results, not tolerances.
+results, not tolerances.  Per-image cases run as a one-sweep control
+script through the fused engine (:func:`repro.sim.progplan.try_run_fused`)
+against the reference interpreter issuing the same images.
 """
 
 import numpy as np
@@ -12,15 +14,16 @@ import pytest
 from repro.codegen.generator import MicrocodeGenerator
 from repro.codegen.timing import instruction_cycles
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
+from repro.diagram.program import CacheSwap, ExecPipeline, Halt
 from repro.sim.fastpath import (
     BACKENDS,
-    execute_image_fast,
     plan_for,
     shift_last,
     validate_backend,
 )
 from repro.sim.machine import NSCMachine
 from repro.sim.pipeline_exec import execute_image
+from repro.sim.progplan import try_run_fused
 
 
 def _loaded_machine(node, setup, program, u0, f, backend="reference"):
@@ -28,6 +31,29 @@ def _loaded_machine(node, setup, program, u0, f, backend="reference"):
     machine.load_program(program)
     load_jacobi_inputs(machine, setup, u0, f)
     return machine
+
+
+def _one_sweep(node, u0, f, keep_outputs=False):
+    """(reference, fused) results of mask load + one update issue.
+
+    The reference issues the two images by hand; the fused engine runs
+    the same steps as a control script and must accept it."""
+    setup = build_jacobi_program(node, u0.shape, eps=1e-5, loop=False)
+    setup.program.control.clear()
+    for op in (ExecPipeline(0), CacheSwap(caches=(0, 1)), ExecPipeline(1),
+               Halt()):
+        setup.program.add_control(op)
+    program = MicrocodeGenerator(node).generate(setup.program)
+    ref = _loaded_machine(node, setup, program, u0, f)
+    execute_image(program.images[0], ref)
+    ref.swap_caches(0, 1)
+    r_ref = execute_image(program.images[1], ref, keep_outputs=keep_outputs)
+
+    fast = _loaded_machine(node, setup, program, u0, f, "fast")
+    result = try_run_fused(fast, program, 1_000_000,
+                           keep_outputs=keep_outputs)
+    assert result is not None, "the fused engine must accept one sweep"
+    return (ref, r_ref), (fast, result.pipeline_results[-1])
 
 
 @pytest.fixture(scope="module")
@@ -114,21 +140,13 @@ class TestSingleNodeParity:
         assert m_ref.summary() == m_fast.summary()
         assert m_ref.interrupts_delivered == m_fast.interrupts_delivered
 
-    def test_per_image_results_match(self, node, jacobi8):
-        setup, program = jacobi8
+    def test_per_image_results_match(self, node):
         shape = (8, 8, 8)
         u0 = np.linspace(0.0, 1.0, 512).reshape(shape)
         f = np.zeros(shape)
-        outs = {}
-        for backend in BACKENDS:
-            machine = _loaded_machine(node, setup, program, u0, f, backend)
-            execute_image(program.images[0], machine, backend=backend)
-            machine.swap_caches(0, 1)
-            res = execute_image(
-                program.images[1], machine, keep_outputs=True, backend=backend
-            )
-            outs[backend] = (machine, res)
-        (_, r_ref), (_, r_fast) = outs["reference"], outs["fast"]
+        (m_ref, r_ref), (m_fast, r_fast) = _one_sweep(
+            node, u0, f, keep_outputs=True
+        )
         assert r_ref.cycles == r_fast.cycles
         assert r_ref.compute_cycles == r_fast.compute_cycles
         assert r_ref.dma_cycles == r_fast.dma_cycles
@@ -140,28 +158,21 @@ class TestSingleNodeParity:
             np.testing.assert_array_equal(
                 r_ref.fu_outputs[fu], r_fast.fu_outputs[fu]
             )
-        m_ref, m_fast = outs["reference"][0], outs["fast"][0]
         assert m_ref.dma.stats.words_moved == m_fast.dma.stats.words_moved
         assert m_ref.dma.stats.transfers == m_fast.dma.stats.transfers
         assert m_ref.dma.stats.busy_cycles == m_fast.dma.stats.busy_cycles
 
-    def test_exception_flags_match(self, node, jacobi8):
+    def test_exception_flags_match(self, node):
         """Non-finite data must raise the same per-FU flags on both paths."""
-        setup, program = jacobi8
         shape = (8, 8, 8)
         u0 = np.zeros(shape)
         u0[3, 3, 3] = np.inf
         u0[4, 4, 4] = np.nan
         f = np.zeros(shape)
-        flags = {}
-        for backend in BACKENDS:
-            machine = _loaded_machine(node, setup, program, u0, f, backend)
-            execute_image(program.images[0], machine, backend=backend)
-            machine.swap_caches(0, 1)
-            res = execute_image(program.images[1], machine, backend=backend)
-            flags[backend] = res.exceptions
-        assert flags["reference"] == flags["fast"]
-        assert flags["reference"]  # the scenario does produce exceptions
+        with np.errstate(invalid="ignore", over="ignore"):
+            (_, r_ref), (_, r_fast) = _one_sweep(node, u0, f)
+        assert r_ref.exceptions == r_fast.exceptions
+        assert r_ref.exceptions  # the scenario does produce exceptions
 
 
 class TestFastPlan:
@@ -181,7 +192,8 @@ class TestFastPlan:
         )
         execute_image(program.images[0], machine)
         machine.swap_caches(0, 1)
-        res = execute_image_fast(image, machine)
+        res = execute_image(image, machine)
+        # the plan's analytic makespan is the DMA engine's own accounting
         assert machine.dma.instruction_dma_cycles() == plan.dma_cycles
         assert res.cycles == instruction_cycles(
             image.total_cycles, plan.dma_cycles, node.params

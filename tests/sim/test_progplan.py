@@ -1,10 +1,9 @@
 """The whole-program compiled engine: parity with the reference sequencer.
 
-The compiled schedule's contract is the same as the per-issue fast path's —
-bit-identical observable behaviour — but it covers the *control script*
-too: loop iteration counts, issue traces, relocations, cache swaps, the
-interrupt stream, and DMA statistics all have to match a step-by-step
-reference run exactly.
+The compiled schedule's contract is bit-identical observable behaviour,
+and it covers the *control script* too: loop iteration counts, issue
+traces, relocations, cache swaps, the interrupt stream, and DMA
+statistics all have to match a step-by-step reference run exactly.
 """
 
 import numpy as np
@@ -33,18 +32,32 @@ def _generate(node, shape=(6, 6, 6), eps=1e-4, max_iterations=300, loop=True):
     return setup, MicrocodeGenerator(node).generate(setup.program)
 
 
-def _run(node, setup, program, u0, f, backend, fuse=True, **kwargs):
-    shape = setup.shape
+def _scripted(node, control_ops):
+    """A 5³ Jacobi build with its control script replaced by *control_ops*."""
+    setup = build_jacobi_program(node, (5, 5, 5), eps=1e-3, loop=False)
+    prog = setup.program
+    prog.control.clear()
+    for op in control_ops:
+        prog.add_control(op)
+    return setup, MicrocodeGenerator(node).generate(prog)
+
+
+def _loaded(node, setup, program, u0, f, backend):
     machine = NSCMachine(node, backend=backend)
     machine.load_program(program)
     load_jacobi_inputs(machine, setup, u0, f)
-    result = machine.run(fuse=fuse, **kwargs)
-    return machine, result
+    return machine
+
+
+def _run(node, setup, program, u0, f, backend, **kwargs):
+    machine = _loaded(node, setup, program, u0, f, backend)
+    return machine, machine.run(**kwargs)
 
 
 def _irq_stream(machine):
+    # repr: NaN condition payloads must compare equal
     return [
-        (i.cycle, i.kind, i.source, i.payload)
+        repr((i.cycle, i.kind, i.source, i.payload))
         for i in machine.interrupts.delivered
     ]
 
@@ -62,8 +75,13 @@ def _assert_runs_identical(ref, fused):
     for p_ref, p_fast in zip(r_ref.pipeline_results, r_fast.pipeline_results):
         assert p_ref.cycles == p_fast.cycles
         assert p_ref.condition_result == p_fast.condition_result
-        assert p_ref.condition_value == p_fast.condition_value
+        assert repr(p_ref.condition_value) == repr(p_fast.condition_value)
         assert p_ref.exceptions == p_fast.exceptions
+        assert set(p_ref.fu_outputs) == set(p_fast.fu_outputs)
+        for fu in p_ref.fu_outputs:
+            np.testing.assert_array_equal(
+                p_ref.fu_outputs[fu], p_fast.fu_outputs[fu]
+            )
     for name in m_ref.memory.variables:
         np.testing.assert_array_equal(
             m_ref.get_variable(name), m_fast.get_variable(name)
@@ -73,8 +91,11 @@ def _assert_runs_identical(ref, fused):
     assert m_ref.dma.stats == m_fast.dma.stats
     assert m_ref.dma.device_busy == m_fast.dma.device_busy
     # Interrupt.__eq__ compares cycles only; parity means the full
-    # (cycle, kind, source, payload) stream matches
+    # (cycle, kind, source, payload) stream matches, dropped ones included
     assert _irq_stream(m_ref) == _irq_stream(m_fast)
+    assert [repr((i.cycle, i.kind, i.source)) for i in m_ref.interrupts.dropped] \
+        == [repr((i.cycle, i.kind, i.source))
+            for i in m_fast.interrupts.dropped]
     assert m_ref.interrupts.pending() == m_fast.interrupts.pending()
 
 
@@ -84,17 +105,9 @@ class TestFusedRunParity:
         u0 = rng.random((6, 6, 6))
         f = rng.standard_normal((6, 6, 6))
         ref = _run(node, setup, program, u0, f, "reference")
-        fused = _run(node, setup, program, u0, f, "fast", fuse=True)
+        fused = _run(node, setup, program, u0, f, "fast")
         _assert_runs_identical(ref, fused)
         assert fused[1].converged
-
-    def test_fused_matches_per_issue_path(self, node, rng):
-        setup, program = _generate(node)
-        u0 = rng.random((6, 6, 6))
-        f = rng.standard_normal((6, 6, 6))
-        unfused = _run(node, setup, program, u0, f, "fast", fuse=False)
-        fused = _run(node, setup, program, u0, f, "fast", fuse=True)
-        _assert_runs_identical(unfused, fused)
 
     def test_bounded_run_not_converged(self, node, rng):
         setup, program = _generate(node, eps=1e-30, max_iterations=9)
@@ -303,7 +316,7 @@ class TestFusedRunParity:
 
     def test_registered_handler_falls_back(self, node, rng):
         """Handlers observe mid-run delivery; the fused engine declines
-        (via the public configuration API) and the per-issue path still
+        (via the public configuration API) and the reference fallback
         produces reference behaviour."""
         from repro.arch.interrupts import InterruptKind
 
@@ -382,14 +395,6 @@ class TestResidualSkewFusion:
         fused = _run(node, setup, program, u0, f, "fast")
         _assert_runs_identical(ref, fused)
 
-    def test_skewed_matches_per_issue_path(self, node, rng):
-        setup, program = self._skewed(node)
-        u0 = rng.random((5, 6, 7))
-        f = rng.standard_normal((5, 6, 7))
-        unfused = _run(node, setup, program, u0, f, "fast", fuse=False)
-        fused = _run(node, setup, program, u0, f, "fast")
-        _assert_runs_identical(unfused, fused)
-
     def test_skewed_exception_flags_match(self, node):
         """Skew can shift a non-finite element out of a consumer's
         window, so propagation coverage must not be assumed — per-FU
@@ -419,7 +424,7 @@ class TestMidRunRejection:
                                                          monkeypatch):
         """A FusionUnsupported surfacing after execution has begun must
         not escape as a crash: the machine is untouched up to the commit
-        point, so the per-issue fallback reproduces the reference run."""
+        point, so the reference fallback reproduces the reference run."""
         setup, program = _generate(node, max_iterations=15)
         u0 = rng.random((6, 6, 6))
         f = rng.standard_normal((6, 6, 6))
@@ -509,10 +514,10 @@ class TestMultiNodeSteppers:
         assert r_ref.residual_history == r_fast.residual_history
         np.testing.assert_array_equal(s_ref.gather("u"), s_fast.gather("u"))
 
-    def test_declined_program_uses_per_issue_middle_tier(self, monkeypatch):
-        """When the whole-system compiler declines, the fast backend must
-        land on the per-issue *fast* path — not the reference
-        interpreter — with identical results."""
+    def test_declined_program_falls_back_to_reference(self, monkeypatch):
+        """When the whole-system compiler declines, the fast backend runs
+        the reference interpreter's node-by-node walk, with identical
+        results."""
         import repro.sim.multinode as multinode_mod
         import repro.sim.pipeline_exec as pipeline_exec_mod
 
@@ -520,23 +525,20 @@ class TestMultiNodeSteppers:
             raise progplan.FusionUnsupported("forced for the test")
 
         monkeypatch.setattr(progplan, "fused_stepper", refuse)
-        backends_seen = []
+        issues = []
         real_execute = pipeline_exec_mod.execute_image
 
-        def spying_execute(image, machine, keep_outputs=False,
-                           backend="reference"):
-            backends_seen.append(backend)
-            return real_execute(image, machine, keep_outputs=keep_outputs,
-                                backend=backend)
+        def spying_execute(image, machine, keep_outputs=False):
+            issues.append(image.number)
+            return real_execute(image, machine, keep_outputs=keep_outputs)
 
         monkeypatch.setattr(multinode_mod, "execute_image", spying_execute)
         ref = self._skewed_pair("reference")
         r_ref = ref.run(max_iterations=4)
-        assert set(backends_seen) == {"reference"}
-        backends_seen.clear()
+        n_ref = len(issues)
         fast = self._skewed_pair("fast")
         r_fast = fast.run(max_iterations=4)
-        assert backends_seen and set(backends_seen) == {"fast"}
+        assert n_ref and len(issues) == 2 * n_ref  # the interpreter ran
         assert r_ref.compute_cycles == r_fast.compute_cycles
         assert r_ref.residual_history == r_fast.residual_history
         np.testing.assert_array_equal(ref.gather("u"), fast.gather("u"))
@@ -544,14 +546,6 @@ class TestMultiNodeSteppers:
 
 class TestControlScriptShapes:
     """Fused execution of scripts beyond the straight convergence loop."""
-
-    def _custom_program(self, node, control_ops):
-        setup = build_jacobi_program(node, (5, 5, 5), eps=1e-3, loop=False)
-        prog = setup.program
-        prog.control.clear()
-        for op in control_ops:
-            prog.add_control(op)
-        return setup, MicrocodeGenerator(node).generate(prog)
 
     def _parity(self, node, setup, program, rng):
         u0 = rng.random((5, 5, 5))
@@ -575,7 +569,7 @@ class TestControlScriptShapes:
             ),
             Halt(),
         ]
-        setup, program = self._custom_program(node, ops)
+        setup, program = _scripted(node, ops)
         _m, result = self._parity(node, setup, program, rng)
         assert result.instructions_issued == 1 + 3 * 3
         assert result.halted
@@ -587,7 +581,7 @@ class TestControlScriptShapes:
             Repeat(body=(ExecPipeline(1), Halt()), times=5),
             ExecPipeline(1),
         ]
-        setup, program = self._custom_program(node, ops)
+        setup, program = _scripted(node, ops)
         _m, result = self._parity(node, setup, program, rng)
         assert result.instructions_issued == 2
         assert result.halted
@@ -608,7 +602,7 @@ class TestControlScriptShapes:
             ),
             Halt(),
         ]
-        setup, program = self._custom_program(node, ops)
+        setup, program = _scripted(node, ops)
         self._parity(node, setup, program, rng)
 
     def test_repeat_zero_times_is_noop(self, node, rng):
@@ -619,9 +613,84 @@ class TestControlScriptShapes:
             ExecPipeline(1),
             Halt(),
         ]
-        setup, program = self._custom_program(node, ops)
+        setup, program = _scripted(node, ops)
         _m, result = self._parity(node, setup, program, rng)
         assert result.instructions_issued == 2
+
+
+class TestSlabOfOne:
+    """A single machine runs as a slab of one through the one fused
+    engine, including the cases a multi-job slab declines: each must be
+    *accepted* (``try_run_fused`` is not None) and match the reference."""
+
+    def _accepted(self, node, setup, program, u0, f, keep_outputs=False):
+        ref = _run(node, setup, program, u0, f, "reference",
+                   keep_outputs=keep_outputs)
+        machine = _loaded(node, setup, program, u0, f, "fast")
+        result = progplan.try_run_fused(
+            machine, program, 1_000_000, keep_outputs=keep_outputs
+        )
+        assert result is not None
+        _assert_runs_identical(ref, (machine, result))
+        return result
+
+    def test_keep_outputs(self, node, rng):
+        setup, program = _generate(node, max_iterations=6)
+        result = self._accepted(node, setup, program, rng.random((6, 6, 6)),
+                                rng.standard_normal((6, 6, 6)),
+                                keep_outputs=True)
+        assert all(p.fu_outputs for p in result.pipeline_results
+                   if p.active_fus)
+        assert any(p.fu_outputs for p in result.pipeline_results)
+
+    def test_halt_inside_loop_until(self, node, rng):
+        setup, program = _scripted(node, [
+            ExecPipeline(0),
+            CacheSwap(caches=(0, 1)),
+            LoopUntil(
+                body=(ExecPipeline(1), SwapVars("u", "u_new"), Halt()),
+                condition_pipeline=1,
+                max_iterations=4,
+            ),
+            ExecPipeline(1),
+        ])
+        result = self._accepted(node, setup, program, rng.random((5, 5, 5)),
+                                rng.standard_normal((5, 5, 5)))
+        assert result.halted
+        assert result.instructions_issued == 2
+        assert result.loop_iterations == {1: 1}
+
+    def test_nested_loop_until(self, node, rng):
+        setup, program = _scripted(node, [
+            ExecPipeline(0),
+            CacheSwap(caches=(0, 1)),
+            LoopUntil(
+                body=(
+                    ExecPipeline(1),
+                    SwapVars("u", "u_new"),
+                    LoopUntil(
+                        body=(ExecPipeline(1), SwapVars("u", "u_new")),
+                        condition_pipeline=1,
+                        max_iterations=2,
+                    ),
+                ),
+                condition_pipeline=1,
+                max_iterations=5,
+            ),
+        ])
+        result = self._accepted(node, setup, program, rng.random((5, 5, 5)),
+                                rng.standard_normal((5, 5, 5)))
+        assert result.loop_iterations[1] > 5  # inner iterations count too
+
+    def test_non_finite_input(self, node, rng):
+        setup, program = _generate(node, max_iterations=12)
+        u0 = rng.random((6, 6, 6))
+        u0[2, 2, 2] = np.inf
+        u0[3, 3, 3] = np.nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = self._accepted(node, setup, program, u0,
+                                    rng.standard_normal((6, 6, 6)))
+        assert any(p.exceptions for p in result.pipeline_results)
 
 
 class TestPlanCache:
