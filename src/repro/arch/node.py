@@ -10,13 +10,20 @@ absorbed "merely by updating the knowledge base".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.als import ALS_CLASSES, ALSInstance, ALSKind
 from repro.arch.funcunit import FUCapability
-from repro.arch.params import NSCParameters
+from repro.arch.params import DEFAULT_PARAMS, NSCParameters
 from repro.arch.switch import SwitchNetwork
+
+#: Parameter sets whose machine tables (the shared :class:`NodeConfig`,
+#: the microword layout, the builder's FU ranking) stay resident, least
+#: recently used evicted first.  A service sees a handful: the default
+#: machine, the subset, and their hypercube-size variants.
+MACHINE_TABLES_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -138,4 +145,20 @@ class NodeConfig:
         )
 
 
-__all__ = ["NodeConfig", "FUDescriptor"]
+@functools.lru_cache(maxsize=MACHINE_TABLES_SIZE)
+def _shared_node(params: NSCParameters) -> NodeConfig:
+    return NodeConfig(params)
+
+
+def node_config(params: Optional[NSCParameters] = None) -> NodeConfig:
+    """The process-wide :class:`NodeConfig` for *params*.
+
+    A node description depends only on its parameters and nothing
+    mutates it after construction, so every job, slab and hypercube node
+    on the same machine shares one instead of rebuilding the inventory
+    and switch network.
+    """
+    return _shared_node(params if params is not None else DEFAULT_PARAMS)
+
+
+__all__ = ["NodeConfig", "FUDescriptor", "MACHINE_TABLES_SIZE", "node_config"]

@@ -302,9 +302,6 @@ class DMASpecRule(Rule):
                             pipeline=diagram.number,
                         )
                     )
-        for ep in diagram.dma:
-            if ep not in diagram.used_endpoints() or diagram.dma[ep] is None:
-                continue
         return out
 
 

@@ -33,6 +33,7 @@ from repro.codegen.microword import (
     CMP_CODES,
     Microword,
     MicrowordLayout,
+    layout_for,
 )
 from repro.codegen.timing import (
     TimingError,
@@ -172,9 +173,7 @@ class MicrocodeGenerator:
         self.auto_balance = auto_balance
         self.run_checker = run_checker
         self.checker = Checker(node)
-        self.layout = MicrowordLayout(
-            node.params, node.n_fus, sorted(node.switch.sources)
-        )
+        self.layout = layout_for(node.params)
 
     # ------------------------------------------------------------------
     def generate(self, program: VisualProgram) -> MachineProgram:

@@ -24,10 +24,12 @@ how the generator "derives switch settings ... from the connection tables".
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.arch.node import MACHINE_TABLES_SIZE, node_config
 from repro.arch.params import NSCParameters
 from repro.arch.switch import DeviceKind, Endpoint
 
@@ -206,6 +208,17 @@ class MicrowordLayout:
         return Microword(self)
 
 
+@functools.lru_cache(maxsize=MACHINE_TABLES_SIZE)
+def layout_for(params: NSCParameters) -> MicrowordLayout:
+    """The shared, read-only layout of *params*'s machine.
+
+    The field table depends only on the parameters, so every generator
+    for the same machine reuses one layout instead of re-deriving it.
+    """
+    node = node_config(params)
+    return MicrowordLayout(params, node.n_fus, sorted(node.switch.sources))
+
+
 class Microword:
     """One instruction: a value for every field, encodable to raw bits."""
 
@@ -288,6 +301,7 @@ __all__ = [
     "SourceTable",
     "MicrowordLayout",
     "Microword",
+    "layout_for",
     "CMP_CODES",
     "CMP_NAMES",
     "float_to_bits",

@@ -10,13 +10,15 @@ of the switch network when the producing unit sits in the same ALS.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arch.als import ALS_CLASSES
 from repro.arch.dma import DMASpec, Direction
 from repro.arch.funcunit import FUCapability, OPCODES, Opcode
-from repro.arch.node import NodeConfig
+from repro.arch.node import MACHINE_TABLES_SIZE, NodeConfig, node_config
+from repro.arch.params import NSCParameters
 from repro.arch.switch import (
     DeviceKind,
     Endpoint,
@@ -112,6 +114,37 @@ def _capability_richness(cap: FUCapability) -> int:
     )
 
 
+class _FUTable:
+    """The allocator's view of one machine, shared per parameter set.
+
+    ``colocate[src][fu]`` counts the hardwired routes from unit *src*
+    into unit *fu* (same ALS only; absent when zero), and
+    ``ranked[capability]`` lists the units able to do an opcode's
+    capability, least capable first, ties by index.
+    """
+
+    def __init__(self, node: NodeConfig) -> None:
+        self.caps = [node.fu_capability(fu) for fu in range(node.n_fus)]
+        self.richness = [_capability_richness(cap) for cap in self.caps]
+        self.colocate: Dict[int, Dict[int, int]] = {}
+        for als in node.als_instances:
+            for edge in ALS_CLASSES[als.kind].internal_edges:
+                src = als.first_fu + edge.src_slot
+                dst = als.first_fu + edge.dst_slot
+                row = self.colocate.setdefault(src, {})
+                row[dst] = row.get(dst, 0) + 1
+        by_rank = sorted(range(node.n_fus), key=lambda fu: (self.richness[fu], fu))
+        self.ranked: Dict[FUCapability, Tuple[int, ...]] = {
+            need: tuple(fu for fu in by_rank if need in self.caps[fu])
+            for need in {info.capability for info in OPCODES.values()}
+        }
+
+
+@functools.lru_cache(maxsize=MACHINE_TABLES_SIZE)
+def _fu_table(params: NSCParameters) -> _FUTable:
+    return _FUTable(node_config(params))
+
+
 class PipelineBuilder:
     """Builds one :class:`PipelineDiagram` against a node and a program.
 
@@ -130,6 +163,7 @@ class PipelineBuilder:
         self.program = program
         self.diagram = PipelineDiagram(number=len(program.pipelines), label=label)
         self.diagram.vector_length = vector_length
+        self._fu_table = _fu_table(node.params)
         self._used_fus: set[int] = set()
         self._used_sd_units: set[int] = set()
         self._next_tap: Dict[int, int] = {}
@@ -242,32 +276,30 @@ class PipelineBuilder:
         self, capability: FUCapability, operands: Sequence[Operand]
     ) -> int:
         """Pick a free unit: prefer internal-route colocation, then the
-        least-capable unit that suffices."""
-        src_fus = {op.fu for op in operands if isinstance(op, FURef)}
-        candidates: List[Tuple[int, int, int]] = []  # (-colocate, richness, fu)
-        for fu in range(self.node.n_fus):
-            if fu in self._used_fus:
-                continue
-            cap = self.node.fu_capability(fu)
-            if capability not in cap:
-                continue
-            colocate = 0
-            als = self.node.als_of_fu(fu)
-            my_slot = fu - als.first_fu
-            for src in src_fus:
-                src_als = self.node.als_of_fu(src)
-                if src_als.als_id == als.als_id:
-                    src_slot = src - als.first_fu
-                    for edge in ALS_CLASSES[als.kind].internal_edges:
-                        if edge.src_slot == src_slot and edge.dst_slot == my_slot:
-                            colocate += 1
-            candidates.append((-colocate, _capability_richness(cap), fu))
-        if not candidates:
-            raise BuilderError(
-                f"no free functional unit with capability {capability.label}"
-            )
-        candidates.sort()
-        return candidates[0][2]
+        least-capable unit that suffices.
+
+        The minimum of ``(-colocate, richness, fu)`` over the free capable
+        units: a unit an operand feeds by hardwired route wins if there is
+        one, otherwise the first free unit of the pre-ranked list.
+        """
+        table, used = self._fu_table, self._used_fus
+        colocate: Dict[int, int] = {}
+        for src in {op.fu for op in operands if isinstance(op, FURef)}:
+            for fu, routes in table.colocate.get(src, {}).items():
+                colocate[fu] = colocate.get(fu, 0) + routes
+        routed = [
+            (-routes, table.richness[fu], fu)
+            for fu, routes in colocate.items()
+            if fu not in used and capability in table.caps[fu]
+        ]
+        if routed:
+            return min(routed)[2]
+        for fu in table.ranked[capability]:
+            if fu not in used:
+                return fu
+        raise BuilderError(
+            f"no free functional unit with capability {capability.label}"
+        )
 
     def _ensure_als_placed(self, fu: int) -> None:
         als = self.node.als_of_fu(fu)

@@ -361,11 +361,11 @@ def _run_single(
     fields_out: Optional[Mapping[str, np.ndarray]] = None,
 ) -> Dict[str, Any]:
     from repro.apps.poisson3d import manufactured_solution
-    from repro.arch.node import NodeConfig
+    from repro.arch.node import node_config
     from repro.compose.registry import SOLVERS
     from repro.sim.machine import NSCMachine
 
-    node = NodeConfig(job.params())
+    node = node_config(job.params())
     (setup, program), checker = _obtain_program(
         job, cache, lambda check: _compile_single(job, node, check)
     )
@@ -428,12 +428,12 @@ def _field_shape(job: SimJob) -> Tuple[int, int, int]:
 def _compile_multinode(
     job: SimJob, local_shape: Tuple[int, int, int], check: bool
 ):
-    from repro.arch.node import NodeConfig
+    from repro.arch.node import node_config
     from repro.codegen.generator import MicrocodeGenerator
     from repro.compose.jacobi import build_jacobi_program
 
     params = job.params().subset(hypercube_dim=job.hypercube_dim)
-    node_cfg = NodeConfig(params)
+    node_cfg = node_config(params)
     setup = build_jacobi_program(
         node_cfg, local_shape, eps=job.eps, loop=False
     )

@@ -91,7 +91,7 @@ def _execute_slab(
     jobs: Sequence[SimJob], cache: ProgramCache
 ) -> List[Dict[str, Any]]:
     from repro.apps.poisson3d import manufactured_solution
-    from repro.arch.node import NodeConfig
+    from repro.arch.node import node_config
     from repro.compose.registry import SOLVERS
     from repro.sim.batchplan import (
         BatchProgramRun,
@@ -112,7 +112,7 @@ def _execute_slab(
 
     n_jobs = len(jobs)
     job0 = jobs[0]
-    node = NodeConfig(job0.params())
+    node = node_config(job0.params())
     params = node.params
 
     # --- per-job compile stage (preserves cache-hit deltas and checker

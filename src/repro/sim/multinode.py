@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.node import NodeConfig
+from repro.arch.node import node_config
 from repro.arch.params import NSCParameters
 from repro.arch.router import HyperspaceRouter, Message
 from repro.codegen.generator import MicrocodeGenerator
@@ -130,6 +130,7 @@ class MultiNodeStencil:
 
     # ------------------------------------------------------------------
     def _setup_nodes(self) -> None:
+        node_cfg = node_config(self.params)
         if self._precompiled is not None:
             # a (JacobiSetup, MachineProgram) pair from the service's
             # ProgramCache — every node runs the same SPMD program, so one
@@ -143,7 +144,6 @@ class MultiNodeStencil:
             self.setup = setup
             self.machine_program = machine_program
         else:
-            node_cfg = NodeConfig(self.params)
             generator = MicrocodeGenerator(node_cfg)
             setup = build_jacobi_program(
                 node_cfg, self.local_shape, eps=self.eps, loop=False
@@ -154,7 +154,7 @@ class MultiNodeStencil:
         n_local = nx * ny * (self.nz_local + 2)
         mask, invmask = self._slab_masks()
         for _slab in range(self.n_nodes):
-            machine = NSCMachine(NodeConfig(self.params))
+            machine = NSCMachine(node_cfg)
             machine.load_program(self.machine_program)
             machine.set_variable("mask", mask[_slab])
             machine.set_variable("invmask", invmask[_slab])

@@ -55,10 +55,11 @@ sweeps, halo exchanges, convergence check — from one compiled schedule.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from math import isfinite as _isfinite
-from types import FunctionType
+from types import CodeType, FunctionType
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -721,6 +722,22 @@ class ImageKernel:
         return BoundImage(self, storage, batch_shape)
 
 
+#: Distinct generated runner sources whose compiled code stays resident.
+RUNNER_CODE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=RUNNER_CODE_SIZE)
+def _runner_code(src_text: str) -> CodeType:
+    """The code object of the one function *src_text* defines.
+
+    Runner source depends only on a kernel's structure, never on grid
+    size or tolerances, so distinct programs of one shape share it.
+    Compiling without executing leaves the argument defaults unbound.
+    """
+    module = compile(src_text, "<runner>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
 class BoundImage:
     """One image bound to a run's storage: buffers allocated, views live."""
 
@@ -973,12 +990,10 @@ class BoundImage:
                 + "\n".join(body + tail)
                 + "\n    return _ok\n"
             )
-            exec(src_text, env)  # noqa: S102 - compiling our own generated text
-            runner = env["_runner"]
-            self.kernel.__dict__["_runner_code"] = (runner.__code__, names)
-            return runner
-        # same structure, new bindings: clone the compiled code object with
-        # fresh argument defaults instead of re-exec'ing the source
+            cached = (_runner_code(src_text), names)
+            self.kernel.__dict__["_runner_code"] = cached
+        # the code object depends only on the kernel's structure: bind this
+        # issue's operands as fresh argument defaults
         return FunctionType(
             cached[0], {}, "_runner", tuple(env[name] for name in names)
         )

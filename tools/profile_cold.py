@@ -1,0 +1,183 @@
+#!/usr/bin/env python3
+"""Where a cold service job's time goes, sub-stage by sub-stage.
+
+Samples N never-seen registry programs (solver x n = 5..9 x one of 400
+tolerances, the shape of the benchmark's cold pool) and runs each the way
+a serial service job does on the fused engine, timing every sub-stage:
+
+==========  ===========================================================
+nodeconfig  ``node_config(params)``: the machine description
+build       ``SolverEntry.build_setup``: the builder and FU allocation
+layout      ``MicrocodeGenerator(...)``: generator and microword layout
+check       ``Checker.check_program``: the design-rule sweep
+generate    ``MicrocodeGenerator.generate`` without the check
+plan        ``compiled_plan``: the whole-program execution schedule
+runner      ``BoundImage._generate_runner``: per-issue kernel code
+execute     ``NSCMachine.run`` minus its runner code generation
+==========  ===========================================================
+
+First-use imports and machine tables are warmed on n = 4 programs the
+sample never contains, as a long-lived service would have them.  Prints
+the p50 of each sub-stage and of their per-job sum in milliseconds.
+
+Usage::
+
+    python tools/profile_cold.py [-n 200] [--seed 0] [--json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import statistics
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from repro.apps.poisson3d import manufactured_solution  # noqa: E402
+from repro.arch.node import node_config  # noqa: E402
+from repro.arch.params import NSCParameters  # noqa: E402
+from repro.codegen.generator import MicrocodeGenerator  # noqa: E402
+from repro.compose.registry import SOLVERS  # noqa: E402
+from repro.sim import progplan  # noqa: E402
+from repro.sim.machine import NSCMachine  # noqa: E402
+
+STAGES = (
+    "nodeconfig",
+    "build",
+    "layout",
+    "check",
+    "generate",
+    "plan",
+    "runner",
+    "execute",
+)
+
+SIZES = (5, 6, 7, 8, 9)
+EPS_GRID = tuple(10 ** (-2.0 - 2.0 * k / 399) for k in range(400))
+
+Program = Tuple[str, int, float]
+
+
+def sample(n: int, seed: int) -> List[Program]:
+    pool = [(m, size, eps) for m in SOLVERS for size in SIZES for eps in EPS_GRID]
+    return random.Random(seed).sample(pool, n)
+
+
+@contextmanager
+def runner_clock() -> Iterator[List[float]]:
+    """Accumulate the seconds spent generating per-issue runners."""
+    spent = [0.0]
+    original = progplan.BoundImage._generate_runner
+
+    def timed(self, ops):
+        t0 = time.perf_counter()
+        try:
+            return original(self, ops)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
+    progplan.BoundImage._generate_runner = timed
+    try:
+        yield spent
+    finally:
+        progplan.BoundImage._generate_runner = original
+
+
+def profile_one(
+    program: Program, params: NSCParameters, spent: List[float]
+) -> Dict[str, float]:
+    """Compile and run one program; seconds per sub-stage."""
+    method, size, eps = program
+    shape = (size, size, size)
+    entry = SOLVERS[method]
+    clock = time.perf_counter
+
+    t0 = clock()
+    node = node_config(params)
+    t1 = clock()
+    setup = entry.build_setup(node, shape, eps=eps, max_iterations=2000, omega=1.5)
+    t2 = clock()
+    generator = MicrocodeGenerator(node, run_checker=False)
+    t3 = clock()
+    report = generator.checker.check_program(setup.program)
+    t4 = clock()
+    compiled = generator.generate(setup.program)
+    t5 = clock()
+    progplan.compiled_plan(compiled, params)
+    t6 = clock()
+    if not report.ok:
+        raise RuntimeError(f"{program} fails the checker")
+
+    machine = NSCMachine(node, backend="fast")
+    machine.load_program(compiled)
+    _u_star, f, _h = manufactured_solution(shape, h=setup.h)
+    entry.load(machine, setup, np.zeros(shape), f)
+    before = spent[0]
+    t7 = clock()
+    machine.run()
+    t8 = clock()
+    runner = spent[0] - before
+    return {
+        "nodeconfig": t1 - t0,
+        "build": t2 - t1,
+        "layout": t3 - t2,
+        "check": t4 - t3,
+        "generate": t5 - t4,
+        "plan": t6 - t5,
+        "runner": runner,
+        "execute": t8 - t7 - runner,
+    }
+
+
+def profile(n: int, seed: int) -> Dict[str, float]:
+    """p50 milliseconds per sub-stage (and ``total``) over *n* programs."""
+    params = NSCParameters()
+    per_stage: Dict[str, List[float]] = {stage: [] for stage in STAGES}
+    totals: List[float] = []
+    with runner_clock() as spent:
+        for method in SOLVERS:
+            profile_one((method, 4, 1e-3), params, spent)
+        for program in sample(n, seed):
+            times = profile_one(program, params, spent)
+            for stage in STAGES:
+                per_stage[stage].append(times[stage] * 1e3)
+            totals.append(sum(times.values()) * 1e3)
+    p50 = {stage: statistics.median(v) for stage, v in per_stage.items()}
+    p50["total"] = statistics.median(totals)
+    return p50
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "-n", type=int, default=200, help="programs to sample (default 200)"
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--json", action="store_true", help="print one JSON object, not a table"
+    )
+    args = parser.parse_args(argv)
+    if args.n < 1:
+        parser.error("-n must be at least 1")
+    p50 = profile(args.n, args.seed)
+    if args.json:
+        report = {"programs": args.n, "seed": args.seed, "p50_ms": p50}
+        print(json.dumps(report, sort_keys=True))
+        return 0
+    print(f"profile_cold: {args.n} programs (seed {args.seed}), p50 ms per sub-stage")
+    for stage, value in p50.items():
+        print(f"  {stage:<10} {value:8.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
