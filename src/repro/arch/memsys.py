@@ -47,6 +47,18 @@ class Variable:
         )
 
 
+def stream_slice(offset: int, count: int, stride: int) -> slice:
+    """The slice a DMA address walk of *count* words from *offset* by
+    *stride* reduces to on a word array.
+
+    A reversed walk that ends at word 0 has no non-negative stop index,
+    so its stop is ``None`` rather than ``-1`` (which would wrap)."""
+    if stride > 0:
+        return slice(offset, offset + count * stride, stride)
+    last = offset + (count - 1) * stride
+    return slice(offset, last - 1 if last > 0 else None, stride)
+
+
 class MemoryPlane:
     """One plane: a word-addressed array with an allocation map.
 
@@ -78,8 +90,7 @@ class MemoryPlane:
         if offset < 0 or last < 0:
             raise AllocationError(f"plane {self.plane_id}: negative address")
         self._ensure(max(offset, last) + 1)
-        return self._data[offset : offset + count * stride : stride].copy() \
-            if stride > 0 else self._data[offset : (last - 1 if last > 0 else None) : stride].copy()
+        return self._data[stream_slice(offset, count, stride)].copy()
 
     def write(self, offset: int, values: np.ndarray, stride: int = 1) -> None:
         values = np.asarray(values, dtype=np.float64)
@@ -89,10 +100,7 @@ class MemoryPlane:
         if offset < 0 or last < 0:
             raise AllocationError(f"plane {self.plane_id}: negative address")
         self._ensure(max(offset, last) + 1)
-        if stride > 0:
-            self._data[offset : offset + values.size * stride : stride] = values
-        else:
-            self._data[offset : (last - 1 if last > 0 else None) : stride] = values
+        self._data[stream_slice(offset, values.size, stride)] = values
 
 
 class PlaneMemory:
@@ -170,59 +178,78 @@ class DoubleBufferedCache:
     One buffer streams into/out of the pipeline while the other is filled or
     drained by its DMA controller; :meth:`swap` flips them between pipeline
     phases.  This is the mechanism that lets memory traffic overlap compute.
+
+    Like plane storage, a buffer materializes on first touch: it holds no
+    array until :attr:`front` or :attr:`back` is first read, and then
+    starts as ``buffer_words`` zeros, exactly what an untouched buffer
+    reads as.  A node whose program never names a cache pays nothing
+    for it.
     """
 
     def __init__(self, cache_id: int, buffer_words: int) -> None:
         self.cache_id = cache_id
         self.buffer_words = buffer_words
-        self._buffers = [
-            np.zeros(buffer_words, dtype=np.float64),
-            np.zeros(buffer_words, dtype=np.float64),
-        ]
+        self._buffers: List[Optional[np.ndarray]] = [None, None]
         self._front = 0
         self.swaps = 0
+
+    def _buffer(self, index: int) -> np.ndarray:
+        buffer = self._buffers[index]
+        if buffer is None:
+            buffer = np.zeros(self.buffer_words, dtype=np.float64)
+            self._buffers[index] = buffer
+        return buffer
 
     @property
     def front(self) -> np.ndarray:
         """Buffer visible to the pipeline."""
-        return self._buffers[self._front]
+        return self._buffer(self._front)
 
     @property
     def back(self) -> np.ndarray:
         """Buffer owned by the DMA engine."""
-        return self._buffers[1 - self._front]
+        return self._buffer(1 - self._front)
+
+    @property
+    def materialized(self) -> bool:
+        """Whether either buffer has been touched (and so holds storage)."""
+        return any(buffer is not None for buffer in self._buffers)
 
     def swap(self) -> None:
         self._front = 1 - self._front
         self.swaps += 1
 
-    def load_back(self, values: np.ndarray, offset: int = 0) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        if offset < 0 or offset + values.size > self.buffer_words:
+    def _check(self, verb: str, offset: int, count: int, stride: int) -> None:
+        last = offset + (count - 1) * stride if count else offset
+        if offset < 0 or (
+            count and (last < 0 or max(offset, last) >= self.buffer_words)
+        ):
             raise AllocationError(
-                f"cache {self.cache_id}: load of {values.size} words at "
-                f"{offset} exceeds buffer of {self.buffer_words}"
+                f"cache {self.cache_id}: {verb} of {count} words "
+                f"[{offset}:{last}] out of range for a "
+                f"{self.buffer_words}-word buffer"
             )
-        self.back[offset : offset + values.size] = values
+
+    def load_back(
+        self, values: np.ndarray, offset: int = 0, stride: int = 1
+    ) -> None:
+        """DMA fill of the back buffer (the pipeline sees it after a swap)."""
+        values = np.asarray(values, dtype=np.float64)
+        self._check("load", offset, values.size, stride)
+        if values.size:
+            self.back[stream_slice(offset, values.size, stride)] = values
 
     def read_front(self, offset: int, count: int, stride: int = 1) -> np.ndarray:
-        last = offset + (count - 1) * stride if count else offset
-        if offset < 0 or (count and (last < 0 or max(offset, last) >= self.buffer_words)):
-            raise AllocationError(
-                f"cache {self.cache_id}: read [{offset}:{last}] out of range"
-            )
-        return self.front[offset : offset + count * stride : stride].copy()
+        self._check("read", offset, count, stride)
+        if count == 0:
+            return np.zeros(0, dtype=np.float64)
+        return self.front[stream_slice(offset, count, stride)].copy()
 
     def write_front(self, offset: int, values: np.ndarray, stride: int = 1) -> None:
         values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return
-        last = offset + (values.size - 1) * stride
-        if offset < 0 or last < 0 or max(offset, last) >= self.buffer_words:
-            raise AllocationError(
-                f"cache {self.cache_id}: write [{offset}:{last}] out of range"
-            )
-        self.front[offset : offset + values.size * stride : stride] = values
+        self._check("write", offset, values.size, stride)
+        if values.size:
+            self.front[stream_slice(offset, values.size, stride)] = values
 
 
 __all__ = [
@@ -231,4 +258,5 @@ __all__ = [
     "MemoryPlane",
     "PlaneMemory",
     "DoubleBufferedCache",
+    "stream_slice",
 ]

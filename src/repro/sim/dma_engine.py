@@ -92,11 +92,7 @@ class DMAEngine:
         else:
             # double-buffer protocol: DMA fills the back buffer while the
             # pipeline sees the front; a sequencer CacheSwap exposes it
-            if spec.stride == 1:
-                self.caches[spec.device].load_back(values, offset=base)
-            else:
-                back = self.caches[spec.device].back
-                back[base : base + values.size * spec.stride : spec.stride] = values
+            self.caches[spec.device].load_back(values, base, spec.stride)
         self.stats.transfers += 1
         self.stats.words_written += int(values.size)
         self._charge(program)

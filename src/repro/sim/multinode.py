@@ -150,17 +150,14 @@ class MultiNodeStencil:
             )
             self.setup = setup
             self.machine_program = generator.generate(setup.program)
-        nx, ny, _ = self.shape
-        n_local = nx * ny * (self.nz_local + 2)
+        # u, f and u_new need no zero fill: declared variables read as
+        # zeros from lazily grown planes until scatter() writes them
         mask, invmask = self._slab_masks()
         for _slab in range(self.n_nodes):
             machine = NSCMachine(node_cfg)
             machine.load_program(self.machine_program)
             machine.set_variable("mask", mask[_slab])
             machine.set_variable("invmask", invmask[_slab])
-            machine.set_variable("u", np.zeros(n_local))
-            machine.set_variable("f", np.zeros(n_local))
-            machine.set_variable("u_new", np.zeros(n_local))
             self.machines.append(machine)
 
     def _slab_masks(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:

@@ -71,6 +71,7 @@ from repro.analysis.plansafety import (
     REDUCIBLE_OPS,
 )
 from repro.arch.funcunit import Opcode
+from repro.arch.memsys import stream_slice
 from repro.arch.switch import DeviceKind
 from repro.codegen.generator import MachineProgram, PipelineImage
 from repro.codegen.timing import instruction_cycles
@@ -235,15 +236,6 @@ class _Storage:
             self.planes[plane_a],
         )
         self.version += 1
-
-
-def _prog_slice(base: int, count: int, stride: int) -> slice:
-    """The index expression DMA address walks reduce to on a local array."""
-    if stride > 0:
-        return slice(base, base + count * stride, stride)
-    last = base + (count - 1) * stride
-    stop = last - 1 if last > 0 else None
-    return slice(base, stop, stride)
 
 
 def _prog_span(base: int, count: int, stride: int) -> Tuple[int, int]:
@@ -890,7 +882,7 @@ class BoundImage:
             else:
                 base = prog.base_offset
             arr = storage.array_for(spec.device_kind, spec.device)
-            streams.append(arr[..., _prog_slice(base, prog.count, spec.stride)])
+            streams.append(arr[..., stream_slice(base, prog.count, spec.stride)])
         self._streams = streams
         views: List[np.ndarray] = []
         for _src, prog, width in kernel.writes:
@@ -901,7 +893,7 @@ class BoundImage:
             else:
                 base = prog.base_offset
             arr = storage.array_for(spec.device_kind, spec.device, write=True)
-            views.append(arr[..., _prog_slice(base, width, spec.stride)])
+            views.append(arr[..., stream_slice(base, width, spec.stride)])
         self._write_views = views
 
         def live(operand: Any) -> Any:

@@ -9,6 +9,7 @@ from repro.arch.memsys import (
     MemoryPlane,
     PlaneMemory,
     Variable,
+    stream_slice,
 )
 from repro.arch.params import NSCParameters
 
@@ -141,3 +142,104 @@ class TestDoubleBufferedCache:
         cache = DoubleBufferedCache(0, 16)
         cache.write_front(0, np.arange(4.0), stride=2)
         np.testing.assert_allclose(cache.read_front(0, 4, stride=2), np.arange(4.0))
+
+    def test_strided_load_back(self):
+        cache = DoubleBufferedCache(0, 16)
+        cache.load_back(np.arange(4.0), offset=1, stride=3)
+        cache.swap()
+        np.testing.assert_allclose(cache.read_front(1, 4, stride=3), np.arange(4.0))
+        with pytest.raises(AllocationError):
+            cache.load_back(np.ones(6), offset=1, stride=3)
+
+
+class TestReversedWalks:
+    """A walk with a negative stride that ends at word 0 has no
+    non-negative stop index; every accessor must agree with the plane."""
+
+    def _plane(self):
+        plane = MemoryPlane(0, 16)
+        plane.write(0, np.arange(8.0))
+        return plane
+
+    def test_stream_slice_reaches_word_zero(self):
+        words = np.arange(8.0)
+        np.testing.assert_array_equal(
+            words[stream_slice(3, 4, -1)], [3.0, 2.0, 1.0, 0.0]
+        )
+        np.testing.assert_array_equal(words[stream_slice(7, 3, -2)], [7.0, 5.0, 3.0])
+        np.testing.assert_array_equal(words[stream_slice(2, 3, 2)], [2.0, 4.0, 6.0])
+
+    def test_plane_read(self):
+        np.testing.assert_array_equal(self._plane().read(3, 4, -1), [3, 2, 1, 0])
+
+    def test_read_front_matches_plane(self):
+        cache = DoubleBufferedCache(0, 16)
+        cache.write_front(0, np.arange(8.0))
+        np.testing.assert_array_equal(
+            cache.read_front(3, 4, -1), self._plane().read(3, 4, -1)
+        )
+
+    def test_write_front_matches_plane(self):
+        plane = MemoryPlane(0, 16)
+        plane.write(3, np.arange(4.0), stride=-1)
+        cache = DoubleBufferedCache(0, 16)
+        cache.write_front(3, np.arange(4.0), stride=-1)
+        np.testing.assert_array_equal(cache.front[:8], plane.read(0, 8))
+
+    def test_load_back_matches_plane(self):
+        plane = MemoryPlane(0, 16)
+        plane.write(6, np.arange(4.0), stride=-2)
+        cache = DoubleBufferedCache(0, 16)
+        cache.load_back(np.arange(4.0), offset=6, stride=-2)
+        np.testing.assert_array_equal(cache.back[:8], plane.read(0, 8))
+
+    def test_reversed_walk_below_zero_rejected(self):
+        cache = DoubleBufferedCache(0, 16)
+        with pytest.raises(AllocationError):
+            cache.read_front(2, 4, -1)
+        with pytest.raises(AllocationError):
+            cache.write_front(2, np.ones(4), stride=-1)
+        with pytest.raises(AllocationError):
+            cache.load_back(np.ones(4), offset=2, stride=-1)
+
+
+class TestCacheMaterialization:
+    """Buffers hold no storage until first touched, and nothing a reader
+    can observe depends on when that happens."""
+
+    def test_untouched_buffers_read_as_zeros(self):
+        cache = DoubleBufferedCache(0, 32)
+        assert not cache.materialized
+        np.testing.assert_array_equal(cache.front, np.zeros(32))
+        np.testing.assert_array_equal(cache.back, np.zeros(32))
+        assert cache.materialized
+
+    def test_construction_allocates_nothing(self):
+        cache = DoubleBufferedCache(0, 1 << 20)
+        assert not cache.materialized
+        cache.swap()
+        assert not cache.materialized
+
+    def test_swap_before_first_touch(self):
+        cache = DoubleBufferedCache(0, 16)
+        cache.swap()
+        cache.write_front(0, np.ones(4))
+        cache.swap()
+        np.testing.assert_array_equal(cache.front, np.zeros(16))
+        cache.swap()
+        np.testing.assert_array_equal(cache.front[:4], np.ones(4))
+        assert cache.swaps == 3
+
+    def test_load_back_then_swap(self):
+        cache = DoubleBufferedCache(0, 16)
+        cache.load_back(np.arange(4.0))
+        cache.swap()
+        np.testing.assert_array_equal(cache.front[:4], np.arange(4.0))
+        np.testing.assert_array_equal(cache.back, np.zeros(16))
+
+    def test_empty_accesses_allocate_nothing(self):
+        cache = DoubleBufferedCache(0, 16)
+        assert cache.read_front(4, 0).size == 0
+        cache.write_front(4, np.zeros(0))
+        cache.load_back(np.zeros(0), offset=4)
+        assert not cache.materialized

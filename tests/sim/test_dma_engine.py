@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch.dma import DMAProgram, DMASpec, DMASpecError, Direction
-from repro.arch.memsys import DoubleBufferedCache, PlaneMemory
+from repro.arch.memsys import AllocationError, DoubleBufferedCache, PlaneMemory
 from repro.arch.params import NSCParameters
 from repro.arch.switch import DeviceKind
 from repro.sim.dma_engine import DMAEngine
@@ -88,6 +88,34 @@ class TestTransfers:
         engine.write_stream(prog, np.arange(10.0))
         assert engine.stats.words_written == 3
 
+
+    def _cache_prog(self, direction, offset, stride, count):
+        spec = DMASpec(
+            device_kind=DeviceKind.CACHE, device=2, direction=direction,
+            offset=offset, stride=stride,
+        )
+        return DMAProgram(spec=spec, base_offset=offset, count=count)
+
+    def test_reversed_cache_stream_reaches_word_zero(self, engine):
+        """A stride -1 walk ending at word 0 stores and reads back the same
+        words a plane walk does."""
+        engine.write_stream(
+            self._cache_prog(Direction.WRITE, 3, -1, 4), np.arange(4.0)
+        )
+        engine.caches[2].swap()
+        np.testing.assert_array_equal(engine.caches[2].front[:4], [3, 2, 1, 0])
+        out = engine.read_stream(self._cache_prog(Direction.READ, 3, -1, 4))
+        np.testing.assert_array_equal(out, np.arange(4.0))
+
+    def test_strided_cache_store_bounds_checked(self, engine):
+        with pytest.raises(AllocationError):
+            engine.write_stream(
+                self._cache_prog(Direction.WRITE, 2, -1, 4), np.ones(4)
+            )
+        with pytest.raises(AllocationError):
+            engine.write_stream(
+                self._cache_prog(Direction.WRITE, 250, 3, 4), np.ones(4)
+            )
 
 class TestContention:
     def test_parallel_devices_overlap(self, engine):

@@ -9,7 +9,9 @@ statistics all have to match a step-by-step reference run exactly.
 import numpy as np
 import pytest
 
+from repro.arch.funcunit import Opcode
 from repro.codegen.generator import MicrocodeGenerator
+from repro.compose.builders import PipelineBuilder
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
 from repro.diagram.program import (
     CacheSwap,
@@ -18,6 +20,7 @@ from repro.diagram.program import (
     LoopUntil,
     Repeat,
     SwapVars,
+    VisualProgram,
 )
 from repro.sim import progplan
 from repro.sim.fastpath import PLAN_CACHE
@@ -617,6 +620,59 @@ class TestControlScriptShapes:
         _m, result = self._parity(node, setup, program, rng)
         assert result.instructions_issued == 2
 
+
+class TestReversedCacheStreams:
+    """Negative-stride cache walks that end at word 0: the interpreter's
+    cache accessors and the fused engine's local slices must agree."""
+
+    N = 8
+
+    def _program(self, node, load_stride, read_stride):
+        n = self.N
+        prog = VisualProgram(name=f"reverse-{load_stride}-{read_stride}")
+        prog.declare("x", plane=0, length=n, initializer="user")
+        prog.declare("out", plane=1, length=n)
+        load = PipelineBuilder(node, prog, label="load", vector_length=n)
+        load.write_cache(
+            load.read_var("x", count=n), cache=3, count=n, stride=load_stride,
+            offset=n - 1 if load_stride < 0 else 0,
+        )
+        load.build()
+        comp = PipelineBuilder(node, prog, label="scale", vector_length=n)
+        data = comp.read_cache(
+            3, count=n, stride=read_stride,
+            offset=n - 1 if read_stride < 0 else 0,
+        )
+        comp.write_var(comp.apply(Opcode.FSCALE, data, constant=2.0), "out")
+        comp.build()
+        for op in (ExecPipeline(0), CacheSwap(caches=(3,)), ExecPipeline(1),
+                   Halt()):
+            prog.add_control(op)
+        return MicrocodeGenerator(node).generate(prog)
+
+    @pytest.mark.parametrize("load_stride, read_stride",
+                             [(-1, -1), (-1, 1), (1, -1)])
+    def test_reference_matches_fused(self, node, load_stride, read_stride):
+        program = self._program(node, load_stride, read_stride)
+        x = np.arange(1.0, self.N + 1)
+
+        def loaded(backend):
+            machine = NSCMachine(node, backend=backend)
+            machine.load_program(program)
+            machine.set_variable("x", x)
+            return machine
+
+        assert progplan.try_run_fused(loaded("fast"), program, 100) is not None
+        runs = []
+        for backend in ("reference", "fast"):
+            machine = loaded(backend)
+            runs.append((machine, machine.run()))
+        _assert_runs_identical(*runs)
+        expected = 2.0 * (x if load_stride == read_stride else x[::-1])
+        np.testing.assert_array_equal(runs[0][0].get_variable("out"), expected)
+        np.testing.assert_array_equal(
+            runs[0][0].caches[3].front, runs[1][0].caches[3].front
+        )
 
 class TestSlabOfOne:
     """A single machine runs as a slab of one through the one fused

@@ -12,6 +12,7 @@ layout      ``MicrocodeGenerator(...)``: generator and microword layout
 check       ``Checker.check_program``: the design-rule sweep
 generate    ``MicrocodeGenerator.generate`` without the check
 plan        ``compiled_plan``: the whole-program execution schedule
+machine     ``NSCMachine``, ``load_program`` and the solver's input load
 runner      ``BoundImage._generate_runner``: per-issue kernel code
 execute     ``NSCMachine.run`` minus its runner code generation
 ==========  ===========================================================
@@ -57,6 +58,7 @@ STAGES = (
     "check",
     "generate",
     "plan",
+    "machine",
     "runner",
     "execute",
 )
@@ -117,14 +119,16 @@ def profile_one(
     if not report.ok:
         raise RuntimeError(f"{program} fails the checker")
 
+    _u_star, f, _h = manufactured_solution(shape, h=setup.h)
+    u0 = np.zeros(shape)
+    t7 = clock()
     machine = NSCMachine(node, backend="fast")
     machine.load_program(compiled)
-    _u_star, f, _h = manufactured_solution(shape, h=setup.h)
-    entry.load(machine, setup, np.zeros(shape), f)
+    entry.load(machine, setup, u0, f)
     before = spent[0]
-    t7 = clock()
-    machine.run()
     t8 = clock()
+    machine.run()
+    t9 = clock()
     runner = spent[0] - before
     return {
         "nodeconfig": t1 - t0,
@@ -133,8 +137,9 @@ def profile_one(
         "check": t4 - t3,
         "generate": t5 - t4,
         "plan": t6 - t5,
+        "machine": t8 - t7,
         "runner": runner,
-        "execute": t8 - t7 - runner,
+        "execute": t9 - t8 - runner,
     }
 
 
