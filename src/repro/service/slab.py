@@ -10,9 +10,10 @@ built and loaded once, its pulled planes broadcast into stacked
 its own ``u`` row (the solver loaders write ``u0`` verbatim, so a row
 overwrite reproduces ``entry.load`` exactly), and a single
 :class:`~repro.sim.batchplan.BatchProgramRun` sweeps the whole stack.
-Records are then synthesized per job without ever instantiating per-job
-machines — cycles, DMA words, and interrupt-delivery counts all come
-from the slab engine's analytic per-job accounting, bit-identical to
+Records are then synthesized per job from counts, without per-job
+machines or per-issue records — cycles, flops, DMA words, and
+interrupt-delivery counts are folded from the slab engine's one issue
+log (:meth:`~repro.sim.batchplan.BatchProgramRun.job`), bit-identical to
 what ``machine.metrics(result)`` reports on the per-job fused path.
 
 Anything that stops a slab — an unfusable program, mixed parameters
@@ -95,7 +96,6 @@ def _execute_slab(
     from repro.compose.registry import SOLVERS
     from repro.sim.batchplan import (
         BatchProgramRun,
-        delivered_count,
         machine_bindings,
         stacked_template_storage,
     )
@@ -150,7 +150,9 @@ def _execute_slab(
     variables, armed = machine_bindings(plan, template)
     if "u" not in variables:
         raise FusionUnsupported("solver state variable 'u' not in plan")
-    storage = stacked_template_storage(plan, template, n_jobs)
+    storage = stacked_template_storage(
+        template, n_jobs, plan.plane_extent, plan.cache_extent
+    )
     storage.variables = variables
     uvar = variables["u"]
     u_plane = storage.planes[uvar.plane]
@@ -164,7 +166,7 @@ def _execute_slab(
 
     # --- one fused execution over the whole stack ---------------------
     exec_start = time.perf_counter()
-    results = run.run()  # FusionUnsupported propagates to execute_slab
+    run.run()  # FusionUnsupported propagates to execute_slab
     exec_s = time.perf_counter() - exec_start
 
     # --- per-job record synthesis (no machines) -----------------------
@@ -175,31 +177,28 @@ def _execute_slab(
     # the final u plane may have been reference-swapped; re-resolve
     u_plane = storage.planes[uvar.plane]
     for j, (job, tracer, record) in enumerate(zip(jobs, tracers, records)):
-        result = results[j]
+        job_run = run.job(j)
         tracer.timings["bind"] = tracer.timings.get("bind", 0.0) \
             + bind_s / n_jobs
         tracer.timings["execute"] = tracer.timings.get("execute", 0.0) \
             + exec_s / n_jobs
         metrics = RunMetrics(
-            cycles=result.total_cycles,
-            instructions=result.instructions_issued,
-            flops=result.total_flops,
-            words_moved=run.words_read[j] + run.words_written[j],
+            cycles=job_run.cycles,
+            instructions=job_run.instructions,
+            flops=job_run.flops,
+            words_moved=job_run.words_read + job_run.words_written,
             clock_mhz=params.clock_mhz,
             peak_mflops=params.peak_mflops_per_node,
             n_fus=node.n_fus,
-            active_fu_cycles=sum(
-                r.active_fus * r.vector_length
-                for r in result.pipeline_results
-            ),
-            interrupts_delivered=delivered_count(run.irq_logs[j], armed),
+            active_fu_cycles=job_run.active_fu_cycles,
+            interrupts_delivered=job_run.interrupts_delivered(armed),
         )
+        converged = run.converged[j]
         record.update({
-            "converged": bool(result.converged)
-            if result.converged is not None else None,
-            "sweeps": result.loop_iterations.get(watch, 0)
+            "converged": bool(converged) if converged is not None else None,
+            "sweeps": run.loop_iterations[j].get(watch, 0)
             if watch is not None else 0,
-            "cycles": result.total_cycles,
+            "cycles": job_run.cycles,
             "program_fingerprint": fingerprint,
             "metrics": metrics.summary(),
         })

@@ -19,8 +19,12 @@ whose condition fires *freezes*: its row snapshot (taken by **logical**
 plane/cache role, so later whole-plane reference swaps cannot skew it)
 is restored at loop exit, its counters stop, and the stragglers keep
 iterating.  Everything else — cycle counts, DMA charges, the interrupt
-log — is per-issue-constant and replays analytically per job, so slab
-results are bit-identical to N single-machine runs.
+log — is per-issue-constant, so the run logs each issue once per slab
+(kernel index, per-row condition values, active rows) and folds one
+job's share out of that log only when asked: totals for a machine-less
+slab record, the full :class:`SequencerResult` and interrupt stream for
+a machine commit.  Slab results are bit-identical to N single-machine
+runs.
 
 Commit point: a run mutates only its local storage, and
 :func:`try_run_batch_fused` commits to the machines once it ends.  A
@@ -52,6 +56,7 @@ per-row accounting).  A slab's reference-visible faults are wrapped as
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -71,6 +76,7 @@ from repro.sim.progplan import (
     _S_REPEAT,
     _S_SWAP,
     _Storage,
+    aligned_empty,
     compiled_plan,
 )
 from repro.sim.sequencer import SequencerError, SequencerResult
@@ -168,52 +174,79 @@ def machine_bindings(plan: ProgramPlan,
     return variables, irq_config.armed
 
 
-def stacked_template_storage(plan: ProgramPlan, machine: "NSCMachine",
-                             n_jobs: int) -> _Storage:
+def stacked_template_storage(machine: "NSCMachine", n_rows: int,
+                             plane_extent: Dict[int, int],
+                             cache_extent: Dict[int, int],
+                             storage: Optional[_Storage] = None) -> Any:
     """Stacked storage with every row a copy of *machine*'s pulled state.
 
     The slab executor loads ONE template machine and broadcasts its
     planes; per-job operand rows (a seeded ``u0``) are then overwritten
     in place, so N-1 machine constructions and input loads disappear.
+    The multi-node stencil fills its :class:`~repro.sim.progplan.NodeStack`
+    (passed as *storage*) the same way, one row per node.
     """
-    storage = _Storage()
-    for plane, extent in plan.plane_extent.items():
-        row = machine.memory.plane(plane).read(0, extent)
-        arr = np.empty((n_jobs,) + row.shape, dtype=row.dtype)
-        arr[...] = row
+    if storage is None:
+        storage = _Storage()
+    for plane, extent in plane_extent.items():
+        arr = aligned_empty((n_rows, extent))
+        arr[...] = machine.memory.plane(plane).read(0, extent)
         storage.planes[plane] = arr
-    for cache, extent in plan.cache_extent.items():
+    for cache, extent in cache_extent.items():
         for role, source in (("cache_front", machine.caches[cache].front),
                              ("cache_back", machine.caches[cache].back)):
-            row = source[:extent]
-            arr = np.empty((n_jobs,) + row.shape, dtype=row.dtype)
-            arr[...] = row
+            arr = aligned_empty((n_rows, extent))
+            arr[...] = source[:extent]
             getattr(storage, role)[cache] = arr
     return storage
 
 
-def delivered_count(irq_log: Sequence[IrqEntry], armed: Any) -> int:
-    """Interrupts a drain-terminated run delivers for this issue log.
+@dataclass
+class JobRun:
+    """One job's share of a slab run, folded from the slab's issue log.
 
-    Batch slabs decline on any FP exception, so entries carry no
-    exception tags; each issue posts one completion and at most one
-    condition interrupt, and every armed post is delivered by the final
-    controller drain.  Lets the machine-less slab executor report
-    ``interrupts_delivered`` without replaying the heap.
+    The totals are always filled; ``result`` (the job's
+    :class:`SequencerResult`) and ``irq_log`` (what the commit replay
+    posts) only when :meth:`BatchProgramRun.job` is asked for records.
     """
-    complete_armed = InterruptKind.PIPELINE_COMPLETE in armed
-    true_armed = InterruptKind.CONDITION_TRUE in armed
-    false_armed = InterruptKind.CONDITION_FALSE in armed
-    count = 0
-    for entry in irq_log:
-        cond_result = entry[3]
-        if complete_armed:
-            count += 1
-        if cond_result is not None and (
-            true_armed if cond_result else false_armed
-        ):
-            count += 1
-    return count
+
+    cycles: int = 0
+    instructions: int = 0
+    flops: int = 0
+    active_fu_cycles: int = 0
+    transfers: int = 0
+    words_read: int = 0
+    words_written: int = 0
+    busy_cycles: int = 0
+    conditions_true: int = 0
+    conditions_false: int = 0
+    device_busy: Optional[Tuple] = None
+    cache_swaps: Dict[int, int] = field(default_factory=dict)
+    result: Optional[SequencerResult] = None
+    irq_log: Optional[List[IrqEntry]] = None
+
+    def interrupts_delivered(self, armed: Any) -> int:
+        """Interrupts a drain-terminated run of this job delivers.
+
+        Batch slabs decline on any FP exception, so each issue posts one
+        completion and at most one condition interrupt, and every armed
+        post is delivered by the final controller drain.  Lets the
+        machine-less slab executor report ``interrupts_delivered``
+        without replaying the heap.
+        """
+        count = 0
+        if InterruptKind.PIPELINE_COMPLETE in armed:
+            count += self.instructions
+        if InterruptKind.CONDITION_TRUE in armed:
+            count += self.conditions_true
+        if InterruptKind.CONDITION_FALSE in armed:
+            count += self.conditions_false
+        return count
+
+
+# issue-log entry kinds besides issues (which log their kernel index)
+_LOG_SWAP = -1
+_LOG_CACHESWAP = -2
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +260,13 @@ class BatchProgramRun:
     :func:`stacked_template_storage`), a single job's do not.  Nothing
     outside it is touched — committing rows back to machines (or
     synthesizing records without machines) is the caller's job.
+
+    Accounting is one log for the whole slab, appended once per step:
+    ``(kernel index, per-row condition values, per-row condition
+    results, active rows)`` per issue, and the charges of each
+    ``SwapVars`` / ``CacheSwap`` with the rows they land on (``None``:
+    every row).  :meth:`job` folds one job's totals — and, on request,
+    its :class:`SequencerResult` and interrupt log — out of it.
     """
 
     MAX_TRACE = 100_000  # mirrors Sequencer.MAX_TRACE
@@ -245,24 +285,19 @@ class BatchProgramRun:
             index: kernel.bind(storage, batch_shape)
             for index, kernel in plan.kernels.items()
         }
-        self.results = [SequencerResult() for _ in range(n_jobs)]
-        self.cycles = [0] * n_jobs
+        self.log: List[Tuple[int, Any, Any, Optional[Tuple[int, ...]]]] = []
+        # single machine only (slabs decline both): log position ->
+        # (FP exception tags, captured per-FU outputs)
+        self.extras: Dict[int, Tuple[Tuple[str, ...], Optional[Dict]]] = {}
+        self.issued = 0
         self.halted = False
+        self.loop_iterations: List[Dict[int, int]] = [
+            {} for _ in range(n_jobs)
+        ]
+        self.converged: List[Optional[bool]] = [None] * n_jobs
         # per pipeline number: the last issue's per-job condition results
         # (None when that image raises no condition)
         self.last_cond: Dict[int, Optional[Sequence[Any]]] = {}
-        # everything the commit replay needs to repeat the reference's
-        # exact post/deliver sequence, one entry per issue
-        self.irq_logs: List[List[IrqEntry]] = [[] for _ in range(n_jobs)]
-        self.transfers = [0] * n_jobs
-        self.words_read = [0] * n_jobs
-        self.words_written = [0] * n_jobs
-        self.busy_cycles = [0] * n_jobs
-        self.issue_counts: List[Dict[int, int]] = [{} for _ in range(n_jobs)]
-        self.cache_swap_counts: List[Dict[int, int]] = [
-            {} for _ in range(n_jobs)
-        ]
-        self.last_device_busy: List[Optional[Tuple]] = [None] * n_jobs
         self._swap_cache: Dict[Tuple[str, str], Tuple] = {}
 
     def row(self, arr: np.ndarray, j: int) -> np.ndarray:
@@ -270,31 +305,29 @@ class BatchProgramRun:
         return arr if self.single else arr[j]
 
     # ------------------------------------------------------------------
-    def run(self) -> List[SequencerResult]:
-        """Execute the schedule; finalize per-job statistics.
+    def run(self) -> None:
+        """Execute the schedule, logging it; :meth:`job` reads the log.
 
         Per the commit-point contract, *nothing* outside the local
         storage mutates.  A single job's reference-visible fault
-        (budget exhaustion, a bad relocation) finalizes its statistics
-        and propagates for the caller to commit.  A slab wraps the same
-        faults as :class:`FusionUnsupported`: they commit state per job,
-        which only single-machine runs model, so the fallback reproduces
-        them exactly.
+        (budget exhaustion, a bad relocation) propagates for the caller
+        to commit the log up to the fault.  A slab wraps the same faults
+        as :class:`FusionUnsupported`: they commit state per job, which
+        only single-machine runs model, so the fallback reproduces them
+        exactly.
         """
         from repro.sim.machine import MachineError
 
         try:
-            self._exec_block(self.plan.ops, list(range(self.n_jobs)))
+            self._exec_block(self.plan.ops, None)
         except (SequencerError, MachineError) as exc:
             if not self.single:
                 raise FusionUnsupported(f"batch slab fault: {exc}") from exc
-            self._finalize()
             raise
-        self._finalize()
-        return self.results
 
     # ------------------------------------------------------------------
-    def _exec_block(self, ops: Tuple[Tuple, ...], active: List[int]) -> None:
+    def _exec_block(self, ops: Tuple[Tuple, ...],
+                    active: Optional[Tuple[int, ...]]) -> None:
         for op in ops:
             if self.halted:
                 return
@@ -313,34 +346,28 @@ class BatchProgramRun:
                 self._swap_vars(op[1], op[2], active)
             elif kind == _S_CACHESWAP:
                 self.storage.swap_caches(op[1])
-                for j in active:
-                    counts = self.cache_swap_counts[j]
-                    for cache_id in op[1]:
-                        counts[cache_id] = counts.get(cache_id, 0) + 1
-                    self.cycles[j] += 1
+                self.log.append((_LOG_CACHESWAP, op[1], None, active))
             elif kind == _S_HALT:
                 self.halted = True
-                for result in self.results:
-                    result.halted = True
                 return
             else:  # _S_BAD_ISSUE (slabs decline these up front)
-                self._check_budget(active)
+                self._check_budget()
                 raise SequencerError(f"no pipeline {op[1]} in this program")
 
-    def _check_budget(self, active: List[int]) -> None:
-        for j in active:
-            if self.results[j].instructions_issued >= self.max_instructions:
-                raise SequencerError(
-                    f"instruction budget of {self.max_instructions} "
-                    f"exhausted (runaway loop?)"
-                )
+    def _check_budget(self) -> None:
+        # exact for one machine; for a slab the slab's issue count bounds
+        # every member's, and a fault declines the slab anyway
+        if self.issued >= self.max_instructions:
+            raise SequencerError(
+                f"instruction budget of {self.max_instructions} "
+                f"exhausted (runaway loop?)"
+            )
 
-    def _issue(self, index: int, active: List[int]) -> None:
-        self._check_budget(active)
+    def _issue(self, index: int, active: Optional[Tuple[int, ...]]) -> None:
+        self._check_budget()
         bound = self.bound[index]
         kernel = bound.kernel
-        consts = kernel.consts
-        exceptions: List[str] = []
+        tags: Tuple[str, ...] = ()
         if not bound.issue_compute():
             if not self.single:
                 # the finiteness screen is fused over the whole slab; only
@@ -348,7 +375,7 @@ class BatchProgramRun:
                 raise FusionUnsupported("non-finite values in batch slab")
             # exception interrupts are *logged* here and posted by the
             # commit replay: no machine state moves before the commit point
-            exceptions = bound.issue_exact()
+            tags = tuple(bound.issue_exact())
             bound.write_back_exact()
         cond_last = bound.condition_last()
         vals: Any = None
@@ -358,43 +385,15 @@ class BatchProgramRun:
                 vals = (float(cond_last),)
                 conds = (kernel.cond_fn(vals[0], kernel.cond_threshold),)
             else:
-                vals = np.asarray(cond_last, dtype=float)
-                conds = kernel.cond_fn(vals, kernel.cond_threshold)
-        self.last_cond[consts.number] = conds
-        fu_outputs = bound.capture_outputs() if self.plan.keep_outputs else {}
-        tags = tuple(exceptions)
-        template = kernel.result_template
-        issue_cycles = consts.cycles
-        source = consts.source
-        device_busy = consts.device_busy
-        for j in active:
-            start = self.cycles[j]
-            fire = start + issue_cycles
-            self.cycles[j] = fire
-            record = PipelineResult.__new__(PipelineResult)
-            record.__dict__.update(template)
-            if conds is None:
-                cond_result: Optional[bool] = None
-                cond_value: Optional[float] = None
-                payload = 0.0
-            else:
-                cond_result = bool(conds[j])
-                cond_value = payload = float(vals[j])
-            record.condition_result = cond_result
-            record.condition_value = cond_value
-            record.exceptions = list(exceptions)
-            record.fu_outputs = dict(fu_outputs)
-            result = self.results[j]
-            result.pipeline_results.append(record)
-            result.instructions_issued += 1
-            if len(result.issue_trace) < self.MAX_TRACE:
-                result.issue_trace.append(index)
-            self.irq_logs[j].append(
-                (start, fire, source, cond_result, payload, tags)
-            )
-            counts = self.issue_counts[j]
-            counts[index] = counts.get(index, 0) + 1
-            self.last_device_busy[j] = device_busy
+                # copied out: the condition row is overwritten next issue
+                vals = cond_last.tolist()
+                conds = kernel.cond_fn(cond_last, kernel.cond_threshold).tolist()
+        self.last_cond[kernel.consts.number] = conds
+        if tags or self.plan.keep_outputs:
+            outputs = bound.capture_outputs() if self.plan.keep_outputs else None
+            self.extras[len(self.log)] = (tags, outputs)
+        self.log.append((index, vals, conds, active))
+        self.issued += 1
 
     # ------------------------------------------------------------------
     def _snapshot_row(self, j: int) -> Tuple[Dict, Dict, Dict]:
@@ -423,17 +422,19 @@ class BatchProgramRun:
         for c, row in back.items():
             storage.cache_back[c][j] = row
 
-    def _loop_until(self, op: Tuple, active: List[int]) -> None:
+    def _loop_until(self, op: Tuple,
+                    active: Optional[Tuple[int, ...]]) -> None:
         _k, body, key, max_iterations = op
         # slabs enter loops in lockstep (divergence exists only inside a
         # loop and is healed at its exit), so *active* is the full slab
-        live = list(active)
+        members = tuple(range(self.n_jobs)) if active is None else active
+        live = active
         iterations = 0
         it_counts: Dict[int, int] = {}
-        converged = dict.fromkeys(active, False)
+        converged = dict.fromkeys(members, False)
         snapshots: Dict[int, Tuple[Dict, Dict, Dict]] = {}
         last_cond = self.last_cond
-        while live and iterations < max_iterations:
+        while (live is None or live) and iterations < max_iterations:
             self._exec_block(body, live)
             iterations += 1
             if self.halted:
@@ -448,9 +449,10 @@ class BatchProgramRun:
                 raise SequencerError(
                     f"pipeline {key} raised no condition interrupt"
                 )
-            fired = [j for j in live if conds[j]]
+            running = members if live is None else live
+            fired = [j for j in running if conds[j]]
             if fired:
-                live = [j for j in live if not conds[j]]
+                live = tuple(j for j in running if not conds[j])
                 for j in fired:
                     converged[j] = True
                     it_counts[j] = iterations
@@ -460,17 +462,14 @@ class BatchProgramRun:
                         snapshots[j] = self._snapshot_row(j)
         for j, snap in snapshots.items():
             self._restore_row(j, snap)
-        for j in live:
-            it_counts[j] = iterations
-        for j in active:
-            result = self.results[j]
-            result.loop_iterations[key] = (
-                result.loop_iterations.get(key, 0) + it_counts[j]
-            )
-            result.converged = converged[j]
+        for j in members:
+            counts = self.loop_iterations[j]
+            counts[key] = counts.get(key, 0) + it_counts.get(j, iterations)
+            self.converged[j] = converged[j]
 
     # ------------------------------------------------------------------
-    def _swap_vars(self, a: str, b: str, active: List[int]) -> None:
+    def _swap_vars(self, a: str, b: str,
+                   active: Optional[Tuple[int, ...]]) -> None:
         # mirrors NSCMachine.swap_vars: contents move, bindings stay.  The
         # physical exchange covers every row (frozen rows are healed by
         # their snapshot restore); the charges land on active jobs only
@@ -489,45 +488,108 @@ class BatchProgramRun:
             cost = params.dma_startup_cycles + params.memory_latency + va.length
             if va.plane == vb.plane:
                 cost += va.length
-            extents = self.plan.plane_extent
-            if (
-                va.plane != vb.plane
-                and va.offset == 0 and vb.offset == 0
-                and extents.get(va.plane) == va.length
-                and extents.get(vb.plane) == vb.length
-            ):
-                # each variable owns its pulled plane outright: swapping
-                # contents is just swapping the plane array references
-                entry = (va.plane, vb.plane, None, cost, 2 * va.length)
-            else:
-                shape = self.storage.planes[va.plane][
-                    ..., va.offset : va.end
-                ].shape
-                entry = (va, vb, np.empty(shape), cost, 2 * va.length)
+            entry = (va, vb, (cost, 2 * va.length))
             self._swap_cache[(a, b)] = entry
-        va, vb, scratch, cost, words = entry
-        if scratch is None:
-            self.storage.swap_whole_planes(va, vb)
-        else:
-            self.storage.swap_var_contents(va, vb, scratch)
-        for j in active:
-            self.cycles[j] += cost
-            self.transfers[j] += 2
-            self.words_read[j] += words
-            self.words_written[j] += words
+        va, vb, charge = entry
+        self.storage.swap_vars(va, vb)
+        self.log.append((_LOG_SWAP, charge, None, active))
 
     # ------------------------------------------------------------------
-    def _finalize(self) -> None:
-        """Fold per-issue-constant DMA charges into each job's totals."""
+    def job(self, j: int, records: bool = False) -> JobRun:
+        """Fold job *j*'s share of the log: totals, and with *records*
+        its :class:`SequencerResult` and commit-replay interrupt log."""
         kernels = self.plan.kernels
-        for j in range(self.n_jobs):
-            for index, count in self.issue_counts[j].items():
-                consts = kernels[index].consts
-                self.transfers[j] += consts.transfers * count
-                self.words_read[j] += consts.words_read * count
-                self.words_written[j] += consts.words_written * count
-                self.busy_cycles[j] += consts.busy_cycles * count
-            self.results[j].total_cycles = self.cycles[j]
+        per_issue = {
+            index: (kernel.consts.cycles, kernel.result_template,
+                    kernel.consts.source)
+            for index, kernel in kernels.items()
+        }
+        extras = self.extras
+        no_extras: Tuple[Tuple[str, ...], Any] = ((), None)
+        out = JobRun()
+        cache_swaps = out.cache_swaps
+        cycles = trues = swaps = swapped_words = 0
+        trace: List[int] = []
+        pipeline_results: List[PipelineResult] = []
+        irq_log: List[IrqEntry] = []
+        new_record = PipelineResult.__new__
+        for pos, (index, vals, conds, active) in enumerate(self.log):
+            if active is not None and j not in active:
+                continue
+            if index < 0:
+                if index == _LOG_SWAP:
+                    cost, words = vals
+                    cycles += cost
+                    swaps += 1
+                    swapped_words += words
+                else:
+                    cycles += 1
+                    for cache_id in vals:
+                        cache_swaps[cache_id] = cache_swaps.get(cache_id, 0) + 1
+                continue
+            trace.append(index)
+            issue_cycles, template, source = per_issue[index]
+            start = cycles
+            cycles += issue_cycles
+            if conds is None:
+                cond_result: Optional[bool] = None
+                cond_value: Optional[float] = None
+                payload = 0.0
+            else:
+                cond_result = bool(conds[j])
+                cond_value = payload = float(vals[j])
+                trues += cond_result
+            if records:
+                tags, fu_outputs = (
+                    extras.get(pos, no_extras) if extras else no_extras
+                )
+                record = new_record(PipelineResult)
+                record.__dict__.update(template)
+                record.condition_result = cond_result
+                record.condition_value = cond_value
+                record.exceptions = list(tags)
+                record.fu_outputs = dict(fu_outputs) if fu_outputs else {}
+                pipeline_results.append(record)
+                irq_log.append(
+                    (start, cycles, source, cond_result, payload, tags)
+                )
+        out.cycles = cycles
+        out.transfers = 2 * swaps
+        out.words_read = out.words_written = swapped_words
+        conditions = 0
+        for index, kernel in kernels.items():
+            count = trace.count(index)
+            if not count:
+                continue
+            consts = kernel.consts
+            out.instructions += count
+            out.flops += consts.flops * count
+            out.active_fu_cycles += (
+                consts.active_fus * consts.vector_length * count
+            )
+            out.transfers += consts.transfers * count
+            out.words_read += consts.words_read * count
+            out.words_written += consts.words_written * count
+            out.busy_cycles += consts.busy_cycles * count
+            if kernel.condition is not None:
+                conditions += count
+        out.conditions_true = trues
+        out.conditions_false = conditions - trues
+        if trace:
+            out.device_busy = kernels[trace[-1]].consts.device_busy
+        if records:
+            del trace[self.MAX_TRACE:]
+            out.result = SequencerResult(
+                total_cycles=cycles,
+                instructions_issued=out.instructions,
+                loop_iterations=dict(self.loop_iterations[j]),
+                pipeline_results=pipeline_results,
+                halted=self.halted,
+                converged=self.converged[j],
+                issue_trace=trace,
+            )
+            out.irq_log = irq_log
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -599,14 +661,17 @@ def replay_interrupts(machine: "NSCMachine", irq_log: Sequence[IrqEntry],
 
 
 def _commit(run: BatchProgramRun, machines: Sequence["NSCMachine"],
-            armed_sets: Sequence[Any]) -> None:
+            armed_sets: Sequence[Any]) -> List[SequencerResult]:
     """Write each job's local state, statistics, and interrupt log back
-    to its machine — exactly what a step-by-step run leaves behind."""
+    to its machine — exactly what a step-by-step run leaves behind — and
+    return the jobs' results."""
     storage = run.storage
+    results = []
     for j, machine in enumerate(machines):
+        job = run.job(j, records=True)
         for plane, arr in storage.planes.items():
             machine.memory.plane(plane).write(0, run.row(arr, j))
-        for cache_id, swaps in run.cache_swap_counts[j].items():
+        for cache_id, swaps in job.cache_swaps.items():
             for _ in range(swaps):
                 machine.caches[cache_id].swap()
         for cache_id, arr in storage.cache_front.items():
@@ -614,14 +679,17 @@ def _commit(run: BatchProgramRun, machines: Sequence["NSCMachine"],
         for cache_id, arr in storage.cache_back.items():
             machine.caches[cache_id].back[: arr.shape[-1]] = run.row(arr, j)
         stats = machine.dma.stats
-        stats.transfers += run.transfers[j]
-        stats.words_read += run.words_read[j]
-        stats.words_written += run.words_written[j]
-        stats.busy_cycles += run.busy_cycles[j]
-        if run.last_device_busy[j] is not None:
-            machine.dma.device_busy = dict(run.last_device_busy[j])
-        machine.cycle = run.cycles[j]
-        replay_interrupts(machine, run.irq_logs[j], armed_sets[j])
+        stats.transfers += job.transfers
+        stats.words_read += job.words_read
+        stats.words_written += job.words_written
+        stats.busy_cycles += job.busy_cycles
+        if job.device_busy is not None:
+            machine.dma.device_busy = dict(job.device_busy)
+        machine.cycle = job.cycles
+        assert job.irq_log is not None and job.result is not None
+        replay_interrupts(machine, job.irq_log, armed_sets[j])
+        results.append(job.result)
+    return results
 
 
 def try_run_batch_fused(
@@ -676,8 +744,11 @@ def _run_fused(
     armed_sets = [armed for _variables, armed in bindings]
 
     def stack(rows: List[np.ndarray]) -> np.ndarray:
-        # rows are private copies; one machine keeps batch shape ()
-        return rows[0] if len(rows) == 1 else np.stack(rows)
+        # private copies on cache lines; one machine keeps batch shape ()
+        arr = aligned_empty((len(rows),) + rows[0].shape)
+        for j, row in enumerate(rows):
+            arr[j] = row
+        return arr[0] if len(rows) == 1 else arr
 
     storage = _Storage()
     for plane, extent in plan.plane_extent.items():
@@ -686,22 +757,22 @@ def _run_fused(
         )
     for cache, extent in plan.cache_extent.items():
         storage.cache_front[cache] = stack(
-            [m.caches[cache].front[:extent].copy() for m in machines]
+            [m.caches[cache].front[:extent] for m in machines]
         )
         storage.cache_back[cache] = stack(
-            [m.caches[cache].back[:extent].copy() for m in machines]
+            [m.caches[cache].back[:extent] for m in machines]
         )
     storage.variables = bindings[0][0]
 
     run = BatchProgramRun(plan, storage, len(machines), max_instructions)
     try:
-        results = run.run()
+        run.run()
     except (SequencerError, MachineError):
         # only a single machine surfaces these: commit state up to the
         # fault point, as a step-by-step run would have left it
         _commit(run, machines, armed_sets)
         raise
-    _commit(run, machines, armed_sets)
+    results = _commit(run, machines, armed_sets)
     for machine in machines:
         machine.interrupts.drain()
     return results
@@ -710,7 +781,7 @@ def _run_fused(
 __all__ = [
     "BatchProgramRun",
     "check_batchable",
-    "delivered_count",
+    "JobRun",
     "machine_bindings",
     "replay_interrupts",
     "stacked_template_storage",

@@ -18,11 +18,12 @@ multi-node runs are schedulable as service jobs via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.node import node_config
+from repro.arch.memsys import AllocationError, Variable
 from repro.arch.params import NSCParameters
 from repro.arch.router import HyperspaceRouter, Message
 from repro.codegen.generator import MicrocodeGenerator
@@ -89,6 +90,14 @@ class MultiNodeStencil:
 
     The global grid is ``(nx, ny, nz)``; ``nz`` must divide evenly by the
     node count.  Every node's local grid carries two ghost z-planes.
+
+    Per-node state starts stacked — :attr:`stack`, a
+    :class:`~repro.sim.progplan.NodeStack` with one row per node, filled
+    from one loaded template machine — and the fused engine runs on it
+    directly.  :attr:`machines` builds the per-node
+    :class:`NSCMachine` objects on first access; from then on they own
+    the state, and the reference walk (the reference backend, or a
+    declined fused run) drives them.
     """
 
     def __init__(
@@ -123,14 +132,17 @@ class MultiNodeStencil:
             raise DecompositionError("fewer than one z-plane per node")
         self.local_shape = (nx, ny, self.nz_local + 2)  # with ghost planes
         self.router = HyperspaceRouter(self.params)
-        self.machines: List[NSCMachine] = []
         self.node_of_slab: List[int] = [gray_code(i) for i in range(self.n_nodes)]
         self._precompiled = precompiled
+        self._machines: Optional[List[NSCMachine]] = None
         self._setup_nodes()
 
     # ------------------------------------------------------------------
     def _setup_nodes(self) -> None:
-        node_cfg = node_config(self.params)
+        from repro.sim.batchplan import stacked_template_storage
+        from repro.sim.progplan import NodeStack
+
+        self._node_cfg = node_cfg = node_config(self.params)
         if self._precompiled is not None:
             # a (JacobiSetup, MachineProgram) pair from the service's
             # ProgramCache — every node runs the same SPMD program, so one
@@ -150,62 +162,97 @@ class MultiNodeStencil:
             )
             self.setup = setup
             self.machine_program = generator.generate(setup.program)
-        # u, f and u_new need no zero fill: declared variables read as
-        # zeros from lazily grown planes until scatter() writes them
+        # every node loads the same program: load it once and broadcast
+        # the template's planes (u, f and u_new read as zeros until
+        # scatter() writes them)
+        template = NSCMachine(node_cfg)
+        template.load_program(self.machine_program)
+        self.variables: Dict[str, Variable] = dict(template.memory.variables)
+        plane_extent: Dict[int, int] = {}
+        for var in self.variables.values():
+            plane_extent[var.plane] = max(plane_extent.get(var.plane, 0),
+                                          var.end)
+        self.stack: Optional[NodeStack] = stacked_template_storage(
+            template, self.n_nodes, plane_extent, {}, NodeStack(self.n_nodes)
+        )
+        self.stack.variables = self.variables
         mask, invmask = self._slab_masks()
-        for _slab in range(self.n_nodes):
-            machine = NSCMachine(node_cfg)
-            machine.load_program(self.machine_program)
-            machine.set_variable("mask", mask[_slab])
-            machine.set_variable("invmask", invmask[_slab])
-            self.machines.append(machine)
+        self._set_rows("mask", mask)
+        self._set_rows("invmask", invmask)
 
-    def _slab_masks(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Per-slab interior masks: ghost planes and global boundaries are
-        never updated; interior z-planes adjacent to another slab are."""
+    @property
+    def machines(self) -> List[NSCMachine]:
+        """One loaded :class:`NSCMachine` per node, built on first access
+        from the stacked state (which they own from then on)."""
+        if self._machines is None:
+            assert self.stack is not None
+            self._machines = self.stack.machines(
+                self._node_cfg, self.machine_program
+            )
+            self.stack = None
+        return self._machines
+
+    def _slab_masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-slab interior masks, one row per slab: ghost planes and
+        global boundaries are never updated; interior z-planes adjacent
+        to another slab are."""
         nx, ny, nz = self.shape
-        masks: List[np.ndarray] = []
-        invmasks: List[np.ndarray] = []
-        for slab in range(self.n_nodes):
-            m = np.zeros((self.nz_local + 2, ny, nx), dtype=np.float64)
-            z0 = slab * self.nz_local  # global index of first real plane
-            for local_k in range(1, self.nz_local + 1):
-                gk = z0 + (local_k - 1)
-                if 0 < gk < nz - 1:
-                    m[local_k, 1:-1, 1:-1] = 1.0
-            flat = m.reshape(-1)
-            masks.append(flat)
-            invmasks.append(1.0 - flat)
-        return masks, invmasks
+        m = np.zeros((self.n_nodes, self.nz_local + 2, ny, nx))
+        # global index of each slab's real planes
+        gk = (np.arange(self.n_nodes)[:, None] * self.nz_local
+              + np.arange(self.nz_local)[None, :])
+        interior = ((gk > 0) & (gk < nz - 1)).astype(np.float64)
+        m[:, 1:-1, 1:-1, 1:-1] = interior[:, :, None, None]
+        flat = m.reshape(self.n_nodes, -1)
+        return flat, 1.0 - flat
 
     # ------------------------------------------------------------------
     # data distribution
     # ------------------------------------------------------------------
+    def _lookup(self, name: str) -> Variable:
+        var = self.variables.get(name)
+        if var is None:
+            raise AllocationError(f"undeclared variable {name!r}")
+        return var
+
+    def _set_rows(self, name: str, rows: np.ndarray) -> None:
+        """Write one ``(n_nodes, length)`` row per node into *name*."""
+        var = self._lookup(name)
+        if self.stack is not None:
+            self.stack.planes[var.plane][:, var.offset : var.end] = rows
+        else:
+            for machine, row in zip(self.machines, rows):
+                machine.set_variable(name, row)
+
+    def _rows(self, name: str) -> np.ndarray:
+        """*name*'s ``(n_nodes, length)`` rows (a view while stacked)."""
+        var = self._lookup(name)
+        if self.stack is not None:
+            return self.stack.planes[var.plane][:, var.offset : var.end]
+        return np.stack([m.get_variable(name) for m in self.machines])
+
     def scatter(self, name: str, grid: np.ndarray) -> None:
         """Distribute a global ``(nz, ny, nx)`` grid into slab variables,
         filling ghost planes from neighbouring slabs."""
         nx, ny, nz = self.shape
+        nzl = self.nz_local
         g = np.asarray(grid, dtype=np.float64).reshape(grid_shape(self.shape))
-        for slab, machine in enumerate(self.machines):
-            local = np.zeros((self.nz_local + 2, ny, nx))
-            z0 = slab * self.nz_local
-            local[1:-1] = g[z0 : z0 + self.nz_local]
-            if z0 > 0:
-                local[0] = g[z0 - 1]
-            if z0 + self.nz_local < nz:
-                local[-1] = g[z0 + self.nz_local]
-            machine.set_variable(name, local.reshape(-1))
+        local = np.zeros((self.n_nodes, nzl + 2, ny, nx))
+        local[:, 1:-1] = g.reshape(self.n_nodes, nzl, ny, nx)
+        # low ghost <- the last plane of the slab below; high ghost <- the
+        # first plane of the slab above (global boundaries stay zero)
+        local[1:, 0] = g[nzl - 1 : nz - 1 : nzl]
+        local[:-1, -1] = g[nzl:nz:nzl]
+        self._set_rows(name, local.reshape(self.n_nodes, -1))
 
     def gather(self, name: str = "u") -> np.ndarray:
         """Reassemble the global grid from slab variables (ghosts dropped)."""
-        nx, ny, nz = self.shape
-        out = np.zeros(grid_shape(self.shape))
-        for slab, machine in enumerate(self.machines):
-            local = machine.get_variable(name).reshape(
-                self.nz_local + 2, ny, nx
-            )
-            z0 = slab * self.nz_local
-            out[z0 : z0 + self.nz_local] = local[1:-1]
+        nx, ny, _nz = self.shape
+        local = self._rows(name).reshape(
+            self.n_nodes, self.nz_local + 2, ny, nx
+        )
+        out = np.empty(grid_shape(self.shape))
+        out.reshape(self.n_nodes, self.nz_local, ny, nx)[...] = local[:, 1:-1]
         return out
 
     # ------------------------------------------------------------------
@@ -304,10 +351,9 @@ class MultiNodeStencil:
         With ``backend="fast"`` the whole system executes through the
         batched :class:`~repro.sim.progplan.FastMultiNodeEngine` — mask
         load, fused compute sweeps, and route-once halo replay driven
-        from one compiled schedule, state pulled once and pushed back at
-        the end.  Both backends share this one accumulation loop, so
-        they cannot drift apart in accounting; only the three stepper
-        callables differ.
+        from one compiled schedule over the stacked node state.  Both
+        backends share this one accumulation loop, so they cannot drift
+        apart in accounting; only the three stepper callables differ.
         """
         load, sweep, finish = self._stepper()
         compute_cycles = load()

@@ -56,7 +56,9 @@ sweeps, halo exchanges, convergence check — from one compiled schedule.
 from __future__ import annotations
 
 import functools
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from math import isfinite as _isfinite
 from types import CodeType, FunctionType
@@ -202,6 +204,7 @@ class _Storage:
         self.cache_back: Dict[int, np.ndarray] = {}
         self.variables: Dict[str, Any] = {}
         self.version = 0
+        self._scratch: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def array_for(self, device_kind: DeviceKind, device: int,
                   write: bool = False) -> np.ndarray:
@@ -236,6 +239,52 @@ class _Storage:
             self.planes[plane_a],
         )
         self.version += 1
+
+    def swap_vars(self, va: Any, vb: Any) -> None:
+        """``SwapVars`` on the local state: whole-plane reference swap
+        when each variable owns its pulled plane outright, three copies
+        through a cached scratch row otherwise."""
+        plane_a = self.planes[va.plane]
+        plane_b = self.planes[vb.plane]
+        if (
+            va.plane != vb.plane
+            and va.offset == 0 and vb.offset == 0
+            and plane_a.shape[-1] == va.length
+            and plane_b.shape[-1] == vb.length
+        ):
+            self.swap_whole_planes(va.plane, vb.plane)
+            return
+        shape = plane_a.shape[:-1] + (va.length,)
+        scratch = self._scratch.get(shape)
+        if scratch is None:
+            scratch = self._scratch[shape] = np.empty(shape)
+        self.swap_var_contents(va, vb, scratch)
+
+
+#: Byte alignment of the engine's large buffers.  Measured on a 16^3
+#: four-job slab, the ufunc kernels ran ~1.5x slower when a buffer did
+#: not start on a cache line; malloc guarantees only 16 bytes, and where
+#: it lands a buffer varies with the process's allocation history.
+_ALIGN = 64
+#: Below this many words a buffer stays cache-resident and its kernels
+#: are dispatch-bound, so it is allocated plainly.
+_ALIGN_MIN_WORDS = 4096
+
+
+def aligned_empty(shape: Tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array; large ones start on a cache line."""
+    count = math.prod(shape)
+    if count < _ALIGN_MIN_WORDS:
+        return np.empty(shape)
+    raw = np.empty(count + _ALIGN // 8)
+    start = (-raw.ctypes.data % _ALIGN) // 8
+    return raw[start : start + count].reshape(shape)
+
+
+def aligned_zeros(shape: Tuple[int, ...]) -> np.ndarray:
+    arr = aligned_empty(shape)
+    arr.fill(0.0)
+    return arr
 
 
 def _prog_span(base: int, count: int, stride: int) -> Tuple[int, int]:
@@ -743,7 +792,7 @@ class BoundImage:
         # one contiguous block for every checked output row: the fused
         # exception test is a single isfinite() over the whole block
         self._block = (
-            np.empty((kernel.n_rows,) + shape) if kernel.n_rows else None
+            aligned_empty((kernel.n_rows,) + shape) if kernel.n_rows else None
         )
         self._rows = [self._block[i] for i in range(kernel.n_rows)] \
             if self._block is not None else []
@@ -751,7 +800,7 @@ class BoundImage:
         self._tap_views: Dict[Any, np.ndarray] = {}
         self._pad_centers: List[Tuple[np.ndarray, int]] = []
         for read_index, left, total, tap_list in kernel.feeder_pads:
-            padded = np.zeros(batch_shape + (total,))
+            padded = aligned_zeros(batch_shape + (total,))
             self._pad_centers.append((padded[..., left : left + n], read_index))
             for key, shift in tap_list:
                 self._tap_views[key] = padded[..., left + shift : left + shift + n]
@@ -761,7 +810,7 @@ class BoundImage:
         # producing row lands
         self._static_tap_pairs: List[Tuple[np.ndarray, np.ndarray]] = []
         for tap_key, left, total, views in kernel.tap_pads:
-            padded = np.zeros(batch_shape + (total,))
+            padded = aligned_zeros(batch_shape + (total,))
             self._static_tap_pairs.append(
                 (padded[..., left : left + n], self._tap_views[tap_key])
             )
@@ -771,7 +820,7 @@ class BoundImage:
                 )
         self._row_pad_centers: Dict[int, np.ndarray] = {}
         for fu, left, total, views in kernel.row_pads:
-            padded = np.zeros(batch_shape + (total,))
+            padded = aligned_zeros(batch_shape + (total,))
             self._row_pad_centers[fu] = padded[..., left : left + n]
             for view_key, skew in views:
                 self._tap_views[view_key] = (
@@ -782,9 +831,9 @@ class BoundImage:
         self._finals: Dict[int, Any] = {}
         for step in kernel.steps:
             if step[0] == _M_ACCUM:
-                self._seeded[step[5]] = np.empty(batch_shape + (n + 1,))
+                self._seeded[step[5]] = aligned_empty(batch_shape + (n + 1,))
             elif step[0] == _M_REDUCE and step[2]:
-                self._reduce_scratch[step[5]] = np.empty(shape)
+                self._reduce_scratch[step[5]] = aligned_empty(shape)
         self._consts: Dict[float, np.ndarray] = {}
         self._streams: List[np.ndarray] = []
         self._write_views: List[np.ndarray] = []
@@ -815,7 +864,8 @@ class BoundImage:
     def _const_array(self, value: float) -> np.ndarray:
         arr = self._consts.get(value)
         if arr is None:
-            arr = np.full(self.batch_shape + (self.kernel.n,), value)
+            arr = aligned_empty(self.batch_shape + (self.kernel.n,))
+            arr.fill(value)
             self._consts[value] = arr
         return arr
 
@@ -1367,167 +1417,245 @@ class HaloCommPlan:
 
     The reference loop re-routes the same message set through the
     hyperspace router every sweep.  Routing is deterministic, so the fast
-    path routes once, records the makespan and the per-link traffic deltas,
-    and replays those deltas on subsequent sweeps — the router ends a run
-    with exactly the statistics a reference run produces, without
-    recomputing e-cube paths a thousand times.
+    path routes the first exchange for real — fixing the makespan, the
+    per-link traffic deltas, and the link insertion order that
+    ``busiest_link()`` breaks ties by — then only counts the sweeps it
+    replays; :meth:`settle` charges ``count x`` the deltas once, at the
+    end of the run.  The router then holds exactly the statistics a
+    reference run leaves, without recomputing e-cube paths every sweep.
     """
 
     def __init__(self, router: Any, messages: List[Any]) -> None:
         self.router = router
         self.messages = messages
-        self._replay: Optional[Tuple[int, List[Tuple[Any, int, int]], int]] = None
+        self._routed: Optional[Tuple[int, List[Tuple[Any, int, int]], int]] = None
+        self.replays = 0
 
     def exchange(self) -> int:
         if not self.messages:
             return 0
-        if self._replay is None:
-            before = {
-                key: (stats.messages, stats.words)
-                for key, stats in self.router.link_stats.items()
-            }
-            sent_before = self.router.messages_sent
-            cycles = self.router.exchange(self.messages)
-            deltas = []
-            for key, stats in self.router.link_stats.items():
-                base_messages, base_words = before.get(key, (0, 0))
-                delta = (
-                    key,
-                    stats.messages - base_messages,
-                    stats.words - base_words,
-                )
-                if delta[1] or delta[2]:
-                    deltas.append(delta)
-            self._replay = (cycles, deltas, self.router.messages_sent - sent_before)
-            return cycles
-        cycles, deltas, sent = self._replay
-        from repro.arch.router import LinkStats
-
-        for key, d_messages, d_words in deltas:
-            stats = self.router.link_stats.setdefault(key, LinkStats())
-            stats.messages += d_messages
-            stats.words += d_words
-        self.router.messages_sent += sent
+        if self._routed is not None:
+            self.replays += 1
+            return self._routed[0]
+        before = {
+            key: (stats.messages, stats.words)
+            for key, stats in self.router.link_stats.items()
+        }
+        sent_before = self.router.messages_sent
+        cycles = self.router.exchange(self.messages)
+        deltas = []
+        for key, stats in self.router.link_stats.items():
+            base_messages, base_words = before.get(key, (0, 0))
+            delta = (key, stats.messages - base_messages,
+                     stats.words - base_words)
+            if delta[1] or delta[2]:
+                deltas.append(delta)
+        self._routed = (cycles, deltas, self.router.messages_sent - sent_before)
         return cycles
+
+    def settle(self) -> None:
+        """Charge every replayed exchange's link traffic to the router."""
+        if not self.replays:
+            return
+        assert self._routed is not None
+        _cycles, deltas, sent = self._routed
+        link_stats = self.router.link_stats
+        for key, d_messages, d_words in deltas:
+            stats = link_stats[key]
+            stats.messages += d_messages * self.replays
+            stats.words += d_words * self.replays
+        self.router.messages_sent += sent * self.replays
+        self.replays = 0
+
+
+def _widened(arr: Optional[np.ndarray], rows: int, extent: int) -> np.ndarray:
+    """*arr* if it already spans *extent* words, else a zero-extended copy."""
+    if arr is not None and arr.shape[-1] >= extent:
+        return arr
+    grown = aligned_zeros((rows, extent))
+    if arr is not None:
+        grown[:, : arr.shape[-1]] = arr
+    return grown
+
+
+class NodeStack(_Storage):
+    """Every node's state of an SPMD multi-node system, one row per node.
+
+    Until a :class:`~repro.sim.multinode.MultiNodeStencil` builds its
+    machines this is the only copy of per-node state: plane and cache
+    arrays stacked ``(n_nodes, extent)``, plus a log of what the fused
+    engine charged every node — each issue with its per-node condition
+    values, cache swaps, variable swaps.  Every node runs the same
+    schedule, so one log serves them all.  :meth:`machines` replays it
+    into the :class:`~repro.sim.machine.NSCMachine` objects a reference
+    walk would have left.
+    """
+
+    def __init__(self, n_nodes: int) -> None:
+        super().__init__()
+        self.n_nodes = n_nodes
+        #: one entry per issue: (kernel, per-node condition values or None)
+        self.issues: List[Tuple[ImageKernel, Optional[np.ndarray]]] = []
+        self.cache_swaps: Dict[int, int] = {}
+        self.var_swaps = 0
+        self.var_swap_words = 0
+
+    def ensure(self, plane_extent: Dict[int, int],
+               cache_extent: Dict[int, int]) -> None:
+        """Widen the stacked arrays to cover the given extents; new words
+        read as zeros, as untouched machine storage does."""
+        n = self.n_nodes
+        for plane, extent in plane_extent.items():
+            self.planes[plane] = _widened(self.planes.get(plane), n, extent)
+        for cache, extent in cache_extent.items():
+            self.cache_front[cache] = _widened(
+                self.cache_front.get(cache), n, extent
+            )
+            self.cache_back[cache] = _widened(
+                self.cache_back.get(cache), n, extent
+            )
+
+    def swap_caches(self, cache_ids: Sequence[int]) -> None:
+        for cache_id in cache_ids:
+            self.cache_swaps[cache_id] = self.cache_swaps.get(cache_id, 0) + 1
+        super().swap_caches(cache_ids)
+
+    def swap_vars(self, va: Any, vb: Any) -> None:
+        # as NSCMachine.swap_vars charges: two transfers, each variable
+        # read and written once
+        super().swap_vars(va, vb)
+        self.var_swaps += 1
+        self.var_swap_words += 2 * va.length
+
+    def machines(self, node: Any,
+                 program: MachineProgram) -> List["NSCMachine"]:
+        """One loaded machine per node holding its row of the state.
+
+        Per-issue DMA charges fold from the log like
+        :class:`~repro.sim.batchplan.BatchProgramRun`'s; interrupts are
+        posted in issue order, as the reference walk posts them (the
+        multi-node walk never advances a node's cycle, so each fires at
+        its issue's cycle count).
+        """
+        from repro.arch.interrupts import InterruptKind
+        from repro.sim.machine import NSCMachine
+
+        transfers = 2 * self.var_swaps
+        words_read = words_written = self.var_swap_words
+        busy = 0
+        for kernel, count in Counter(k for k, _ in self.issues).items():
+            consts = kernel.consts
+            transfers += consts.transfers * count
+            words_read += consts.words_read * count
+            words_written += consts.words_written * count
+            busy += consts.busy_cycles * count
+        device_busy = (
+            dict(self.issues[-1][0].consts.device_busy) if self.issues else {}
+        )
+        complete = InterruptKind.PIPELINE_COMPLETE
+        machines = []
+        for i in range(self.n_nodes):
+            machine = NSCMachine(node)
+            machine.load_program(program)
+            for plane, arr in self.planes.items():
+                machine.memory.plane(plane).write(0, arr[i])
+            for cache_id, swaps in self.cache_swaps.items():
+                for _ in range(swaps):
+                    machine.caches[cache_id].swap()
+            for cache_id, arr in self.cache_front.items():
+                machine.caches[cache_id].front[: arr.shape[-1]] = arr[i]
+            for cache_id, arr in self.cache_back.items():
+                machine.caches[cache_id].back[: arr.shape[-1]] = arr[i]
+            stats = machine.dma.stats
+            stats.transfers = transfers
+            stats.words_read = words_read
+            stats.words_written = words_written
+            stats.busy_cycles = busy
+            machine.dma.device_busy = dict(device_busy)
+            irq = machine.interrupts
+            for kernel, values in self.issues:
+                consts = kernel.consts
+                irq.post(complete, consts.cycles, source=consts.source)
+                if values is not None:
+                    value = float(values[i])
+                    irq.post(
+                        InterruptKind.CONDITION_TRUE
+                        if kernel.cond_fn(value, kernel.cond_threshold)
+                        else InterruptKind.CONDITION_FALSE,
+                        consts.cycles,
+                        source=consts.source,
+                        payload=value,
+                    )
+            machines.append(machine)
+        return machines
 
 
 class FastMultiNodeEngine:
     """Whole-system vectorized execution of the SPMD multi-node sweep.
 
-    Every node runs the same program on its own slab, so the engine stacks
-    all nodes' memory planes into ``(n_nodes, words)`` arrays and drives
-    them through the same :class:`BoundImage` executors the single-node
-    compiled path uses — preallocated rows, tap buffers, ``out=`` kernels
-    — with a leading node axis.  Grids, residual histories, and cycle/flop
-    counts are bit-identical to the per-node reference loop; what the fast
-    engine deliberately does *not* model are per-node side channels nobody
-    aggregates — DMA statistics and interrupt queues of the individual
-    :class:`NSCMachine` objects stay untouched, and FP exception
-    interrupts are not posted during sweeps.
+    Every node runs the same program on its own slab, so the engine binds
+    the program's compiled kernels to the stencil's :class:`NodeStack` and
+    drives them through the same :class:`BoundImage` executors the
+    single-node engine uses, with a leading node axis.  Grids, residual
+    histories, and cycle/flop counts are bit-identical to the per-node
+    reference loop; per-node DMA statistics and interrupt queues are
+    logged on the stack and materialize with the machines.  FP exception
+    interrupts are not logged — the one documented divergence.
 
-    Machine plane memory (and cache buffers) are pulled once at
-    construction and pushed back by :meth:`finish`, so ``gather`` and
-    direct variable inspection behave exactly as after a reference run.
+    Nothing is pulled from or pushed to machines: the stack is the state.
+    Once a stencil has built its machines they own the state, and the
+    engine declines so the reference walk runs on them.
     """
 
     def __init__(self, stencil: "MultiNodeStencil") -> None:
+        stack = stencil.stack
+        if stack is None:
+            raise FusionUnsupported("node machines hold the state")
+        plan = compiled_plan(stencil.machine_program, stencil.params)
+        load_kernel = plan.kernels.get(0)
+        update_kernel = plan.kernels.get(1)
+        if load_kernel is None or update_kernel is None:
+            raise FusionUnsupported("multi-node program issues no image 0/1")
+        stack.ensure(plan.plane_extent, plan.cache_extent)
         self.stencil = stencil
-        self.machines = stencil.machines
-        self.params = stencil.params
-        self.n_nodes = len(self.machines)
-        program = stencil.machine_program
-        self.load_image = program.images[0]
-        self.update_image = program.images[1]
-        self.variables = dict(self.machines[0].memory.variables)
-        self.sweep_flops = self.n_nodes * self.update_image.total_flops
-
-        load_kernel = ImageKernel(
-            0, self.load_image, plan_for(self.load_image, self.params),
-            self.params,
-        )
-        update_kernel = ImageKernel(
-            1, self.update_image, plan_for(self.update_image, self.params),
-            self.params,
-        )
-        storage = _Storage()
-        storage.variables = self.variables
-        plane_extent: Dict[int, int] = {}
-        cache_extent: Dict[int, int] = {}
-        homes = {
-            name: (var.plane, var.offset)
-            for name, var in self.variables.items()
-        }
-        for kernel in (load_kernel, update_kernel):
-            kernel.touched_extents(homes, plane_extent, cache_extent)
-        for var in self.variables.values():
-            plane_extent[var.plane] = max(
-                plane_extent.get(var.plane, 0), var.end
-            )
-        for plane, extent in plane_extent.items():
-            storage.planes[plane] = np.stack(
-                [m.memory.plane(plane).read(0, extent) for m in self.machines]
-            )
-        for cache, extent in cache_extent.items():
-            storage.cache_front[cache] = np.stack(
-                [m.caches[cache].front[:extent].copy() for m in self.machines]
-            )
-            storage.cache_back[cache] = np.stack(
-                [m.caches[cache].back[:extent].copy() for m in self.machines]
-            )
-        self.storage = storage
+        self.stack = stack
+        self.n_nodes = stack.n_nodes
+        self.variables = stack.variables
+        self.sweep_flops = self.n_nodes * update_kernel.consts.flops
         batch = (self.n_nodes,)
-        self.load_bound = load_kernel.bind(storage, batch)
-        self.update_bound = update_kernel.bind(storage, batch)
-        self._swap_scratch: Optional[np.ndarray] = None
+        self.load_bound = load_kernel.bind(stack, batch)
+        self.update_bound = update_kernel.bind(stack, batch)
 
     # ------------------------------------------------------------------
-    def finish(self) -> None:
-        """Push the stacked state back into every machine's storage."""
-        for plane, stacked in self.storage.planes.items():
-            for i, machine in enumerate(self.machines):
-                machine.memory.plane(plane).write(0, stacked[i])
-        for cache, stacked in self.storage.cache_front.items():
-            for i, machine in enumerate(self.machines):
-                machine.caches[cache].front[: stacked.shape[1]] = stacked[i]
-        for cache, stacked in self.storage.cache_back.items():
-            for i, machine in enumerate(self.machines):
-                machine.caches[cache].back[: stacked.shape[1]] = stacked[i]
-
-    # ------------------------------------------------------------------
-    def _issue(self, bound: BoundImage) -> None:
+    def _issue(self, bound: BoundImage) -> Optional[np.ndarray]:
+        """One issue on every node; logs and returns the per-node
+        condition values (None when the image raises no condition)."""
         if not bound.issue_compute():
             bound.issue_exact()
             bound.write_back_exact()
+        last = bound.condition_last()
+        values = (
+            None if last is None
+            else np.array(last, dtype=np.float64).reshape(self.n_nodes)
+        )
+        self.stack.issues.append((bound.kernel, values))
+        return values
 
     def load_caches(self) -> int:
         """Run the mask-load pipeline on all nodes at once; returns cycles."""
         self._issue(self.load_bound)
         setup = self.stencil.setup
-        swap_ids = []
-        for cache_id in (setup.mask_cache, setup.invmask_cache):
-            swap_ids.append(cache_id)
-            for machine in self.machines:
-                machine.caches[cache_id].swap()
-        self.storage.swap_caches(swap_ids)
-        kernel = self.load_bound.kernel
-        return kernel.consts.cycles
-
-    def _swap_vars(self, a: str, b: str) -> None:
-        va = self.variables[a]
-        vb = self.variables[b]
-        if self._swap_scratch is None:
-            self._swap_scratch = np.empty((self.n_nodes, va.length))
-        self.storage.swap_var_contents(va, vb, self._swap_scratch)
+        self.stack.swap_caches((setup.mask_cache, setup.invmask_cache))
+        return self.load_bound.kernel.consts.cycles
 
     def sweep(self) -> Tuple[int, float]:
         """One Jacobi sweep on every node; returns (cycles, global residual)."""
-        self._issue(self.update_bound)
+        values = self._issue(self.update_bound)
         residual = 0.0
-        last = self.update_bound.condition_last()
-        if last is not None:
-            for value in np.atleast_1d(last):
-                residual = max(residual, float(value))
-        self._swap_vars("u", "u_new")
+        if values is not None:
+            for value in values.tolist():
+                residual = max(residual, value)
+        self.stack.swap_vars(self.variables["u"], self.variables["u_new"])
         return self.update_bound.kernel.consts.cycles, residual
 
     def exchange_halos(self) -> None:
@@ -1535,7 +1663,7 @@ class FastMultiNodeEngine:
         if self.n_nodes < 2:
             return
         var = self.variables["u"]
-        plane = self.storage.planes[var.plane]
+        plane = self.stack.planes[var.plane]
         nx, ny, _nz = self.stencil.shape
         pw = nx * ny
         nzl = self.stencil.nz_local
@@ -1553,7 +1681,8 @@ def fused_stepper(stencil: "MultiNodeStencil"):
 
     Feeds :meth:`MultiNodeStencil.run`'s single accumulation loop — the
     loop both backends share, so their accounting cannot drift — with
-    the batched engine's fused sweeps and the route-once halo replay.
+    the batched engine's fused sweeps and the route-once halo replay,
+    whose link traffic ``finish`` settles.
     """
     engine = FastMultiNodeEngine(stencil)
     comm_plan = HaloCommPlan(stencil.router, stencil._halo_messages())
@@ -1566,7 +1695,7 @@ def fused_stepper(stencil: "MultiNodeStencil"):
         engine.exchange_halos()
         return cycles, residual, comm, sweep_words, engine.sweep_flops
 
-    return engine.load_caches, sweep, engine.finish
+    return engine.load_caches, sweep, comm_plan.settle
 
 
 __all__ = [
@@ -1578,6 +1707,7 @@ __all__ = [
     "program_fingerprint",
     "try_run_fused",
     "HaloCommPlan",
+    "NodeStack",
     "FastMultiNodeEngine",
     "fused_stepper",
 ]

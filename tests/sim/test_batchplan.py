@@ -16,10 +16,17 @@ import pytest
 
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
-from repro.diagram.program import ExecPipeline, Halt, LoopUntil, SwapVars
+from repro.arch.interrupts import InterruptKind
+from repro.diagram.program import (
+    CacheSwap,
+    ExecPipeline,
+    Halt,
+    LoopUntil,
+    SwapVars,
+)
 from repro.sim import batchplan, progplan
 from repro.sim.machine import NSCMachine
-from repro.sim.sequencer import SequencerError
+from repro.sim.sequencer import Sequencer, SequencerError
 
 
 def _generate(node, shape=(6, 6, 6), eps=1e-4, max_iterations=300):
@@ -119,6 +126,143 @@ class TestBatchParity:
         results = batchplan.try_run_batch_fused(batch, program)
         assert results is not None
         _assert_job_identical(ref, r_ref, solo, results[0])
+
+
+def _loop_then_issue(node, shape=(6, 6, 6), eps=1e-4, max_iterations=300):
+    """The convergence script plus one more update issue after the loop,
+    which every job issues again once the stragglers have converged."""
+    setup = build_jacobi_program(
+        node, shape, eps=eps, max_iterations=max_iterations
+    )
+    prog = setup.program
+    prog.control.clear()
+    for op in (
+        ExecPipeline(0),
+        CacheSwap(caches=(0, 1)),
+        LoopUntil(
+            body=(ExecPipeline(1), SwapVars("u", "u_new")),
+            condition_pipeline=1,
+            max_iterations=max_iterations,
+        ),
+        ExecPipeline(1),
+        Halt(),
+    ):
+        prog.add_control(op)
+    return setup, MicrocodeGenerator(node).generate(prog)
+
+
+def _disarmed(machines):
+    # condition-false posts then land in ``dropped``: both streams count
+    for machine in machines:
+        machine.interrupts.disarm(InterruptKind.CONDITION_FALSE)
+    return machines
+
+
+class TestIssueLogParity:
+    """The slab logs each issue once; every per-job view folded from that
+    log must equal the job's own single-machine run."""
+
+    SEEDS = (0, 1, 2, 3)
+
+    def test_every_job_matches_its_single_machine_run(self, node):
+        setup, program = _loop_then_issue(node)
+        singles = _disarmed(
+            _machines(node, setup, program, self.SEEDS, backend="reference")
+        )
+        results_ref = [m.run() for m in singles]
+        slab = _disarmed(_machines(node, setup, program, self.SEEDS))
+        results = batchplan.try_run_batch_fused(slab, program)
+        assert results is not None
+        assert len({r.loop_iterations[1] for r in results}) > 1
+        for m_ref, r_ref, m_b, r_b in zip(singles, results_ref, slab, results):
+            assert [vars(p) for p in r_ref.pipeline_results] \
+                == [vars(p) for p in r_b.pipeline_results]
+            assert r_ref.issue_trace == r_b.issue_trace
+            assert r_ref.issue_trace[-1] == 1  # the post-loop issue
+            assert r_ref.loop_iterations == r_b.loop_iterations
+            assert r_ref.converged is r_b.converged is True
+            assert r_ref.total_cycles == r_b.total_cycles
+            assert r_ref.instructions_issued == r_b.instructions_issued
+            assert r_ref.halted == r_b.halted
+            assert _irq_stream(m_ref) == _irq_stream(m_b)
+            assert m_ref.interrupts.dropped  # the disarmed kind really drops
+            assert [(i.cycle, i.kind, i.source, i.payload)
+                    for i in m_ref.interrupts.dropped] \
+                == [(i.cycle, i.kind, i.source, i.payload)
+                    for i in m_b.interrupts.dropped]
+            assert m_ref.dma.stats == m_b.dma.stats
+            assert m_ref.dma.device_busy == m_b.dma.device_busy
+            assert m_ref.cycle == m_b.cycle
+
+    def test_job_totals_match_per_job_metrics(self, node):
+        """The counts a machine-less slab record is built from."""
+        setup, program = _loop_then_issue(node)
+        singles = _disarmed(_machines(node, setup, program, self.SEEDS))
+        metrics = [m.metrics(m.run()) for m in singles]
+        plan = progplan.compiled_plan(program, node.params)
+        sources = _disarmed(_machines(node, setup, program, self.SEEDS))
+        variables, armed = batchplan.machine_bindings(plan, sources[0])
+        storage = batchplan.stacked_template_storage(
+            sources[0], len(sources), plan.plane_extent, plan.cache_extent
+        )
+        storage.variables = variables
+        for j, machine in enumerate(sources):
+            for name, var in variables.items():
+                storage.planes[var.plane][j, var.offset:var.end] = \
+                    machine.get_variable(name)
+        run = batchplan.BatchProgramRun(
+            plan, storage, len(sources), max_instructions=1_000_000
+        )
+        run.run()
+        for j, expected in enumerate(metrics):
+            job = run.job(j)
+            assert job.result is None  # totals only: no per-issue records
+            assert job.cycles == expected.cycles
+            assert job.instructions == expected.instructions
+            assert job.flops == expected.flops
+            assert job.active_fu_cycles == expected.active_fu_cycles
+            assert job.interrupts_delivered(armed) \
+                == expected.interrupts_delivered
+            assert job.words_read + job.words_written \
+                == expected.words_moved
+
+    def test_trace_truncation_unchanged(self, node, monkeypatch):
+        monkeypatch.setattr(Sequencer, "MAX_TRACE", 7)
+        monkeypatch.setattr(batchplan.BatchProgramRun, "MAX_TRACE", 7)
+        setup, program = _loop_then_issue(node)
+        singles = _machines(node, setup, program, self.SEEDS,
+                            backend="reference")
+        results_ref = [m.run() for m in singles]
+        slab = _machines(node, setup, program, self.SEEDS)
+        results = batchplan.try_run_batch_fused(slab, program)
+        assert results is not None
+        for r_ref, r_b in zip(results_ref, results):
+            assert r_b.instructions_issued > 7
+            assert r_ref.issue_trace == r_b.issue_trace
+            assert len(r_b.issue_trace) == 7
+
+
+class TestBufferAlignment:
+    def test_large_engine_buffers_start_on_cache_lines(self, node):
+        """Kernel speed must not depend on where malloc lands a buffer:
+        stacked storage rows and bound row blocks start on 64 bytes."""
+        setup, program = _generate(node, shape=(16, 16, 16),
+                                   max_iterations=1)
+        plan = progplan.compiled_plan(program, node.params)
+        (template,) = _machines(node, setup, program, (0,))
+        variables, _armed = batchplan.machine_bindings(plan, template)
+        for _ in range(8):  # several allocation histories
+            storage = batchplan.stacked_template_storage(
+                template, 4, plan.plane_extent, plan.cache_extent
+            )
+            storage.variables = variables
+            run = batchplan.BatchProgramRun(plan, storage, 4, 1_000_000)
+            arrays = list(storage.planes.values())
+            arrays += [b._block for b in run.bound.values()
+                       if b._block is not None]
+            for arr in arrays:
+                assert arr.ctypes.data % 64 == 0
+        assert progplan.aligned_empty((3, 5)).shape == (3, 5)
 
 
 class TestBatchDeclines:
