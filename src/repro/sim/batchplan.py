@@ -56,8 +56,11 @@ per-row accounting).  A slab's reference-visible faults are wrapped as
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 import numpy as np
 
@@ -67,6 +70,7 @@ from repro.obs import tracer as obs
 from repro.sim.pipeline_exec import PipelineResult
 from repro.sim.progplan import (
     FusionUnsupported,
+    ImageKernel,
     ProgramPlan,
     _S_BAD_ISSUE,
     _S_CACHESWAP,
@@ -224,6 +228,26 @@ class JobRun:
     cache_swaps: Dict[int, int] = field(default_factory=dict)
     result: Optional[SequencerResult] = None
     irq_log: Optional[List[IrqEntry]] = None
+
+    def charge(self, issues: Iterable[Tuple[ImageKernel, int]],
+               swaps: int, swap_words: int) -> None:
+        """Add the per-issue-constant charges of *issues* (kernel, issue
+        count) and of *swaps* ``SwapVars`` moving *swap_words* words —
+        as ``NSCMachine.swap_vars`` charges, two transfers each."""
+        self.transfers += 2 * swaps
+        self.words_read += swap_words
+        self.words_written += swap_words
+        for kernel, count in issues:
+            consts = kernel.consts
+            self.instructions += count
+            self.flops += consts.flops * count
+            self.active_fu_cycles += (
+                consts.active_fus * consts.vector_length * count
+            )
+            self.transfers += consts.transfers * count
+            self.words_read += consts.words_read * count
+            self.words_written += consts.words_written * count
+            self.busy_cycles += consts.busy_cycles * count
 
     def interrupts_delivered(self, armed: Any) -> int:
         """Interrupts a drain-terminated run of this job delivers.
@@ -554,25 +578,11 @@ class BatchProgramRun:
                     (start, cycles, source, cond_result, payload, tags)
                 )
         out.cycles = cycles
-        out.transfers = 2 * swaps
-        out.words_read = out.words_written = swapped_words
-        conditions = 0
-        for index, kernel in kernels.items():
-            count = trace.count(index)
-            if not count:
-                continue
-            consts = kernel.consts
-            out.instructions += count
-            out.flops += consts.flops * count
-            out.active_fu_cycles += (
-                consts.active_fus * consts.vector_length * count
-            )
-            out.transfers += consts.transfers * count
-            out.words_read += consts.words_read * count
-            out.words_written += consts.words_written * count
-            out.busy_cycles += consts.busy_cycles * count
-            if kernel.condition is not None:
-                conditions += count
+        issues = [(kernels[i], count) for i, count in Counter(trace).items()]
+        out.charge(issues, swaps, swapped_words)
+        conditions = sum(
+            count for kernel, count in issues if kernel.condition is not None
+        )
         out.conditions_true = trues
         out.conditions_false = conditions - trues
         if trace:
@@ -660,31 +670,44 @@ def replay_interrupts(machine: "NSCMachine", irq_log: Sequence[IrqEntry],
             delivered.append(heappop(queue))
 
 
+def write_back(machine: "NSCMachine", storage: _Storage, j: Optional[int],
+               job: JobRun) -> None:
+    """Write row *j* of *storage* (the whole arrays when *j* is None) into
+    *machine*, replaying *job*'s cache swaps and adding its DMA charges.
+
+    Shared by the slab commit and the multi-node machine build; what
+    each posts to the interrupt controller stays with the caller.
+    """
+    def row(arr: np.ndarray) -> np.ndarray:
+        return arr if j is None else arr[j]
+
+    for plane, arr in storage.planes.items():
+        machine.memory.plane(plane).write(0, row(arr))
+    for cache_id, swaps in job.cache_swaps.items():
+        for _ in range(swaps):
+            machine.caches[cache_id].swap()
+    for cache_id, arr in storage.cache_front.items():
+        machine.caches[cache_id].front[: arr.shape[-1]] = row(arr)
+    for cache_id, arr in storage.cache_back.items():
+        machine.caches[cache_id].back[: arr.shape[-1]] = row(arr)
+    stats = machine.dma.stats
+    stats.transfers += job.transfers
+    stats.words_read += job.words_read
+    stats.words_written += job.words_written
+    stats.busy_cycles += job.busy_cycles
+    if job.device_busy is not None:
+        machine.dma.device_busy = dict(job.device_busy)
+
+
 def _commit(run: BatchProgramRun, machines: Sequence["NSCMachine"],
             armed_sets: Sequence[Any]) -> List[SequencerResult]:
     """Write each job's local state, statistics, and interrupt log back
     to its machine — exactly what a step-by-step run leaves behind — and
     return the jobs' results."""
-    storage = run.storage
     results = []
     for j, machine in enumerate(machines):
         job = run.job(j, records=True)
-        for plane, arr in storage.planes.items():
-            machine.memory.plane(plane).write(0, run.row(arr, j))
-        for cache_id, swaps in job.cache_swaps.items():
-            for _ in range(swaps):
-                machine.caches[cache_id].swap()
-        for cache_id, arr in storage.cache_front.items():
-            machine.caches[cache_id].front[: arr.shape[-1]] = run.row(arr, j)
-        for cache_id, arr in storage.cache_back.items():
-            machine.caches[cache_id].back[: arr.shape[-1]] = run.row(arr, j)
-        stats = machine.dma.stats
-        stats.transfers += job.transfers
-        stats.words_read += job.words_read
-        stats.words_written += job.words_written
-        stats.busy_cycles += job.busy_cycles
-        if job.device_busy is not None:
-            machine.dma.device_busy = dict(job.device_busy)
+        write_back(machine, run.storage, None if run.single else j, job)
         machine.cycle = job.cycles
         assert job.irq_log is not None and job.result is not None
         replay_interrupts(machine, job.irq_log, armed_sets[j])
@@ -786,4 +809,5 @@ __all__ = [
     "replay_interrupts",
     "stacked_template_storage",
     "try_run_batch_fused",
+    "write_back",
 ]

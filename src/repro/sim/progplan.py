@@ -261,21 +261,16 @@ class _Storage:
         self.swap_var_contents(va, vb, scratch)
 
 
-#: Byte alignment of the engine's large buffers.  Measured on a 16^3
-#: four-job slab, the ufunc kernels ran ~1.5x slower when a buffer did
-#: not start on a cache line; malloc guarantees only 16 bytes, and where
-#: it lands a buffer varies with the process's allocation history.
+#: Byte alignment of the engine's buffers.  Measured on a 16^3 four-job
+#: slab, the ufunc kernels ran ~1.5x slower when a buffer did not start
+#: on a cache line; malloc guarantees only 16 bytes, and where it lands
+#: a buffer varies with the process's allocation history.
 _ALIGN = 64
-#: Below this many words a buffer stays cache-resident and its kernels
-#: are dispatch-bound, so it is allocated plainly.
-_ALIGN_MIN_WORDS = 4096
 
 
 def aligned_empty(shape: Tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float64 array; large ones start on a cache line."""
+    """An uninitialized float64 array starting on a cache line."""
     count = math.prod(shape)
-    if count < _ALIGN_MIN_WORDS:
-        return np.empty(shape)
     raw = np.empty(count + _ALIGN // 8)
     start = (-raw.ctypes.data % _ALIGN) // 8
     return raw[start : start + count].reshape(shape)
@@ -1531,47 +1526,31 @@ class NodeStack(_Storage):
                  program: MachineProgram) -> List["NSCMachine"]:
         """One loaded machine per node holding its row of the state.
 
-        Per-issue DMA charges fold from the log like
-        :class:`~repro.sim.batchplan.BatchProgramRun`'s; interrupts are
-        posted in issue order, as the reference walk posts them (the
-        multi-node walk never advances a node's cycle, so each fires at
-        its issue's cycle count).
+        Every node's DMA charges are the same fold of the log that a slab
+        job's are (:meth:`~repro.sim.batchplan.JobRun.charge`), written
+        by the slab commit's :func:`~repro.sim.batchplan.write_back`.
+        Only the interrupts differ: they are posted in issue order, as
+        the reference walk posts them (the multi-node walk never
+        advances a node's cycle, so each fires at its issue's cycle
+        count), with no replay or drain.
         """
         from repro.arch.interrupts import InterruptKind
+        from repro.sim.batchplan import JobRun, write_back
         from repro.sim.machine import NSCMachine
 
-        transfers = 2 * self.var_swaps
-        words_read = words_written = self.var_swap_words
-        busy = 0
-        for kernel, count in Counter(k for k, _ in self.issues).items():
-            consts = kernel.consts
-            transfers += consts.transfers * count
-            words_read += consts.words_read * count
-            words_written += consts.words_written * count
-            busy += consts.busy_cycles * count
-        device_busy = (
-            dict(self.issues[-1][0].consts.device_busy) if self.issues else {}
+        totals = JobRun(cache_swaps=self.cache_swaps)
+        totals.charge(
+            Counter(k for k, _ in self.issues).items(),
+            self.var_swaps, self.var_swap_words,
         )
+        if self.issues:
+            totals.device_busy = self.issues[-1][0].consts.device_busy
         complete = InterruptKind.PIPELINE_COMPLETE
         machines = []
         for i in range(self.n_nodes):
             machine = NSCMachine(node)
             machine.load_program(program)
-            for plane, arr in self.planes.items():
-                machine.memory.plane(plane).write(0, arr[i])
-            for cache_id, swaps in self.cache_swaps.items():
-                for _ in range(swaps):
-                    machine.caches[cache_id].swap()
-            for cache_id, arr in self.cache_front.items():
-                machine.caches[cache_id].front[: arr.shape[-1]] = arr[i]
-            for cache_id, arr in self.cache_back.items():
-                machine.caches[cache_id].back[: arr.shape[-1]] = arr[i]
-            stats = machine.dma.stats
-            stats.transfers = transfers
-            stats.words_read = words_read
-            stats.words_written = words_written
-            stats.busy_cycles = busy
-            machine.dma.device_busy = dict(device_busy)
+            write_back(machine, self, i, totals)
             irq = machine.interrupts
             for kernel, values in self.issues:
                 consts = kernel.consts

@@ -243,9 +243,10 @@ class TestIssueLogParity:
 
 
 class TestBufferAlignment:
-    def test_large_engine_buffers_start_on_cache_lines(self, node):
+    def test_engine_buffers_start_on_cache_lines(self, node):
         """Kernel speed must not depend on where malloc lands a buffer:
-        stacked storage rows and bound row blocks start on 64 bytes."""
+        stacked storage rows, bound row blocks and small buffers alike
+        start on 64 bytes."""
         setup, program = _generate(node, shape=(16, 16, 16),
                                    max_iterations=1)
         plan = progplan.compiled_plan(program, node.params)
@@ -262,7 +263,9 @@ class TestBufferAlignment:
                        if b._block is not None]
             for arr in arrays:
                 assert arr.ctypes.data % 64 == 0
-        assert progplan.aligned_empty((3, 5)).shape == (3, 5)
+        for shape in ((3, 5), (1,), (2, 4096)):
+            arr = progplan.aligned_empty(shape)
+            assert arr.shape == shape and arr.ctypes.data % 64 == 0
 
 
 class TestBatchDeclines:

@@ -18,8 +18,9 @@ def test_profile_sim_reports_every_stage(capsys):
     p50 = report["p50_ms"]
     assert set(p50) == set(profile_sim.STAGES) | {"total"}
     # both engines ran: kernels and bookkeeping of each are non-zero
-    for stage in ("slab_kernel", "slab_engine", "multinode_setup",
-                  "multinode_kernel", "multinode_sweeps", "halo"):
+    for stage in ("slab_kernel", "slab_engine", "slab_fold",
+                  "multinode_setup", "multinode_kernel", "multinode_sweeps",
+                  "halo"):
         assert p50[stage] > 0.0, stage
     # one op: the disjoint sub-stages sum to its wall time
     assert abs(sum(p50[s] for s in profile_sim.STAGES) - p50["total"]) < 1e-6

@@ -9,8 +9,9 @@ cache, and splits each op's wall time into sub-stages:
 
 ================  ====================================================
 slab_kernel       ``BoundImage.issue_compute`` inside slab runs
-slab_engine       the rest of ``BatchProgramRun.run`` plus the per-job
-                  folds of its issue log (``BatchProgramRun.job``)
+slab_engine       the rest of ``BatchProgramRun.run``
+slab_fold         the per-job folds of a slab's issue log into records
+                  (``BatchProgramRun.job``), which run after ``run``
 multinode_setup   ``MultiNodeStencil.__init__``, ``scatter`` and the
                   fused engine's bind (``progplan.fused_stepper``)
 multinode_kernel  ``BoundImage.issue_compute`` inside multi-node runs
@@ -54,6 +55,7 @@ from repro.sim.multinode import MultiNodeStencil  # noqa: E402
 STAGES = (
     "slab_kernel",
     "slab_engine",
+    "slab_fold",
     "multinode_setup",
     "multinode_kernel",
     "multinode_sweeps",
@@ -135,7 +137,8 @@ def split(raw: Dict[str, float], total: float) -> Dict[str, float]:
 
     stages = {
         "slab_kernel": get("slab_kernel"),
-        "slab_engine": get("slab_run") - get("slab_kernel") + get("slab_fold"),
+        "slab_engine": get("slab_run") - get("slab_kernel"),
+        "slab_fold": get("slab_fold"),
         "multinode_setup": get("multinode_init") + get("multinode_scatter")
         + get("multinode_bind"),
         "multinode_kernel": get("multinode_kernel"),
