@@ -82,6 +82,19 @@ def _run_chunk(
     return outcomes
 
 
+def call_captured(fn: Callable[[Any], Any], item: Any,
+                  index: int = 0) -> WorkerOutcome:
+    """``fn(item)`` in this process, its exception captured as a failure
+    outcome — the serial counterpart of a pool worker."""
+    start = time.perf_counter()
+    try:
+        value = fn(item)
+    except Exception as exc:
+        return WorkerOutcome.failure(index, exc, time.perf_counter() - start)
+    return WorkerOutcome(index=index, ok=True, value=value,
+                         duration_s=time.perf_counter() - start)
+
+
 class WorkerPool:
     """Fan a function over items across processes.
 
@@ -150,19 +163,8 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _map_serial(self, fn: Callable[[Any], Any],
                     items: Sequence[Any]) -> List[WorkerOutcome]:
-        outcomes: List[WorkerOutcome] = []
-        for index, item in enumerate(items):
-            start = time.perf_counter()
-            try:
-                value = fn(item)
-            except Exception as exc:
-                outcomes.append(WorkerOutcome.failure(
-                    index, exc, time.perf_counter() - start))
-            else:
-                outcomes.append(WorkerOutcome(
-                    index=index, ok=True, value=value,
-                    duration_s=time.perf_counter() - start))
-        return outcomes
+        return [call_captured(fn, item, index)
+                for index, item in enumerate(items)]
 
     @staticmethod
     def _lost_to_break(future: "concurrent.futures.Future") -> bool:
@@ -299,4 +301,4 @@ class WorkerPool:
         return outcomes
 
 
-__all__ = ["WorkerPool", "WorkerOutcome"]
+__all__ = ["WorkerPool", "WorkerOutcome", "call_captured"]

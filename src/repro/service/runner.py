@@ -62,7 +62,7 @@ from repro.service import faults
 from repro.service.cache import ProgramCache
 from repro.service.faults import FaultInjected, FaultPlan
 from repro.service.jobs import CHECKER_MODES, SimJob
-from repro.service.pool import WorkerOutcome, WorkerPool
+from repro.service.pool import WorkerOutcome, WorkerPool, call_captured
 from repro.service.results import ResultStore
 from repro.service.retry import RetryPolicy, classify_record
 
@@ -920,33 +920,18 @@ class BatchRunner:
             else:
                 self._report(records, on_record)
                 return
-        if self.cache is not None and self.batch_fusion == "auto":
-            self._run_serial_fused(round_jobs, round_specs, attempt,
-                                   on_record)
+        if self.cache is not None:
+            self._run_serial(round_jobs, round_specs, attempt, on_record)
             return
-        elif self.cache is not None:
-            # serial bypass: in-process execution, no transport involved
-            # — stream record-by-record so checkpoints land per job
-            fn = functools.partial(
-                execute_job, cache=self.cache, attempt=attempt
-            )
-            pool = WorkerPool(max_workers=1, timeout=self.timeout)
-            for j, (job, spec) in enumerate(zip(round_jobs, round_specs)):
-                outcome = pool.map(fn, [spec])[0]
-                on_record(j, self._stamped(self._record_of(job, outcome)))
-            return
-        else:
-            fn = functools.partial(
-                execute_job, cache_dir=self.cache_dir, attempt=attempt
-            )
-            pool = WorkerPool(
-                max_workers=self.workers, timeout=self.timeout
-            )
-            outcomes = pool.map(fn, round_specs)
-            records = [
-                self._record_of(job, outcome)
-                for job, outcome in zip(round_jobs, outcomes)
-            ]
+        fn = functools.partial(
+            execute_job, cache_dir=self.cache_dir, attempt=attempt
+        )
+        pool = WorkerPool(max_workers=self.workers, timeout=self.timeout)
+        outcomes = pool.map(fn, round_specs)
+        records = [
+            self._record_of(job, outcome)
+            for job, outcome in zip(round_jobs, outcomes)
+        ]
         self._report(records, on_record)
 
     def _report(
@@ -993,33 +978,36 @@ class BatchRunner:
         }
 
     # ------------------------------------------------------------------
-    # batch-fused serial execution
+    # serial execution
     # ------------------------------------------------------------------
-    def _run_serial_fused(
+    def _run_serial(
         self,
         jobs: Sequence[SimJob],
         specs: List[Dict[str, Any]],
         attempt: int,
         on_record: Callable[[int, Dict[str, Any]], None],
     ) -> None:
-        """Serial execution with slab grouping (``batch_fusion="auto"``).
+        """In-process serial execution: no transport, no subprocesses.
 
-        Fusable same-program groups run as one slab each; everything
-        else — non-fusable jobs, singleton groups, members of a slab
-        that declined — runs through :func:`execute_job` exactly as the
-        ``"off"`` path would, with the decline reason recorded.  Every
-        slab's records, and every other job's record, stream to
-        ``on_record`` the moment they exist, so the per-job checkpoint
-        holds here too.  The ``worker.exec`` fault site fires per slab
-        member before its slab runs: a faulted member leaves the slab
-        with the failure record :func:`execute_job` would have produced.
+        With ``batch_fusion="auto"`` fusable same-program groups first
+        run as one slab each.  The ``worker.exec`` fault site fires per
+        slab member before its slab runs: a faulted member leaves the
+        slab with the failure record :func:`execute_job` would have
+        produced.  Every other job — all of them under ``"off"``, and
+        non-fusable jobs, singleton groups and members of a declined
+        slab (with the decline reason recorded) under ``"auto"`` — runs
+        through :func:`execute_job`, its escaping exceptions captured as
+        failure records the way a pool worker's are.  Every record
+        streams to ``on_record`` the moment it exists, so checkpoints
+        land per job.
         """
         from repro.service.slab import execute_slab, slab_groups
 
         assert self.cache is not None
         done = [False] * len(jobs)
         declined: Dict[int, str] = {}
-        for idxs in slab_groups(jobs):
+        groups = slab_groups(jobs) if self.batch_fusion == "auto" else []
+        for idxs in groups:
             members = []
             for i in idxs:
                 failure = _exec_fault(jobs[i], attempt)
@@ -1046,12 +1034,11 @@ class BatchRunner:
                 record["duration_s"] = duration
                 done[i] = True
                 on_record(i, self._stamped(record))
-        for i, spec in enumerate(specs):
+        fn = functools.partial(execute_job, cache=self.cache, attempt=attempt)
+        for i, (job, spec) in enumerate(zip(jobs, specs)):
             if done[i]:
                 continue
-            start = time.perf_counter()
-            record = execute_job(spec, cache=self.cache, attempt=attempt)
-            record["duration_s"] = round(time.perf_counter() - start, 6)
+            record = self._record_of(job, call_captured(fn, spec, i))
             if i in declined:
                 record.setdefault(
                     "fallback_reason", f"batch_fusion: {declined[i]}"

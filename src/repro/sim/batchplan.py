@@ -5,12 +5,14 @@ control script into a schedule of bound images; this module walks it.
 A single machine is the degenerate case, a slab of one: its kernels bind
 with batch shape ``()`` over the machine's own pulled planes.  A slab of
 N same-program, same-shape jobs stacks their operand grids along a
-leading batch axis — exactly the trick the multi-node engine plays with
-one row per node — and a single :class:`~repro.sim.progplan.BoundImage`
+leading batch axis, and a single :class:`~repro.sim.progplan.BoundImage`
 issue sweeps the entire stack.  The generated ufunc kernels are shared
 either way (the runner code objects are cached on the
 :class:`ImageKernel`); only the bound buffers gain the leading ``:``
-axis.
+axis.  A hypercube of N nodes is the same stack, one row per node:
+:class:`~repro.sim.multinode.MultiNodeStencil` drives its sweeps step
+by step through :meth:`BatchProgramRun.issue` and the engine's swaps
+(see :func:`repro.sim.progplan.fused_stepper`).
 
 Per-job divergence exists in exactly one place: ``LoopUntil`` iteration
 counts.  The condition unit's final stream element is per-row when
@@ -51,6 +53,10 @@ and dynamically on any non-finite value anywhere in the slab (one fused
 screen covers every row, so one job's overflow would be undetectable to
 per-row accounting).  A slab's reference-visible faults are wrapped as
 :class:`FusionUnsupported` too, so the per-job fallback reproduces them.
+A hypercube has no per-node fallback — its stack is the only copy of
+the state — so a non-finite issue takes the exact path instead, with
+values bit-identical to the reference and no FP interrupts logged (the
+fused screen cannot attribute a flag to a node).
 """
 
 from __future__ import annotations
@@ -180,18 +186,16 @@ def machine_bindings(plan: ProgramPlan,
 
 def stacked_template_storage(machine: "NSCMachine", n_rows: int,
                              plane_extent: Dict[int, int],
-                             cache_extent: Dict[int, int],
-                             storage: Optional[_Storage] = None) -> Any:
+                             cache_extent: Dict[int, int]) -> _Storage:
     """Stacked storage with every row a copy of *machine*'s pulled state.
 
     The slab executor loads ONE template machine and broadcasts its
     planes; per-job operand rows (a seeded ``u0``) are then overwritten
     in place, so N-1 machine constructions and input loads disappear.
-    The multi-node stencil fills its :class:`~repro.sim.progplan.NodeStack`
-    (passed as *storage*) the same way, one row per node.
+    The multi-node stencil builds its stack the same way, one row per
+    node.
     """
-    if storage is None:
-        storage = _Storage()
+    storage = _Storage()
     for plane, extent in plane_extent.items():
         arr = aligned_empty((n_rows, extent))
         arr[...] = machine.memory.plane(plane).read(0, extent)
@@ -285,6 +289,10 @@ class BatchProgramRun:
     outside it is touched — committing rows back to machines (or
     synthesizing records without machines) is the caller's job.
 
+    ``fallback=False`` marks rows with no per-job fallback: a
+    hypercube's nodes.  They always bind stacked, even one node, and a
+    non-finite issue runs exact instead of declining.
+
     Accounting is one log for the whole slab, appended once per step:
     ``(kernel index, per-row condition values, per-row condition
     results, active rows)`` per issue, and the charges of each
@@ -296,8 +304,9 @@ class BatchProgramRun:
     MAX_TRACE = 100_000  # mirrors Sequencer.MAX_TRACE
 
     def __init__(self, plan: ProgramPlan, storage: _Storage, n_jobs: int,
-                 max_instructions: int) -> None:
-        self.single = n_jobs == 1
+                 max_instructions: int, fallback: bool = True) -> None:
+        self.single = n_jobs == 1 and fallback
+        self.fallback = fallback
         if not self.single:
             check_batchable(plan)
         self.plan = plan
@@ -323,10 +332,6 @@ class BatchProgramRun:
         # (None when that image raises no condition)
         self.last_cond: Dict[int, Optional[Sequence[Any]]] = {}
         self._swap_cache: Dict[Tuple[str, str], Tuple] = {}
-
-    def row(self, arr: np.ndarray, j: int) -> np.ndarray:
-        """Job *j*'s view of one storage array."""
-        return arr if self.single else arr[j]
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -357,7 +362,7 @@ class BatchProgramRun:
                 return
             kind = op[0]
             if kind == _S_ISSUE:
-                self._issue(op[1], active)
+                self.issue(op[1], active)
             elif kind == _S_REPEAT:
                 _k, times, body = op
                 for _ in range(times):
@@ -367,10 +372,9 @@ class BatchProgramRun:
             elif kind == _S_LOOP:
                 self._loop_until(op, active)
             elif kind == _S_SWAP:
-                self._swap_vars(op[1], op[2], active)
+                self.swap_vars(op[1], op[2], active)
             elif kind == _S_CACHESWAP:
-                self.storage.swap_caches(op[1])
-                self.log.append((_LOG_CACHESWAP, op[1], None, active))
+                self.swap_caches(op[1], active)
             elif kind == _S_HALT:
                 self.halted = True
                 return
@@ -387,20 +391,26 @@ class BatchProgramRun:
                 f"exhausted (runaway loop?)"
             )
 
-    def _issue(self, index: int, active: Optional[Tuple[int, ...]]) -> None:
+    def issue(self, index: int,
+              active: Optional[Tuple[int, ...]] = None) -> Any:
+        """Issue pipeline *index* on the *active* rows (None: all) and
+        log it; returns the logged per-row condition values (None when
+        the image raises no condition)."""
         self._check_budget()
         bound = self.bound[index]
         kernel = bound.kernel
         tags: Tuple[str, ...] = ()
         if not bound.issue_compute():
-            if not self.single:
-                # the finiteness screen is fused over the whole slab; only
-                # a single-machine run can attribute flags to the right job
+            # the finiteness screen is fused over the whole stack; only a
+            # single-machine run can attribute flags to the right job
+            if not self.single and self.fallback:
                 raise FusionUnsupported("non-finite values in batch slab")
-            # exception interrupts are *logged* here and posted by the
-            # commit replay: no machine state moves before the commit point
-            tags = tuple(bound.issue_exact())
+            flags = bound.issue_exact()
             bound.write_back_exact()
+            if self.single:
+                # exception interrupts are *logged* here and posted by the
+                # commit replay: no machine state moves before the commit
+                tags = tuple(flags)
         cond_last = bound.condition_last()
         vals: Any = None
         conds: Any = None
@@ -418,6 +428,7 @@ class BatchProgramRun:
             self.extras[len(self.log)] = (tags, outputs)
         self.log.append((index, vals, conds, active))
         self.issued += 1
+        return vals
 
     # ------------------------------------------------------------------
     def _snapshot_row(self, j: int) -> Tuple[Dict, Dict, Dict]:
@@ -492,8 +503,15 @@ class BatchProgramRun:
             self.converged[j] = converged[j]
 
     # ------------------------------------------------------------------
-    def _swap_vars(self, a: str, b: str,
-                   active: Optional[Tuple[int, ...]]) -> None:
+    def swap_caches(self, cache_ids: Tuple[int, ...],
+                    active: Optional[Tuple[int, ...]] = None) -> None:
+        """``CacheSwap`` on the local state, logged."""
+        self.storage.swap_caches(cache_ids)
+        self.log.append((_LOG_CACHESWAP, cache_ids, None, active))
+
+    def swap_vars(self, a: str, b: str,
+                  active: Optional[Tuple[int, ...]] = None) -> None:
+        """``SwapVars`` on the local state, logged."""
         # mirrors NSCMachine.swap_vars: contents move, bindings stay.  The
         # physical exchange covers every row (frozen rows are healed by
         # their snapshot restore); the charges land on active jobs only
@@ -675,7 +693,7 @@ def write_back(machine: "NSCMachine", storage: _Storage, j: Optional[int],
     """Write row *j* of *storage* (the whole arrays when *j* is None) into
     *machine*, replaying *job*'s cache swaps and adding its DMA charges.
 
-    Shared by the slab commit and the multi-node machine build; what
+    Shared by the slab commit and the hypercube machine build; what
     each posts to the interrupt controller stays with the caller.
     """
     def row(arr: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ node streams.  This module holds the per-image layer of the fast backend:
   (:mod:`repro.sim.progplan`), so plans survive across programs, params
   sets, and batch-service jobs within one process.
 
-The whole-program layer — fusing the sequencer's control script, and the
-batched multi-node engine that stacks every node's planes into
-``(n_nodes, words)`` arrays — lives in :mod:`repro.sim.progplan` and
-builds on the per-image plans compiled here.
+The whole-program layer — fusing the sequencer's control script into
+the schedule that :mod:`repro.sim.batchplan` runs over one machine, a
+slab of jobs, or a hypercube's nodes — lives in :mod:`repro.sim.progplan`
+and builds on the per-image plans compiled here.
 
 Parity is a hard contract, not an aspiration: the fast backend uses the
 same opcode kernels, the same operation order, and the same cycle formula

@@ -18,7 +18,7 @@ multi-node runs are schedulable as service jobs via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +31,10 @@ from repro.compose.jacobi import build_jacobi_program, grid_shape
 from repro.obs import tracer as obs
 from repro.sim.machine import NSCMachine
 from repro.sim.pipeline_exec import execute_image
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.batchplan import BatchProgramRun
+    from repro.sim.progplan import _Storage
 
 
 class DecompositionError(Exception):
@@ -91,13 +95,13 @@ class MultiNodeStencil:
     The global grid is ``(nx, ny, nz)``; ``nz`` must divide evenly by the
     node count.  Every node's local grid carries two ghost z-planes.
 
-    Per-node state starts stacked — :attr:`stack`, a
-    :class:`~repro.sim.progplan.NodeStack` with one row per node, filled
-    from one loaded template machine — and the fused engine runs on it
-    directly.  :attr:`machines` builds the per-node
-    :class:`NSCMachine` objects on first access; from then on they own
-    the state, and the reference walk (the reference backend, or a
-    declined fused run) drives them.
+    Per-node state starts stacked — :attr:`stack`, ``(n_nodes, extent)``
+    rows filled from one loaded template machine — and the fast backend
+    runs it as a slab on :class:`~repro.sim.batchplan.BatchProgramRun`
+    (:attr:`fused` keeps the run for its log).  :attr:`machines` builds
+    the per-node :class:`NSCMachine` objects on first access; from then
+    on they own the state, and the reference walk (the reference
+    backend, or a declined fused run) drives them.
     """
 
     def __init__(
@@ -135,12 +139,14 @@ class MultiNodeStencil:
         self.node_of_slab: List[int] = [gray_code(i) for i in range(self.n_nodes)]
         self._precompiled = precompiled
         self._machines: Optional[List[NSCMachine]] = None
+        #: the last fused run, bound images released: its log is what
+        #: the fast backend charged every node
+        self.fused: Optional["BatchProgramRun"] = None
         self._setup_nodes()
 
     # ------------------------------------------------------------------
     def _setup_nodes(self) -> None:
         from repro.sim.batchplan import stacked_template_storage
-        from repro.sim.progplan import NodeStack
 
         self._node_cfg = node_cfg = node_config(self.params)
         if self._precompiled is not None:
@@ -172,8 +178,8 @@ class MultiNodeStencil:
         for var in self.variables.values():
             plane_extent[var.plane] = max(plane_extent.get(var.plane, 0),
                                           var.end)
-        self.stack: Optional[NodeStack] = stacked_template_storage(
-            template, self.n_nodes, plane_extent, {}, NodeStack(self.n_nodes)
+        self.stack: Optional["_Storage"] = stacked_template_storage(
+            template, self.n_nodes, plane_extent, {}
         )
         self.stack.variables = self.variables
         mask, invmask = self._slab_masks()
@@ -185,12 +191,52 @@ class MultiNodeStencil:
         """One loaded :class:`NSCMachine` per node, built on first access
         from the stacked state (which they own from then on)."""
         if self._machines is None:
-            assert self.stack is not None
-            self._machines = self.stack.machines(
-                self._node_cfg, self.machine_program
-            )
+            self._machines = self._build_machines()
             self.stack = None
+            self.fused = None
         return self._machines
+
+    def _build_machines(self) -> List[NSCMachine]:
+        """One loaded machine per node holding its row of the stack.
+
+        Every node runs the same schedule, so one fold of the fused
+        run's log (:meth:`~repro.sim.batchplan.BatchProgramRun.job`)
+        gives every node's DMA charges, written by the slab commit's
+        :func:`~repro.sim.batchplan.write_back`.  Only the interrupts
+        are multi-node specific: posted in issue order with each node's
+        own condition value, as the reference walk posts them (it never
+        advances a node's cycle, so each fires at its issue's cycle
+        count), with no replay or drain.
+        """
+        from repro.arch.interrupts import InterruptKind
+        from repro.sim.batchplan import JobRun, write_back
+
+        assert self.stack is not None
+        run = self.fused
+        totals = run.job(0) if run is not None else JobRun()
+        issues = [] if run is None else [
+            (run.plan.kernels[index].consts, values, conds)
+            for index, values, conds, _active in run.log if index >= 0
+        ]
+        complete = InterruptKind.PIPELINE_COMPLETE
+        machines = []
+        for i in range(self.n_nodes):
+            machine = NSCMachine(self._node_cfg)
+            machine.load_program(self.machine_program)
+            write_back(machine, self.stack, i, totals)
+            irq = machine.interrupts
+            for consts, values, conds in issues:
+                irq.post(complete, consts.cycles, source=consts.source)
+                if conds is not None:
+                    irq.post(
+                        InterruptKind.CONDITION_TRUE if conds[i]
+                        else InterruptKind.CONDITION_FALSE,
+                        consts.cycles,
+                        source=consts.source,
+                        payload=values[i],
+                    )
+            machines.append(machine)
+        return machines
 
     def _slab_masks(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-slab interior masks, one row per slab: ghost planes and
@@ -320,13 +366,13 @@ class MultiNodeStencil:
     def _stepper(self):
         """(load, sweep, finish) callables for this run's tier.
 
-        The fast backend drives the batched
-        :class:`~repro.sim.progplan.FastMultiNodeEngine` from one
-        compiled schedule.  A program the whole-system compiler declines
-        (rare: residual-skew ablation builds fuse too) falls back to the
-        reference interpreter's node-by-node walk, as does the reference
-        backend.  Either way the selected tier (and any decline's reason)
-        lands in the active tracer."""
+        The fast backend runs the nodes as one slab on
+        :class:`~repro.sim.batchplan.BatchProgramRun`
+        (:func:`~repro.sim.progplan.fused_stepper`).  A program the
+        compiler declines (rare: residual-skew ablation builds fuse too)
+        falls back to the reference interpreter's node-by-node walk, as
+        does the reference backend.  Either way the selected tier (and
+        any decline's reason) lands in the active tracer."""
         if self.backend == "fast":
             from repro.sim.progplan import FusionUnsupported, fused_stepper
 
@@ -348,10 +394,10 @@ class MultiNodeStencil:
     def run(self, max_iterations: int = 1000) -> MultiNodeResult:
         """Iterate to convergence (or the bound); returns aggregate results.
 
-        With ``backend="fast"`` the whole system executes through the
-        batched :class:`~repro.sim.progplan.FastMultiNodeEngine` — mask
-        load, fused compute sweeps, and route-once halo replay driven
-        from one compiled schedule over the stacked node state.  Both
+        With ``backend="fast"`` the whole system executes as one slab
+        over the stacked node state — mask load and fused compute sweeps
+        on :class:`~repro.sim.batchplan.BatchProgramRun`, plus the
+        route-once halo replay.  Both
         backends share this one accumulation loop, so they cannot drift
         apart in accounting; only the three stepper callables differ.
         """

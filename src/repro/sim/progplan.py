@@ -47,10 +47,10 @@ pristine state.  One engine walks every compiled schedule —
 :class:`~repro.sim.batchplan.BatchProgramRun`, with a single machine as
 a slab of one (:func:`try_run_fused`).
 
-The batched multi-node engine (:class:`FastMultiNodeEngine`) is built on
-the same bound-image machinery with a leading node axis, and
-:func:`fused_stepper` drives the whole outer sweep loop — compute
-sweeps, halo exchanges, convergence check — from one compiled schedule.
+A hypercube runs on the same engine: its nodes are a slab with one row
+per node, and :func:`fused_stepper` steps it from the multi-node
+stencil's sweep loop, which adds the halo exchange and the global
+convergence check.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import Counter
+import sys
 from dataclasses import dataclass
 from math import isfinite as _isfinite
 from types import CodeType, FunctionType
@@ -191,8 +191,8 @@ def program_fingerprint(program: MachineProgram) -> str:
 class _Storage:
     """The run's working copy of plane memory and cache buffers.
 
-    Arrays may carry a leading batch axis (the multi-node engine stacks
-    one row per node); all addressing happens on the last axis.  Stream
+    Arrays may carry a leading batch axis (one row per slab job or
+    hypercube node); all addressing happens on the last axis.  Stream
     views resolved against these arrays stay valid until a cache swap
     flips a front/back pair, which bumps ``version`` so bound images
     re-resolve.
@@ -1405,7 +1405,7 @@ def try_run_fused(
 
 
 # ----------------------------------------------------------------------
-# batched multi-node execution
+# hypercube execution on the slab engine
 # ----------------------------------------------------------------------
 class HaloCommPlan:
     """Analytic accounting for a repeated, identical halo exchange.
@@ -1463,218 +1463,86 @@ class HaloCommPlan:
         self.replays = 0
 
 
-def _widened(arr: Optional[np.ndarray], rows: int, extent: int) -> np.ndarray:
-    """*arr* if it already spans *extent* words, else a zero-extended copy."""
-    if arr is not None and arr.shape[-1] >= extent:
-        return arr
-    grown = aligned_zeros((rows, extent))
-    if arr is not None:
-        grown[:, : arr.shape[-1]] = arr
-    return grown
-
-
-class NodeStack(_Storage):
-    """Every node's state of an SPMD multi-node system, one row per node.
-
-    Until a :class:`~repro.sim.multinode.MultiNodeStencil` builds its
-    machines this is the only copy of per-node state: plane and cache
-    arrays stacked ``(n_nodes, extent)``, plus a log of what the fused
-    engine charged every node — each issue with its per-node condition
-    values, cache swaps, variable swaps.  Every node runs the same
-    schedule, so one log serves them all.  :meth:`machines` replays it
-    into the :class:`~repro.sim.machine.NSCMachine` objects a reference
-    walk would have left.
-    """
-
-    def __init__(self, n_nodes: int) -> None:
-        super().__init__()
-        self.n_nodes = n_nodes
-        #: one entry per issue: (kernel, per-node condition values or None)
-        self.issues: List[Tuple[ImageKernel, Optional[np.ndarray]]] = []
-        self.cache_swaps: Dict[int, int] = {}
-        self.var_swaps = 0
-        self.var_swap_words = 0
-
-    def ensure(self, plane_extent: Dict[int, int],
-               cache_extent: Dict[int, int]) -> None:
-        """Widen the stacked arrays to cover the given extents; new words
-        read as zeros, as untouched machine storage does."""
-        n = self.n_nodes
-        for plane, extent in plane_extent.items():
-            self.planes[plane] = _widened(self.planes.get(plane), n, extent)
-        for cache, extent in cache_extent.items():
-            self.cache_front[cache] = _widened(
-                self.cache_front.get(cache), n, extent
-            )
-            self.cache_back[cache] = _widened(
-                self.cache_back.get(cache), n, extent
-            )
-
-    def swap_caches(self, cache_ids: Sequence[int]) -> None:
-        for cache_id in cache_ids:
-            self.cache_swaps[cache_id] = self.cache_swaps.get(cache_id, 0) + 1
-        super().swap_caches(cache_ids)
-
-    def swap_vars(self, va: Any, vb: Any) -> None:
-        # as NSCMachine.swap_vars charges: two transfers, each variable
-        # read and written once
-        super().swap_vars(va, vb)
-        self.var_swaps += 1
-        self.var_swap_words += 2 * va.length
-
-    def machines(self, node: Any,
-                 program: MachineProgram) -> List["NSCMachine"]:
-        """One loaded machine per node holding its row of the state.
-
-        Every node's DMA charges are the same fold of the log that a slab
-        job's are (:meth:`~repro.sim.batchplan.JobRun.charge`), written
-        by the slab commit's :func:`~repro.sim.batchplan.write_back`.
-        Only the interrupts differ: they are posted in issue order, as
-        the reference walk posts them (the multi-node walk never
-        advances a node's cycle, so each fires at its issue's cycle
-        count), with no replay or drain.
-        """
-        from repro.arch.interrupts import InterruptKind
-        from repro.sim.batchplan import JobRun, write_back
-        from repro.sim.machine import NSCMachine
-
-        totals = JobRun(cache_swaps=self.cache_swaps)
-        totals.charge(
-            Counter(k for k, _ in self.issues).items(),
-            self.var_swaps, self.var_swap_words,
-        )
-        if self.issues:
-            totals.device_busy = self.issues[-1][0].consts.device_busy
-        complete = InterruptKind.PIPELINE_COMPLETE
-        machines = []
-        for i in range(self.n_nodes):
-            machine = NSCMachine(node)
-            machine.load_program(program)
-            write_back(machine, self, i, totals)
-            irq = machine.interrupts
-            for kernel, values in self.issues:
-                consts = kernel.consts
-                irq.post(complete, consts.cycles, source=consts.source)
-                if values is not None:
-                    value = float(values[i])
-                    irq.post(
-                        InterruptKind.CONDITION_TRUE
-                        if kernel.cond_fn(value, kernel.cond_threshold)
-                        else InterruptKind.CONDITION_FALSE,
-                        consts.cycles,
-                        source=consts.source,
-                        payload=value,
-                    )
-            machines.append(machine)
-        return machines
-
-
-class FastMultiNodeEngine:
-    """Whole-system vectorized execution of the SPMD multi-node sweep.
-
-    Every node runs the same program on its own slab, so the engine binds
-    the program's compiled kernels to the stencil's :class:`NodeStack` and
-    drives them through the same :class:`BoundImage` executors the
-    single-node engine uses, with a leading node axis.  Grids, residual
-    histories, and cycle/flop counts are bit-identical to the per-node
-    reference loop; per-node DMA statistics and interrupt queues are
-    logged on the stack and materialize with the machines.  FP exception
-    interrupts are not logged — the one documented divergence.
-
-    Nothing is pulled from or pushed to machines: the stack is the state.
-    Once a stencil has built its machines they own the state, and the
-    engine declines so the reference walk runs on them.
-    """
-
-    def __init__(self, stencil: "MultiNodeStencil") -> None:
-        stack = stencil.stack
-        if stack is None:
-            raise FusionUnsupported("node machines hold the state")
-        plan = compiled_plan(stencil.machine_program, stencil.params)
-        load_kernel = plan.kernels.get(0)
-        update_kernel = plan.kernels.get(1)
-        if load_kernel is None or update_kernel is None:
-            raise FusionUnsupported("multi-node program issues no image 0/1")
-        stack.ensure(plan.plane_extent, plan.cache_extent)
-        self.stencil = stencil
-        self.stack = stack
-        self.n_nodes = stack.n_nodes
-        self.variables = stack.variables
-        self.sweep_flops = self.n_nodes * update_kernel.consts.flops
-        batch = (self.n_nodes,)
-        self.load_bound = load_kernel.bind(stack, batch)
-        self.update_bound = update_kernel.bind(stack, batch)
-
-    # ------------------------------------------------------------------
-    def _issue(self, bound: BoundImage) -> Optional[np.ndarray]:
-        """One issue on every node; logs and returns the per-node
-        condition values (None when the image raises no condition)."""
-        if not bound.issue_compute():
-            bound.issue_exact()
-            bound.write_back_exact()
-        last = bound.condition_last()
-        values = (
-            None if last is None
-            else np.array(last, dtype=np.float64).reshape(self.n_nodes)
-        )
-        self.stack.issues.append((bound.kernel, values))
-        return values
-
-    def load_caches(self) -> int:
-        """Run the mask-load pipeline on all nodes at once; returns cycles."""
-        self._issue(self.load_bound)
-        setup = self.stencil.setup
-        self.stack.swap_caches((setup.mask_cache, setup.invmask_cache))
-        return self.load_bound.kernel.consts.cycles
-
-    def sweep(self) -> Tuple[int, float]:
-        """One Jacobi sweep on every node; returns (cycles, global residual)."""
-        values = self._issue(self.update_bound)
-        residual = 0.0
-        if values is not None:
-            for value in values.tolist():
-                residual = max(residual, value)
-        self.stack.swap_vars(self.variables["u"], self.variables["u_new"])
-        return self.update_bound.kernel.consts.cycles, residual
-
-    def exchange_halos(self) -> None:
-        """Ghost-plane exchange between adjacent slabs, vectorized."""
-        if self.n_nodes < 2:
-            return
-        var = self.variables["u"]
-        plane = self.stack.planes[var.plane]
-        nx, ny, _nz = self.stencil.shape
-        pw = nx * ny
-        nzl = self.stencil.nz_local
-        off = var.offset
-        # each slab's last real plane -> its upper neighbour's low ghost
-        plane[1:, off : off + pw] = plane[:-1, off + nzl * pw : off + (nzl + 1) * pw]
-        # each slab's first real plane -> its lower neighbour's high ghost
-        plane[:-1, off + (nzl + 1) * pw : off + (nzl + 2) * pw] = plane[
-            1:, off + pw : off + 2 * pw
-        ]
-
-
 def fused_stepper(stencil: "MultiNodeStencil"):
-    """(load, sweep, finish) callables over one compiled schedule.
+    """(load, sweep, finish) callables running a hypercube on the slab engine.
 
-    Feeds :meth:`MultiNodeStencil.run`'s single accumulation loop — the
-    loop both backends share, so their accounting cannot drift — with
-    the batched engine's fused sweeps and the route-once halo replay,
-    whose link traffic ``finish`` settles.
+    Every node runs the same single-sweep script on its own slab, so the
+    stencil's stack is a slab of ``n_nodes`` rows with no per-node
+    fallback: one :class:`~repro.sim.batchplan.BatchProgramRun` steps it
+    — load is issue 0 then the mask cache swap, a sweep is issue 1 then
+    ``SwapVars u/u_new`` — and logs every step.  The stencil's loop (the
+    loop both backends share, so their accounting cannot drift) adds the
+    global residual, the halo copy and the route-once halo replay, whose
+    link traffic ``finish`` settles.  The stencil keeps the run for its
+    log (a later run continues it), which its machine build folds;
+    ``finish`` releases the bound images.
     """
-    engine = FastMultiNodeEngine(stencil)
+    from repro.sim.batchplan import BatchProgramRun
+
+    stack = stencil.stack
+    if stack is None:
+        raise FusionUnsupported("node machines hold the state")
+    plan = compiled_plan(stencil.machine_program, stencil.params)
+    if 0 not in plan.kernels or 1 not in plan.kernels:
+        raise FusionUnsupported("multi-node program issues no image 0/1")
+    n = stencil.n_nodes
+    # the stack covers the variables; widen it to the plan's caches (new
+    # words read as zeros, as untouched machine storage does)
+    for arrays, extents in ((stack.planes, plan.plane_extent),
+                            (stack.cache_front, plan.cache_extent),
+                            (stack.cache_back, plan.cache_extent)):
+        for key, extent in extents.items():
+            arr = arrays.get(key)
+            if arr is None or arr.shape[-1] < extent:
+                grown = aligned_zeros((n, extent))
+                if arr is not None:
+                    grown[:, : arr.shape[-1]] = arr
+                arrays[key] = grown
+    # the reference walk has no instruction budget
+    run = BatchProgramRun(plan, stack, n, sys.maxsize, fallback=False)
+    if stencil.fused is not None:
+        run.log = stencil.fused.log
+    stencil.fused = run
+    setup = stencil.setup
+    masks = (setup.mask_cache, setup.invmask_cache)
+    load_cycles = plan.kernels[0].consts.cycles
+    sweep_consts = plan.kernels[1].consts
+    sweep_flops = n * sweep_consts.flops
     comm_plan = HaloCommPlan(stencil.router, stencil._halo_messages())
     nx, ny, _nz = stencil.shape
-    sweep_words = 2 * (stencil.n_nodes - 1) * nx * ny
+    pw = nx * ny
+    sweep_words = 2 * (n - 1) * pw
+    u = stack.variables["u"]
+    off, nzl = u.offset, stencil.nz_local
+
+    def load() -> int:
+        run.issue(0)
+        run.swap_caches(masks)
+        return load_cycles
 
     def sweep():
-        cycles, residual = engine.sweep()
+        values = run.issue(1)
+        residual = 0.0
+        if values is not None:
+            for value in values:
+                residual = max(residual, value)
+        run.swap_vars("u", "u_new")
         comm = comm_plan.exchange()
-        engine.exchange_halos()
-        return cycles, residual, comm, sweep_words, engine.sweep_flops
+        if n > 1:
+            plane = stack.planes[u.plane]
+            # each slab's last real plane -> its upper neighbour's low
+            # ghost; its first real plane -> its lower neighbour's high one
+            plane[1:, off : off + pw] = \
+                plane[:-1, off + nzl * pw : off + (nzl + 1) * pw]
+            plane[:-1, off + (nzl + 1) * pw : off + (nzl + 2) * pw] = \
+                plane[1:, off + pw : off + 2 * pw]
+        return sweep_consts.cycles, residual, comm, sweep_words, sweep_flops
 
-    return engine.load_caches, sweep, comm_plan.settle
+    def finish() -> None:
+        comm_plan.settle()
+        run.bound = {}  # keep the log, not the kernels' working rows
+
+    return load, sweep, finish
 
 
 __all__ = [
@@ -1686,7 +1554,5 @@ __all__ = [
     "program_fingerprint",
     "try_run_fused",
     "HaloCommPlan",
-    "NodeStack",
-    "FastMultiNodeEngine",
     "fused_stepper",
 ]

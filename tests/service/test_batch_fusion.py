@@ -190,6 +190,22 @@ class TestDeclinedSlabFallback:
             == "batch_fusion: RuntimeError: boom"
 
 
+class TestSerialFailureCapture:
+    @pytest.mark.parametrize("mode", ["off", "auto"])
+    def test_missing_saved_program_is_a_failure_record(self, mode, tmp_path):
+        """An exception escaping execute_job (here: hashing a missing
+        program file) fails that job only, under either mode."""
+        missing = SimJob(method="program",
+                         program_path=str(tmp_path / "missing.json"))
+        jobs = _mixed_jobs()[:3] + [missing]
+        records, summary = _run(jobs, mode)
+        assert (summary.succeeded, summary.failed) == (3, 1)
+        failed = records[-1]
+        assert failed["ok"] is False
+        assert failed["error_type"] == "FileNotFoundError"
+        assert failed["tier"] is None
+
+
 class TestSweepSeedAxis:
     def test_seeds_expand_innermost(self):
         spec = SweepSpec(grids=(5,), methods=("jacobi",), seeds=(0, 1, 2),
