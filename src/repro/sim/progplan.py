@@ -10,13 +10,19 @@ trace-compilation step: it compiles an entire :class:`~repro.codegen.generator.M
 - machine state (plane memory, cache buffers) is pulled **once** into
   local arrays, streamed through as NumPy *views*, and written back once
   at the end;
-- every pipeline image becomes a :class:`BoundImage`: preallocated
-  output rows, preloaded shift/delay tap buffers, and ufunc ``out=``
+- every pipeline image becomes a :class:`BoundImage`: a few preallocated
+  row *slots*, preloaded shift/delay tap buffers, and ufunc ``out=``
   kernels, so an issue is a straight run down precompiled operations with
-  no per-issue allocation;
-- exception detection is a single fused finiteness test over all FU
-  output rows, with an exact per-stream fallback when anything non-finite
-  appears (flags and FP interrupts then match the reference bit for bit);
+  no per-issue allocation.  As on the machine, where units hand results
+  through the switch without storing them, a unit's output row lives
+  only until its last reader has run and its slot is then recycled
+  (in place, by the reader itself); rows read after the issue —
+  screened, condition, write-back, and every row under ``keep_outputs``
+  — keep a slot of their own;
+- exception detection is a single fused finiteness test over the
+  screened output rows, with an exact per-stream fallback when anything
+  non-finite appears (flags and FP interrupts then match the reference
+  bit for bit);
 - ``LoopUntil`` convergence feedback is evaluated in-band every iteration
   — same exit, same iteration counts — and ``SwapVars`` relocations are
   array exchanges on the local state;
@@ -122,6 +128,22 @@ _M_ACCUM = 4       # feedback via ufunc.accumulate into a seeded buffer
 _M_REDUCE = 5      # feedback consumed only by the condition: pure reduction
 _M_FEEDBACK = 6    # general feedback fallback (eval_feedback per row)
 _M_SKEWCOPY = 7    # copy a freshly-computed FU row into its skew pad
+_M_COPY = 8        # PASS: copy the operand into the row
+
+#: positions of the operand refs in each mode's step tuple (symbolic and
+#: bound alike): the slot scan reads rows there, ``_refresh`` resolves
+#: live stream views there
+_OPERANDS = {
+    _M_BINARY: (2, 3),
+    _M_CONST: (2,),
+    _M_UNARY: (2,),
+    _M_FALLBACK: (2, 3),
+    _M_ACCUM: (3,),
+    _M_REDUCE: (3,),
+    _M_FEEDBACK: (2,),
+    _M_SKEWCOPY: (),
+    _M_COPY: (1,),
+}
 
 _BINARY_UFUNCS = {
     Opcode.FADD: np.add,
@@ -131,6 +153,7 @@ _BINARY_UFUNCS = {
     Opcode.MIN: np.minimum,
 }
 _UNARY_UFUNCS = {Opcode.FNEG: np.negative, Opcode.FABS: np.abs}
+_OUT_KWARG = (np.maximum, np.minimum)
 _CONST_UFUNCS = {Opcode.FSCALE: np.multiply, Opcode.FADDC: np.add}
 
 _COMPARATORS = {
@@ -257,7 +280,7 @@ class _Storage:
         shape = plane_a.shape[:-1] + (va.length,)
         scratch = self._scratch.get(shape)
         if scratch is None:
-            scratch = self._scratch[shape] = np.empty(shape)
+            scratch = self._scratch[shape] = aligned_empty(shape)
         self.swap_var_contents(va, vb, scratch)
 
 
@@ -363,18 +386,6 @@ class ImageKernel:
                 ):
                     self.reduce_fus.add(step.fu)
 
-        # exception-screen planning: a unit whose non-finite elements
-        # provably surface in some consumer's output (IEEE: inf*0=nan,
-        # inf-inf=nan, nan sticks) needs no check of its own — only the
-        # propagation sinks enter the fused finiteness test
-        checked = self._checked_fus()
-        self.row_of: Dict[int, int] = {}   # fu -> output-row index
-        ordered = [s.fu for s in plan.steps if s.fu not in self.reduce_fus]
-        for fu in sorted(ordered, key=lambda f: (f not in checked,)):
-            self.row_of[fu] = len(self.row_of)
-        self.n_rows = len(ordered)
-        self.n_checked = len([f for f in ordered if f in checked])
-
         # skewed operands (ablation builds): windows into padded copies.
         # streams share their feeder's pad; FU rows and taps pad their own
         # buffer, filled by an in-line copy (_M_SKEWCOPY for rows, an
@@ -401,11 +412,10 @@ class ImageKernel:
                     )
                     self._produced.add(step.fu)
                     continue
-                row = self.row_of[step.fu]
                 accum = _ACCUMULATING.get(step.opcode)
                 if accum is not None:
                     self.steps.append(
-                        (_M_ACCUM, accum, False, descr, init, step.fu, row)
+                        (_M_ACCUM, accum, False, descr, init, step.fu)
                     )
                 elif step.opcode in (Opcode.MAXABS, Opcode.MINABS):
                     base = (
@@ -413,12 +423,12 @@ class ImageKernel:
                         else np.minimum
                     )
                     self.steps.append(
-                        (_M_ACCUM, base, True, descr, abs(init), step.fu, row)
+                        (_M_ACCUM, base, True, descr, abs(init), step.fu)
                     )
                 else:
                     self.steps.append(
                         (_M_FEEDBACK, step.opcode, descr, step.fb_port, init,
-                         step.fu, row)
+                         step.fu)
                     )
                 self._produced.add(step.fu)
                 continue
@@ -426,25 +436,27 @@ class ImageKernel:
             a = self._ref(step.a)
             b = self._ref(step.b) if step.b is not None else None
             self._flush_row_copies()
-            row = self.row_of[step.fu]
+            fu = step.fu
             if step.uses_constant and step.opcode in _CONST_UFUNCS:
                 self.steps.append(
                     (_M_CONST, _CONST_UFUNCS[step.opcode], a,
-                     float(step.constant), row)
+                     float(step.constant), fu)
                 )
             elif (not step.uses_constant and step.arity == 2
                   and step.opcode in _BINARY_UFUNCS):
                 self.steps.append(
-                    (_M_BINARY, _BINARY_UFUNCS[step.opcode], a, b, row)
+                    (_M_BINARY, _BINARY_UFUNCS[step.opcode], a, b, fu)
                 )
             elif (not step.uses_constant and step.arity == 1
                   and step.opcode in _UNARY_UFUNCS):
                 self.steps.append(
-                    (_M_UNARY, _UNARY_UFUNCS[step.opcode], a, row)
+                    (_M_UNARY, _UNARY_UFUNCS[step.opcode], a, fu)
                 )
+            elif step.opcode is Opcode.PASS:
+                self.steps.append((_M_COPY, a, fu))
             else:
-                self.steps.append((_M_FALLBACK, step, a, b, row))
-            self._produced.add(step.fu)
+                self.steps.append((_M_FALLBACK, step, a, b, fu))
+            self._produced.add(fu)
 
         # taps: every shifted stream is a window into one zero-padded copy
         # of its feeder, so a 7-tap stencil costs one copy, not seven —
@@ -469,8 +481,7 @@ class ImageKernel:
         self.tap_pads = self._second_level_pads(self._tap_skews)
 
         cond = image.condition
-        if cond is not None and cond.fu not in self.row_of \
-                and cond.fu not in self.reduce_fus:
+        if cond is not None and cond.fu not in self._produced:
             raise FusionUnsupported("condition watches a silent unit")
         self.condition = cond
         if cond is not None:
@@ -495,6 +506,7 @@ class ImageKernel:
                 src_n = self.n
             self.writes.append((src, write.prog, min(src_n, write.prog.count)))
 
+        self._assign_slots()
         self._issue_stats()
 
         # the storage arrays this image resolves against, in a fixed
@@ -522,6 +534,69 @@ class ImageKernel:
         self.touched_arrays = tuple(touched)
 
     # ------------------------------------------------------------------
+    def _assign_slots(self) -> None:
+        """Map every output row (and reduction abs scratch) to a slot.
+
+        Units pass results through the switch without storing them, so a
+        row needs a buffer only from its producing step to its last
+        reader: a linear scan over ``steps`` frees a slot after its last
+        read, and the reading step may write its own output into it
+        (elementwise kernels are exact in place).  Rows read after the
+        runner are *pinned* to a slot of their own for the whole issue:
+        the screened rows (a contiguous prefix, so the exception screen
+        stays one reduction), the condition row, write-back sources, and
+        under ``keep_outputs`` every row.
+        """
+        reads: List[List[int]] = []
+        last_read: Dict[int, int] = {}
+        for i, step in enumerate(self.steps):
+            fus = [step[1]] if step[0] == _M_SKEWCOPY else []
+            for pos in _OPERANDS[step[0]]:
+                ref = step[pos]
+                if ref is not None and ref[0] == "row":
+                    fus.append(ref[1])
+            reads.append(fus)
+            for fu in fus:
+                last_read[fu] = i
+        produced = [s.fu for s in self.plan.steps
+                    if s.fu not in self.reduce_fus]
+        screened = self._checked_fus()
+        pinned = set(screened)
+        pinned.update(src[1] for src, _p, _w in self.writes if src[0] == "row")
+        if self.condition is not None \
+                and self.condition.fu not in self.reduce_fus:
+            pinned.add(self.condition.fu)
+        if self.keep_outputs:
+            pinned.update(produced)
+        self.slot_of: Dict[int, int] = {}
+        for fu in sorted((f for f in produced if f in pinned),
+                         key=lambda f: f not in screened):
+            self.slot_of[fu] = len(self.slot_of)
+        self.n_checked = len(screened)
+        self.n_slots = len(self.slot_of)
+        free: List[int] = []  # a stack: the freshest (cache-hot) slot first
+
+        def take() -> int:
+            if free:
+                return free.pop()
+            self.n_slots += 1
+            return self.n_slots - 1
+
+        self.scratch_slot: Dict[int, int] = {}
+        for i, step in enumerate(self.steps):
+            for fu in dict.fromkeys(reads[i]):
+                if last_read[fu] == i and fu not in pinned:
+                    free.append(self.slot_of[fu])
+            mode = step[0]
+            if mode == _M_REDUCE:
+                if step[2]:  # the |x| scratch lives for this step only
+                    self.scratch_slot[step[5]] = slot = take()
+                    free.append(slot)
+            elif mode != _M_SKEWCOPY and step[-1] not in self.slot_of:
+                # an unread unit is never propagation-covered, so it is
+                # screened: every unpinned row here has a reader
+                self.slot_of[step[-1]] = take()
+
     def _consumed_fus(self) -> Set[int]:
         """Units whose output stream some other step or write consumes."""
         used: Set[int] = set()
@@ -582,6 +657,10 @@ class ImageKernel:
 
     def _ref(self, descr: Tuple[int, Any, int]) -> _Ref:
         code, key, skew = descr
+        if code == _OP_OUTPUT and key not in self._produced:
+            # the interpreters fault on this too ("needed before it was
+            # produced"); let the stepped path report it
+            raise FusionUnsupported(f"fu{key} read before it was produced")
         if code == _OP_CONST:
             if skew != 0:
                 # the interpreters resolve constants before applying skew,
@@ -602,12 +681,6 @@ class ImageKernel:
             self._stream_skews[(read_index, skew)] = view_key
             return ("tap", view_key)
         if code == _OP_OUTPUT:
-            if key not in self._produced:
-                # the interpreters fault on this too ("needed before it
-                # was produced"); let the stepped path report it
-                raise FusionUnsupported(
-                    f"skewed read of fu{key} before it was produced"
-                )
             view_key = ("skew:row", key, skew)
             if (key, skew) not in self._row_skews:
                 self._row_skews[(key, skew)] = view_key
@@ -783,14 +856,14 @@ class BoundImage:
         self.storage = storage
         self.batch_shape = batch_shape
         n = kernel.n
-        shape = batch_shape + (n,)
-        # one contiguous block for every checked output row: the fused
-        # exception test is a single isfinite() over the whole block
+        # one contiguous block of row slots (see ImageKernel._assign_slots):
+        # rows that die mid-issue share slots, so a sweep image's working
+        # set stays a few rows wide; the screened rows lead the block
         self._block = (
-            aligned_empty((kernel.n_rows,) + shape) if kernel.n_rows else None
+            aligned_empty((kernel.n_slots,) + batch_shape + (n,))
+            if kernel.n_slots else None
         )
-        self._rows = [self._block[i] for i in range(kernel.n_rows)] \
-            if self._block is not None else []
+        self._slots = list(self._block) if self._block is not None else []
         # padded feeder copies; tap views are windows into them
         self._tap_views: Dict[Any, np.ndarray] = {}
         self._pad_centers: List[Tuple[np.ndarray, int]] = []
@@ -822,13 +895,10 @@ class BoundImage:
                     padded[..., left + skew : left + skew + n]
                 )
         self._seeded: Dict[int, np.ndarray] = {}
-        self._reduce_scratch: Dict[int, np.ndarray] = {}
         self._finals: Dict[int, Any] = {}
         for step in kernel.steps:
             if step[0] == _M_ACCUM:
                 self._seeded[step[5]] = aligned_empty(batch_shape + (n + 1,))
-            elif step[0] == _M_REDUCE and step[2]:
-                self._reduce_scratch[step[5]] = aligned_empty(shape)
         self._consts: Dict[float, np.ndarray] = {}
         self._streams: List[np.ndarray] = []
         self._write_views: List[np.ndarray] = []
@@ -843,9 +913,10 @@ class BoundImage:
             (containers[kind], device)
             for kind, device in kernel.touched_arrays
         ]
-        # rows are ordered screened-first, so the fused exception test is
-        # one reduction over a contiguous prefix (often empty: a fully
-        # propagation-covered image needs only its reduce-final checks)
+        # screened rows hold the leading slots, so the fused exception
+        # test is one reduction over a contiguous prefix (often empty: a
+        # fully propagation-covered image needs only its reduce-final
+        # checks)
         self._check_flat = (
             self._block[: kernel.n_checked].reshape(-1)
             if self._block is not None and kernel.n_checked
@@ -864,11 +935,14 @@ class BoundImage:
             self._consts[value] = arr
         return arr
 
+    def _row(self, fu: int) -> np.ndarray:
+        return self._slots[self.kernel.slot_of[fu]]
+
     def _operand(self, ref: _Ref) -> Any:
         """Static ndarray, or an int index into the live stream views."""
         kind, key = ref
         if kind == "row":
-            return self._rows[self.kernel.row_of[key]]
+            return self._row(key)
         if kind == "tap":
             return self._tap_views[key]
         if kind == "const":
@@ -878,35 +952,38 @@ class BoundImage:
     def _bind_step(self, step: Tuple) -> Tuple:
         mode = step[0]
         if mode == _M_BINARY:
-            _m, ufunc, a, b, row = step
+            _m, ufunc, a, b, fu = step
             return (mode, ufunc, self._operand(a), self._operand(b),
-                    self._rows[row])
+                    self._row(fu))
         if mode == _M_CONST:
-            _m, ufunc, a, const, row = step
-            return (mode, ufunc, self._operand(a), const, self._rows[row])
+            _m, ufunc, a, const, fu = step
+            return (mode, ufunc, self._operand(a), const, self._row(fu))
         if mode == _M_UNARY:
-            _m, ufunc, a, row = step
-            return (mode, ufunc, self._operand(a), self._rows[row])
+            _m, ufunc, a, fu = step
+            return (mode, ufunc, self._operand(a), self._row(fu))
+        if mode == _M_COPY:
+            _m, a, fu = step
+            return (mode, self._operand(a), self._row(fu))
         if mode == _M_FALLBACK:
-            _m, planstep, a, b, row = step
+            _m, planstep, a, b, fu = step
             return (mode, planstep, self._operand(a),
                     self._operand(b) if b is not None else None,
-                    self._rows[row])
+                    self._row(fu))
         if mode == _M_ACCUM:
-            _m, ufunc, use_abs, descr, init, fu, row = step
+            _m, ufunc, use_abs, descr, init, fu = step
             return (mode, ufunc, use_abs, self._operand(descr), init,
-                    self._seeded[fu], self._rows[row])
+                    self._seeded[fu], self._row(fu))
         if mode == _M_REDUCE:
             _m, ufunc, use_abs, descr, init, fu = step
+            slot = self.kernel.scratch_slot.get(fu)
             return (mode, ufunc, use_abs, self._operand(descr), init, fu,
-                    self._reduce_scratch.get(fu))
+                    self._slots[slot] if slot is not None else None)
         if mode == _M_SKEWCOPY:
             _m, fu = step
-            return (mode, self._rows[self.kernel.row_of[fu]],
-                    self._row_pad_centers[fu])
-        _m, opcode, descr, port, init, fu, row = step
+            return (mode, self._row(fu), self._row_pad_centers[fu])
+        _m, opcode, descr, port, init, fu = step
         return (mode, opcode, self._operand(descr), port, init,
-                self._rows[row])
+                self._row(fu))
 
     def _refresh(self) -> None:
         """Re-resolve storage views and rebuild the live op list.
@@ -946,23 +1023,10 @@ class BoundImage:
 
         ops = []
         for op in self._ops:
-            mode = op[0]
-            if mode in (_M_BINARY, _M_FALLBACK):
-                ops.append((mode, op[1], live(op[2]), live(op[3]), op[4]))
-            elif mode in (_M_CONST, _M_UNARY):
-                resolved = list(op)
-                resolved[2] = live(op[2])
-                ops.append(tuple(resolved))
-            elif mode in (_M_REDUCE, _M_ACCUM):
-                resolved = list(op)
-                resolved[3] = live(op[3])
-                ops.append(tuple(resolved))
-            elif mode == _M_SKEWCOPY:
-                ops.append(op)  # both sides are fixed local buffers
-            else:  # _M_FEEDBACK
-                resolved = list(op)
-                resolved[2] = live(op[2])
-                ops.append(tuple(resolved))
+            resolved = list(op)
+            for pos in _OPERANDS[op[0]]:
+                resolved[pos] = live(op[pos])
+            ops.append(tuple(resolved))
         self._tap_live = [
             (center, streams[read_index])
             for center, read_index in self._pad_centers
@@ -972,7 +1036,7 @@ class BoundImage:
             (w[0] for w in kernel.writes), views
         ):
             if kind == "row":
-                src: np.ndarray = self._rows[kernel.row_of[key]]
+                src: np.ndarray = self._row(key)
             elif kind == "tap":
                 src = self._tap_views[key]
             else:
@@ -1004,12 +1068,14 @@ class BoundImage:
             if mode in (_M_BINARY, _M_CONST):
                 env[f"_f{i}"], env[f"_a{i}"] = op[1], op[2]
                 env[f"_b{i}"], env[f"_o{i}"] = op[3], op[4]
-                # ufuncs take ``out`` positionally: no kwarg parsing
-                body.append(f"    _f{i}(_a{i}, _b{i}, _o{i})")
+                # ufuncs take ``out`` positionally (no kwarg parsing),
+                # except maximum/minimum, which deprecate a positional out
+                out = f"out=_o{i}" if op[1] in _OUT_KWARG else f"_o{i}"
+                body.append(f"    _f{i}(_a{i}, _b{i}, {out})")
             elif mode == _M_UNARY:
                 env[f"_f{i}"], env[f"_a{i}"], env[f"_o{i}"] = op[1], op[2], op[3]
                 body.append(f"    _f{i}(_a{i}, _o{i})")
-            elif mode == _M_SKEWCOPY:
+            elif mode in (_M_SKEWCOPY, _M_COPY):
                 env[f"_a{i}"], env[f"_o{i}"] = op[1], op[2]
                 body.append(f"    _copyto(_o{i}, _a{i})")
             else:
@@ -1178,7 +1244,7 @@ class BoundImage:
             return self._exact[cond.fu][..., -1]
         if cond.fu in self.kernel.reduce_fus:
             return self._finals[cond.fu]
-        return self._rows[self.kernel.row_of[cond.fu]][..., -1]
+        return self._row(cond.fu)[..., -1]
 
     def write_back_exact(self) -> None:
         """Re-apply write-backs from the exact streams.
@@ -1205,8 +1271,8 @@ class BoundImage:
         """Fresh per-FU output streams for ``keep_outputs`` runs.
 
         Only meaningful on a kernel compiled with ``keep_outputs`` (every
-        unit then owns a full output row — the residual-reduction folding
-        is disabled).  Everything is copied out: the row buffers are
+        unit then owns a row slot of its own — the residual-reduction
+        folding is disabled).  Everything is copied out: the row buffers are
         reused by the next issue, and exact-path outputs can *alias* live
         stream/tap views (a PASS kernel returns its input object), which
         the next issue's tap refill would silently mutate.
@@ -1214,8 +1280,8 @@ class BoundImage:
         if self._exact is not None:
             return {fu: np.array(arr) for fu, arr in self._exact.items()}
         return {
-            fu: self._rows[row].copy()
-            for fu, row in self.kernel.row_of.items()
+            fu: self._slots[slot].copy()
+            for fu, slot in self.kernel.slot_of.items()
         }
 
 

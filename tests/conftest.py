@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.arch.node import NodeConfig
 from repro.arch.params import SUBSET_PARAMS
+
+#: ``pytest --hypothesis-profile=ci``: the CI property job draws more
+#: examples than tier-1 can afford; suites that size their own example
+#: count from the profile (tests/property/test_slot_aliasing_property.py)
+#: scale with it
+settings.register_profile("ci", max_examples=300, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -245,8 +245,8 @@ class TestIssueLogParity:
 class TestBufferAlignment:
     def test_engine_buffers_start_on_cache_lines(self, node):
         """Kernel speed must not depend on where malloc lands a buffer:
-        stacked storage rows, bound row blocks and small buffers alike
-        start on 64 bytes."""
+        stacked storage rows, bound row-slot blocks, the ``SwapVars``
+        scratch row and small buffers alike start on 64 bytes."""
         setup, program = _generate(node, shape=(16, 16, 16),
                                    max_iterations=1)
         plan = progplan.compiled_plan(program, node.params)
@@ -258,9 +258,17 @@ class TestBufferAlignment:
             )
             storage.variables = variables
             run = batchplan.BatchProgramRun(plan, storage, 4, 1_000_000)
+            # two variables sharing a plane swap through the scratch row
+            storage.swap_vars(progplan._HomeVar("a", 0, 0, 24),
+                              progplan._HomeVar("b", 0, 24, 24))
             arrays = list(storage.planes.values())
+            arrays += list(storage._scratch.values())
             arrays += [b._block for b in run.bound.values()
                        if b._block is not None]
+            assert len(storage._scratch) == 1
+            assert any(b._block is not None
+                       and b._block.shape[0] == b.kernel.n_slots
+                       for b in run.bound.values())
             for arr in arrays:
                 assert arr.ctypes.data % 64 == 0
         for shape in ((3, 5), (1,), (2, 4096)):

@@ -1,0 +1,231 @@
+"""Row slots: a fused image stores a unit's output only while a reader of
+it is still to run (``ImageKernel._assign_slots``).
+
+A slot is recycled after its last reader; the rows something reads after
+the runner — screened rows, the condition row, write-back sources, and
+every row under ``keep_outputs`` — keep a slot of their own.  These tests
+pin the allocation itself; the engines' bit-identity over random
+programs is ``tests/property/test_slot_aliasing_property.py``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.arch.funcunit import Opcode
+from repro.codegen.generator import MicrocodeGenerator
+from repro.compose.builders import PipelineBuilder
+from repro.compose.iterative import build_rbsor_program, load_rbsor_inputs
+from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
+from repro.diagram.program import ExecPipeline, Repeat, SwapVars, VisualProgram
+from repro.sim import progplan
+from repro.sim.machine import NSCMachine
+
+
+def _jacobi(node, shape=(16, 16, 16), auto_balance=True, max_iterations=20):
+    setup = build_jacobi_program(node, shape, eps=1e-4,
+                                 max_iterations=max_iterations)
+    program = MicrocodeGenerator(node, auto_balance=auto_balance).generate(
+        setup.program
+    )
+    return setup, program
+
+
+def _rbsor(node, shape=(6, 6, 6)):
+    setup = build_rbsor_program(node, shape, omega=1.3, eps=1e-4,
+                                max_iterations=8)
+    return setup, MicrocodeGenerator(node).generate(setup.program)
+
+
+def _chain(node, watch_first, auto_balance=True, n=64):
+    """``t = x + 0.5``, three chained negations of it, then ``t`` plus
+    the last negation written to ``r``.  Without balancing, the final add
+    reads ``t`` through a skew pad that is filled after ``t``'s last
+    unskewed reader has run.  ``watch_first`` instead writes the last
+    negation and watches ``t``: its one reader is the first negation, so
+    only the condition keeps the row."""
+    prog = VisualProgram(name="chain")
+    prog.declare("x", plane=0, length=n)
+    prog.declare("r", plane=1, length=n)
+    b = PipelineBuilder(node, prog, vector_length=n)
+    t = b.apply(Opcode.FADDC, b.read_var("x"), constant=0.5)
+    last = t
+    for _ in range(3):
+        last = b.apply(Opcode.FNEG, last)
+    if watch_first:
+        b.write_var(last, "r")
+        b.condition(t, "lt", 0.0)
+    else:
+        b.write_var(b.apply(Opcode.FADD, t, last), "r")
+    b.build()
+    prog.add_control(Repeat(body=(ExecPipeline(0), SwapVars("x", "r")),
+                            times=3))
+    program = MicrocodeGenerator(node, auto_balance=auto_balance).generate(
+        prog
+    )
+    return None, program
+
+
+_PROGRAMS = {
+    "jacobi": lambda node: _jacobi(node),
+    "jacobi-skewed": lambda node: _jacobi(node, (5, 6, 7), auto_balance=False),
+    "rbsor": _rbsor,
+    "watched-chain": lambda node: _chain(node, watch_first=True),
+}
+
+
+def _kernels(node, name, keep_outputs=False):
+    _setup, program = _PROGRAMS[name](node)
+    return _kernels_of(node, program, keep_outputs)
+
+
+def _kernels_of(node, program, keep_outputs=False):
+    plan = progplan.compiled_plan(program, node.params,
+                                  keep_outputs=keep_outputs)
+    kernels = [k for k in plan.kernels.values() if k.plan.steps]
+    assert kernels
+    return kernels
+
+
+def _row_units(kernel):
+    return [s.fu for s in kernel.plan.steps if s.fu not in kernel.reduce_fus]
+
+
+def _held_alone(kernel, fu):
+    """*fu*'s slot is used by no other unit and no abs scratch."""
+    slot = kernel.slot_of[fu]
+    others = [f for f, s in kernel.slot_of.items() if s == slot and f != fu]
+    return not others and slot not in kernel.scratch_slot.values()
+
+
+class TestSlotCounts:
+    def test_jacobi_sweep_binds_at_most_four_slots(self, node):
+        (kernel,) = _kernels(node, "jacobi")
+        assert len(_row_units(kernel)) == 12
+        assert kernel.n_slots <= 4
+        bound = kernel.bind(progplan._Storage(), (4,))
+        assert bound._block.shape == (kernel.n_slots, 4, 4096)
+
+    def test_rbsor_sweeps_share_slots(self, node):
+        for kernel in _kernels(node, "rbsor"):
+            assert len(_row_units(kernel)) == 13
+            assert kernel.n_slots <= 4
+
+    def test_a_dying_operand_slot_is_written_in_place(self, node):
+        """The Jacobi chain reuses its operands' slots: some step writes
+        its output over a row it reads for the last time."""
+        (kernel,) = _kernels(node, "jacobi")
+        in_place = 0
+        for step in kernel.steps:
+            out = kernel.slot_of.get(step[-1])
+            for pos in progplan._OPERANDS[step[0]]:
+                ref = step[pos]
+                if ref is not None and ref[0] == "row" \
+                        and kernel.slot_of[ref[1]] == out:
+                    in_place += 1
+        assert in_place
+
+    def test_skewed_read_keeps_the_row_until_its_pad_copy(self, node):
+        """The pad copy is the row's last reader: recycling the slot at
+        its last unskewed reader would copy a later unit's values."""
+        _setup, program = _chain(node, watch_first=False,
+                                 auto_balance=False)
+        (kernel,) = _kernels_of(node, program)
+        assert kernel._row_skews, "the build lost its skewed read"
+        (t,) = {fu for fu, _skew in kernel._row_skews}
+        kinds = [step[0] for step in kernel.steps]
+        copy = kernel.steps.index((progplan._M_SKEWCOPY, t))
+        last_unskewed = max(i for i, step in enumerate(kernel.steps)
+                            if ("row", t) in step)
+        # other units land between t's last unskewed read and the copy
+        assert progplan._M_UNARY in kinds[last_unskewed + 1 : copy]
+        runs = []
+        for backend in ("reference", "fast"):
+            machine = NSCMachine(node, backend=backend)
+            machine.load_program(program)
+            machine.set_variable("x", np.linspace(-1.0, 1.0, 64))
+            if backend == "reference":
+                result = machine.run()
+            else:
+                result = progplan.try_run_fused(machine, program, 1_000)
+            runs.append(_bits(result, machine, ("x", "r")))
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", sorted(_PROGRAMS))
+class TestPinnedSlots:
+    def test_screened_rows_hold_the_prefix_alone(self, node, name):
+        for kernel in _kernels(node, name):
+            screened = kernel._checked_fus()
+            assert sorted(kernel.slot_of[f] for f in screened) \
+                == list(range(kernel.n_checked))
+            for fu in screened:
+                assert _held_alone(kernel, fu)
+
+    def test_condition_and_write_back_rows_are_never_reused(self, node,
+                                                            name):
+        for kernel in _kernels(node, name):
+            pinned = {src[1] for src, _prog, _w in kernel.writes
+                      if src[0] == "row"}
+            cond = kernel.condition
+            if cond is not None and cond.fu not in kernel.reduce_fus:
+                pinned.add(cond.fu)
+            assert pinned
+            for fu in pinned:
+                assert _held_alone(kernel, fu)
+
+    def test_keep_outputs_keeps_one_slot_per_unit(self, node, name):
+        for kernel in _kernels(node, name, keep_outputs=True):
+            units = [s.fu for s in kernel.plan.steps]
+            assert not kernel.reduce_fus and not kernel.scratch_slot
+            assert kernel.n_slots == len(units)
+            assert sorted(kernel.slot_of.values()) == list(range(len(units)))
+
+
+def _bits(result, machine, names):
+    return (
+        [(p.exceptions, repr(p.condition_value), p.condition_result,
+          p.cycles) for p in result.pipeline_results],
+        {name: machine.get_variable(name).tobytes() for name in names},
+        result.total_cycles,
+        result.loop_iterations,
+    )
+
+
+class TestInPlaceNonFinite:
+    """inf/nan written in place over a dying operand must still reach the
+    screen: the issue takes the exact path, and flags, residuals and grids
+    match the reference bit for bit."""
+
+    @pytest.mark.parametrize("name", ["jacobi", "rbsor"])
+    def test_non_finite_chain_takes_the_exact_path(self, node, rng, name):
+        shape = (6, 6, 6)
+        if name == "jacobi":
+            setup, program = _jacobi(node, shape, max_iterations=6)
+            load, names = load_jacobi_inputs, ("u", "u_new")
+        else:
+            setup, program = _rbsor(node, shape)
+            load, names = load_rbsor_inputs, ("u",)
+        plan = progplan.compiled_plan(program, node.params)
+        assert any(k.n_slots < len(_row_units(k))
+                   for k in plan.kernels.values()), "no slot is shared"
+        u0 = rng.random(shape)
+        u0[2, 2, 2] = np.inf
+        u0[3, 3, 3] = np.nan
+        f = rng.standard_normal(shape)
+        runs = []
+        with np.errstate(all="ignore"):
+            for backend in ("reference", "fast"):
+                machine = NSCMachine(node, backend=backend)
+                machine.load_program(program)
+                load(machine, setup, u0, f)
+                if backend == "reference":
+                    result = machine.run()
+                else:
+                    result = progplan.try_run_fused(machine, program,
+                                                    1_000_000)
+                    assert result is not None
+                runs.append(_bits(result, machine, names))
+        ref, fused = runs
+        # FP flags come only from the exact re-evaluation
+        assert any(flags for flags, *_rest in fused[0])
+        assert fused == ref
