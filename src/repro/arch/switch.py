@@ -12,13 +12,26 @@ restrictions the checker enforces:
 
 - every sink (a stream consumer) is driven by at most one source, and
 - a source may fan out to at most ``switch_max_fanout`` sinks.
+
+Endpoints are canonical: the constructors below (:func:`fu_in`,
+:func:`fu_out`, :func:`mem_read`, :func:`mem_write`, :func:`cache_read`,
+:func:`cache_write`, :func:`sd_in`, :func:`sd_tap`, and the generic
+:func:`endpoint`) hand out one shared instance per ``(kind, device,
+port)``, so the wiring tables that builder, checker, generator and plan
+compiler query hit CPython's identity fast path instead of comparing
+fields.  Code outside this module builds endpoints only through them.
+Identity is an optimisation, never a contract: an endpoint built
+directly with ``Endpoint(...)`` (or unpickled, or evicted from the
+bounded table) is equal to, hashes like, and sorts like the canonical
+one, and pickling rebuilds through :func:`endpoint`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.arch.params import NSCParameters
 
@@ -40,14 +53,24 @@ class Endpoint:
     device: int
     port: str
 
-    def __hash__(self) -> int:
+    def __post_init__(self) -> None:
         # endpoints key every wiring index the compiler and checker
         # query; hashing the enum member each time dominated those maps
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.kind, self.device, self.port))
-            self.__dict__["_hash"] = cached
-        return cached
+        object.__setattr__(self, "_hash", hash((self.kind, self.device, self.port)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self) -> Tuple[object, Tuple[DeviceKind, int, str]]:
+        # the cached hash is only valid under this process's hash seed:
+        # rebuild (re-hash, re-intern) in the loading process instead
+        return endpoint, (self.kind, self.device, self.port)
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # pickles written before endpoints reduced by value carry their
+        # fields plus a hash from the writing process: re-derive it here
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def __lt__(self, other: "Endpoint") -> bool:
         if not isinstance(other, Endpoint):
@@ -64,38 +87,66 @@ class Endpoint:
         return (self.kind.value, self.device, self.port)
 
 
+#: Bound on each device kind's endpoint table: far above any machine's
+#: port count, so real programs never evict, while a stream of
+#: out-of-range device numbers cannot grow the process without limit.
+ENDPOINT_TABLE_SIZE = 4096
+
+
+def _table(kind: DeviceKind) -> Callable[[int, str], Endpoint]:
+    # keyed on (device, port) alone: int/str keys hash in C, where the
+    # enum member would cost a Python-level Enum.__hash__ per lookup
+    @functools.lru_cache(maxsize=ENDPOINT_TABLE_SIZE)
+    def canonical(device: int, port: str) -> Endpoint:
+        return Endpoint(kind, device, port)
+
+    return canonical
+
+
+_TABLES = {kind: _table(kind) for kind in DeviceKind}
+_FU = _TABLES[DeviceKind.FU]
+_MEM = _TABLES[DeviceKind.MEMORY]
+_CACHE = _TABLES[DeviceKind.CACHE]
+_SD = _TABLES[DeviceKind.SHIFT_DELAY]
+
+
+def endpoint(kind: DeviceKind, device: int, port: str) -> Endpoint:
+    """The canonical endpoint for ``(kind, device, port)``."""
+    return _TABLES[kind](device, port)
+
+
 def fu_in(fu: int, port: str) -> Endpoint:
     if port not in ("a", "b"):
         raise ValueError(f"FU input port must be 'a' or 'b', got {port!r}")
-    return Endpoint(DeviceKind.FU, fu, port)
+    return _FU(fu, port)
 
 
 def fu_out(fu: int) -> Endpoint:
-    return Endpoint(DeviceKind.FU, fu, "out")
+    return _FU(fu, "out")
 
 
 def mem_read(plane: int) -> Endpoint:
-    return Endpoint(DeviceKind.MEMORY, plane, "read")
+    return _MEM(plane, "read")
 
 
 def mem_write(plane: int) -> Endpoint:
-    return Endpoint(DeviceKind.MEMORY, plane, "write")
+    return _MEM(plane, "write")
 
 
 def cache_read(cache: int) -> Endpoint:
-    return Endpoint(DeviceKind.CACHE, cache, "read")
+    return _CACHE(cache, "read")
 
 
 def cache_write(cache: int) -> Endpoint:
-    return Endpoint(DeviceKind.CACHE, cache, "write")
+    return _CACHE(cache, "write")
 
 
 def sd_in(unit: int) -> Endpoint:
-    return Endpoint(DeviceKind.SHIFT_DELAY, unit, "in")
+    return _SD(unit, "in")
 
 
 def sd_tap(unit: int, tap: int) -> Endpoint:
-    return Endpoint(DeviceKind.SHIFT_DELAY, unit, f"tap{tap}")
+    return _SD(unit, f"tap{tap}")
 
 
 class SwitchRouteError(Exception):
@@ -201,6 +252,7 @@ __all__ = [
     "SwitchNetwork",
     "SwitchSetting",
     "SwitchRouteError",
+    "endpoint",
     "fu_in",
     "fu_out",
     "mem_read",

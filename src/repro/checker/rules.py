@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.arch.dma import DMASpecError, Direction
 from repro.arch.funcunit import OPCODES
-from repro.arch.switch import DeviceKind, Endpoint, fu_in, fu_out
+from repro.arch.switch import DeviceKind, Endpoint, fu_in, fu_out, sd_in
 from repro.checker.diagnostics import Diagnostic, error, warning
 from repro.checker.knowledge import MachineKnowledge
 from repro.diagram.pipeline import DiagramError, InputModKind, PipelineDiagram
@@ -551,9 +551,7 @@ class ShiftDelayRule(Rule):
                             pipeline=diagram.number,
                         )
                     )
-                feeder = diagram.driver_of(
-                    Endpoint(DeviceKind.SHIFT_DELAY, unit, "in")
-                )
+                feeder = diagram.driver_of(sd_in(unit))
                 if feeder is None:
                     out.append(
                         self._e(

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.arch.dma import DMAProgram, DMASpec, Direction
 from repro.arch.funcunit import OPCODES, Opcode
 from repro.arch.node import NodeConfig
-from repro.arch.switch import DeviceKind, Endpoint, fu_in
+from repro.arch.switch import DeviceKind, Endpoint, sd_in
 from repro.checker.checker import Checker
 from repro.checker.diagnostics import CheckReport
 from repro.obs import tracer as obs
@@ -81,6 +81,14 @@ def layout_variables(
     return out
 
 
+def _without_memos(obj: object) -> Dict[str, Any]:
+    """Copy/pickle state of *obj* minus the ``_``-prefixed memos that
+    consumers (plan keys, compiled plans) stash on it: a copy may be
+    edited and a pickle loaded by other code, so those are re-derived,
+    never carried along."""
+    return {k: v for k, v in vars(obj).items() if not k.startswith("_")}
+
+
 @dataclass(frozen=True)
 class ResolvedInput:
     """Fully resolved feed of one FU input port.
@@ -122,6 +130,9 @@ class PipelineImage:
     def total_flops(self) -> int:
         return self.flops_per_element * self.vector_length
 
+    def __getstate__(self) -> Dict[str, Any]:
+        return _without_memos(self)
+
 
 @dataclass
 class MachineProgram:
@@ -145,13 +156,19 @@ class MachineProgram:
     def image(self, index: int) -> PipelineImage:
         return self.images[index]
 
+    def __getstate__(self) -> Dict[str, Any]:
+        return _without_memos(self)
+
     def fingerprint(self) -> str:
         """Stable content hash over the encoded microwords.
 
         Two programs with the same fingerprint issue bit-identical
         microcode; the batch service records it so a result can be traced
         to the exact program that produced it (and a cache hit can be
-        proven to replay the same bits)."""
+        proven to replay the same bits).  Each microword keeps its encoded
+        bits until its next write, so the repeat calls of one job (trust
+        mark, plan key, record) hash a few kilobytes instead of
+        re-encoding every field."""
         digest = hashlib.sha256()
         digest.update(self.name.encode("utf-8"))
         digest.update(str(self.layout.total_bits).encode("utf-8"))
@@ -302,11 +319,11 @@ class MicrocodeGenerator:
                             delay=delay, skew=skew,
                         )
                     else:
-                        kind_name = {
-                            DeviceKind.MEMORY: "mem",
-                            DeviceKind.CACHE: "cache",
-                            DeviceKind.SHIFT_DELAY: "sd",
-                        }[ep.kind]
+                        kind_name = (
+                            "mem" if ep.kind is DeviceKind.MEMORY
+                            else "cache" if ep.kind is DeviceKind.CACHE
+                            else "sd"
+                        )
                         inputs[(fu, port)] = ResolvedInput(
                             kind=kind_name, endpoint=ep, delay=delay, skew=skew
                         )
@@ -330,9 +347,7 @@ class MicrocodeGenerator:
         # shift/delay feeders
         sd_feeders: Dict[int, Endpoint] = {}
         for (unit, _tap) in diagram.sd_taps:
-            feeder = diagram.driver_of(
-                Endpoint(DeviceKind.SHIFT_DELAY, unit, "in")
-            )
+            feeder = diagram.driver_of(sd_in(unit))
             if feeder is not None:
                 sd_feeders[unit] = feeder
 
@@ -369,40 +384,43 @@ class MicrocodeGenerator:
         plan: TimingPlan,
         vector_length: int,
     ) -> Microword:
-        word = self.layout.new_word()
-        table = self.layout.source_table
+        layout = self.layout
+        word = layout.new_word()
+        set_field = word.set_field
+        id_of = layout.source_table.id_of
+        driver_of = diagram.driver_of
+        input_mods = diagram.input_mods
+        delays = diagram.delays
 
         for fu, assign in diagram.fu_ops.items():
-            word.set(f"fu{fu}.opcode", OP_INDEX[assign.opcode])
+            handles = layout.fu_fields(fu)
+            set_field(handles.opcode, OP_INDEX[assign.opcode])
             if OPCODES[assign.opcode].uses_constant:
-                word.set(f"fu{fu}.const_sel", 1)
-            for port in ("a", "b"):
-                delay = plan.total_delay(
-                    fu, port, diagram.delays.get((fu, port), 0)
-                )
+                set_field(handles.const_sel, 1)
+            for port, fields in zip(("a", "b"), handles.ports):
+                delay = plan.total_delay(fu, port, delays.get((fu, port), 0))
                 if delay:
-                    word.set(f"fu{fu}.{port}.delay", delay)
-                mod = diagram.input_mods.get((fu, port))
+                    set_field(fields.delay, delay)
+                mod = input_mods.get((fu, port))
                 if mod is not None:
                     if mod.kind is InputModKind.INTERNAL:
-                        word.set(f"fu{fu}.{port}.internal", 1)
+                        set_field(fields.internal, 1)
                     elif mod.kind is InputModKind.FEEDBACK:
-                        word.set(f"fu{fu}.{port}.feedback", 1)
+                        set_field(fields.feedback, 1)
                     else:
-                        word.set(f"fu{fu}.{port}.constant", 1)
+                        set_field(fields.constant, 1)
                 else:
-                    drv = diagram.driver_of(fu_in(fu, port))
+                    drv = driver_of(fields.sink)
                     if drv is not None:
-                        word.set(f"fu{fu}.{port}.src", table.id_of(drv))
+                        set_field(fields.src, id_of(drv))
 
         # crossbar selectors for non-FU sinks
-        for sink_name, sink_ep in self.layout.non_fu_sinks():
-            drv = diagram.driver_of(sink_ep)
+        for field, sink_ep in layout.sink_fields:
+            drv = driver_of(sink_ep)
             if drv is not None:
-                word.set(f"switch.{sink_name}.src", table.id_of(drv))
+                set_field(field, id_of(drv))
 
         # DMA groups
-        var_layout_cache: Dict[str, Tuple[int, int]] = {}
         for ep, spec in diagram.dma.items():
             prefix = (
                 f"mem{ep.device}" if ep.kind is DeviceKind.MEMORY

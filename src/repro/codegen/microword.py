@@ -20,6 +20,11 @@ The layout groups:
 Switch settings are not a separate group: the per-sink source selectors
 *are* the crossbar program (one selector per sink port), which is exactly
 how the generator "derives switch settings ... from the connection tables".
+
+The layout also resolves its per-FU field *handles* (:class:`FUFields`)
+and the ``(Field, sink)`` pairs behind :meth:`MicrowordLayout.non_fu_sinks`
+once; the generator writes through :meth:`Microword.set_field` with them
+instead of formatting and looking up a field name per write.
 """
 
 from __future__ import annotations
@@ -27,11 +32,11 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.arch.node import MACHINE_TABLES_SIZE, node_config
 from repro.arch.params import NSCParameters
-from repro.arch.switch import DeviceKind, Endpoint
+from repro.arch.switch import Endpoint, cache_write, fu_in, mem_write, sd_in
 
 
 class FieldError(Exception):
@@ -46,9 +51,28 @@ class Field:
     offset: int
     width: int
 
-    @property
+    @functools.cached_property
     def max_value(self) -> int:
         return (1 << self.width) - 1
+
+
+class PortFields(NamedTuple):
+    """Handles for one FU input port, with its canonical sink endpoint."""
+
+    sink: Endpoint
+    src: Field
+    delay: Field
+    internal: Field
+    feedback: Field
+    constant: Field
+
+
+class FUFields(NamedTuple):
+    """Handles for one functional unit's fields; ``ports`` is (a, b)."""
+
+    opcode: Field
+    const_sel: Field
+    ports: Tuple[PortFields, PortFields]
 
 
 def _signed_to_bits(value: int, width: int) -> int:
@@ -127,6 +151,7 @@ class MicrowordLayout:
         self._fields: Dict[str, Field] = {}
         self._order: List[str] = []
         self._build()
+        self._resolve_handles()
 
     def _add(self, name: str, width: int, cursor: int) -> int:
         if name in self._fields:
@@ -175,11 +200,44 @@ class MicrowordLayout:
     def non_fu_sinks(self) -> Iterator[Tuple[str, Endpoint]]:
         """Named non-FU sinks carrying a crossbar selector field."""
         for plane in range(self.params.n_memory_planes):
-            yield f"mem{plane}.write", Endpoint(DeviceKind.MEMORY, plane, "write")
+            yield f"mem{plane}.write", mem_write(plane)
         for cache in range(self.params.n_caches):
-            yield f"cache{cache}.write", Endpoint(DeviceKind.CACHE, cache, "write")
+            yield f"cache{cache}.write", cache_write(cache)
         for unit in range(self.params.n_shift_delay_units):
-            yield f"sd{unit}.in", Endpoint(DeviceKind.SHIFT_DELAY, unit, "in")
+            yield f"sd{unit}.in", sd_in(unit)
+
+    def _resolve_handles(self) -> None:
+        """Resolve the per-FU and per-sink field handles."""
+        f = self._fields
+        self._fu_fields: Tuple[FUFields, ...] = tuple(
+            FUFields(
+                opcode=f[f"fu{fu}.opcode"],
+                const_sel=f[f"fu{fu}.const_sel"],
+                ports=tuple(  # type: ignore[arg-type]
+                    PortFields(
+                        sink=fu_in(fu, port),
+                        src=f[f"fu{fu}.{port}.src"],
+                        delay=f[f"fu{fu}.{port}.delay"],
+                        internal=f[f"fu{fu}.{port}.internal"],
+                        feedback=f[f"fu{fu}.{port}.feedback"],
+                        constant=f[f"fu{fu}.{port}.constant"],
+                    )
+                    for port in ("a", "b")
+                ),
+            )
+            for fu in range(self.n_fus)
+        )
+        #: ``(selector field, canonical sink endpoint)`` per non-FU sink
+        self.sink_fields: Tuple[Tuple[Field, Endpoint], ...] = tuple(
+            (f[f"switch.{name}.src"], ep)
+            for name, ep in self.non_fu_sinks()
+        )
+
+    def fu_fields(self, fu: int) -> FUFields:
+        """The field handles of functional unit *fu*."""
+        if not 0 <= fu < self.n_fus:
+            raise FieldError(f"no functional unit fu{fu} in this layout")
+        return self._fu_fields[fu]
 
     # ------------------------------------------------------------------
     @property
@@ -222,21 +280,30 @@ def layout_for(params: NSCParameters) -> MicrowordLayout:
 class Microword:
     """One instruction: a value for every field, encodable to raw bits."""
 
+    #: the packed bits, kept until the next write (``encode`` is called
+    #: once for the program fingerprint and again by every consumer)
+    _encoded: Optional[bytes] = None
+
     def __init__(self, layout: MicrowordLayout) -> None:
         self.layout = layout
         self._values: Dict[str, int] = {}
 
     def set(self, name: str, value: int) -> None:
-        field = self.layout.field(name)
+        self.set_field(self.layout.field(name), value)
+
+    def set_field(self, field: Field, value: int) -> None:
+        """:meth:`set` through a handle resolved by the layout."""
         if not (0 <= value <= field.max_value):
             raise FieldError(
-                f"value {value} does not fit field {name} ({field.width} bits)"
+                f"value {value} does not fit field {field.name} "
+                f"({field.width} bits)"
             )
-        self._values[name] = value
+        self._values[field.name] = value
+        self._encoded = None
 
     def set_signed(self, name: str, value: int) -> None:
         field = self.layout.field(name)
-        self.set(name, _signed_to_bits(value, field.width))
+        self.set_field(field, _signed_to_bits(value, field.width))
 
     def set_float(self, name: str, value: float) -> None:
         self.set(name, float_to_bits(value))
@@ -260,12 +327,14 @@ class Microword:
     # ------------------------------------------------------------------
     def encode(self) -> bytes:
         """Pack every field into a little-endian bit string."""
-        word = 0
-        for name, value in self._values.items():
-            field = self.layout.field(name)
-            word |= value << field.offset
-        nbytes = (self.layout.total_bits + 7) // 8
-        return word.to_bytes(nbytes, "little")
+        if self._encoded is None:
+            fields = self.layout._fields
+            word = 0
+            for name, value in self._values.items():
+                word |= value << fields[name].offset
+            nbytes = (self.layout.total_bits + 7) // 8
+            self._encoded = word.to_bytes(nbytes, "little")
+        return self._encoded
 
     @classmethod
     def decode(cls, layout: MicrowordLayout, raw: bytes) -> "Microword":
@@ -298,6 +367,8 @@ CMP_NAMES = {v: k for k, v in CMP_CODES.items()}
 __all__ = [
     "Field",
     "FieldError",
+    "FUFields",
+    "PortFields",
     "SourceTable",
     "MicrowordLayout",
     "Microword",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.funcunit import OPCODES
-from repro.arch.switch import DeviceKind, Endpoint
+from repro.arch.switch import DeviceKind, Endpoint, sd_in
 from repro.checker.knowledge import MachineKnowledge
 from repro.diagram.pipeline import InputModKind, PipelineDiagram
 
@@ -69,7 +69,7 @@ def _source_start(ep: Endpoint, kb: MachineKnowledge, diagram: PipelineDiagram,
     if ep.kind is DeviceKind.CACHE:
         return p.dma_startup_cycles + p.cache_latency + switch_hops * p.switch_latency
     if ep.kind is DeviceKind.SHIFT_DELAY:
-        feeder = diagram.driver_of(Endpoint(DeviceKind.SHIFT_DELAY, ep.device, "in"))
+        feeder = diagram.driver_of(sd_in(ep.device))
         if feeder is None:
             raise TimingError(f"shift/delay unit {ep.device} has no input stream")
         # feeder -> sd (one hop), sd transit, sd -> consumer (one hop)

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.arch.als import ALSKind
 from repro.arch.dma import DMASpec
 from repro.arch.funcunit import Opcode
-from repro.arch.switch import DeviceKind, Endpoint, fu_in, fu_out
+from repro.arch.switch import DeviceKind, Endpoint, fu_in, fu_out, sd_in
 
 
 class DiagramError(Exception):
@@ -193,10 +193,18 @@ class PipelineDiagram:
 
     def connect(self, source: Endpoint, sink: Endpoint) -> None:
         """Record a switch-routed connection (the rubber-band wire)."""
-        if (source, sink) in self.connections:
+        if self._wire_index_len != len(self.connections):
+            self._wire_index()
+        # the wiring index answers the duplicate check from the source's
+        # few sinks instead of a scan over every drawn connection, and is
+        # extended in place rather than rebuilt
+        sinks = self._sink_index.setdefault(source, [])
+        if sink in sinks:
             raise DiagramError(f"connection {source} -> {sink} already drawn")
         self.connections.append((source, sink))
-        self._wire_index_len = -1
+        sinks.append(sink)
+        self._driver_index.setdefault(sink, source)
+        self._wire_index_len += 1
 
     def disconnect(self, source: Endpoint, sink: Endpoint) -> None:
         try:
@@ -333,9 +341,7 @@ class PipelineDiagram:
             if src.kind is DeviceKind.MEMORY:
                 planes.add(src.device)
             elif src.kind is DeviceKind.SHIFT_DELAY:
-                feeder = self.driver_of(
-                    Endpoint(DeviceKind.SHIFT_DELAY, src.device, "in")
-                )
+                feeder = self.driver_of(sd_in(src.device))
                 if feeder is not None and feeder.kind is DeviceKind.MEMORY:
                     planes.add(feeder.device)
         for sink in self.sinks_of(fu_out(fu)):

@@ -13,7 +13,7 @@ from typing import Any, Dict
 from repro.arch.als import ALSKind
 from repro.arch.dma import Direction, DMASpec
 from repro.arch.funcunit import Opcode
-from repro.arch.switch import DeviceKind, Endpoint
+from repro.arch.switch import DeviceKind, Endpoint, endpoint
 from repro.diagram.pipeline import (
     ConditionSpec,
     InputMod,
@@ -46,7 +46,7 @@ def endpoint_to_dict(ep: Endpoint) -> Dict[str, Any]:
 
 def endpoint_from_dict(d: Dict[str, Any]) -> Endpoint:
     try:
-        return Endpoint(DeviceKind(d["kind"]), int(d["device"]), str(d["port"]))
+        return endpoint(DeviceKind(d["kind"]), int(d["device"]), str(d["port"]))
     except (KeyError, ValueError) as exc:
         raise SerializationError(f"bad endpoint record {d!r}") from exc
 

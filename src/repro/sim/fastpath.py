@@ -11,9 +11,12 @@ node streams.  This module holds the per-image layer of the fast backend:
 - the exact evaluators (:func:`_eval_steps`) the fused engine re-runs
   when its finiteness screen sees an inf/nan, so exception flags match
   the reference bit for bit;
-- the keyed :data:`PLAN_CACHE`, shared with the whole-program compiler
-  (:mod:`repro.sim.progplan`), so plans survive across programs, params
-  sets, and batch-service jobs within one process.
+- the process-wide :data:`PLAN_CACHE`, which holds the whole-program
+  plans of :mod:`repro.sim.progplan` keyed per program, so plans survive
+  across machines, params sets, and batch-service jobs within one
+  process.  Per-image plans have no keyed layer: a program plan compiles
+  each of its images once, and :func:`plan_for` keeps the last plan on
+  the image itself.
 
 The whole-program layer — fusing the sequencer's control script into
 the schedule that :mod:`repro.sim.batchplan` runs over one machine, a
@@ -28,7 +31,6 @@ this on every run, and CI runs it on every PR).
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -256,7 +258,7 @@ def _build_plan(image: PipelineImage, params: Any) -> _FastPlan:
 
 
 # ----------------------------------------------------------------------
-# the keyed plan cache (shared with repro.sim.progplan's program plans)
+# the keyed plan cache (repro.sim.progplan's program plans)
 # ----------------------------------------------------------------------
 @dataclass
 class PlanCacheStats:
@@ -276,12 +278,11 @@ class PlanCacheStats:
 class PlanCache:
     """LRU cache for compiled execution plans, keyed by content.
 
-    Keys are ``(layer, fingerprint, params)`` tuples: image-level fast
-    plans use the image's content digest, whole-program plans
-    (:mod:`repro.sim.progplan`) the :meth:`MachineProgram.fingerprint`.
-    The same params on the same bits always replays the same plan, so two
-    parameterizations of one image coexist instead of thrashing a single
-    stashed slot.
+    Keys are ``("program", digest, params, keep_outputs)`` tuples, the
+    digest being :func:`repro.sim.progplan.program_fingerprint`.  The
+    same params on the same program always replays the same plan, so two
+    parameterizations of one program coexist instead of thrashing a
+    single stashed slot.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
@@ -319,46 +320,17 @@ class PlanCache:
 PLAN_CACHE = PlanCache()
 
 
-def image_fingerprint(image: PipelineImage) -> str:
-    """Content digest over everything a fast plan depends on.
-
-    Memoized on the image object; two images with equal digests compile to
-    interchangeable plans (the plan carries no pipeline number).
-    """
-    cached = image.__dict__.get("_fastpath_digest")
-    if cached is not None:
-        return cached
-    payload = repr(
-        (
-            image.vector_length,
-            image.fu_order,
-            sorted(image.fu_ops.items()),
-            sorted(image.inputs.items()),
-            sorted(image.read_programs.items(), key=repr),
-            image.write_programs,
-            sorted(image.sd_feeders.items()),
-            sorted(image.sd_shifts.items()),
-            image.condition,
-        )
-    )
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    image.__dict__["_fastpath_digest"] = digest
-    return digest
-
-
 def plan_for(image: PipelineImage, params: Any) -> _FastPlan:
-    """Get the compiled plan for *image*, building and caching on first use.
+    """Get the compiled plan for *image*, building it on first use.
 
-    A last-used ``(params, plan)`` pair on the image answers the common
-    case (one machine issuing the same image repeatedly) without hashing;
-    everything else goes through the keyed :data:`PLAN_CACHE`, so two
-    parameterizations of one image do not recompile each other away.
+    A last-used ``(params, plan)`` pair on the image answers repeat
+    requests; plans are shared across jobs one level up, through the
+    program plans in :data:`PLAN_CACHE`.
     """
     memo = image.__dict__.get("_fastpath_plan")
     if memo is not None and (memo[0] is params or memo[0] == params):
         return memo[1]
-    key = ("image", image_fingerprint(image), params)
-    plan = PLAN_CACHE.get_or_build(key, lambda: _build_plan(image, params))
+    plan = _build_plan(image, params)
     image.__dict__["_fastpath_plan"] = (params, plan)
     return plan
 
@@ -474,7 +446,6 @@ __all__ = [
     "validate_backend",
     "shift_last",
     "plan_for",
-    "image_fingerprint",
     "PlanCache",
     "PlanCacheStats",
     "PLAN_CACHE",

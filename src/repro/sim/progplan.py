@@ -42,8 +42,10 @@ fallback: handlers observe delivery order mid-run, which only the stepped
 reference models.
 
 Compiled plans are cached in :data:`repro.sim.fastpath.PLAN_CACHE` keyed
-by ``MachineProgram.fingerprint()`` + params (+ the ``keep_outputs``
-mode), so the batch service and sweeps reuse schedules across jobs.
+by :func:`program_fingerprint` + params (+ the ``keep_outputs`` mode), so
+the batch service and sweeps reuse schedules across jobs.  That key is
+the only one: the per-image plans a program plan compiles are not cached
+on their own (hashing an image cost more than compiling its plan).
 Anything the compiler cannot prove it can fuse raises
 :class:`FusionUnsupported` and the sequencer falls back to the reference
 interpreter — fusion is an optimisation, never a semantics change.  That
@@ -62,8 +64,10 @@ convergence check.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import operator
+import pickle
 import sys
 from dataclasses import dataclass
 from math import isfinite as _isfinite
@@ -181,29 +185,56 @@ assert frozenset(_REDUCIBLE) == REDUCIBLE_OPS
 def program_fingerprint(program: MachineProgram) -> str:
     """Content key for whole-program plans, memoized on the program.
 
-    :meth:`MachineProgram.fingerprint` covers the microwords only; a
-    compiled schedule additionally depends on the control script and the
-    variable layout, so both are folded into the digest — two programs
-    differing only in a loop bound must not share a plan.  The resolved
-    FU input constants are folded in too: a ``const``-kind operand value
-    lives in the constant table, not the microword bits, so two programs
-    differing only in a literal would otherwise collide and the cache
-    would replay the wrong arithmetic.
+    Starts from :meth:`MachineProgram.fingerprint` (the microword bits)
+    and folds in what a compiled schedule depends on beyond them: the
+    control script and the variable layout and declarations — two
+    programs differing only in a loop bound must not share a plan — and,
+    per image, the facts the microword does not encode, as primitive
+    tuples:
+
+    - each resolved FU input's kind, value, source unit, delay and skew
+      (a literal or a feedback seed lives in the constant table, an
+      ablation skew only in the timing plan);
+    - each FU's constant (its opcode is in the microword);
+    - each DMA program's variable, offset, base and count (the addr
+      field holds the window offset, not which variable it indexes).
+
+    Two programs that differ in any of these would otherwise collide,
+    and the cache would replay the wrong arithmetic or address.  The
+    tuples are digested through :mod:`pickle`, which writes floats as
+    IEEE bits (``-0.0`` stays apart from ``0.0``) at a fraction of the
+    cost of ``repr``; the key lives in this process only.
     """
     cached = program.__dict__.get("_progplan_fingerprint")
     if cached is None:
-        import hashlib
-
-        digest = hashlib.sha256(program.fingerprint().encode("utf-8"))
-        digest.update(repr(program.control).encode("utf-8"))
-        digest.update(repr(sorted(program.variable_layout.items())).encode("utf-8"))
-        digest.update(
-            repr(sorted(program.declarations.items())).encode("utf-8")
-        )
+        facts: List[Any] = [
+            program.fingerprint(),
+            repr(program.control),
+            sorted(program.variable_layout.items()),
+            [
+                (d.name, d.plane, d.length, d.initializer)
+                for d in program.declarations.values()
+            ],
+        ]
         for image in program.images:
-            digest.update(repr(sorted(image.inputs.items())).encode("utf-8"))
-            digest.update(repr(sorted(image.fu_ops.items())).encode("utf-8"))
-        cached = digest.hexdigest()
+            facts.append([
+                (fu, port, r.kind, r.value, r.src_fu, r.delay, r.skew)
+                for (fu, port), r in sorted(image.inputs.items())
+            ])
+            facts.append([
+                (fu, constant)
+                for fu, (_opcode, constant) in sorted(image.fu_ops.items())
+            ])
+            dma = [*image.read_programs.values(),
+                   *(prog for _driver, _sink, prog in image.write_programs)]
+            facts.append([
+                (prog.spec.variable, prog.spec.offset, prog.base_offset,
+                 prog.count)
+                for prog in dma
+            ])
+        cached = hashlib.sha256(
+            pickle.dumps(facts, protocol=pickle.HIGHEST_PROTOCOL)
+        ).hexdigest()
         program.__dict__["_progplan_fingerprint"] = cached
     return cached
 

@@ -1,5 +1,10 @@
 """Switch network: endpoint inventory and crosspoint derivation."""
 
+import copy
+import pickle
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.arch.params import NSCParameters
@@ -10,6 +15,7 @@ from repro.arch.switch import (
     SwitchRouteError,
     cache_read,
     cache_write,
+    endpoint,
     fu_in,
     fu_out,
     mem_read,
@@ -113,3 +119,74 @@ class TestRouting:
             (fu_out(2), fu_in(1, "b")),
         ]
         assert len(switch.derive_settings(conns)) == 2
+
+
+class TestCanonicalEndpoints:
+    """One shared instance per (kind, device, port); values stay values."""
+
+    CONSTRUCTORS = [
+        (lambda: fu_in(3, "a"), (DeviceKind.FU, 3, "a")),
+        (lambda: fu_in(3, "b"), (DeviceKind.FU, 3, "b")),
+        (lambda: fu_out(3), (DeviceKind.FU, 3, "out")),
+        (lambda: mem_read(2), (DeviceKind.MEMORY, 2, "read")),
+        (lambda: mem_write(2), (DeviceKind.MEMORY, 2, "write")),
+        (lambda: cache_read(1), (DeviceKind.CACHE, 1, "read")),
+        (lambda: cache_write(1), (DeviceKind.CACHE, 1, "write")),
+        (lambda: sd_in(0), (DeviceKind.SHIFT_DELAY, 0, "in")),
+        (lambda: sd_tap(0, 2), (DeviceKind.SHIFT_DELAY, 0, "tap2")),
+    ]
+
+    @pytest.mark.parametrize("make, fields", CONSTRUCTORS)
+    def test_constructor_returns_identical_object(self, make, fields):
+        assert make() is make()
+        assert make() is endpoint(*fields)
+
+    @pytest.mark.parametrize("make, fields", CONSTRUCTORS)
+    def test_direct_instance_is_a_value_twin(self, make, fields):
+        canonical = make()
+        direct = Endpoint(*fields)
+        assert direct is not canonical
+        assert direct == canonical and not direct != canonical
+        assert hash(direct) == hash(canonical)
+        assert hash(direct) == hash(fields)
+        assert direct.key == canonical.key and str(direct) == str(canonical)
+        # interchangeable as keys in either direction
+        assert {canonical: 1}[direct] == 1 and {direct: 1}[canonical] == 1
+        others = [mem_read(0), fu_out(31), sd_tap(3, 0)]
+        assert sorted(others + [direct]) == sorted(others + [canonical])
+
+    def test_pickle_and_copy_return_the_canonical_instance(self):
+        ep = mem_write(5)
+        assert pickle.loads(pickle.dumps(ep)) is ep
+        assert copy.copy(ep) is ep and copy.deepcopy(ep) is ep
+        twin = pickle.loads(pickle.dumps(Endpoint(DeviceKind.MEMORY, 5, "write")))
+        assert twin is ep
+
+    def test_old_pickle_state_rehashes(self):
+        """State pickled before endpoints reduced by value carries the
+        writer's hash; loading re-derives it."""
+        ep = Endpoint.__new__(Endpoint)
+        ep.__setstate__({"kind": DeviceKind.CACHE, "device": 4,
+                         "port": "read", "_hash": 12345})
+        assert hash(ep) == hash(cache_read(4)) and ep == cache_read(4)
+
+    def test_bad_fu_port_still_rejected(self):
+        with pytest.raises(ValueError, match="'a' or 'b'"):
+            fu_in(0, "out")
+
+    def test_no_direct_construction_outside_switch(self):
+        """Every endpoint the program builds goes through the canonical
+        constructors, so a new call site cannot bypass the table."""
+        import repro
+
+        root = Path(repro.__file__).resolve().parent
+        pattern = re.compile(r"Endpoint\(\s*DeviceKind\.")
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "arch" / "switch.py":
+                continue
+            text = path.read_text()
+            for match in pattern.finditer(text):
+                line = text.count("\n", 0, match.start()) + 1
+                offenders.append(f"{path.relative_to(root)}:{line}")
+        assert offenders == []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch.node import NodeConfig
 from repro.arch.params import SUBSET_PARAMS
+from repro.arch.switch import fu_in
 from repro.codegen.microword import (
     CMP_CODES,
     FieldError,
@@ -106,6 +107,63 @@ class TestWordValues:
     def test_float_bits_helpers(self):
         for v in (0.0, 1.5, -2.25, 1e-300):
             assert bits_to_float(float_to_bits(v)) == v
+
+
+class TestFieldHandles:
+    """Handles resolved once per layout are the layout's own fields."""
+
+    PORT_PARTS = ("src", "delay", "internal", "feedback", "constant")
+
+    def test_fu_handles_are_layout_fields(self, layout):
+        for fu in range(layout.n_fus):
+            handles = layout.fu_fields(fu)
+            assert handles.opcode is layout.field(f"fu{fu}.opcode")
+            assert handles.const_sel is layout.field(f"fu{fu}.const_sel")
+            for port, fields in zip(("a", "b"), handles.ports):
+                assert fields.sink is fu_in(fu, port)
+                for part in self.PORT_PARTS:
+                    assert getattr(fields, part) is layout.field(
+                        f"fu{fu}.{port}.{part}"
+                    )
+
+    def test_sink_handles_are_layout_fields(self, layout):
+        sinks = list(layout.non_fu_sinks())
+        assert len(layout.sink_fields) == len(sinks)
+        for (field, sink), (name, ep) in zip(layout.sink_fields, sinks):
+            assert field is layout.field(f"switch.{name}.src")
+            assert sink is ep
+
+    def test_unknown_fu_rejected(self, layout):
+        with pytest.raises(FieldError):
+            layout.fu_fields(layout.n_fus)
+        with pytest.raises(FieldError):
+            layout.fu_fields(-1)
+
+    @pytest.mark.parametrize("value", [-1, 64, 1 << 40])
+    def test_set_field_raises_like_set(self, layout, value):
+        handle = layout.fu_fields(0).opcode
+        with pytest.raises(FieldError) as by_name:
+            layout.new_word().set("fu0.opcode", value)
+        with pytest.raises(FieldError) as by_handle:
+            layout.new_word().set_field(handle, value)
+        assert str(by_handle.value) == str(by_name.value)
+
+    def test_handle_writes_encode_like_named_writes(self, layout):
+        by_name, by_handle = layout.new_word(), layout.new_word()
+        by_name.set("fu2.b.delay", 9)
+        by_name.set("switch.mem1.write.src", 5)
+        by_handle.set_field(layout.fu_fields(2).ports[1].delay, 9)
+        by_handle.set_field(layout.sink_fields[1][0], 5)
+        assert by_handle == by_name
+        assert by_handle.encode() == by_name.encode()
+
+    def test_write_after_encode_reencodes(self, layout):
+        word = layout.new_word()
+        word.set("fu0.opcode", 3)
+        first = word.encode()
+        word.set_field(layout.fu_fields(0).opcode, 4)
+        assert word.encode() != first
+        assert Microword.decode(layout, word.encode()).get("fu0.opcode") == 4
 
 
 class TestEncoding:

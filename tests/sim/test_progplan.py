@@ -803,30 +803,29 @@ class TestPlanCache:
             != progplan.program_fingerprint(prog_b)
         )
 
-    def test_two_param_sets_on_one_image_do_not_thrash(self, node, subset_node,
-                                                       monkeypatch):
-        """Alternating params on one image must not recompile each time."""
-        import repro.sim.fastpath as fastpath
-
+    def test_two_param_sets_on_one_program_do_not_thrash(self, node,
+                                                         monkeypatch):
+        """Alternating params on one program builds two plans, each reused."""
         setup, program = _generate(node, shape=(4, 4, 4))
-        image = program.images[1]
-        image.__dict__.pop("_fastpath_plan", None)
+        other = node.params.subset(dma_startup_cycles=7)
         builds = []
-        real_build = fastpath._build_plan
+        real_plan = progplan.ProgramPlan
 
-        def counting_build(img, params):
+        def counting_plan(prog, params, **kwargs):
             builds.append(params)
-            return real_build(img, params)
+            return real_plan(prog, params, **kwargs)
 
-        monkeypatch.setattr(fastpath, "_build_plan", counting_build)
+        monkeypatch.setattr(progplan, "ProgramPlan", counting_plan)
         PLAN_CACHE.clear()
+        first = {}
         for _round in range(4):
-            fastpath.plan_for(image, node.params)
-            fastpath.plan_for(image, subset_node.params)
-        assert len(builds) == 2  # one compile per params set, ever
-        stats = PLAN_CACHE.stats
-        assert stats.misses == 2
-        assert stats.hits >= 4
+            for params in (node.params, other):
+                plan = progplan.compiled_plan(program, params)
+                assert first.setdefault(params, plan) is plan
+        assert builds == [node.params, other]  # one compile per params set
+        assert first[node.params] is not first[other]
+        assert PLAN_CACHE.stats.misses == 2
+        assert PLAN_CACHE.stats.hits == 6
 
     def test_plan_cache_lru_bound(self):
         from repro.sim.fastpath import PlanCache
@@ -836,6 +835,140 @@ class TestPlanCache:
             cache.get_or_build(("k", i), lambda i=i: i)
         assert len(cache) == 2
         assert ("k", 4) in cache and ("k", 3) in cache
+
+
+def _one_pipeline(node, body, declare=(("a", 0, 8), ("result", 1, 8))):
+    """A one-pipeline program: ``body(builder)`` returns the unit whose
+    output streams to ``result`` (through a PASS, so no unit touches two
+    planes)."""
+    prog = VisualProgram(name="plan-key")
+    for name, plane, length in declare:
+        prog.declare(name, plane=plane, length=length)
+    b = PipelineBuilder(node, prog, vector_length=8)
+    b.write_var(b.apply(Opcode.PASS, body(b)), "result")
+    b.build()
+    prog.add_control(ExecPipeline(0))
+    prog.add_control(Halt())
+    return MicrocodeGenerator(node).generate(prog)
+
+
+class TestPlanKey:
+    """``program_fingerprint`` separates programs whose microwords agree
+    but whose compiled schedules must not be shared."""
+
+    @staticmethod
+    def _distinct(prog_a, prog_b):
+        assert prog_a.fingerprint() == prog_b.fingerprint()  # same bits
+        assert (
+            progplan.program_fingerprint(prog_a)
+            != progplan.program_fingerprint(prog_b)
+        )
+
+    @pytest.mark.parametrize("opcode", [Opcode.FSCALE, Opcode.FADDC])
+    @pytest.mark.parametrize("pair", [(2.0, 3.0), (0.0, -0.0)])
+    def test_fu_constant(self, node, opcode, pair):
+        def body(constant):
+            return lambda b: b.apply(opcode, b.read_var("a"), constant=constant)
+
+        self._distinct(*(_one_pipeline(node, body(c)) for c in pair))
+
+    def test_feedback_initial_value(self, node):
+        def body(init):
+            return lambda b: b.apply(Opcode.FADD, b.read_var("a"),
+                                     b.feedback(init))
+
+        self._distinct(_one_pipeline(node, body(0.0)),
+                       _one_pipeline(node, body(1.0)))
+
+    def test_variable_length(self, node):
+        def body(b):
+            return b.apply(Opcode.FNEG, b.read_var("a"))
+
+        short = (("a", 0, 8), ("result", 1, 8))
+        long = (("a", 0, 16), ("result", 1, 8))
+        self._distinct(_one_pipeline(node, body, short),
+                       _one_pipeline(node, body, long))
+
+    def test_variable_layout(self, node):
+        def body(b):
+            return b.apply(Opcode.FNEG, b.read_var("a"))
+
+        packed = (("a", 0, 8), ("result", 1, 8))
+        shifted = (("pad", 0, 4), ("a", 0, 8), ("result", 1, 8))
+        self._distinct(_one_pipeline(node, body, packed),
+                       _one_pipeline(node, body, shifted))
+
+    def test_which_variable_a_read_indexes(self, node):
+        """Same plane, same window: only the DMA base tells the reads of
+        ``a`` and ``b`` apart, and a shared plan would stream the wrong
+        variable."""
+        declare = (("a", 0, 8), ("b", 0, 8), ("result", 1, 8))
+
+        def body(name):
+            return lambda b: b.apply(Opcode.FNEG, b.read_var(name))
+
+        progs = [_one_pipeline(node, body(name), declare) for name in "ab"]
+        self._distinct(*progs)
+        results = []
+        for program in progs:
+            machine = NSCMachine(node, backend="fast")
+            machine.load_program(program)
+            machine.set_variable("a", np.arange(8.0))
+            machine.set_variable("b", 100.0 + np.arange(8.0))
+            machine.run()
+            results.append(machine.get_variable("result"))
+        assert np.array_equal(results[0], -np.arange(8.0))
+        assert np.array_equal(results[1], -(100.0 + np.arange(8.0)))
+
+    def test_residual_skew(self, node):
+        """Ablation builds (``auto_balance=False``) carry a residual skew
+        that only the timing plan records.  The twin is copied *after*
+        the original's key is memoized: copies never inherit it."""
+        import copy
+        import dataclasses
+
+        setup = build_jacobi_program(node, (5, 6, 7), eps=1e-4,
+                                     max_iterations=40)
+        program = MicrocodeGenerator(node, auto_balance=False).generate(
+            setup.program
+        )
+        progplan.program_fingerprint(program)
+        twin = copy.deepcopy(program)
+        skewed = [
+            (image, port)
+            for image in twin.images
+            for port, resolved in image.inputs.items()
+            if resolved.skew
+        ]
+        assert skewed, "ablation build produced no skew"
+        image, port = skewed[0]
+        image.inputs[port] = dataclasses.replace(image.inputs[port], skew=0)
+        self._distinct(program, twin)
+
+    def test_identical_recompile_shares_the_key(self, node):
+        def body(b):
+            return b.apply(Opcode.FSCALE, b.read_var("a"), constant=0.5)
+
+        prog_a, prog_b = _one_pipeline(node, body), _one_pipeline(node, body)
+        assert prog_a is not prog_b
+        assert (
+            progplan.program_fingerprint(prog_a)
+            == progplan.program_fingerprint(prog_b)
+        )
+        assert (progplan.compiled_plan(prog_a, node.params)
+                is progplan.compiled_plan(prog_b, node.params))
+
+    def test_pickled_program_rederives_its_memos(self, node):
+        import pickle
+
+        setup, program = _generate(node, shape=(4, 4, 4), max_iterations=5)
+        key = progplan.program_fingerprint(program)
+        progplan.compiled_plan(program, node.params)
+        loaded = pickle.loads(pickle.dumps(program))
+        assert "_progplan_fingerprint" not in vars(loaded)
+        assert all("_fastpath_plan" not in vars(im) for im in loaded.images)
+        assert progplan.program_fingerprint(loaded) == key
+        assert loaded.fingerprint() == program.fingerprint()
 
 
 class TestServicePlanLayer:
