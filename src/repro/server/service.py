@@ -40,6 +40,8 @@ from __future__ import annotations
 import hashlib
 import json
 import queue
+import resource
+import sys
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -429,6 +431,7 @@ class SimService:
             "cache.hit": self.cache.stats.hits,
             "cache.miss": self.cache.stats.misses,
             "cache.disk_hit": self.cache.stats.disk_hits,
+            "cache.evict": self.cache.stats.evictions,
             "cache.check_skipped": self.cache.stats.checks_skipped,
             "plan.hit": self.cache.plans.stats.hits,
             "plan.miss": self.cache.plans.stats.misses,
@@ -453,12 +456,16 @@ class SimService:
         return {
             "uptime_s": round(time.time() - self.started_s, 3),
             "workers": self.workers,
+            "peak_rss_mb": _peak_rss_mb(),
             "transport": self.transport,
             "batch_fusion": self.batch_fusion,
             "store": str(self.store.path) if self.store else None,
             "submissions": submissions,
             "jobs": jobs,
-            "cache": self.cache.stats.as_dict(),
+            "cache": {
+                "entries": self.cache.entries(),
+                **self.cache.stats.as_dict(),
+            },
             "plan_cache": {
                 "entries": len(self.cache.plans),
                 **self.cache.plans.stats.as_dict(),
@@ -470,6 +477,14 @@ class SimService:
             "counters": self.counters(),
             "events": self.events.stats(),
         }
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in kB on Linux and in bytes on macOS
+    scale = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+    return round(peak / scale, 1)
 
 
 __all__ = ["SimService", "Submission", "SubmissionError", "STATES"]

@@ -5,15 +5,19 @@ expensive, perfectly deterministic step of every job, so the service caches
 its output keyed by :meth:`SimJob.cache_key` — the pair of program and
 parameter hashes.  Two layers:
 
-- an in-memory dict, shared by all jobs executed in one process (the
-  serial runner and each pool worker get one each);
+- an in-memory :class:`~repro.sim.fastpath.LRU`, shared by all jobs
+  executed in one process (the serial runner and each pool worker get
+  one each) and bounded by
+  :data:`~repro.sim.fastpath.PROGRAM_CACHE_SIZE`, so a long-lived
+  process keeps the programs it used last, not every program it saw;
 - an optional on-disk pickle directory, shared *across* processes and
   sessions, so a parallel pool or a re-run of the same sweep still skips
   compilation.
 
 Values are opaque to the cache; the runner stores
 ``(setup, MachineProgram)`` pairs.  Disk entries are written atomically
-(tmp file + rename) and unreadable entries are treated as misses.
+(tmp file + rename) and unreadable entries are treated as misses.  The
+disk layer is unbounded: an evicted key comes back as a disk hit.
 
 Alongside the compiled entries lives a *verified registry*: for every
 cache key whose compile ran the design-rule checker, the fingerprint of
@@ -22,7 +26,10 @@ trusted path consults it to skip :meth:`Checker.check_program` on
 recompiles of already-vetted ``(program, machine)`` pairs — and because
 the registry records the expected *fingerprint*, a skipped check is still
 verified after the fact (a mismatch triggers a checked recompile rather
-than silent trust).
+than silent trust).  The registry's memory side is bounded like the
+compiled layer; an evicted mark is re-read from ``cache_dir/verified/``,
+or, without a disk layer, is simply gone — the next ``"auto"`` compile
+of that key runs the checker again.
 
 A third layer holds *execution plans*: the whole-program schedules the
 compiled engine (:mod:`repro.sim.progplan`) builds on top of a compiled
@@ -44,7 +51,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs import tracer as obs
-from repro.sim.fastpath import PLAN_CACHE
+from repro.sim.fastpath import LRU, PLAN_CACHE
 
 
 @dataclass
@@ -54,6 +61,7 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     disk_hits: int = 0  # subset of hits satisfied from the disk layer
+    evictions: int = 0  # compiled values the memory layer's bound dropped
     checks_skipped: int = 0  # compiles that rode the verified registry
     static_clean: int = 0  # compiles vetted by the static analyzer alone
 
@@ -66,6 +74,7 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "disk_hits": self.disk_hits,
+            "evictions": self.evictions,
             "checks_skipped": self.checks_skipped,
             "static_clean": self.static_clean,
         }
@@ -85,12 +94,16 @@ class ProgramCache:
     + params.  It is deliberately the same object the execution engine
     consults at run time — warming it through :meth:`warm_plan` is
     warming the engine.
+
+    The compiled values, the verified registry and the static verdicts
+    each live in an :class:`~repro.sim.fastpath.LRU` with the plan
+    cache's bound; the disk layer behind them is unbounded.
     """
 
     def __init__(self, disk_dir: Optional[str] = None) -> None:
-        self._mem: Dict[str, Any] = {}
-        self._verified: Dict[str, str] = {}
-        self._static: Dict[str, Dict[str, Any]] = {}
+        self._mem = LRU()
+        self._verified = LRU()
+        self._static = LRU()
         self.disk_dir = Path(disk_dir) if disk_dir else None
         if self.disk_dir is not None:
             self.disk_dir.mkdir(parents=True, exist_ok=True)
@@ -106,23 +119,26 @@ class ProgramCache:
         mirroring :attr:`stats` into per-extent telemetry.
         """
         with obs.span("compile"):
-            if key in self._mem:
+            value = self._mem.get(key)
+            if value is not None:
                 self.stats.hits += 1
                 obs.count("cache.hit")
-                return self._mem[key]
+                return value
             value = self._load_disk(key)
             if value is not None:
-                self._mem[key] = value
                 self.stats.hits += 1
                 self.stats.disk_hits += 1
                 obs.count("cache.hit")
                 obs.count("cache.disk_hit")
-                return value
-            value = compile_fn()
-            self.stats.misses += 1
-            obs.count("cache.miss")
-            self._mem[key] = value
-            self._store_disk(key, value)
+            else:
+                value = compile_fn()
+                self.stats.misses += 1
+                obs.count("cache.miss")
+                self._store_disk(key, value)
+            evicted = self._mem.put(key, value)
+            if evicted:
+                self.stats.evictions += evicted
+                obs.count("cache.evict", evicted)
             return value
 
     # ------------------------------------------------------------------
@@ -150,8 +166,9 @@ class ProgramCache:
     def verified_fingerprint(self, key: str) -> Optional[str]:
         """Fingerprint recorded by a checker-validated compile of ``key``,
         or None if this ``(program, machine)`` pair was never vetted."""
-        if key in self._verified:
-            return self._verified[key]
+        fingerprint = self._verified.get(key)
+        if fingerprint is not None:
+            return fingerprint
         path = self._verified_path(key)
         if path is None or not path.exists():
             return None
@@ -160,14 +177,14 @@ class ProgramCache:
         except OSError:
             return None
         if fingerprint:
-            self._verified[key] = fingerprint
+            self._verified.put(key, fingerprint)
             return fingerprint
         return None
 
     def mark_verified(self, key: str, fingerprint: str) -> None:
         """Record that ``key``'s program checked clean and compiled to
         ``fingerprint`` (persisted when a disk layer is configured)."""
-        self._verified[key] = fingerprint
+        self._verified.put(key, fingerprint)
         path = self._verified_path(key)
         if path is None:
             return
@@ -208,7 +225,7 @@ class ProgramCache:
         was — or was not — statically trusted without re-analyzing.
         """
         payload = verdict.to_dict()
-        self._static[key] = payload
+        self._static.put(key, payload)
         path = self._static_path(key)
         if path is None:
             return
@@ -223,8 +240,9 @@ class ProgramCache:
 
     def static_verdict(self, key: str) -> Optional[Dict[str, Any]]:
         """The recorded verdict dict for ``key``, or None."""
-        if key in self._static:
-            return self._static[key]
+        payload = self._static.get(key)
+        if payload is not None:
+            return payload
         path = self._static_path(key)
         if path is None or not path.exists():
             return None
@@ -233,7 +251,7 @@ class ProgramCache:
                 payload = json.load(fh)
         except (OSError, ValueError):
             return None
-        self._static[key] = payload
+        self._static.put(key, payload)
         return payload
 
     def _static_path(self, key: str) -> Optional[Path]:
@@ -250,6 +268,11 @@ class ProgramCache:
 
     def __len__(self) -> int:
         return len(self._mem)
+
+    def entries(self) -> Dict[str, int]:
+        """Entries held in memory per layer (the ``/stats`` gauges)."""
+        return {"compiled": len(self._mem), "verified": len(self._verified),
+                "static": len(self._static)}
 
     def clear(self) -> None:
         """Drop the in-memory compiled layer.  Disk entries and the

@@ -14,9 +14,10 @@ node streams.  This module holds the per-image layer of the fast backend:
 - the process-wide :data:`PLAN_CACHE`, which holds the whole-program
   plans of :mod:`repro.sim.progplan` keyed per program, so plans survive
   across machines, params sets, and batch-service jobs within one
-  process.  Per-image plans have no keyed layer: a program plan compiles
-  each of its images once, and :func:`plan_for` keeps the last plan on
-  the image itself.
+  process (an :class:`LRU` of :data:`PROGRAM_CACHE_SIZE` entries, the
+  bound every in-process program cache shares).  Per-image plans have
+  no keyed layer: a program plan compiles each of its images once, and
+  :func:`plan_for` keeps the last plan on the image itself.
 
 The whole-program layer — fusing the sequencer's control script into
 the schedule that :mod:`repro.sim.batchplan` runs over one machine, a
@@ -258,24 +259,79 @@ def _build_plan(image: PipelineImage, params: Any) -> _FastPlan:
 
 
 # ----------------------------------------------------------------------
-# the keyed plan cache (repro.sim.progplan's program plans)
+# the bounded in-process caches (plans here, compiled programs and their
+# registries in repro.service.cache)
 # ----------------------------------------------------------------------
+#: Entries each in-process program-cache layer keeps: :data:`PLAN_CACHE`
+#: and the memory layers of :class:`repro.service.cache.ProgramCache`.
+#: One bound for all of them, so a program that has fallen out of one
+#: layer has, under the same access order, fallen out of the others.
+#: Caches built with ``maxsize=None`` read it on every insert.
+PROGRAM_CACHE_SIZE = 256
+
+
+class LRU:
+    """A bounded mapping that evicts its least recently used key.
+
+    :meth:`get` refreshes a key's recency; :meth:`put` stores a key as
+    the most recent and returns how many keys it pushed out.  ``in`` and
+    ``len`` leave the order alone.  ``maxsize=None`` follows
+    :data:`PROGRAM_CACHE_SIZE`.  Values are never None: :meth:`get`
+    answers None for a missing key.
+    """
+
+    def __init__(self, maxsize: Optional[int] = None) -> None:
+        self.maxsize = maxsize
+        self._data: "OrderedDict[Any, Any]" = OrderedDict()
+
+    @property
+    def bound(self) -> int:
+        return PROGRAM_CACHE_SIZE if self.maxsize is None else self.maxsize
+
+    def get(self, key: Any) -> Any:
+        value = self._data.get(key)
+        if value is not None:
+            self._data.move_to_end(key)
+        return value
+
+    def put(self, key: Any, value: Any) -> int:
+        data = self._data
+        data[key] = value
+        data.move_to_end(key)
+        bound = self.bound
+        evicted = 0
+        while len(data) > bound:
+            data.popitem(last=False)
+            evicted += 1
+        return evicted
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __contains__(self, key: Any) -> bool:
+        return key in self._data
+
+    def clear(self) -> None:
+        self._data.clear()
+
+
 @dataclass
 class PlanCacheStats:
-    """Hit/miss accounting for compiled-plan lookups."""
+    """Hit/miss/eviction accounting for compiled-plan lookups."""
 
     hits: int = 0
     misses: int = 0
+    evictions: int = 0
 
     @property
     def lookups(self) -> int:
         return self.hits + self.misses
 
     def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
+        return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
 
 
-class PlanCache:
+class PlanCache(LRU):
     """LRU cache for compiled execution plans, keyed by content.
 
     Keys are ``("program", digest, params, keep_outputs)`` tuples, the
@@ -285,32 +341,22 @@ class PlanCache:
     single stashed slot.
     """
 
-    def __init__(self, maxsize: int = 256) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
+    def __init__(self, maxsize: Optional[int] = None) -> None:
+        super().__init__(maxsize)
         self.stats = PlanCacheStats()
 
     def get_or_build(self, key: Any, build: Callable[[], Any]) -> Any:
-        entry = self._entries.get(key)
+        entry = self.get(key)
         if entry is not None:
-            self._entries.move_to_end(key)
             self.stats.hits += 1
             return entry
         value = build()
         self.stats.misses += 1
-        self._entries[key] = value
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        self.stats.evictions += self.put(key, value)
         return value
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._entries
-
     def clear(self) -> None:
-        self._entries.clear()
+        super().clear()
         self.stats = PlanCacheStats()
 
 
@@ -446,6 +492,8 @@ __all__ = [
     "validate_backend",
     "shift_last",
     "plan_for",
+    "LRU",
+    "PROGRAM_CACHE_SIZE",
     "PlanCache",
     "PlanCacheStats",
     "PLAN_CACHE",

@@ -30,9 +30,16 @@ class TestHealthAndStats:
 
     def test_stats_shape(self, client):
         stats = client.stats()
-        for key in ("uptime_s", "submissions", "jobs", "cache",
-                    "plan_cache", "counters", "events", "rate_limiter"):
+        for key in ("uptime_s", "peak_rss_mb", "submissions", "jobs",
+                    "cache", "plan_cache", "counters", "events",
+                    "rate_limiter"):
             assert key in stats, key
+        assert stats["peak_rss_mb"] > 0
+        assert set(stats["cache"]["entries"]) == {"compiled", "verified",
+                                                  "static"}
+        assert stats["cache"]["evictions"] == 0
+        for key in ("entries", "hits", "misses", "evictions"):
+            assert key in stats["plan_cache"], key
         assert stats["submissions"]["total"] == 0
         assert stats["jobs"] == {"executed": 0, "ok": 0, "failed": 0}
 

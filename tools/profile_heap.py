@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""How a long-lived service's heap and collector cost grow with programs seen.
+
+Runs N never-seen registry programs (solver x n = 5..9 x one of 400
+tolerances, the shape of the benchmark's cold pool) through one serial
+``BatchRunner`` and one ``ProgramCache``, one job per ``run`` call, as a
+daemon or a batch loop would over its lifetime.  Reports:
+
+- the number and total time of generation-2 (full) collections during
+  the run, measured with ``gc.callbacks``;
+- GC-tracked objects before and after the run, and the time of one full
+  ``gc.collect()`` at the end;
+- the entries and evictions of the program cache and the plan cache,
+  and the process's peak RSS.
+
+First-use imports and machine tables are warmed on n = 4 programs the
+sample never contains.
+
+Usage::
+
+    python tools/profile_heap.py [-n 3000] [--seed 0] [--json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import random
+import resource
+import sys
+import time
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.compose.registry import SOLVERS  # noqa: E402
+from repro.service.cache import ProgramCache  # noqa: E402
+from repro.service.jobs import SimJob  # noqa: E402
+from repro.service.runner import BatchRunner  # noqa: E402
+from repro.sim.fastpath import PLAN_CACHE  # noqa: E402
+
+SIZES = (5, 6, 7, 8, 9)
+EPS_GRID = tuple(10 ** (-2.0 - 2.0 * k / 399) for k in range(400))
+
+
+def sample(n: int, seed: int) -> List[Tuple[str, int, float]]:
+    pool = [(m, size, eps) for m in SOLVERS for size in SIZES for eps in EPS_GRID]
+    return random.Random(seed).sample(pool, n)
+
+
+def _job(method: str, size: int, eps: float) -> SimJob:
+    return SimJob(
+        method=method,
+        shape=(size, size, size),
+        eps=eps,
+        max_sweeps=2000,
+        backend="fast",
+    )
+
+
+class _FullCollections:
+    """Counts and times generation-2 collections through ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, Any]) -> None:
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.count += 1
+            self.seconds += time.perf_counter() - self._start
+
+
+def profile(n: int, seed: int) -> Dict[str, Any]:
+    cache = ProgramCache()
+    for method in SOLVERS:
+        BatchRunner(workers=1, cache=cache).run([_job(method, 4, 1e-3)])
+    gc.collect()
+    objects_before = len(gc.get_objects())
+    full = _FullCollections()
+    failed = 0
+    gc.callbacks.append(full)
+    try:
+        t0 = time.perf_counter()
+        for program in sample(n, seed):
+            _, summary = BatchRunner(workers=1, cache=cache).run([_job(*program)])
+            failed += summary.failed
+        wall = time.perf_counter() - t0
+    finally:
+        gc.callbacks.remove(full)
+    objects_after = len(gc.get_objects())
+    t0 = time.perf_counter()
+    gc.collect()
+    collect_ms = (time.perf_counter() - t0) * 1e3
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # Linux: kB
+    return {
+        "programs": n,
+        "seed": seed,
+        "failed": failed,
+        "wall_s": round(wall, 3),
+        "gen2_collections": full.count,
+        "gen2_s": round(full.seconds, 3),
+        "objects_before": objects_before,
+        "objects_after": objects_after,
+        "full_collect_ms": round(collect_ms, 1),
+        "cache": {"entries": cache.entries(), **cache.stats.as_dict()},
+        "plan_cache": {"entries": len(PLAN_CACHE), **PLAN_CACHE.stats.as_dict()},
+        "peak_rss_mb": round(peak_kb / 1024.0, 1),
+    }
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "-n", type=int, default=3000, help="programs to run (default 3000)"
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--json", action="store_true", help="print one JSON object, not lines"
+    )
+    args = parser.parse_args(argv)
+    if not 1 <= args.n <= len(SOLVERS) * len(SIZES) * len(EPS_GRID):
+        parser.error("-n must be between 1 and the pool size")
+    report = profile(args.n, args.seed)
+    if args.json:
+        print(json.dumps(report, sort_keys=True))
+    else:
+        print(f"profile_heap: {args.n} programs (seed {args.seed})")
+        for key, value in report.items():
+            print(f"  {key:<17} {value}")
+    return 1 if report["failed"] else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
