@@ -24,16 +24,13 @@ The package implements the full system the paper describes:
   mapper and builders for the paper's point-Jacobi example.
 - :mod:`repro.apps` — reference NumPy applications (3-D Poisson) used to
   validate simulated results.
+
+Every package exports its names lazily (:mod:`repro._lazy`): importing
+``repro`` or a subpackage loads a submodule only when one of its names is
+first read.
 """
 
-from repro.arch.params import NSCParameters
-from repro.arch.node import NodeConfig
-from repro.diagram.pipeline import PipelineDiagram
-from repro.diagram.program import VisualProgram
-from repro.checker.checker import Checker
-from repro.codegen.generator import MicrocodeGenerator
-from repro.sim.machine import NSCMachine
-from repro.editor.session import EditorSession
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -48,3 +45,17 @@ __all__ = [
     "EditorSession",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "arch.params": ("NSCParameters",),
+        "arch.node": ("NodeConfig",),
+        "diagram.pipeline": ("PipelineDiagram",),
+        "diagram.program": ("VisualProgram",),
+        "checker.checker": ("Checker",),
+        "codegen.generator": ("MicrocodeGenerator",),
+        "sim.machine": ("NSCMachine",),
+        "editor.session": ("EditorSession",),
+    },
+)

@@ -23,24 +23,29 @@ package proves them:
 ``docs/ANALYSIS.md`` is the catalogue; ``nsc-vpe analyze`` is the CLI.
 """
 
-from repro.analysis.engine import analyze_program
-from repro.analysis.plansafety import (
-    PROP_A,
-    PROP_BOTH,
-    PROP_FEEDBACK,
-    REDUCIBLE_OPS,
-    ScreenReport,
-    fusion_eligibility,
-    screen_coverage,
-)
-from repro.analysis.sites import SiteKey, Span
-from repro.analysis.verdict import (
-    SEVERITIES,
-    AnalysisVerdict,
-    Finding,
-    FindingCollector,
-    severity_rank,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.engine import analyze_program
+    from repro.analysis.plansafety import (
+        PROP_A,
+        PROP_BOTH,
+        PROP_FEEDBACK,
+        REDUCIBLE_OPS,
+        ScreenReport,
+        fusion_eligibility,
+        screen_coverage,
+    )
+    from repro.analysis.sites import SiteKey, Span
+    from repro.analysis.verdict import (
+        SEVERITIES,
+        AnalysisVerdict,
+        Finding,
+        FindingCollector,
+        severity_rank,
+    )
 
 __all__ = [
     "analyze_program",
@@ -59,3 +64,27 @@ __all__ = [
     "screen_coverage",
     "fusion_eligibility",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": ("analyze_program",),
+        "verdict": (
+            "AnalysisVerdict",
+            "Finding",
+            "FindingCollector",
+            "SEVERITIES",
+            "severity_rank",
+        ),
+        "sites": ("Span", "SiteKey"),
+        "plansafety": (
+            "PROP_BOTH",
+            "PROP_A",
+            "PROP_FEEDBACK",
+            "REDUCIBLE_OPS",
+            "ScreenReport",
+            "screen_coverage",
+            "fusion_eligibility",
+        ),
+    },
+)

@@ -7,10 +7,7 @@ is described here, in a parameterized form so that architectural subsets
 swapping parameter sets rather than code.
 """
 
-from repro.arch.params import NSCParameters, SUBSET_PARAMS
-from repro.arch.funcunit import FUCapability, Opcode, OpInfo, OPCODES
-from repro.arch.als import ALSKind, ALSClass, ALSInstance, FUSlot
-from repro.arch.node import NodeConfig
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NSCParameters",
@@ -25,3 +22,13 @@ __all__ = [
     "FUSlot",
     "NodeConfig",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "params": ("NSCParameters", "SUBSET_PARAMS"),
+        "funcunit": ("FUCapability", "Opcode", "OpInfo", "OPCODES"),
+        "als": ("ALSKind", "ALSClass", "ALSInstance", "FUSlot"),
+        "node": ("NodeConfig",),
+    },
+)

@@ -9,10 +9,7 @@ detected) and again by the microcode generator for "a thorough check of
 global constraints".
 """
 
-from repro.checker.diagnostics import Diagnostic, Severity, CheckReport
-from repro.checker.knowledge import MachineKnowledge
-from repro.checker.checker import Checker
-from repro.checker.rules import ALL_RULES, Rule
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Diagnostic",
@@ -23,3 +20,13 @@ __all__ = [
     "Rule",
     "ALL_RULES",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "diagnostics": ("Diagnostic", "Severity", "CheckReport"),
+        "knowledge": ("MachineKnowledge",),
+        "checker": ("Checker",),
+        "rules": ("ALL_RULES", "Rule"),
+    },
+)

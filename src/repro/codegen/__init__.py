@@ -14,16 +14,7 @@ table, and emits both executable pipeline images (for the simulator) and
 bit-exact microwords (for the size/effort claims).
 """
 
-from repro.codegen.microword import MicrowordLayout, Microword
-from repro.codegen.timing import TimingPlan, balance_pipeline, TimingError
-from repro.codegen.generator import (
-    MicrocodeGenerator,
-    CodegenError,
-    MachineProgram,
-    PipelineImage,
-    ResolvedInput,
-)
-from repro.codegen.asmtext import disassemble_program, assembly_token_count
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MicrowordLayout",
@@ -39,3 +30,19 @@ __all__ = [
     "disassemble_program",
     "assembly_token_count",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "microword": ("MicrowordLayout", "Microword"),
+        "timing": ("TimingPlan", "balance_pipeline", "TimingError"),
+        "generator": (
+            "MicrocodeGenerator",
+            "CodegenError",
+            "MachineProgram",
+            "PipelineImage",
+            "ResolvedInput",
+        ),
+        "asmtext": ("disassemble_program", "assembly_token_count"),
+    },
+)

@@ -8,32 +8,7 @@ programmatically, an expression-graph mapper, and the complete point-Jacobi
 program of the paper's running example (Eq. 1 / Figs. 2 and 11).
 """
 
-from repro.compose.builders import (
-    PipelineBuilder,
-    BuilderError,
-    ConstOperand,
-    FeedbackOperand,
-)
-from repro.compose.exprmap import Expr, Var, Const, BinOp, UnOp, map_expression
-from repro.compose.jacobi import (
-    JacobiSetup,
-    build_jacobi_program,
-    jacobi_grid_index,
-)
-from repro.compose.iterative import (
-    RBSORSetup,
-    build_rbsor_program,
-    load_rbsor_inputs,
-)
-from repro.compose.registry import SOLVERS, SolverEntry
-from repro.compose.kernels import (
-    KernelSetup,
-    build_chain_program,
-    build_heat1d_program,
-    build_saxpy_program,
-    build_stream_max_program,
-    build_wide_program,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PipelineBuilder",
@@ -61,3 +36,27 @@ __all__ = [
     "build_stream_max_program",
     "build_wide_program",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "builders": (
+            "PipelineBuilder",
+            "BuilderError",
+            "ConstOperand",
+            "FeedbackOperand",
+        ),
+        "exprmap": ("Expr", "Var", "Const", "BinOp", "UnOp", "map_expression"),
+        "jacobi": ("JacobiSetup", "build_jacobi_program", "jacobi_grid_index"),
+        "iterative": ("RBSORSetup", "build_rbsor_program", "load_rbsor_inputs"),
+        "registry": ("SOLVERS", "SolverEntry"),
+        "kernels": (
+            "KernelSetup",
+            "build_chain_program",
+            "build_heat1d_program",
+            "build_saxpy_program",
+            "build_stream_max_program",
+            "build_wide_program",
+        ),
+    },
+)

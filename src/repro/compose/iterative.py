@@ -47,9 +47,13 @@ from repro.diagram.program import (
 
 @dataclass(frozen=True)
 class RBSORSetup:
-    """Host handle for a red-black SOR program."""
+    """Host handle for a red-black SOR program.
 
-    program: VisualProgram
+    ``program`` is ``None`` in a program cache's copy, as for
+    :class:`~repro.compose.jacobi.JacobiSetup`.
+    """
+
+    program: Optional[VisualProgram]
     shape: Tuple[int, int, int]
     h: float
     eps: float

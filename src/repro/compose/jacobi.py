@@ -46,9 +46,14 @@ from repro.diagram.program import (
 
 @dataclass(frozen=True)
 class JacobiSetup:
-    """Everything a host needs to load and run the Jacobi program."""
+    """Everything a host needs to load and run the Jacobi program.
 
-    program: VisualProgram
+    ``program`` is the source diagram.  It is ``None`` in a setup that a
+    program cache keeps next to the generated code: loading inputs and
+    running read only the other fields.
+    """
+
+    program: Optional[VisualProgram]
     shape: Tuple[int, int, int]
     h: float
     eps: float

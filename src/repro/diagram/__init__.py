@@ -9,31 +9,7 @@ with declarations and control flow.  The display half lives in
 :mod:`repro.editor`.
 """
 
-from repro.diagram.pipeline import (
-    PipelineDiagram,
-    FUOpAssignment,
-    InputMod,
-    InputModKind,
-    ConditionSpec,
-)
-from repro.diagram.program import (
-    VisualProgram,
-    Declaration,
-    ExecPipeline,
-    LoopUntil,
-    Repeat,
-    SwapVars,
-    CacheSwap,
-    Halt,
-)
-from repro.diagram.icons import (
-    Icon,
-    ALSIcon,
-    MemoryPlaneIcon,
-    CacheIcon,
-    ShiftDelayIcon,
-    icon_for_endpoint_device,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PipelineDiagram",
@@ -56,3 +32,34 @@ __all__ = [
     "ShiftDelayIcon",
     "icon_for_endpoint_device",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "pipeline": (
+            "PipelineDiagram",
+            "FUOpAssignment",
+            "InputMod",
+            "InputModKind",
+            "ConditionSpec",
+        ),
+        "program": (
+            "VisualProgram",
+            "Declaration",
+            "ExecPipeline",
+            "LoopUntil",
+            "Repeat",
+            "SwapVars",
+            "CacheSwap",
+            "Halt",
+        ),
+        "icons": (
+            "Icon",
+            "ALSIcon",
+            "MemoryPlaneIcon",
+            "CacheIcon",
+            "ShiftDelayIcon",
+            "icon_for_endpoint_device",
+        ),
+    },
+)

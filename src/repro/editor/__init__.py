@@ -10,19 +10,7 @@ renderers.  Every interaction step in Figs. 5-11 has a corresponding
 :class:`EditorSession` call, and every screenshot figure has a renderer.
 """
 
-from repro.editor.session import EditorSession, EditorError
-from repro.editor.canvas import Canvas, IconPlacement
-from repro.editor.commands import CommandStack, Command
-from repro.editor.menus import PopupMenu, MenuEntry, DMASubwindow
-from repro.editor.render_ascii import (
-    render_datapath,
-    render_icon_catalog,
-    render_pipeline_diagram,
-    render_window,
-    render_execution,
-)
-from repro.editor.render_svg import render_pipeline_svg
-from repro.editor.replay import replay_pipeline, replay_program, action_cost
+from repro._lazy import lazy_exports
 
 __all__ = [
     "replay_pipeline",
@@ -44,3 +32,22 @@ __all__ = [
     "render_execution",
     "render_pipeline_svg",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "session": ("EditorSession", "EditorError"),
+        "canvas": ("Canvas", "IconPlacement"),
+        "commands": ("CommandStack", "Command"),
+        "menus": ("PopupMenu", "MenuEntry", "DMASubwindow"),
+        "render_ascii": (
+            "render_datapath",
+            "render_icon_catalog",
+            "render_pipeline_diagram",
+            "render_window",
+            "render_execution",
+        ),
+        "render_svg": ("render_pipeline_svg",),
+        "replay": ("replay_pipeline", "replay_program", "action_cost"),
+    },
+)

@@ -23,13 +23,7 @@ invocation.  The layering, bottom up:
 ``docs/OBSERVABILITY.md`` covers correlation ids and the event stream.
 """
 
-from repro.server.app import ServerHandle, ServiceApp, serve_forever, start_in_thread
-from repro.server.client import ServerError, ServiceClient
-from repro.server.correlation import HEADER as CORRELATION_HEADER
-from repro.server.events import EventBuffer
-from repro.server.history import HistoryQueryError, RunHistory
-from repro.server.rate_limiter import RateLimiter, TokenBucket
-from repro.server.service import SimService, Submission, SubmissionError
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CORRELATION_HEADER",
@@ -48,3 +42,16 @@ __all__ = [
     "serve_forever",
     "start_in_thread",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "app": ("ServerHandle", "ServiceApp", "serve_forever", "start_in_thread"),
+        "client": ("ServerError", "ServiceClient"),
+        "correlation": ("HEADER as CORRELATION_HEADER",),
+        "events": ("EventBuffer",),
+        "history": ("HistoryQueryError", "RunHistory"),
+        "rate_limiter": ("RateLimiter", "TokenBucket"),
+        "service": ("SimService", "Submission", "SubmissionError"),
+    },
+)

@@ -21,8 +21,11 @@ simulated node; this package treats simulations as cacheable, schedulable
   failure classification;
 - :mod:`repro.service.faults`  — deterministic fault injection for chaos
   tests (:class:`FaultPlan`, the ``NSC_VPE_FAULTS`` env hook);
-- :mod:`repro.service.runner`  — the orchestrator wiring it together
-  (imported lazily to keep spec-only users light).
+- :mod:`repro.service.runner`  — the orchestrator wiring it together.
+
+Like every ``repro`` package, this one imports a submodule only when one
+of its names is first read (:mod:`repro._lazy`), so a serial job loads
+neither the shm nor the sweep module.
 
 The ``nsc-vpe batch`` and ``nsc-vpe sweep`` CLI subcommands are the
 front door; ``docs/SERVICE.md`` is the cookbook (batch and sweep recipes,
@@ -30,14 +33,7 @@ the shared-memory transport, and the ``run_checker`` trusted path) and
 ``docs/ARCHITECTURE.md`` places this package in the system.
 """
 
-from repro.service.cache import CacheStats, ProgramCache
-from repro.service.faults import FaultInjected, FaultPlan, FaultRule
-from repro.service.jobs import CHECKER_MODES, JobSpecError, SimJob
-from repro.service.pool import WorkerOutcome, WorkerPool
-from repro.service.results import ResultStore
-from repro.service.retry import RetryPolicy
-from repro.service.shm import ShmArena, ShmArrayRef, ShmAttachError
-from repro.service.sweep import SweepSpec
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CacheStats",
@@ -63,11 +59,23 @@ __all__ = [
     "execute_job_shm",
 ]
 
-
-def __getattr__(name):  # lazy: runner pulls in the whole toolchain
-    if name in ("BatchRunner", "BatchSummary", "TRANSPORTS",
-                "execute_job", "execute_job_shm"):
-        from repro.service import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("CacheStats", "ProgramCache"),
+        "jobs": ("CHECKER_MODES", "JobSpecError", "SimJob"),
+        "pool": ("WorkerOutcome", "WorkerPool"),
+        "results": ("ResultStore",),
+        "retry": ("RetryPolicy",),
+        "faults": ("FaultInjected", "FaultPlan", "FaultRule"),
+        "shm": ("ShmArena", "ShmArrayRef", "ShmAttachError"),
+        "sweep": ("SweepSpec",),
+        "runner": (
+            "BatchRunner",
+            "BatchSummary",
+            "TRANSPORTS",
+            "execute_job",
+            "execute_job_shm",
+        ),
+    },
+)

@@ -22,14 +22,19 @@ shared memory instead (see :mod:`repro.service.runner`).
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 import traceback
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.obs import tracer as obs
+
+# concurrent.futures (and with it multiprocessing) is imported by the
+# parallel branches themselves, so a serial batch never loads it
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 
 @dataclass
@@ -167,23 +172,28 @@ class WorkerPool:
                 for index, item in enumerate(items)]
 
     @staticmethod
-    def _lost_to_break(future: "concurrent.futures.Future") -> bool:
+    def _lost_to_break(future: "Future") -> bool:
         """Did this future lose its result to the pool break?  Futures
         that completed (value or an ordinary job exception) before the
         crash keep what they have and are not resubmitted."""
+        from concurrent.futures.process import BrokenProcessPool
+
         if not future.done() or future.cancelled():
             return True
         return isinstance(future.exception(), BrokenProcessPool)
 
     def _map_parallel(self, fn: Callable[[Any], Any],
                       items: Sequence[Any]) -> List[WorkerOutcome]:
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
         if self.timeout is None:
             return self._map_chunked(fn, items)
         workers = min(self.max_workers, len(items))
         outcomes: Dict[int, WorkerOutcome] = {}
         executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         timed_out = False
-        futures: Dict[int, "concurrent.futures.Future"] = {}
+        futures: Dict[int, "Future"] = {}
         try:
             start = time.perf_counter()
             futures = {
@@ -252,6 +262,9 @@ class WorkerPool:
 
     def _map_chunked(self, fn: Callable[[Any], Any],
                      items: Sequence[Any]) -> List[WorkerOutcome]:
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
         workers = min(self.max_workers, len(items))
         max_futures = workers * self.CHUNKS_PER_WORKER
         chunk_size = -(-len(items) // max_futures)  # ceil division

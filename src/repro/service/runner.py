@@ -50,7 +50,7 @@ import contextlib
 import functools
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -337,11 +337,19 @@ def _initial_grid(job: SimJob) -> np.ndarray:
 
 
 def _compile_single(job: SimJob, node, check: bool) -> Tuple[Any, Any]:
+    """``(setup, machine program)`` for a single-node job.
+
+    The setup comes back without its source diagram: nothing on the run
+    path reads ``setup.program`` after code generation, and a program
+    cache entry would otherwise spend about half its GC-tracked objects
+    on it.
+    """
     from repro.codegen.generator import MicrocodeGenerator
     from repro.compose.registry import SOLVERS
-    from repro.diagram import serialize
 
     if job.method == "program":  # saved visual program
+        from repro.diagram import serialize
+
         setup = None
         program = serialize.load(job.program_path)
     else:
@@ -350,6 +358,7 @@ def _compile_single(job: SimJob, node, check: bool) -> Tuple[Any, Any]:
             max_iterations=job.max_sweeps, omega=job.omega,
         )
         program = setup.program
+        setup = replace(setup, program=None)
     generator = MicrocodeGenerator(node, run_checker=check)
     return setup, generator.generate(program)
 
@@ -438,7 +447,8 @@ def _compile_multinode(
         node_cfg, local_shape, eps=job.eps, loop=False
     )
     generator = MicrocodeGenerator(node_cfg, run_checker=check)
-    return setup, generator.generate(setup.program)
+    # diagram dropped as in _compile_single
+    return replace(setup, program=None), generator.generate(setup.program)
 
 
 def _run_multinode(
@@ -1001,12 +1011,14 @@ class BatchRunner:
         streams to ``on_record`` the moment it exists, so checkpoints
         land per job.
         """
-        from repro.service.slab import execute_slab, slab_groups
-
         assert self.cache is not None
         done = [False] * len(jobs)
         declined: Dict[int, str] = {}
-        groups = slab_groups(jobs) if self.batch_fusion == "auto" else []
+        groups: List[List[int]] = []
+        if self.batch_fusion == "auto":
+            from repro.service.slab import execute_slab, slab_groups
+
+            groups = slab_groups(jobs)
         for idxs in groups:
             members = []
             for i in idxs:

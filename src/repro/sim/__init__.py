@@ -10,12 +10,7 @@ interrupts, and metrics report achieved MFLOPS against the 640 MFLOPS/node
 peak.  A hypercube layer reproduces the 64-node system claim.
 """
 
-from repro.sim.machine import NSCMachine
-from repro.sim.metrics import RunMetrics
-from repro.sim.sequencer import SequencerResult
-from repro.sim.pipeline_exec import PipelineResult, execute_image
-from repro.sim.fastpath import BACKENDS, validate_backend
-from repro.sim.multinode import MultiNodeStencil, MultiNodeResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NSCMachine",
@@ -28,3 +23,15 @@ __all__ = [
     "MultiNodeStencil",
     "MultiNodeResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "machine": ("NSCMachine",),
+        "metrics": ("RunMetrics",),
+        "sequencer": ("SequencerResult",),
+        "pipeline_exec": ("PipelineResult", "execute_image"),
+        "fastpath": ("BACKENDS", "validate_backend"),
+        "multinode": ("MultiNodeStencil", "MultiNodeResult"),
+    },
+)

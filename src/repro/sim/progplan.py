@@ -68,6 +68,7 @@ import hashlib
 import math
 import operator
 import pickle
+import struct
 import sys
 from dataclasses import dataclass
 from math import isfinite as _isfinite
@@ -930,7 +931,7 @@ class BoundImage:
         for step in kernel.steps:
             if step[0] == _M_ACCUM:
                 self._seeded[step[5]] = aligned_empty(batch_shape + (n + 1,))
-        self._consts: Dict[float, np.ndarray] = {}
+        self._consts: Dict[bytes, np.ndarray] = {}
         self._streams: List[np.ndarray] = []
         self._write_views: List[np.ndarray] = []
         self._runner: Any = None
@@ -959,11 +960,14 @@ class BoundImage:
 
     # ------------------------------------------------------------------
     def _const_array(self, value: float) -> np.ndarray:
-        arr = self._consts.get(value)
+        # keyed by bit pattern: 0.0 and -0.0 compare (and hash) equal,
+        # so a float key would hand both zeros one row
+        key = struct.pack("<d", value)
+        arr = self._consts.get(key)
         if arr is None:
             arr = aligned_empty(self.batch_shape + (self.kernel.n,))
             arr.fill(value)
-            self._consts[value] = arr
+            self._consts[key] = arr
         return arr
 
     def _row(self, fu: int) -> np.ndarray:

@@ -119,7 +119,9 @@ def single_image_programs(draw):
                 elif second == "other" and choices:
                     pick = draw(st.sampled_from(choices))
                 else:
-                    pick = ConstOperand(draw(st.sampled_from((0.25, -3.0))))
+                    pick = ConstOperand(
+                        draw(st.sampled_from((0.25, -3.0, 0.0, -0.0)))
+                    )
                 ref = b.apply(opcode, a, pick)
                 operands = [a] + ([] if isinstance(pick, ConstOperand)
                                   else [pick])

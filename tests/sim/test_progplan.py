@@ -11,7 +11,7 @@ import pytest
 
 from repro.arch.funcunit import Opcode
 from repro.codegen.generator import MicrocodeGenerator
-from repro.compose.builders import PipelineBuilder
+from repro.compose.builders import ConstOperand, PipelineBuilder
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
 from repro.diagram.program import (
     CacheSwap,
@@ -673,6 +673,45 @@ class TestReversedCacheStreams:
         np.testing.assert_array_equal(
             runs[0][0].caches[3].front, runs[1][0].caches[3].front
         )
+
+class TestSignedZeroConstants:
+    """``0.0`` and ``-0.0`` constants in one image bind separate rows:
+    they compare equal, so a value-keyed row cache once handed both the
+    first zero's row and ``x * -0.0`` came out with the wrong signs."""
+
+    def test_reference_matches_fused(self, node):
+        n = 6
+        prog = VisualProgram(name="signed-zero")
+        for plane, name in enumerate(("x", "r", "s")):
+            prog.declare(name, plane=plane, length=n)
+        b = PipelineBuilder(node, prog, vector_length=n)
+        x = b.read_var("x")
+        for name, zero in (("r", 0.0), ("s", -0.0)):
+            product = b.apply(Opcode.FMUL, x, ConstOperand(zero))
+            b.write_var(b.apply(Opcode.PASS, product), name)
+        b.build()
+        prog.add_control(ExecPipeline(0))
+        prog.add_control(Halt())
+        program = MicrocodeGenerator(node).generate(prog)
+        x_values = np.array([1.0, -2.0, 3.0, -4.0, 5.0, -6.0])
+
+        def loaded(backend):
+            machine = NSCMachine(node, backend=backend)
+            machine.load_program(program)
+            machine.set_variable("x", x_values)
+            return machine
+
+        ref = loaded("reference")
+        ref_result = ref.run()
+        fused = loaded("fast")
+        fused_result = progplan.try_run_fused(fused, program, 100)
+        assert fused_result is not None
+        _assert_runs_identical((ref, ref_result), (fused, fused_result))
+        for name, zero in (("r", 0.0), ("s", -0.0)):
+            want = x_values * zero
+            assert ref.get_variable(name).tobytes() == want.tobytes()
+            assert fused.get_variable(name).tobytes() == want.tobytes()
+
 
 class TestSlabOfOne:
     """A single machine runs as a slab of one through the one fused

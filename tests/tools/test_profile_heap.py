@@ -23,4 +23,5 @@ def test_profile_heap_reports_a_bounded_cache(capsys, monkeypatch):
     assert report["cache"]["evictions"] == 4
     assert report["plan_cache"]["entries"] == 2
     assert report["gen2_collections"] >= 0
+    assert report["gc_s"] >= report["gen2_s"] >= 0.0
     assert report["objects_after"] > 0

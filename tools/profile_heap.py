@@ -7,7 +7,8 @@ tolerances, the shape of the benchmark's cold pool) through one serial
 daemon or a batch loop would over its lifetime.  Reports:
 
 - the number and total time of generation-2 (full) collections during
-  the run, measured with ``gc.callbacks``;
+  the run, and the time of all collections, measured with
+  ``gc.callbacks``;
 - GC-tracked objects before and after the run, and the time of one full
   ``gc.collect()`` at the end;
 - the entries and evictions of the program cache and the plan cache,
@@ -61,22 +62,25 @@ def _job(method: str, size: int, eps: float) -> SimJob:
     )
 
 
-class _FullCollections:
-    """Counts and times generation-2 collections through ``gc.callbacks``."""
+class _Collections:
+    """Times collections through ``gc.callbacks``: all of them, and the
+    generation-2 (full) ones on their own."""
 
     def __init__(self) -> None:
         self.count = 0
         self.seconds = 0.0
+        self.all_seconds = 0.0
         self._start = 0.0
 
     def __call__(self, phase: str, info: Dict[str, Any]) -> None:
-        if info["generation"] != 2:
-            return
         if phase == "start":
             self._start = time.perf_counter()
-        else:
+            return
+        elapsed = time.perf_counter() - self._start
+        self.all_seconds += elapsed
+        if info["generation"] == 2:
             self.count += 1
-            self.seconds += time.perf_counter() - self._start
+            self.seconds += elapsed
 
 
 def profile(n: int, seed: int) -> Dict[str, Any]:
@@ -85,9 +89,9 @@ def profile(n: int, seed: int) -> Dict[str, Any]:
         BatchRunner(workers=1, cache=cache).run([_job(method, 4, 1e-3)])
     gc.collect()
     objects_before = len(gc.get_objects())
-    full = _FullCollections()
+    timer = _Collections()
     failed = 0
-    gc.callbacks.append(full)
+    gc.callbacks.append(timer)
     try:
         t0 = time.perf_counter()
         for program in sample(n, seed):
@@ -95,7 +99,7 @@ def profile(n: int, seed: int) -> Dict[str, Any]:
             failed += summary.failed
         wall = time.perf_counter() - t0
     finally:
-        gc.callbacks.remove(full)
+        gc.callbacks.remove(timer)
     objects_after = len(gc.get_objects())
     t0 = time.perf_counter()
     gc.collect()
@@ -106,8 +110,9 @@ def profile(n: int, seed: int) -> Dict[str, Any]:
         "seed": seed,
         "failed": failed,
         "wall_s": round(wall, 3),
-        "gen2_collections": full.count,
-        "gen2_s": round(full.seconds, 3),
+        "gen2_collections": timer.count,
+        "gen2_s": round(timer.seconds, 3),
+        "gc_s": round(timer.all_seconds, 3),
         "objects_before": objects_before,
         "objects_after": objects_after,
         "full_collect_ms": round(collect_ms, 1),
