@@ -36,8 +36,7 @@ compiled engine (:mod:`repro.sim.progplan`) builds on top of a compiled
 program.  Plans hold closures and scratch structure, so they are
 memory-only; every :class:`ProgramCache` shares the
 process-wide :data:`repro.sim.fastpath.PLAN_CACHE`, which is exactly the
-cache the simulator consults at run time — warming it here is warming
-the engine.
+cache the simulator consults at run time.
 """
 
 from __future__ import annotations
@@ -92,8 +91,7 @@ class ProgramCache:
     ``plans`` is the plan layer: the process-wide
     :data:`~repro.sim.fastpath.PLAN_CACHE`, keyed by program fingerprint
     + params.  It is deliberately the same object the execution engine
-    consults at run time — warming it through :meth:`warm_plan` is
-    warming the engine.
+    consults at run time: a slab binds its plan from it.
 
     The compiled values, the verified registry and the static verdicts
     each live in an :class:`~repro.sim.fastpath.LRU` with the plan
@@ -140,25 +138,6 @@ class ProgramCache:
                 self.stats.evictions += evicted
                 obs.count("cache.evict", evicted)
             return value
-
-    # ------------------------------------------------------------------
-    # plan layer
-    # ------------------------------------------------------------------
-    def warm_plan(self, program: Any, params: Any) -> Optional[Any]:
-        """Compile (or fetch) the whole-program execution plan.
-
-        Populates the shared plan cache so the machine's ``"fast"``
-        backend starts fused on its first run.  Returns the plan, or
-        None when the program cannot be fused (the machine will run the
-        reference interpreter — not an error).
-        """
-        from repro.sim.progplan import FusionUnsupported, compiled_plan
-
-        with obs.span("plan_warm"):
-            try:
-                return compiled_plan(program, params)
-            except FusionUnsupported:
-                return None
 
     # ------------------------------------------------------------------
     # verified registry (the run_checker="auto" trusted path)

@@ -17,12 +17,13 @@ Their concatenation, :meth:`SimJob.cache_key`, keys the
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.arch.params import NSCParameters, SUBSET_PARAMS
+from repro.arch.params import DEFAULT_PARAMS, NSCParameters, SUBSET_PARAMS
 from repro.sim.fastpath import BACKENDS
 
 #: Solvers the service can build itself, plus "program" for saved diagrams.
@@ -39,6 +40,13 @@ class JobSpecError(ValueError):
 def _sha256(payload: Any) -> str:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=16)
+def _params_digest(params: NSCParameters) -> str:
+    """:meth:`SimJob.params_key` by value: re-parsed jobs (the runner's
+    spec round trip, pool workers) hash each machine once."""
+    return _sha256(asdict(params))
 
 
 @dataclass(frozen=True)
@@ -202,7 +210,7 @@ class SimJob:
     # ------------------------------------------------------------------
     def params(self) -> NSCParameters:
         """Resolve the machine parameters this job targets."""
-        base = SUBSET_PARAMS if self.subset else NSCParameters()
+        base = SUBSET_PARAMS if self.subset else DEFAULT_PARAMS
         if self.param_overrides:
             base = base.subset(**dict(self.param_overrides))
         return base
@@ -238,12 +246,12 @@ class SimJob:
         return cached
 
     def params_key(self) -> str:
-        """Hash of the fully resolved machine parameters (memoized — the
-        resolve-then-``asdict`` walk deep-copies the whole parameter
-        dataclass, which is the hot spot when a batch hashes N jobs)."""
+        """Hash of the fully resolved machine parameters (memoized on the
+        instance and, across instances, by parameter value — the
+        ``asdict`` walk deep-copies the whole parameter dataclass)."""
         cached = self.__dict__.get("_params_key")
         if cached is None:
-            cached = _sha256(asdict(self.params()))
+            cached = _params_digest(self.params())
             self.__dict__["_params_key"] = cached
         return cached
 

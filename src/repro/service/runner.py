@@ -70,7 +70,7 @@ from repro.service.retry import RetryPolicy, classify_record
 TRANSPORTS = ("pickle", "shm")
 
 #: Batch-fusion modes: "off" always runs jobs one at a time; "auto"
-#: groups fusable same-program jobs into slabs on the serial path (see
+#: groups same-program jobs into slabs on the serial path (see
 #: :mod:`repro.service.slab`) and falls back per job on any decline.
 BATCH_FUSION_MODES = ("off", "auto")
 
@@ -369,7 +369,8 @@ def _run_single(
     inputs: Optional[Mapping[str, Any]] = None,
     fields_out: Optional[Mapping[str, np.ndarray]] = None,
 ) -> Dict[str, Any]:
-    from repro.apps.poisson3d import manufactured_solution
+    """A fast builder job runs as a slab of one; the reference backend,
+    saved programs and a slab's decline run on an :class:`NSCMachine`."""
     from repro.arch.node import node_config
     from repro.compose.registry import SOLVERS
     from repro.sim.machine import NSCMachine
@@ -378,34 +379,58 @@ def _run_single(
     (setup, program), checker = _obtain_program(
         job, cache, lambda check: _compile_single(job, node, check)
     )
+    if job.backend == "fast" and setup is not None:
+        from repro.service.slab import run_slab
+        from repro.sim.batchplan import record_decline
+        from repro.sim.progplan import FusionUnsupported
+
+        try:
+            return run_slab([job], [obs.current() or obs.Tracer()], node,
+                            setup, program, [checker], inputs, fields_out)[0]
+        except FusionUnsupported as exc:
+            record_decline(exc)
     with obs.span("bind"):
-        if job.backend == "fast":
-            # warm the shared plan layer: repeated jobs reuse the compiled
-            # whole-program schedule instead of re-deriving it per run
-            cache.warm_plan(program, node.params)
         machine = NSCMachine(node, backend=job.backend)
         machine.load_program(program)
-
-        watch = None
-        u_star = None
+        watch = u_star = None
         if setup is not None:
             entry = SOLVERS[job.method]
-            if inputs is not None and inputs.get("h") == setup.h:
-                u_star, f = inputs["u_star"], inputs["f"]
-            else:
-                u_star, f, _h = manufactured_solution(job.shape, h=setup.h)
+            u_star, f = _problem(job, setup, inputs)
             entry.load(machine, setup, _initial_grid(job), f)
             watch = entry.watch_pipeline(setup)
-
     with obs.span("execute"):
         result = machine.run()
-    metrics = machine.metrics(result)
+    return _solution_record(
+        job, program, checker, result.converged,
+        result.loop_iterations.get(watch, 0), machine.metrics(result),
+        machine.get_variable("u") if u_star is not None else None,
+        u_star, fields_out,
+    )
+
+
+def _problem(job: SimJob, setup: Any, inputs: Optional[Mapping[str, Any]]
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(u_star, f)``: the caller's shared arrays if built with this
+    setup's grid spacing, else fresh ones."""
+    if inputs is not None and inputs.get("h") == setup.h:
+        return inputs["u_star"], inputs["f"]
+    from repro.apps.poisson3d import manufactured_solution
+
+    u_star, f, _h = manufactured_solution(job.shape, h=setup.h)
+    return u_star, f
+
+
+def _solution_record(job: SimJob, program: Any, checker: Optional[str],
+                     converged: Optional[bool], sweeps: int, metrics: Any,
+                     u: Optional[np.ndarray], u_star: Optional[np.ndarray],
+                     fields_out: Optional[Mapping[str, np.ndarray]],
+                     ) -> Dict[str, Any]:
+    """A single-node record's computed keys, whichever engine ran (*u*,
+    the flat final solution, and *u_star* are None for saved programs)."""
     record: Dict[str, Any] = {
-        "converged": bool(result.converged)
-        if result.converged is not None else None,
-        "sweeps": result.loop_iterations.get(watch, 0)
-        if watch is not None else 0,
-        "cycles": result.total_cycles,
+        "converged": bool(converged) if converged is not None else None,
+        "sweeps": sweeps,
+        "cycles": metrics.cycles,
         "program_fingerprint": program.fingerprint(),
         "metrics": metrics.summary(),
     }
@@ -414,7 +439,7 @@ def _run_single(
     if u_star is not None:
         # grid layout is (nz, ny, nx) — the shape manufactured_solution
         # returns and the multinode gather uses
-        u = machine.get_variable("u").reshape(_field_shape(job))
+        u = u.reshape(_field_shape(job))
         record["error_vs_analytic"] = float(np.max(np.abs(u - u_star)))
         if job.keep_fields:
             with obs.span("transport"):
@@ -575,15 +600,14 @@ class BatchRunner:
         When set (``"auto"``/``"always"``/``"never"``), overrides every
         job's own ``run_checker`` for this batch.
     batch_fusion:
-        ``"off"`` (default) runs every job individually.  ``"auto"``
-        groups fusable same-program jobs into slabs executed by one
-        batch-fused plan (:mod:`repro.service.slab`); slab records are
-        bit-identical to per-job runs apart from the volatile timing
-        fields and are stamped ``tier="batch_fused"`` + ``slab_size``.
-        Serial path only — a declined slab (and every non-fusable job)
-        runs per job with ``fallback_reason`` recorded.  Records stream
-        to the store per slab, and ``worker.exec`` faults fire per slab
-        member, exactly as on the per-job path.
+        Grouping only (a lone fast builder job is a slab of one either
+        way, :mod:`repro.service.slab`).  ``"off"`` (default) runs jobs
+        individually; ``"auto"`` groups same-program jobs of a serial
+        run into slabs, whose records match per-job runs apart from the
+        timing fields and carry ``tier="batch_fused"`` + ``slab_size``.
+        A declined slab's members run per job with ``fallback_reason``
+        recorded.  Records stream to the store per slab, and
+        ``worker.exec`` faults fire per slab member.
     retry:
         Batch-level :class:`~repro.service.retry.RetryPolicy`; when set
         it overrides every job's own ``max_attempts``/``backoff_base``.
@@ -604,8 +628,8 @@ class BatchRunner:
         An explicit in-process :class:`ProgramCache` for the serial
         path, overriding the runner-owned one.  A long-lived host (the
         ``nsc-vpe serve`` daemon) passes the same cache to every runner
-        it builds, so compiled programs — and through ``warm_plan`` the
-        shared :data:`~repro.sim.fastpath.PLAN_CACHE` — stay warm across
+        it builds, so compiled programs — and with them the shared
+        :data:`~repro.sim.fastpath.PLAN_CACHE` — stay warm across
         requests instead of across one batch.  Ignored on the process
         path (workers > 1 or a timeout), which uses per-worker caches
         plus the disk layer, exactly as before.
@@ -892,7 +916,11 @@ class BatchRunner:
             try:
                 faults.check("pool.submit", eff_jobs[i].job_id, attempt)
             except FaultInjected as exc:
-                on_record(i, self._submit_failure(eff_jobs[i], exc))
+                # an item that never reached the pool: a dead worker's
+                # synthesized record, with zero duration
+                on_record(i, self._record_of(
+                    eff_jobs[i], WorkerOutcome.failure(i, exc)
+                ))
             else:
                 dispatch.append(i)
         if dispatch:
@@ -969,24 +997,6 @@ class BatchRunner:
         obs.annotate("transport_fallback", reason)
         obs.event("transport_fallback", reason=reason)
 
-    @staticmethod
-    def _submit_failure(
-        job: SimJob, exc: FaultInjected
-    ) -> Dict[str, Any]:
-        """Synthesized record for an item that never reached the pool."""
-        return {
-            "job_id": job.job_id,
-            "label": job.describe(),
-            "method": job.method,
-            "shape": list(job.shape),
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "error_type": type(exc).__name__,
-            "timings": dict(obs.ZERO_TIMINGS),
-            "tier": None,
-            "duration_s": 0.0,
-        }
-
     # ------------------------------------------------------------------
     # serial execution
     # ------------------------------------------------------------------
@@ -999,17 +1009,17 @@ class BatchRunner:
     ) -> None:
         """In-process serial execution: no transport, no subprocesses.
 
-        With ``batch_fusion="auto"`` fusable same-program groups first
-        run as one slab each.  The ``worker.exec`` fault site fires per
-        slab member before its slab runs: a faulted member leaves the
+        With ``batch_fusion="auto"`` same-program groups of two or more
+        first run as one slab each.  The ``worker.exec`` fault site fires
+        per slab member before its slab runs: a faulted member leaves the
         slab with the failure record :func:`execute_job` would have
         produced.  Every other job — all of them under ``"off"``, and
-        non-fusable jobs, singleton groups and members of a declined
-        slab (with the decline reason recorded) under ``"auto"`` — runs
-        through :func:`execute_job`, its escaping exceptions captured as
-        failure records the way a pool worker's are.  Every record
-        streams to ``on_record`` the moment it exists, so checkpoints
-        land per job.
+        ungrouped jobs and members of a declined slab (with the decline
+        reason recorded) under ``"auto"`` — runs through
+        :func:`execute_job` (a fast builder job as a slab of one), its
+        escaping exceptions captured as failure records the way a pool
+        worker's are.  Every record streams to ``on_record`` the moment
+        it exists, so checkpoints land per job.
         """
         assert self.cache is not None
         done = [False] * len(jobs)
@@ -1030,7 +1040,7 @@ class BatchRunner:
                 done[i] = True
                 on_record(i, self._stamped(failure))
             if len(members) < 2:
-                continue  # a slab of one is the per-job path
+                continue  # execute_job runs a lone job as a slab of one
             start = time.perf_counter()
             slab_records, reason = execute_slab(
                 [jobs[i] for i in members], self.cache

@@ -1,39 +1,35 @@
-"""Slab execution: one batch-fused run for N same-program service jobs.
+"""Slab execution: the one service path for fast single-node builder jobs.
 
-The per-job path (:func:`repro.service.runner.execute_job`) pays machine
-construction, input loading, state pull/commit, and record assembly once
-per job even when every job in a sweep compiles to the *same* program on
-the *same* machine parameters.  This module collapses that: fusable jobs
-group into **slabs** (:func:`slab_groups`), one *template* machine is
-built and loaded once, its pulled planes broadcast into stacked
-``(n_jobs, extent)`` storage, each job's seeded initial guess overwrites
-its own ``u`` row (the solver loaders write ``u0`` verbatim, so a row
-overwrite reproduces ``entry.load`` exactly), and a single
-:class:`~repro.sim.batchplan.BatchProgramRun` sweeps the whole stack.
-Records are then synthesized per job from counts, without per-job
-machines or per-issue records — cycles, flops, DMA words, and
-interrupt-delivery counts are folded from the slab engine's one issue
+A *slab* is N same-program jobs on one machine parameter set, run by one
+:class:`~repro.sim.batchplan.BatchProgramRun` over stacked
+``(n_jobs, extent)`` storage: one *template* machine is loaded once, its
+planes broadcast into the stack, and each job's seeded ``u0`` overwrites
+its own row (the solver loaders write ``u0`` verbatim, so that IS
+``entry.load``).  Records are folded per job from the run's one issue
 log (:meth:`~repro.sim.batchplan.BatchProgramRun.job`), bit-identical to
-what ``machine.metrics(result)`` reports on the per-job fused path.
+``machine.metrics(result)`` — no machine commit, no interrupt replay.
 
-Anything that stops a slab — an unfusable program, mixed parameters
-(those never group), a mid-run decline such as a non-finite value — is
-returned as a *reason* and the caller re-runs every member job through
-:func:`execute_job`; the slab mutated nothing shared, so the fallback is
-exact (the PR 5 commit-point contract, one level up).
+:func:`~repro.service.runner.execute_job` runs every fast, single-node,
+builder-solver job as a slab of one (:func:`run_slab`), in serial, pool,
+shm and daemon runs alike, stamped ``tier="fused"``.
+``batch_fusion="auto"`` only decides grouping: :func:`slab_groups`
+collects a serial batch's same-program jobs into slabs of two or more,
+which :func:`execute_slab` runs (``tier="batch_fused"``, ``slab_size``;
+counters ``tier.batch_fused`` per job, ``slab.formed`` / ``slab.jobs``
+per slab; the shared bind and execute time is split equally).
 
-Observability: each slab job's record is stamped ``tier="batch_fused"``
-and ``slab_size``; counters ``tier.batch_fused`` (per job) and
-``slab.formed`` / ``slab.jobs`` (per batch) feed ``nsc-vpe stats``'s
-tier mix, and shared bind/execute wall time is apportioned equally
-across member jobs' stage timings so per-stage aggregates stay
-meaningful.
+Any decline — an unfusable program, a construct only a single machine
+models, a non-finite value mid-run — is a ``FusionUnsupported`` raised
+before anything shared changed: a group's members rerun through
+``execute_job``, and a lone job reruns on an ``NSCMachine``, whose run
+commits its FP interrupts.  Declines, the reference backend and saved
+programs (``method="program"``) are all that still run a service job on
+a machine.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,29 +39,21 @@ from repro.service.jobs import SimJob
 
 
 def slab_groups(jobs: Sequence[SimJob]) -> List[List[int]]:
-    """Index groups of fusable same-program jobs, in first-seen order.
-
-    Eligible jobs run a builder solver on a single simulated node with
-    the fast backend; grouping on :meth:`SimJob.cache_key` guarantees
-    identical compiled microcode *and* identical machine parameters.
-    Singleton groups are dropped — a slab of one is just overhead.
-    """
+    """Index groups of fast single-node builder jobs sharing one
+    :meth:`SimJob.cache_key` (same microcode, same machine), in
+    first-seen order; a lone job is ``execute_job``'s slab of one."""
     groups: Dict[str, List[int]] = {}
     for i, job in enumerate(jobs):
-        if (
-            job.backend != "fast"
-            or job.hypercube_dim != 0
-            or job.method == "program"
-        ):
-            continue
-        groups.setdefault(job.cache_key(), []).append(i)
+        if job.backend == "fast" and job.hypercube_dim == 0 \
+                and job.method != "program":
+            groups.setdefault(job.cache_key(), []).append(i)
     return [idxs for idxs in groups.values() if len(idxs) >= 2]
 
 
 def execute_slab(
     jobs: Sequence[SimJob], cache: ProgramCache
 ) -> Tuple[Optional[List[Dict[str, Any]]], Optional[str]]:
-    """Run one fusable group as a slab.
+    """Run one group of two or more jobs as a slab.
 
     Returns ``(records, None)`` on success — one record per job, in
     order, matching :func:`execute_job`'s schema plus ``slab_size`` —
@@ -75,7 +63,7 @@ def execute_slab(
     from repro.sim.progplan import FusionUnsupported
 
     try:
-        return _execute_slab(jobs, cache), None
+        return _execute_group(jobs, cache), None
     except FusionUnsupported as exc:
         reason = str(exc)
     except Exception as exc:  # pragma: no cover - defensive
@@ -88,100 +76,115 @@ def execute_slab(
     return None, reason
 
 
-def _execute_slab(
+def _execute_group(
     jobs: Sequence[SimJob], cache: ProgramCache
 ) -> List[Dict[str, Any]]:
-    from repro.apps.poisson3d import manufactured_solution
     from repro.arch.node import node_config
-    from repro.compose.registry import SOLVERS
-    from repro.sim.batchplan import (
-        BatchProgramRun,
-        machine_bindings,
-        stacked_template_storage,
-    )
-    from repro.sim.machine import NSCMachine
-    from repro.sim.metrics import RunMetrics
-    from repro.sim.progplan import FusionUnsupported, compiled_plan
     from repro.service.runner import (
         _compile_single,
-        _field_shape,
-        _initial_grid,
         _obtain_program,
         _record_head,
+        _stamp_telemetry,
     )
 
-    n_jobs = len(jobs)
-    job0 = jobs[0]
-    node = node_config(job0.params())
-    params = node.params
-
-    # --- per-job compile stage (preserves cache-hit deltas and checker
-    # stamps exactly as N per-job runs would produce them) -------------
+    node = node_config(jobs[0].params())
+    # per-job compile: cache-hit deltas and checker stamps as N runs
     tracers = [obs.Tracer() for _ in jobs]
     records: List[Dict[str, Any]] = []
     checkers: List[Optional[str]] = []
     value = None
     for job, tracer in zip(jobs, tracers):
         record = _record_head(job)
-        hits_before = cache.stats.hits
-        lookups_before = cache.stats.lookups
+        hits, lookups = cache.stats.hits, cache.stats.lookups
         with obs.use(tracer):
             value, checker = _obtain_program(
                 job, cache,
                 lambda check, j=job: _compile_single(j, node, check),
             )
-        if cache.stats.lookups > lookups_before:
-            record["cache_hit"] = cache.stats.hits > hits_before
+        if cache.stats.lookups > lookups:
+            record["cache_hit"] = cache.stats.hits > hits
         checkers.append(checker)
         records.append(record)
     setup, program = value
-    if setup is None:  # pragma: no cover - "program" jobs never group
-        raise FusionUnsupported("saved programs have no slab loader")
-
-    # --- shared bind: plan, template machine, stacked storage ---------
-    bind_start = time.perf_counter()
-    plan = compiled_plan(program, params)
-    entry = SOLVERS[job0.method]
-    u_star, f, _h = manufactured_solution(job0.shape, h=setup.h)
-    template = NSCMachine(node, backend="fast")
-    template.load_program(program)
-    entry.load(template, setup, np.zeros(job0.shape), f)
-    watch = entry.watch_pipeline(setup)
-    variables, armed = machine_bindings(plan, template)
-    if "u" not in variables:
-        raise FusionUnsupported("solver state variable 'u' not in plan")
-    storage = stacked_template_storage(
-        template, n_jobs, plan.plane_extent, plan.cache_extent
-    )
-    storage.variables = variables
-    uvar = variables["u"]
-    u_plane = storage.planes[uvar.plane]
-    for j, job in enumerate(jobs):
-        if job.u0_seed is not None:
-            # the loaders write u0 verbatim (see load_jacobi_inputs /
-            # load_rbsor_inputs), so the row overwrite IS entry.load
-            u_plane[j, uvar.offset:uvar.end] = _initial_grid(job).reshape(-1)
-    run = BatchProgramRun(plan, storage, n_jobs, max_instructions=1_000_000)
-    bind_s = time.perf_counter() - bind_start
-
-    # --- one fused execution over the whole stack ---------------------
-    exec_start = time.perf_counter()
-    run.run()  # FusionUnsupported propagates to execute_slab
-    exec_s = time.perf_counter() - exec_start
-
-    # --- per-job record synthesis (no machines) -----------------------
+    computed = run_slab(jobs, tracers, node, setup, program, checkers)
     obs.count("slab.formed")
-    obs.count("slab.jobs", n_jobs)
-    fingerprint = program.fingerprint()
-    field_shape = _field_shape(job0)
+    obs.count("slab.jobs", len(jobs))
+    for record, result, tracer in zip(records, computed, tracers):
+        record.update(result, ok=True, slab_size=len(jobs))
+        _stamp_telemetry(record, tracer)
+    return records
+
+
+def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
+             node: Any, setup: Any, program: Any,
+             checkers: Sequence[Optional[str]],
+             inputs: Optional[Mapping[str, Any]] = None,
+             fields_out: Optional[Mapping[str, np.ndarray]] = None,
+             ) -> List[Dict[str, Any]]:
+    """Run *jobs* (one compiled builder program) as one slab; return
+    each job's computed record keys and stamp its tier into its tracer.
+
+    Raises ``FusionUnsupported`` on any decline.  A lone job's tracer is
+    the active one; a group's share one slab tracer's bind and execute
+    time.  ``inputs`` and a lone job's ``fields_out`` are the shm
+    transport's segments, as :func:`execute_job` takes them.
+    """
+    from repro.compose.registry import SOLVERS
+    from repro.service.runner import _initial_grid, _problem, _solution_record
+    from repro.sim.batchplan import (
+        BatchProgramRun,
+        compiled_plan,
+        machine_bindings,
+        stacked_template_storage,
+    )
+    from repro.sim.machine import NSCMachine
+    from repro.sim.metrics import RunMetrics
+    from repro.sim.progplan import FusionUnsupported
+
+    n_jobs = len(jobs)
+    job0 = jobs[0]
+    params = node.params
+    entry = SOLVERS[job0.method]
+    shared = tracers[0] if n_jobs == 1 else obs.Tracer()
+    with obs.use(shared):
+        # --- shared bind: plan, template machine, stacked storage -----
+        with obs.span("bind"):
+            plan = compiled_plan(program, params)
+            u_star, f = _problem(job0, setup, inputs)
+            template = NSCMachine(node, backend="fast")
+            template.load_program(program)
+            entry.load(template, setup, _initial_grid(job0), f)
+            watch = entry.watch_pipeline(setup)
+            variables, armed = machine_bindings(plan, template)
+            if "u" not in variables:
+                raise FusionUnsupported("solver state 'u' not in plan")
+            storage = stacked_template_storage(
+                template, n_jobs, plan.plane_extent, plan.cache_extent
+            )
+            storage.variables = variables
+            uvar = variables["u"]
+            u_plane = storage.planes[uvar.plane]
+            for j, job in enumerate(jobs[1:], 1):
+                if job.u0_seed != job0.u0_seed:
+                    # the loaders write u0 verbatim (load_jacobi_inputs /
+                    # load_rbsor_inputs): the row overwrite IS entry.load
+                    u_plane[j, uvar.offset:uvar.end] = \
+                        _initial_grid(job).reshape(-1)
+            run = BatchProgramRun(plan, storage, n_jobs,
+                                  max_instructions=1_000_000)
+        # --- one fused execution over the whole stack -----------------
+        with obs.span("execute"):
+            run.run()
+    tier = "fused" if n_jobs == 1 else "batch_fused"
     # the final u plane may have been reference-swapped; re-resolve
     u_plane = storage.planes[uvar.plane]
-    for j, (job, tracer, record) in enumerate(zip(jobs, tracers, records)):
+    results = []
+    for j, (job, tracer) in enumerate(zip(jobs, tracers)):
+        if tracer is not shared:
+            for stage in ("bind", "execute"):
+                tracer.timings[stage] = tracer.timings.get(stage, 0.0) \
+                    + shared.timings[stage] / n_jobs
         job_run = run.job(j)
-        tracer.timings["bind"] = tracer.timings.get("bind", 0.0) \
-            + bind_s / n_jobs
-        tracer.timings["execute"] = tracer.timings.get("execute", 0.0) \
-            + exec_s / n_jobs
         metrics = RunMetrics(
             cycles=job_run.cycles,
             instructions=job_run.instructions,
@@ -193,31 +196,15 @@ def _execute_slab(
             active_fu_cycles=job_run.active_fu_cycles,
             interrupts_delivered=job_run.interrupts_delivered(armed),
         )
-        converged = run.converged[j]
-        record.update({
-            "converged": bool(converged) if converged is not None else None,
-            "sweeps": run.loop_iterations[j].get(watch, 0)
-            if watch is not None else 0,
-            "cycles": job_run.cycles,
-            "program_fingerprint": fingerprint,
-            "metrics": metrics.summary(),
-        })
-        if checkers[j] is not None:
-            record["checker"] = checkers[j]
-        u = u_plane[j, uvar.offset:uvar.end].reshape(field_shape)
-        record["error_vs_analytic"] = float(np.max(np.abs(u - u_star)))
-        if job.keep_fields:
-            with obs.use(tracer), obs.span("transport"):
-                record["fields"] = {"u": np.array(u, dtype=np.float64)}
         with obs.use(tracer):
-            obs.count("tier.batch_fused")
-            obs.annotate("tier", "batch_fused")
-        telemetry = tracer.telemetry()
-        record["ok"] = True
-        record["timings"] = telemetry.stage_timings()
-        record["tier"] = telemetry.annotations.get("tier")
-        record["slab_size"] = n_jobs
-    return records
+            results.append(_solution_record(
+                job, program, checkers[j], run.converged[j],
+                run.loop_iterations[j].get(watch, 0), metrics,
+                u_plane[j, uvar.offset:uvar.end], u_star, fields_out,
+            ))
+            obs.count(f"tier.{tier}")
+            obs.annotate("tier", tier)
+    return results
 
 
-__all__ = ["execute_slab", "slab_groups"]
+__all__ = ["execute_slab", "run_slab", "slab_groups"]

@@ -41,7 +41,8 @@ a host ``MachineError``) commits state up to the fault and re-raises,
 as a step-by-step run would.  ``keep_outputs``, ``Halt`` inside a
 ``LoopUntil``, and nested loops all run.
 
-Slabs decline statically (before touching any state) on:
+Slabs — stacked storage, a slab of one included — decline statically
+(before touching any state) on:
 
 - ``keep_outputs`` plans — exact-path capture is per-job work;
 - invalid issues, ``Halt`` inside a loop body, nested ``LoopUntil``, or
@@ -285,9 +286,10 @@ class BatchProgramRun:
 
     ``storage`` arrives pulled and with ``storage.variables`` bound: a
     slab's arrays carry a leading ``(n_jobs,)`` axis (see
-    :func:`stacked_template_storage`), a single job's do not.  Nothing
-    outside it is touched — committing rows back to machines (or
-    synthesizing records without machines) is the caller's job.
+    :func:`stacked_template_storage`), a single machine's do not.
+    Stacked storage, even of one job, declines where a slab declines.
+    Nothing outside it is touched — committing rows back to machines
+    (or synthesizing records without machines) is the caller's job.
 
     ``fallback=False`` marks rows with no per-job fallback: a
     hypercube's nodes.  They always bind stacked, even one node, and a
@@ -305,7 +307,11 @@ class BatchProgramRun:
 
     def __init__(self, plan: ProgramPlan, storage: _Storage, n_jobs: int,
                  max_instructions: int, fallback: bool = True) -> None:
-        self.single = n_jobs == 1 and fallback
+        # one machine binds its own pulled planes with batch shape ();
+        # stacked storage -- a slab of one included -- runs as a slab
+        self.single = n_jobs == 1 and fallback and all(
+            arr.ndim == 1 for arr in storage.planes.values()
+        )
         self.fallback = fallback
         if not self.single:
             check_batchable(plan)
@@ -415,8 +421,8 @@ class BatchProgramRun:
         vals: Any = None
         conds: Any = None
         if cond_last is not None:
-            if self.single:
-                vals = (float(cond_last),)
+            if self.n_jobs == 1:
+                vals = (cond_last.item(),)
                 conds = (kernel.cond_fn(vals[0], kernel.cond_threshold),)
             else:
                 # copied out: the condition row is overwritten next issue
@@ -752,16 +758,20 @@ def try_run_batch_fused(
     try:
         return _run_fused(machines, program, max_instructions, keep_outputs)
     except FusionUnsupported as exc:
-        # tier telemetry: record *why* the compiled engine stood down —
-        # the caller's fallback is otherwise invisible in the records
-        prefix, scope = (
-            ("fusion", "program") if len(machines) == 1
-            else ("batch_fusion", "batch")
-        )
-        obs.count(f"{prefix}.fallback")
-        obs.annotate("fallback_reason", str(exc))
-        obs.event(f"{prefix}_fallback", scope=scope, reason=str(exc))
+        record_decline(exc, len(machines))
         return None
+
+
+def record_decline(exc: FusionUnsupported, n_jobs: int = 1) -> None:
+    """Tier telemetry for a fused run that stood down: count it, stamp
+    the reason, emit the event — the caller's fallback is otherwise
+    invisible in the records."""
+    prefix, scope = (
+        ("fusion", "program") if n_jobs == 1 else ("batch_fusion", "batch")
+    )
+    obs.count(f"{prefix}.fallback")
+    obs.annotate("fallback_reason", str(exc))
+    obs.event(f"{prefix}_fallback", scope=scope, reason=str(exc))
 
 
 def _run_fused(
@@ -824,6 +834,7 @@ __all__ = [
     "check_batchable",
     "JobRun",
     "machine_bindings",
+    "record_decline",
     "replay_interrupts",
     "stacked_template_storage",
     "try_run_batch_fused",

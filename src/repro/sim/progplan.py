@@ -1145,10 +1145,12 @@ class BoundImage:
         mode = op[0]
         batched = bool(self.batch_shape)
         finals = self._finals
+        # one stacked row reduces like one machine: a scalar final
+        per_row = batched and self.batch_shape != (1,)
         if mode == _M_REDUCE:
             _m, ufunc, use_abs, a, init, fu, scratch = op
             use_max = ufunc is np.maximum
-            if batched:
+            if per_row:
                 def run() -> bool:
                     x = a
                     if use_abs:

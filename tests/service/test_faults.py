@@ -64,6 +64,33 @@ def _slab_jobs(n=2, **extra):
     ]
 
 
+def _check_batch_level_policy(jobs, batch_fusion="off"):
+    """A batch-level retry policy overrides the jobs' own (one attempt
+    each): the faulted first attempt is retried."""
+    plan = FaultPlan(rules=(FaultRule(site="worker.exec"),))
+    records, summary = BatchRunner(
+        workers=1, fault_plan=plan, retry=RetryPolicy(max_attempts=2),
+        batch_fusion=batch_fusion,
+    ).run(jobs)
+    assert summary.failed == 0
+    assert all(r["attempts"] == 2 for r in records)
+
+
+def _check_exhausted_budget(jobs, batch_fusion="off"):
+    """Every attempt faults: each job fails transient-classified once its
+    budget is spent."""
+    plan = FaultPlan(
+        rules=(FaultRule(site="worker.exec", attempts=()),)
+    )
+    runner = BatchRunner(workers=1, fault_plan=plan,
+                         batch_fusion=batch_fusion)
+    records, summary = runner.run(jobs)
+    assert summary.failed == len(jobs)
+    assert all(r["attempts"] == 2 for r in records)
+    assert all(r["error_type"] == "FaultInjected" for r in records)
+    assert runner.last_telemetry.counters["retry.exhausted"] == len(jobs)
+
+
 @pytest.fixture(autouse=True)
 def _no_leaked_plan(monkeypatch):
     """Injection must never outlive a test."""
@@ -291,25 +318,10 @@ class TestRetryDigestParity:
         assert canonical_record(auto[1]) == canonical_record(runs["off"][1])
 
     def test_batch_level_policy_overrides_jobs(self, tmp_path):
-        jobs = _jobs(1)  # max_attempts=1 on the job itself
-        plan = FaultPlan(rules=(FaultRule(site="worker.exec"),))
-        records, summary = BatchRunner(
-            workers=1, fault_plan=plan, retry=RetryPolicy(max_attempts=2)
-        ).run(jobs)
-        assert summary.failed == 0
-        assert records[0]["attempts"] == 2
+        _check_batch_level_policy(_jobs(1))
 
     def test_exhausted_budget_fails_with_classification(self, tmp_path):
-        jobs = _jobs(1, max_attempts=2)
-        plan = FaultPlan(
-            rules=(FaultRule(site="worker.exec", attempts=()),)
-        )
-        runner = BatchRunner(workers=1, fault_plan=plan)
-        records, summary = runner.run(jobs)
-        assert summary.failed == 1
-        assert records[0]["attempts"] == 2
-        assert records[0]["error_type"] == "FaultInjected"
-        assert runner.last_telemetry.counters["retry.exhausted"] == 1
+        _check_exhausted_budget(_jobs(1, max_attempts=2))
 
     def test_permanent_failure_is_not_retried(self):
         # nz=5 cannot split across 2 nodes: a simulation error, so the
@@ -394,14 +406,27 @@ class TestTransportDegradation:
 
 
 class TestCrashAndResume:
+    #: the jobs' backend and the serial runners' batch_fusion mode
+    #: (:class:`TestCrashAndResumeOnSlabs` reruns every case on the slab
+    #: engine)
+    backend = "reference"
+    batch_fusion = "off"
+
+    def _jobs(self, n):
+        return _jobs(n, backend=self.backend)
+
+    def _runner(self, **kwargs):
+        return BatchRunner(workers=1, batch_fusion=self.batch_fusion,
+                           **kwargs)
+
     def _reference_digest(self, tmp_path, jobs):
         store = ResultStore(str(tmp_path / "reference.jsonl"))
-        _, summary = BatchRunner(workers=1, store=store).run(jobs)
+        _, summary = self._runner(store=store).run(jobs)
         assert summary.failed == 0
         return store.digest()
 
     def test_resume_after_mid_sweep_crash_converges(self, tmp_path):
-        jobs = _jobs(4)
+        jobs = self._jobs(4)
         reference = self._reference_digest(tmp_path, jobs)
         # crash the run at the third job's checkpoint append — the
         # moment a kill -9 mid-sweep would hit hardest
@@ -411,9 +436,9 @@ class TestCrashAndResume:
         )
         store = ResultStore(str(tmp_path / "crashed.jsonl"))
         with pytest.raises(FaultInjected):
-            BatchRunner(workers=1, store=store, fault_plan=plan).run(jobs)
+            self._runner(store=store, fault_plan=plan).run(jobs)
         assert len(store) == 2  # a clean prefix, nothing torn
-        resumed = BatchRunner(workers=1, store=store, resume=True)
+        resumed = self._runner(store=store, resume=True)
         records, summary = resumed.run(jobs)
         assert summary.failed == 0
         assert summary.resumed == 2
@@ -422,10 +447,10 @@ class TestCrashAndResume:
         assert counters["resume.skipped"] == 2
 
     def test_resume_after_torn_tail_converges(self, tmp_path):
-        jobs = _jobs(3)
+        jobs = self._jobs(3)
         reference = self._reference_digest(tmp_path, jobs)
         store = ResultStore(str(tmp_path / "torn.jsonl"))
-        _, summary = BatchRunner(workers=1, store=store).run(jobs)
+        _, summary = self._runner(store=store).run(jobs)
         assert summary.failed == 0
         # tear the last record in half, byte-level — the signature of a
         # writer killed inside its final write
@@ -433,8 +458,8 @@ class TestCrashAndResume:
         cut = raw.rstrip(b"\n").rfind(b"\n") + 1
         store.path.write_bytes(raw[: cut + 25])
         with pytest.warns(RuntimeWarning, match="truncated trailing"):
-            records, summary = BatchRunner(
-                workers=1, store=store, resume=True
+            records, summary = self._runner(
+                store=store, resume=True
             ).run(jobs)
         assert summary.failed == 0
         assert summary.resumed == 2  # the torn third record reran
@@ -445,10 +470,10 @@ class TestCrashAndResume:
             assert store.truncated_tail is None
 
     def test_resume_over_empty_store_is_a_fresh_run(self, tmp_path):
-        jobs = _jobs(2)
+        jobs = self._jobs(2)
         store = ResultStore(str(tmp_path / "fresh.jsonl"))
-        records, summary = BatchRunner(
-            workers=1, store=store, resume=True
+        records, summary = self._runner(
+            store=store, resume=True
         ).run(jobs)
         assert summary.failed == 0
         assert summary.resumed == 0
@@ -457,12 +482,13 @@ class TestCrashAndResume:
     def test_resume_honors_repeats_as_a_multiset(self, tmp_path):
         # two instances of the same job share a job_id; one prior
         # success must redeem exactly one of them
-        job = SimJob(method="jacobi", shape=(5, 5, 5), **FAST)
+        job = SimJob(method="jacobi", shape=(5, 5, 5),
+                     backend=self.backend, **FAST)
         store = ResultStore(str(tmp_path / "repeats.jsonl"))
-        _, summary = BatchRunner(workers=1, store=store).run([job])
+        _, summary = self._runner(store=store).run([job])
         assert summary.failed == 0
-        records, summary = BatchRunner(
-            workers=1, store=store, resume=True
+        records, summary = self._runner(
+            store=store, resume=True
         ).run([job, job])
         assert summary.failed == 0
         assert summary.resumed == 1
@@ -471,6 +497,46 @@ class TestCrashAndResume:
     def test_resume_requires_store(self):
         with pytest.raises(ValueError, match="resume"):
             BatchRunner(workers=1, resume=True)
+
+
+class TestCrashAndResumeOnSlabs(TestCrashAndResume):
+    """Every crash/resume case on fast jobs, under both ``batch_fusion``
+    modes: lone jobs run as slabs of one, and under ``"auto"`` repeated
+    jobs form a slab of two."""
+
+    backend = "fast"
+
+    @pytest.fixture(autouse=True, params=["off", "auto"])
+    def _batch_fusion(self, request):
+        self.batch_fusion = request.param
+
+
+class TestWorkerExecOnSlabs:
+    """The ``worker.exec`` retry cases on fast jobs — lone slabs of one
+    plus, under ``"auto"``, a seeded slab of two — under both
+    ``batch_fusion`` modes."""
+
+    @staticmethod
+    def _jobs(**extra):
+        return _jobs(2, backend="fast", **extra) + _slab_jobs(2, **extra)
+
+    @pytest.mark.parametrize("batch_fusion", ["off", "auto"])
+    def test_batch_level_policy_overrides_jobs(self, batch_fusion):
+        _check_batch_level_policy(self._jobs(), batch_fusion)
+
+    @pytest.mark.parametrize("batch_fusion", ["off", "auto"])
+    def test_exhausted_budget_fails_with_classification(self, batch_fusion):
+        _check_exhausted_budget(self._jobs(max_attempts=2), batch_fusion)
+
+    def test_pool_workers_fault_and_retry(self, monkeypatch):
+        plan = FaultPlan(rules=(FaultRule(site="worker.exec"),), seed=5)
+        monkeypatch.setenv(ENV_VAR, plan.to_json())
+        records, summary = BatchRunner(workers=2).run(
+            self._jobs(max_attempts=3)
+        )
+        assert summary.failed == 0
+        assert [r["tier"] for r in records] == ["fused"] * 4
+        assert [r["attempts"] for r in records] == [2] * 4
 
 
 class TestStoreTruncation:

@@ -66,6 +66,51 @@ class TestHashing:
         assert c.program_key() != d.program_key()
 
 
+class TestParamsKeyMemo:
+    """``params_key`` is memoized by parameter value; the digests stay
+    byte-identical to the unmemoized ``sha256(asdict(params))``."""
+
+    CASES = {
+        "default": (
+            {},
+            "2ed08f7bd3ab263f402f15c9a4c8152270fbbe0f53a24b0db56a218fb92b26cb",
+        ),
+        "subset": (
+            {"subset": True},
+            "cb5dbe957b8500da9c1eb246d0800ae7a6526c09ce2a777ff7e8dbfe0abb01e3",
+        ),
+        "overrides": (
+            {"param_overrides": (("clock_mhz", 40.0),)},
+            "94e98f4372f9b23b33542542c9f5df283fec0d3541b9010e69cef8e50a2e99f3",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_digest_unchanged(self, case):
+        import hashlib
+        import json
+        from dataclasses import asdict
+
+        kwargs, digest = self.CASES[case]
+        job = SimJob(**kwargs)
+        text = json.dumps(asdict(job.params()), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        assert job.params_key() == digest
+        # a re-parsed job (the runner's and the workers' round trip)
+        assert SimJob.from_dict(job.to_dict()).params_key() == digest
+
+    def test_equal_parameters_share_one_entry(self):
+        from repro.service.jobs import _params_digest
+
+        _params_digest.cache_clear()
+        for seed in range(5):
+            SimJob(u0_seed=seed).params_key()
+        SimJob(subset=True).params_key()
+        info = _params_digest.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+
+
 class TestParams:
     def test_subset_selects_subset_machine(self):
         assert SimJob(subset=True).params() == SUBSET_PARAMS

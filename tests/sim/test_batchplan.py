@@ -128,6 +128,78 @@ class TestBatchParity:
         _assert_job_identical(ref, r_ref, solo, results[0])
 
 
+def _stacked_run(node, setup, program, seed, **kwargs):
+    """A one-job slab over stacked ``(1, extent)`` storage — the
+    service's lone fast job — with default ``fallback=True``."""
+    (template,) = _machines(node, setup, program, (seed,))
+    plan = progplan.compiled_plan(program, node.params)
+    variables, armed = batchplan.machine_bindings(plan, template)
+    storage = batchplan.stacked_template_storage(
+        template, 1, plan.plane_extent, plan.cache_extent
+    )
+    storage.variables = variables
+    kwargs.setdefault("max_instructions", 1_000_000)
+    run = batchplan.BatchProgramRun(plan, storage, 1, **kwargs)
+    return run, variables, armed
+
+
+class TestStackedSlabOfOne:
+    """One job over stacked storage runs with slab semantics: it binds
+    ``(1, extent)`` rows, matches the machine's fused run bit for bit,
+    and declines where a slab declines."""
+
+    def test_matches_try_run_fused_bit_for_bit(self, node):
+        setup, program = _generate(node)
+        (machine,) = _machines(node, setup, program, (9,))
+        stats_before = copy.deepcopy(machine.dma.stats)
+        result = progplan.try_run_fused(machine, program, 1_000_000)
+        assert result is not None
+        run, variables, armed = _stacked_run(node, setup, program, 9)
+        assert not run.single
+        run.run()
+        job = run.job(0)
+        for name, var in variables.items():
+            np.testing.assert_array_equal(
+                run.storage.planes[var.plane][0, var.offset:var.end],
+                machine.get_variable(name),
+            )
+        assert job.cycles == result.total_cycles == machine.cycle
+        assert job.flops == result.total_flops
+        assert job.instructions == result.instructions_issued
+        assert run.loop_iterations[0] == result.loop_iterations
+        assert run.converged[0] is result.converged is True
+        stats = machine.dma.stats
+        assert (job.transfers, job.words_read, job.words_written,
+                job.busy_cycles) == (
+            stats.transfers - stats_before.transfers,
+            stats.words_read - stats_before.words_read,
+            stats.words_written - stats_before.words_written,
+            stats.busy_cycles - stats_before.busy_cycles,
+        )
+        assert job.interrupts_delivered(armed) \
+            == len(machine.interrupts.delivered)
+
+    def test_non_finite_declines(self, node):
+        """Unlike a single machine, which runs the exact path and logs
+        FP interrupts for its commit, a stacked slab of one declines."""
+        setup, program = _generate(node, max_iterations=10)
+        run, variables, _armed = _stacked_run(node, setup, program, 0)
+        u = variables["u"]
+        run.storage.planes[u.plane][0, u.offset + 3] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(progplan.FusionUnsupported,
+                               match="non-finite"):
+                run.run()
+
+    def test_budget_fault_declines(self, node):
+        setup, program = _generate(node, eps=1e-30, max_iterations=50)
+        run, _variables, _armed = _stacked_run(
+            node, setup, program, 0, max_instructions=5
+        )
+        with pytest.raises(progplan.FusionUnsupported, match="budget"):
+            run.run()
+
+
 def _loop_then_issue(node, shape=(6, 6, 6), eps=1e-4, max_iterations=300):
     """The convergence script plus one more update issue after the loop,
     which every job issues again once the stragglers have converged."""

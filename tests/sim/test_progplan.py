@@ -1017,13 +1017,20 @@ class TestServicePlanLayer:
         cache = ProgramCache()
         assert cache.plans is PLAN_CACHE
 
-    def test_warm_plan_populates_engine_cache(self, node):
+    def test_service_job_binds_from_engine_cache(self):
+        from repro.arch.node import node_config
         from repro.service.cache import ProgramCache
+        from repro.service.jobs import SimJob
+        from repro.service.runner import execute_job
 
-        setup, program = _generate(node, shape=(4, 4, 4), max_iterations=5)
         PLAN_CACHE.clear()
+        job = SimJob(method="jacobi", shape=(4, 4, 4), eps=1e-3,
+                     max_sweeps=5, backend="fast")
         cache = ProgramCache()
-        plan = cache.warm_plan(program, node.params)
-        assert plan is not None
-        assert progplan.compiled_plan(program, node.params) is plan
-        assert PLAN_CACHE.stats.hits >= 1
+        record = execute_job(job.to_dict(), cache=cache)
+        assert record["ok"] and record["tier"] == "fused"
+        assert len(PLAN_CACHE) == 1
+        _setup, program = cache.get_or_compile(job.cache_key(), None)
+        hits = PLAN_CACHE.stats.hits
+        progplan.compiled_plan(program, node_config(job.params()).params)
+        assert PLAN_CACHE.stats.hits == hits + 1

@@ -3,7 +3,7 @@
 
 Samples N never-seen registry programs (solver x n = 5..9 x one of 400
 tolerances, the shape of the benchmark's cold pool) and runs each the way
-a serial service job does on the fused engine, timing every sub-stage:
+a fast service job does, as a slab of one, timing every sub-stage:
 
 ==========  ===========================================================
 nodeconfig  ``node_config(params)``: the machine description
@@ -12,9 +12,11 @@ layout      ``MicrocodeGenerator(...)``: generator and microword layout
 check       ``Checker.check_program``: the design-rule sweep
 generate    ``MicrocodeGenerator.generate`` without the check
 plan        ``compiled_plan``: the whole-program execution schedule
-machine     ``NSCMachine``, ``load_program`` and the solver's input load
+machine     the template ``NSCMachine``: ``load_program``, the solver's
+            input load and the one-row stacked storage
 runner      ``BoundImage._generate_runner``: per-issue kernel code
-execute     ``NSCMachine.run`` minus its runner code generation
+execute     the one-job ``BatchProgramRun``: bind, run and the record's
+            fold of the issue log, minus runner code generation
 ==========  ===========================================================
 
 First-use imports and machine tables are warmed on n = 4 programs the
@@ -48,7 +50,7 @@ from repro.arch.node import node_config  # noqa: E402
 from repro.arch.params import NSCParameters  # noqa: E402
 from repro.codegen.generator import MicrocodeGenerator  # noqa: E402
 from repro.compose.registry import SOLVERS  # noqa: E402
-from repro.sim import progplan  # noqa: E402
+from repro.sim import batchplan, progplan  # noqa: E402
 from repro.sim.machine import NSCMachine  # noqa: E402
 
 STAGES = (
@@ -114,7 +116,7 @@ def profile_one(
     t4 = clock()
     compiled = generator.generate(setup.program)
     t5 = clock()
-    progplan.compiled_plan(compiled, params)
+    plan = progplan.compiled_plan(compiled, params)
     t6 = clock()
     if not report.ok:
         raise RuntimeError(f"{program} fails the checker")
@@ -125,9 +127,16 @@ def profile_one(
     machine = NSCMachine(node, backend="fast")
     machine.load_program(compiled)
     entry.load(machine, setup, u0, f)
+    variables, _armed = batchplan.machine_bindings(plan, machine)
+    storage = batchplan.stacked_template_storage(
+        machine, 1, plan.plane_extent, plan.cache_extent
+    )
+    storage.variables = variables
     before = spent[0]
     t8 = clock()
-    machine.run()
+    run = batchplan.BatchProgramRun(plan, storage, 1, max_instructions=1_000_000)
+    run.run()
+    run.job(0)
     t9 = clock()
     runner = spent[0] - before
     return {
