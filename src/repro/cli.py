@@ -36,9 +36,9 @@ the speedup — see ``docs/BACKENDS.md`` for the full matrix).
 ``batch`` and ``sweep`` additionally take ``--workers``, ``--timeout``,
 ``--cache-dir``, ``--results``, ``--transport {pickle,shm}`` (how grids
 move between parent and workers on parallel runs — ``shm`` is the
-zero-copy shared-memory path), ``--run-checker {auto,always,never}``
-(when the design-rule checker runs at compile time; ``auto`` skips it
-for fingerprint-verified cache-warmed programs) and ``--batch-fusion
+zero-copy shared-memory path), ``--run-checker`` (whether compiles run
+the design-rule checker; the modes are described on
+:class:`repro.service.jobs.SimJob`) and ``--batch-fusion
 {off,auto}`` (``auto`` runs fusable same-program jobs as one stacked
 batch-fused slab on serial runs — see ``docs/BACKENDS.md``).  ``sweep``
 also takes ``--seeds`` to add a seeded-initial-guess axis.
@@ -771,7 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-checker", choices=_CHECKER_MODES, default=None,
                    dest="run_checker",
                    help="override every submitted job's checker mode "
-                   "(default: honor each job's own setting)")
+                   "(default: honor each job's own setting; modes: "
+                   "see SimJob)")
     p.add_argument("--batch-fusion", choices=("off", "auto"),
                    default="off", dest="batch_fusion",
                    help="slab-fuse fusable same-program jobs on serial "
@@ -838,9 +839,7 @@ def _add_service_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--results", default=None,
                    help="append JSONL records to this file")
     p.add_argument("--cache-dir", default=None,
-                   help="on-disk program cache shared across workers/runs "
-                   "(also persists checker trust marks for --run-checker "
-                   "auto)")
+                   help="on-disk program cache shared across workers/runs")
     p.add_argument("--transport", choices=("pickle", "shm"),
                    default="pickle",
                    help="how grids move between parent and workers on "
@@ -849,9 +848,8 @@ def _add_service_options(p: argparse.ArgumentParser) -> None:
                    "serially)")
     p.add_argument("--run-checker", choices=CHECKER_MODES, default="auto",
                    dest="run_checker",
-                   help="when the design-rule checker runs at compile "
-                   "time; 'auto' skips it for fingerprint-verified "
-                   "cache-warmed programs")
+                   help="whether compiles run the design-rule checker "
+                   "('never' skips it; modes: see SimJob)")
     p.add_argument("--batch-fusion", choices=("off", "auto"),
                    default="off", dest="batch_fusion",
                    help="'auto' stacks fusable same-program jobs into "

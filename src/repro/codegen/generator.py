@@ -166,8 +166,8 @@ class MachineProgram:
         microcode; the batch service records it so a result can be traced
         to the exact program that produced it (and a cache hit can be
         proven to replay the same bits).  Each microword keeps its encoded
-        bits until its next write, so the repeat calls of one job (trust
-        mark, plan key, record) hash a few kilobytes instead of
+        bits until its next write, so the repeat calls of one job (plan
+        key, record) hash a few kilobytes instead of
         re-encoding every field."""
         digest = hashlib.sha256()
         digest.update(self.name.encode("utf-8"))

@@ -432,7 +432,6 @@ class SimService:
             "cache.miss": self.cache.stats.misses,
             "cache.disk_hit": self.cache.stats.disk_hits,
             "cache.evict": self.cache.stats.evictions,
-            "cache.check_skipped": self.cache.stats.checks_skipped,
             "plan.hit": self.cache.plans.stats.hits,
             "plan.miss": self.cache.plans.stats.misses,
         }
@@ -463,7 +462,7 @@ class SimService:
             "submissions": submissions,
             "jobs": jobs,
             "cache": {
-                "entries": self.cache.entries(),
+                "entries": len(self.cache),
                 **self.cache.stats.as_dict(),
             },
             "plan_cache": {

@@ -29,7 +29,7 @@ neither the shm nor the sweep module.
 
 The ``nsc-vpe batch`` and ``nsc-vpe sweep`` CLI subcommands are the
 front door; ``docs/SERVICE.md`` is the cookbook (batch and sweep recipes,
-the shared-memory transport, and the ``run_checker`` trusted path) and
+the shared-memory transport, and checker gating) and
 ``docs/ARCHITECTURE.md`` places this package in the system.
 """
 

@@ -67,28 +67,18 @@ class SimJob:
     both backends share one compiled program.
 
     ``run_checker`` gates :meth:`repro.checker.checker.Checker.check_program`
-    at compile time:
+    at compile time.  This is the one place the modes are described:
 
-    - ``"always"`` — validate the visual program on every compile (the
-      pre-PR-4 behavior);
+    - ``"always"`` — validate the visual program on every compile;
+    - ``"auto"`` (default) and ``"static"`` — the same as ``"always"``;
+      both names are kept so stored specs and scripts still parse;
     - ``"never"``  — skip validation entirely (for programs already
-      vetted out of band);
-    - ``"auto"`` (default) — run the checker the first time a
-      ``(program, machine)`` pair compiles, record the resulting
-      microcode fingerprint in the
-      :class:`~repro.service.cache.ProgramCache`'s verified registry, and
-      skip it on later compiles of the same pair whose fingerprint
-      matches.  With an on-disk cache directory the trust marks persist
-      across processes and sessions, so cache-warmed service jobs never
-      pay the checker's rule sweep again;
-    - ``"static"`` — run the static analyzer
-      (:func:`repro.analysis.analyze_program`) instead of the dynamic
-      checker on first compile: a program whose verdict has no
-      error-severity findings earns the same trust mark ``"auto"``
-      earns from a checked compile (recorded alongside the verdict in
-      the cache), while a verdict with errors falls back to a checked
-      compile.  Warm recompiles ride the verified registry exactly like
-      ``"auto"``.  See ``docs/ANALYSIS.md`` for the recipe.
+      vetted out of band).
+
+    A cache hit compiles nothing and so checks nothing, whatever the
+    mode.  A record whose job compiled carries ``checker="ran"``, or
+    ``"skipped"`` under ``"never"``.  The static analyzer is not a
+    compile gate; it runs as ``nsc-vpe analyze`` (``docs/ANALYSIS.md``).
 
     Like ``backend``, neither ``run_checker`` nor ``keep_fields`` changes
     the compiled microcode, so both are excluded from
@@ -266,8 +256,8 @@ class SimJob:
         retry settings (how often a job may be *attempted* does not
         change what it computes — resume matching and store digests
         depend on this), and ``run_checker`` (how a compile is
-        *validated* does not change it either: the analysis suite pins
-        ``"static"``-vs-``"always"`` store-digest identity on exactly
+        *validated* does not change it either: the checker-gate tests
+        pin store-digest identity across all four modes on exactly
         this).  ``run_checker`` is normalized rather than dropped so
         default-mode specs keep the job_ids they have always had."""
         payload = self.to_dict()

@@ -34,10 +34,10 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: whether ``--resume`` filled the record in, and ``transport_fallback``
 #: on whether shm had to demote to pickling — none of which may change
 #: the simulation's output (the chaos suite asserts exactly that), and
-#: ``checker`` on how a compile earned its trust (ran the dynamic
-#: checker, skipped via the verified registry, or statically analyzed
-#: under ``run_checker="static"``) — the analysis suite pins
-#: static-vs-always digest identity through exactly this exclusion.
+#: ``checker`` on whether this record's job compiled and ran the
+#: design-rule checker (absent on a cache hit, ``"skipped"`` under
+#: ``run_checker="never"``) — the checker-gate tests pin digest
+#: identity across every ``run_checker`` mode through this exclusion.
 #: (``tier`` is *not* volatile — which tier runs is deterministic for a
 #: given job and backend.)
 VOLATILE_KEYS = (

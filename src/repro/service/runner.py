@@ -262,66 +262,18 @@ def _obtain_program(
 
     ``compile_for`` is a callable taking one bool — whether to run the
     design-rule checker — and returning the ``(setup, program)`` cache
-    value.  Modes (see :class:`SimJob`): ``"always"`` checks every
-    compile, ``"never"`` none, and ``"auto"`` consults the cache's
-    verified registry — a hit skips the checker but still compares the
-    fresh compile's fingerprint against the recorded one, falling back to
-    a checked recompile on any mismatch (a stale or tampered trust mark
-    must never smuggle an unvalidated program through).  ``"static"``
-    rides the same registry, but earns a *cold* trust mark from the
-    static analyzer instead of the dynamic checker: an error-free
-    :func:`repro.analysis.analyze_program` verdict (recorded in the
-    cache next to the fingerprint) marks the program verified without
-    ever executing the rule sweep; a verdict with errors falls back to
-    a checked compile.
-
-    Returns ``(value, checker)`` where ``checker`` is ``"ran"``/
-    ``"skipped"``/``"static"`` when this call actually compiled, else
-    None.
+    value.  Every compile is checked unless ``run_checker="never"`` (see
+    :class:`SimJob`).  Returns ``(value, checker)`` where ``checker`` is
+    ``"ran"``/``"skipped"`` when this call actually compiled, else None.
     """
-    key = job.cache_key()
     info: Dict[str, str] = {}
 
     def compile_fn() -> Any:
-        mode = job.run_checker
-        expected = None
-        if mode == "never":
-            check = False
-        elif mode == "always":
-            check = True
-        else:  # "auto" and "static" both ride the verified registry
-            expected = cache.verified_fingerprint(key)
-            check = mode == "auto" and expected is None
-        value = compile_for(check)
-        if not check and expected is not None \
-                and value[1].fingerprint() != expected:
-            value = compile_for(True)
-            check = True
-            expected = None
-        if mode == "static" and not check and expected is None:
-            # cold static path: trust an error-free analysis verdict
-            from repro.analysis import analyze_program
-
-            verdict = analyze_program(value[1])
-            cache.record_static(key, verdict)
-            if verdict.ok:
-                cache.mark_verified(key, value[1].fingerprint())
-                cache.stats.static_clean += 1
-                obs.count("cache.static_clean")
-                info["checker"] = "static"
-                return value
-            # findings at error severity: run the real checker instead
-            value = compile_for(True)
-            check = True
-        if check:
-            cache.mark_verified(key, value[1].fingerprint())
-        elif mode in ("auto", "static"):
-            cache.stats.checks_skipped += 1
-            obs.count("cache.check_skipped")
+        check = job.run_checker != "never"
         info["checker"] = "ran" if check else "skipped"
-        return value
+        return compile_for(check)
 
-    value = cache.get_or_compile(key, compile_fn)
+    value = cache.get_or_compile(job.cache_key(), compile_fn)
     return value, info.get("checker")
 
 
@@ -588,7 +540,7 @@ class BatchRunner:
         "timeout" would be a lie — see :class:`WorkerPool`).
     cache_dir:
         On-disk :class:`ProgramCache` layer shared across workers and
-        sessions (compiled programs *and* checker trust marks).
+        sessions (compiled programs only).
     store:
         Optional :class:`ResultStore`; stored records never contain field
         arrays, only their SHA-256 digests.
@@ -597,8 +549,8 @@ class BatchRunner:
         arrays move between parent and workers (module docstring).
         Ignored on the serial path.
     run_checker:
-        When set (``"auto"``/``"always"``/``"never"``), overrides every
-        job's own ``run_checker`` for this batch.
+        When set (one of :data:`~repro.service.jobs.CHECKER_MODES`),
+        overrides every job's own ``run_checker`` for this batch.
     batch_fusion:
         Grouping only (a lone fast builder job is a slab of one either
         way, :mod:`repro.service.slab`).  ``"off"`` (default) runs jobs

@@ -7,7 +7,8 @@ that is an analyzer bug).  Usefulness: an analyzer-clean program runs
 bit-identically on the reference interpreter and the fused fast path —
 static cleanliness really does mean nothing execution-order-dependent.
 Completeness: every seeded defect class is flagged on every (solver,
-shape) draw — zero false negatives, the ``run_checker="static"`` bar.
+shape) draw — zero false negatives, the bar ``nsc-vpe analyze`` and
+the CI ``analyze`` job rely on.
 """
 
 import numpy as np

@@ -1,11 +1,13 @@
-"""The run_checker trusted path: gating, trust marks, defensive recheck."""
+"""run_checker: every compile is checked unless the mode is "never"."""
 
 import pytest
 
 from repro.checker.checker import Checker
 from repro.service.cache import ProgramCache
-from repro.service.jobs import JobSpecError, SimJob
+from repro.service.jobs import CHECKER_MODES, JobSpecError, SimJob
+from repro.service.results import ResultStore
 from repro.service.runner import BatchRunner, execute_job
+from repro.service.sweep import SweepSpec
 
 FAST = dict(eps=1e-3, max_sweeps=500)
 
@@ -51,20 +53,21 @@ class TestSimJobValidation:
 
 
 class TestCheckerGating:
-    def test_auto_checks_first_compile_then_skips(self, check_calls):
+    def test_auto_and_static_recheck_after_clear(self, check_calls):
         cache = ProgramCache()
         job = SimJob(method="jacobi", shape=(5, 5, 5), **FAST)
         first = execute_job(job.to_dict(), cache=cache)
         assert first["checker"] == "ran"
         assert len(check_calls) == 1
-        cache.clear()  # forget the compiled program, keep the trust mark
-        second = execute_job(job.to_dict(), cache=cache)
-        assert second["checker"] == "skipped"
-        assert len(check_calls) == 1  # no new check
-        assert cache.stats.checks_skipped == 1
-        # the unchecked recompile produced the exact vetted microcode
-        assert (first["program_fingerprint"]
-                == second["program_fingerprint"])
+        for n, mode in enumerate(("auto", "static"), start=2):
+            cache.clear()  # forget the compiled program
+            record = execute_job(dict(job.to_dict(), run_checker=mode),
+                                 cache=cache)
+            assert record["cache_hit"] is False
+            assert record["checker"] == "ran"
+            assert len(check_calls) == n
+            assert (record["program_fingerprint"]
+                    == first["program_fingerprint"])
 
     def test_cache_hit_reports_no_checker_at_all(self, check_calls):
         cache = ProgramCache()
@@ -98,39 +101,34 @@ class TestCheckerGating:
         assert auto["checker"] == "ran"
         assert len(check_calls) == 1
 
-    def test_stale_trust_mark_triggers_checked_recompile(self, check_calls):
-        cache = ProgramCache()
+    def test_stale_trust_mark_triggers_checked_recompile(
+        self, check_calls, tmp_path
+    ):
+        # files an older cache layout left behind vouch for nothing,
+        # whether their fingerprint is right or wrong, and are not touched
+        cache_dir = tmp_path / "cache"
         job = SimJob(method="jacobi", shape=(5, 5, 5), **FAST)
-        cache.mark_verified(job.cache_key(), "not-the-real-fingerprint")
-        record = execute_job(job.to_dict(), cache=cache)
-        assert record["ok"]
-        assert record["checker"] == "ran"  # mismatch fell back to checking
-        assert len(check_calls) == 1
-        # and the registry now holds the true fingerprint
-        assert (cache.verified_fingerprint(job.cache_key())
-                == record["program_fingerprint"])
-
-    def test_trust_marks_persist_on_disk(self, check_calls, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        job = SimJob(method="jacobi", shape=(5, 5, 5), **FAST)
-        BatchRunner(workers=1, cache_dir=cache_dir).run([job])
-        assert len(check_calls) == 1
-        # evict the compiled entries; the trust marks survive
-        for entry in (tmp_path / "cache").glob("*.pkl"):
-            entry.unlink()
-        records, _ = BatchRunner(workers=1, cache_dir=cache_dir).run([job])
-        assert records[0]["checker"] == "skipped"
-        assert len(check_calls) == 1
-
-    def test_clear_verified_forgets_marks(self, check_calls):
-        cache = ProgramCache()
-        job = SimJob(method="jacobi", shape=(5, 5, 5), **FAST)
-        execute_job(job.to_dict(), cache=cache)
-        cache.clear()
-        cache.clear_verified()
-        record = execute_job(job.to_dict(), cache=cache)
-        assert record["checker"] == "ran"
-        assert len(check_calls) == 2
+        key = job.cache_key()
+        records, _ = BatchRunner(workers=1, cache_dir=str(cache_dir)).run(
+            [job])
+        (cache_dir / "verified").mkdir()
+        (cache_dir / "analysis").mkdir()
+        (cache_dir / "analysis" / f"{key}.json").write_text('{"ok": true}')
+        for n, fingerprint in enumerate(
+            (records[0]["program_fingerprint"], "not-the-real-fingerprint"),
+            start=2,
+        ):
+            (cache_dir / f"{key}.pkl").unlink()
+            (cache_dir / "verified" / f"{key}.fp").write_text(fingerprint)
+            leftovers = {path: path.read_text()
+                         for path in cache_dir.glob("*/*")}
+            records, _ = BatchRunner(
+                workers=1, cache_dir=str(cache_dir)).run([job])
+            assert records[0]["ok"]
+            assert records[0]["checker"] == "ran"
+            assert len(check_calls) == n
+            assert {path: path.read_text()
+                    for path in cache_dir.glob("*/*")} == leftovers
 
     def test_runner_override_beats_job_setting(self, check_calls):
         job = SimJob(method="jacobi", shape=(5, 5, 5),
@@ -146,13 +144,35 @@ class TestCheckerGating:
                      **FAST)
         first = execute_job(job.to_dict(), cache=cache)
         assert first["ok"] and first["checker"] == "ran"
+        for n, mode in enumerate(("auto", "static"), start=2):
+            cache.clear()
+            record = execute_job(dict(job.to_dict(), run_checker=mode),
+                                 cache=cache)
+            assert record["ok"] and record["checker"] == "ran"
+            assert len(check_calls) == n
         cache.clear()
-        second = execute_job(job.to_dict(), cache=cache)
-        assert second["checker"] == "skipped"
-        assert len(check_calls) == 1
+        never = execute_job(dict(job.to_dict(), run_checker="never"),
+                            cache=cache)
+        assert never["checker"] == "skipped"
+        assert len(check_calls) == 3
 
     def test_invalid_runner_configuration(self):
         with pytest.raises(ValueError, match="unknown transport"):
             BatchRunner(transport="carrier-pigeon")
         with pytest.raises(ValueError, match="unknown run_checker"):
             BatchRunner(run_checker="sometimes")
+
+    def test_every_mode_records_are_digest_identical(self, tmp_path):
+        # how (or whether) a compile is checked must not change a single
+        # canonical byte of the batch output
+        spec = SweepSpec(grids=(5, 6), methods=("jacobi", "rb-gs"), **FAST)
+        digests = {}
+        for mode in CHECKER_MODES:
+            store = ResultStore(str(tmp_path / f"{mode}.jsonl"))
+            runner = BatchRunner(workers=1, store=store, run_checker=mode)
+            records, summary = runner.run(spec.expand())
+            assert summary.failed == 0
+            assert {r["checker"] for r in records} == {
+                "skipped" if mode == "never" else "ran"}
+            digests[mode] = store.digest()
+        assert len(set(digests.values())) == 1, digests

@@ -193,21 +193,6 @@ class TestRecordSchema:
         assert outer.counters["cache.hit"] == 1
         assert outer.span_counts["compile"] == 1
 
-    def test_checker_skip_counter(self, tmp_path):
-        cache = ProgramCache(str(tmp_path / "cache"))
-        spec = _single("fast", run_checker="auto").to_dict()
-        execute_job(spec, cache=cache)  # compiles, checks, marks verified
-        # force a recompile that rides the registry: drop the compiled
-        # layers (memory and disk) but keep the verified fingerprints
-        cache.clear()
-        for entry in (tmp_path / "cache").glob("*.pkl"):
-            entry.unlink()
-        tracer = Tracer()
-        with obs.use(tracer):
-            record = execute_job(spec, cache=cache, tracer=tracer)
-        assert record["checker"] == "skipped"
-        assert tracer.counters["cache.check_skipped"] == 1
-
     def test_shm_transport_records_keep_schema(self):
         jobs = [SimJob(method="jacobi", shape=(5, 5, 5), backend="fast",
                        keep_fields=True, label=f"shm#{i}", **FAST)

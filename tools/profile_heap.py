@@ -116,7 +116,7 @@ def profile(n: int, seed: int) -> Dict[str, Any]:
         "objects_before": objects_before,
         "objects_after": objects_after,
         "full_collect_ms": round(collect_ms, 1),
-        "cache": {"entries": cache.entries(), **cache.stats.as_dict()},
+        "cache": {"entries": len(cache), **cache.stats.as_dict()},
         "plan_cache": {"entries": len(PLAN_CACHE), **PLAN_CACHE.stats.as_dict()},
         "peak_rss_mb": round(peak_kb / 1024.0, 1),
     }
