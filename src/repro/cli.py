@@ -40,7 +40,7 @@ zero-copy shared-memory path), ``--run-checker`` (whether compiles run
 the design-rule checker; the modes are described on
 :class:`repro.service.jobs.SimJob`) and ``--batch-fusion
 {off,auto}`` (``auto`` runs fusable same-program jobs as one stacked
-batch-fused slab on serial runs — see ``docs/BACKENDS.md``).  ``sweep``
+batch-fused slab, serial or pooled — see ``docs/BACKENDS.md``).  ``sweep``
 also takes ``--seeds`` to add a seeded-initial-guess axis.
 
 The reliability knobs (``docs/RELIABILITY.md``): ``--max-attempts`` and
@@ -775,8 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "see SimJob)")
     p.add_argument("--batch-fusion", choices=("off", "auto"),
                    default="off", dest="batch_fusion",
-                   help="slab-fuse fusable same-program jobs on serial "
-                   "batches")
+                   help="slab-fuse fusable same-program jobs, on any "
+                   "executor and transport")
     p.add_argument("--max-attempts", type=int, default=1,
                    dest="max_attempts",
                    help="daemon-wide retry budget for transient job "
@@ -853,7 +853,7 @@ def _add_service_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-fusion", choices=("off", "auto"),
                    default="off", dest="batch_fusion",
                    help="'auto' stacks fusable same-program jobs into "
-                   "one batch-fused slab per group on serial runs "
+                   "one batch-fused slab per group, serial or pooled "
                    "(records gain tier=batch_fused and slab_size); "
                    "anything unfusable falls back per job")
     p.add_argument("--max-attempts", type=int, default=1,

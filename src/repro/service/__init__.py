@@ -56,7 +56,7 @@ __all__ = [
     "BatchSummary",
     "TRANSPORTS",
     "execute_job",
-    "execute_job_shm",
+    "execute_unit",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -75,7 +75,7 @@ __getattr__, __dir__ = lazy_exports(
             "BatchSummary",
             "TRANSPORTS",
             "execute_job",
-            "execute_job_shm",
+            "execute_unit",
         ),
     },
 )

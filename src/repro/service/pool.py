@@ -7,17 +7,20 @@ wrapped in a :class:`WorkerOutcome`: a worker raising (or timing out) is
 *captured*, not propagated — one bad job must never sink the batch.
 
 ``max_workers=1`` without a timeout short-circuits to in-process serial
-execution: no subprocesses, no pickling, and the caller's objects (e.g.
-a shared :class:`~repro.service.cache.ProgramCache`) are used directly.
-A timeout always forces the process path — an in-process job cannot be
-preempted, so a serial "timeout" would be a lie.
+execution — the batch runner's serial executor: no subprocesses, no
+pickling, the caller's objects (e.g. a shared
+:class:`~repro.service.cache.ProgramCache`) are used directly, and each
+outcome is reported the moment its item finishes.  A timeout always
+forces the process path — an in-process job cannot be preempted, so a
+serial "timeout" would be a lie.
 
 The pool is transport-agnostic: items are whatever the caller's worker
-function takes.  The batch runner's pickle transport sends job dicts and
-receives whole records (arrays included) through these futures, while
-its shm transport sends only :class:`~repro.service.shm.ShmArrayRef`
-handles — a few dozen bytes per grid — and moves the arrays through
-shared memory instead (see :mod:`repro.service.runner`).
+function takes.  The batch runner maps one task per unit (one job or
+one slab); over the pickle transport a task carries job specs and
+returns whole records (arrays included) through these futures, over shm
+it also carries :class:`~repro.service.shm.ShmArrayRef` handles — a few
+dozen bytes per grid — and the arrays move through shared memory
+instead (see :mod:`repro.service.runner`).
 """
 
 from __future__ import annotations
@@ -72,19 +75,7 @@ def _run_chunk(
     Top-level so it pickles into pool workers; failures are captured
     per item, exactly like the serial path.
     """
-    outcomes: List[WorkerOutcome] = []
-    for index, item in chunk:
-        start = time.perf_counter()
-        try:
-            value = fn(item)
-        except Exception as exc:
-            outcomes.append(WorkerOutcome.failure(
-                index, exc, time.perf_counter() - start))
-        else:
-            outcomes.append(WorkerOutcome(
-                index=index, ok=True, value=value,
-                duration_s=time.perf_counter() - start))
-    return outcomes
+    return [call_captured(fn, item, index) for index, item in chunk]
 
 
 def call_captured(fn: Callable[[Any], Any], item: Any,
@@ -153,23 +144,32 @@ class WorkerPool:
         self.last_stragglers = 0
 
     # ------------------------------------------------------------------
-    def map(self, fn: Callable[[Any], Any],
-            items: Sequence[Any]) -> List[WorkerOutcome]:
-        """Apply ``fn`` to every item; outcomes ordered like ``items``."""
+    def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
+            on_outcome: Optional[Callable[[WorkerOutcome], None]] = None,
+            ) -> List[WorkerOutcome]:
+        """Apply ``fn`` to every item; outcomes ordered like ``items``.
+
+        ``on_outcome`` is called with each outcome, in item order: the
+        in-process branch calls it the moment its item finishes (so a
+        caller can checkpoint per item), the process branches once the
+        map has collected everything.  An exception it raises escapes
+        the map."""
         self.last_rebuilds = 0
         self.last_stragglers = 0
+        report = on_outcome or (lambda outcome: None)
         if not items:
             return []
         if self.timeout is None and (self.max_workers == 1
                                      or len(items) == 1):
-            return self._map_serial(fn, items)
-        return self._map_parallel(fn, items)
-
-    # ------------------------------------------------------------------
-    def _map_serial(self, fn: Callable[[Any], Any],
-                    items: Sequence[Any]) -> List[WorkerOutcome]:
-        return [call_captured(fn, item, index)
-                for index, item in enumerate(items)]
+            outcomes = []
+            for index, item in enumerate(items):
+                outcomes.append(call_captured(fn, item, index))
+                report(outcomes[-1])
+            return outcomes
+        outcomes = self._map_parallel(fn, items)
+        for outcome in outcomes:
+            report(outcome)
+        return outcomes
 
     @staticmethod
     def _lost_to_break(future: "Future") -> bool:

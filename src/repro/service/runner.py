@@ -9,25 +9,29 @@ a cache hit, so the batch summary can prove recompilation was avoided.
 :class:`BatchRunner` wires the pieces: it expands nothing and decides
 nothing about *what* to run — that is :mod:`repro.service.sweep`'s job —
 it just executes a job list with deterministic ordering, failure
-isolation, and JSONL persistence.  Two orthogonal knobs govern *how*:
+isolation, and JSONL persistence.  Every round takes one path: *plan*
+the jobs into units (``batch_fusion="auto"`` puts same-program fast
+jobs into one slab unit, every other job is a unit of one), build one
+task per unit, and run every task through one :meth:`WorkerPool.map` of
+:func:`execute_unit` — in-process for ``workers=1`` without a timeout,
+in worker processes otherwise.  Two knobs shape the tasks:
 
-- ``transport`` — how grids move between parent and workers.
-  ``"pickle"`` (default) is the classic pool: job dicts out, records
-  (including any kept field arrays) pickled back through executor pipes.
-  ``"shm"`` is the zero-copy path: problem inputs are written once per
-  grid shape into :mod:`multiprocessing.shared_memory` segments that
-  workers attach read-only, and kept fields are written by the worker
-  into output segments the parent preallocated
-  (see :mod:`repro.service.shm`).  Serial runs (``workers=1``, no
-  timeout) bypass transports entirely — no subprocesses, no copies —
-  so ``workers=1`` behavior is identical either way.
+- ``transport`` — how grids move between parent and pool workers.
+  ``"pickle"`` (default): specs out, records (including any kept field
+  arrays) pickled back through executor pipes.  ``"shm"``: problem
+  inputs are written once per grid shape into
+  :mod:`multiprocessing.shared_memory` segments that workers attach
+  read-only, and kept fields are written by the worker into output
+  segments the parent preallocated (see :mod:`repro.service.shm`).  An
+  in-process run needs no transport, so ``workers=1`` behaves the same
+  either way.
 - ``run_checker`` — when the design-rule checker runs at compile time
   (see :class:`~repro.service.jobs.SimJob`); ``BatchRunner``'s value,
   if given, overrides every job's own setting for the batch.
 
-Cleanup is deterministic: the shm arena backing a batch is destroyed in a
-``finally`` block, so worker crashes, timeouts, and mid-batch exceptions
-never leak a segment.
+Cleanup is deterministic: the shm arena backing a round is cleaned up in
+a ``finally`` block, so worker crashes, timeouts, and mid-batch
+exceptions never leak a segment.
 
 On top sits the reliability layer (``docs/RELIABILITY.md``): jobs run in
 *attempt rounds* — transient failures (timeouts, broken pools, shm
@@ -52,7 +56,7 @@ import hashlib
 import time
 from dataclasses import dataclass, replace
 from typing import (
-    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -62,7 +66,7 @@ from repro.service import faults
 from repro.service.cache import ProgramCache
 from repro.service.faults import FaultInjected, FaultPlan
 from repro.service.jobs import CHECKER_MODES, SimJob
-from repro.service.pool import WorkerOutcome, WorkerPool, call_captured
+from repro.service.pool import WorkerOutcome, WorkerPool
 from repro.service.results import ResultStore
 from repro.service.retry import RetryPolicy, classify_record
 
@@ -70,13 +74,14 @@ from repro.service.retry import RetryPolicy, classify_record
 TRANSPORTS = ("pickle", "shm")
 
 #: Batch-fusion modes: "off" always runs jobs one at a time; "auto"
-#: groups same-program jobs into slabs on the serial path (see
-#: :mod:`repro.service.slab`) and falls back per job on any decline.
+#: groups same-program jobs into slab units on every executor and
+#: transport (see :mod:`repro.service.slab`) and falls back per job on
+#: any decline.
 BATCH_FUSION_MODES = ("off", "auto")
 
-#: Per-process cache used by pool workers (and by serial runs that do not
-#: pass an explicit cache).  Keyed compilation output survives across jobs
-#: within one worker; the disk layer shares it across workers.
+#: Per-process cache used by pool workers (and by in-process calls that
+#: pass no cache).  Keyed compilation output survives across jobs within
+#: one worker; the disk layer shares it across workers.
 _PROCESS_CACHE: Optional[ProgramCache] = None
 _PROCESS_CACHE_DIR: Optional[str] = None
 
@@ -127,8 +132,9 @@ def execute_job(
     lets a caller that already timed earlier stages — the shm worker's
     segment attach — keep accumulating into the same one).  The record
     is stamped with ``timings`` (the fixed per-stage dict, volatile
-    across runs) and ``tier`` (which execution tier actually ran —
-    deterministic for a given job + backend).
+    across runs), ``duration_s`` (its wall time, volatile too) and
+    ``tier`` (which execution tier actually ran — deterministic for a
+    given job + backend).
 
     ``attempt`` is the 1-based retry attempt this execution represents;
     it keys the ``worker.exec`` fault site (:mod:`repro.service.faults`)
@@ -136,6 +142,7 @@ def execute_job(
     of its spec.  Failure records carry ``error_type`` (the exception
     class name) so the retry layer can classify them.
     """
+    start = time.perf_counter()
     job = SimJob.from_dict(spec)
     if cache is None:
         cache = _process_cache(cache_dir)
@@ -159,11 +166,17 @@ def execute_job(
         _mark_failed(record, exc)
     if cache.stats.lookups > lookups_before:  # job reached compilation
         record["cache_hit"] = cache.stats.hits > hits_before
+    record["duration_s"] = round(time.perf_counter() - start, 6)
     return _stamp_telemetry(record, tracer)
 
 
 def _record_head(job: SimJob) -> Dict[str, Any]:
-    """The identifying keys every job record starts with."""
+    """The identifying keys every job record starts with (``cache_key``
+    is None for a saved program whose file cannot be read)."""
+    try:
+        cache_key: Optional[str] = job.cache_key()
+    except OSError:
+        cache_key = None
     return {
         "job_id": job.job_id,
         "label": job.describe(),
@@ -173,7 +186,7 @@ def _record_head(job: SimJob) -> Dict[str, Any]:
         "subset": job.subset,
         "hypercube_dim": job.hypercube_dim,
         "backend": job.backend,
-        "cache_key": job.cache_key(),
+        "cache_key": cache_key,
     }
 
 
@@ -206,53 +219,113 @@ def _exec_fault(job: SimJob, attempt: int) -> Optional[Dict[str, Any]]:
     except FaultInjected as exc:
         record = _record_head(job)
         _mark_failed(record, exc)
+        record["duration_s"] = 0.0
         return _stamp_telemetry(record, tracer)
     return None
 
 
-def execute_job_shm(
-    task: Mapping[str, Any], cache_dir: Optional[str] = None,
+def execute_unit(
+    task: Mapping[str, Any],
+    cache: Optional[ProgramCache] = None,
+    cache_dir: Optional[str] = None,
     attempt: int = 1,
-) -> Dict[str, Any]:
-    """Worker-side shm transport: attach, run, write fields in place.
+) -> List[Dict[str, Any]]:
+    """Run one *unit* of a batch — one job, or a group of same-program
+    jobs as one slab — and return one record per member, in order.
 
-    ``task`` carries the job spec plus :class:`~repro.service.shm.ShmArrayRef`
-    handles — input segments are attached read-only, output segments
-    writable, and every attachment is released before returning (or on
-    any failure).  The returned record contains no arrays; the parent
-    reads kept fields straight out of the segments it owns.
+    This is :class:`BatchRunner`'s one worker function, in-process and
+    in pool workers alike (top-level, so it pickles).  ``task["specs"]``
+    holds the members' job specs.  Under the shm transport the task also
+    carries :class:`~repro.service.shm.ShmArrayRef` handles: the shared
+    problem inputs (``"inputs"``, built with grid spacing
+    ``"inputs_h"``) and one output mapping or None per member
+    (``"fields"``).  They are attached for the unit's duration (after
+    the ``shm.attach`` fault site fires per member) and released before
+    returning; an attach failure propagates, failing the whole unit.
 
-    Attach failures — real :class:`~repro.service.shm.ShmAttachError`\\ s
-    or the injected ``shm.attach`` fault site — propagate out to the
-    pool's failure capture; the runner classifies them transient and
-    demotes the batch to the pickle transport for the retry.
+    A group fires ``worker.exec`` per member (a faulted member gets the
+    failure record :func:`execute_job` would produce) and runs the
+    survivors as one slab (:func:`repro.service.slab.execute_slab`) if
+    two or more remain, else through :func:`execute_job`; a declined
+    slab's members rerun one by one with ``fallback_reason`` stamped.
+    Every record's ``duration_s`` is its own wall time, a slab's split
+    equally among its members.
     """
+    if cache is None:
+        cache = _process_cache(cache_dir)
+    specs = task["specs"]
+    tracer = obs.Tracer()
+    with contextlib.ExitStack() as stack:
+        inputs = None
+        fields: List[Optional[Mapping[str, np.ndarray]]] = [None] * len(specs)
+        if "fields" in task:
+            with obs.use(tracer), obs.span("transport"):
+                inputs, fields = _attach(task, stack, attempt)
+        if len(specs) == 1:
+            return [execute_job(specs[0], cache=cache, inputs=inputs,
+                                fields_out=fields[0], tracer=tracer,
+                                attempt=attempt)]
+        jobs = [SimJob.from_dict(spec) for spec in specs]
+        records = [_exec_fault(job, attempt) for job in jobs]
+        members = [k for k, record in enumerate(records) if record is None]
+        reason = None
+        if len(members) >= 2:
+            from repro.service import slab
+
+            start = time.perf_counter()
+            slab_records, reason = slab.execute_slab(
+                [jobs[k] for k in members], cache, inputs,
+                [fields[k] for k in members],
+            )
+            if slab_records is not None:
+                duration = round(
+                    (time.perf_counter() - start) / len(members), 6
+                )
+                for k, record in zip(members, slab_records):
+                    record["duration_s"] = duration
+                    records[k] = record
+                members = []
+        for k in members:
+            records[k] = execute_job(specs[k], cache=cache, inputs=inputs,
+                                     fields_out=fields[k], attempt=attempt)
+            if reason is not None:
+                records[k].setdefault(
+                    "fallback_reason", f"batch_fusion: {reason}"
+                )
+    # the unit's segment attach time splits evenly over its members
+    attach = tracer.timings.get("transport", 0.0) / len(records)
+    if attach:
+        for record in records:
+            record["timings"]["transport"] = round(
+                record["timings"]["transport"] + attach, 6
+            )
+    return records
+
+
+def _attach(
+    task: Mapping[str, Any], stack: contextlib.ExitStack, attempt: int,
+) -> Tuple[Optional[Dict[str, Any]], List[Optional[Dict[str, np.ndarray]]]]:
+    """Attach a unit's shm segments onto *stack*: ``(inputs, fields)``,
+    inputs read-only and each member's output fields writable."""
     from repro.service.shm import attached
 
-    tracer = obs.Tracer()
-    with contextlib.ExitStack() as stack, obs.use(tracer):
-        with obs.span("transport"):
-            faults.check(
-                "shm.attach", SimJob.from_dict(task["spec"]).job_id, attempt
-            )
-            inputs: Optional[Dict[str, Any]] = None
-            if task.get("inputs"):
-                inputs = {
-                    name: stack.enter_context(attached(ref, readonly=True))
-                    for name, ref in task["inputs"].items()
-                }
-                inputs["h"] = task["inputs_h"]
-            fields_out: Optional[Dict[str, np.ndarray]] = None
-            if task.get("fields"):
-                fields_out = {
-                    name: stack.enter_context(attached(ref, readonly=False))
-                    for name, ref in task["fields"].items()
-                }
-        return execute_job(
-            task["spec"], cache_dir=cache_dir,
-            inputs=inputs, fields_out=fields_out, tracer=tracer,
-            attempt=attempt,
-        )
+    for spec in task["specs"]:
+        faults.check("shm.attach", SimJob.from_dict(spec).job_id, attempt)
+    inputs: Optional[Dict[str, Any]] = None
+    if task.get("inputs"):
+        inputs = {
+            name: stack.enter_context(attached(ref, readonly=True))
+            for name, ref in task["inputs"].items()
+        }
+        inputs["h"] = task["inputs_h"]
+    fields = [
+        None if refs is None else {
+            name: stack.enter_context(attached(ref, readonly=False))
+            for name, ref in refs.items()
+        }
+        for refs in task["fields"]
+    ]
+    return inputs, fields
 
 
 def _obtain_program(
@@ -338,7 +411,8 @@ def _run_single(
 
         try:
             return run_slab([job], [obs.current() or obs.Tracer()], node,
-                            setup, program, [checker], inputs, fields_out)[0]
+                            setup, program, [checker], inputs,
+                            [fields_out])[0]
         except FusionUnsupported as exc:
             record_decline(exc)
     with obs.span("bind"):
@@ -533,11 +607,14 @@ class BatchRunner:
     Parameters
     ----------
     workers:
-        Worker processes.  ``1`` (without a timeout) runs serially
-        in-process: no subprocesses, no transport, shared in-memory cache.
+        Worker processes.  ``1`` (without a timeout) runs the units
+        in-process: no subprocesses, no transport, shared in-memory
+        cache, and each unit's records reach the store as it finishes.
     timeout:
         Per-job wall-clock ceiling; forces the process pool (a serial
-        "timeout" would be a lie — see :class:`WorkerPool`).
+        "timeout" would be a lie — see :class:`WorkerPool`) and makes
+        every unit one job, since a per-job ceiling cannot be split
+        across a slab.
     cache_dir:
         On-disk :class:`ProgramCache` layer shared across workers and
         sessions (compiled programs only).
@@ -546,19 +623,21 @@ class BatchRunner:
         arrays, only their SHA-256 digests.
     transport:
         ``"pickle"`` (default) or ``"shm"`` — how grids and kept field
-        arrays move between parent and workers (module docstring).
-        Ignored on the serial path.
+        arrays move between parent and workers (module docstring): a
+        property of each unit's task, so in-process runs, which need no
+        transport, ignore it.
     run_checker:
         When set (one of :data:`~repro.service.jobs.CHECKER_MODES`),
         overrides every job's own ``run_checker`` for this batch.
     batch_fusion:
         Grouping only (a lone fast builder job is a slab of one either
         way, :mod:`repro.service.slab`).  ``"off"`` (default) runs jobs
-        individually; ``"auto"`` groups same-program jobs of a serial
-        run into slabs, whose records match per-job runs apart from the
-        timing fields and carry ``tier="batch_fused"`` + ``slab_size``.
-        A declined slab's members run per job with ``fallback_reason``
-        recorded.  Records stream to the store per slab, and
+        individually; ``"auto"`` plans same-program jobs into one slab
+        unit, the same on every executor and transport, so a job list
+        stores one canonical digest however it ran.  Slab records match
+        per-job runs apart from the timing fields and carry
+        ``tier="batch_fused"`` + ``slab_size``.  A declined slab's
+        members run per job with ``fallback_reason`` recorded, and
         ``worker.exec`` faults fire per slab member.
     retry:
         Batch-level :class:`~repro.service.retry.RetryPolicy`; when set
@@ -577,14 +656,15 @@ class BatchRunner:
         run; exported through ``NSC_VPE_FAULTS`` so pool workers inherit
         it.  Chaos testing only — never set in production.
     cache:
-        An explicit in-process :class:`ProgramCache` for the serial
-        path, overriding the runner-owned one.  A long-lived host (the
-        ``nsc-vpe serve`` daemon) passes the same cache to every runner
-        it builds, so compiled programs — and with them the shared
+        An explicit :class:`ProgramCache` for in-process runs, which
+        hand it to every :func:`execute_unit` call in place of the
+        runner-owned one.  A long-lived host (the ``nsc-vpe serve``
+        daemon) passes the same cache to every runner it builds, so
+        compiled programs — and with them the shared
         :data:`~repro.sim.fastpath.PLAN_CACHE` — stay warm across
-        requests instead of across one batch.  Ignored on the process
-        path (workers > 1 or a timeout), which uses per-worker caches
-        plus the disk layer, exactly as before.
+        requests instead of across one batch.  Ignored by process runs
+        (workers > 1 or a timeout), whose units use per-worker caches
+        plus the disk layer.
     arena:
         A caller-owned persistent :class:`~repro.service.shm.ShmArena`
         for the shm transport.  When given, each batch allocates its
@@ -645,9 +725,9 @@ class BatchRunner:
         #: parent-side telemetry of the most recent run (arena setup and
         #: field materialization spans; per-job stages live in records)
         self.last_telemetry: Optional[obs.Telemetry] = None
-        #: serial runs share this cache across the whole batch; process
-        #: runs (workers > 1, or any timeout, which forces the process
-        #: path) rely on per-worker caches plus the shared disk layer.
+        #: in-process runs share this cache across the whole batch;
+        #: process runs (workers > 1, or any timeout, which forces the
+        #: process pool) rely on per-worker caches plus the disk layer.
         #: A caller-provided cache (the serve daemon's) survives across
         #: runner instances — warm across *requests*, not just jobs.
         if workers == 1 and timeout is None:
@@ -699,7 +779,7 @@ class BatchRunner:
                 def absorb(i: int, record: Dict[str, Any]) -> None:
                     """Finalize one record (or schedule its retry) as it
                     lands.  Serial execution streams records through
-                    here one job at a time, so the checkpoint frontier
+                    here one unit at a time, so the checkpoint frontier
                     advances — and the store grows — *during* a round,
                     not just at its end: a ``kill -9`` mid-batch leaves
                     every already-finished job persisted."""
@@ -711,7 +791,7 @@ class BatchRunner:
                         record["resumed"] = True
                     classification = classify_record(record)
                     if classification is None:  # success: finalize
-                        self._digest_fields([record])
+                        self._digest_fields(record)
                         final[i] = record
                         self._checkpoint(final, preloaded)
                         return
@@ -744,11 +824,18 @@ class BatchRunner:
                             job_id=record.get("job_id"),
                             attempts=attempt, reason=reason,
                         )
-                    self._digest_fields([record])
+                    self._digest_fields(record)
                     final[i] = record
                     self._checkpoint(final, preloaded)
 
-                self._run_round(eff_jobs, specs, pending, attempt, absorb)
+                # first round of a resume: a slab partly in the store
+                # reruns whole, so its missing members' records
+                # (slab_size, cache hits) match the uninterrupted run's
+                self._run_round(
+                    eff_jobs, specs, pending, attempt, absorb,
+                    rerun=[i for i, done in enumerate(preloaded)
+                           if done and attempt == 1],
+                )
                 if still and delay > 0:
                     time.sleep(delay)  # deterministic no-jitter backoff
                 still.sort()  # retries keep running in job-index order
@@ -855,6 +942,7 @@ class BatchRunner:
         indices: Sequence[int],
         attempt: int,
         on_record: Callable[[int, Dict[str, Any]], None],
+        rerun: Sequence[int] = (),
     ) -> None:
         """Execute attempt *attempt* for every job index in *indices*,
         reporting each record to ``on_record(job_index, record)``.
@@ -862,6 +950,10 @@ class BatchRunner:
         The parent-side ``pool.submit`` fault site fires here: an item
         it claims never reaches the pool and reports a synthesized
         transient failure instead (the retry layer handles the rest).
+        The rest are planned into units (:meth:`_units`) and every unit
+        runs through one :meth:`WorkerPool.map` of :func:`execute_unit`.
+        *rerun* names already-final jobs that join their units again
+        without reporting (``resume`` re-forming a partly stored slab).
         """
         dispatch: List[int] = []
         for i in indices:
@@ -870,75 +962,124 @@ class BatchRunner:
             except FaultInjected as exc:
                 # an item that never reached the pool: a dead worker's
                 # synthesized record, with zero duration
-                on_record(i, self._record_of(
+                on_record(i, self._failure_record(
                     eff_jobs[i], WorkerOutcome.failure(i, exc)
                 ))
             else:
                 dispatch.append(i)
-        if dispatch:
-            self._dispatch(
-                [eff_jobs[i] for i in dispatch],
-                [specs[i] for i in dispatch],
-                attempt,
-                lambda j, record: on_record(dispatch[j], record),
-            )
-
-    def _dispatch(
-        self,
-        round_jobs: Sequence[SimJob],
-        round_specs: List[Dict[str, Any]],
-        attempt: int,
-        on_record: Callable[[int, Dict[str, Any]], None],
-    ) -> None:
-        """Run one round's jobs over the (possibly degraded) transport,
-        reporting each record to ``on_record(round_index, record)``.
-
-        The in-process serial bypass streams: every record is reported
-        the moment its job finishes, while the pool/shm transports (whose
-        results only exist once the round's map returns) report the
-        whole round at the end."""
-        if self.transport == "shm" and self.cache is None \
-                and self._transport_degraded is None:
-            try:
-                records = self._run_shm(round_jobs, round_specs, attempt)
-            except FaultInjected:
-                raise  # store.append faults must escape, not demote
-            except OSError as exc:
-                # arena setup failed (no /dev/shm space, limits): the
-                # batch still completes — over pickling
-                self._degrade_transport(f"{type(exc).__name__}: {exc}")
-            else:
-                self._report(records, on_record)
-                return
-        if self.cache is not None:
-            self._run_serial(round_jobs, round_specs, attempt, on_record)
+        wanted = set(dispatch)
+        planned = self._units(eff_jobs, sorted(dispatch + list(rerun)))
+        units = [unit for unit in planned if not wanted.isdisjoint(unit)]
+        if not units:
             return
         fn = functools.partial(
-            execute_job, cache_dir=self.cache_dir, attempt=attempt
+            execute_unit, cache=self.cache, cache_dir=self.cache_dir,
+            attempt=attempt,
         )
-        pool = WorkerPool(max_workers=self.workers, timeout=self.timeout)
-        outcomes = pool.map(fn, round_specs)
-        records = [
-            self._record_of(job, outcome)
-            for job, outcome in zip(round_jobs, outcomes)
+        with self._tasks(eff_jobs, specs, units) as (tasks, arena):
+
+            def report(outcome: WorkerOutcome) -> None:
+                unit = units[outcome.index]
+                refs = tasks[outcome.index].get("fields") \
+                    or [None] * len(unit)
+                records = outcome.value if outcome.ok else [
+                    self._failure_record(eff_jobs[i], outcome) for i in unit
+                ]
+                for i, record, fields in zip(unit, records, refs):
+                    if i not in wanted:
+                        continue
+                    if fields and record.get("ok"):
+                        with obs.span("transport"):
+                            record["fields"] = {
+                                name: arena.materialize(ref)
+                                for name, ref in fields.items()
+                            }
+                    if self.transport == "shm" and self._transport_degraded:
+                        record.setdefault("transport_fallback",
+                                          self._transport_degraded)
+                    on_record(i, record)
+
+            WorkerPool(max_workers=self.workers, timeout=self.timeout).map(
+                fn, tasks, on_outcome=report
+            )
+
+    def _units(self, jobs: Sequence[SimJob],
+               indices: List[int]) -> List[List[int]]:
+        """Plan *indices* into units, ordered by their first job.  Under
+        ``batch_fusion="auto"`` same-program fast builder jobs form one
+        unit (:func:`~repro.service.slab.slab_groups`); every other job,
+        and every job of a run with a ``timeout`` (a per-job ceiling
+        cannot be split across a slab), is a unit of one."""
+        if self.batch_fusion == "off" or self.timeout is not None:
+            return [[i] for i in indices]
+        from repro.service.slab import slab_groups
+
+        return [
+            [indices[k] for k in group]
+            for group in slab_groups([jobs[i] for i in indices])
         ]
-        self._report(records, on_record)
 
-    def _report(
-        self,
-        records: List[Dict[str, Any]],
-        on_record: Callable[[int, Dict[str, Any]], None],
-    ) -> None:
-        """Report a completed round's records, stamping any transport
-        degradation first."""
-        for j, record in enumerate(records):
-            on_record(j, self._stamped(record))
+    @contextlib.contextmanager
+    def _tasks(
+        self, jobs: Sequence[SimJob], specs: List[Dict[str, Any]],
+        units: List[List[int]],
+    ) -> Iterator[Tuple[List[Dict[str, Any]], Any]]:
+        """Yield ``(tasks, arena)``: one :func:`execute_unit` task per
+        unit, and the shm arena their segment refs point into (None on
+        the pickle transport, in-process runs and after a demotion).
 
-    def _stamped(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        """*record*, marked with this run's shm demotion if any."""
-        if self.transport == "shm" and self._transport_degraded:
-            record.setdefault("transport_fallback", self._transport_degraded)
-        return record
+        Under shm the problem inputs are placed once per grid shape and
+        every kept field gets a preallocated output segment.  The arena
+        is cleaned up on exit — a runner-owned one destroyed, a
+        caller-provided one (``self.arena``, the serve daemon's)
+        released of this round's segments — so worker crashes, timeouts
+        and exceptions never leak shared memory."""
+        tasks = [{"specs": [specs[i] for i in unit]} for unit in units]
+        if self.transport != "shm" or self.cache is not None \
+                or self._transport_degraded:
+            yield tasks, None
+            return
+        from repro.apps.poisson3d import manufactured_solution
+        from repro.service.shm import ShmArena
+
+        arena = self.arena if self.arena is not None else ShmArena()
+        preexisting = set(arena.names)
+        try:
+            try:
+                with obs.span("arena_setup"):
+                    shared: Dict[Tuple[int, ...], Tuple[Dict, float]] = {}
+                    for unit, task in zip(units, tasks):
+                        job = jobs[unit[0]]
+                        if job.method != "program":
+                            if job.shape not in shared:
+                                u_star, f, h = manufactured_solution(job.shape)
+                                shared[job.shape] = ({
+                                    "u_star": arena.place(u_star),
+                                    "f": arena.place(f),
+                                }, h)
+                            task["inputs"], task["inputs_h"] = \
+                                shared[job.shape]
+                        task["fields"] = [
+                            {"u": arena.allocate(_field_shape(jobs[i]))}
+                            if jobs[i].keep_fields else None
+                            for i in unit
+                        ]
+            except OSError as exc:
+                # arena setup failed (no /dev/shm space, limits): the
+                # round still completes — over pickling
+                self._degrade_transport(f"{type(exc).__name__}: {exc}")
+                tasks = [{"specs": task["specs"]} for task in tasks]
+            self.last_shm_segments = [
+                name for name in arena.names if name not in preexisting
+            ]
+            yield tasks, arena
+        finally:
+            if self.arena is not None:
+                arena.release(
+                    [n for n in arena.names if n not in preexisting]
+                )
+            else:
+                arena.destroy()
 
     def _degrade_transport(self, reason: str) -> None:
         """Demote the rest of this run from shm to pickling (once)."""
@@ -949,199 +1090,39 @@ class BatchRunner:
         obs.annotate("transport_fallback", reason)
         obs.event("transport_fallback", reason=reason)
 
-    # ------------------------------------------------------------------
-    # serial execution
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self,
-        jobs: Sequence[SimJob],
-        specs: List[Dict[str, Any]],
-        attempt: int,
-        on_record: Callable[[int, Dict[str, Any]], None],
-    ) -> None:
-        """In-process serial execution: no transport, no subprocesses.
-
-        With ``batch_fusion="auto"`` same-program groups of two or more
-        first run as one slab each.  The ``worker.exec`` fault site fires
-        per slab member before its slab runs: a faulted member leaves the
-        slab with the failure record :func:`execute_job` would have
-        produced.  Every other job — all of them under ``"off"``, and
-        ungrouped jobs and members of a declined slab (with the decline
-        reason recorded) under ``"auto"`` — runs through
-        :func:`execute_job` (a fast builder job as a slab of one), its
-        escaping exceptions captured as failure records the way a pool
-        worker's are.  Every record streams to ``on_record`` the moment
-        it exists, so checkpoints land per job.
-        """
-        assert self.cache is not None
-        done = [False] * len(jobs)
-        declined: Dict[int, str] = {}
-        groups: List[List[int]] = []
-        if self.batch_fusion == "auto":
-            from repro.service.slab import execute_slab, slab_groups
-
-            groups = slab_groups(jobs)
-        for idxs in groups:
-            members = []
-            for i in idxs:
-                failure = _exec_fault(jobs[i], attempt)
-                if failure is None:
-                    members.append(i)
-                    continue
-                failure["duration_s"] = 0.0
-                done[i] = True
-                on_record(i, self._stamped(failure))
-            if len(members) < 2:
-                continue  # execute_job runs a lone job as a slab of one
-            start = time.perf_counter()
-            slab_records, reason = execute_slab(
-                [jobs[i] for i in members], self.cache
-            )
-            if slab_records is None:
-                for i in members:
-                    declined[i] = reason or "slab declined"
-                continue
-            duration = round(
-                (time.perf_counter() - start) / len(members), 6
-            )
-            for i, record in zip(members, slab_records):
-                record["duration_s"] = duration
-                done[i] = True
-                on_record(i, self._stamped(record))
-        fn = functools.partial(execute_job, cache=self.cache, attempt=attempt)
-        for i, (job, spec) in enumerate(zip(jobs, specs)):
-            if done[i]:
-                continue
-            record = self._record_of(job, call_captured(fn, spec, i))
-            if i in declined:
-                record.setdefault(
-                    "fallback_reason", f"batch_fusion: {declined[i]}"
-                )
-            on_record(i, self._stamped(record))
-
-    # ------------------------------------------------------------------
-    # shm transport
-    # ------------------------------------------------------------------
-    def _run_shm(
-        self, jobs: Sequence[SimJob], specs: List[Dict[str, Any]],
-        attempt: int = 1,
-    ) -> List[Dict[str, Any]]:
-        """Parallel execution over shared-memory segments.
-
-        The arena (and therefore every segment) is owned by this process
-        and cleaned up in ``finally`` — worker crashes, timeouts, and
-        mid-batch exceptions cannot leak shared memory.  A runner-owned
-        arena is destroyed outright; a caller-provided persistent arena
-        (``self.arena``, the serve daemon's) instead *releases* exactly
-        the segments this batch allocated, leaving the arena alive for
-        the next request.  Kept fields are materialized out of the
-        segments (one local memcpy each) before cleanup, so returned
-        records own ordinary arrays.
-        """
-        from repro.service.shm import ShmArena
-
-        arena = self.arena if self.arena is not None else ShmArena()
-        preexisting = set(arena.names)
-        records: List[Dict[str, Any]] = []
-        try:
-            with obs.span("arena_setup"):
-                inputs_by_shape: Dict[Tuple[int, ...], Tuple[Dict, float]] \
-                    = {}
-                tasks: List[Dict[str, Any]] = []
-                for job, spec in zip(jobs, specs):
-                    task: Dict[str, Any] = {"spec": spec}
-                    if job.method != "program":
-                        shared = inputs_by_shape.get(job.shape)
-                        if shared is None:
-                            from repro.apps.poisson3d import (
-                                manufactured_solution,
-                            )
-
-                            u_star, f, h = manufactured_solution(job.shape)
-                            shared = (
-                                {"u_star": arena.place(u_star),
-                                 "f": arena.place(f)},
-                                h,
-                            )
-                            inputs_by_shape[job.shape] = shared
-                        task["inputs"], task["inputs_h"] = shared
-                    if job.keep_fields:
-                        task["fields"] = {
-                            "u": arena.allocate(_field_shape(job))
-                        }
-                    tasks.append(task)
-                self.last_shm_segments = [
-                    name for name in arena.names
-                    if name not in preexisting
-                ]
-            pool = WorkerPool(max_workers=self.workers, timeout=self.timeout)
-            outcomes = pool.map(
-                functools.partial(
-                    execute_job_shm, cache_dir=self.cache_dir,
-                    attempt=attempt,
-                ),
-                tasks,
-            )
-            with obs.span("transport"):
-                for job, task, outcome in zip(jobs, tasks, outcomes):
-                    record = self._record_of(job, outcome)
-                    if outcome.ok and record.get("ok") and "fields" in task:
-                        record["fields"] = {
-                            name: arena.materialize(ref)
-                            for name, ref in task["fields"].items()
-                        }
-                    records.append(record)
-        finally:
-            if self.arena is not None:
-                arena.release(
-                    [n for n in arena.names if n not in preexisting]
-                )
-            else:
-                arena.destroy()
-        return records
-
     @staticmethod
-    def _digest_fields(records: List[Dict[str, Any]]) -> None:
+    def _digest_fields(record: Dict[str, Any]) -> None:
         """Stamp per-field SHA-256 digests next to kept field arrays.
 
         The digests are what the result store keeps (byte-reproducible
         and transport-independent: identical grids hash identically
         whether they arrived pickled or through shared memory)."""
-        for record in records:
-            fields = record.get("fields")
-            if not fields:
-                continue
+        if record.get("fields"):
             record["fields_sha256"] = {
                 name: hashlib.sha256(
                     np.ascontiguousarray(array).tobytes()
                 ).hexdigest()
-                for name, array in fields.items()
+                for name, array in record["fields"].items()
             }
 
     @staticmethod
-    def _record_of(job: SimJob, outcome: WorkerOutcome) -> Dict[str, Any]:
-        if outcome.ok:
-            record = dict(outcome.value)
-        else:
-            # the worker died before producing a record (timeout, pickling,
-            # pool breakage): synthesize one so the store stays complete
-            record = {
-                "job_id": job.job_id,
-                "label": job.describe(),
-                "method": job.method,
-                "shape": list(job.shape),
-                "ok": False,
-                "error": f"{outcome.error_type}: {outcome.error}",
-                "error_type": outcome.error_type,
-            }
-        # every stored record carries the full observability schema, even
-        # ones synthesized for dead workers (zeroed stages, null tier)
-        record.setdefault("timings", dict(obs.ZERO_TIMINGS))
-        record.setdefault("tier", None)
-        # wall-clock: duration_s and timings are volatile (they vary run
-        # to run) — store comparisons go through the canonical projection
-        # (see repro.service.results), not raw bytes
-        record["duration_s"] = round(outcome.duration_s, 6)
+    def _failure_record(job: SimJob,
+                        outcome: WorkerOutcome) -> Dict[str, Any]:
+        """The record of a job that never returned one (a ``pool.submit``
+        fault, a timeout, a dead worker): the head every job record
+        starts with, the failure, zeroed stages and no tier, so stored
+        records keep one schema."""
+        record = _record_head(job)
+        record.update(
+            ok=False,
+            error=f"{outcome.error_type}: {outcome.error}",
+            error_type=outcome.error_type,
+            timings=dict(obs.ZERO_TIMINGS),
+            tier=None,
+            # wall-clock: duration_s and timings are volatile — store
+            # comparisons go through the canonical projection
+            duration_s=round(outcome.duration_s, 6),
+        )
         return record
 
 
@@ -1151,6 +1132,6 @@ __all__ = [
     "BatchSummary",
     "TRANSPORTS",
     "execute_job",
-    "execute_job_shm",
+    "execute_unit",
     "reset_process_cache",
 ]

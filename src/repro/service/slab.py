@@ -13,10 +13,12 @@ log (:meth:`~repro.sim.batchplan.BatchProgramRun.job`), bit-identical to
 builder-solver job as a slab of one (:func:`run_slab`), in serial, pool,
 shm and daemon runs alike, stamped ``tier="fused"``.
 ``batch_fusion="auto"`` only decides grouping: :func:`slab_groups`
-collects a serial batch's same-program jobs into slabs of two or more,
-which :func:`execute_slab` runs (``tier="batch_fused"``, ``slab_size``;
-counters ``tier.batch_fused`` per job, ``slab.formed`` / ``slab.jobs``
-per slab; the shared bind and execute time is split equally).
+plans a batch's same-program jobs into one unit each, on every executor
+and transport, and :func:`~repro.service.runner.execute_unit` runs a
+unit's two or more members through :func:`execute_slab`
+(``tier="batch_fused"``, ``slab_size``; counters ``tier.batch_fused``
+per job, ``slab.formed`` / ``slab.jobs`` per slab; the shared bind and
+execute time is split equally).
 
 Any decline — an unfusable program, a construct only a single machine
 models, a non-finite value mid-run — is a ``FusionUnsupported`` raised
@@ -39,19 +41,22 @@ from repro.service.jobs import SimJob
 
 
 def slab_groups(jobs: Sequence[SimJob]) -> List[List[int]]:
-    """Index groups of fast single-node builder jobs sharing one
-    :meth:`SimJob.cache_key` (same microcode, same machine), in
-    first-seen order; a lone job is ``execute_job``'s slab of one."""
-    groups: Dict[str, List[int]] = {}
+    """A batch's units under ``batch_fusion="auto"``, as index groups in
+    first-seen order: fast single-node builder jobs sharing one
+    :meth:`SimJob.cache_key` (same microcode, same machine) form one
+    group; every other job is a group of one."""
+    groups: Dict[Any, List[int]] = {}
     for i, job in enumerate(jobs):
-        if job.backend == "fast" and job.hypercube_dim == 0 \
-                and job.method != "program":
-            groups.setdefault(job.cache_key(), []).append(i)
-    return [idxs for idxs in groups.values() if len(idxs) >= 2]
+        slabbable = job.backend == "fast" and job.hypercube_dim == 0 \
+            and job.method != "program"
+        groups.setdefault(job.cache_key() if slabbable else i, []).append(i)
+    return list(groups.values())
 
 
 def execute_slab(
-    jobs: Sequence[SimJob], cache: ProgramCache
+    jobs: Sequence[SimJob], cache: ProgramCache,
+    inputs: Optional[Mapping[str, Any]] = None,
+    fields_out: Optional[Sequence[Optional[Mapping[str, np.ndarray]]]] = None,
 ) -> Tuple[Optional[List[Dict[str, Any]]], Optional[str]]:
     """Run one group of two or more jobs as a slab.
 
@@ -59,26 +64,8 @@ def execute_slab(
     order, matching :func:`execute_job`'s schema plus ``slab_size`` —
     or ``(None, reason)`` when the slab declines, in which case nothing
     observable has changed and the caller runs each job individually.
+    ``inputs`` and ``fields_out`` are as :func:`run_slab` takes them.
     """
-    from repro.sim.progplan import FusionUnsupported
-
-    try:
-        return _execute_group(jobs, cache), None
-    except FusionUnsupported as exc:
-        reason = str(exc)
-    except Exception as exc:  # pragma: no cover - defensive
-        # a slab must never be able to fail a batch: anything unexpected
-        # routes every member through the authoritative per-job path
-        reason = f"{type(exc).__name__}: {exc}"
-    obs.count("batch_fusion.fallback")
-    obs.event("batch_fusion_fallback", scope="slab", jobs=len(jobs),
-              reason=reason)
-    return None, reason
-
-
-def _execute_group(
-    jobs: Sequence[SimJob], cache: ProgramCache
-) -> List[Dict[str, Any]]:
     from repro.arch.node import node_config
     from repro.service.runner import (
         _compile_single,
@@ -86,48 +73,64 @@ def _execute_group(
         _record_head,
         _stamp_telemetry,
     )
+    from repro.sim.progplan import FusionUnsupported
 
-    node = node_config(jobs[0].params())
-    # per-job compile: cache-hit deltas and checker stamps as N runs
-    tracers = [obs.Tracer() for _ in jobs]
-    records: List[Dict[str, Any]] = []
-    checkers: List[Optional[str]] = []
-    value = None
-    for job, tracer in zip(jobs, tracers):
-        record = _record_head(job)
-        hits, lookups = cache.stats.hits, cache.stats.lookups
-        with obs.use(tracer):
-            value, checker = _obtain_program(
-                job, cache,
-                lambda check, j=job: _compile_single(j, node, check),
-            )
-        if cache.stats.lookups > lookups:
-            record["cache_hit"] = cache.stats.hits > hits
-        checkers.append(checker)
-        records.append(record)
-    setup, program = value
-    computed = run_slab(jobs, tracers, node, setup, program, checkers)
-    obs.count("slab.formed")
-    obs.count("slab.jobs", len(jobs))
-    for record, result, tracer in zip(records, computed, tracers):
-        record.update(result, ok=True, slab_size=len(jobs))
-        _stamp_telemetry(record, tracer)
-    return records
+    try:
+        node = node_config(jobs[0].params())
+        # per-job compile: cache-hit deltas and checker stamps as N runs
+        tracers = [obs.Tracer() for _ in jobs]
+        records: List[Dict[str, Any]] = []
+        checkers: List[Optional[str]] = []
+        value = None
+        for job, tracer in zip(jobs, tracers):
+            record = _record_head(job)
+            hits, lookups = cache.stats.hits, cache.stats.lookups
+            with obs.use(tracer):
+                value, checker = _obtain_program(
+                    job, cache,
+                    lambda check, j=job: _compile_single(j, node, check),
+                )
+            if cache.stats.lookups > lookups:
+                record["cache_hit"] = cache.stats.hits > hits
+            checkers.append(checker)
+            records.append(record)
+        setup, program = value
+        computed = run_slab(jobs, tracers, node, setup, program, checkers,
+                            inputs, fields_out)
+    except FusionUnsupported as exc:
+        reason = str(exc)
+    except Exception as exc:  # pragma: no cover - defensive
+        # a slab must never be able to fail a batch: anything unexpected
+        # routes every member through the authoritative per-job path
+        reason = f"{type(exc).__name__}: {exc}"
+    else:
+        obs.count("slab.formed")
+        obs.count("slab.jobs", len(jobs))
+        for record, result, tracer in zip(records, computed, tracers):
+            record.update(result, ok=True, slab_size=len(jobs))
+            _stamp_telemetry(record, tracer)
+        return records, None
+    obs.count("batch_fusion.fallback")
+    obs.event("batch_fusion_fallback", scope="slab", jobs=len(jobs),
+              reason=reason)
+    return None, reason
 
 
 def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
              node: Any, setup: Any, program: Any,
              checkers: Sequence[Optional[str]],
              inputs: Optional[Mapping[str, Any]] = None,
-             fields_out: Optional[Mapping[str, np.ndarray]] = None,
+             fields_out: Optional[
+                 Sequence[Optional[Mapping[str, np.ndarray]]]] = None,
              ) -> List[Dict[str, Any]]:
     """Run *jobs* (one compiled builder program) as one slab; return
     each job's computed record keys and stamp its tier into its tracer.
 
     Raises ``FusionUnsupported`` on any decline.  A lone job's tracer is
     the active one; a group's share one slab tracer's bind and execute
-    time.  ``inputs`` and a lone job's ``fields_out`` are the shm
-    transport's segments, as :func:`execute_job` takes them.
+    time.  ``inputs`` (the shared problem arrays) and ``fields_out``
+    (one output mapping or None per job) are the shm transport's
+    segments, as :func:`execute_job` takes them.
     """
     from repro.compose.registry import SOLVERS
     from repro.service.runner import _initial_grid, _problem, _solution_record
@@ -200,7 +203,8 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
             results.append(_solution_record(
                 job, program, checkers[j], run.converged[j],
                 run.loop_iterations[j].get(watch, 0), metrics,
-                u_plane[j, uvar.offset:uvar.end], u_star, fields_out,
+                u_plane[j, uvar.offset:uvar.end], u_star,
+                fields_out[j] if fields_out else None,
             ))
             obs.count(f"tier.{tier}")
             obs.annotate("tier", tier)

@@ -39,7 +39,7 @@ from repro.service.retry import (
     classify_error_type,
     classify_record,
 )
-from repro.service.runner import BatchRunner
+from repro.service.runner import BatchRunner, reset_process_cache
 
 FAST = dict(eps=1e-3, max_sweeps=500)
 #: Distinct shapes so each job has its own job_id — identical specs
@@ -64,26 +64,65 @@ def _slab_jobs(n=2, **extra):
     ]
 
 
-def _check_batch_level_policy(jobs, batch_fusion="off"):
+def _runner(workers, **kwargs):
+    """A runner on *workers* processes, starting from a fresh process's
+    program cache as a CLI run does: pool workers fork from this process
+    and inherit its per-process cache, so an earlier test's compiles
+    would otherwise turn a worker's first lookup into a hit."""
+    reset_process_cache()
+    return BatchRunner(workers=workers, **kwargs)
+
+
+#: The chaos matrix, ``(workers, batch_fusion, transport)``: serial or a
+#: 2-worker pool, batch fusion off or auto, and shm on the pool only
+#: (a serial run uses no transport).
+MATRIX = [
+    pytest.param((workers, fusion, transport),
+                 id=f"{'serial' if workers == 1 else 'pool'}-{fusion}"
+                    f"-{transport}")
+    for workers in (1, 2)
+    for fusion in ("off", "auto")
+    for transport in ("pickle", "shm")
+    if workers == 2 or transport == "pickle"
+]
+
+
+def _matrix_jobs(n, batch_fusion, **extra):
+    """*n* fast seeded jobs.  Under ``"auto"`` they alternate between two
+    programs, so slabs form and a pool gets two units; under ``"off"``
+    every job is its own program (a repeated program's ``cache_hit``
+    depends on which worker compiled it first, and a resumed job's on
+    whether its runner had)."""
+    return [
+        SimJob(method="jacobi",
+               shape=SHAPES[i % 2 if batch_fusion == "auto" else i],
+               backend="fast", u0_seed=i // 2, **FAST, **extra)
+        for i in range(n)
+    ]
+
+
+def _check_batch_level_policy(jobs, batch_fusion="off", workers=1,
+                              transport="pickle"):
     """A batch-level retry policy overrides the jobs' own (one attempt
     each): the faulted first attempt is retried."""
     plan = FaultPlan(rules=(FaultRule(site="worker.exec"),))
-    records, summary = BatchRunner(
-        workers=1, fault_plan=plan, retry=RetryPolicy(max_attempts=2),
-        batch_fusion=batch_fusion,
+    records, summary = _runner(
+        workers, fault_plan=plan, retry=RetryPolicy(max_attempts=2),
+        batch_fusion=batch_fusion, transport=transport,
     ).run(jobs)
     assert summary.failed == 0
     assert all(r["attempts"] == 2 for r in records)
 
 
-def _check_exhausted_budget(jobs, batch_fusion="off"):
+def _check_exhausted_budget(jobs, batch_fusion="off", workers=1,
+                            transport="pickle"):
     """Every attempt faults: each job fails transient-classified once its
     budget is spent."""
     plan = FaultPlan(
         rules=(FaultRule(site="worker.exec", attempts=()),)
     )
-    runner = BatchRunner(workers=1, fault_plan=plan,
-                         batch_fusion=batch_fusion)
+    runner = _runner(workers, fault_plan=plan, batch_fusion=batch_fusion,
+                     transport=transport)
     records, summary = runner.run(jobs)
     assert summary.failed == len(jobs)
     assert all(r["attempts"] == 2 for r in records)
@@ -260,10 +299,21 @@ class TestRetryDigestParity:
     """Per injection site: a fault plus retries changes *nothing* the
     store's canonical projection can see."""
 
+    #: the faulty runs' executor and transport
+    #: (:class:`TestRetryDigestParityMatrix` reruns the cases on a pool)
+    workers = 1
+    transport = "pickle"
+
+    def _runner(self, **kwargs):
+        return _runner(self.workers, transport=self.transport, **kwargs)
+
+    def _fault_jobs(self, batch_fusion, **extra):
+        return _slab_jobs(2, **extra)
+
     def _reference(self, tmp_path, jobs, batch_fusion="off"):
         store = ResultStore(str(tmp_path / "clean.jsonl"))
-        _, summary = BatchRunner(
-            workers=1, store=store, batch_fusion=batch_fusion
+        _, summary = _runner(
+            1, store=store, batch_fusion=batch_fusion
         ).run(jobs)
         assert summary.failed == 0
         return store
@@ -273,30 +323,32 @@ class TestRetryDigestParity:
     def test_transient_fault_store_matches_fault_free(
         self, tmp_path, site, batch_fusion
     ):
-        # under "auto" both jobs form one slab, so worker.exec must fire
-        # per slab member and the retry must re-form the slab
-        jobs = _slab_jobs(2, max_attempts=3)
+        # under "auto" same-program jobs form one slab, so worker.exec
+        # must fire per slab member and the retry must re-form the slab;
+        # the reference is always a fault-free serial run
+        jobs = self._fault_jobs(batch_fusion, max_attempts=3)
+        n = len(jobs)
         clean = self._reference(tmp_path, jobs, batch_fusion)
         plan = FaultPlan(rules=(FaultRule(site=site),), seed=1)
         store = ResultStore(str(tmp_path / "faulty.jsonl"))
-        runner = BatchRunner(workers=1, store=store, fault_plan=plan,
-                             batch_fusion=batch_fusion)
+        runner = self._runner(store=store, fault_plan=plan,
+                              batch_fusion=batch_fusion)
         records, summary = runner.run(jobs)
         assert summary.failed == 0
         if batch_fusion == "auto":
-            assert [r["tier"] for r in records] == ["batch_fused"] * 2
-        assert summary.retried == 2
-        assert [r["attempts"] for r in records] == [2, 2]
+            assert [r["tier"] for r in records] == ["batch_fused"] * n
+        assert summary.retried == n
+        assert [r["attempts"] for r in records] == [2] * n
         assert all(
             r["retry_reasons"] == ["FaultInjected"] for r in records
         )
         assert store.digest() == clean.digest()
         counters = runner.last_telemetry.counters
-        assert counters["retry.scheduled"] == 2
+        assert counters["retry.scheduled"] == n
         if site == "pool.submit":
             # parent-side site: its firings land in the batch tracer
             # (worker.exec fires under the job's own shadowing tracer)
-            assert counters["fault.pool.submit"] == 2
+            assert counters["fault.pool.submit"] == n
 
     def test_faulted_slab_member_gets_the_per_job_failure(self):
         """A member faulted at worker.exec leaves its slab with exactly
@@ -306,8 +358,8 @@ class TestRetryDigestParity:
             rules=(FaultRule(site="worker.exec", match=jobs[1].job_id),)
         )
         runs = {
-            mode: BatchRunner(workers=1, fault_plan=plan,
-                              batch_fusion=mode).run(jobs)[0]
+            mode: self._runner(fault_plan=plan,
+                               batch_fusion=mode).run(jobs)[0]
             for mode in ("off", "auto")
         }
         auto = runs["auto"]
@@ -318,17 +370,20 @@ class TestRetryDigestParity:
         assert canonical_record(auto[1]) == canonical_record(runs["off"][1])
 
     def test_batch_level_policy_overrides_jobs(self, tmp_path):
-        _check_batch_level_policy(_jobs(1))
+        _check_batch_level_policy(_jobs(2), workers=self.workers,
+                                  transport=self.transport)
 
     def test_exhausted_budget_fails_with_classification(self, tmp_path):
-        _check_exhausted_budget(_jobs(1, max_attempts=2))
+        _check_exhausted_budget(_jobs(2, max_attempts=2),
+                                workers=self.workers,
+                                transport=self.transport)
 
     def test_permanent_failure_is_not_retried(self):
         # nz=5 cannot split across 2 nodes: a simulation error, so the
         # retry budget must not burn attempts reproducing it
         job = SimJob(method="jacobi", shape=(5, 5, 5), hypercube_dim=1,
                      max_attempts=3, **FAST)
-        records, summary = BatchRunner(workers=1).run([job])
+        records, summary = self._runner().run([job])
         assert summary.failed == 1
         assert records[0]["attempts"] == 1
         assert "DecompositionError" in records[0]["error"]
@@ -406,18 +461,21 @@ class TestTransportDegradation:
 
 
 class TestCrashAndResume:
-    #: the jobs' backend and the serial runners' batch_fusion mode
-    #: (:class:`TestCrashAndResumeOnSlabs` reruns every case on the slab
-    #: engine)
+    #: the jobs' backend and the runners' executor, batch_fusion mode and
+    #: transport (:class:`TestCrashAndResumeOnSlabs` reruns every case on
+    #: the slab engine, :class:`TestCrashAndResumeMatrix` on every
+    #: executor and transport)
     backend = "reference"
+    workers = 1
     batch_fusion = "off"
+    transport = "pickle"
 
     def _jobs(self, n):
         return _jobs(n, backend=self.backend)
 
     def _runner(self, **kwargs):
-        return BatchRunner(workers=1, batch_fusion=self.batch_fusion,
-                           **kwargs)
+        return _runner(self.workers, batch_fusion=self.batch_fusion,
+                       transport=self.transport, **kwargs)
 
     def _reference_digest(self, tmp_path, jobs):
         store = ResultStore(str(tmp_path / "reference.jsonl"))
@@ -496,7 +554,7 @@ class TestCrashAndResume:
 
     def test_resume_requires_store(self):
         with pytest.raises(ValueError, match="resume"):
-            BatchRunner(workers=1, resume=True)
+            self._runner(resume=True)
 
 
 class TestCrashAndResumeOnSlabs(TestCrashAndResume):
@@ -537,6 +595,116 @@ class TestWorkerExecOnSlabs:
         assert summary.failed == 0
         assert [r["tier"] for r in records] == ["fused"] * 4
         assert [r["attempts"] for r in records] == [2] * 4
+
+
+class TestRetryDigestParityMatrix(TestRetryDigestParity):
+    """The retry cases on a 2-worker pool over both transports, each
+    under its own ``batch_fusion`` axis where it has one: a faulty pool
+    run must reproduce the fault-free serial store's digest."""
+
+    workers = 2
+
+    @pytest.fixture(autouse=True, params=["pickle", "shm"])
+    def _transport(self, request):
+        self.transport = request.param
+
+    def _fault_jobs(self, batch_fusion, **extra):
+        return _matrix_jobs(4, batch_fusion, **extra)
+
+    # pool-specific already: nothing left to vary
+    test_env_hook_drives_pool_workers = None
+
+
+class TestCrashAndResumeMatrix(TestCrashAndResume):
+    """Every crash/resume case on fast seeded jobs, over the whole chaos
+    matrix: serial or pool, fusion off or auto, pickle or shm."""
+
+    backend = "fast"
+
+    @pytest.fixture(autouse=True, params=MATRIX)
+    def _axes(self, request):
+        self.workers, self.batch_fusion, self.transport = request.param
+
+    def _jobs(self, n):
+        return _matrix_jobs(n, self.batch_fusion)
+
+
+@pytest.mark.parametrize("workers,transport", [
+    pytest.param(1, "pickle", id="serial"),
+    pytest.param(2, "pickle", id="pool-pickle"),
+    pytest.param(2, "shm", id="pool-shm"),
+])
+class TestSlabChaos:
+    """Slab guarantees under ``batch_fusion="auto"`` on every executor
+    and transport."""
+
+    def test_store_append_fault_mid_slab_then_resume(
+        self, tmp_path, workers, transport
+    ):
+        # a 3-member slab plus another program: a pool gets two units
+        jobs = _slab_jobs(3) + _jobs(2, backend="fast")[1:]
+
+        def runner(**kwargs):
+            return _runner(workers, transport=transport,
+                           batch_fusion="auto", **kwargs)
+
+        reference = ResultStore(str(tmp_path / "reference.jsonl"))
+        assert runner(store=reference).run(jobs)[1].failed == 0
+        plan = FaultPlan(
+            rules=(FaultRule(site="store.append", match=jobs[1].job_id),)
+        )
+        store = ResultStore(str(tmp_path / "crashed.jsonl"))
+        with pytest.raises(FaultInjected):
+            runner(store=store, fault_plan=plan).run(jobs)
+        assert len(store) == 1
+        records, summary = runner(store=store, resume=True).run(jobs)
+        assert (summary.failed, summary.resumed) == (0, 1)
+        # the partly stored slab reran whole, so its missing members
+        # keep the uninterrupted slab_size and cache hits
+        assert [r.get("slab_size") for r in records] == [3, 3, 3, None]
+        assert store.digest() == reference.digest()
+
+
+
+def test_auto_sweep_digest_is_executor_independent(tmp_path):
+    """One seeded ``auto`` sweep stores one digest, whether it ran
+    serially, on a pool or on a pool over shm."""
+    from repro.service.sweep import SweepSpec
+
+    jobs = SweepSpec(grids=(5, 6), methods=("jacobi",), seeds=(0, 1),
+                     backend="fast", batch_fusion="auto", **FAST).expand()
+    digests = set()
+    for workers, transport in ((1, "pickle"), (2, "pickle"), (2, "shm")):
+        store = ResultStore(str(tmp_path / f"{workers}-{transport}.jsonl"))
+        records, summary = _runner(
+            workers, transport=transport, store=store, batch_fusion="auto"
+        ).run(jobs)
+        assert summary.failed == 0
+        assert [r["slab_size"] for r in records] == [2] * len(jobs)
+        digests.add(store.digest())
+    assert len(digests) == 1
+
+
+class TestFailureRecordSchema:
+    def test_synthesized_failures_share_the_job_record_keys(self):
+        """A record the runner synthesizes (timeout, pool.submit fault)
+        carries the same keys as a failure execute_job returns."""
+        job = _jobs(1)[0]
+
+        def failed(workers, rule, **kwargs):
+            plan = FaultPlan(rules=(rule,))
+            records, _ = _runner(workers, fault_plan=plan,
+                                 **kwargs).run([job])
+            return records[0]
+
+        exec_fault = failed(1, FaultRule(site="worker.exec"))
+        timed_out = failed(2, FaultRule(site="worker.exec", kind="hang",
+                                        hang_s=30.0), timeout=0.5)
+        submit_fault = failed(1, FaultRule(site="pool.submit"))
+        assert exec_fault["error_type"] == "FaultInjected"
+        assert timed_out["error_type"] == "TimeoutError"
+        assert set(timed_out) == set(exec_fault) == set(submit_fault)
+        assert timed_out["cache_key"] == job.cache_key()
 
 
 class TestStoreTruncation:

@@ -76,6 +76,18 @@ class TestSerial:
     def test_empty_items(self):
         assert WorkerPool(max_workers=1).map(_square, []) == []
 
+    def test_on_outcome_reports_each_item_before_the_next_runs(self):
+        events = []
+
+        def fn(x):
+            events.append(("run", x))
+            return x
+
+        WorkerPool(max_workers=1).map(
+            fn, [1, 2], on_outcome=lambda o: events.append(("done", o.value))
+        )
+        assert events == [("run", 1), ("done", 1), ("run", 2), ("done", 2)]
+
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             WorkerPool(max_workers=0)
@@ -84,6 +96,13 @@ class TestSerial:
 
 
 class TestParallel:
+    def test_on_outcome_reports_every_item_in_order(self):
+        seen = []
+        outcomes = WorkerPool(max_workers=2).map(
+            _sleep_inverse, [0, 1, 2], on_outcome=seen.append
+        )
+        assert seen == outcomes
+
     def test_results_ordered_despite_completion_order(self):
         pool = WorkerPool(max_workers=3)
         outcomes = pool.map(_sleep_inverse, [0, 1, 2])

@@ -47,12 +47,12 @@ def _assert_all_unlinked(names):
 
 
 # top-level so the pool can pickle them into (forked) workers; they
-# stand in for execute_job_shm, so they accept its full signature
-def _crash_worker(task, cache_dir=None, attempt=1):
+# stand in for execute_unit, so they accept its full signature
+def _crash_worker(task, cache=None, cache_dir=None, attempt=1):
     os._exit(13)
 
 
-def _sleep_worker(task, cache_dir=None, attempt=1):
+def _sleep_worker(task, cache=None, cache_dir=None, attempt=1):
     time.sleep(30)
 
 
@@ -179,10 +179,32 @@ class TestTransportParity:
         _assert_all_unlinked(runner.last_shm_segments)
 
 
+class TestSlabFieldsOverShm:
+    def test_slab_members_return_serial_fields(self):
+        """keep_fields slab members write their own output segments: the
+        fields match a serial run's bit for bit."""
+        jobs = [
+            SimJob(method=method, shape=(5, 5, 5), backend="fast",
+                   u0_seed=seed, keep_fields=True, **FAST)
+            for method, seeds in (("jacobi", 3), ("rb-gs", 2))
+            for seed in range(seeds)
+        ]
+        serial, _ = BatchRunner(workers=1, batch_fusion="auto").run(jobs)
+        runner = BatchRunner(workers=2, transport="shm",
+                             batch_fusion="auto")
+        shm, _ = runner.run(jobs)
+        assert [r["slab_size"] for r in shm] == [3, 3, 3, 2, 2]
+        for s, m in zip(serial, shm):
+            assert "transport_fallback" not in m
+            assert m["fields"]["u"].tobytes() == s["fields"]["u"].tobytes()
+            assert m["fields_sha256"] == s["fields_sha256"]
+        _assert_all_unlinked(runner.last_shm_segments)
+
+
 class TestCrashAndTimeoutCleanup:
     @fork_only
     def test_worker_crash_leaks_no_segments(self, monkeypatch):
-        monkeypatch.setattr(runner_module, "execute_job_shm", _crash_worker)
+        monkeypatch.setattr(runner_module, "execute_unit", _crash_worker)
         runner = BatchRunner(workers=2, transport="shm")
         records, summary = runner.run(_jobs())
         assert summary.failed == len(records)  # pool broke, batch didn't
@@ -191,7 +213,7 @@ class TestCrashAndTimeoutCleanup:
 
     @fork_only
     def test_timeout_path_unlinks_segments(self, monkeypatch):
-        monkeypatch.setattr(runner_module, "execute_job_shm", _sleep_worker)
+        monkeypatch.setattr(runner_module, "execute_unit", _sleep_worker)
         runner = BatchRunner(workers=2, timeout=0.5, transport="shm")
         records, summary = runner.run(_jobs()[:2])
         assert all(not r["ok"] for r in records)
