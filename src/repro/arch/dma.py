@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from repro._records import slotted_state
 from repro.arch.params import NSCParameters
 from repro.arch.switch import DeviceKind
 
@@ -92,7 +93,8 @@ class DMASpec:
         )
 
 
-@dataclass(frozen=True)
+@slotted_state
+@dataclass(frozen=True, slots=True)
 class DMAProgram:
     """A fully resolved DMA program as loaded into a controller.
 

@@ -22,6 +22,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro._records import slotted_state
 from repro.arch.dma import DMAProgram, DMASpec, Direction
 from repro.arch.funcunit import OPCODES, Opcode
 from repro.arch.node import NodeConfig
@@ -89,7 +90,8 @@ def _without_memos(obj: object) -> Dict[str, Any]:
     return {k: v for k, v in vars(obj).items() if not k.startswith("_")}
 
 
-@dataclass(frozen=True)
+@slotted_state
+@dataclass(frozen=True, slots=True)
 class ResolvedInput:
     """Fully resolved feed of one FU input port.
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.arch.node import MACHINE_TABLES_SIZE, node_config
 from repro.arch.params import NSCParameters
@@ -277,16 +277,39 @@ def layout_for(params: NSCParameters) -> MicrowordLayout:
     return MicrowordLayout(params, node.n_fus, sorted(node.switch.sources))
 
 
-class Microword:
-    """One instruction: a value for every field, encodable to raw bits."""
+def _unpack(layout: MicrowordLayout, raw: bytes) -> Dict[str, int]:
+    """The nonzero field values packed in *raw*."""
+    word = int.from_bytes(raw, "little")
+    return {
+        f.name: value
+        for f in layout._fields.values()
+        if (value := (word >> f.offset) & f.max_value)
+    }
 
-    #: the packed bits, kept until the next write (``encode`` is called
-    #: once for the program fingerprint and again by every consumer)
-    _encoded: Optional[bytes] = None
+
+class Microword:
+    """One instruction: a value for every field, encodable to raw bits.
+
+    A word under construction keeps its written fields in a dict;
+    :meth:`encode` packs them into the raw bits and drops the dict, so a
+    finished word (every cached program's) holds its encoding alone.
+    Reads decode a field from the bits, and a later write unpacks them
+    into a dict again.
+    """
+
+    __slots__ = ("layout", "_values", "_encoded")
 
     def __init__(self, layout: MicrowordLayout) -> None:
         self.layout = layout
-        self._values: Dict[str, int] = {}
+        #: the written fields, or None once packed into ``_encoded``
+        self._values: Optional[Dict[str, int]] = {}
+        self._encoded: Optional[bytes] = None
+
+    def _fields(self) -> Dict[str, int]:
+        """The written field values, or the nonzero ones of the bits."""
+        if self._values is not None:
+            return self._values
+        return _unpack(self.layout, self._encoded)
 
     def set(self, name: str, value: int) -> None:
         self.set_field(self.layout.field(name), value)
@@ -298,6 +321,8 @@ class Microword:
                 f"value {value} does not fit field {field.name} "
                 f"({field.width} bits)"
             )
+        if self._values is None:
+            self._values = _unpack(self.layout, self._encoded)
         self._values[field.name] = value
         self._encoded = None
 
@@ -309,8 +334,11 @@ class Microword:
         self.set(name, float_to_bits(value))
 
     def get(self, name: str) -> int:
-        self.layout.field(name)  # validate
-        return self._values.get(name, 0)
+        field = self.layout.field(name)
+        if self._values is not None:
+            return self._values.get(name, 0)
+        word = int.from_bytes(self._encoded, "little")
+        return (word >> field.offset) & field.max_value
 
     def get_signed(self, name: str) -> int:
         field = self.layout.field(name)
@@ -320,7 +348,7 @@ class Microword:
         return bits_to_float(self.get(name))
 
     def nonzero_fields(self) -> List[Tuple[str, int]]:
-        return [(n, v) for n, v in sorted(self._values.items()) if v != 0]
+        return [(n, v) for n, v in sorted(self._fields().items()) if v != 0]
 
     # ------------------------------------------------------------------
     # raw encoding
@@ -334,24 +362,31 @@ class Microword:
                 word |= value << fields[name].offset
             nbytes = (self.layout.total_bits + 7) // 8
             self._encoded = word.to_bytes(nbytes, "little")
+            self._values = None
         return self._encoded
 
     @classmethod
     def decode(cls, layout: MicrowordLayout, raw: bytes) -> "Microword":
-        word = int.from_bytes(raw, "little")
         mw = cls(layout)
-        for field in layout.fields:
-            value = (word >> field.offset) & field.max_value
-            if value:
-                mw._values[field.name] = value
+        mw._values = _unpack(layout, raw)
         return mw
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"layout": self.layout, "_encoded": self.encode()}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # a word pickled before words packed themselves carries its
+        # ``_values`` dict, and ``_encoded`` only if it had been encoded
+        self.layout = state["layout"]
+        self._encoded = state.get("_encoded")
+        self._values = None if self._encoded is not None else state["_values"]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Microword):
             return NotImplemented
-        mine = {n: v for n, v in self._values.items() if v}
-        theirs = {n: v for n, v in other._values.items() if v}
-        return mine == theirs
+        if self.layout is other.layout:
+            return self.encode() == other.encode()
+        return self.nonzero_fields() == other.nonzero_fields()
 
     def __repr__(self) -> str:
         return (

@@ -5,9 +5,11 @@ operand, recomputes every shift/delay tap, and walks one machine at a time —
 faithful, but dominated by Python dispatch for the small vectors a single
 node streams.  This module holds the per-image layer of the fast backend:
 
-- a :class:`_FastPlan` compiled once per :class:`PipelineImage` — operand
-  sources, shift/delay taps, write-backs, and the DMA cycle charges are all
-  resolved up front;
+- a :class:`_FastPlan` per :class:`PipelineImage` — operand sources,
+  shift/delay taps, write-backs, and the DMA cycle charges are all
+  resolved up front.  A program plan compiles it into each image's kernel
+  and keeps none of it but the reads; the exact path rebuilds it when it
+  runs;
 - the exact evaluators (:func:`_eval_steps`) the fused engine re-runs
   when its finiteness screen sees an inf/nan, so exception flags match
   the reference bit for bit;
@@ -16,8 +18,8 @@ node streams.  This module holds the per-image layer of the fast backend:
   across machines, params sets, and batch-service jobs within one
   process (an :class:`LRU` of :data:`PROGRAM_CACHE_SIZE` entries, the
   bound every in-process program cache shares).  Per-image plans have
-  no keyed layer: a program plan compiles each of its images once, and
-  :func:`plan_for` keeps the last plan on the image itself.
+  no cache of their own: a program plan compiles each of its images
+  once.
 
 The whole-program layer — fusing the sequencer's control script into
 the schedule that :mod:`repro.sim.batchplan` runs over one machine, a
@@ -92,7 +94,7 @@ _OP_TAP = 3  # key = (shift/delay unit, tap)
 Operand = Tuple[int, Any, int]  # (code, key, residual skew)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Step:
     """One functional unit's evaluation, fully resolved."""
 
@@ -109,7 +111,7 @@ class _Step:
     other: Optional[Operand] = None  # the data operand of a feedback unit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Write:
     """One write-back: where the values come from and the DMA program."""
 
@@ -366,21 +368,6 @@ class PlanCache(LRU):
 PLAN_CACHE = PlanCache()
 
 
-def plan_for(image: PipelineImage, params: Any) -> _FastPlan:
-    """Get the compiled plan for *image*, building it on first use.
-
-    A last-used ``(params, plan)`` pair on the image answers repeat
-    requests; plans are shared across jobs one level up, through the
-    program plans in :data:`PLAN_CACHE`.
-    """
-    memo = image.__dict__.get("_fastpath_plan")
-    if memo is not None and (memo[0] is params or memo[0] == params):
-        return memo[1]
-    plan = _build_plan(image, params)
-    image.__dict__["_fastpath_plan"] = (params, plan)
-    return plan
-
-
 # ----------------------------------------------------------------------
 # evaluation (shared by the single-node and batched executors)
 # ----------------------------------------------------------------------
@@ -491,7 +478,6 @@ __all__ = [
     "BACKENDS",
     "validate_backend",
     "shift_last",
-    "plan_for",
     "LRU",
     "PROGRAM_CACHE_SIZE",
     "PlanCache",

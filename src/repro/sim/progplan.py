@@ -104,9 +104,9 @@ from repro.sim.fastpath import (
     _OP_OUTPUT,
     _OP_STREAM,
     _OP_TAP,
+    _build_plan,
     _eval_feedback_batched,
     _eval_steps,
-    plan_for,
 )
 from repro.sim.sequencer import SequencerResult
 from repro.sim.streams import _ACCUMULATING, detect_exceptions, eval_feedback
@@ -377,11 +377,13 @@ class ImageKernel:
     """Compile-time form of one image's fused executor.
 
     Holds everything derivable from ``(image, plan, params)``; per-run
-    buffers live in the :class:`BoundImage` this produces.  Residual
-    stream skew (the ablation configuration) compiles to offset windows
-    into zero-padded copies of the skewed source — streams share their
-    feeder's pad, FU rows and taps get pads of their own — so a skewed
-    operand costs one copy, exactly like a shifted tap.  Raises
+    buffers live in the :class:`BoundImage` this produces.  The per-image
+    plan is compile input only: the kernel keeps its ``reads`` (bind
+    resolves them) and the exact path rebuilds the rest when it runs.
+    Residual stream skew (the ablation configuration) compiles to offset
+    windows into zero-padded copies of the skewed source — streams share
+    their feeder's pad, FU rows and taps get pads of their own — so a
+    skewed operand costs one copy, exactly like a shifted tap.  Raises
     :class:`FusionUnsupported` for constructs the fused executor does not
     model (mismatched stream lengths, zero-length vectors).
 
@@ -395,18 +397,18 @@ class ImageKernel:
                  params: Any, keep_outputs: bool = False) -> None:
         self.index = index
         self.image = image
-        self.plan = plan
         self.params = params
         self.keep_outputs = keep_outputs
         self.n = plan.n
         if self.n <= 0:
             raise FusionUnsupported("zero-length vector")
+        self.reads = plan.reads
         self._read_index = {ep: i for i, (ep, _p) in enumerate(plan.reads)}
         for _ep, prog in plan.reads:
             if prog.count != self.n:
                 raise FusionUnsupported("stream length differs from vector")
 
-        consumed = self._consumed_fus()
+        consumed = self._consumed_fus(plan)
         self.reduce_fus: Set[int] = set()
         if not keep_outputs:
             for step in plan.steps:
@@ -425,15 +427,15 @@ class ImageKernel:
         self._stream_skews: Dict[Tuple[int, int], Tuple] = {}
         self._row_skews: Dict[Tuple[int, int], Tuple] = {}
         self._tap_skews: Dict[Tuple[Any, int], Tuple] = {}
-        self._produced: Set[int] = set()
-        self._pending_row_copies: List[int] = []
-        self._emitted_row_copies: Set[int] = set()
+        produced: Set[int] = set()
+        pending: List[int] = []  # row pads the current step registered
+        copied: Set[int] = set()  # rows whose pad copy is emitted
 
         self.steps: List[Tuple] = []       # symbolic step descriptors
         for step in plan.steps:
             if step.fb_port is not None:
-                descr = self._ref(step.other)
-                self._flush_row_copies()
+                descr = self._ref(step.other, produced, pending, copied)
+                self._flush_row_copies(pending)
                 init = float(step.fb_init)
                 if step.fu in self.reduce_fus:
                     ufunc, use_abs = _REDUCIBLE[step.opcode]
@@ -442,7 +444,7 @@ class ImageKernel:
                     self.steps.append(
                         (_M_REDUCE, ufunc, use_abs, descr, seed, step.fu)
                     )
-                    self._produced.add(step.fu)
+                    produced.add(step.fu)
                     continue
                 accum = _ACCUMULATING.get(step.opcode)
                 if accum is not None:
@@ -462,12 +464,13 @@ class ImageKernel:
                         (_M_FEEDBACK, step.opcode, descr, step.fb_port, init,
                          step.fu)
                     )
-                self._produced.add(step.fu)
+                produced.add(step.fu)
                 continue
 
-            a = self._ref(step.a)
-            b = self._ref(step.b) if step.b is not None else None
-            self._flush_row_copies()
+            a = self._ref(step.a, produced, pending, copied)
+            b = (self._ref(step.b, produced, pending, copied)
+                 if step.b is not None else None)
+            self._flush_row_copies(pending)
             fu = step.fu
             if step.uses_constant and step.opcode in _CONST_UFUNCS:
                 self.steps.append(
@@ -488,7 +491,7 @@ class ImageKernel:
                 self.steps.append((_M_COPY, a, fu))
             else:
                 self.steps.append((_M_FALLBACK, step, a, b, fu))
-            self._produced.add(fu)
+            produced.add(fu)
 
         # taps: every shifted stream is a window into one zero-padded copy
         # of its feeder, so a 7-tap stencil costs one copy, not seven —
@@ -513,7 +516,7 @@ class ImageKernel:
         self.tap_pads = self._second_level_pads(self._tap_skews)
 
         cond = image.condition
-        if cond is not None and cond.fu not in self._produced:
+        if cond is not None and cond.fu not in produced:
             raise FusionUnsupported("condition watches a silent unit")
         self.condition = cond
         if cond is not None:
@@ -538,8 +541,8 @@ class ImageKernel:
                 src_n = self.n
             self.writes.append((src, write.prog, min(src_n, write.prog.count)))
 
-        self._assign_slots()
-        self._issue_stats()
+        self._assign_slots(plan)
+        self._issue_stats(plan)
 
         # the storage arrays this image resolves against, in a fixed
         # order: the identity tuple of these arrays keys the per-state
@@ -566,7 +569,7 @@ class ImageKernel:
         self.touched_arrays = tuple(touched)
 
     # ------------------------------------------------------------------
-    def _assign_slots(self) -> None:
+    def _assign_slots(self, plan: _FastPlan) -> None:
         """Map every output row (and reduction abs scratch) to a slot.
 
         Units pass results through the switch without storing them, so a
@@ -590,9 +593,8 @@ class ImageKernel:
             reads.append(fus)
             for fu in fus:
                 last_read[fu] = i
-        produced = [s.fu for s in self.plan.steps
-                    if s.fu not in self.reduce_fus]
-        screened = self._checked_fus()
+        produced = [s.fu for s in plan.steps if s.fu not in self.reduce_fus]
+        screened = self._checked_fus(plan)
         pinned = set(screened)
         pinned.update(src[1] for src, _p, _w in self.writes if src[0] == "row")
         if self.condition is not None \
@@ -629,14 +631,15 @@ class ImageKernel:
                 # screened: every unpinned row here has a reader
                 self.slot_of[step[-1]] = take()
 
-    def _consumed_fus(self) -> Set[int]:
+    @staticmethod
+    def _consumed_fus(plan: _FastPlan) -> Set[int]:
         """Units whose output stream some other step or write consumes."""
         used: Set[int] = set()
-        for step in self.plan.steps:
+        for step in plan.steps:
             for descr in (step.a, step.b, step.other):
                 if descr is not None and descr[0] == _OP_OUTPUT:
                     used.add(descr[1])
-        for write in self.plan.writes:
+        for write in plan.writes:
             if write.code == _OP_OUTPUT:
                 used.add(write.key)
         return used
@@ -648,7 +651,7 @@ class ImageKernel:
     _PROP_A = PROP_A
     _PROP_FEEDBACK = PROP_FEEDBACK
 
-    def _checked_fus(self) -> Set[int]:
+    def _checked_fus(self, plan: _FastPlan) -> Set[int]:
         """Units whose output rows the fused exception screen must cover.
 
         A unit is *covered* when some consumer reads it through a
@@ -659,7 +662,7 @@ class ImageKernel:
         max-residual condition that is typically the empty set.
         """
         covered: Set[int] = set()
-        for step in self.plan.steps:
+        for step in plan.steps:
             if step.fb_port is not None:
                 # MIN/MINABS/MAX variants can silently absorb an extreme
                 # of the wrong sign; MAXABS and the sticky accumulators
@@ -683,13 +686,14 @@ class ImageKernel:
                         and descr[2] == 0:
                     covered.add(descr[1])
         return {
-            s.fu for s in self.plan.steps
+            s.fu for s in plan.steps
             if s.fu not in self.reduce_fus and s.fu not in covered
         }
 
-    def _ref(self, descr: Tuple[int, Any, int]) -> _Ref:
+    def _ref(self, descr: Tuple[int, Any, int], produced: Set[int],
+             pending: List[int], copied: Set[int]) -> _Ref:
         code, key, skew = descr
-        if code == _OP_OUTPUT and key not in self._produced:
+        if code == _OP_OUTPUT and key not in produced:
             # the interpreters fault on this too ("needed before it was
             # produced"); let the stepped path report it
             raise FusionUnsupported(f"fu{key} read before it was produced")
@@ -716,21 +720,21 @@ class ImageKernel:
             view_key = ("skew:row", key, skew)
             if (key, skew) not in self._row_skews:
                 self._row_skews[(key, skew)] = view_key
-                if key not in self._emitted_row_copies:
-                    self._emitted_row_copies.add(key)
-                    self._pending_row_copies.append(key)
+                if key not in copied:
+                    copied.add(key)
+                    pending.append(key)
             return ("tap", view_key)
         view_key = ("skew:tap", key, skew)
         self._tap_skews[(key, skew)] = view_key
         return ("tap", view_key)
 
-    def _flush_row_copies(self) -> None:
+    def _flush_row_copies(self, pending: List[int]) -> None:
         """Emit the pad-fill copies for row skews the current step's
         operands just registered — after the producer, before the
         consumer."""
-        for fu in self._pending_row_copies:
+        for fu in pending:
             self.steps.append((_M_SKEWCOPY, fu))
-        self._pending_row_copies.clear()
+        pending.clear()
 
     def _second_level_pads(
         self, skews: Dict[Tuple[Any, int], Tuple]
@@ -748,9 +752,9 @@ class ImageKernel:
             pads.append((source, left, total, views))
         return pads
 
-    def _issue_stats(self) -> None:
+    def _issue_stats(self, plan: _FastPlan) -> None:
         """Analytic per-issue accounting, matching the DMA engine's."""
-        image, plan, params = self.image, self.plan, self.params
+        image, params = self.image, self.params
         transfers = len(plan.reads) + len(plan.writes)
         words_read = sum(prog.count for _ep, prog in plan.reads)
         words_written = sum(width for _src, _prog, width in self.writes)
@@ -820,7 +824,7 @@ class ImageKernel:
             return prog.base_offset
 
         read_spans: List[Tuple[int, int, int]] = []  # (plane, lo, hi)
-        for prog in [p for _ep, p in self.plan.reads]:
+        for _ep, prog in self.reads:
             spec = prog.spec
             lo, hi = _prog_span(resolve(prog), prog.count, spec.stride)
             if lo < 0:
@@ -868,15 +872,17 @@ RUNNER_CODE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=RUNNER_CODE_SIZE)
-def _runner_code(src_text: str) -> CodeType:
-    """The code object of the one function *src_text* defines.
+def _runner_code(src_text: str) -> Tuple[CodeType, Tuple[str, ...]]:
+    """The code object of the one function *src_text* defines, and the
+    names of its parameters.
 
     Runner source depends only on a kernel's structure, never on grid
-    size or tolerances, so distinct programs of one shape share it.
+    size or tolerances, so distinct programs of one shape share both.
     Compiling without executing leaves the argument defaults unbound.
     """
     module = compile(src_text, "<runner>", "exec")
-    return next(c for c in module.co_consts if isinstance(c, CodeType))
+    code = next(c for c in module.co_consts if isinstance(c, CodeType))
+    return code, code.co_varnames[: code.co_argcount]
 
 
 class BoundImage:
@@ -955,6 +961,7 @@ class BoundImage:
             else None
         )
         self._exact: Optional[Dict[int, np.ndarray]] = None
+        self._exact_plan: Optional[_FastPlan] = None
         # pre-resolve every operand that does not depend on storage state
         self._ops = [self._bind_step(s) for s in kernel.steps]
 
@@ -1031,7 +1038,7 @@ class BoundImage:
         kernel = self.kernel
         variables = storage.variables
         streams: List[np.ndarray] = []
-        for _ep, prog in kernel.plan.reads:
+        for _ep, prog in kernel.reads:
             spec = prog.spec
             if spec.is_symbolic:
                 var = variables[spec.variable]
@@ -1119,21 +1126,22 @@ class BoundImage:
         for j, (dst, src) in enumerate(self._write_pairs):
             env[f"_wd{j}"], env[f"_ws{j}"] = dst, src
             tail.append(f"    _copyto(_wd{j}, _ws{j})")
-        names = [name for name in env]
         cached = self.kernel.__dict__.get("_runner_code")
-        if cached is None or cached[1] != names:
-            params = ", ".join(f"{name}={name}" for name in names)
+        if cached is None or cached[1] != tuple(env):
+            params = ", ".join(f"{name}={name}" for name in env)
             src_text = (
                 f"def _runner({params}):\n    _ok = True\n"
                 + "\n".join(body + tail)
                 + "\n    return _ok\n"
             )
-            cached = (_runner_code(src_text), names)
+            # the shared (code, parameter names) pair: no kernel keeps a
+            # name list of its own
+            cached = _runner_code(src_text)
             self.kernel.__dict__["_runner_code"] = cached
         # the code object depends only on the kernel's structure: bind this
         # issue's operands as fresh argument defaults
         return FunctionType(
-            cached[0], {}, "_runner", tuple(env[name] for name in names)
+            cached[0], {}, "_runner", tuple(env[name] for name in cached[1])
         )
 
     def _make_closure(self, op: Tuple) -> Any:
@@ -1255,18 +1263,23 @@ class BoundImage:
         Used when the fused pass saw something non-finite: recomputes every
         output stream with the per-image fast path's evaluators and returns
         the exception flags in reference order.  Subsequent write-back and
-        condition evaluation read from these exact streams.
+        condition evaluation read from these exact streams.  The step list
+        is rebuilt from the image on the first exact issue of this binding
+        (the compiled kernel does not keep it).
         """
         kernel = self.kernel
+        if self._exact_plan is None:
+            self._exact_plan = _build_plan(kernel.image, kernel.params)
+        plan = self._exact_plan
         streams = {
             ep: self._streams[i] for ep, i in kernel._read_index.items()
         }
         taps: Dict[Any, np.ndarray] = dict(self._tap_views)
         outputs = _eval_steps(
-            kernel.plan, streams, taps, self.batch_shape + (kernel.n,)
+            plan, streams, taps, self.batch_shape + (kernel.n,)
         )
         flags: List[str] = []
-        for step in kernel.plan.steps:
+        for step in plan.steps:
             for flag in detect_exceptions(outputs[step.fu]):
                 flags.append(f"fu{step.fu}:{flag}")
         self._exact = outputs
@@ -1408,7 +1421,7 @@ class ProgramPlan:
                 if kernel is None:
                     image = self.program.images[index]
                     try:
-                        plan = plan_for(image, self.params)
+                        plan = _build_plan(image, self.params)
                     except Exception as exc:
                         raise FusionUnsupported(str(exc)) from exc
                     kernel = ImageKernel(index, image, plan, self.params,

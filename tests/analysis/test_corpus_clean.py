@@ -20,6 +20,7 @@ from repro.compose.jacobi import build_jacobi_program
 from repro.compose.registry import SOLVERS
 from repro.diagram.program import ExecPipeline, Halt, LoopUntil, SwapVars
 from repro.sim import batchplan, progplan
+from repro.sim.fastpath import _build_plan
 
 
 def _corpus(node):
@@ -100,8 +101,9 @@ class TestScreenCrossCheck:
             plan = progplan.compiled_plan(program, node.params)
             for index, kernel in plan.kernels.items():
                 report = screen_coverage(program.images[index])
+                source = _build_plan(kernel.image, kernel.params)
                 assert report.checked_fus == frozenset(
-                    kernel._checked_fus()
+                    kernel._checked_fus(source)
                 ), f"{name} image {index}: checked-FU sets diverge"
                 assert report.reduce_fus == frozenset(kernel.reduce_fus), (
                     f"{name} image {index}: reduce-FU sets diverge"

@@ -190,5 +190,32 @@ class TestEncoding:
         word.set("fu1.opcode", 0)
         assert word.nonzero_fields() == [("fu0.opcode", 1)]
 
+    def test_encoded_word_keeps_only_its_bits(self, layout):
+        """A finished word holds its encoding, not a field dict; reads
+        decode from the bits and a later write unpacks them again."""
+        word = layout.new_word()
+        word.set("fu3.opcode", 7)
+        word.set_signed("sd0.tap1.shift", -36)
+        word.set("seq.vector_length", 4096)
+        fields = word.nonzero_fields()
+        raw = word.encode()
+        assert word._values is None and not hasattr(word, "__dict__")
+        assert word.get("fu3.opcode") == 7
+        assert word.get("fu3.a.delay") == 0
+        assert word.get_signed("sd0.tap1.shift") == -36
+        assert word.nonzero_fields() == fields
+        assert word == Microword.decode(layout, raw)
+        assert Microword.decode(layout, raw).encode() == raw
+        assert word._values is None  # reading left it packed
+
+        word.set("fu3.a.delay", 12)
+        fresh = layout.new_word()
+        fresh.set("fu3.opcode", 7)
+        fresh.set_signed("sd0.tap1.shift", -36)
+        fresh.set("seq.vector_length", 4096)
+        fresh.set("fu3.a.delay", 12)
+        assert word.encode() == fresh.encode()
+        assert word == fresh
+
     def test_cmp_codes_complete(self):
         assert set(CMP_CODES) == {"lt", "le", "gt", "ge"}

@@ -5,7 +5,8 @@ with different ``PYTHONHASHSEED`` values.  An endpoint that carried its
 writer's hash into a pickle would make every wiring lookup in the loading
 process miss, so a disk-cached program would look unwired.  This test
 writes a compiled Jacobi program to a :class:`ProgramCache` directory in
-one process and reads it back in another with a different hash seed.
+one process and reads it back in another with a different hash seed,
+which must see the writer's microword fields and fingerprint.
 """
 
 import json
@@ -19,7 +20,7 @@ import repro
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 WRITER = """
-import sys
+import json, sys
 from repro.arch.node import NodeConfig
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.jacobi import build_jacobi_program
@@ -29,6 +30,10 @@ node = NodeConfig()
 setup = build_jacobi_program(node, (6, 6, 6), eps=1e-4, max_iterations=50)
 program = MicrocodeGenerator(node).generate(setup.program)
 ProgramCache(sys.argv[1]).get_or_compile("jacobi6", lambda: (setup, program))
+print(json.dumps({
+    "fields": [image.microword.nonzero_fields() for image in program.images],
+    "fingerprint": program.fingerprint(),
+}))
 """
 
 READER = """
@@ -59,6 +64,8 @@ print(json.dumps({
     "disk_hits": cache.stats.disk_hits,
     "drivers": drivers, "found": found, "reads": reads, "hits": hits,
     "errors": len(report.errors),
+    "fields": [image.microword.nonzero_fields() for image in program.images],
+    "fingerprint": program.fingerprint(),
 }))
 """
 
@@ -74,9 +81,12 @@ def _run(script: str, seed: int, cache_dir: Path) -> str:
 
 
 def test_disk_entry_loads_under_another_hash_seed(tmp_path):
-    _run(WRITER, 1, tmp_path)
+    written = json.loads(_run(WRITER, 1, tmp_path).splitlines()[-1])
     result = json.loads(_run(READER, 2, tmp_path).splitlines()[-1])
     assert result["disk_hits"] == 1
     assert result["drivers"] > 0 and result["found"] == result["drivers"]
     assert result["reads"] > 0 and result["hits"] == result["reads"]
     assert result["errors"] == 0
+    assert all(written["fields"])
+    assert result["fields"] == written["fields"]
+    assert result["fingerprint"] == written["fingerprint"]

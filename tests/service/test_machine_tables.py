@@ -15,6 +15,7 @@ from repro.compose.registry import SOLVERS
 from repro.service.cache import ProgramCache
 from repro.service.jobs import SimJob
 from repro.service.runner import BatchRunner
+from repro.sim.fastpath import PLAN_CACHE
 from repro.sim.progplan import RUNNER_CODE_SIZE, _runner_code
 
 TABLES = (_shared_node, layout_for, _fu_table)
@@ -96,8 +97,10 @@ def test_machine_tables_stay_at_their_bound():
 def test_runner_code_map_stays_at_its_bound():
     _runner_code.cache_clear()
     for k in range(RUNNER_CODE_SIZE + 8):
-        code = _runner_code(f"def _runner(_x={k}):\n    return _x + {k}\n")
-        assert code.co_name == "_runner"
+        code, names = _runner_code(
+            f"def _runner(_x={k}):\n    return _x + {k}\n"
+        )
+        assert code.co_name == "_runner" and names == ("_x",)
     assert _runner_code.cache_info().currsize == RUNNER_CODE_SIZE
 
 
@@ -118,3 +121,24 @@ def test_same_structure_programs_share_runner_code():
     info = _runner_code.cache_info()
     assert info.misses == misses
     assert info.hits > 0
+
+
+def test_same_structure_kernels_share_parameter_names():
+    """Two kernels with one runner source hold one parameter-name tuple
+    (the code object's own), not a name list each."""
+    def kernel_runner(eps: float):
+        job = SimJob(method="jacobi", shape=(6, 6, 6), eps=eps,
+                     max_sweeps=200, backend="fast")
+        (record,), _ = BatchRunner(workers=1).run([job])
+        assert record["tier"] == "fused"
+        (plan,) = [p for p in PLAN_CACHE._data.values()
+                   if p.program.fingerprint() == record["program_fingerprint"]]
+        return plan.kernels[1].__dict__["_runner_code"]
+
+    PLAN_CACHE.clear()
+    code_a, names_a = kernel_runner(1e-3)
+    code_b, names_b = kernel_runner(3e-3)
+    assert code_a is code_b
+    assert names_a is names_b
+    assert isinstance(names_a, tuple)
+    assert names_a == code_a.co_varnames[: code_a.co_argcount]

@@ -6,11 +6,18 @@ reads the diagram.  These tests pin that no cached value reaches a
 :class:`VisualProgram` or :class:`PipelineDiagram`, that the disk layer
 serves slim entries and still loads entries pickled with a diagram, and
 that dropping the diagram changes no record.
+
+Each fact is held once, compactly: a cached microword keeps its bits
+alone, no image or kernel keeps its per-image plan (a program plan
+compiles it and keeps only the reads), and the per-unit records carry
+no ``__dict__``.
 """
 
 import gc
 import types
 
+from repro.arch.dma import DMAProgram
+from repro.codegen.generator import ResolvedInput
 from repro.diagram.pipeline import PipelineDiagram
 from repro.diagram.program import VisualProgram
 from repro.service import runner
@@ -18,6 +25,8 @@ from repro.service.cache import ProgramCache
 from repro.service.jobs import SimJob
 from repro.service.results import canonical_record
 from repro.service.runner import BatchRunner
+from repro.sim.fastpath import PLAN_CACHE, _build_plan, _FastPlan, _Step, _Write
+from repro.sim.progplan import ProgramPlan
 
 SPECS = [
     {"method": "jacobi", "shape": [5, 5, 5]},
@@ -49,8 +58,8 @@ def _run(cache):
     return records
 
 
-def _diagrams_reached(root):
-    """Diagram objects reachable from *root*, not through classes,
+def _reached(root, kinds):
+    """Instances of *kinds* reachable from *root*, not through classes,
     modules or functions (whose globals reach the whole process)."""
     seen, stack, found = set(), [root], []
     while stack:
@@ -58,10 +67,14 @@ def _diagrams_reached(root):
         if id(obj) in seen or isinstance(obj, _OPAQUE):
             continue
         seen.add(id(obj))
-        if isinstance(obj, (VisualProgram, PipelineDiagram)):
+        if isinstance(obj, kinds):
             found.append(obj)
         stack.extend(gc.get_referents(obj))
     return found
+
+
+def _diagrams_reached(root):
+    return _reached(root, (VisualProgram, PipelineDiagram))
 
 
 def _keep_diagrams(monkeypatch):
@@ -126,3 +139,23 @@ def test_legacy_pickle_with_diagram_loads_and_runs(tmp_path, monkeypatch):
     for setup, _program in cache._mem._data.values():
         assert setup.program is not None
     assert _served(records) == _served(_run(ProgramCache()))
+
+
+def test_entries_hold_each_fact_once():
+    PLAN_CACHE.clear()
+    cache = ProgramCache()
+    _run(cache)
+    programs = [program for _setup, program in cache._mem._data.values()]
+    plans = [p for p in PLAN_CACHE._data.values() if isinstance(p, ProgramPlan)]
+    assert programs and plans
+    images = [image for program in programs for image in program.images]
+    for image in images:
+        assert image.microword._values is None  # packed: bits only
+        assert "_fastpath_plan" not in vars(image)
+    assert _reached(plans, _FastPlan) == []
+    records = _reached(programs, (ResolvedInput, DMAProgram))
+    source = _build_plan(images[1], plans[0].params)
+    records += [*source.steps, *source.writes]
+    assert {type(r) for r in records} \
+        == {ResolvedInput, DMAProgram, _Step, _Write}
+    assert not any(hasattr(record, "__dict__") for record in records)

@@ -17,13 +17,13 @@ from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
 from repro.diagram.program import CacheSwap, ExecPipeline, Halt
 from repro.sim.fastpath import (
     BACKENDS,
-    plan_for,
+    _build_plan,
     shift_last,
     validate_backend,
 )
 from repro.sim.machine import NSCMachine
 from repro.sim.pipeline_exec import execute_image
-from repro.sim.progplan import try_run_fused
+from repro.sim.progplan import compiled_plan, try_run_fused
 
 
 def _loaded_machine(node, setup, program, u0, f, backend="reference"):
@@ -177,16 +177,17 @@ class TestSingleNodeParity:
 
 class TestFastPlan:
     def test_plan_cached_per_image(self, node, jacobi8):
+        # an image compiles once, into its program plan's kernel
         _setup, program = jacobi8
-        image = program.images[1]
-        plan_a = plan_for(image, node.params)
-        plan_b = plan_for(image, node.params)
-        assert plan_a is plan_b
+        kernel_a = compiled_plan(program, node.params).kernels[1]
+        kernel_b = compiled_plan(program, node.params).kernels[1]
+        assert kernel_a is kernel_b
+        assert kernel_a.image is program.images[1]
 
     def test_plan_dma_cycles_match_engine_accounting(self, node, jacobi8):
         setup, program = jacobi8
         image = program.images[1]
-        plan = plan_for(image, node.params)
+        plan = _build_plan(image, node.params)
         machine = _loaded_machine(
             node, setup, program, np.zeros((8, 8, 8)), np.zeros((8, 8, 8))
         )

@@ -25,3 +25,5 @@ def test_profile_heap_reports_a_bounded_cache(capsys, monkeypatch):
     assert report["gen2_collections"] >= 0
     assert report["gc_s"] >= report["gen2_s"] >= 0.0
     assert report["objects_after"] > 0
+    # two cached programs, each a few tens of kB of compact entries
+    assert 1.0 < report["retained_kb_per_program"] < 1000.0

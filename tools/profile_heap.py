@@ -12,7 +12,12 @@ daemon or a batch loop would over its lifetime.  Reports:
 - GC-tracked objects before and after the run, and the time of one full
   ``gc.collect()`` at the end;
 - the entries and evictions of the program cache and the plan cache,
-  and the process's peak RSS.
+  and the process's peak RSS;
+- ``retained_kb_per_program``: a deep ``sys.getsizeof`` walk of the
+  compiled program-cache entries and the plan-cache entries, divided by
+  the number of programs cached.  Objects every program shares are not
+  counted: machine tables, the microword layout, interned endpoints,
+  enum members, code objects, functions and types.
 
 First-use imports and machine tables are warmed on n = 4 programs the
 sample never contains.
@@ -25,18 +30,26 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import enum
 import gc
 import json
 import random
 import resource
 import sys
 import time
+import types
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.arch.node import NodeConfig  # noqa: E402
+from repro.arch.params import NSCParameters  # noqa: E402
+from repro.arch.switch import Endpoint  # noqa: E402
+from repro.codegen.microword import MicrowordLayout  # noqa: E402
 from repro.compose.registry import SOLVERS  # noqa: E402
 from repro.service.cache import ProgramCache  # noqa: E402
 from repro.service.jobs import SimJob  # noqa: E402
@@ -60,6 +73,60 @@ def _job(method: str, size: int, eps: float) -> SimJob:
         max_sweeps=2000,
         backend="fast",
     )
+
+
+#: What a walk never enters: the interpreter's objects (types, modules,
+#: functions, code objects, ufuncs, enum members) and the tables every
+#: program on one machine shares (layout, node, params, endpoints).
+_INTERPRETER = (
+    type,
+    types.ModuleType,
+    types.FunctionType,
+    types.BuiltinFunctionType,
+    types.CodeType,
+    np.ufunc,
+    np.dtype,
+    enum.Enum,
+)
+_TABLES = (Endpoint, MicrowordLayout, NodeConfig, NSCParameters)
+
+
+def _walk(
+    roots: Iterable[Any], stop: Tuple[type, ...]
+) -> Tuple[Dict[int, int], List[Any]]:
+    """``id -> sys.getsizeof`` of everything reachable from *roots* through
+    ``gc.get_referents``, and the *stop* instances the walk met there."""
+    sizes: Dict[int, int] = {}
+    met: List[Any] = []
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in sizes:
+            continue
+        if isinstance(obj, stop):
+            met.append(obj)
+            continue
+        sizes[id(obj)] = sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return sizes, met
+
+
+def retained_kb_per_program(cache: ProgramCache) -> float:
+    """Mean deep size of one program's cache entries, in kB.
+
+    Walks the compiled values of *cache* and the :data:`PLAN_CACHE`
+    entries (a plan references its program: shared objects count once)
+    and drops whatever the shared tables reach — a field name in a
+    microword is the layout's string, not the word's own."""
+    if not len(cache):
+        return 0.0
+    entries = [*cache._mem._data.values(), *PLAN_CACHE._data.values()]
+    owned, met = _walk(entries, _INTERPRETER + _TABLES)
+    tables, _ = _walk(
+        [obj for obj in met if isinstance(obj, _TABLES)], _INTERPRETER
+    )
+    total = sum(size for key, size in owned.items() if key not in tables)
+    return round(total / len(cache) / 1024.0, 1)
 
 
 class _Collections:
@@ -105,6 +172,7 @@ def profile(n: int, seed: int) -> Dict[str, Any]:
     gc.collect()
     collect_ms = (time.perf_counter() - t0) * 1e3
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # Linux: kB
+    retained_kb = retained_kb_per_program(cache)
     return {
         "programs": n,
         "seed": seed,
@@ -119,6 +187,7 @@ def profile(n: int, seed: int) -> Dict[str, Any]:
         "cache": {"entries": len(cache), **cache.stats.as_dict()},
         "plan_cache": {"entries": len(PLAN_CACHE), **PLAN_CACHE.stats.as_dict()},
         "peak_rss_mb": round(peak_kb / 1024.0, 1),
+        "retained_kb_per_program": retained_kb,
     }
 
 
@@ -140,7 +209,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         print(f"profile_heap: {args.n} programs (seed {args.seed})")
         for key, value in report.items():
-            print(f"  {key:<17} {value}")
+            print(f"  {key:<23} {value}")
     return 1 if report["failed"] else 0
 
 
