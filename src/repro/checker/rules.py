@@ -573,16 +573,18 @@ class UnusedOutputRule(Rule):
     def check(self, diagram, kb, declarations=None):
         out: List[Diagnostic] = []
         condition_fu = diagram.condition.fu if diagram.condition else None
+        # units feeding a hardwired route inside their own ALS, in one pass
+        used_internally = set()
+        for (consumer, _p), mod in diagram.input_mods.items():
+            if mod.kind is InputModKind.INTERNAL:
+                use = diagram.als_use_of_fu(consumer)
+                if use is not None:
+                    src = use.first_fu + mod.src_slot
+                    if diagram.als_use_of_fu(src) is use:
+                        used_internally.add(src)
         for fu in diagram.active_fus():
-            sinks = diagram.sinks_of(fu_out(fu))
-            used_internally = any(
-                mod.kind is InputModKind.INTERNAL
-                and diagram.als_use_of_fu(consumer) is diagram.als_use_of_fu(fu)
-                and diagram.als_use_of_fu(consumer) is not None
-                and diagram.als_use_of_fu(consumer).first_fu + mod.src_slot == fu
-                for (consumer, _p), mod in diagram.input_mods.items()
-            )
-            if not sinks and not used_internally and fu != condition_fu:
+            if (not diagram.sinks_of(fu_out(fu)) and fu not in used_internally
+                    and fu != condition_fu):
                 out.append(
                     self._w(
                         f"fu{fu} output drives nothing",

@@ -168,9 +168,8 @@ class MachineProgram:
         microcode; the batch service records it so a result can be traced
         to the exact program that produced it (and a cache hit can be
         proven to replay the same bits).  Each microword keeps its encoded
-        bits until its next write, so the repeat calls of one job (plan
-        key, record) hash a few kilobytes instead of
-        re-encoding every field."""
+        bits until its next write, so a job's record hashes a few
+        kilobytes instead of re-encoding every field."""
         digest = hashlib.sha256()
         digest.update(self.name.encode("utf-8"))
         digest.update(str(self.layout.total_bits).encode("utf-8"))
@@ -282,7 +281,7 @@ class MicrocodeGenerator:
                 f"pipeline {diagram.number}: " + "; ".join(problems)
             )
         vector_length = self.resolve_vector_length(diagram, declarations)
-        order = diagram.topological_order()
+        order = plan.order
 
         inputs: Dict[Tuple[int, str], ResolvedInput] = {}
         for fu in order:

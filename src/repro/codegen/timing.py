@@ -46,6 +46,8 @@ class TimingPlan:
     skew: Dict[Tuple[int, str], int] = field(default_factory=dict)
     #: pipeline fill time: cycle at which the last sink sees element 0.
     fill_cycles: int = 0
+    #: active FUs in the dataflow order they were scheduled in.
+    order: List[int] = field(default_factory=list)
 
     def total_delay(self, fu: int, port: str, explicit: int = 0) -> int:
         return explicit + self.auto_delay.get((fu, port), 0)
@@ -99,9 +101,9 @@ def balance_pipeline(
     With ``auto_balance=False`` the plan records the residual skew at every
     input instead of removing it — the ablation configuration.
     """
-    plan = TimingPlan()
     p = kb.params
     order = diagram.topological_order()
+    plan = TimingPlan(order=order)
 
     for fu in order:
         arrivals: Dict[str, Optional[int]] = {}

@@ -25,6 +25,7 @@ terminates within one sweep of the true criterion (asserted in tests).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -33,7 +34,7 @@ import numpy as np
 from repro.arch.funcunit import Opcode
 from repro.arch.node import NodeConfig
 from repro.compose.builders import BuilderError, PipelineBuilder
-from repro.compose.jacobi import interior_masks
+from repro.compose.jacobi import interior_masks, read_only
 from repro.diagram.program import (
     CacheSwap,
     ExecPipeline,
@@ -71,7 +72,16 @@ class RBSORSetup:
 def color_masks(
     shape: Tuple[int, int, int]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(red, black) interior masks: colour by parity of i+j+k."""
+    """(red, black) interior masks: colour by parity of i+j+k.
+
+    Built once per grid and shared: the arrays are read-only."""
+    return _color_masks(tuple(shape))
+
+
+@functools.lru_cache(maxsize=16)
+def _color_masks(
+    shape: Tuple[int, int, int]
+) -> Tuple[np.ndarray, np.ndarray]:
     nx, ny, nz = shape
     interior, _ = interior_masks(shape)
     k, j, i = np.meshgrid(
@@ -79,7 +89,7 @@ def color_masks(
     )
     red = (((i + j + k) % 2) == 0).astype(np.float64).reshape(-1) * interior
     black = interior - red
-    return red, black
+    return read_only(red, black)
 
 
 def _phase_pipeline(

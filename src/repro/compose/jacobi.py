@@ -26,6 +26,7 @@ Mapping onto the machine (one instruction, full-grid vector):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -197,12 +198,26 @@ def build_jacobi_program(
 
 
 def interior_masks(shape: Tuple[int, int, int]) -> Tuple[np.ndarray, np.ndarray]:
-    """(mask, invmask) flattened arrays: 1/0 at interior, 0/1 on boundary."""
+    """(mask, invmask) flattened arrays: 1/0 at interior, 0/1 on boundary.
+
+    Built once per grid and shared: the arrays are read-only."""
+    return _interior_masks(tuple(shape))
+
+
+@functools.lru_cache(maxsize=16)
+def _interior_masks(shape: Tuple[int, int, int]) -> Tuple[np.ndarray, np.ndarray]:
     nx, ny, nz = shape
     mask = np.zeros((nz, ny, nx), dtype=np.float64)
     mask[1:-1, 1:-1, 1:-1] = 1.0
     flat = mask.reshape(-1)  # z-major matches i + nx*(j + ny*k) ordering
-    return flat, 1.0 - flat
+    return read_only(flat, 1.0 - flat)
+
+
+def read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """*arrays*, marked read-only so a memo can hand them out."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def load_jacobi_inputs(

@@ -131,7 +131,7 @@ class PipelineDiagram:
         self._wire_index_len: int = -1
         self._driver_index: Dict[Endpoint, Endpoint] = {}
         self._sink_index: Dict[Endpoint, List[Endpoint]] = {}
-        self._fu_als_len: int = -1
+        self._fu_als_len: int = 0
         self._fu_als_index: Dict[int, ALSUse] = {}
 
     # ------------------------------------------------------------------
@@ -158,7 +158,12 @@ class PipelineDiagram:
             bypassed_slots=tuple(sorted(bypassed_slots)),
         )
         self.als_uses[als_id] = use
-        self._fu_als_len = -1
+        # extend a fresh FU->ALS index in place, as connect() does the
+        # wiring index; a stale one stays stale and is rebuilt on use
+        if self._fu_als_len == len(self.als_uses) - 1:
+            for slot in range(kind.n_units):
+                self._fu_als_index[first_fu + slot] = use
+            self._fu_als_len += 1
         return use
 
     def remove_als(self, als_id: int) -> None:

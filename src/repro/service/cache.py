@@ -29,7 +29,9 @@ compiled engine (:mod:`repro.sim.progplan`) builds on top of a compiled
 program.  Plans hold closures and scratch structure, so they are
 memory-only; every :class:`ProgramCache` shares the
 process-wide :data:`repro.sim.fastpath.PLAN_CACHE`, which is exactly the
-cache the simulator consults at run time.
+cache the simulator consults at run time.  Plans are keyed by the
+program object this cache hands out, so every job served from one entry
+reuses one plan; a recompile or a disk load builds its own.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class ProgramCache:
     """Memoizes compiled programs by content key.
 
     ``plans`` is the plan layer: the process-wide
-    :data:`~repro.sim.fastpath.PLAN_CACHE`, keyed by program fingerprint
+    :data:`~repro.sim.fastpath.PLAN_CACHE`, keyed by program object
     + params.  It is deliberately the same object the execution engine
     consults at run time: a slab binds its plan from it.
 

@@ -104,37 +104,36 @@ class ResultStore:
         """
         if not records:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         payload = "".join(
             json.dumps(dict(record), sort_keys=True) + "\n"
             for record in records
-        )
-        with open(self.path, "a", encoding="utf-8") as fh:
+        ).encode("utf-8")
+        try:
+            fh = open(self.path, "a+b")
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(self.path, "a+b")
+        with fh:
             if fcntl is not None:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             try:
                 # the torn-tail probe must run under the lock: another
                 # writer may have healed (or torn) the tail since this
-                # process last looked
-                if self._tail_is_torn():
-                    # a previous writer died mid-line: terminate its
-                    # partial tail so our records start on a line of
-                    # their own
-                    payload = "\n" + payload
+                # process last looked.  Reads on an append-mode file may
+                # seek; writes still land at the end.
+                end = fh.seek(0, os.SEEK_END)
+                if end:
+                    fh.seek(end - 1)
+                    if fh.read(1) != b"\n":
+                        # a previous writer died mid-line: terminate its
+                        # partial tail so our records start on a line of
+                        # their own
+                        payload = b"\n" + payload
                 fh.write(payload)
                 fh.flush()
             finally:
                 if fcntl is not None:
                     fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
-    def _tail_is_torn(self) -> bool:
-        """Does the file end mid-line (last byte not a newline)?"""
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                return fh.read(1) != b"\n"
-        except (FileNotFoundError, OSError):
-            return False  # missing or empty file: nothing torn
 
     # ------------------------------------------------------------------
     def load(self) -> List[Dict[str, Any]]:

@@ -437,13 +437,34 @@ def _run_single(
 def _problem(job: SimJob, setup: Any, inputs: Optional[Mapping[str, Any]]
              ) -> Tuple[np.ndarray, np.ndarray]:
     """``(u_star, f)``: the caller's shared arrays if built with this
-    setup's grid spacing, else fresh ones."""
+    setup's grid spacing, else the grid's memoized ones."""
     if inputs is not None and inputs.get("h") == setup.h:
         return inputs["u_star"], inputs["f"]
-    from repro.apps.poisson3d import manufactured_solution
-
-    u_star, f, _h = manufactured_solution(job.shape, h=setup.h)
+    u_star, f, _h = grid_problem(job.shape, setup.h)
     return u_star, f
+
+
+def grid_problem(shape: Tuple[int, int, int], h: Optional[float] = None
+                 ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The manufactured problem ``(u_star, f, h)`` on one grid, built
+    once per ``(shape, h)`` and shared read-only by every job on it:
+    single-node and multi-node runs, and the shm transport's input
+    placement.  ``h`` defaults to the builders' spacing, ``1/(n-1)`` on
+    the longest axis, so a default call and a setup's ``h`` share one
+    entry."""
+    if h is None:
+        h = 1.0 / (max(shape) - 1)
+    return _grid_problem(tuple(shape), h)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_problem(shape: Tuple[int, int, int], h: float
+                  ) -> Tuple[np.ndarray, np.ndarray, float]:
+    from repro.apps.poisson3d import manufactured_solution
+    from repro.compose.jacobi import read_only
+
+    u_star, f, h = manufactured_solution(shape, h=h)
+    return (*read_only(u_star, f), h)
 
 
 def _solution_record(job: SimJob, program: Any, checker: Optional[str],
@@ -508,7 +529,6 @@ def _run_multinode(
     inputs: Optional[Mapping[str, Any]] = None,
     fields_out: Optional[Mapping[str, np.ndarray]] = None,
 ) -> Dict[str, Any]:
-    from repro.apps.poisson3d import manufactured_solution
     from repro.sim.multinode import DecompositionError, MultiNodeStencil
 
     nx, ny, nz = job.shape
@@ -536,7 +556,7 @@ def _run_multinode(
         if inputs is not None and "u_star" in inputs:
             u_star = inputs["u_star"]
         else:
-            u_star, _f, _h = manufactured_solution(job.shape)
+            u_star, _f, _h = grid_problem(job.shape)
         stencil.scatter("u", u_star)
     with obs.span("execute"):
         res = stencil.run(max_iterations=job.max_sweeps)
@@ -1039,7 +1059,6 @@ class BatchRunner:
                 or self._transport_degraded:
             yield tasks, None
             return
-        from repro.apps.poisson3d import manufactured_solution
         from repro.service.shm import ShmArena
 
         arena = self.arena if self.arena is not None else ShmArena()
@@ -1052,7 +1071,7 @@ class BatchRunner:
                         job = jobs[unit[0]]
                         if job.method != "program":
                             if job.shape not in shared:
-                                u_star, f, h = manufactured_solution(job.shape)
+                                u_star, f, h = grid_problem(job.shape)
                                 shared[job.shape] = ({
                                     "u_star": arena.place(u_star),
                                     "f": arena.place(f),

@@ -14,10 +14,11 @@ node streams.  This module holds the per-image layer of the fast backend:
   when its finiteness screen sees an inf/nan, so exception flags match
   the reference bit for bit;
 - the process-wide :data:`PLAN_CACHE`, which holds the whole-program
-  plans of :mod:`repro.sim.progplan` keyed per program, so plans survive
-  across machines, params sets, and batch-service jobs within one
-  process (an :class:`LRU` of :data:`PROGRAM_CACHE_SIZE` entries, the
-  bound every in-process program cache shares).  Per-image plans have
+  plans of :mod:`repro.sim.progplan` keyed by program object, so plans
+  survive across machines, params sets, and the batch-service jobs of
+  one compiled program within one process (an :class:`LRU` of
+  :data:`PROGRAM_CACHE_SIZE` entries, the bound every in-process
+  program cache shares).  Per-image plans have
   no cache of their own: a program plan compiles each of its images
   once.
 
@@ -334,11 +335,12 @@ class PlanCacheStats:
 
 
 class PlanCache(LRU):
-    """LRU cache for compiled execution plans, keyed by content.
+    """LRU cache for compiled execution plans, keyed by program identity.
 
-    Keys are ``("program", digest, params, keep_outputs)`` tuples, the
-    digest being :func:`repro.sim.progplan.program_fingerprint`.  The
-    same params on the same program always replays the same plan, so two
+    Keys are ``(id(program), params, keep_outputs)`` tuples (see
+    :func:`repro.sim.progplan.compiled_plan`); every value holds its
+    program, so an id in a live key is never reused.  The same params on
+    the same program always replays the same plan, so two
     parameterizations of one program coexist instead of thrashing a
     single stashed slot.
     """

@@ -42,10 +42,12 @@ fallback: handlers observe delivery order mid-run, which only the stepped
 reference models.
 
 Compiled plans are cached in :data:`repro.sim.fastpath.PLAN_CACHE` keyed
-by :func:`program_fingerprint` + params (+ the ``keep_outputs`` mode), so
-the batch service and sweeps reuse schedules across jobs.  That key is
-the only one: the per-image plans a program plan compiles are not cached
-on their own (hashing an image cost more than compiling its plan).
+by the program object's identity + params (+ the ``keep_outputs`` mode),
+so the batch service and sweeps reuse schedules across the jobs of one
+compiled program; a recompile, a copy or an unpickled program builds
+its own.  That key is the only one: the per-image plans a program plan
+compiles are not cached on their own (hashing an image cost more than
+compiling its plan).
 Anything the compiler cannot prove it can fuse raises
 :class:`FusionUnsupported` and the sequencer falls back to the reference
 interpreter — fusion is an optimisation, never a semantics change.  That
@@ -64,13 +66,11 @@ convergence check.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import operator
-import pickle
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite as _isfinite
 from types import CodeType, FunctionType
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
@@ -181,63 +181,6 @@ _REDUCIBLE = {
     Opcode.MINABS: (np.minimum, True),
 }
 assert frozenset(_REDUCIBLE) == REDUCIBLE_OPS
-
-
-def program_fingerprint(program: MachineProgram) -> str:
-    """Content key for whole-program plans, memoized on the program.
-
-    Starts from :meth:`MachineProgram.fingerprint` (the microword bits)
-    and folds in what a compiled schedule depends on beyond them: the
-    control script and the variable layout and declarations — two
-    programs differing only in a loop bound must not share a plan — and,
-    per image, the facts the microword does not encode, as primitive
-    tuples:
-
-    - each resolved FU input's kind, value, source unit, delay and skew
-      (a literal or a feedback seed lives in the constant table, an
-      ablation skew only in the timing plan);
-    - each FU's constant (its opcode is in the microword);
-    - each DMA program's variable, offset, base and count (the addr
-      field holds the window offset, not which variable it indexes).
-
-    Two programs that differ in any of these would otherwise collide,
-    and the cache would replay the wrong arithmetic or address.  The
-    tuples are digested through :mod:`pickle`, which writes floats as
-    IEEE bits (``-0.0`` stays apart from ``0.0``) at a fraction of the
-    cost of ``repr``; the key lives in this process only.
-    """
-    cached = program.__dict__.get("_progplan_fingerprint")
-    if cached is None:
-        facts: List[Any] = [
-            program.fingerprint(),
-            repr(program.control),
-            sorted(program.variable_layout.items()),
-            [
-                (d.name, d.plane, d.length, d.initializer)
-                for d in program.declarations.values()
-            ],
-        ]
-        for image in program.images:
-            facts.append([
-                (fu, port, r.kind, r.value, r.src_fu, r.delay, r.skew)
-                for (fu, port), r in sorted(image.inputs.items())
-            ])
-            facts.append([
-                (fu, constant)
-                for fu, (_opcode, constant) in sorted(image.fu_ops.items())
-            ])
-            dma = [*image.read_programs.values(),
-                   *(prog for _driver, _sink, prog in image.write_programs)]
-            facts.append([
-                (prog.spec.variable, prog.spec.offset, prog.base_offset,
-                 prog.count)
-                for prog in dma
-            ])
-        cached = hashlib.sha256(
-            pickle.dumps(facts, protocol=pickle.HIGHEST_PROTOCOL)
-        ).hexdigest()
-        program.__dict__["_progplan_fingerprint"] = cached
-    return cached
 
 
 # ----------------------------------------------------------------------
@@ -1464,29 +1407,37 @@ class _HomeVar:
 
 @dataclass(frozen=True)
 class _Unfusable:
-    """Cached rejection: re-attempting compilation would fail identically."""
+    """Cached rejection: re-attempting compilation would fail identically.
+
+    Holds its program, as a :class:`ProgramPlan` does, so the id in its
+    cache key cannot be reused while the entry lives."""
 
     reason: str
+    program: MachineProgram = field(repr=False, compare=False)
 
 
 def compiled_plan(program: MachineProgram, params: Any,
                   keep_outputs: bool = False) -> ProgramPlan:
     """Compile (or fetch from the shared cache) the program's fused plan.
 
+    Plans are keyed by the program object, not its content: a service
+    job reuses the plan of the compiled program its cache handed back,
+    and no two programs can share a plan however alike they look.
+    Every entry pins its program, so an id in a live key is never reused.
     Rejections are cached too: a program the compiler declines raises
     :class:`FusionUnsupported` from a dictionary hit on every later run
     instead of re-walking the control script to the same conclusion.
     ``keep_outputs`` plans key separately (they disable the reduction
     folding, so the compiled kernels differ).
     """
-    key = ("program", program_fingerprint(program), params, keep_outputs)
+    key = (id(program), params, keep_outputs)
     obs.count("plan.hit" if key in PLAN_CACHE else "plan.miss")
 
     def build() -> Any:
         try:
             return ProgramPlan(program, params, keep_outputs=keep_outputs)
         except FusionUnsupported as exc:
-            return _Unfusable(str(exc))
+            return _Unfusable(str(exc), program)
 
     plan = PLAN_CACHE.get_or_build(key, build)
     if isinstance(plan, _Unfusable):
@@ -1667,7 +1618,6 @@ __all__ = [
     "BoundImage",
     "ProgramPlan",
     "compiled_plan",
-    "program_fingerprint",
     "try_run_fused",
     "HaloCommPlan",
     "fused_stepper",

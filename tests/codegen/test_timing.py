@@ -42,6 +42,10 @@ class TestBalancing:
         assert plan.auto_delay.get((5, "b"), 0) > 0
         assert plan.is_aligned
 
+    def test_plan_keeps_the_dataflow_order(self, kb):
+        d = _two_stage()
+        assert balance_pipeline(d, kb).order == d.topological_order() == [4, 5]
+
     def test_no_balance_leaves_skew(self, kb):
         d = _two_stage()
         plan = balance_pipeline(d, kb, auto_balance=False)

@@ -61,6 +61,16 @@ class TestALSManagement:
         use = d.add_als(0, ALSKind.TRIPLET, first_fu=6, bypassed_slots=(1,))
         assert use.active_fus == (6, 8)
 
+    def test_fu_index_follows_every_als_change(self, diagram):
+        assert diagram.als_use_of_fu(5) is diagram.als_uses[0]
+        assert diagram.als_use_of_fu(7) is None
+        use = diagram.add_als(2, ALSKind.TRIPLET, first_fu=6)
+        assert [diagram.als_use_of_fu(fu) for fu in (6, 7, 8)] == [use] * 3
+        diagram.remove_als(2)
+        assert diagram.als_use_of_fu(7) is None
+        assert diagram.add_als(3, ALSKind.SINGLET, first_fu=7) \
+            is diagram.als_use_of_fu(7)
+
     def test_slot_of(self, diagram):
         use = diagram.als_uses[0]
         assert use.slot_of(5) == 1

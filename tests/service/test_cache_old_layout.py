@@ -27,7 +27,6 @@ from repro.service.cache import ProgramCache
 from repro.service.jobs import SimJob
 from repro.service.results import canonical_record
 from repro.service.runner import BatchRunner
-from repro.sim import progplan
 from repro.sim.fastpath import PLAN_CACHE
 
 SPECS = [
@@ -91,10 +90,14 @@ def _rewrite_in_earlier_layout(cache_dir, encoded):
 def _facts(program):
     return (
         program.fingerprint(),
-        progplan.program_fingerprint(program),
+        repr(program.control),
+        program.variable_layout,
+        program.declarations,
         [image.inputs for image in program.images],
+        [image.fu_ops for image in program.images],
         [[(ep, prog) for ep, prog in image.read_programs.items()]
          for image in program.images],
+        [image.write_programs for image in program.images],
         [image.microword.nonzero_fields() for image in program.images],
     )
 
@@ -109,9 +112,7 @@ def test_earlier_layout_entries_load_into_identical_programs(tmp_path,
     _run(ProgramCache(str(tmp_path)))
     _rewrite_in_earlier_layout(tmp_path, encoded)
 
-    # plans key by program fingerprint: drop them, so the loaded programs
-    # compile their own instead of replaying the fresh ones'
-    PLAN_CACHE.clear()
+    # plans key by program object: the loaded programs compile their own
     cache = ProgramCache(str(tmp_path))
     loaded = _run(cache)
     assert cache.stats.disk_hits == len(SPECS)

@@ -178,6 +178,20 @@ class TestBatchRunner:
         assert set(latest) == {job.job_id}
         assert latest[job.job_id]["cache_hit"] is True
 
+    def test_append_creates_the_directory_and_heals_a_torn_tail(self,
+                                                                 tmp_path):
+        path = tmp_path / "new" / "dir" / "r.jsonl"
+        store = ResultStore(str(path))
+        store.append({"job_id": "a"})
+        with open(path, "ab") as fh:
+            fh.write(b'{"job_id": "b", "tor')  # a writer killed mid-line
+        store.extend([{"job_id": "c"}, {"job_id": "d"}])
+        lines = path.read_bytes().split(b"\n")
+        assert lines[0] == b'{"job_id": "a"}'
+        assert lines[2:] == [b'{"job_id": "c"}', b'{"job_id": "d"}', b""]
+        assert [r["job_id"] for r in store.load()] == ["a", "c", "d"]
+        assert store.truncated_tail is None  # healed, so no longer the tail
+
     def test_records_are_json_serializable(self):
         records, _ = BatchRunner(workers=1).run(
             [SimJob(method="jacobi", shape=(5, 5, 5), **FAST)]

@@ -22,6 +22,7 @@ from repro.diagram.program import (
     SwapVars,
     VisualProgram,
 )
+from repro.obs import tracer as obs
 from repro.sim import progplan
 from repro.sim.fastpath import PLAN_CACHE
 from repro.sim.machine import NSCMachine
@@ -800,13 +801,10 @@ class TestPlanCache:
         setup_a, prog_a = _generate(node, max_iterations=10)
         setup_b, prog_b = _generate(node, max_iterations=20)
         assert prog_a.fingerprint() == prog_b.fingerprint()  # same microcode
-        assert (
-            progplan.program_fingerprint(prog_a)
-            != progplan.program_fingerprint(prog_b)
-        )
         plan_a = progplan.compiled_plan(prog_a, node.params)
         plan_b = progplan.compiled_plan(prog_b, node.params)
         assert plan_a is not plan_b
+        assert plan_a.program is prog_a and plan_b.program is prog_b
 
     def test_input_constants_distinguish_plans(self, node):
         """Identical microwords, different literal operand: distinct plans.
@@ -837,10 +835,10 @@ class TestPlanCache:
         prog_a = build(0.0)
         prog_b = build(1.0)
         assert prog_a.fingerprint() == prog_b.fingerprint()
-        assert (
-            progplan.program_fingerprint(prog_a)
-            != progplan.program_fingerprint(prog_b)
-        )
+        for program, constant in ((prog_a, 0.0), (prog_b, 1.0)):
+            fast, _reference = _fast_and_reference(node, program)
+            want = -np.arange(8.0) + constant
+            assert np.array_equal(fast["result"], want.view(np.uint64))
 
     def test_two_param_sets_on_one_program_do_not_thrash(self, node,
                                                          monkeypatch):
@@ -891,17 +889,52 @@ def _one_pipeline(node, body, declare=(("a", 0, 8), ("result", 1, 8))):
     return MicrocodeGenerator(node).generate(prog)
 
 
+def _scale_half(b):
+    return b.apply(Opcode.FSCALE, b.read_var("a"), constant=0.5)
+
+
+def _declared_data(machine, program):
+    """Distinct data in every declared variable; the first counts down
+    from ``-0.0``, so adding ``0.0`` and ``-0.0`` differ too."""
+    for k, decl in enumerate(program.declarations.values()):
+        machine.set_variable(decl.name, -(100.0 * k + np.arange(decl.length)))
+
+
+def _fast_and_reference(node, program, load=_declared_data):
+    """Every declared variable's final bits after a fast run and after a
+    reference run of *program*; the fast run must take the fused tier."""
+    finals = []
+    for backend, tier in (("fast", "fused"), ("reference", "reference")):
+        machine = NSCMachine(node, backend=backend)
+        machine.load_program(program)
+        load(machine, program)
+        tracer = obs.Tracer()
+        with obs.use(tracer):
+            machine.run()
+        assert tracer.counters.get(f"tier.{tier}") == 1
+        finals.append({
+            name: machine.get_variable(name).view(np.uint64)
+            for name in program.declarations
+        })
+    return finals
+
+
 class TestPlanKey:
-    """``program_fingerprint`` separates programs whose microwords agree
-    but whose compiled schedules must not be shared."""
+    """Programs whose microwords agree but whose compiled schedules must
+    differ each run their own plan: on the fast backend, every program
+    of a pair — the second run while the first's plan is cached —
+    matches its own reference run bit for bit."""
 
     @staticmethod
-    def _distinct(prog_a, prog_b):
+    def _each_runs_its_own(node, prog_a, prog_b, load=_declared_data):
         assert prog_a.fingerprint() == prog_b.fingerprint()  # same bits
-        assert (
-            progplan.program_fingerprint(prog_a)
-            != progplan.program_fingerprint(prog_b)
-        )
+        results = []
+        for program in (prog_a, prog_b):
+            fast, reference = _fast_and_reference(node, program, load)
+            for name in reference:
+                assert np.array_equal(fast[name], reference[name]), name
+            results.append(fast)
+        return results
 
     @pytest.mark.parametrize("opcode", [Opcode.FSCALE, Opcode.FADDC])
     @pytest.mark.parametrize("pair", [(2.0, 3.0), (0.0, -0.0)])
@@ -909,15 +942,18 @@ class TestPlanKey:
         def body(constant):
             return lambda b: b.apply(opcode, b.read_var("a"), constant=constant)
 
-        self._distinct(*(_one_pipeline(node, body(c)) for c in pair))
+        results = self._each_runs_its_own(
+            node, *(_one_pipeline(node, body(c)) for c in pair))
+        assert not np.array_equal(results[0]["result"], results[1]["result"])
 
     def test_feedback_initial_value(self, node):
         def body(init):
             return lambda b: b.apply(Opcode.FADD, b.read_var("a"),
                                      b.feedback(init))
 
-        self._distinct(_one_pipeline(node, body(0.0)),
-                       _one_pipeline(node, body(1.0)))
+        results = self._each_runs_its_own(node, _one_pipeline(node, body(0.0)),
+                                          _one_pipeline(node, body(1.0)))
+        assert not np.array_equal(results[0]["result"], results[1]["result"])
 
     def test_variable_length(self, node):
         def body(b):
@@ -925,8 +961,8 @@ class TestPlanKey:
 
         short = (("a", 0, 8), ("result", 1, 8))
         long = (("a", 0, 16), ("result", 1, 8))
-        self._distinct(_one_pipeline(node, body, short),
-                       _one_pipeline(node, body, long))
+        self._each_runs_its_own(node, _one_pipeline(node, body, short),
+                                _one_pipeline(node, body, long))
 
     def test_variable_layout(self, node):
         def body(b):
@@ -934,8 +970,8 @@ class TestPlanKey:
 
         packed = (("a", 0, 8), ("result", 1, 8))
         shifted = (("pad", 0, 4), ("a", 0, 8), ("result", 1, 8))
-        self._distinct(_one_pipeline(node, body, packed),
-                       _one_pipeline(node, body, shifted))
+        self._each_runs_its_own(node, _one_pipeline(node, body, packed),
+                                _one_pipeline(node, body, shifted))
 
     def test_which_variable_a_read_indexes(self, node):
         """Same plane, same window: only the DMA base tells the reads of
@@ -946,23 +982,21 @@ class TestPlanKey:
         def body(name):
             return lambda b: b.apply(Opcode.FNEG, b.read_var(name))
 
-        progs = [_one_pipeline(node, body(name), declare) for name in "ab"]
-        self._distinct(*progs)
-        results = []
-        for program in progs:
-            machine = NSCMachine(node, backend="fast")
-            machine.load_program(program)
+        def load(machine, program):
             machine.set_variable("a", np.arange(8.0))
             machine.set_variable("b", 100.0 + np.arange(8.0))
-            machine.run()
-            results.append(machine.get_variable("result"))
-        assert np.array_equal(results[0], -np.arange(8.0))
-        assert np.array_equal(results[1], -(100.0 + np.arange(8.0)))
 
-    def test_residual_skew(self, node):
+        results = self._each_runs_its_own(
+            node, *(_one_pipeline(node, body(name), declare) for name in "ab"),
+            load=load)
+        assert np.array_equal(results[0]["result"],
+                              (-np.arange(8.0)).view(np.uint64))
+        assert np.array_equal(results[1]["result"],
+                              (-(100.0 + np.arange(8.0))).view(np.uint64))
+
+    def test_residual_skew(self, node, rng):
         """Ablation builds (``auto_balance=False``) carry a residual skew
-        that only the timing plan records.  The twin is copied *after*
-        the original's key is memoized: copies never inherit it."""
+        that only the timing plan records."""
         import copy
         import dataclasses
 
@@ -971,7 +1005,6 @@ class TestPlanKey:
         program = MicrocodeGenerator(node, auto_balance=False).generate(
             setup.program
         )
-        progplan.program_fingerprint(program)
         twin = copy.deepcopy(program)
         skewed = [
             (image, port)
@@ -982,32 +1015,80 @@ class TestPlanKey:
         assert skewed, "ablation build produced no skew"
         image, port = skewed[0]
         image.inputs[port] = dataclasses.replace(image.inputs[port], skew=0)
-        self._distinct(program, twin)
+        u0 = rng.random((7, 6, 5))
+        f = rng.standard_normal((7, 6, 5))
 
-    def test_identical_recompile_shares_the_key(self, node):
-        def body(b):
-            return b.apply(Opcode.FSCALE, b.read_var("a"), constant=0.5)
+        def load(machine, _program):
+            load_jacobi_inputs(machine, setup, u0, f)
 
-        prog_a, prog_b = _one_pipeline(node, body), _one_pipeline(node, body)
-        assert prog_a is not prog_b
-        assert (
-            progplan.program_fingerprint(prog_a)
-            == progplan.program_fingerprint(prog_b)
-        )
-        assert (progplan.compiled_plan(prog_a, node.params)
-                is progplan.compiled_plan(prog_b, node.params))
+        results = self._each_runs_its_own(node, program, twin, load=load)
+        assert not np.array_equal(results[0]["u"], results[1]["u"])
 
     def test_pickled_program_rederives_its_memos(self, node):
         import pickle
 
         setup, program = _generate(node, shape=(4, 4, 4), max_iterations=5)
-        key = progplan.program_fingerprint(program)
-        progplan.compiled_plan(program, node.params)
+        plan = progplan.compiled_plan(program, node.params)
         loaded = pickle.loads(pickle.dumps(program))
-        assert "_progplan_fingerprint" not in vars(loaded)
         assert all("_fastpath_plan" not in vars(im) for im in loaded.images)
-        assert progplan.program_fingerprint(loaded) == key
         assert loaded.fingerprint() == program.fingerprint()
+        assert progplan.compiled_plan(loaded, node.params) is not plan
+
+
+class TestPlanIdentity:
+    """Plans key by the program object: a lookup hashes no content, and
+    no two programs can share a plan."""
+
+    def test_identical_recompile_builds_its_own_plan(self, node):
+        prog_a, prog_b = (_one_pipeline(node, _scale_half) for _ in "ab")
+        assert prog_a.fingerprint() == prog_b.fingerprint()
+        PLAN_CACHE.clear()
+        plan_a = progplan.compiled_plan(prog_a, node.params)
+        plan_b = progplan.compiled_plan(prog_b, node.params)
+        assert plan_a is not plan_b
+        assert plan_a.program is prog_a and plan_b.program is prog_b
+        assert progplan.compiled_plan(prog_a, node.params) is plan_a
+        assert (PLAN_CACHE.stats.misses, PLAN_CACHE.stats.hits) == (2, 1)
+
+    def test_rejection_is_cached_and_pins_its_program(self, node,
+                                                      monkeypatch):
+        import gc
+        import weakref
+
+        builds = []
+
+        def reject(program, params, **kwargs):
+            builds.append(id(program))
+            raise progplan.FusionUnsupported("declined by the test")
+
+        monkeypatch.setattr(progplan, "ProgramPlan", reject)
+        PLAN_CACHE.clear()
+        program = _one_pipeline(node, _scale_half)
+        for _ in range(3):
+            with pytest.raises(progplan.FusionUnsupported,
+                               match="declined by the test"):
+                progplan.compiled_plan(program, node.params)
+        assert builds == [id(program)]
+        (entry,) = PLAN_CACHE._data.values()
+        assert entry.program is program
+        # the entry keeps the program, and with it the id in its key
+        alive = weakref.ref(program)
+        del program, entry
+        gc.collect()
+        assert alive() is not None
+        PLAN_CACHE.clear()
+        gc.collect()
+        assert alive() is None
+
+    def test_plan_counters_count_every_lookup(self, node):
+        prog_a, prog_b = (_one_pipeline(node, _scale_half) for _ in "ab")
+        PLAN_CACHE.clear()
+        tracer = obs.Tracer()
+        with obs.use(tracer):
+            for program in (prog_a, prog_a, prog_b, prog_a, prog_b):
+                progplan.compiled_plan(program, node.params)
+        assert tracer.counters["plan.miss"] == 2
+        assert tracer.counters["plan.hit"] == 3
 
 
 class TestServicePlanLayer:

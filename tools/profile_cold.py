@@ -12,16 +12,21 @@ layout      ``MicrocodeGenerator(...)``: generator and microword layout
 check       ``Checker.check_program``: the design-rule sweep
 generate    ``MicrocodeGenerator.generate`` without the check
 plan        ``compiled_plan``: the whole-program execution schedule
+problem     ``grid_problem``: the grid's manufactured ``(u*, f)``, built
+            once per grid and shared
 machine     the template ``NSCMachine``: ``load_program``, the solver's
             input load and the one-row stacked storage
 runner      ``BoundImage._generate_runner``: per-issue kernel code
 execute     the one-job ``BatchProgramRun``: bind, run and the record's
             fold of the issue log, minus runner code generation
+record      the record's ``MachineProgram.fingerprint()`` and its
+            ``ResultStore`` append
 ==========  ===========================================================
 
 First-use imports and machine tables are warmed on n = 4 programs the
 sample never contains, as a long-lived service would have them.  Prints
 the p50 of each sub-stage and of their per-job sum in milliseconds.
+The store is a scratch file, deleted on exit.
 
 Usage::
 
@@ -35,6 +40,7 @@ import json
 import random
 import statistics
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -45,11 +51,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.apps.poisson3d import manufactured_solution  # noqa: E402
 from repro.arch.node import node_config  # noqa: E402
 from repro.arch.params import NSCParameters  # noqa: E402
 from repro.codegen.generator import MicrocodeGenerator  # noqa: E402
 from repro.compose.registry import SOLVERS  # noqa: E402
+from repro.service.results import ResultStore  # noqa: E402
+from repro.service.runner import grid_problem  # noqa: E402
 from repro.sim import batchplan, progplan  # noqa: E402
 from repro.sim.machine import NSCMachine  # noqa: E402
 
@@ -60,9 +67,11 @@ STAGES = (
     "check",
     "generate",
     "plan",
+    "problem",
     "machine",
     "runner",
     "execute",
+    "record",
 )
 
 SIZES = (5, 6, 7, 8, 9)
@@ -97,7 +106,8 @@ def runner_clock() -> Iterator[List[float]]:
 
 
 def profile_one(
-    program: Program, params: NSCParameters, spent: List[float]
+    program: Program, params: NSCParameters, spent: List[float],
+    store: ResultStore,
 ) -> Dict[str, float]:
     """Compile and run one program; seconds per sub-stage."""
     method, size, eps = program
@@ -118,12 +128,13 @@ def profile_one(
     t5 = clock()
     plan = progplan.compiled_plan(compiled, params)
     t6 = clock()
+    _u_star, f, _h = grid_problem(shape, setup.h)
+    t7 = clock()
     if not report.ok:
         raise RuntimeError(f"{program} fails the checker")
 
-    _u_star, f, _h = manufactured_solution(shape, h=setup.h)
     u0 = np.zeros(shape)
-    t7 = clock()
+    t_machine = clock()
     machine = NSCMachine(node, backend="fast")
     machine.load_program(compiled)
     entry.load(machine, setup, u0, f)
@@ -136,8 +147,14 @@ def profile_one(
     t8 = clock()
     run = batchplan.BatchProgramRun(plan, storage, 1, max_instructions=1_000_000)
     run.run()
-    run.job(0)
+    job_run = run.job(0)
     t9 = clock()
+    store.append({
+        "method": method, "shape": list(shape), "eps": eps,
+        "converged": bool(run.converged[0]), "cycles": job_run.cycles,
+        "flops": job_run.flops, "program_fingerprint": compiled.fingerprint(),
+    })
+    t10 = clock()
     runner = spent[0] - before
     return {
         "nodeconfig": t1 - t0,
@@ -146,9 +163,11 @@ def profile_one(
         "check": t4 - t3,
         "generate": t5 - t4,
         "plan": t6 - t5,
-        "machine": t8 - t7,
+        "problem": t7 - t6,
+        "machine": t8 - t_machine,
         "runner": runner,
         "execute": t9 - t8 - runner,
+        "record": t10 - t9,
     }
 
 
@@ -157,11 +176,12 @@ def profile(n: int, seed: int) -> Dict[str, float]:
     params = NSCParameters()
     per_stage: Dict[str, List[float]] = {stage: [] for stage in STAGES}
     totals: List[float] = []
-    with runner_clock() as spent:
+    with runner_clock() as spent, tempfile.TemporaryDirectory() as scratch:
+        store = ResultStore(str(Path(scratch) / "records.jsonl"))
         for method in SOLVERS:
-            profile_one((method, 4, 1e-3), params, spent)
+            profile_one((method, 4, 1e-3), params, spent, store)
         for program in sample(n, seed):
-            times = profile_one(program, params, spent)
+            times = profile_one(program, params, spent, store)
             for stage in STAGES:
                 per_stage[stage].append(times[stage] * 1e3)
             totals.append(sum(times.values()) * 1e3)
