@@ -16,6 +16,7 @@ internal must travel through the FLONET switch network.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -27,8 +28,9 @@ class ALSKind(enum.Enum):
     DOUBLET = "doublet"
     TRIPLET = "triplet"
 
-    @property
+    @functools.cached_property
     def n_units(self) -> int:
+        # cached on the member: diagram indexing reads it per placed ALS
         return {"singlet": 1, "doublet": 2, "triplet": 3}[self.value]
 
 

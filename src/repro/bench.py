@@ -60,20 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.fastpath import BACKENDS
-
-#: Scenario names in canonical execution order.
-SCENARIOS = (
-    "jacobi_single",
-    "jacobi_multinode",
-    "batch_service",
-    "jacobi_converge",
-    "hypercube_scaling",
-    "batch_shm",
-    "fused_coverage",
-    "batch_fused",
-    "analysis_coverage",
-)
+from repro.choices import BACKENDS, SCENARIOS
 
 #: Scenarios that emit pass/fail checks instead of timed speedups; they
 #: never appear in the committed perf baseline (nothing to floor).

@@ -11,11 +11,17 @@ the editor may offer for a given input pad.
 The microcode generator invokes :meth:`check_program` "to perform a thorough
 check of global constraints and other conditions which may not be practical
 to check during the editing process".
+
+Every check reads a frozen :class:`~repro.diagram.pipeline.DiagramView`:
+:meth:`check_pipeline` freezes the diagram it is handed once for all rules
+(a view freezes to itself), and :meth:`check_program` takes the views the
+generator froze, so one compile indexes each pipeline once.  The
+editor's incremental checks freeze the live diagram per call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.arch.funcunit import Opcode
 from repro.arch.node import NodeConfig
@@ -23,7 +29,7 @@ from repro.arch.switch import DeviceKind, Endpoint
 from repro.checker.diagnostics import CheckReport, error, warning
 from repro.checker.knowledge import MachineKnowledge
 from repro.checker.rules import ALL_RULES, Rule
-from repro.diagram.pipeline import PipelineDiagram
+from repro.diagram.pipeline import DiagramView, PipelineDiagram
 from repro.diagram.program import (
     Declaration,
     ProgramError,
@@ -73,20 +79,22 @@ class Checker:
             )
         if not report.ok:
             return report
-        if diagram.driver_of(sink) is not None:
+        view = diagram.freeze()
+        driver = view.driver_of(sink)
+        if driver is not None:
             report.add(
                 error("sink-unique",
-                      f"{sink} is already driven by {diagram.driver_of(sink)}",
+                      f"{sink} is already driven by {driver}",
                       str(sink), diagram.number)
             )
-        if sink.kind is DeviceKind.FU and (sink.device, sink.port) in diagram.input_mods:
-            mod = diagram.input_mods[(sink.device, sink.port)]
+        if sink.kind is DeviceKind.FU and (sink.device, sink.port) in view.input_mods:
+            mod = view.input_mods[(sink.device, sink.port)]
             report.add(
                 error("sink-unique",
                       f"{sink} already has a {mod.kind.value} source",
                       str(sink), diagram.number)
             )
-        fanout = len(diagram.sinks_of(source))
+        fanout = len(view.sinks.get(source, ()))
         if fanout + 1 > kb.max_fanout:
             report.add(
                 error("switch-fanout",
@@ -95,7 +103,7 @@ class Checker:
             )
         # the paper's worked example: second writer to a plane is refused
         if sink.kind is DeviceKind.MEMORY and sink.port == "write":
-            writers = diagram.plane_writers().get(sink.device, [])
+            writers = view.plane_writers_of.get(sink.device)
             if writers:
                 report.add(
                     error("plane-one-writer",
@@ -120,6 +128,7 @@ class Checker:
             probe.connect(source, sink)
         except Exception:
             return False
+        view = probe.freeze()
         for fu in set(
             d for d in (
                 [source.device] if source.kind is DeviceKind.FU else []
@@ -127,7 +136,7 @@ class Checker:
                 [sink.device] if sink.kind is DeviceKind.FU else []
             )
         ):
-            if len(probe.planes_touched_by_fu(fu)) > 1:
+            if len(view.planes.get(fu, ())) > 1:
                 return True
         return False
 
@@ -194,18 +203,29 @@ class Checker:
     # ------------------------------------------------------------------
     def check_pipeline(
         self,
-        diagram: PipelineDiagram,
+        diagram: Union[PipelineDiagram, DiagramView],
         declarations: Optional[Dict[str, Declaration]] = None,
     ) -> CheckReport:
-        """Run every rule against one diagram."""
+        """Run every rule against one pipeline, frozen once."""
         self.full_checks += 1
+        view = diagram.freeze()
+        kb = self.kb
         report = CheckReport()
         for rule in self.rules:
-            report.extend(rule.check(diagram, self.kb, declarations))
+            report.extend(rule.check_view(view, kb, declarations))
         return report
 
-    def check_program(self, program: VisualProgram) -> CheckReport:
-        """The thorough pre-codegen pass over a whole program."""
+    def check_program(
+        self,
+        program: VisualProgram,
+        views: Optional[Sequence[DiagramView]] = None,
+    ) -> CheckReport:
+        """The thorough pre-codegen pass over a whole program.
+
+        *views* are the program's pipelines already frozen, in order (the
+        generator's); without them each pipeline is frozen here."""
+        if views is None:
+            views = [diagram.freeze() for diagram in program.pipelines]
         report = CheckReport()
         # declarations fit their planes and do not collide
         plane_cursor: Dict[int, int] = {}
@@ -227,12 +247,12 @@ class Checker:
                 )
             plane_cursor[decl.plane] = used
         # each pipeline
-        for diagram in program.pipelines:
-            report.merge(self.check_pipeline(diagram, program.declarations))
+        for view in views:
+            report.merge(self.check_pipeline(view, program.declarations))
         # DMA windows stay inside their variables
-        for diagram in program.pipelines:
-            n = diagram.vector_length
-            for ep, spec in diagram.dma.items():
+        for view in views:
+            n = view.vector_length
+            for ep, spec in view.dma.items():
                 if not spec.is_symbolic:
                     continue
                 decl = program.declarations.get(spec.variable or "")
@@ -249,7 +269,7 @@ class Checker:
                             f"DMA window [{spec.offset}..{last}] falls outside "
                             f"variable {decl.name!r} of {decl.length} words",
                             str(ep),
-                            diagram.number,
+                            view.number,
                         )
                     )
         # control flow references

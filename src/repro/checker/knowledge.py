@@ -10,21 +10,60 @@ with no rule-code changes.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+import functools
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.arch.als import ALS_CLASSES, ALSClass, ALSKind, InternalEdge
-from repro.arch.funcunit import FUCapability, Opcode, OPCODES, ops_for_capability
-from repro.arch.node import NodeConfig
+from repro.arch.funcunit import FUCapability, Opcode, ops_for_capability
+from repro.arch.node import MACHINE_TABLES_SIZE, NodeConfig
 from repro.arch.params import NSCParameters
 from repro.arch.switch import Endpoint
 
+#: ALS kind -> ``(slot, port)`` -> source slots of the hardwired routes
+#: into that input (the same for every machine)
+INTERNAL_SOURCES: Dict[ALSKind, Dict[Tuple[int, str], FrozenSet[int]]] = {
+    kind: {
+        (slot, port): frozenset(
+            e.src_slot for e in cls.internal_routes_into(slot, port)
+        )
+        for slot in range(kind.n_units)
+        for port in ("a", "b")
+    }
+    for kind, cls in ALS_CLASSES.items()
+}
+
+
+@functools.lru_cache(maxsize=MACHINE_TABLES_SIZE)
+def _machine_tables(
+    node: NodeConfig,
+) -> Tuple[Tuple[FrozenSet[Opcode], ...], Dict[int, Tuple[ALSKind, int]]]:
+    """Per-FU legal opcodes and per-ALS ``(kind, first_fu)`` of *node*,
+    derived once per machine description."""
+    legal_ops = tuple(
+        frozenset(ops_for_capability(node.fu_capability(fu)))
+        for fu in range(node.n_fus)
+    )
+    shapes = {a.als_id: (a.kind, a.first_fu) for a in node.als_instances}
+    return legal_ops, shapes
+
 
 class MachineKnowledge:
-    """Query layer over a :class:`~repro.arch.node.NodeConfig`."""
+    """Query layer over a :class:`~repro.arch.node.NodeConfig`.
+
+    The predicates the checker's rules run per wire, per unit and per
+    ALS are also kept as plain per-machine tables (built once per node,
+    shared by every knowledge base over it), which the rules read
+    directly: ``switch_sources`` / ``switch_sinks`` (endpoint sets),
+    ``legal_ops`` (per-FU opcode sets) and ``als_shapes`` (ALS id ->
+    ``(kind, first_fu)``); :data:`INTERNAL_SOURCES` holds the hardwired
+    routes."""
 
     def __init__(self, node: NodeConfig) -> None:
         self.node = node
         self.params: NSCParameters = node.params
+        self.switch_sources: FrozenSet[Endpoint] = node.switch.sources
+        self.switch_sinks: FrozenSet[Endpoint] = node.switch.sinks
+        self.legal_ops, self.als_shapes = _machine_tables(node)
 
     # ------------------------------------------------------------------
     # functional units and ALSs
@@ -36,9 +75,7 @@ class MachineKnowledge:
         return self.node.fu_capability(fu)
 
     def fu_supports(self, fu: int, opcode: Opcode) -> bool:
-        if not self.fu_exists(fu):
-            return False
-        return OPCODES[opcode].capability in self.fu_capability(fu)
+        return self.fu_exists(fu) and opcode in self.legal_ops[fu]
 
     def legal_ops_for_fu(self, fu: int) -> List[Opcode]:
         """The entries shown in the Fig. 10 pop-up menu for this unit."""
@@ -51,11 +88,7 @@ class MachineKnowledge:
 
     def als_matches(self, als_id: int, kind: ALSKind, first_fu: int) -> bool:
         """Does the node really have this ALS with these FU indices?"""
-        try:
-            inst = self.node.als(als_id)
-        except IndexError:
-            return False
-        return inst.kind is kind and inst.first_fu == first_fu
+        return self.als_shapes.get(als_id) == (kind, first_fu)
 
     def internal_routes_into(
         self, kind: ALSKind, slot: int, port: str
@@ -84,10 +117,10 @@ class MachineKnowledge:
     # switch network
     # ------------------------------------------------------------------
     def is_switch_source(self, ep: Endpoint) -> bool:
-        return self.node.switch.is_source(ep)
+        return ep in self.switch_sources
 
     def is_switch_sink(self, ep: Endpoint) -> bool:
-        return self.node.switch.is_sink(ep)
+        return ep in self.switch_sinks
 
     @property
     def max_fanout(self) -> int:
@@ -115,4 +148,4 @@ class MachineKnowledge:
         )
 
 
-__all__ = ["MachineKnowledge"]
+__all__ = ["MachineKnowledge", "INTERNAL_SOURCES"]

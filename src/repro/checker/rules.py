@@ -1,10 +1,16 @@
 """Constraint rules: "conflicts, constraints, asymmetries and other
 restrictions in the NSC architecture" (§4).
 
-Each rule inspects one pipeline diagram against the machine knowledge base
-and reports diagnostics.  Rules are deliberately independent so the set can
+Each rule inspects one pipeline against the machine knowledge base and
+reports diagnostics.  Rules are deliberately independent so the set can
 evolve with the machine design; :data:`ALL_RULES` is the production set run
 by :meth:`Checker.check_pipeline`.
+
+Rules read a frozen :class:`~repro.diagram.pipeline.DiagramView`, never
+the live diagram: :meth:`Rule.check` freezes whatever it is handed (a
+view freezes to itself) and :meth:`Rule.check_view` is a tight read of
+the view's tables and the knowledge base's per-machine sets.  The
+checker freezes each pipeline once for all rules.
 
 Rules directly traceable to the paper:
 
@@ -24,29 +30,48 @@ Rules directly traceable to the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.arch.dma import DMASpecError, Direction
-from repro.arch.funcunit import OPCODES
-from repro.arch.switch import DeviceKind, Endpoint, fu_in, fu_out, sd_in
+from repro.arch.switch import DeviceKind, Endpoint, fu_in
 from repro.checker.diagnostics import Diagnostic, error, warning
-from repro.checker.knowledge import MachineKnowledge
-from repro.diagram.pipeline import DiagramError, InputModKind, PipelineDiagram
+from repro.checker.knowledge import INTERNAL_SOURCES, MachineKnowledge
+from repro.diagram.pipeline import (
+    DiagramError,
+    DiagramView,
+    InputModKind,
+    PipelineDiagram,
+)
 from repro.diagram.program import Declaration
 
 Declarations = Optional[Dict[str, Declaration]]
 
+_MEMORY = DeviceKind.MEMORY
+
+
+def _endpoint_key(ep: Endpoint) -> Tuple[str, int, str]:
+    return ep.key
+
 
 class Rule:
     """Base class: subclasses set ``rule_id``/``description`` and implement
-    :meth:`check`."""
+    :meth:`check_view`."""
 
     rule_id: str = "abstract"
     description: str = ""
 
     def check(
         self,
-        diagram: PipelineDiagram,
+        diagram: Union[PipelineDiagram, DiagramView],
+        kb: MachineKnowledge,
+        declarations: Declarations = None,
+    ) -> List[Diagnostic]:
+        """Diagnostics for one pipeline, live or frozen."""
+        return self.check_view(diagram.freeze(), kb, declarations)
+
+    def check_view(
+        self,
+        view: DiagramView,
         kb: MachineKnowledge,
         declarations: Declarations = None,
     ) -> List[Diagnostic]:  # pragma: no cover - interface
@@ -65,16 +90,17 @@ class ALSPlacementRule(Rule):
     rule_id = "als-placement"
     description = "placed ALSs exist in the machine with matching shape"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        for use in diagram.als_uses.values():
-            if not kb.als_matches(use.als_id, use.kind, use.first_fu):
+        shapes = kb.als_shapes
+        for use in view.als_uses.values():
+            if shapes.get(use.als_id) != (use.kind, use.first_fu):
                 out.append(
                     self._e(
                         f"no {use.kind.value} with id {use.als_id} at fu{use.first_fu} "
                         f"in this machine",
                         subject=f"als{use.als_id}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         return out
@@ -86,22 +112,22 @@ class FUCapabilityRule(Rule):
     rule_id = "fu-capability"
     description = "operation selectable only on capable functional units"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        for fu, assign in diagram.fu_ops.items():
-            if not kb.fu_exists(fu):
+        legal = kb.legal_ops
+        for fu, assign in view.fu_ops.items():
+            if not 0 <= fu < len(legal):
                 out.append(
                     self._e(f"fu{fu} does not exist", subject=f"fu{fu}",
-                            pipeline=diagram.number)
+                            pipeline=view.number)
                 )
-                continue
-            if not kb.fu_supports(fu, assign.opcode):
+            elif assign.opcode not in legal[fu]:
                 cap = kb.fu_capability(fu).label
                 out.append(
                     self._e(
                         f"fu{fu} ({cap}) cannot perform {assign.opcode.value}",
                         subject=f"fu{fu}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         return out
@@ -113,18 +139,23 @@ class ConnectionEndpointRule(Rule):
     rule_id = "conn-endpoints"
     description = "connections reference existing device ports"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        for src, sink in diagram.connections:
-            if not kb.is_switch_source(src):
+        sources, sinks = kb.switch_sources, kb.switch_sinks
+        # the distinct endpoints, as sets built from the view's dict keys,
+        # test against the machine's sets without re-hashing any endpoint
+        if set(view.sinks) <= sources and set(view.driver) <= sinks:
+            return out
+        for src, sink in view.connections:
+            if src not in sources:
                 out.append(
                     self._e(f"{src} is not a data source on this machine",
-                            subject=str(src), pipeline=diagram.number)
+                            subject=str(src), pipeline=view.number)
                 )
-            if not kb.is_switch_sink(sink):
+            if sink not in sinks:
                 out.append(
                     self._e(f"{sink} is not a data sink on this machine",
-                            subject=str(sink), pipeline=diagram.number)
+                            subject=str(sink), pipeline=view.number)
                 )
         return out
 
@@ -136,29 +167,33 @@ class SinkUniquenessRule(Rule):
     rule_id = "sink-unique"
     description = "each input pad is fed exactly once"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        seen: Dict[Endpoint, Endpoint] = {}
-        for src, sink in diagram.connections:
-            if sink in seen:
-                out.append(
-                    self._e(
-                        f"{sink} is driven by both {seen[sink]} and {src}",
-                        subject=str(sink),
-                        pipeline=diagram.number,
+        driver = view.driver
+        if len(driver) != len(view.connections):  # some sink drawn twice
+            seen = set()
+            for src, sink in view.connections:
+                if sink in seen:
+                    out.append(
+                        self._e(
+                            f"{sink} is driven by both {driver[sink]} and {src}",
+                            subject=str(sink),
+                            pipeline=view.number,
+                        )
                     )
-                )
-            else:
-                seen[sink] = src
-        for (fu, port), mod in diagram.input_mods.items():
-            ep = fu_in(fu, port)
-            if ep in seen:
+                else:
+                    seen.add(sink)
+        wired = view.wired_ports
+        for key, mod in view.input_mods.items():
+            src = wired.get(key)
+            if src is not None:
+                ep = fu_in(*key)
                 out.append(
                     self._e(
-                        f"{ep} has both a wired connection from {seen[ep]} and a "
+                        f"{ep} has both a wired connection from {src} and a "
                         f"{mod.kind.value} source",
                         subject=str(ep),
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         return out
@@ -170,19 +205,17 @@ class FanoutRule(Rule):
     rule_id = "switch-fanout"
     description = "source fan-out within the switch network's limit"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        counts: Dict[Endpoint, int] = {}
-        for src, _sink in diagram.connections:
-            counts[src] = counts.get(src, 0) + 1
-        for src, n in counts.items():
-            if n > kb.max_fanout:
+        limit = kb.max_fanout
+        for src, sinks in view.sinks.items():
+            if len(sinks) > limit:
                 out.append(
                     self._e(
-                        f"{src} drives {n} sinks; the switch network allows "
-                        f"{kb.max_fanout}",
+                        f"{src} drives {len(sinks)} sinks; the switch network "
+                        f"allows {limit}",
                         subject=str(src),
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         return out
@@ -194,17 +227,18 @@ class SinglePlanePerFURule(Rule):
     rule_id = "plane-single-fu"
     description = "one memory plane per functional unit per instruction"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        for fu in diagram.active_fus():
-            planes = diagram.planes_touched_by_fu(fu)
-            if len(planes) > 1:
+        planes = view.planes
+        for fu in view.active:
+            touched = planes.get(fu)
+            if touched is not None and len(touched) > 1:
                 out.append(
                     self._e(
-                        f"fu{fu} touches memory planes {sorted(planes)}; only one "
-                        f"plane per unit per instruction is allowed",
+                        f"fu{fu} touches memory planes {sorted(touched)}; only "
+                        f"one plane per unit per instruction is allowed",
                         subject=f"fu{fu}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         return out
@@ -216,9 +250,9 @@ class OneWriterPerPlaneRule(Rule):
     rule_id = "plane-one-writer"
     description = "at most one writer per memory plane per instruction"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        for plane, writers in diagram.plane_writers().items():
+        for plane, writers in view.plane_writers_of.items():
             if len(writers) > 1:
                 srcs = ", ".join(str(w) for w in writers)
                 out.append(
@@ -226,7 +260,7 @@ class OneWriterPerPlaneRule(Rule):
                         f"memory plane {plane} is written by {len(writers)} "
                         f"sources ({srcs})",
                         subject=f"mem[{plane}].write",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         return out
@@ -238,22 +272,19 @@ class DMASpecRule(Rule):
     rule_id = "dma-spec"
     description = "memory and cache connections carry valid DMA programs"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        used = [
-            e
-            for e in diagram.used_endpoints()
-            if e.kind in (DeviceKind.MEMORY, DeviceKind.CACHE)
-        ]
-        for ep in sorted(used, key=lambda e: e.key):
-            spec = diagram.dma.get(ep)
+        dma = view.dma
+        params = kb.params
+        for ep in view.pads:
+            spec = dma.get(ep)
             if spec is None:
                 out.append(
                     self._e(
                         f"{ep} is connected but has no DMA specification "
                         f"(fill in the pop-up subwindow)",
                         subject=str(ep),
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
                 continue
@@ -263,7 +294,7 @@ class DMASpecRule(Rule):
                         f"DMA spec names {spec.device_kind.value}[{spec.device}] but "
                         f"is attached to {ep}",
                         subject=str(ep),
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
             expected = Direction.READ if ep.port == "read" else Direction.WRITE
@@ -273,33 +304,33 @@ class DMASpecRule(Rule):
                         f"DMA spec direction {spec.direction.value} does not match "
                         f"{ep.port} pad",
                         subject=str(ep),
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
             try:
-                spec.validate_against(kb.params)
+                spec.validate_against(params)
             except DMASpecError as exc:
                 out.append(
-                    self._e(str(exc), subject=str(ep), pipeline=diagram.number)
+                    self._e(str(exc), subject=str(ep), pipeline=view.number)
                 )
-            if spec.is_symbolic and declarations is not None:
-                decl = declarations.get(spec.variable or "")
+            if spec.variable is not None and declarations is not None:
+                decl = declarations.get(spec.variable)
                 if decl is None:
                     out.append(
                         self._e(
                             f"DMA spec references undeclared variable "
                             f"{spec.variable!r}",
                             subject=str(ep),
-                            pipeline=diagram.number,
+                            pipeline=view.number,
                         )
                     )
-                elif ep.kind is DeviceKind.MEMORY and decl.plane != ep.device:
+                elif ep.kind is _MEMORY and decl.plane != ep.device:
                     out.append(
                         self._e(
                             f"variable {spec.variable!r} lives on plane "
                             f"{decl.plane}, not plane {ep.device}",
                             subject=str(ep),
-                            pipeline=diagram.number,
+                            pipeline=view.number,
                         )
                     )
         return out
@@ -313,10 +344,10 @@ class OneDMAProgramPerDeviceRule(Rule):
     rule_id = "dma-one-program"
     description = "one DMA program per memory plane / cache per instruction"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
         seen: Dict[Tuple[DeviceKind, int], Endpoint] = {}
-        for ep in sorted(diagram.dma, key=lambda e: e.key):
+        for ep in sorted(view.dma, key=_endpoint_key):
             key = (ep.kind, ep.device)
             if key in seen:
                 out.append(
@@ -325,7 +356,7 @@ class OneDMAProgramPerDeviceRule(Rule):
                         f"program for {seen[key]}; its single controller "
                         f"cannot also serve {ep}",
                         subject=str(ep),
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
             else:
@@ -340,54 +371,49 @@ class InputsFedRule(Rule):
     rule_id = "inputs-fed"
     description = "operation arity matches the fed input pads"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        for fu, assign in sorted(diagram.fu_ops.items()):
-            arity = OPCODES[assign.opcode].arity
-            fed = {
-                port: diagram.input_source(fu, port) for port in ("a", "b")
-            }
-            if fed["a"] is None:
+        feeds = view.feeds
+        op_info = view.op_info
+        for fu in view.active:
+            info = op_info[fu]
+            arity = info.arity
+            if (fu, "a") not in feeds:
                 out.append(
                     self._e(
-                        f"fu{fu} performs {assign.opcode.value} but input a is "
+                        f"fu{fu} performs {info.opcode.value} but input a is "
                         f"unconnected",
                         subject=f"fu{fu}.a",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
-            if arity == 2 and fed["b"] is None:
+            fed_b = (fu, "b") in feeds
+            if arity == 2 and not fed_b:
                 out.append(
                     self._e(
-                        f"fu{fu} performs {assign.opcode.value} (two inputs) but "
+                        f"fu{fu} performs {info.opcode.value} (two inputs) but "
                         f"input b is unconnected",
                         subject=f"fu{fu}.b",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
-            if arity == 1 and fed["b"] is not None:
+            if arity == 1 and fed_b:
                 out.append(
                     self._w(
-                        f"fu{fu} performs unary {assign.opcode.value}; input b is "
+                        f"fu{fu} performs unary {info.opcode.value}; input b is "
                         f"fed but ignored",
                         subject=f"fu{fu}.b",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         # wired-but-unprogrammed units
-        wired: set[int] = set()
-        for src, sink in diagram.connections:
-            if sink.kind is DeviceKind.FU:
-                wired.add(sink.device)
-            if src.kind is DeviceKind.FU:
-                wired.add(src.device)
-        for fu in sorted(wired - set(diagram.fu_ops)):
+        for fu in sorted(view.wired_fus.difference(view.fu_ops)):
             out.append(
                 self._e(
                     f"fu{fu} is wired into the pipeline but has no operation "
                     f"assigned (use the function-unit menu)",
                     subject=f"fu{fu}",
-                    pipeline=diagram.number,
+                    pipeline=view.number,
                 )
             )
         return out
@@ -400,30 +426,29 @@ class InternalRouteRule(Rule):
     rule_id = "internal-route"
     description = "internal connections follow the ALS's hardwired edges"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        for (fu, port), mod in sorted(diagram.input_mods.items()):
-            if mod.kind is not InputModKind.INTERNAL:
-                continue
-            use = diagram.als_use_of_fu(fu)
+        fu_als = view.fu_als
+        for (fu, port), mod in view.internal_mods:
+            use = fu_als.get(fu)
             if use is None:
                 out.append(
                     self._e(
                         f"fu{fu} uses an internal route but belongs to no placed ALS",
                         subject=f"fu{fu}.{port}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
                 continue
-            slot = use.slot_of(fu)
-            routes = kb.internal_routes_into(use.kind, slot, port)
-            if not any(r.src_slot == mod.src_slot for r in routes):
+            slot = fu - use.first_fu
+            routes = INTERNAL_SOURCES[use.kind].get((slot, port), ())
+            if mod.src_slot not in routes:
                 out.append(
                     self._e(
                         f"{use.kind.value} has no hardwired route from slot "
                         f"{mod.src_slot} into slot {slot} port {port}",
                         subject=f"fu{fu}.{port}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
                 continue
@@ -433,15 +458,15 @@ class InternalRouteRule(Rule):
                     self._e(
                         f"internal route source slot {mod.src_slot} is bypassed",
                         subject=f"fu{fu}.{port}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
-            elif src_fu not in diagram.fu_ops:
+            elif src_fu not in view.fu_ops:
                 out.append(
                     self._e(
                         f"internal route source fu{src_fu} has no operation",
                         subject=f"fu{fu}.{port}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         return out
@@ -453,28 +478,26 @@ class FeedbackRule(Rule):
     rule_id = "feedback"
     description = "feedback loops feed a binary operation's second input"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        for (fu, port), mod in sorted(diagram.input_mods.items()):
-            if mod.kind is not InputModKind.FEEDBACK:
-                continue
-            assign = diagram.fu_ops.get(fu)
-            if assign is None:
+        op_info = view.op_info
+        for (fu, port), _mod in view.feedback_mods:
+            info = op_info.get(fu)
+            if info is None:
                 out.append(
                     self._e(
                         f"fu{fu} has a feedback loop but no operation",
                         subject=f"fu{fu}.{port}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
-                continue
-            if OPCODES[assign.opcode].arity != 2:
+            elif info.arity != 2:
                 out.append(
                     self._e(
-                        f"feedback into unary {assign.opcode.value} on fu{fu} has "
+                        f"feedback into unary {info.opcode.value} on fu{fu} has "
                         f"no effect",
                         subject=f"fu{fu}.{port}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         return out
@@ -486,27 +509,22 @@ class RegfileCapacityRule(Rule):
     rule_id = "regfile-capacity"
     description = "register-file words cover constants and delay queues"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        for fu in diagram.active_fus():
-            words = 0
-            assign = diagram.fu_ops[fu]
-            if OPCODES[assign.opcode].uses_constant:
-                words += 1
-            for port in ("a", "b"):
-                mod = diagram.input_mods.get((fu, port))
-                if mod is not None and mod.kind is InputModKind.CONSTANT:
-                    words += 1
-                if mod is not None and mod.kind is InputModKind.FEEDBACK:
-                    words += 1  # feedback initial value
-                words += diagram.delays.get((fu, port), 0)
-            if words > kb.regfile_words:
+        limit = kb.regfile_words
+        mod_words = view.mod_words
+        delays = view.delays
+        for fu in view.active:
+            words = mod_words.get(fu, 0)
+            if delays:
+                words += delays.get((fu, "a"), 0) + delays.get((fu, "b"), 0)
+            if words > limit:
                 out.append(
                     self._e(
                         f"fu{fu} needs {words} register-file words (constants + "
-                        f"delays) but only {kb.regfile_words} exist",
+                        f"delays) but only {limit} exist",
                         subject=f"fu{fu}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         return out
@@ -518,49 +536,52 @@ class ShiftDelayRule(Rule):
     rule_id = "shift-delay"
     description = "shift/delay tap configuration is realizable"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        for (unit, tap), shift in sorted(diagram.sd_taps.items()):
-            if not kb.sd_tap_exists(unit, tap):
+        params = kb.params
+        n_units = params.n_shift_delay_units
+        n_taps = params.shift_delay_taps
+        max_shift = params.shift_delay_max_shift
+        for (unit, tap), shift in sorted(view.sd_taps.items()):
+            if not (0 <= unit < n_units and 0 <= tap < n_taps):
                 out.append(
                     self._e(
                         f"shift/delay unit {unit} tap {tap} does not exist",
                         subject=f"sd[{unit}].tap{tap}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
-            elif not kb.sd_shift_legal(shift):
+            elif abs(shift) > max_shift:
                 out.append(
                     self._e(
                         f"shift {shift} exceeds the unit's range "
-                        f"+-{kb.params.shift_delay_max_shift}",
+                        f"+-{max_shift}",
                         subject=f"sd[{unit}].tap{tap}",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         # taps used in wiring must be configured; unit inputs must be fed
-        for src, _sink in diagram.connections:
-            if src.kind is DeviceKind.SHIFT_DELAY and src.port.startswith("tap"):
-                unit = src.device
-                tap = int(src.port[3:])
-                if (unit, tap) not in diagram.sd_taps:
-                    out.append(
-                        self._e(
-                            f"{src} is wired but its shift is not configured",
-                            subject=str(src),
-                            pipeline=diagram.number,
-                        )
+        sd_taps = view.sd_taps
+        sd_feeder = view.sd_feeder
+        for src in view.tap_wires:
+            unit = src.device
+            if (unit, int(src.port[3:])) not in sd_taps:
+                out.append(
+                    self._e(
+                        f"{src} is wired but its shift is not configured",
+                        subject=str(src),
+                        pipeline=view.number,
                     )
-                feeder = diagram.driver_of(sd_in(unit))
-                if feeder is None:
-                    out.append(
-                        self._e(
-                            f"shift/delay unit {unit} emits streams but its input "
-                            f"is unconnected",
-                            subject=f"sd[{unit}].in",
-                            pipeline=diagram.number,
-                        )
+                )
+            if unit not in sd_feeder:
+                out.append(
+                    self._e(
+                        f"shift/delay unit {unit} emits streams but its input "
+                        f"is unconnected",
+                        subject=f"sd[{unit}].in",
+                        pipeline=view.number,
                     )
+                )
         return out
 
 
@@ -570,26 +591,27 @@ class UnusedOutputRule(Rule):
     rule_id = "unused-output"
     description = "programmed units should drive something"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         out: List[Diagnostic] = []
-        condition_fu = diagram.condition.fu if diagram.condition else None
-        # units feeding a hardwired route inside their own ALS, in one pass
-        used_internally = set()
-        for (consumer, _p), mod in diagram.input_mods.items():
-            if mod.kind is InputModKind.INTERNAL:
-                use = diagram.als_use_of_fu(consumer)
-                if use is not None:
-                    src = use.first_fu + mod.src_slot
-                    if diagram.als_use_of_fu(src) is use:
-                        used_internally.add(src)
-        for fu in diagram.active_fus():
-            if (not diagram.sinks_of(fu_out(fu)) and fu not in used_internally
-                    and fu != condition_fu):
+        # units that drive a wire, feed a hardwired route inside their
+        # own ALS, or are watched by the condition monitor
+        used = set(view.driving_fus)
+        if view.condition is not None:
+            used.add(view.condition.fu)
+        fu_als = view.fu_als
+        for (consumer, _port), mod in view.internal_mods:
+            use = fu_als.get(consumer)
+            if use is not None:
+                src = use.first_fu + mod.src_slot
+                if fu_als.get(src) is use:
+                    used.add(src)
+        for fu in view.active:
+            if fu not in used:
                 out.append(
                     self._w(
                         f"fu{fu} output drives nothing",
                         subject=f"fu{fu}.out",
-                        pipeline=diagram.number,
+                        pipeline=view.number,
                     )
                 )
         return out
@@ -601,20 +623,17 @@ class ConditionRule(Rule):
     rule_id = "condition"
     description = "condition interrupts watch an active functional unit"
 
-    def check(self, diagram, kb, declarations=None):
-        out: List[Diagnostic] = []
-        cond = diagram.condition
-        if cond is None:
-            return out
-        if cond.fu not in diagram.fu_ops:
-            out.append(
-                self._e(
-                    f"condition watches fu{cond.fu}, which performs no operation",
-                    subject=f"fu{cond.fu}",
-                    pipeline=diagram.number,
-                )
+    def check_view(self, view, kb, declarations=None):
+        cond = view.condition
+        if cond is None or cond.fu in view.fu_ops:
+            return []
+        return [
+            self._e(
+                f"condition watches fu{cond.fu}, which performs no operation",
+                subject=f"fu{cond.fu}",
+                pipeline=view.number,
             )
-        return out
+        ]
 
 
 class AcyclicityRule(Rule):
@@ -623,11 +642,11 @@ class AcyclicityRule(Rule):
     rule_id = "acyclic"
     description = "pipelines are acyclic (feedback via register file only)"
 
-    def check(self, diagram, kb, declarations=None):
+    def check_view(self, view, kb, declarations=None):
         try:
-            diagram.topological_order()
+            view.topological_order()
         except DiagramError as exc:
-            return [self._e(str(exc), pipeline=diagram.number)]
+            return [self._e(str(exc), pipeline=view.number)]
         return []
 
 
@@ -638,25 +657,21 @@ class VectorLengthRule(Rule):
     rule_id = "vector-length"
     description = "stream lengths are mutually consistent"
 
-    def check(self, diagram, kb, declarations=None):
-        out: List[Diagnostic] = []
+    def check_view(self, view, kb, declarations=None):
         lengths: Dict[int, List[str]] = {}
-        if diagram.vector_length is not None:
-            lengths.setdefault(diagram.vector_length, []).append("pipeline")
-        for ep, spec in diagram.dma.items():
+        if view.vector_length is not None:
+            lengths[view.vector_length] = ["pipeline"]
+        for ep, spec in view.dma.items():
             if spec.count is not None:
                 lengths.setdefault(spec.count, []).append(str(ep))
-        if len(lengths) > 1:
-            desc = "; ".join(
-                f"{n} ({', '.join(who)})" for n, who in sorted(lengths.items())
-            )
-            out.append(
-                self._e(
-                    f"inconsistent stream lengths: {desc}",
-                    pipeline=diagram.number,
-                )
-            )
-        return out
+        if len(lengths) <= 1:
+            return []
+        desc = "; ".join(
+            f"{n} ({', '.join(who)})" for n, who in sorted(lengths.items())
+        )
+        return [
+            self._e(f"inconsistent stream lengths: {desc}", pipeline=view.number)
+        ]
 
 
 #: The production rule set, in the order diagnostics are reported.

@@ -698,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark the execution backends against each other",
         parents=[common],
     )
-    from repro.bench import SCENARIOS as _BENCH_SCENARIOS
+    from repro.choices import SCENARIOS as _BENCH_SCENARIOS
 
     p.add_argument("--quick", action="store_true",
                    help="smaller problems / fewer sweeps (the CI smoke "
@@ -808,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_backend_option(p: argparse.ArgumentParser) -> None:
-    from repro.sim.fastpath import BACKENDS
+    from repro.choices import BACKENDS
 
     p.add_argument("--backend", choices=BACKENDS, default="reference",
                    help="execution backend (results are bit-identical; "

@@ -6,35 +6,46 @@ by the graphical editor to generate machine code for the NSC.  The checker
 is invoked again at this point to perform a thorough check of global
 constraints."
 
+:meth:`MicrocodeGenerator.generate` freezes each pipeline diagram once
+(:meth:`~repro.diagram.pipeline.PipelineDiagram.freeze`); the checker,
+the timing analysis and every step below read that one
+:class:`~repro.diagram.pipeline.DiagramView`.  Views are transient: no
+image, program or cache entry keeps one.
+
 Generation per pipeline:
 
 1. timing analysis and automatic delay balancing (:mod:`.timing`);
 2. vector-length resolution from the diagram, DMA counts, or variable sizes;
 3. DMA-program resolution against the deterministic variable layout;
-4. switch-setting derivation from the connection tables;
-5. microword emission (:mod:`.microword`) plus an executable
-   :class:`PipelineImage` for the simulator.
+4. switch-setting derivation from the connection tables (the view's
+   per-port feeds and its driven non-FU sinks);
+5. microword emission (:mod:`.microword`, through the layout's
+   pre-resolved field handles) plus an executable :class:`PipelineImage`
+   for the simulator.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._records import slotted_state
 from repro.arch.dma import DMAProgram, DMASpec, Direction
-from repro.arch.funcunit import OPCODES, Opcode
+from repro.arch.funcunit import Opcode
 from repro.arch.node import NodeConfig
-from repro.arch.switch import DeviceKind, Endpoint, sd_in
+from repro.arch.switch import DeviceKind, Endpoint
 from repro.checker.checker import Checker
 from repro.checker.diagnostics import CheckReport
 from repro.obs import tracer as obs
 from repro.codegen.microword import (
     CMP_CODES,
+    FieldError,
     Microword,
     MicrowordLayout,
+    float_to_bits,
     layout_for,
+    signed_to_bits,
 )
 from repro.codegen.timing import (
     TimingError,
@@ -45,6 +56,7 @@ from repro.codegen.timing import (
 )
 from repro.diagram.pipeline import (
     ConditionSpec,
+    DiagramView,
     InputModKind,
     PipelineDiagram,
 )
@@ -194,12 +206,23 @@ class MicrocodeGenerator:
         self.layout = layout_for(node.params)
 
     # ------------------------------------------------------------------
-    def generate(self, program: VisualProgram) -> MachineProgram:
+    def generate(
+        self,
+        program: VisualProgram,
+        views: Optional[Sequence[DiagramView]] = None,
+    ) -> MachineProgram:
+        """Check and compile *program*.
+
+        Each pipeline is frozen once, here, unless the caller passes the
+        frozen *views* (in pipeline order); the checker and codegen share
+        them."""
+        if views is None:
+            views = [diagram.freeze() for diagram in program.pipelines]
         if self.run_checker:
             # the design-rule sweep is the expensive half of compilation;
             # time it separately (nested under any enclosing compile span)
             with obs.span("check"):
-                report = self.checker.check_program(program)
+                report = self.checker.check_program(program, views)
             if not report.ok:
                 raise CodegenError(
                     f"program {program.name!r} fails validation:\n"
@@ -208,8 +231,8 @@ class MicrocodeGenerator:
                 )
         var_layout = layout_variables(program.declarations)
         images = [
-            self._generate_pipeline(diagram, program.declarations, var_layout)
-            for diagram in program.pipelines
+            self._generate_pipeline(view, program.declarations, var_layout)
+            for view in views
         ]
         return MachineProgram(
             name=program.name,
@@ -223,7 +246,7 @@ class MicrocodeGenerator:
     # ------------------------------------------------------------------
     def resolve_vector_length(
         self,
-        diagram: PipelineDiagram,
+        diagram: Union[PipelineDiagram, DiagramView],
         declarations: Dict[str, Declaration],
     ) -> int:
         if diagram.vector_length is not None:
@@ -266,112 +289,110 @@ class MicrocodeGenerator:
     # ------------------------------------------------------------------
     def _generate_pipeline(
         self,
-        diagram: PipelineDiagram,
+        view: DiagramView,
         declarations: Dict[str, Declaration],
         var_layout: Dict[str, Tuple[int, int]],
     ) -> PipelineImage:
         kb = self.checker.kb
         try:
-            plan = balance_pipeline(diagram, kb, auto_balance=self.auto_balance)
+            plan = balance_pipeline(view, kb, auto_balance=self.auto_balance)
         except TimingError as exc:
-            raise CodegenError(f"pipeline {diagram.number}: {exc}") from exc
-        problems = validate_delays_fit(diagram, plan, kb)
+            raise CodegenError(f"pipeline {view.number}: {exc}") from exc
+        problems = validate_delays_fit(view, plan, kb)
         if problems:
             raise CodegenError(
-                f"pipeline {diagram.number}: " + "; ".join(problems)
+                f"pipeline {view.number}: " + "; ".join(problems)
             )
-        vector_length = self.resolve_vector_length(diagram, declarations)
+        vector_length = self.resolve_vector_length(view, declarations)
         order = plan.order
 
+        feeds = view.feeds
+        delays = view.delays
+        auto = plan.auto_delay
+        skews = plan.skew
         inputs: Dict[Tuple[int, str], ResolvedInput] = {}
         for fu in order:
             for port in ("a", "b"):
-                src = diagram.input_source(fu, port)
-                if src is None:
+                key = (fu, port)
+                feed = feeds.get(key)
+                if feed is None:
                     continue
-                delay = plan.total_delay(
-                    fu, port, diagram.delays.get((fu, port), 0)
-                )
-                skew = plan.skew.get((fu, port), 0)
-                kind, payload = src
-                if kind == "mod":
-                    mod = payload
-                    if mod.kind is InputModKind.CONSTANT:
-                        inputs[(fu, port)] = ResolvedInput(
-                            kind="const", value=mod.value, delay=delay
-                        )
-                    elif mod.kind is InputModKind.FEEDBACK:
-                        inputs[(fu, port)] = ResolvedInput(
-                            kind="feedback", value=mod.value, src_fu=fu
-                        )
-                    else:
-                        use = diagram.als_use_of_fu(fu)
-                        inputs[(fu, port)] = ResolvedInput(
-                            kind="internal",
-                            src_fu=use.first_fu + mod.src_slot,  # type: ignore[union-attr]
-                            delay=delay,
-                            skew=skew,
-                        )
-                else:
-                    ep: Endpoint = payload  # type: ignore[assignment]
-                    if ep.kind is DeviceKind.FU:
-                        inputs[(fu, port)] = ResolvedInput(
-                            kind="fu", endpoint=ep, src_fu=ep.device,
+                delay = delays.get(key, 0) + auto.get(key, 0)
+                skew = skews.get(key, 0)
+                if type(feed) is Endpoint:
+                    if feed.kind is DeviceKind.FU:
+                        inputs[key] = ResolvedInput(
+                            kind="fu", endpoint=feed, src_fu=feed.device,
                             delay=delay, skew=skew,
                         )
                     else:
                         kind_name = (
-                            "mem" if ep.kind is DeviceKind.MEMORY
-                            else "cache" if ep.kind is DeviceKind.CACHE
+                            "mem" if feed.kind is DeviceKind.MEMORY
+                            else "cache" if feed.kind is DeviceKind.CACHE
                             else "sd"
                         )
-                        inputs[(fu, port)] = ResolvedInput(
-                            kind=kind_name, endpoint=ep, delay=delay, skew=skew
+                        inputs[key] = ResolvedInput(
+                            kind=kind_name, endpoint=feed, delay=delay,
+                            skew=skew,
                         )
+                elif feed.kind is InputModKind.CONSTANT:
+                    inputs[key] = ResolvedInput(
+                        kind="const", value=feed.value, delay=delay
+                    )
+                elif feed.kind is InputModKind.FEEDBACK:
+                    inputs[key] = ResolvedInput(
+                        kind="feedback", value=feed.value, src_fu=fu
+                    )
+                else:
+                    inputs[key] = ResolvedInput(
+                        kind="internal",
+                        src_fu=view.fu_als[fu].first_fu + feed.src_slot,
+                        delay=delay,
+                        skew=skew,
+                    )
 
         # DMA programs
         read_programs: Dict[Endpoint, DMAProgram] = {}
         write_programs: List[Tuple[Endpoint, Endpoint, DMAProgram]] = []
-        for ep, spec in diagram.dma.items():
+        for ep, spec in view.dma.items():
             prog = self._resolve_dma(spec, vector_length, var_layout)
             if spec.direction is Direction.READ:
                 read_programs[ep] = prog
             else:
-                driver = diagram.driver_of(ep)
+                driver = view.driver.get(ep)
                 if driver is None:
                     raise CodegenError(
-                        f"pipeline {diagram.number}: {ep} has a write DMA "
+                        f"pipeline {view.number}: {ep} has a write DMA "
                         f"program but nothing drives it"
                     )
                 write_programs.append((driver, ep, prog))
 
         # shift/delay feeders
+        sd_feeder = view.sd_feeder
         sd_feeders: Dict[int, Endpoint] = {}
-        for (unit, _tap) in diagram.sd_taps:
-            feeder = diagram.driver_of(sd_in(unit))
+        for (unit, _tap) in view.sd_taps:
+            feeder = sd_feeder.get(unit)
             if feeder is not None:
                 sd_feeders[unit] = feeder
 
-        word = self._emit_microword(diagram, plan, vector_length)
+        word = self._emit_microword(view, plan, vector_length)
         fill = plan.fill_cycles
         total = pipeline_cycles(plan, vector_length, kb)
-        flops = sum(
-            OPCODES[a.opcode].flops for a in diagram.fu_ops.values()
-        )
+        flops = sum(info.flops for info in view.op_info.values())
         return PipelineImage(
-            number=diagram.number,
-            label=diagram.label,
+            number=view.number,
+            label=view.label,
             vector_length=vector_length,
             fu_order=order,
             fu_ops={
-                fu: (a.opcode, a.constant) for fu, a in diagram.fu_ops.items()
+                fu: (a.opcode, a.constant) for fu, a in view.fu_ops.items()
             },
             inputs=inputs,
             read_programs=read_programs,
             write_programs=write_programs,
             sd_feeders=sd_feeders,
-            sd_shifts=dict(diagram.sd_taps),
-            condition=diagram.condition,
+            sd_shifts=dict(view.sd_taps),
+            condition=view.condition,
             fill_cycles=fill,
             total_cycles=total,
             flops_per_element=flops,
@@ -381,75 +402,91 @@ class MicrocodeGenerator:
     # ------------------------------------------------------------------
     def _emit_microword(
         self,
-        diagram: PipelineDiagram,
+        view: DiagramView,
         plan: TimingPlan,
         vector_length: int,
     ) -> Microword:
         layout = self.layout
-        word = layout.new_word()
-        set_field = word.set_field
         id_of = layout.source_table.id_of
-        driver_of = diagram.driver_of
-        input_mods = diagram.input_mods
-        delays = diagram.delays
+        feeds = view.feeds
+        delays = view.delays
+        auto = plan.auto_delay
+        op_info = view.op_info
+        #: field name -> value, packed into the word's bits at the end
+        values: Dict[str, int] = {}
 
-        for fu, assign in diagram.fu_ops.items():
+        for fu, assign in view.fu_ops.items():
             handles = layout.fu_fields(fu)
-            set_field(handles.opcode, OP_INDEX[assign.opcode])
-            if OPCODES[assign.opcode].uses_constant:
-                set_field(handles.const_sel, 1)
+            values[handles.opcode.name] = OP_INDEX[assign.opcode]
+            if op_info[fu].uses_constant:
+                values[handles.const_sel.name] = 1
             for port, fields in zip(("a", "b"), handles.ports):
-                delay = plan.total_delay(fu, port, delays.get((fu, port), 0))
+                key = (fu, port)
+                delay = delays.get(key, 0) + auto.get(key, 0)
                 if delay:
-                    set_field(fields.delay, delay)
-                mod = input_mods.get((fu, port))
-                if mod is not None:
-                    if mod.kind is InputModKind.INTERNAL:
-                        set_field(fields.internal, 1)
-                    elif mod.kind is InputModKind.FEEDBACK:
-                        set_field(fields.feedback, 1)
-                    else:
-                        set_field(fields.constant, 1)
+                    values[fields.delay.name] = delay
+                feed = feeds.get(key)
+                if feed is None:
+                    continue
+                if type(feed) is Endpoint:
+                    values[fields.src.name] = id_of(feed)
+                elif feed.kind is InputModKind.INTERNAL:
+                    values[fields.internal.name] = 1
+                elif feed.kind is InputModKind.FEEDBACK:
+                    values[fields.feedback.name] = 1
                 else:
-                    drv = driver_of(fields.sink)
-                    if drv is not None:
-                        set_field(fields.src, id_of(drv))
+                    values[fields.constant.name] = 1
 
-        # crossbar selectors for non-FU sinks
-        for field, sink_ep in layout.sink_fields:
-            drv = driver_of(sink_ep)
-            if drv is not None:
-                set_field(field, id_of(drv))
+        # crossbar selectors for the driven non-FU sinks
+        sink_fields = layout.sink_fields
+        for sink, drv in view.driver.items():
+            if sink.kind is not DeviceKind.FU:
+                field = sink_fields.get(sink)
+                if field is not None:
+                    values[field.name] = id_of(drv)
 
         # DMA groups
-        for ep, spec in diagram.dma.items():
-            prefix = (
-                f"mem{ep.device}" if ep.kind is DeviceKind.MEMORY
-                else f"cache{ep.device}"
-            )
-            word.set(f"{prefix}.dma.enable", 1)
-            word.set(
-                f"{prefix}.dma.dir", 0 if spec.direction is Direction.READ else 1
-            )
+        for ep, spec in view.dma.items():
+            if ep.kind is DeviceKind.MEMORY:
+                group, prefix = layout.mem_dma, "mem"
+            else:
+                group, prefix = layout.cache_dma, "cache"
+            handles = group.get(ep.device)
+            if handles is None:
+                raise FieldError(
+                    f"no field '{prefix}{ep.device}.dma.enable' in this layout"
+                )
+            values[handles.enable.name] = 1
+            values[handles.dir.name] = 0 if spec.direction is Direction.READ else 1
             # symbolic addresses encode the window offset; the loader adds
             # the variable base (relocation happens at load time)
-            word.set(f"{prefix}.dma.addr", max(spec.offset, 0))
-            word.set_signed(f"{prefix}.dma.stride", spec.stride)
-            count = spec.count if spec.count is not None else vector_length
-            word.set(f"{prefix}.dma.count", count)
+            values[handles.addr.name] = max(spec.offset, 0)
+            values[handles.stride.name] = signed_to_bits(
+                spec.stride, handles.stride.width
+            )
+            values[handles.count.name] = (
+                spec.count if spec.count is not None else vector_length
+            )
 
-        for (unit, tap), shift in diagram.sd_taps.items():
-            word.set(f"sd{unit}.tap{tap}.enable", 1)
-            word.set_signed(f"sd{unit}.tap{tap}.shift", shift)
+        for (unit, tap), shift in view.sd_taps.items():
+            handles = layout.sd_tap_fields.get((unit, tap))
+            if handles is None:
+                raise FieldError(
+                    f"no field 'sd{unit}.tap{tap}.enable' in this layout"
+                )
+            enable, shift_field = handles
+            values[enable.name] = 1
+            values[shift_field.name] = signed_to_bits(shift, shift_field.width)
 
-        if diagram.condition is not None:
-            cond = diagram.condition
-            word.set("seq.cond.enable", 1)
-            word.set("seq.cond.fu", cond.fu)
-            word.set("seq.cond.cmp", CMP_CODES[cond.comparison])
-            word.set_float("seq.cond.threshold", cond.threshold)
-        word.set("seq.vector_length", vector_length)
-        return word
+        seq = layout.seq_fields
+        cond = view.condition
+        if cond is not None:
+            values[seq.cond_enable.name] = 1
+            values[seq.cond_fu.name] = cond.fu
+            values[seq.cond_cmp.name] = CMP_CODES[cond.comparison]
+            values[seq.cond_threshold.name] = float_to_bits(cond.threshold)
+        values[seq.vector_length.name] = vector_length
+        return Microword.pack(layout, values)
 
 
 __all__ = [

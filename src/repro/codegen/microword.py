@@ -21,10 +21,13 @@ Switch settings are not a separate group: the per-sink source selectors
 *are* the crossbar program (one selector per sink port), which is exactly
 how the generator "derives switch settings ... from the connection tables".
 
-The layout also resolves its per-FU field *handles* (:class:`FUFields`)
-and the ``(Field, sink)`` pairs behind :meth:`MicrowordLayout.non_fu_sinks`
-once; the generator writes through :meth:`Microword.set_field` with them
-instead of formatting and looking up a field name per write.
+The layout also resolves its field *handles* once: per FU
+(:class:`FUFields`), per non-FU sink (``sink_fields``, keyed by the
+sink endpoint), per memory plane and cache DMA group (:class:`DMAFields`
+in ``mem_dma`` / ``cache_dma``, keyed by device), per shift/delay tap
+(``sd_tap_fields``) and for the sequencer (:class:`SeqFields`); the
+generator writes through :meth:`Microword.set_field` with them instead
+of formatting and looking up a field name per write.
 """
 
 from __future__ import annotations
@@ -75,7 +78,27 @@ class FUFields(NamedTuple):
     ports: Tuple[PortFields, PortFields]
 
 
-def _signed_to_bits(value: int, width: int) -> int:
+class DMAFields(NamedTuple):
+    """Handles for one memory plane's or cache's DMA group."""
+
+    enable: Field
+    dir: Field
+    addr: Field
+    stride: Field
+    count: Field
+
+
+class SeqFields(NamedTuple):
+    """Handles for the sequencer's condition monitor and vector length."""
+
+    cond_enable: Field
+    cond_fu: Field
+    cond_cmp: Field
+    cond_threshold: Field
+    vector_length: Field
+
+
+def signed_to_bits(value: int, width: int) -> int:
     lo = -(1 << (width - 1))
     hi = (1 << (width - 1)) - 1
     if not (lo <= value <= hi):
@@ -91,6 +114,12 @@ def _bits_to_signed(bits: int, width: int) -> int:
 
 def float_to_bits(value: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+def _misfit(field: Field, value: int) -> FieldError:
+    return FieldError(
+        f"value {value} does not fit field {field.name} ({field.width} bits)"
+    )
 
 
 def bits_to_float(bits: int) -> float:
@@ -227,10 +256,35 @@ class MicrowordLayout:
             )
             for fu in range(self.n_fus)
         )
-        #: ``(selector field, canonical sink endpoint)`` per non-FU sink
-        self.sink_fields: Tuple[Tuple[Field, Endpoint], ...] = tuple(
-            (f[f"switch.{name}.src"], ep)
-            for name, ep in self.non_fu_sinks()
+        #: canonical non-FU sink endpoint -> its crossbar selector field
+        self.sink_fields: Dict[Endpoint, Field] = {
+            ep: f[f"switch.{name}.src"] for name, ep in self.non_fu_sinks()
+        }
+
+        def dma(prefix: str) -> DMAFields:
+            return DMAFields(*(
+                f[f"{prefix}.dma.{part}"] for part in DMAFields._fields
+            ))
+
+        #: device -> DMA group handles, for memory planes and caches
+        self.mem_dma: Dict[int, DMAFields] = {
+            plane: dma(f"mem{plane}")
+            for plane in range(self.params.n_memory_planes)
+        }
+        self.cache_dma: Dict[int, DMAFields] = {
+            cache: dma(f"cache{cache}") for cache in range(self.params.n_caches)
+        }
+        #: ``(unit, tap)`` -> (enable, shift) handles
+        self.sd_tap_fields: Dict[Tuple[int, int], Tuple[Field, Field]] = {
+            (unit, tap): (
+                f[f"sd{unit}.tap{tap}.enable"], f[f"sd{unit}.tap{tap}.shift"]
+            )
+            for unit in range(self.params.n_shift_delay_units)
+            for tap in range(self.params.shift_delay_taps)
+        }
+        self.seq_fields = SeqFields(
+            f["seq.cond.enable"], f["seq.cond.fu"], f["seq.cond.cmp"],
+            f["seq.cond.threshold"], f["seq.vector_length"],
         )
 
     def fu_fields(self, fu: int) -> FUFields:
@@ -317,18 +371,34 @@ class Microword:
     def set_field(self, field: Field, value: int) -> None:
         """:meth:`set` through a handle resolved by the layout."""
         if not (0 <= value <= field.max_value):
-            raise FieldError(
-                f"value {value} does not fit field {field.name} "
-                f"({field.width} bits)"
-            )
+            raise _misfit(field, value)
         if self._values is None:
             self._values = _unpack(self.layout, self._encoded)
         self._values[field.name] = value
         self._encoded = None
 
+    @classmethod
+    def pack(cls, layout: MicrowordLayout, values: Dict[str, int]) -> "Microword":
+        """A finished word from ``{field name: value}``.
+
+        Each value is range-checked as :meth:`set_field` checks it, and
+        the word is encoded at once: it holds its bits alone, like a
+        word after :meth:`encode`."""
+        fields = layout._fields
+        word = 0
+        for name, value in values.items():
+            field = fields[name]
+            if not (0 <= value <= field.max_value):
+                raise _misfit(field, value)
+            word |= value << field.offset
+        packed = cls(layout)
+        packed._values = None
+        packed._encoded = word.to_bytes((layout.total_bits + 7) // 8, "little")
+        return packed
+
     def set_signed(self, name: str, value: int) -> None:
         field = self.layout.field(name)
-        self.set_field(field, _signed_to_bits(value, field.width))
+        self.set_field(field, signed_to_bits(value, field.width))
 
     def set_float(self, name: str, value: float) -> None:
         self.set(name, float_to_bits(value))
@@ -404,6 +474,8 @@ __all__ = [
     "FieldError",
     "FUFields",
     "PortFields",
+    "DMAFields",
+    "SeqFields",
     "SourceTable",
     "MicrowordLayout",
     "Microword",
@@ -412,4 +484,5 @@ __all__ = [
     "CMP_NAMES",
     "float_to_bits",
     "bits_to_float",
+    "signed_to_bits",
 ]

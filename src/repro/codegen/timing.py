@@ -18,12 +18,16 @@ both operands correctly only when both arrive at the same cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.arch.funcunit import OPCODES
-from repro.arch.switch import DeviceKind, Endpoint, sd_in
+from repro.arch.params import NSCParameters
+from repro.arch.switch import DeviceKind, Endpoint
 from repro.checker.knowledge import MachineKnowledge
-from repro.diagram.pipeline import InputModKind, PipelineDiagram
+from repro.diagram.pipeline import DiagramView, InputModKind, PipelineDiagram
+
+_FU = DeviceKind.FU
+_MEMORY = DeviceKind.MEMORY
+_CACHE = DeviceKind.CACHE
 
 
 class TimingError(Exception):
@@ -61,145 +65,142 @@ class TimingPlan:
         return self.max_skew == 0
 
 
-def _source_start(ep: Endpoint, kb: MachineKnowledge, diagram: PipelineDiagram,
-                  switch_hops: int = 1) -> int:
+def _source_start(ep: Endpoint, p: NSCParameters, view: DiagramView) -> int:
     """Cycle at which element 0 leaving *ep* reaches the other end of one
     switch traversal."""
-    p = kb.params
-    if ep.kind is DeviceKind.MEMORY:
-        return p.dma_startup_cycles + p.memory_latency + switch_hops * p.switch_latency
-    if ep.kind is DeviceKind.CACHE:
-        return p.dma_startup_cycles + p.cache_latency + switch_hops * p.switch_latency
-    if ep.kind is DeviceKind.SHIFT_DELAY:
-        feeder = diagram.driver_of(sd_in(ep.device))
+    kind = ep.kind
+    if kind is _MEMORY:
+        return p.dma_startup_cycles + p.memory_latency + p.switch_latency
+    if kind is _CACHE:
+        return p.dma_startup_cycles + p.cache_latency + p.switch_latency
+    if kind is DeviceKind.SHIFT_DELAY:
+        feeder = view.sd_feeder.get(ep.device)
         if feeder is None:
             raise TimingError(f"shift/delay unit {ep.device} has no input stream")
         # feeder -> sd (one hop), sd transit, sd -> consumer (one hop)
         return (
-            _source_start(feeder, kb, diagram)
+            _source_start(feeder, p, view)
             + 1  # shift/delay transit
-            + switch_hops * p.switch_latency
+            + p.switch_latency
         )
     raise TimingError(f"cannot compute start time for {ep}")
 
 
-def _fu_latency(fu: int, diagram: PipelineDiagram, kb: MachineKnowledge) -> int:
-    assign = diagram.fu_ops.get(fu)
-    if assign is None:
-        raise TimingError(f"fu{fu} has no operation assigned")
-    key = OPCODES[assign.opcode].latency_key
-    return int(getattr(kb.params, key))
-
-
 def balance_pipeline(
-    diagram: PipelineDiagram,
+    diagram: Union[PipelineDiagram, DiagramView],
     kb: MachineKnowledge,
     auto_balance: bool = True,
 ) -> TimingPlan:
     """Compute arrival times and (optionally) balancing delays.
 
+    Reads the pipeline's frozen view (a live diagram is frozen here).
     With ``auto_balance=False`` the plan records the residual skew at every
     input instead of removing it — the ablation configuration.
     """
+    view = diagram.freeze()
     p = kb.params
-    order = diagram.topological_order()
+    hop = p.switch_latency
+    order = view.topological_order()
     plan = TimingPlan(order=order)
+    feeds = view.feeds
+    delays = view.delays
+    op_info = view.op_info
+    raw_arrival = plan.raw_arrival
+    auto_delay = plan.auto_delay
+    skew = plan.skew
+    fu_start = plan.fu_start
+    fu_output = plan.fu_output
 
     for fu in order:
-        arrivals: Dict[str, Optional[int]] = {}
+        arrivals: List[Tuple[str, int]] = []
         for port in ("a", "b"):
-            src = diagram.input_source(fu, port)
-            if src is None:
-                arrivals[port] = None
+            key = (fu, port)
+            feed = feeds.get(key)
+            if feed is None:
                 continue
-            kind, payload = src
-            if kind == "mod":
-                mod = payload
-                if mod.kind in (InputModKind.CONSTANT, InputModKind.FEEDBACK):
-                    arrivals[port] = None  # always available
-                    continue
-                # INTERNAL: hardwired, no switch hop
-                use = diagram.als_use_of_fu(fu)
-                src_fu = use.first_fu + mod.src_slot  # type: ignore[union-attr]
-                if src_fu not in plan.fu_output:
+            if type(feed) is Endpoint:
+                if feed.kind is _FU:
+                    if feed.device not in fu_output:
+                        raise TimingError(
+                            f"fu{feed.device} feeds fu{fu} but is not scheduled "
+                            f"before it"
+                        )
+                    t = fu_output[feed.device] + hop
+                else:
+                    t = _source_start(feed, p, view)
+            elif feed.kind is InputModKind.INTERNAL:
+                # hardwired, no switch hop
+                src_fu = view.fu_als[fu].first_fu + feed.src_slot
+                if src_fu not in fu_output:
                     raise TimingError(
                         f"internal route source fu{src_fu} not yet scheduled "
                         f"(cycle in diagram?)"
                     )
-                t = plan.fu_output[src_fu]
+                t = fu_output[src_fu]
             else:
-                ep: Endpoint = payload  # type: ignore[assignment]
-                if ep.kind is DeviceKind.FU:
-                    if ep.device not in plan.fu_output:
-                        raise TimingError(
-                            f"fu{ep.device} feeds fu{fu} but is not scheduled "
-                            f"before it"
-                        )
-                    t = plan.fu_output[ep.device] + p.switch_latency
-                else:
-                    t = _source_start(ep, kb, diagram)
-            t += diagram.delays.get((fu, port), 0)
-            arrivals[port] = t
-            plan.raw_arrival[(fu, port)] = t
+                continue  # constant / feedback: always available
+            if delays:
+                t += delays.get(key, 0)
+            arrivals.append((port, t))
+            raw_arrival[key] = t
 
-        constrained = {k: v for k, v in arrivals.items() if v is not None}
-        if constrained:
-            t_fu = max(constrained.values())
-            for port, t in constrained.items():
+        if arrivals:
+            t_fu = max(t for _port, t in arrivals)
+            for port, t in arrivals:
                 lag = t_fu - t
                 if lag > 0 and auto_balance:
-                    plan.auto_delay[(fu, port)] = lag
-                    plan.skew[(fu, port)] = 0
+                    auto_delay[(fu, port)] = lag
+                    skew[(fu, port)] = 0
                 else:
-                    plan.skew[(fu, port)] = lag
+                    skew[(fu, port)] = lag
         else:
             t_fu = 0
-        plan.fu_start[fu] = t_fu
-        plan.fu_output[fu] = t_fu + _fu_latency(fu, diagram, kb)
+        fu_start[fu] = t_fu
+        info = op_info.get(fu)
+        if info is None:
+            raise TimingError(f"fu{fu} has no operation assigned")
+        fu_output[fu] = t_fu + int(getattr(p, info.latency_key))
 
     # fill time: when element 0 lands at the final sinks
     fill = 0
-    for src, sink in diagram.connections:
-        if sink.kind in (DeviceKind.MEMORY, DeviceKind.CACHE):
-            if src.kind is DeviceKind.FU:
-                if src.device not in plan.fu_output:
-                    raise TimingError(
-                        f"{src} writes to {sink} but fu{src.device} is not "
-                        f"programmed"
-                    )
-                t = plan.fu_output[src.device] + p.switch_latency
-            else:
-                t = _source_start(src, kb, diagram)
-            fill = max(fill, t)
-    if fill == 0 and plan.fu_output:
-        fill = max(plan.fu_output.values()) + p.switch_latency
+    for src, sink in view.pad_wires:
+        if src.kind is _FU:
+            if src.device not in fu_output:
+                raise TimingError(
+                    f"{src} writes to {sink} but fu{src.device} is not "
+                    f"programmed"
+                )
+            t = fu_output[src.device] + hop
+        else:
+            t = _source_start(src, p, view)
+        fill = max(fill, t)
+    if fill == 0 and fu_output:
+        fill = max(fu_output.values()) + hop
     plan.fill_cycles = fill
     return plan
 
 
 def validate_delays_fit(
-    diagram: PipelineDiagram, plan: TimingPlan, kb: MachineKnowledge
+    diagram: Union[PipelineDiagram, DiagramView],
+    plan: TimingPlan,
+    kb: MachineKnowledge,
 ) -> List[str]:
     """Check that explicit + auto delays (plus constants) fit each register
     file; returns human-readable problems (empty list when fine)."""
+    view = diagram.freeze()
     problems: List[str] = []
-    for fu in diagram.active_fus():
-        words = 0
-        assign = diagram.fu_ops[fu]
-        if OPCODES[assign.opcode].uses_constant:
-            words += 1
-        for port in ("a", "b"):
-            mod = diagram.input_mods.get((fu, port))
-            if mod is not None and mod.kind in (
-                InputModKind.CONSTANT,
-                InputModKind.FEEDBACK,
-            ):
-                words += 1
-            words += plan.total_delay(fu, port, diagram.delays.get((fu, port), 0))
-        if words > kb.regfile_words:
+    limit = kb.regfile_words
+    mod_words = view.mod_words
+    delays = view.delays
+    auto = plan.auto_delay
+    for fu in view.active:
+        words = mod_words.get(fu, 0)
+        for key in ((fu, "a"), (fu, "b")):
+            words += delays.get(key, 0) + auto.get(key, 0)
+        if words > limit:
             problems.append(
                 f"fu{fu}: {words} register-file words needed "
-                f"(limit {kb.regfile_words}); the streams are too skewed to "
+                f"(limit {limit}); the streams are too skewed to "
                 f"balance with circular queues"
             )
     return problems

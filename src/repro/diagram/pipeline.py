@@ -17,18 +17,27 @@ recorded as :class:`InputMod` entries:
   the same ALS;
 - ``FEEDBACK``: the input re-reads the unit's own previous output (the
   idiom for running reductions such as the Jacobi residual maximum).
+
+A diagram is the editor's mutable record.  :meth:`PipelineDiagram.freeze`
+turns it into a :class:`DiagramView`, a read-only snapshot whose tables
+(driver and sinks, per-port feeds, FU->ALS, planes, topological order...)
+are built in one pass; the checker, the timing analysis and the code
+generator all read one view per pipeline instead of re-deriving the
+same facts from the diagram, and the diagram's own queries answer from a
+fresh view.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.arch.als import ALSKind
 from repro.arch.dma import DMASpec
-from repro.arch.funcunit import Opcode
-from repro.arch.switch import DeviceKind, Endpoint, fu_in, fu_out, sd_in
+from repro.arch.funcunit import OPCODES, Opcode, OpInfo
+from repro.arch.switch import DeviceKind, Endpoint
 
 
 class DiagramError(Exception):
@@ -125,12 +134,11 @@ class PipelineDiagram:
         self.sd_taps: Dict[Tuple[int, int], int] = {}
         self.vector_length: Optional[int] = None
         self.condition: Optional[ConditionSpec] = None
-        # lazily built query indices; _wire_index_len == -1 means stale.
-        # The length guard additionally catches code appending to
-        # `connections` directly instead of going through connect().
-        self._wire_index_len: int = -1
-        self._driver_index: Dict[Endpoint, Endpoint] = {}
-        self._sink_index: Dict[Endpoint, List[Endpoint]] = {}
+        # what the mutators need: the drawn wires as a set for connect()'s
+        # duplicate check, and the FU->ALS map for set_fu_op() & co.  A
+        # count mismatch with `connections` / `als_uses` means they were
+        # edited directly; the set or map is then rebuilt on use.
+        self._wires: Set[Tuple[Endpoint, Endpoint]] = set()
         self._fu_als_len: int = 0
         self._fu_als_index: Dict[int, ALSUse] = {}
 
@@ -172,7 +180,6 @@ class PipelineDiagram:
         if use is None:
             raise DiagramError(f"ALS {als_id} is not in this diagram")
         self._fu_als_len = -1
-        self._wire_index_len = -1
         fus = set(range(use.first_fu, use.first_fu + use.kind.n_units))
         for fu in fus:
             self.fu_ops.pop(fu, None)
@@ -198,25 +205,22 @@ class PipelineDiagram:
 
     def connect(self, source: Endpoint, sink: Endpoint) -> None:
         """Record a switch-routed connection (the rubber-band wire)."""
-        if self._wire_index_len != len(self.connections):
-            self._wire_index()
-        # the wiring index answers the duplicate check from the source's
-        # few sinks instead of a scan over every drawn connection, and is
-        # extended in place rather than rebuilt
-        sinks = self._sink_index.setdefault(source, [])
-        if sink in sinks:
+        wire = (source, sink)
+        wires = self._wires
+        if len(wires) != len(self.connections):
+            wires = self._wires = set(self.connections)
+        drawn = len(wires)
+        wires.add(wire)  # hashes the wire once; a duplicate leaves no trace
+        if len(wires) == drawn:
             raise DiagramError(f"connection {source} -> {sink} already drawn")
-        self.connections.append((source, sink))
-        sinks.append(sink)
-        self._driver_index.setdefault(sink, source)
-        self._wire_index_len += 1
+        self.connections.append(wire)
 
     def disconnect(self, source: Endpoint, sink: Endpoint) -> None:
         try:
             self.connections.remove((source, sink))
         except ValueError:
             raise DiagramError(f"no connection {source} -> {sink}") from None
-        self._wire_index_len = -1
+        self._wires.discard((source, sink))
 
     def set_input_mod(self, fu: int, port: str, mod: InputMod) -> None:
         self._require_active_fu(fu)
@@ -271,135 +275,42 @@ class PipelineDiagram:
         """Functional units with an operation assigned, ascending."""
         return sorted(self.fu_ops)
 
-    def _wire_index(self) -> None:
-        """(Re)build the sink->driver and source->sinks maps.
+    def freeze(self) -> "DiagramView":
+        """A read-only, indexed snapshot of the diagram as it is now."""
+        return DiagramView(self)
 
-        Code generation and the checker query wiring thousands of times
-        per program; a linear scan over the connection list dominated
-        their profiles.  ``driver_of`` keeps its first-drawn-wins
-        semantics via ``setdefault``."""
-        driver: Dict[Endpoint, Endpoint] = {}
-        sinks: Dict[Endpoint, List[Endpoint]] = {}
-        for s, k in self.connections:
-            driver.setdefault(k, s)
-            sinks.setdefault(s, []).append(k)
-        self._driver_index = driver
-        self._sink_index = sinks
-        self._wire_index_len = len(self.connections)
-
+    # read-side queries: each answers from a fresh view, so direct edits
+    # of the containers can never leave them stale
     def driver_of(self, sink: Endpoint) -> Optional[Endpoint]:
         """The switch source driving *sink*, if one is drawn."""
-        if self._wire_index_len != len(self.connections):
-            self._wire_index()
-        return self._driver_index.get(sink)
+        return self.freeze().driver_of(sink)
 
     def sinks_of(self, source: Endpoint) -> List[Endpoint]:
-        if self._wire_index_len != len(self.connections):
-            self._wire_index()
-        return list(self._sink_index.get(source, ()))
+        return self.freeze().sinks_of(source)
 
     def input_source(
         self, fu: int, port: str
     ) -> Tuple[str, object] | None:
-        """Resolve what feeds ``(fu, port)``.
-
-        Returns ``("switch", endpoint)``, ``("mod", InputMod)``, or ``None``
-        when the port is unconnected.
-        """
-        mod = self.input_mods.get((fu, port))
-        if mod is not None:
-            return ("mod", mod)
-        drv = self.driver_of(fu_in(fu, port))
-        if drv is not None:
-            return ("switch", drv)
-        return None
+        """Resolve what feeds ``(fu, port)``: see :meth:`DiagramView.input_source`."""
+        return self.freeze().input_source(fu, port)
 
     def used_endpoints(self) -> Set[Endpoint]:
-        eps: Set[Endpoint] = set()
-        for s, k in self.connections:
-            eps.add(s)
-            eps.add(k)
-        eps.update(self.dma)
-        return eps
+        return self.freeze().used_endpoints()
 
     def memory_endpoints(self) -> List[Endpoint]:
-        return sorted(
-            (e for e in self.used_endpoints() if e.kind is DeviceKind.MEMORY),
-            key=lambda e: e.key,
-        )
+        return [e for e in self.freeze().pads if e.kind is DeviceKind.MEMORY]
 
     def cache_endpoints(self) -> List[Endpoint]:
-        return sorted(
-            (e for e in self.used_endpoints() if e.kind is DeviceKind.CACHE),
-            key=lambda e: e.key,
-        )
+        return [e for e in self.freeze().pads if e.kind is DeviceKind.CACHE]
 
     def planes_touched_by_fu(self, fu: int) -> Set[int]:
-        """Memory planes this unit reads from or writes to (directly or
-        through a shift/delay unit fed by a plane).  Used by the §3 rule
-        that a unit may touch only one plane per instruction."""
-        planes: Set[int] = set()
-        for port in ("a", "b"):
-            src = self.driver_of(fu_in(fu, port))
-            if src is None:
-                continue
-            if src.kind is DeviceKind.MEMORY:
-                planes.add(src.device)
-            elif src.kind is DeviceKind.SHIFT_DELAY:
-                feeder = self.driver_of(sd_in(src.device))
-                if feeder is not None and feeder.kind is DeviceKind.MEMORY:
-                    planes.add(feeder.device)
-        for sink in self.sinks_of(fu_out(fu)):
-            if sink.kind is DeviceKind.MEMORY:
-                planes.add(sink.device)
-        return planes
+        return self.freeze().planes_touched_by_fu(fu)
 
     def plane_writers(self) -> Dict[int, List[Endpoint]]:
-        """plane -> switch sources writing it (the Fig. 8 contention rule)."""
-        writers: Dict[int, List[Endpoint]] = {}
-        for s, k in self.connections:
-            if k.kind is DeviceKind.MEMORY and k.port == "write":
-                writers.setdefault(k.device, []).append(s)
-        return writers
-
-    def fu_dependency_edges(self) -> List[Tuple[int, int]]:
-        """(producer_fu, consumer_fu) edges, excluding feedback self-loops."""
-        edges: List[Tuple[int, int]] = []
-        for s, k in self.connections:
-            if s.kind is DeviceKind.FU and k.kind is DeviceKind.FU:
-                edges.append((s.device, k.device))
-        for (fu, _port), mod in self.input_mods.items():
-            if mod.kind is InputModKind.INTERNAL:
-                use = self.als_use_of_fu(fu)
-                if use is not None:
-                    edges.append((use.first_fu + mod.src_slot, fu))
-        return edges
+        return self.freeze().plane_writers()
 
     def topological_order(self) -> List[int]:
-        """Active FUs in dataflow order; raises on a combinational cycle."""
-        fus = set(self.active_fus())
-        indeg = {fu: 0 for fu in fus}
-        adj: Dict[int, List[int]] = {fu: [] for fu in fus}
-        for u, v in self.fu_dependency_edges():
-            if u in fus and v in fus and u != v:
-                adj[u].append(v)
-                indeg[v] += 1
-        ready = sorted(fu for fu, d in indeg.items() if d == 0)
-        order: List[int] = []
-        while ready:
-            fu = ready.pop(0)
-            order.append(fu)
-            for w in sorted(adj[fu]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-            ready.sort()
-        if len(order) != len(fus):
-            raise DiagramError(
-                "pipeline contains a combinational cycle (feedback must use "
-                "the FEEDBACK input mod, not a drawn wire loop)"
-            )
-        return order
+        return self.freeze().topological_order()
 
     def copy(self, number: Optional[int] = None) -> "PipelineDiagram":
         """Deep-enough copy used by the editor's copy-pipeline operation."""
@@ -435,8 +346,284 @@ class PipelineDiagram:
         )
 
 
+_CYCLE = (
+    "pipeline contains a combinational cycle (feedback must use "
+    "the FEEDBACK input mod, not a drawn wire loop)"
+)
+
+_FU = DeviceKind.FU
+_MEMORY = DeviceKind.MEMORY
+_CACHE = DeviceKind.CACHE
+_SHIFT_DELAY = DeviceKind.SHIFT_DELAY
+_INTERNAL = InputModKind.INTERNAL
+_FEEDBACK = InputModKind.FEEDBACK
+
+#: what feeds one FU input port: a drawn wire's source, or an input mod
+Feed = Union[Endpoint, InputMod]
+
+
+class DiagramView:
+    """A read-only snapshot of one :class:`PipelineDiagram`, indexed once.
+
+    Built by :meth:`PipelineDiagram.freeze` in one pass over the
+    diagram's connections, input mods and FU operations, it holds every
+    table the checker rules, the timing analysis and the code generator
+    query.  The containers (``connections``, ``fu_ops``, ...) are copies
+    taken at the freeze, so later edits of the diagram never reach the
+    view.  Code reads the tables directly; treat them as read-only.
+
+    Tables, each under first-drawn-wins wiring semantics:
+
+    - ``driver``: sink -> the switch source driving it;
+    - ``sinks``: source -> the sinks it drives, in drawing order (its
+      length is the source's fan-out);
+    - ``wired_ports``: ``(fu, port)`` -> the source of the wire into that
+      FU input, and ``feeds``: the same with input mods taking
+      precedence (what :meth:`input_source` answers).  Both are keyed by
+      int/str tuples;
+    - ``fu_als``: FU -> its :class:`ALSUse`; ``op_info``: FU ->
+      :class:`OpInfo` of its operation; ``active``: programmed FUs,
+      ascending;
+    - ``planes``: FU -> memory planes it touches (directly or through a
+      shift/delay unit); ``plane_writers_of``: plane -> sources wired
+      to its write pad; ``sd_feeder``: shift/delay unit -> the source
+      driving its input;
+    - ``wired_fus`` (FUs at either end of a wire), ``driving_fus`` (FUs
+      whose output drives a sink), ``pads`` (memory/cache endpoints in
+      use, wired or carrying a DMA spec, sorted), ``pad_wires`` (wires
+      into a memory/cache pad), ``tap_wires`` (shift/delay tap sources
+      of every wire, in drawing order);
+    - ``internal_mods`` / ``feedback_mods``: those input mods as sorted
+      ``((fu, port), mod)`` pairs; ``mod_words``: FU -> register-file
+      words its constant/feedback mods and constant operand take;
+    - ``order``: the FUs in dataflow order, or None when the wiring has a
+      combinational cycle (:meth:`topological_order` then raises).
+    """
+
+    __slots__ = (
+        "number", "label", "vector_length", "condition", "als_uses",
+        "fu_ops", "connections", "input_mods", "delays", "dma", "sd_taps",
+        "driver", "sinks", "wired_ports", "feeds", "fu_als", "op_info",
+        "active", "planes", "plane_writers_of", "sd_feeder", "wired_fus",
+        "driving_fus", "pads", "pad_wires", "tap_wires", "internal_mods",
+        "feedback_mods", "mod_words", "order",
+    )
+
+    def __init__(self, diagram: PipelineDiagram) -> None:
+        self.number = diagram.number
+        self.label = diagram.label
+        self.vector_length = diagram.vector_length
+        self.condition = diagram.condition
+        self.als_uses = dict(diagram.als_uses)
+        self.fu_ops = fu_ops = dict(diagram.fu_ops)
+        self.connections = connections = tuple(diagram.connections)
+        self.input_mods = input_mods = dict(diagram.input_mods)
+        self.delays = dict(diagram.delays)
+        self.dma = dma = dict(diagram.dma)
+        self.sd_taps = dict(diagram.sd_taps)
+
+        fu_als: Dict[int, ALSUse] = {}
+        for use in self.als_uses.values():
+            first = use.first_fu
+            for fu in range(first, first + use.kind.n_units):
+                fu_als[fu] = use
+        self.fu_als = fu_als
+
+        # the wires, in one pass
+        driver: Dict[Endpoint, Endpoint] = {}
+        sinks: Dict[Endpoint, List[Endpoint]] = {}
+        wired_ports: Dict[Tuple[int, str], Endpoint] = {}
+        writers: Dict[int, List[Endpoint]] = {}
+        sd_feeder: Dict[int, Endpoint] = {}
+        planes: Dict[int, Set[int]] = {}
+        wired_fus: Set[int] = set()
+        driving_fus: Set[int] = set()
+        pads = {e for e in dma if e.kind is _MEMORY or e.kind is _CACHE}
+        edges: List[Tuple[int, int]] = []
+        pad_wires: List[Tuple[Endpoint, Endpoint]] = []
+        tap_wires: List[Endpoint] = []
+        sd_fed: List[Tuple[int, int]] = []  # (fu, unit): input from a tap
+        for wire in connections:
+            src, sink = wire
+            sinks.setdefault(src, []).append(sink)
+            drv = driver.setdefault(sink, src)
+            src_kind = src.kind
+            sink_kind = sink.kind
+            if sink_kind is _FU:
+                fu = sink.device
+                port = sink.port
+                wired_fus.add(fu)
+                wired_ports[(fu, port)] = drv
+                if src_kind is _FU:
+                    edges.append((src.device, fu))
+                elif drv is src and (port == "a" or port == "b"):
+                    # the input's (first-drawn) driver: a plane or a tap
+                    if src_kind is _MEMORY:
+                        planes.setdefault(fu, set()).add(src.device)
+                    elif src_kind is _SHIFT_DELAY:
+                        sd_fed.append((fu, src.device))
+            elif sink_kind is _MEMORY or sink_kind is _CACHE:
+                pads.add(sink)
+                pad_wires.append(wire)
+                if sink_kind is _MEMORY and sink.port == "write":
+                    writers.setdefault(sink.device, []).append(src)
+            elif sink.port == "in":
+                sd_feeder[sink.device] = drv
+            if src_kind is _FU:
+                wired_fus.add(src.device)
+                if src.port == "out":
+                    driving_fus.add(src.device)
+                    if sink_kind is _MEMORY:
+                        planes.setdefault(src.device, set()).add(sink.device)
+            elif src_kind is _MEMORY or src_kind is _CACHE:
+                pads.add(src)
+            elif src_kind is _SHIFT_DELAY and src.port.startswith("tap"):
+                tap_wires.append(src)
+        for fu, unit in sd_fed:
+            feeder = sd_feeder.get(unit)
+            if feeder is not None and feeder.kind is _MEMORY:
+                planes.setdefault(fu, set()).add(feeder.device)
+        self.driver = driver
+        self.sinks = sinks
+        self.wired_ports = wired_ports
+        self.plane_writers_of = writers
+        self.sd_feeder = sd_feeder
+        self.planes = planes
+        self.wired_fus = wired_fus
+        self.driving_fus = driving_fus
+        # sorted by key: caches ("cache") before planes ("mem")
+        self.pads = tuple(sorted(pads, key=_pad_key))
+        self.pad_wires = tuple(pad_wires)
+        self.tap_wires = tuple(tap_wires)
+
+        # the input mods, in one sorted pass
+        feeds: Dict[Tuple[int, str], Feed] = dict(wired_ports)
+        feeds.update(input_mods)
+        self.feeds = feeds
+        mod_words: Dict[int, int] = {}
+        internal_mods = []
+        feedback_mods = []
+        for item in sorted(input_mods.items()):
+            (fu, port), mod = item
+            kind = mod.kind
+            if kind is _INTERNAL:
+                internal_mods.append(item)
+                use = fu_als.get(fu)
+                if use is not None:
+                    edges.append((use.first_fu + mod.src_slot, fu))
+                continue
+            if kind is _FEEDBACK:
+                feedback_mods.append(item)
+            if port == "a" or port == "b":
+                mod_words[fu] = mod_words.get(fu, 0) + 1
+        self.internal_mods = tuple(internal_mods)
+        self.feedback_mods = tuple(feedback_mods)
+
+        # the operations
+        op_info: Dict[int, OpInfo] = {}
+        for fu, assign in fu_ops.items():
+            info = op_info[fu] = OPCODES[assign.opcode]
+            if info.uses_constant:
+                mod_words[fu] = mod_words.get(fu, 0) + 1
+        self.op_info = op_info
+        self.mod_words = mod_words
+        self.active = active = tuple(sorted(fu_ops))
+        self.order = _dataflow_order(active, edges)
+
+    def freeze(self) -> "DiagramView":
+        """A view is already frozen: consumers call ``freeze()`` on
+        whatever they are handed, diagram or view."""
+        return self
+
+    # the diagram's query API, answered from the tables
+    def driver_of(self, sink: Endpoint) -> Optional[Endpoint]:
+        return self.driver.get(sink)
+
+    def sinks_of(self, source: Endpoint) -> List[Endpoint]:
+        return list(self.sinks.get(source, ()))
+
+    def input_source(self, fu: int, port: str) -> Tuple[str, object] | None:
+        """Resolve what feeds ``(fu, port)``.
+
+        Returns ``("switch", endpoint)``, ``("mod", InputMod)``, or ``None``
+        when the port is unconnected.
+        """
+        feed = self.feeds.get((fu, port))
+        if feed is None:
+            return None
+        return ("switch", feed) if type(feed) is Endpoint else ("mod", feed)
+
+    def als_use_of_fu(self, fu: int) -> Optional[ALSUse]:
+        return self.fu_als.get(fu)
+
+    def active_fus(self) -> List[int]:
+        return list(self.active)
+
+    def used_endpoints(self) -> Set[Endpoint]:
+        used = set(self.sinks)
+        used.update(self.driver)
+        used.update(self.dma)
+        return used
+
+    def planes_touched_by_fu(self, fu: int) -> Set[int]:
+        """Memory planes this unit reads from or writes to (directly or
+        through a shift/delay unit fed by a plane).  Used by the §3 rule
+        that a unit may touch only one plane per instruction."""
+        return set(self.planes.get(fu, ()))
+
+    def plane_writers(self) -> Dict[int, List[Endpoint]]:
+        """plane -> switch sources writing it (the Fig. 8 contention rule)."""
+        return {plane: list(w) for plane, w in self.plane_writers_of.items()}
+
+    def topological_order(self) -> List[int]:
+        """Active FUs in dataflow order; raises on a combinational cycle."""
+        if self.order is None:
+            raise DiagramError(_CYCLE)
+        return list(self.order)
+
+    def __repr__(self) -> str:
+        return (
+            f"DiagramView(#{self.number} {self.label!r}: "
+            f"{len(self.als_uses)} ALSs, {len(self.connections)} wires)"
+        )
+
+
+def _pad_key(ep: Endpoint) -> Tuple[bool, int, str]:
+    """``ep.key``'s order over memory and cache endpoints, without the
+    enum value lookup."""
+    return (ep.kind is _MEMORY, ep.device, ep.port)
+
+
+def _dataflow_order(
+    active: Tuple[int, ...], edges: List[Tuple[int, int]]
+) -> Optional[Tuple[int, ...]]:
+    """Kahn's sort of *active* over the producer->consumer *edges*,
+    smallest ready unit first; None on a cycle.  Self-loops and edges to
+    or from unprogrammed units are ignored (feedback is not a cycle)."""
+    indeg = dict.fromkeys(active, 0)
+    adj: Dict[int, List[int]] = {}
+    for u, v in edges:
+        if u != v and u in indeg and v in indeg:
+            adj.setdefault(u, []).append(v)
+            indeg[v] += 1
+    ready = [fu for fu, d in indeg.items() if d == 0]  # ascending already
+    order: List[int] = []
+    pop, push = heapq.heappop, heapq.heappush
+    while ready:
+        fu = pop(ready)
+        order.append(fu)
+        for w in adj.get(fu, ()):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                push(ready, w)
+    if len(order) != len(active):
+        return None
+    return tuple(order)
+
+
 __all__ = [
     "PipelineDiagram",
+    "DiagramView",
     "DiagramError",
     "ALSUse",
     "FUOpAssignment",

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.arch.params import DEFAULT_PARAMS, NSCParameters, SUBSET_PARAMS
-from repro.sim.fastpath import BACKENDS
+from repro.choices import BACKENDS
 
 #: Solvers the service can build itself, plus "program" for saved diagrams.
 METHODS = ("jacobi", "rb-gs", "rb-sor", "program")

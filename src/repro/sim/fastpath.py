@@ -43,12 +43,10 @@ import numpy as np
 
 from repro.arch.funcunit import OPCODES, Opcode
 from repro.arch.switch import DeviceKind, Endpoint
+from repro.choices import BACKENDS
 from repro.codegen.generator import PipelineImage
 from repro.sim.pipeline_exec import ExecutionError
 from repro.sim.streams import _ACCUMULATING, StreamError, eval_feedback
-
-#: The selectable execution backends, in documentation order.
-BACKENDS = ("reference", "fast")
 
 
 def validate_backend(backend: str) -> str:

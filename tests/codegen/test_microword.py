@@ -4,7 +4,7 @@ import pytest
 
 from repro.arch.node import NodeConfig
 from repro.arch.params import SUBSET_PARAMS
-from repro.arch.switch import fu_in
+from repro.arch.switch import fu_in, mem_write
 from repro.codegen.microword import (
     CMP_CODES,
     FieldError,
@@ -129,9 +129,30 @@ class TestFieldHandles:
     def test_sink_handles_are_layout_fields(self, layout):
         sinks = list(layout.non_fu_sinks())
         assert len(layout.sink_fields) == len(sinks)
-        for (field, sink), (name, ep) in zip(layout.sink_fields, sinks):
+        for (sink, field), (name, ep) in zip(layout.sink_fields.items(), sinks):
             assert field is layout.field(f"switch.{name}.src")
             assert sink is ep
+
+    def test_group_handles_are_layout_fields(self, layout):
+        params = layout.params
+        for table, prefix, n in ((layout.mem_dma, "mem", params.n_memory_planes),
+                                 (layout.cache_dma, "cache", params.n_caches)):
+            assert sorted(table) == list(range(n))
+            for device, handles in table.items():
+                for part, field in zip(handles._fields, handles):
+                    assert field is layout.field(f"{prefix}{device}.dma.{part}")
+        for (unit, tap), (enable, shift) in layout.sd_tap_fields.items():
+            assert enable is layout.field(f"sd{unit}.tap{tap}.enable")
+            assert shift is layout.field(f"sd{unit}.tap{tap}.shift")
+        assert len(layout.sd_tap_fields) == (
+            params.n_shift_delay_units * params.shift_delay_taps
+        )
+        assert layout.seq_fields.cond_threshold is layout.field(
+            "seq.cond.threshold"
+        )
+        assert layout.seq_fields.vector_length is layout.field(
+            "seq.vector_length"
+        )
 
     def test_unknown_fu_rejected(self, layout):
         with pytest.raises(FieldError):
@@ -153,7 +174,7 @@ class TestFieldHandles:
         by_name.set("fu2.b.delay", 9)
         by_name.set("switch.mem1.write.src", 5)
         by_handle.set_field(layout.fu_fields(2).ports[1].delay, 9)
-        by_handle.set_field(layout.sink_fields[1][0], 5)
+        by_handle.set_field(layout.sink_fields[mem_write(1)], 5)
         assert by_handle == by_name
         assert by_handle.encode() == by_name.encode()
 

@@ -18,9 +18,9 @@ def check_calls(monkeypatch):
     calls = []
     real = Checker.check_program
 
-    def counting(self, program):
+    def counting(self, program, *args, **kwargs):
         calls.append(program.name)
-        return real(self, program)
+        return real(self, program, *args, **kwargs)
 
     monkeypatch.setattr(Checker, "check_program", counting)
     return calls

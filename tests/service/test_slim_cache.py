@@ -2,8 +2,9 @@
 
 ``_compile_single`` and ``_compile_multinode`` return their solver setup
 with ``program=None``: after code generation nothing on the run path
-reads the diagram.  These tests pin that no cached value reaches a
-:class:`VisualProgram` or :class:`PipelineDiagram`, that the disk layer
+reads the diagram.  These tests pin that no cached value (and no cached
+plan) reaches a :class:`VisualProgram`, a :class:`PipelineDiagram` or
+the transient :class:`DiagramView` codegen compiles from, that the disk layer
 serves slim entries and still loads entries pickled with a diagram, and
 that dropping the diagram changes no record.
 
@@ -18,7 +19,7 @@ import types
 
 from repro.arch.dma import DMAProgram
 from repro.codegen.generator import ResolvedInput
-from repro.diagram.pipeline import PipelineDiagram
+from repro.diagram.pipeline import DiagramView, PipelineDiagram
 from repro.diagram.program import VisualProgram
 from repro.service import runner
 from repro.service.cache import ProgramCache
@@ -74,7 +75,7 @@ def _reached(root, kinds):
 
 
 def _diagrams_reached(root):
-    return _reached(root, (VisualProgram, PipelineDiagram))
+    return _reached(root, (VisualProgram, PipelineDiagram, DiagramView))
 
 
 def _keep_diagrams(monkeypatch):
@@ -83,6 +84,7 @@ def _keep_diagrams(monkeypatch):
 
 
 def test_cache_values_hold_no_diagram():
+    PLAN_CACHE.clear()
     cache = ProgramCache()
     _run(cache)
     values = list(cache._mem._data.values())
@@ -91,6 +93,17 @@ def test_cache_values_hold_no_diagram():
         assert setup.program is None
     assert [found for value in values
             if (found := _diagrams_reached(value))] == []
+    plans = list(PLAN_CACHE._data.values())
+    assert plans and _diagrams_reached(plans) == []
+
+
+def test_reachability_walk_sees_a_stashed_view():
+    cache = ProgramCache()
+    _run(cache)
+    (setup, program), *_rest = cache._mem._data.values()
+    diagram = PipelineDiagram()
+    program._view = diagram.freeze()
+    assert _diagrams_reached((setup, program)) == [program._view]
 
 
 def test_reachability_walk_sees_a_kept_diagram(monkeypatch):

@@ -69,6 +69,14 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
 """
 
 
+PARSER_SCRIPT = """
+import json, sys
+from repro.cli import build_parser
+build_parser()
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
 def _run(script, *args):
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
@@ -91,6 +99,22 @@ def test_job_path_import_footprint():
     loaded = set(result["modules"])
     assert "repro.service.runner" in loaded
     assert sorted(loaded & set(NOT_ON_JOB_PATH)) == []
+
+
+def test_cli_parser_loads_neither_bench_nor_simulator():
+    """``nsc-vpe info`` builds the whole parser: its choices come from
+    :mod:`repro.choices`, not from the modules that use them."""
+    loaded = set(_run(PARSER_SCRIPT))
+    assert "repro.cli" in loaded
+    assert sorted(loaded & {"repro.bench", "repro.sim.fastpath"}) == []
+
+
+def test_cli_choices_are_the_modules_own():
+    from repro import bench, choices
+    from repro.sim import fastpath
+
+    assert choices.SCENARIOS == bench.SCENARIOS
+    assert choices.BACKENDS == fastpath.BACKENDS
 
 
 @pytest.mark.parametrize("package", PACKAGES)

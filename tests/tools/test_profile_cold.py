@@ -18,6 +18,8 @@ def test_profile_cold_reports_every_stage(capsys):
     assert set(p50) == set(profile_cold.STAGES) | {"total"}
     # bind is split: machine setup and runner code generation
     assert {"machine", "runner"} <= set(p50)
+    # the compile reads one frozen view per pipeline
+    assert {"freeze", "check", "generate"} <= set(p50)
     assert all(value >= 0.0 for value in p50.values())
     assert p50["total"] > 0.0
 

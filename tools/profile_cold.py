@@ -9,8 +9,12 @@ a fast service job does, as a slab of one, timing every sub-stage:
 nodeconfig  ``node_config(params)``: the machine description
 build       ``SolverEntry.build_setup``: the builder and FU allocation
 layout      ``MicrocodeGenerator(...)``: generator and microword layout
-check       ``Checker.check_program``: the design-rule sweep
-generate    ``MicrocodeGenerator.generate`` without the check
+freeze      ``PipelineDiagram.freeze`` of every pipeline: the indexed,
+            read-only views the check and the generator share
+check       ``Checker.check_program`` on those views: the design-rule
+            sweep
+generate    ``MicrocodeGenerator.generate`` of those views, without the
+            check
 plan        ``compiled_plan``: the whole-program execution schedule
 problem     ``grid_problem``: the grid's manufactured ``(u*, f)``, built
             once per grid and shared
@@ -64,6 +68,7 @@ STAGES = (
     "nodeconfig",
     "build",
     "layout",
+    "freeze",
     "check",
     "generate",
     "plan",
@@ -122,9 +127,11 @@ def profile_one(
     t2 = clock()
     generator = MicrocodeGenerator(node, run_checker=False)
     t3 = clock()
-    report = generator.checker.check_program(setup.program)
+    views = [diagram.freeze() for diagram in setup.program.pipelines]
+    t_freeze = clock()
+    report = generator.checker.check_program(setup.program, views)
     t4 = clock()
-    compiled = generator.generate(setup.program)
+    compiled = generator.generate(setup.program, views)
     t5 = clock()
     plan = progplan.compiled_plan(compiled, params)
     t6 = clock()
@@ -160,7 +167,8 @@ def profile_one(
         "nodeconfig": t1 - t0,
         "build": t2 - t1,
         "layout": t3 - t2,
-        "check": t4 - t3,
+        "freeze": t_freeze - t3,
+        "check": t4 - t_freeze,
         "generate": t5 - t4,
         "plan": t6 - t5,
         "problem": t7 - t6,
