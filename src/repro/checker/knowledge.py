@@ -39,10 +39,9 @@ def _machine_tables(
 ) -> Tuple[Tuple[FrozenSet[Opcode], ...], Dict[int, Tuple[ALSKind, int]]]:
     """Per-FU legal opcodes and per-ALS ``(kind, first_fu)`` of *node*,
     derived once per machine description."""
-    legal_ops = tuple(
-        frozenset(ops_for_capability(node.fu_capability(fu)))
-        for fu in range(node.n_fus)
-    )
+    caps = [node.fu_capability(fu) for fu in range(node.n_fus)]
+    ops_of = {cap: frozenset(ops_for_capability(cap)) for cap in set(caps)}
+    legal_ops = tuple(ops_of[cap] for cap in caps)
     shapes = {a.als_id: (a.kind, a.first_fu) for a in node.als_instances}
     return legal_ops, shapes
 

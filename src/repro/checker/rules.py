@@ -36,12 +36,7 @@ from repro.arch.dma import DMASpecError, Direction
 from repro.arch.switch import DeviceKind, Endpoint, fu_in
 from repro.checker.diagnostics import Diagnostic, error, warning
 from repro.checker.knowledge import INTERNAL_SOURCES, MachineKnowledge
-from repro.diagram.pipeline import (
-    DiagramError,
-    DiagramView,
-    InputModKind,
-    PipelineDiagram,
-)
+from repro.diagram.pipeline import DiagramError, DiagramView, PipelineDiagram
 from repro.diagram.program import Declaration
 
 Declarations = Optional[Dict[str, Declaration]]

@@ -53,9 +53,6 @@ class TimingPlan:
     #: active FUs in the dataflow order they were scheduled in.
     order: List[int] = field(default_factory=list)
 
-    def total_delay(self, fu: int, port: str, explicit: int = 0) -> int:
-        return explicit + self.auto_delay.get((fu, port), 0)
-
     @property
     def max_skew(self) -> int:
         return max((abs(s) for s in self.skew.values()), default=0)

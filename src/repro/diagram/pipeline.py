@@ -553,12 +553,6 @@ class DiagramView:
             return None
         return ("switch", feed) if type(feed) is Endpoint else ("mod", feed)
 
-    def als_use_of_fu(self, fu: int) -> Optional[ALSUse]:
-        return self.fu_als.get(fu)
-
-    def active_fus(self) -> List[int]:
-        return list(self.active)
-
     def used_endpoints(self) -> Set[Endpoint]:
         used = set(self.sinks)
         used.update(self.driver)
