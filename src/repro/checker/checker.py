@@ -55,7 +55,7 @@ class Checker:
     # ------------------------------------------------------------------
     def check_connection(
         self,
-        diagram: PipelineDiagram,
+        diagram: Union[PipelineDiagram, DiagramView],
         source: Endpoint,
         sink: Endpoint,
     ) -> CheckReport:
@@ -65,41 +65,41 @@ class Checker:
         this operation to ensure that only legal connections are attempted."
         """
         self.incremental_checks += 1
+        view = diagram.freeze()
         report = CheckReport()
         kb = self.kb
         if not kb.is_switch_source(source):
             report.add(
                 error("conn-endpoints", f"{source} is not a data source",
-                      str(source), diagram.number)
+                      str(source), view.number)
             )
         if not kb.is_switch_sink(sink):
             report.add(
                 error("conn-endpoints", f"{sink} is not a data sink",
-                      str(sink), diagram.number)
+                      str(sink), view.number)
             )
         if not report.ok:
             return report
-        view = diagram.freeze()
         driver = view.driver_of(sink)
         if driver is not None:
             report.add(
                 error("sink-unique",
                       f"{sink} is already driven by {driver}",
-                      str(sink), diagram.number)
+                      str(sink), view.number)
             )
         if sink.kind is DeviceKind.FU and (sink.device, sink.port) in view.input_mods:
             mod = view.input_mods[(sink.device, sink.port)]
             report.add(
                 error("sink-unique",
                       f"{sink} already has a {mod.kind.value} source",
-                      str(sink), diagram.number)
+                      str(sink), view.number)
             )
         fanout = len(view.sinks.get(source, ()))
         if fanout + 1 > kb.max_fanout:
             report.add(
                 error("switch-fanout",
                       f"{source} already drives {fanout} sinks (limit "
-                      f"{kb.max_fanout})", str(source), diagram.number)
+                      f"{kb.max_fanout})", str(source), view.number)
             )
         # the paper's worked example: second writer to a plane is refused
         if sink.kind is DeviceKind.MEMORY and sink.port == "write":
@@ -108,35 +108,46 @@ class Checker:
                 report.add(
                     error("plane-one-writer",
                           f"memory plane {sink.device} is already written by "
-                          f"{writers[0]}", str(sink), diagram.number)
+                          f"{writers[0]}", str(sink), view.number)
                 )
         # single plane per FU, evaluated on the hypothetical diagram
-        if self._would_violate_single_plane(diagram, source, sink):
+        if self._would_violate_single_plane(view, source, sink):
             report.add(
                 error("plane-single-fu",
                       "this connection would make a functional unit touch a "
                       "second memory plane in one instruction",
-                      str(sink), diagram.number)
+                      str(sink), view.number)
             )
         return report
 
+    @staticmethod
     def _would_violate_single_plane(
-        self, diagram: PipelineDiagram, source: Endpoint, sink: Endpoint
+        view: DiagramView, source: Endpoint, sink: Endpoint
     ) -> bool:
-        probe = diagram.copy()
-        try:
-            probe.connect(source, sink)
-        except Exception:
+        """Would a unit at either end of the wire touch more than one
+        memory plane once the wire is drawn (last, so a driven sink keeps
+        its first-drawn driver)?  A wire already drawn cannot be drawn
+        again, so it changes nothing."""
+        if sink in view.sinks.get(source, ()):
             return False
-        view = probe.freeze()
-        for fu in set(
-            d for d in (
-                [source.device] if source.kind is DeviceKind.FU else []
-            ) + (
-                [sink.device] if sink.kind is DeviceKind.FU else []
-            )
-        ):
-            if len(view.planes.get(fu, ())) > 1:
+        added = None  # the (fu, plane) the new wire makes a unit touch
+        if sink.kind is DeviceKind.MEMORY:
+            if source.kind is DeviceKind.FU and source.port == "out":
+                added = (source.device, sink.device)
+        elif sink.kind is DeviceKind.FU and sink.port in ("a", "b") \
+                and sink not in view.driver:
+            feeder: Optional[Endpoint] = source
+            if source.kind is DeviceKind.SHIFT_DELAY:
+                feeder = view.sd_feeder.get(source.device)
+            if feeder is not None and feeder.kind is DeviceKind.MEMORY:
+                added = (sink.device, feeder.device)
+        for ep in (source, sink):
+            if ep.kind is not DeviceKind.FU:
+                continue
+            planes = set(view.planes.get(ep.device, ()))
+            if added is not None and added[0] == ep.device:
+                planes.add(added[1])
+            if len(planes) > 1:
                 return True
         return False
 
@@ -184,13 +195,14 @@ class Checker:
         The editor builds the pad's pop-up menu from this list, so illegal
         choices are never offered.
         """
+        view = diagram.freeze()
         out: List[Endpoint] = []
         for source in sorted(self.kb.all_sources()):
             if source.kind is DeviceKind.FU and source.device == getattr(
                 sink, "device", None
             ) and sink.kind is DeviceKind.FU:
                 continue  # self-loop is the FEEDBACK mod, not a wire
-            if self.check_connection(diagram, source, sink).ok:
+            if self.check_connection(view, source, sink).ok:
                 out.append(source)
         return out
 

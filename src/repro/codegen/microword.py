@@ -25,9 +25,10 @@ The layout also resolves its field *handles* once: per FU
 (:class:`FUFields`), per non-FU sink (``sink_fields``, keyed by the
 sink endpoint), per memory plane and cache DMA group (:class:`DMAFields`
 in ``mem_dma`` / ``cache_dma``, keyed by device), per shift/delay tap
-(``sd_tap_fields``) and for the sequencer (:class:`SeqFields`); the
-generator writes through :meth:`Microword.set_field` with them instead
-of formatting and looking up a field name per write.
+(``sd_tap_fields``) and for the sequencer (:class:`SeqFields`).  The
+generator collects a word's values through them instead of formatting
+and looking up a field name per write, and :meth:`Microword.pack`
+range-checks and encodes the collected values in one pass.
 """
 
 from __future__ import annotations
@@ -331,6 +332,18 @@ def layout_for(params: NSCParameters) -> MicrowordLayout:
     return MicrowordLayout(params, node.n_fus, sorted(node.switch.sources))
 
 
+def _pack_bits(layout: MicrowordLayout, values: Dict[str, int]) -> bytes:
+    """The little-endian bit string of ``{field name: value}``."""
+    fields = layout._fields
+    word = 0
+    for name, value in values.items():
+        field = fields[name]
+        if not (0 <= value <= field.max_value):
+            raise _misfit(field, value)
+        word |= value << field.offset
+    return word.to_bytes((layout.total_bits + 7) // 8, "little")
+
+
 def _unpack(layout: MicrowordLayout, raw: bytes) -> Dict[str, int]:
     """The nonzero field values packed in *raw*."""
     word = int.from_bytes(raw, "little")
@@ -379,21 +392,13 @@ class Microword:
 
     @classmethod
     def pack(cls, layout: MicrowordLayout, values: Dict[str, int]) -> "Microword":
-        """A finished word from ``{field name: value}``.
-
-        Each value is range-checked as :meth:`set_field` checks it, and
-        the word is encoded at once: it holds its bits alone, like a
-        word after :meth:`encode`."""
-        fields = layout._fields
-        word = 0
-        for name, value in values.items():
-            field = fields[name]
-            if not (0 <= value <= field.max_value):
-                raise _misfit(field, value)
-            word |= value << field.offset
+        """A finished word from ``{field name: value}``, each value
+        range-checked as :meth:`set_field` checks it.  The word is
+        encoded at once: it holds its bits alone, like a word after
+        :meth:`encode`."""
         packed = cls(layout)
         packed._values = None
-        packed._encoded = word.to_bytes((layout.total_bits + 7) // 8, "little")
+        packed._encoded = _pack_bits(layout, values)
         return packed
 
     def set_signed(self, name: str, value: int) -> None:
@@ -426,12 +431,7 @@ class Microword:
     def encode(self) -> bytes:
         """Pack every field into a little-endian bit string."""
         if self._encoded is None:
-            fields = self.layout._fields
-            word = 0
-            for name, value in self._values.items():
-                word |= value << fields[name].offset
-            nbytes = (self.layout.total_bits + 7) // 8
-            self._encoded = word.to_bytes(nbytes, "little")
+            self._encoded = _pack_bits(self.layout, self._values)
             self._values = None
         return self._encoded
 

@@ -13,6 +13,7 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "PipelineDiagram",
+    "DiagramView",
     "FUOpAssignment",
     "InputMod",
     "InputModKind",
@@ -38,6 +39,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         "pipeline": (
             "PipelineDiagram",
+            "DiagramView",
             "FUOpAssignment",
             "InputMod",
             "InputModKind",

@@ -13,6 +13,8 @@ from repro.arch.switch import (
     fu_out,
     mem_read,
     mem_write,
+    sd_in,
+    sd_tap,
 )
 from repro.checker.checker import Checker
 from repro.compose.jacobi import build_jacobi_program
@@ -67,6 +69,17 @@ class TestIncrementalConnection:
         report = checker.check_connection(diagram, mem_read(1), fu_in(4, "b"))
         assert not report.ok
         assert "second memory plane" in report.first_error_message()
+
+    def test_second_plane_through_shift_delay_refused(self, checker, diagram):
+        """A tap carries the plane that feeds its shift/delay unit."""
+        diagram.set_fu_op(4, Opcode.FADD)
+        diagram.connect(mem_read(0), sd_in(0))
+        diagram.connect(mem_read(1), fu_in(4, "a"))
+        report = checker.check_connection(diagram, sd_tap(0, 1), fu_in(4, "b"))
+        assert "second memory plane" in report.first_error_message()
+        diagram.disconnect(mem_read(1), fu_in(4, "a"))
+        diagram.connect(mem_read(0), fu_in(4, "a"))
+        assert checker.check_connection(diagram, sd_tap(0, 1), fu_in(4, "b")).ok
 
     def test_fanout_enforced_incrementally(self, checker, diagram):
         diagram.add_als(5, ALSKind.DOUBLET, first_fu=6)

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.arch.als import ALSKind
-from repro.arch.funcunit import Opcode
+from repro.arch.als import ALS_CLASSES, ALSKind
+from repro.arch.funcunit import Opcode, ops_for_capability
 from repro.arch.node import NodeConfig
 from repro.arch.params import SUBSET_PARAMS
 from repro.arch.switch import fu_in, mem_read
-from repro.checker.knowledge import MachineKnowledge
+from repro.checker.knowledge import INTERNAL_SOURCES, MachineKnowledge
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +18,39 @@ def kb() -> MachineKnowledge:
 @pytest.fixture(scope="module")
 def subset_kb() -> MachineKnowledge:
     return MachineKnowledge(NodeConfig(SUBSET_PARAMS))
+
+
+class TestMachineTables:
+    """The per-machine sets the rules read agree with the node itself."""
+
+    @pytest.mark.parametrize("params", [None, SUBSET_PARAMS])
+    def test_tables_match_the_node(self, params):
+        node = NodeConfig(params)
+        kb = MachineKnowledge(node)
+        assert len(kb.legal_ops) == node.n_fus
+        for fu in range(node.n_fus):
+            assert kb.legal_ops[fu] == set(ops_for_capability(
+                node.fu_capability(fu)
+            ))
+        assert kb.als_shapes == {
+            a.als_id: (a.kind, a.first_fu) for a in node.als_instances
+        }
+        assert kb.switch_sources == node.switch.sources
+        assert kb.switch_sinks == node.switch.sinks
+
+    def test_tables_are_built_once_per_node(self):
+        node = NodeConfig()
+        first, second = MachineKnowledge(node), MachineKnowledge(node)
+        assert first.legal_ops is second.legal_ops
+        assert first.als_shapes is second.als_shapes
+
+    def test_internal_sources_match_the_als_classes(self):
+        for kind, cls in ALS_CLASSES.items():
+            for slot in range(kind.n_units):
+                for port in ("a", "b"):
+                    assert INTERNAL_SOURCES[kind][(slot, port)] == {
+                        e.src_slot for e in cls.internal_routes_into(slot, port)
+                    }
 
 
 class TestQueries:

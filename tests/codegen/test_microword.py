@@ -178,6 +178,25 @@ class TestFieldHandles:
         assert by_handle == by_name
         assert by_handle.encode() == by_name.encode()
 
+    def test_pack_encodes_like_named_writes(self, layout):
+        values = {"fu2.b.delay": 9, "switch.mem1.write.src": 5,
+                  "mem0.dma.dir": 0, "seq.vector_length": 64}
+        by_name = layout.new_word()
+        for name, value in values.items():
+            by_name.set(name, value)
+        packed = Microword.pack(layout, values)
+        assert packed._values is None  # born packed: bits only
+        assert packed.encode() == by_name.encode()
+        assert packed.get("fu2.b.delay") == 9
+
+    @pytest.mark.parametrize("value", [-1, 64])
+    def test_pack_rejects_a_misfit_like_set(self, layout, value):
+        with pytest.raises(FieldError) as by_name:
+            layout.new_word().set("fu0.opcode", value)
+        with pytest.raises(FieldError) as by_pack:
+            Microword.pack(layout, {"fu0.opcode": value})
+        assert str(by_pack.value) == str(by_name.value)
+
     def test_write_after_encode_reencodes(self, layout):
         word = layout.new_word()
         word.set("fu0.opcode", 3)

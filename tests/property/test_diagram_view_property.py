@@ -7,7 +7,9 @@ containers (appended duplicate wires, deleted entries, extra ALS uses).
 Every answer of the :class:`DiagramView` and of the live diagram's
 delegating queries must equal a brute-force definition written here: a
 linear scan of ``connections``, and Kahn's sort over a sorted ready
-list, with the identical :class:`DiagramError` text on a cycle.
+list, with the identical :class:`DiagramError` text on a cycle.  The
+checker's rubber-band plane check, which reads a view plus one new
+wire, must agree with drawing that wire on a copy.
 
 Example counts follow the active hypothesis profile: a few dozen under
 the default, the ``ci`` profile's count under ``--hypothesis-profile=ci``.
@@ -35,6 +37,7 @@ from repro.arch.switch import (
     sd_in,
     sd_tap,
 )
+from repro.checker.checker import Checker
 from repro.diagram.pipeline import (
     ALSUse,
     DiagramError,
@@ -328,6 +331,29 @@ def test_view_is_a_snapshot(d, data):
     d.fu_ops.clear()
     assert _snapshot(view) == before
     _check(d)
+
+
+@settings(max_examples=_EXAMPLES, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(diagrams())
+def test_single_plane_probe_matches_a_drawn_copy(d):
+    """The editor's rubber-band check reads the view plus the one new
+    wire; drawing each candidate wire on a copy must agree."""
+    view = d.freeze()
+    for source in SOURCES:
+        for sink in SINKS:
+            probe = d.copy()
+            try:
+                probe.connect(source, sink)
+            except DiagramError:
+                want = False
+            else:
+                want = any(
+                    len(bf_planes(probe, ep.device)) > 1
+                    for ep in (source, sink) if ep.kind is DeviceKind.FU
+                )
+            got = Checker._would_violate_single_plane(view, source, sink)
+            assert got == want, (source, sink)
 
 
 def test_cycle_error_text_is_unchanged():
