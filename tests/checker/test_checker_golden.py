@@ -112,6 +112,19 @@ def pack(programs: Dict[str, Dict[str, List[Row]]]) -> Dict[str, object]:
     }
 
 
+def dump(data: Dict[str, object]) -> str:
+    """The packed corpus as JSON text, one row or one case per line."""
+    rows = ",\n".join(json.dumps(row) for row in data["rows"])
+    programs = ",\n".join(
+        json.dumps(name) + ": {\n" + ",\n".join(
+            f"{json.dumps(case)}: {json.dumps(refs)}"
+            for case, refs in cases.items()
+        ) + "\n}"
+        for name, cases in data["programs"].items()
+    )
+    return f'{{"rows": [\n{rows}\n],\n"programs": {{\n{programs}\n}}}}\n'
+
+
 def unpack(data: Dict[str, object]) -> Dict[str, Dict[str, List[Row]]]:
     rows = data["rows"]
     return {
@@ -159,5 +172,5 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit(__doc__)
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(pack(corpus()), indent=0) + "\n")
+    GOLDEN_PATH.write_text(dump(pack(corpus())))
     print(f"wrote {GOLDEN_PATH}")
