@@ -40,7 +40,6 @@ from repro.checker.diagnostics import CheckReport
 from repro.obs import tracer as obs
 from repro.codegen.microword import (
     CMP_CODES,
-    FieldError,
     Microword,
     MicrowordLayout,
     float_to_bits,
@@ -412,7 +411,7 @@ class MicrocodeGenerator:
         delays = view.delays
         auto = plan.auto_delay
         op_info = view.op_info
-        #: field name -> value, packed into the word's bits at the end
+        # field name -> value, packed into the bits at the end
         values: Dict[str, int] = {}
 
         for fu, assign in view.fu_ops.items():
@@ -447,15 +446,7 @@ class MicrocodeGenerator:
 
         # DMA groups
         for ep, spec in view.dma.items():
-            if ep.kind is DeviceKind.MEMORY:
-                group, prefix = layout.mem_dma, "mem"
-            else:
-                group, prefix = layout.cache_dma, "cache"
-            handles = group.get(ep.device)
-            if handles is None:
-                raise FieldError(
-                    f"no field '{prefix}{ep.device}.dma.enable' in this layout"
-                )
+            handles = layout.dma_fields(ep)
             values[handles.enable.name] = 1
             values[handles.dir.name] = 0 if spec.direction is Direction.READ else 1
             # symbolic addresses encode the window offset; the loader adds
@@ -469,12 +460,7 @@ class MicrocodeGenerator:
             )
 
         for (unit, tap), shift in view.sd_taps.items():
-            handles = layout.sd_tap_fields.get((unit, tap))
-            if handles is None:
-                raise FieldError(
-                    f"no field 'sd{unit}.tap{tap}.enable' in this layout"
-                )
-            enable, shift_field = handles
+            enable, shift_field = layout.tap_fields(unit, tap)
             values[enable.name] = 1
             values[shift_field.name] = signed_to_bits(shift, shift_field.width)
 

@@ -22,10 +22,11 @@ Switch settings are not a separate group: the per-sink source selectors
 how the generator "derives switch settings ... from the connection tables".
 
 The layout also resolves its field *handles* once: per FU
-(:class:`FUFields`), per non-FU sink (``sink_fields``, keyed by the
-sink endpoint), per memory plane and cache DMA group (:class:`DMAFields`
-in ``mem_dma`` / ``cache_dma``, keyed by device), per shift/delay tap
-(``sd_tap_fields``) and for the sequencer (:class:`SeqFields`).  The
+(:meth:`MicrowordLayout.fu_fields`), per non-FU sink (``sink_fields``,
+keyed by the sink endpoint), per memory plane and cache DMA group
+(:meth:`MicrowordLayout.dma_fields`), per shift/delay tap
+(:meth:`MicrowordLayout.tap_fields`) and for the sequencer
+(``seq_fields``).  The
 generator collects a word's values through them instead of formatting
 and looking up a field name per write, and :meth:`Microword.pack`
 range-checks and encodes the collected values in one pass.
@@ -40,7 +41,14 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.arch.node import MACHINE_TABLES_SIZE, node_config
 from repro.arch.params import NSCParameters
-from repro.arch.switch import Endpoint, cache_write, fu_in, mem_write, sd_in
+from repro.arch.switch import (
+    DeviceKind,
+    Endpoint,
+    cache_write,
+    fu_in,
+    mem_write,
+    sd_in,
+)
 
 
 class FieldError(Exception):
@@ -267,22 +275,23 @@ class MicrowordLayout:
                 f[f"{prefix}.dma.{part}"] for part in DMAFields._fields
             ))
 
-        #: device -> DMA group handles, for memory planes and caches
-        self.mem_dma: Dict[int, DMAFields] = {
-            plane: dma(f"mem{plane}")
+        # (device kind is memory, device) -> DMA group handles
+        self._dma_fields: Dict[Tuple[bool, int], DMAFields] = {
+            (True, plane): dma(f"mem{plane}")
             for plane in range(self.params.n_memory_planes)
         }
-        self.cache_dma: Dict[int, DMAFields] = {
-            cache: dma(f"cache{cache}") for cache in range(self.params.n_caches)
-        }
-        #: ``(unit, tap)`` -> (enable, shift) handles
-        self.sd_tap_fields: Dict[Tuple[int, int], Tuple[Field, Field]] = {
+        self._dma_fields.update(
+            ((False, cache), dma(f"cache{cache}"))
+            for cache in range(self.params.n_caches)
+        )
+        self._tap_fields: Dict[Tuple[int, int], Tuple[Field, Field]] = {
             (unit, tap): (
                 f[f"sd{unit}.tap{tap}.enable"], f[f"sd{unit}.tap{tap}.shift"]
             )
             for unit in range(self.params.n_shift_delay_units)
             for tap in range(self.params.shift_delay_taps)
         }
+        #: the sequencer's handles
         self.seq_fields = SeqFields(
             f["seq.cond.enable"], f["seq.cond.fu"], f["seq.cond.cmp"],
             f["seq.cond.threshold"], f["seq.vector_length"],
@@ -293,6 +302,26 @@ class MicrowordLayout:
         if not 0 <= fu < self.n_fus:
             raise FieldError(f"no functional unit fu{fu} in this layout")
         return self._fu_fields[fu]
+
+    def dma_fields(self, ep: Endpoint) -> DMAFields:
+        """The DMA group handles of the memory plane or cache behind *ep*."""
+        memory = ep.kind is DeviceKind.MEMORY
+        try:
+            return self._dma_fields[(memory, ep.device)]
+        except KeyError:
+            prefix = "mem" if memory else "cache"
+            raise FieldError(
+                f"no field '{prefix}{ep.device}.dma.enable' in this layout"
+            ) from None
+
+    def tap_fields(self, unit: int, tap: int) -> Tuple[Field, Field]:
+        """The (enable, shift) handles of shift/delay *unit*'s *tap*."""
+        try:
+            return self._tap_fields[(unit, tap)]
+        except KeyError:
+            raise FieldError(
+                f"no field 'sd{unit}.tap{tap}.enable' in this layout"
+            ) from None
 
     # ------------------------------------------------------------------
     @property

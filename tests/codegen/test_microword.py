@@ -4,7 +4,13 @@ import pytest
 
 from repro.arch.node import NodeConfig
 from repro.arch.params import SUBSET_PARAMS
-from repro.arch.switch import fu_in, mem_write
+from repro.arch.switch import (
+    cache_read,
+    cache_write,
+    fu_in,
+    mem_read,
+    mem_write,
+)
 from repro.codegen.microword import (
     CMP_CODES,
     FieldError,
@@ -135,24 +141,31 @@ class TestFieldHandles:
 
     def test_group_handles_are_layout_fields(self, layout):
         params = layout.params
-        for table, prefix, n in ((layout.mem_dma, "mem", params.n_memory_planes),
-                                 (layout.cache_dma, "cache", params.n_caches)):
-            assert sorted(table) == list(range(n))
-            for device, handles in table.items():
-                for part, field in zip(handles._fields, handles):
-                    assert field is layout.field(f"{prefix}{device}.dma.{part}")
-        for (unit, tap), (enable, shift) in layout.sd_tap_fields.items():
-            assert enable is layout.field(f"sd{unit}.tap{tap}.enable")
-            assert shift is layout.field(f"sd{unit}.tap{tap}.shift")
-        assert len(layout.sd_tap_fields) == (
-            params.n_shift_delay_units * params.shift_delay_taps
-        )
-        assert layout.seq_fields.cond_threshold is layout.field(
-            "seq.cond.threshold"
-        )
-        assert layout.seq_fields.vector_length is layout.field(
-            "seq.vector_length"
-        )
+        for pads, prefix, n in (((mem_read, mem_write), "mem",
+                                 params.n_memory_planes),
+                                ((cache_read, cache_write), "cache",
+                                 params.n_caches)):
+            for device in range(n):
+                for pad in pads:
+                    handles = layout.dma_fields(pad(device))
+                    for part, field in zip(handles._fields, handles):
+                        assert field is layout.field(
+                            f"{prefix}{device}.dma.{part}"
+                        )
+            with pytest.raises(FieldError, match=f"{prefix}{n}.dma"):
+                layout.dma_fields(pads[0](n))
+        for unit in range(params.n_shift_delay_units):
+            for tap in range(params.shift_delay_taps):
+                enable, shift = layout.tap_fields(unit, tap)
+                assert enable is layout.field(f"sd{unit}.tap{tap}.enable")
+                assert shift is layout.field(f"sd{unit}.tap{tap}.shift")
+        with pytest.raises(FieldError, match="sd0.tap99"):
+            layout.tap_fields(0, 99)
+        for part, field in zip(layout.seq_fields._fields, layout.seq_fields):
+            assert field is layout.field(
+                "seq.vector_length" if part == "vector_length"
+                else "seq." + part.replace("_", ".", 1)
+            )
 
     def test_unknown_fu_rejected(self, layout):
         with pytest.raises(FieldError):
