@@ -551,14 +551,15 @@ def _scenario_fused_coverage(quick: bool) -> Dict[str, Any]:
     - **rearmed interrupts** (single node): FP kinds armed, a condition
       kind disarmed, non-finite inputs — delivered *and* dropped
       interrupt streams must match the reference exactly, again with the
-      fused engine provably engaged.
+      fused engine provably engaged; and the service's machine-less
+      one-row run must fold the reference's delivered count.
     """
     from repro.apps.poisson3d import manufactured_solution
     from repro.arch.interrupts import InterruptKind
     from repro.arch.node import NodeConfig
     from repro.codegen.generator import MicrocodeGenerator
     from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
-    from repro.sim import progplan
+    from repro.sim import batchplan, progplan
     from repro.sim.machine import NSCMachine
     from repro.sim.multinode import MultiNodeStencil
 
@@ -700,6 +701,20 @@ def _scenario_fused_coverage(quick: bool) -> Dict[str, Any]:
         m_ref.run()
         m_fast = rearm(fresh("fast"))
         m_fast.run()
+        # the service's lone-job run: one stacked row, folded, no commit
+        template = rearm(fresh("fast"))
+        plan = progplan.compiled_plan(cov_program, node.params)
+        variables, armed = batchplan.machine_bindings(plan, template)
+        storage = batchplan.stacked_template_storage(
+            template, 1, plan.plane_extent, plan.cache_extent
+        )
+        storage.variables = variables
+        one_row = batchplan.BatchProgramRun(plan, storage, 1, 1_000_000)
+        one_row.run()
+    checks["rearmed_fold_matches"] = (
+        one_row.job(0).interrupts_delivered(armed)
+        == len(m_ref.interrupts.delivered)
+    )
     checks["rearmed_interrupts_identical"] = irq_streams(m_ref) == irq_streams(m_fast)
     # the NaN seed propagates into the grid; NaNs at equal positions match
     checks["rearmed_grids_identical"] = bool(

@@ -404,6 +404,7 @@ def _run_single(
     (setup, program), checker = _obtain_program(
         job, cache, lambda check: _compile_single(job, node, check)
     )
+    backend = None
     if job.backend == "fast" and setup is not None:
         from repro.service.slab import run_slab
         from repro.sim.batchplan import record_decline
@@ -415,6 +416,7 @@ def _run_single(
                             [fields_out])[0]
         except FusionUnsupported as exc:
             record_decline(exc)
+            backend = "reference"  # its fused run would decline again
     with obs.span("bind"):
         machine = NSCMachine(node, backend=job.backend)
         machine.load_program(program)
@@ -425,7 +427,7 @@ def _run_single(
             entry.load(machine, setup, _initial_grid(job), f)
             watch = entry.watch_pipeline(setup)
     with obs.span("execute"):
-        result = machine.run()
+        result = machine.run(backend=backend)
     return _solution_record(
         job, program, checker, result.converged,
         result.loop_iterations.get(watch, 0), machine.metrics(result),

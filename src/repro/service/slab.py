@@ -20,13 +20,13 @@ unit's two or more members through :func:`execute_slab`
 per job, ``slab.formed`` / ``slab.jobs`` per slab; the shared bind and
 execute time is split equally).
 
-Any decline — an unfusable program, a construct only a single machine
-models, a non-finite value mid-run — is a ``FusionUnsupported`` raised
-before anything shared changed: a group's members rerun through
-``execute_job``, and a lone job reruns on an ``NSCMachine``, whose run
-commits its FP interrupts.  Declines, the reference backend and saved
-programs (``method="program"``) are all that still run a service job on
-a machine.
+A lone job runs exact — it keeps its FP exceptions and raises its
+faults — so it declines only on an unfusable program, and reruns on an
+``NSCMachine``'s reference walk.  A group also declines, before anything
+shared changed, on a construct only a lone job models or a non-finite
+value mid-run; its members rerun through ``execute_job``.  Declines, the
+reference backend and saved programs (``method="program"``) are all
+that still run a service job on a machine.
 """
 
 from __future__ import annotations

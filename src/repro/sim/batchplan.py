@@ -1,23 +1,21 @@
-"""The fused engine: one compiled plan run over one machine or a slab of N.
+"""The fused engine: one compiled plan run over a stack of N rows.
 
 The whole-program compiler (:mod:`repro.sim.progplan`) collapses a
 control script into a schedule of bound images; this module walks it.
-A single machine is the degenerate case, a slab of one: its kernels bind
-with batch shape ``()`` over the machine's own pulled planes.  A slab of
-N same-program, same-shape jobs stacks their operand grids along a
-leading batch axis, and a single :class:`~repro.sim.progplan.BoundImage`
+Every run binds stacked storage: N same-program, same-shape jobs stack
+their operand grids along a leading batch axis, a single machine is a
+one-row stack, and a single :class:`~repro.sim.progplan.BoundImage`
 issue sweeps the entire stack.  The generated ufunc kernels are shared
-either way (the runner code objects are cached on the
-:class:`ImageKernel`); only the bound buffers gain the leading ``:``
-axis.  A hypercube of N nodes is the same stack, one row per node:
-:class:`~repro.sim.multinode.MultiNodeStencil` drives its sweeps step
-by step through :meth:`BatchProgramRun.issue` and the engine's swaps
-(see :func:`repro.sim.progplan.fused_stepper`).
+by every stack height (the runner code objects are cached on the
+:class:`ImageKernel`).  A hypercube of N nodes is the same stack, one
+row per node: :class:`~repro.sim.multinode.MultiNodeStencil` drives its
+sweeps step by step through :meth:`BatchProgramRun.issue` and the
+engine's swaps (see :func:`repro.sim.progplan.fused_stepper`).
 
 Per-job divergence exists in exactly one place: ``LoopUntil`` iteration
-counts.  The condition unit's final stream element is per-row when
-batched, so convergence becomes a boolean mask over the slab.  A job
-whose condition fires *freezes*: its row snapshot (taken by **logical**
+counts.  The condition unit's final stream element is per-row, so
+convergence becomes a boolean mask over the slab.  A job whose
+condition fires *freezes*: its row snapshot (taken by **logical**
 plane/cache role, so later whole-plane reference swaps cannot skew it)
 is restored at loop exit, its counters stop, and the stragglers keep
 iterating.  Everything else — cycle counts, DMA charges, the interrupt
@@ -34,30 +32,26 @@ Commit point: a run mutates only its local storage, and
 a relocated variable, a mid-run rejection — leaves every machine
 pristine, and the caller falls back to the reference interpreter.
 
-A single machine keeps the reference's fault semantics: a non-finite
-value takes the exact per-FU path, with its FP interrupts logged for the
-commit replay, and a reference-visible fault (:class:`SequencerError`,
-a host ``MachineError``) commits state up to the fault and re-raises,
-as a step-by-step run would.  ``keep_outputs``, ``Halt`` inside a
-``LoopUntil``, and nested loops all run.
+A lone job with a fallback (one row, ``fallback=True``) is an *exact*
+run with the reference's fault semantics: a non-finite value takes the
+exact per-FU path with its FP exceptions logged, a reference-visible
+fault (:class:`SequencerError`, a host ``MachineError``) propagates as
+is — a machine commits its state up to the fault and re-raises, as a
+step-by-step run would — and ``keep_outputs``, ``Halt`` inside a
+``LoopUntil`` and nested loops all run.
 
-Slabs — stacked storage, a slab of one included — decline statically
-(before touching any state) on:
-
-- ``keep_outputs`` plans — exact-path capture is per-job work;
-- invalid issues, ``Halt`` inside a loop body, nested ``LoopUntil``, or
-  a loop body that never issues its watched condition pipeline — the
-  single-machine runs reproduce those faults with correct committed
-  state;
-
-and dynamically on any non-finite value anywhere in the slab (one fused
-screen covers every row, so one job's overflow would be undetectable to
-per-row accounting).  A slab's reference-visible faults are wrapped as
-:class:`FusionUnsupported` too, so the per-job fallback reproduces them.
-A hypercube has no per-node fallback — its stack is the only copy of
-the state — so a non-finite issue takes the exact path instead, with
-values bit-identical to the reference and no FP interrupts logged (the
-fused screen cannot attribute a flag to a node).
+Every other run — a slab of two or more, or a hypercube — declines
+statically (before touching any state) on ``keep_outputs`` plans,
+invalid issues, ``Halt`` inside a loop body, nested ``LoopUntil``, or a
+loop body that never issues its watched condition pipeline; a slab's
+reference-visible faults are wrapped as :class:`FusionUnsupported`, so
+the per-job fallback reproduces them.  A slab also declines on any
+non-finite value (one fused screen covers every row, so one job's
+overflow would be undetectable to per-row accounting).  A hypercube has
+no per-node fallback — its stack is the only copy of the state — so a
+non-finite issue takes the exact path instead, with values
+bit-identical to the reference and no FP interrupts logged (the fused
+screen cannot attribute a flag to a node), even with one node.
 """
 
 from __future__ import annotations
@@ -68,8 +62,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING,
 )
-
-import numpy as np
 
 from repro.arch.interrupts import Interrupt, InterruptKind
 from repro.codegen.generator import MachineProgram
@@ -144,11 +136,10 @@ def _scan_ops(plan: ProgramPlan, ops: Tuple[Tuple, ...],
 def check_batchable(plan: ProgramPlan) -> None:
     """Raise :class:`FusionUnsupported` unless *plan* can run as a slab.
 
-    A single-machine run of a declined script either works fine
+    An exact (one-job) run of a declined script either works fine
     (``keep_outputs``) or faults with machine state committed up to the
-    fault point — which only a single machine models, so the slab
-    declines it up front.  The verdict is memoized on the (cached,
-    shared) plan.
+    fault point — which only a one-job run models, so the slab declines
+    it up front.  The verdict is memoized on the (cached, shared) plan.
     """
     if plan.keep_outputs:
         raise FusionUnsupported("keep_outputs capture in batch slab")
@@ -198,16 +189,24 @@ def stacked_template_storage(machine: "NSCMachine", n_rows: int,
     """
     storage = _Storage()
     for plane, extent in plane_extent.items():
-        arr = aligned_empty((n_rows, extent))
-        arr[...] = machine.memory.plane(plane).read(0, extent)
-        storage.planes[plane] = arr
+        storage.planes[plane] = aligned_empty((n_rows, extent))
     for cache, extent in cache_extent.items():
-        for role, source in (("cache_front", machine.caches[cache].front),
-                             ("cache_back", machine.caches[cache].back)):
-            arr = aligned_empty((n_rows, extent))
-            arr[...] = source[:extent]
-            getattr(storage, role)[cache] = arr
+        storage.cache_front[cache] = aligned_empty((n_rows, extent))
+        storage.cache_back[cache] = aligned_empty((n_rows, extent))
+    _read_row(machine, storage, slice(None))
     return storage
+
+
+def _read_row(machine: "NSCMachine", storage: _Storage, j: Any) -> None:
+    """Pull *machine*'s planes and cache buffers into row *j* of
+    *storage* (``slice(None)``: every row) — :func:`write_back`'s
+    inverse."""
+    for plane, arr in storage.planes.items():
+        arr[j] = machine.memory.plane(plane).read(0, arr.shape[-1])
+    for cache_id, arr in storage.cache_front.items():
+        arr[j] = machine.caches[cache_id].front[: arr.shape[-1]]
+    for cache_id, arr in storage.cache_back.items():
+        arr[j] = machine.caches[cache_id].back[: arr.shape[-1]]
 
 
 @dataclass
@@ -229,6 +228,8 @@ class JobRun:
     busy_cycles: int = 0
     conditions_true: int = 0
     conditions_false: int = 0
+    overflows: int = 0
+    invalids: int = 0
     device_busy: Optional[Tuple] = None
     cache_swaps: Dict[int, int] = field(default_factory=dict)
     result: Optional[SequencerResult] = None
@@ -257,20 +258,19 @@ class JobRun:
     def interrupts_delivered(self, armed: Any) -> int:
         """Interrupts a drain-terminated run of this job delivers.
 
-        Batch slabs decline on any FP exception, so each issue posts one
-        completion and at most one condition interrupt, and every armed
-        post is delivered by the final controller drain.  Lets the
-        machine-less slab executor report ``interrupts_delivered``
-        without replaying the heap.
+        Each issue posts one completion, at most one condition interrupt
+        and the FP exceptions an exact run logged (slabs decline on
+        any), and every armed post is delivered by the final controller
+        drain.  Lets the machine-less slab executor report
+        ``interrupts_delivered`` without replaying the heap.
         """
-        count = 0
-        if InterruptKind.PIPELINE_COMPLETE in armed:
-            count += self.instructions
-        if InterruptKind.CONDITION_TRUE in armed:
-            count += self.conditions_true
-        if InterruptKind.CONDITION_FALSE in armed:
-            count += self.conditions_false
-        return count
+        return sum(posts for kind, posts in (
+            (InterruptKind.PIPELINE_COMPLETE, self.instructions),
+            (InterruptKind.CONDITION_TRUE, self.conditions_true),
+            (InterruptKind.CONDITION_FALSE, self.conditions_false),
+            (InterruptKind.FP_OVERFLOW, self.overflows),
+            (InterruptKind.FP_INVALID, self.invalids),
+        ) if kind in armed)
 
 
 # issue-log entry kinds besides issues (which log their kernel index)
@@ -284,16 +284,16 @@ _LOG_CACHESWAP = -2
 class BatchProgramRun:
     """Executes one :class:`ProgramPlan` over N jobs (N == 1: one machine).
 
-    ``storage`` arrives pulled and with ``storage.variables`` bound: a
-    slab's arrays carry a leading ``(n_jobs,)`` axis (see
-    :func:`stacked_template_storage`), a single machine's do not.
-    Stacked storage, even of one job, declines where a slab declines.
-    Nothing outside it is touched — committing rows back to machines
-    (or synthesizing records without machines) is the caller's job.
+    ``storage`` arrives pulled and with ``storage.variables`` bound, its
+    arrays carrying a leading ``(n_jobs,)`` axis (see
+    :func:`stacked_template_storage`).  Nothing outside it is touched —
+    committing rows back to machines (or synthesizing records without
+    machines) is the caller's job.  One job with ``fallback`` runs
+    exact; anything else declines where a slab declines.
 
     ``fallback=False`` marks rows with no per-job fallback: a
-    hypercube's nodes.  They always bind stacked, even one node, and a
-    non-finite issue runs exact instead of declining.
+    hypercube's nodes.  A non-finite issue runs exact instead of
+    declining, and no run of them is exact, even one node.
 
     Accounting is one log for the whole slab, appended once per step:
     ``(kernel index, per-row condition values, per-row condition
@@ -307,25 +307,22 @@ class BatchProgramRun:
 
     def __init__(self, plan: ProgramPlan, storage: _Storage, n_jobs: int,
                  max_instructions: int, fallback: bool = True) -> None:
-        # one machine binds its own pulled planes with batch shape ();
-        # stacked storage -- a slab of one included -- runs as a slab
-        self.single = n_jobs == 1 and fallback and all(
-            arr.ndim == 1 for arr in storage.planes.values()
-        )
+        # a lone job with a fallback owns every flag and fault the run
+        # raises, so it runs exact where a slab declines
+        self.exact = n_jobs == 1 and fallback
         self.fallback = fallback
-        if not self.single:
+        if not self.exact:
             check_batchable(plan)
         self.plan = plan
         self.storage = storage
         self.n_jobs = n_jobs
         self.max_instructions = max_instructions
-        batch_shape: Tuple[int, ...] = () if self.single else (n_jobs,)
         self.bound = {
-            index: kernel.bind(storage, batch_shape)
+            index: kernel.bind(storage, (n_jobs,))
             for index, kernel in plan.kernels.items()
         }
         self.log: List[Tuple[int, Any, Any, Optional[Tuple[int, ...]]]] = []
-        # single machine only (slabs decline both): log position ->
+        # exact runs only (slabs decline both): log position ->
         # (FP exception tags, captured per-FU outputs)
         self.extras: Dict[int, Tuple[Tuple[str, ...], Optional[Dict]]] = {}
         self.issued = 0
@@ -344,11 +341,11 @@ class BatchProgramRun:
         """Execute the schedule, logging it; :meth:`job` reads the log.
 
         Per the commit-point contract, *nothing* outside the local
-        storage mutates.  A single job's reference-visible fault
-        (budget exhaustion, a bad relocation) propagates for the caller
-        to commit the log up to the fault.  A slab wraps the same faults
-        as :class:`FusionUnsupported`: they commit state per job, which
-        only single-machine runs model, so the fallback reproduces them
+        storage mutates.  An exact run's reference-visible fault (budget
+        exhaustion, a bad relocation) propagates for the caller to
+        commit the log up to the fault.  A slab wraps the same faults as
+        :class:`FusionUnsupported`: they commit state per job, which
+        only one-job runs model, so the fallback reproduces them
         exactly.
         """
         from repro.sim.machine import MachineError
@@ -356,7 +353,7 @@ class BatchProgramRun:
         try:
             self._exec_block(self.plan.ops, None)
         except (SequencerError, MachineError) as exc:
-            if not self.single:
+            if not self.exact:
                 raise FusionUnsupported(f"batch slab fault: {exc}") from exc
             raise
 
@@ -389,7 +386,7 @@ class BatchProgramRun:
                 raise SequencerError(f"no pipeline {op[1]} in this program")
 
     def _check_budget(self) -> None:
-        # exact for one machine; for a slab the slab's issue count bounds
+        # exact for one job; for a slab the slab's issue count bounds
         # every member's, and a fault declines the slab anyway
         if self.issued >= self.max_instructions:
             raise SequencerError(
@@ -408,12 +405,12 @@ class BatchProgramRun:
         tags: Tuple[str, ...] = ()
         if not bound.issue_compute():
             # the finiteness screen is fused over the whole stack; only a
-            # single-machine run can attribute flags to the right job
-            if not self.single and self.fallback:
+            # lone job's flags are attributable to it
+            if self.fallback and not self.exact:
                 raise FusionUnsupported("non-finite values in batch slab")
             flags = bound.issue_exact()
             bound.write_back_exact()
-            if self.single:
+            if self.exact:
                 # exception interrupts are *logged* here and posted by the
                 # commit replay: no machine state moves before the commit
                 tags = tuple(flags)
@@ -609,6 +606,13 @@ class BatchProgramRun:
         )
         out.conditions_true = trues
         out.conditions_false = conditions - trues
+        # only an exact (one-job) run logs tags: every logged tag is j's
+        for tags, _outputs in extras.values():
+            for tag in tags:
+                if tag.endswith(":overflow"):
+                    out.overflows += 1
+                else:
+                    out.invalids += 1
         if trace:
             out.device_busy = kernels[trace[-1]].consts.device_busy
         if records:
@@ -694,26 +698,23 @@ def replay_interrupts(machine: "NSCMachine", irq_log: Sequence[IrqEntry],
             delivered.append(heappop(queue))
 
 
-def write_back(machine: "NSCMachine", storage: _Storage, j: Optional[int],
+def write_back(machine: "NSCMachine", storage: _Storage, j: int,
                job: JobRun) -> None:
-    """Write row *j* of *storage* (the whole arrays when *j* is None) into
-    *machine*, replaying *job*'s cache swaps and adding its DMA charges.
+    """Write row *j* of *storage* into *machine*, replaying *job*'s cache
+    swaps and adding its DMA charges.
 
     Shared by the slab commit and the hypercube machine build; what
     each posts to the interrupt controller stays with the caller.
     """
-    def row(arr: np.ndarray) -> np.ndarray:
-        return arr if j is None else arr[j]
-
     for plane, arr in storage.planes.items():
-        machine.memory.plane(plane).write(0, row(arr))
+        machine.memory.plane(plane).write(0, arr[j])
     for cache_id, swaps in job.cache_swaps.items():
         for _ in range(swaps):
             machine.caches[cache_id].swap()
     for cache_id, arr in storage.cache_front.items():
-        machine.caches[cache_id].front[: arr.shape[-1]] = row(arr)
+        machine.caches[cache_id].front[: arr.shape[-1]] = arr[j]
     for cache_id, arr in storage.cache_back.items():
-        machine.caches[cache_id].back[: arr.shape[-1]] = row(arr)
+        machine.caches[cache_id].back[: arr.shape[-1]] = arr[j]
     stats = machine.dma.stats
     stats.transfers += job.transfers
     stats.words_read += job.words_read
@@ -731,7 +732,7 @@ def _commit(run: BatchProgramRun, machines: Sequence["NSCMachine"],
     results = []
     for j, machine in enumerate(machines):
         job = run.job(j, records=True)
-        write_back(machine, run.storage, None if run.single else j, job)
+        write_back(machine, run.storage, j, job)
         machine.cycle = job.cycles
         assert job.irq_log is not None and job.result is not None
         replay_interrupts(machine, job.irq_log, armed_sets[j])
@@ -747,7 +748,7 @@ def try_run_batch_fused(
 ) -> Optional[List[SequencerResult]]:
     """Run *program* over *machines* through the fused engine, or return None.
 
-    One machine runs as a slab of one (see
+    One machine runs as an exact slab of one (see
     :func:`repro.sim.progplan.try_run_fused`); several run as one
     stacked slab.  None means "not fusable here" — the caller runs each
     machine through the reference interpreter instead — and the decline's
@@ -794,32 +795,19 @@ def _run_fused(
     bindings = [machine_bindings(plan, machine) for machine in machines]
     armed_sets = [armed for _variables, armed in bindings]
 
-    def stack(rows: List[np.ndarray]) -> np.ndarray:
-        # private copies on cache lines; one machine keeps batch shape ()
-        arr = aligned_empty((len(rows),) + rows[0].shape)
-        for j, row in enumerate(rows):
-            arr[j] = row
-        return arr[0] if len(rows) == 1 else arr
-
-    storage = _Storage()
-    for plane, extent in plan.plane_extent.items():
-        storage.planes[plane] = stack(
-            [m.memory.plane(plane).read(0, extent) for m in machines]
-        )
-    for cache, extent in plan.cache_extent.items():
-        storage.cache_front[cache] = stack(
-            [m.caches[cache].front[:extent] for m in machines]
-        )
-        storage.cache_back[cache] = stack(
-            [m.caches[cache].back[:extent] for m in machines]
-        )
+    # machine 0 is the template; every other machine pulls its own row
+    storage = stacked_template_storage(
+        machines[0], len(machines), plan.plane_extent, plan.cache_extent
+    )
+    for j, machine in enumerate(machines[1:], 1):
+        _read_row(machine, storage, j)
     storage.variables = bindings[0][0]
 
     run = BatchProgramRun(plan, storage, len(machines), max_instructions)
     try:
         run.run()
     except (SequencerError, MachineError):
-        # only a single machine surfaces these: commit state up to the
+        # only an exact run surfaces these: commit state up to the
         # fault point, as a step-by-step run would have left it
         _commit(run, machines, armed_sets)
         raise

@@ -46,7 +46,7 @@ from repro.arch.switch import DeviceKind, Endpoint
 from repro.choices import BACKENDS
 from repro.codegen.generator import PipelineImage
 from repro.sim.pipeline_exec import ExecutionError
-from repro.sim.streams import _ACCUMULATING, StreamError, eval_feedback
+from repro.sim.streams import _ACCUMULATING, StreamError
 
 
 def validate_backend(backend: str) -> str:
@@ -438,24 +438,19 @@ def _eval_steps(
     taps: Dict[Tuple[int, int], np.ndarray],
     shape: Tuple[int, ...],
 ) -> Dict[int, np.ndarray]:
-    """Run the precompiled FU DAG; *shape* is the stream shape (1-D or 2-D)."""
+    """Run the precompiled FU DAG; *shape* is the ``(rows, n)`` stream shape."""
     outputs: Dict[int, np.ndarray] = {}
     for step in plan.steps:
         if step.fb_port is not None:
+            if step.arity != 2:
+                raise StreamError(
+                    f"feedback requires a binary operation, "
+                    f"not {step.opcode.value}"
+                )
             x = _fetch(step.other, streams, taps, outputs, shape)
-            if x.ndim == 1:
-                result = eval_feedback(
-                    step.opcode, x, step.fb_port, init=step.fb_init
-                )
-            else:
-                if step.arity != 2:
-                    raise StreamError(
-                        f"feedback requires a binary operation, "
-                        f"not {step.opcode.value}"
-                    )
-                result = _eval_feedback_batched(
-                    step.opcode, x, step.fb_port, step.fb_init
-                )
+            result = _eval_feedback_batched(
+                step.opcode, x, step.fb_port, step.fb_init
+            )
         else:
             a = _fetch(step.a, streams, taps, outputs, shape)
             if step.uses_constant:

@@ -53,9 +53,9 @@ Anything the compiler cannot prove it can fuse raises
 interpreter — fusion is an optimisation, never a semantics change.  That
 holds mid-run too: until the commit point at the end of a fused run, no
 machine state is mutated, so a late rejection falls back against
-pristine state.  One engine walks every compiled schedule —
-:class:`~repro.sim.batchplan.BatchProgramRun`, with a single machine as
-a slab of one (:func:`try_run_fused`).
+pristine state.  One engine walks every compiled schedule over stacked
+rows — :class:`~repro.sim.batchplan.BatchProgramRun`, with a single
+machine as an exact one-row slab (:func:`try_run_fused`).
 
 A hypercube runs on the same engine: its nodes are a slab with one row
 per node, and :func:`fused_stepper` steps it from the multi-node
@@ -109,7 +109,7 @@ from repro.sim.fastpath import (
     _eval_steps,
 )
 from repro.sim.sequencer import SequencerResult
-from repro.sim.streams import _ACCUMULATING, detect_exceptions, eval_feedback
+from repro.sim.streams import _ACCUMULATING, detect_exceptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import NSCMachine
@@ -131,7 +131,7 @@ _M_UNARY = 2       # ufunc(a, out=row)
 _M_FALLBACK = 3    # row[...] = kernel(...)   (exact, allocating)
 _M_ACCUM = 4       # feedback via ufunc.accumulate into a seeded buffer
 _M_REDUCE = 5      # feedback consumed only by the condition: pure reduction
-_M_FEEDBACK = 6    # general feedback fallback (eval_feedback per row)
+_M_FEEDBACK = 6    # general feedback fallback (_eval_feedback_batched)
 _M_SKEWCOPY = 7    # copy a freshly-computed FU row into its skew pad
 _M_COPY = 8        # PASS: copy the operand into the row
 
@@ -1094,10 +1094,9 @@ class BoundImage:
         check their final; streamed rows are screened by the caller).
         """
         mode = op[0]
-        batched = bool(self.batch_shape)
         finals = self._finals
         # one stacked row reduces like one machine: a scalar final
-        per_row = batched and self.batch_shape != (1,)
+        per_row = self.batch_shape != (1,)
         if mode == _M_REDUCE:
             _m, ufunc, use_abs, a, init, fu, scratch = op
             use_max = ufunc is np.maximum
@@ -1156,14 +1155,10 @@ class BoundImage:
             return run
         # _M_FEEDBACK
         _m, opcode, a, port, init, out = op
-        if batched:
-            def run() -> bool:
-                out[...] = _eval_feedback_batched(opcode, a, port, init)
-                return True
-        else:
-            def run() -> bool:
-                out[...] = eval_feedback(opcode, a, port, init=init)
-                return True
+
+        def run() -> bool:
+            out[...] = _eval_feedback_batched(opcode, a, port, init)
+            return True
         return run
 
     # ------------------------------------------------------------------
@@ -1261,19 +1256,20 @@ class BoundImage:
                       else src)
 
     def capture_outputs(self) -> Dict[int, np.ndarray]:
-        """Fresh per-FU output streams for ``keep_outputs`` runs.
+        """Row 0's fresh per-FU output streams, for ``keep_outputs`` runs.
 
         Only meaningful on a kernel compiled with ``keep_outputs`` (every
         unit then owns a row slot of its own — the residual-reduction
-        folding is disabled).  Everything is copied out: the row buffers are
-        reused by the next issue, and exact-path outputs can *alias* live
-        stream/tap views (a PASS kernel returns its input object), which
-        the next issue's tap refill would silently mutate.
+        folding is disabled), which only a one-job run binds.  Everything
+        is copied out: the row buffers are reused by the next issue, and
+        exact-path outputs can *alias* live stream/tap views (a PASS
+        kernel returns its input object), which the next issue's tap
+        refill would silently mutate.
         """
         if self._exact is not None:
-            return {fu: np.array(arr) for fu, arr in self._exact.items()}
+            return {fu: np.array(arr[0]) for fu, arr in self._exact.items()}
         return {
-            fu: self._slots[slot].copy()
+            fu: self._slots[slot][0].copy()
             for fu, slot in self.kernel.slot_of.items()
         }
 
@@ -1454,7 +1450,7 @@ def try_run_fused(
     """Run *program* on one machine through the fused engine, or return None.
 
     The one-machine call of :func:`repro.sim.batchplan.try_run_batch_fused`:
-    a slab of one, its kernels bound with batch shape ``()``.  None means
+    an exact slab of one, its kernels bound over one stacked row.  None means
     "not fusable here" — registered interrupt handlers, relocated
     variables, or a construct the compiler rejects — and the caller runs
     the reference interpreter instead.  Execution itself is inside the

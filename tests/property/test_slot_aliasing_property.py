@@ -10,7 +10,8 @@ accumulated), shift/delay taps, stream and tap write-backs, conditions,
 and residual skew (``auto_balance=False``) — and asserts that the
 reference interpreter, a fused slab of one and every row of a slab of
 three agree bit for bit on written variables, condition values, cycles
-and exception flags.
+and exception flags.  The service's machine-less one-row run folds the
+same result with FP interrupts armed, non-finite cases included.
 
 Example counts follow the active hypothesis profile: a handful under the
 default, the ``ci`` profile's count under ``--hypothesis-profile=ci``
@@ -21,6 +22,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from repro.arch.funcunit import Opcode
+from repro.arch.interrupts import InterruptKind
 from repro.arch.node import NodeConfig
 from repro.codegen.generator import CodegenError, MicrocodeGenerator
 from repro.compose.builders import (
@@ -193,13 +195,59 @@ def single_image_programs(draw):
     return program, n
 
 
-def _machine(program, n, seed, backend):
+def _machine(program, n, seed, backend, poison=None):
+    """Seeded ``x`` and ``y``; *poison* ``(index, value)`` overwrites
+    one word of ``x`` (which feeds every tap) with a non-finite value."""
     machine = NSCMachine(_NODE, backend=backend)
     machine.load_program(program)
     rng = np.random.default_rng(seed)
-    machine.set_variable("x", rng.uniform(-1.0, 1.0, n))
+    x = rng.uniform(-1.0, 1.0, n)
+    if poison is not None:
+        x[poison[0]] = poison[1]
+    machine.set_variable("x", x)
     machine.set_variable("y", rng.uniform(-1.0, 1.0, n))
     return machine
+
+
+def _armed(machine):
+    machine.interrupts.arm(InterruptKind.FP_OVERFLOW)
+    machine.interrupts.arm(InterruptKind.FP_INVALID)
+    return machine
+
+
+def _pipelines(result):
+    return [
+        (p.cycles, repr(p.condition_value), p.condition_result, p.exceptions)
+        for p in result.pipeline_results
+    ]
+
+
+def _folded(program, n, seed, poison):
+    """The service's lone-job run: one stacked row off a template
+    machine, folded without a machine commit."""
+    template = _armed(_machine(program, n, seed, "fast", poison))
+    plan = progplan.compiled_plan(program, _NODE.params)
+    variables, armed = batchplan.machine_bindings(plan, template)
+    storage = batchplan.stacked_template_storage(
+        template, 1, plan.plane_extent, plan.cache_extent
+    )
+    storage.variables = variables
+    run = batchplan.BatchProgramRun(plan, storage, 1, 1_000_000)
+    run.run()  # a lone job never declines
+    job = run.job(0, records=True)
+    # a plane the plan never touches stays as the template loaded it
+    words = {
+        name: storage.planes[var.plane][0, var.offset:var.end]
+        if var.plane in storage.planes else template.get_variable(name)
+        for name, var in variables.items()
+    }
+    return (
+        {name: words[name].tobytes() for name in _VARIABLES},
+        job.cycles,
+        job.result.loop_iterations,
+        _pipelines(job.result),
+        job.interrupts_delivered(armed),
+    )
 
 
 def _observed(machine, result):
@@ -209,11 +257,7 @@ def _observed(machine, result):
         result.total_cycles,
         result.instructions_issued,
         result.loop_iterations,
-        [
-            (p.cycles, repr(p.condition_value), p.condition_result,
-             p.exceptions)
-            for p in result.pipeline_results
-        ],
+        _pipelines(result),
         [repr((i.cycle, i.kind, i.source, i.payload))
          for i in machine.interrupts.delivered],
         [repr((i.cycle, i.kind, i.source))
@@ -224,24 +268,39 @@ def _observed(machine, result):
 @settings(max_examples=_EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
-@given(case=single_image_programs())
-def test_reference_slab_of_one_and_slab_rows_agree(case):
+@given(case=single_image_programs(),
+       poison=st.none() | st.tuples(
+           st.integers(0, 3), st.sampled_from((np.inf, -np.inf, np.nan))
+       ))
+def test_reference_slab_of_one_and_slab_rows_agree(case, poison):
     program, n = case
     with np.errstate(all="ignore"):
         expected = []
         for seed in _SEEDS:
-            machine = _machine(program, n, seed, "reference")
+            machine = _machine(program, n, seed, "reference", poison)
             expected.append(_observed(machine, machine.run()))
         for seed, want in zip(_SEEDS, expected):
-            machine = _machine(program, n, seed, "fast")
+            machine = _machine(program, n, seed, "fast", poison)
             result = progplan.try_run_fused(machine, program, 1_000_000)
             assert result is not None, "a checker-clean program declined"
             assert _observed(machine, result) == want
-        slab = [_machine(program, n, seed, "fast") for seed in _SEEDS]
+        for seed in _SEEDS:
+            machine = _armed(_machine(program, n, seed, "reference", poison))
+            result = machine.run()
+            assert _folded(program, n, seed, poison) == (
+                {name: machine.get_variable(name).tobytes()
+                 for name in _VARIABLES},
+                result.total_cycles,
+                result.loop_iterations,
+                _pipelines(result),
+                len(machine.interrupts.delivered),
+            )
+        slab = [_machine(program, n, seed, "fast", poison)
+                for seed in _SEEDS]
         results = batchplan.try_run_batch_fused(slab, program)
     if results is None:
         # the one legitimate decline: a non-finite value, which only a
-        # single machine can attribute to the right job
+        # one-job run can attribute to the right job
         assert any(p[3] for want in expected for p in want[4])
         return
     for machine, result, want in zip(slab, results, expected):

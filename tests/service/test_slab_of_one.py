@@ -5,9 +5,9 @@ Every fast builder-solver job on one node — serial under either
 one-job :class:`~repro.sim.batchplan.BatchProgramRun` and synthesizes
 its record from the run's issue log.  It never commits into an
 ``NSCMachine`` (``batchplan._commit``) nor replays interrupts, and its
-canonical record equals the reference backend's.  A decline (here: a
-non-finite value) reruns the job on the machine path, which keeps every
-FP interrupt the run raises.
+canonical record equals the reference backend's, non-finite values
+included: a lone job runs exact, so it owns every FP flag it raises.  A
+decline (an unfusable plan) reruns the job once, on the reference walk.
 """
 
 import json
@@ -16,14 +16,13 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.arch.interrupts import InterruptKind
 from repro.obs.tracer import Tracer
 from repro.service import runner
 from repro.service.cache import ProgramCache
 from repro.service.jobs import SimJob
 from repro.service.results import canonical_record
 from repro.service.runner import BatchRunner, execute_job
-from repro.sim import batchplan
+from repro.sim import batchplan, progplan
 from repro.sim.machine import NSCMachine
 
 FAST = dict(eps=1e-3, max_sweeps=500)
@@ -110,7 +109,7 @@ class TestNoMachineCommit:
         assert record["timings"]["execute"] > 0.0
 
 
-class TestNonFiniteDecline:
+class TestNonFinite:
     def _run(self, monkeypatch, backend):
         """Run a job whose initial guess overflows on the first sweep;
         return its record, tracer, and every machine it ran."""
@@ -132,28 +131,34 @@ class TestNonFiniteDecline:
         assert record["ok"], record.get("error")
         return record, tracer, machines
 
-    @staticmethod
-    def _interrupts(machine):
-        fp = (InterruptKind.FP_OVERFLOW, InterruptKind.FP_INVALID)
-        posted = machine.interrupts.delivered + machine.interrupts.dropped
-        return (
-            len(machine.interrupts.delivered),
-            sum(1 for i in posted if i.kind in fp),
-        )
-
-    def test_decline_reruns_on_machine_with_fp_interrupts(
-        self, monkeypatch
-    ):
-        record, tracer, [machine] = self._run(monkeypatch, "fast")
-        computed = _computed(record)
-        assert computed.pop("fallback_reason") \
-            == "non-finite values in batch slab"
-        assert record["tier"] == "fused"  # the machine's fused run
-        assert tracer.counters["fusion.fallback"] == 1
-        ref_record, _tracer, [ref] = self._run(monkeypatch, "reference")
-        delivered, fp_posts = self._interrupts(machine)
-        assert fp_posts > 0
-        assert (delivered, fp_posts) == self._interrupts(ref)
+    def test_lone_job_stays_on_its_slab(self, monkeypatch):
+        record, tracer, machines = self._run(monkeypatch, "fast")
+        assert machines == []
+        assert record["tier"] == "fused"
+        assert "fallback_reason" not in record
+        assert "fusion.fallback" not in tracer.counters
+        ref_record, _tracer, [_ref] = self._run(monkeypatch, "reference")
         # NaN errors compare equal only as JSON text
-        assert json.dumps(computed, sort_keys=True) \
+        assert json.dumps(_computed(record), sort_keys=True) \
             == json.dumps(_computed(ref_record), sort_keys=True)
+
+
+class TestDecline:
+    def test_declined_lone_job_counts_one_fallback(self, monkeypatch):
+        """The slab's decline is the only one: the machine rerun goes
+        straight to the reference walk."""
+        def decline(*args, **kwargs):
+            raise progplan.FusionUnsupported("declined for the test")
+
+        monkeypatch.setattr(batchplan, "compiled_plan", decline)
+        tracer = Tracer(keep_events=True)
+        record = execute_job(_job("jacobi").to_dict(), cache=ProgramCache(),
+                             tracer=tracer)
+        assert record["ok"], record.get("error")
+        assert record["tier"] == "reference"
+        assert record["fallback_reason"] == "declined for the test"
+        assert tracer.counters["fusion.fallback"] == 1
+        assert tracer.counters["tier.reference"] == 1
+        assert "tier.fused" not in tracer.counters
+        events = [e for e in tracer.events if e["type"] == "fusion_fallback"]
+        assert len(events) == 1

@@ -128,10 +128,13 @@ class TestBatchParity:
         _assert_job_identical(ref, r_ref, solo, results[0])
 
 
-def _stacked_run(node, setup, program, seed, **kwargs):
+def _stacked_run(node, setup, program, seed, prepare=None, **kwargs):
     """A one-job slab over stacked ``(1, extent)`` storage — the
-    service's lone fast job — with default ``fallback=True``."""
+    service's lone fast job — with default ``fallback=True``; *prepare*
+    edits the template machine before it is bound."""
     (template,) = _machines(node, setup, program, (seed,))
+    if prepare is not None:
+        prepare(template)
     plan = progplan.compiled_plan(program, node.params)
     variables, armed = batchplan.machine_bindings(plan, template)
     storage = batchplan.stacked_template_storage(
@@ -143,10 +146,21 @@ def _stacked_run(node, setup, program, seed, **kwargs):
     return run, variables, armed
 
 
+def _poison_and_rearm(machine):
+    """An inf in ``u`` with both FP kinds armed, so every exception the
+    run raises is a delivered interrupt."""
+    u = machine.get_variable("u").copy()
+    u[3] = np.inf
+    machine.set_variable("u", u)
+    machine.interrupts.arm(InterruptKind.FP_OVERFLOW)
+    machine.interrupts.arm(InterruptKind.FP_INVALID)
+    return machine
+
+
 class TestStackedSlabOfOne:
-    """One job over stacked storage runs with slab semantics: it binds
+    """One job over stacked storage is an exact run: it binds
     ``(1, extent)`` rows, matches the machine's fused run bit for bit,
-    and declines where a slab declines."""
+    logs its FP exceptions and raises its faults as a machine does."""
 
     def test_matches_try_run_fused_bit_for_bit(self, node):
         setup, program = _generate(node)
@@ -155,7 +169,7 @@ class TestStackedSlabOfOne:
         result = progplan.try_run_fused(machine, program, 1_000_000)
         assert result is not None
         run, variables, armed = _stacked_run(node, setup, program, 9)
-        assert not run.single
+        assert all(b.batch_shape == (1,) for b in run.bound.values())
         run.run()
         job = run.job(0)
         for name, var in variables.items():
@@ -179,24 +193,36 @@ class TestStackedSlabOfOne:
         assert job.interrupts_delivered(armed) \
             == len(machine.interrupts.delivered)
 
-    def test_non_finite_declines(self, node):
-        """Unlike a single machine, which runs the exact path and logs
-        FP interrupts for its commit, a stacked slab of one declines."""
+    def test_non_finite_runs_exact(self, node):
+        """A non-finite value takes the exact path and logs its FP tags;
+        the job's fold equals a rearmed reference machine's run."""
         setup, program = _generate(node, max_iterations=10)
-        run, variables, _armed = _stacked_run(node, setup, program, 0)
-        u = variables["u"]
-        run.storage.planes[u.plane][0, u.offset + 3] = np.inf
+        (ref,) = _machines(node, setup, program, (0,), backend="reference")
+        _poison_and_rearm(ref)
+        run, variables, armed = _stacked_run(
+            node, setup, program, 0, prepare=_poison_and_rearm
+        )
         with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(progplan.FusionUnsupported,
-                               match="non-finite"):
-                run.run()
+            r_ref = ref.run()
+            run.run()
+        assert any(tags for tags, _outputs in run.extras.values())
+        job = run.job(0)
+        assert job.overflows + job.invalids > 0
+        assert job.interrupts_delivered(armed) \
+            == ref.metrics(r_ref).interrupts_delivered \
+            == len(ref.interrupts.delivered)
+        assert job.cycles == r_ref.total_cycles
+        u = variables["u"]
+        assert np.array_equal(run.storage.planes[u.plane][0, u.offset:u.end],
+                              ref.get_variable("u"), equal_nan=True)
 
-    def test_budget_fault_declines(self, node):
+    def test_budget_fault_raises(self, node):
+        """A lone job's fault is its own: raised as a machine raises it."""
         setup, program = _generate(node, eps=1e-30, max_iterations=50)
         run, _variables, _armed = _stacked_run(
             node, setup, program, 0, max_instructions=5
         )
-        with pytest.raises(progplan.FusionUnsupported, match="budget"):
+        with pytest.raises(SequencerError, match="budget"):
             run.run()
 
 
