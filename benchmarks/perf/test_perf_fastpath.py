@@ -32,7 +32,7 @@ def test_quick_scenarios_agree_and_emit_artifacts(tmp_path):
             assert "checks ok" in line
             continue
         assert record["speedup"] > 0
-        # batch_shm's sides are transports (pickle vs shm), not backends
+        # batch_fused's sides are batch-fusion modes, not backends
         pair = on_disk.get("speedup_pair", ["reference", "fast"])
         assert set(on_disk["backends"]) >= set(pair)
         assert "parity ok" in line

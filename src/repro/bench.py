@@ -20,22 +20,16 @@ Scenarios:
   compiled engine (:mod:`repro.sim.progplan`) against the reference;
 - ``hypercube_scaling`` — the fused multi-node schedule across 8/16/32/64
   nodes, emitting per-node-count throughput;
-- ``batch_shm`` — the one scenario whose two sides are *transports*, not
-  backends: an identical large-grid batch (``keep_fields=True``) through
-  the classic pickling pool and through the zero-copy shared-memory
-  transport (:mod:`repro.service.shm`), with bit-identical field arrays
-  required and the speedup gated at
-  :data:`BATCH_SHM_MIN_SPEEDUP` on the full configuration;
 - ``fused_coverage`` — the formerly-fallback program classes through the
   fused engine: a multi-node residual-skew *ablation* build (timed,
   gated at :data:`FUSED_COVERAGE_MIN_SPEEDUP` full), plus
   ``keep_outputs`` and rearmed-interrupt runs with bit-identical
   streams and proof the compiled engine accepted each;
-- ``batch_fused`` — the second transport-style scenario: one seeded
-  same-program sweep through the serial service twice, per-job fused
-  (``batch_fusion="off"``) vs whole-batch slab execution
-  (``batch_fusion="auto"``, :mod:`repro.sim.batchplan`), with
-  bit-identical records required and the slab side gated at
+- ``batch_fused`` — the one scenario whose two sides are batch-fusion
+  modes, not backends: one seeded same-program sweep through the serial
+  service twice, per-job fused (``batch_fusion="off"``) vs whole-batch
+  slab execution (``batch_fusion="auto"``, :mod:`repro.sim.batchplan`),
+  with bit-identical records required and the slab side gated at
   :data:`BATCH_FUSED_MIN_SPEEDUP` on the full configuration;
 - ``analysis_coverage`` — the one *untimed* scenario: the static
   analyzer (:mod:`repro.analysis`) must report zero findings on every
@@ -68,9 +62,6 @@ UNTIMED_SCENARIOS = frozenset({"analysis_coverage"})
 
 #: Allowed fractional drop of a speedup below its committed baseline.
 REGRESSION_TOLERANCE = 0.2
-
-#: Required shm-vs-pickle speedup for batch_shm's full configuration.
-BATCH_SHM_MIN_SPEEDUP = 1.3
 
 #: Required fused-vs-reference speedup for fused_coverage's full
 #: configuration (the multi-node residual-skew ablation workload).
@@ -111,7 +102,7 @@ def _finish(
 ) -> Dict[str, Any]:
     """Assemble one scenario record.  ``pair`` names the (baseline,
     contender) sides the headline ``speedup`` divides — backends for most
-    scenarios, transports for ``batch_shm``."""
+    scenarios, batch-fusion modes for ``batch_fused``."""
     base_wall = sides[pair[0]]["wall_s"]
     cont_wall = sides[pair[1]]["wall_s"]
     return {
@@ -228,7 +219,7 @@ def _irq_stream(machine) -> List[Tuple[Any, ...]]:
     ]
 
 
-#: Record keys that may legitimately differ between backend/transport
+#: Record keys that may legitimately differ between backend or fusion
 #: runs ("checker" and "cache_hit" depend on compile history, not on
 #: what the job computed; "timings"/"duration_s" are wall-clock; "tier"
 #: and "fallback_reason" name the execution tier, which is exactly what
@@ -410,124 +401,6 @@ def _scenario_hypercube_scaling(quick: bool) -> Dict[str, Any]:
     }
     record = _finish("hypercube_scaling", quick, config, sides, checks)
     record["scaling"] = scaling
-    return record
-
-
-def _scenario_batch_shm(quick: bool) -> Dict[str, Any]:
-    """The zero-copy shared-memory transport vs the pickling pool.
-
-    One large-grid batch with ``keep_fields=True`` runs twice through a
-    two-worker pool: once with every grid pickled across the executor's
-    pipes (the status-quo transport) and once with inputs shared
-    read-only and result fields written into preallocated shared-memory
-    segments.  Everything else — jobs, workers, warmed disk cache — is
-    held identical, the field arrays must come back bit-identical, and
-    on the full configuration the shm side must win by at least
-    :data:`BATCH_SHM_MIN_SPEEDUP`.
-    """
-    import tempfile
-
-    from repro.service.jobs import SimJob
-    from repro.service.runner import BatchRunner
-
-    # quick is a *parity* smoke: grids that small pay more in segment
-    # setup than they save in pickling, so only the full configuration
-    # makes (and gates) a perf claim
-    n = 16 if quick else 64
-    n_jobs = 4 if quick else 12
-    sweeps = 1
-    reps = 2
-    workers = 2
-    # the stock machine's double-buffered caches hold 8K words; 64^3 is a
-    # deliberate large-memory configuration of the same machine, and the
-    # largest cubic grid at all: the z-neighbour shift is nx*ny = 4096,
-    # exactly the shift/delay units' +-4096 reach
-    if n * n * n > 8 * 1024:
-        overrides = (("cache_buffer_words", 512 * 1024),)
-    else:
-        overrides = ()
-    jobs = [
-        SimJob(
-            method="jacobi",
-            shape=(n, n, n),
-            eps=1e-30,  # never converges early: exactly `sweeps` sweeps
-            max_sweeps=sweeps,
-            backend="fast",
-            keep_fields=True,
-            param_overrides=overrides,
-            label=f"jacobi-shm-n{n}#{i}",
-        )
-        for i in range(n_jobs)
-    ]
-    field_bytes = n_jobs * n * n * n * 8
-
-    runs: Dict[str, Any] = {}
-    sides: Dict[str, Dict[str, Any]] = {}
-    with tempfile.TemporaryDirectory() as cache_dir:
-        # warm the shared disk cache so neither transport pays the
-        # (identical) compile cost inside its timed window
-        BatchRunner(workers=1, cache_dir=cache_dir).run(jobs[:1])
-        for transport in ("pickle", "shm"):
-            wall = float("inf")
-            for _rep in range(reps):
-                runner = BatchRunner(
-                    workers=workers, cache_dir=cache_dir, transport=transport
-                )
-                (records, summary), elapsed = _timed(lambda: runner.run(jobs))
-                wall = min(wall, elapsed)
-            runs[transport] = records
-            sides[transport] = _side(
-                wall,
-                summary.total_cycles,
-                jobs=summary.total,
-                jobs_per_sec=summary.total / wall if wall > 0 else 0.0,
-                field_mb=field_bytes / 1e6,
-                field_mb_per_sec=field_bytes / 1e6 / wall if wall > 0 else 0.0,
-            )
-
-    pickle_records, shm_records = runs["pickle"], runs["shm"]
-
-    def comparable(record: Dict[str, Any]) -> Dict[str, Any]:
-        skip = _BACKEND_DEPENDENT_KEYS + ("fields",)
-        return {k: v for k, v in record.items() if k not in skip}
-
-    checks = {
-        "all_jobs_ok": all(r.get("ok") for r in pickle_records + shm_records),
-        "records_equal": [comparable(r) for r in pickle_records]
-        == [comparable(r) for r in shm_records],
-        # explicit presence checks keep a failed job (no fields in its
-        # record) reported as a failed check instead of a scenario-killing
-        # KeyError — or a vacuous pass when both sides lack fields
-        "fields_bit_identical": all(
-            p.get("fields") is not None
-            and s.get("fields") is not None
-            and np.array_equal(p["fields"]["u"], s["fields"]["u"])
-            for p, s in zip(pickle_records, shm_records)
-        ),
-        "field_digests_equal": all(
-            p.get("fields_sha256") == s.get("fields_sha256")
-            and p.get("fields_sha256") is not None
-            for p, s in zip(pickle_records, shm_records)
-        ),
-    }
-    config = {
-        "n": n,
-        "jobs": n_jobs,
-        "sweeps": sweeps,
-        "workers": workers,
-        "backend": "fast",
-        "field_mb": field_bytes / 1e6,
-        "min_speedup": None if quick else BATCH_SHM_MIN_SPEEDUP,
-    }
-    record = _finish(
-        "batch_shm", quick, config, sides, checks, pair=("pickle", "shm")
-    )
-    if not quick:
-        # the acceptance gate rides the record so CI and humans see it
-        record["checks"]["meets_min_speedup"] = (
-            record["speedup"] >= BATCH_SHM_MIN_SPEEDUP
-        )
-        record["ok"] = all(record["checks"].values())
     return record
 
 
@@ -774,8 +647,8 @@ def _scenario_batch_fused(quick: bool) -> Dict[str, Any]:
     # wall times are tens of milliseconds; best-of-3 keeps a single
     # scheduler hiccup on either side from deciding the gated ratio
     reps = 3
-    # same large-memory configuration batch_shm uses: grids past the 8K
-    # double-buffered cache need the deliberate big-cache machine variant
+    # the stock machine's double-buffered caches hold 8K words: grids
+    # past that need the deliberate big-cache machine variant
     if n * n * n > 8 * 1024:
         overrides = (("cache_buffer_words", 512 * 1024),)
     else:
@@ -934,7 +807,6 @@ _SCENARIO_FNS: Dict[str, Callable[[bool], Dict[str, Any]]] = {
     "batch_service": _scenario_batch_service,
     "jacobi_converge": _scenario_jacobi_converge,
     "hypercube_scaling": _scenario_hypercube_scaling,
-    "batch_shm": _scenario_batch_shm,
     "fused_coverage": _scenario_fused_coverage,
     "batch_fused": _scenario_batch_fused,
     "analysis_coverage": _scenario_analysis_coverage,

@@ -17,7 +17,6 @@ SCENARIOS = (
     "batch_service",
     "jacobi_converge",
     "hypercube_scaling",
-    "batch_shm",
     "fused_coverage",
     "batch_fused",
     "analysis_coverage",

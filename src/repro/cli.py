@@ -34,9 +34,7 @@ are bit-identical either way (``nsc-vpe bench`` proves it and measures
 the speedup — see ``docs/BACKENDS.md`` for the full matrix).
 
 ``batch`` and ``sweep`` additionally take ``--workers``, ``--timeout``,
-``--cache-dir``, ``--results``, ``--transport {pickle,shm}`` (how grids
-move between parent and workers on parallel runs — ``shm`` is the
-zero-copy shared-memory path), ``--run-checker`` (whether compiles run
+``--cache-dir``, ``--results``, ``--run-checker`` (whether compiles run
 the design-rule checker; the modes are described on
 :class:`repro.service.jobs.SimJob`) and ``--batch-fusion
 {off,auto}`` (``auto`` runs fusable same-program jobs as one stacked
@@ -45,15 +43,15 @@ also takes ``--seeds`` to add a seeded-initial-guess axis.
 
 The reliability knobs (``docs/RELIABILITY.md``): ``--max-attempts`` and
 ``--backoff-base`` give every job a deterministic retry budget for
-transient failures (timeouts, dead workers, shm attach races), and
+transient failures (timeouts, dead workers), and
 ``--resume`` (requires ``--results``) skips jobs the store already
 holds a success record for, so an interrupted sweep picks up where it
 stopped and converges to the uninterrupted store, byte for byte.
 ``docs/SERVICE.md`` is the cookbook.
 
 ``serve`` keeps all of the above resident: one daemon process holds the
-warm program/plan caches (and, for ``--transport shm``, a persistent
-arena) across requests, so repeat batches skip recompilation entirely.
+warm program/plan caches across requests, so repeat batches skip
+recompilation entirely.
 ``batch`` and ``sweep`` gain ``--server URL`` to submit to a daemon
 instead of executing locally — same records, same summary line, and
 (when the daemon runs with ``--results``) a digest-compatible store.
@@ -327,7 +325,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     store = ResultStore(args.results) if args.results else None
     runner = BatchRunner(workers=args.workers, timeout=args.timeout,
                          cache_dir=args.cache_dir, store=store,
-                         transport=args.transport,
                          batch_fusion=args.batch_fusion,
                          retry=_retry_policy(args), resume=args.resume)
     records, summary = runner.run(jobs)
@@ -379,7 +376,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     store = ResultStore(args.results) if args.results else None
     runner = BatchRunner(workers=args.workers, timeout=args.timeout,
                          cache_dir=args.cache_dir, store=store,
-                         transport=args.transport,
                          batch_fusion=spec.batch_fusion,
                          resume=args.resume)
     records, summary = runner.run(jobs)
@@ -545,7 +541,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         workers=args.workers,
         timeout=args.timeout,
-        transport=args.transport,
         batch_fusion=args.batch_fusion,
         run_checker=args.run_checker,
         retry=_retry_policy(args),
@@ -702,8 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p.add_argument("--quick", action="store_true",
                    help="smaller problems / fewer sweeps (the CI smoke "
-                   "configuration; batch_shm's quick run is a parity "
-                   "check, not a perf claim)")
+                   "configuration)")
     p.add_argument("--scenarios", default=None,
                    help="comma-separated scenario names (default: run all "
                    f"of: {', '.join(_BENCH_SCENARIOS)})")
@@ -731,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result store written by batch/sweep --results: "
                    "report per-stage timings, tier mix, cache hits, and "
                    "the reliability picture (retries by reason, "
-                   "resumed-vs-fresh mix, transport fallbacks)")
+                   "resumed-vs-fresh mix)")
     p.add_argument("--history", default=None, metavar="JSONL",
                    help="bench history written by bench --history: report "
                    "per-scenario run counts and metric trends")
@@ -763,11 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "GET /runs and resume=true submissions")
     p.add_argument("--cache-dir", default=None,
                    help="disk layer under the daemon's warm program cache")
-    p.add_argument("--transport", choices=("pickle", "shm"),
-                   default="pickle",
-                   help="payload transport for parallel batches; 'shm' "
-                   "keeps one persistent arena for the daemon's "
-                   "lifetime")
     p.add_argument("--run-checker", choices=_CHECKER_MODES, default=None,
                    dest="run_checker",
                    help="override every submitted job's checker mode "
@@ -776,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-fusion", choices=("off", "auto"),
                    default="off", dest="batch_fusion",
                    help="slab-fuse fusable same-program jobs, on any "
-                   "executor and transport")
+                   "executor")
     p.add_argument("--max-attempts", type=int, default=1,
                    dest="max_attempts",
                    help="daemon-wide retry budget for transient job "
@@ -840,12 +829,6 @@ def _add_service_options(p: argparse.ArgumentParser) -> None:
                    help="append JSONL records to this file")
     p.add_argument("--cache-dir", default=None,
                    help="on-disk program cache shared across workers/runs")
-    p.add_argument("--transport", choices=("pickle", "shm"),
-                   default="pickle",
-                   help="how grids move between parent and workers on "
-                   "parallel runs: classic pickling, or zero-copy "
-                   "shared-memory segments (ignored when running "
-                   "serially)")
     p.add_argument("--run-checker", choices=CHECKER_MODES, default="auto",
                    dest="run_checker",
                    help="whether compiles run the design-rule checker "
@@ -860,8 +843,8 @@ def _add_service_options(p: argparse.ArgumentParser) -> None:
                    dest="max_attempts",
                    help="run each job up to this many times before its "
                    "failure is final; only transient failures "
-                   "(timeouts, dead workers, shm attach races) are "
-                   "retried — see docs/RELIABILITY.md")
+                   "(timeouts, dead workers) are retried — see "
+                   "docs/RELIABILITY.md")
     p.add_argument("--backoff-base", type=float, default=0.0,
                    dest="backoff_base",
                    help="base delay in seconds before retry rounds; "

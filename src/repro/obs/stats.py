@@ -7,8 +7,8 @@ Two sources, two aggregators:
   summary: per-stage time totals and means, the tier distribution and
   batch-fusion slab mix (how many jobs rode slabs, and how wide),
   cache-hit accounting, fallback count, total measured wall time, and
-  the reliability picture — retries by reason, resumed-vs-fresh record
-  mix, transport fallbacks (see ``docs/RELIABILITY.md``).
+  the reliability picture — retries by reason and the resumed-vs-fresh
+  record mix (see ``docs/RELIABILITY.md``).
 - :func:`aggregate_history` folds a bench history file (``nsc-vpe bench
   --history``) into one summary per ``(scenario, quick)`` series: run
   count, the latest value and rolling median of every guarded metric.
@@ -36,7 +36,7 @@ def aggregate_records(
     slab_sizes: Dict[int, int] = {}
     jobs = ok = fallbacks = 0
     duration_s = 0.0
-    retried_jobs = extra_attempts = resumed = transport_fallbacks = 0
+    retried_jobs = extra_attempts = resumed = 0
     retry_reasons: Dict[str, int] = {}
     for record in records:
         jobs += 1
@@ -50,8 +50,6 @@ def aggregate_records(
             retry_reasons[reason] = retry_reasons.get(reason, 0) + 1
         if record.get("resumed"):
             resumed += 1
-        if record.get("transport_fallback"):
-            transport_fallbacks += 1
         for stage, seconds in (record.get("timings") or {}).items():
             timings[stage] = timings.get(stage, 0.0) + float(seconds)
         tier = record.get("tier")
@@ -94,7 +92,6 @@ def aggregate_records(
             },
             "resumed": resumed,
             "fresh": jobs - resumed,
-            "transport_fallbacks": transport_fallbacks,
         },
     }
 
@@ -140,8 +137,7 @@ def format_record_stats(stats: Dict[str, Any]) -> str:
             f"  cache: {cache['hits']} hits, {cache['misses']} misses"
         )
     rel = stats.get("reliability") or {}
-    if rel.get("retried_jobs") or rel.get("resumed") \
-            or rel.get("transport_fallbacks"):
+    if rel.get("retried_jobs") or rel.get("resumed"):
         parts = []
         if rel.get("retried_jobs"):
             reasons = ", ".join(
@@ -156,10 +152,6 @@ def format_record_stats(stats: Dict[str, Any]) -> str:
         if rel.get("resumed"):
             parts.append(
                 f"{rel['resumed']} resumed / {rel['fresh']} fresh records"
-            )
-        if rel.get("transport_fallbacks"):
-            parts.append(
-                f"{rel['transport_fallbacks']} transport fallbacks"
             )
         lines.append("  reliability: " + ", ".join(parts))
     return "\n".join(lines)

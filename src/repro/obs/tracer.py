@@ -12,9 +12,8 @@ The simulation stack is measured through one small vocabulary:
   which execution *tier* actually ran (``tier.fused`` /
   ``tier.batch_fused`` / ``tier.reference``).  The reliability layer adds
   ``retry.scheduled`` / ``retry.exhausted``, ``pool.rebuild``,
-  ``transport.fallback``, ``resume.skipped``, and ``fault.<site>``
-  (batch-level tracer; the matching ``retry`` / ``transport_fallback``
-  / ``fault`` events carry the per-job detail — see
+  ``resume.skipped``, and ``fault.<site>`` (batch-level tracer; the
+  matching ``retry`` / ``fault`` events carry the per-job detail — see
   ``docs/RELIABILITY.md``).
 - an **annotation** is a last-write-wins fact about the run
   (``tracer.annotate("tier", "fused")``,
@@ -51,7 +50,8 @@ from typing import Any, Dict, Iterator, List, Optional
 
 #: Canonical per-job stage names, in pipeline order.  Result records
 #: report a timing for every stage (0.0 when the stage did not run, so
-#: the schema is stable across cache hits, transports, and tiers).
+#: the schema is stable across cache hits, executors, and tiers);
+#: ``transport`` times the copy of kept fields out of the engine.
 STAGES = ("compile", "check", "bind", "execute", "transport")
 
 #: The all-zero stage dict — what a record reports when its job never

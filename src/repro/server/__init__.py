@@ -1,10 +1,9 @@
 """The resident simulation service (``nsc-vpe serve``).
 
 Everything ``repro.service`` can do — batches, sweeps, caching, retry,
-resume, shm transport — hosted behind a long-lived stdlib-asyncio HTTP
-daemon so the expensive warm state (compiled-program cache, plan cache,
-shm arena) survives across requests instead of dying with each CLI
-invocation.  The layering, bottom up:
+resume — hosted behind a long-lived stdlib-asyncio HTTP daemon so the
+expensive warm state (compiled-program cache, plan cache) survives across
+requests instead of dying with each CLI invocation.  The layering, bottom up:
 
 - :mod:`repro.server.rate_limiter` — per-client token buckets;
 - :mod:`repro.server.correlation` — request ids threaded through events;

@@ -8,9 +8,6 @@ from scratch:
   it the process-wide :data:`~repro.sim.fastpath.PLAN_CACHE`) handed to
   every :class:`~repro.service.runner.BatchRunner` the daemon builds, so
   a program compiled for one request is a cache hit for every later one;
-- one persistent :class:`~repro.service.shm.ShmArena` for shm-transport
-  batches (segments are per-batch, the arena and its resource-tracker
-  setup are forever);
 - one :class:`~repro.service.results.ResultStore` as the durable layer —
   the same JSONL schema offline batches write, so a daemon-written store
   is digest-comparable to an offline run of the same jobs;
@@ -56,7 +53,6 @@ from repro.service.jobs import JobSpecError, SimJob
 from repro.service.results import ResultStore
 from repro.service.retry import RetryPolicy
 from repro.service.runner import BatchRunner
-from repro.service.shm import ShmArena
 from repro.service.sweep import SweepSpec
 
 #: Submission lifecycle states.  ``failed`` means the *infrastructure*
@@ -171,8 +167,8 @@ class SimService:
 
     Call :meth:`start` before submitting and :meth:`stop` when done —
     start installs the event buffer as the process default tracer sink
-    and launches the worker thread; stop reverses both and releases the
-    persistent arena.  Usable as a context manager.
+    and launches the worker thread; stop reverses both.  Usable as a
+    context manager.
     """
 
     _STOP = object()
@@ -183,7 +179,6 @@ class SimService:
         cache_dir: Optional[str] = None,
         workers: int = 1,
         timeout: Optional[float] = None,
-        transport: str = "pickle",
         batch_fusion: str = "off",
         run_checker: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
@@ -192,13 +187,11 @@ class SimService:
     ) -> None:
         self.workers = workers
         self.timeout = timeout
-        self.transport = transport
         self.batch_fusion = batch_fusion
         self.run_checker = run_checker
         self.retry = retry
         self.cache_dir = cache_dir
         self.cache = ProgramCache(cache_dir)
-        self.arena = ShmArena() if transport == "shm" else None
         self.store = ResultStore(store_path) if store_path else None
         # "is not None", not truthiness: an empty ResultStore has len 0
         self.history = RunHistory(self.store) if self.store is not None else None
@@ -240,8 +233,6 @@ class SimService:
         if self._worker is not None:
             self._worker.join(timeout)
         obs.set_default_sink(self._previous_sink)
-        if self.arena is not None:
-            self.arena.destroy()
         self.events.emit({"type": "service_stopped"})
 
     def __enter__(self) -> "SimService":
@@ -381,13 +372,11 @@ class SimService:
                 timeout=self.timeout,
                 cache_dir=self.cache_dir,
                 store=self.store,
-                transport=self.transport,
                 run_checker=self.run_checker,
                 batch_fusion=self.batch_fusion,
                 retry=self.retry,
                 resume=sub.resume,
                 cache=self.cache,
-                arena=self.arena,
             )
             records, summary = runner.run(jobs)
             # field arrays never leave the daemon as JSON; records keep
@@ -456,7 +445,6 @@ class SimService:
             "uptime_s": round(time.time() - self.started_s, 3),
             "workers": self.workers,
             "peak_rss_mb": _peak_rss_mb(),
-            "transport": self.transport,
             "batch_fusion": self.batch_fusion,
             "store": str(self.store.path) if self.store else None,
             "submissions": submissions,
@@ -469,10 +457,6 @@ class SimService:
                 "entries": len(self.cache.plans),
                 **self.cache.plans.stats.as_dict(),
             },
-            "arena": {
-                "segments": len(self.arena.names),
-                "nbytes": self.arena.nbytes,
-            } if self.arena is not None else None,
             "counters": self.counters(),
             "events": self.events.stats(),
         }

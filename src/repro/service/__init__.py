@@ -11,9 +11,6 @@ simulated node; this package treats simulations as cacheable, schedulable
   ``(program hash, params hash)``;
 - :mod:`repro.service.pool`    — a :class:`WorkerPool` fanning jobs out
   across processes with deterministic result ordering and failure capture;
-- :mod:`repro.service.shm`     — the zero-copy shared-memory transport
-  (:class:`ShmArena` and friends) that lets grids and result arrays ride
-  named segments instead of executor pipes;
 - :mod:`repro.service.sweep`   — declarative parameter sweeps expanding
   into job batches;
 - :mod:`repro.service.results` — a JSONL result store for later comparison;
@@ -24,12 +21,12 @@ simulated node; this package treats simulations as cacheable, schedulable
 - :mod:`repro.service.runner`  — the orchestrator wiring it together.
 
 Like every ``repro`` package, this one imports a submodule only when one
-of its names is first read (:mod:`repro._lazy`), so a serial job loads
-neither the shm nor the sweep module.
+of its names is first read (:mod:`repro._lazy`), so a serial job never
+loads the sweep module.
 
 The ``nsc-vpe batch`` and ``nsc-vpe sweep`` CLI subcommands are the
-front door; ``docs/SERVICE.md`` is the cookbook (batch and sweep recipes,
-the shared-memory transport, and checker gating) and
+front door; ``docs/SERVICE.md`` is the cookbook (batch and sweep recipes
+and checker gating) and
 ``docs/ARCHITECTURE.md`` places this package in the system.
 """
 
@@ -48,13 +45,9 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "FaultRule",
-    "ShmArena",
-    "ShmArrayRef",
-    "ShmAttachError",
     "SweepSpec",
     "BatchRunner",
     "BatchSummary",
-    "TRANSPORTS",
     "execute_job",
     "execute_unit",
 ]
@@ -68,12 +61,10 @@ __getattr__, __dir__ = lazy_exports(
         "results": ("ResultStore",),
         "retry": ("RetryPolicy",),
         "faults": ("FaultInjected", "FaultPlan", "FaultRule"),
-        "shm": ("ShmArena", "ShmArrayRef", "ShmAttachError"),
         "sweep": ("SweepSpec",),
         "runner": (
             "BatchRunner",
             "BatchSummary",
-            "TRANSPORTS",
             "execute_job",
             "execute_unit",
         ),

@@ -2,7 +2,7 @@
 
 Reliability code is only trustworthy if its failure paths actually run,
 so this module lets tests (and CI) inject faults into the *real*
-pool/transport/store paths — no mocks, no monkeypatching — while keeping
+pool/store paths — no mocks, no monkeypatching — while keeping
 every run reproducible:
 
 - a :class:`FaultPlan` is a pure value: a seed plus a tuple of
@@ -14,8 +14,7 @@ every run reproducible:
   (:data:`SITES`): ``worker.exec`` (inside
   :func:`~repro.service.runner.execute_job`, before compilation),
   ``pool.submit`` (parent-side, before an item is handed to the pool),
-  ``shm.attach`` (worker-side, before segments are attached), and
-  ``store.append`` (parent-side, before a record is checkpointed —
+  and ``store.append`` (parent-side, before a record is checkpointed —
   crashing here simulates a run killed mid-sweep).
 - ``worker.exec`` supports three *kinds*: ``"transient"`` raises
   :class:`FaultInjected` (captured like any job failure and classified
@@ -47,14 +46,14 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Tuple
 
 from repro.obs import tracer as obs
 
 #: Named injection sites, in the order a job meets them.
-SITES = ("pool.submit", "worker.exec", "shm.attach", "store.append")
+SITES = ("pool.submit", "worker.exec", "store.append")
 
 #: Fault kinds for ``worker.exec`` (other sites are always transient
 #: exceptions — there is nothing to kill or hang at a parent-side site).

@@ -90,10 +90,7 @@ class SimJob:
     ``manufactured_solution`` and the multinode gather use (the reverse
     of this spec's ``(nx, ny, nz)`` shape).  Builder solvers only — a
     saved program file
-    has no canonical output field.  Under
-    :class:`~repro.service.runner.BatchRunner`'s ``transport="shm"`` the
-    arrays ride preallocated shared-memory segments instead of being
-    pickled back (see :mod:`repro.service.shm`).
+    has no canonical output field.
 
     ``u0_seed`` seeds a reproducible random initial guess for builder
     solvers (``numpy.random.default_rng(u0_seed).random(shape)``) in

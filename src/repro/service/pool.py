@@ -14,13 +14,10 @@ outcome is reported the moment its item finishes.  A timeout always
 forces the process path — an in-process job cannot be preempted, so a
 serial "timeout" would be a lie.
 
-The pool is transport-agnostic: items are whatever the caller's worker
-function takes.  The batch runner maps one task per unit (one job or
-one slab); over the pickle transport a task carries job specs and
-returns whole records (arrays included) through these futures, over shm
-it also carries :class:`~repro.service.shm.ShmArrayRef` handles — a few
-dozen bytes per grid — and the arrays move through shared memory
-instead (see :mod:`repro.service.runner`).
+Items are whatever the caller's worker function takes.  The batch runner
+maps one task per unit (one job or one slab): a task carries job specs
+out, and whole records (kept field arrays included) come back pickled
+through these futures (see :mod:`repro.service.runner`).
 """
 
 from __future__ import annotations
@@ -76,6 +73,22 @@ def _run_chunk(
     per item, exactly like the serial path.
     """
     return [call_captured(fn, item, index) for index, item in chunk]
+
+
+def _submit(executor: Any, fn: Callable[..., Any], *args: Any) -> "Future":
+    """``executor.submit(fn, *args)``, except that a pool a worker crash
+    already broke yields a future failed with that ``BrokenProcessPool``
+    instead of raising, so an item submitted after the crash meets the
+    same recovery as one submitted before it."""
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return executor.submit(fn, *args)
+    except BrokenProcessPool as exc:
+        future: "Future" = Future()
+        future.set_exception(exc)
+        return future
 
 
 def call_captured(fn: Callable[[Any], Any], item: Any,
@@ -197,7 +210,7 @@ class WorkerPool:
         try:
             start = time.perf_counter()
             futures = {
-                index: executor.submit(fn, item)
+                index: _submit(executor, fn, item)
                 for index, item in enumerate(items)
             }
             self.last_submitted = len(futures)
@@ -234,7 +247,7 @@ class WorkerPool:
                     executor = concurrent.futures.ProcessPoolExecutor(
                         max_workers=min(workers, len(lost)))
                     for j in lost:
-                        futures[j] = executor.submit(fn, items[j])
+                        futures[j] = _submit(executor, fn, items[j])
                     pending.insert(0, index)
                 except Exception as exc:
                     outcomes[index] = WorkerOutcome.failure(
@@ -279,7 +292,7 @@ class WorkerPool:
             max_workers=workers
         ) as executor:
             futures = [
-                executor.submit(_run_chunk, fn, chunk) for chunk in chunks
+                _submit(executor, _run_chunk, fn, chunk) for chunk in chunks
             ]
             self.last_submitted = len(futures)
             # collect every future even after a pool break: chunks that
@@ -303,7 +316,8 @@ class WorkerPool:
                 max_workers=min(workers, len(lost))
             ) as executor:
                 retries = [
-                    executor.submit(_run_chunk, fn, [pair]) for pair in lost
+                    _submit(executor, _run_chunk, fn, [pair])
+                    for pair in lost
                 ]
                 for pair, future in zip(lost, retries):
                     try:

@@ -32,7 +32,8 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: record got here, not *what* the job computed: ``attempts`` and
 #: ``retry_reasons`` depend on which faults a run met, ``resumed`` on
 #: whether ``--resume`` filled the record in, and ``transport_fallback``
-#: on whether shm had to demote to pickling — none of which may change
+#: (written by older builds only) on whether a run changed how grids
+#: moved between processes — none of which may change
 #: the simulation's output (the chaos suite asserts exactly that), and
 #: ``checker`` on whether this record's job compiled and ran the
 #: design-rule checker (absent on a cache hit, ``"skipped"`` under

@@ -2,8 +2,7 @@
 
 A failed job record is worth retrying only if the failure was caused by
 the *infrastructure* rather than the *simulation*: a worker that timed
-out, a process pool that broke under it, a shared-memory segment that
-could not be attached, or an injected chaos fault.  Those are
+out, a process pool that broke under it, or an injected chaos fault.  Those are
 **transient** — rerunning the same deterministic job can succeed.  A
 simulation exception or checker rejection is **permanent**: the job is
 a pure function of its spec, so rerunning it reproduces the failure.
@@ -28,13 +27,12 @@ PERMANENT = "permanent"
 
 #: Exception class names whose failures are infrastructure, not physics.
 #: ``TimeoutError`` is the pool's per-item deadline, ``BrokenProcessPool``
-#: a worker crash, ``ShmAttachError`` a lost shared-memory segment,
-#: ``FaultInjected`` the chaos layer (repro.service.faults).
+#: a worker crash, ``FaultInjected`` the chaos layer
+#: (repro.service.faults).
 TRANSIENT_ERROR_TYPES = frozenset(
     {
         "TimeoutError",
         "BrokenProcessPool",
-        "ShmAttachError",
         "FaultInjected",
     }
 )

@@ -14,36 +14,23 @@ the jobs into units (``batch_fusion="auto"`` puts same-program fast
 jobs into one slab unit, every other job is a unit of one), build one
 task per unit, and run every task through one :meth:`WorkerPool.map` of
 :func:`execute_unit` — in-process for ``workers=1`` without a timeout,
-in worker processes otherwise.  Two knobs shape the tasks:
-
-- ``transport`` — how grids move between parent and pool workers.
-  ``"pickle"`` (default): specs out, records (including any kept field
-  arrays) pickled back through executor pipes.  ``"shm"``: problem
-  inputs are written once per grid shape into
-  :mod:`multiprocessing.shared_memory` segments that workers attach
-  read-only, and kept fields are written by the worker into output
-  segments the parent preallocated (see :mod:`repro.service.shm`).  An
-  in-process run needs no transport, so ``workers=1`` behaves the same
-  either way.
-- ``run_checker`` — when the design-rule checker runs at compile time
-  (see :class:`~repro.service.jobs.SimJob`); ``BatchRunner``'s value,
-  if given, overrides every job's own setting for the batch.
-
-Cleanup is deterministic: the shm arena backing a round is cleaned up in
-a ``finally`` block, so worker crashes, timeouts, and mid-batch
-exceptions never leak a segment.
+in worker processes otherwise.  Grids move one way: a task carries only
+its members' job specs, each worker builds its problem arrays from the
+memoized :func:`grid_problem`, and records (with any kept field arrays)
+come back pickled.  ``run_checker`` decides when the design-rule checker
+runs at compile time (see :class:`~repro.service.jobs.SimJob`);
+``BatchRunner``'s value, if given, overrides every job's own setting for
+the batch.
 
 On top sits the reliability layer (``docs/RELIABILITY.md``): jobs run in
-*attempt rounds* — transient failures (timeouts, broken pools, shm
-attach errors, injected faults; see :mod:`repro.service.retry`) are
-retried up to their :class:`~repro.service.retry.RetryPolicy` with
-deterministic no-jitter backoff, finalized records checkpoint to the
-store in job order as they complete (so a killed run leaves a clean
-prefix), ``resume=True`` redeems prior successes from the store instead
-of rerunning them, and shm transport trouble demotes the rest of the
-batch to pickling with ``transport_fallback`` recorded.  A
+*attempt rounds* — transient failures (timeouts, broken pools, injected
+faults; see :mod:`repro.service.retry`) are retried up to their
+:class:`~repro.service.retry.RetryPolicy` with deterministic no-jitter
+backoff, finalized records checkpoint to the store in job order as they
+complete (so a killed run leaves a clean prefix), and ``resume=True``
+redeems prior successes from the store instead of rerunning them.  A
 :class:`~repro.service.faults.FaultPlan` exercises all of it against the
-real pool and transports.
+real pool.
 
 Usage recipes live in ``docs/SERVICE.md``.
 """
@@ -56,7 +43,7 @@ import hashlib
 import time
 from dataclasses import dataclass, replace
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -70,13 +57,9 @@ from repro.service.pool import WorkerOutcome, WorkerPool
 from repro.service.results import ResultStore
 from repro.service.retry import RetryPolicy, classify_record
 
-#: Payload transports for parallel batches (see module docstring).
-TRANSPORTS = ("pickle", "shm")
-
 #: Batch-fusion modes: "off" always runs jobs one at a time; "auto"
-#: groups same-program jobs into slab units on every executor and
-#: transport (see :mod:`repro.service.slab`) and falls back per job on
-#: any decline.
+#: groups same-program jobs into slab units on every executor (see
+#: :mod:`repro.service.slab`) and falls back per job on any decline.
 BATCH_FUSION_MODES = ("off", "auto")
 
 #: Per-process cache used by pool workers (and by in-process calls that
@@ -108,29 +91,18 @@ def execute_job(
     spec: Mapping[str, Any],
     cache_dir: Optional[str] = None,
     cache: Optional[ProgramCache] = None,
-    inputs: Optional[Mapping[str, Any]] = None,
-    fields_out: Optional[Mapping[str, np.ndarray]] = None,
-    tracer: Optional[obs.Tracer] = None,
     attempt: int = 1,
 ) -> Dict[str, Any]:
     """Run one job to completion; never raises for job-level failures.
 
     Returns a flat record.  ``cache`` (an in-process object) wins over
-    ``cache_dir`` (picklable, for pool workers).  ``inputs`` optionally
-    supplies precomputed problem arrays (``u_star``, ``f``, and the grid
-    spacing ``h`` they were built with) so same-shape jobs can share one
-    copy; they are used only when ``h`` matches the compiled setup's,
-    otherwise the job regenerates its own — correctness never depends on
-    the caller getting the sharing right.  ``fields_out`` maps field
-    names to preallocated writable arrays (the shm transport's output
-    segments); when absent, kept fields land in ``record["fields"]`` as
-    ordinary arrays.  Records are JSON-serializable except for that
-    opt-in ``"fields"`` entry, which :class:`BatchRunner` strips (leaving
-    per-field SHA-256 digests) before anything reaches the result store.
+    ``cache_dir`` (picklable, for pool workers).  Kept fields land in
+    ``record["fields"]`` as ordinary arrays.  Records are
+    JSON-serializable except for that opt-in ``"fields"`` entry, which
+    :class:`BatchRunner` strips (leaving per-field SHA-256 digests)
+    before anything reaches the result store.
 
-    Every job runs under its own :class:`~repro.obs.Tracer` (``tracer``
-    lets a caller that already timed earlier stages — the shm worker's
-    segment attach — keep accumulating into the same one).  The record
+    Every job runs under its own :class:`~repro.obs.Tracer`.  The record
     is stamped with ``timings`` (the fixed per-stage dict, volatile
     across runs), ``duration_s`` (its wall time, volatile too) and
     ``tier`` (which execution tier actually ran — deterministic for a
@@ -146,8 +118,7 @@ def execute_job(
     job = SimJob.from_dict(spec)
     if cache is None:
         cache = _process_cache(cache_dir)
-    if tracer is None:
-        tracer = obs.Tracer()
+    tracer = obs.Tracer()
     record = _record_head(job)
     hits_before = cache.stats.hits
     lookups_before = cache.stats.lookups
@@ -158,9 +129,9 @@ def execute_job(
             # cache exactly like a fault-free run would
             faults.check("worker.exec", job.job_id, attempt)
             if job.hypercube_dim > 0:
-                record.update(_run_multinode(job, cache, inputs, fields_out))
+                record.update(_run_multinode(job, cache))
             else:
-                record.update(_run_single(job, cache, inputs, fields_out))
+                record.update(_run_single(job, cache))
         record["ok"] = True
     except Exception as exc:  # failure capture: one bad job != a dead batch
         _mark_failed(record, exc)
@@ -235,13 +206,7 @@ def execute_unit(
 
     This is :class:`BatchRunner`'s one worker function, in-process and
     in pool workers alike (top-level, so it pickles).  ``task["specs"]``
-    holds the members' job specs.  Under the shm transport the task also
-    carries :class:`~repro.service.shm.ShmArrayRef` handles: the shared
-    problem inputs (``"inputs"``, built with grid spacing
-    ``"inputs_h"``) and one output mapping or None per member
-    (``"fields"``).  They are attached for the unit's duration (after
-    the ``shm.attach`` fault site fires per member) and released before
-    returning; an attach failure propagates, failing the whole unit.
+    holds the members' job specs.
 
     A group fires ``worker.exec`` per member (a faulted member gets the
     failure record :func:`execute_job` would produce) and runs the
@@ -254,78 +219,30 @@ def execute_unit(
     if cache is None:
         cache = _process_cache(cache_dir)
     specs = task["specs"]
-    tracer = obs.Tracer()
-    with contextlib.ExitStack() as stack:
-        inputs = None
-        fields: List[Optional[Mapping[str, np.ndarray]]] = [None] * len(specs)
-        if "fields" in task:
-            with obs.use(tracer), obs.span("transport"):
-                inputs, fields = _attach(task, stack, attempt)
-        if len(specs) == 1:
-            return [execute_job(specs[0], cache=cache, inputs=inputs,
-                                fields_out=fields[0], tracer=tracer,
-                                attempt=attempt)]
-        jobs = [SimJob.from_dict(spec) for spec in specs]
-        records = [_exec_fault(job, attempt) for job in jobs]
-        members = [k for k, record in enumerate(records) if record is None]
-        reason = None
-        if len(members) >= 2:
-            from repro.service import slab
+    if len(specs) == 1:
+        return [execute_job(specs[0], cache=cache, attempt=attempt)]
+    jobs = [SimJob.from_dict(spec) for spec in specs]
+    records = [_exec_fault(job, attempt) for job in jobs]
+    members = [k for k, record in enumerate(records) if record is None]
+    reason = None
+    if len(members) >= 2:
+        from repro.service import slab
 
-            start = time.perf_counter()
-            slab_records, reason = slab.execute_slab(
-                [jobs[k] for k in members], cache, inputs,
-                [fields[k] for k in members],
-            )
-            if slab_records is not None:
-                duration = round(
-                    (time.perf_counter() - start) / len(members), 6
-                )
-                for k, record in zip(members, slab_records):
-                    record["duration_s"] = duration
-                    records[k] = record
-                members = []
-        for k in members:
-            records[k] = execute_job(specs[k], cache=cache, inputs=inputs,
-                                     fields_out=fields[k], attempt=attempt)
-            if reason is not None:
-                records[k].setdefault(
-                    "fallback_reason", f"batch_fusion: {reason}"
-                )
-    # the unit's segment attach time splits evenly over its members
-    attach = tracer.timings.get("transport", 0.0) / len(records)
-    if attach:
-        for record in records:
-            record["timings"]["transport"] = round(
-                record["timings"]["transport"] + attach, 6
-            )
+        start = time.perf_counter()
+        slab_records, reason = slab.execute_slab(
+            [jobs[k] for k in members], cache
+        )
+        if slab_records is not None:
+            duration = round((time.perf_counter() - start) / len(members), 6)
+            for k, record in zip(members, slab_records):
+                record["duration_s"] = duration
+                records[k] = record
+            members = []
+    for k in members:
+        records[k] = execute_job(specs[k], cache=cache, attempt=attempt)
+        if reason is not None:
+            records[k].setdefault("fallback_reason", f"batch_fusion: {reason}")
     return records
-
-
-def _attach(
-    task: Mapping[str, Any], stack: contextlib.ExitStack, attempt: int,
-) -> Tuple[Optional[Dict[str, Any]], List[Optional[Dict[str, np.ndarray]]]]:
-    """Attach a unit's shm segments onto *stack*: ``(inputs, fields)``,
-    inputs read-only and each member's output fields writable."""
-    from repro.service.shm import attached
-
-    for spec in task["specs"]:
-        faults.check("shm.attach", SimJob.from_dict(spec).job_id, attempt)
-    inputs: Optional[Dict[str, Any]] = None
-    if task.get("inputs"):
-        inputs = {
-            name: stack.enter_context(attached(ref, readonly=True))
-            for name, ref in task["inputs"].items()
-        }
-        inputs["h"] = task["inputs_h"]
-    fields = [
-        None if refs is None else {
-            name: stack.enter_context(attached(ref, readonly=False))
-            for name, ref in refs.items()
-        }
-        for refs in task["fields"]
-    ]
-    return inputs, fields
 
 
 def _obtain_program(
@@ -388,12 +305,7 @@ def _compile_single(job: SimJob, node, check: bool) -> Tuple[Any, Any]:
     return setup, generator.generate(program)
 
 
-def _run_single(
-    job: SimJob,
-    cache: ProgramCache,
-    inputs: Optional[Mapping[str, Any]] = None,
-    fields_out: Optional[Mapping[str, np.ndarray]] = None,
-) -> Dict[str, Any]:
+def _run_single(job: SimJob, cache: ProgramCache) -> Dict[str, Any]:
     """A fast builder job runs as a slab of one; the reference backend,
     saved programs and a slab's decline run on an :class:`NSCMachine`."""
     from repro.arch.node import node_config
@@ -412,8 +324,7 @@ def _run_single(
 
         try:
             return run_slab([job], [obs.current() or obs.Tracer()], node,
-                            setup, program, [checker], inputs,
-                            [fields_out])[0]
+                            setup, program, [checker])[0]
         except FusionUnsupported as exc:
             record_decline(exc)
             backend = "reference"  # its fused run would decline again
@@ -423,7 +334,7 @@ def _run_single(
         watch = u_star = None
         if setup is not None:
             entry = SOLVERS[job.method]
-            u_star, f = _problem(job, setup, inputs)
+            u_star, f, _h = grid_problem(job.shape, setup.h)
             entry.load(machine, setup, _initial_grid(job), f)
             watch = entry.watch_pipeline(setup)
     with obs.span("execute"):
@@ -432,28 +343,17 @@ def _run_single(
         job, program, checker, result.converged,
         result.loop_iterations.get(watch, 0), machine.metrics(result),
         machine.get_variable("u") if u_star is not None else None,
-        u_star, fields_out,
+        u_star,
     )
-
-
-def _problem(job: SimJob, setup: Any, inputs: Optional[Mapping[str, Any]]
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(u_star, f)``: the caller's shared arrays if built with this
-    setup's grid spacing, else the grid's memoized ones."""
-    if inputs is not None and inputs.get("h") == setup.h:
-        return inputs["u_star"], inputs["f"]
-    u_star, f, _h = grid_problem(job.shape, setup.h)
-    return u_star, f
 
 
 def grid_problem(shape: Tuple[int, int, int], h: Optional[float] = None
                  ) -> Tuple[np.ndarray, np.ndarray, float]:
     """The manufactured problem ``(u_star, f, h)`` on one grid, built
-    once per ``(shape, h)`` and shared read-only by every job on it:
-    single-node and multi-node runs, and the shm transport's input
-    placement.  ``h`` defaults to the builders' spacing, ``1/(n-1)`` on
-    the longest axis, so a default call and a setup's ``h`` share one
-    entry."""
+    once per ``(shape, h)`` and shared read-only by every job on it,
+    single-node and multi-node alike.  ``h`` defaults to the builders'
+    spacing, ``1/(n-1)`` on the longest axis, so a default call and a
+    setup's ``h`` share one entry."""
     if h is None:
         h = 1.0 / (max(shape) - 1)
     return _grid_problem(tuple(shape), h)
@@ -472,7 +372,6 @@ def _grid_problem(shape: Tuple[int, int, int], h: float
 def _solution_record(job: SimJob, program: Any, checker: Optional[str],
                      converged: Optional[bool], sweeps: int, metrics: Any,
                      u: Optional[np.ndarray], u_star: Optional[np.ndarray],
-                     fields_out: Optional[Mapping[str, np.ndarray]],
                      ) -> Dict[str, Any]:
     """A single-node record's computed keys, whichever engine ran (*u*,
     the flat final solution, and *u_star* are None for saved programs)."""
@@ -492,10 +391,7 @@ def _solution_record(job: SimJob, program: Any, checker: Optional[str],
         record["error_vs_analytic"] = float(np.max(np.abs(u - u_star)))
         if job.keep_fields:
             with obs.span("transport"):
-                if fields_out is not None:
-                    fields_out["u"][...] = u
-                else:
-                    record["fields"] = {"u": np.array(u, dtype=np.float64)}
+                record["fields"] = {"u": np.array(u, dtype=np.float64)}
     return record
 
 
@@ -525,12 +421,7 @@ def _compile_multinode(
     return replace(setup, program=None), generator.generate(setup.program)
 
 
-def _run_multinode(
-    job: SimJob,
-    cache: ProgramCache,
-    inputs: Optional[Mapping[str, Any]] = None,
-    fields_out: Optional[Mapping[str, np.ndarray]] = None,
-) -> Dict[str, Any]:
+def _run_multinode(job: SimJob, cache: ProgramCache) -> Dict[str, Any]:
     from repro.sim.multinode import DecompositionError, MultiNodeStencil
 
     nx, ny, nz = job.shape
@@ -555,10 +446,7 @@ def _run_multinode(
         )
         # deterministic non-trivial start: relax the manufactured field
         # to zero
-        if inputs is not None and "u_star" in inputs:
-            u_star = inputs["u_star"]
-        else:
-            u_star, _f, _h = grid_problem(job.shape)
+        u_star, _f, _h = grid_problem(job.shape)
         stencil.scatter("u", u_star)
     with obs.span("execute"):
         res = stencil.run(max_iterations=job.max_sweeps)
@@ -583,11 +471,9 @@ def _run_multinode(
         record["checker"] = checker
     if job.keep_fields:
         with obs.span("transport"):
-            u = stencil.gather("u")
-            if fields_out is not None:
-                fields_out["u"][...] = u
-            else:
-                record["fields"] = {"u": np.array(u, dtype=np.float64)}
+            record["fields"] = {
+                "u": np.array(stencil.gather("u"), dtype=np.float64)
+            }
     return record
 
 
@@ -630,7 +516,7 @@ class BatchRunner:
     ----------
     workers:
         Worker processes.  ``1`` (without a timeout) runs the units
-        in-process: no subprocesses, no transport, shared in-memory
+        in-process: no subprocesses, no pickling, shared in-memory
         cache, and each unit's records reach the store as it finishes.
     timeout:
         Per-job wall-clock ceiling; forces the process pool (a serial
@@ -643,11 +529,6 @@ class BatchRunner:
     store:
         Optional :class:`ResultStore`; stored records never contain field
         arrays, only their SHA-256 digests.
-    transport:
-        ``"pickle"`` (default) or ``"shm"`` — how grids and kept field
-        arrays move between parent and workers (module docstring): a
-        property of each unit's task, so in-process runs, which need no
-        transport, ignore it.
     run_checker:
         When set (one of :data:`~repro.service.jobs.CHECKER_MODES`),
         overrides every job's own ``run_checker`` for this batch.
@@ -655,8 +536,8 @@ class BatchRunner:
         Grouping only (a lone fast builder job is a slab of one either
         way, :mod:`repro.service.slab`).  ``"off"`` (default) runs jobs
         individually; ``"auto"`` plans same-program jobs into one slab
-        unit, the same on every executor and transport, so a job list
-        stores one canonical digest however it ran.  Slab records match
+        unit, the same on every executor, so a job list stores one
+        canonical digest however it ran.  Slab records match
         per-job runs apart from the timing fields and carry
         ``tier="batch_fused"`` + ``slab_size``.  A declined slab's
         members run per job with ``fallback_reason`` recorded, and
@@ -687,14 +568,6 @@ class BatchRunner:
         requests instead of across one batch.  Ignored by process runs
         (workers > 1 or a timeout), whose units use per-worker caches
         plus the disk layer.
-    arena:
-        A caller-owned persistent :class:`~repro.service.shm.ShmArena`
-        for the shm transport.  When given, each batch allocates its
-        segments from this arena and *releases* them when it finishes
-        (:meth:`ShmArena.release`) instead of creating and destroying a
-        whole arena per run — the daemon's amortization of arena setup.
-        Ownership stays with the caller: the runner never destroys a
-        provided arena.
     """
 
     def __init__(
@@ -703,20 +576,13 @@ class BatchRunner:
         timeout: Optional[float] = None,
         cache_dir: Optional[str] = None,
         store: Optional[ResultStore] = None,
-        transport: str = "pickle",
         run_checker: Optional[str] = None,
         batch_fusion: str = "off",
         retry: Optional[RetryPolicy] = None,
         resume: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         cache: Optional[ProgramCache] = None,
-        arena: Optional["ShmArena"] = None,  # noqa: F821
     ) -> None:
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; expected one of "
-                f"{TRANSPORTS}"
-            )
         if run_checker is not None and run_checker not in CHECKER_MODES:
             raise ValueError(
                 f"unknown run_checker {run_checker!r}; expected one of "
@@ -735,17 +601,13 @@ class BatchRunner:
         self.timeout = timeout
         self.cache_dir = cache_dir
         self.store = store
-        self.transport = transport
         self.run_checker = run_checker
         self.batch_fusion = batch_fusion
         self.retry = retry
         self.resume = resume
         self.fault_plan = fault_plan
-        #: names of the shm segments used by the most recent run (kept
-        #: after cleanup so tests can prove every one was unlinked)
-        self.last_shm_segments: List[str] = []
-        #: parent-side telemetry of the most recent run (arena setup and
-        #: field materialization spans; per-job stages live in records)
+        #: parent-side telemetry of the most recent run (retry, resume
+        #: and fault counters; per-job stages live in records)
         self.last_telemetry: Optional[obs.Telemetry] = None
         #: in-process runs share this cache across the whole batch;
         #: process runs (workers > 1, or any timeout, which forces the
@@ -756,11 +618,6 @@ class BatchRunner:
             self.cache = cache if cache is not None else ProgramCache(cache_dir)
         else:
             self.cache = None
-        #: caller-owned persistent arena for the shm transport (or None:
-        #: each shm batch creates and destroys its own)
-        self.arena = arena
-        #: why the most recent run demoted shm to pickling, or None
-        self._transport_degraded: Optional[str] = None
         #: checkpoint frontier: records append in strict job-index order
         self._frontier = 0
 
@@ -777,7 +634,6 @@ class BatchRunner:
         # workers rebuild from the specs — resume matching, fault keys,
         # and synthesized records must all use *their* job_ids
         eff_jobs = [SimJob.from_dict(spec) for spec in specs]
-        self._transport_degraded = None
         self._frontier = 0
         final: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
         preloaded = [False] * len(jobs)
@@ -818,14 +674,6 @@ class BatchRunner:
                         self._checkpoint(final, preloaded)
                         return
                     reason = record.get("error_type") or "unknown"
-                    if self.transport == "shm" and (
-                        reason == "ShmAttachError"
-                        or (reason == "FaultInjected"
-                            and "shm.attach" in str(record.get("error")))
-                    ):
-                        # a worker lost its segments: the retry (and the
-                        # rest of the batch) rides the pickle transport
-                        self._degrade_transport(str(record.get("error")))
                     policy = self._policy_for(eff_jobs[i])
                     if policy.should_retry(attempt, classification):
                         reasons.setdefault(i, []).append(reason)
@@ -884,7 +732,7 @@ class BatchRunner:
         return records, summary
 
     # ------------------------------------------------------------------
-    # reliability layer: rounds, checkpointing, resume, degradation
+    # reliability layer: rounds, checkpointing, resume
     # ------------------------------------------------------------------
     def _policy_for(self, job: SimJob) -> RetryPolicy:
         """The batch-level policy if set, else the job's own."""
@@ -998,32 +846,20 @@ class BatchRunner:
             execute_unit, cache=self.cache, cache_dir=self.cache_dir,
             attempt=attempt,
         )
-        with self._tasks(eff_jobs, specs, units) as (tasks, arena):
+        tasks = [{"specs": [specs[i] for i in unit]} for unit in units]
 
-            def report(outcome: WorkerOutcome) -> None:
-                unit = units[outcome.index]
-                refs = tasks[outcome.index].get("fields") \
-                    or [None] * len(unit)
-                records = outcome.value if outcome.ok else [
-                    self._failure_record(eff_jobs[i], outcome) for i in unit
-                ]
-                for i, record, fields in zip(unit, records, refs):
-                    if i not in wanted:
-                        continue
-                    if fields and record.get("ok"):
-                        with obs.span("transport"):
-                            record["fields"] = {
-                                name: arena.materialize(ref)
-                                for name, ref in fields.items()
-                            }
-                    if self.transport == "shm" and self._transport_degraded:
-                        record.setdefault("transport_fallback",
-                                          self._transport_degraded)
+        def report(outcome: WorkerOutcome) -> None:
+            unit = units[outcome.index]
+            records = outcome.value if outcome.ok else [
+                self._failure_record(eff_jobs[i], outcome) for i in unit
+            ]
+            for i, record in zip(unit, records):
+                if i in wanted:
                     on_record(i, record)
 
-            WorkerPool(max_workers=self.workers, timeout=self.timeout).map(
-                fn, tasks, on_outcome=report
-            )
+        WorkerPool(max_workers=self.workers, timeout=self.timeout).map(
+            fn, tasks, on_outcome=report
+        )
 
     def _units(self, jobs: Sequence[SimJob],
                indices: List[int]) -> List[List[int]]:
@@ -1041,83 +877,13 @@ class BatchRunner:
             for group in slab_groups([jobs[i] for i in indices])
         ]
 
-    @contextlib.contextmanager
-    def _tasks(
-        self, jobs: Sequence[SimJob], specs: List[Dict[str, Any]],
-        units: List[List[int]],
-    ) -> Iterator[Tuple[List[Dict[str, Any]], Any]]:
-        """Yield ``(tasks, arena)``: one :func:`execute_unit` task per
-        unit, and the shm arena their segment refs point into (None on
-        the pickle transport, in-process runs and after a demotion).
-
-        Under shm the problem inputs are placed once per grid shape and
-        every kept field gets a preallocated output segment.  The arena
-        is cleaned up on exit — a runner-owned one destroyed, a
-        caller-provided one (``self.arena``, the serve daemon's)
-        released of this round's segments — so worker crashes, timeouts
-        and exceptions never leak shared memory."""
-        tasks = [{"specs": [specs[i] for i in unit]} for unit in units]
-        if self.transport != "shm" or self.cache is not None \
-                or self._transport_degraded:
-            yield tasks, None
-            return
-        from repro.service.shm import ShmArena
-
-        arena = self.arena if self.arena is not None else ShmArena()
-        preexisting = set(arena.names)
-        try:
-            try:
-                with obs.span("arena_setup"):
-                    shared: Dict[Tuple[int, ...], Tuple[Dict, float]] = {}
-                    for unit, task in zip(units, tasks):
-                        job = jobs[unit[0]]
-                        if job.method != "program":
-                            if job.shape not in shared:
-                                u_star, f, h = grid_problem(job.shape)
-                                shared[job.shape] = ({
-                                    "u_star": arena.place(u_star),
-                                    "f": arena.place(f),
-                                }, h)
-                            task["inputs"], task["inputs_h"] = \
-                                shared[job.shape]
-                        task["fields"] = [
-                            {"u": arena.allocate(_field_shape(jobs[i]))}
-                            if jobs[i].keep_fields else None
-                            for i in unit
-                        ]
-            except OSError as exc:
-                # arena setup failed (no /dev/shm space, limits): the
-                # round still completes — over pickling
-                self._degrade_transport(f"{type(exc).__name__}: {exc}")
-                tasks = [{"specs": task["specs"]} for task in tasks]
-            self.last_shm_segments = [
-                name for name in arena.names if name not in preexisting
-            ]
-            yield tasks, arena
-        finally:
-            if self.arena is not None:
-                arena.release(
-                    [n for n in arena.names if n not in preexisting]
-                )
-            else:
-                arena.destroy()
-
-    def _degrade_transport(self, reason: str) -> None:
-        """Demote the rest of this run from shm to pickling (once)."""
-        if self._transport_degraded:
-            return
-        self._transport_degraded = reason
-        obs.count("transport.fallback")
-        obs.annotate("transport_fallback", reason)
-        obs.event("transport_fallback", reason=reason)
-
     @staticmethod
     def _digest_fields(record: Dict[str, Any]) -> None:
         """Stamp per-field SHA-256 digests next to kept field arrays.
 
         The digests are what the result store keeps (byte-reproducible
-        and transport-independent: identical grids hash identically
-        whether they arrived pickled or through shared memory)."""
+        and executor-independent: identical grids hash identically
+        whether they came from a pool worker or ran in-process)."""
         if record.get("fields"):
             record["fields_sha256"] = {
                 name: hashlib.sha256(
@@ -1151,7 +917,6 @@ __all__ = [
     "BATCH_FUSION_MODES",
     "BatchRunner",
     "BatchSummary",
-    "TRANSPORTS",
     "execute_job",
     "execute_unit",
     "reset_process_cache",

@@ -10,11 +10,11 @@ log (:meth:`~repro.sim.batchplan.BatchProgramRun.job`), bit-identical to
 ``machine.metrics(result)`` — no machine commit, no interrupt replay.
 
 :func:`~repro.service.runner.execute_job` runs every fast, single-node,
-builder-solver job as a slab of one (:func:`run_slab`), in serial, pool,
-shm and daemon runs alike, stamped ``tier="fused"``.
+builder-solver job as a slab of one (:func:`run_slab`), in serial, pool
+and daemon runs alike, stamped ``tier="fused"``.
 ``batch_fusion="auto"`` only decides grouping: :func:`slab_groups`
-plans a batch's same-program jobs into one unit each, on every executor
-and transport, and :func:`~repro.service.runner.execute_unit` runs a
+plans a batch's same-program jobs into one unit each, on every
+executor, and :func:`~repro.service.runner.execute_unit` runs a
 unit's two or more members through :func:`execute_slab`
 (``tier="batch_fused"``, ``slab_size``; counters ``tier.batch_fused``
 per job, ``slab.formed`` / ``slab.jobs`` per slab; the shared bind and
@@ -31,9 +31,7 @@ that still run a service job on a machine.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import tracer as obs
 from repro.service.cache import ProgramCache
@@ -55,8 +53,6 @@ def slab_groups(jobs: Sequence[SimJob]) -> List[List[int]]:
 
 def execute_slab(
     jobs: Sequence[SimJob], cache: ProgramCache,
-    inputs: Optional[Mapping[str, Any]] = None,
-    fields_out: Optional[Sequence[Optional[Mapping[str, np.ndarray]]]] = None,
 ) -> Tuple[Optional[List[Dict[str, Any]]], Optional[str]]:
     """Run one group of two or more jobs as a slab.
 
@@ -64,7 +60,6 @@ def execute_slab(
     order, matching :func:`execute_job`'s schema plus ``slab_size`` —
     or ``(None, reason)`` when the slab declines, in which case nothing
     observable has changed and the caller runs each job individually.
-    ``inputs`` and ``fields_out`` are as :func:`run_slab` takes them.
     """
     from repro.arch.node import node_config
     from repro.service.runner import (
@@ -95,8 +90,7 @@ def execute_slab(
             checkers.append(checker)
             records.append(record)
         setup, program = value
-        computed = run_slab(jobs, tracers, node, setup, program, checkers,
-                            inputs, fields_out)
+        computed = run_slab(jobs, tracers, node, setup, program, checkers)
     except FusionUnsupported as exc:
         reason = str(exc)
     except Exception as exc:  # pragma: no cover - defensive
@@ -119,21 +113,20 @@ def execute_slab(
 def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
              node: Any, setup: Any, program: Any,
              checkers: Sequence[Optional[str]],
-             inputs: Optional[Mapping[str, Any]] = None,
-             fields_out: Optional[
-                 Sequence[Optional[Mapping[str, np.ndarray]]]] = None,
              ) -> List[Dict[str, Any]]:
     """Run *jobs* (one compiled builder program) as one slab; return
     each job's computed record keys and stamp its tier into its tracer.
 
     Raises ``FusionUnsupported`` on any decline.  A lone job's tracer is
     the active one; a group's share one slab tracer's bind and execute
-    time.  ``inputs`` (the shared problem arrays) and ``fields_out``
-    (one output mapping or None per job) are the shm transport's
-    segments, as :func:`execute_job` takes them.
+    time.
     """
     from repro.compose.registry import SOLVERS
-    from repro.service.runner import _initial_grid, _problem, _solution_record
+    from repro.service.runner import (
+        _initial_grid,
+        _solution_record,
+        grid_problem,
+    )
     from repro.sim.batchplan import (
         BatchProgramRun,
         compiled_plan,
@@ -153,7 +146,7 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
         # --- shared bind: plan, template machine, stacked storage -----
         with obs.span("bind"):
             plan = compiled_plan(program, params)
-            u_star, f = _problem(job0, setup, inputs)
+            u_star, f, _h = grid_problem(job0.shape, setup.h)
             template = NSCMachine(node, backend="fast")
             template.load_program(program)
             entry.load(template, setup, _initial_grid(job0), f)
@@ -204,7 +197,6 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
                 job, program, checkers[j], run.converged[j],
                 run.loop_iterations[j].get(watch, 0), metrics,
                 u_plane[j, uvar.offset:uvar.end], u_star,
-                fields_out[j] if fields_out else None,
             ))
             obs.count(f"tier.{tier}")
             obs.annotate("tier", tier)

@@ -157,8 +157,8 @@ class TestCheckerGating:
         assert len(check_calls) == 3
 
     def test_invalid_runner_configuration(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            BatchRunner(transport="carrier-pigeon")
+        with pytest.raises(TypeError, match="transport"):
+            BatchRunner(transport="pickle")  # grids move one way only
         with pytest.raises(ValueError, match="unknown run_checker"):
             BatchRunner(run_checker="sometimes")
 

@@ -8,9 +8,7 @@ The claims under test are the reliability layer's contracts
 - a run crashed mid-sweep leaves a clean store prefix, and ``resume``
   converges it to the uninterrupted run's digest — even when the crash
   tore the trailing record in half;
-- a hard-killed pool worker loses zero jobs (the pool rebuilds once);
-- shared-memory transport trouble demotes the batch to pickling with
-  the demotion recorded, never failing the batch.
+- a hard-killed pool worker loses zero jobs (the pool rebuilds once).
 
 Digest-equality assertions run serially (``workers=1``): ``cache_hit``
 on parallel runs depends on which worker a job landed in, which is
@@ -73,17 +71,13 @@ def _runner(workers, **kwargs):
     return BatchRunner(workers=workers, **kwargs)
 
 
-#: The chaos matrix, ``(workers, batch_fusion, transport)``: serial or a
-#: 2-worker pool, batch fusion off or auto, and shm on the pool only
-#: (a serial run uses no transport).
+#: The chaos matrix, ``(workers, batch_fusion)``: serial or a 2-worker
+#: pool, batch fusion off or auto.
 MATRIX = [
-    pytest.param((workers, fusion, transport),
-                 id=f"{'serial' if workers == 1 else 'pool'}-{fusion}"
-                    f"-{transport}")
+    pytest.param((workers, fusion),
+                 id=f"{'serial' if workers == 1 else 'pool'}-{fusion}")
     for workers in (1, 2)
     for fusion in ("off", "auto")
-    for transport in ("pickle", "shm")
-    if workers == 2 or transport == "pickle"
 ]
 
 
@@ -101,28 +95,25 @@ def _matrix_jobs(n, batch_fusion, **extra):
     ]
 
 
-def _check_batch_level_policy(jobs, batch_fusion="off", workers=1,
-                              transport="pickle"):
+def _check_batch_level_policy(jobs, batch_fusion="off", workers=1):
     """A batch-level retry policy overrides the jobs' own (one attempt
     each): the faulted first attempt is retried."""
     plan = FaultPlan(rules=(FaultRule(site="worker.exec"),))
     records, summary = _runner(
         workers, fault_plan=plan, retry=RetryPolicy(max_attempts=2),
-        batch_fusion=batch_fusion, transport=transport,
+        batch_fusion=batch_fusion,
     ).run(jobs)
     assert summary.failed == 0
     assert all(r["attempts"] == 2 for r in records)
 
 
-def _check_exhausted_budget(jobs, batch_fusion="off", workers=1,
-                            transport="pickle"):
+def _check_exhausted_budget(jobs, batch_fusion="off", workers=1):
     """Every attempt faults: each job fails transient-classified once its
     budget is spent."""
     plan = FaultPlan(
         rules=(FaultRule(site="worker.exec", attempts=()),)
     )
-    runner = _runner(workers, fault_plan=plan, batch_fusion=batch_fusion,
-                     transport=transport)
+    runner = _runner(workers, fault_plan=plan, batch_fusion=batch_fusion)
     records, summary = runner.run(jobs)
     assert summary.failed == len(jobs)
     assert all(r["attempts"] == 2 for r in records)
@@ -186,7 +177,7 @@ class TestFaultPlan:
             rules=(
                 FaultRule(site="worker.exec", kind="hang", rate=0.25,
                           attempts=(1, 2), hang_s=3.0),
-                FaultRule(site="shm.attach", match="abc"),
+                FaultRule(site="store.append", match="abc"),
             ),
             seed=7,
         )
@@ -213,6 +204,10 @@ class TestFaultPlan:
     def test_bad_rules_rejected(self, bad):
         with pytest.raises(FaultConfigError):
             FaultRule(**bad)
+
+    def test_retired_shm_site_is_unknown(self):
+        with pytest.raises(FaultConfigError, match="unknown fault site"):
+            FaultRule(site="shm.attach")
 
     def test_once_requires_latch_dir(self):
         with pytest.raises(FaultConfigError):
@@ -252,8 +247,7 @@ class TestFaultPlan:
 
 class TestClassification:
     @pytest.mark.parametrize("name", [
-        "TimeoutError", "BrokenProcessPool", "ShmAttachError",
-        "FaultInjected",
+        "TimeoutError", "BrokenProcessPool", "FaultInjected",
     ])
     def test_infrastructure_failures_are_transient(self, name):
         assert classify_error_type(name) == TRANSIENT
@@ -299,13 +293,12 @@ class TestRetryDigestParity:
     """Per injection site: a fault plus retries changes *nothing* the
     store's canonical projection can see."""
 
-    #: the faulty runs' executor and transport
+    #: the faulty runs' executor
     #: (:class:`TestRetryDigestParityMatrix` reruns the cases on a pool)
     workers = 1
-    transport = "pickle"
 
     def _runner(self, **kwargs):
-        return _runner(self.workers, transport=self.transport, **kwargs)
+        return _runner(self.workers, **kwargs)
 
     def _fault_jobs(self, batch_fusion, **extra):
         return _slab_jobs(2, **extra)
@@ -370,13 +363,11 @@ class TestRetryDigestParity:
         assert canonical_record(auto[1]) == canonical_record(runs["off"][1])
 
     def test_batch_level_policy_overrides_jobs(self, tmp_path):
-        _check_batch_level_policy(_jobs(2), workers=self.workers,
-                                  transport=self.transport)
+        _check_batch_level_policy(_jobs(2), workers=self.workers)
 
     def test_exhausted_budget_fails_with_classification(self, tmp_path):
         _check_exhausted_budget(_jobs(2, max_attempts=2),
-                                workers=self.workers,
-                                transport=self.transport)
+                                workers=self.workers)
 
     def test_permanent_failure_is_not_retried(self):
         # nz=5 cannot split across 2 nodes: a simulation error, so the
@@ -438,44 +429,20 @@ class TestPoolRecovery:
         assert records[1]["attempts"] == 1
 
 
-class TestTransportDegradation:
-    def test_shm_attach_failure_demotes_to_pickle(self, tmp_path):
-        jobs = _jobs(2, max_attempts=2)
-        clean, _ = BatchRunner(workers=2, transport="shm").run(jobs)
-        plan = FaultPlan(rules=(FaultRule(site="shm.attach"),), seed=2)
-        runner = BatchRunner(
-            workers=2, transport="shm", fault_plan=plan
-        )
-        records, summary = runner.run(jobs)
-        assert summary.failed == 0
-        assert all(r["attempts"] == 2 for r in records)
-        assert all("shm.attach" in r["transport_fallback"]
-                   for r in records)
-        assert runner.last_telemetry.counters["transport.fallback"] == 1
-        # the demotion is a transport decision: simulation output is
-        # identical to the healthy shm run
-        for healthy, degraded in zip(clean, records):
-            for key in ("converged", "sweeps", "cycles",
-                        "error_vs_analytic"):
-                assert healthy[key] == degraded[key]
-
-
 class TestCrashAndResume:
-    #: the jobs' backend and the runners' executor, batch_fusion mode and
-    #: transport (:class:`TestCrashAndResumeOnSlabs` reruns every case on
-    #: the slab engine, :class:`TestCrashAndResumeMatrix` on every
-    #: executor and transport)
+    #: the jobs' backend and the runners' executor and batch_fusion mode
+    #: (:class:`TestCrashAndResumeOnSlabs` reruns every case on the slab
+    #: engine, :class:`TestCrashAndResumeMatrix` on every executor)
     backend = "reference"
     workers = 1
     batch_fusion = "off"
-    transport = "pickle"
 
     def _jobs(self, n):
         return _jobs(n, backend=self.backend)
 
     def _runner(self, **kwargs):
         return _runner(self.workers, batch_fusion=self.batch_fusion,
-                       transport=self.transport, **kwargs)
+                       **kwargs)
 
     def _reference_digest(self, tmp_path, jobs):
         store = ResultStore(str(tmp_path / "reference.jsonl"))
@@ -598,15 +565,11 @@ class TestWorkerExecOnSlabs:
 
 
 class TestRetryDigestParityMatrix(TestRetryDigestParity):
-    """The retry cases on a 2-worker pool over both transports, each
-    under its own ``batch_fusion`` axis where it has one: a faulty pool
-    run must reproduce the fault-free serial store's digest."""
+    """The retry cases on a 2-worker pool, each under its own
+    ``batch_fusion`` axis where it has one: a faulty pool run must
+    reproduce the fault-free serial store's digest."""
 
     workers = 2
-
-    @pytest.fixture(autouse=True, params=["pickle", "shm"])
-    def _transport(self, request):
-        self.transport = request.param
 
     def _fault_jobs(self, batch_fusion, **extra):
         return _matrix_jobs(4, batch_fusion, **extra)
@@ -617,36 +580,33 @@ class TestRetryDigestParityMatrix(TestRetryDigestParity):
 
 class TestCrashAndResumeMatrix(TestCrashAndResume):
     """Every crash/resume case on fast seeded jobs, over the whole chaos
-    matrix: serial or pool, fusion off or auto, pickle or shm."""
+    matrix: serial or pool, fusion off or auto."""
 
     backend = "fast"
 
     @pytest.fixture(autouse=True, params=MATRIX)
     def _axes(self, request):
-        self.workers, self.batch_fusion, self.transport = request.param
+        self.workers, self.batch_fusion = request.param
 
     def _jobs(self, n):
         return _matrix_jobs(n, self.batch_fusion)
 
 
-@pytest.mark.parametrize("workers,transport", [
-    pytest.param(1, "pickle", id="serial"),
-    pytest.param(2, "pickle", id="pool-pickle"),
-    pytest.param(2, "shm", id="pool-shm"),
+@pytest.mark.parametrize("workers", [
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="pool"),
 ])
 class TestSlabChaos:
-    """Slab guarantees under ``batch_fusion="auto"`` on every executor
-    and transport."""
+    """Slab guarantees under ``batch_fusion="auto"`` on every executor."""
 
     def test_store_append_fault_mid_slab_then_resume(
-        self, tmp_path, workers, transport
+        self, tmp_path, workers
     ):
         # a 3-member slab plus another program: a pool gets two units
         jobs = _slab_jobs(3) + _jobs(2, backend="fast")[1:]
 
         def runner(**kwargs):
-            return _runner(workers, transport=transport,
-                           batch_fusion="auto", **kwargs)
+            return _runner(workers, batch_fusion="auto", **kwargs)
 
         reference = ResultStore(str(tmp_path / "reference.jsonl"))
         assert runner(store=reference).run(jobs)[1].failed == 0
@@ -668,16 +628,16 @@ class TestSlabChaos:
 
 def test_auto_sweep_digest_is_executor_independent(tmp_path):
     """One seeded ``auto`` sweep stores one digest, whether it ran
-    serially, on a pool or on a pool over shm."""
+    serially or on a pool."""
     from repro.service.sweep import SweepSpec
 
     jobs = SweepSpec(grids=(5, 6), methods=("jacobi",), seeds=(0, 1),
                      backend="fast", batch_fusion="auto", **FAST).expand()
     digests = set()
-    for workers, transport in ((1, "pickle"), (2, "pickle"), (2, "shm")):
-        store = ResultStore(str(tmp_path / f"{workers}-{transport}.jsonl"))
+    for workers in (1, 2):
+        store = ResultStore(str(tmp_path / f"{workers}.jsonl"))
         records, summary = _runner(
-            workers, transport=transport, store=store, batch_fusion="auto"
+            workers, store=store, batch_fusion="auto"
         ).run(jobs)
         assert summary.failed == 0
         assert [r["slab_size"] for r in records] == [2] * len(jobs)
@@ -758,13 +718,15 @@ class TestStoreTruncation:
 
 
 class TestStatsReliability:
-    def test_aggregate_reports_retries_resume_and_fallbacks(self):
+    def test_aggregate_reports_retries_and_resume(self):
         from repro.obs import aggregate_records, format_record_stats
 
         records = [
             {"ok": True, "attempts": 3,
              "retry_reasons": ["TimeoutError", "FaultInjected"]},
             {"ok": True, "attempts": 1, "resumed": True},
+            # a record as older builds wrote it: the key is read by no
+            # report any more
             {"ok": True, "attempts": 1,
              "transport_fallback": "ShmAttachError: gone"},
         ]
@@ -776,7 +738,7 @@ class TestStatsReliability:
             "FaultInjected": 1, "TimeoutError": 1,
         }
         assert rel["resumed"] == 1 and rel["fresh"] == 2
-        assert rel["transport_fallbacks"] == 1
+        assert "transport_fallbacks" not in rel
         text = format_record_stats(stats)
         assert "reliability:" in text
         assert "1 retried jobs" in text

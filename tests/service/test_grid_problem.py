@@ -3,9 +3,8 @@
 The manufactured problem ``(u*, f)`` and the solvers' interior and
 red/black masks depend only on the grid, so each is computed once per
 grid (and spacing) and handed out read-only: a write raises instead of
-corrupting every later job on that grid.  The single-node run, the
-multi-node run and the shm transport's input placement all read the
-same ``u*``.
+corrupting every later job on that grid.  The single-node run and the
+multi-node run read the same ``u*``.
 """
 
 import numpy as np
@@ -17,8 +16,7 @@ from repro.compose.jacobi import interior_masks
 from repro.service import runner
 from repro.service.cache import ProgramCache
 from repro.service.jobs import SimJob
-from repro.service.runner import BatchRunner, execute_job, grid_problem
-from repro.service.shm import ShmArena
+from repro.service.runner import execute_job, grid_problem
 
 SHAPE = (4, 4, 8)
 
@@ -67,24 +65,19 @@ def test_solver_masks_are_read_only_and_memoized():
     assert np.array_equal(red + black, mask)
 
 
-def test_one_problem_serves_single_node_multinode_and_shm(solutions,
-                                                          monkeypatch):
+def test_one_problem_serves_single_node_and_multinode(solutions,
+                                                      monkeypatch):
     from repro.sim.multinode import MultiNodeStencil
 
     u_star = grid_problem(SHAPE)[0]
-    scattered, placed = [], []
-    real_scatter, real_place = MultiNodeStencil.scatter, ShmArena.place
+    scattered = []
+    real_scatter = MultiNodeStencil.scatter
 
     def scatter(self, name, grid):
         scattered.append(grid)
         return real_scatter(self, name, grid)
 
-    def place(self, array):
-        placed.append(array)
-        return real_place(self, array)
-
     monkeypatch.setattr(MultiNodeStencil, "scatter", scatter)
-    monkeypatch.setattr(ShmArena, "place", place)
     cache = ProgramCache()
     jobs = [SimJob(method="jacobi", shape=SHAPE, eps=1e-3, max_sweeps=50,
                    backend="fast", hypercube_dim=dim) for dim in (0, 1)]
@@ -92,10 +85,4 @@ def test_one_problem_serves_single_node_multinode_and_shm(solutions,
         record = execute_job(job.to_dict(), cache=cache)
         assert record["ok"], record.get("error")
     assert scattered and scattered[0] is u_star
-
-    shm = BatchRunner(workers=2, transport="shm")
-    with shm._tasks(jobs, [job.to_dict() for job in jobs],
-                    [[0], [1]]) as (tasks, arena):
-        assert arena is not None and "inputs" in tasks[0]
-    assert placed[0] is u_star
     assert len(solutions) == 1

@@ -192,6 +192,37 @@ class TestBrokenPoolRecovery:
         assert by_value[2].error_type == "BrokenProcessPool"
         assert all(by_value[x].ok for x in (0, 1, 3))
 
+    @pytest.mark.parametrize("timeout", (None, 30.0))
+    def test_crash_during_submission_is_recovered(self, monkeypatch,
+                                                  timeout):
+        # a worker that dies while the parent is still submitting breaks
+        # the executor under submit() itself: those items must meet the
+        # same rebuild as the ones already in flight, not escape map()
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        real = concurrent.futures.ProcessPoolExecutor
+        built = []
+
+        class BreaksOnSecondSubmit(real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+                self.submitted = 0
+
+            def submit(self, *args, **kwargs):
+                self.submitted += 1
+                if self is built[0] and self.submitted == 2:
+                    raise BrokenProcessPool("worker died mid-submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            BreaksOnSecondSubmit)
+        pool = WorkerPool(max_workers=2, timeout=timeout)
+        outcomes = pool.map(_square, list(range(6)))
+        assert [o.value for o in outcomes] == [x * x for x in range(6)]
+        assert pool.last_rebuilds == 1
+
     def test_timeout_cancels_stragglers(self):
         # both jobs hang: their futures are still running when the map
         # gives up, and the pool must count (and cancel) every one so

@@ -1,17 +1,64 @@
 """BatchRunner end to end: caching, failure isolation, reproducibility."""
 
 import json
+import multiprocessing
+import os
+import time
 
+import numpy as np
+import pytest
 
 from repro.codegen.generator import MicrocodeGenerator
+from repro.service import runner as runner_module
 from repro.service.cache import ProgramCache
 from repro.service.jobs import SimJob
-from repro.service.results import ResultStore, VOLATILE_KEYS
+from repro.service.results import (
+    VOLATILE_KEYS,
+    ResultStore,
+    canonical_line,
+)
 from repro.service.runner import BatchRunner, execute_job
 from repro.service.sweep import SweepSpec
 
 
 FAST = dict(eps=1e-3, max_sweeps=500)
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="worker-function monkeypatching requires fork",
+)
+
+#: every executor x batch_fusion combination a kept field can ride
+EXECUTORS = pytest.mark.parametrize(
+    "workers,batch_fusion",
+    [(w, f) for w in (1, 2) for f in ("off", "auto")],
+    ids=lambda v: f"workers={v}" if isinstance(v, int) else v,
+)
+
+
+def _field_jobs():
+    """Kept-field jobs of every shape a unit takes: two same-program
+    fast slabs, a reference job and a multi-node job."""
+    return [
+        SimJob(method=method, shape=(5, 5, 5), backend="fast",
+               u0_seed=seed, keep_fields=True, **FAST)
+        for method, seeds in (("jacobi", 3), ("rb-gs", 2))
+        for seed in range(seeds)
+    ] + [
+        SimJob(method="rb-gs", shape=(5, 5, 5), keep_fields=True, **FAST),
+        SimJob(method="jacobi", shape=(5, 5, 6), hypercube_dim=1,
+               keep_fields=True, **FAST),
+    ]
+
+
+# top-level so the pool can pickle them into (forked) workers; they
+# stand in for execute_unit, so they accept its full signature
+def _crash_worker(task, cache=None, cache_dir=None, attempt=1):
+    os._exit(13)
+
+
+def _sleep_worker(task, cache=None, cache_dir=None, attempt=1):
+    time.sleep(30)
 
 
 class TestExecuteJob:
@@ -169,6 +216,20 @@ class TestBatchRunner:
             first.pop(key, None), second.pop(key, None)
         assert first == second  # ...and nothing else did
 
+    def test_older_stores_keep_their_digest(self, tmp_path):
+        # builds that could move grids through shared memory stamped
+        # "transport_fallback" on records whose run fell back to
+        # pickling; such a store must still digest like a fresh one
+        job = SimJob(method="jacobi", shape=(5, 5, 5), **FAST)
+        fresh = ResultStore(str(tmp_path / "fresh.jsonl"))
+        BatchRunner(workers=1, store=fresh).run([job])
+        [record] = fresh.load()
+        assert "transport_fallback" not in record
+        older = ResultStore(str(tmp_path / "older.jsonl"))
+        older.append(dict(record, transport_fallback="OSError: no space"))
+        assert canonical_line(older.load()[0]) == canonical_line(record)
+        assert older.digest() == fresh.digest()
+
     def test_store_queries(self, tmp_path):
         job = SimJob(method="jacobi", shape=(5, 5, 5), **FAST)
         store = ResultStore(str(tmp_path / "r.jsonl"))
@@ -210,3 +271,89 @@ class TestScenarioCustomers:
         # the convergence race: SOR beats GS beats Jacobi
         sweeps = {r["method"]: r["sweeps"] for r in records}
         assert sweeps["rb-sor"] < sweeps["rb-gs"] < sweeps["jacobi"]
+
+
+class TestKeptFieldsAcrossExecutors:
+    """Kept grids come back pickled from pool workers: bit-identical to
+    a serial per-job run, with equal digests, on every executor and
+    batch-fusion mode."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        records, _ = BatchRunner(workers=1).run(_field_jobs())
+        return records
+
+    @EXECUTORS
+    def test_fields_bit_identical_to_serial(self, serial, workers,
+                                            batch_fusion):
+        records, summary = BatchRunner(
+            workers=workers, batch_fusion=batch_fusion
+        ).run(_field_jobs())
+        assert summary.failed == 0
+        for s, r in zip(serial, records):
+            assert r["fields"]["u"].dtype == np.float64
+            assert r["fields"]["u"].tobytes() == s["fields"]["u"].tobytes()
+            assert r["fields_sha256"] == s["fields_sha256"]
+            for key in ("converged", "sweeps", "cycles",
+                        "program_fingerprint", "metrics"):
+                assert r[key] == s[key]
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_slab_members_return_serial_fields(self, serial, workers):
+        records, _ = BatchRunner(workers=workers,
+                                 batch_fusion="auto").run(_field_jobs())
+        assert [r.get("slab_size") for r in records] == \
+            [3, 3, 3, 2, 2, None, None]
+        for s, r in zip(serial[:5], records[:5]):
+            assert r["tier"] == "batch_fused"
+            assert r["fields"]["u"].tobytes() == s["fields"]["u"].tobytes()
+
+    @EXECUTORS
+    def test_store_gets_digests_never_arrays(self, tmp_path, workers,
+                                             batch_fusion):
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        records, _ = BatchRunner(workers=workers, batch_fusion=batch_fusion,
+                                 store=store).run(_field_jobs())
+        stored = store.load()  # would have raised on non-JSON arrays
+        assert len(stored) == len(records)
+        for mem, disk in zip(records, stored):
+            assert "fields" in mem and "fields" not in disk
+            assert disk["fields_sha256"] == mem["fields_sha256"]
+
+    @EXECUTORS
+    def test_failed_job_keeps_the_record_set_whole(self, workers,
+                                                   batch_fusion):
+        jobs = [
+            SimJob(method="jacobi", shape=(5, 5, 5), keep_fields=True,
+                   **FAST),
+            # nz=5 cannot split across 2 nodes -> captured failure
+            SimJob(method="jacobi", shape=(5, 5, 5), hypercube_dim=1,
+                   keep_fields=True, **FAST),
+        ]
+        records, summary = BatchRunner(
+            workers=workers, batch_fusion=batch_fusion
+        ).run(jobs)
+        assert [r["ok"] for r in records] == [True, False]
+        assert "fields" in records[0] and "fields" not in records[1]
+        assert summary.total == 2
+
+    @fork_only
+    @pytest.mark.parametrize("batch_fusion", ("off", "auto"))
+    def test_worker_crash_returns_every_record(self, monkeypatch,
+                                               batch_fusion):
+        monkeypatch.setattr(runner_module, "execute_unit", _crash_worker)
+        jobs = _field_jobs()
+        records, summary = BatchRunner(
+            workers=2, batch_fusion=batch_fusion
+        ).run(jobs)
+        assert len(records) == len(jobs)
+        assert summary.failed == len(jobs)  # pool broke, batch didn't
+        assert all("fields" not in r for r in records)
+
+    @fork_only
+    def test_timeout_path_returns_every_record(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "execute_unit", _sleep_worker)
+        jobs = _field_jobs()[:2]
+        records, _ = BatchRunner(workers=2, timeout=0.5).run(jobs)
+        assert len(records) == len(jobs)
+        assert all("TimeoutError" in r["error"] for r in records)

@@ -1,7 +1,7 @@
 """A lone fast single-node job runs on the slab engine, as a slab of one.
 
 Every fast builder-solver job on one node — serial under either
-``batch_fusion`` mode, in a process pool, over shared memory — binds a
+``batch_fusion`` mode or in a process pool — binds a
 one-job :class:`~repro.sim.batchplan.BatchProgramRun` and synthesizes
 its record from the run's issue log.  It never commits into an
 ``NSCMachine`` (``batchplan._commit``) nor replays interrupts, and its
@@ -12,11 +12,12 @@ decline (an unfusable plan) reruns the job once, on the reference walk.
 
 import json
 import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.obs.tracer import Tracer
+from repro.obs import tracer as obs
 from repro.service import runner
 from repro.service.cache import ProgramCache
 from repro.service.jobs import SimJob
@@ -36,7 +37,6 @@ RUNS = {
     "serial-off": dict(workers=1, batch_fusion="off"),
     "serial-auto": dict(workers=1, batch_fusion="auto"),
     "pool": dict(workers=2),
-    "shm": dict(workers=2, transport="shm"),
 }
 
 
@@ -48,6 +48,23 @@ def _job(method, backend="fast", **kw):
 def _computed(record):
     return {k: v for k, v in canonical_record(record).items()
             if k not in _ENGINE_KEYS}
+
+
+def _traced(monkeypatch, job):
+    """Run *job* through :func:`execute_job` on a fresh cache; return its
+    record, the job's own tracer and every event that tracer emitted."""
+    tracers, events = [], []
+    stamp = runner._stamp_telemetry
+
+    def spy(record, tracer):
+        tracers.append(tracer)
+        return stamp(record, tracer)
+
+    monkeypatch.setattr(runner, "_stamp_telemetry", spy)
+    monkeypatch.setattr(obs, "_DEFAULT_SINK",
+                        SimpleNamespace(emit=events.append))
+    record = execute_job(job.to_dict(), cache=ProgramCache())
+    return record, tracers[-1], events
 
 
 @pytest.fixture
@@ -96,10 +113,8 @@ class TestNoMachineCommit:
         assert counters["slab.formed"] == 1
         assert counters["slab.jobs"] == 2
 
-    def test_lone_job_counts_tier_fused_only(self, no_commit):
-        tracer = Tracer()
-        record = execute_job(_job("jacobi").to_dict(), cache=ProgramCache(),
-                             tracer=tracer)
+    def test_lone_job_counts_tier_fused_only(self, no_commit, monkeypatch):
+        record, tracer, _events = _traced(monkeypatch, _job("jacobi"))
         assert record["ok"], record.get("error")
         assert tracer.counters["tier.fused"] == 1
         for name in ("tier.batch_fused", "slab.formed", "slab.jobs",
@@ -122,12 +137,10 @@ class TestNonFinite:
             return _MACHINE_RUN(self, *args, **kwargs)
 
         monkeypatch.setattr(NSCMachine, "run", spy)
-        tracer = Tracer()
         job = SimJob(method="jacobi", shape=(5, 5, 5), backend=backend,
                      eps=1e-3, max_sweeps=20)
         with np.errstate(over="ignore", invalid="ignore"):
-            record = execute_job(job.to_dict(), cache=ProgramCache(),
-                                 tracer=tracer)
+            record, tracer, _events = _traced(monkeypatch, job)
         assert record["ok"], record.get("error")
         return record, tracer, machines
 
@@ -151,14 +164,12 @@ class TestDecline:
             raise progplan.FusionUnsupported("declined for the test")
 
         monkeypatch.setattr(batchplan, "compiled_plan", decline)
-        tracer = Tracer(keep_events=True)
-        record = execute_job(_job("jacobi").to_dict(), cache=ProgramCache(),
-                             tracer=tracer)
+        record, tracer, events = _traced(monkeypatch, _job("jacobi"))
         assert record["ok"], record.get("error")
         assert record["tier"] == "reference"
         assert record["fallback_reason"] == "declined for the test"
         assert tracer.counters["fusion.fallback"] == 1
         assert tracer.counters["tier.reference"] == 1
         assert "tier.fused" not in tracer.counters
-        events = [e for e in tracer.events if e["type"] == "fusion_fallback"]
+        events = [e for e in events if e["type"] == "fusion_fallback"]
         assert len(events) == 1

@@ -18,7 +18,6 @@ from repro.service.jobs import SimJob
 from repro.service.runner import BatchRunner, execute_job
 from repro.sim import batchplan, progplan
 from repro.sim.machine import NSCMachine
-from repro.sim.multinode import MultiNodeStencil
 
 
 FAST = dict(eps=1e-3, max_sweeps=300)
@@ -193,19 +192,17 @@ class TestRecordSchema:
         assert outer.counters["cache.hit"] == 1
         assert outer.span_counts["compile"] == 1
 
-    def test_shm_transport_records_keep_schema(self):
+    def test_pool_records_with_kept_fields_keep_schema(self):
         jobs = [SimJob(method="jacobi", shape=(5, 5, 5), backend="fast",
-                       keep_fields=True, label=f"shm#{i}", **FAST)
+                       keep_fields=True, label=f"pool#{i}", **FAST)
                 for i in range(2)]
-        runner = BatchRunner(workers=2, transport="shm")
+        runner = BatchRunner(workers=2)
         records, summary = runner.run(jobs)
         assert summary.failed == 0
         for record in records:
             assert tuple(record["timings"]) == STAGES
             assert record["tier"] == "fused"
-            # the worker-side segment attach rides the transport stage
-            assert record["timings"]["transport"] >= 0.0
+            # the kept-field copy out of the engine is the transport stage
+            assert record["timings"]["transport"] > 0.0
             assert record["duration_s"] > 0.0
-        # parent-side arena setup landed in the batch telemetry
         assert runner.last_telemetry is not None
-        assert runner.last_telemetry.span_counts["arena_setup"] == 1

@@ -256,3 +256,12 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", [
+        ["batch", "jobs.json"], ["sweep"], ["serve"],
+    ], ids=lambda argv: argv[0])
+    def test_no_transport_option(self, argv):
+        # grids move one way, so there is nothing left to choose
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--transport", "pickle"])
+        assert exc.value.code == 2

@@ -5,7 +5,7 @@ imports the submodule behind a name on first access (``repro._lazy``).
 These tests pin both halves of that contract: every exported name still
 resolves, and a fresh process that runs one cold job per solver never
 imports the editor, the daemon, the static analyzer, the bench-trend
-code, the parallel transports or the stdlib network stack.
+code or the stdlib network stack.
 """
 
 import importlib
@@ -35,7 +35,6 @@ NOT_ON_JOB_PATH = (
     "repro.analysis.engine",
     "repro.obs.alerts",
     "repro.obs.stats",
-    "repro.service.shm",
     "repro.service.sweep",
     "repro.codegen.asmtext",
     "xml.sax",
