@@ -71,13 +71,18 @@ def _runner(workers, **kwargs):
     return BatchRunner(workers=workers, **kwargs)
 
 
-#: The chaos matrix, ``(workers, batch_fusion)``: serial or a 2-worker
-#: pool, batch fusion off or auto.
+#: The chaos matrix, ``(workers, batch_fusion, keep_fields)``: serial or
+#: a 2-worker pool, batch fusion off or auto, and kept grids on the pool
+#: only (its workers pickle them back with the records; a serial run
+#: hands them over in process).
 MATRIX = [
-    pytest.param((workers, fusion),
-                 id=f"{'serial' if workers == 1 else 'pool'}-{fusion}")
+    pytest.param((workers, fusion, keep),
+                 id=f"{'serial' if workers == 1 else 'pool'}-{fusion}"
+                    f"{'-fields' if keep else ''}")
     for workers in (1, 2)
     for fusion in ("off", "auto")
+    for keep in (False, True)
+    if workers == 2 or not keep
 ]
 
 
@@ -293,15 +298,17 @@ class TestRetryDigestParity:
     """Per injection site: a fault plus retries changes *nothing* the
     store's canonical projection can see."""
 
-    #: the faulty runs' executor
-    #: (:class:`TestRetryDigestParityMatrix` reruns the cases on a pool)
+    #: the faulty runs' executor and whether the jobs keep their grids
+    #: (:class:`TestRetryDigestParityMatrix` reruns the cases on a pool,
+    #: with and without kept grids)
     workers = 1
+    keep_fields = False
 
     def _runner(self, **kwargs):
         return _runner(self.workers, **kwargs)
 
     def _fault_jobs(self, batch_fusion, **extra):
-        return _slab_jobs(2, **extra)
+        return _slab_jobs(2, keep_fields=self.keep_fields, **extra)
 
     def _reference(self, tmp_path, jobs, batch_fusion="off"):
         store = ResultStore(str(tmp_path / "clean.jsonl"))
@@ -336,6 +343,8 @@ class TestRetryDigestParity:
             r["retry_reasons"] == ["FaultInjected"] for r in records
         )
         assert store.digest() == clean.digest()
+        # a retried job still hands back the grids it was asked to keep
+        assert all(("fields" in r) == self.keep_fields for r in records)
         counters = runner.last_telemetry.counters
         assert counters["retry.scheduled"] == n
         if site == "pool.submit":
@@ -346,7 +355,7 @@ class TestRetryDigestParity:
     def test_faulted_slab_member_gets_the_per_job_failure(self):
         """A member faulted at worker.exec leaves its slab with exactly
         the record execute_job produces; the rest still run as a slab."""
-        jobs = _slab_jobs(3)
+        jobs = _slab_jobs(3, keep_fields=self.keep_fields)
         plan = FaultPlan(
             rules=(FaultRule(site="worker.exec", match=jobs[1].job_id),)
         )
@@ -361,19 +370,24 @@ class TestRetryDigestParity:
         assert [r.get("slab_size") for r in auto] == [2, None, 2]
         assert auto[1]["error_type"] == "FaultInjected"
         assert canonical_record(auto[1]) == canonical_record(runs["off"][1])
+        assert [("fields" in r) for r in auto] == \
+            [self.keep_fields, False, self.keep_fields]
 
     def test_batch_level_policy_overrides_jobs(self, tmp_path):
-        _check_batch_level_policy(_jobs(2), workers=self.workers)
+        _check_batch_level_policy(_jobs(2, keep_fields=self.keep_fields),
+                                  workers=self.workers)
 
     def test_exhausted_budget_fails_with_classification(self, tmp_path):
-        _check_exhausted_budget(_jobs(2, max_attempts=2),
-                                workers=self.workers)
+        _check_exhausted_budget(
+            _jobs(2, max_attempts=2, keep_fields=self.keep_fields),
+            workers=self.workers,
+        )
 
     def test_permanent_failure_is_not_retried(self):
         # nz=5 cannot split across 2 nodes: a simulation error, so the
         # retry budget must not burn attempts reproducing it
         job = SimJob(method="jacobi", shape=(5, 5, 5), hypercube_dim=1,
-                     max_attempts=3, **FAST)
+                     max_attempts=3, keep_fields=self.keep_fields, **FAST)
         records, summary = self._runner().run([job])
         assert summary.failed == 1
         assert records[0]["attempts"] == 1
@@ -430,10 +444,12 @@ class TestPoolRecovery:
 
 
 class TestCrashAndResume:
-    #: the jobs' backend and the runners' executor and batch_fusion mode
-    #: (:class:`TestCrashAndResumeOnSlabs` reruns every case on the slab
-    #: engine, :class:`TestCrashAndResumeMatrix` on every executor)
+    #: the jobs' backend, whether they keep their grids, and the runners'
+    #: executor and batch_fusion mode (:class:`TestCrashAndResumeOnSlabs`
+    #: reruns every case on the slab engine,
+    #: :class:`TestCrashAndResumeMatrix` on every executor)
     backend = "reference"
+    keep_fields = False
     workers = 1
     batch_fusion = "off"
 
@@ -468,6 +484,10 @@ class TestCrashAndResume:
         assert summary.failed == 0
         assert summary.resumed == 2
         assert store.digest() == reference
+        # resumed records come from the store, which holds no grids;
+        # the rerun jobs hand theirs back when asked to keep them
+        assert [("fields" in r) for r in records] == \
+            [False, False, self.keep_fields, self.keep_fields]
         counters = resumed.last_telemetry.counters
         assert counters["resume.skipped"] == 2
 
@@ -508,7 +528,8 @@ class TestCrashAndResume:
         # two instances of the same job share a job_id; one prior
         # success must redeem exactly one of them
         job = SimJob(method="jacobi", shape=(5, 5, 5),
-                     backend=self.backend, **FAST)
+                     backend=self.backend, keep_fields=self.keep_fields,
+                     **FAST)
         store = ResultStore(str(tmp_path / "repeats.jsonl"))
         _, summary = self._runner(store=store).run([job])
         assert summary.failed == 0
@@ -565,14 +586,20 @@ class TestWorkerExecOnSlabs:
 
 
 class TestRetryDigestParityMatrix(TestRetryDigestParity):
-    """The retry cases on a 2-worker pool, each under its own
-    ``batch_fusion`` axis where it has one: a faulty pool run must
-    reproduce the fault-free serial store's digest."""
+    """The retry cases on a 2-worker pool, with and without kept grids,
+    each under its own ``batch_fusion`` axis where it has one: a faulty
+    pool run must reproduce the fault-free serial store's digest."""
 
     workers = 2
 
+    @pytest.fixture(autouse=True, params=[False, True],
+                    ids=["records", "fields"])
+    def _keep_fields(self, request):
+        self.keep_fields = request.param
+
     def _fault_jobs(self, batch_fusion, **extra):
-        return _matrix_jobs(4, batch_fusion, **extra)
+        return _matrix_jobs(4, batch_fusion, keep_fields=self.keep_fields,
+                            **extra)
 
     # pool-specific already: nothing left to vary
     test_env_hook_drives_pool_workers = None
@@ -580,16 +607,17 @@ class TestRetryDigestParityMatrix(TestRetryDigestParity):
 
 class TestCrashAndResumeMatrix(TestCrashAndResume):
     """Every crash/resume case on fast seeded jobs, over the whole chaos
-    matrix: serial or pool, fusion off or auto."""
+    matrix: serial or pool, fusion off or auto, grids kept or not."""
 
     backend = "fast"
 
     @pytest.fixture(autouse=True, params=MATRIX)
     def _axes(self, request):
-        self.workers, self.batch_fusion = request.param
+        self.workers, self.batch_fusion, self.keep_fields = request.param
 
     def _jobs(self, n):
-        return _matrix_jobs(n, self.batch_fusion)
+        return _matrix_jobs(n, self.batch_fusion,
+                            keep_fields=self.keep_fields)
 
 
 @pytest.mark.parametrize("workers", [
