@@ -28,6 +28,9 @@ class ALSKind(enum.Enum):
     DOUBLET = "doublet"
     TRIPLET = "triplet"
 
+    # members are singletons: hash by identity in C (see Opcode)
+    __hash__ = object.__hash__
+
     @functools.cached_property
     def n_units(self) -> int:
         # cached on the member: diagram indexing reads it per placed ALS

@@ -25,6 +25,9 @@ class Direction(enum.Enum):
     READ = "read"    # device -> pipeline (a stream source)
     WRITE = "write"  # pipeline -> device (a stream sink)
 
+    # members are singletons: hash by identity in C (see Opcode)
+    __hash__ = object.__hash__
+
 
 class DMASpecError(Exception):
     """An ill-formed DMA specification (bad plane, stride, addressing...)."""

@@ -43,6 +43,16 @@ class FUCapability(enum.Flag):
 class Opcode(enum.Enum):
     """Operations selectable from the function-unit pop-up menu (Fig. 10)."""
 
+    # Hashed by identity.  Members are singletons, so ``object.__hash__``
+    # (a C slot) agrees with equality, where ``Enum.__hash__`` is a Python
+    # call (``hash(self._name_)``) on every dict or set lookup keyed by a
+    # member, hundreds per compile.  The same holds for the other plain
+    # enums on the compile path (DeviceKind, InputModKind, ALSKind,
+    # Direction, Severity, InterruptKind).  A set's iteration order was
+    # already per-process (str hashes are salted), so identity hashing
+    # adds no order dependence; pickles carry members by value.
+    __hash__ = object.__hash__
+
     # floating point (capability FP)
     FADD = "fadd"
     FSUB = "fsub"

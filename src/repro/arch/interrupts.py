@@ -24,6 +24,9 @@ class InterruptKind(enum.Enum):
     FP_INVALID = "fp_invalid"
     DMA_FAULT = "dma_fault"
 
+    # members are singletons: hash by identity in C (see Opcode)
+    __hash__ = object.__hash__
+
 
 #: The controller's construction-time armed set: completions and
 #: conditions delivered, exceptions masked (recorded in ``dropped``).

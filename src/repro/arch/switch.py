@@ -44,6 +44,9 @@ class DeviceKind(enum.Enum):
     CACHE = "cache"            # data cache: source read, sink write
     SHIFT_DELAY = "sd"         # shift/delay unit: sink in, sources tap<k>
 
+    # members are singletons: hash by identity in C (see Opcode)
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Endpoint:

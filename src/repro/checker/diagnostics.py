@@ -19,6 +19,9 @@ class Severity(enum.Enum):
     WARNING = "warning"  # suspicious but codegen may proceed
     INFO = "info"        # advisory
 
+    # members are singletons: hash by identity in C (see Opcode)
+    __hash__ = object.__hash__
+
     @property
     def is_error(self) -> bool:
         return self is Severity.ERROR

@@ -102,14 +102,18 @@ def _without_memos(obj: object) -> Dict[str, Any]:
 
 
 @slotted_state
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResolvedInput:
     """Fully resolved feed of one FU input port.
 
     ``kind`` is one of ``mem``, ``cache``, ``sd``, ``fu``, ``internal``,
     ``const``, ``feedback``; ``delay`` includes auto-balancing; ``skew`` is
     the residual element misalignment (nonzero only when balancing was
-    disabled — the ablation configuration)."""
+    disabled — the ablation configuration).
+
+    Read-only by convention and hashed by value, but not ``frozen``: a
+    frozen dataclass builds through one ``object.__setattr__`` per field,
+    and a compile builds dozens of these."""
 
     kind: str
     endpoint: Optional[Endpoint] = None

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.arch.als import ALS_CLASSES
+from repro.arch.als import ALS_CLASSES, ALSInstance
 from repro.arch.dma import DMASpec, Direction
 from repro.arch.funcunit import FUCapability, OPCODES, Opcode
 from repro.arch.node import MACHINE_TABLES_SIZE, NodeConfig, node_config
@@ -117,22 +117,35 @@ def _capability_richness(cap: FUCapability) -> int:
 class _FUTable:
     """The allocator's view of one machine, shared per parameter set.
 
-    ``colocate[src][fu]`` counts the hardwired routes from unit *src*
-    into unit *fu* (same ALS only; absent when zero), and
-    ``ranked[capability]`` lists the units able to do an opcode's
-    capability, least capable first, ties by index.
+    Every fact the builder consults per placed unit is fixed by the
+    parameters, so each is one lookup here:
+
+    * ``als_of[fu]`` is the :class:`ALSInstance` holding unit *fu*;
+    * ``routes`` holds ``(src_fu, dst_fu, port)`` for every hardwired
+      route inside an ALS (the ``internal_routes_into`` facts of each
+      placed ALS class, in global unit indices);
+    * ``colocate[src][fu]`` counts the routes from unit *src* into unit
+      *fu* (absent when zero);
+    * ``ranked[capability]`` lists the units able to do an opcode's
+      capability, least capable first, ties by index.
     """
 
     def __init__(self, node: NodeConfig) -> None:
         self.caps = [node.fu_capability(fu) for fu in range(node.n_fus)]
         self.richness = [_capability_richness(cap) for cap in self.caps]
+        self.als_of: Tuple[ALSInstance, ...] = tuple(
+            node.als_of_fu(fu) for fu in range(node.n_fus)
+        )
+        self.routes: FrozenSet[Tuple[int, int, str]] = frozenset(
+            (als.first_fu + edge.src_slot, als.first_fu + edge.dst_slot,
+             edge.dst_port)
+            for als in node.als_instances
+            for edge in ALS_CLASSES[als.kind].internal_edges
+        )
         self.colocate: Dict[int, Dict[int, int]] = {}
-        for als in node.als_instances:
-            for edge in ALS_CLASSES[als.kind].internal_edges:
-                src = als.first_fu + edge.src_slot
-                dst = als.first_fu + edge.dst_slot
-                row = self.colocate.setdefault(src, {})
-                row[dst] = row.get(dst, 0) + 1
+        for src, dst, _port in self.routes:
+            row = self.colocate.setdefault(src, {})
+            row[dst] = row.get(dst, 0) + 1
         by_rank = sorted(range(node.n_fus), key=lambda fu: (self.richness[fu], fu))
         self.ranked: Dict[FUCapability, Tuple[int, ...]] = {
             need: tuple(fu for fu in by_rank if need in self.caps[fu])
@@ -302,7 +315,7 @@ class PipelineBuilder:
         )
 
     def _ensure_als_placed(self, fu: int) -> None:
-        als = self.node.als_of_fu(fu)
+        als = self._fu_table.als_of[fu]
         if als.als_id not in self.diagram.als_uses:
             self.diagram.add_als(als.als_id, als.kind, als.first_fu)
 
@@ -317,20 +330,12 @@ class PipelineBuilder:
                 fu, port, InputMod(kind=InputModKind.FEEDBACK, value=operand.init)
             )
             return
-        if isinstance(operand, FURef):
-            my_als = self.node.als_of_fu(fu)
-            src_als = self.node.als_of_fu(operand.fu)
-            if my_als.als_id == src_als.als_id:
-                src_slot = operand.fu - my_als.first_fu
-                my_slot = fu - my_als.first_fu
-                routes = ALS_CLASSES[my_als.kind].internal_routes_into(my_slot, port)
-                if any(r.src_slot == src_slot for r in routes):
-                    self.diagram.set_input_mod(
-                        fu,
-                        port,
-                        InputMod(kind=InputModKind.INTERNAL, src_slot=src_slot),
-                    )
-                    return
+        if self._internal_usable(fu, port, operand):
+            src_slot = operand.fu - self._fu_table.als_of[fu].first_fu
+            self.diagram.set_input_mod(
+                fu, port, InputMod(kind=InputModKind.INTERNAL, src_slot=src_slot)
+            )
+            return
         self.diagram.connect(operand.endpoint, fu_in(fu, port))
 
     def apply(
@@ -368,16 +373,11 @@ class PipelineBuilder:
         return FURef(fu=fu, endpoint=fu_out(fu))
 
     def _internal_usable(self, fu: int, port: str, operand: Operand) -> int:
-        if not isinstance(operand, FURef):
-            return 0
-        my_als = self.node.als_of_fu(fu)
-        src_als = self.node.als_of_fu(operand.fu)
-        if my_als.als_id != src_als.als_id:
-            return 0
-        src_slot = operand.fu - my_als.first_fu
-        my_slot = fu - my_als.first_fu
-        routes = ALS_CLASSES[my_als.kind].internal_routes_into(my_slot, port)
-        return int(any(r.src_slot == src_slot for r in routes))
+        """1 when *operand* can reach ``(fu, port)`` by hardwired route."""
+        return int(
+            type(operand) is FURef
+            and (operand.fu, fu, port) in self._fu_table.routes
+        )
 
     # ------------------------------------------------------------------
     # sinks

@@ -49,6 +49,9 @@ class InputModKind(enum.Enum):
     INTERNAL = "internal"
     FEEDBACK = "feedback"
 
+    # members are singletons: hash by identity in C (see Opcode)
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class InputMod:
@@ -254,7 +257,7 @@ class PipelineDiagram:
         use = self.als_use_of_fu(fu)
         if use is None:
             raise DiagramError(f"fu{fu} belongs to no ALS placed in this diagram")
-        if fu not in use.active_fus:
+        if fu - use.first_fu in use.bypassed_slots:
             raise DiagramError(f"fu{fu} is bypassed in ALS {use.als_id}")
         return use
 

@@ -23,7 +23,6 @@ from repro.diagram.pipeline import (
 from repro.diagram.program import (
     CacheSwap,
     ControlOp,
-    Declaration,
     ExecPipeline,
     Halt,
     LoopUntil,

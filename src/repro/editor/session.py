@@ -35,7 +35,6 @@ from repro.diagram.pipeline import (
     ConditionSpec,
     DiagramError,
     InputMod,
-    InputModKind,
     PipelineDiagram,
 )
 from repro.diagram.program import VisualProgram

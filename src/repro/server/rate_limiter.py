@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 
 class TokenBucket:

@@ -123,12 +123,12 @@ class WorkerPool:
     chunk.
 
     A *worker crash* (segfault-level — the executor raises
-    ``BrokenProcessPool``) is degraded gracefully: the pool rebuilds the
-    executor **once** per map call and resubmits only the items whose
-    results were genuinely lost, each as its own future, so a repeat
-    crash takes down only the item that caused it.  Chunks completed by
-    surviving workers always keep their results.  Items still failing
-    after the rebuild are reported with ``error_type='BrokenProcessPool'``
+    ``BrokenProcessPool``) is degraded gracefully: the pool rebuilds
+    **once** per map call and reruns only the items whose results were
+    genuinely lost, each on a one-worker executor of its own, so a
+    repeat crash takes down only the item that caused it.  Chunks
+    completed by surviving workers always keep their results.  An item
+    that crashes again is reported with ``error_type='BrokenProcessPool'``
     (classified transient by :mod:`repro.service.retry`).
     """
 
@@ -223,32 +223,21 @@ class WorkerPool:
                 except concurrent.futures.TimeoutError:
                     timed_out = True
                     future.cancel()
-                    outcomes[index] = WorkerOutcome(
-                        index=index, ok=False,
-                        error=f"job exceeded {self.timeout:g}s",
-                        error_type="TimeoutError",
-                        duration_s=time.perf_counter() - start)
-                except BrokenProcessPool as exc:
-                    if self.last_rebuilds:
-                        # already rebuilt once: report this item and let
-                        # the loop drain the rest (their futures fail
-                        # instantly on the same broken pool)
-                        outcomes[index] = WorkerOutcome.failure(index, exc)
-                        continue
-                    # rebuild the executor once and resubmit only the
-                    # items whose results the crash actually lost
-                    self.last_rebuilds += 1
-                    obs.count("pool.rebuild")
+                    outcomes[index] = self._timed_out(index, start)
+                except BrokenProcessPool:
+                    # the one rebuild: rerun only the items whose results
+                    # the crash lost (every other future is done, so none
+                    # can break again)
                     lost = [
                         j for j in [index] + pending
                         if self._lost_to_break(futures[j])
                     ]
                     executor.shutdown(wait=False, cancel_futures=True)
-                    executor = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=min(workers, len(lost)))
-                    for j in lost:
-                        futures[j] = _submit(executor, fn, items[j])
-                    pending.insert(0, index)
+                    for outcome in self._rerun_isolated(
+                        fn, [(j, items[j]) for j in lost], workers
+                    ):
+                        outcomes[outcome.index] = outcome
+                    pending = [j for j in pending if j not in outcomes]
                 except Exception as exc:
                     outcomes[index] = WorkerOutcome.failure(
                         index, exc, time.perf_counter() - start)
@@ -265,13 +254,63 @@ class WorkerPool:
             self.last_stragglers = len(stragglers)
             for future in stragglers:
                 future.cancel()
-            if timed_out:
-                # a graceful shutdown would join the hung workers; kill
-                # them so one stuck job cannot stall the whole batch
-                for proc in list(getattr(executor, "_processes", {}).values()):
-                    proc.terminate()
-            executor.shutdown(wait=not timed_out, cancel_futures=True)
+            self._shutdown(executor, hung=timed_out)
         return [outcomes[index] for index in range(len(items))]
+
+    def _timed_out(self, index: int, start: float) -> WorkerOutcome:
+        return WorkerOutcome(
+            index=index, ok=False, error=f"job exceeded {self.timeout:g}s",
+            error_type="TimeoutError",
+            duration_s=time.perf_counter() - start)
+
+    @staticmethod
+    def _shutdown(executor: Any, hung: bool) -> None:
+        if hung:
+            # a graceful shutdown would join the hung workers; kill them
+            # so one stuck job cannot stall the whole batch
+            for proc in list(getattr(executor, "_processes", {}).values()):
+                proc.terminate()
+        executor.shutdown(wait=not hung, cancel_futures=True)
+
+    def _rerun_isolated(self, fn: Callable[[Any], Any],
+                        lost: Sequence[Tuple[int, Any]],
+                        workers: int) -> List[WorkerOutcome]:
+        """The rebuild after a pool break: each lost ``(index, item)``
+        runs on a one-worker executor of its own, *workers* at a time,
+        so a repeat crash breaks only its own item's executor.  The
+        per-item timeout still applies."""
+        import concurrent.futures
+
+        self.last_rebuilds += 1
+        obs.count("pool.rebuild")
+        outcomes: List[WorkerOutcome] = []
+        for first in range(0, len(lost), workers):
+            wave = lost[first : first + workers]
+            executors = [
+                concurrent.futures.ProcessPoolExecutor(max_workers=1)
+                for _pair in wave
+            ]
+            hung = [False] * len(wave)
+            try:
+                futures = [
+                    _submit(executor, _run_chunk, fn, [pair])
+                    for executor, pair in zip(executors, wave)
+                ]
+                start = time.perf_counter()
+                for k, ((index, _item), future) in enumerate(
+                    zip(wave, futures)
+                ):
+                    try:
+                        outcomes.extend(future.result(timeout=self.timeout))
+                    except concurrent.futures.TimeoutError:
+                        hung[k] = True
+                        outcomes.append(self._timed_out(index, start))
+                    except Exception as exc:
+                        outcomes.append(WorkerOutcome.failure(index, exc))
+            finally:
+                for executor, stuck in zip(executors, hung):
+                    self._shutdown(executor, hung=stuck)
+        return outcomes
 
     def _map_chunked(self, fn: Callable[[Any], Any],
                      items: Sequence[Any]) -> List[WorkerOutcome]:
@@ -307,23 +346,7 @@ class WorkerPool:
                     for index, _item in chunks[position]:
                         outcomes.append(WorkerOutcome.failure(index, exc))
         if lost:
-            # rebuild the executor once and resubmit the lost items,
-            # each as its own chunk: a repeat crash then takes down only
-            # the item that caused it, not its neighbours
-            self.last_rebuilds += 1
-            obs.count("pool.rebuild")
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(lost))
-            ) as executor:
-                retries = [
-                    _submit(executor, _run_chunk, fn, [pair])
-                    for pair in lost
-                ]
-                for pair, future in zip(lost, retries):
-                    try:
-                        outcomes.extend(future.result())
-                    except Exception as exc:
-                        outcomes.append(WorkerOutcome.failure(pair[0], exc))
+            outcomes += self._rerun_isolated(fn, lost, workers)
         outcomes.sort(key=lambda outcome: outcome.index)
         return outcomes
 

@@ -810,22 +810,72 @@ class ImageKernel:
         return BoundImage(self, storage, batch_shape)
 
 
-#: Distinct generated runner sources whose compiled code stays resident.
+#: Kernel shapes whose compiled runner code stays resident.
 RUNNER_CODE_SIZE = 256
+
+#: Operands an inline runner step binds, ``op[1 : 1 + k]`` of its bound
+#: op; steps of the other modes run as closures.
+_INLINE_ARGS = {_M_BINARY: 4, _M_CONST: 4, _M_UNARY: 3, _M_COPY: 2,
+                _M_SKEWCOPY: 2}
+
+#: One runner line per step form: the parameter prefixes the step binds
+#: (in ``_INLINE_ARGS`` order) and the statement that uses them.
+_STEP_TEXT = {
+    # ufuncs take ``out`` positionally (no kwarg parsing), except
+    # maximum/minimum, which deprecate a positional out
+    "p": ("fabo", "_f{i}(_a{i}, _b{i}, _o{i})"),
+    "k": ("fabo", "_f{i}(_a{i}, _b{i}, out=_o{i})"),
+    "u": ("fao", "_f{i}(_a{i}, _o{i})"),
+    "c": ("ao", "_copyto(_o{i}, _a{i})"),
+    "g": ("g", "_ok = _g{i}() and _ok"),
+}
+
+
+def _step_form(op: Tuple) -> str:
+    """The ``_STEP_TEXT`` form of one bound step: its mode, plus the
+    ``out=`` keyword flag for two-operand calls."""
+    mode = op[0]
+    if mode == _M_BINARY or mode == _M_CONST:
+        return "k" if op[1] in _OUT_KWARG else "p"
+    if mode == _M_UNARY:
+        return "u"
+    return "c" if mode in _INLINE_ARGS else "g"
 
 
 @functools.lru_cache(maxsize=RUNNER_CODE_SIZE)
-def _runner_code(src_text: str) -> Tuple[CodeType, Tuple[str, ...]]:
-    """The code object of the one function *src_text* defines, and the
-    names of its parameters.
+def _runner_code(shape: Tuple[int, str, int]) -> CodeType:
+    """The runner code object for one kernel shape.
 
-    Runner source depends only on a kernel's structure, never on grid
-    size or tolerances, so distinct programs of one shape share both.
-    Compiling without executing leaves the argument defaults unbound.
+    *shape* is ``(taps, forms, writes)``: the tap-load count, one
+    ``_STEP_TEXT`` form per step, and the write-back count.  Those are
+    all the runner's text depends on (never the grid size, tolerance or
+    which ufunc a step calls), so parameter names and source are
+    formatted here, once per shape, and every kernel of the shape shares
+    the code.  The parameters are ``_copyto``, each tap's destination and
+    source, each step's operands, then each write's destination and
+    source; a bound issue passes its operands in that order as the
+    argument defaults.  Compiling without executing leaves them unbound.
     """
+    taps, forms, writes = shape
+    params = ["_copyto"]
+    body = ["_ok = True"]
+    for j in range(taps):
+        params += (f"_td{j}", f"_ts{j}")
+        body.append(f"_copyto(_td{j}, _ts{j})")
+    for i, form in enumerate(forms):
+        prefixes, line = _STEP_TEXT[form]
+        params += (f"_{p}{i}" for p in prefixes)
+        body.append(line.format(i=i))
+    for j in range(writes):
+        params += (f"_wd{j}", f"_ws{j}")
+        body.append(f"_copyto(_wd{j}, _ws{j})")
+    body.append("return _ok")
+    src_text = (
+        "def _runner(" + ", ".join(f"{n}={n}" for n in params) + "):\n"
+        + "".join(f"    {line}\n" for line in body)
+    )
     module = compile(src_text, "<runner>", "exec")
-    code = next(c for c in module.co_consts if isinstance(c, CodeType))
-    return code, code.co_varnames[: code.co_argcount]
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
 class BoundImage:
@@ -1040,52 +1090,29 @@ class BoundImage:
         straight line of statements with all operands bound as argument
         defaults (local loads, no dispatch); non-ufunc steps (feedback,
         reductions, exotic kernels) drop to closures that report whether
-        their result stayed finite.
+        their result stayed finite.  The code object comes from the
+        kernel's shape (see :func:`_runner_code`), derived once per
+        kernel; each issue only gathers its operands.
         """
-        env: Dict[str, Any] = {"_copyto": np.copyto}
-        body: List[str] = []
-        for j, (dst, src) in enumerate(self._tap_live):
-            env[f"_td{j}"], env[f"_ts{j}"] = dst, src
-            body.append(f"    _copyto(_td{j}, _ts{j})")
-        tail: List[str] = []
-        for i, op in enumerate(ops):
-            mode = op[0]
-            if mode in (_M_BINARY, _M_CONST):
-                env[f"_f{i}"], env[f"_a{i}"] = op[1], op[2]
-                env[f"_b{i}"], env[f"_o{i}"] = op[3], op[4]
-                # ufuncs take ``out`` positionally (no kwarg parsing),
-                # except maximum/minimum, which deprecate a positional out
-                out = f"out=_o{i}" if op[1] in _OUT_KWARG else f"_o{i}"
-                body.append(f"    _f{i}(_a{i}, _b{i}, {out})")
-            elif mode == _M_UNARY:
-                env[f"_f{i}"], env[f"_a{i}"], env[f"_o{i}"] = op[1], op[2], op[3]
-                body.append(f"    _f{i}(_a{i}, _o{i})")
-            elif mode in (_M_SKEWCOPY, _M_COPY):
-                env[f"_a{i}"], env[f"_o{i}"] = op[1], op[2]
-                body.append(f"    _copyto(_o{i}, _a{i})")
+        kernel = self.kernel
+        shape = kernel.__dict__.get("_runner_shape")
+        if shape is None:
+            shape = kernel.__dict__["_runner_shape"] = (
+                len(self._tap_live), "".join(map(_step_form, ops)),
+                len(self._write_pairs))
+        code = _runner_code(shape)
+        defaults: List[Any] = [np.copyto]
+        for pair in self._tap_live:
+            defaults += pair
+        for op in ops:
+            k = _INLINE_ARGS.get(op[0])
+            if k is None:
+                defaults.append(self._make_closure(op))
             else:
-                env[f"_g{i}"] = self._make_closure(op)
-                body.append(f"    _ok = _g{i}() and _ok")
-        for j, (dst, src) in enumerate(self._write_pairs):
-            env[f"_wd{j}"], env[f"_ws{j}"] = dst, src
-            tail.append(f"    _copyto(_wd{j}, _ws{j})")
-        cached = self.kernel.__dict__.get("_runner_code")
-        if cached is None or cached[1] != tuple(env):
-            params = ", ".join(f"{name}={name}" for name in env)
-            src_text = (
-                f"def _runner({params}):\n    _ok = True\n"
-                + "\n".join(body + tail)
-                + "\n    return _ok\n"
-            )
-            # the shared (code, parameter names) pair: no kernel keeps a
-            # name list of its own
-            cached = _runner_code(src_text)
-            self.kernel.__dict__["_runner_code"] = cached
-        # the code object depends only on the kernel's structure: bind this
-        # issue's operands as fresh argument defaults
-        return FunctionType(
-            cached[0], {}, "_runner", tuple(env[name] for name in cached[1])
-        )
+                defaults += op[1 : 1 + k]
+        for pair in self._write_pairs:
+            defaults += pair
+        return FunctionType(code, {}, "_runner", tuple(defaults))
 
     def _make_closure(self, op: Tuple) -> Any:
         """A zero-argument callable for one non-ufunc step.

@@ -7,7 +7,6 @@ from repro.arch.als import (
     ALSClass,
     ALSInstance,
     ALSKind,
-    FUSlot,
     InternalEdge,
 )
 from repro.arch.funcunit import FUCapability

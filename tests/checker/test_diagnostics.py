@@ -2,7 +2,6 @@
 
 from repro.checker.diagnostics import (
     CheckReport,
-    Diagnostic,
     Severity,
     error,
     info,

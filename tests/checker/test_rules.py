@@ -8,8 +8,6 @@ from repro.arch.funcunit import Opcode
 from repro.arch.node import NodeConfig
 from repro.arch.switch import (
     DeviceKind,
-    Endpoint,
-    cache_read,
     fu_in,
     fu_out,
     mem_read,

@@ -16,7 +16,6 @@ from repro.codegen.microword import (
     FieldError,
     Microword,
     MicrowordLayout,
-    SourceTable,
     bits_to_float,
     float_to_bits,
 )

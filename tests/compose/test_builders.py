@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.arch.als import ALS_CLASSES, FU_INPUT_PORTS
 from repro.arch.funcunit import FUCapability, Opcode
 from repro.arch.node import NodeConfig
+from repro.arch.params import NSCParameters, SUBSET_PARAMS
 from repro.checker.checker import Checker
-from repro.compose.builders import BuilderError, PipelineBuilder
+from repro.compose.builders import BuilderError, PipelineBuilder, _FUTable
 from repro.diagram.pipeline import InputModKind
 from repro.diagram.program import VisualProgram
 
@@ -154,3 +156,41 @@ class TestBuiltDiagramsAreValid:
         d = b.build(append=False)
         assert prog.pipelines == []
         assert d.fu_ops
+
+
+@pytest.mark.parametrize("params", [NSCParameters(), SUBSET_PARAMS],
+                         ids=["default", "subset"])
+class TestFUTable:
+    """The allocator's per-machine table holds exactly the facts a scan
+    of the node and its ALS classes derives."""
+
+    def test_per_fu_als_matches_the_node(self, params):
+        node = NodeConfig(params)
+        table = _FUTable(node)
+        assert len(table.als_of) == node.n_fus
+        for fu in range(node.n_fus):
+            assert table.als_of[fu] is node.als(node.fu(fu).als_id)
+            assert table.als_of[fu] is node.als_of_fu(fu)
+
+    def test_routes_match_a_brute_force_scan(self, params):
+        node = NodeConfig(params)
+        scanned = set()
+        for dst in range(node.n_fus):
+            als = node.als(node.fu(dst).als_id)
+            for port in FU_INPUT_PORTS:
+                for edge in ALS_CLASSES[als.kind].internal_routes_into(
+                        dst - als.first_fu, port):
+                    scanned.add((als.first_fu + edge.src_slot, dst, port))
+        table = _FUTable(node)
+        assert scanned and table.routes == scanned
+        colocate = {}
+        for src, dst, _port in scanned:
+            colocate.setdefault(src, {}).setdefault(dst, 0)
+            colocate[src][dst] += 1
+        assert table.colocate == colocate
+
+    def test_als_of_fu_keeps_its_index_error(self, params):
+        node = NodeConfig(params)
+        for fu in (-1, node.n_fus):
+            with pytest.raises(IndexError, match=f"no functional unit {fu}"):
+                node.als_of_fu(fu)

@@ -7,10 +7,7 @@ from repro.arch.node import NodeConfig
 from repro.checker.checker import Checker
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.builders import BuilderError
-from repro.compose.kernels import (
-    build_chunked_scale_program,
-    build_saxpy_program,
-)
+from repro.compose.kernels import build_chunked_scale_program
 from repro.sim.machine import NSCMachine
 
 

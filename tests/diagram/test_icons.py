@@ -5,7 +5,6 @@ import pytest
 from repro.arch.als import ALSKind
 from repro.arch.switch import DeviceKind, fu_in, fu_out, mem_read, sd_tap
 from repro.diagram.icons import (
-    ALSIcon,
     CacheIcon,
     MemoryPlaneIcon,
     ShiftDelayIcon,

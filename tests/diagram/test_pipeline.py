@@ -53,8 +53,21 @@ class TestALSManagement:
     def test_bypassed_fu_not_programmable(self):
         d = PipelineDiagram()
         d.add_als(0, ALSKind.DOUBLET, first_fu=0, bypassed_slots=(1,))
-        with pytest.raises(DiagramError, match="bypassed"):
+        with pytest.raises(DiagramError, match="^fu1 is bypassed in ALS 0$"):
             d.set_fu_op(1, Opcode.FADD)
+        # every mutator of a triplet's bypassed middle slot says the same
+        d.add_als(3, ALSKind.TRIPLET, first_fu=6, bypassed_slots=(1,))
+        message = "^fu7 is bypassed in ALS 3$"
+        with pytest.raises(DiagramError, match=message):
+            d.set_fu_op(7, Opcode.FADD)
+        with pytest.raises(DiagramError, match=message):
+            d.set_input_mod(7, "a", InputMod(kind=InputModKind.CONSTANT))
+        with pytest.raises(DiagramError, match=message):
+            d.set_delay(7, "b", 2)
+        # the active slots around it stay programmable
+        d.set_fu_op(6, Opcode.FADD)
+        d.set_fu_op(8, Opcode.MAX)
+        assert sorted(d.fu_ops) == [6, 8]
 
     def test_active_fus_of_use(self):
         d = PipelineDiagram()

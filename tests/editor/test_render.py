@@ -12,7 +12,6 @@ from repro.editor.render_ascii import (
     render_execution,
     render_icon_catalog,
     render_pipeline_diagram,
-    render_window,
 )
 from repro.editor.render_svg import render_pipeline_svg
 from repro.editor.session import EditorSession

@@ -7,6 +7,10 @@ process miss, so a disk-cached program would look unwired.  This test
 writes a compiled Jacobi program to a :class:`ProgramCache` directory in
 one process and reads it back in another with a different hash seed,
 which must see the writer's microword fields and fingerprint.
+
+The plain enums on the compile path hash by identity, which differs
+between processes too: dicts and sets keyed by their members must load
+by value in a process with another hash seed.
 """
 
 import json
@@ -90,3 +94,53 @@ def test_disk_entry_loads_under_another_hash_seed(tmp_path):
     assert all(written["fields"])
     assert result["fields"] == written["fields"]
     assert result["fingerprint"] == written["fingerprint"]
+
+
+ENUMS = """
+from repro.arch.als import ALSKind
+from repro.arch.dma import Direction
+from repro.arch.funcunit import Opcode
+from repro.arch.interrupts import InterruptKind
+from repro.arch.switch import DeviceKind
+from repro.checker.diagnostics import Severity
+from repro.diagram.pipeline import InputModKind
+
+ENUMS = (Opcode, DeviceKind, InputModKind, ALSKind, Direction, Severity,
+         InterruptKind)
+"""
+
+ENUM_WRITER = ENUMS + """
+import json, pickle, sys
+keyed = {cls.__name__: ({m: m.value for m in cls}, set(cls)) for cls in ENUMS}
+with open(sys.argv[1] + "/enums.pkl", "wb") as fh:
+    pickle.dump(keyed, fh)
+print(json.dumps({name: list(d.values()) for name, (d, _s) in keyed.items()}))
+"""
+
+ENUM_READER = ENUMS + """
+import json, pickle, sys
+with open(sys.argv[1] + "/enums.pkl", "rb") as fh:
+    keyed = pickle.load(fh)
+report = {}
+for cls in ENUMS:
+    by_member, members = keyed[cls.__name__]
+    report[cls.__name__] = {
+        "identity_hash": cls.__hash__ is object.__hash__,
+        "lookups": all(by_member[m] == m.value for m in cls),
+        "members": all(m in members for m in cls) and members == set(cls),
+        "keys_are_members": all(cls(k.value) is k for k in by_member),
+        "values": [by_member[m] for m in cls],
+    }
+print(json.dumps(report))
+"""
+
+
+def test_enum_keyed_maps_load_under_another_hash_seed(tmp_path):
+    written = json.loads(_run(ENUM_WRITER, 1, tmp_path).splitlines()[-1])
+    report = json.loads(_run(ENUM_READER, 2, tmp_path).splitlines()[-1])
+    assert set(report) == set(written) and len(report) == 7
+    for name, facts in report.items():
+        assert facts["identity_hash"], name
+        assert facts["lookups"] and facts["members"], name
+        assert facts["keys_are_members"], name
+        assert facts["values"] == written[name], name

@@ -97,48 +97,46 @@ def test_machine_tables_stay_at_their_bound():
 def test_runner_code_map_stays_at_its_bound():
     _runner_code.cache_clear()
     for k in range(RUNNER_CODE_SIZE + 8):
-        code, names = _runner_code(
-            f"def _runner(_x={k}):\n    return _x + {k}\n"
-        )
-        assert code.co_name == "_runner" and names == ("_x",)
+        code = _runner_code((k, "", 0))  # k tap loads, no steps or writes
+        assert code.co_name == "_runner"
+        assert code.co_argcount == 1 + 2 * k
     assert _runner_code.cache_info().currsize == RUNNER_CODE_SIZE
 
 
-def test_same_structure_programs_share_runner_code():
-    """A second program differing only in tolerance compiles no new
-    runner: the generated source is the same text."""
-    def run(eps: float) -> None:
-        job = SimJob(method="jacobi", shape=(6, 6, 6), eps=eps,
-                     max_sweeps=200, backend="fast")
-        (record,), _ = BatchRunner(workers=1).run([job])
-        assert record["tier"] == "fused"
+def _fused_jacobi(eps: float) -> dict:
+    job = SimJob(method="jacobi", shape=(6, 6, 6), eps=eps,
+                 max_sweeps=200, backend="fast")
+    (record,), _ = BatchRunner(workers=1).run([job])
+    assert record["tier"] == "fused"
+    return record
 
+
+def test_same_structure_programs_share_runner_code():
+    """A second program differing only in tolerance has the first one's
+    kernel shapes: its binds format no runner source (no miss) and reuse
+    the code objects."""
     _runner_code.cache_clear()
-    run(1e-3)
+    _fused_jacobi(1e-3)
     misses = _runner_code.cache_info().misses
     assert misses > 0
-    run(2e-3)
+    _fused_jacobi(2e-3)
     info = _runner_code.cache_info()
     assert info.misses == misses
     assert info.hits > 0
 
 
 def test_same_structure_kernels_share_parameter_names():
-    """Two kernels with one runner source hold one parameter-name tuple
-    (the code object's own), not a name list each."""
+    """Two kernels of one shape hold one code object, and with it one
+    parameter-name tuple (the code object's own), not a name list each."""
     def kernel_runner(eps: float):
-        job = SimJob(method="jacobi", shape=(6, 6, 6), eps=eps,
-                     max_sweeps=200, backend="fast")
-        (record,), _ = BatchRunner(workers=1).run([job])
-        assert record["tier"] == "fused"
+        record = _fused_jacobi(eps)
         (plan,) = [p for p in PLAN_CACHE._data.values()
                    if p.program.fingerprint() == record["program_fingerprint"]]
-        return plan.kernels[1].__dict__["_runner_code"]
+        return _runner_code(plan.kernels[1].__dict__["_runner_shape"])
 
     PLAN_CACHE.clear()
-    code_a, names_a = kernel_runner(1e-3)
-    code_b, names_b = kernel_runner(3e-3)
+    code_a = kernel_runner(1e-3)
+    code_b = kernel_runner(3e-3)
     assert code_a is code_b
-    assert names_a is names_b
-    assert isinstance(names_a, tuple)
-    assert names_a == code_a.co_varnames[: code_a.co_argcount]
+    names = code_a.co_varnames[: code_a.co_argcount]
+    assert names[0] == "_copyto" and len(set(names)) == len(names)

@@ -193,6 +193,22 @@ class TestBrokenPoolRecovery:
         assert all(by_value[x].ok for x in (0, 1, 3))
 
     @pytest.mark.parametrize("timeout", (None, 30.0))
+    def test_repeat_crash_fails_only_its_own_item(self, timeout):
+        # every lost item reruns on an executor of its own: the victim's
+        # second crash cannot take a neighbour's rerun down with it, on
+        # the chunked path or the per-item (timeout) path
+        pool = WorkerPool(max_workers=2, timeout=timeout)
+        items = [(None, x) for x in range(8)]
+        outcomes = pool.map(_kill_worker_always, items)
+        assert pool.last_rebuilds == 1
+        failed = [x for (_l, x), o in zip(items, outcomes) if not o.ok]
+        assert failed == [2]
+        assert outcomes[2].error_type == "BrokenProcessPool"
+        assert [o.value for o in outcomes if o.ok] == [
+            x * x for x in range(8) if x != 2
+        ]
+
+    @pytest.mark.parametrize("timeout", (None, 30.0))
     def test_crash_during_submission_is_recovered(self, monkeypatch,
                                                   timeout):
         # a worker that dies while the parent is still submitting breaks

@@ -11,7 +11,6 @@ from repro.diagram.program import (
     ExecPipeline,
     Halt,
     LoopUntil,
-    Repeat,
 )
 from repro.sim.machine import NSCMachine
 from repro.sim.sequencer import Sequencer, SequencerError

@@ -22,6 +22,8 @@ def test_profile_cold_reports_every_stage(capsys):
     assert {"freeze", "check", "generate"} <= set(p50)
     assert all(value >= 0.0 for value in p50.values())
     assert p50["total"] > 0.0
+    # the cProfile pass over the same programs counts calls per job
+    assert report["calls_per_job"] > 0.0
 
 
 def test_sample_is_seeded_and_distinct():

@@ -30,7 +30,11 @@ record      the record's ``MachineProgram.fingerprint()`` and its
 First-use imports and machine tables are warmed on n = 4 programs the
 sample never contains, as a long-lived service would have them.  Prints
 the p50 of each sub-stage and of their per-job sum in milliseconds.
-The store is a scratch file, deleted on exit.
+After the timed pass, a cProfile pass runs the same programs again
+(fresh builds; only the process-wide tables are warm, as in the timed
+pass) and reports ``calls_per_job``: the function calls it counted,
+builtins included, divided by the sample size.  The store is a scratch
+file, deleted on exit.
 
 Usage::
 
@@ -40,7 +44,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
+import pstats
 import random
 import statistics
 import sys
@@ -179,23 +185,40 @@ def profile_one(
     }
 
 
-def profile(n: int, seed: int) -> Dict[str, float]:
-    """p50 milliseconds per sub-stage (and ``total``) over *n* programs."""
+def count_calls(
+    programs: Sequence[Program], params: NSCParameters, store: ResultStore
+) -> float:
+    """Function calls per job that cProfile counts over *programs*."""
+    profiler = cProfile.Profile()
+    spent = [0.0]
+    profiler.enable()
+    for program in programs:
+        profile_one(program, params, spent, store)
+    profiler.disable()
+    return pstats.Stats(profiler).total_calls / len(programs)
+
+
+def profile(n: int, seed: int) -> Tuple[Dict[str, float], float]:
+    """p50 milliseconds per sub-stage (and ``total``) over *n* programs,
+    and the calls per job of a cProfile pass over the same programs."""
     params = NSCParameters()
+    programs = sample(n, seed)
     per_stage: Dict[str, List[float]] = {stage: [] for stage in STAGES}
     totals: List[float] = []
-    with runner_clock() as spent, tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as scratch:
         store = ResultStore(str(Path(scratch) / "records.jsonl"))
-        for method in SOLVERS:
-            profile_one((method, 4, 1e-3), params, spent, store)
-        for program in sample(n, seed):
-            times = profile_one(program, params, spent, store)
-            for stage in STAGES:
-                per_stage[stage].append(times[stage] * 1e3)
-            totals.append(sum(times.values()) * 1e3)
+        with runner_clock() as spent:
+            for method in SOLVERS:
+                profile_one((method, 4, 1e-3), params, spent, store)
+            for program in programs:
+                times = profile_one(program, params, spent, store)
+                for stage in STAGES:
+                    per_stage[stage].append(times[stage] * 1e3)
+                totals.append(sum(times.values()) * 1e3)
+        calls_per_job = count_calls(programs, params, store)
     p50 = {stage: statistics.median(v) for stage, v in per_stage.items()}
     p50["total"] = statistics.median(totals)
-    return p50
+    return p50, calls_per_job
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -210,14 +233,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("-n must be at least 1")
-    p50 = profile(args.n, args.seed)
+    p50, calls_per_job = profile(args.n, args.seed)
     if args.json:
-        report = {"programs": args.n, "seed": args.seed, "p50_ms": p50}
+        report = {
+            "programs": args.n,
+            "seed": args.seed,
+            "p50_ms": p50,
+            "calls_per_job": calls_per_job,
+        }
         print(json.dumps(report, sort_keys=True))
         return 0
     print(f"profile_cold: {args.n} programs (seed {args.seed}), p50 ms per sub-stage")
     for stage, value in p50.items():
         print(f"  {stage:<10} {value:8.3f}")
+    print(f"  calls per job (cProfile pass): {calls_per_job:.0f}")
     return 0
 
 
