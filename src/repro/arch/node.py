@@ -45,10 +45,6 @@ class NodeConfig:
         self.als_instances: List[ALSInstance] = []
         self._fus: List[FUDescriptor] = []
         self._build()
-        # each unit's ALS, so als_of_fu is one bounds check and an index
-        self._als_of_fu: Tuple[ALSInstance, ...] = tuple(
-            self.als_instances[d.als_id] for d in self._fus
-        )
         self.switch = SwitchNetwork(self.params, self.n_fus)
 
     def _build(self) -> None:
@@ -109,9 +105,7 @@ class NodeConfig:
         return self.fu(fu_index).capability
 
     def als_of_fu(self, fu_index: int) -> ALSInstance:
-        if not (0 <= fu_index < len(self._als_of_fu)):
-            raise IndexError(f"no functional unit {fu_index} (node has {self.n_fus})")
-        return self._als_of_fu[fu_index]
+        return self.als(self.fu(fu_index).als_id)
 
     def fus_with_capability(self, capability: FUCapability) -> List[int]:
         return [

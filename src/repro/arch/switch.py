@@ -58,7 +58,8 @@ class Endpoint:
 
     def __post_init__(self) -> None:
         # endpoints key every wiring index the compiler and checker
-        # query; hashing the enum member each time dominated those maps
+        # query: hash the field tuple once instead of rebuilding it in
+        # the generated __hash__ on every lookup
         object.__setattr__(self, "_hash", hash((self.kind, self.device, self.port)))
 
     def __hash__(self) -> int:
@@ -97,8 +98,11 @@ ENDPOINT_TABLE_SIZE = 4096
 
 
 def _table(kind: DeviceKind) -> Callable[[int, str], Endpoint]:
-    # keyed on (device, port) alone: int/str keys hash in C, where the
-    # enum member would cost a Python-level Enum.__hash__ per lookup
+    # one table per kind, keyed on (device, port): fu_in, mem_read and
+    # the other helpers call their kind's table directly, with no kind
+    # argument to pass, hash or look up (reading ``DeviceKind.FU`` is an
+    # attribute lookup through the enum metaclass), and a flood of one
+    # kind's out-of-range devices cannot evict another kind's endpoints
     @functools.lru_cache(maxsize=ENDPOINT_TABLE_SIZE)
     def canonical(device: int, port: str) -> Endpoint:
         return Endpoint(kind, device, port)

@@ -123,13 +123,15 @@ class WorkerPool:
     chunk.
 
     A *worker crash* (segfault-level — the executor raises
-    ``BrokenProcessPool``) is degraded gracefully: the pool rebuilds
-    **once** per map call and reruns only the items whose results were
-    genuinely lost, each on a one-worker executor of its own, so a
-    repeat crash takes down only the item that caused it.  Chunks
-    completed by surviving workers always keep their results.  An item
-    that crashes again is reported with ``error_type='BrokenProcessPool'``
-    (classified transient by :mod:`repro.service.retry`).
+    ``BrokenProcessPool``) is degraded gracefully: the pool rebuilds the
+    executor **once** per map call and reruns only the items whose
+    results were genuinely lost, each as its own future.  Items a second
+    crash loses then run on one-worker *lanes*, one item at a time per
+    lane, so a repeat crash takes down only the item that caused it.
+    Chunks completed by surviving workers always keep their results.  An
+    item that crashes on its lane too is reported with
+    ``error_type='BrokenProcessPool'`` (classified transient by
+    :mod:`repro.service.retry`).
     """
 
     #: Upper bound on submitted futures per worker in the chunked path:
@@ -197,65 +199,82 @@ class WorkerPool:
 
     def _map_parallel(self, fn: Callable[[Any], Any],
                       items: Sequence[Any]) -> List[WorkerOutcome]:
+        if self.timeout is None:
+            return self._map_chunked(fn, items)
+        return self._map_per_item(fn, list(enumerate(items)),
+                                  min(self.max_workers, len(items)))
+
+    def _map_per_item(self, fn: Callable[[Any], Any],
+                      pairs: Sequence[Tuple[int, Any]], workers: int,
+                      rebuilt: bool = False) -> List[WorkerOutcome]:
+        """Each ``(index, item)`` pair as its own future on one executor,
+        collected in order under the per-item timeout.  A pool break
+        hands the items whose results it lost to :meth:`_rerun_lost`."""
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
-        if self.timeout is None:
-            return self._map_chunked(fn, items)
-        workers = min(self.max_workers, len(items))
         outcomes: Dict[int, WorkerOutcome] = {}
-        executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        executor = concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(pairs)))
         timed_out = False
         futures: Dict[int, "Future"] = {}
         try:
             start = time.perf_counter()
             futures = {
-                index: _submit(executor, fn, item)
-                for index, item in enumerate(items)
+                pair[0]: _submit(executor, _run_chunk, fn, [pair])
+                for pair in pairs
             }
-            self.last_submitted = len(futures)
-            pending = list(range(len(items)))
+            if not rebuilt:
+                self.last_submitted = len(futures)
+            pending = [index for index, _item in pairs]
             while pending:
                 index = pending.pop(0)
                 future = futures[index]
                 try:
-                    value = future.result(timeout=self.timeout)
+                    (outcomes[index],) = future.result(timeout=self.timeout)
                 except concurrent.futures.TimeoutError:
                     timed_out = True
                     future.cancel()
                     outcomes[index] = self._timed_out(index, start)
                 except BrokenProcessPool:
-                    # the one rebuild: rerun only the items whose results
-                    # the crash lost (every other future is done, so none
-                    # can break again)
+                    # every other future is done, so none can break again
                     lost = [
-                        j for j in [index] + pending
-                        if self._lost_to_break(futures[j])
+                        pair for pair in pairs
+                        if pair[0] not in outcomes
+                        and self._lost_to_break(futures[pair[0]])
                     ]
                     executor.shutdown(wait=False, cancel_futures=True)
-                    for outcome in self._rerun_isolated(
-                        fn, [(j, items[j]) for j in lost], workers
-                    ):
+                    for outcome in self._rerun_lost(fn, lost, workers,
+                                                    rebuilt):
                         outcomes[outcome.index] = outcome
                     pending = [j for j in pending if j not in outcomes]
                 except Exception as exc:
                     outcomes[index] = WorkerOutcome.failure(
                         index, exc, time.perf_counter() - start)
-                else:
-                    outcomes[index] = WorkerOutcome(
-                        index=index, ok=True, value=value,
-                        duration_s=time.perf_counter() - start)
         finally:
             # cancel stragglers (futures still pending after their batch
             # already failed) so shutdown cannot block on them
             stragglers = [
                 future for future in futures.values() if not future.done()
             ]
-            self.last_stragglers = len(stragglers)
+            self.last_stragglers += len(stragglers)
             for future in stragglers:
                 future.cancel()
             self._shutdown(executor, hung=timed_out)
-        return [outcomes[index] for index in range(len(items))]
+        return [outcomes[index] for index, _item in pairs]
+
+    def _rerun_lost(self, fn: Callable[[Any], Any],
+                    lost: Sequence[Tuple[int, Any]], workers: int,
+                    rebuilt: bool) -> List[WorkerOutcome]:
+        """Recover the items a pool break lost.  The first break of a map
+        reruns them on one rebuilt executor (warm, pipelined: a one-off
+        crash costs little); items a second break loses run on lanes,
+        where a repeat crash fails only its own item."""
+        if rebuilt:
+            return self._run_lanes(fn, lost, workers)
+        self.last_rebuilds += 1
+        obs.count("pool.rebuild")
+        return self._map_per_item(fn, lost, workers, rebuilt=True)
 
     def _timed_out(self, index: int, start: float) -> WorkerOutcome:
         return WorkerOutcome(
@@ -267,49 +286,74 @@ class WorkerPool:
     def _shutdown(executor: Any, hung: bool) -> None:
         if hung:
             # a graceful shutdown would join the hung workers; kill them
-            # so one stuck job cannot stall the whole batch
-            for proc in list(getattr(executor, "_processes", {}).values()):
+            # so one stuck job cannot stall the whole batch (a broken or
+            # already shut-down executor holds no processes: None)
+            for proc in list((getattr(executor, "_processes", None)
+                              or {}).values()):
                 proc.terminate()
         executor.shutdown(wait=not hung, cancel_futures=True)
 
-    def _rerun_isolated(self, fn: Callable[[Any], Any],
-                        lost: Sequence[Tuple[int, Any]],
-                        workers: int) -> List[WorkerOutcome]:
-        """The rebuild after a pool break: each lost ``(index, item)``
-        runs on a one-worker executor of its own, *workers* at a time,
-        so a repeat crash breaks only its own item's executor.  The
-        per-item timeout still applies."""
+    def _run_lanes(self, fn: Callable[[Any], Any],
+                   lost: Sequence[Tuple[int, Any]],
+                   workers: int) -> List[WorkerOutcome]:
+        """Run ``(index, item)`` pairs on *workers* lanes, each a
+        one-worker executor fed one item at a time as it frees.  A lane's
+        worker stays warm across its items, and a crash breaks only its
+        lane's executor, so only the item that crashed fails; the lane
+        gets a fresh executor for its next item, as does a lane whose
+        item timed out.  The per-item timeout counts from the item's
+        submission."""
         import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
 
-        self.last_rebuilds += 1
-        obs.count("pool.rebuild")
+        queue = list(reversed(lost))  # pop() takes the lowest index
+        lanes: List[Any] = [None] * min(workers, len(lost))
+        # lane -> (future, index, start) of the item it runs
+        running: Dict[int, Tuple["Future", int, float]] = {}
         outcomes: List[WorkerOutcome] = []
-        for first in range(0, len(lost), workers):
-            wave = lost[first : first + workers]
-            executors = [
-                concurrent.futures.ProcessPoolExecutor(max_workers=1)
-                for _pair in wave
-            ]
-            hung = [False] * len(wave)
-            try:
-                futures = [
-                    _submit(executor, _run_chunk, fn, [pair])
-                    for executor, pair in zip(executors, wave)
-                ]
-                start = time.perf_counter()
-                for k, ((index, _item), future) in enumerate(
-                    zip(wave, futures)
-                ):
-                    try:
-                        outcomes.extend(future.result(timeout=self.timeout))
-                    except concurrent.futures.TimeoutError:
-                        hung[k] = True
+        try:
+            while queue or running:
+                for lane, executor in enumerate(lanes):
+                    if lane in running or not queue:
+                        continue
+                    if executor is None:
+                        executor = lanes[lane] = (
+                            concurrent.futures.ProcessPoolExecutor(
+                                max_workers=1))
+                    pair = queue.pop()
+                    running[lane] = (_submit(executor, _run_chunk, fn, [pair]),
+                                     pair[0], time.perf_counter())
+                wait_s = None
+                if self.timeout is not None:
+                    first = min(start for _f, _i, start in running.values())
+                    wait_s = max(0.0, first + self.timeout - time.perf_counter())
+                concurrent.futures.wait(
+                    [future for future, _i, _s in running.values()],
+                    timeout=wait_s,
+                    return_when=concurrent.futures.FIRST_COMPLETED)
+                for lane, (future, index, start) in list(running.items()):
+                    broken = hung = False
+                    if future.done():
+                        try:
+                            outcomes.extend(future.result())
+                        except Exception as exc:
+                            broken = isinstance(exc, BrokenProcessPool)
+                            outcomes.append(WorkerOutcome.failure(
+                                index, exc, time.perf_counter() - start))
+                    elif (self.timeout is not None
+                          and time.perf_counter() - start >= self.timeout):
+                        hung = True
                         outcomes.append(self._timed_out(index, start))
-                    except Exception as exc:
-                        outcomes.append(WorkerOutcome.failure(index, exc))
-            finally:
-                for executor, stuck in zip(executors, hung):
-                    self._shutdown(executor, hung=stuck)
+                    else:
+                        continue
+                    del running[lane]
+                    if broken or hung:
+                        self._shutdown(lanes[lane], hung=hung)
+                        lanes[lane] = None
+        finally:
+            for lane, executor in enumerate(lanes):
+                if executor is not None:
+                    self._shutdown(executor, hung=lane in running)
         return outcomes
 
     def _map_chunked(self, fn: Callable[[Any], Any],
@@ -346,7 +390,7 @@ class WorkerPool:
                     for index, _item in chunks[position]:
                         outcomes.append(WorkerOutcome.failure(index, exc))
         if lost:
-            outcomes += self._rerun_isolated(fn, lost, workers)
+            outcomes += self._rerun_lost(fn, lost, workers, rebuilt=False)
         outcomes.sort(key=lambda outcome: outcome.index)
         return outcomes
 

@@ -510,6 +510,13 @@ class ImageKernel:
             if entry not in touched:
                 touched.append(entry)
         self.touched_arrays = tuple(touched)
+        # what the runner's text depends on (see _runner_code): one tap
+        # load per feeder and tap pad, one form per step, one copy per write
+        self.runner_shape: Tuple[int, str, int] = (
+            len(self.feeder_pads) + len(self.tap_pads),
+            "".join(map(_step_form, self.steps)),
+            len(self.writes),
+        )
 
     # ------------------------------------------------------------------
     def _assign_slots(self, plan: _FastPlan) -> None:
@@ -832,8 +839,9 @@ _STEP_TEXT = {
 
 
 def _step_form(op: Tuple) -> str:
-    """The ``_STEP_TEXT`` form of one bound step: its mode, plus the
-    ``out=`` keyword flag for two-operand calls."""
+    """The ``_STEP_TEXT`` form of one step (kernel or bound: both lead
+    with the mode, then the ufunc for the modes that call one): its mode,
+    plus the ``out=`` keyword flag for two-operand calls."""
     mode = op[0]
     if mode == _M_BINARY or mode == _M_CONST:
         return "k" if op[1] in _OUT_KWARG else "p"
@@ -1091,16 +1099,10 @@ class BoundImage:
         defaults (local loads, no dispatch); non-ufunc steps (feedback,
         reductions, exotic kernels) drop to closures that report whether
         their result stayed finite.  The code object comes from the
-        kernel's shape (see :func:`_runner_code`), derived once per
-        kernel; each issue only gathers its operands.
+        kernel's ``runner_shape`` (see :func:`_runner_code`); each issue
+        only gathers its operands.
         """
-        kernel = self.kernel
-        shape = kernel.__dict__.get("_runner_shape")
-        if shape is None:
-            shape = kernel.__dict__["_runner_shape"] = (
-                len(self._tap_live), "".join(map(_step_form, ops)),
-                len(self._write_pairs))
-        code = _runner_code(shape)
+        code = _runner_code(self.kernel.runner_shape)
         defaults: List[Any] = [np.copyto]
         for pair in self._tap_live:
             defaults += pair

@@ -132,7 +132,7 @@ def test_same_structure_kernels_share_parameter_names():
         record = _fused_jacobi(eps)
         (plan,) = [p for p in PLAN_CACHE._data.values()
                    if p.program.fingerprint() == record["program_fingerprint"]]
-        return _runner_code(plan.kernels[1].__dict__["_runner_shape"])
+        return _runner_code(plan.kernels[1].runner_shape)
 
     PLAN_CACHE.clear()
     code_a = kernel_runner(1e-3)

@@ -58,6 +58,32 @@ def _kill_worker_once(arg):
     return x * x
 
 
+def _hang_or_kill_later(arg):
+    """Item 0 hangs; item 1 hard-kills its worker once, after item 0's
+    wait has already timed out (see the crash-after-timeout test)."""
+    latch, x = arg
+    if x == 0:
+        time.sleep(20)
+    if x == 1:
+        try:
+            with open(latch, "x"):
+                pass
+        except FileExistsError:
+            return x * x  # the rerun
+        time.sleep(2.0)
+        os._exit(9)
+    return x * x
+
+
+def _kill_or_hang(x):
+    """Item 0 hard-kills its worker on every run; item 1 always hangs."""
+    if x == 0:
+        os._exit(9)
+    if x == 1:
+        time.sleep(20)
+    return x * x
+
+
 class TestSerial:
     def test_results_in_order(self):
         pool = WorkerPool(max_workers=1)
@@ -237,6 +263,30 @@ class TestBrokenPoolRecovery:
         pool = WorkerPool(max_workers=2, timeout=timeout)
         outcomes = pool.map(_square, list(range(6)))
         assert [o.value for o in outcomes] == [x * x for x in range(6)]
+        assert pool.last_rebuilds == 1
+
+    def test_crash_after_a_timeout_keeps_every_outcome(self, tmp_path):
+        # item 0 times out first (its hung worker is left to shutdown),
+        # then item 1's worker dies: the broken executor must still shut
+        # down cleanly and the map return one outcome per item
+        pool = WorkerPool(max_workers=2, timeout=1.5)
+        items = [(str(tmp_path / "latch"), x) for x in range(4)]
+        outcomes = pool.map(_hang_or_kill_later, items)
+        assert [o.index for o in outcomes] == [0, 1, 2, 3]
+        assert outcomes[0].error_type == "TimeoutError"
+        assert [o.value for o in outcomes[1:]] == [1, 4, 9]
+        assert pool.last_rebuilds == 1
+
+    def test_hang_on_a_lane_times_out_alone(self):
+        # item 0 breaks the first executor and the rebuilt one, so the
+        # items those breaks lost (it and the hung item 1, at least) run
+        # on lanes: there item 0 fails alone and item 1 times out alone,
+        # each lane's executor replaced, and the rest still complete
+        pool = WorkerPool(max_workers=2, timeout=1.0)
+        outcomes = pool.map(_kill_or_hang, list(range(5)))
+        assert [o.error_type for o in outcomes[:2]] == [
+            "BrokenProcessPool", "TimeoutError"]
+        assert [o.value for o in outcomes[2:]] == [4, 9, 16]
         assert pool.last_rebuilds == 1
 
     def test_timeout_cancels_stragglers(self):

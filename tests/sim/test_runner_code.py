@@ -44,7 +44,7 @@ def _run_fast(node, program):
     machine.set_variable("y", Y)
     machine.run()
     (kernel,) = compiled_plan(program, node.params).kernels.values()
-    code = _runner_code(kernel.__dict__["_runner_shape"])
+    code = _runner_code(kernel.runner_shape)
     return code, machine.get_variable("out")
 
 
@@ -83,7 +83,7 @@ def _kernel_shapes(method):
     assert record["ok"] and record["tier"] == "fused"
     (plan,) = [p for p in PLAN_CACHE._data.values()
                if p.program.fingerprint() == record["program_fingerprint"]]
-    return [kernel.__dict__["_runner_shape"]
+    return [kernel.runner_shape
             for kernel in plan.kernels.values()]
 
 
