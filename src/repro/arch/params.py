@@ -15,7 +15,7 @@ unit (one floating-point result per cycle once a pipeline is full).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 MBYTE = 1 << 20
@@ -101,6 +101,23 @@ class NSCParameters:
             raise ValueError("hypercube_dim must be >= 0")
         if self.clock_mhz <= 0:
             raise ValueError("clock_mhz must be positive")
+
+    def __hash__(self) -> int:
+        # every plan-cache, machine-table and job-digest lookup hashes the
+        # parameters: build the field tuple once per instance.  The memo
+        # lives in __dict__ but never travels (__getstate__), so a copy
+        # or an unpickled instance hashes afresh.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(
+                tuple(getattr(self, f.name) for f in fields(self))
+            )
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
 
     # ------------------------------------------------------------------
     # derived quantities

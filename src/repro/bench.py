@@ -574,14 +574,15 @@ def _scenario_fused_coverage(quick: bool) -> Dict[str, Any]:
         m_ref.run()
         m_fast = rearm(fresh("fast"))
         m_fast.run()
-        # the service's lone-job run: one stacked row, folded, no commit
-        template = rearm(fresh("fast"))
+        # the service's lone-job run: one stacked row built from the
+        # plan's layout, folded, no machine and no commit
         plan = progplan.compiled_plan(cov_program, node.params)
-        variables, armed = batchplan.machine_bindings(plan, template)
-        storage = batchplan.stacked_template_storage(
-            template, 1, plan.plane_extent, plan.cache_extent
+        storage = progplan.stacked_storage(
+            plan.variables, 1, plan.plane_extent, plan.cache_extent
         )
-        storage.variables = variables
+        load_jacobi_inputs(storage, cov_setup, cov_u0, cov_f)
+        storage.set_variable("u", bad_u0.reshape(-1))
+        armed = m_ref.interrupts.configuration().armed
         one_row = batchplan.BatchProgramRun(plan, storage, 1, 1_000_000)
         one_row.run()
     checks["rearmed_fold_matches"] = (

@@ -107,11 +107,15 @@ def call_captured(fn: Callable[[Any], Any], item: Any,
 class WorkerPool:
     """Fan a function over items across processes.
 
-    ``timeout`` bounds the wait for each job, counted from the moment the
-    pool starts waiting on it (earlier jobs' waits overlap later jobs'
-    execution, so this is a per-job ceiling, not a global budget).  A
-    timed-out job is reported as a failure with ``error_type='TimeoutError'``
-    while the remaining jobs are still collected.
+    ``timeout`` bounds each job's run, counted from the moment the job
+    starts: the timeout path hands an item to the executor only when a
+    worker is free for it, so it starts when it is submitted (a per-job
+    ceiling, not a global budget; a job queued behind a hung one never
+    times out unrun).  A timed-out job is reported as a failure with
+    ``error_type='TimeoutError'`` while the remaining jobs are still
+    collected; its worker stays hung until the map ends and kills it,
+    and once every worker is hung the jobs still waiting move to a
+    rebuilt executor, as after a crash.
 
     Without a timeout, items are submitted in *chunks* (at most
     ``CHUNKS_PER_WORKER`` futures per worker), so a batch of many small
@@ -151,7 +155,7 @@ class WorkerPool:
         #: this to assert the chunked path's throughput shape)
         self.last_submitted = 0
         #: executor rebuilds performed by the most recent map call (at
-        #: most one: a BrokenProcessPool recovery)
+        #: most one: a BrokenProcessPool recovery, or every worker hung)
         self.last_rebuilds = 0
         #: still-pending futures cancelled at the end of the most recent
         #: timeout-path map (stragglers that would otherwise stall
@@ -186,17 +190,6 @@ class WorkerPool:
             report(outcome)
         return outcomes
 
-    @staticmethod
-    def _lost_to_break(future: "Future") -> bool:
-        """Did this future lose its result to the pool break?  Futures
-        that completed (value or an ordinary job exception) before the
-        crash keep what they have and are not resubmitted."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not future.done() or future.cancelled():
-            return True
-        return isinstance(future.exception(), BrokenProcessPool)
-
     def _map_parallel(self, fn: Callable[[Any], Any],
                       items: Sequence[Any]) -> List[WorkerOutcome]:
         if self.timeout is None:
@@ -208,68 +201,96 @@ class WorkerPool:
                       pairs: Sequence[Tuple[int, Any]], workers: int,
                       rebuilt: bool = False) -> List[WorkerOutcome]:
         """Each ``(index, item)`` pair as its own future on one executor,
-        collected in order under the per-item timeout.  A pool break
-        hands the items whose results it lost to :meth:`_rerun_lost`."""
+        handed over only when a worker is free, so an item starts the
+        moment it is submitted and its timeout counts from there.  A
+        timed-out item keeps its worker hung until shutdown kills it.
+        A pool break, or every worker hung with items still waiting,
+        hands the items whose results were lost or that never started
+        to :meth:`_rerun_lost`."""
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
+        workers = min(workers, len(pairs))
         outcomes: Dict[int, WorkerOutcome] = {}
-        executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(pairs)))
-        timed_out = False
-        futures: Dict[int, "Future"] = {}
+        executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        queue = list(reversed(pairs))  # pop() takes the lowest index
+        # future -> ((index, item), start) of the item it runs
+        running: Dict["Future", Tuple[Tuple[int, Any], float]] = {}
+        hung: List["Future"] = []  # timed out, still holding a worker
+        lost: List[Tuple[int, Any]] = []
+        if not rebuilt:
+            self.last_submitted = 0
         try:
-            start = time.perf_counter()
-            futures = {
-                pair[0]: _submit(executor, _run_chunk, fn, [pair])
-                for pair in pairs
-            }
-            if not rebuilt:
-                self.last_submitted = len(futures)
-            pending = [index for index, _item in pairs]
-            while pending:
-                index = pending.pop(0)
-                future = futures[index]
-                try:
-                    (outcomes[index],) = future.result(timeout=self.timeout)
-                except concurrent.futures.TimeoutError:
-                    timed_out = True
-                    future.cancel()
-                    outcomes[index] = self._timed_out(index, start)
-                except BrokenProcessPool:
-                    # every other future is done, so none can break again
-                    lost = [
-                        pair for pair in pairs
-                        if pair[0] not in outcomes
-                        and self._lost_to_break(futures[pair[0]])
-                    ]
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    for outcome in self._rerun_lost(fn, lost, workers,
-                                                    rebuilt):
-                        outcomes[outcome.index] = outcome
-                    pending = [j for j in pending if j not in outcomes]
-                except Exception as exc:
-                    outcomes[index] = WorkerOutcome.failure(
-                        index, exc, time.perf_counter() - start)
+            while queue or running:
+                hung = [future for future in hung if not future.done()]
+                while queue and len(running) + len(hung) < workers:
+                    pair = queue.pop()
+                    future = _submit(executor, _run_chunk, fn, [pair])
+                    running[future] = (pair, time.perf_counter())
+                    if not rebuilt:
+                        self.last_submitted += 1
+                if not running:
+                    # every worker is hung: nothing waiting can start here
+                    lost = queue[::-1]
+                    break
+                wait_s = None
+                if self.timeout is not None:
+                    first = min(start for _pair, start in running.values())
+                    wait_s = max(0.0, first + self.timeout - time.perf_counter())
+                concurrent.futures.wait(
+                    list(running) + hung, timeout=wait_s,
+                    return_when=concurrent.futures.FIRST_COMPLETED)
+                broken = False
+                for future, (pair, start) in list(running.items()):
+                    index = pair[0]
+                    if future.done():
+                        try:
+                            (outcomes[index],) = future.result()
+                        except BrokenProcessPool:
+                            broken = True
+                            continue  # collected with the rest below
+                        except Exception as exc:
+                            outcomes[index] = WorkerOutcome.failure(
+                                index, exc, time.perf_counter() - start)
+                    elif (self.timeout is not None
+                          and time.perf_counter() - start >= self.timeout):
+                        future.cancel()
+                        outcomes[index] = self._timed_out(index, start)
+                        hung.append(future)
+                    else:
+                        continue
+                    del running[future]
+                if broken:
+                    # every item still on the executor lost its result
+                    # to the break, and the waiting ones cannot start
+                    lost = sorted(
+                        [pair for pair, _start in running.values()] + queue,
+                        key=lambda pair: pair[0])
+                    running = {}
+                    break
         finally:
-            # cancel stragglers (futures still pending after their batch
-            # already failed) so shutdown cannot block on them
+            # cancel stragglers (hung futures, and any left pending when
+            # the map gave up) so shutdown cannot block on them
             stragglers = [
-                future for future in futures.values() if not future.done()
+                future for future in list(running) + hung if not future.done()
             ]
             self.last_stragglers += len(stragglers)
             for future in stragglers:
                 future.cancel()
-            self._shutdown(executor, hung=timed_out)
+            self._shutdown(executor, hung=bool(hung))
+        if lost:
+            for outcome in self._rerun_lost(fn, lost, workers, rebuilt):
+                outcomes[outcome.index] = outcome
         return [outcomes[index] for index, _item in pairs]
 
     def _rerun_lost(self, fn: Callable[[Any], Any],
                     lost: Sequence[Tuple[int, Any]], workers: int,
                     rebuilt: bool) -> List[WorkerOutcome]:
-        """Recover the items a pool break lost.  The first break of a map
-        reruns them on one rebuilt executor (warm, pipelined: a one-off
-        crash costs little); items a second break loses run on lanes,
-        where a repeat crash fails only its own item."""
+        """Recover the items a pool break lost (or that every worker
+        hung left waiting).  The first time in a map they rerun on one
+        rebuilt executor (warm, pipelined: a one-off crash costs
+        little); items lost a second time run on lanes, where a repeat
+        crash fails only its own item."""
         if rebuilt:
             return self._run_lanes(fn, lost, workers)
         self.last_rebuilds += 1

@@ -2,11 +2,17 @@
 
 A *slab* is N same-program jobs on one machine parameter set, run by one
 :class:`~repro.sim.batchplan.BatchProgramRun` over stacked
-``(n_jobs, extent)`` storage: one *template* machine is loaded once, its
-planes broadcast into the stack, and each job's seeded ``u0`` overwrites
-its own row (the solver loaders write ``u0`` verbatim, so that IS
-``entry.load``).  Records are folded per job from the run's one issue
-log (:meth:`~repro.sim.batchplan.BatchProgramRun.job`), bit-identical to
+``(n_jobs, extent)`` storage.  No machine stands behind it: the storage
+is built zeroed from the compiled plan's variable layout
+(:func:`~repro.sim.progplan.stacked_storage`), the solver's loader
+(``entry.load``) writes the inputs into every row through the storage's
+``set_variable`` — the call it makes on a machine — and each job's
+seeded ``u0`` overwrites its own row (the loaders write ``u0`` verbatim,
+so that IS ``entry.load``).  A fresh machine's interrupt controller has
+no handlers, nothing pending and the default armed set, so the slab
+folds with :data:`~repro.arch.interrupts.DEFAULT_ARMED_KINDS`.  Records
+are folded per job from the run's one issue log
+(:meth:`~repro.sim.batchplan.BatchProgramRun.job`), bit-identical to
 ``machine.metrics(result)`` — no machine commit, no interrupt replay.
 
 :func:`~repro.service.runner.execute_job` runs every fast, single-node,
@@ -121,21 +127,16 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
     the active one; a group's share one slab tracer's bind and execute
     time.
     """
+    from repro.arch.interrupts import DEFAULT_ARMED_KINDS
     from repro.compose.registry import SOLVERS
     from repro.service.runner import (
         _initial_grid,
         _solution_record,
         grid_problem,
     )
-    from repro.sim.batchplan import (
-        BatchProgramRun,
-        compiled_plan,
-        machine_bindings,
-        stacked_template_storage,
-    )
-    from repro.sim.machine import NSCMachine
+    from repro.sim.batchplan import BatchProgramRun, compiled_plan
     from repro.sim.metrics import RunMetrics
-    from repro.sim.progplan import FusionUnsupported
+    from repro.sim.progplan import FusionUnsupported, stacked_storage
 
     n_jobs = len(jobs)
     job0 = jobs[0]
@@ -143,22 +144,17 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
     entry = SOLVERS[job0.method]
     shared = tracers[0] if n_jobs == 1 else obs.Tracer()
     with obs.use(shared):
-        # --- shared bind: plan, template machine, stacked storage -----
+        # --- shared bind: plan, stacked storage, loaded inputs --------
         with obs.span("bind"):
             plan = compiled_plan(program, params)
-            u_star, f, _h = grid_problem(job0.shape, setup.h)
-            template = NSCMachine(node, backend="fast")
-            template.load_program(program)
-            entry.load(template, setup, _initial_grid(job0), f)
-            watch = entry.watch_pipeline(setup)
-            variables, armed = machine_bindings(plan, template)
-            if "u" not in variables:
+            if "u" not in plan.variables:
                 raise FusionUnsupported("solver state 'u' not in plan")
-            storage = stacked_template_storage(
-                template, n_jobs, plan.plane_extent, plan.cache_extent
-            )
-            storage.variables = variables
-            uvar = variables["u"]
+            u_star, f, _h = grid_problem(job0.shape, setup.h)
+            storage = stacked_storage(plan.variables, n_jobs,
+                                      plan.plane_extent, plan.cache_extent)
+            entry.load(storage, setup, _initial_grid(job0), f)
+            watch = entry.watch_pipeline(setup)
+            uvar = plan.variables["u"]
             u_plane = storage.planes[uvar.plane]
             for j, job in enumerate(jobs[1:], 1):
                 if job.u0_seed != job0.u0_seed:
@@ -190,7 +186,8 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
             peak_mflops=params.peak_mflops_per_node,
             n_fus=node.n_fus,
             active_fu_cycles=job_run.active_fu_cycles,
-            interrupts_delivered=job_run.interrupts_delivered(armed),
+            interrupts_delivered=job_run.interrupts_delivered(
+                DEFAULT_ARMED_KINDS),
         )
         with obs.use(tracer):
             results.append(_solution_record(

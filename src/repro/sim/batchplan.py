@@ -5,12 +5,16 @@ control script into a schedule of bound images; this module walks it.
 Every run binds stacked storage: N same-program, same-shape jobs stack
 their operand grids along a leading batch axis, a single machine is a
 one-row stack, and a single :class:`~repro.sim.progplan.BoundImage`
-issue sweeps the entire stack.  The generated ufunc kernels are shared
-by every stack height (the runner code objects are cached on the
-:class:`ImageKernel`).  A hypercube of N nodes is the same stack, one
-row per node: :class:`~repro.sim.multinode.MultiNodeStencil` drives its
-sweeps step by step through :meth:`BatchProgramRun.issue` and the
-engine's swaps (see :func:`repro.sim.progplan.fused_stepper`).
+issue sweeps the entire stack.  The storage is built zeroed from the
+plan's own variable layout (:func:`~repro.sim.progplan.stacked_storage`,
+no machine behind it): a service slab fills it through the solver
+loaders, :func:`try_run_batch_fused` pulls each machine's rows into it,
+and a hypercube scatters its grids into it.  The generated ufunc
+kernels are shared by every stack height (the runner code objects are
+cached on the :class:`ImageKernel`).  A hypercube of N nodes is the
+same stack, one row per node:
+:class:`~repro.sim.multinode.MultiNodeStencil` drives its sweeps step by
+step through :meth:`BatchProgramRun.issue` and the engine's swaps (see :func:`repro.sim.progplan.fused_stepper`).
 
 Per-job divergence exists in exactly one place: ``LoopUntil`` iteration
 counts.  The condition unit's final stream element is per-row, so
@@ -79,8 +83,8 @@ from repro.sim.progplan import (
     _S_REPEAT,
     _S_SWAP,
     _Storage,
-    aligned_empty,
     compiled_plan,
+    stacked_storage,
 )
 from repro.sim.sequencer import SequencerError, SequencerResult
 
@@ -151,9 +155,8 @@ def check_batchable(plan: ProgramPlan) -> None:
         raise FusionUnsupported(verdict)
 
 
-def machine_bindings(plan: ProgramPlan,
-                     machine: "NSCMachine") -> Tuple[Dict[str, Any], Any]:
-    """Validate *machine* against *plan*; return (variables, armed set).
+def machine_bindings(plan: ProgramPlan, machine: "NSCMachine") -> Any:
+    """Validate *machine* against *plan*; return its armed set.
 
     No interrupt handlers (they observe delivery order mid-run, which
     only the stepped reference models), nothing pending (it would
@@ -166,41 +169,18 @@ def machine_bindings(plan: ProgramPlan,
         raise FusionUnsupported("interrupt handlers registered")
     if irq_config.pending:
         raise FusionUnsupported("interrupts already pending")
-    variables: Dict[str, Any] = {}
-    for name, (plane, offset) in plan.var_homes.items():
-        var = machine.memory.variables.get(name)
-        if var is None or var.plane != plane or var.offset != offset \
-                or var.length != plan.var_lengths[name]:
+    held = machine.memory.variables
+    for name, home in plan.variables.items():
+        var = held.get(name)
+        if var is None or var.plane != home.plane \
+                or var.offset != home.offset or var.length != home.length:
             raise FusionUnsupported(f"variable {name!r} relocated")
-        variables[name] = var
-    return variables, irq_config.armed
+    return irq_config.armed
 
 
-def stacked_template_storage(machine: "NSCMachine", n_rows: int,
-                             plane_extent: Dict[int, int],
-                             cache_extent: Dict[int, int]) -> _Storage:
-    """Stacked storage with every row a copy of *machine*'s pulled state.
-
-    The slab executor loads ONE template machine and broadcasts its
-    planes; per-job operand rows (a seeded ``u0``) are then overwritten
-    in place, so N-1 machine constructions and input loads disappear.
-    The multi-node stencil builds its stack the same way, one row per
-    node.
-    """
-    storage = _Storage()
-    for plane, extent in plane_extent.items():
-        storage.planes[plane] = aligned_empty((n_rows, extent))
-    for cache, extent in cache_extent.items():
-        storage.cache_front[cache] = aligned_empty((n_rows, extent))
-        storage.cache_back[cache] = aligned_empty((n_rows, extent))
-    _read_row(machine, storage, slice(None))
-    return storage
-
-
-def _read_row(machine: "NSCMachine", storage: _Storage, j: Any) -> None:
+def _read_row(machine: "NSCMachine", storage: _Storage, j: int) -> None:
     """Pull *machine*'s planes and cache buffers into row *j* of
-    *storage* (``slice(None)``: every row) — :func:`write_back`'s
-    inverse."""
+    *storage* — :func:`write_back`'s inverse."""
     for plane, arr in storage.planes.items():
         arr[j] = machine.memory.plane(plane).read(0, arr.shape[-1])
     for cache_id, arr in storage.cache_front.items():
@@ -284,11 +264,11 @@ _LOG_CACHESWAP = -2
 class BatchProgramRun:
     """Executes one :class:`ProgramPlan` over N jobs (N == 1: one machine).
 
-    ``storage`` arrives pulled and with ``storage.variables`` bound, its
+    ``storage`` arrives filled and with ``storage.variables`` bound, its
     arrays carrying a leading ``(n_jobs,)`` axis (see
-    :func:`stacked_template_storage`).  Nothing outside it is touched —
-    committing rows back to machines (or synthesizing records without
-    machines) is the caller's job.  One job with ``fallback`` runs
+    :func:`~repro.sim.progplan.stacked_storage`).  Nothing outside it is
+    touched — committing rows back to machines (or synthesizing records
+    without machines) is the caller's job.  One job with ``fallback`` runs
     exact; anything else declines where a slab declines.
 
     ``fallback=False`` marks rows with no per-job fallback: a
@@ -533,10 +513,10 @@ class BatchProgramRun:
             cost = params.dma_startup_cycles + params.memory_latency + va.length
             if va.plane == vb.plane:
                 cost += va.length
-            entry = (va, vb, (cost, 2 * va.length))
+            entry = (self.storage.var_swapper(va, vb), (cost, 2 * va.length))
             self._swap_cache[(a, b)] = entry
-        va, vb, charge = entry
-        self.storage.swap_vars(va, vb)
+        swap, charge = entry
+        swap()
         self.log.append((_LOG_SWAP, charge, None, active))
 
     # ------------------------------------------------------------------
@@ -792,16 +772,11 @@ def _run_fused(
         if machine.node.params != params:
             raise FusionUnsupported("mixed node parameters in slab")
     plan = compiled_plan(program, params, keep_outputs=keep_outputs)
-    bindings = [machine_bindings(plan, machine) for machine in machines]
-    armed_sets = [armed for _variables, armed in bindings]
-
-    # machine 0 is the template; every other machine pulls its own row
-    storage = stacked_template_storage(
-        machines[0], len(machines), plan.plane_extent, plan.cache_extent
-    )
-    for j, machine in enumerate(machines[1:], 1):
+    armed_sets = [machine_bindings(plan, machine) for machine in machines]
+    storage = stacked_storage(plan.variables, len(machines),
+                              plan.plane_extent, plan.cache_extent)
+    for j, machine in enumerate(machines):
         _read_row(machine, storage, j)
-    storage.variables = bindings[0][0]
 
     run = BatchProgramRun(plan, storage, len(machines), max_instructions)
     try:
@@ -824,7 +799,6 @@ __all__ = [
     "machine_bindings",
     "record_decline",
     "replay_interrupts",
-    "stacked_template_storage",
     "try_run_batch_fused",
     "write_back",
 ]

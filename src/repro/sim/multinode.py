@@ -9,9 +9,14 @@ update program on its slab (SPMD); ghost planes are exchanged through the
 hyperspace router between sweeps, with compute and communication cycle
 counts tracked separately.
 
-``MultiNodeStencil(..., backend="fast")`` drives the whole sweep/halo/
-convergence loop from one compiled schedule (see ``docs/BACKENDS.md``);
-multi-node runs are schedulable as service jobs via
+Node state lives in one stack, a row per node, laid out from the
+compiled program's variable homes
+(:func:`~repro.sim.progplan.stacked_storage`): a fast run never builds an
+:class:`NSCMachine`.  ``MultiNodeStencil(..., backend="fast")`` drives the
+whole sweep/halo/convergence loop from one compiled schedule over that
+stack (see ``docs/BACKENDS.md``); per-node machines exist only once
+:attr:`MultiNodeStencil.machines` is read, as the reference walk does.
+Multi-node runs are schedulable as service jobs via
 ``SimJob(hypercube_dim=...)`` (see ``docs/SERVICE.md``).
 """
 
@@ -23,7 +28,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.arch.node import node_config
-from repro.arch.memsys import AllocationError, Variable
+from repro.arch.memsys import AllocationError
 from repro.arch.params import NSCParameters
 from repro.arch.router import HyperspaceRouter, Message
 from repro.codegen.generator import MicrocodeGenerator
@@ -34,7 +39,7 @@ from repro.sim.pipeline_exec import execute_image
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.batchplan import BatchProgramRun
-    from repro.sim.progplan import _Storage
+    from repro.sim.progplan import _HomeVar, _Storage
 
 
 class DecompositionError(Exception):
@@ -95,8 +100,9 @@ class MultiNodeStencil:
     The global grid is ``(nx, ny, nz)``; ``nz`` must divide evenly by the
     node count.  Every node's local grid carries two ghost z-planes.
 
-    Per-node state starts stacked — :attr:`stack`, ``(n_nodes, extent)``
-    rows filled from one loaded template machine — and the fast backend
+    Per-node state starts stacked — :attr:`stack`, zeroed
+    ``(n_nodes, extent)`` rows over the program's variable layout, no
+    machine behind them — and the fast backend
     runs it as a slab on :class:`~repro.sim.batchplan.BatchProgramRun`
     (:attr:`fused` keeps the run for its log).  :attr:`machines` builds
     the per-node :class:`NSCMachine` objects on first access; from then
@@ -146,7 +152,7 @@ class MultiNodeStencil:
 
     # ------------------------------------------------------------------
     def _setup_nodes(self) -> None:
-        from repro.sim.batchplan import stacked_template_storage
+        from repro.sim.progplan import home_variables, stacked_storage
 
         self._node_cfg = node_cfg = node_config(self.params)
         if self._precompiled is not None:
@@ -168,20 +174,18 @@ class MultiNodeStencil:
             )
             self.setup = setup
             self.machine_program = generator.generate(setup.program)
-        # every node loads the same program: load it once and broadcast
-        # the template's planes (u, f and u_new read as zeros until
-        # scatter() writes them)
-        template = NSCMachine(node_cfg)
-        template.load_program(self.machine_program)
-        self.variables: Dict[str, Variable] = dict(template.memory.variables)
+        # every node runs the same program: one row per node over its
+        # variable layout (u, f and u_new read as zeros until scatter()
+        # writes them)
+        self.variables: Dict[str, "_HomeVar"] = home_variables(
+            self.machine_program)
         plane_extent: Dict[int, int] = {}
         for var in self.variables.values():
             plane_extent[var.plane] = max(plane_extent.get(var.plane, 0),
                                           var.end)
-        self.stack: Optional["_Storage"] = stacked_template_storage(
-            template, self.n_nodes, plane_extent, {}
+        self.stack: Optional["_Storage"] = stacked_storage(
+            self.variables, self.n_nodes, plane_extent, {}
         )
-        self.stack.variables = self.variables
         mask, invmask = self._slab_masks()
         self._set_rows("mask", mask)
         self._set_rows("invmask", invmask)
@@ -255,7 +259,7 @@ class MultiNodeStencil:
     # ------------------------------------------------------------------
     # data distribution
     # ------------------------------------------------------------------
-    def _lookup(self, name: str) -> Variable:
+    def _lookup(self, name: str) -> "_HomeVar":
         var = self.variables.get(name)
         if var is None:
             raise AllocationError(f"undeclared variable {name!r}")

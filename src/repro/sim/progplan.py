@@ -73,7 +73,9 @@ import sys
 from dataclasses import dataclass, field
 from math import isfinite as _isfinite
 from types import CodeType, FunctionType
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
+)
 
 import numpy as np
 
@@ -84,7 +86,7 @@ from repro.analysis.plansafety import (
     REDUCIBLE_OPS,
 )
 from repro.arch.funcunit import Opcode
-from repro.arch.memsys import stream_slice
+from repro.arch.memsys import AllocationError, stream_slice
 from repro.arch.switch import DeviceKind
 from repro.codegen.generator import MachineProgram, PipelineImage
 from repro.codegen.timing import instruction_cycles
@@ -191,9 +193,9 @@ class _Storage:
 
     Arrays may carry a leading batch axis (one row per slab job or
     hypercube node); all addressing happens on the last axis.  Stream
-    views resolved against these arrays stay valid until a cache swap
-    flips a front/back pair, which bumps ``version`` so bound images
-    re-resolve.
+    views resolved against these arrays stay valid until a swap
+    exchanges two arrays; bound images key their resolved views by the
+    identities of the arrays they touch, so they re-resolve then.
     """
 
     def __init__(self) -> None:
@@ -201,7 +203,6 @@ class _Storage:
         self.cache_front: Dict[int, np.ndarray] = {}
         self.cache_back: Dict[int, np.ndarray] = {}
         self.variables: Dict[str, Any] = {}
-        self.version = 0
         self._scratch: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def array_for(self, device_kind: DeviceKind, device: int,
@@ -210,53 +211,100 @@ class _Storage:
             return self.planes[device]
         return (self.cache_back if write else self.cache_front)[device]
 
+    def set_variable(self, name: str, values: np.ndarray) -> None:
+        """Write *values* into *name* on every row — the duck type the
+        solver loaders call on a machine, with
+        :meth:`PlaneMemory.write_var`'s errors.  Words past the stored
+        extent of the variable's plane (or on a plane the storage does
+        not hold) are never read by the run, so they are not kept."""
+        var = self.variables.get(name)
+        if var is None:
+            raise AllocationError(f"undeclared variable {name!r}")
+        flat = np.asarray(values, dtype=np.float64).reshape(-1)
+        if flat.size != var.length:
+            raise AllocationError(
+                f"variable {name!r} holds {var.length} words, got {flat.size}"
+            )
+        plane = self.planes.get(var.plane)
+        if plane is not None and plane.shape[-1] > var.offset:
+            stop = min(var.end, plane.shape[-1])
+            plane[..., var.offset : stop] = flat[: stop - var.offset]
+
     def swap_caches(self, cache_ids: Sequence[int]) -> None:
         for cache_id in cache_ids:
             front = self.cache_front.get(cache_id)
             if front is not None:
                 self.cache_front[cache_id] = self.cache_back[cache_id]
                 self.cache_back[cache_id] = front
-        self.version += 1
 
-    def swap_var_contents(self, va: Any, vb: Any, scratch: np.ndarray) -> None:
-        """Physically exchange two variables' words (reference semantics:
+    def var_swapper(self, va: Any, vb: Any) -> Callable[[], None]:
+        """``SwapVars`` of *va* and *vb* on the local state, as a
+        callable decided once: a whole-plane reference swap when each
+        variable owns its stored plane outright (bound images re-resolve
+        through their per-state view caches, a dictionary hit), else
+        three copies through a cached scratch row (reference semantics:
         relocation moves data, bindings never change)."""
-        slab_a = self.planes[va.plane][..., va.offset : va.end]
-        slab_b = self.planes[vb.plane][..., vb.offset : vb.end]
-        np.copyto(scratch, slab_a)
-        np.copyto(slab_a, slab_b)
-        np.copyto(slab_b, scratch)
-
-    def swap_whole_planes(self, plane_a: int, plane_b: int) -> None:
-        """O(1) variant of :meth:`swap_var_contents` for variables that
-        own their pulled planes outright: exchange the array references
-        and let bound images re-resolve (their per-state view caches make
-        the re-resolution a dictionary hit)."""
-        self.planes[plane_a], self.planes[plane_b] = (
-            self.planes[plane_b],
-            self.planes[plane_a],
-        )
-        self.version += 1
-
-    def swap_vars(self, va: Any, vb: Any) -> None:
-        """``SwapVars`` on the local state: whole-plane reference swap
-        when each variable owns its pulled plane outright, three copies
-        through a cached scratch row otherwise."""
         plane_a = self.planes[va.plane]
         plane_b = self.planes[vb.plane]
+        planes = self.planes
         if (
             va.plane != vb.plane
             and va.offset == 0 and vb.offset == 0
             and plane_a.shape[-1] == va.length
             and plane_b.shape[-1] == vb.length
         ):
-            self.swap_whole_planes(va.plane, vb.plane)
-            return
+            a, b = va.plane, vb.plane
+
+            def swap_planes() -> None:
+                planes[a], planes[b] = planes[b], planes[a]
+            return swap_planes
         shape = plane_a.shape[:-1] + (va.length,)
         scratch = self._scratch.get(shape)
         if scratch is None:
             scratch = self._scratch[shape] = aligned_empty(shape)
-        self.swap_var_contents(va, vb, scratch)
+
+        def swap_contents() -> None:
+            slab_a = planes[va.plane][..., va.offset : va.end]
+            slab_b = planes[vb.plane][..., vb.offset : vb.end]
+            np.copyto(scratch, slab_a)
+            np.copyto(slab_a, slab_b)
+            np.copyto(slab_b, scratch)
+        return swap_contents
+
+
+def stacked_storage(variables: Dict[str, Any], n_rows: int,
+                    plane_extent: Dict[int, int],
+                    cache_extent: Dict[int, int]) -> _Storage:
+    """Zeroed ``(n_rows, extent)`` storage for a compiled layout.
+
+    *variables* (name -> ``_HomeVar``, a plan's :attr:`ProgramPlan.variables`)
+    binds the names; planes and cache buffers start as zeros, as an
+    untouched machine's read, and the solver loaders fill them through
+    :meth:`_Storage.set_variable`.  Every fused run binds storage built
+    here: a service slab, a machine run (its rows pulled from the
+    machines), and a hypercube's node stack.
+    """
+    storage = _Storage()
+    storage.variables = variables
+    arrays = [
+        (store, key, extent)
+        for store, extents in ((storage.planes, plane_extent),
+                               (storage.cache_front, cache_extent),
+                               (storage.cache_back, cache_extent))
+        for key, extent in extents.items()
+    ]
+    # one zeroed block carved into the arrays, each starting on a cache
+    # line: a lone job's storage is a handful of small arrays, and one
+    # aligned allocation each cost more than the zeros
+    line = _ALIGN // 8
+    spans = [-(-n_rows * extent // line) * line for _s, _k, extent in arrays]
+    block = aligned_zeros((sum(spans),))
+    start = 0
+    for (store, key, extent), span in zip(arrays, spans):
+        store[key] = block[start : start + n_rows * extent].reshape(
+            n_rows, extent)
+        start += span
+    return storage
 
 
 #: Byte alignment of the engine's buffers.  Measured on a 16^3 four-job
@@ -1128,16 +1176,15 @@ class BoundImage:
         per_row = self.batch_shape != (1,)
         if mode == _M_REDUCE:
             _m, ufunc, use_abs, a, init, fu, scratch = op
-            use_max = ufunc is np.maximum
+            # ndarray.max/min are Python wrappers around these reduces
+            reduce = ufunc.reduce
             if per_row:
                 def run() -> bool:
                     x = a
                     if use_abs:
                         np.abs(x, out=scratch)
                         x = scratch
-                    final = ufunc(
-                        x.max(axis=-1) if use_max else x.min(axis=-1), init
-                    )
+                    final = ufunc(reduce(x, -1), init)
                     finals[fu] = final
                     return bool(np.isfinite(final).all())
             else:
@@ -1146,7 +1193,7 @@ class BoundImage:
                     if use_abs:
                         np.abs(x, out=scratch)
                         x = scratch
-                    final = ufunc(x.max() if use_max else x.min(), init)
+                    final = ufunc(reduce(x, None), init)
                     finals[fu] = final
                     return _isfinite(final)
             return run
@@ -1337,30 +1384,21 @@ class ProgramPlan:
         if not self.kernels:
             # nothing to fuse; the plain walk is already trivial
             raise FusionUnsupported("program issues no pipelines")
-        # variable homes per the generator's layout (the machine must agree
-        # at run time or the run falls back)
-        self.var_homes = dict(program.variable_layout)
-        self.var_lengths = {
-            name: decl.length for name, decl in program.declarations.items()
-        }
+        # variable homes per the generator's layout: every run's storage
+        # binds them (stacked_storage), and a machine must agree at run
+        # time or its run falls back
+        self.variables = home_variables(program)
         for name in self.swap_names:
-            if name not in self.var_homes:
+            if name not in self.variables:
                 raise FusionUnsupported(f"SwapVars on unmanaged {name!r}")
         self.plane_extent: Dict[int, int] = {}
         self.cache_extent: Dict[int, int] = {}
-        layout_vars = {
-            name: _HomeVar(name, *self.var_homes[name],
-                           self.var_lengths[name])
-            for name in self.var_homes
-        }
+        homes = {n: (v.plane, v.offset) for n, v in self.variables.items()}
         for kernel in self.kernels.values():
-            kernel.touched_extents(
-                {n: (v.plane, v.offset) for n, v in layout_vars.items()},
-                self.plane_extent,
-                self.cache_extent,
-            )
+            kernel.touched_extents(homes, self.plane_extent,
+                                   self.cache_extent)
         for name in self.swap_names:
-            var = layout_vars[name]
+            var = self.variables[name]
             self.plane_extent[var.plane] = max(
                 self.plane_extent.get(var.plane, 0), var.end
             )
@@ -1428,6 +1466,15 @@ class _HomeVar:
     @property
     def end(self) -> int:
         return self.offset + self.length
+
+
+def home_variables(program: MachineProgram) -> Dict[str, _HomeVar]:
+    """Every declared variable of *program* at its home in the
+    generator's layout — where ``NSCMachine.load_program`` declares it."""
+    return {
+        name: _HomeVar(name, plane, offset, program.declarations[name].length)
+        for name, (plane, offset) in program.variable_layout.items()
+    }
 
 
 @dataclass(frozen=True)

@@ -94,3 +94,33 @@ class TestVariants:
     def test_single_node_system(self):
         p = NSCParameters(hypercube_dim=0)
         assert p.n_nodes == 1
+
+
+class TestHash:
+    """The hash is built once per instance and never pickled."""
+
+    def test_equal_parameters_hash_equally(self):
+        a, b = NSCParameters(), NSCParameters()
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert len({a: 1, b: 2}) == 1
+
+    def test_pickle_round_trip_preserves_the_hash(self):
+        import pickle
+
+        params = SUBSET_PARAMS.subset(clock_mhz=12.5)
+        expected = hash(params)
+        blob = pickle.dumps(params)
+        assert b"_hash" not in blob
+        clone = pickle.loads(blob)
+        assert "_hash" not in clone.__dict__
+        assert clone == params and hash(clone) == expected
+
+    def test_subset_gets_a_fresh_hash(self):
+        base = NSCParameters()
+        hash(base)
+        variant = base.subset(n_caches=8)
+        assert "_hash" not in variant.__dict__
+        assert hash(variant) != hash(base)
+        assert hash(variant) == hash(NSCParameters(n_caches=8))
+        assert hash(base.subset()) == hash(base)

@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from repro.arch.funcunit import Opcode
-from repro.arch.interrupts import InterruptKind
+from repro.arch.interrupts import DEFAULT_ARMED_KINDS, InterruptKind
 from repro.arch.node import NodeConfig
 from repro.codegen.generator import CodegenError, MicrocodeGenerator
 from repro.compose.builders import (
@@ -195,17 +195,21 @@ def single_image_programs(draw):
     return program, n
 
 
-def _machine(program, n, seed, backend, poison=None):
+def _inputs(n, seed, poison=None):
     """Seeded ``x`` and ``y``; *poison* ``(index, value)`` overwrites
     one word of ``x`` (which feeds every tap) with a non-finite value."""
-    machine = NSCMachine(_NODE, backend=backend)
-    machine.load_program(program)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
     if poison is not None:
         x[poison[0]] = poison[1]
-    machine.set_variable("x", x)
-    machine.set_variable("y", rng.uniform(-1.0, 1.0, n))
+    return {"x": x, "y": rng.uniform(-1.0, 1.0, n)}
+
+
+def _machine(program, n, seed, backend, poison=None):
+    machine = NSCMachine(_NODE, backend=backend)
+    machine.load_program(program)
+    for name, values in _inputs(n, seed, poison).items():
+        machine.set_variable(name, values)
     return machine
 
 
@@ -223,22 +227,27 @@ def _pipelines(result):
 
 
 def _folded(program, n, seed, poison):
-    """The service's lone-job run: one stacked row off a template
-    machine, folded without a machine commit."""
-    template = _armed(_machine(program, n, seed, "fast", poison))
+    """The service's lone-job run: one stacked row built from the plan's
+    layout, with both FP kinds armed, folded without a machine."""
     plan = progplan.compiled_plan(program, _NODE.params)
-    variables, armed = batchplan.machine_bindings(plan, template)
-    storage = batchplan.stacked_template_storage(
-        template, 1, plan.plane_extent, plan.cache_extent
+    variables = plan.variables
+    storage = progplan.stacked_storage(
+        variables, 1, plan.plane_extent, plan.cache_extent
     )
-    storage.variables = variables
+    loaded = _inputs(n, seed, poison)
+    for name, values in loaded.items():
+        storage.set_variable(name, values)
+    armed = DEFAULT_ARMED_KINDS | {InterruptKind.FP_OVERFLOW,
+                                   InterruptKind.FP_INVALID}
     run = batchplan.BatchProgramRun(plan, storage, 1, 1_000_000)
     run.run()  # a lone job never declines
     job = run.job(0, records=True)
-    # a plane the plan never touches stays as the template loaded it
+    # a plane the plan never touches stays as it was loaded (zeros for
+    # a variable nothing loads)
     words = {
         name: storage.planes[var.plane][0, var.offset:var.end]
-        if var.plane in storage.planes else template.get_variable(name)
+        if var.plane in storage.planes
+        else loaded.get(name, np.zeros(var.length))
         for name, var in variables.items()
     }
     return (

@@ -59,19 +59,37 @@ def _kill_worker_once(arg):
 
 
 def _hang_or_kill_later(arg):
-    """Item 0 hangs; item 1 hard-kills its worker once, after item 0's
-    wait has already timed out (see the crash-after-timeout test)."""
+    """Item 0 hangs; item 1 runs 1 s; item 2 then starts on the freed
+    worker and hard-kills it once, 1 s later: after item 0 has timed
+    out, before item 2's own timeout (see the crash-after-timeout
+    test)."""
     latch, x = arg
     if x == 0:
         time.sleep(20)
     if x == 1:
+        time.sleep(1.0)
+    if x == 2:
         try:
             with open(latch, "x"):
                 pass
         except FileExistsError:
             return x * x  # the rerun
-        time.sleep(2.0)
+        time.sleep(1.0)
         os._exit(9)
+    return x * x
+
+
+def _sleep_then_square(x):
+    time.sleep(0.6)
+    return x * x
+
+
+def _hang_then_slow(x):
+    """Item 0 hangs; item 1 runs 2 s; the rest return at once."""
+    if x == 0:
+        time.sleep(20)
+    if x == 1:
+        time.sleep(2.0)
     return x * x
 
 
@@ -267,7 +285,7 @@ class TestBrokenPoolRecovery:
 
     def test_crash_after_a_timeout_keeps_every_outcome(self, tmp_path):
         # item 0 times out first (its hung worker is left to shutdown),
-        # then item 1's worker dies: the broken executor must still shut
+        # then item 2's worker dies: the broken executor must still shut
         # down cleanly and the map return one outcome per item
         pool = WorkerPool(max_workers=2, timeout=1.5)
         items = [(str(tmp_path / "latch"), x) for x in range(4)]
@@ -288,6 +306,24 @@ class TestBrokenPoolRecovery:
             "BrokenProcessPool", "TimeoutError"]
         assert [o.value for o in outcomes[2:]] == [4, 9, 16]
         assert pool.last_rebuilds == 1
+
+    def test_job_queued_behind_hung_workers_still_runs(self):
+        # item 0 hangs and item 1 outlives the timeout, so both workers
+        # are hung by the time item 2 could start: it never ran there,
+        # so it must not be reported timed out; it runs on a rebuilt
+        # executor instead
+        pool = WorkerPool(max_workers=2, timeout=0.5)
+        outcomes = pool.map(_hang_then_slow, [0, 1, 2])
+        assert [o.error_type for o in outcomes[:2]] == ["TimeoutError"] * 2
+        assert outcomes[2].ok and outcomes[2].value == 4
+        assert pool.last_rebuilds == 1
+
+    def test_queue_time_does_not_count(self):
+        # one worker, three 0.6 s jobs under a 1 s timeout: the last one
+        # starts 1.2 s into the map, and only its own run is timed
+        pool = WorkerPool(max_workers=1, timeout=1.0)
+        outcomes = pool.map(_sleep_then_square, [1, 2, 3])
+        assert [o.value for o in outcomes] == [1, 4, 9]
 
     def test_timeout_cancels_stragglers(self):
         # both jobs hang: their futures are still running when the map

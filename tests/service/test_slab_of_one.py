@@ -124,6 +124,46 @@ class TestNoMachineCommit:
         assert record["timings"]["execute"] > 0.0
 
 
+def _count_machines(monkeypatch):
+    built = []
+    real_init = NSCMachine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NSCMachine, "__init__", counting_init)
+    return built
+
+
+class TestNoMachineBehindTheSlab:
+    """The stacked storage is built from the plan's variable layout: no
+    fast single-node or hypercube service job constructs a machine."""
+
+    def test_lone_fast_job(self, monkeypatch):
+        built = _count_machines(monkeypatch)
+        record = execute_job(_job("rb-sor").to_dict(), cache=ProgramCache())
+        assert record["ok"] and record["tier"] == "fused"
+        assert built == []
+
+    def test_three_job_slab(self, monkeypatch):
+        built = _count_machines(monkeypatch)
+        jobs = [_job("jacobi", u0_seed=s) for s in range(3)]
+        records, summary = BatchRunner(
+            workers=1, batch_fusion="auto").run(jobs)
+        assert summary.succeeded == 3
+        assert [r["slab_size"] for r in records] == [3, 3, 3]
+        assert built == []
+
+    def test_hypercube_job(self, monkeypatch):
+        built = _count_machines(monkeypatch)
+        job = SimJob(method="jacobi", shape=(4, 4, 8), hypercube_dim=2,
+                     backend="fast", eps=1e-3, max_sweeps=50)
+        record = execute_job(job.to_dict(), cache=ProgramCache())
+        assert record["ok"] and record["tier"] == "fused"
+        assert built == []
+
+
 class TestNonFinite:
     def _run(self, monkeypatch, backend):
         """Run a job whose initial guess overflows on the first sweep;

@@ -16,7 +16,8 @@ import pytest
 
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
-from repro.arch.interrupts import InterruptKind
+from repro.arch.interrupts import DEFAULT_ARMED_KINDS, InterruptKind
+from repro.arch.memsys import AllocationError
 from repro.diagram.program import (
     CacheSwap,
     ExecPipeline,
@@ -36,14 +37,18 @@ def _generate(node, shape=(6, 6, 6), eps=1e-4, max_iterations=300):
     return setup, MicrocodeGenerator(node).generate(setup.program)
 
 
+def _inputs(setup, seed):
+    u0 = np.random.default_rng(seed).random(setup.shape)
+    f = np.random.default_rng(1000 + seed).standard_normal(setup.shape)
+    return u0, f
+
+
 def _machines(node, setup, program, seeds, backend="fast"):
     machines = []
     for seed in seeds:
         machine = NSCMachine(node, backend=backend)
         machine.load_program(program)
-        u0 = np.random.default_rng(seed).random(setup.shape)
-        f = np.random.default_rng(1000 + seed).standard_normal(setup.shape)
-        load_jacobi_inputs(machine, setup, u0, f)
+        load_jacobi_inputs(machine, setup, *_inputs(setup, seed))
         machines.append(machine)
     return machines
 
@@ -128,22 +133,26 @@ class TestBatchParity:
         _assert_job_identical(ref, r_ref, solo, results[0])
 
 
-def _stacked_run(node, setup, program, seed, prepare=None, **kwargs):
-    """A one-job slab over stacked ``(1, extent)`` storage — the
-    service's lone fast job — with default ``fallback=True``; *prepare*
-    edits the template machine before it is bound."""
-    (template,) = _machines(node, setup, program, (seed,))
-    if prepare is not None:
-        prepare(template)
+def _stacked_run(node, setup, program, seed, poison=False, **kwargs):
+    """A one-job slab over stacked ``(1, extent)`` storage built from the
+    plan's layout and filled by the solver loader — the service's lone
+    fast job — with default ``fallback=True``; *poison* applies
+    :func:`_poison_and_rearm`'s edits to the storage and armed set."""
     plan = progplan.compiled_plan(program, node.params)
-    variables, armed = batchplan.machine_bindings(plan, template)
-    storage = batchplan.stacked_template_storage(
-        template, 1, plan.plane_extent, plan.cache_extent
+    storage = progplan.stacked_storage(
+        plan.variables, 1, plan.plane_extent, plan.cache_extent
     )
-    storage.variables = variables
+    u0, f = _inputs(setup, seed)
+    load_jacobi_inputs(storage, setup, u0, f)
+    armed = DEFAULT_ARMED_KINDS
+    if poison:
+        u = u0.reshape(-1).copy()
+        u[3] = np.inf
+        storage.set_variable("u", u)
+        armed = armed | {InterruptKind.FP_OVERFLOW, InterruptKind.FP_INVALID}
     kwargs.setdefault("max_instructions", 1_000_000)
     run = batchplan.BatchProgramRun(plan, storage, 1, **kwargs)
-    return run, variables, armed
+    return run, plan.variables, armed
 
 
 def _poison_and_rearm(machine):
@@ -200,7 +209,7 @@ class TestStackedSlabOfOne:
         (ref,) = _machines(node, setup, program, (0,), backend="reference")
         _poison_and_rearm(ref)
         run, variables, armed = _stacked_run(
-            node, setup, program, 0, prepare=_poison_and_rearm
+            node, setup, program, 0, poison=True
         )
         with np.errstate(invalid="ignore", over="ignore"):
             r_ref = ref.run()
@@ -299,11 +308,11 @@ class TestIssueLogParity:
         metrics = [m.metrics(m.run()) for m in singles]
         plan = progplan.compiled_plan(program, node.params)
         sources = _disarmed(_machines(node, setup, program, self.SEEDS))
-        variables, armed = batchplan.machine_bindings(plan, sources[0])
-        storage = batchplan.stacked_template_storage(
-            sources[0], len(sources), plan.plane_extent, plan.cache_extent
+        armed = batchplan.machine_bindings(plan, sources[0])
+        variables = plan.variables
+        storage = progplan.stacked_storage(
+            variables, len(sources), plan.plane_extent, plan.cache_extent
         )
-        storage.variables = variables
         for j, machine in enumerate(sources):
             for name, var in variables.items():
                 storage.planes[var.plane][j, var.offset:var.end] = \
@@ -340,6 +349,46 @@ class TestIssueLogParity:
             assert len(r_b.issue_trace) == 7
 
 
+class TestStackedStorage:
+    """The storage a slab binds, built from the plan's layout alone."""
+
+    def test_zeroed_and_loaded_on_every_row(self, node):
+        setup, program = _generate(node)
+        plan = progplan.compiled_plan(program, node.params)
+        storage = progplan.stacked_storage(
+            plan.variables, 3, plan.plane_extent, plan.cache_extent
+        )
+        assert set(storage.planes) == set(plan.plane_extent)
+        for arrays in (storage.planes, storage.cache_front,
+                       storage.cache_back):
+            assert all(not arr.any() and arr.shape[0] == 3
+                       for arr in arrays.values())
+        u0, f = _inputs(setup, 4)
+        load_jacobi_inputs(storage, setup, u0, f)
+        (machine,) = _machines(node, setup, program, (4,))
+        for name, var in plan.variables.items():
+            for row in storage.planes[var.plane][:, var.offset:var.end]:
+                np.testing.assert_array_equal(row, machine.get_variable(name))
+
+    def test_set_variable_errors_match_plane_memory(self, node):
+        setup, program = _generate(node)
+        plan = progplan.compiled_plan(program, node.params)
+        storage = progplan.stacked_storage(
+            plan.variables, 1, plan.plane_extent, plan.cache_extent
+        )
+        (machine,) = _machines(node, setup, program, (0,))
+        length = plan.variables["u"].length
+        for name, values in (("u", np.zeros(length + 1)),
+                             ("u", np.zeros(length - 1)),
+                             ("nowhere", np.zeros(3))):
+            with pytest.raises(AllocationError) as expected:
+                machine.set_variable(name, values)
+            with pytest.raises(AllocationError) as raised:
+                storage.set_variable(name, values)
+            assert str(raised.value) == str(expected.value)
+        assert not storage.planes[plan.variables["u"].plane].any()
+
+
 class TestBufferAlignment:
     def test_engine_buffers_start_on_cache_lines(self, node):
         """Kernel speed must not depend on where malloc lands a buffer:
@@ -348,17 +397,14 @@ class TestBufferAlignment:
         setup, program = _generate(node, shape=(16, 16, 16),
                                    max_iterations=1)
         plan = progplan.compiled_plan(program, node.params)
-        (template,) = _machines(node, setup, program, (0,))
-        variables, _armed = batchplan.machine_bindings(plan, template)
         for _ in range(8):  # several allocation histories
-            storage = batchplan.stacked_template_storage(
-                template, 4, plan.plane_extent, plan.cache_extent
+            storage = progplan.stacked_storage(
+                plan.variables, 4, plan.plane_extent, plan.cache_extent
             )
-            storage.variables = variables
             run = batchplan.BatchProgramRun(plan, storage, 4, 1_000_000)
             # two variables sharing a plane swap through the scratch row
-            storage.swap_vars(progplan._HomeVar("a", 0, 0, 24),
-                              progplan._HomeVar("b", 0, 24, 24))
+            storage.var_swapper(progplan._HomeVar("a", 0, 0, 24),
+                                progplan._HomeVar("b", 0, 24, 24))()
             arrays = list(storage.planes.values())
             arrays += list(storage._scratch.values())
             arrays += [b._block for b in run.bound.values()

@@ -18,8 +18,9 @@ generate    ``MicrocodeGenerator.generate`` of those views, without the
 plan        ``compiled_plan``: the whole-program execution schedule
 problem     ``grid_problem``: the grid's manufactured ``(u*, f)``, built
             once per grid and shared
-machine     the template ``NSCMachine``: ``load_program``, the solver's
-            input load and the one-row stacked storage
+storage     the one-row stacked storage built from the plan's variable
+            layout (``stacked_storage``) and the solver's input load
+            into it — the bind a service job runs, no ``NSCMachine``
 runner      ``BoundImage._generate_runner``: per-issue kernel code
 execute     the one-job ``BatchProgramRun``: bind, run and the record's
             fold of the issue log, minus runner code generation
@@ -68,7 +69,6 @@ from repro.compose.registry import SOLVERS  # noqa: E402
 from repro.service.results import ResultStore  # noqa: E402
 from repro.service.runner import grid_problem  # noqa: E402
 from repro.sim import batchplan, progplan  # noqa: E402
-from repro.sim.machine import NSCMachine  # noqa: E402
 
 STAGES = (
     "nodeconfig",
@@ -79,7 +79,7 @@ STAGES = (
     "generate",
     "plan",
     "problem",
-    "machine",
+    "storage",
     "runner",
     "execute",
     "record",
@@ -147,15 +147,11 @@ def profile_one(
         raise RuntimeError(f"{program} fails the checker")
 
     u0 = np.zeros(shape)
-    t_machine = clock()
-    machine = NSCMachine(node, backend="fast")
-    machine.load_program(compiled)
-    entry.load(machine, setup, u0, f)
-    variables, _armed = batchplan.machine_bindings(plan, machine)
-    storage = batchplan.stacked_template_storage(
-        machine, 1, plan.plane_extent, plan.cache_extent
+    t_storage = clock()
+    storage = progplan.stacked_storage(
+        plan.variables, 1, plan.plane_extent, plan.cache_extent
     )
-    storage.variables = variables
+    entry.load(storage, setup, u0, f)
     before = spent[0]
     t8 = clock()
     run = batchplan.BatchProgramRun(plan, storage, 1, max_instructions=1_000_000)
@@ -178,7 +174,7 @@ def profile_one(
         "generate": t5 - t4,
         "plan": t6 - t5,
         "problem": t7 - t6,
-        "machine": t8 - t_machine,
+        "storage": t8 - t_storage,
         "runner": runner,
         "execute": t9 - t8 - runner,
         "record": t10 - t9,
