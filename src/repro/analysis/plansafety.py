@@ -3,18 +3,19 @@
 Two runtime gates become provable-before-execution facts here:
 
 - the fused engine's **non-finite exception screen**
-  (:meth:`repro.sim.progplan.BoundImage._checked_fus`) — which FU rows
-  must be finiteness-tested directly, because no downstream consumer
-  provably propagates their non-finite elements;
+  (:func:`screen_coverage`, which :class:`repro.sim.progplan.ImageKernel`
+  takes its screened and folded units from) — which FU rows must be
+  finiteness-tested directly, because no downstream consumer provably
+  propagates their non-finite elements;
 - the batch engine's **static declines**
   (:func:`repro.sim.batchplan.check_batchable`) — control-script shapes
   a slab refuses up front.
 
-The propagation sets live *here* and the executors import them, so the
-analyzer and the fused tiers can never drift apart silently; the
-cross-check tests additionally pin :func:`screen_coverage` /
-:func:`fusion_eligibility` against the executors' own answers on the
-compiled corpus.
+The propagation sets live *here* and the fused engine asks this module
+for its screen, so the analyzer and the engine cannot disagree; the
+cross-check tests additionally pin :func:`screen_coverage` against the
+slots compiled kernels screen and :func:`fusion_eligibility` against
+the executor's own answers on the compiled corpus.
 """
 
 from __future__ import annotations
@@ -78,8 +79,10 @@ def _feedback_port(
 def consumed_fus(image: PipelineImage) -> FrozenSet[int]:
     """Units whose output stream another unit or a write-back consumes.
 
-    The static mirror of :meth:`BoundImage._consumed_fus`: operand
-    inputs of kind ``fu``/``internal`` plus FU-driven write programs.
+    Operand inputs of kind ``fu``/``internal`` — every wired port,
+    including a ``b`` input a one-operand unit ignores — plus FU-driven
+    write programs.  A consumed feedback unit never folds to a
+    reduction.
     """
     used = set()
     for resolved in image.inputs.values():
@@ -109,30 +112,28 @@ class ScreenReport:
 def screen_coverage(
     image: PipelineImage, keep_outputs: bool = False
 ) -> ScreenReport:
-    """Static mirror of the fused engine's exception-screen planning.
+    """The fused engine's exception-screen planning for *image*.
 
     Computed from the :class:`PipelineImage` wiring alone — no plan
-    compilation — and cross-checked against
-    :meth:`BoundImage._checked_fus` by the analysis test suite.
+    compilation.  :class:`repro.sim.progplan.ImageKernel` folds
+    ``reduce_fus`` to reductions and pins ``checked_fus`` to its leading
+    row slots; the analysis test suite checks compiled kernels against
+    this report.
     """
     consumed = consumed_fus(image)
     reduce_fus = set()
-    if not keep_outputs:
-        for fu, (opcode, _constant) in image.fu_ops.items():
-            fb, _data = _feedback_port(image, fu)
+    covered = set()
+    for fu, (opcode, _constant) in image.fu_ops.items():
+        fb, data = _feedback_port(image, fu)
+        if fb is not None:
             if (
-                fb is not None
+                not keep_outputs
                 and opcode in REDUCIBLE_OPS
                 and fu not in consumed
                 and fb.value is not None
                 and math.isfinite(float(fb.value))
             ):
                 reduce_fus.add(fu)
-
-    covered = set()
-    for fu, (opcode, _constant) in image.fu_ops.items():
-        fb, data = _feedback_port(image, fu)
-        if fb is not None:
             # A skewed position never covers: the shift can push the
             # offending element out of the window (zero fill).
             if opcode in PROP_FEEDBACK and data is not None \

@@ -3,8 +3,9 @@
 ``nsc-vpe``'s parser lists the execution backends and the bench
 scenarios in its options and help; keeping the tuples here, free of
 imports, lets :func:`repro.cli.build_parser` run without loading the
-simulator or the bench harness.  :mod:`repro.sim.fastpath` and
-:mod:`repro.bench` re-export them under the same names.
+simulator or the bench harness.  :mod:`repro.sim.fastpath` (home of
+``validate_backend`` and the program caches) and :mod:`repro.bench`
+re-export them under the same names.
 """
 
 #: The selectable execution backends, in documentation order.

@@ -389,7 +389,6 @@ class BatchProgramRun:
             if self.fallback and not self.exact:
                 raise FusionUnsupported("non-finite values in batch slab")
             flags = bound.issue_exact()
-            bound.write_back_exact()
             if self.exact:
                 # exception interrupts are *logged* here and posted by the
                 # commit replay: no machine state moves before the commit

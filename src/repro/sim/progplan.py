@@ -27,7 +27,7 @@ trace-compilation step: it compiles an entire :class:`~repro.codegen.generator.M
   — same exit, same iteration counts — and ``SwapVars`` relocations are
   array exchanges on the local state;
 - cycle counts, DMA statistics, and the interrupt stream are derived
-  analytically from the per-image plans (one
+  analytically from the image kernels (one
   :func:`~repro.codegen.timing.instruction_cycles` formula, one DMA
   charge table per image) and materialized at the end, byte-identical to
   what the reference sequencer accumulates step by step.
@@ -45,9 +45,10 @@ Compiled plans are cached in :data:`repro.sim.fastpath.PLAN_CACHE` keyed
 by the program object's identity + params (+ the ``keep_outputs`` mode),
 so the batch service and sweeps reuse schedules across the jobs of one
 compiled program; a recompile, a copy or an unpickled program builds
-its own.  That key is the only one: the per-image plans a program plan
-compiles are not cached on their own (hashing an image cost more than
-compiling its plan).
+its own.  That key is the only one: a program plan lowers each image
+once, straight from the :class:`~repro.codegen.generator.PipelineImage`
+into its :class:`ImageKernel`, and images are not cached on their own
+(hashing an image cost more than lowering it).
 Anything the compiler cannot prove it can fuse raises
 :class:`FusionUnsupported` and the sequencer falls back to the reference
 interpreter — fusion is an optimisation, never a semantics change.  That
@@ -79,16 +80,11 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.plansafety import (
-    PROP_A,
-    PROP_BOTH,
-    PROP_FEEDBACK,
-    REDUCIBLE_OPS,
-)
-from repro.arch.funcunit import Opcode
+from repro.analysis.plansafety import REDUCIBLE_OPS, ScreenReport, screen_coverage
+from repro.arch.funcunit import OPCODES, Opcode
 from repro.arch.memsys import AllocationError, stream_slice
 from repro.arch.switch import DeviceKind
-from repro.codegen.generator import MachineProgram, PipelineImage
+from repro.codegen.generator import MachineProgram, PipelineImage, ResolvedInput
 from repro.codegen.timing import instruction_cycles
 from repro.diagram.program import (
     CacheSwap,
@@ -99,17 +95,7 @@ from repro.diagram.program import (
     SwapVars,
 )
 from repro.obs import tracer as obs
-from repro.sim.fastpath import (
-    PLAN_CACHE,
-    _FastPlan,
-    _OP_CONST,
-    _OP_OUTPUT,
-    _OP_STREAM,
-    _OP_TAP,
-    _build_plan,
-    _eval_feedback_batched,
-    _eval_steps,
-)
+from repro.sim.fastpath import PLAN_CACHE
 from repro.sim.sequencer import SequencerResult
 from repro.sim.streams import _ACCUMULATING, detect_exceptions
 
@@ -133,7 +119,7 @@ _M_UNARY = 2       # ufunc(a, out=row)
 _M_FALLBACK = 3    # row[...] = kernel(...)   (exact, allocating)
 _M_ACCUM = 4       # feedback via ufunc.accumulate into a seeded buffer
 _M_REDUCE = 5      # feedback consumed only by the condition: pure reduction
-_M_FEEDBACK = 6    # general feedback fallback (_eval_feedback_batched)
+_M_FEEDBACK = 6    # general feedback: the element loop (_eval_feedback_batched)
 _M_SKEWCOPY = 7    # copy a freshly-computed FU row into its skew pad
 _M_COPY = 8        # PASS: copy the operand into the row
 
@@ -144,7 +130,7 @@ _OPERANDS = {
     _M_BINARY: (2, 3),
     _M_CONST: (2,),
     _M_UNARY: (2,),
-    _M_FALLBACK: (2, 3),
+    _M_FALLBACK: (4, 5),
     _M_ACCUM: (3,),
     _M_REDUCE: (3,),
     _M_FEEDBACK: (2,),
@@ -367,49 +353,42 @@ _Ref = Tuple[str, Any]
 class ImageKernel:
     """Compile-time form of one image's fused executor.
 
-    Holds everything derivable from ``(image, plan, params)``; per-run
-    buffers live in the :class:`BoundImage` this produces.  The per-image
-    plan is compile input only: the kernel keeps its ``reads`` (bind
-    resolves them) and the exact path rebuilds the rest when it runs.
+    Built in one walk over the :class:`PipelineImage`: each unit's
+    resolved inputs become operand references, shift/delay taps and
+    skew pads are registered as they are first read, and the DMA charge
+    table is built once.  Per-run buffers live in the :class:`BoundImage`
+    this produces, whose exact path re-evaluates these same steps.
     Residual stream skew (the ablation configuration) compiles to offset
     windows into zero-padded copies of the skewed source — streams share
     their feeder's pad, FU rows and taps get pads of their own — so a
     skewed operand costs one copy, exactly like a shifted tap.  Raises
-    :class:`FusionUnsupported` for constructs the fused executor does not
-    model (mismatched stream lengths, zero-length vectors).
+    :class:`FusionUnsupported` for the faults the reference interpreter
+    reports at issue (a unit with two feedback inputs, a unary feedback
+    unit, an unconnected input, an unread stream or shift/delay feeder,
+    an unconfigured tap, a write-back from a silent unit) and for
+    constructs the fused executor does not model (mismatched stream
+    lengths, zero-length vectors).
 
-    With ``keep_outputs`` the residual-reduction folding is disabled so
-    every functional unit materializes its full output stream — the
-    :class:`BoundImage` can then snapshot per-FU outputs per issue at
-    reference fidelity.
+    The folded and screened units come from
+    :func:`repro.analysis.plansafety.screen_coverage`.  With
+    ``keep_outputs`` nothing folds, so every functional unit materializes
+    its full output stream — the :class:`BoundImage` can then snapshot
+    per-FU outputs per issue at reference fidelity.
     """
 
-    def __init__(self, index: int, image: PipelineImage, plan: _FastPlan,
-                 params: Any, keep_outputs: bool = False) -> None:
+    def __init__(self, index: int, image: PipelineImage, params: Any,
+                 keep_outputs: bool = False) -> None:
         self.index = index
         self.image = image
         self.params = params
         self.keep_outputs = keep_outputs
-        self.n = plan.n
-        if self.n <= 0:
-            raise FusionUnsupported("zero-length vector")
-        self.reads = plan.reads
-        self._read_index = {ep: i for i, (ep, _p) in enumerate(plan.reads)}
-        for _ep, prog in plan.reads:
-            if prog.count != self.n:
-                raise FusionUnsupported("stream length differs from vector")
-
-        consumed = self._consumed_fus(plan)
-        self.reduce_fus: Set[int] = set()
-        if not keep_outputs:
-            for step in plan.steps:
-                if (
-                    step.fb_port is not None
-                    and step.opcode in _REDUCIBLE
-                    and step.fu not in consumed
-                    and _isfinite(float(step.fb_init))
-                ):
-                    self.reduce_fus.add(step.fu)
+        self.n = image.vector_length
+        self.reads = list(image.read_programs.items())
+        # build-time lookups, dropped once the walk is done
+        self._read_index = {ep: i for i, (ep, _p) in enumerate(self.reads)}
+        self._taps: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        report = screen_coverage(image, keep_outputs)
+        self.reduce_fus = report.reduce_fus
 
         # skewed operands (ablation builds): windows into padded copies.
         # streams share their feeder's pad; FU rows and taps pad their own
@@ -423,78 +402,95 @@ class ImageKernel:
         copied: Set[int] = set()  # rows whose pad copy is emitted
 
         self.steps: List[Tuple] = []       # symbolic step descriptors
-        for step in plan.steps:
-            if step.fb_port is not None:
-                descr = self._ref(step.other, produced, pending, copied)
+        inputs = image.inputs
+        for fu in image.fu_order:
+            opcode, constant = image.fu_ops[fu]
+            info = OPCODES[opcode]
+            in_a = inputs.get((fu, "a"))
+            in_b = inputs.get((fu, "b"))
+            fb_a = in_a is not None and in_a.kind == "feedback"
+            fb_b = in_b is not None and in_b.kind == "feedback"
+            if fb_a and fb_b:
+                raise FusionUnsupported(f"fu{fu}: both inputs are feedback loops")
+            if fb_a or fb_b:
+                fb, data = (in_a, in_b) if fb_a else (in_b, in_a)
+                if data is None:
+                    raise FusionUnsupported(
+                        f"fu{fu}: feedback loop with no data input")
+                if info.arity != 2:
+                    raise FusionUnsupported(
+                        f"feedback requires a binary operation, "
+                        f"not {opcode.value}")
+                descr = self._ref(data, produced, pending, copied)
                 self._flush_row_copies(pending)
-                init = float(step.fb_init)
-                if step.fu in self.reduce_fus:
-                    ufunc, use_abs = _REDUCIBLE[step.opcode]
-                    # eval_feedback seeds |init| for the ABS variants
-                    seed = abs(init) if use_abs else init
-                    self.steps.append(
-                        (_M_REDUCE, ufunc, use_abs, descr, seed, step.fu)
-                    )
-                    produced.add(step.fu)
-                    continue
-                accum = _ACCUMULATING.get(step.opcode)
-                if accum is not None:
-                    self.steps.append(
-                        (_M_ACCUM, accum, False, descr, init, step.fu)
-                    )
-                elif step.opcode in (Opcode.MAXABS, Opcode.MINABS):
-                    base = (
-                        np.maximum if step.opcode is Opcode.MAXABS
-                        else np.minimum
-                    )
-                    self.steps.append(
-                        (_M_ACCUM, base, True, descr, abs(init), step.fu)
-                    )
-                else:
-                    self.steps.append(
-                        (_M_FEEDBACK, step.opcode, descr, step.fb_port, init,
-                         step.fu)
-                    )
-                produced.add(step.fu)
+                self.steps.append(self._feedback_step(
+                    fu, opcode, descr, "a" if fb_a else "b", float(fb.value)))
+                produced.add(fu)
                 continue
 
-            a = self._ref(step.a, produced, pending, copied)
-            b = (self._ref(step.b, produced, pending, copied)
-                 if step.b is not None else None)
+            if in_a is None:
+                raise FusionUnsupported(f"fu{fu}: input a unconnected")
+            a = self._ref(in_a, produced, pending, copied)
+            b: Optional[_Ref] = None
+            if info.arity == 2 and not info.uses_constant:
+                if in_b is None:
+                    raise FusionUnsupported(f"fu{fu}: input b unconnected")
+                b = self._ref(in_b, produced, pending, copied)
             self._flush_row_copies(pending)
-            fu = step.fu
-            if step.uses_constant and step.opcode in _CONST_UFUNCS:
+            if info.uses_constant and opcode in _CONST_UFUNCS:
                 self.steps.append(
-                    (_M_CONST, _CONST_UFUNCS[step.opcode], a,
-                     float(step.constant), fu)
+                    (_M_CONST, _CONST_UFUNCS[opcode], a, float(constant), fu)
                 )
-            elif (not step.uses_constant and step.arity == 2
-                  and step.opcode in _BINARY_UFUNCS):
-                self.steps.append(
-                    (_M_BINARY, _BINARY_UFUNCS[step.opcode], a, b, fu)
-                )
-            elif (not step.uses_constant and step.arity == 1
-                  and step.opcode in _UNARY_UFUNCS):
-                self.steps.append(
-                    (_M_UNARY, _UNARY_UFUNCS[step.opcode], a, fu)
-                )
-            elif step.opcode is Opcode.PASS:
+            elif (not info.uses_constant and info.arity == 2
+                  and opcode in _BINARY_UFUNCS):
+                self.steps.append((_M_BINARY, _BINARY_UFUNCS[opcode], a, b, fu))
+            elif (not info.uses_constant and info.arity == 1
+                  and opcode in _UNARY_UFUNCS):
+                self.steps.append((_M_UNARY, _UNARY_UFUNCS[opcode], a, fu))
+            elif opcode is Opcode.PASS:
                 self.steps.append((_M_COPY, a, fu))
             else:
-                self.steps.append((_M_FALLBACK, step, a, b, fu))
+                self.steps.append(
+                    (_M_FALLBACK, info.kernel, info.arity,
+                     constant if info.uses_constant else None, a, b, fu)
+                )
             produced.add(fu)
+
+        # write-back: (src ref, prog, width actually written)
+        self.writes: List[Tuple[_Ref, Any, int]] = []
+        for driver, _sink, prog in image.write_programs:
+            if driver.kind is DeviceKind.FU:
+                if driver.device not in image.fu_ops:
+                    raise FusionUnsupported(
+                        f"write-back from fu{driver.device}, "
+                        f"which produced nothing")
+                src: _Ref = ("row", driver.device)
+            elif driver.kind is DeviceKind.SHIFT_DELAY:
+                src = ("tap", self._tap(driver.device, int(driver.port[3:])))
+            else:
+                read_index = self._read_index.get(driver)
+                if read_index is None:
+                    raise FusionUnsupported(
+                        f"write-back from unread stream {driver}")
+                src = ("stream", read_index)
+            self.writes.append((src, prog, min(self.n, prog.count)))
+
+        if self.n <= 0:
+            raise FusionUnsupported("zero-length vector")
+        for _ep, prog in self.reads:
+            if prog.count != self.n:
+                raise FusionUnsupported("stream length differs from vector")
 
         # taps: every shifted stream is a window into one zero-padded copy
         # of its feeder, so a 7-tap stencil costs one copy, not seven —
         # the pad supplies shift_stream's zero fill on both ends.  Skewed
         # stream operands ride the same pads as extra windows.
         by_feeder: Dict[int, List[Tuple[Any, int]]] = {}
-        for key, (feeder, shift) in plan.taps.items():
-            by_feeder.setdefault(self._read_index[feeder], []).append(
-                (key, shift)
-            )
+        for key, (read_index, shift) in self._taps.items():
+            by_feeder.setdefault(read_index, []).append((key, shift))
         for (read_index, skew), view_key in self._stream_skews.items():
             by_feeder.setdefault(read_index, []).append((view_key, skew))
+        del self._read_index, self._taps
         # (read_index, left pad, total padded words, [(tap key, shift)...])
         self.feeder_pads: List[Tuple[int, int, int, List[Tuple[Any, int]]]] = []
         for read_index, tap_list in sorted(by_feeder.items()):
@@ -516,30 +512,14 @@ class ImageKernel:
             self.cond_fn = _COMPARATORS[cond.comparison]
             self.cond_threshold = cond.threshold
 
-        # write-back: (src ref, prog, width actually written)
-        self.writes: List[Tuple[_Ref, Any, int]] = []
-        for write in plan.writes:
-            if write.code == _OP_OUTPUT:
-                if write.key in self.reduce_fus:
-                    raise FusionUnsupported("write-back from a reduced unit")
-                src: _Ref = ("row", write.key)
-                src_n = self.n
-            elif write.code == _OP_TAP:
-                src = ("tap", write.key)
-                src_n = self.n
-            else:
-                src = ("stream", self._read_index[write.key])
-                src_n = self.n
-            self.writes.append((src, write.prog, min(src_n, write.prog.count)))
-
-        self._assign_slots(plan)
-        self._issue_stats(plan)
+        self._assign_slots(report)
+        self._issue_stats()
 
         # the storage arrays this image resolves against, in a fixed
         # order: the identity tuple of these arrays keys the per-state
         # view/runner cache (array swaps just select another state)
         touched: List[Tuple[int, int]] = []
-        for _ep, prog in plan.reads:
+        for _ep, prog in self.reads:
             spec = prog.spec
             entry = (
                 (0, spec.device)
@@ -567,7 +547,24 @@ class ImageKernel:
         )
 
     # ------------------------------------------------------------------
-    def _assign_slots(self, plan: _FastPlan) -> None:
+    def _feedback_step(self, fu: int, opcode: Opcode, descr: _Ref,
+                       port: str, init: float) -> Tuple:
+        """A feedback unit's step: a pure reduction when only its final
+        value is read, else an accumulating ufunc or the element loop."""
+        if fu in self.reduce_fus:
+            ufunc, use_abs = _REDUCIBLE[opcode]
+            # eval_feedback seeds |init| for the ABS variants
+            seed = abs(init) if use_abs else init
+            return (_M_REDUCE, ufunc, use_abs, descr, seed, fu)
+        accum = _ACCUMULATING.get(opcode)
+        if accum is not None:
+            return (_M_ACCUM, accum, False, descr, init, fu)
+        if opcode in (Opcode.MAXABS, Opcode.MINABS):
+            base = np.maximum if opcode is Opcode.MAXABS else np.minimum
+            return (_M_ACCUM, base, True, descr, abs(init), fu)
+        return (_M_FEEDBACK, OPCODES[opcode].kernel, descr, port, init, fu)
+
+    def _assign_slots(self, report: ScreenReport) -> None:
         """Map every output row (and reduction abs scratch) to a slot.
 
         Units pass results through the switch without storing them, so a
@@ -576,9 +573,10 @@ class ImageKernel:
         read, and the reading step may write its own output into it
         (elementwise kernels are exact in place).  Rows read after the
         runner are *pinned* to a slot of their own for the whole issue:
-        the screened rows (a contiguous prefix, so the exception screen
-        stays one reduction), the condition row, write-back sources, and
-        under ``keep_outputs`` every row.
+        the screened rows (*report*'s ``checked_fus``, a contiguous
+        prefix, so the exception screen stays one reduction), the
+        condition row, write-back sources, and under ``keep_outputs``
+        every row.
         """
         reads: List[List[int]] = []
         last_read: Dict[int, int] = {}
@@ -591,8 +589,9 @@ class ImageKernel:
             reads.append(fus)
             for fu in fus:
                 last_read[fu] = i
-        produced = [s.fu for s in plan.steps if s.fu not in self.reduce_fus]
-        screened = self._checked_fus(plan)
+        produced = [fu for fu in self.image.fu_order
+                    if fu not in self.reduce_fus]
+        screened = report.checked_fus
         pinned = set(screened)
         pinned.update(src[1] for src, _p, _w in self.writes if src[0] == "row")
         if self.condition is not None \
@@ -629,102 +628,70 @@ class ImageKernel:
                 # screened: every unpinned row here has a reader
                 self.slot_of[step[-1]] = take()
 
-    @staticmethod
-    def _consumed_fus(plan: _FastPlan) -> Set[int]:
-        """Units whose output stream some other step or write consumes."""
-        used: Set[int] = set()
-        for step in plan.steps:
-            for descr in (step.a, step.b, step.other):
-                if descr is not None and descr[0] == _OP_OUTPUT:
-                    used.add(descr[1])
-        for write in plan.writes:
-            if write.code == _OP_OUTPUT:
-                used.add(write.key)
-        return used
+    def _tap(self, unit: int, tap: int) -> Tuple[int, int]:
+        """Register a shift/delay tap the issue must materialize; returns
+        its key."""
+        key = (unit, tap)
+        if key not in self._taps:
+            image = self.image
+            feeder = image.sd_feeders.get(unit)
+            if feeder is None:
+                raise FusionUnsupported(
+                    f"shift/delay unit {unit} has no input stream")
+            read_index = self._read_index.get(feeder)
+            if read_index is None:
+                raise FusionUnsupported(
+                    f"shift/delay unit {unit} fed by {feeder}, "
+                    f"which was not read")
+            shift = image.sd_shifts.get(key)
+            if shift is None:
+                raise FusionUnsupported(
+                    f"sd[{unit}].tap{tap} used but not configured")
+            self._taps[key] = (read_index, shift)
+        return key
 
-    #: non-finite propagation sets, owned by the static analyzer so the
-    #: fused screen and :func:`repro.analysis.screen_coverage` can never
-    #: drift apart (see docs/ANALYSIS.md)
-    _PROP_BOTH = PROP_BOTH
-    _PROP_A = PROP_A
-    _PROP_FEEDBACK = PROP_FEEDBACK
-
-    def _checked_fus(self, plan: _FastPlan) -> Set[int]:
-        """Units whose output rows the fused exception screen must cover.
-
-        A unit is *covered* when some consumer reads it through a
-        position that provably propagates non-finite elements — then any
-        inf/nan it produces surfaces downstream, where the chain ends in
-        a screened row or the always-tested reduce final.  Only uncovered
-        units need direct screening; for a masked stencil with a
-        max-residual condition that is typically the empty set.
-        """
-        covered: Set[int] = set()
-        for step in plan.steps:
-            if step.fb_port is not None:
-                # MIN/MINABS/MAX variants can silently absorb an extreme
-                # of the wrong sign; MAXABS and the sticky accumulators
-                # (FADD, FMUL) cannot, so only those cover their input.
-                # A skewed position never covers: the shift can push the
-                # offending element out of the window (zero fill).
-                if step.opcode in self._PROP_FEEDBACK:
-                    descr = step.other
-                    if descr is not None and descr[0] == _OP_OUTPUT \
-                            and descr[2] == 0:
-                        covered.add(descr[1])
-                continue
-            if step.opcode in self._PROP_BOTH:
-                positions = (step.a, step.b)
-            elif step.opcode in self._PROP_A:
-                positions = (step.a,)
-            else:
-                continue
-            for descr in positions:
-                if descr is not None and descr[0] == _OP_OUTPUT \
-                        and descr[2] == 0:
-                    covered.add(descr[1])
-        return {
-            s.fu for s in plan.steps
-            if s.fu not in self.reduce_fus and s.fu not in covered
-        }
-
-    def _ref(self, descr: Tuple[int, Any, int], produced: Set[int],
+    def _ref(self, resolved: ResolvedInput, produced: Set[int],
              pending: List[int], copied: Set[int]) -> _Ref:
-        code, key, skew = descr
-        if code == _OP_OUTPUT and key not in produced:
-            # the interpreters fault on this too ("needed before it was
-            # produced"); let the stepped path report it
-            raise FusionUnsupported(f"fu{key} read before it was produced")
-        if code == _OP_CONST:
-            if skew != 0:
-                # the interpreters resolve constants before applying skew,
-                # so a skewed constant cannot occur; refuse rather than guess
-                raise FusionUnsupported("skewed constant operand")
-            return ("const", key)
-        if skew == 0:
-            if code == _OP_OUTPUT:
-                return ("row", key)
-            if code == _OP_STREAM:
-                return ("stream", self._read_index[key])
-            return ("tap", key)
-        # residual skew (ablation mode): the shifted view is a window into
-        # a zero-padded copy of the source, like any other tap
-        if code == _OP_STREAM:
-            read_index = self._read_index[key]
+        kind, skew = resolved.kind, resolved.skew
+        if kind == "const":
+            # the interpreters resolve constants before applying skew
+            return ("const", resolved.value)
+        if kind in ("fu", "internal"):
+            fu = resolved.src_fu
+            if fu not in produced:
+                # the interpreters fault on this too ("needed before it was
+                # produced"); let the stepped path report it
+                raise FusionUnsupported(f"fu{fu} read before it was produced")
+            if skew == 0:
+                return ("row", fu)
+            # residual skew (ablation mode): the shifted view is a window
+            # into a zero-padded copy of the source, like any other tap
+            view_key = ("skew:row", fu, skew)
+            if (fu, skew) not in self._row_skews:
+                self._row_skews[(fu, skew)] = view_key
+                if fu not in copied:
+                    copied.add(fu)
+                    pending.append(fu)
+            return ("tap", view_key)
+        if kind in ("mem", "cache"):
+            ep = resolved.endpoint
+            read_index = self._read_index.get(ep)
+            if read_index is None:
+                raise FusionUnsupported(f"stream for {ep} was not read")
+            if skew == 0:
+                return ("stream", read_index)
             view_key = ("skew:stream", read_index, skew)
             self._stream_skews[(read_index, skew)] = view_key
             return ("tap", view_key)
-        if code == _OP_OUTPUT:
-            view_key = ("skew:row", key, skew)
-            if (key, skew) not in self._row_skews:
-                self._row_skews[(key, skew)] = view_key
-                if key not in copied:
-                    copied.add(key)
-                    pending.append(key)
+        if kind == "sd":
+            ep = resolved.endpoint
+            key = self._tap(ep.device, int(ep.port[3:]))
+            if skew == 0:
+                return ("tap", key)
+            view_key = ("skew:tap", key, skew)
+            self._tap_skews[(key, skew)] = view_key
             return ("tap", view_key)
-        view_key = ("skew:tap", key, skew)
-        self._tap_skews[(key, skew)] = view_key
-        return ("tap", view_key)
+        raise FusionUnsupported(f"unresolvable input kind {kind!r}")
 
     def _flush_row_copies(self, pending: List[int]) -> None:
         """Emit the pad-fill copies for row skews the current step's
@@ -750,31 +717,34 @@ class ImageKernel:
             pads.append((source, left, total, views))
         return pads
 
-    def _issue_stats(self, plan: _FastPlan) -> None:
-        """Analytic per-issue accounting, matching the DMA engine's."""
+    def _issue_stats(self) -> None:
+        """Analytic per-issue accounting, matching the DMA engine's:
+        controllers run in parallel and transfers on one device
+        serialize, so the DMA makespan is the busiest device's charge."""
         image, params = self.image, self.params
-        transfers = len(plan.reads) + len(plan.writes)
-        words_read = sum(prog.count for _ep, prog in plan.reads)
+        progs = [p for _ep, p in self.reads] + [p for _s, p, _w in self.writes]
+        words_read = sum(prog.count for _ep, prog in self.reads)
         words_written = sum(width for _src, _prog, width in self.writes)
         charges: Dict[Any, int] = {}
         busy = 0
-        for prog in [p for _ep, p in plan.reads] + [p for _s, p, _w in self.writes]:
+        for prog in progs:
             cost = prog.cycles(params)
             busy += cost
             key = (prog.spec.device_kind, prog.spec.device)
             charges[key] = charges.get(key, 0) + cost
-        cycles = instruction_cycles(image.total_cycles, plan.dma_cycles, params)
+        dma_cycles = max(charges.values(), default=0)
+        cycles = instruction_cycles(image.total_cycles, dma_cycles, params)
         self.consts = _IssueConsts(
             index=self.index,
             number=image.number,
             source=f"pipeline{image.number}",
             cycles=cycles,
             compute_cycles=image.total_cycles,
-            dma_cycles=plan.dma_cycles,
+            dma_cycles=dma_cycles,
             flops=image.total_flops,
             vector_length=self.n,
             active_fus=len(image.fu_ops),
-            transfers=transfers,
+            transfers=len(progs),
             words_read=words_read,
             words_written=words_written,
             busy_cycles=busy,
@@ -786,7 +756,7 @@ class ImageKernel:
             "number": image.number,
             "cycles": cycles,
             "compute_cycles": image.total_cycles,
-            "dma_cycles": plan.dma_cycles,
+            "dma_cycles": dma_cycles,
             "flops": image.total_flops,
             "vector_length": self.n,
             "active_fus": len(image.fu_ops),
@@ -863,6 +833,28 @@ class ImageKernel:
     def bind(self, storage: _Storage,
              batch_shape: Tuple[int, ...]) -> "BoundImage":
         return BoundImage(self, storage, batch_shape)
+
+
+def _eval_feedback_batched(fn: Callable[..., Any], x: np.ndarray,
+                           feedback_port: str, init: float) -> np.ndarray:
+    """:func:`repro.sim.streams.eval_feedback`'s element loop over a
+    ``(rows, n)`` batch, for a binary unit with no accumulating ufunc.
+
+    Row *i* of the result is bit-identical to the 1-D evaluation of row
+    *i*: each step applies the unit's kernel to one column.
+    """
+    rows, n = x.shape
+    out = np.empty((rows, n), dtype=np.float64)
+    prev = np.full(rows, init, dtype=np.float64)
+    if feedback_port == "b":
+        for i in range(n):
+            prev = np.asarray(fn(x[:, i], prev), dtype=np.float64)
+            out[:, i] = prev
+    else:
+        for i in range(n):
+            prev = np.asarray(fn(prev, x[:, i]), dtype=np.float64)
+            out[:, i] = prev
+    return out
 
 
 #: Kernel shapes whose compiled runner code stays resident.
@@ -1010,7 +1002,6 @@ class BoundImage:
             else None
         )
         self._exact: Optional[Dict[int, np.ndarray]] = None
-        self._exact_plan: Optional[_FastPlan] = None
         # pre-resolve every operand that does not depend on storage state
         self._ops = [self._bind_step(s) for s in kernel.steps]
 
@@ -1056,8 +1047,8 @@ class BoundImage:
             _m, a, fu = step
             return (mode, self._operand(a), self._row(fu))
         if mode == _M_FALLBACK:
-            _m, planstep, a, b, fu = step
-            return (mode, planstep, self._operand(a),
+            _m, fn, arity, constant, a, b, fu = step
+            return (mode, fn, arity, constant, self._operand(a),
                     self._operand(b) if b is not None else None,
                     self._row(fu))
         if mode == _M_ACCUM:
@@ -1072,9 +1063,8 @@ class BoundImage:
         if mode == _M_SKEWCOPY:
             _m, fu = step
             return (mode, self._row(fu), self._row_pad_centers[fu])
-        _m, opcode, descr, port, init, fu = step
-        return (mode, opcode, self._operand(descr), port, init,
-                self._row(fu))
+        _m, fn, descr, port, init, fu = step
+        return (mode, fn, self._operand(descr), port, init, self._row(fu))
 
     def _refresh(self) -> None:
         """Re-resolve storage views and rebuild the live op list.
@@ -1212,28 +1202,25 @@ class BoundImage:
                 return True
             return run
         if mode == _M_FALLBACK:
-            _m, step, a, b, out = op
-            kernel = step.kernel
-            if step.uses_constant:
-                constant = step.constant
-
+            _m, fn, arity, constant, a, b, out = op
+            if constant is not None:
                 def run() -> bool:
-                    out[...] = kernel(a, constant)
+                    out[...] = fn(a, constant)
                     return True
-            elif step.arity == 1:
+            elif arity == 1:
                 def run() -> bool:
-                    out[...] = kernel(a)
+                    out[...] = fn(a)
                     return True
             else:
                 def run() -> bool:
-                    out[...] = kernel(a, b)
+                    out[...] = fn(a, b)
                     return True
             return run
         # _M_FEEDBACK
-        _m, opcode, a, port, init, out = op
+        _m, fn, a, port, init, out = op
 
         def run() -> bool:
-            out[...] = _eval_feedback_batched(opcode, a, port, init)
+            out[...] = _eval_feedback_batched(fn, a, port, init)
             return True
         return run
 
@@ -1274,28 +1261,64 @@ class BoundImage:
     def issue_exact(self) -> List[str]:
         """Exact re-evaluation (reference kernels, full streams).
 
-        Used when the fused pass saw something non-finite: recomputes every
-        output stream with the per-image fast path's evaluators and returns
-        the exception flags in reference order.  Subsequent write-back and
-        condition evaluation read from these exact streams.  The step list
-        is rebuilt from the image on the first exact issue of this binding
-        (the compiled kernel does not keep it).
+        Used when the fused pass saw something non-finite: re-runs the
+        kernel's own steps into fresh arrays, with no slot reuse and no
+        reduction folding — a reduced or accumulated unit yields its full
+        feedback stream — and returns the exception flags in reference
+        (``fu_order``) order.  The runner has already written back
+        bit-identical values; condition evaluation and ``keep_outputs``
+        capture read these exact streams.
         """
-        kernel = self.kernel
-        if self._exact_plan is None:
-            self._exact_plan = _build_plan(kernel.image, kernel.params)
-        plan = self._exact_plan
-        streams = {
-            ep: self._streams[i] for ep, i in kernel._read_index.items()
-        }
-        taps: Dict[Any, np.ndarray] = dict(self._tap_views)
-        outputs = _eval_steps(
-            plan, streams, taps, self.batch_shape + (kernel.n,)
-        )
+        streams, taps = self._streams, self._tap_views
+        outputs: Dict[int, np.ndarray] = {}
+
+        def fetch(ref: _Ref) -> np.ndarray:
+            kind, key = ref
+            if kind == "row":
+                return outputs[key]
+            if kind == "tap":
+                return taps[key]
+            if kind == "stream":
+                return streams[key]
+            return self._const_array(key)
+
         flags: List[str] = []
-        for step in plan.steps:
-            for flag in detect_exceptions(outputs[step.fu]):
-                flags.append(f"fu{step.fu}:{flag}")
+        for step in self.kernel.steps:
+            mode = step[0]
+            if mode == _M_SKEWCOPY:
+                np.copyto(self._row_pad_centers[step[1]], outputs[step[1]])
+                continue
+            if mode == _M_BINARY:
+                out = step[1](fetch(step[2]), fetch(step[3]))
+            elif mode == _M_CONST:
+                out = step[1](fetch(step[2]), step[3])
+            elif mode == _M_UNARY:
+                out = step[1](fetch(step[2]))
+            elif mode == _M_COPY:
+                out = fetch(step[1])
+            elif mode == _M_FALLBACK:
+                _m, fn, arity, constant, a, b, _fu = step
+                if constant is not None:
+                    out = fn(fetch(a), constant)
+                elif arity == 1:
+                    out = fn(fetch(a))
+                else:
+                    out = fn(fetch(a), fetch(b))
+                out = np.asarray(out, dtype=np.float64)
+            elif mode == _M_FEEDBACK:
+                _m, fn, descr, port, init, _fu = step
+                out = _eval_feedback_batched(fn, fetch(descr), port, init)
+            else:  # _M_ACCUM, _M_REDUCE: the unit's whole feedback stream
+                _m, ufunc, use_abs, descr, init, _fu = step
+                x = fetch(descr)
+                seeded = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+                seeded[..., 0] = init
+                seeded[..., 1:] = np.abs(x) if use_abs else x
+                out = ufunc.accumulate(seeded, axis=-1)[..., 1:]
+            fu = step[-1]
+            outputs[fu] = out
+            for flag in detect_exceptions(out):
+                flags.append(f"fu{fu}:{flag}")
         self._exact = outputs
         return flags
 
@@ -1309,27 +1332,6 @@ class BoundImage:
         if cond.fu in self.kernel.reduce_fus:
             return self._finals[cond.fu]
         return self._row(cond.fu)[..., -1]
-
-    def write_back_exact(self) -> None:
-        """Re-apply write-backs from the exact streams.
-
-        The fused runner already wrote bit-identical values; this is a
-        harmless idempotent pass kept for symmetry on the exception path.
-        """
-        outputs = self._exact
-        assert outputs is not None
-        for (kind, key), view in zip(
-            (w[0] for w in self.kernel.writes), self._write_views
-        ):
-            if kind == "row":
-                src = outputs[key]
-            elif kind == "tap":
-                src = self._tap_views[key]
-            else:
-                src = self._streams[key]
-            width = view.shape[-1]
-            np.copyto(view, src[..., :width] if src.shape[-1] != width
-                      else src)
 
     def capture_outputs(self) -> Dict[int, np.ndarray]:
         """Row 0's fresh per-FU output streams, for ``keep_outputs`` runs.
@@ -1425,12 +1427,8 @@ class ProgramPlan:
                     continue
                 kernel = self.kernels.get(index)
                 if kernel is None:
-                    image = self.program.images[index]
-                    try:
-                        plan = _build_plan(image, self.params)
-                    except Exception as exc:
-                        raise FusionUnsupported(str(exc)) from exc
-                    kernel = ImageKernel(index, image, plan, self.params,
+                    kernel = ImageKernel(index, self.program.images[index],
+                                         self.params,
                                          keep_outputs=self.keep_outputs)
                     self.kernels[index] = kernel
                 out.append((_S_ISSUE, index))

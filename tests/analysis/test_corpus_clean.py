@@ -7,7 +7,7 @@ failure and the finding itself is the assertion message.  Positive
 side: every seeded defect class must be flagged with its expected rule
 on every solver (zero false negatives).  In between, the shared
 plan-safety engine is pinned against the executors' own answers:
-``screen_coverage`` against :meth:`ImageKernel._checked_fus`, and
+``screen_coverage`` against the slots each :class:`ImageKernel` screens, and
 ``fusion_eligibility`` against :func:`check_batchable`.
 """
 
@@ -20,7 +20,6 @@ from repro.compose.jacobi import build_jacobi_program
 from repro.compose.registry import SOLVERS
 from repro.diagram.program import ExecPipeline, Halt, LoopUntil, SwapVars
 from repro.sim import batchplan, progplan
-from repro.sim.fastpath import _build_plan
 
 
 def _corpus(node):
@@ -101,11 +100,17 @@ class TestScreenCrossCheck:
             plan = progplan.compiled_plan(program, node.params)
             for index, kernel in plan.kernels.items():
                 report = screen_coverage(program.images[index])
-                source = _build_plan(kernel.image, kernel.params)
-                assert report.checked_fus == frozenset(
-                    kernel._checked_fus(source)
-                ), f"{name} image {index}: checked-FU sets diverge"
-                assert report.reduce_fus == frozenset(kernel.reduce_fus), (
+                # the screen reduces over the first n_checked row slots
+                screened = {fu for fu, slot in kernel.slot_of.items()
+                            if slot < kernel.n_checked}
+                assert report.checked_fus == screened, (
+                    f"{name} image {index}: checked-FU sets diverge"
+                )
+                assert len(report.checked_fus) == kernel.n_checked
+                # folded units are the kernel's reduction steps
+                reduced = {step[-1] for step in kernel.steps
+                           if step[0] == progplan._M_REDUCE}
+                assert report.reduce_fus == reduced, (
                     f"{name} image {index}: reduce-FU sets diverge"
                 )
                 checked_any = True
@@ -120,8 +125,9 @@ class TestScreenCrossCheck:
             report = screen_coverage(
                 program.images[index], keep_outputs=True
             )
-            assert report.reduce_fus == frozenset(kernel.reduce_fus)
             assert report.reduce_fus == frozenset()
+            assert not any(step[0] == progplan._M_REDUCE
+                           for step in kernel.steps)
 
     def test_verdict_records_checked_fus(self, corpus):
         _name, program = corpus[0]

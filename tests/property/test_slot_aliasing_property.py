@@ -5,13 +5,17 @@ once the row's last reader has run (``ImageKernel._assign_slots``), so a
 wrong liveness range silently feeds a consumer another unit's values.
 This suite draws random checker-clean single-image programs through
 :class:`~repro.compose.builders.PipelineBuilder` — fan-out, dead units,
-``add(x, x)``, ``PASS``, MAX/MAXABS/FADD feedback (reduced and
-accumulated), shift/delay taps, stream and tap write-backs, conditions,
+``add(x, x)``, ``PASS``, MAX/MAXABS/FADD/FSUB feedback (reduced,
+accumulated and the element loop), shift/delay taps, stream and tap write-backs, conditions,
 and residual skew (``auto_balance=False``) — and asserts that the
 reference interpreter, a fused slab of one and every row of a slab of
 three agree bit for bit on written variables, condition values, cycles
-and exception flags.  The service's machine-less one-row run folds the
-same result with FP interrupts armed, non-finite cases included.
+and exception flags.  A drawn ``keep_outputs`` makes the reference and
+the slab of one also capture every unit's output stream per issue, which
+must agree byte for byte — on the fused path and, when a poisoned input
+sends an issue there, the exact one.  The service's machine-less one-row
+run folds the same result with FP interrupts armed, non-finite cases
+included.
 
 Example counts follow the active hypothesis profile: a handful under the
 default, the ``ci`` profile's count under ``--hypothesis-profile=ci``
@@ -58,7 +62,7 @@ _BINARY = (Opcode.FADD, Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FMUL,
            Opcode.MAX, Opcode.MIN, Opcode.FCMP_LT)
 _UNARY = (Opcode.FNEG, Opcode.FABS, Opcode.PASS, Opcode.FSCALE,
           Opcode.FADDC)
-_FEEDBACK = (Opcode.MAX, Opcode.MAXABS, Opcode.FADD)
+_FEEDBACK = (Opcode.MAX, Opcode.MAXABS, Opcode.FADD, Opcode.FSUB)
 _KINDS = ("binary", "binary", "unary", "feedback")
 
 
@@ -259,6 +263,12 @@ def _folded(program, n, seed, poison):
     )
 
 
+def _fu_outputs(result):
+    """Every issue's captured per-unit output streams, as bytes."""
+    return [{fu: arr.tobytes() for fu, arr in p.fu_outputs.items()}
+            for p in result.pipeline_results]
+
+
 def _observed(machine, result):
     """Everything the engines must agree on, NaN payloads included."""
     return (
@@ -280,19 +290,27 @@ def _observed(machine, result):
 @given(case=single_image_programs(),
        poison=st.none() | st.tuples(
            st.integers(0, 3), st.sampled_from((np.inf, -np.inf, np.nan))
-       ))
-def test_reference_slab_of_one_and_slab_rows_agree(case, poison):
+       ),
+       keep_outputs=st.booleans())
+def test_reference_slab_of_one_and_slab_rows_agree(case, poison,
+                                                   keep_outputs):
     program, n = case
     with np.errstate(all="ignore"):
         expected = []
+        outputs = []
         for seed in _SEEDS:
             machine = _machine(program, n, seed, "reference", poison)
-            expected.append(_observed(machine, machine.run()))
-        for seed, want in zip(_SEEDS, expected):
+            result = machine.run(keep_outputs=keep_outputs)
+            expected.append(_observed(machine, result))
+            outputs.append(_fu_outputs(result))
+        for seed, want, want_outputs in zip(_SEEDS, expected, outputs):
             machine = _machine(program, n, seed, "fast", poison)
-            result = progplan.try_run_fused(machine, program, 1_000_000)
+            result = progplan.try_run_fused(machine, program, 1_000_000,
+                                            keep_outputs=keep_outputs)
             assert result is not None, "a checker-clean program declined"
             assert _observed(machine, result) == want
+            assert _fu_outputs(result) == want_outputs
+            assert all(want_outputs) == keep_outputs
         for seed in _SEEDS:
             machine = _armed(_machine(program, n, seed, "reference", poison))
             result = machine.run()

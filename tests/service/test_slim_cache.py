@@ -9,9 +9,9 @@ serves slim entries and still loads entries pickled with a diagram, and
 that dropping the diagram changes no record.
 
 Each fact is held once, compactly: a cached microword keeps its bits
-alone, no image or kernel keeps its per-image plan (a program plan
-compiles it and keeps only the reads), and the per-unit records carry
-no ``__dict__``.
+alone, no image holds a plan (a program plan lowers each image once,
+into its kernel's step tuples), and the per-unit records carry no
+``__dict__``.
 """
 
 import gc
@@ -26,8 +26,8 @@ from repro.service.cache import ProgramCache
 from repro.service.jobs import SimJob
 from repro.service.results import canonical_record
 from repro.service.runner import BatchRunner
-from repro.sim.fastpath import PLAN_CACHE, _build_plan, _FastPlan, _Step, _Write
-from repro.sim.progplan import ProgramPlan
+from repro.sim.fastpath import PLAN_CACHE
+from repro.sim.progplan import ImageKernel, ProgramPlan
 
 SPECS = [
     {"method": "jacobi", "shape": [5, 5, 5]},
@@ -164,11 +164,10 @@ def test_entries_hold_each_fact_once():
     images = [image for program in programs for image in program.images]
     for image in images:
         assert image.microword._values is None  # packed: bits only
-        assert "_fastpath_plan" not in vars(image)
-    assert _reached(plans, _FastPlan) == []
-    records = _reached(programs, (ResolvedInput, DMAProgram))
-    source = _build_plan(images[1], plans[0].params)
-    records += [*source.steps, *source.writes]
-    assert {type(r) for r in records} \
-        == {ResolvedInput, DMAProgram, _Step, _Write}
+    assert _reached(images, (ProgramPlan, ImageKernel)) == []
+    kernels = [k for plan in plans for k in plan.kernels.values()]
+    # a lowered unit is a tuple of refs, never a record of its own
+    assert all(type(step) is tuple for k in kernels for step in k.steps)
+    records = _reached([programs, plans], (ResolvedInput, DMAProgram))
+    assert {type(r) for r in records} == {ResolvedInput, DMAProgram}
     assert not any(hasattr(record, "__dict__") for record in records)

@@ -15,12 +15,7 @@ from repro.codegen.generator import MicrocodeGenerator
 from repro.codegen.timing import instruction_cycles
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
 from repro.diagram.program import CacheSwap, ExecPipeline, Halt
-from repro.sim.fastpath import (
-    BACKENDS,
-    _build_plan,
-    shift_last,
-    validate_backend,
-)
+from repro.sim.fastpath import BACKENDS, validate_backend
 from repro.sim.machine import NSCMachine
 from repro.sim.pipeline_exec import execute_image
 from repro.sim.progplan import compiled_plan, try_run_fused
@@ -89,26 +84,6 @@ class TestBackendValidation:
         with pytest.raises(ValueError, match="unknown execution backend"):
             machine.run(backend="warp")
         assert machine.backend == "reference"
-
-
-class TestShiftLast:
-    def test_matches_shift_stream_1d(self, rng):
-        from repro.arch.shift_delay import shift_stream
-
-        x = rng.random(37)
-        for shift in (-40, -5, -1, 0, 1, 7, 40):
-            np.testing.assert_array_equal(
-                shift_last(x, shift), shift_stream(x, shift)
-            )
-
-    def test_batched_rows_match_per_row(self, rng):
-        x = rng.random((5, 19))
-        for shift in (-3, 0, 4):
-            batched = shift_last(x, shift)
-            for row in range(5):
-                np.testing.assert_array_equal(
-                    batched[row], shift_last(x[row], shift)
-                )
 
 
 class TestSingleNodeParity:
@@ -187,15 +162,15 @@ class TestFastPlan:
     def test_plan_dma_cycles_match_engine_accounting(self, node, jacobi8):
         setup, program = jacobi8
         image = program.images[1]
-        plan = _build_plan(image, node.params)
+        consts = compiled_plan(program, node.params).kernels[1].consts
         machine = _loaded_machine(
             node, setup, program, np.zeros((8, 8, 8)), np.zeros((8, 8, 8))
         )
         execute_image(program.images[0], machine)
         machine.swap_caches(0, 1)
         res = execute_image(image, machine)
-        # the plan's analytic makespan is the DMA engine's own accounting
-        assert machine.dma.instruction_dma_cycles() == plan.dma_cycles
+        # the kernel's analytic makespan is the DMA engine's own accounting
+        assert machine.dma.instruction_dma_cycles() == consts.dma_cycles
         assert res.cycles == instruction_cycles(
-            image.total_cycles, plan.dma_cycles, node.params
+            image.total_cycles, consts.dma_cycles, node.params
         )

@@ -11,6 +11,7 @@ programs is ``tests/property/test_slot_aliasing_property.py``.
 import numpy as np
 import pytest
 
+from repro.analysis import screen_coverage
 from repro.arch.funcunit import Opcode
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.builders import PipelineBuilder
@@ -18,7 +19,6 @@ from repro.compose.iterative import build_rbsor_program, load_rbsor_inputs
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
 from repro.diagram.program import ExecPipeline, Repeat, SwapVars, VisualProgram
 from repro.sim import progplan
-from repro.sim.fastpath import _build_plan
 from repro.sim.machine import NSCMachine
 
 
@@ -82,22 +82,20 @@ def _kernels(node, name, keep_outputs=False):
 def _kernels_of(node, program, keep_outputs=False):
     plan = progplan.compiled_plan(program, node.params,
                                   keep_outputs=keep_outputs)
-    kernels = [k for k in plan.kernels.values() if _steps(k)]
+    kernels = [k for k in plan.kernels.values() if k.steps]
     assert kernels
     return kernels
 
 
-def _plan(kernel):
-    """The per-image plan *kernel* was compiled from (it keeps none)."""
-    return _build_plan(kernel.image, kernel.params)
-
-
-def _steps(kernel):
-    return _plan(kernel).steps
+def _units(kernel):
+    """Every unit *kernel* evaluates, in step order (pad copies are not
+    units)."""
+    return [step[-1] for step in kernel.steps
+            if step[0] != progplan._M_SKEWCOPY]
 
 
 def _row_units(kernel):
-    return [s.fu for s in _steps(kernel) if s.fu not in kernel.reduce_fus]
+    return [fu for fu in _units(kernel) if fu not in kernel.reduce_fus]
 
 
 def _held_alone(kernel, fu):
@@ -165,7 +163,9 @@ class TestSlotCounts:
 class TestPinnedSlots:
     def test_screened_rows_hold_the_prefix_alone(self, node, name):
         for kernel in _kernels(node, name):
-            screened = kernel._checked_fus(_plan(kernel))
+            screened = screen_coverage(kernel.image).checked_fus
+            assert {fu for fu, slot in kernel.slot_of.items()
+                    if slot < kernel.n_checked} == screened
             assert sorted(kernel.slot_of[f] for f in screened) \
                 == list(range(kernel.n_checked))
             for fu in screened:
@@ -185,7 +185,7 @@ class TestPinnedSlots:
 
     def test_keep_outputs_keeps_one_slot_per_unit(self, node, name):
         for kernel in _kernels(node, name, keep_outputs=True):
-            units = [s.fu for s in _steps(kernel)]
+            units = _units(kernel)
             assert not kernel.reduce_fus and not kernel.scratch_slot
             assert kernel.n_slots == len(units)
             assert sorted(kernel.slot_of.values()) == list(range(len(units)))
