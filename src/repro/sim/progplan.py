@@ -314,6 +314,21 @@ def aligned_zeros(shape: Tuple[int, ...]) -> np.ndarray:
     return arr
 
 
+def pad_extent(n: int, shifts: List[int]) -> Tuple[int, int]:
+    """``(left pad, total words)`` of one zero-padded buffer whose
+    length-*n* windows at every offset in *shifts* are shifted streams."""
+    left = max(0, -min(shifts))
+    return left, left + n + max(0, max(shifts))
+
+
+def pad_window(padded: np.ndarray, left: int, shift: int, n: int) -> np.ndarray:
+    """The view of *padded* (laid out by :func:`pad_extent`) that reads as
+    ``shift_stream(src, shift)`` once ``pad_window(padded, left, 0, n)``
+    holds ``src``: output[i] = src[i + shift], zero off either end.  Works
+    row-wise on a batch (the shift runs along the last axis)."""
+    return padded[..., left + shift : left + shift + n]
+
+
 def _prog_span(base: int, count: int, stride: int) -> Tuple[int, int]:
     """(lowest, highest+1) words touched by an address walk."""
     if count == 0:
@@ -494,9 +509,7 @@ class ImageKernel:
         # (read_index, left pad, total padded words, [(tap key, shift)...])
         self.feeder_pads: List[Tuple[int, int, int, List[Tuple[Any, int]]]] = []
         for read_index, tap_list in sorted(by_feeder.items()):
-            shifts = [s for _k, s in tap_list]
-            left = max(0, -min(shifts))
-            total = left + self.n + max(0, max(shifts))
+            left, total = pad_extent(self.n, [s for _k, s in tap_list])
             self.feeder_pads.append((read_index, left, total, tap_list))
         # second-level pads: skewed views of FU rows and of taps
         self.row_pads = self._second_level_pads(self._row_skews)
@@ -711,9 +724,7 @@ class ImageKernel:
             by_source.setdefault(source, []).append((view_key, skew))
         pads: List[Tuple[Any, int, int, List[Tuple[Any, int]]]] = []
         for source, views in sorted(by_source.items(), key=repr):
-            shifts = [s for _k, s in views]
-            left = max(0, -min(shifts))
-            total = left + self.n + max(0, max(shifts))
+            left, total = pad_extent(self.n, [s for _k, s in views])
             pads.append((source, left, total, views))
         return pads
 
@@ -948,9 +959,9 @@ class BoundImage:
         self._pad_centers: List[Tuple[np.ndarray, int]] = []
         for read_index, left, total, tap_list in kernel.feeder_pads:
             padded = aligned_zeros(batch_shape + (total,))
-            self._pad_centers.append((padded[..., left : left + n], read_index))
+            self._pad_centers.append((pad_window(padded, left, 0, n), read_index))
             for key, shift in tap_list:
-                self._tap_views[key] = padded[..., left + shift : left + shift + n]
+                self._tap_views[key] = pad_window(padded, left, shift, n)
         # second-level pads for skewed operands: tap skews are filled right
         # after the feeder pads each issue (their source is a tap view);
         # row skews are filled in-line by _M_SKEWCOPY steps as soon as the
@@ -959,20 +970,16 @@ class BoundImage:
         for tap_key, left, total, views in kernel.tap_pads:
             padded = aligned_zeros(batch_shape + (total,))
             self._static_tap_pairs.append(
-                (padded[..., left : left + n], self._tap_views[tap_key])
+                (pad_window(padded, left, 0, n), self._tap_views[tap_key])
             )
             for view_key, skew in views:
-                self._tap_views[view_key] = (
-                    padded[..., left + skew : left + skew + n]
-                )
+                self._tap_views[view_key] = pad_window(padded, left, skew, n)
         self._row_pad_centers: Dict[int, np.ndarray] = {}
         for fu, left, total, views in kernel.row_pads:
             padded = aligned_zeros(batch_shape + (total,))
-            self._row_pad_centers[fu] = padded[..., left : left + n]
+            self._row_pad_centers[fu] = pad_window(padded, left, 0, n)
             for view_key, skew in views:
-                self._tap_views[view_key] = (
-                    padded[..., left + skew : left + skew + n]
-                )
+                self._tap_views[view_key] = pad_window(padded, left, skew, n)
         self._seeded: Dict[int, np.ndarray] = {}
         self._finals: Dict[int, Any] = {}
         for step in kernel.steps:
@@ -1691,4 +1698,6 @@ __all__ = [
     "try_run_fused",
     "HaloCommPlan",
     "fused_stepper",
+    "pad_extent",
+    "pad_window",
 ]

@@ -18,7 +18,12 @@ from repro.diagram.program import CacheSwap, ExecPipeline, Halt
 from repro.sim.fastpath import BACKENDS, validate_backend
 from repro.sim.machine import NSCMachine
 from repro.sim.pipeline_exec import execute_image
-from repro.sim.progplan import compiled_plan, try_run_fused
+from repro.sim.progplan import (
+    compiled_plan,
+    pad_extent,
+    pad_window,
+    try_run_fused,
+)
 
 
 def _loaded_machine(node, setup, program, u0, f, backend="reference"):
@@ -84,6 +89,37 @@ class TestBackendValidation:
         with pytest.raises(ValueError, match="unknown execution backend"):
             machine.run(backend="warp")
         assert machine.backend == "reference"
+
+
+def _padded_windows(x, shifts):
+    """Every shift of *x* as a window into one zero-padded copy, laid out
+    the way the kernel lays out a feeder's taps."""
+    n = x.shape[-1]
+    left, total = pad_extent(n, list(shifts))
+    padded = np.zeros(x.shape[:-1] + (total,))
+    pad_window(padded, left, 0, n)[...] = x
+    return {s: pad_window(padded, left, s, n) for s in shifts}
+
+
+class TestPadWindows:
+    def test_matches_shift_stream_1d(self, rng):
+        from repro.arch.shift_delay import shift_stream
+
+        x = rng.random(37)
+        shifts = (-40, -5, -1, 0, 1, 7, 40)
+        for shift, view in _padded_windows(x, shifts).items():
+            np.testing.assert_array_equal(view, shift_stream(x, shift))
+
+    def test_batched_rows_match_per_row(self, rng):
+        x = rng.random((5, 19))
+        shifts = (-3, 0, 4)
+        batched = _padded_windows(x, shifts)
+        for row in range(5):
+            per_row = _padded_windows(x[row], shifts)
+            for shift in shifts:
+                np.testing.assert_array_equal(
+                    batched[shift][row], per_row[shift]
+                )
 
 
 class TestSingleNodeParity:
