@@ -18,7 +18,10 @@ trace-compilation step: it compiles an entire :class:`~repro.codegen.generator.M
   only until its last reader has run and its slot is then recycled
   (in place, by the reader itself); rows read after the issue —
   screened, condition, write-back, and every row under ``keep_outputs``
-  — keep a slot of their own;
+  — keep a slot of their own.  As on the machine, an unshifted tap is
+  its feeder's stream and a unit whose result one DMA takes to memory
+  computes straight into its write view, so neither costs a buffer or
+  a copy;
 - exception detection is a single fused finiteness test over the
   screened output rows, with an exact per-stream fallback when anything
   non-finite appears (flags and FP interrupts then match the reference
@@ -123,9 +126,13 @@ _M_FEEDBACK = 6    # general feedback: the element loop (_eval_feedback_batched)
 _M_SKEWCOPY = 7    # copy a freshly-computed FU row into its skew pad
 _M_COPY = 8        # PASS: copy the operand into the row
 
+#: modes whose ufunc can compute straight into a write view (``out``
+#: is the bound step's last position)
+_IN_PLACE_MODES = (_M_BINARY, _M_CONST, _M_UNARY)
+
 #: positions of the operand refs in each mode's step tuple (symbolic and
-#: bound alike): the slot scan reads rows there, ``_refresh`` resolves
-#: live stream views there
+#: bound alike): the slot scan reads rows there and records the ones
+#: bound to live storage views, which ``_refresh`` resolves
 _OPERANDS = {
     _M_BINARY: (2, 3),
     _M_CONST: (2,),
@@ -337,6 +344,14 @@ def _prog_span(base: int, count: int, stride: int) -> Tuple[int, int]:
     return min(base, last), max(base, last) + 1
 
 
+def _charge_order(item: Tuple[Tuple[DeviceKind, int], int]) -> Tuple[str, str]:
+    """The order ``repr`` gives ``((kind, device), cycles)`` charge items,
+    without formatting enums: by kind name, then device number as text
+    (keys are unique, and no kind name prefixes another)."""
+    (kind, device), _cycles = item
+    return kind.name, str(device)
+
+
 # ----------------------------------------------------------------------
 # per-image compilation
 # ----------------------------------------------------------------------
@@ -369,10 +384,13 @@ class ImageKernel:
     """Compile-time form of one image's fused executor.
 
     Built in one walk over the :class:`PipelineImage`: each unit's
-    resolved inputs become operand references, shift/delay taps and
-    skew pads are registered as they are first read, and the DMA charge
-    table is built once.  Per-run buffers live in the :class:`BoundImage`
-    this produces, whose exact path re-evaluates these same steps.
+    resolved inputs become operand references, shifted shift/delay taps
+    and skew pads are registered as they are first read (an unshifted
+    tap reads its feeder's stream), and the DMA charge table is built
+    once.  Write-back units that qualify compute into their write view
+    (:attr:`in_place`, see :meth:`_in_place_units`).  Per-run buffers
+    live in the :class:`BoundImage` this produces, whose exact path
+    re-evaluates these same steps.
     Residual stream skew (the ablation configuration) compiles to offset
     windows into zero-padded copies of the skewed source — streams share
     their feeder's pad, FU rows and taps get pads of their own — so a
@@ -481,7 +499,7 @@ class ImageKernel:
                         f"which produced nothing")
                 src: _Ref = ("row", driver.device)
             elif driver.kind is DeviceKind.SHIFT_DELAY:
-                src = ("tap", self._tap(driver.device, int(driver.port[3:])))
+                src = self._tap(driver.device, int(driver.port[3:]))
             else:
                 read_index = self._read_index.get(driver)
                 if read_index is None:
@@ -502,7 +520,8 @@ class ImageKernel:
         # stream operands ride the same pads as extra windows.
         by_feeder: Dict[int, List[Tuple[Any, int]]] = {}
         for key, (read_index, shift) in self._taps.items():
-            by_feeder.setdefault(read_index, []).append((key, shift))
+            if shift:  # an unshifted tap reads its feeder's stream
+                by_feeder.setdefault(read_index, []).append((key, shift))
         for (read_index, skew), view_key in self._stream_skews.items():
             by_feeder.setdefault(read_index, []).append((view_key, skew))
         del self._read_index, self._taps
@@ -525,6 +544,7 @@ class ImageKernel:
             self.cond_fn = _COMPARATORS[cond.comparison]
             self.cond_threshold = cond.threshold
 
+        self.in_place = self._in_place_units(report)
         self._assign_slots(report)
         self._issue_stats()
 
@@ -552,11 +572,12 @@ class ImageKernel:
                 touched.append(entry)
         self.touched_arrays = tuple(touched)
         # what the runner's text depends on (see _runner_code): one tap
-        # load per feeder and tap pad, one form per step, one copy per write
+        # load per feeder and tap pad, one form per step, one copy per
+        # write not computed in place
         self.runner_shape: Tuple[int, str, int] = (
             len(self.feeder_pads) + len(self.tap_pads),
             "".join(map(_step_form, self.steps)),
-            len(self.writes),
+            len(self.writes) - len(self.in_place),
         )
 
     # ------------------------------------------------------------------
@@ -577,6 +598,47 @@ class ImageKernel:
             return (_M_ACCUM, base, True, descr, abs(init), fu)
         return (_M_FEEDBACK, OPCODES[opcode].kernel, descr, port, init, fu)
 
+    def _in_place_units(self, report: ScreenReport) -> Dict[int, int]:
+        """Units that compute straight into their write-back view, as
+        ``{fu: write index}``.
+
+        As on the machine, where one DMA takes a unit's result to memory,
+        such a unit owns no row: its ufunc's ``out`` and its later
+        readers bind to the write's live view, and the write's copy is
+        dropped.  A unit qualifies when it feeds exactly one write, a
+        full-width (``width == n``) one to a stride-1 destination that no
+        other write of the image can overlap (no other write fills that
+        plane or cache buffer); its step is a ufunc with an
+        ``out`` buffer; and nothing reads its row after the runner or
+        through a copy — it is not screened, not reduced, not the
+        condition unit, not skew-padded, and not under ``keep_outputs``.
+        Reads never alias a write (:meth:`touched_extents` declines
+        that), so computing a write early changes no value.
+        """
+        if self.keep_outputs:
+            return {}
+        writes = self.writes
+        in_place: Dict[int, int] = {}
+        for j, (src, prog, width) in enumerate(writes):
+            if src[0] != "row" or width != self.n or prog.spec.stride != 1:
+                continue
+            fu = src[1]
+            if fu in report.checked_fus \
+                    or any(f == fu for f, _s in self._row_skews) \
+                    or (self.condition is not None and self.condition.fu == fu):
+                continue
+            # the only write of this unit, and the only one that fills
+            # its destination array (another could overlap it)
+            array = (prog.spec.device_kind, prog.spec.device)
+            if any(i != j and (other == src or (o.spec.device_kind,
+                                                o.spec.device) == array)
+                   for i, (other, o, _w) in enumerate(writes)):
+                continue
+            if any(step[-1] == fu and step[0] in _IN_PLACE_MODES
+                   for step in self.steps):
+                in_place[fu] = j
+        return in_place
+
     def _assign_slots(self, report: ScreenReport) -> None:
         """Map every output row (and reduction abs scratch) to a slot.
 
@@ -589,19 +651,38 @@ class ImageKernel:
         the screened rows (*report*'s ``checked_fus``, a contiguous
         prefix, so the exception screen stays one reduction), the
         condition row, write-back sources, and under ``keep_outputs``
-        every row.
+        every row.  An in-place unit (:meth:`_in_place_units`) owns no
+        slot: its row is its write view.  The same scan records
+        ``live_steps``: ``(step index, *positions)`` of every step with an
+        operand (or, in place, an output) bound to a live storage view,
+        which :meth:`BoundImage._refresh` resolves per storage state.
         """
+        in_place = self.in_place
         reads: List[List[int]] = []
         last_read: Dict[int, int] = {}
+        live_steps: List[Tuple[int, ...]] = []
         for i, step in enumerate(self.steps):
-            fus = [step[1]] if step[0] == _M_SKEWCOPY else []
-            for pos in _OPERANDS[step[0]]:
+            mode = step[0]
+            fus = [step[1]] if mode == _M_SKEWCOPY else []
+            live: Tuple[int, ...] = ()
+            for pos in _OPERANDS[mode]:
                 ref = step[pos]
-                if ref is not None and ref[0] == "row":
+                if ref is None:
+                    continue
+                if ref[0] == "row":
                     fus.append(ref[1])
+                    if ref[1] in in_place:
+                        live += (pos,)
+                elif ref[0] == "stream":
+                    live += (pos,)
+            if step[-1] in in_place and mode != _M_SKEWCOPY:
+                live += (len(step) - 1,)
+            if live:
+                live_steps.append((i,) + live)
             reads.append(fus)
             for fu in fus:
                 last_read[fu] = i
+        self.live_steps = tuple(live_steps)
         produced = [fu for fu in self.image.fu_order
                     if fu not in self.reduce_fus]
         screened = report.checked_fus
@@ -613,9 +694,12 @@ class ImageKernel:
         if self.keep_outputs:
             pinned.update(produced)
         self.slot_of: Dict[int, int] = {}
-        for fu in sorted((f for f in produced if f in pinned),
+        for fu in sorted((f for f in produced
+                          if f in pinned and f not in in_place),
                          key=lambda f: f not in screened):
             self.slot_of[fu] = len(self.slot_of)
+        # the units the scan below leaves alone: pinned, or in place
+        assigned = self.slot_of.keys() | in_place.keys()
         self.n_checked = len(screened)
         self.n_slots = len(self.slot_of)
         free: List[int] = []  # a stack: the freshest (cache-hot) slot first
@@ -628,24 +712,28 @@ class ImageKernel:
 
         self.scratch_slot: Dict[int, int] = {}
         for i, step in enumerate(self.steps):
-            for fu in dict.fromkeys(reads[i]):
+            for fu in reads[i]:
                 if last_read[fu] == i and fu not in pinned:
                     free.append(self.slot_of[fu])
+                    last_read[fu] = -1  # freed once, if read twice here
             mode = step[0]
             if mode == _M_REDUCE:
                 if step[2]:  # the |x| scratch lives for this step only
                     self.scratch_slot[step[5]] = slot = take()
                     free.append(slot)
-            elif mode != _M_SKEWCOPY and step[-1] not in self.slot_of:
+            elif mode != _M_SKEWCOPY and step[-1] not in assigned:
                 # an unread unit is never propagation-covered, so it is
                 # screened: every unpinned row here has a reader
                 self.slot_of[step[-1]] = take()
 
-    def _tap(self, unit: int, tap: int) -> Tuple[int, int]:
-        """Register a shift/delay tap the issue must materialize; returns
-        its key."""
+    def _tap(self, unit: int, tap: int) -> _Ref:
+        """The operand a shift/delay tap reads: its feeder's stream itself
+        when the tap's shift is 0, else a window into the feeder's pad.
+        A missing or unread feeder and an unconfigured tap raise, shifted
+        or not."""
         key = (unit, tap)
-        if key not in self._taps:
+        entry = self._taps.get(key)
+        if entry is None:
             image = self.image
             feeder = image.sd_feeders.get(unit)
             if feeder is None:
@@ -660,8 +748,17 @@ class ImageKernel:
             if shift is None:
                 raise FusionUnsupported(
                     f"sd[{unit}].tap{tap} used but not configured")
-            self._taps[key] = (read_index, shift)
-        return key
+            entry = self._taps[key] = (read_index, shift)
+        if entry[1] == 0:
+            return ("stream", entry[0])
+        return ("tap", key)
+
+    def _stream_skew(self, read_index: int, skew: int) -> _Ref:
+        """A skewed read of stream *read_index*: a window into its
+        feeder's pad."""
+        view_key = ("skew:stream", read_index, skew)
+        self._stream_skews[(read_index, skew)] = view_key
+        return ("tap", view_key)
 
     def _ref(self, resolved: ResolvedInput, produced: Set[int],
              pending: List[int], copied: Set[int]) -> _Ref:
@@ -693,16 +790,17 @@ class ImageKernel:
                 raise FusionUnsupported(f"stream for {ep} was not read")
             if skew == 0:
                 return ("stream", read_index)
-            view_key = ("skew:stream", read_index, skew)
-            self._stream_skews[(read_index, skew)] = view_key
-            return ("tap", view_key)
+            return self._stream_skew(read_index, skew)
         if kind == "sd":
             ep = resolved.endpoint
-            key = self._tap(ep.device, int(ep.port[3:]))
+            tap = self._tap(ep.device, int(ep.port[3:]))
             if skew == 0:
-                return ("tap", key)
-            view_key = ("skew:tap", key, skew)
-            self._tap_skews[(key, skew)] = view_key
+                return tap
+            if tap[0] == "stream":
+                # an unshifted tap is its feeder's stream, skew included
+                return self._stream_skew(tap[1], skew)
+            view_key = ("skew:tap", tap[1], skew)
+            self._tap_skews[(tap[1], skew)] = view_key
             return ("tap", view_key)
         raise FusionUnsupported(f"unresolvable input kind {kind!r}")
 
@@ -759,7 +857,7 @@ class ImageKernel:
             words_read=words_read,
             words_written=words_written,
             busy_cycles=busy,
-            device_busy=tuple(sorted(charges.items(), key=repr)),
+            device_busy=tuple(sorted(charges.items(), key=_charge_order)),
         )
         # static fields of every PipelineResult this image produces; the
         # issue loop fills the per-issue ones on a __new__ instance
@@ -987,7 +1085,6 @@ class BoundImage:
                 self._seeded[step[5]] = aligned_empty(batch_shape + (n + 1,))
         self._consts: Dict[bytes, np.ndarray] = {}
         self._streams: List[np.ndarray] = []
-        self._write_views: List[np.ndarray] = []
         self._runner: Any = None
         self._tap_live: List[Tuple[np.ndarray, np.ndarray]] = []
         self._write_pairs: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -1009,7 +1106,9 @@ class BoundImage:
             else None
         )
         self._exact: Optional[Dict[int, np.ndarray]] = None
-        # pre-resolve every operand that does not depend on storage state
+        # pre-resolve every operand that does not depend on storage state;
+        # the rest are int indices into the live views (read streams,
+        # then write views), at the kernel's live_steps positions
         self._ops = [self._bind_step(s) for s in kernel.steps]
 
     # ------------------------------------------------------------------
@@ -1024,11 +1123,17 @@ class BoundImage:
             self._consts[key] = arr
         return arr
 
-    def _row(self, fu: int) -> np.ndarray:
-        return self._slots[self.kernel.slot_of[fu]]
+    def _row(self, fu: int) -> Any:
+        """*fu*'s row slot, or for an in-place unit the int index of its
+        write view among the live views."""
+        kernel = self.kernel
+        slot = kernel.slot_of.get(fu)
+        if slot is None:
+            return len(kernel.reads) + kernel.in_place[fu]
+        return self._slots[slot]
 
     def _operand(self, ref: _Ref) -> Any:
-        """Static ndarray, or an int index into the live stream views."""
+        """Static ndarray, or an int index into the live views."""
         kind, key = ref
         if kind == "row":
             return self._row(key)
@@ -1076,9 +1181,10 @@ class BoundImage:
     def _refresh(self) -> None:
         """Re-resolve storage views and rebuild the live op list.
 
-        Views go stale only when a cache swap flips a front/back pair, so
-        this runs a handful of times per program — the per-issue loop then
-        touches nothing but concrete arrays.
+        Views go stale only when a swap exchanges storage arrays, so this
+        runs once per storage state — the per-issue loop then touches
+        nothing but concrete arrays.  Read streams and write views are
+        the live views; in-place units compute into theirs.
         """
         storage = self.storage
         kernel = self.kernel
@@ -1104,25 +1210,25 @@ class BoundImage:
                 base = prog.base_offset
             arr = storage.array_for(spec.device_kind, spec.device, write=True)
             views.append(arr[..., stream_slice(base, width, spec.stride)])
-        self._write_views = views
 
-        def live(operand: Any) -> Any:
-            return streams[operand] if type(operand) is int else operand
-
-        ops = []
-        for op in self._ops:
-            resolved = list(op)
-            for pos in _OPERANDS[op[0]]:
-                resolved[pos] = live(op[pos])
-            ops.append(tuple(resolved))
+        live = streams + views
+        ops = list(self._ops)
+        for i, *positions in kernel.live_steps:
+            resolved = list(ops[i])
+            for pos in positions:
+                resolved[pos] = live[resolved[pos]]
+            ops[i] = tuple(resolved)
         self._tap_live = [
             (center, streams[read_index])
             for center, read_index in self._pad_centers
         ] + self._static_tap_pairs
         pairs: List[Tuple[np.ndarray, np.ndarray]] = []
+        in_place = kernel.in_place
         for (kind, key), view in zip(
             (w[0] for w in kernel.writes), views
         ):
+            if kind == "row" and key in in_place:
+                continue  # computed straight into its view
             if kind == "row":
                 src: np.ndarray = self._row(key)
             elif kind == "tap":
@@ -1251,12 +1357,12 @@ class BoundImage:
             if state is None:
                 self._refresh()
                 self._states[key] = (
-                    self._runner, self._streams, self._write_views,
-                    self._tap_live, self._write_pairs,
+                    self._runner, self._streams, self._tap_live,
+                    self._write_pairs,
                 )
             else:
-                (self._runner, self._streams, self._write_views,
-                 self._tap_live, self._write_pairs) = state
+                (self._runner, self._streams, self._tap_live,
+                 self._write_pairs) = state
             self._key = key
         ok = self._runner()
         if self._check_flat is not None \

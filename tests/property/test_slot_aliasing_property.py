@@ -17,17 +17,35 @@ sends an issue there, the exact one.  The service's machine-less one-row
 run folds the same result with FP interrupts armed, non-finite cases
 included.
 
+Two bindings skip a buffer, and the draws aim at both: an unshifted tap
+reads its feeder's stream (the tap sets mix unshifted and shifted taps,
+or hold only unshifted ones), and a write-back unit may compute straight
+into its write view, which later steps then read.  A leading ``PASS``
+off ``x`` or an unshifted tap reads live storage: under ``keep_outputs``
+with a poisoned input its exact-path output *is* the storage view, so
+``capture_outputs`` must copy it before the next issue's write-back
+lands there.  ``hypothesis.event`` reports each case's share (run with
+``--hypothesis-show-statistics``).
+
 Example counts follow the active hypothesis profile: a handful under the
 default, the ``ci`` profile's count under ``--hypothesis-profile=ci``
 (see ``tests/conftest.py``).
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, reject, settings, strategies as st
+from hypothesis import (
+    HealthCheck,
+    event,
+    given,
+    reject,
+    settings,
+    strategies as st,
+)
 
 from repro.arch.funcunit import Opcode
 from repro.arch.interrupts import DEFAULT_ARMED_KINDS, InterruptKind
 from repro.arch.node import NodeConfig
+from repro.arch.switch import DeviceKind
 from repro.codegen.generator import CodegenError, MicrocodeGenerator
 from repro.compose.builders import (
     BuilderError,
@@ -77,7 +95,10 @@ def _planes(operand):
 
 
 @st.composite
-def single_image_programs(draw):
+def single_image_programs(draw, live_pass=False):
+    """A random single-image program and its vector length; *live_pass*
+    forces a leading ``PASS`` off live storage and a ``Repeat`` of two or
+    three issues (the ``capture_outputs`` aliasing case)."""
     n = draw(st.integers(4, 10))
     prog = VisualProgram(name="slot-fuzz")
     for plane, name in enumerate(_VARIABLES):
@@ -85,8 +106,15 @@ def single_image_programs(draw):
     b = PipelineBuilder(_NODE, prog, vector_length=n)
     x = b.read_var("x")
     y = b.read_var("y")
-    shifts = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3,
-                           unique=True))
+    tap_set = draw(st.sampled_from(("any", "mixed", "unshifted")))
+    if tap_set == "unshifted":
+        shifts = [0] * draw(st.integers(1, 2))
+    elif tap_set == "mixed":
+        shifts = draw(st.lists(st.sampled_from((-2, -1, 1, 2)),
+                               min_size=1, max_size=2, unique=True)) + [0]
+    else:
+        shifts = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3,
+                               unique=True))
     taps = b.through_sd(x, shifts)
     # switch sources and the sinks each already drives (fan-out limit)
     pool = [x, y] + taps
@@ -94,6 +122,15 @@ def single_image_programs(draw):
     limit = _NODE.params.switch_max_fanout
     units = []
     try:
+        if live_pass or draw(st.booleans()):
+            # a PASS straight off live storage: x or an unshifted tap
+            lead = draw(st.sampled_from(
+                [x] + [tap for tap in taps if tap.shift == 0]
+            ))
+            ref = b.apply(Opcode.PASS, lead)
+            uses[lead.endpoint] = uses.get(lead.endpoint, 0) + 1
+            units.append((ref, [lead]))
+            pool.append(ref)
         for _ in range(draw(st.integers(2, 10))):
             live = [op for op in pool if uses.get(op.endpoint, 0) < limit]
             # mostly chain off earlier units: chains are what share slots
@@ -146,8 +183,9 @@ def single_image_programs(draw):
                       if not set().union(*map(_planes, ops))
                       and ref.fu not in written
                       and uses.get(ref.endpoint, 0) < limit]
-        if choice == "tap" and uses.get(taps[0].endpoint, 0) < limit:
-            src = taps[0]
+        free_taps = [tap for tap in taps if uses.get(tap.endpoint, 0) < limit]
+        if choice == "tap" and free_taps:
+            src = draw(st.sampled_from(free_taps))
         elif choice == "unit" and candidates:
             src = draw(st.sampled_from(candidates))
         else:
@@ -172,8 +210,8 @@ def single_image_programs(draw):
                     draw(st.sampled_from((0.0, 1.0))))
     b.build()
 
-    times = draw(st.integers(1, 3))
-    control = draw(st.sampled_from(
+    times = draw(st.integers(2 if live_pass else 1, 3))
+    control = "repeat" if live_pass else draw(st.sampled_from(
         ("once", "repeat", "loop") if watched is not None
         else ("once", "repeat")
     ))
@@ -284,13 +322,57 @@ def _observed(machine, result):
     )
 
 
+def _tap_shifts(image):
+    """The configured shifts of every shift/delay tap *image* reads."""
+    taps = [(r.endpoint.device, r.endpoint.port) for r in image.inputs.values()
+            if r.kind == "sd"]
+    taps += [(source.device, source.port)
+             for source, _sink, _prog in image.write_programs
+             if source.kind is DeviceKind.SHIFT_DELAY]
+    return {image.sd_shifts[(unit, int(port[3:]))] for unit, port in taps}
+
+
+def _passes_live_storage(image):
+    """Whether a PASS unit reads, unskewed, ``x``'s stream or an
+    unshifted tap of it: storage the next issue's write-back refills
+    (``SwapVars`` hands ``x``'s plane to ``r``)."""
+    for fu, (opcode, _constant) in image.fu_ops.items():
+        src = image.inputs.get((fu, "a"))
+        if opcode is Opcode.PASS and src is not None and src.skew == 0 and (
+            src.kind == "mem" and src.endpoint.device == 0
+            or src.kind == "sd" and image.sd_shifts[
+                (src.endpoint.device, int(src.endpoint.port[3:]))] == 0
+        ):
+            return True
+    return False
+
+
+def _binding_events(program, keep_outputs, poison, issues):
+    """Report which of the buffer-skipping bindings this case reaches."""
+    kernel = progplan.compiled_plan(program, _NODE.params).kernels[0]
+    shifts = _tap_shifts(kernel.image)
+    if 0 in shifts:
+        event("unshifted tap beside shifted ones" if len(shifts) > 1
+              else "feeder with only unshifted taps")
+    if any(step[pos] is not None and step[pos][0] == "row"
+           and step[pos][1] in kernel.in_place
+           for step in kernel.steps
+           for pos in progplan._OPERANDS[step[0]]):
+        event("in-place unit read by a later step")
+    if keep_outputs and poison is not None and issues >= 2 \
+            and _passes_live_storage(kernel.image):
+        event("keep_outputs exact capture of a live-storage PASS, reissued")
+
+
+_POISON = st.tuples(st.integers(0, 3),
+                    st.sampled_from((np.inf, -np.inf, np.nan)))
+
+
 @settings(max_examples=_EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
 @given(case=single_image_programs(),
-       poison=st.none() | st.tuples(
-           st.integers(0, 3), st.sampled_from((np.inf, -np.inf, np.nan))
-       ),
+       poison=st.none() | _POISON,
        keep_outputs=st.booleans())
 def test_reference_slab_of_one_and_slab_rows_agree(case, poison,
                                                    keep_outputs):
@@ -303,6 +385,8 @@ def test_reference_slab_of_one_and_slab_rows_agree(case, poison,
             result = machine.run(keep_outputs=keep_outputs)
             expected.append(_observed(machine, result))
             outputs.append(_fu_outputs(result))
+        _binding_events(program, keep_outputs, poison,
+                        len(result.pipeline_results))
         for seed, want, want_outputs in zip(_SEEDS, expected, outputs):
             machine = _machine(program, n, seed, "fast", poison)
             result = progplan.try_run_fused(machine, program, 1_000_000,
@@ -332,3 +416,29 @@ def test_reference_slab_of_one_and_slab_rows_agree(case, poison,
         return
     for machine, result, want in zip(slab, results, expected):
         assert _observed(machine, result) == want
+
+
+@settings(max_examples=max(4, _EXAMPLES // 3), deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(case=single_image_programs(live_pass=True), poison=_POISON)
+def test_kept_outputs_of_a_live_storage_pass_survive_the_next_issue(
+        case, poison):
+    """The poisoned first issue takes the exact path, where the PASS
+    output is the storage view itself; the next issue's write-back lands
+    in that storage (``SwapVars`` hands ``x``'s plane to ``r``), so the
+    captured stream must be a copy."""
+    program, n = case
+    with np.errstate(all="ignore"):
+        captured = []
+        for backend in ("reference", "fast"):
+            machine = _machine(program, n, _SEEDS[0], backend, poison)
+            if backend == "reference":
+                result = machine.run(keep_outputs=True)
+            else:
+                result = progplan.try_run_fused(machine, program, 1_000_000,
+                                                keep_outputs=True)
+                assert result is not None, "a checker-clean program declined"
+            captured.append(_fu_outputs(result))
+    assert len(captured[0]) >= 2
+    assert captured[1] == captured[0]

@@ -3,9 +3,13 @@ it is still to run (``ImageKernel._assign_slots``).
 
 A slot is recycled after its last reader; the rows something reads after
 the runner — screened rows, the condition row, write-back sources, and
-every row under ``keep_outputs`` — keep a slot of their own.  These tests
-pin the allocation itself; the engines' bit-identity over random
-programs is ``tests/property/test_slot_aliasing_property.py``.
+every row under ``keep_outputs`` — keep a slot of their own, except a
+write-back source that computes straight into its write view
+(``ImageKernel.in_place``), which owns no slot.  Operands bound in place
+of a buffer are pinned here too: an unshifted shift/delay tap reads its
+feeder's stream, so only shifted taps get a pad.  These tests pin the
+allocation itself; the engines' bit-identity over random programs is
+``tests/property/test_slot_aliasing_property.py``.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
 from repro.diagram.program import ExecPipeline, Repeat, SwapVars, VisualProgram
 from repro.sim import progplan
 from repro.sim.machine import NSCMachine
+from repro.sim.multinode import MultiNodeStencil
 
 
 def _jacobi(node, shape=(16, 16, 16), auto_balance=True, max_iterations=20):
@@ -66,6 +71,29 @@ def _chain(node, watch_first, auto_balance=True, n=64):
     return None, program
 
 
+def _hypercube(node):
+    stencil = MultiNodeStencil(node.params, hypercube_dim=2,
+                               shape=(8, 8, 8), backend="fast")
+    return stencil.setup, stencil.machine_program
+
+
+def _unshifted_taps(node, n=32):
+    """``r = 2 * tap0 + (tap1 + 1)`` with both taps of ``x``'s
+    shift/delay unit unshifted: the feeder has no shifted tap."""
+    prog = VisualProgram(name="unshifted")
+    prog.declare("x", plane=0, length=n)
+    prog.declare("r", plane=1, length=n)
+    b = PipelineBuilder(node, prog, vector_length=n)
+    tap0, tap1 = b.through_sd(b.read_var("x"), [0, 0])
+    scaled = b.apply(Opcode.FSCALE, tap0, constant=2.0)
+    bumped = b.apply(Opcode.FADDC, tap1, constant=1.0)
+    b.write_var(b.apply(Opcode.FADD, scaled, bumped), "r")
+    b.build()
+    prog.add_control(Repeat(body=(ExecPipeline(0), SwapVars("x", "r")),
+                            times=3))
+    return None, MicrocodeGenerator(node).generate(prog)
+
+
 _PROGRAMS = {
     "jacobi": lambda node: _jacobi(node),
     "jacobi-skewed": lambda node: _jacobi(node, (5, 6, 7), auto_balance=False),
@@ -98,6 +126,12 @@ def _row_units(kernel):
     return [fu for fu in _units(kernel) if fu not in kernel.reduce_fus]
 
 
+def _reads(step):
+    """The operand refs *step* reads."""
+    return [step[pos] for pos in progplan._OPERANDS[step[0]]
+            if step[pos] is not None]
+
+
 def _held_alone(kernel, fu):
     """*fu*'s slot is used by no other unit and no abs scratch."""
     slot = kernel.slot_of[fu]
@@ -120,15 +154,15 @@ class TestSlotCounts:
 
     def test_a_dying_operand_slot_is_written_in_place(self, node):
         """The Jacobi chain reuses its operands' slots: some step writes
-        its output over a row it reads for the last time."""
+        its output over a row it reads for the last time.  (An in-place
+        unit owns no slot, so it neither reuses one nor hands one on.)"""
         (kernel,) = _kernels(node, "jacobi")
         in_place = 0
         for step in kernel.steps:
             out = kernel.slot_of.get(step[-1])
-            for pos in progplan._OPERANDS[step[0]]:
-                ref = step[pos]
-                if ref is not None and ref[0] == "row" \
-                        and kernel.slot_of[ref[1]] == out:
+            for ref in _reads(step):
+                if ref[0] == "row" and out is not None \
+                        and kernel.slot_of.get(ref[1]) == out:
                     in_place += 1
         assert in_place
 
@@ -173,6 +207,10 @@ class TestPinnedSlots:
 
     def test_condition_and_write_back_rows_are_never_reused(self, node,
                                                             name):
+        """A write-back source either computes into its write view (it
+        owns no slot; its row is the view, among the live views after
+        the read streams) or keeps a slot of its own, as the condition
+        row does."""
         for kernel in _kernels(node, name):
             pinned = {src[1] for src, _prog, _w in kernel.writes
                       if src[0] == "row"}
@@ -180,8 +218,15 @@ class TestPinnedSlots:
             if cond is not None and cond.fu not in kernel.reduce_fus:
                 pinned.add(cond.fu)
             assert pinned
+            bound = kernel.bind(progplan._Storage(), (2,))
             for fu in pinned:
-                assert _held_alone(kernel, fu)
+                j = kernel.in_place.get(fu)
+                if j is None:
+                    assert _held_alone(kernel, fu)
+                    continue
+                assert fu not in kernel.slot_of
+                assert kernel.writes[j][0] == ("row", fu)
+                assert bound._row(fu) == len(kernel.reads) + j
 
     def test_keep_outputs_keeps_one_slot_per_unit(self, node, name):
         for kernel in _kernels(node, name, keep_outputs=True):
@@ -189,6 +234,84 @@ class TestPinnedSlots:
             assert not kernel.reduce_fus and not kernel.scratch_slot
             assert kernel.n_slots == len(units)
             assert sorted(kernel.slot_of.values()) == list(range(len(units)))
+
+    def test_keep_outputs_kernel_has_no_in_place_unit(self, node, name):
+        """``capture_outputs`` snapshots every unit's slot, so under
+        ``keep_outputs`` no unit computes into its write view."""
+        for kernel in _kernels(node, name, keep_outputs=True):
+            assert kernel.in_place == {}
+            assert kernel.runner_shape[2] == len(kernel.writes)
+
+
+class TestInPlaceBinding:
+    def test_jacobi_sweep_writes_u_new_in_place(self, node, rng):
+        """The sweep's write-back unit owns no slot, its write copy is
+        dropped, and after an issue the destination holds exactly what
+        the exact re-evaluation computes for it."""
+        setup, program = _jacobi(node, (6, 6, 6))
+        plan = progplan.compiled_plan(program, node.params)
+        kernel = plan.kernels[1]
+        assert len(kernel.in_place) == 1
+        ((fu, j),) = kernel.in_place.items()
+        assert kernel.runner_shape[2] == len(kernel.writes) - 1
+        storage = progplan.stacked_storage(plan.variables, 2,
+                                           plan.plane_extent,
+                                           plan.cache_extent)
+        load_jacobi_inputs(storage, setup, rng.random((6, 6, 6)),
+                           rng.standard_normal((6, 6, 6)))
+        for arrays in (storage.cache_front, storage.cache_back):
+            for arr in arrays.values():
+                arr[...] = rng.random(arr.shape)
+        bound = kernel.bind(storage, (2,))
+        assert bound.issue_compute()
+        assert len(bound._write_pairs) == len(kernel.writes) - 1
+        bound.issue_exact()
+        var = plan.variables[kernel.writes[j][1].spec.variable]
+        written = storage.planes[var.plane][:, var.offset:var.end]
+        assert written.tobytes() == bound._exact[fu].tobytes()
+
+    @pytest.mark.parametrize("name", ["jacobi", "rbsor", "hypercube"])
+    def test_no_step_reads_an_unshifted_tap_through_a_pad(self, node, name):
+        """Every pad window is a shifted tap (or a skew); an unshifted tap
+        is read as its feeder's stream."""
+        program = (_PROGRAMS[name] if name != "hypercube" else _hypercube)(
+            node)[1]
+        kernels = _kernels_of(node, program)
+        unshifted = 0
+        for kernel in kernels:
+            shifts = kernel.image.sd_shifts
+            for _read_index, _left, _total, taps in kernel.feeder_pads:
+                assert all(shift != 0 for _key, shift in taps)
+            for step in kernel.steps:
+                for kind, key in _reads(step):
+                    if kind == "tap" and key in shifts:
+                        assert shifts[key] != 0
+            feeds = {kernel.reads.index((ep, prog))
+                     for ep, prog in kernel.reads
+                     if ep in kernel.image.sd_feeders.values()}
+            unshifted += sum(1 for step in kernel.steps
+                             for ref in _reads(step)
+                             if ref[0] == "stream" and ref[1] in feeds)
+        assert unshifted, "no kernel reads its unshifted tap"
+
+    def test_a_feeder_with_only_unshifted_taps_has_no_pad(self, node):
+        _setup, program = _unshifted_taps(node)
+        (kernel,) = _kernels_of(node, program)
+        assert kernel.feeder_pads == []
+        assert kernel.runner_shape[0] == 0
+        bound = kernel.bind(progplan._Storage(), (1,))
+        assert bound._pad_centers == [] and bound._tap_views == {}
+        runs = []
+        for backend in ("reference", "fast"):
+            machine = NSCMachine(node, backend=backend)
+            machine.load_program(program)
+            machine.set_variable("x", np.linspace(-1.0, 1.0, 32))
+            if backend == "reference":
+                result = machine.run()
+            else:
+                result = progplan.try_run_fused(machine, program, 1_000)
+            runs.append(_bits(result, machine, ("x", "r")))
+        assert runs[0] == runs[1]
 
 
 def _bits(result, machine, names):

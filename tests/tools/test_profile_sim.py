@@ -24,6 +24,25 @@ def test_profile_sim_reports_every_stage(capsys):
         assert p50[stage] > 0.0, stage
     # one op: the disjoint sub-stages sum to its wall time
     assert abs(sum(p50[s] for s in profile_sim.STAGES) - p50["total"]) < 1e-6
+    # both engines issued: a positive kernel time per issue_compute call,
+    # below the stage's whole op time
+    for stage in profile_sim.PER_ISSUE:
+        per_issue = report[f"{stage}_us_per_issue"]
+        assert 0.0 < per_issue < p50[stage] * 1e3, stage
+
+
+def test_per_issue_divides_kernel_seconds_by_calls():
+    raw = {"slab_kernel": 0.006, "slab_kernel_calls": 300,
+           "multinode_kernel": 0.0, "multinode_kernel_calls": 0}
+    assert profile_sim.per_issue_us(raw) == {"slab_kernel": 20.0}
+    assert profile_sim.per_issue_us({}) == {}
+
+
+def test_table_reports_per_issue_lines(capsys):
+    assert profile_sim.main(["-n", "1"]) == 0
+    out = capsys.readouterr().out
+    for stage in profile_sim.PER_ISSUE:
+        assert f"{stage}_us_per_issue" in out
 
 
 def test_batches_are_seeded_and_sim_heavy_shaped():

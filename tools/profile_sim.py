@@ -24,7 +24,9 @@ other             everything else: runner, records, result store
 
 The op's wall time is ``total``; the sub-stages sum to it.  Prints the
 p50 of each per op in milliseconds — the kernel-time vs Python-dispatch
-split of the simulator engines.
+split of the simulator engines — and, per engine, the p50 of its kernel
+seconds divided by its ``issue_compute`` calls in microseconds
+(``slab_kernel_us_per_issue``, ``multinode_kernel_us_per_issue``).
 
 Usage::
 
@@ -41,7 +43,9 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -63,6 +67,9 @@ STAGES = (
     "halo",
     "other",
 )
+
+#: kernel stages also reported per ``issue_compute`` call
+PER_ISSUE = ("slab_kernel", "multinode_kernel")
 
 #: initial-guess seeds each solver draws from
 SEEDS = 32
@@ -89,7 +96,8 @@ def draw(rng: random.Random) -> List[SimJob]:
 
 @contextmanager
 def stage_clocks() -> Iterator[Dict[str, float]]:
-    """Accumulate seconds per raw clock while patched entry points run."""
+    """Accumulate seconds per raw clock while patched entry points run,
+    and each clock's call count under ``"<clock>_calls"``."""
     spent: Dict[str, float] = {}
     scope = ["other"]
     undo: List[Any] = []
@@ -108,6 +116,8 @@ def stage_clocks() -> Iterator[Dict[str, float]]:
                 return original(*args, **kwargs)
             finally:
                 spent[name] = spent.get(name, 0.0) + time.perf_counter() - t0
+                calls = f"{name}_calls"
+                spent[calls] = spent.get(calls, 0) + 1
                 scope[0] = outer
 
         undo.append((owner, attr, original))
@@ -151,8 +161,18 @@ def split(raw: Dict[str, float], total: float) -> Dict[str, float]:
     return stages
 
 
-def profile(n: int, seed: int) -> Dict[str, float]:
-    """p50 milliseconds per sub-stage (and ``total``) over *n* ops."""
+def per_issue_us(raw: Dict[str, float]) -> Dict[str, float]:
+    """Microseconds per ``issue_compute`` call of each kernel stage that
+    issued in one op's raw clocks."""
+    return {
+        stage: raw[stage] / raw[f"{stage}_calls"] * 1e6
+        for stage in PER_ISSUE if raw.get(f"{stage}_calls")
+    }
+
+
+def profile(n: int, seed: int) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """p50 milliseconds per sub-stage (and ``total``) over *n* ops, and
+    the p50 microseconds per issue of each kernel stage."""
     rng = random.Random(f"profile_sim:{seed}")
     cache = ProgramCache()
 
@@ -164,6 +184,7 @@ def profile(n: int, seed: int) -> Dict[str, float]:
 
     run_op(draw(rng))  # warm: compile, plans, runner code, imports
     per_stage: Dict[str, List[float]] = {stage: [] for stage in STAGES}
+    per_issue: Dict[str, List[float]] = {stage: [] for stage in PER_ISSUE}
     totals: List[float] = []
     with stage_clocks() as spent:
         for _ in range(n):
@@ -174,10 +195,13 @@ def profile(n: int, seed: int) -> Dict[str, float]:
             total = time.perf_counter() - t0
             for stage, value in split(spent, total).items():
                 per_stage[stage].append(value * 1e3)
+            for stage, value in per_issue_us(spent).items():
+                per_issue[stage].append(value)
             totals.append(total * 1e3)
     p50 = {stage: statistics.median(v) for stage, v in per_stage.items()}
     p50["total"] = statistics.median(totals)
-    return p50
+    return p50, {f"{stage}_us_per_issue": statistics.median(v)
+                 for stage, v in per_issue.items() if v}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -192,14 +216,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("-n must be at least 1")
-    p50 = profile(args.n, args.seed)
+    p50, us_per_issue = profile(args.n, args.seed)
     if args.json:
-        report = {"ops": args.n, "seed": args.seed, "p50_ms": p50}
+        report = {"ops": args.n, "seed": args.seed, "p50_ms": p50,
+                  **us_per_issue}
         print(json.dumps(report, sort_keys=True))
         return 0
     print(f"profile_sim: {args.n} ops (seed {args.seed}), p50 ms per sub-stage")
     for stage, value in p50.items():
         print(f"  {stage:<17} {value:8.3f}")
+    print("p50 us per issue_compute call")
+    for name, value in us_per_issue.items():
+        print(f"  {name:<29} {value:8.2f}")
     return 0
 
 
