@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.arch.funcunit import Opcode
+from repro.arch.switch import DeviceKind
 from repro.codegen.generator import MachineProgram, PipelineImage, ResolvedInput
 from repro.diagram.program import ExecPipeline, Halt, LoopUntil, Repeat
 
@@ -57,23 +58,8 @@ REDUCIBLE_OPS: FrozenSet[Opcode] = frozenset(
     {Opcode.MAX, Opcode.MIN, Opcode.MAXABS, Opcode.MINABS}
 )
 
-
-def _feedback_port(
-    image: PipelineImage, fu: int
-) -> Tuple[Optional[ResolvedInput], Optional[ResolvedInput]]:
-    """(feedback input, data input) for *fu*, or ``(None, a-input)``.
-
-    Mirrors the reference interpreter's port resolution; a both-feedback
-    unit (an execution fault) reports as feedback on ``a`` here — the
-    hazard pass flags the conflict separately.
-    """
-    in_a = image.inputs.get((fu, "a"))
-    in_b = image.inputs.get((fu, "b"))
-    if in_a is not None and in_a.kind == "feedback":
-        return in_a, in_b
-    if in_b is not None and in_b.kind == "feedback":
-        return in_b, in_a
-    return None, in_a
+#: Input kinds that read another unit's output stream.
+_FU_KINDS = ("fu", "internal")
 
 
 def consumed_fus(image: PipelineImage) -> FrozenSet[int]:
@@ -84,12 +70,10 @@ def consumed_fus(image: PipelineImage) -> FrozenSet[int]:
     write programs.  A consumed feedback unit never folds to a
     reduction.
     """
-    used = set()
-    for resolved in image.inputs.values():
-        if resolved.kind in ("fu", "internal"):
-            used.add(resolved.src_fu)
+    used = {resolved.src_fu for resolved in image.inputs.values()
+            if resolved.kind in _FU_KINDS}
     for driver, _sink, _prog in image.write_programs:
-        if driver.kind.value == "fu":
+        if driver.kind is DeviceKind.FU:
             used.add(driver.device)
     return frozenset(used)
 
@@ -121,10 +105,21 @@ def screen_coverage(
     this report.
     """
     consumed = consumed_fus(image)
+    inputs = image.inputs
     reduce_fus = set()
     covered = set()
     for fu, (opcode, _constant) in image.fu_ops.items():
-        fb, data = _feedback_port(image, fu)
+        # the reference interpreter's port resolution: a both-feedback
+        # unit (an execution fault) reports as feedback on ``a`` here —
+        # the hazard pass flags the conflict separately
+        in_a = inputs.get((fu, "a"))
+        in_b = inputs.get((fu, "b"))
+        if in_a is not None and in_a.kind == "feedback":
+            fb, data = in_a, in_b
+        elif in_b is not None and in_b.kind == "feedback":
+            fb, data = in_b, in_a
+        else:
+            fb = None
         if fb is not None:
             if (
                 not keep_outputs
@@ -137,29 +132,24 @@ def screen_coverage(
             # A skewed position never covers: the shift can push the
             # offending element out of the window (zero fill).
             if opcode in PROP_FEEDBACK and data is not None \
-                    and data.kind in ("fu", "internal") and data.skew == 0:
+                    and data.kind in _FU_KINDS and data.skew == 0:
                 covered.add(data.src_fu)
             continue
         if opcode in PROP_BOTH:
-            positions = (image.inputs.get((fu, "a")),
-                         image.inputs.get((fu, "b")))
+            positions: Tuple[Optional[ResolvedInput], ...] = (in_a, in_b)
         elif opcode in PROP_A:
-            positions = (image.inputs.get((fu, "a")),)
+            positions = (in_a,)
         else:
             continue
         for resolved in positions:
-            if resolved is not None and resolved.kind in ("fu", "internal") \
+            if resolved is not None and resolved.kind in _FU_KINDS \
                     and resolved.skew == 0:
                 covered.add(resolved.src_fu)
 
-    checked = frozenset(
-        fu for fu in image.fu_ops
-        if fu not in reduce_fus and fu not in covered
-    )
     return ScreenReport(
-        reduce_fus=frozenset(reduce_fus),
-        covered_fus=frozenset(covered),
-        checked_fus=checked,
+        frozenset(reduce_fus),
+        frozenset(covered),
+        frozenset(image.fu_ops.keys() - reduce_fus - covered),
     )
 
 

@@ -40,6 +40,7 @@ from repro.checker.diagnostics import CheckReport
 from repro.obs import tracer as obs
 from repro.codegen.microword import (
     CMP_CODES,
+    Field,
     Microword,
     MicrowordLayout,
     float_to_bits,
@@ -415,30 +416,30 @@ class MicrocodeGenerator:
         delays = view.delays
         auto = plan.auto_delay
         op_info = view.op_info
-        # field name -> value, packed into the bits at the end
-        values: Dict[str, int] = {}
+        # field handle -> value, packed into the bits at the end
+        values: Dict[Field, int] = {}
 
         for fu, assign in view.fu_ops.items():
             handles = layout.fu_fields(fu)
-            values[handles.opcode.name] = OP_INDEX[assign.opcode]
+            values[handles.opcode] = OP_INDEX[assign.opcode]
             if op_info[fu].uses_constant:
-                values[handles.const_sel.name] = 1
+                values[handles.const_sel] = 1
             for port, fields in zip(("a", "b"), handles.ports):
                 key = (fu, port)
                 delay = delays.get(key, 0) + auto.get(key, 0)
                 if delay:
-                    values[fields.delay.name] = delay
+                    values[fields.delay] = delay
                 feed = feeds.get(key)
                 if feed is None:
                     continue
                 if type(feed) is Endpoint:
-                    values[fields.src.name] = id_of(feed)
+                    values[fields.src] = id_of(feed)
                 elif feed.kind is InputModKind.INTERNAL:
-                    values[fields.internal.name] = 1
+                    values[fields.internal] = 1
                 elif feed.kind is InputModKind.FEEDBACK:
-                    values[fields.feedback.name] = 1
+                    values[fields.feedback] = 1
                 else:
-                    values[fields.constant.name] = 1
+                    values[fields.constant] = 1
 
         # crossbar selectors for the driven non-FU sinks
         sink_fields = layout.sink_fields
@@ -446,36 +447,36 @@ class MicrocodeGenerator:
             if sink.kind is not DeviceKind.FU:
                 field = sink_fields.get(sink)
                 if field is not None:
-                    values[field.name] = id_of(drv)
+                    values[field] = id_of(drv)
 
         # DMA groups
         for ep, spec in view.dma.items():
             handles = layout.dma_fields(ep)
-            values[handles.enable.name] = 1
-            values[handles.dir.name] = 0 if spec.direction is Direction.READ else 1
+            values[handles.enable] = 1
+            values[handles.dir] = 0 if spec.direction is Direction.READ else 1
             # symbolic addresses encode the window offset; the loader adds
             # the variable base (relocation happens at load time)
-            values[handles.addr.name] = max(spec.offset, 0)
-            values[handles.stride.name] = signed_to_bits(
+            values[handles.addr] = max(spec.offset, 0)
+            values[handles.stride] = signed_to_bits(
                 spec.stride, handles.stride.width
             )
-            values[handles.count.name] = (
+            values[handles.count] = (
                 spec.count if spec.count is not None else vector_length
             )
 
         for (unit, tap), shift in view.sd_taps.items():
             enable, shift_field = layout.tap_fields(unit, tap)
-            values[enable.name] = 1
-            values[shift_field.name] = signed_to_bits(shift, shift_field.width)
+            values[enable] = 1
+            values[shift_field] = signed_to_bits(shift, shift_field.width)
 
         seq = layout.seq_fields
         cond = view.condition
         if cond is not None:
-            values[seq.cond_enable.name] = 1
-            values[seq.cond_fu.name] = cond.fu
-            values[seq.cond_cmp.name] = CMP_CODES[cond.comparison]
-            values[seq.cond_threshold.name] = float_to_bits(cond.threshold)
-        values[seq.vector_length.name] = vector_length
+            values[seq.cond_enable] = 1
+            values[seq.cond_fu] = cond.fu
+            values[seq.cond_cmp] = CMP_CODES[cond.comparison]
+            values[seq.cond_threshold] = float_to_bits(cond.threshold)
+        values[seq.vector_length] = vector_length
         return Microword.pack(layout, values)
 
 

@@ -28,8 +28,9 @@ keyed by the sink endpoint), per memory plane and cache DMA group
 (:meth:`MicrowordLayout.tap_fields`) and for the sequencer
 (``seq_fields``).  The
 generator collects a word's values through them instead of formatting
-and looking up a field name per write, and :meth:`Microword.pack`
-range-checks and encodes the collected values in one pass.
+and looking up a field name per write, keyed by those handles, and
+:meth:`Microword.pack` range-checks and encodes the collected values in
+one pass.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.arch.node import MACHINE_TABLES_SIZE, node_config
 from repro.arch.params import NSCParameters
@@ -55,9 +58,12 @@ class FieldError(Exception):
     """Unknown field or out-of-range value."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
-    """One named bit-field at a fixed offset within the word."""
+    """One named bit-field at a fixed offset within the word.
+
+    A layout holds one handle per field, and handles compare and hash
+    by identity, so a word's values can be keyed by them."""
 
     name: str
     offset: int
@@ -361,12 +367,11 @@ def layout_for(params: NSCParameters) -> MicrowordLayout:
     return MicrowordLayout(params, node.n_fus, sorted(node.switch.sources))
 
 
-def _pack_bits(layout: MicrowordLayout, values: Dict[str, int]) -> bytes:
-    """The little-endian bit string of ``{field name: value}``."""
-    fields = layout._fields
+def _pack_bits(layout: MicrowordLayout,
+               values: Iterable[Tuple[Field, int]]) -> bytes:
+    """The little-endian bit string of ``(field handle, value)`` pairs."""
     word = 0
-    for name, value in values.items():
-        field = fields[name]
+    for field, value in values:
         if not (0 <= value <= field.max_value):
             raise _misfit(field, value)
         word |= value << field.offset
@@ -420,14 +425,15 @@ class Microword:
         self._encoded = None
 
     @classmethod
-    def pack(cls, layout: MicrowordLayout, values: Dict[str, int]) -> "Microword":
-        """A finished word from ``{field name: value}``, each value
+    def pack(cls, layout: MicrowordLayout,
+             values: Dict[Field, int]) -> "Microword":
+        """A finished word from ``{field handle: value}``, each value
         range-checked as :meth:`set_field` checks it.  The word is
         encoded at once: it holds its bits alone, like a word after
         :meth:`encode`."""
         packed = cls(layout)
         packed._values = None
-        packed._encoded = _pack_bits(layout, values)
+        packed._encoded = _pack_bits(layout, values.items())
         return packed
 
     def set_signed(self, name: str, value: int) -> None:
@@ -460,7 +466,12 @@ class Microword:
     def encode(self) -> bytes:
         """Pack every field into a little-endian bit string."""
         if self._encoded is None:
-            self._encoded = _pack_bits(self.layout, self._values)
+            fields = self.layout._fields
+            self._encoded = _pack_bits(
+                self.layout,
+                ((fields[name], value)
+                 for name, value in self._values.items()),
+            )
             self._values = None
         return self._encoded
 

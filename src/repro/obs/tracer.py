@@ -41,12 +41,12 @@ JSON-ready — which is what result records, batch summaries, and
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Canonical per-job stage names, in pipeline order.  Result records
 #: report a timing for every stage (0.0 when the stage did not run, so
@@ -184,27 +184,12 @@ class Tracer:
         self._t0 = time.perf_counter()
 
     # ------------------------------------------------------------------
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[None]:
-        """Time a region under *name*; nests, aggregates, never raises
-        on behalf of the instrumentation (the body's exceptions pass
-        through untouched, the span still records)."""
-        parent = self._stack[-1] if self._stack else None
-        self._stack.append(name)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._stack.pop()
-            self.timings[name] = self.timings.get(name, 0.0) + elapsed
-            self.span_counts[name] = self.span_counts.get(name, 0) + 1
-            payload = {"type": "span", "name": name, "dur_s": elapsed}
-            if parent is not None:
-                payload["parent"] = parent
-            if attrs:
-                payload.update(attrs)
-            self._emit(payload)
+    def span(self, name: str, **attrs: Any) -> "_Span":
+        """Time a region under *name* (``with tracer.span(name): ...``);
+        nests, aggregates, never raises on behalf of the instrumentation
+        (the body's exceptions pass through untouched, the span still
+        records)."""
+        return _Span(self, name, attrs)
 
     def count(self, name: str, n: int = 1) -> None:
         """Increment the monotonic counter *name* by *n*."""
@@ -237,6 +222,42 @@ class Tracer:
             counters=dict(self.counters),
             annotations=dict(self.annotations),
         )
+
+
+class _Span:
+    """One timed region of a :class:`Tracer` (see :meth:`Tracer.span`):
+    a slotted context manager, so a span costs two method calls and no
+    generator.  The span event's payload is built only when something
+    receives events."""
+
+    __slots__ = ("tracer", "name", "attrs", "parent", "start")
+
+    def __init__(self, tracer: Tracer, name: str,
+                 attrs: Dict[str, Any]) -> None:
+        self.tracer = tracer
+        self.name = name
+        self.attrs = attrs
+
+    def __enter__(self) -> None:
+        stack = self.tracer._stack
+        self.parent = stack[-1] if stack else None
+        stack.append(self.name)
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        elapsed = time.perf_counter() - self.start
+        tracer, name = self.tracer, self.name
+        tracer._stack.pop()
+        tracer.timings[name] = tracer.timings.get(name, 0.0) + elapsed
+        tracer.span_counts[name] = tracer.span_counts.get(name, 0) + 1
+        if tracer.sink is None and not tracer.keep_events:
+            return
+        payload = {"type": "span", "name": name, "dur_s": elapsed}
+        if self.parent is not None:
+            payload["parent"] = self.parent
+        if self.attrs:
+            payload.update(self.attrs)
+        tracer._emit(payload)
 
 
 # ----------------------------------------------------------------------
@@ -277,32 +298,41 @@ def current() -> Optional[Tracer]:
     return _ACTIVE
 
 
-@contextmanager
-def use(tracer: Tracer) -> Iterator[Tracer]:
-    """Activate *tracer* for the dynamic extent of the ``with`` body.
+class use:
+    """Activate *tracer* for the dynamic extent of the ``with`` body
+    (``with obs.use(tracer): ...`` binds the tracer).
 
     Nesting saves and restores the previous tracer, so a per-job tracer
     inside a batch-level one shadows it only for the job.
     """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = tracer
-    try:
-        yield tracer
-    finally:
-        _ACTIVE = previous
+
+    __slots__ = ("tracer", "previous")
+
+    def __init__(self, tracer: Tracer) -> None:
+        self.tracer = tracer
+
+    def __enter__(self) -> Tracer:
+        global _ACTIVE
+        self.previous = _ACTIVE
+        _ACTIVE = self.tracer
+        return self.tracer
+
+    def __exit__(self, *exc_info: Any) -> None:
+        global _ACTIVE
+        _ACTIVE = self.previous
 
 
-@contextmanager
-def span(name: str, **attrs: Any) -> Iterator[None]:
+def span(name: str, **attrs: Any) -> Any:
     """Module-level :meth:`Tracer.span` against the active tracer
     (no-op without one — instrumented code never checks)."""
     tracer = _ACTIVE
     if tracer is None:
-        yield
-        return
-    with tracer.span(name, **attrs):
-        yield
+        return _NO_SPAN
+    return tracer.span(name, **attrs)
+
+
+#: What :func:`span` opens when no tracer is active
+_NO_SPAN = contextlib.nullcontext()
 
 
 def count(name: str, n: int = 1) -> None:

@@ -37,9 +37,13 @@ class JobSpecError(ValueError):
     """The job specification is malformed or self-contradictory."""
 
 
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, with one
+#: encoder built once
+_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _sha256(payload: Any) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_compact_json(payload).encode("utf-8")).hexdigest()
 
 
 @functools.lru_cache(maxsize=16)
@@ -256,12 +260,17 @@ class SimJob:
         *validated* does not change it either: the checker-gate tests
         pin store-digest identity across all four modes on exactly
         this).  ``run_checker`` is normalized rather than dropped so
-        default-mode specs keep the job_ids they have always had."""
-        payload = self.to_dict()
-        for key in ("label", "max_attempts", "backoff_base"):
-            payload.pop(key, None)
-        payload["run_checker"] = "auto"
-        return _sha256(payload)[:12]
+        default-mode specs keep the job_ids they have always had.  A
+        pure function of this frozen spec, so it memoizes on the
+        instance, as :meth:`program_key` does."""
+        cached = self.__dict__.get("_job_id")
+        if cached is None:
+            payload = self.to_dict()
+            for key in ("label", "max_attempts", "backoff_base"):
+                payload.pop(key, None)
+            payload["run_checker"] = "auto"
+            cached = self.__dict__["_job_id"] = _sha256(payload)[:12]
+        return cached
 
     # ------------------------------------------------------------------
     # (de)serialization

@@ -26,6 +26,9 @@ try:  # POSIX advisory locking; absent on some platforms (see extend)
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
+#: no newline translation where the platform has a text mode
+_O_BINARY = getattr(os, "O_BINARY", 0)
+
 #: Record keys that legitimately vary between runs of the same sweep, so
 #: the reproducibility compare drops them.  ``duration_s``/``timings``
 #: are wall-clock measurements; the reliability stamps record *how* a
@@ -52,6 +55,10 @@ VOLATILE_KEYS = (
 )
 
 
+#: ``json.dumps(obj, sort_keys=True)``, with one encoder built once
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def canonical_record(record: Mapping[str, Any]) -> Dict[str, Any]:
     """The record minus its :data:`VOLATILE_KEYS` — what two runs of the
     same job must agree on, byte for byte."""
@@ -60,7 +67,7 @@ def canonical_record(record: Mapping[str, Any]) -> Dict[str, Any]:
 
 def canonical_line(record: Mapping[str, Any]) -> str:
     """The sorted-keys JSON line of :func:`canonical_record`."""
-    return json.dumps(canonical_record(record), sort_keys=True)
+    return _sorted_json(canonical_record(record))
 
 
 class ResultStore:
@@ -106,35 +113,38 @@ class ResultStore:
         if not records:
             return
         payload = "".join(
-            json.dumps(dict(record), sort_keys=True) + "\n"
+            _sorted_json(dict(record)) + "\n"
             for record in records
         ).encode("utf-8")
+        # an unbuffered descriptor: the probe and the write are a few
+        # system calls, with no file object built per append
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT | _O_BINARY
         try:
-            fh = open(self.path, "a+b")
+            fd = os.open(self.path, flags, 0o666)
         except FileNotFoundError:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fh = open(self.path, "a+b")
-        with fh:
+            fd = os.open(self.path, flags, 0o666)
+        try:
             if fcntl is not None:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                # the torn-tail probe must run under the lock: another
-                # writer may have healed (or torn) the tail since this
-                # process last looked.  Reads on an append-mode file may
-                # seek; writes still land at the end.
-                end = fh.seek(0, os.SEEK_END)
-                if end:
-                    fh.seek(end - 1)
-                    if fh.read(1) != b"\n":
-                        # a previous writer died mid-line: terminate its
-                        # partial tail so our records start on a line of
-                        # their own
-                        payload = b"\n" + payload
-                fh.write(payload)
-                fh.flush()
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            # the torn-tail probe must run under the lock: another
+            # writer may have healed (or torn) the tail since this
+            # process last looked.  Reads on an append-mode file may
+            # seek; writes still land at the end.
+            end = os.lseek(fd, 0, os.SEEK_END)
+            if end:
+                os.lseek(fd, end - 1, os.SEEK_SET)
+                if os.read(fd, 1) != b"\n":
+                    # a previous writer died mid-line: terminate its
+                    # partial tail so our records start on a line of
+                    # their own
+                    payload = b"\n" + payload
+            view = memoryview(payload)
+            while view:  # a short write leaves the rest to write
+                view = view[os.write(fd, view):]
+        finally:
+            # closing the descriptor releases the lock too
+            os.close(fd)
 
     # ------------------------------------------------------------------
     def load(self) -> List[Dict[str, Any]]:

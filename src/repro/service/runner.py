@@ -1,10 +1,11 @@
 """The batch orchestrator: jobs -> cached compile -> pool -> result store.
 
 :func:`execute_job` is the unit of work.  It is a top-level function taking
-a plain job dict so it pickles cleanly into pool workers; each worker
-process keeps one module-level :class:`ProgramCache` (optionally backed by
-a shared disk directory) and every record reports whether its program was
-a cache hit, so the batch summary can prove recompilation was avoided.
+a :class:`SimJob` (or a plain job mapping, parsed once at entry) so it
+pickles cleanly into pool workers; each worker process keeps one
+module-level :class:`ProgramCache` (optionally backed by a shared disk
+directory) and every record reports whether its program was a cache hit,
+so the batch summary can prove recompilation was avoided.
 
 :class:`BatchRunner` wires the pieces: it expands nothing and decides
 nothing about *what* to run — that is :mod:`repro.service.sweep`'s job —
@@ -15,9 +16,11 @@ jobs into one slab unit, every other job is a unit of one), build one
 task per unit, and run every task through one :meth:`WorkerPool.map` of
 :func:`execute_unit` — in-process for ``workers=1`` without a timeout,
 in worker processes otherwise.  Grids move one way: a task carries only
-its members' job specs, each worker builds its problem arrays from the
-memoized :func:`grid_problem`, and records (with any kept field arrays)
-come back pickled.  ``run_checker`` decides when the design-rule checker
+its members' effective jobs (:class:`SimJob` objects with the batch's
+``run_checker`` applied; pickled to a pool worker, passed as they are in
+process), each worker builds its problem arrays from the memoized
+:func:`grid_problem`, and records (with any kept field arrays) come back
+pickled.  ``run_checker`` decides when the design-rule checker
 runs at compile time (see :class:`~repro.service.jobs.SimJob`);
 ``BatchRunner``'s value, if given, overrides every job's own setting for
 the batch.
@@ -43,7 +46,7 @@ import hashlib
 import time
 from dataclasses import dataclass, replace
 from typing import (
-    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -88,19 +91,20 @@ def reset_process_cache() -> None:
 # job execution
 # ----------------------------------------------------------------------
 def execute_job(
-    spec: Mapping[str, Any],
+    job: Union[SimJob, Mapping[str, Any]],
     cache_dir: Optional[str] = None,
     cache: Optional[ProgramCache] = None,
     attempt: int = 1,
 ) -> Dict[str, Any]:
     """Run one job to completion; never raises for job-level failures.
 
-    Returns a flat record.  ``cache`` (an in-process object) wins over
-    ``cache_dir`` (picklable, for pool workers).  Kept fields land in
-    ``record["fields"]`` as ordinary arrays.  Records are
-    JSON-serializable except for that opt-in ``"fields"`` entry, which
-    :class:`BatchRunner` strips (leaving per-field SHA-256 digests)
-    before anything reaches the result store.
+    *job* is a :class:`SimJob`, or a job mapping parsed here once
+    (:meth:`SimJob.from_dict`).  Returns a flat record.  ``cache`` (an
+    in-process object) wins over ``cache_dir`` (picklable, for pool
+    workers).  Kept fields land in ``record["fields"]`` as ordinary
+    arrays.  Records are JSON-serializable except for that opt-in
+    ``"fields"`` entry, which :class:`BatchRunner` strips (leaving
+    per-field SHA-256 digests) before anything reaches the result store.
 
     Every job runs under its own :class:`~repro.obs.Tracer`.  The record
     is stamped with ``timings`` (the fixed per-stage dict, volatile
@@ -115,7 +119,8 @@ def execute_job(
     class name) so the retry layer can classify them.
     """
     start = time.perf_counter()
-    job = SimJob.from_dict(spec)
+    if not isinstance(job, SimJob):
+        job = SimJob.from_dict(job)
     if cache is None:
         cache = _process_cache(cache_dir)
     tracer = obs.Tracer()
@@ -205,8 +210,8 @@ def execute_unit(
     jobs as one slab — and return one record per member, in order.
 
     This is :class:`BatchRunner`'s one worker function, in-process and
-    in pool workers alike (top-level, so it pickles).  ``task["specs"]``
-    holds the members' job specs.
+    in pool workers alike (top-level, so it pickles).  ``task["jobs"]``
+    holds the members' :class:`SimJob` objects.
 
     A group fires ``worker.exec`` per member (a faulted member gets the
     failure record :func:`execute_job` would produce) and runs the
@@ -218,10 +223,9 @@ def execute_unit(
     """
     if cache is None:
         cache = _process_cache(cache_dir)
-    specs = task["specs"]
-    if len(specs) == 1:
-        return [execute_job(specs[0], cache=cache, attempt=attempt)]
-    jobs = [SimJob.from_dict(spec) for spec in specs]
+    jobs = task["jobs"]
+    if len(jobs) == 1:
+        return [execute_job(jobs[0], cache=cache, attempt=attempt)]
     records = [_exec_fault(job, attempt) for job in jobs]
     members = [k for k, record in enumerate(records) if record is None]
     reason = None
@@ -239,7 +243,7 @@ def execute_unit(
                 records[k] = record
             members = []
     for k in members:
-        records[k] = execute_job(specs[k], cache=cache, attempt=attempt)
+        records[k] = execute_job(jobs[k], cache=cache, attempt=attempt)
         if reason is not None:
             records[k].setdefault("fallback_reason", f"batch_fusion: {reason}")
     return records
@@ -281,10 +285,7 @@ def _initial_grid(job: SimJob) -> np.ndarray:
 def _compile_single(job: SimJob, node, check: bool) -> Tuple[Any, Any]:
     """``(setup, machine program)`` for a single-node job.
 
-    The setup comes back without its source diagram: nothing on the run
-    path reads ``setup.program`` after code generation, and a program
-    cache entry would otherwise spend about half its GC-tracked objects
-    on it.
+    The setup comes back without its source diagram (:func:`_slim`).
     """
     from repro.codegen.generator import MicrocodeGenerator
     from repro.compose.registry import SOLVERS
@@ -300,17 +301,25 @@ def _compile_single(job: SimJob, node, check: bool) -> Tuple[Any, Any]:
             max_iterations=job.max_sweeps, omega=job.omega,
         )
         program = setup.program
-        setup = replace(setup, program=None)
+        setup = _slim(setup)
     generator = MicrocodeGenerator(node, run_checker=check)
     return setup, generator.generate(program)
+
+
+def _slim(setup: Any) -> Any:
+    """*setup* without its source diagram: nothing on the run path reads
+    ``setup.program`` after code generation, and a program cache entry
+    would otherwise spend about half its GC-tracked objects on it.  The
+    builder's setup is the compile's own, so the diagram is dropped in
+    place (the setups are frozen dataclasses) rather than from a copy."""
+    object.__setattr__(setup, "program", None)
+    return setup
 
 
 def _run_single(job: SimJob, cache: ProgramCache) -> Dict[str, Any]:
     """A fast builder job runs as a slab of one; the reference backend,
     saved programs and a slab's decline run on an :class:`NSCMachine`."""
     from repro.arch.node import node_config
-    from repro.compose.registry import SOLVERS
-    from repro.sim.machine import NSCMachine
 
     node = node_config(job.params())
     (setup, program), checker = _obtain_program(
@@ -319,15 +328,19 @@ def _run_single(job: SimJob, cache: ProgramCache) -> Dict[str, Any]:
     backend = None
     if job.backend == "fast" and setup is not None:
         from repro.service.slab import run_slab
-        from repro.sim.batchplan import record_decline
         from repro.sim.progplan import FusionUnsupported
 
         try:
             return run_slab([job], [obs.current() or obs.Tracer()], node,
                             setup, program, [checker])[0]
         except FusionUnsupported as exc:
+            from repro.sim.batchplan import record_decline
+
             record_decline(exc)
             backend = "reference"  # its fused run would decline again
+    from repro.compose.registry import SOLVERS
+    from repro.sim.machine import NSCMachine
+
     with obs.span("bind"):
         machine = NSCMachine(node, backend=job.backend)
         machine.load_program(program)
@@ -417,8 +430,8 @@ def _compile_multinode(
         node_cfg, local_shape, eps=job.eps, loop=False
     )
     generator = MicrocodeGenerator(node_cfg, run_checker=check)
-    # diagram dropped as in _compile_single
-    return replace(setup, program=None), generator.generate(setup.program)
+    program = setup.program
+    return _slim(setup), generator.generate(program)
 
 
 def _run_multinode(job: SimJob, cache: ProgramCache) -> Dict[str, Any]:
@@ -626,23 +639,21 @@ class BatchRunner:
     ) -> Tuple[List[Dict[str, Any]], BatchSummary]:
         start = time.perf_counter()
         batch_tracer = obs.Tracer()
-        specs = [job.to_dict() for job in jobs]
-        if self.run_checker is not None:
-            for spec in specs:
-                spec["run_checker"] = self.run_checker
         # the effective jobs (batch-level run_checker applied) are what
-        # workers rebuild from the specs — resume matching, fault keys,
-        # and synthesized records must all use *their* job_ids
-        eff_jobs = [SimJob.from_dict(spec) for spec in specs]
+        # the units carry — resume matching, fault keys, and synthesized
+        # records all use *their* job_ids
+        eff_jobs = list(jobs)
+        if self.run_checker is not None:
+            eff_jobs = [replace(job, run_checker=self.run_checker)
+                        for job in jobs]
         self._frontier = 0
         final: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
         preloaded = [False] * len(jobs)
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(obs.use(batch_tracer))
-            if self.fault_plan is not None:
-                # exported through the environment, so pool workers
-                # (which inherit it) fault exactly like the parent
-                stack.enter_context(faults.exported(self.fault_plan))
+        # a fault plan is exported through the environment, so pool
+        # workers (which inherit it) fault exactly like the parent
+        exported = (contextlib.nullcontext() if self.fault_plan is None
+                    else faults.exported(self.fault_plan))
+        with obs.use(batch_tracer), exported:
             resuming = self.resume and self._preload_resumed(
                 eff_jobs, final, preloaded
             )
@@ -702,7 +713,7 @@ class BatchRunner:
                 # reruns whole, so its missing members' records
                 # (slab_size, cache hits) match the uninterrupted run's
                 self._run_round(
-                    eff_jobs, specs, pending, attempt, absorb,
+                    eff_jobs, pending, attempt, absorb,
                     rerun=[i for i, done in enumerate(preloaded)
                            if done and attempt == 1],
                 )
@@ -808,7 +819,6 @@ class BatchRunner:
     def _run_round(
         self,
         eff_jobs: Sequence[SimJob],
-        specs: List[Dict[str, Any]],
         indices: Sequence[int],
         attempt: int,
         on_record: Callable[[int, Dict[str, Any]], None],
@@ -846,7 +856,7 @@ class BatchRunner:
             execute_unit, cache=self.cache, cache_dir=self.cache_dir,
             attempt=attempt,
         )
-        tasks = [{"specs": [specs[i] for i in unit]} for unit in units]
+        tasks = [{"jobs": [eff_jobs[i] for i in unit]} for unit in units]
 
         def report(outcome: WorkerOutcome) -> None:
             unit = units[outcome.index]

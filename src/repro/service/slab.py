@@ -39,9 +39,20 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+# the engine's and the runner's functions are read off their modules at
+# call time (``batchplan.compiled_plan``, ``runner.grid_problem``, ...),
+# so a replaced one (a tracer's wrapper, a test's stand-in) serves the
+# slab path too
+from repro.arch import node as arch_node
+from repro.arch.interrupts import DEFAULT_ARMED_KINDS
+from repro.compose.registry import SOLVERS
 from repro.obs import tracer as obs
+from repro.service import runner
 from repro.service.cache import ProgramCache
 from repro.service.jobs import SimJob
+from repro.sim import batchplan, progplan
+from repro.sim.metrics import RunMetrics
+from repro.sim.progplan import FusionUnsupported
 
 
 def slab_groups(jobs: Sequence[SimJob]) -> List[List[int]]:
@@ -67,29 +78,21 @@ def execute_slab(
     or ``(None, reason)`` when the slab declines, in which case nothing
     observable has changed and the caller runs each job individually.
     """
-    from repro.arch.node import node_config
-    from repro.service.runner import (
-        _compile_single,
-        _obtain_program,
-        _record_head,
-        _stamp_telemetry,
-    )
-    from repro.sim.progplan import FusionUnsupported
-
     try:
-        node = node_config(jobs[0].params())
+        node = arch_node.node_config(jobs[0].params())
         # per-job compile: cache-hit deltas and checker stamps as N runs
         tracers = [obs.Tracer() for _ in jobs]
         records: List[Dict[str, Any]] = []
         checkers: List[Optional[str]] = []
         value = None
         for job, tracer in zip(jobs, tracers):
-            record = _record_head(job)
+            record = runner._record_head(job)
             hits, lookups = cache.stats.hits, cache.stats.lookups
             with obs.use(tracer):
-                value, checker = _obtain_program(
+                value, checker = runner._obtain_program(
                     job, cache,
-                    lambda check, j=job: _compile_single(j, node, check),
+                    lambda check, j=job: runner._compile_single(
+                        j, node, check),
                 )
             if cache.stats.lookups > lookups:
                 record["cache_hit"] = cache.stats.hits > hits
@@ -108,7 +111,7 @@ def execute_slab(
         obs.count("slab.jobs", len(jobs))
         for record, result, tracer in zip(records, computed, tracers):
             record.update(result, ok=True, slab_size=len(jobs))
-            _stamp_telemetry(record, tracer)
+            runner._stamp_telemetry(record, tracer)
         return records, None
     obs.count("batch_fusion.fallback")
     obs.event("batch_fusion_fallback", scope="slab", jobs=len(jobs),
@@ -127,17 +130,6 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
     the active one; a group's share one slab tracer's bind and execute
     time.
     """
-    from repro.arch.interrupts import DEFAULT_ARMED_KINDS
-    from repro.compose.registry import SOLVERS
-    from repro.service.runner import (
-        _initial_grid,
-        _solution_record,
-        grid_problem,
-    )
-    from repro.sim.batchplan import BatchProgramRun, compiled_plan
-    from repro.sim.metrics import RunMetrics
-    from repro.sim.progplan import FusionUnsupported, stacked_storage
-
     n_jobs = len(jobs)
     job0 = jobs[0]
     params = node.params
@@ -146,13 +138,13 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
     with obs.use(shared):
         # --- shared bind: plan, stacked storage, loaded inputs --------
         with obs.span("bind"):
-            plan = compiled_plan(program, params)
+            plan = batchplan.compiled_plan(program, params)
             if "u" not in plan.variables:
                 raise FusionUnsupported("solver state 'u' not in plan")
-            u_star, f, _h = grid_problem(job0.shape, setup.h)
-            storage = stacked_storage(plan.variables, n_jobs,
+            u_star, f, _h = runner.grid_problem(job0.shape, setup.h)
+            storage = progplan.stacked_storage(plan.variables, n_jobs,
                                       plan.plane_extent, plan.cache_extent)
-            entry.load(storage, setup, _initial_grid(job0), f)
+            entry.load(storage, setup, runner._initial_grid(job0), f)
             watch = entry.watch_pipeline(setup)
             uvar = plan.variables["u"]
             u_plane = storage.planes[uvar.plane]
@@ -161,8 +153,8 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
                     # the loaders write u0 verbatim (load_jacobi_inputs /
                     # load_rbsor_inputs): the row overwrite IS entry.load
                     u_plane[j, uvar.offset:uvar.end] = \
-                        _initial_grid(job).reshape(-1)
-            run = BatchProgramRun(plan, storage, n_jobs,
+                        runner._initial_grid(job).reshape(-1)
+            run = batchplan.BatchProgramRun(plan, storage, n_jobs,
                                   max_instructions=1_000_000)
         # --- one fused execution over the whole stack -----------------
         with obs.span("execute"):
@@ -190,7 +182,7 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
                 DEFAULT_ARMED_KINDS),
         )
         with obs.use(tracer):
-            results.append(_solution_record(
+            results.append(runner._solution_record(
                 job, program, checkers[j], run.converged[j],
                 run.loop_iterations[j].get(watch, 0), metrics,
                 u_plane[j, uvar.offset:uvar.end], u_star,

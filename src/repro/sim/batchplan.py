@@ -294,9 +294,11 @@ class BatchProgramRun:
         if not self.exact:
             check_batchable(plan)
         self.plan = plan
+        self.keep_outputs = plan.keep_outputs
         self.storage = storage
         self.n_jobs = n_jobs
         self.max_instructions = max_instructions
+        storage.forget_arrangements()
         self.bound = {
             index: kernel.bind(storage, (n_jobs,))
             for index, kernel in plan.kernels.items()
@@ -379,7 +381,8 @@ class BatchProgramRun:
         """Issue pipeline *index* on the *active* rows (None: all) and
         log it; returns the logged per-row condition values (None when
         the image raises no condition)."""
-        self._check_budget()
+        if self.issued >= self.max_instructions:
+            self._check_budget()
         bound = self.bound[index]
         kernel = bound.kernel
         tags: Tuple[str, ...] = ()
@@ -397,16 +400,16 @@ class BatchProgramRun:
         vals: Any = None
         conds: Any = None
         if cond_last is not None:
-            if self.n_jobs == 1:
-                vals = (cond_last.item(),)
-                conds = (kernel.cond_fn(vals[0], kernel.cond_threshold),)
+            if self.n_jobs == 1:  # one row reads a Python float
+                vals = (cond_last,)
+                conds = (kernel.cond_fn(cond_last, kernel.cond_threshold),)
             else:
                 # copied out: the condition row is overwritten next issue
                 vals = cond_last.tolist()
                 conds = kernel.cond_fn(cond_last, kernel.cond_threshold).tolist()
         self.last_cond[kernel.consts.number] = conds
-        if tags or self.plan.keep_outputs:
-            outputs = bound.capture_outputs() if self.plan.keep_outputs else None
+        if tags or self.keep_outputs:
+            outputs = bound.capture_outputs() if self.keep_outputs else None
             self.extras[len(self.log)] = (tags, outputs)
         self.log.append((index, vals, conds, active))
         self.issued += 1
@@ -466,7 +469,12 @@ class BatchProgramRun:
                 raise SequencerError(
                     f"pipeline {key} raised no condition interrupt"
                 )
-            running = members if live is None else live
+            if live is None:
+                if True not in conds:  # nothing fired: no row to freeze
+                    continue
+                running = members
+            else:
+                running = live
             fired = [j for j in running if conds[j]]
             if fired:
                 live = tuple(j for j in running if not conds[j])
@@ -523,13 +531,23 @@ class BatchProgramRun:
         """Fold job *j*'s share of the log: totals, and with *records*
         its :class:`SequencerResult` and commit-replay interrupt log."""
         kernels = self.plan.kernels
-        per_issue = {
-            index: (kernel.consts.cycles, kernel.result_template,
-                    kernel.consts.source)
-            for index, kernel in kernels.items()
-        }
+        cycles_of = {index: kernel.consts.cycles
+                     for index, kernel in kernels.items()}
         extras = self.extras
         no_extras: Tuple[Tuple[str, ...], Any] = ((), None)
+        # static fields of every PipelineResult an image produces; the
+        # fold fills the per-issue ones on a __new__ instance
+        templates: Dict[int, Dict[str, Any]] = {}
+        if records:
+            for index, kernel in kernels.items():
+                c = kernel.consts
+                templates[index] = {
+                    "number": c.number, "cycles": c.cycles,
+                    "compute_cycles": c.compute_cycles,
+                    "dma_cycles": c.dma_cycles, "flops": c.flops,
+                    "vector_length": c.vector_length,
+                    "active_fus": c.active_fus,
+                }
         out = JobRun()
         cache_swaps = out.cache_swaps
         cycles = trues = swaps = swapped_words = 0
@@ -552,31 +570,30 @@ class BatchProgramRun:
                         cache_swaps[cache_id] = cache_swaps.get(cache_id, 0) + 1
                 continue
             trace.append(index)
-            issue_cycles, template, source = per_issue[index]
             start = cycles
-            cycles += issue_cycles
-            if conds is None:
-                cond_result: Optional[bool] = None
-                cond_value: Optional[float] = None
-                payload = 0.0
-            else:
-                cond_result = bool(conds[j])
-                cond_value = payload = float(vals[j])
-                trues += cond_result
+            cycles += cycles_of[index]
+            if conds is not None:
+                trues += bool(conds[j])
             if records:
+                if conds is None:
+                    cond_result: Optional[bool] = None
+                    cond_value: Optional[float] = None
+                    payload = 0.0
+                else:
+                    cond_result = bool(conds[j])
+                    cond_value = payload = float(vals[j])
                 tags, fu_outputs = (
                     extras.get(pos, no_extras) if extras else no_extras
                 )
                 record = new_record(PipelineResult)
-                record.__dict__.update(template)
+                record.__dict__.update(templates[index])
                 record.condition_result = cond_result
                 record.condition_value = cond_value
                 record.exceptions = list(tags)
                 record.fu_outputs = dict(fu_outputs) if fu_outputs else {}
                 pipeline_results.append(record)
-                irq_log.append(
-                    (start, cycles, source, cond_result, payload, tags)
-                )
+                irq_log.append((start, cycles, kernels[index].consts.source,
+                                cond_result, payload, tags))
         out.cycles = cycles
         issues = [(kernels[i], count) for i, count in Counter(trace).items()]
         out.charge(issues, swaps, swapped_words)

@@ -78,12 +78,13 @@ from dataclasses import dataclass, field
 from math import isfinite as _isfinite
 from types import CodeType, FunctionType
 from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING,
 )
 
 import numpy as np
 
-from repro.analysis.plansafety import REDUCIBLE_OPS, ScreenReport, screen_coverage
+from repro.analysis.plansafety import REDUCIBLE_OPS, screen_coverage
 from repro.arch.funcunit import OPCODES, Opcode
 from repro.arch.memsys import AllocationError, stream_slice
 from repro.arch.switch import DeviceKind
@@ -126,10 +127,6 @@ _M_FEEDBACK = 6    # general feedback: the element loop (_eval_feedback_batched)
 _M_SKEWCOPY = 7    # copy a freshly-computed FU row into its skew pad
 _M_COPY = 8        # PASS: copy the operand into the row
 
-#: modes whose ufunc can compute straight into a write view (``out``
-#: is the bound step's last position)
-_IN_PLACE_MODES = (_M_BINARY, _M_CONST, _M_UNARY)
-
 #: positions of the operand refs in each mode's step tuple (symbolic and
 #: bound alike): the slot scan reads rows there and records the ones
 #: bound to live storage views, which ``_refresh`` resolves
@@ -155,6 +152,7 @@ _BINARY_UFUNCS = {
 _UNARY_UFUNCS = {Opcode.FNEG: np.negative, Opcode.FABS: np.abs}
 _OUT_KWARG = (np.maximum, np.minimum)
 _CONST_UFUNCS = {Opcode.FSCALE: np.multiply, Opcode.FADDC: np.add}
+
 
 _COMPARATORS = {
     "lt": operator.lt,
@@ -187,8 +185,14 @@ class _Storage:
     Arrays may carry a leading batch axis (one row per slab job or
     hypercube node); all addressing happens on the last axis.  Stream
     views resolved against these arrays stay valid until a swap
-    exchanges two arrays; bound images key their resolved views by the
-    identities of the arrays they touch, so they re-resolve then.
+    exchanges two arrays.  The storage numbers its arrangements of
+    arrays over planes and cache roles: a swap that exchanges arrays
+    steps :attr:`arrangement` to the number of the arrangement it leads
+    to (two arrangements holding the same arrays in the same places
+    share one number), and bound images key their resolved views by
+    that number.  So the swap, not every issue, pays for noticing that
+    storage moved; while images are bound, arrays change places only
+    through these swaps.
     """
 
     def __init__(self) -> None:
@@ -197,12 +201,44 @@ class _Storage:
         self.cache_back: Dict[int, np.ndarray] = {}
         self.variables: Dict[str, Any] = {}
         self._scratch: Dict[Tuple[int, ...], np.ndarray] = {}
+        self.arrangement = 0
+        # array identities -> arrangement number, and (move, number) ->
+        # the number that move leads to, learned on each move's first run
+        self._arrangements: Dict[Tuple[int, ...], int] = {}
+        self._moves: Dict[Tuple[Any, int], int] = {}
 
-    def array_for(self, device_kind: DeviceKind, device: int,
-                  write: bool = False) -> np.ndarray:
-        if device_kind is DeviceKind.MEMORY:
-            return self.planes[device]
-        return (self.cache_back if write else self.cache_front)[device]
+    def _numbered(self, fresh: int) -> int:
+        """The number of the arrangement held now; an arrangement seen
+        for the first time takes *fresh*."""
+        key = tuple([id(arr) for store in (self.planes, self.cache_front,
+                                           self.cache_back)
+                     for arr in store.values()])
+        return self._arrangements.setdefault(key, fresh)
+
+    def _move(self, move: Any, exchange: Callable[[], None]) -> None:
+        """Run *exchange*, a swap of arrays keyed *move*, and step
+        :attr:`arrangement` past it."""
+        before = self.arrangement
+        after = self._moves.get((move, before))
+        if after is None:
+            if not self._arrangements:
+                # every later arrangement is numbered as a move reaches
+                # it; the one a run starts from, at its first move
+                self._numbered(before)
+            exchange()
+            after = self._moves[(move, before)] = self._numbered(
+                len(self._arrangements))
+        else:
+            exchange()
+        self.arrangement = after
+
+    def forget_arrangements(self) -> None:
+        """Number arrangements afresh from the one held now, before a
+        run binds its images: they key their views by numbers learned
+        while they are bound, whatever replaced arrays before."""
+        self.arrangement = 0
+        self._arrangements.clear()
+        self._moves.clear()
 
     def set_variable(self, name: str, values: np.ndarray) -> None:
         """Write *values* into *name* on every row — the duck type the
@@ -223,20 +259,25 @@ class _Storage:
             stop = min(var.end, plane.shape[-1])
             plane[..., var.offset : stop] = flat[: stop - var.offset]
 
-    def swap_caches(self, cache_ids: Sequence[int]) -> None:
-        for cache_id in cache_ids:
-            front = self.cache_front.get(cache_id)
-            if front is not None:
-                self.cache_front[cache_id] = self.cache_back[cache_id]
-                self.cache_back[cache_id] = front
+    def swap_caches(self, cache_ids: Tuple[int, ...]) -> None:
+        """Exchange the front and back buffers of every held cache in
+        *cache_ids*."""
+        front, back = self.cache_front, self.cache_back
+
+        def exchange() -> None:
+            for cache_id in cache_ids:
+                if cache_id in front:
+                    front[cache_id], back[cache_id] = \
+                        back[cache_id], front[cache_id]
+        self._move(cache_ids, exchange)
 
     def var_swapper(self, va: Any, vb: Any) -> Callable[[], None]:
         """``SwapVars`` of *va* and *vb* on the local state, as a
         callable decided once: a whole-plane reference swap when each
         variable owns its stored plane outright (bound images re-resolve
-        through their per-state view caches, a dictionary hit), else
-        three copies through a cached scratch row (reference semantics:
-        relocation moves data, bindings never change)."""
+        through their per-arrangement view caches, a dictionary hit),
+        else three copies through a cached scratch row (reference
+        semantics: relocation moves data, bindings never change)."""
         plane_a = self.planes[va.plane]
         plane_b = self.planes[vb.plane]
         planes = self.planes
@@ -247,9 +288,20 @@ class _Storage:
             and plane_b.shape[-1] == vb.length
         ):
             a, b = va.plane, vb.plane
+            move = ("planes", a, b)  # cache moves are keyed by id tuples
+            moves = self._moves
+            storage = self
+
+            def exchange() -> None:
+                planes[a], planes[b] = planes[b], planes[a]
 
             def swap_planes() -> None:
-                planes[a], planes[b] = planes[b], planes[a]
+                after = moves.get((move, storage.arrangement))
+                if after is None:
+                    storage._move(move, exchange)
+                else:
+                    planes[a], planes[b] = planes[b], planes[a]
+                    storage.arrangement = after
             return swap_planes
         shape = plane_a.shape[:-1] + (va.length,)
         scratch = self._scratch.get(shape)
@@ -344,19 +396,22 @@ def _prog_span(base: int, count: int, stride: int) -> Tuple[int, int]:
     return min(base, last), max(base, last) + 1
 
 
+#: DeviceKind -> its name, read without the enum's ``name`` property
+_KIND_NAMES = {kind: kind.name for kind in DeviceKind}
+
+
 def _charge_order(item: Tuple[Tuple[DeviceKind, int], int]) -> Tuple[str, str]:
     """The order ``repr`` gives ``((kind, device), cycles)`` charge items,
     without formatting enums: by kind name, then device number as text
     (keys are unique, and no kind name prefixes another)."""
     (kind, device), _cycles = item
-    return kind.name, str(device)
+    return _KIND_NAMES[kind], str(device)
 
 
 # ----------------------------------------------------------------------
 # per-image compilation
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _IssueConsts:
+class _IssueConsts(NamedTuple):
     """Everything about one issue that never varies between iterations."""
 
     index: int                # position in program.images (issue trace)
@@ -386,11 +441,12 @@ class ImageKernel:
     Built in one walk over the :class:`PipelineImage`: each unit's
     resolved inputs become operand references, shifted shift/delay taps
     and skew pads are registered as they are first read (an unshifted
-    tap reads its feeder's stream), and the DMA charge table is built
-    once.  Write-back units that qualify compute into their write view
-    (:attr:`in_place`, see :meth:`_in_place_units`).  Per-run buffers
-    live in the :class:`BoundImage` this produces, whose exact path
-    re-evaluates these same steps.
+    tap reads its feeder's stream), and the walk that emits the steps
+    and reads the DMA programs also gathers the row-slot liveness, the
+    DMA charge table and the issue constants, so nothing walks them
+    again.  Write-back units that qualify compute into their write view
+    (:attr:`in_place`).  Per-run buffers live in the :class:`BoundImage`
+    this produces, whose exact path re-evaluates these same steps.
     Residual stream skew (the ablation configuration) compiles to offset
     windows into zero-padded copies of the skewed source — streams share
     their feeder's pad, FU rows and taps get pads of their own — so a
@@ -409,24 +465,33 @@ class ImageKernel:
     per-FU outputs per issue at reference fidelity.
     """
 
+    __slots__ = (
+        "index", "image", "params", "keep_outputs", "n", "reads",
+        "reduce_fus", "steps", "writes", "feeder_pads", "row_pads",
+        "tap_pads", "condition", "cond_fn", "cond_threshold", "in_place",
+        "live_steps", "slot_of", "scratch_slot", "n_slots", "n_checked",
+        "consts", "runner_shape",
+        # the walk's lookups, unset once the kernel is built
+        "_read_index", "_taps", "_stream_skews", "_row_skews", "_tap_skews",
+    )
+
     def __init__(self, index: int, image: PipelineImage, params: Any,
                  keep_outputs: bool = False) -> None:
         self.index = index
         self.image = image
         self.params = params
         self.keep_outputs = keep_outputs
-        self.n = image.vector_length
-        self.reads = list(image.read_programs.items())
-        # build-time lookups, dropped once the walk is done
-        self._read_index = {ep: i for i, (ep, _p) in enumerate(self.reads)}
-        self._taps: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        n = self.n = image.vector_length
+        reads = self.reads = list(image.read_programs.items())
         report = screen_coverage(image, keep_outputs)
-        self.reduce_fus = report.reduce_fus
-
-        # skewed operands (ablation builds): windows into padded copies.
-        # streams share their feeder's pad; FU rows and taps pad their own
-        # buffer, filled by an in-line copy (_M_SKEWCOPY for rows, an
+        reduce_fus = self.reduce_fus = report.reduce_fus
+        # build-time lookups, dropped once the walk is done.  Skewed
+        # operands (ablation builds) are windows into padded copies:
+        # streams share their feeder's pad; FU rows and taps pad their
+        # own buffer, filled by an in-line copy (_M_SKEWCOPY for rows, an
         # extra tap-load pair for taps).
+        self._read_index = {ep: i for i, (ep, _p) in enumerate(reads)}
+        self._taps: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._stream_skews: Dict[Tuple[int, int], Tuple] = {}
         self._row_skews: Dict[Tuple[int, int], Tuple] = {}
         self._tap_skews: Dict[Tuple[Any, int], Tuple] = {}
@@ -434,30 +499,80 @@ class ImageKernel:
         pending: List[int] = []  # row pads the current step registered
         copied: Set[int] = set()  # rows whose pad copy is emitted
 
-        self.steps: List[Tuple] = []       # symbolic step descriptors
+        # symbolic step descriptors, and the slot scan's first pass as
+        # they are emitted: the units each step reads (operand order),
+        # every unit's last reader, the stream operand positions (bound
+        # to live storage) and each row read's position (live too if its
+        # unit computes in place)
+        steps: List[Tuple] = []
+        self.steps = steps
+        step_rows: List[Tuple[int, ...]] = []
+        last_read: Dict[int, int] = {}
+        live: Dict[int, Tuple[int, ...]] = {}
+        row_reads: List[Tuple[int, int, int]] = []
+        ufunc_step: Dict[int, int] = {}  # unit -> its out= ufunc step
+        forms: List[str] = []  # each step's _STEP_TEXT form
+
+        def emit(step: Tuple, form: str, a: _Ref,
+                 b: Optional[_Ref] = None) -> None:
+            i = len(steps)
+            steps.append(step)
+            forms.append(form)
+            positions = _OPERANDS[step[0]]
+            rows: Tuple[int, ...] = ()
+            if a[0] == "row":
+                rows = (a[1],)
+                last_read[a[1]] = i
+                row_reads.append((i, positions[0], a[1]))
+            elif a[0] == "stream":
+                live[i] = (positions[0],)
+            if b is not None:
+                if b[0] == "row":
+                    rows += (b[1],)
+                    last_read[b[1]] = i
+                    row_reads.append((i, positions[1], b[1]))
+                elif b[0] == "stream":
+                    live[i] = live.get(i, ()) + (positions[1],)
+            step_rows.append(rows)
+
+        def flush_row_copies() -> None:
+            # the pad-fill copies for row skews the current step's
+            # operands just registered: after the producer, before the
+            # consumer
+            for fu in pending:
+                last_read[fu] = len(steps)
+                step_rows.append((fu,))
+                steps.append((_M_SKEWCOPY, fu))
+                forms.append("c")
+            pending.clear()
+
         inputs = image.inputs
+        fu_ops = image.fu_ops
         for fu in image.fu_order:
-            opcode, constant = image.fu_ops[fu]
-            info = OPCODES[opcode]
+            opcode, constant = fu_ops[fu]
+            mode, kernel, arity, uses_constant, form = _LOWERINGS[opcode]
             in_a = inputs.get((fu, "a"))
             in_b = inputs.get((fu, "b"))
             fb_a = in_a is not None and in_a.kind == "feedback"
             fb_b = in_b is not None and in_b.kind == "feedback"
-            if fb_a and fb_b:
-                raise FusionUnsupported(f"fu{fu}: both inputs are feedback loops")
             if fb_a or fb_b:
+                if fb_a and fb_b:
+                    raise FusionUnsupported(
+                        f"fu{fu}: both inputs are feedback loops")
                 fb, data = (in_a, in_b) if fb_a else (in_b, in_a)
                 if data is None:
                     raise FusionUnsupported(
                         f"fu{fu}: feedback loop with no data input")
-                if info.arity != 2:
+                if arity != 2:
                     raise FusionUnsupported(
                         f"feedback requires a binary operation, "
                         f"not {opcode.value}")
                 descr = self._ref(data, produced, pending, copied)
-                self._flush_row_copies(pending)
-                self.steps.append(self._feedback_step(
-                    fu, opcode, descr, "a" if fb_a else "b", float(fb.value)))
+                if pending:
+                    flush_row_copies()
+                step = self._feedback_step(
+                    fu, opcode, descr, "a" if fb_a else "b", float(fb.value))
+                emit(step, _step_form(step), descr)
                 produced.add(fu)
                 continue
 
@@ -465,32 +580,39 @@ class ImageKernel:
                 raise FusionUnsupported(f"fu{fu}: input a unconnected")
             a = self._ref(in_a, produced, pending, copied)
             b: Optional[_Ref] = None
-            if info.arity == 2 and not info.uses_constant:
+            if arity == 2 and not uses_constant:
                 if in_b is None:
                     raise FusionUnsupported(f"fu{fu}: input b unconnected")
                 b = self._ref(in_b, produced, pending, copied)
-            self._flush_row_copies(pending)
-            if info.uses_constant and opcode in _CONST_UFUNCS:
-                self.steps.append(
-                    (_M_CONST, _CONST_UFUNCS[opcode], a, float(constant), fu)
-                )
-            elif (not info.uses_constant and info.arity == 2
-                  and opcode in _BINARY_UFUNCS):
-                self.steps.append((_M_BINARY, _BINARY_UFUNCS[opcode], a, b, fu))
-            elif (not info.uses_constant and info.arity == 1
-                  and opcode in _UNARY_UFUNCS):
-                self.steps.append((_M_UNARY, _UNARY_UFUNCS[opcode], a, fu))
-            elif opcode is Opcode.PASS:
-                self.steps.append((_M_COPY, a, fu))
+            if pending:
+                flush_row_copies()
+            if mode == _M_BINARY:
+                ufunc_step[fu] = len(steps)
+                emit((mode, kernel, a, b, fu), form, a, b)
+            elif mode == _M_CONST:
+                ufunc_step[fu] = len(steps)
+                emit((mode, kernel, a, float(constant), fu), form, a)
+            elif mode == _M_UNARY:
+                ufunc_step[fu] = len(steps)
+                emit((mode, kernel, a, fu), form, a)
+            elif mode == _M_COPY:
+                emit((mode, a, fu), form, a)
             else:
-                self.steps.append(
-                    (_M_FALLBACK, info.kernel, info.arity,
-                     constant if info.uses_constant else None, a, b, fu)
-                )
+                emit((mode, kernel, arity,
+                      constant if uses_constant else None, a, b, fu),
+                     form, a, b)
             produced.add(fu)
 
-        # write-back: (src ref, prog, width actually written)
-        self.writes: List[Tuple[_Ref, Any, int]] = []
+        # write-back: (src ref, prog, width actually written), each
+        # write's DMA charge, and how many writes share a source or fill
+        # one plane or cache buffer (an in-place unit's write shares
+        # neither)
+        charges: Dict[Tuple[DeviceKind, int], int] = {}
+        busy = words_written = 0
+        sources: Dict[_Ref, int] = {}
+        fills: Dict[Tuple[DeviceKind, int], int] = {}
+        writes: List[Tuple[_Ref, Any, int]] = []
+        self.writes = writes
         for driver, _sink, prog in image.write_programs:
             if driver.kind is DeviceKind.FU:
                 if driver.device not in image.fu_ops:
@@ -506,13 +628,29 @@ class ImageKernel:
                     raise FusionUnsupported(
                         f"write-back from unread stream {driver}")
                 src = ("stream", read_index)
-            self.writes.append((src, prog, min(self.n, prog.count)))
+            width = min(n, prog.count)
+            writes.append((src, prog, width))
+            spec = prog.spec
+            array = (spec.device_kind, spec.device)
+            cost = prog.cycles(params)
+            busy += cost
+            charges[array] = charges.get(array, 0) + cost
+            words_written += width
+            sources[src] = sources.get(src, 0) + 1
+            fills[array] = fills.get(array, 0) + 1
 
-        if self.n <= 0:
+        if n <= 0:
             raise FusionUnsupported("zero-length vector")
-        for _ep, prog in self.reads:
-            if prog.count != self.n:
+        words_read = 0
+        for _ep, prog in reads:
+            if prog.count != n:
                 raise FusionUnsupported("stream length differs from vector")
+            spec = prog.spec
+            array = (spec.device_kind, spec.device)
+            cost = prog.cycles(params)
+            busy += cost
+            charges[array] = charges.get(array, 0) + cost
+            words_read += n
 
         # taps: every shifted stream is a window into one zero-padded copy
         # of its feeder, so a 7-tap stencil costs one copy, not seven —
@@ -524,15 +662,16 @@ class ImageKernel:
                 by_feeder.setdefault(read_index, []).append((key, shift))
         for (read_index, skew), view_key in self._stream_skews.items():
             by_feeder.setdefault(read_index, []).append((view_key, skew))
-        del self._read_index, self._taps
         # (read_index, left pad, total padded words, [(tap key, shift)...])
         self.feeder_pads: List[Tuple[int, int, int, List[Tuple[Any, int]]]] = []
         for read_index, tap_list in sorted(by_feeder.items()):
-            left, total = pad_extent(self.n, [s for _k, s in tap_list])
+            left, total = pad_extent(n, [s for _k, s in tap_list])
             self.feeder_pads.append((read_index, left, total, tap_list))
         # second-level pads: skewed views of FU rows and of taps
         self.row_pads = self._second_level_pads(self._row_skews)
         self.tap_pads = self._second_level_pads(self._tap_skews)
+        del (self._read_index, self._taps, self._stream_skews,
+             self._row_skews, self._tap_skews)
 
         cond = image.condition
         if cond is not None and cond.fu not in produced:
@@ -544,40 +683,113 @@ class ImageKernel:
             self.cond_fn = _COMPARATORS[cond.comparison]
             self.cond_threshold = cond.threshold
 
-        self.in_place = self._in_place_units(report)
-        self._assign_slots(report)
-        self._issue_stats()
+        # write-back units that compute straight into their write view,
+        # as {fu: write index}.  As on the machine, where one DMA takes a
+        # unit's result to memory, such a unit owns no row: its ufunc's
+        # out and its later readers bind to the write's live view, and
+        # the write's copy is dropped.  A unit qualifies when it feeds
+        # exactly one write, a full-width one to a stride-1 destination
+        # that no other write of the image fills (another could overlap
+        # it); its step is a ufunc with an out buffer; and nothing reads
+        # its row after the runner or through a copy — it is not
+        # screened, not reduced, not the condition unit, not skew-padded,
+        # and not under keep_outputs.  Reads never alias a write
+        # (touched_extents declines that), so computing a write early
+        # changes no value.
+        screened = report.checked_fus
+        in_place: Dict[int, int] = {}
+        if not keep_outputs:
+            cond_fu = cond.fu if cond is not None else None
+            for j, (src, prog, width) in enumerate(writes):
+                spec = prog.spec
+                if src[0] == "row" and width == n and spec.stride == 1 \
+                        and src[1] in ufunc_step and src[1] not in screened \
+                        and src[1] not in copied and src[1] != cond_fu \
+                        and sources[src] == 1 \
+                        and fills[(spec.device_kind, spec.device)] == 1:
+                    in_place[src[1]] = j
+        self.in_place = in_place
+        # the step positions bound to live storage: stream operands, and
+        # an in-place unit's row wherever it is read or computed
+        for i, pos, fu in row_reads:
+            if fu in in_place:
+                live[i] = live.get(i, ()) + (pos,)
+        for fu in in_place:
+            i = ufunc_step[fu]
+            live[i] = live.get(i, ()) + (len(steps[i]) - 1,)
+        self.live_steps = tuple((i,) + live[i] for i in sorted(live))
 
-        # the storage arrays this image resolves against, in a fixed
-        # order: the identity tuple of these arrays keys the per-state
-        # view/runner cache (array swaps just select another state)
-        touched: List[Tuple[int, int]] = []
-        for _ep, prog in self.reads:
-            spec = prog.spec
-            entry = (
-                (0, spec.device)
-                if spec.device_kind is DeviceKind.MEMORY
-                else (1, spec.device)
-            )
-            if entry not in touched:
-                touched.append(entry)
-        for _src, prog, _w in self.writes:
-            spec = prog.spec
-            entry = (
-                (0, spec.device)
-                if spec.device_kind is DeviceKind.MEMORY
-                else (2, spec.device)
-            )
-            if entry not in touched:
-                touched.append(entry)
-        self.touched_arrays = tuple(touched)
+        # row slots.  Units pass results through the switch without
+        # storing them, so a row needs a buffer only from its producing
+        # step to its last reader: the scan below frees a slot after its
+        # last read, and the reading step may write its own output into
+        # it (elementwise kernels are exact in place).  Rows read after
+        # the runner are *pinned* to a slot of their own for the whole
+        # issue: the screened rows (a contiguous prefix, so the exception
+        # screen stays one reduction), the condition row, write-back
+        # sources, and under keep_outputs every row.  An in-place unit
+        # owns no slot: its row is its write view.
+        rows = [fu for fu in image.fu_order if fu not in reduce_fus]
+        pinned = set(screened)
+        pinned.update(src[1] for src, _p, _w in writes if src[0] == "row")
+        if cond is not None and cond.fu not in reduce_fus:
+            pinned.add(cond.fu)
+        if keep_outputs:
+            pinned.update(rows)
+        held = [f for f in rows if f in pinned and f not in in_place]
+        slot_of = {fu: slot for slot, fu in enumerate(
+            [f for f in held if f in screened]
+            + [f for f in held if f not in screened])}
+        # the units the scan below leaves alone: pinned, or in place
+        assigned = slot_of.keys() | in_place.keys()
+        n_slots = len(slot_of)
+        free: List[int] = []  # a stack: the freshest (cache-hot) slot first
+        scratch_slot: Dict[int, int] = {}
+        for i, step in enumerate(steps):
+            for fu in step_rows[i]:
+                if last_read[fu] == i and fu not in pinned:
+                    free.append(slot_of[fu])
+                    last_read[fu] = -1  # freed once, if read twice here
+            mode = step[0]
+            if mode == _M_REDUCE:
+                if step[2]:  # the |x| scratch lives for this step only
+                    if free:
+                        slot = free.pop()
+                    else:
+                        slot, n_slots = n_slots, n_slots + 1
+                    scratch_slot[step[5]] = slot
+                    free.append(slot)
+            elif mode != _M_SKEWCOPY and step[-1] not in assigned:
+                # an unread unit is never propagation-covered, so it is
+                # screened: every unpinned row here has a reader
+                if free:
+                    slot_of[step[-1]] = free.pop()
+                else:
+                    slot_of[step[-1]], n_slots = n_slots, n_slots + 1
+        self.slot_of = slot_of
+        self.scratch_slot = scratch_slot
+        self.n_slots = n_slots
+        self.n_checked = len(screened)
+
+        # analytic per-issue accounting, matching the DMA engine's:
+        # controllers run in parallel and transfers on one device
+        # serialize, so the DMA makespan is the busiest device's charge
+        dma_cycles = max(charges.values(), default=0)
+        cycles = instruction_cycles(image.total_cycles, dma_cycles, params)
+        self.consts = _IssueConsts(
+            self.index, image.number, f"pipeline{image.number}", cycles,
+            image.total_cycles, dma_cycles, image.total_flops, n,
+            len(image.fu_ops), len(reads) + len(writes), words_read,
+            words_written, busy,
+            tuple(sorted(charges.items(), key=_charge_order)),
+        )
         # what the runner's text depends on (see _runner_code): one tap
         # load per feeder and tap pad, one form per step, one copy per
         # write not computed in place
         self.runner_shape: Tuple[int, str, int] = (
             len(self.feeder_pads) + len(self.tap_pads),
-            "".join(map(_step_form, self.steps)),
-            len(self.writes) - len(self.in_place),
+            "".join(forms),
+            len(writes) - len(in_place),
         )
 
     # ------------------------------------------------------------------
@@ -597,134 +809,6 @@ class ImageKernel:
             base = np.maximum if opcode is Opcode.MAXABS else np.minimum
             return (_M_ACCUM, base, True, descr, abs(init), fu)
         return (_M_FEEDBACK, OPCODES[opcode].kernel, descr, port, init, fu)
-
-    def _in_place_units(self, report: ScreenReport) -> Dict[int, int]:
-        """Units that compute straight into their write-back view, as
-        ``{fu: write index}``.
-
-        As on the machine, where one DMA takes a unit's result to memory,
-        such a unit owns no row: its ufunc's ``out`` and its later
-        readers bind to the write's live view, and the write's copy is
-        dropped.  A unit qualifies when it feeds exactly one write, a
-        full-width (``width == n``) one to a stride-1 destination that no
-        other write of the image can overlap (no other write fills that
-        plane or cache buffer); its step is a ufunc with an
-        ``out`` buffer; and nothing reads its row after the runner or
-        through a copy — it is not screened, not reduced, not the
-        condition unit, not skew-padded, and not under ``keep_outputs``.
-        Reads never alias a write (:meth:`touched_extents` declines
-        that), so computing a write early changes no value.
-        """
-        if self.keep_outputs:
-            return {}
-        writes = self.writes
-        in_place: Dict[int, int] = {}
-        for j, (src, prog, width) in enumerate(writes):
-            if src[0] != "row" or width != self.n or prog.spec.stride != 1:
-                continue
-            fu = src[1]
-            if fu in report.checked_fus \
-                    or any(f == fu for f, _s in self._row_skews) \
-                    or (self.condition is not None and self.condition.fu == fu):
-                continue
-            # the only write of this unit, and the only one that fills
-            # its destination array (another could overlap it)
-            array = (prog.spec.device_kind, prog.spec.device)
-            if any(i != j and (other == src or (o.spec.device_kind,
-                                                o.spec.device) == array)
-                   for i, (other, o, _w) in enumerate(writes)):
-                continue
-            if any(step[-1] == fu and step[0] in _IN_PLACE_MODES
-                   for step in self.steps):
-                in_place[fu] = j
-        return in_place
-
-    def _assign_slots(self, report: ScreenReport) -> None:
-        """Map every output row (and reduction abs scratch) to a slot.
-
-        Units pass results through the switch without storing them, so a
-        row needs a buffer only from its producing step to its last
-        reader: a linear scan over ``steps`` frees a slot after its last
-        read, and the reading step may write its own output into it
-        (elementwise kernels are exact in place).  Rows read after the
-        runner are *pinned* to a slot of their own for the whole issue:
-        the screened rows (*report*'s ``checked_fus``, a contiguous
-        prefix, so the exception screen stays one reduction), the
-        condition row, write-back sources, and under ``keep_outputs``
-        every row.  An in-place unit (:meth:`_in_place_units`) owns no
-        slot: its row is its write view.  The same scan records
-        ``live_steps``: ``(step index, *positions)`` of every step with an
-        operand (or, in place, an output) bound to a live storage view,
-        which :meth:`BoundImage._refresh` resolves per storage state.
-        """
-        in_place = self.in_place
-        reads: List[List[int]] = []
-        last_read: Dict[int, int] = {}
-        live_steps: List[Tuple[int, ...]] = []
-        for i, step in enumerate(self.steps):
-            mode = step[0]
-            fus = [step[1]] if mode == _M_SKEWCOPY else []
-            live: Tuple[int, ...] = ()
-            for pos in _OPERANDS[mode]:
-                ref = step[pos]
-                if ref is None:
-                    continue
-                if ref[0] == "row":
-                    fus.append(ref[1])
-                    if ref[1] in in_place:
-                        live += (pos,)
-                elif ref[0] == "stream":
-                    live += (pos,)
-            if step[-1] in in_place and mode != _M_SKEWCOPY:
-                live += (len(step) - 1,)
-            if live:
-                live_steps.append((i,) + live)
-            reads.append(fus)
-            for fu in fus:
-                last_read[fu] = i
-        self.live_steps = tuple(live_steps)
-        produced = [fu for fu in self.image.fu_order
-                    if fu not in self.reduce_fus]
-        screened = report.checked_fus
-        pinned = set(screened)
-        pinned.update(src[1] for src, _p, _w in self.writes if src[0] == "row")
-        if self.condition is not None \
-                and self.condition.fu not in self.reduce_fus:
-            pinned.add(self.condition.fu)
-        if self.keep_outputs:
-            pinned.update(produced)
-        self.slot_of: Dict[int, int] = {}
-        for fu in sorted((f for f in produced
-                          if f in pinned and f not in in_place),
-                         key=lambda f: f not in screened):
-            self.slot_of[fu] = len(self.slot_of)
-        # the units the scan below leaves alone: pinned, or in place
-        assigned = self.slot_of.keys() | in_place.keys()
-        self.n_checked = len(screened)
-        self.n_slots = len(self.slot_of)
-        free: List[int] = []  # a stack: the freshest (cache-hot) slot first
-
-        def take() -> int:
-            if free:
-                return free.pop()
-            self.n_slots += 1
-            return self.n_slots - 1
-
-        self.scratch_slot: Dict[int, int] = {}
-        for i, step in enumerate(self.steps):
-            for fu in reads[i]:
-                if last_read[fu] == i and fu not in pinned:
-                    free.append(self.slot_of[fu])
-                    last_read[fu] = -1  # freed once, if read twice here
-            mode = step[0]
-            if mode == _M_REDUCE:
-                if step[2]:  # the |x| scratch lives for this step only
-                    self.scratch_slot[step[5]] = slot = take()
-                    free.append(slot)
-            elif mode != _M_SKEWCOPY and step[-1] not in assigned:
-                # an unread unit is never propagation-covered, so it is
-                # screened: every unpinned row here has a reader
-                self.slot_of[step[-1]] = take()
 
     def _tap(self, unit: int, tap: int) -> _Ref:
         """The operand a shift/delay tap reads: its feeder's stream itself
@@ -804,19 +888,13 @@ class ImageKernel:
             return ("tap", view_key)
         raise FusionUnsupported(f"unresolvable input kind {kind!r}")
 
-    def _flush_row_copies(self, pending: List[int]) -> None:
-        """Emit the pad-fill copies for row skews the current step's
-        operands just registered — after the producer, before the
-        consumer."""
-        for fu in pending:
-            self.steps.append((_M_SKEWCOPY, fu))
-        pending.clear()
-
     def _second_level_pads(
         self, skews: Dict[Tuple[Any, int], Tuple]
     ) -> List[Tuple[Any, int, int, List[Tuple[Any, int]]]]:
         """Group skewed views by their source into padded-buffer specs:
         ``(source key, left pad, total padded words, [(view key, skew)])``."""
+        if not skews:  # balanced builds skew nothing
+            return []
         by_source: Dict[Any, List[Tuple[Any, int]]] = {}
         for (source, skew), view_key in skews.items():
             by_source.setdefault(source, []).append((view_key, skew))
@@ -826,78 +904,32 @@ class ImageKernel:
             pads.append((source, left, total, views))
         return pads
 
-    def _issue_stats(self) -> None:
-        """Analytic per-issue accounting, matching the DMA engine's:
-        controllers run in parallel and transfers on one device
-        serialize, so the DMA makespan is the busiest device's charge."""
-        image, params = self.image, self.params
-        progs = [p for _ep, p in self.reads] + [p for _s, p, _w in self.writes]
-        words_read = sum(prog.count for _ep, prog in self.reads)
-        words_written = sum(width for _src, _prog, width in self.writes)
-        charges: Dict[Any, int] = {}
-        busy = 0
-        for prog in progs:
-            cost = prog.cycles(params)
-            busy += cost
-            key = (prog.spec.device_kind, prog.spec.device)
-            charges[key] = charges.get(key, 0) + cost
-        dma_cycles = max(charges.values(), default=0)
-        cycles = instruction_cycles(image.total_cycles, dma_cycles, params)
-        self.consts = _IssueConsts(
-            index=self.index,
-            number=image.number,
-            source=f"pipeline{image.number}",
-            cycles=cycles,
-            compute_cycles=image.total_cycles,
-            dma_cycles=dma_cycles,
-            flops=image.total_flops,
-            vector_length=self.n,
-            active_fus=len(image.fu_ops),
-            transfers=len(progs),
-            words_read=words_read,
-            words_written=words_written,
-            busy_cycles=busy,
-            device_busy=tuple(sorted(charges.items(), key=_charge_order)),
-        )
-        # static fields of every PipelineResult this image produces; the
-        # issue loop fills the per-issue ones on a __new__ instance
-        self.result_template = {
-            "number": image.number,
-            "cycles": cycles,
-            "compute_cycles": image.total_cycles,
-            "dma_cycles": dma_cycles,
-            "flops": image.total_flops,
-            "vector_length": self.n,
-            "active_fus": len(image.fu_ops),
-        }
-
     # ------------------------------------------------------------------
     def touched_extents(
         self,
-        variables: Dict[str, Tuple[int, int]],
+        variables: Dict[str, "_HomeVar"],
         plane_extent: Dict[int, int],
         cache_extent: Dict[int, int],
     ) -> None:
         """Accumulate the address extents this image touches.
 
-        *variables* maps name -> (plane, offset); symbolic programs resolve
-        through it.  Raises :class:`FusionUnsupported` on negative
-        addresses, unknown variables, or read/write aliasing the fused
-        issue cannot express (the fallback path reports those at
-        reference fidelity).
+        *variables* maps name -> home (plane, offset, ...); symbolic
+        programs resolve through it.  Raises :class:`FusionUnsupported`
+        on negative addresses, unknown variables, or read/write aliasing
+        the fused issue cannot express (the fallback path reports those
+        at reference fidelity).
         """
         def resolve(prog: Any) -> int:
             spec = prog.spec
-            if spec.is_symbolic:
-                home = variables.get(spec.variable or "")
+            if spec.variable is not None:
+                home = variables.get(spec.variable)
                 if home is None:
                     raise FusionUnsupported(
                         f"unresolved variable {spec.variable!r}"
                     )
-                plane, offset = home
-                if plane != spec.device:
+                if home.plane != spec.device:
                     raise FusionUnsupported("variable relocated off its plane")
-                return offset + spec.offset
+                return home.offset + spec.offset
             return prog.base_offset
 
         read_spans: List[Tuple[int, int, int]] = []  # (plane, lo, hi)
@@ -999,6 +1031,31 @@ def _step_form(op: Tuple) -> str:
     return "c" if mode in _INLINE_ARGS else "g"
 
 
+def _lowering(opcode: Opcode) -> Tuple[int, Any, int, bool, str]:
+    """``(mode, kernel, arity, uses constant, form)`` of a non-feedback
+    unit's step: an ``out=`` ufunc where one computes the opcode, a copy
+    for ``PASS``, else the opcode's own (allocating) kernel; *form* is
+    the step's ``_STEP_TEXT`` form."""
+    info = OPCODES[opcode]
+    if info.uses_constant and opcode in _CONST_UFUNCS:
+        step = (_M_CONST, _CONST_UFUNCS[opcode])
+    elif not info.uses_constant and info.arity == 2 \
+            and opcode in _BINARY_UFUNCS:
+        step = (_M_BINARY, _BINARY_UFUNCS[opcode])
+    elif not info.uses_constant and info.arity == 1 \
+            and opcode in _UNARY_UFUNCS:
+        step = (_M_UNARY, _UNARY_UFUNCS[opcode])
+    elif opcode is Opcode.PASS:
+        step = (_M_COPY, None)
+    else:
+        step = (_M_FALLBACK, info.kernel)
+    return step + (info.arity, info.uses_constant, _step_form(step))
+
+
+#: every opcode's step form, looked up once per unit by the lowering walk
+_LOWERINGS = {opcode: _lowering(opcode) for opcode in OPCODES}
+
+
 @functools.lru_cache(maxsize=RUNNER_CODE_SIZE)
 def _runner_code(shape: Tuple[int, str, int]) -> CodeType:
     """The runner code object for one kernel shape.
@@ -1036,7 +1093,15 @@ def _runner_code(shape: Tuple[int, str, int]) -> CodeType:
 
 
 class BoundImage:
-    """One image bound to a run's storage: buffers allocated, views live."""
+    """One image bound to a run's storage: buffers allocated, views live.
+
+    Views and the runner over them are resolved once per storage
+    *arrangement* (see :class:`_Storage`): an issue compares the
+    storage's arrangement number with the one its views were resolved
+    for, and only after a swap that moved arrays does it pick up another
+    arrangement's views or resolve new ones — no per-issue walk over the
+    arrays it touches.
+    """
 
     def __init__(self, kernel: ImageKernel, storage: _Storage,
                  batch_shape: Tuple[int, ...]) -> None:
@@ -1044,9 +1109,9 @@ class BoundImage:
         self.storage = storage
         self.batch_shape = batch_shape
         n = kernel.n
-        # one contiguous block of row slots (see ImageKernel._assign_slots):
-        # rows that die mid-issue share slots, so a sweep image's working
-        # set stays a few rows wide; the screened rows lead the block
+        # one contiguous block of row slots (see ImageKernel): rows that
+        # die mid-issue share slots, so a sweep image's working set stays
+        # a few rows wide; the screened rows lead the block
         self._block = (
             aligned_empty((kernel.n_slots,) + batch_shape + (n,))
             if kernel.n_slots else None
@@ -1080,6 +1145,7 @@ class BoundImage:
                 self._tap_views[view_key] = pad_window(padded, left, skew, n)
         self._seeded: Dict[int, np.ndarray] = {}
         self._finals: Dict[int, Any] = {}
+        self._closures: Dict[int, Any] = {}  # step index -> its closure
         for step in kernel.steps:
             if step[0] == _M_ACCUM:
                 self._seeded[step[5]] = aligned_empty(batch_shape + (n + 1,))
@@ -1088,14 +1154,11 @@ class BoundImage:
         self._runner: Any = None
         self._tap_live: List[Tuple[np.ndarray, np.ndarray]] = []
         self._write_pairs: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._states: Dict[Tuple[int, ...], Tuple] = {}
-        self._key: Optional[Tuple[int, ...]] = None
-        # container/device pairs whose array identities form the state key
-        containers = (storage.planes, storage.cache_front, storage.cache_back)
-        self._touch_refs = [
-            (containers[kind], device)
-            for kind, device in kernel.touched_arrays
-        ]
+        # resolved views and runner per storage arrangement (see
+        # _Storage): a swap selects another arrangement, and the issue
+        # after it re-resolves once or picks up its earlier views
+        self._states: Dict[int, Tuple] = {}
+        self._arrangement: Optional[int] = None
         # screened rows hold the leading slots, so the fused exception
         # test is one reduction over a contiguous prefix (often empty: a
         # fully propagation-covered image needs only its reduce-final
@@ -1110,6 +1173,15 @@ class BoundImage:
         # the rest are int indices into the live views (read streams,
         # then write views), at the kernel's live_steps positions
         self._ops = [self._bind_step(s) for s in kernel.steps]
+        # the condition read: the unit's pinned slot (a condition unit
+        # never computes in place), or its reduced final
+        self._one_row = batch_shape == (1,)
+        cond = kernel.condition
+        self._cond_fu = None if cond is None else cond.fu
+        self._cond_row = (
+            None if cond is None or cond.fu in kernel.reduce_fus
+            else self._row(cond.fu)
+        )
 
     # ------------------------------------------------------------------
     def _const_array(self, value: float) -> np.ndarray:
@@ -1182,33 +1254,34 @@ class BoundImage:
         """Re-resolve storage views and rebuild the live op list.
 
         Views go stale only when a swap exchanges storage arrays, so this
-        runs once per storage state — the per-issue loop then touches
-        nothing but concrete arrays.  Read streams and write views are
-        the live views; in-place units compute into theirs.
+        runs once per storage arrangement — the per-issue loop then
+        touches nothing but concrete arrays.  Read streams and write
+        views are the live views; in-place units compute into theirs.
         """
         storage = self.storage
         kernel = self.kernel
         variables = storage.variables
+        planes = storage.planes
         streams: List[np.ndarray] = []
         for _ep, prog in kernel.reads:
             spec = prog.spec
-            if spec.is_symbolic:
-                var = variables[spec.variable]
-                base = var.offset + spec.offset
+            if spec.variable is not None:
+                base = variables[spec.variable].offset + spec.offset
             else:
                 base = prog.base_offset
-            arr = storage.array_for(spec.device_kind, spec.device)
+            arr = (planes if spec.device_kind is DeviceKind.MEMORY
+                   else storage.cache_front)[spec.device]
             streams.append(arr[..., stream_slice(base, prog.count, spec.stride)])
         self._streams = streams
         views: List[np.ndarray] = []
         for _src, prog, width in kernel.writes:
             spec = prog.spec
-            if spec.is_symbolic:
-                var = variables[spec.variable]
-                base = var.offset + spec.offset
+            if spec.variable is not None:
+                base = variables[spec.variable].offset + spec.offset
             else:
                 base = prog.base_offset
-            arr = storage.array_for(spec.device_kind, spec.device, write=True)
+            arr = (planes if spec.device_kind is DeviceKind.MEMORY
+                   else storage.cache_back)[spec.device]
             views.append(arr[..., stream_slice(base, width, spec.stride)])
 
         live = streams + views
@@ -1257,12 +1330,20 @@ class BoundImage:
         defaults: List[Any] = [np.copyto]
         for pair in self._tap_live:
             defaults += pair
-        for op in ops:
+        static, closures = self._ops, self._closures
+        for i, op in enumerate(ops):
             k = _INLINE_ARGS.get(op[0])
-            if k is None:
-                defaults.append(self._make_closure(op))
-            else:
+            if k is not None:
                 defaults += op[1 : 1 + k]
+            elif op is static[i]:
+                # bound to no live view: one closure serves every
+                # arrangement
+                run = closures.get(i)
+                if run is None:
+                    run = closures[i] = self._make_closure(op)
+                defaults.append(run)
+            else:
+                defaults.append(self._make_closure(op))
         for pair in self._write_pairs:
             defaults += pair
         return FunctionType(code, {}, "_runner", tuple(defaults))
@@ -1275,13 +1356,11 @@ class BoundImage:
         """
         mode = op[0]
         finals = self._finals
-        # one stacked row reduces like one machine: a scalar final
-        per_row = self.batch_shape != (1,)
         if mode == _M_REDUCE:
             _m, ufunc, use_abs, a, init, fu, scratch = op
             # ndarray.max/min are Python wrappers around these reduces
             reduce = ufunc.reduce
-            if per_row:
+            if not self._one_row:
                 def run() -> bool:
                     x = a
                     if use_abs:
@@ -1290,15 +1369,22 @@ class BoundImage:
                     final = ufunc(reduce(x, -1), init)
                     finals[fu] = final
                     return bool(np.isfinite(final).all())
-            else:
-                def run() -> bool:
-                    x = a
-                    if use_abs:
-                        np.abs(x, out=scratch)
-                        x = scratch
-                    final = ufunc(reduce(x, None), init)
-                    finals[fu] = final
-                    return _isfinite(final)
+                return run
+            # one stacked row reduces like one machine, to a Python float
+            # folded with init as np.maximum / np.minimum fold scalars:
+            # the first operand when it wins or is NaN, else the second
+            # (a tie of signed zeros takes init's sign)
+            wins = operator.gt if ufunc is np.maximum else operator.lt
+
+            def run() -> bool:
+                x = a
+                if use_abs:
+                    np.abs(x, out=scratch)
+                    x = scratch
+                last = float(reduce(x, None))
+                final = last if wins(last, init) or last != last else init
+                finals[fu] = final
+                return _isfinite(final)
             return run
         if mode == _M_ACCUM:
             _m, ufunc, use_abs, a, init, seeded, out = op
@@ -1338,9 +1424,6 @@ class BoundImage:
         return run
 
     # ------------------------------------------------------------------
-    def _state_key(self) -> Tuple[int, ...]:
-        return tuple([id(c[d]) for c, d in self._touch_refs])
-
     def issue_compute(self) -> bool:
         """One fused issue: taps, kernels, write-back, exception screen.
 
@@ -1351,19 +1434,19 @@ class BoundImage:
         addition); a finite-overflow false alarm merely routes through
         the exact path, which settles flags authoritatively.
         """
-        key = self._state_key()
-        if key != self._key:
-            state = self._states.get(key)
+        arrangement = self.storage.arrangement
+        if arrangement != self._arrangement:
+            state = self._states.get(arrangement)
             if state is None:
                 self._refresh()
-                self._states[key] = (
+                self._states[arrangement] = (
                     self._runner, self._streams, self._tap_live,
                     self._write_pairs,
                 )
             else:
                 (self._runner, self._streams, self._tap_live,
                  self._write_pairs) = state
-            self._key = key
+            self._arrangement = arrangement
         ok = self._runner()
         if self._check_flat is not None \
                 and not _isfinite(np.add.reduce(self._check_flat)):
@@ -1436,15 +1519,18 @@ class BoundImage:
         return flags
 
     def condition_last(self) -> Optional[Any]:
-        """The condition unit's final stream element (scalar or per-row)."""
-        cond = self.kernel.condition
-        if cond is None:
+        """The condition unit's final stream element: a Python float on
+        one row, else an array of one per row (None: no condition)."""
+        fu = self._cond_fu
+        if fu is None:
             return None
         if self._exact is not None:
-            return self._exact[cond.fu][..., -1]
-        if cond.fu in self.kernel.reduce_fus:
-            return self._finals[cond.fu]
-        return self._row(cond.fu)[..., -1]
+            last = self._exact[fu]
+        elif self._cond_row is None:  # a reduced unit keeps only its final
+            return self._finals[fu]
+        else:
+            last = self._cond_row
+        return last.item(-1) if self._one_row else last[..., -1]
 
     def capture_outputs(self) -> Dict[int, np.ndarray]:
         """Row 0's fresh per-FU output streams, for ``keep_outputs`` runs.
@@ -1508,9 +1594,8 @@ class ProgramPlan:
                 raise FusionUnsupported(f"SwapVars on unmanaged {name!r}")
         self.plane_extent: Dict[int, int] = {}
         self.cache_extent: Dict[int, int] = {}
-        homes = {n: (v.plane, v.offset) for n, v in self.variables.items()}
         for kernel in self.kernels.values():
-            kernel.touched_extents(homes, self.plane_extent,
+            kernel.touched_extents(self.variables, self.plane_extent,
                                    self.cache_extent)
         for name in self.swap_names:
             var = self.variables[name]
@@ -1567,8 +1652,7 @@ class ProgramPlan:
         return out
 
 
-@dataclass(frozen=True)
-class _HomeVar:
+class _HomeVar(NamedTuple):
     name: str
     plane: int
     offset: int

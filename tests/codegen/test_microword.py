@@ -196,7 +196,8 @@ class TestFieldHandles:
         by_name = layout.new_word()
         for name, value in values.items():
             by_name.set(name, value)
-        packed = Microword.pack(layout, values)
+        packed = Microword.pack(
+            layout, {layout.field(name): v for name, v in values.items()})
         assert packed._values is None  # born packed: bits only
         assert packed.encode() == by_name.encode()
         assert packed.get("fu2.b.delay") == 9
@@ -206,7 +207,7 @@ class TestFieldHandles:
         with pytest.raises(FieldError) as by_name:
             layout.new_word().set("fu0.opcode", value)
         with pytest.raises(FieldError) as by_pack:
-            Microword.pack(layout, {"fu0.opcode": value})
+            Microword.pack(layout, {layout.field("fu0.opcode"): value})
         assert str(by_pack.value) == str(by_name.value)
 
     def test_write_after_encode_reencodes(self, layout):

@@ -1,7 +1,7 @@
 """Property: random single-image programs agree across the engines.
 
 The fused engine keeps each unit's output in a *row slot* that is reused
-once the row's last reader has run (``ImageKernel._assign_slots``), so a
+once the row's last reader has run (``ImageKernel``'s slot scan), so a
 wrong liveness range silently feeds a consumer another unit's values.
 This suite draws random checker-clean single-image programs through
 :class:`~repro.compose.builders.PipelineBuilder` — fan-out, dead units,

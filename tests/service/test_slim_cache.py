@@ -80,7 +80,7 @@ def _diagrams_reached(root):
 
 def _keep_diagrams(monkeypatch):
     """Make the compile stage cache setups whole, as it once did."""
-    monkeypatch.setattr(runner, "replace", lambda setup, **changes: setup)
+    monkeypatch.setattr(runner, "_slim", lambda setup: setup)
 
 
 def test_cache_values_hold_no_diagram():

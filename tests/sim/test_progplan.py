@@ -387,7 +387,10 @@ class TestResidualSkewFusion:
         setup, program = self._skewed(node)
         plan = progplan.compiled_plan(program, node.params)
         assert any(
-            kernel._stream_skews or kernel._row_skews or kernel._tap_skews
+            kernel.row_pads or kernel.tap_pads
+            or any(key[0] == "skew:stream"
+                   for *_pad, views in kernel.feeder_pads
+                   for key, _skew in views)
             for kernel in plan.kernels.values()
         ), "ablation build produced no skew: the test lost its subject"
 

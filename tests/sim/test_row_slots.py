@@ -1,5 +1,5 @@
 """Row slots: a fused image stores a unit's output only while a reader of
-it is still to run (``ImageKernel._assign_slots``).
+it is still to run (the slot scan of ``ImageKernel``'s one walk).
 
 A slot is recycled after its last reader; the rows something reads after
 the runner — screened rows, the condition row, write-back sources, and
@@ -172,8 +172,8 @@ class TestSlotCounts:
         _setup, program = _chain(node, watch_first=False,
                                  auto_balance=False)
         (kernel,) = _kernels_of(node, program)
-        assert kernel._row_skews, "the build lost its skewed read"
-        (t,) = {fu for fu, _skew in kernel._row_skews}
+        assert kernel.row_pads, "the build lost its skewed read"
+        (t,) = {fu for fu, *_pad in kernel.row_pads}
         kinds = [step[0] for step in kernel.steps]
         copy = kernel.steps.index((progplan._M_SKEWCOPY, t))
         last_unskewed = max(i for i, step in enumerate(kernel.steps)

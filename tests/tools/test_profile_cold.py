@@ -15,13 +15,20 @@ def test_profile_cold_reports_every_stage(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["programs"] == 3
     p50 = report["p50_ms"]
-    assert set(p50) == set(profile_cold.STAGES) | {"total"}
+    assert set(p50) == set(profile_cold.STAGES) | {"total", "batch",
+                                                   "service"}
     # bind is split: storage setup and runner code generation
     assert {"storage", "runner"} <= set(p50)
     # the compile reads one frozen view per pipeline
     assert {"freeze", "check", "generate"} <= set(p50)
-    assert all(value >= 0.0 for value in p50.values())
+    # service is a difference of two p50s; every timed row is a time
+    assert all(value >= 0.0 for stage, value in p50.items()
+               if stage != "service")
     assert p50["total"] > 0.0
+    # the serial BatchRunner row times the same sample as a service job,
+    # and service names what the sub-stages leave out of it
+    assert p50["batch"] > 0.0
+    assert p50["service"] == p50["batch"] - p50["total"]
     # the cProfile pass over the same programs counts calls per job
     assert report["calls_per_job"] > 0.0
 

@@ -28,9 +28,21 @@ record      the record's ``MachineProgram.fingerprint()`` and its
             ``ResultStore`` append
 ==========  ===========================================================
 
+Two more rows time the same sample as the service runs it:
+
+==========  ===========================================================
+batch       a serial ``BatchRunner.run([job])`` per program, with a
+            fresh program cache and a scratch store: the whole cold job
+            a benchmark op sees
+service     ``batch`` minus ``total``: the job path the sub-stages leave
+            out (the runner's rounds, the job's record and telemetry,
+            the solver's input load, the fold into a record)
+==========  ===========================================================
+
 First-use imports and machine tables are warmed on n = 4 programs the
 sample never contains, as a long-lived service would have them.  Prints
-the p50 of each sub-stage and of their per-job sum in milliseconds.
+the p50 of each sub-stage, of their per-job sum (``total``) and of the
+two service rows in milliseconds.
 After the timed pass, a cProfile pass runs the same programs again
 (fresh builds; only the process-wide tables are warm, as in the timed
 pass) and reports ``calls_per_job``: the function calls it counted,
@@ -66,8 +78,10 @@ from repro.arch.node import node_config  # noqa: E402
 from repro.arch.params import NSCParameters  # noqa: E402
 from repro.codegen.generator import MicrocodeGenerator  # noqa: E402
 from repro.compose.registry import SOLVERS  # noqa: E402
+from repro.service.cache import ProgramCache  # noqa: E402
+from repro.service.jobs import SimJob  # noqa: E402
 from repro.service.results import ResultStore  # noqa: E402
-from repro.service.runner import grid_problem  # noqa: E402
+from repro.service.runner import BatchRunner, grid_problem  # noqa: E402
 from repro.sim import batchplan, progplan  # noqa: E402
 
 STAGES = (
@@ -181,6 +195,23 @@ def profile_one(
     }
 
 
+def time_batch(programs: Sequence[Program], store: ResultStore) -> List[float]:
+    """Milliseconds of one serial ``BatchRunner.run([job])`` per program,
+    through a fresh program cache (every job compiles)."""
+    cache = ProgramCache()
+    times = []
+    for method, size, eps in programs:
+        job = SimJob(method=method, shape=(size, size, size), eps=eps,
+                     max_sweeps=2000, omega=1.5, backend="fast")
+        runner = BatchRunner(workers=1, cache=cache, store=store)
+        start = time.perf_counter()
+        records, _summary = runner.run([job])
+        times.append((time.perf_counter() - start) * 1e3)
+        if not records[0]["ok"]:
+            raise RuntimeError(f"{(method, size, eps)}: {records[0]['error']}")
+    return times
+
+
 def count_calls(
     programs: Sequence[Program], params: NSCParameters, store: ResultStore
 ) -> float:
@@ -195,8 +226,9 @@ def count_calls(
 
 
 def profile(n: int, seed: int) -> Tuple[Dict[str, float], float]:
-    """p50 milliseconds per sub-stage (and ``total``) over *n* programs,
-    and the calls per job of a cProfile pass over the same programs."""
+    """p50 milliseconds per sub-stage (and ``total``, ``batch`` and
+    ``service``) over *n* programs, and the calls per job of a cProfile
+    pass over the same programs."""
     params = NSCParameters()
     programs = sample(n, seed)
     per_stage: Dict[str, List[float]] = {stage: [] for stage in STAGES}
@@ -211,9 +243,14 @@ def profile(n: int, seed: int) -> Tuple[Dict[str, float], float]:
                 for stage in STAGES:
                     per_stage[stage].append(times[stage] * 1e3)
                 totals.append(sum(times.values()) * 1e3)
+        warm = [(method, 4, 1e-3) for method in SOLVERS]
+        time_batch(warm, store)
+        batch = time_batch(programs, store)
         calls_per_job = count_calls(programs, params, store)
     p50 = {stage: statistics.median(v) for stage, v in per_stage.items()}
     p50["total"] = statistics.median(totals)
+    p50["batch"] = statistics.median(batch)
+    p50["service"] = p50["batch"] - p50["total"]
     return p50, calls_per_job
 
 
