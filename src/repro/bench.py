@@ -531,7 +531,8 @@ def _scenario_fused_coverage(quick: bool) -> Dict[str, Any]:
     # keep_outputs: fused engine engaged, per-issue streams bit-identical
     probe = fresh("fast")
     checks["keep_outputs_runs_fused"] = (
-        progplan.try_run_fused(probe, cov_program, 1_000_000, keep_outputs=True)
+        batchplan.try_run_fused(probe, cov_program, 1_000_000,
+                                keep_outputs=True)
         is not None
     )
     m_ref = fresh("reference")
@@ -568,7 +569,7 @@ def _scenario_fused_coverage(quick: bool) -> Dict[str, Any]:
     with np.errstate(invalid="ignore", over="ignore"):
         probe = rearm(fresh("fast"))
         checks["rearmed_runs_fused"] = (
-            progplan.try_run_fused(probe, cov_program, 1_000_000) is not None
+            batchplan.try_run_fused(probe, cov_program, 1_000_000) is not None
         )
         m_ref = rearm(fresh("reference"))
         m_ref.run()

@@ -35,8 +35,10 @@ environment, so one exported plan drives parent and children alike.
 ``BatchRunner(fault_plan=...)`` exports it for the duration of the run
 (:func:`exported`).
 
-With no plan active, :func:`check` is one module-global read — the
-production paths stay hot.  See ``docs/RELIABILITY.md``.
+With no plan active, :func:`check` costs one module-global read and one
+``os.environ.get(ENV_VAR)`` (about a microsecond: the environment is
+re-read on every call, so a plan exported at run time takes effect).
+See ``docs/RELIABILITY.md``.
 """
 
 from __future__ import annotations
@@ -339,7 +341,8 @@ def _in_worker_process() -> bool:
 def check(site: str, key: str, attempt: int = 1) -> None:
     """Fire the configured fault at this site, if any.
 
-    No active plan (the production case) costs one global read.  A
+    No active plan (the production case) costs one global read and
+    one :data:`ENV_VAR` lookup in ``os.environ``.  A
     firing rule raises :class:`FaultInjected` (``transient``), calls
     ``os._exit`` (``kill``), or sleeps past the pool timeout and then
     raises (``hang``).  Kill/hang demote to transient in the parent

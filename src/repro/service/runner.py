@@ -317,16 +317,15 @@ def _slim(setup: Any) -> Any:
 
 
 def _run_single(job: SimJob, cache: ProgramCache) -> Dict[str, Any]:
-    """A fast builder job runs as a slab of one; the reference backend,
-    saved programs and a slab's decline run on an :class:`NSCMachine`."""
+    """A fast job runs as a slab of one; the reference backend and a
+    slab's decline run on an :class:`NSCMachine`'s reference walk."""
     from repro.arch.node import node_config
 
     node = node_config(job.params())
     (setup, program), checker = _obtain_program(
         job, cache, lambda check: _compile_single(job, node, check)
     )
-    backend = None
-    if job.backend == "fast" and setup is not None:
+    if job.backend == "fast":
         from repro.service.slab import run_slab
         from repro.sim.progplan import FusionUnsupported
 
@@ -336,13 +335,12 @@ def _run_single(job: SimJob, cache: ProgramCache) -> Dict[str, Any]:
         except FusionUnsupported as exc:
             from repro.sim.batchplan import record_decline
 
-            record_decline(exc)
-            backend = "reference"  # its fused run would decline again
+            record_decline(exc)  # a fused machine run would decline again
     from repro.compose.registry import SOLVERS
     from repro.sim.machine import NSCMachine
 
     with obs.span("bind"):
-        machine = NSCMachine(node, backend=job.backend)
+        machine = NSCMachine(node)
         machine.load_program(program)
         watch = u_star = None
         if setup is not None:
@@ -351,7 +349,7 @@ def _run_single(job: SimJob, cache: ProgramCache) -> Dict[str, Any]:
             entry.load(machine, setup, _initial_grid(job), f)
             watch = entry.watch_pipeline(setup)
     with obs.span("execute"):
-        result = machine.run(backend=backend)
+        result = machine.run()
     return _solution_record(
         job, program, checker, result.converged,
         result.loop_iterations.get(watch, 0), machine.metrics(result),
@@ -546,7 +544,7 @@ class BatchRunner:
         When set (one of :data:`~repro.service.jobs.CHECKER_MODES`),
         overrides every job's own ``run_checker`` for this batch.
     batch_fusion:
-        Grouping only (a lone fast builder job is a slab of one either
+        Grouping only (a lone fast single-node job is a slab of one either
         way, :mod:`repro.service.slab`).  ``"off"`` (default) runs jobs
         individually; ``"auto"`` plans same-program jobs into one slab
         unit, the same on every executor, so a job list stores one
@@ -874,7 +872,7 @@ class BatchRunner:
     def _units(self, jobs: Sequence[SimJob],
                indices: List[int]) -> List[List[int]]:
         """Plan *indices* into units, ordered by their first job.  Under
-        ``batch_fusion="auto"`` same-program fast builder jobs form one
+        ``batch_fusion="auto"`` same-program fast single-node jobs form one
         unit (:func:`~repro.service.slab.slab_groups`); every other job,
         and every job of a run with a ``timeout`` (a per-job ceiling
         cannot be split across a slab), is a unit of one."""

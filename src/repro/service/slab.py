@@ -1,4 +1,4 @@
-"""Slab execution: the one service path for fast single-node builder jobs.
+"""Slab execution: the one service path for fast single-node jobs.
 
 A *slab* is N same-program jobs on one machine parameter set, run by one
 :class:`~repro.sim.batchplan.BatchProgramRun` over stacked
@@ -8,16 +8,18 @@ is built zeroed from the compiled plan's variable layout
 (``entry.load``) writes the inputs into every row through the storage's
 ``set_variable`` — the call it makes on a machine — and each job's
 seeded ``u0`` overwrites its own row (the loaders write ``u0`` verbatim,
-so that IS ``entry.load``).  A fresh machine's interrupt controller has
-no handlers, nothing pending and the default armed set, so the slab
+so that IS ``entry.load``).  A saved program (``method="program"``)
+loads nothing: it runs on the zeroed storage ``NSCMachine.load_program``
+leaves.  A fresh machine's interrupt controller has no handlers,
+nothing pending and the default armed set, so the slab
 folds with :data:`~repro.arch.interrupts.DEFAULT_ARMED_KINDS`.  Records
 are folded per job from the run's one issue log
 (:meth:`~repro.sim.batchplan.BatchProgramRun.job`), bit-identical to
 ``machine.metrics(result)`` — no machine commit, no interrupt replay.
 
-:func:`~repro.service.runner.execute_job` runs every fast, single-node,
-builder-solver job as a slab of one (:func:`run_slab`), in serial, pool
-and daemon runs alike, stamped ``tier="fused"``.
+:func:`~repro.service.runner.execute_job` runs every fast, single-node
+job as a slab of one (:func:`run_slab`), in serial, pool and daemon
+runs alike, stamped ``tier="fused"``.
 ``batch_fusion="auto"`` only decides grouping: :func:`slab_groups`
 plans a batch's same-program jobs into one unit each, on every
 executor, and :func:`~repro.service.runner.execute_unit` runs a
@@ -30,9 +32,9 @@ A lone job runs exact — it keeps its FP exceptions and raises its
 faults — so it declines only on an unfusable program, and reruns on an
 ``NSCMachine``'s reference walk.  A group also declines, before anything
 shared changed, on a construct only a lone job models or a non-finite
-value mid-run; its members rerun through ``execute_job``.  Declines, the
-reference backend and saved programs (``method="program"``) are all
-that still run a service job on a machine.
+value mid-run; its members rerun through ``execute_job``.  Declines and
+the reference backend are all that still run a service job on a
+machine.
 """
 
 from __future__ import annotations
@@ -57,14 +59,18 @@ from repro.sim.progplan import FusionUnsupported
 
 def slab_groups(jobs: Sequence[SimJob]) -> List[List[int]]:
     """A batch's units under ``batch_fusion="auto"``, as index groups in
-    first-seen order: fast single-node builder jobs sharing one
+    first-seen order: fast single-node jobs sharing one
     :meth:`SimJob.cache_key` (same microcode, same machine) form one
     group; every other job is a group of one."""
     groups: Dict[Any, List[int]] = {}
     for i, job in enumerate(jobs):
-        slabbable = job.backend == "fast" and job.hypercube_dim == 0 \
-            and job.method != "program"
-        groups.setdefault(job.cache_key() if slabbable else i, []).append(i)
+        key: Any = i
+        if job.backend == "fast" and job.hypercube_dim == 0:
+            try:
+                key = job.cache_key()
+            except OSError:
+                pass  # an unreadable saved program fails as its own unit
+        groups.setdefault(key, []).append(i)
     return list(groups.values())
 
 
@@ -123,37 +129,28 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
              node: Any, setup: Any, program: Any,
              checkers: Sequence[Optional[str]],
              ) -> List[Dict[str, Any]]:
-    """Run *jobs* (one compiled builder program) as one slab; return
-    each job's computed record keys and stamp its tier into its tracer.
+    """Run *jobs* (one compiled program) as one slab; return each job's
+    computed record keys and stamp its tier into its tracer.
 
-    Raises ``FusionUnsupported`` on any decline.  A lone job's tracer is
-    the active one; a group's share one slab tracer's bind and execute
-    time.
+    *setup* is the builder's, or None for a saved program, which runs
+    on the zeroed storage ``NSCMachine.load_program`` would leave and
+    reports no solution.  Raises ``FusionUnsupported`` on any decline.
+    A lone job's tracer is the active one; a group's share one slab
+    tracer's bind and execute time.
     """
     n_jobs = len(jobs)
-    job0 = jobs[0]
     params = node.params
-    entry = SOLVERS[job0.method]
     shared = tracers[0] if n_jobs == 1 else obs.Tracer()
+    uvar = u_star = watch = None
     with obs.use(shared):
         # --- shared bind: plan, stacked storage, loaded inputs --------
         with obs.span("bind"):
             plan = batchplan.compiled_plan(program, params)
-            if "u" not in plan.variables:
-                raise FusionUnsupported("solver state 'u' not in plan")
-            u_star, f, _h = runner.grid_problem(job0.shape, setup.h)
             storage = progplan.stacked_storage(plan.variables, n_jobs,
                                       plan.plane_extent, plan.cache_extent)
-            entry.load(storage, setup, runner._initial_grid(job0), f)
-            watch = entry.watch_pipeline(setup)
-            uvar = plan.variables["u"]
-            u_plane = storage.planes[uvar.plane]
-            for j, job in enumerate(jobs[1:], 1):
-                if job.u0_seed != job0.u0_seed:
-                    # the loaders write u0 verbatim (load_jacobi_inputs /
-                    # load_rbsor_inputs): the row overwrite IS entry.load
-                    u_plane[j, uvar.offset:uvar.end] = \
-                        runner._initial_grid(job).reshape(-1)
+            if setup is not None:
+                uvar, u_star, watch = _load_inputs(jobs, setup, plan,
+                                                   storage)
             run = batchplan.BatchProgramRun(plan, storage, n_jobs,
                                   max_instructions=1_000_000)
         # --- one fused execution over the whole stack -----------------
@@ -161,7 +158,8 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
             run.run()
     tier = "fused" if n_jobs == 1 else "batch_fused"
     # the final u plane may have been reference-swapped; re-resolve
-    u_plane = storage.planes[uvar.plane]
+    u_rows = None if uvar is None \
+        else storage.planes[uvar.plane][:, uvar.offset:uvar.end]
     results = []
     for j, (job, tracer) in enumerate(zip(jobs, tracers)):
         if tracer is not shared:
@@ -185,11 +183,33 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
             results.append(runner._solution_record(
                 job, program, checkers[j], run.converged[j],
                 run.loop_iterations[j].get(watch, 0), metrics,
-                u_plane[j, uvar.offset:uvar.end], u_star,
+                None if u_rows is None else u_rows[j], u_star,
             ))
             obs.count(f"tier.{tier}")
             obs.annotate("tier", tier)
     return results
+
+
+def _load_inputs(jobs: Sequence[SimJob], setup: Any, plan: Any,
+                 storage: Any) -> Tuple[Any, Any, Any]:
+    """Load a builder solver's inputs into every row of *storage*;
+    return the home of ``u``, the analytic solution and the watched
+    pipeline."""
+    job0 = jobs[0]
+    if "u" not in plan.variables:
+        raise FusionUnsupported("solver state 'u' not in plan")
+    entry = SOLVERS[job0.method]
+    u_star, f, _h = runner.grid_problem(job0.shape, setup.h)
+    entry.load(storage, setup, runner._initial_grid(job0), f)
+    uvar = plan.variables["u"]
+    u_plane = storage.planes[uvar.plane]
+    for j, job in enumerate(jobs[1:], 1):
+        if job.u0_seed != job0.u0_seed:
+            # the loaders write u0 verbatim (load_jacobi_inputs /
+            # load_rbsor_inputs): the row overwrite IS entry.load
+            u_plane[j, uvar.offset:uvar.end] = \
+                runner._initial_grid(job).reshape(-1)
+    return uvar, u_star, entry.watch_pipeline(setup)
 
 
 __all__ = ["execute_slab", "run_slab", "slab_groups"]

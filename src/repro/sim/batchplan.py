@@ -8,8 +8,9 @@ one-row stack, and a single :class:`~repro.sim.progplan.BoundImage`
 issue sweeps the entire stack.  The storage is built zeroed from the
 plan's own variable layout (:func:`~repro.sim.progplan.stacked_storage`,
 no machine behind it): a service slab fills it through the solver
-loaders, :func:`try_run_batch_fused` pulls each machine's rows into it,
-and a hypercube scatters its grids into it.  The generated ufunc
+loaders (a saved program runs on it zeroed, as a freshly loaded machine
+holds it), :func:`try_run_fused` pulls one machine's row into it, and a
+hypercube scatters its grids into it.  The generated ufunc
 kernels are shared by every stack height (the runner code objects are
 cached on the :class:`ImageKernel`).  A hypercube of N nodes is the
 same stack, one row per node:
@@ -31,9 +32,9 @@ a machine commit.  Slab results are bit-identical to N single-machine
 runs.
 
 Commit point: a run mutates only its local storage, and
-:func:`try_run_batch_fused` commits to the machines once it ends.  A
+:func:`try_run_fused` commits to its one machine once it ends.  A
 :class:`FusionUnsupported` surfacing at any point — a kernel declining,
-a relocated variable, a mid-run rejection — leaves every machine
+a relocated variable, a mid-run rejection — leaves the machine
 pristine, and the caller falls back to the reference interpreter.
 
 A lone job with a fallback (one row, ``fallback=True``) is an *exact*
@@ -720,92 +721,78 @@ def write_back(machine: "NSCMachine", storage: _Storage, j: int,
         machine.dma.device_busy = dict(job.device_busy)
 
 
-def _commit(run: BatchProgramRun, machines: Sequence["NSCMachine"],
-            armed_sets: Sequence[Any]) -> List[SequencerResult]:
-    """Write each job's local state, statistics, and interrupt log back
-    to its machine — exactly what a step-by-step run leaves behind — and
-    return the jobs' results."""
-    results = []
-    for j, machine in enumerate(machines):
-        job = run.job(j, records=True)
-        write_back(machine, run.storage, j, job)
-        machine.cycle = job.cycles
-        assert job.irq_log is not None and job.result is not None
-        replay_interrupts(machine, job.irq_log, armed_sets[j])
-        results.append(job.result)
-    return results
+def _commit(run: BatchProgramRun, machine: "NSCMachine",
+            armed: Any) -> SequencerResult:
+    """Write the run's one row, statistics and interrupt log back to
+    *machine* — exactly what a step-by-step run leaves behind — and
+    return its result."""
+    job = run.job(0, records=True)
+    write_back(machine, run.storage, 0, job)
+    machine.cycle = job.cycles
+    assert job.irq_log is not None and job.result is not None
+    replay_interrupts(machine, job.irq_log, armed)
+    return job.result
 
 
-def try_run_batch_fused(
-    machines: Sequence["NSCMachine"],
+def try_run_fused(
+    machine: "NSCMachine",
     program: MachineProgram,
-    max_instructions: int = 1_000_000,
+    max_instructions: int,
     keep_outputs: bool = False,
-) -> Optional[List[SequencerResult]]:
-    """Run *program* over *machines* through the fused engine, or return None.
+) -> Optional[SequencerResult]:
+    """Run *program* on one machine through the fused engine, or return None.
 
-    One machine runs as an exact slab of one (see
-    :func:`repro.sim.progplan.try_run_fused`); several run as one
-    stacked slab.  None means "not fusable here" — the caller runs each
-    machine through the reference interpreter instead — and the decline's
-    reason lands in the active tracer.  State is committed per machine
-    only after the run ends, so a decline (even mid-run) leaves every
-    machine pristine for the fallback.
+    The machine runs as an exact slab of one, its kernels bound over one
+    stacked row.  None means "not fusable here" — registered interrupt
+    handlers, relocated variables, or a construct the compiler rejects —
+    and the caller runs the reference interpreter instead; the decline's
+    reason lands in the active tracer.  Execution itself is inside the
+    guard: state is committed only once the run ends, so a decline
+    surfacing mid-run leaves the machine pristine for the fallback.
     """
     try:
-        return _run_fused(machines, program, max_instructions, keep_outputs)
+        return _run_fused(machine, program, max_instructions, keep_outputs)
     except FusionUnsupported as exc:
-        record_decline(exc, len(machines))
+        record_decline(exc)
         return None
 
 
-def record_decline(exc: FusionUnsupported, n_jobs: int = 1) -> None:
+def record_decline(exc: FusionUnsupported) -> None:
     """Tier telemetry for a fused run that stood down: count it, stamp
     the reason, emit the event — the caller's fallback is otherwise
     invisible in the records."""
-    prefix, scope = (
-        ("fusion", "program") if n_jobs == 1 else ("batch_fusion", "batch")
-    )
-    obs.count(f"{prefix}.fallback")
+    obs.count("fusion.fallback")
     obs.annotate("fallback_reason", str(exc))
-    obs.event(f"{prefix}_fallback", scope=scope, reason=str(exc))
+    obs.event("fusion_fallback", scope="program", reason=str(exc))
 
 
 def _run_fused(
-    machines: Sequence["NSCMachine"],
+    machine: "NSCMachine",
     program: MachineProgram,
     max_instructions: int,
     keep_outputs: bool,
-) -> List[SequencerResult]:
+) -> SequencerResult:
     from repro.sim.machine import MachineError
 
-    if not machines:
-        raise FusionUnsupported("empty slab")
-    params = machines[0].node.params
-    for machine in machines:
-        if getattr(machine, "backend", "reference") != "fast":
-            raise FusionUnsupported("fused engine requires the fast backend")
-        if machine.node.params != params:
-            raise FusionUnsupported("mixed node parameters in slab")
-    plan = compiled_plan(program, params, keep_outputs=keep_outputs)
-    armed_sets = [machine_bindings(plan, machine) for machine in machines]
-    storage = stacked_storage(plan.variables, len(machines),
-                              plan.plane_extent, plan.cache_extent)
-    for j, machine in enumerate(machines):
-        _read_row(machine, storage, j)
-
-    run = BatchProgramRun(plan, storage, len(machines), max_instructions)
+    if getattr(machine, "backend", "reference") != "fast":
+        raise FusionUnsupported("fused engine requires the fast backend")
+    plan = compiled_plan(program, machine.node.params,
+                         keep_outputs=keep_outputs)
+    armed = machine_bindings(plan, machine)
+    storage = stacked_storage(plan.variables, 1, plan.plane_extent,
+                              plan.cache_extent)
+    _read_row(machine, storage, 0)
+    run = BatchProgramRun(plan, storage, 1, max_instructions)
     try:
         run.run()
     except (SequencerError, MachineError):
         # only an exact run surfaces these: commit state up to the
         # fault point, as a step-by-step run would have left it
-        _commit(run, machines, armed_sets)
+        _commit(run, machine, armed)
         raise
-    results = _commit(run, machines, armed_sets)
-    for machine in machines:
-        machine.interrupts.drain()
-    return results
+    result = _commit(run, machine, armed)
+    machine.interrupts.drain()
+    return result
 
 
 __all__ = [
@@ -815,6 +802,6 @@ __all__ = [
     "machine_bindings",
     "record_decline",
     "replay_interrupts",
-    "try_run_batch_fused",
+    "try_run_fused",
     "write_back",
 ]

@@ -59,7 +59,8 @@ holds mid-run too: until the commit point at the end of a fused run, no
 machine state is mutated, so a late rejection falls back against
 pristine state.  One engine walks every compiled schedule over stacked
 rows — :class:`~repro.sim.batchplan.BatchProgramRun`, with a single
-machine as an exact one-row slab (:func:`try_run_fused`).
+machine as an exact one-row slab
+(:func:`~repro.sim.batchplan.try_run_fused`).
 
 A hypercube runs on the same engine: its nodes are a slab with one row
 per node, and :func:`fused_stepper` steps it from the multi-node
@@ -100,11 +101,9 @@ from repro.diagram.program import (
 )
 from repro.obs import tracer as obs
 from repro.sim.fastpath import PLAN_CACHE
-from repro.sim.sequencer import SequencerResult
 from repro.sim.streams import _ACCUMULATING, detect_exceptions
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.machine import NSCMachine
     from repro.sim.multinode import MultiNodeStencil
 
 
@@ -1712,32 +1711,6 @@ def compiled_plan(program: MachineProgram, params: Any,
     return plan
 
 
-def try_run_fused(
-    machine: "NSCMachine",
-    program: MachineProgram,
-    max_instructions: int,
-    keep_outputs: bool = False,
-) -> Optional[SequencerResult]:
-    """Run *program* on one machine through the fused engine, or return None.
-
-    The one-machine call of :func:`repro.sim.batchplan.try_run_batch_fused`:
-    an exact slab of one, its kernels bound over one stacked row.  None means
-    "not fusable here" — registered interrupt handlers, relocated
-    variables, or a construct the compiler rejects — and the caller runs
-    the reference interpreter instead.  Execution itself is inside the
-    guard: a :class:`FusionUnsupported` surfacing only once the run has
-    begun also returns None, and because the fused run commits machine
-    state only at its end, the fallback then executes against untouched
-    state.
-    """
-    from repro.sim.batchplan import try_run_batch_fused
-
-    results = try_run_batch_fused(
-        [machine], program, max_instructions, keep_outputs=keep_outputs
-    )
-    return None if results is None else results[0]
-
-
 # ----------------------------------------------------------------------
 # hypercube execution on the slab engine
 # ----------------------------------------------------------------------
@@ -1885,7 +1858,6 @@ __all__ = [
     "BoundImage",
     "ProgramPlan",
     "compiled_plan",
-    "try_run_fused",
     "HaloCommPlan",
     "fused_stepper",
     "pad_extent",

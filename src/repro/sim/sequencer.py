@@ -80,7 +80,7 @@ class Sequencer:
         max_instructions: int = 1_000_000,
     ) -> SequencerResult:
         if getattr(self.machine, "backend", "reference") == "fast":
-            from repro.sim.progplan import try_run_fused
+            from repro.sim.batchplan import try_run_fused
 
             fused = try_run_fused(
                 self.machine, program, max_instructions,

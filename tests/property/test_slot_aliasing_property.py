@@ -66,6 +66,8 @@ from repro.diagram.program import (
 from repro.sim import batchplan, progplan
 from repro.sim.machine import NSCMachine
 
+from helpers_slab import run_machines_stacked
+
 _NODE = NodeConfig()
 _EXAMPLES = (
     settings.default.max_examples
@@ -389,8 +391,8 @@ def test_reference_slab_of_one_and_slab_rows_agree(case, poison,
                         len(result.pipeline_results))
         for seed, want, want_outputs in zip(_SEEDS, expected, outputs):
             machine = _machine(program, n, seed, "fast", poison)
-            result = progplan.try_run_fused(machine, program, 1_000_000,
-                                            keep_outputs=keep_outputs)
+            result = batchplan.try_run_fused(machine, program, 1_000_000,
+                                             keep_outputs=keep_outputs)
             assert result is not None, "a checker-clean program declined"
             assert _observed(machine, result) == want
             assert _fu_outputs(result) == want_outputs
@@ -408,7 +410,7 @@ def test_reference_slab_of_one_and_slab_rows_agree(case, poison,
             )
         slab = [_machine(program, n, seed, "fast", poison)
                 for seed in _SEEDS]
-        results = batchplan.try_run_batch_fused(slab, program)
+        results = run_machines_stacked(slab, program)
     if results is None:
         # the one legitimate decline: a non-finite value, which only a
         # one-job run can attribute to the right job
@@ -436,8 +438,8 @@ def test_kept_outputs_of_a_live_storage_pass_survive_the_next_issue(
             if backend == "reference":
                 result = machine.run(keep_outputs=True)
             else:
-                result = progplan.try_run_fused(machine, program, 1_000_000,
-                                                keep_outputs=True)
+                result = batchplan.try_run_fused(
+                    machine, program, 1_000_000, keep_outputs=True)
                 assert result is not None, "a checker-clean program declined"
             captured.append(_fu_outputs(result))
     assert len(captured[0]) >= 2

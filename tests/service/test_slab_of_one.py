@@ -1,13 +1,14 @@
 """A lone fast single-node job runs on the slab engine, as a slab of one.
 
-Every fast builder-solver job on one node — serial under either
-``batch_fusion`` mode or in a process pool — binds a
-one-job :class:`~repro.sim.batchplan.BatchProgramRun` and synthesizes
-its record from the run's issue log.  It never commits into an
-``NSCMachine`` (``batchplan._commit``) nor replays interrupts, and its
-canonical record equals the reference backend's, non-finite values
-included: a lone job runs exact, so it owns every FP flag it raises.  A
-decline (an unfusable plan) reruns the job once, on the reference walk.
+Every fast job on one node — a builder solver or a saved diagram
+(``method="program"``), serial under either ``batch_fusion`` mode or in
+a process pool — binds a one-job
+:class:`~repro.sim.batchplan.BatchProgramRun` and synthesizes its record
+from the run's issue log.  It never commits into an ``NSCMachine``
+(``batchplan._commit``) nor replays interrupts, and its canonical record
+equals the reference backend's, non-finite values included: a lone job
+runs exact, so it owns every FP flag it raises.  A decline (an
+unfusable plan) reruns the job once, on the reference walk.
 """
 
 import json
@@ -17,6 +18,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.arch.node import NodeConfig
+from repro.compose.jacobi import build_jacobi_program
+from repro.compose.kernels import build_saxpy_program
+from repro.diagram import serialize
+from repro.diagram.program import Halt
 from repro.obs import tracer as obs
 from repro.service import runner
 from repro.service.cache import ProgramCache
@@ -213,3 +219,86 @@ class TestDecline:
         assert "tier.fused" not in tracer.counters
         events = [e for e in events if e["type"] == "fusion_fallback"]
         assert len(events) == 1
+
+
+def _saved(tmp_path, kind):
+    """Save a diagram and return its path: the saxpy kernel, a 5x5x6
+    Jacobi solver, or that solver's build with a script that issues no
+    pipelines — which the fused plan declines."""
+    node = NodeConfig()
+    if kind == "saxpy":
+        program = build_saxpy_program(node, 32).program
+    elif kind == "jacobi":
+        program = build_jacobi_program(node, (5, 5, 6), eps=1e-3).program
+    else:
+        program = build_jacobi_program(node, (5, 5, 5), eps=1e-3,
+                                       loop=False).program
+        program.control.clear()
+        program.add_control(Halt())
+    path = tmp_path / f"{kind}.json"
+    serialize.save(program, str(path))
+    return str(path)
+
+
+def _program_job(path, backend="fast"):
+    return SimJob(method="program", program_path=path, backend=backend)
+
+
+class TestSavedPrograms:
+    """A fast saved diagram runs on the slab like a builder job, over
+    the zeroed storage a freshly loaded machine holds."""
+
+    @pytest.mark.parametrize("kind", ["saxpy", "jacobi"])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_record_equals_the_reference_backend(self, no_commit, tmp_path,
+                                                 run, kind):
+        options = RUNS[run]
+        if options["workers"] > 1 \
+                and multiprocessing.get_start_method() != "fork":
+            pytest.skip("patched workers need the fork start method")
+        path = _saved(tmp_path, kind)
+        [fast], _ = BatchRunner(**options).run([_program_job(path)])
+        [ref], _ = BatchRunner(workers=1).run(
+            [_program_job(path, backend="reference")]
+        )
+        assert fast["ok"], fast.get("error")
+        assert fast["tier"] == "fused"
+        assert ref["tier"] == "reference"
+        assert "slab_size" not in fast
+        assert "fallback_reason" not in fast
+        assert _computed(fast) == _computed(ref)
+
+    @pytest.mark.parametrize("kind", ["saxpy", "jacobi"])
+    def test_builds_no_machine(self, monkeypatch, tmp_path, kind):
+        built = _count_machines(monkeypatch)
+        record = execute_job(_program_job(_saved(tmp_path, kind)),
+                             cache=ProgramCache())
+        assert record["ok"] and record["tier"] == "fused"
+        assert built == []
+
+    @pytest.mark.parametrize("kind", ["saxpy", "jacobi"])
+    def test_identical_jobs_form_one_slab(self, no_commit, tmp_path, kind):
+        path = _saved(tmp_path, kind)
+        records, summary = BatchRunner(workers=1, batch_fusion="auto").run(
+            [_program_job(path)] * 2
+        )
+        [lone], _ = BatchRunner(workers=1).run([_program_job(path)])
+        assert summary.succeeded == 2
+        assert [r["tier"] for r in records] == ["batch_fused"] * 2
+        assert [r["slab_size"] for r in records] == [2, 2]
+        for record in records:
+            record.pop("slab_size")
+            assert _computed(record) == _computed(lone)
+
+    def test_declined_program_reruns_on_the_reference_walk(
+            self, monkeypatch, tmp_path):
+        path = _saved(tmp_path, "no-issue")
+        record, tracer, _events = _traced(monkeypatch, _program_job(path))
+        ref = execute_job(_program_job(path, backend="reference"),
+                          cache=ProgramCache())
+        assert record["ok"], record.get("error")
+        assert record["tier"] == "reference"
+        assert record.pop("fallback_reason") == "program issues no pipelines"
+        assert tracer.counters["fusion.fallback"] == 1
+        assert tracer.counters["tier.reference"] == 1
+        assert _computed(record) == _computed(ref)

@@ -6,7 +6,9 @@ each job alone through the same engine as a slab of one — results, variables,
 metrics, DMA statistics, and the interrupt stream all bit-identical per
 job, including when convergence diverges across the stack.  And a slab
 that declines, for any reason at any point, must leave every machine
-pristine for the per-job fallback (the commit-point contract).
+pristine for the per-job fallback (the commit-point contract).  The
+engine commits into one machine only; a slab of N rows is committed
+into its N machines by ``helpers_slab.run_machines_stacked``.
 """
 
 import copy
@@ -25,9 +27,12 @@ from repro.diagram.program import (
     LoopUntil,
     SwapVars,
 )
+from repro.obs import tracer as obs
 from repro.sim import batchplan, progplan
 from repro.sim.machine import NSCMachine
 from repro.sim.sequencer import Sequencer, SequencerError
+
+from helpers_slab import run_machines_stacked
 
 
 def _generate(node, shape=(6, 6, 6), eps=1e-4, max_iterations=300):
@@ -97,7 +102,7 @@ class TestBatchParity:
         per_job = _machines(node, setup, program, seeds)
         results_ref = [m.run() for m in per_job]
         batch = _machines(node, setup, program, seeds)
-        results = batchplan.try_run_batch_fused(batch, program)
+        results = run_machines_stacked(batch, program)
         assert results is not None
         iteration_counts = {
             sum(r.loop_iterations.values()) for r in results
@@ -115,7 +120,7 @@ class TestBatchParity:
         per_job = _machines(node, setup, program, seeds)
         results_ref = [m.run() for m in per_job]
         batch = _machines(node, setup, program, seeds)
-        results = batchplan.try_run_batch_fused(batch, program)
+        results = run_machines_stacked(batch, program)
         assert results is not None
         assert all(r.converged is False for r in results)
         for m_ref, r_ref, m_b, r_b in zip(
@@ -128,7 +133,7 @@ class TestBatchParity:
         (ref,) = _machines(node, setup, program, (9,))
         r_ref = ref.run()
         (solo,) = batch = _machines(node, setup, program, (9,))
-        results = batchplan.try_run_batch_fused(batch, program)
+        results = run_machines_stacked(batch, program)
         assert results is not None
         _assert_job_identical(ref, r_ref, solo, results[0])
 
@@ -175,7 +180,7 @@ class TestStackedSlabOfOne:
         setup, program = _generate(node)
         (machine,) = _machines(node, setup, program, (9,))
         stats_before = copy.deepcopy(machine.dma.stats)
-        result = progplan.try_run_fused(machine, program, 1_000_000)
+        result = batchplan.try_run_fused(machine, program, 1_000_000)
         assert result is not None
         run, variables, armed = _stacked_run(node, setup, program, 9)
         assert all(b.batch_shape == (1,) for b in run.bound.values())
@@ -278,7 +283,7 @@ class TestIssueLogParity:
         )
         results_ref = [m.run() for m in singles]
         slab = _disarmed(_machines(node, setup, program, self.SEEDS))
-        results = batchplan.try_run_batch_fused(slab, program)
+        results = run_machines_stacked(slab, program)
         assert results is not None
         assert len({r.loop_iterations[1] for r in results}) > 1
         for m_ref, r_ref, m_b, r_b in zip(singles, results_ref, slab, results):
@@ -341,7 +346,7 @@ class TestIssueLogParity:
                             backend="reference")
         results_ref = [m.run() for m in singles]
         slab = _machines(node, setup, program, self.SEEDS)
-        results = batchplan.try_run_batch_fused(slab, program)
+        results = run_machines_stacked(slab, program)
         assert results is not None
         for r_ref, r_b in zip(results_ref, results):
             assert r_b.instructions_issued > 7
@@ -422,15 +427,20 @@ class TestBufferAlignment:
 
 class TestBatchDeclines:
     def test_reference_backend_declines(self, node):
+        """The fused engine runs fast-backend machines only; the decline
+        counts one fallback and touches nothing."""
         setup, program = _generate(node)
-        machines = _machines(node, setup, program, (0, 1))
-        machines += _machines(node, setup, program, (2,),
-                              backend="reference")
-        assert batchplan.try_run_batch_fused(machines, program) is None
-
-    def test_empty_slab_declines(self, node):
-        _setup, program = _generate(node)
-        assert batchplan.try_run_batch_fused([], program) is None
+        (machine,) = _machines(node, setup, program, (0,),
+                               backend="reference")
+        before = (machine.get_variable("u").copy(),
+                  copy.deepcopy(machine.dma.stats))
+        tracer = obs.Tracer()
+        with obs.use(tracer):
+            assert batchplan.try_run_fused(machine, program, 1_000) is None
+        assert tracer.counters["fusion.fallback"] == 1
+        assert tracer.telemetry().annotations["fallback_reason"] \
+            == "fused engine requires the fast backend"
+        _assert_pristine(machine, *before)
 
     def test_non_finite_declines_pristine(self, node):
         """A non-finite value anywhere in the stack declines the whole
@@ -446,7 +456,7 @@ class TestBatchDeclines:
             for m in machines
         ]
         with np.errstate(invalid="ignore", over="ignore"):
-            assert batchplan.try_run_batch_fused(machines, program) is None
+            assert run_machines_stacked(machines, program) is None
         for machine, (before_u, before_stats) in zip(machines, snapshots):
             _assert_pristine(machine, before_u, before_stats)
 
@@ -460,7 +470,7 @@ class TestBatchDeclines:
             (m.get_variable("u").copy(), copy.deepcopy(m.dma.stats))
             for m in machines
         ]
-        assert batchplan.try_run_batch_fused(
+        assert run_machines_stacked(
             machines, program, max_instructions=5
         ) is None
         for machine, (before_u, before_stats) in zip(machines, snapshots):
@@ -490,7 +500,7 @@ class TestBatchDeclines:
         monkeypatch.setattr(
             progplan.BoundImage, "issue_compute", flaky_issue
         )
-        assert batchplan.try_run_batch_fused(machines, program) is None
+        assert run_machines_stacked(machines, program) is None
         assert calls["n"] >= 3  # the injection really fired mid-run
         for machine, (before_u, before_stats) in zip(machines, snapshots):
             _assert_pristine(machine, before_u, before_stats)

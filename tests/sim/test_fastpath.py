@@ -4,7 +4,7 @@ The fast backend's contract is bit-identical observable behaviour — grids,
 cycle/flop counts, DMA statistics, exception flags, interrupts — so every
 test here runs the same program through both backends and compares whole
 results, not tolerances.  Per-image cases run as a one-sweep control
-script through the fused engine (:func:`repro.sim.progplan.try_run_fused`)
+script through the fused engine (:func:`repro.sim.batchplan.try_run_fused`)
 against the reference interpreter issuing the same images.
 """
 
@@ -18,12 +18,8 @@ from repro.diagram.program import CacheSwap, ExecPipeline, Halt
 from repro.sim.fastpath import BACKENDS, validate_backend
 from repro.sim.machine import NSCMachine
 from repro.sim.pipeline_exec import execute_image
-from repro.sim.progplan import (
-    compiled_plan,
-    pad_extent,
-    pad_window,
-    try_run_fused,
-)
+from repro.sim.batchplan import try_run_fused
+from repro.sim.progplan import compiled_plan, pad_extent, pad_window
 
 
 def _loaded_machine(node, setup, program, u0, f, backend="reference"):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
-from repro.sim import progplan
+from repro.sim import batchplan, progplan
 from repro.sim.machine import NSCMachine
 from repro.sim.multinode import MultiNodeStencil
 
@@ -60,7 +60,7 @@ class TestObservableState:
             machine, setup, rng.random((6, 6, 6)), rng.standard_normal((6, 6, 6))
         )
         assert not any(cache.materialized for cache in machine.caches)
-        assert progplan.try_run_fused(machine, program, 1_000_000) is not None
+        assert batchplan.try_run_fused(machine, program, 1_000_000) is not None
         plan = progplan.compiled_plan(program, node.params)
         assert plan.cache_extent  # Jacobi streams its masks through caches
         touched = {c.cache_id for c in machine.caches if c.materialized}

@@ -23,7 +23,7 @@ from repro.diagram.program import (
     VisualProgram,
 )
 from repro.obs import tracer as obs
-from repro.sim import progplan
+from repro.sim import batchplan, progplan
 from repro.sim.fastpath import PLAN_CACHE
 from repro.sim.machine import NSCMachine
 from repro.sim.sequencer import SequencerError
@@ -184,7 +184,7 @@ class TestFusedRunParity:
             machine, setup, rng.random((6, 6, 6)),
             rng.standard_normal((6, 6, 6)),
         )
-        result = progplan.try_run_fused(
+        result = batchplan.try_run_fused(
             machine, program, 1_000_000, keep_outputs=True
         )
         assert result is not None
@@ -294,7 +294,7 @@ class TestFusedRunParity:
             return machine
 
         fused_probe = configured("fast")
-        assert progplan.try_run_fused(fused_probe, program, 1_000_000) \
+        assert batchplan.try_run_fused(fused_probe, program, 1_000_000) \
             is not None, "armed-set variation must not disable fusion"
 
         m_ref = configured("reference")
@@ -339,7 +339,7 @@ class TestFusedRunParity:
             return machine
 
         probe = make("fast")
-        assert progplan.try_run_fused(probe, program, 1_000_000) is None
+        assert batchplan.try_run_fused(probe, program, 1_000_000) is None
 
         m_ref = make("reference")
         r_ref = m_ref.run()
@@ -366,7 +366,7 @@ class TestFusedRunParity:
         )
         machine.interrupts.post(InterruptKind.PIPELINE_COMPLETE, 5,
                                 source="host")
-        assert progplan.try_run_fused(machine, program, 1_000_000) is None
+        assert batchplan.try_run_fused(machine, program, 1_000_000) is None
 
 
 class TestResidualSkewFusion:
@@ -477,7 +477,7 @@ class TestMidRunRejection:
             return real_issue(self)
 
         monkeypatch.setattr(progplan.BoundImage, "issue_compute", flaky_issue)
-        assert progplan.try_run_fused(machine, program, 1_000_000) is None
+        assert batchplan.try_run_fused(machine, program, 1_000_000) is None
         assert machine.cycle == 0
         assert machine.dma.stats == before_stats
         assert machine.interrupts.pending() == 0
@@ -666,7 +666,8 @@ class TestReversedCacheStreams:
             machine.set_variable("x", x)
             return machine
 
-        assert progplan.try_run_fused(loaded("fast"), program, 100) is not None
+        assert batchplan.try_run_fused(loaded("fast"), program, 100) \
+            is not None
         runs = []
         for backend in ("reference", "fast"):
             machine = loaded(backend)
@@ -708,7 +709,7 @@ class TestSignedZeroConstants:
         ref = loaded("reference")
         ref_result = ref.run()
         fused = loaded("fast")
-        fused_result = progplan.try_run_fused(fused, program, 100)
+        fused_result = batchplan.try_run_fused(fused, program, 100)
         assert fused_result is not None
         _assert_runs_identical((ref, ref_result), (fused, fused_result))
         for name, zero in (("r", 0.0), ("s", -0.0)):
@@ -726,7 +727,7 @@ class TestSlabOfOne:
         ref = _run(node, setup, program, u0, f, "reference",
                    keep_outputs=keep_outputs)
         machine = _loaded(node, setup, program, u0, f, "fast")
-        result = progplan.try_run_fused(
+        result = batchplan.try_run_fused(
             machine, program, 1_000_000, keep_outputs=keep_outputs
         )
         assert result is not None

@@ -22,7 +22,7 @@ from repro.compose.builders import PipelineBuilder
 from repro.compose.iterative import build_rbsor_program, load_rbsor_inputs
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
 from repro.diagram.program import ExecPipeline, Repeat, SwapVars, VisualProgram
-from repro.sim import progplan
+from repro.sim import batchplan, progplan
 from repro.sim.machine import NSCMachine
 from repro.sim.multinode import MultiNodeStencil
 
@@ -188,7 +188,7 @@ class TestSlotCounts:
             if backend == "reference":
                 result = machine.run()
             else:
-                result = progplan.try_run_fused(machine, program, 1_000)
+                result = batchplan.try_run_fused(machine, program, 1_000)
             runs.append(_bits(result, machine, ("x", "r")))
         assert runs[0] == runs[1]
 
@@ -309,7 +309,7 @@ class TestInPlaceBinding:
             if backend == "reference":
                 result = machine.run()
             else:
-                result = progplan.try_run_fused(machine, program, 1_000)
+                result = batchplan.try_run_fused(machine, program, 1_000)
             runs.append(_bits(result, machine, ("x", "r")))
         assert runs[0] == runs[1]
 
@@ -354,8 +354,8 @@ class TestInPlaceNonFinite:
                 if backend == "reference":
                     result = machine.run()
                 else:
-                    result = progplan.try_run_fused(machine, program,
-                                                    1_000_000)
+                    result = batchplan.try_run_fused(machine, program,
+                                                     1_000_000)
                     assert result is not None
                 runs.append(_bits(result, machine, names))
         ref, fused = runs
