@@ -17,6 +17,7 @@ Their concatenation, :meth:`SimJob.cache_key`, keys the
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -215,12 +216,11 @@ class SimJob:
         Builder-solver keys are pure functions of this frozen spec, so
         they memoize on the instance (slab grouping and record assembly
         hash every job several times per batch).  ``method="program"``
-        keys hash the saved file's *current* bytes and are deliberately
-        never cached.
+        keys hash the saved file's bytes (:meth:`program_source`): the
+        *current* bytes, never cached, unless the job is :meth:`pinned`.
         """
         if self.method == "program":
-            with open(self.program_path, "rb") as fh:  # type: ignore[arg-type]
-                return hashlib.sha256(fh.read()).hexdigest()
+            return hashlib.sha256(self.program_source()).hexdigest()
         cached = self.__dict__.get("_program_key")
         if cached is None:
             cached = _sha256(
@@ -235,6 +235,32 @@ class SimJob:
             )
             self.__dict__["_program_key"] = cached
         return cached
+
+    def program_source(self) -> bytes:
+        """A saved program's file bytes: those :meth:`pinned` read, else
+        the file's current bytes."""
+        source = self.__dict__.get("_program_source")
+        if source is None:
+            with open(self.program_path, "rb") as fh:  # type: ignore[arg-type]
+                source = fh.read()
+        return source
+
+    def pinned(self) -> "SimJob":
+        """This job for one execution: a saved program's file is read
+        here, once, and the copy's keys and compile all use those bytes,
+        so a file replaced mid-job cannot stamp a record with the key of
+        bytes the job did not compile.  Builder jobs, and a file that
+        cannot be read (its failure surfaces where the job first keys
+        it), come back as they are."""
+        if self.method != "program":
+            return self
+        try:
+            source = self.program_source()
+        except OSError:
+            return self
+        job = copy.copy(self)
+        job.__dict__["_program_source"] = source
+        return job
 
     def params_key(self) -> str:
         """Hash of the fully resolved machine parameters (memoized on the

@@ -121,6 +121,7 @@ def execute_job(
     start = time.perf_counter()
     if not isinstance(job, SimJob):
         job = SimJob.from_dict(job)
+    job = job.pinned()
     if cache is None:
         cache = _process_cache(cache_dir)
     tracer = obs.Tracer()
@@ -294,7 +295,7 @@ def _compile_single(job: SimJob, node, check: bool) -> Tuple[Any, Any]:
         from repro.diagram import serialize
 
         setup = None
-        program = serialize.load(job.program_path)
+        program = serialize.loads(job.program_source().decode("utf-8"))
     else:
         setup = SOLVERS[job.method].build_setup(
             node, job.shape, eps=job.eps,

@@ -84,6 +84,7 @@ def execute_slab(
     or ``(None, reason)`` when the slab declines, in which case nothing
     observable has changed and the caller runs each job individually.
     """
+    jobs = [job.pinned() for job in jobs]
     try:
         node = arch_node.node_config(jobs[0].params())
         # per-job compile: cache-hit deltas and checker stamps as N runs
@@ -104,6 +105,10 @@ def execute_slab(
                 record["cache_hit"] = cache.stats.hits > hits
             checkers.append(checker)
             records.append(record)
+        if len({record["cache_key"] for record in records}) > 1:
+            # a saved program replaced between two members' reads: each
+            # member must run the bytes its key names
+            raise FusionUnsupported("slab members read different programs")
         setup, program = value
         computed = run_slab(jobs, tracers, node, setup, program, checkers)
     except FusionUnsupported as exc:

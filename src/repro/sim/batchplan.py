@@ -397,17 +397,16 @@ class BatchProgramRun:
                 # exception interrupts are *logged* here and posted by the
                 # commit replay: no machine state moves before the commit
                 tags = tuple(flags)
-        cond_last = bound.condition_last()
-        vals: Any = None
+        # a fresh list of floats per issue (the condition row is
+        # overwritten next issue), compared float by float
+        vals = bound.condition_last()
         conds: Any = None
-        if cond_last is not None:
-            if self.n_jobs == 1:  # one row reads a Python float
-                vals = (cond_last,)
-                conds = (kernel.cond_fn(cond_last, kernel.cond_threshold),)
+        if vals is not None:
+            cond_fn, threshold = kernel.cond_fn, kernel.cond_threshold
+            if self.n_jobs == 1:
+                conds = [cond_fn(vals[0], threshold)]
             else:
-                # copied out: the condition row is overwritten next issue
-                vals = cond_last.tolist()
-                conds = kernel.cond_fn(cond_last, kernel.cond_threshold).tolist()
+                conds = [cond_fn(value, threshold) for value in vals]
         self.last_cond[kernel.consts.number] = conds
         if tags or self.keep_outputs:
             outputs = bound.capture_outputs() if self.keep_outputs else None
@@ -521,11 +520,15 @@ class BatchProgramRun:
             cost = params.dma_startup_cycles + params.memory_latency + va.length
             if va.plane == vb.plane:
                 cost += va.length
-            entry = (self.storage.var_swapper(va, vb), (cost, 2 * va.length))
+            charge = (cost, 2 * va.length)
+            # the swapper, and the log entry of a swap on every row
+            entry = (self.storage.var_swapper(va, vb),
+                     (_LOG_SWAP, charge, None, None))
             self._swap_cache[(a, b)] = entry
-        swap, charge = entry
+        swap, logged = entry
         swap()
-        self.log.append((_LOG_SWAP, charge, None, active))
+        self.log.append(logged if active is None
+                        else (_LOG_SWAP, logged[1], None, active))
 
     # ------------------------------------------------------------------
     def job(self, j: int, records: bool = False) -> JobRun:

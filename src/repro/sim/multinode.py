@@ -23,7 +23,7 @@ Multi-node runs are schedulable as service jobs via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +44,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class DecompositionError(Exception):
     """The grid cannot be split across the requested node count."""
+
+
+def global_residual(values: Iterable[float]) -> float:
+    """Fold per-node residuals into the hypercube's: the largest, at
+    least 0.0, and NaN once any node's is NaN.  Python's ``max`` would
+    drop a NaN, and the run would then "converge" on a grid of NaNs;
+    both backends' sweeps fold here, so a NaN residual never converges,
+    as a single node's ``LoopUntil`` never fires on one."""
+    residual = 0.0
+    for value in values:
+        if value != value:
+            return value
+        if value > residual:
+            residual = value
+    return residual
 
 
 def gray_code(i: int) -> int:
@@ -325,17 +340,17 @@ class MultiNodeStencil:
         Returns the stepper tuple: (cycles, global residual, comm cycles,
         words exchanged, flops) for this sweep."""
         compute = 0
-        residual = 0.0
+        values = []
         flops = 0
         for machine in self.machines:
             res = execute_image(self.machine_program.images[1], machine)
             machine.swap_vars("u", "u_new")
             compute = max(compute, res.cycles)
             if res.condition_value is not None:
-                residual = max(residual, res.condition_value)
+                values.append(res.condition_value)
             flops += res.flops
         comm, words = self._exchange_halos()
-        return compute, residual, comm, words, flops
+        return compute, global_residual(values), comm, words, flops
 
     def _halo_messages(self) -> List[Message]:
         """Router messages for one ghost-plane exchange (both directions)."""
@@ -440,6 +455,7 @@ class MultiNodeStencil:
 
 __all__ = [
     "MultiNodeStencil",
+    "global_residual",
     "MultiNodeResult",
     "DecompositionError",
     "gray_code",

@@ -19,9 +19,15 @@ trace-compilation step: it compiles an entire :class:`~repro.codegen.generator.M
   (in place, by the reader itself); rows read after the issue —
   screened, condition, write-back, and every row under ``keep_outputs``
   — keep a slot of their own.  As on the machine, an unshifted tap is
-  its feeder's stream and a unit whose result one DMA takes to memory
-  computes straight into its write view, so neither costs a buffer or
-  a copy;
+  its feeder's stream, a PASS that only relays a read stream is that
+  stream (*forwarding*), and a unit whose result one DMA takes to
+  memory computes straight into its write view, so none of them costs a
+  buffer or a copy;
+- work that cannot change between issues runs once: a step over
+  constants and the read streams of memory planes nothing in the run
+  moves (no issued image writes them, no ``SwapVars`` names them) is
+  *hoisted* — computed once per bound image, before its first issue,
+  into a pinned slot — so a sweep stops rescaling its source term;
 - exception detection is a single fused finiteness test over the
   screened output rows, with an exact per-stream fallback when anything
   non-finite appears (flags and FP interrupts then match the reference
@@ -79,13 +85,15 @@ from dataclasses import dataclass, field
 from math import isfinite as _isfinite
 from types import CodeType, FunctionType
 from typing import (
-    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
-    TYPE_CHECKING,
+    AbstractSet, Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+    Sequence, Set, Tuple, TYPE_CHECKING,
 )
 
 import numpy as np
 
-from repro.analysis.plansafety import REDUCIBLE_OPS, screen_coverage
+from repro.analysis.plansafety import (
+    REDUCIBLE_OPS, ScreenReport, screen_coverage,
+)
 from repro.arch.funcunit import OPCODES, Opcode
 from repro.arch.memsys import AllocationError, stream_slice
 from repro.arch.switch import DeviceKind
@@ -201,10 +209,11 @@ class _Storage:
         self.variables: Dict[str, Any] = {}
         self._scratch: Dict[Tuple[int, ...], np.ndarray] = {}
         self.arrangement = 0
-        # array identities -> arrangement number, and (move, number) ->
-        # the number that move leads to, learned on each move's first run
+        # array identities -> arrangement number, and per move, number
+        # -> the number that move leads to, learned on each move's first
+        # run
         self._arrangements: Dict[Tuple[int, ...], int] = {}
-        self._moves: Dict[Tuple[Any, int], int] = {}
+        self._moves: Dict[Any, Dict[int, int]] = {}
 
     def _numbered(self, fresh: int) -> int:
         """The number of the arrangement held now; an arrangement seen
@@ -218,15 +227,15 @@ class _Storage:
         """Run *exchange*, a swap of arrays keyed *move*, and step
         :attr:`arrangement` past it."""
         before = self.arrangement
-        after = self._moves.get((move, before))
+        leads = self._moves.setdefault(move, {})
+        after = leads.get(before)
         if after is None:
             if not self._arrangements:
                 # every later arrangement is numbered as a move reaches
                 # it; the one a run starts from, at its first move
                 self._numbered(before)
             exchange()
-            after = self._moves[(move, before)] = self._numbered(
-                len(self._arrangements))
+            after = leads[before] = self._numbered(len(self._arrangements))
         else:
             exchange()
         self.arrangement = after
@@ -237,7 +246,8 @@ class _Storage:
         while they are bound, whatever replaced arrays before."""
         self.arrangement = 0
         self._arrangements.clear()
-        self._moves.clear()
+        for leads in self._moves.values():  # in place: swappers hold them
+            leads.clear()
 
     def set_variable(self, name: str, values: np.ndarray) -> None:
         """Write *values* into *name* on every row — the duck type the
@@ -288,14 +298,14 @@ class _Storage:
         ):
             a, b = va.plane, vb.plane
             move = ("planes", a, b)  # cache moves are keyed by id tuples
-            moves = self._moves
+            leads = self._moves.setdefault(move, {})
             storage = self
 
             def exchange() -> None:
                 planes[a], planes[b] = planes[b], planes[a]
 
             def swap_planes() -> None:
-                after = moves.get((move, storage.arrangement))
+                after = leads.get(storage.arrangement)
                 if after is None:
                     storage._move(move, exchange)
                 else:
@@ -387,16 +397,14 @@ def pad_window(padded: np.ndarray, left: int, shift: int, n: int) -> np.ndarray:
     return padded[..., left + shift : left + shift + n]
 
 
-def _prog_span(base: int, count: int, stride: int) -> Tuple[int, int]:
-    """(lowest, highest+1) words touched by an address walk."""
-    if count == 0:
-        return base, base
-    last = base + (count - 1) * stride
-    return min(base, last), max(base, last) + 1
-
-
 #: DeviceKind -> its name, read without the enum's ``name`` property
 _KIND_NAMES = {kind: kind.name for kind in DeviceKind}
+#: the device kinds the compiler tests for, read once (an enum member
+#: lookup on its class costs a Python-level attribute fetch)
+_MEMORY, _FU, _SHIFT_DELAY = (DeviceKind.MEMORY, DeviceKind.FU,
+                              DeviceKind.SHIFT_DELAY)
+
+_NOTHING_SCREENED = ScreenReport(frozenset(), frozenset(), frozenset())
 
 
 def _charge_order(item: Tuple[Tuple[DeviceKind, int], int]) -> Tuple[str, str]:
@@ -444,8 +452,13 @@ class ImageKernel:
     and reads the DMA programs also gathers the row-slot liveness, the
     DMA charge table and the issue constants, so nothing walks them
     again.  Write-back units that qualify compute into their write view
-    (:attr:`in_place`).  Per-run buffers live in the :class:`BoundImage`
-    this produces, whose exact path re-evaluates these same steps.
+    (:attr:`in_place`), PASS units that qualify bind their readers to
+    their stream (:attr:`forwarded`), and loop-invariant steps run once
+    per bind (:attr:`hoisted`; *moving_planes* are the memory planes
+    the whole program writes or swaps), so the runner runs only
+    :attr:`runs` per issue.  Per-run buffers live in the
+    :class:`BoundImage` this produces, whose exact path re-evaluates
+    every step.
     Residual stream skew (the ablation configuration) compiles to offset
     windows into zero-padded copies of the skewed source — streams share
     their feeder's pad, FU rows and taps get pads of their own — so a
@@ -468,13 +481,14 @@ class ImageKernel:
         "index", "image", "params", "keep_outputs", "n", "reads",
         "reduce_fus", "steps", "writes", "feeder_pads", "row_pads",
         "tap_pads", "condition", "cond_fn", "cond_threshold", "in_place",
-        "live_steps", "slot_of", "scratch_slot", "n_slots", "n_checked",
-        "consts", "runner_shape",
+        "forwarded", "hoisted", "runs", "live_steps", "slot_of",
+        "scratch_slot", "n_slots", "n_checked", "consts", "runner_shape",
         # the walk's lookups, unset once the kernel is built
         "_read_index", "_taps", "_stream_skews", "_row_skews", "_tap_skews",
     )
 
     def __init__(self, index: int, image: PipelineImage, params: Any,
+                 moving_planes: AbstractSet[int],
                  keep_outputs: bool = False) -> None:
         self.index = index
         self.image = image
@@ -482,8 +496,38 @@ class ImageKernel:
         self.keep_outputs = keep_outputs
         n = self.n = image.vector_length
         reads = self.reads = list(image.read_programs.items())
-        report = screen_coverage(image, keep_outputs)
+        # an image with no units (a mask load) has nothing to screen
+        report = screen_coverage(image, keep_outputs) if image.fu_order \
+            else _NOTHING_SCREENED
         reduce_fus = self.reduce_fus = report.reduce_fus
+        screened = report.checked_fus
+        cond = image.condition
+        cond_fu = cond.fu if cond is not None else None
+        # PASS units whose readers bind to the PASS's own operand, a read
+        # stream or unshifted tap, as {fu: that stream's ref}: as on the
+        # machine, a unit that only relays a stream stores nothing, and
+        # a skewed read of it is a skewed read of the stream (see _ref).
+        # A PASS qualifies unless something reads its row after the
+        # runner: it is not screened, not the condition unit, and not
+        # under keep_outputs.  Its step stays in ``steps`` for the exact
+        # path, which flags it as the reference does, but the runner
+        # never runs it.
+        self.forwarded: Dict[int, _Ref] = {}
+        # loop-invariant hoisting: a ufunc step whose operands are
+        # constants, streams of memory planes nothing in the run moves
+        # (no issued image writes them and no SwapVars names them; see
+        # ProgramPlan), or rows of other hoisted steps computes the same
+        # row on every issue.  It runs once per bound image, before the
+        # first runner call, into a slot pinned for the whole run.  Cache
+        # reads never qualify (a CacheSwap exchanges their buffers).
+        fixed = {  # the read streams a hoisted step may read
+            i for i, (_ep, prog) in enumerate(reads)
+            if prog.spec.device_kind is _MEMORY
+            and prog.spec.device not in moving_planes
+        }
+        hoisted: Set[int] = set()  # units
+        hoisted_steps: List[int] = []
+        pass_steps: List[int] = []  # the forwarded PASS units' steps
         # build-time lookups, dropped once the walk is done.  Skewed
         # operands (ablation builds) are windows into padded copies:
         # streams share their feeder's pad; FU rows and taps pad their
@@ -510,29 +554,43 @@ class ImageKernel:
         live: Dict[int, Tuple[int, ...]] = {}
         row_reads: List[Tuple[int, int, int]] = []
         ufunc_step: Dict[int, int] = {}  # unit -> its out= ufunc step
-        forms: List[str] = []  # each step's _STEP_TEXT form
+        forms: List[str] = []  # the _STEP_TEXT form of each step it runs
 
         def emit(step: Tuple, form: str, a: _Ref,
-                 b: Optional[_Ref] = None) -> None:
+                 b: Optional[_Ref] = None) -> bool:
+            """Append *step* and its liveness; return whether every
+            operand is invariant (a constant, a fixed stream or a
+            hoisted row)."""
             i = len(steps)
             steps.append(step)
             forms.append(form)
             positions = _OPERANDS[step[0]]
             rows: Tuple[int, ...] = ()
-            if a[0] == "row":
+            kind = a[0]
+            if kind == "row":
                 rows = (a[1],)
                 last_read[a[1]] = i
                 row_reads.append((i, positions[0], a[1]))
-            elif a[0] == "stream":
+                invariant = a[1] in hoisted
+            elif kind == "stream":
                 live[i] = (positions[0],)
+                invariant = a[1] in fixed
+            else:
+                invariant = kind == "const"
             if b is not None:
-                if b[0] == "row":
+                kind = b[0]
+                if kind == "row":
                     rows += (b[1],)
                     last_read[b[1]] = i
                     row_reads.append((i, positions[1], b[1]))
-                elif b[0] == "stream":
+                    invariant = invariant and b[1] in hoisted
+                elif kind == "stream":
                     live[i] = live.get(i, ()) + (positions[1],)
+                    invariant = invariant and b[1] in fixed
+                else:
+                    invariant = invariant and kind == "const"
             step_rows.append(rows)
+            return invariant
 
         def flush_row_copies() -> None:
             # the pad-fill copies for row skews the current step's
@@ -586,16 +644,26 @@ class ImageKernel:
             if pending:
                 flush_row_copies()
             if mode == _M_BINARY:
-                ufunc_step[fu] = len(steps)
-                emit((mode, kernel, a, b, fu), form, a, b)
+                step = (mode, kernel, a, b, fu)
             elif mode == _M_CONST:
-                ufunc_step[fu] = len(steps)
-                emit((mode, kernel, a, float(constant), fu), form, a)
+                step = (mode, kernel, a, float(constant), fu)
             elif mode == _M_UNARY:
-                ufunc_step[fu] = len(steps)
-                emit((mode, kernel, a, fu), form, a)
+                step = (mode, kernel, a, fu)
+            else:
+                step = None
+            if step is not None:  # an out= ufunc
+                i = ufunc_step[fu] = len(steps)
+                if emit(step, form, a, b):
+                    hoisted.add(fu)
+                    hoisted_steps.append(i)
+                    forms.pop()  # the runner does not run it
             elif mode == _M_COPY:
                 emit((mode, a, fu), form, a)
+                if a[0] == "stream" and not keep_outputs \
+                        and fu not in screened and fu != cond_fu:
+                    self.forwarded[fu] = a
+                    pass_steps.append(len(steps) - 1)
+                    forms.pop()  # the runner does not run it
             else:
                 emit((mode, kernel, arity,
                       constant if uses_constant else None, a, b, fu),
@@ -613,13 +681,14 @@ class ImageKernel:
         writes: List[Tuple[_Ref, Any, int]] = []
         self.writes = writes
         for driver, _sink, prog in image.write_programs:
-            if driver.kind is DeviceKind.FU:
+            if driver.kind is _FU:
                 if driver.device not in image.fu_ops:
                     raise FusionUnsupported(
                         f"write-back from fu{driver.device}, "
                         f"which produced nothing")
-                src: _Ref = ("row", driver.device)
-            elif driver.kind is DeviceKind.SHIFT_DELAY:
+                src: _Ref = self.forwarded.get(driver.device,
+                                               ("row", driver.device))
+            elif driver.kind is _SHIFT_DELAY:
                 src = self._tap(driver.device, int(driver.port[3:]))
             else:
                 read_index = self._read_index.get(driver)
@@ -672,7 +741,6 @@ class ImageKernel:
         del (self._read_index, self._taps, self._stream_skews,
              self._row_skews, self._tap_skews)
 
-        cond = image.condition
         if cond is not None and cond.fu not in produced:
             raise FusionUnsupported("condition watches a silent unit")
         self.condition = cond
@@ -689,25 +757,34 @@ class ImageKernel:
         # the write's copy is dropped.  A unit qualifies when it feeds
         # exactly one write, a full-width one to a stride-1 destination
         # that no other write of the image fills (another could overlap
-        # it); its step is a ufunc with an out buffer; and nothing reads
-        # its row after the runner or through a copy — it is not
-        # screened, not reduced, not the condition unit, not skew-padded,
-        # and not under keep_outputs.  Reads never alias a write
+        # it); its step is a ufunc with an out buffer that runs every
+        # issue (not hoisted: a hoisted row is computed once, and its
+        # write copies it each issue); and nothing reads its row after
+        # the runner or through a copy — it is not screened, not
+        # reduced, not the condition unit, not skew-padded, and not
+        # under keep_outputs.  Reads never alias a write
         # (touched_extents declines that), so computing a write early
         # changes no value.
-        screened = report.checked_fus
         in_place: Dict[int, int] = {}
         if not keep_outputs:
-            cond_fu = cond.fu if cond is not None else None
             for j, (src, prog, width) in enumerate(writes):
                 spec = prog.spec
                 if src[0] == "row" and width == n and spec.stride == 1 \
-                        and src[1] in ufunc_step and src[1] not in screened \
+                        and src[1] in ufunc_step and src[1] not in hoisted \
+                        and src[1] not in screened \
                         and src[1] not in copied and src[1] != cond_fu \
                         and sources[src] == 1 \
                         and fills[(spec.device_kind, spec.device)] == 1:
                     in_place[src[1]] = j
         self.in_place = in_place
+        # the steps the runner runs on every issue: neither the hoisted
+        # ones nor a forwarded PASS (its readers read its stream)
+        self.hoisted = tuple(hoisted_steps)
+        runs = list(range(len(steps)))
+        for i in sorted(hoisted_steps + pass_steps, reverse=True):
+            del runs[i]
+        self.runs = tuple(runs)
+
         # the step positions bound to live storage: stream operands, and
         # an in-place unit's row wherever it is read or computed
         for i, pos, fu in row_reads:
@@ -716,6 +793,8 @@ class ImageKernel:
         for fu in in_place:
             i = ufunc_step[fu]
             live[i] = live.get(i, ()) + (len(steps[i]) - 1,)
+        for i in pass_steps:  # a forwarded PASS binds no live view
+            del live[i]
         self.live_steps = tuple((i,) + live[i] for i in sorted(live))
 
         # row slots.  Units pass results through the switch without
@@ -726,21 +805,30 @@ class ImageKernel:
         # the runner are *pinned* to a slot of their own for the whole
         # issue: the screened rows (a contiguous prefix, so the exception
         # screen stays one reduction), the condition row, write-back
-        # sources, and under keep_outputs every row.  An in-place unit
-        # owns no slot: its row is its write view.
-        rows = [fu for fu in image.fu_order if fu not in reduce_fus]
+        # sources, and under keep_outputs every row.  A hoisted row is
+        # pinned for the whole run: it is computed once, at bind.  An
+        # in-place unit owns no slot (its row is its write view), nor
+        # does a forwarded PASS (its row is its stream).
+        # (a reduced unit is never pinned: it is not screened, not read,
+        # and under keep_outputs nothing is reduced)
         pinned = set(screened)
-        pinned.update(src[1] for src, _p, _w in writes if src[0] == "row")
+        pinned |= hoisted
+        for src, _prog, _width in writes:
+            if src[0] == "row":
+                pinned.add(src[1])
         if cond is not None and cond.fu not in reduce_fus:
             pinned.add(cond.fu)
         if keep_outputs:
-            pinned.update(rows)
-        held = [f for f in rows if f in pinned and f not in in_place]
-        slot_of = {fu: slot for slot, fu in enumerate(
-            [f for f in held if f in screened]
-            + [f for f in held if f not in screened])}
-        # the units the scan below leaves alone: pinned, or in place
+            pinned.update(image.fu_order)
+        held = [f for f in image.fu_order if f in pinned and f not in in_place]
+        if screened:  # screened first, each group in unit order
+            held.sort(key=screened.__contains__, reverse=True)
+        slot_of = dict(zip(held, range(len(held))))
+        # the units the scan below leaves alone: pinned, in place, or
+        # forwarded
         assigned = slot_of.keys() | in_place.keys()
+        if self.forwarded:
+            assigned |= self.forwarded.keys()
         n_slots = len(slot_of)
         free: List[int] = []  # a stack: the freshest (cache-hot) slot first
         scratch_slot: Dict[int, int] = {}
@@ -783,8 +871,8 @@ class ImageKernel:
             tuple(sorted(charges.items(), key=_charge_order)),
         )
         # what the runner's text depends on (see _runner_code): one tap
-        # load per feeder and tap pad, one form per step, one copy per
-        # write not computed in place
+        # load per feeder and tap pad, one form per step it runs, one copy
+        # per write not computed in place
         self.runner_shape: Tuple[int, str, int] = (
             len(self.feeder_pads) + len(self.tap_pads),
             "".join(forms),
@@ -855,6 +943,12 @@ class ImageKernel:
                 # the interpreters fault on this too ("needed before it was
                 # produced"); let the stepped path report it
                 raise FusionUnsupported(f"fu{fu} read before it was produced")
+            forwarded = self.forwarded
+            if forwarded and fu in forwarded:
+                # a forwarded PASS is its stream, skew included
+                stream = forwarded[fu]
+                return stream if skew == 0 \
+                    else self._stream_skew(stream[1], skew)
             if skew == 0:
                 return ("row", fu)
             # residual skew (ablation mode): the shifted view is a window
@@ -918,57 +1012,50 @@ class ImageKernel:
         the fused issue cannot express (the fallback path reports those
         at reference fidelity).
         """
-        def resolve(prog: Any) -> int:
+        n_reads = len(self.reads)
+        progs = [prog for _ep, prog in self.reads]
+        progs += [prog for _src, prog, _width in self.writes]
+        read_spans: List[Tuple[int, int, int]] = []  # (plane, lo, hi)
+        for k, prog in enumerate(progs):
             spec = prog.spec
-            if spec.variable is not None:
-                home = variables.get(spec.variable)
+            name = spec.variable
+            if name is None:
+                base = prog.base_offset
+            else:
+                home = variables.get(name)
                 if home is None:
-                    raise FusionUnsupported(
-                        f"unresolved variable {spec.variable!r}"
-                    )
+                    raise FusionUnsupported(f"unresolved variable {name!r}")
                 if home.plane != spec.device:
                     raise FusionUnsupported("variable relocated off its plane")
-                return home.offset + spec.offset
-            return prog.base_offset
-
-        read_spans: List[Tuple[int, int, int]] = []  # (plane, lo, hi)
-        for _ep, prog in self.reads:
-            spec = prog.spec
-            lo, hi = _prog_span(resolve(prog), prog.count, spec.stride)
+                base = home.offset + spec.offset
+            # the lowest and highest+1 words the address walk touches
+            count = prog.count
+            if count:
+                last = base + (count - 1) * spec.stride
+                lo, hi = (base, last + 1) if last >= base else (last, base + 1)
+            else:
+                lo = hi = base
             if lo < 0:
                 raise FusionUnsupported("negative DMA address")
-            if spec.device_kind is DeviceKind.MEMORY:
-                plane_extent[spec.device] = max(
-                    plane_extent.get(spec.device, 0), hi
-                )
-                read_spans.append((spec.device, lo, hi))
-            else:
-                cache_extent[spec.device] = max(
-                    cache_extent.get(spec.device, 0), hi
-                )
-        # the fused issue streams reads as live views (and, on the
-        # exception path, re-derives exact streams after the write-back
-        # already landed), which is only sound when no write destination
-        # overlaps a read stream; cache traffic cannot alias — reads
-        # stream the front buffer, writes fill the back
-        for _src, prog, _width in self.writes:
-            spec = prog.spec
-            lo, hi = _prog_span(resolve(prog), prog.count, spec.stride)
-            if lo < 0:
-                raise FusionUnsupported("negative DMA address")
-            if spec.device_kind is DeviceKind.MEMORY:
-                plane_extent[spec.device] = max(
-                    plane_extent.get(spec.device, 0), hi
-                )
-                for plane, rlo, rhi in read_spans:
-                    if plane == spec.device and lo < rhi and rlo < hi:
-                        raise FusionUnsupported(
-                            "write-back aliases a read stream"
-                        )
-            else:
-                cache_extent[spec.device] = max(
-                    cache_extent.get(spec.device, 0), hi
-                )
+            device = spec.device
+            if spec.device_kind is not _MEMORY:
+                if hi >= cache_extent.get(device, 0):
+                    cache_extent[device] = hi
+                continue
+            if hi >= plane_extent.get(device, 0):
+                plane_extent[device] = hi
+            if k < n_reads:
+                read_spans.append((device, lo, hi))
+                continue
+            # the fused issue streams reads as live views (and, on the
+            # exception path, re-derives exact streams after the
+            # write-back already landed), which is only sound when no
+            # write destination overlaps a read stream; cache traffic
+            # cannot alias — reads stream the front buffer, writes fill
+            # the back
+            for plane, rlo, rhi in read_spans:
+                if plane == device and lo < rhi and rlo < hi:
+                    raise FusionUnsupported("write-back aliases a read stream")
 
     def bind(self, storage: _Storage,
              batch_shape: Tuple[int, ...]) -> "BoundImage":
@@ -1170,8 +1257,12 @@ class BoundImage:
         self._exact: Optional[Dict[int, np.ndarray]] = None
         # pre-resolve every operand that does not depend on storage state;
         # the rest are int indices into the live views (read streams,
-        # then write views), at the kernel's live_steps positions
-        self._ops = [self._bind_step(s) for s in kernel.steps]
+        # then write views), at the kernel's live_steps positions.  A
+        # forwarded PASS binds nothing: no runner call reads its op
+        steps = kernel.steps
+        self._ops: List[Any] = [None] * len(steps)
+        for i in kernel.hoisted + kernel.runs:
+            self._ops[i] = self._bind_step(steps[i])
         # the condition read: the unit's pinned slot (a condition unit
         # never computes in place), or its reduced final
         self._one_row = batch_shape == (1,)
@@ -1268,7 +1359,7 @@ class BoundImage:
                 base = variables[spec.variable].offset + spec.offset
             else:
                 base = prog.base_offset
-            arr = (planes if spec.device_kind is DeviceKind.MEMORY
+            arr = (planes if spec.device_kind is _MEMORY
                    else storage.cache_front)[spec.device]
             streams.append(arr[..., stream_slice(base, prog.count, spec.stride)])
         self._streams = streams
@@ -1279,7 +1370,7 @@ class BoundImage:
                 base = variables[spec.variable].offset + spec.offset
             else:
                 base = prog.base_offset
-            arr = (planes if spec.device_kind is DeviceKind.MEMORY
+            arr = (planes if spec.device_kind is _MEMORY
                    else storage.cache_back)[spec.device]
             views.append(arr[..., stream_slice(base, width, spec.stride)])
 
@@ -1290,6 +1381,13 @@ class BoundImage:
             for pos in positions:
                 resolved[pos] = live[resolved[pos]]
             ops[i] = tuple(resolved)
+        if not self._states:
+            # the first arrangement: compute the hoisted rows, once per
+            # bind (their operands never move, so later arrangements
+            # read the same values)
+            for i in kernel.hoisted:
+                op = ops[i]
+                op[1](*op[2:-1], out=op[-1])
         self._tap_live = [
             (center, streams[read_index])
             for center, read_index in self._pad_centers
@@ -1317,7 +1415,8 @@ class BoundImage:
     def _generate_runner(self, ops: List[Tuple]) -> Any:
         """Emit one specialized Python function for this bound issue.
 
-        Tap loads, every kernel call, and the write-backs become a
+        Tap loads, the kernel calls of every step it runs per issue
+        (:attr:`ImageKernel.runs`), and the write-backs become a
         straight line of statements with all operands bound as argument
         defaults (local loads, no dispatch); non-ufunc steps (feedback,
         reductions, exotic kernels) drop to closures that report whether
@@ -1330,7 +1429,8 @@ class BoundImage:
         for pair in self._tap_live:
             defaults += pair
         static, closures = self._ops, self._closures
-        for i, op in enumerate(ops):
+        for i in self.kernel.runs:
+            op = ops[i]
             k = _INLINE_ARGS.get(op[0])
             if k is not None:
                 defaults += op[1 : 1 + k]
@@ -1360,14 +1460,16 @@ class BoundImage:
             # ndarray.max/min are Python wrappers around these reduces
             reduce = ufunc.reduce
             if not self._one_row:
+                # the finals as a list of floats, one per row (what the
+                # condition reads): testing the list is cheaper than an
+                # isfinite array and its all()
                 def run() -> bool:
                     x = a
                     if use_abs:
                         np.abs(x, out=scratch)
                         x = scratch
-                    final = ufunc(reduce(x, -1), init)
-                    finals[fu] = final
-                    return bool(np.isfinite(final).all())
+                    final = finals[fu] = ufunc(reduce(x, -1), init).tolist()
+                    return all(map(_isfinite, final))
                 return run
             # one stacked row reduces like one machine, to a Python float
             # folded with init as np.maximum / np.minimum fold scalars:
@@ -1382,7 +1484,7 @@ class BoundImage:
                     x = scratch
                 last = float(reduce(x, None))
                 final = last if wins(last, init) or last != last else init
-                finals[fu] = final
+                finals[fu] = [final]
                 return _isfinite(final)
             return run
         if mode == _M_ACCUM:
@@ -1517,9 +1619,9 @@ class BoundImage:
         self._exact = outputs
         return flags
 
-    def condition_last(self) -> Optional[Any]:
-        """The condition unit's final stream element: a Python float on
-        one row, else an array of one per row (None: no condition)."""
+    def condition_last(self) -> Optional[List[float]]:
+        """The condition unit's final stream element of each row, as a
+        fresh list of Python floats (None: no condition)."""
         fu = self._cond_fu
         if fu is None:
             return None
@@ -1529,7 +1631,7 @@ class BoundImage:
             return self._finals[fu]
         else:
             last = self._cond_row
-        return last.item(-1) if self._one_row else last[..., -1]
+        return [last.item(-1)] if self._one_row else last[..., -1].tolist()
 
     def capture_outputs(self) -> Dict[int, np.ndarray]:
         """Row 0's fresh per-FU output streams, for ``keep_outputs`` runs.
@@ -1566,6 +1668,10 @@ _S_BAD_ISSUE = 6
 class ProgramPlan:
     """A compiled control script plus the kernels and extents it needs.
 
+    The script is walked first, so each kernel is built knowing which
+    memory planes the whole run moves (:attr:`moving_planes`: those an
+    issued image writes or a ``SwapVars`` names): only steps over the
+    other planes hoist.
     ``keep_outputs`` compiles every kernel in output-retention mode (full
     per-FU streams, no reduction folding) so the engine
     (:class:`~repro.sim.batchplan.BatchProgramRun`) can snapshot
@@ -1577,13 +1683,33 @@ class ProgramPlan:
         self.program = program
         self.params = params
         self.keep_outputs = keep_outputs
-        self.kernels: Dict[int, ImageKernel] = {}
         self.swap_names: Set[str] = set()
         self.cache_ids: Set[int] = set()
-        self.ops = tuple(self._compile_block(program.control))
-        if not self.kernels:
+        issued: Dict[int, None] = {}  # image indices, in first-issue order
+        self.ops = tuple(self._compile_block(program.control, issued))
+        if not issued:
             # nothing to fuse; the plain walk is already trivial
             raise FusionUnsupported("program issues no pipelines")
+        # the memory planes the run moves: written by an issued image or
+        # holding a swapped variable.  A kernel hoists only steps that
+        # read none of them (see ImageKernel); code that writes planes
+        # outside the script (fused_stepper's halo copy) must write only
+        # these
+        images = program.images
+        layout = program.variable_layout
+        moving = {layout[name][0] for name in self.swap_names
+                  if name in layout}
+        for index in issued:
+            for _driver, _sink, prog in images[index].write_programs:
+                spec = prog.spec
+                if spec.device_kind is _MEMORY:
+                    moving.add(spec.device)
+        self.moving_planes: FrozenSet[int] = frozenset(moving)
+        self.kernels: Dict[int, ImageKernel] = {
+            index: ImageKernel(index, images[index], params, moving,
+                               keep_outputs=keep_outputs)
+            for index in issued
+        }
         # variable homes per the generator's layout: every run's storage
         # binds them (stacked_storage), and a machine must agree at run
         # time or its run falls back
@@ -1614,7 +1740,8 @@ class ProgramPlan:
                 raise FusionUnsupported("extent exceeds cache buffer")
 
     # ------------------------------------------------------------------
-    def _compile_block(self, ops: Sequence[Any]) -> List[Tuple]:
+    def _compile_block(self, ops: Sequence[Any],
+                       issued: Dict[int, None]) -> List[Tuple]:
         out: List[Tuple] = []
         for op in ops:
             if isinstance(op, ExecPipeline):
@@ -1622,20 +1749,14 @@ class ProgramPlan:
                 if not (0 <= index < len(self.program.images)):
                     out.append((_S_BAD_ISSUE, index))
                     continue
-                kernel = self.kernels.get(index)
-                if kernel is None:
-                    kernel = ImageKernel(index, self.program.images[index],
-                                         self.params,
-                                         keep_outputs=self.keep_outputs)
-                    self.kernels[index] = kernel
+                issued[index] = None
                 out.append((_S_ISSUE, index))
             elif isinstance(op, Repeat):
-                out.append(
-                    (_S_REPEAT, op.times, tuple(self._compile_block(op.body)))
-                )
+                out.append((_S_REPEAT, op.times,
+                            tuple(self._compile_block(op.body, issued))))
             elif isinstance(op, LoopUntil):
                 out.append(
-                    (_S_LOOP, tuple(self._compile_block(op.body)),
+                    (_S_LOOP, tuple(self._compile_block(op.body, issued)),
                      op.condition_pipeline, op.max_iterations)
                 )
             elif isinstance(op, SwapVars):
@@ -1782,9 +1903,12 @@ def fused_stepper(stencil: "MultiNodeStencil"):
     global residual, the halo copy and the route-once halo replay, whose
     link traffic ``finish`` settles.  The stencil keeps the run for its
     log (a later run continues it), which its machine build folds;
-    ``finish`` releases the bound images.
+    ``finish`` releases the bound images.  The halo copy writes ``u``'s
+    plane between issues, so a plan that does not move that plane (and
+    might have hoisted a row from it) is declined.
     """
     from repro.sim.batchplan import BatchProgramRun
+    from repro.sim.multinode import global_residual
 
     stack = stencil.stack
     if stack is None:
@@ -1792,6 +1916,11 @@ def fused_stepper(stencil: "MultiNodeStencil"):
     plan = compiled_plan(stencil.machine_program, stencil.params)
     if 0 not in plan.kernels or 1 not in plan.kernels:
         raise FusionUnsupported("multi-node program issues no image 0/1")
+    u = stack.variables["u"]
+    if u.plane not in plan.moving_planes:
+        # the halo copy below writes u's plane between issues: a row
+        # hoisted from it would go stale
+        raise FusionUnsupported("halo plane is not moved by the program")
     n = stencil.n_nodes
     # the stack covers the variables; widen it to the plan's caches (new
     # words read as zeros, as untouched machine storage does)
@@ -1819,7 +1948,6 @@ def fused_stepper(stencil: "MultiNodeStencil"):
     nx, ny, _nz = stencil.shape
     pw = nx * ny
     sweep_words = 2 * (n - 1) * pw
-    u = stack.variables["u"]
     off, nzl = u.offset, stencil.nz_local
 
     def load() -> int:
@@ -1828,11 +1956,7 @@ def fused_stepper(stencil: "MultiNodeStencil"):
         return load_cycles
 
     def sweep():
-        values = run.issue(1)
-        residual = 0.0
-        if values is not None:
-            for value in values:
-                residual = max(residual, value)
+        residual = global_residual(run.issue(1) or ())
         run.swap_vars("u", "u_new")
         comm = comm_plan.exchange()
         if n > 1:

@@ -17,15 +17,21 @@ sends an issue there, the exact one.  The service's machine-less one-row
 run folds the same result with FP interrupts armed, non-finite cases
 included.
 
-Two bindings skip a buffer, and the draws aim at both: an unshifted tap
-reads its feeder's stream (the tap sets mix unshifted and shifted taps,
-or hold only unshifted ones), and a write-back unit may compute straight
-into its write view, which later steps then read.  A leading ``PASS``
-off ``x`` or an unshifted tap reads live storage: under ``keep_outputs``
-with a poisoned input its exact-path output *is* the storage view, so
+Three bindings skip a buffer, and the draws aim at each: an unshifted
+tap reads its feeder's stream (the tap sets mix unshifted and shifted
+taps, or hold only unshifted ones), a write-back unit may compute
+straight into its write view, which later steps then read, and an
+unscreened ``PASS`` of a stream or unshifted tap is forwarded — its
+readers read that stream.  A leading ``PASS`` off ``x``, ``y`` or an
+unshifted tap reads live storage: under ``keep_outputs`` with a poisoned
+input its exact-path output *is* the storage view, so
 ``capture_outputs`` must copy it before the next issue's write-back
-lands there.  ``hypothesis.event`` reports each case's share (run with
-``--hypothesis-show-statistics``).
+lands there.  ``y``'s plane is read-only (nothing writes it, no
+``SwapVars`` names it) while ``x``'s moves under ``Repeat`` and
+``LoopUntil``, so the draws also lead with a chain over ``y`` — steps
+the kernel hoists, computed once per bind — beside steps over ``x``,
+which it must not hoist.  ``hypothesis.event`` reports each case's share
+(run with ``--hypothesis-show-statistics``).
 
 Example counts follow the active hypothesis profile: a handful under the
 default, the ``ci`` profile's count under ``--hypothesis-profile=ci``
@@ -125,14 +131,28 @@ def single_image_programs(draw, live_pass=False):
     units = []
     try:
         if live_pass or draw(st.booleans()):
-            # a PASS straight off live storage: x or an unshifted tap
+            # a PASS straight off live storage: x, y or an unshifted tap
             lead = draw(st.sampled_from(
-                [x] + [tap for tap in taps if tap.shift == 0]
+                [x, y] + [tap for tap in taps if tap.shift == 0]
             ))
             ref = b.apply(Opcode.PASS, lead)
             uses[lead.endpoint] = uses.get(lead.endpoint, 0) + 1
             units.append((ref, [lead]))
             pool.append(ref)
+        if draw(st.booleans()):
+            # a chain over the read-only y alone: loop-invariant steps
+            ref = y
+            for _ in range(draw(st.integers(1, 2))):
+                operand = ref
+                if draw(st.booleans()):
+                    ref = b.apply(draw(st.sampled_from(_UNARY)), operand,
+                                  constant=draw(st.sampled_from((0.5, -2.0))))
+                else:
+                    ref = b.apply(draw(st.sampled_from(_BINARY)), operand,
+                                  ConstOperand(0.25))
+                uses[operand.endpoint] = uses.get(operand.endpoint, 0) + 1
+                units.append((ref, [operand]))
+                pool.append(ref)
         for _ in range(draw(st.integers(2, 10))):
             live = [op for op in pool if uses.get(op.endpoint, 0) < limit]
             # mostly chain off earlier units: chains are what share slots
@@ -364,6 +384,17 @@ def _binding_events(program, keep_outputs, poison, issues):
     if keep_outputs and poison is not None and issues >= 2 \
             and _passes_live_storage(kernel.image):
         event("keep_outputs exact capture of a live-storage PASS, reissued")
+    if kernel.forwarded:
+        event("forwarded PASS")
+    if kernel.hoisted:
+        event("hoisted step, reissued" if issues >= 2 else "hoisted step")
+        hoisted = {kernel.steps[i][-1] for i in kernel.hoisted}
+        if any(step[pos] is not None and step[pos][0] == "row"
+               and step[pos][1] in hoisted
+               for i in kernel.runs
+               for step in (kernel.steps[i],)
+               for pos in progplan._OPERANDS[step[0]]):
+            event("hoisted row read by a per-issue step")
 
 
 _POISON = st.tuples(st.integers(0, 3),

@@ -240,6 +240,20 @@ def _saved(tmp_path, kind):
     return str(path)
 
 
+def _count_opens(monkeypatch, path):
+    """The list of ``open`` calls on *path* from now on."""
+    real_open = open
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == path:
+            opened.append(path)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    return opened
+
+
 def _program_job(path, backend="fast"):
     return SimJob(method="program", program_path=path, backend=backend)
 
@@ -289,6 +303,95 @@ class TestSavedPrograms:
         for record in records:
             record.pop("slab_size")
             assert _computed(record) == _computed(lone)
+
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    def test_a_job_reads_its_file_once(self, monkeypatch, tmp_path,
+                                       backend):
+        path = _saved(tmp_path, "saxpy")
+        opened = _count_opens(monkeypatch, path)
+        record = execute_job(_program_job(path, backend),
+                             cache=ProgramCache())
+        assert record["ok"], record.get("error")
+        assert opened == [path]
+
+    def test_a_slab_reads_each_members_file_once(self, monkeypatch,
+                                                 tmp_path):
+        from repro.service import slab
+
+        path = _saved(tmp_path, "saxpy")
+        opened = _count_opens(monkeypatch, path)
+        records, reason = slab.execute_slab([_program_job(path)] * 2,
+                                            ProgramCache())
+        assert reason is None and [r["slab_size"] for r in records] == [2, 2]
+        assert opened == [path] * 2
+
+    def test_a_file_replaced_between_members_declines_the_slab(
+            self, monkeypatch, tmp_path):
+        """The second member reads other bytes: the slab declines, and
+        each member's rerun records the key of the program it ran."""
+        import hashlib
+
+        path = _saved(tmp_path, "saxpy")
+        replacement = _saved(tmp_path, "jacobi")
+        with open(replacement, "rb") as fh:
+            swapped = fh.read()
+        real_open = open
+        reads = []
+
+        def replacing_open(file, mode="r", *args, **kwargs):
+            if str(file) == path:
+                reads.append(path)
+                if len(reads) == 2:
+                    with real_open(path, "wb") as fh:
+                        fh.write(swapped)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", replacing_open)
+        records = runner.execute_unit({"jobs": [_program_job(path)] * 2},
+                                      cache=ProgramCache())
+        monkeypatch.setattr("builtins.open", real_open)
+        key = hashlib.sha256(swapped).hexdigest()[:20]
+        lone = execute_job(_program_job(path), cache=ProgramCache())
+        for record in records:
+            assert record["ok"], record.get("error")
+            assert record["fallback_reason"] == \
+                "batch_fusion: slab members read different programs"
+            assert record["cache_key"].startswith(key)
+            assert record["program_fingerprint"] \
+                == lone["program_fingerprint"]
+
+    def test_the_key_matches_the_compiled_bytes(self, monkeypatch,
+                                                tmp_path):
+        """The file is replaced right after the job's one read: the
+        record's key and the program it ran are both the original's."""
+        import hashlib
+        import io
+
+        path = _saved(tmp_path, "saxpy")
+        with open(path, "rb") as fh:
+            original = fh.read()
+        expected = execute_job(_program_job(path), cache=ProgramCache())
+        replacement = _saved(tmp_path, "jacobi")
+        real_open = open
+
+        def replacing_open(file, mode="r", *args, **kwargs):
+            if str(file) != path:
+                return real_open(file, mode, *args, **kwargs)
+            with real_open(replacement, "rb") as fh:
+                swapped = fh.read()
+            with real_open(path, "wb") as fh:
+                fh.write(swapped)
+            monkeypatch.setattr("builtins.open", real_open)
+            return io.BytesIO(original)
+
+        monkeypatch.setattr("builtins.open", replacing_open)
+        record = execute_job(_program_job(path), cache=ProgramCache())
+        assert record["ok"], record.get("error")
+        assert record["cache_key"].startswith(
+            hashlib.sha256(original).hexdigest()[:20])
+        assert record["program_fingerprint"] \
+            == expected["program_fingerprint"]
+        assert _computed(record) == _computed(expected)
 
     def test_declined_program_reruns_on_the_reference_walk(
             self, monkeypatch, tmp_path):

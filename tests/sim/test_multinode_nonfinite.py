@@ -52,8 +52,10 @@ class TestNonFiniteHypercube:
 
     def test_residuals_and_cycles_match(self, runs):
         (_s_ref, r_ref, _), (_s_fast, r_fast, _) = runs
-        # nan residuals fold to 0.0 on both paths; eps=0 never converges
+        # a nan node residual makes the global one nan on both paths;
+        # eps=0 never converges anyway
         assert r_fast.iterations == r_ref.iterations == 4
+        assert all(np.isnan(r) for r in r_fast.residual_history)
         assert r_fast.compute_cycles == r_ref.compute_cycles
         assert r_fast.flops == r_ref.flops
         np.testing.assert_array_equal(
@@ -85,3 +87,19 @@ class TestNonFiniteHypercube:
         ]
         assert ref_fp
         assert fast_fp == []
+
+
+@pytest.mark.parametrize("backend", ["reference", "fast"])
+def test_nan_residual_never_converges(backend):
+    """An all-NaN grid has a NaN residual on every node: the global
+    residual stays NaN, so even a loose eps runs to the bound, as a
+    single node's LoopUntil never fires on NaN."""
+    stencil = MultiNodeStencil(
+        hypercube_dim=2, shape=SHAPE, eps=1e-3, backend=backend
+    )
+    stencil.scatter("u", np.full(SHAPE[::-1], np.nan))
+    result = stencil.run(max_iterations=5)
+    assert not result.converged
+    assert result.iterations == 5
+    assert len(result.residual_history) == 5
+    assert all(np.isnan(r) for r in result.residual_history)

@@ -7,8 +7,11 @@ every row under ``keep_outputs`` — keep a slot of their own, except a
 write-back source that computes straight into its write view
 (``ImageKernel.in_place``), which owns no slot.  Operands bound in place
 of a buffer are pinned here too: an unshifted shift/delay tap reads its
-feeder's stream, so only shifted taps get a pad.  These tests pin the
-allocation itself; the engines' bit-identity over random programs is
+feeder's stream, so only shifted taps get a pad, and a forwarded PASS
+(``ImageKernel.forwarded``) binds its readers to its stream and owns no
+slot.  A loop-invariant step (``ImageKernel.hoisted``) runs once per
+bind into a pinned slot.  These tests pin the allocation itself; the
+engines' bit-identity over random programs is
 ``tests/property/test_slot_aliasing_property.py``.
 """
 
@@ -17,6 +20,7 @@ import pytest
 
 from repro.analysis import screen_coverage
 from repro.arch.funcunit import Opcode
+from repro.arch.switch import DeviceKind
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.builders import PipelineBuilder
 from repro.compose.iterative import build_rbsor_program, load_rbsor_inputs
@@ -27,8 +31,9 @@ from repro.sim.machine import NSCMachine
 from repro.sim.multinode import MultiNodeStencil
 
 
-def _jacobi(node, shape=(16, 16, 16), auto_balance=True, max_iterations=20):
-    setup = build_jacobi_program(node, shape, eps=1e-4,
+def _jacobi(node, shape=(16, 16, 16), auto_balance=True, max_iterations=20,
+            eps=1e-4):
+    setup = build_jacobi_program(node, shape, eps=eps,
                                  max_iterations=max_iterations)
     program = MicrocodeGenerator(node, auto_balance=auto_balance).generate(
         setup.program
@@ -92,6 +97,27 @@ def _unshifted_taps(node, n=32):
     prog.add_control(Repeat(body=(ExecPipeline(0), SwapVars("x", "r")),
                             times=3))
     return None, MicrocodeGenerator(node).generate(prog)
+
+
+def _skewed_pass(node, n=32):
+    """``r = PASS(x) + (-(-x))`` and ``s = -PASS(x)``, built without
+    balancing: the PASS reaches the add ahead of the negation chain, so
+    the add reads it through residual skew, and the unskewed negation
+    covers it (a PASS with only skewed readers is screened)."""
+    prog = VisualProgram(name="skewed-pass")
+    prog.declare("x", plane=0, length=n)
+    prog.declare("r", plane=1, length=n)
+    prog.declare("s", plane=2, length=n)
+    b = PipelineBuilder(node, prog, vector_length=n)
+    x = b.read_var("x")
+    relay = b.apply(Opcode.PASS, x)
+    chain = b.apply(Opcode.FNEG, b.apply(Opcode.FNEG, x))
+    b.write_var(b.apply(Opcode.FADD, relay, chain), "r")
+    b.write_var(b.apply(Opcode.FNEG, relay), "s")
+    b.build()
+    prog.add_control(Repeat(body=(ExecPipeline(0), SwapVars("x", "r")),
+                            times=3))
+    return None, MicrocodeGenerator(node, auto_balance=False).generate(prog)
 
 
 _PROGRAMS = {
@@ -361,4 +387,212 @@ class TestInPlaceNonFinite:
         ref, fused = runs
         # FP flags come only from the exact re-evaluation
         assert any(flags for flags, *_rest in fused[0])
+        assert fused == ref
+
+
+def _fh2_step(kernel):
+    """The index of *kernel*'s ``f * h^2`` step: FSCALE of ``f``'s
+    stream."""
+    (index,) = [
+        i for i, step in enumerate(kernel.steps)
+        if step[0] == progplan._M_CONST and step[2][0] == "stream"
+        and kernel.reads[step[2][1]][1].spec.variable == "f"
+    ]
+    return index
+
+
+def _moving_planes(plan):
+    """Planes a plan's images write or its SwapVars name, derived from
+    the compiled kernels and the plan's variable homes."""
+    moving = {plan.variables[name].plane for name in plan.swap_names}
+    for kernel in plan.kernels.values():
+        moving.update(prog.spec.device for _src, prog, _w in kernel.writes
+                      if prog.spec.device_kind is DeviceKind.MEMORY)
+    return moving
+
+
+_SWEEPS = {
+    "jacobi": lambda node: _jacobi(node, (6, 6, 6)),
+    "rbsor": _rbsor,
+    "hypercube": _hypercube,
+}
+
+
+class TestHoisting:
+    @pytest.mark.parametrize("name", sorted(_SWEEPS))
+    def test_sweeps_hoist_exactly_the_fh2_step(self, node, name):
+        _setup, program = _SWEEPS[name](node)
+        plan = progplan.compiled_plan(program, node.params)
+        sweeps = [k for k in plan.kernels.values() if k.steps]
+        assert len(sweeps) == (2 if name == "rbsor" else 1)
+        for kernel in plan.kernels.values():
+            if not kernel.steps:
+                assert kernel.hoisted == ()
+                continue
+            fh2 = _fh2_step(kernel)
+            assert kernel.hoisted == (fh2,)
+            assert fh2 not in kernel.runs
+            # pinned: its slot is its own for the whole run
+            assert _held_alone(kernel, kernel.steps[fh2][-1])
+
+    @pytest.mark.parametrize("name", sorted(_PROGRAMS) + ["hypercube",
+                                                         "unshifted"])
+    def test_no_moving_plane_or_cache_read_is_a_source(self, node, name):
+        if name == "hypercube":
+            program = _hypercube(node)[1]
+        elif name == "unshifted":
+            program = _unshifted_taps(node)[1]
+        else:
+            program = _PROGRAMS[name](node)[1]
+        plan = progplan.compiled_plan(program, node.params)
+        moving = _moving_planes(plan)
+        assert plan.moving_planes == moving
+        for kernel in plan.kernels.values():
+            hoisted_units = {kernel.steps[i][-1] for i in kernel.hoisted}
+            for i in kernel.hoisted:
+                for kind, key in _reads(kernel.steps[i]):
+                    assert kind in ("const", "stream", "row")
+                    if kind == "row":
+                        assert key in hoisted_units
+                    elif kind == "stream":
+                        spec = kernel.reads[key][1].spec
+                        assert spec.device_kind is DeviceKind.MEMORY
+                        assert spec.device not in moving
+
+    def test_a_swapped_plane_hoists_nothing(self, node):
+        """``_unshifted_taps`` swaps ``x``, the plane every step reads."""
+        (kernel,) = _kernels_of(node, _unshifted_taps(node)[1])
+        assert kernel.hoisted == ()
+
+    def test_a_halo_plane_the_plan_does_not_move_declines(self, node,
+                                                          monkeypatch):
+        """The hypercube stepper writes ``u``'s plane between issues (the
+        halo copy): under a plan that counted that plane as fixed, a
+        hoisted row could go stale, so the stepper declines and the
+        stencil runs the reference walk, with the reference's results."""
+        def stencil(backend):
+            return MultiNodeStencil(node.params, hypercube_dim=2,
+                                    shape=(8, 8, 8), backend=backend)
+
+        fast = stencil("fast")
+        plan = progplan.ProgramPlan(fast.machine_program, node.params)
+        u_plane = plan.variables["u"].plane
+        assert u_plane in plan.moving_planes
+        plan.moving_planes = plan.moving_planes - {u_plane}
+        monkeypatch.setattr(progplan, "compiled_plan",
+                            lambda *args, **kwargs: plan)
+        with pytest.raises(progplan.FusionUnsupported, match="halo plane"):
+            progplan.fused_stepper(fast)
+        ref = stencil("reference")
+        r_fast, r_ref = fast.run(max_iterations=3), ref.run(max_iterations=3)
+        assert fast.fused is None  # the engine never bound
+        assert r_fast.residual_history == r_ref.residual_history
+        np.testing.assert_array_equal(fast.gather("u"), ref.gather("u"))
+
+    def test_the_hoisted_ufunc_runs_once_per_bind(self, node, rng):
+        setup, program = _jacobi(node, (6, 6, 6), max_iterations=50,
+                                 eps=0.0)
+        # a private plan: the cached one must not see the counting ufuncs
+        plan = progplan.ProgramPlan(program, node.params)
+        kernel = plan.kernels[1]
+        calls = {"hoisted": 0, "per_issue": 0}
+
+        def counting(ufunc, key):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return ufunc(*args, **kwargs)
+            return call
+
+        (h,) = kernel.hoisted
+        step = kernel.steps[h]
+        kernel.steps[h] = step[:1] + (counting(step[1], "hoisted"),) \
+            + step[2:]
+        j = kernel.runs[0]
+        step = kernel.steps[j]
+        kernel.steps[j] = step[:1] + (counting(step[1], "per_issue"),) \
+            + step[2:]
+        for binds in (1, 2):
+            storage = progplan.stacked_storage(
+                plan.variables, 2, plan.plane_extent, plan.cache_extent)
+            load_jacobi_inputs(storage, setup, rng.random((6, 6, 6)),
+                               rng.standard_normal((6, 6, 6)))
+            run = batchplan.BatchProgramRun(plan, storage, 2, 1_000_000)
+            run.run()
+            assert run.loop_iterations == [{1: 50}, {1: 50}]
+            assert calls == {"hoisted": binds, "per_issue": 50 * binds}
+
+    def test_rbsor_pass_is_forwarded_and_owns_no_slot(self, node):
+        for kernel in _kernels(node, "rbsor"):
+            passes = [i for i, step in enumerate(kernel.steps)
+                      if step[0] == progplan._M_COPY]
+            assert len(passes) == 1
+            (i,) = passes
+            fu = kernel.steps[i][-1]
+            assert kernel.forwarded == {fu: kernel.steps[i][1]}
+            assert kernel.forwarded[fu][0] == "stream"
+            assert fu not in kernel.slot_of
+            assert i not in kernel.runs and i not in kernel.hoisted
+            # its readers read its stream
+            assert all(("row", fu) not in _reads(step)
+                       for step in kernel.steps)
+            # two passes fewer per issue: the PASS and f * h^2
+            assert len(kernel.runs) == len(kernel.steps) - 2
+
+    def test_a_skewed_read_of_a_forwarded_pass_reads_its_stream(self,
+                                                                node):
+        """As with an unshifted tap, a skewed read of a forwarded PASS
+        is a window into its stream's pad: no row, no row pad."""
+        _setup, program = _skewed_pass(node)
+        (kernel,) = _kernels_of(node, program)
+        (fu,) = kernel.forwarded
+        assert fu not in kernel.slot_of
+        assert kernel.row_pads == []
+        (read_index,) = {r for r, *_pad in kernel.feeder_pads}
+        assert kernel.forwarded[fu] == ("stream", read_index)
+        runs = []
+        for backend in ("reference", "fast"):
+            machine = NSCMachine(node, backend=backend)
+            machine.load_program(program)
+            machine.set_variable("x", np.linspace(-1.0, 1.0, 32))
+            if backend == "reference":
+                result = machine.run()
+            else:
+                result = batchplan.try_run_fused(machine, program, 1_000)
+            runs.append(_bits(result, machine, ("x", "r", "s")))
+        assert runs[0] == runs[1]
+
+    def test_keep_outputs_forwards_no_pass(self, node):
+        for kernel in _kernels(node, "rbsor", keep_outputs=True):
+            assert kernel.forwarded == {}
+
+    @pytest.mark.parametrize("name", ["jacobi", "rbsor"])
+    def test_inf_in_f_logs_the_reference_flags(self, node, rng, name):
+        """The hoisted row holds f * h^2 = inf for the whole run: every
+        issue takes the exact path and logs the reference's FP flags."""
+        shape = (6, 6, 6)
+        if name == "jacobi":
+            setup, program = _jacobi(node, shape, max_iterations=6)
+            load, names = load_jacobi_inputs, ("u", "u_new")
+        else:
+            setup, program = _rbsor(node, shape)
+            load, names = load_rbsor_inputs, ("u",)
+        u0 = rng.random(shape)
+        f = rng.standard_normal(shape)
+        f[3, 2, 2] = np.inf
+        runs = []
+        with np.errstate(all="ignore"):
+            for backend in ("reference", "fast"):
+                machine = NSCMachine(node, backend=backend)
+                machine.load_program(program)
+                load(machine, setup, u0, f)
+                if backend == "reference":
+                    result = machine.run()
+                else:
+                    result = batchplan.try_run_fused(machine, program,
+                                                     1_000_000)
+                    assert result is not None
+                runs.append(_bits(result, machine, names))
+        ref, fused = runs
+        sweeps = [flags for flags, *_rest in fused[0]][1:]
+        assert sweeps and all(sweeps)
         assert fused == ref

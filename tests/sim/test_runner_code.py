@@ -8,7 +8,7 @@ import pytest
 from repro.arch.funcunit import Opcode
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.builders import PipelineBuilder
-from repro.diagram.program import ExecPipeline, Halt, VisualProgram
+from repro.diagram.program import ExecPipeline, Halt, SwapVars, VisualProgram
 from repro.service.jobs import SimJob
 from repro.service.runner import BatchRunner
 from repro.sim.fastpath import PLAN_CACHE
@@ -20,17 +20,20 @@ X, Y = np.random.default_rng(5).standard_normal((2, N))
 
 
 def _binary_program(node, opcode):
-    """``out <- opcode(x, y)``; PASS units keep each unit on one plane."""
+    """``out <- opcode(-x, y)``; the FNEG and a PASS keep each unit on
+    one plane.  The script swaps ``x`` and ``y`` after the issue, so no
+    step is loop-invariant: every step stays in the runner."""
     prog = VisualProgram(name=f"binary-{opcode.value}")
     prog.declare("x", plane=0, length=N, initializer="user")
     prog.declare("y", plane=1, length=N, initializer="user")
     prog.declare("out", plane=2, length=N)
     b = PipelineBuilder(node, prog, vector_length=N)
-    x = b.apply(Opcode.PASS, b.read_var("x"))
+    x = b.apply(Opcode.FNEG, b.read_var("x"))
     z = b.apply(opcode, x, b.read_var("y"))
     b.write_var(b.apply(Opcode.PASS, z), "out")
     b.build()
     prog.add_control(ExecPipeline(0))
+    prog.add_control(SwapVars("x", "y"))
     prog.add_control(Halt())
     return MicrocodeGenerator(node).generate(prog)
 
@@ -62,8 +65,8 @@ def test_keyword_out_never_shares_a_positional_runner(node, opcode, ufunc):
     assert code is not add_code
     assert _passes_out_by_keyword(code)
     assert not _passes_out_by_keyword(add_code)
-    np.testing.assert_array_equal(add_out, X + Y)
-    np.testing.assert_array_equal(out, ufunc(X, Y))
+    np.testing.assert_array_equal(add_out, -X + Y)
+    np.testing.assert_array_equal(out, ufunc(-X, Y))
 
 
 def test_same_shape_reuses_the_code_object(node):

@@ -31,6 +31,30 @@ def test_profile_sim_reports_every_stage(capsys):
         assert 0.0 < per_issue < p50[stage] * 1e3, stage
 
 
+def test_step_counts_come_from_the_bound_kernels(capsys):
+    """Counted from the images the engines issued, not timed: the
+    hypercubes issue their mask load (no steps) then 20 sweeps of 12
+    steps (the sweep's 13 minus the hoisted f * h^2); every run hoists
+    f * h^2 from each sweep image — one in a Jacobi run, two in an
+    RB-SOR run (its red and black phases)."""
+    assert profile_sim.main(["-n", "1", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["multinode_passes_per_issue"] == 12 * 20 / 21
+    assert report["multinode_hoisted_per_bind"] == 1.0
+    # the Jacobi (12 steps) and RB-SOR slabs (12 of 14: the PASS of u
+    # is forwarded too) and their one load issue each
+    assert 11.0 < report["slab_passes_per_issue"] < 12.0
+    assert report["slab_hoisted_per_bind"] == (1 + 2) / 2
+
+
+def test_step_counts_divide_by_issues_and_runs():
+    raw = {"slab_kernel_calls": 4, "slab_passes": 30, "slab_binds": 2,
+           "slab_hoisted": 3, "multinode_kernel_calls": 0}
+    assert profile_sim.step_counts(raw) == {
+        "slab_passes_per_issue": 7.5, "slab_hoisted_per_bind": 1.5}
+    assert profile_sim.step_counts({}) == {}
+
+
 def test_per_issue_divides_kernel_seconds_by_calls():
     raw = {"slab_kernel": 0.006, "slab_kernel_calls": 300,
            "multinode_kernel": 0.0, "multinode_kernel_calls": 0}
@@ -43,6 +67,9 @@ def test_table_reports_per_issue_lines(capsys):
     out = capsys.readouterr().out
     for stage in profile_sim.PER_ISSUE:
         assert f"{stage}_us_per_issue" in out
+    for engine in profile_sim.ENGINES:
+        assert f"{engine}_passes_per_issue" in out
+        assert f"{engine}_hoisted_per_bind" in out
 
 
 def test_batches_are_seeded_and_sim_heavy_shaped():

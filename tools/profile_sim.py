@@ -27,6 +27,13 @@ p50 of each per op in milliseconds — the kernel-time vs Python-dispatch
 split of the simulator engines — and, per engine, the p50 of its kernel
 seconds divided by its ``issue_compute`` calls in microseconds
 (``slab_kernel_us_per_issue``, ``multinode_kernel_us_per_issue``).
+Per engine it also counts, untimed, from the bound images it issued:
+the kernel steps one issue's runner runs, each one pass over the rows
+(``slab_passes_per_issue``, ``multinode_passes_per_issue``: the mean
+over the op's issues, tap loads and write copies not counted), and the
+loop-invariant steps a run's bound images hoist out of their issues
+(``slab_hoisted_per_bind``, ``multinode_hoisted_per_bind``: the mean
+over the op's runs).
 
 Usage::
 
@@ -41,6 +48,7 @@ import random
 import statistics
 import sys
 import time
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
@@ -71,6 +79,9 @@ STAGES = (
 #: kernel stages also reported per ``issue_compute`` call
 PER_ISSUE = ("slab_kernel", "multinode_kernel")
 
+#: the engines whose bound images' step counts are reported
+ENGINES = ("slab", "multinode")
+
 #: initial-guess seeds each solver draws from
 SEEDS = 32
 PER_SOLVER = (("jacobi", 4), ("rb-sor", 2))
@@ -97,16 +108,39 @@ def draw(rng: random.Random) -> List[SimJob]:
 @contextmanager
 def stage_clocks() -> Iterator[Dict[str, float]]:
     """Accumulate seconds per raw clock while patched entry points run,
-    and each clock's call count under ``"<clock>_calls"``."""
+    and each clock's call count under ``"<clock>_calls"``; per engine,
+    the runner steps its issues ran (``"<engine>_passes"``), the runs
+    it bound (``"<engine>_binds"``) and the steps their bound images
+    hoist (``"<engine>_hoisted"``)."""
     spent: Dict[str, float] = {}
     scope = ["other"]
     undo: List[Any] = []
+    # the bound images and run storages already counted (a run binds
+    # every image of its plan over one storage)
+    seen: "weakref.WeakSet[Any]" = weakref.WeakSet()
+
+    def count(name: str, value: int) -> None:
+        spent[name] = spent.get(name, 0) + value
+
+    def count_steps(bound: Any) -> None:
+        engine = scope[0]
+        kernel = bound.kernel
+        count(f"{engine}_passes", len(kernel.runs))
+        if bound not in seen:
+            seen.add(bound)
+            count(f"{engine}_hoisted", len(kernel.hoisted))
+            if bound.storage not in seen:
+                seen.add(bound.storage)
+                count(f"{engine}_binds", 1)
 
     def patch(owner: Any, attr: str, clock: Callable[..., str],
-              inner: Optional[str] = None) -> None:
+              inner: Optional[str] = None,
+              observe: Optional[Callable[[Any], None]] = None) -> None:
         original = owner.__dict__[attr]
 
         def timed(*args: Any, **kwargs: Any) -> Any:
+            if observe is not None:
+                observe(args[0])
             name = clock()
             outer = scope[0]
             if inner is not None:
@@ -126,7 +160,7 @@ def stage_clocks() -> Iterator[Dict[str, float]]:
     patch(batchplan.BatchProgramRun, "run", lambda: "slab_run", "slab")
     patch(batchplan.BatchProgramRun, "job", lambda: "slab_fold")
     patch(progplan.BoundImage, "issue_compute",
-          lambda: f"{scope[0]}_kernel")
+          lambda: f"{scope[0]}_kernel", observe=count_steps)
     patch(MultiNodeStencil, "__init__", lambda: "multinode_init")
     patch(MultiNodeStencil, "scatter", lambda: "multinode_scatter")
     patch(MultiNodeStencil, "run", lambda: "multinode_run", "multinode")
@@ -170,9 +204,24 @@ def per_issue_us(raw: Dict[str, float]) -> Dict[str, float]:
     }
 
 
+def step_counts(raw: Dict[str, float]) -> Dict[str, float]:
+    """Per engine that issued in one op's raw clocks: runner steps per
+    issue and hoisted steps per run."""
+    counts = {}
+    for engine in ENGINES:
+        calls = raw.get(f"{engine}_kernel_calls")
+        if calls:
+            counts[f"{engine}_passes_per_issue"] = \
+                raw[f"{engine}_passes"] / calls
+            counts[f"{engine}_hoisted_per_bind"] = \
+                raw[f"{engine}_hoisted"] / raw[f"{engine}_binds"]
+    return counts
+
+
 def profile(n: int, seed: int) -> Tuple[Dict[str, float], Dict[str, float]]:
     """p50 milliseconds per sub-stage (and ``total``) over *n* ops, and
-    the p50 microseconds per issue of each kernel stage."""
+    the p50 of each per-issue figure: microseconds per issue of each
+    kernel stage, and each engine's step counts (:func:`step_counts`)."""
     rng = random.Random(f"profile_sim:{seed}")
     cache = ProgramCache()
 
@@ -184,7 +233,8 @@ def profile(n: int, seed: int) -> Tuple[Dict[str, float], Dict[str, float]]:
 
     run_op(draw(rng))  # warm: compile, plans, runner code, imports
     per_stage: Dict[str, List[float]] = {stage: [] for stage in STAGES}
-    per_issue: Dict[str, List[float]] = {stage: [] for stage in PER_ISSUE}
+    per_issue: Dict[str, List[float]] = {
+        f"{stage}_us_per_issue": [] for stage in PER_ISSUE}
     totals: List[float] = []
     with stage_clocks() as spent:
         for _ in range(n):
@@ -196,12 +246,14 @@ def profile(n: int, seed: int) -> Tuple[Dict[str, float], Dict[str, float]]:
             for stage, value in split(spent, total).items():
                 per_stage[stage].append(value * 1e3)
             for stage, value in per_issue_us(spent).items():
-                per_issue[stage].append(value)
+                per_issue[f"{stage}_us_per_issue"].append(value)
+            for name, value in step_counts(spent).items():
+                per_issue.setdefault(name, []).append(value)
             totals.append(total * 1e3)
     p50 = {stage: statistics.median(v) for stage, v in per_stage.items()}
     p50["total"] = statistics.median(totals)
-    return p50, {f"{stage}_us_per_issue": statistics.median(v)
-                 for stage, v in per_issue.items() if v}
+    return p50, {name: statistics.median(v)
+                 for name, v in per_issue.items() if v}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -216,17 +268,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("-n must be at least 1")
-    p50, us_per_issue = profile(args.n, args.seed)
+    p50, per_issue = profile(args.n, args.seed)
     if args.json:
         report = {"ops": args.n, "seed": args.seed, "p50_ms": p50,
-                  **us_per_issue}
+                  **per_issue}
         print(json.dumps(report, sort_keys=True))
         return 0
     print(f"profile_sim: {args.n} ops (seed {args.seed}), p50 ms per sub-stage")
     for stage, value in p50.items():
         print(f"  {stage:<17} {value:8.3f}")
-    print("p50 us per issue_compute call")
-    for name, value in us_per_issue.items():
+    print("p50 us per issue_compute call, runner steps per issue and "
+          "hoisted steps per bind")
+    for name, value in per_issue.items():
         print(f"  {name:<29} {value:8.2f}")
     return 0
 
