@@ -26,14 +26,8 @@ from repro.analysis.plansafety import fusion_eligibility, screen_coverage
 from repro.analysis.verdict import AnalysisVerdict, FindingCollector
 
 
-def analyze_program(
-    program: MachineProgram, keep_outputs: bool = False
-) -> AnalysisVerdict:
-    """Statically analyze *program*; never executes anything.
-
-    ``keep_outputs`` matters only for the fusion metadata (capture
-    plans decline batching); findings are capture-independent.
-    """
+def analyze_program(program: MachineProgram) -> AnalysisVerdict:
+    """Statically analyze *program*; never executes anything."""
     with obs.span("analyze", program=program.name):
         params = program.layout.params
         n_fus = program.layout.n_fus
@@ -46,9 +40,7 @@ def analyze_program(
             )
         issues_walked = walk_program(program, collector)
 
-        eligible, reasons = fusion_eligibility(
-            program, keep_outputs=keep_outputs
-        )
+        eligible, reasons = fusion_eligibility(program)
         sites = set()
         for image in program.images:
             for ep in image.read_programs:
@@ -57,7 +49,7 @@ def analyze_program(
                 sites.add((sink.kind, sink.device))
 
         checked = tuple(
-            tuple(sorted(screen_coverage(image, keep_outputs).checked_fus))
+            tuple(sorted(screen_coverage(image).checked_fus))
             for image in program.images
         )
         verdict = AnalysisVerdict(

@@ -93,9 +93,7 @@ class ScreenReport:
     checked_fus: FrozenSet[int]
 
 
-def screen_coverage(
-    image: PipelineImage, keep_outputs: bool = False
-) -> ScreenReport:
+def screen_coverage(image: PipelineImage) -> ScreenReport:
     """The fused engine's exception-screen planning for *image*.
 
     Computed from the :class:`PipelineImage` wiring alone — no plan
@@ -122,8 +120,7 @@ def screen_coverage(
             fb = None
         if fb is not None:
             if (
-                not keep_outputs
-                and opcode in REDUCIBLE_OPS
+                opcode in REDUCIBLE_OPS
                 and fu not in consumed
                 and fb.value is not None
                 and math.isfinite(float(fb.value))
@@ -207,7 +204,7 @@ def _scan_control(
 
 
 def fusion_eligibility(
-    program: MachineProgram, keep_outputs: bool = False
+    program: MachineProgram,
 ) -> Tuple[bool, Tuple[str, ...]]:
     """Can *program* run as a batch slab?  ``(eligible, decline reasons)``.
 
@@ -218,8 +215,6 @@ def fusion_eligibility(
     first decline always listed first.
     """
     reasons: List[str] = []
-    if keep_outputs:
-        reasons.append("keep_outputs capture in batch slab")
     # MachineProgram.control is already the effective (resolved) script —
     # the generator stores ``VisualProgram.effective_control()``.
     _scan_control(program.images, tuple(program.control), False, reasons)

@@ -10,7 +10,8 @@ disagree).
 
 Scenarios:
 
-- ``jacobi_single`` — the paper's Eq. 1 example to convergence on one node;
+- ``jacobi_single`` — the paper's Eq. 1 example to convergence on one node
+  (the fast side is a slab of one, as the service runs a lone job);
 - ``jacobi_multinode`` — the 64-node hypercube system (§2), one z-plane per
   slab, fixed sweep count: the headline fast-path scenario;
 - ``batch_service`` — Poisson solver jobs through the batch service,
@@ -20,11 +21,10 @@ Scenarios:
   compiled engine (:mod:`repro.sim.progplan`) against the reference;
 - ``hypercube_scaling`` — the fused multi-node schedule across 8/16/32/64
   nodes, emitting per-node-count throughput;
-- ``fused_coverage`` — the formerly-fallback program classes through the
+- ``fused_coverage`` — a formerly-fallback program class through the
   fused engine: a multi-node residual-skew *ablation* build (timed,
-  gated at :data:`FUSED_COVERAGE_MIN_SPEEDUP` full), plus
-  ``keep_outputs`` and rearmed-interrupt runs with bit-identical
-  streams and proof the compiled engine accepted each;
+  gated at :data:`FUSED_COVERAGE_MIN_SPEEDUP` full) with proof the
+  compiled engine accepted it;
 - ``batch_fused`` — the one scenario whose two sides are batch-fusion
   modes, not backends: one seeded same-program sweep through the serial
   service twice, per-job fused (``batch_fusion="off"``) vs whole-batch
@@ -47,6 +47,7 @@ exits non-zero when any recorded speedup falls more than
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from pathlib import Path
@@ -77,6 +78,9 @@ class BenchError(ValueError):
 
 
 def _timed(fn: Callable[[], Any]) -> Tuple[Any, float]:
+    # start every timed call with no cyclic-GC debt: collections owed
+    # for what earlier scenarios allocated must not land in this window
+    gc.collect()
     start = time.perf_counter()
     out = fn()
     return out, time.perf_counter() - start
@@ -120,47 +124,117 @@ def _finish(
 # ----------------------------------------------------------------------
 # scenarios
 # ----------------------------------------------------------------------
-def _scenario_jacobi_single(quick: bool) -> Dict[str, Any]:
+def _run_slab_of_one(
+    program: Any, node: Any, load: Callable[[Any], None]
+) -> Tuple[Any, Any, Any]:
+    """Run *program* as the service runs a lone fast job: one
+    :class:`~repro.sim.batchplan.BatchProgramRun` over one stacked row
+    that *load* fills.  Returns ``(run, job totals, final u row)``; a
+    decline raises :class:`~repro.sim.progplan.FusionUnsupported`
+    instead of timing a reference walk."""
+    from repro.sim import batchplan, progplan
+
+    plan = batchplan.compiled_plan(program, node.params)
+    storage = progplan.stacked_storage(
+        plan.variables, 1, plan.plane_extent, plan.cache_extent
+    )
+    load(storage)
+    run = batchplan.BatchProgramRun(plan, storage, 1, 1_000_000)
+    run.run()
+    uvar = plan.variables["u"]
+    u = storage.planes[uvar.plane][0, uvar.offset : uvar.end].copy()
+    return run, run.job(0), u
+
+
+def _parity_checks(
+    node: Any, machine: Any, result: Any, run: Any, job: Any, u: Any
+) -> Dict[str, bool]:
+    """A reference machine run against a slab of one fed the same
+    inputs: grid, cycles, flops, convergence, metrics and the delivered
+    interrupts by kind (the slab folds counts, not a stream)."""
+    from collections import Counter
+
+    from repro.arch.interrupts import InterruptKind
+
+    delivered = Counter(i.kind for i in machine.interrupts.delivered)
+    folded = {
+        InterruptKind.PIPELINE_COMPLETE: job.instructions,
+        InterruptKind.CONDITION_TRUE: job.conditions_true,
+        InterruptKind.CONDITION_FALSE: job.conditions_false,
+    }
+    return {
+        "grids_identical": bool(np.array_equal(machine.get_variable("u"), u)),
+        "cycles_equal": result.total_cycles == job.cycles,
+        "flops_equal": result.total_flops == job.flops,
+        "loop_iterations_equal": result.loop_iterations == run.loop_iterations[0],
+        "converged_all": bool(result.converged) and bool(run.converged[0]),
+        "metrics_equal": (
+            machine.metrics(result).summary() == job.metrics(node).summary()
+        ),
+        "interrupts_equal": delivered == Counter(folded),
+    }
+
+
+def _single_node_jacobi(
+    name: str, quick: bool, n: int, eps: float, max_iterations: int, reps: int
+) -> Dict[str, Any]:
+    """The Eq. 1 Jacobi example on one node to convergence: a reference
+    machine against a slab of one fed the same inputs, each side
+    best-of-*reps*, with full parity checks."""
+    from repro.apps.poisson3d import manufactured_solution
     from repro.arch.node import NodeConfig
     from repro.codegen.generator import MicrocodeGenerator
     from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
     from repro.sim.machine import NSCMachine
 
-    n = 8 if quick else 12
-    eps = 1e-5
     shape = (n, n, n)
     node = NodeConfig()
-    setup = build_jacobi_program(node, shape, eps=eps, max_iterations=5000)
+    setup = build_jacobi_program(
+        node, shape, eps=eps, max_iterations=max_iterations
+    )
     program = MicrocodeGenerator(node).generate(setup.program)
-    from repro.apps.poisson3d import manufactured_solution
-
     _u_star, f, _h = manufactured_solution(shape, h=setup.h)
 
-    runs: Dict[str, Any] = {}
-    sides: Dict[str, Dict[str, Any]] = {}
-    for backend in BACKENDS:
-        machine = NSCMachine(node, backend=backend)
-        machine.load_program(program)
-        load_jacobi_inputs(machine, setup, np.zeros(shape), f)
-        result, wall = _timed(machine.run)
-        sweeps = result.loop_iterations.get(setup.update_pipeline, 0)
-        runs[backend] = (machine, result)
-        sides[backend] = _side(wall, result.total_cycles, sweeps=sweeps)
+    def load(target: Any) -> None:
+        load_jacobi_inputs(target, setup, np.zeros(shape), f)
 
-    (m_ref, r_ref), (m_fast, r_fast) = runs["reference"], runs["fast"]
-    checks = {
-        "grids_identical": bool(
-            np.array_equal(m_ref.get_variable("u"), m_fast.get_variable("u"))
+    ref_wall = fast_wall = float("inf")
+    for _rep in range(reps):
+        machine = NSCMachine(node)
+        machine.load_program(program)
+        load(machine)
+        result, elapsed = _timed(machine.run)
+        ref_wall = min(ref_wall, elapsed)
+    for _rep in range(reps):
+        (run, job, u), elapsed = _timed(
+            lambda: _run_slab_of_one(program, node, load)
+        )
+        fast_wall = min(fast_wall, elapsed)
+    watch = setup.update_pipeline
+    sides = {
+        "reference": _side(
+            ref_wall,
+            result.total_cycles,
+            sweeps=result.loop_iterations.get(watch, 0),
         ),
-        "cycles_equal": r_ref.total_cycles == r_fast.total_cycles,
-        "flops_equal": r_ref.total_flops == r_fast.total_flops,
-        "converged_both": bool(r_ref.converged) and bool(r_fast.converged),
-        "metrics_equal": (
-            m_ref.metrics(r_ref).summary() == m_fast.metrics(r_fast).summary()
+        "fast": _side(
+            fast_wall, job.cycles, sweeps=run.loop_iterations[0].get(watch, 0)
         ),
     }
+    checks = _parity_checks(node, machine, result, run, job, u)
     config = {"shape": list(shape), "eps": eps, "hypercube_dim": 0}
-    return _finish("jacobi_single", quick, config, sides, checks)
+    return _finish(name, quick, config, sides, checks)
+
+
+def _scenario_jacobi_single(quick: bool) -> Dict[str, Any]:
+    return _single_node_jacobi(
+        "jacobi_single",
+        quick,
+        8 if quick else 12,
+        eps=1e-5,
+        max_iterations=5000,
+        reps=1,
+    )
 
 
 def _scenario_jacobi_multinode(quick: bool) -> Dict[str, Any]:
@@ -208,15 +282,6 @@ def _scenario_jacobi_multinode(quick: bool) -> Dict[str, Any]:
         "sweeps": sweeps,
     }
     return _finish("jacobi_multinode", quick, config, sides, checks)
-
-
-def _irq_stream(machine) -> List[Tuple[Any, ...]]:
-    """The full delivered-interrupt stream (Interrupt.__eq__ compares
-    fire cycles only, so parity checks need every field)."""
-    return [
-        (i.cycle, i.kind, i.source, i.payload)
-        for i in machine.interrupts.delivered
-    ]
 
 
 #: Record keys that may legitimately differ between backend or fusion
@@ -279,58 +344,17 @@ def _scenario_batch_service(quick: bool) -> Dict[str, Any]:
 
 
 def _scenario_jacobi_converge(quick: bool) -> Dict[str, Any]:
-    """Single-node convergence run: the compiled engine's home turf.
-
-    Times the reference interpreter and the whole-program compiled
-    engine on one workload, each best-of-N to damp scheduler noise, with
-    full parity checks.
-    """
-    from repro.arch.node import NodeConfig
-    from repro.codegen.generator import MicrocodeGenerator
-    from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
-    from repro.sim.machine import NSCMachine
-    from repro.apps.poisson3d import manufactured_solution
-
-    n = 8
-    eps = 1e-5 if quick else 1e-11
-    reps = 2 if quick else 3
-    shape = (n, n, n)
-    node = NodeConfig()
-    setup = build_jacobi_program(node, shape, eps=eps, max_iterations=20_000)
-    program = MicrocodeGenerator(node).generate(setup.program)
-    _u_star, f, _h = manufactured_solution(shape, h=setup.h)
-
-    runs: Dict[str, Any] = {}
-    sides: Dict[str, Dict[str, Any]] = {}
-    for backend in BACKENDS:
-        wall = float("inf")
-        for _rep in range(reps):
-            machine = NSCMachine(node, backend=backend)
-            machine.load_program(program)
-            load_jacobi_inputs(machine, setup, np.zeros(shape), f)
-            result, elapsed = _timed(machine.run)
-            wall = min(wall, elapsed)
-        sweeps = result.loop_iterations.get(setup.update_pipeline, 0)
-        runs[backend] = (machine, result)
-        sides[backend] = _side(wall, result.total_cycles, sweeps=sweeps)
-
-    (m_ref, r_ref), (m_fast, r_fast) = runs["reference"], runs["fast"]
-    checks = {
-        "grids_identical": bool(
-            np.array_equal(m_ref.get_variable("u"), m_fast.get_variable("u"))
-        ),
-        "cycles_equal": r_ref.total_cycles == r_fast.total_cycles,
-        "flops_equal": r_ref.total_flops == r_fast.total_flops,
-        "loop_iterations_equal": r_ref.loop_iterations == r_fast.loop_iterations,
-        "issue_trace_equal": r_ref.issue_trace == r_fast.issue_trace,
-        "converged_all": all(bool(r.converged) for r in (r_ref, r_fast)),
-        "metrics_equal": (
-            m_ref.metrics(r_ref).summary() == m_fast.metrics(r_fast).summary()
-        ),
-        "interrupts_equal": _irq_stream(m_ref) == _irq_stream(m_fast),
-    }
-    config = {"shape": list(shape), "eps": eps, "hypercube_dim": 0}
-    return _finish("jacobi_converge", quick, config, sides, checks)
+    """Single-node convergence run: the compiled engine's home turf, the
+    reference's per-issue dispatch against the fused engine over
+    thousands of sweeps (full), best-of-N to damp scheduler noise."""
+    return _single_node_jacobi(
+        "jacobi_converge",
+        quick,
+        8,
+        eps=1e-5 if quick else 1e-11,
+        max_iterations=20_000,
+        reps=2 if quick else 3,
+    )
 
 
 def _scenario_hypercube_scaling(quick: bool) -> Dict[str, Any]:
@@ -405,35 +429,21 @@ def _scenario_hypercube_scaling(quick: bool) -> Dict[str, Any]:
 
 
 def _scenario_fused_coverage(quick: bool) -> Dict[str, Any]:
-    """The formerly-fallback program classes through the fused engine.
+    """A formerly-fallback program class through the fused engine.
 
-    One record covers the three fallback classes the coverage work
-    closed, with hard evidence that the *fused* engine (not a fallback
-    tier) executed each of them:
-
-    - **residual-skew ablation** (timed, the headline): a multi-node
-      Jacobi build with auto-balancing disabled — skewed operand streams
-      — on a non-cubic grid, reference backend vs the fused fast
-      backend.  Exactly the ablation study the paper motivates; this
-      used to drop all the way to the reference stepper.  Full parity is
-      asserted and the full configuration gates
-      :data:`FUSED_COVERAGE_MIN_SPEEDUP`.
-    - **keep_outputs** (single node): per-issue ``fu_outputs`` streams
-      must come back bit-identical to the reference, and the compiled
-      engine must *accept* the run (``try_run_fused`` is not None).
-    - **rearmed interrupts** (single node): FP kinds armed, a condition
-      kind disarmed, non-finite inputs — delivered *and* dropped
-      interrupt streams must match the reference exactly, again with the
-      fused engine provably engaged; and the service's machine-less
-      one-row run must fold the reference's delivered count.
+    A multi-node Jacobi build with auto-balancing disabled — skewed
+    operand streams, the residual-skew *ablation* the paper motivates —
+    on a non-cubic grid, reference backend vs the fused fast backend.
+    This used to drop all the way to the reference stepper; the record
+    carries hard evidence that the fused engine accepted it
+    (``skew_fuses_multinode``), full parity is asserted, and the full
+    configuration gates :data:`FUSED_COVERAGE_MIN_SPEEDUP`.
     """
     from repro.apps.poisson3d import manufactured_solution
-    from repro.arch.interrupts import InterruptKind
     from repro.arch.node import NodeConfig
     from repro.codegen.generator import MicrocodeGenerator
-    from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
-    from repro.sim import batchplan, progplan
-    from repro.sim.machine import NSCMachine
+    from repro.compose.jacobi import build_jacobi_program
+    from repro.sim import progplan
     from repro.sim.multinode import MultiNodeStencil
 
     node = NodeConfig()
@@ -501,109 +511,11 @@ def _scenario_fused_coverage(quick: bool) -> Dict[str, Any]:
         }
     )
 
-    # --- untimed coverage checks on one node ----------------------------
-    cov_shape = (5, 6, 7)  # non-cubic again
-    cov_setup = build_jacobi_program(node, cov_shape, eps=1e-4, max_iterations=40)
-    cov_program = MicrocodeGenerator(node).generate(cov_setup.program)
-    _u, cov_f, _h2 = manufactured_solution(cov_shape, h=cov_setup.h)
-    rng = np.random.default_rng(20260726)
-    cov_u0 = rng.random(cov_shape)
-
-    def fresh(backend: str) -> NSCMachine:
-        machine = NSCMachine(node, backend=backend)
-        machine.load_program(cov_program)
-        load_jacobi_inputs(machine, cov_setup, cov_u0, cov_f)
-        return machine
-
-    def irq_streams(machine: NSCMachine) -> Tuple[List[str], List[str]]:
-        # repr: NaN payloads must compare equal, not unequal-to-itself
-        return (
-            [
-                repr((i.cycle, i.kind, i.source, i.payload))
-                for i in machine.interrupts.delivered
-            ],
-            [
-                repr((i.cycle, i.kind, i.source, i.payload))
-                for i in machine.interrupts.dropped
-            ],
-        )
-
-    # keep_outputs: fused engine engaged, per-issue streams bit-identical
-    probe = fresh("fast")
-    checks["keep_outputs_runs_fused"] = (
-        batchplan.try_run_fused(probe, cov_program, 1_000_000,
-                                keep_outputs=True)
-        is not None
-    )
-    m_ref = fresh("reference")
-    r_ref1 = m_ref.run(keep_outputs=True)
-    m_fast = fresh("fast")
-    r_fast1 = m_fast.run(keep_outputs=True)
-    checks["keep_outputs_streams_identical"] = (
-        r_ref1.total_cycles == r_fast1.total_cycles
-        and len(r_ref1.pipeline_results) == len(r_fast1.pipeline_results)
-        and all(
-            set(p.fu_outputs) == set(q.fu_outputs)
-            and all(
-                np.array_equal(p.fu_outputs[fu], q.fu_outputs[fu])
-                for fu in p.fu_outputs
-            )
-            for p, q in zip(r_ref1.pipeline_results, r_fast1.pipeline_results)
-        )
-    )
-
-    # rearmed interrupts: FP armed, CONDITION_FALSE masked, inf/nan input
-    bad_u0 = cov_u0.copy()
-    bad_u0[2, 3, 1] = np.inf
-    bad_u0[1, 2, 3] = np.nan
-
-    def rearm(machine: NSCMachine) -> NSCMachine:
-        machine.set_variable("u", bad_u0.reshape(-1))
-        machine.interrupts.arm(InterruptKind.FP_OVERFLOW)
-        machine.interrupts.arm(InterruptKind.FP_INVALID)
-        machine.interrupts.disarm(InterruptKind.CONDITION_FALSE)
-        return machine
-
-    # the inf/nan arithmetic is the point here: keep numpy's warnings
-    # about it out of the bench output, so real ones stay visible
-    with np.errstate(invalid="ignore", over="ignore"):
-        probe = rearm(fresh("fast"))
-        checks["rearmed_runs_fused"] = (
-            batchplan.try_run_fused(probe, cov_program, 1_000_000) is not None
-        )
-        m_ref = rearm(fresh("reference"))
-        m_ref.run()
-        m_fast = rearm(fresh("fast"))
-        m_fast.run()
-        # the service's lone-job run: one stacked row built from the
-        # plan's layout, folded, no machine and no commit
-        plan = progplan.compiled_plan(cov_program, node.params)
-        storage = progplan.stacked_storage(
-            plan.variables, 1, plan.plane_extent, plan.cache_extent
-        )
-        load_jacobi_inputs(storage, cov_setup, cov_u0, cov_f)
-        storage.set_variable("u", bad_u0.reshape(-1))
-        armed = m_ref.interrupts.configuration().armed
-        one_row = batchplan.BatchProgramRun(plan, storage, 1, 1_000_000)
-        one_row.run()
-    checks["rearmed_fold_matches"] = (
-        one_row.job(0).interrupts_delivered(armed)
-        == len(m_ref.interrupts.delivered)
-    )
-    checks["rearmed_interrupts_identical"] = irq_streams(m_ref) == irq_streams(m_fast)
-    # the NaN seed propagates into the grid; NaNs at equal positions match
-    checks["rearmed_grids_identical"] = bool(
-        np.array_equal(
-            m_ref.get_variable("u"), m_fast.get_variable("u"), equal_nan=True
-        )
-    )
-
     config = {
         "shape": list(shape),
         "hypercube_dim": dim,
         "n_nodes": n_nodes,
         "sweeps": sweeps,
-        "coverage_shape": list(cov_shape),
         "min_speedup": None if quick else FUSED_COVERAGE_MIN_SPEEDUP,
     }
     record = _finish("fused_coverage", quick, config, sides, checks)
@@ -630,13 +542,16 @@ def _scenario_batch_fused(quick: bool) -> Dict[str, Any]:
     ``batch_fused`` tier stamp, and on the full configuration the slab
     side must win by at least :data:`BATCH_FUSED_MIN_SPEEDUP`.
 
-    The configuration deliberately pins the *control-amortization*
-    regime the tier exists for: many short same-program jobs, where
-    per-job machine construction and input loading dominate.  On large
-    DRAM-bound grids (48³ and up) the two tiers run at compute parity —
-    the stacked operand streams fall out of cache exactly as N separate
-    streams do — so a big-grid configuration would measure the memory
-    system, not the batching win; see ``docs/BACKENDS.md``.
+    What it measures: neither side builds a machine (a lone fast job is
+    a slab of one), so the slab side saves only what N per-job runs
+    repeat outside the kernels — the per-job bind (plan lookup, stacked
+    storage, input load, runner binding) and the engine's per-issue
+    Python dispatch, once per job instead of once per slab.  At 24³ × 2
+    sweeps (16³ quick) both sides spend most of their time in the same
+    ufunc kernels, so the ratio is that amortization over a kernel-bound
+    run.  On large DRAM-bound grids (48³ and up) the two tiers run at
+    compute parity — the stacked operand streams fall out of cache
+    exactly as N separate streams do; see ``docs/BACKENDS.md``.
     """
     import tempfile
 

@@ -62,9 +62,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
-
-import numpy as np
+from typing import Any, Dict, List, Optional
 
 from repro.arch.node import NodeConfig
 from repro.arch.params import NSCParameters, SUBSET_PARAMS
@@ -197,77 +195,45 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_jacobi(args: argparse.Namespace) -> int:
-    from repro.apps.poisson3d import manufactured_solution
-    from repro.codegen.generator import MicrocodeGenerator
-    from repro.compose.jacobi import (
-        build_jacobi_program,
-        grid_shape,
-        load_jacobi_inputs,
-    )
-    from repro.sim.machine import NSCMachine
+def _solve_job(args: argparse.Namespace, method: str) -> Dict[str, Any]:
+    """Run one Poisson job of the command's grid and options through the
+    service (from zeros, to ``--eps`` or ``--max-sweeps``) and return
+    its record; a failed job's error goes to stderr."""
+    from repro.service.jobs import SimJob
+    from repro.service.runner import execute_job
 
-    node = _node(args)
-    shape = (args.n, args.n, args.n)
-    setup = build_jacobi_program(node, shape, eps=args.eps,
-                                 max_iterations=args.max_sweeps)
-    program = MicrocodeGenerator(node).generate(setup.program)
-    u_star, f, h = manufactured_solution(shape, h=setup.h)
-    machine = NSCMachine(node, backend=args.backend)
-    machine.load_program(program)
-    load_jacobi_inputs(machine, setup, np.zeros(shape), f)
-    result = machine.run()
-    metrics = machine.metrics(result)
-    # machine grids flatten x-fastest: the 3-D view is (nz, ny, nx),
-    # the layout manufactured_solution returns
-    u = machine.get_variable("u").reshape(grid_shape(shape))
-    print(f"converged: {result.converged} in "
-          f"{result.loop_iterations.get(setup.update_pipeline, 0)} sweeps")
+    record = execute_job(SimJob(
+        method=method, shape=(args.n, args.n, args.n), eps=args.eps,
+        max_sweeps=args.max_sweeps, omega=getattr(args, "omega", 1.5),
+        subset=bool(getattr(args, "subset", False)), backend=args.backend,
+    ))
+    if not record["ok"]:
+        print(f"error: {record['error']}", file=sys.stderr)
+    return record
+
+
+def cmd_jacobi(args: argparse.Namespace) -> int:
+    from repro.sim.metrics import format_summary
+
+    record = _solve_job(args, "jacobi")
+    if not record["ok"]:
+        return 1
+    print(f"converged: {record['converged']} in {record['sweeps']} sweeps")
     print(f"error vs analytic solution: "
-          f"{float(np.max(np.abs(u - u_star))):.3e}")
-    print(metrics.format())
-    return 0 if result.converged else 1
+          f"{record['error_vs_analytic']:.3e}")
+    print(format_summary(record["metrics"]))
+    return 0 if record["converged"] else 1
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    from repro.apps.poisson3d import manufactured_solution
-    from repro.codegen.generator import MicrocodeGenerator
-    from repro.compose.iterative import (
-        build_rbsor_program,
-        load_rbsor_inputs,
-    )
-    from repro.compose.jacobi import (
-        build_jacobi_program,
-        grid_shape,
-        load_jacobi_inputs,
-    )
-    from repro.sim.machine import NSCMachine
-
-    node = _node(args)
-    shape = (args.n, args.n, args.n)
-    u_star, f, h = manufactured_solution(shape)
-    machine = NSCMachine(node, backend=args.backend)
-    if args.method == "jacobi":
-        setup = build_jacobi_program(node, shape, h=h, eps=args.eps,
-                                     max_iterations=args.max_sweeps)
-        machine.load_program(MicrocodeGenerator(node).generate(setup.program))
-        load_jacobi_inputs(machine, setup, np.zeros(shape), f)
-        watch = setup.update_pipeline
-    else:
-        omega = 1.0 if args.method == "rb-gs" else args.omega
-        setup = build_rbsor_program(node, shape, omega=omega, h=h,
-                                    eps=args.eps,
-                                    max_iterations=args.max_sweeps)
-        machine.load_program(MicrocodeGenerator(node).generate(setup.program))
-        load_rbsor_inputs(machine, setup, np.zeros(shape), f)
-        watch = setup.black_pipeline
-    result = machine.run()
-    u = machine.get_variable("u").reshape(grid_shape(shape))
-    print(f"{args.method}: converged={result.converged} "
-          f"sweeps={result.loop_iterations.get(watch, 0)} "
-          f"cycles={result.total_cycles} "
-          f"err={float(np.max(np.abs(u - u_star))):.3e}")
-    return 0 if result.converged else 1
+    record = _solve_job(args, args.method)
+    if not record["ok"]:
+        return 1
+    print(f"{args.method}: converged={record['converged']} "
+          f"sweeps={record['sweeps']} "
+          f"cycles={record['cycles']} "
+          f"err={record['error_vs_analytic']:.3e}")
+    return 0 if record["converged"] else 1
 
 
 def _parse_int_list(text: str) -> List[int]:

@@ -10,12 +10,10 @@ is built zeroed from the compiled plan's variable layout
 seeded ``u0`` overwrites its own row (the loaders write ``u0`` verbatim,
 so that IS ``entry.load``).  A saved program (``method="program"``)
 loads nothing: it runs on the zeroed storage ``NSCMachine.load_program``
-leaves.  A fresh machine's interrupt controller has no handlers,
-nothing pending and the default armed set, so the slab
-folds with :data:`~repro.arch.interrupts.DEFAULT_ARMED_KINDS`.  Records
-are folded per job from the run's one issue log
-(:meth:`~repro.sim.batchplan.BatchProgramRun.job`), bit-identical to
-``machine.metrics(result)`` — no machine commit, no interrupt replay.
+leaves.  Records are folded per job from the run's one issue log
+(:meth:`~repro.sim.batchplan.BatchProgramRun.job`,
+:meth:`~repro.sim.batchplan.JobRun.metrics`), equal to
+``machine.metrics(result)`` after a reference run on a fresh machine.
 
 :func:`~repro.service.runner.execute_job` runs every fast, single-node
 job as a slab of one (:func:`run_slab`), in serial, pool and daemon
@@ -28,7 +26,7 @@ unit's two or more members through :func:`execute_slab`
 per job, ``slab.formed`` / ``slab.jobs`` per slab; the shared bind and
 execute time is split equally).
 
-A lone job runs exact — it keeps its FP exceptions and raises its
+A lone job runs exact — it keeps its non-finite values and raises its
 faults — so it declines only on an unfusable program, and reruns on an
 ``NSCMachine``'s reference walk.  A group also declines, before anything
 shared changed, on a construct only a lone job models or a non-finite
@@ -46,14 +44,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 # so a replaced one (a tracer's wrapper, a test's stand-in) serves the
 # slab path too
 from repro.arch import node as arch_node
-from repro.arch.interrupts import DEFAULT_ARMED_KINDS
 from repro.compose.registry import SOLVERS
 from repro.obs import tracer as obs
 from repro.service import runner
 from repro.service.cache import ProgramCache
 from repro.service.jobs import SimJob
 from repro.sim import batchplan, progplan
-from repro.sim.metrics import RunMetrics
 from repro.sim.progplan import FusionUnsupported
 
 
@@ -144,13 +140,12 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
     tracer's bind and execute time.
     """
     n_jobs = len(jobs)
-    params = node.params
     shared = tracers[0] if n_jobs == 1 else obs.Tracer()
     uvar = u_star = watch = None
     with obs.use(shared):
         # --- shared bind: plan, stacked storage, loaded inputs --------
         with obs.span("bind"):
-            plan = batchplan.compiled_plan(program, params)
+            plan = batchplan.compiled_plan(program, node.params)
             storage = progplan.stacked_storage(plan.variables, n_jobs,
                                       plan.plane_extent, plan.cache_extent)
             if setup is not None:
@@ -171,23 +166,11 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
             for stage in ("bind", "execute"):
                 tracer.timings[stage] = tracer.timings.get(stage, 0.0) \
                     + shared.timings[stage] / n_jobs
-        job_run = run.job(j)
-        metrics = RunMetrics(
-            cycles=job_run.cycles,
-            instructions=job_run.instructions,
-            flops=job_run.flops,
-            words_moved=job_run.words_read + job_run.words_written,
-            clock_mhz=params.clock_mhz,
-            peak_mflops=params.peak_mflops_per_node,
-            n_fus=node.n_fus,
-            active_fu_cycles=job_run.active_fu_cycles,
-            interrupts_delivered=job_run.interrupts_delivered(
-                DEFAULT_ARMED_KINDS),
-        )
         with obs.use(tracer):
             results.append(runner._solution_record(
                 job, program, checkers[j], run.converged[j],
-                run.loop_iterations[j].get(watch, 0), metrics,
+                run.loop_iterations[j].get(watch, 0),
+                run.job(j).metrics(node),
                 None if u_rows is None else u_rows[j], u_star,
             ))
             obs.count(f"tier.{tier}")

@@ -3,19 +3,20 @@
 The whole-program compiler (:mod:`repro.sim.progplan`) collapses a
 control script into a schedule of bound images; this module walks it.
 Every run binds stacked storage: N same-program, same-shape jobs stack
-their operand grids along a leading batch axis, a single machine is a
+their operand grids along a leading batch axis, a lone job is a
 one-row stack, and a single :class:`~repro.sim.progplan.BoundImage`
 issue sweeps the entire stack.  The storage is built zeroed from the
 plan's own variable layout (:func:`~repro.sim.progplan.stacked_storage`,
 no machine behind it): a service slab fills it through the solver
 loaders (a saved program runs on it zeroed, as a freshly loaded machine
-holds it), :func:`try_run_fused` pulls one machine's row into it, and a
-hypercube scatters its grids into it.  The generated ufunc
-kernels are shared by every stack height (the runner code objects are
-cached on the :class:`ImageKernel`).  A hypercube of N nodes is the
+holds it), and a hypercube scatters its grids into it.  The generated
+ufunc kernels are shared by every stack height (the runner code objects
+are cached on the :class:`ImageKernel`).  A hypercube of N nodes is the
 same stack, one row per node:
 :class:`~repro.sim.multinode.MultiNodeStencil` drives its sweeps step by
 step through :meth:`BatchProgramRun.issue` and the engine's swaps (see :func:`repro.sim.progplan.fused_stepper`).
+An :class:`~repro.sim.machine.NSCMachine` runs the reference
+interpreter only; nothing here commits into one.
 
 Per-job divergence exists in exactly one place: ``LoopUntil`` iteration
 counts.  The condition unit's final stream element is per-row, so
@@ -24,54 +25,43 @@ condition fires *freezes*: its row snapshot (taken by **logical**
 plane/cache role, so later whole-plane reference swaps cannot skew it)
 is restored at loop exit, its counters stop, and the stragglers keep
 iterating.  Everything else — cycle counts, DMA charges, the interrupt
-log — is per-issue-constant, so the run logs each issue once per slab
-(kernel index, per-row condition values, active rows) and folds one
-job's share out of that log only when asked: totals for a machine-less
-slab record, the full :class:`SequencerResult` and interrupt stream for
-a machine commit.  Slab results are bit-identical to N single-machine
-runs.
+count — is per-issue-constant, so the run logs each issue once per slab
+(kernel index, per-row condition values, active rows) and
+:meth:`BatchProgramRun.job` folds one job's totals out of that log.
+Slab results are bit-identical to N single-machine reference runs.
 
-Commit point: a run mutates only its local storage, and
-:func:`try_run_fused` commits to its one machine once it ends.  A
-:class:`FusionUnsupported` surfacing at any point — a kernel declining,
-a relocated variable, a mid-run rejection — leaves the machine
-pristine, and the caller falls back to the reference interpreter.
-
-A lone job with a fallback (one row, ``fallback=True``) is an *exact*
-run with the reference's fault semantics: a non-finite value takes the
-exact per-FU path with its FP exceptions logged, a reference-visible
-fault (:class:`SequencerError`, a host ``MachineError``) propagates as
-is — a machine commits its state up to the fault and re-raises, as a
-step-by-step run would — and ``keep_outputs``, ``Halt`` inside a
-``LoopUntil`` and nested loops all run.
+A run mutates only its local storage.  A lone job with a fallback (one
+row, ``fallback=True``) is an *exact* run with the reference's fault
+semantics: a non-finite value takes the exact per-FU path, a
+reference-visible fault (:class:`SequencerError`, a host
+``MachineError``) propagates as is, and ``Halt`` inside a ``LoopUntil``
+and nested loops all run.  The FP exceptions the exact path detects are
+not logged: their interrupt kinds are outside the default armed set, so
+no record counts them.
 
 Every other run — a slab of two or more, or a hypercube — declines
-statically (before touching any state) on ``keep_outputs`` plans,
-invalid issues, ``Halt`` inside a loop body, nested ``LoopUntil``, or a
-loop body that never issues its watched condition pipeline; a slab's
-reference-visible faults are wrapped as :class:`FusionUnsupported`, so
-the per-job fallback reproduces them.  A slab also declines on any
-non-finite value (one fused screen covers every row, so one job's
-overflow would be undetectable to per-row accounting).  A hypercube has
-no per-node fallback — its stack is the only copy of the state — so a
-non-finite issue takes the exact path instead, with values
-bit-identical to the reference and no FP interrupts logged (the fused
-screen cannot attribute a flag to a node), even with one node.
+statically (before touching any state) on invalid issues, ``Halt``
+inside a loop body, nested ``LoopUntil``, or a loop body that never
+issues its watched condition pipeline; a slab's reference-visible
+faults are wrapped as :class:`FusionUnsupported`, so the per-job
+fallback reproduces them.  A slab also declines on any non-finite value
+(one fused screen covers every row, so one job's overflow would be
+undetectable to per-row accounting).  A hypercube has no per-node
+fallback — its stack is the only copy of the state — so a non-finite
+issue takes the exact path instead, with values bit-identical to the
+reference, even with one node.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING,
 )
 
-from repro.arch.interrupts import Interrupt, InterruptKind
-from repro.codegen.generator import MachineProgram
 from repro.obs import tracer as obs
-from repro.sim.pipeline_exec import PipelineResult
+from repro.sim.metrics import RunMetrics
 from repro.sim.progplan import (
     FusionUnsupported,
     ImageKernel,
@@ -84,17 +74,15 @@ from repro.sim.progplan import (
     _S_REPEAT,
     _S_SWAP,
     _Storage,
+    # the service slab calls it off this module, so a wrapped one (a
+    # tracer's, a test's) serves every fused run
     compiled_plan,
-    stacked_storage,
 )
-from repro.sim.sequencer import SequencerError, SequencerResult
+from repro.sim.sequencer import SequencerError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.arch.node import NodeConfig
     from repro.sim.machine import NSCMachine
-
-#: One issue's interrupt-log entry: ``(start, fire, source, cond_result,
-#: payload, exception tags)``.
-IrqEntry = Tuple[int, int, str, Optional[bool], float, Tuple[str, ...]]
 
 
 # ----------------------------------------------------------------------
@@ -141,13 +129,12 @@ def _scan_ops(plan: ProgramPlan, ops: Tuple[Tuple, ...],
 def check_batchable(plan: ProgramPlan) -> None:
     """Raise :class:`FusionUnsupported` unless *plan* can run as a slab.
 
-    An exact (one-job) run of a declined script either works fine
-    (``keep_outputs``) or faults with machine state committed up to the
-    fault point — which only a one-job run models, so the slab declines
-    it up front.  The verdict is memoized on the (cached, shared) plan.
+    An exact (one-job) run walks every script the sequencer walks; a
+    slab declines up front the shapes only a one-job run models — an
+    invalid issue, which faults mid-script, and control flow that could
+    diverge per job.  The verdict is memoized on the (cached, shared)
+    plan.
     """
-    if plan.keep_outputs:
-        raise FusionUnsupported("keep_outputs capture in batch slab")
     verdict = plan.__dict__.get("_batchable")
     if verdict is None:
         verdict = _scan_ops(plan, plan.ops, False) or ""
@@ -156,48 +143,9 @@ def check_batchable(plan: ProgramPlan) -> None:
         raise FusionUnsupported(verdict)
 
 
-def machine_bindings(plan: ProgramPlan, machine: "NSCMachine") -> Any:
-    """Validate *machine* against *plan*; return its armed set.
-
-    No interrupt handlers (they observe delivery order mid-run, which
-    only the stepped reference models), nothing pending (it would
-    interleave with the replay), and every managed variable still at its
-    compiled home.  Arm/disarm is host-driven, so the armed set is
-    constant for the whole run and the commit replay folds it in.
-    """
-    irq_config = machine.interrupts.configuration()
-    if irq_config.handler_kinds:
-        raise FusionUnsupported("interrupt handlers registered")
-    if irq_config.pending:
-        raise FusionUnsupported("interrupts already pending")
-    held = machine.memory.variables
-    for name, home in plan.variables.items():
-        var = held.get(name)
-        if var is None or var.plane != home.plane \
-                or var.offset != home.offset or var.length != home.length:
-            raise FusionUnsupported(f"variable {name!r} relocated")
-    return irq_config.armed
-
-
-def _read_row(machine: "NSCMachine", storage: _Storage, j: int) -> None:
-    """Pull *machine*'s planes and cache buffers into row *j* of
-    *storage* — :func:`write_back`'s inverse."""
-    for plane, arr in storage.planes.items():
-        arr[j] = machine.memory.plane(plane).read(0, arr.shape[-1])
-    for cache_id, arr in storage.cache_front.items():
-        arr[j] = machine.caches[cache_id].front[: arr.shape[-1]]
-    for cache_id, arr in storage.cache_back.items():
-        arr[j] = machine.caches[cache_id].back[: arr.shape[-1]]
-
-
 @dataclass
 class JobRun:
-    """One job's share of a slab run, folded from the slab's issue log.
-
-    The totals are always filled; ``result`` (the job's
-    :class:`SequencerResult`) and ``irq_log`` (what the commit replay
-    posts) only when :meth:`BatchProgramRun.job` is asked for records.
-    """
+    """One job's share of a slab run, folded from the slab's issue log."""
 
     cycles: int = 0
     instructions: int = 0
@@ -209,12 +157,8 @@ class JobRun:
     busy_cycles: int = 0
     conditions_true: int = 0
     conditions_false: int = 0
-    overflows: int = 0
-    invalids: int = 0
     device_busy: Optional[Tuple] = None
     cache_swaps: Dict[int, int] = field(default_factory=dict)
-    result: Optional[SequencerResult] = None
-    irq_log: Optional[List[IrqEntry]] = None
 
     def charge(self, issues: Iterable[Tuple[ImageKernel, int]],
                swaps: int, swap_words: int) -> None:
@@ -236,22 +180,32 @@ class JobRun:
             self.words_written += consts.words_written * count
             self.busy_cycles += consts.busy_cycles * count
 
-    def interrupts_delivered(self, armed: Any) -> int:
-        """Interrupts a drain-terminated run of this job delivers.
+    def interrupts_delivered(self) -> int:
+        """Interrupts a run of this job on a fresh machine delivers.
 
-        Each issue posts one completion, at most one condition interrupt
-        and the FP exceptions an exact run logged (slabs decline on
-        any), and every armed post is delivered by the final controller
-        drain.  Lets the machine-less slab executor report
-        ``interrupts_delivered`` without replaying the heap.
+        Each issue posts one completion and at most one condition
+        interrupt, and the final controller drain delivers them all:
+        :data:`~repro.arch.interrupts.DEFAULT_ARMED_KINDS` arms
+        completions and conditions, and masks the FP exceptions.
         """
-        return sum(posts for kind, posts in (
-            (InterruptKind.PIPELINE_COMPLETE, self.instructions),
-            (InterruptKind.CONDITION_TRUE, self.conditions_true),
-            (InterruptKind.CONDITION_FALSE, self.conditions_false),
-            (InterruptKind.FP_OVERFLOW, self.overflows),
-            (InterruptKind.FP_INVALID, self.invalids),
-        ) if kind in armed)
+        return self.instructions + self.conditions_true + self.conditions_false
+
+    def metrics(self, node: "NodeConfig") -> RunMetrics:
+        """This job's :class:`RunMetrics` on *node* — what
+        ``machine.metrics(result)`` reports after the same run on a fresh
+        machine."""
+        params = node.params
+        return RunMetrics(
+            cycles=self.cycles,
+            instructions=self.instructions,
+            flops=self.flops,
+            words_moved=self.words_read + self.words_written,
+            clock_mhz=params.clock_mhz,
+            peak_mflops=params.peak_mflops_per_node,
+            n_fus=node.n_fus,
+            active_fu_cycles=self.active_fu_cycles,
+            interrupts_delivered=self.interrupts_delivered(),
+        )
 
 
 # issue-log entry kinds besides issues (which log their kernel index)
@@ -263,14 +217,14 @@ _LOG_CACHESWAP = -2
 # the engine
 # ----------------------------------------------------------------------
 class BatchProgramRun:
-    """Executes one :class:`ProgramPlan` over N jobs (N == 1: one machine).
+    """Executes one :class:`ProgramPlan` over N jobs (N == 1: a lone job).
 
     ``storage`` arrives filled and with ``storage.variables`` bound, its
     arrays carrying a leading ``(n_jobs,)`` axis (see
     :func:`~repro.sim.progplan.stacked_storage`).  Nothing outside it is
-    touched — committing rows back to machines (or synthesizing records
-    without machines) is the caller's job.  One job with ``fallback`` runs
-    exact; anything else declines where a slab declines.
+    touched — reading rows and folding records is the caller's job.  One
+    job with ``fallback`` runs exact; anything else declines where a slab
+    declines.
 
     ``fallback=False`` marks rows with no per-job fallback: a
     hypercube's nodes.  A non-finite issue runs exact instead of
@@ -280,22 +234,18 @@ class BatchProgramRun:
     ``(kernel index, per-row condition values, per-row condition
     results, active rows)`` per issue, and the charges of each
     ``SwapVars`` / ``CacheSwap`` with the rows they land on (``None``:
-    every row).  :meth:`job` folds one job's totals — and, on request,
-    its :class:`SequencerResult` and interrupt log — out of it.
+    every row).  :meth:`job` folds one job's totals out of it.
     """
-
-    MAX_TRACE = 100_000  # mirrors Sequencer.MAX_TRACE
 
     def __init__(self, plan: ProgramPlan, storage: _Storage, n_jobs: int,
                  max_instructions: int, fallback: bool = True) -> None:
-        # a lone job with a fallback owns every flag and fault the run
-        # raises, so it runs exact where a slab declines
+        # a lone job with a fallback owns every fault the run raises, so
+        # it runs exact where a slab declines
         self.exact = n_jobs == 1 and fallback
         self.fallback = fallback
         if not self.exact:
             check_batchable(plan)
         self.plan = plan
-        self.keep_outputs = plan.keep_outputs
         self.storage = storage
         self.n_jobs = n_jobs
         self.max_instructions = max_instructions
@@ -305,9 +255,6 @@ class BatchProgramRun:
             for index, kernel in plan.kernels.items()
         }
         self.log: List[Tuple[int, Any, Any, Optional[Tuple[int, ...]]]] = []
-        # exact runs only (slabs decline both): log position ->
-        # (FP exception tags, captured per-FU outputs)
-        self.extras: Dict[int, Tuple[Tuple[str, ...], Optional[Dict]]] = {}
         self.issued = 0
         self.halted = False
         self.loop_iterations: List[Dict[int, int]] = [
@@ -323,13 +270,11 @@ class BatchProgramRun:
     def run(self) -> None:
         """Execute the schedule, logging it; :meth:`job` reads the log.
 
-        Per the commit-point contract, *nothing* outside the local
-        storage mutates.  An exact run's reference-visible fault (budget
-        exhaustion, a bad relocation) propagates for the caller to
-        commit the log up to the fault.  A slab wraps the same faults as
-        :class:`FusionUnsupported`: they commit state per job, which
-        only one-job runs model, so the fallback reproduces them
-        exactly.
+        Nothing outside the local storage mutates.  An exact run's
+        reference-visible fault (budget exhaustion, a bad relocation)
+        propagates as is.  A slab wraps the same faults as
+        :class:`FusionUnsupported`: they leave state per job, which only
+        one-job runs model, so the fallback reproduces them exactly.
         """
         from repro.sim.machine import MachineError
 
@@ -339,7 +284,6 @@ class BatchProgramRun:
             if not self.exact:
                 raise FusionUnsupported(f"batch slab fault: {exc}") from exc
             raise
-
     # ------------------------------------------------------------------
     def _exec_block(self, ops: Tuple[Tuple, ...],
                     active: Optional[Tuple[int, ...]]) -> None:
@@ -386,17 +330,12 @@ class BatchProgramRun:
             self._check_budget()
         bound = self.bound[index]
         kernel = bound.kernel
-        tags: Tuple[str, ...] = ()
         if not bound.issue_compute():
             # the finiteness screen is fused over the whole stack; only a
-            # lone job's flags are attributable to it
+            # lone job or a hypercube runs on past a non-finite value
             if self.fallback and not self.exact:
                 raise FusionUnsupported("non-finite values in batch slab")
-            flags = bound.issue_exact()
-            if self.exact:
-                # exception interrupts are *logged* here and posted by the
-                # commit replay: no machine state moves before the commit
-                tags = tuple(flags)
+            bound.issue_exact()
         # a fresh list of floats per issue (the condition row is
         # overwritten next issue), compared float by float
         vals = bound.condition_last()
@@ -408,9 +347,6 @@ class BatchProgramRun:
             else:
                 conds = [cond_fn(value, threshold) for value in vals]
         self.last_cond[kernel.consts.number] = conds
-        if tags or self.keep_outputs:
-            outputs = bound.capture_outputs() if self.keep_outputs else None
-            self.extras[len(self.log)] = (tags, outputs)
         self.log.append((index, vals, conds, active))
         self.issued += 1
         return vals
@@ -531,35 +467,16 @@ class BatchProgramRun:
                         else (_LOG_SWAP, logged[1], None, active))
 
     # ------------------------------------------------------------------
-    def job(self, j: int, records: bool = False) -> JobRun:
-        """Fold job *j*'s share of the log: totals, and with *records*
-        its :class:`SequencerResult` and commit-replay interrupt log."""
+    def job(self, j: int) -> JobRun:
+        """Fold job *j*'s share of the log into its totals."""
         kernels = self.plan.kernels
         cycles_of = {index: kernel.consts.cycles
                      for index, kernel in kernels.items()}
-        extras = self.extras
-        no_extras: Tuple[Tuple[str, ...], Any] = ((), None)
-        # static fields of every PipelineResult an image produces; the
-        # fold fills the per-issue ones on a __new__ instance
-        templates: Dict[int, Dict[str, Any]] = {}
-        if records:
-            for index, kernel in kernels.items():
-                c = kernel.consts
-                templates[index] = {
-                    "number": c.number, "cycles": c.cycles,
-                    "compute_cycles": c.compute_cycles,
-                    "dma_cycles": c.dma_cycles, "flops": c.flops,
-                    "vector_length": c.vector_length,
-                    "active_fus": c.active_fus,
-                }
         out = JobRun()
         cache_swaps = out.cache_swaps
         cycles = trues = swaps = swapped_words = 0
         trace: List[int] = []
-        pipeline_results: List[PipelineResult] = []
-        irq_log: List[IrqEntry] = []
-        new_record = PipelineResult.__new__
-        for pos, (index, vals, conds, active) in enumerate(self.log):
+        for index, vals, conds, active in self.log:
             if active is not None and j not in active:
                 continue
             if index < 0:
@@ -574,30 +491,9 @@ class BatchProgramRun:
                         cache_swaps[cache_id] = cache_swaps.get(cache_id, 0) + 1
                 continue
             trace.append(index)
-            start = cycles
             cycles += cycles_of[index]
             if conds is not None:
                 trues += bool(conds[j])
-            if records:
-                if conds is None:
-                    cond_result: Optional[bool] = None
-                    cond_value: Optional[float] = None
-                    payload = 0.0
-                else:
-                    cond_result = bool(conds[j])
-                    cond_value = payload = float(vals[j])
-                tags, fu_outputs = (
-                    extras.get(pos, no_extras) if extras else no_extras
-                )
-                record = new_record(PipelineResult)
-                record.__dict__.update(templates[index])
-                record.condition_result = cond_result
-                record.condition_value = cond_value
-                record.exceptions = list(tags)
-                record.fu_outputs = dict(fu_outputs) if fu_outputs else {}
-                pipeline_results.append(record)
-                irq_log.append((start, cycles, kernels[index].consts.source,
-                                cond_result, payload, tags))
         out.cycles = cycles
         issues = [(kernels[i], count) for i, count in Counter(trace).items()]
         out.charge(issues, swaps, swapped_words)
@@ -606,106 +502,20 @@ class BatchProgramRun:
         )
         out.conditions_true = trues
         out.conditions_false = conditions - trues
-        # only an exact (one-job) run logs tags: every logged tag is j's
-        for tags, _outputs in extras.values():
-            for tag in tags:
-                if tag.endswith(":overflow"):
-                    out.overflows += 1
-                else:
-                    out.invalids += 1
         if trace:
             out.device_busy = kernels[trace[-1]].consts.device_busy
-        if records:
-            del trace[self.MAX_TRACE:]
-            out.result = SequencerResult(
-                total_cycles=cycles,
-                instructions_issued=out.instructions,
-                loop_iterations=dict(self.loop_iterations[j]),
-                pipeline_results=pipeline_results,
-                halted=self.halted,
-                converged=self.converged[j],
-                issue_trace=trace,
-            )
-            out.irq_log = irq_log
         return out
 
 
 # ----------------------------------------------------------------------
-# machine-facing adapter and commit point
+# writing a row into a machine
 # ----------------------------------------------------------------------
-def replay_interrupts(machine: "NSCMachine", irq_log: Sequence[IrqEntry],
-                      armed: Any) -> None:
-    """Replay one job's interrupt log through the machine's controller.
-
-    Per issue, FP exceptions post at the issue-start cycle, completion
-    and condition at the fire cycle, and delivery drains everything due
-    — the reference's exact post/deliver sequence through the same heap.
-    The armed set routes each post to the queue or to ``dropped`` exactly
-    as ``InterruptController.post`` would, so arm/disarm variations
-    replay bit-identically.  Equal-cycle orderings fall out of heapq's
-    mechanics, so only an identical operation sequence reproduces them
-    (the frozen-dataclass ``__init__`` is bypassed for speed; the
-    instances are bit-identical).
-    """
-    irq = machine.interrupts
-    latency = irq.latency_cycles
-    delivered = irq.delivered
-    dropped = irq.dropped
-    queue = irq._queue
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    new_interrupt = Interrupt.__new__
-    complete_kind = InterruptKind.PIPELINE_COMPLETE
-    overflow_kind = InterruptKind.FP_OVERFLOW
-    invalid_kind = InterruptKind.FP_INVALID
-    for start, fire, source, cond_result, payload, exceptions in irq_log:
-        for tag in exceptions:
-            fu_source, flag = tag.split(":", 1)
-            kind = overflow_kind if flag == "overflow" else invalid_kind
-            exc = new_interrupt(Interrupt)
-            exc.__dict__.update(
-                cycle=start + latency, kind=kind, source=fu_source,
-                payload=0.0,
-            )
-            if kind in armed:
-                heappush(queue, exc)
-            else:
-                dropped.append(exc)
-        when = fire + latency
-        complete = new_interrupt(Interrupt)
-        complete.__dict__.update(
-            cycle=when, kind=complete_kind, source=source, payload=0.0
-        )
-        if complete_kind in armed:
-            heappush(queue, complete)
-        else:
-            dropped.append(complete)
-        if cond_result is not None:
-            cond_kind = (
-                InterruptKind.CONDITION_TRUE
-                if cond_result
-                else InterruptKind.CONDITION_FALSE
-            )
-            condition = new_interrupt(Interrupt)
-            condition.__dict__.update(
-                cycle=when, kind=cond_kind, source=source, payload=payload
-            )
-            if cond_kind in armed:
-                heappush(queue, condition)
-            else:
-                dropped.append(condition)
-        while queue and queue[0].cycle <= fire:
-            delivered.append(heappop(queue))
-
-
 def write_back(machine: "NSCMachine", storage: _Storage, j: int,
                job: JobRun) -> None:
     """Write row *j* of *storage* into *machine*, replaying *job*'s cache
-    swaps and adding its DMA charges.
-
-    Shared by the slab commit and the hypercube machine build; what
-    each posts to the interrupt controller stays with the caller.
-    """
+    swaps and adding its DMA charges (the hypercube's on-demand node
+    machines; what each posts to the interrupt controller stays with
+    the caller)."""
     for plane, arr in storage.planes.items():
         machine.memory.plane(plane).write(0, arr[j])
     for cache_id, swaps in job.cache_swaps.items():
@@ -724,42 +534,6 @@ def write_back(machine: "NSCMachine", storage: _Storage, j: int,
         machine.dma.device_busy = dict(job.device_busy)
 
 
-def _commit(run: BatchProgramRun, machine: "NSCMachine",
-            armed: Any) -> SequencerResult:
-    """Write the run's one row, statistics and interrupt log back to
-    *machine* — exactly what a step-by-step run leaves behind — and
-    return its result."""
-    job = run.job(0, records=True)
-    write_back(machine, run.storage, 0, job)
-    machine.cycle = job.cycles
-    assert job.irq_log is not None and job.result is not None
-    replay_interrupts(machine, job.irq_log, armed)
-    return job.result
-
-
-def try_run_fused(
-    machine: "NSCMachine",
-    program: MachineProgram,
-    max_instructions: int,
-    keep_outputs: bool = False,
-) -> Optional[SequencerResult]:
-    """Run *program* on one machine through the fused engine, or return None.
-
-    The machine runs as an exact slab of one, its kernels bound over one
-    stacked row.  None means "not fusable here" — registered interrupt
-    handlers, relocated variables, or a construct the compiler rejects —
-    and the caller runs the reference interpreter instead; the decline's
-    reason lands in the active tracer.  Execution itself is inside the
-    guard: state is committed only once the run ends, so a decline
-    surfacing mid-run leaves the machine pristine for the fallback.
-    """
-    try:
-        return _run_fused(machine, program, max_instructions, keep_outputs)
-    except FusionUnsupported as exc:
-        record_decline(exc)
-        return None
-
-
 def record_decline(exc: FusionUnsupported) -> None:
     """Tier telemetry for a fused run that stood down: count it, stamp
     the reason, emit the event — the caller's fallback is otherwise
@@ -769,42 +543,11 @@ def record_decline(exc: FusionUnsupported) -> None:
     obs.event("fusion_fallback", scope="program", reason=str(exc))
 
 
-def _run_fused(
-    machine: "NSCMachine",
-    program: MachineProgram,
-    max_instructions: int,
-    keep_outputs: bool,
-) -> SequencerResult:
-    from repro.sim.machine import MachineError
-
-    if getattr(machine, "backend", "reference") != "fast":
-        raise FusionUnsupported("fused engine requires the fast backend")
-    plan = compiled_plan(program, machine.node.params,
-                         keep_outputs=keep_outputs)
-    armed = machine_bindings(plan, machine)
-    storage = stacked_storage(plan.variables, 1, plan.plane_extent,
-                              plan.cache_extent)
-    _read_row(machine, storage, 0)
-    run = BatchProgramRun(plan, storage, 1, max_instructions)
-    try:
-        run.run()
-    except (SequencerError, MachineError):
-        # only an exact run surfaces these: commit state up to the
-        # fault point, as a step-by-step run would have left it
-        _commit(run, machine, armed)
-        raise
-    result = _commit(run, machine, armed)
-    machine.interrupts.drain()
-    return result
-
-
 __all__ = [
     "BatchProgramRun",
     "check_batchable",
+    "compiled_plan",
     "JobRun",
-    "machine_bindings",
     "record_decline",
-    "replay_interrupts",
-    "try_run_fused",
     "write_back",
 ]

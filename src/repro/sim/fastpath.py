@@ -111,7 +111,7 @@ class PlanCacheStats:
 class PlanCache(LRU):
     """LRU cache for compiled execution plans, keyed by program identity.
 
-    Keys are ``(id(program), params, keep_outputs)`` tuples (see
+    Keys are ``(id(program), params)`` pairs (see
     :func:`repro.sim.progplan.compiled_plan`); every value holds its
     program, so an id in a live key is never reused.  The same params on
     the same program always replays the same plan, so two

@@ -11,11 +11,15 @@ session::
     result = machine.run()
     metrics = machine.metrics(result)
 
-``NSCMachine(node, backend="fast")`` selects the compiled execution
-backend — bit-identical results, measurably faster; the matrix of
-engines and fallbacks is documented in ``docs/BACKENDS.md``.  For
-running many machines as cacheable batch jobs, see
-:mod:`repro.service` and ``docs/SERVICE.md``.
+A machine runs the reference interpreter: the sequencer steps its
+control script one issue at a time, so everything a stepped node shows —
+per-issue ``fu_outputs``, the issue trace, interrupt handlers, armed
+sets — is observable here, and the parity tests use it as the oracle.
+The fast backend runs jobs on the fused engine over stacked storage,
+with no machine behind them (:func:`repro.service.slab.run_slab`; the
+matrix of engines and fallbacks is in ``docs/BACKENDS.md``).  For
+running many jobs as cacheable batch jobs, see :mod:`repro.service` and
+``docs/SERVICE.md``.
 """
 
 from __future__ import annotations
@@ -39,23 +43,10 @@ class MachineError(Exception):
 
 
 class NSCMachine:
-    """A simulated NSC node.
+    """A simulated NSC node, run by the reference interpreter."""
 
-    ``backend`` selects how programs execute: ``"reference"`` is the
-    per-stream interpreter, ``"fast"`` the fused engine of
-    :mod:`repro.sim.progplan` (bit-identical results, measured speedup),
-    which falls back to the interpreter for anything it declines.
-    """
-
-    def __init__(
-        self,
-        node: Optional[NodeConfig] = None,
-        backend: str = "reference",
-    ) -> None:
-        from repro.sim.fastpath import validate_backend
-
+    def __init__(self, node: Optional[NodeConfig] = None) -> None:
         self.node = node if node is not None else NodeConfig()
-        self.backend = validate_backend(backend)
         params = self.node.params
         self.memory = PlaneMemory(params)
         self.caches: List[DoubleBufferedCache] = [
@@ -141,31 +132,18 @@ class NSCMachine:
         program: Optional[MachineProgram] = None,
         keep_outputs: bool = False,
         max_instructions: int = 1_000_000,
-        backend: Optional[str] = None,
     ) -> SequencerResult:
-        """Run the loaded program; ``backend`` overrides the machine's
-        backend for this run only (the construction-time choice is
-        restored afterwards)."""
-        previous_backend = self.backend
-        if backend is not None:
-            from repro.sim.fastpath import validate_backend
-
-            self.backend = validate_backend(backend)
+        """Run the loaded program (or load *program* first)."""
         if program is not None:
             self.load_program(program)
         if self.program is None:
-            self.backend = previous_backend
             raise MachineError("no program loaded")
         self.reset()
-        sequencer = Sequencer(self)
-        try:
-            return sequencer.run(
-                self.program,
-                keep_outputs=keep_outputs,
-                max_instructions=max_instructions,
-            )
-        finally:
-            self.backend = previous_backend
+        return Sequencer(self).run(
+            self.program,
+            keep_outputs=keep_outputs,
+            max_instructions=max_instructions,
+        )
 
     def metrics(self, result: SequencerResult) -> RunMetrics:
         return collect_metrics(self, result)

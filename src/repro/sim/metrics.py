@@ -78,13 +78,21 @@ class RunMetrics:
         }
 
     def format(self) -> str:
-        return (
-            f"{self.instructions} instructions, {self.cycles} cycles "
-            f"({self.elapsed_us:.1f} us): {self.achieved_mflops:.1f} MFLOPS "
-            f"of {self.peak_mflops:.0f} peak "
-            f"({100 * self.efficiency:.1f}%), FU utilization "
-            f"{100 * self.fu_utilization:.1f}%"
-        )
+        return format_summary(self.summary())
+
+
+def format_summary(summary: Dict[str, float]) -> str:
+    """One line from a :meth:`RunMetrics.summary` — the ``metrics`` a job
+    record carries."""
+    return (
+        f"{int(summary['instructions'])} instructions, "
+        f"{int(summary['cycles'])} cycles "
+        f"({summary['elapsed_us']:.1f} us): "
+        f"{summary['achieved_mflops']:.1f} MFLOPS "
+        f"of {summary['peak_mflops']:.0f} peak "
+        f"({100 * summary['efficiency']:.1f}%), FU utilization "
+        f"{100 * summary['fu_utilization']:.1f}%"
+    )
 
 
 def collect_metrics(
@@ -108,4 +116,4 @@ def collect_metrics(
     )
 
 
-__all__ = ["RunMetrics", "collect_metrics"]
+__all__ = ["RunMetrics", "collect_metrics", "format_summary"]

@@ -220,7 +220,7 @@ class MultiNodeStencil:
 
         Every node runs the same schedule, so one fold of the fused
         run's log (:meth:`~repro.sim.batchplan.BatchProgramRun.job`)
-        gives every node's DMA charges, written by the slab commit's
+        gives every node's DMA charges, written by
         :func:`~repro.sim.batchplan.write_back`.  Only the interrupts
         are multi-node specific: posted in issue order with each node's
         own condition value, as the reference walk posts them (it never

@@ -7,9 +7,9 @@ dominated by dispatch rather than arithmetic.  This module is the
 trace-compilation step: it compiles an entire :class:`~repro.codegen.generator.MachineProgram`
 — control script included — into a flat execution schedule where
 
-- machine state (plane memory, cache buffers) is pulled **once** into
-  local arrays, streamed through as NumPy *views*, and written back once
-  at the end;
+- the state (plane memory, cache buffers) lives in stacked local arrays
+  (:func:`stacked_storage`, one row per job or node), streamed through
+  as NumPy *views*;
 - every pipeline image becomes a :class:`BoundImage`: a few preallocated
   row *slots*, preloaded shift/delay tap buffers, and ufunc ``out=``
   kernels, so an issue is a straight run down precompiled operations with
@@ -17,9 +17,8 @@ trace-compilation step: it compiles an entire :class:`~repro.codegen.generator.M
   through the switch without storing them, a unit's output row lives
   only until its last reader has run and its slot is then recycled
   (in place, by the reader itself); rows read after the issue —
-  screened, condition, write-back, and every row under ``keep_outputs``
-  — keep a slot of their own.  As on the machine, an unshifted tap is
-  its feeder's stream, a PASS that only relays a read stream is that
+  screened, condition and write-back rows — keep a slot of their own.
+  As on the machine, an unshifted tap is its feeder's stream, a PASS that only relays a read stream is that
   stream (*forwarding*), and a unit whose result one DMA takes to
   memory computes straight into its write view, so none of them costs a
   buffer or a copy;
@@ -30,43 +29,38 @@ trace-compilation step: it compiles an entire :class:`~repro.codegen.generator.M
   into a pinned slot — so a sweep stops rescaling its source term;
 - exception detection is a single fused finiteness test over the
   screened output rows, with an exact per-stream fallback when anything
-  non-finite appears (flags and FP interrupts then match the reference
-  bit for bit);
+  non-finite appears (values then match the reference bit for bit);
 - ``LoopUntil`` convergence feedback is evaluated in-band every iteration
   — same exit, same iteration counts — and ``SwapVars`` relocations are
   array exchanges on the local state;
-- cycle counts, DMA statistics, and the interrupt stream are derived
+- cycle counts, DMA statistics, and interrupt counts are derived
   analytically from the image kernels (one
   :func:`~repro.codegen.timing.instruction_cycles` formula, one DMA
-  charge table per image) and materialized at the end, byte-identical to
-  what the reference sequencer accumulates step by step.
+  charge table per image) and folded per job at the end, equal to what
+  the reference sequencer accumulates step by step.
 
 Coverage extends beyond the happy path: residual-skew (ablation)
 programs compile their skewed operands as offset windows into zero-padded
-copies — the same trick shifted taps use — ``keep_outputs`` runs
-materialize per-FU output streams from the already-bound buffers, and
-non-default interrupt *armed sets* (arm/disarm of any kind) fold into the
-exact heap replay.  Controllers with registered handlers stay on the
-fallback: handlers observe delivery order mid-run, which only the stepped
-reference models.
+copies — the same trick shifted taps use.  What only a stepped machine
+observes — per-issue ``fu_outputs`` (``keep_outputs``), the issue trace,
+interrupt handlers and non-default armed sets — stays with the reference
+interpreter (:class:`~repro.sim.machine.NSCMachine`).
 
 Compiled plans are cached in :data:`repro.sim.fastpath.PLAN_CACHE` keyed
-by the program object's identity + params (+ the ``keep_outputs`` mode),
-so the batch service and sweeps reuse schedules across the jobs of one
+by the program object's identity + params, so the batch service and sweeps reuse schedules across the jobs of one
 compiled program; a recompile, a copy or an unpickled program builds
 its own.  That key is the only one: a program plan lowers each image
 once, straight from the :class:`~repro.codegen.generator.PipelineImage`
 into its :class:`ImageKernel`, and images are not cached on their own
 (hashing an image cost more than lowering it).
 Anything the compiler cannot prove it can fuse raises
-:class:`FusionUnsupported` and the sequencer falls back to the reference
+:class:`FusionUnsupported` and the caller falls back to the reference
 interpreter — fusion is an optimisation, never a semantics change.  That
-holds mid-run too: until the commit point at the end of a fused run, no
-machine state is mutated, so a late rejection falls back against
-pristine state.  One engine walks every compiled schedule over stacked
-rows — :class:`~repro.sim.batchplan.BatchProgramRun`, with a single
-machine as an exact one-row slab
-(:func:`~repro.sim.batchplan.try_run_fused`).
+holds mid-run too: a run mutates only its own stacked storage, so a late
+rejection leaves the caller's inputs as they were.  One engine walks
+every compiled schedule over stacked rows —
+:class:`~repro.sim.batchplan.BatchProgramRun`, with a lone job as an
+exact one-row slab (:func:`repro.service.slab.run_slab`).
 
 A hypercube runs on the same engine: its nodes are a slab with one row
 per node, and :func:`fused_stepper` steps it from the multi-node
@@ -335,8 +329,8 @@ def stacked_storage(variables: Dict[str, Any], n_rows: int,
     binds the names; planes and cache buffers start as zeros, as an
     untouched machine's read, and the solver loaders fill them through
     :meth:`_Storage.set_variable`.  Every fused run binds storage built
-    here: a service slab, a machine run (its rows pulled from the
-    machines), and a hypercube's node stack.
+    here: a service slab (a lone job is one row) and a hypercube's node
+    stack.
     """
     storage = _Storage()
     storage.variables = variables
@@ -471,14 +465,11 @@ class ImageKernel:
     lengths, zero-length vectors).
 
     The folded and screened units come from
-    :func:`repro.analysis.plansafety.screen_coverage`.  With
-    ``keep_outputs`` nothing folds, so every functional unit materializes
-    its full output stream — the :class:`BoundImage` can then snapshot
-    per-FU outputs per issue at reference fidelity.
+    :func:`repro.analysis.plansafety.screen_coverage`.
     """
 
     __slots__ = (
-        "index", "image", "params", "keep_outputs", "n", "reads",
+        "index", "image", "params", "n", "reads",
         "reduce_fus", "steps", "writes", "feeder_pads", "row_pads",
         "tap_pads", "condition", "cond_fn", "cond_threshold", "in_place",
         "forwarded", "hoisted", "runs", "live_steps", "slot_of",
@@ -488,16 +479,14 @@ class ImageKernel:
     )
 
     def __init__(self, index: int, image: PipelineImage, params: Any,
-                 moving_planes: AbstractSet[int],
-                 keep_outputs: bool = False) -> None:
+                 moving_planes: AbstractSet[int]) -> None:
         self.index = index
         self.image = image
         self.params = params
-        self.keep_outputs = keep_outputs
         n = self.n = image.vector_length
         reads = self.reads = list(image.read_programs.items())
         # an image with no units (a mask load) has nothing to screen
-        report = screen_coverage(image, keep_outputs) if image.fu_order \
+        report = screen_coverage(image) if image.fu_order \
             else _NOTHING_SCREENED
         reduce_fus = self.reduce_fus = report.reduce_fus
         screened = report.checked_fus
@@ -508,8 +497,7 @@ class ImageKernel:
         # machine, a unit that only relays a stream stores nothing, and
         # a skewed read of it is a skewed read of the stream (see _ref).
         # A PASS qualifies unless something reads its row after the
-        # runner: it is not screened, not the condition unit, and not
-        # under keep_outputs.  Its step stays in ``steps`` for the exact
+        # runner: it is not screened and not the condition unit.  Its step stays in ``steps`` for the exact
         # path, which flags it as the reference does, but the runner
         # never runs it.
         self.forwarded: Dict[int, _Ref] = {}
@@ -659,8 +647,8 @@ class ImageKernel:
                     forms.pop()  # the runner does not run it
             elif mode == _M_COPY:
                 emit((mode, a, fu), form, a)
-                if a[0] == "stream" and not keep_outputs \
-                        and fu not in screened and fu != cond_fu:
+                if a[0] == "stream" and fu not in screened \
+                        and fu != cond_fu:
                     self.forwarded[fu] = a
                     pass_steps.append(len(steps) - 1)
                     forms.pop()  # the runner does not run it
@@ -761,21 +749,19 @@ class ImageKernel:
         # issue (not hoisted: a hoisted row is computed once, and its
         # write copies it each issue); and nothing reads its row after
         # the runner or through a copy — it is not screened, not
-        # reduced, not the condition unit, not skew-padded, and not
-        # under keep_outputs.  Reads never alias a write
-        # (touched_extents declines that), so computing a write early
-        # changes no value.
+        # reduced, not the condition unit and not skew-padded.  Reads
+        # never alias a write (touched_extents declines that), so
+        # computing a write early changes no value.
         in_place: Dict[int, int] = {}
-        if not keep_outputs:
-            for j, (src, prog, width) in enumerate(writes):
-                spec = prog.spec
-                if src[0] == "row" and width == n and spec.stride == 1 \
-                        and src[1] in ufunc_step and src[1] not in hoisted \
-                        and src[1] not in screened \
-                        and src[1] not in copied and src[1] != cond_fu \
-                        and sources[src] == 1 \
-                        and fills[(spec.device_kind, spec.device)] == 1:
-                    in_place[src[1]] = j
+        for j, (src, prog, width) in enumerate(writes):
+            spec = prog.spec
+            if src[0] == "row" and width == n and spec.stride == 1 \
+                    and src[1] in ufunc_step and src[1] not in hoisted \
+                    and src[1] not in screened \
+                    and src[1] not in copied and src[1] != cond_fu \
+                    and sources[src] == 1 \
+                    and fills[(spec.device_kind, spec.device)] == 1:
+                in_place[src[1]] = j
         self.in_place = in_place
         # the steps the runner runs on every issue: neither the hoisted
         # ones nor a forwarded PASS (its readers read its stream)
@@ -804,13 +790,13 @@ class ImageKernel:
         # it (elementwise kernels are exact in place).  Rows read after
         # the runner are *pinned* to a slot of their own for the whole
         # issue: the screened rows (a contiguous prefix, so the exception
-        # screen stays one reduction), the condition row, write-back
-        # sources, and under keep_outputs every row.  A hoisted row is
+        # screen stays one reduction), the condition row and write-back
+        # sources.  A hoisted row is
         # pinned for the whole run: it is computed once, at bind.  An
         # in-place unit owns no slot (its row is its write view), nor
         # does a forwarded PASS (its row is its stream).
-        # (a reduced unit is never pinned: it is not screened, not read,
-        # and under keep_outputs nothing is reduced)
+        # (a reduced unit is never pinned: it is neither screened nor
+        # read)
         pinned = set(screened)
         pinned |= hoisted
         for src, _prog, _width in writes:
@@ -818,8 +804,6 @@ class ImageKernel:
                 pinned.add(src[1])
         if cond is not None and cond.fu not in reduce_fus:
             pinned.add(cond.fu)
-        if keep_outputs:
-            pinned.update(image.fu_order)
         held = [f for f in image.fu_order if f in pinned and f not in in_place]
         if screened:  # screened first, each group in unit order
             held.sort(key=screened.__contains__, reverse=True)
@@ -1563,8 +1547,8 @@ class BoundImage:
         reduction folding — a reduced or accumulated unit yields its full
         feedback stream — and returns the exception flags in reference
         (``fu_order``) order.  The runner has already written back
-        bit-identical values; condition evaluation and ``keep_outputs``
-        capture read these exact streams.
+        bit-identical values; condition evaluation reads these exact
+        streams.
         """
         streams, taps = self._streams, self._tap_views
         outputs: Dict[int, np.ndarray] = {}
@@ -1633,24 +1617,6 @@ class BoundImage:
             last = self._cond_row
         return [last.item(-1)] if self._one_row else last[..., -1].tolist()
 
-    def capture_outputs(self) -> Dict[int, np.ndarray]:
-        """Row 0's fresh per-FU output streams, for ``keep_outputs`` runs.
-
-        Only meaningful on a kernel compiled with ``keep_outputs`` (every
-        unit then owns a row slot of its own — the residual-reduction
-        folding is disabled), which only a one-job run binds.  Everything
-        is copied out: the row buffers are reused by the next issue, and
-        exact-path outputs can *alias* live stream/tap views (a PASS
-        kernel returns its input object), which the next issue's tap
-        refill would silently mutate.
-        """
-        if self._exact is not None:
-            return {fu: np.array(arr[0]) for fu, arr in self._exact.items()}
-        return {
-            fu: self._slots[slot][0].copy()
-            for fu, slot in self.kernel.slot_of.items()
-        }
-
 
 # ----------------------------------------------------------------------
 # whole-program compilation
@@ -1672,17 +1638,11 @@ class ProgramPlan:
     memory planes the whole run moves (:attr:`moving_planes`: those an
     issued image writes or a ``SwapVars`` names): only steps over the
     other planes hoist.
-    ``keep_outputs`` compiles every kernel in output-retention mode (full
-    per-FU streams, no reduction folding) so the engine
-    (:class:`~repro.sim.batchplan.BatchProgramRun`) can snapshot
-    ``fu_outputs`` per issue; such plans are cached separately.
     """
 
-    def __init__(self, program: MachineProgram, params: Any,
-                 keep_outputs: bool = False) -> None:
+    def __init__(self, program: MachineProgram, params: Any) -> None:
         self.program = program
         self.params = params
-        self.keep_outputs = keep_outputs
         self.swap_names: Set[str] = set()
         self.cache_ids: Set[int] = set()
         issued: Dict[int, None] = {}  # image indices, in first-issue order
@@ -1706,13 +1666,11 @@ class ProgramPlan:
                     moving.add(spec.device)
         self.moving_planes: FrozenSet[int] = frozenset(moving)
         self.kernels: Dict[int, ImageKernel] = {
-            index: ImageKernel(index, images[index], params, moving,
-                               keep_outputs=keep_outputs)
+            index: ImageKernel(index, images[index], params, moving)
             for index in issued
         }
         # variable homes per the generator's layout: every run's storage
-        # binds them (stacked_storage), and a machine must agree at run
-        # time or its run falls back
+        # binds them (stacked_storage)
         self.variables = home_variables(program)
         for name in self.swap_names:
             if name not in self.variables:
@@ -1803,8 +1761,7 @@ class _Unfusable:
     program: MachineProgram = field(repr=False, compare=False)
 
 
-def compiled_plan(program: MachineProgram, params: Any,
-                  keep_outputs: bool = False) -> ProgramPlan:
+def compiled_plan(program: MachineProgram, params: Any) -> ProgramPlan:
     """Compile (or fetch from the shared cache) the program's fused plan.
 
     Plans are keyed by the program object, not its content: a service
@@ -1814,15 +1771,13 @@ def compiled_plan(program: MachineProgram, params: Any,
     Rejections are cached too: a program the compiler declines raises
     :class:`FusionUnsupported` from a dictionary hit on every later run
     instead of re-walking the control script to the same conclusion.
-    ``keep_outputs`` plans key separately (they disable the reduction
-    folding, so the compiled kernels differ).
     """
-    key = (id(program), params, keep_outputs)
+    key = (id(program), params)
     obs.count("plan.hit" if key in PLAN_CACHE else "plan.miss")
 
     def build() -> Any:
         try:
-            return ProgramPlan(program, params, keep_outputs=keep_outputs)
+            return ProgramPlan(program, params)
         except FusionUnsupported as exc:
             return _Unfusable(str(exc), program)
 

@@ -5,6 +5,13 @@ engines pump the data and interrupts signal completions and conditions.  The
 sequencer walks the program's control script, issuing pipeline images,
 blocking on completion interrupts, and steering loops with the condition
 interrupts (the residual convergence check of the Jacobi example).
+
+This walk is the reference interpreter, the one way an
+:class:`~repro.sim.machine.NSCMachine` runs.  The fast backend compiles
+the same script into one fused schedule
+(:mod:`repro.sim.progplan`, walked by
+:class:`~repro.sim.batchplan.BatchProgramRun` over stacked storage)
+and never reaches this class.
 """
 
 from __future__ import annotations
@@ -57,15 +64,8 @@ class SequencerResult:
 
 
 class Sequencer:
-    """Executes a :class:`MachineProgram`'s control script on a machine.
-
-    With the machine on the ``"fast"`` backend the whole control script —
-    loops, convergence checks, relocations — is first offered to the
-    whole-program compiler (:mod:`repro.sim.progplan`), which executes it
-    as one fused schedule with bit-identical observable behaviour.
-    Anything the compiler declines falls back to this walk: the reference
-    interpreter, issuing one image at a time.
-    """
+    """Executes a :class:`MachineProgram`'s control script on a machine,
+    issuing one image at a time."""
 
     #: Safety bound on issue-trace retention (traces are for debugging).
     MAX_TRACE = 100_000
@@ -79,19 +79,6 @@ class Sequencer:
         keep_outputs: bool = False,
         max_instructions: int = 1_000_000,
     ) -> SequencerResult:
-        if getattr(self.machine, "backend", "reference") == "fast":
-            from repro.sim.batchplan import try_run_fused
-
-            fused = try_run_fused(
-                self.machine, program, max_instructions,
-                keep_outputs=keep_outputs,
-            )
-            if fused is not None:
-                # tier telemetry: the whole-program compiled engine ran
-                # (a declined fusion logs its reason in try_run_fused)
-                obs.count("tier.fused")
-                obs.annotate("tier", "fused")
-                return fused
         obs.count("tier.reference")
         obs.annotate("tier", "reference")
         result = SequencerResult()

@@ -14,6 +14,7 @@ the CI ``analyze`` job rely on.
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from helpers_slab import check_parity
 from repro.analysis import analyze_program
 from repro.analysis.seeding import SEEDED_DEFECTS
 from repro.arch.funcunit import Opcode
@@ -125,15 +126,13 @@ def test_checker_clean_programs_have_no_error_findings(expr, data):
         )
         for name in VAR_NAMES
     }
-    results = {}
-    for backend in ("reference", "fast"):
-        machine = NSCMachine(NODE, backend=backend)
-        machine.load_program(program)
-        for name, values in env.items():
-            machine.set_variable(name, values)
-        machine.run()
-        results[backend] = machine.get_variable("result")
-    np.testing.assert_array_equal(results["reference"], results["fast"])
+    machine = NSCMachine(NODE)
+    machine.load_program(program)
+    for name, values in env.items():
+        machine.set_variable(name, values)
+    parity = check_parity([machine], program)
+    np.testing.assert_array_equal(machine.get_variable("result"),
+                                  parity.row(0, "result"))
 
 
 @settings(max_examples=20, deadline=None,

@@ -116,19 +116,6 @@ class TestScreenCrossCheck:
                 checked_any = True
         assert checked_any
 
-    def test_keep_outputs_disables_reduce_folding(self, node, corpus):
-        name, program = corpus[0]
-        plan = progplan.compiled_plan(
-            program, node.params, keep_outputs=True
-        )
-        for index, kernel in plan.kernels.items():
-            report = screen_coverage(
-                program.images[index], keep_outputs=True
-            )
-            assert report.reduce_fus == frozenset()
-            assert not any(step[0] == progplan._M_REDUCE
-                           for step in kernel.steps)
-
     def test_verdict_records_checked_fus(self, corpus):
         _name, program = corpus[0]
         verdict = analyze_program(program)
@@ -146,11 +133,9 @@ class TestFusionCrossCheck:
             prog.add_control(op)
         return MicrocodeGenerator(node, run_checker=False).generate(prog)
 
-    def _dynamic_verdict(self, node, program, keep_outputs=False):
+    def _dynamic_verdict(self, node, program):
         try:
-            plan = progplan.compiled_plan(
-                program, node.params, keep_outputs=keep_outputs
-            )
+            plan = progplan.compiled_plan(program, node.params)
         except progplan.FusionUnsupported as exc:
             return str(exc)
         try:
@@ -164,13 +149,6 @@ class TestFusionCrossCheck:
             eligible, reasons = fusion_eligibility(program)
             assert eligible and reasons == (), name
             assert self._dynamic_verdict(node, program) is None, name
-
-    def test_keep_outputs_declines_both_ways(self, node, corpus):
-        _name, program = corpus[0]
-        eligible, reasons = fusion_eligibility(program, keep_outputs=True)
-        assert not eligible
-        dynamic = self._dynamic_verdict(node, program, keep_outputs=True)
-        assert dynamic in reasons
 
     def test_bad_issue_index_declines_both_ways(self, node):
         # the diagram layer refuses out-of-range control entries, so a

@@ -7,15 +7,11 @@ This suite draws random checker-clean single-image programs through
 :class:`~repro.compose.builders.PipelineBuilder` — fan-out, dead units,
 ``add(x, x)``, ``PASS``, MAX/MAXABS/FADD/FSUB feedback (reduced,
 accumulated and the element loop), shift/delay taps, stream and tap write-backs, conditions,
-and residual skew (``auto_balance=False``) — and asserts that the
-reference interpreter, a fused slab of one and every row of a slab of
-three agree bit for bit on written variables, condition values, cycles
-and exception flags.  A drawn ``keep_outputs`` makes the reference and
-the slab of one also capture every unit's output stream per issue, which
-must agree byte for byte — on the fused path and, when a poisoned input
-sends an issue there, the exact one.  The service's machine-less one-row
-run folds the same result with FP interrupts armed, non-finite cases
-included.
+and residual skew (``auto_balance=False``) — and asserts through
+``helpers_slab.check_parity`` that the reference interpreter, a fused
+slab of one (the service's lone job, non-finite cases included) and
+every row of a slab of three agree bit for bit on every stored row,
+each issue's condition value, cycles, charges and interrupt counts.
 
 Three bindings skip a buffer, and the draws aim at each: an unshifted
 tap reads its feeder's stream (the tap sets mix unshifted and shifted
@@ -23,10 +19,8 @@ taps, or hold only unshifted ones), a write-back unit may compute
 straight into its write view, which later steps then read, and an
 unscreened ``PASS`` of a stream or unshifted tap is forwarded — its
 readers read that stream.  A leading ``PASS`` off ``x``, ``y`` or an
-unshifted tap reads live storage: under ``keep_outputs`` with a poisoned
-input its exact-path output *is* the storage view, so
-``capture_outputs`` must copy it before the next issue's write-back
-lands there.  ``y``'s plane is read-only (nothing writes it, no
+unshifted tap reads live storage: with a poisoned input its exact-path
+output *is* the storage view.  ``y``'s plane is read-only (nothing writes it, no
 ``SwapVars`` names it) while ``x``'s moves under ``Repeat`` and
 ``LoopUntil``, so the draws also lead with a chain over ``y`` — steps
 the kernel hoists, computed once per bind — beside steps over ``x``,
@@ -49,7 +43,6 @@ from hypothesis import (
 )
 
 from repro.arch.funcunit import Opcode
-from repro.arch.interrupts import DEFAULT_ARMED_KINDS, InterruptKind
 from repro.arch.node import NodeConfig
 from repro.arch.switch import DeviceKind
 from repro.codegen.generator import CodegenError, MicrocodeGenerator
@@ -69,10 +62,10 @@ from repro.diagram.program import (
     SwapVars,
     VisualProgram,
 )
-from repro.sim import batchplan, progplan
+from repro.sim import progplan
 from repro.sim.machine import NSCMachine
 
-from helpers_slab import run_machines_stacked
+from helpers_slab import check_parity
 
 _NODE = NodeConfig()
 _EXAMPLES = (
@@ -103,10 +96,8 @@ def _planes(operand):
 
 
 @st.composite
-def single_image_programs(draw, live_pass=False):
-    """A random single-image program and its vector length; *live_pass*
-    forces a leading ``PASS`` off live storage and a ``Repeat`` of two or
-    three issues (the ``capture_outputs`` aliasing case)."""
+def single_image_programs(draw):
+    """A random single-image program and its vector length."""
     n = draw(st.integers(4, 10))
     prog = VisualProgram(name="slot-fuzz")
     for plane, name in enumerate(_VARIABLES):
@@ -130,7 +121,7 @@ def single_image_programs(draw, live_pass=False):
     limit = _NODE.params.switch_max_fanout
     units = []
     try:
-        if live_pass or draw(st.booleans()):
+        if draw(st.booleans()):
             # a PASS straight off live storage: x, y or an unshifted tap
             lead = draw(st.sampled_from(
                 [x, y] + [tap for tap in taps if tap.shift == 0]
@@ -232,8 +223,8 @@ def single_image_programs(draw, live_pass=False):
                     draw(st.sampled_from((0.0, 1.0))))
     b.build()
 
-    times = draw(st.integers(2 if live_pass else 1, 3))
-    control = "repeat" if live_pass else draw(st.sampled_from(
+    times = draw(st.integers(1, 3))
+    control = draw(st.sampled_from(
         ("once", "repeat", "loop") if watched is not None
         else ("once", "repeat")
     ))
@@ -269,79 +260,12 @@ def _inputs(n, seed, poison=None):
     return {"x": x, "y": rng.uniform(-1.0, 1.0, n)}
 
 
-def _machine(program, n, seed, backend, poison=None):
-    machine = NSCMachine(_NODE, backend=backend)
+def _machine(program, n, seed, poison=None):
+    machine = NSCMachine(_NODE)
     machine.load_program(program)
     for name, values in _inputs(n, seed, poison).items():
         machine.set_variable(name, values)
     return machine
-
-
-def _armed(machine):
-    machine.interrupts.arm(InterruptKind.FP_OVERFLOW)
-    machine.interrupts.arm(InterruptKind.FP_INVALID)
-    return machine
-
-
-def _pipelines(result):
-    return [
-        (p.cycles, repr(p.condition_value), p.condition_result, p.exceptions)
-        for p in result.pipeline_results
-    ]
-
-
-def _folded(program, n, seed, poison):
-    """The service's lone-job run: one stacked row built from the plan's
-    layout, with both FP kinds armed, folded without a machine."""
-    plan = progplan.compiled_plan(program, _NODE.params)
-    variables = plan.variables
-    storage = progplan.stacked_storage(
-        variables, 1, plan.plane_extent, plan.cache_extent
-    )
-    loaded = _inputs(n, seed, poison)
-    for name, values in loaded.items():
-        storage.set_variable(name, values)
-    armed = DEFAULT_ARMED_KINDS | {InterruptKind.FP_OVERFLOW,
-                                   InterruptKind.FP_INVALID}
-    run = batchplan.BatchProgramRun(plan, storage, 1, 1_000_000)
-    run.run()  # a lone job never declines
-    job = run.job(0, records=True)
-    # a plane the plan never touches stays as it was loaded (zeros for
-    # a variable nothing loads)
-    words = {
-        name: storage.planes[var.plane][0, var.offset:var.end]
-        if var.plane in storage.planes
-        else loaded.get(name, np.zeros(var.length))
-        for name, var in variables.items()
-    }
-    return (
-        {name: words[name].tobytes() for name in _VARIABLES},
-        job.cycles,
-        job.result.loop_iterations,
-        _pipelines(job.result),
-        job.interrupts_delivered(armed),
-    )
-
-
-def _fu_outputs(result):
-    """Every issue's captured per-unit output streams, as bytes."""
-    return [{fu: arr.tobytes() for fu, arr in p.fu_outputs.items()}
-            for p in result.pipeline_results]
-
-
-def _observed(machine, result):
-    """Everything the engines must agree on, NaN payloads included."""
-    return (
-        {name: machine.get_variable(name).tobytes() for name in _VARIABLES},
-        result.total_cycles,
-        result.instructions_issued,
-        result.loop_iterations,
-        _pipelines(result),
-        [repr((i.cycle, i.kind, i.source, i.payload))
-         for i in machine.interrupts.delivered],
-        [repr((i.cycle, i.kind, i.source))
-         for i in machine.interrupts.dropped],
-    )
 
 
 def _tap_shifts(image):
@@ -354,22 +278,7 @@ def _tap_shifts(image):
     return {image.sd_shifts[(unit, int(port[3:]))] for unit, port in taps}
 
 
-def _passes_live_storage(image):
-    """Whether a PASS unit reads, unskewed, ``x``'s stream or an
-    unshifted tap of it: storage the next issue's write-back refills
-    (``SwapVars`` hands ``x``'s plane to ``r``)."""
-    for fu, (opcode, _constant) in image.fu_ops.items():
-        src = image.inputs.get((fu, "a"))
-        if opcode is Opcode.PASS and src is not None and src.skew == 0 and (
-            src.kind == "mem" and src.endpoint.device == 0
-            or src.kind == "sd" and image.sd_shifts[
-                (src.endpoint.device, int(src.endpoint.port[3:]))] == 0
-        ):
-            return True
-    return False
-
-
-def _binding_events(program, keep_outputs, poison, issues):
+def _binding_events(program, issues):
     """Report which of the buffer-skipping bindings this case reaches."""
     kernel = progplan.compiled_plan(program, _NODE.params).kernels[0]
     shifts = _tap_shifts(kernel.image)
@@ -381,9 +290,6 @@ def _binding_events(program, keep_outputs, poison, issues):
            for step in kernel.steps
            for pos in progplan._OPERANDS[step[0]]):
         event("in-place unit read by a later step")
-    if keep_outputs and poison is not None and issues >= 2 \
-            and _passes_live_storage(kernel.image):
-        event("keep_outputs exact capture of a live-storage PASS, reissued")
     if kernel.forwarded:
         event("forwarded PASS")
     if kernel.hoisted:
@@ -404,74 +310,22 @@ _POISON = st.tuples(st.integers(0, 3),
 @settings(max_examples=_EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
-@given(case=single_image_programs(),
-       poison=st.none() | _POISON,
-       keep_outputs=st.booleans())
-def test_reference_slab_of_one_and_slab_rows_agree(case, poison,
-                                                   keep_outputs):
+@given(case=single_image_programs(), poison=st.none() | _POISON)
+def test_reference_slab_of_one_and_slab_rows_agree(case, poison):
     program, n = case
     with np.errstate(all="ignore"):
-        expected = []
-        outputs = []
+        flagged = False
         for seed in _SEEDS:
-            machine = _machine(program, n, seed, "reference", poison)
-            result = machine.run(keep_outputs=keep_outputs)
-            expected.append(_observed(machine, result))
-            outputs.append(_fu_outputs(result))
-        _binding_events(program, keep_outputs, poison,
-                        len(result.pipeline_results))
-        for seed, want, want_outputs in zip(_SEEDS, expected, outputs):
-            machine = _machine(program, n, seed, "fast", poison)
-            result = batchplan.try_run_fused(machine, program, 1_000_000,
-                                             keep_outputs=keep_outputs)
-            assert result is not None, "a checker-clean program declined"
-            assert _observed(machine, result) == want
-            assert _fu_outputs(result) == want_outputs
-            assert all(want_outputs) == keep_outputs
-        for seed in _SEEDS:
-            machine = _armed(_machine(program, n, seed, "reference", poison))
-            result = machine.run()
-            assert _folded(program, n, seed, poison) == (
-                {name: machine.get_variable(name).tobytes()
-                 for name in _VARIABLES},
-                result.total_cycles,
-                result.loop_iterations,
-                _pipelines(result),
-                len(machine.interrupts.delivered),
-            )
-        slab = [_machine(program, n, seed, "fast", poison)
-                for seed in _SEEDS]
-        results = run_machines_stacked(slab, program)
-    if results is None:
-        # the one legitimate decline: a non-finite value, which only a
-        # one-job run can attribute to the right job
-        assert any(p[3] for want in expected for p in want[4])
-        return
-    for machine, result, want in zip(slab, results, expected):
-        assert _observed(machine, result) == want
-
-
-@settings(max_examples=max(4, _EXAMPLES // 3), deadline=None,
-          suppress_health_check=[HealthCheck.filter_too_much,
-                                 HealthCheck.too_slow])
-@given(case=single_image_programs(live_pass=True), poison=_POISON)
-def test_kept_outputs_of_a_live_storage_pass_survive_the_next_issue(
-        case, poison):
-    """The poisoned first issue takes the exact path, where the PASS
-    output is the storage view itself; the next issue's write-back lands
-    in that storage (``SwapVars`` hands ``x``'s plane to ``r``), so the
-    captured stream must be a copy."""
-    program, n = case
-    with np.errstate(all="ignore"):
-        captured = []
-        for backend in ("reference", "fast"):
-            machine = _machine(program, n, _SEEDS[0], backend, poison)
-            if backend == "reference":
-                result = machine.run(keep_outputs=True)
-            else:
-                result = batchplan.try_run_fused(
-                    machine, program, 1_000_000, keep_outputs=True)
-                assert result is not None, "a checker-clean program declined"
-            captured.append(_fu_outputs(result))
-    assert len(captured[0]) >= 2
-    assert captured[1] == captured[0]
+            # a lone job runs exact: it never declines
+            parity = check_parity([_machine(program, n, seed, poison)],
+                                  program)
+            flagged |= any(p.exceptions
+                           for p in parity.results[0].pipeline_results)
+        _binding_events(program, parity.results[0].instructions_issued)
+        slab = [_machine(program, n, seed, poison) for seed in _SEEDS]
+        try:
+            check_parity(slab, program)
+        except progplan.FusionUnsupported:
+            # the one legitimate decline: a non-finite value, which only
+            # a one-job run can attribute to the right job
+            assert flagged

@@ -149,7 +149,7 @@ def _check_views(run):
 
 
 def _reference(program, row):
-    machine = NSCMachine(_NODE, backend="reference")
+    machine = NSCMachine(_NODE)
     machine.load_program(program)
     for name, values in _inputs(row).items():
         machine.set_variable(name, values)
@@ -159,8 +159,7 @@ def _reference(program, row):
         {c: (machine.caches[c].front[:_N].tobytes(),
              machine.caches[c].back[:_N].tobytes()) for c in (0, 1)},
         result.total_cycles,
-        result.issue_trace,
-        [p.cycles for p in result.pipeline_results],
+        result.instructions_issued,
     )
 
 
@@ -195,7 +194,7 @@ def _stepped(program, rows):
     observed = []
     untouched = np.zeros(_N)
     for row in range(rows):
-        job = run.job(row, records=True)
+        job = run.job(row)
         loaded = _inputs(row)
         words = {}
         for name, var in plan.variables.items():
@@ -208,9 +207,8 @@ def _stepped(program, rows):
             {c: tuple((store[c][row] if c in store else untouched).tobytes()
                       for store in (storage.cache_front, storage.cache_back))
              for c in (0, 1)},
-            job.result.total_cycles,
-            job.result.issue_trace,
-            [p.cycles for p in job.result.pipeline_results],
+            job.cycles,
+            job.instructions,
         ))
     return observed
 

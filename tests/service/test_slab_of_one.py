@@ -4,10 +4,11 @@ Every fast job on one node — a builder solver or a saved diagram
 (``method="program"``), serial under either ``batch_fusion`` mode or in
 a process pool — binds a one-job
 :class:`~repro.sim.batchplan.BatchProgramRun` and synthesizes its record
-from the run's issue log.  It never commits into an ``NSCMachine``
-(``batchplan._commit``) nor replays interrupts, and its canonical record
-equals the reference backend's, non-finite values included: a lone job
-runs exact, so it owns every FP flag it raises.  A decline (an
+from the run's issue log.  No engine row is ever written into an
+``NSCMachine`` (``batchplan.write_back`` serves only a hypercube's
+on-demand node machines), and its canonical record equals the reference
+backend's, non-finite values included: a lone job runs exact, so it
+keeps running through them.  A decline (an
 unfusable plan) reruns the job once, on the reference walk.
 """
 
@@ -75,13 +76,12 @@ def _traced(monkeypatch, job):
 
 @pytest.fixture
 def no_commit(monkeypatch):
-    """Fail any job that commits a fused run into a machine (pool
+    """Fail any job that writes a fused run into a machine (pool
     workers fork after the patch and inherit it)."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("fused run committed into a machine")
+        raise AssertionError("fused run written into a machine")
 
-    monkeypatch.setattr(batchplan, "_commit", forbidden)
-    monkeypatch.setattr(batchplan, "replay_interrupts", forbidden)
+    monkeypatch.setattr(batchplan, "write_back", forbidden)
 
 
 class TestNoMachineCommit:

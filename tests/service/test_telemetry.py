@@ -3,8 +3,8 @@
 The record schema contract: every batch/sweep record carries ``timings``
 (one entry per :data:`repro.obs.tracer.STAGES`, zeros when a stage did
 not run) and ``tier`` (which execution tier actually ran).  The counter
-contract: the sequencer and the multi-node steppers record the selected
-tier — and, for a ``FusionUnsupported`` decline, the fallback tier *and
+contract: a job's run (the slab, the sequencer, the multi-node steppers)
+records the selected tier — and, for a ``FusionUnsupported`` decline, the fallback tier *and
 the reason* — into the active tracer.
 """
 
@@ -84,8 +84,36 @@ class TestRecordTierStamp:
         assert record["fallback_reason"] == "declined for the test"
 
 
+def _traced_job(monkeypatch, job):
+    """Run *job* through :func:`execute_job`; return its record, the
+    job's own tracer and the events that tracer emitted."""
+    from types import SimpleNamespace
+
+    from repro.service import runner
+
+    tracers, events = [], []
+    stamp = runner._stamp_telemetry
+
+    def spy(record, tracer):
+        tracers.append(tracer)
+        return stamp(record, tracer)
+
+    monkeypatch.setattr(runner, "_stamp_telemetry", spy)
+    monkeypatch.setattr(obs, "_DEFAULT_SINK",
+                        SimpleNamespace(emit=events.append))
+    record = execute_job(job.to_dict(), cache=ProgramCache())
+    return record, tracers[-1], events
+
+
 class TestTierCounters:
-    def _machine(self, backend):
+    def test_fused_run_counts_tier_fused(self, monkeypatch):
+        record, tracer, _events = _traced_job(monkeypatch, _single("fast"))
+        assert record["ok"]
+        assert tracer.counters["tier.fused"] == 1
+        assert "tier.reference" not in tracer.counters
+        assert tracer.annotations["tier"] == "fused"
+
+    def test_reference_run_counts_tier_reference(self):
         from repro.codegen.generator import MicrocodeGenerator
         from repro.compose.jacobi import (
             build_jacobi_program,
@@ -98,24 +126,11 @@ class TestTierCounters:
                                      max_iterations=15)
         program = MicrocodeGenerator(node).generate(setup.program)
         rng = np.random.default_rng(7)
-        machine = NSCMachine(node, backend=backend)
+        machine = NSCMachine(node)
         machine.load_program(program)
         load_jacobi_inputs(machine, setup, rng.random((6, 6, 6)),
                            rng.standard_normal((6, 6, 6)))
-        return machine
-
-    def test_fused_run_counts_tier_fused(self):
         tracer = Tracer()
-        machine = self._machine("fast")
-        with obs.use(tracer):
-            machine.run()
-        assert tracer.counters["tier.fused"] == 1
-        assert "tier.reference" not in tracer.counters
-        assert tracer.annotations["tier"] == "fused"
-
-    def test_reference_run_counts_tier_reference(self):
-        tracer = Tracer()
-        machine = self._machine("reference")
         with obs.use(tracer):
             machine.run()
         assert tracer.counters["tier.reference"] == 1
@@ -125,7 +140,7 @@ class TestTierCounters:
         self, monkeypatch
     ):
         # the compiler accepts the program, then a FusionUnsupported
-        # surfaces mid-execution — the run must land on the reference
+        # surfaces mid-execution — the job must land on the reference
         # tier with the decline's reason on record
         calls = {"n": 0}
         real_issue = progplan.BoundImage.issue_compute
@@ -138,19 +153,15 @@ class TestTierCounters:
 
         monkeypatch.setattr(progplan.BoundImage, "issue_compute",
                             flaky_issue)
-        tracer = Tracer(keep_events=True)
-        machine = self._machine("fast")
-        with obs.use(tracer):
-            result = machine.run()
+        record, tracer, events = _traced_job(monkeypatch, _single("fast"))
         assert calls["n"] >= 4  # the rejection really fired mid-run
-        assert result.converged is not None
+        assert record["ok"] and record["converged"] is not None
         assert tracer.counters["fusion.fallback"] == 1
         assert tracer.counters["tier.reference"] == 1
         assert "tier.fused" not in tracer.counters
         assert tracer.annotations["tier"] == "reference"
         assert tracer.annotations["fallback_reason"] == "injected mid-run"
-        [event] = [e for e in tracer.events
-                   if e["type"] == "fusion_fallback"]
+        [event] = [e for e in events if e["type"] == "fusion_fallback"]
         assert event["reason"] == "injected mid-run"
 
 

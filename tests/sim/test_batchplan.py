@@ -1,24 +1,21 @@
-"""The whole-batch slab engine: parity with N per-job fused runs.
+"""The whole-batch slab engine: parity with N reference machines.
 
 One :class:`~repro.sim.batchplan.BatchProgramRun` sweeping a stack of
 same-program jobs must be observationally indistinguishable from running
-each job alone through the same engine as a slab of one — results, variables,
-metrics, DMA statistics, and the interrupt stream all bit-identical per
-job, including when convergence diverges across the stack.  And a slab
-that declines, for any reason at any point, must leave every machine
-pristine for the per-job fallback (the commit-point contract).  The
-engine commits into one machine only; a slab of N rows is committed
-into its N machines by ``helpers_slab.run_machines_stacked``.
+each job alone on a reference machine — rows, variables, metrics, DMA
+statistics and interrupt counts all bit-identical per job, including
+when convergence diverges across the stack (``helpers_slab.check_parity``
+checks every row).  And a slab that declines, for any reason at any
+point, touches nothing outside its own storage, so the per-job fallback
+starts from the inputs as they were.
 """
-
-import copy
 
 import numpy as np
 import pytest
 
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
-from repro.arch.interrupts import DEFAULT_ARMED_KINDS, InterruptKind
+from repro.arch.interrupts import InterruptKind
 from repro.arch.memsys import AllocationError
 from repro.diagram.program import (
     CacheSwap,
@@ -27,12 +24,11 @@ from repro.diagram.program import (
     LoopUntil,
     SwapVars,
 )
-from repro.obs import tracer as obs
 from repro.sim import batchplan, progplan
 from repro.sim.machine import NSCMachine
 from repro.sim.sequencer import Sequencer, SequencerError
 
-from helpers_slab import run_machines_stacked
+from helpers_slab import check_parity, run_stacked
 
 
 def _generate(node, shape=(6, 6, 6), eps=1e-4, max_iterations=300):
@@ -48,141 +44,98 @@ def _inputs(setup, seed):
     return u0, f
 
 
-def _machines(node, setup, program, seeds, backend="fast"):
+def _machines(node, setup, program, seeds):
     machines = []
     for seed in seeds:
-        machine = NSCMachine(node, backend=backend)
+        machine = NSCMachine(node)
         machine.load_program(program)
         load_jacobi_inputs(machine, setup, *_inputs(setup, seed))
         machines.append(machine)
     return machines
 
 
-def _irq_stream(machine):
-    return [
-        (i.cycle, i.kind, i.source, i.payload)
-        for i in machine.interrupts.delivered
-    ]
+def _snapshot(machine):
+    stats = machine.dma.stats
+    return (machine.get_variable("u").copy(),
+            (stats.transfers, stats.words_read, stats.words_written,
+             stats.busy_cycles))
 
 
-def _assert_job_identical(m_ref, r_ref, m_batch, r_batch):
-    assert r_ref.total_cycles == r_batch.total_cycles
-    assert r_ref.total_flops == r_batch.total_flops
-    assert r_ref.instructions_issued == r_batch.instructions_issued
-    assert r_ref.loop_iterations == r_batch.loop_iterations
-    assert r_ref.converged == r_batch.converged
-    assert r_ref.halted == r_batch.halted
-    for name in m_ref.memory.variables:
-        np.testing.assert_array_equal(
-            m_ref.get_variable(name), m_batch.get_variable(name)
-        )
-    assert m_ref.metrics(r_ref).summary() == m_batch.metrics(r_batch).summary()
-    assert m_ref.cycle == m_batch.cycle
-    assert m_ref.dma.stats == m_batch.dma.stats
-    assert m_ref.dma.device_busy == m_batch.dma.device_busy
-    assert _irq_stream(m_ref) == _irq_stream(m_batch)
-    assert m_ref.interrupts.pending() == m_batch.interrupts.pending()
-
-
-def _assert_pristine(machine, before_u, before_stats):
+def _assert_pristine(machine, before):
     assert machine.cycle == 0
-    assert machine.dma.stats == before_stats
     assert machine.interrupts.pending() == 0
     assert not machine.interrupts.delivered
-    np.testing.assert_array_equal(machine.get_variable("u"), before_u)
+    after = _snapshot(machine)
+    np.testing.assert_array_equal(after[0], before[0])
+    assert after[1] == before[1]
 
 
 class TestBatchParity:
     def test_divergent_convergence_bit_identical(self, node):
         """Seeded starts converge at different iteration counts; every
         job's frozen state and accounting must still match its own
-        per-job fused run exactly."""
+        reference run exactly."""
         setup, program = _generate(node)
-        seeds = (0, 1, 2, 3)
-        per_job = _machines(node, setup, program, seeds)
-        results_ref = [m.run() for m in per_job]
-        batch = _machines(node, setup, program, seeds)
-        results = run_machines_stacked(batch, program)
-        assert results is not None
+        parity = check_parity(
+            _machines(node, setup, program, (0, 1, 2, 3)), program)
         iteration_counts = {
-            sum(r.loop_iterations.values()) for r in results
+            sum(r.loop_iterations.values()) for r in parity.results
         }
         assert len(iteration_counts) > 1  # divergence really exercised
-        for m_ref, r_ref, m_b, r_b in zip(
-            per_job, results_ref, batch, results
-        ):
-            _assert_job_identical(m_ref, r_ref, m_b, r_b)
-        assert all(r.converged for r in results)
+        assert all(r.converged for r in parity.results)
 
     def test_bounded_non_converging_run(self, node):
         setup, program = _generate(node, eps=1e-30, max_iterations=7)
-        seeds = (5, 6, 7)
-        per_job = _machines(node, setup, program, seeds)
-        results_ref = [m.run() for m in per_job]
-        batch = _machines(node, setup, program, seeds)
-        results = run_machines_stacked(batch, program)
-        assert results is not None
-        assert all(r.converged is False for r in results)
-        for m_ref, r_ref, m_b, r_b in zip(
-            per_job, results_ref, batch, results
-        ):
-            _assert_job_identical(m_ref, r_ref, m_b, r_b)
+        parity = check_parity(
+            _machines(node, setup, program, (5, 6, 7)), program)
+        assert all(r.converged is False for r in parity.results)
 
     def test_single_job_slab(self, node):
         setup, program = _generate(node)
-        (ref,) = _machines(node, setup, program, (9,))
-        r_ref = ref.run()
-        (solo,) = batch = _machines(node, setup, program, (9,))
-        results = run_machines_stacked(batch, program)
-        assert results is not None
-        _assert_job_identical(ref, r_ref, solo, results[0])
+        parity = check_parity(_machines(node, setup, program, (9,)), program)
+        assert parity.run.exact
+        assert parity.results[0].converged
 
 
 def _stacked_run(node, setup, program, seed, poison=False, **kwargs):
     """A one-job slab over stacked ``(1, extent)`` storage built from the
     plan's layout and filled by the solver loader — the service's lone
-    fast job — with default ``fallback=True``; *poison* applies
-    :func:`_poison_and_rearm`'s edits to the storage and armed set."""
+    fast job — with default ``fallback=True``; *poison* puts an inf in
+    ``u`` as :func:`_poison` does on a machine."""
     plan = progplan.compiled_plan(program, node.params)
     storage = progplan.stacked_storage(
         plan.variables, 1, plan.plane_extent, plan.cache_extent
     )
     u0, f = _inputs(setup, seed)
     load_jacobi_inputs(storage, setup, u0, f)
-    armed = DEFAULT_ARMED_KINDS
     if poison:
         u = u0.reshape(-1).copy()
         u[3] = np.inf
         storage.set_variable("u", u)
-        armed = armed | {InterruptKind.FP_OVERFLOW, InterruptKind.FP_INVALID}
     kwargs.setdefault("max_instructions", 1_000_000)
     run = batchplan.BatchProgramRun(plan, storage, 1, **kwargs)
-    return run, plan.variables, armed
+    return run, plan.variables
 
 
-def _poison_and_rearm(machine):
-    """An inf in ``u`` with both FP kinds armed, so every exception the
-    run raises is a delivered interrupt."""
+def _poison(machine):
+    """An inf in ``u``: every later sweep raises FP exceptions."""
     u = machine.get_variable("u").copy()
     u[3] = np.inf
     machine.set_variable("u", u)
-    machine.interrupts.arm(InterruptKind.FP_OVERFLOW)
-    machine.interrupts.arm(InterruptKind.FP_INVALID)
     return machine
 
 
 class TestStackedSlabOfOne:
     """One job over stacked storage is an exact run: it binds
-    ``(1, extent)`` rows, matches the machine's fused run bit for bit,
-    logs its FP exceptions and raises its faults as a machine does."""
+    ``(1, extent)`` rows, matches a reference machine bit for bit, runs
+    on through non-finite values and raises its faults as a machine
+    does."""
 
-    def test_matches_try_run_fused_bit_for_bit(self, node):
+    def test_matches_reference_bit_for_bit(self, node):
         setup, program = _generate(node)
         (machine,) = _machines(node, setup, program, (9,))
-        stats_before = copy.deepcopy(machine.dma.stats)
-        result = batchplan.try_run_fused(machine, program, 1_000_000)
-        assert result is not None
-        run, variables, armed = _stacked_run(node, setup, program, 9)
+        result = machine.run()
+        run, variables = _stacked_run(node, setup, program, 9)
         assert all(b.batch_shape == (1,) for b in run.bound.values())
         run.run()
         job = run.job(0)
@@ -199,30 +152,28 @@ class TestStackedSlabOfOne:
         stats = machine.dma.stats
         assert (job.transfers, job.words_read, job.words_written,
                 job.busy_cycles) == (
-            stats.transfers - stats_before.transfers,
-            stats.words_read - stats_before.words_read,
-            stats.words_written - stats_before.words_written,
-            stats.busy_cycles - stats_before.busy_cycles,
+            stats.transfers, stats.words_read, stats.words_written,
+            stats.busy_cycles,
         )
-        assert job.interrupts_delivered(armed) \
+        assert job.interrupts_delivered() \
             == len(machine.interrupts.delivered)
+        assert job.metrics(node) == machine.metrics(result)
 
     def test_non_finite_runs_exact(self, node):
-        """A non-finite value takes the exact path and logs its FP tags;
-        the job's fold equals a rearmed reference machine's run."""
+        """A non-finite value takes the exact path; the job's fold
+        equals a reference machine's run (its FP interrupts are masked,
+        so no record counts them)."""
         setup, program = _generate(node, max_iterations=10)
-        (ref,) = _machines(node, setup, program, (0,), backend="reference")
-        _poison_and_rearm(ref)
-        run, variables, armed = _stacked_run(
-            node, setup, program, 0, poison=True
-        )
+        (ref,) = _machines(node, setup, program, (0,))
+        _poison(ref)
+        run, variables = _stacked_run(node, setup, program, 0, poison=True)
         with np.errstate(invalid="ignore", over="ignore"):
             r_ref = ref.run()
             run.run()
-        assert any(tags for tags, _outputs in run.extras.values())
+        fp_kinds = {InterruptKind.FP_OVERFLOW, InterruptKind.FP_INVALID}
+        assert any(i.kind in fp_kinds for i in ref.interrupts.dropped)
         job = run.job(0)
-        assert job.overflows + job.invalids > 0
-        assert job.interrupts_delivered(armed) \
+        assert job.interrupts_delivered() \
             == ref.metrics(r_ref).interrupts_delivered \
             == len(ref.interrupts.delivered)
         assert job.cycles == r_ref.total_cycles
@@ -233,7 +184,7 @@ class TestStackedSlabOfOne:
     def test_budget_fault_raises(self, node):
         """A lone job's fault is its own: raised as a machine raises it."""
         setup, program = _generate(node, eps=1e-30, max_iterations=50)
-        run, _variables, _armed = _stacked_run(
+        run, _variables = _stacked_run(
             node, setup, program, 0, max_instructions=5
         )
         with pytest.raises(SequencerError, match="budget"):
@@ -263,57 +214,32 @@ def _loop_then_issue(node, shape=(6, 6, 6), eps=1e-4, max_iterations=300):
     return setup, MicrocodeGenerator(node).generate(prog)
 
 
-def _disarmed(machines):
-    # condition-false posts then land in ``dropped``: both streams count
-    for machine in machines:
-        machine.interrupts.disarm(InterruptKind.CONDITION_FALSE)
-    return machines
-
-
 class TestIssueLogParity:
     """The slab logs each issue once; every per-job view folded from that
-    log must equal the job's own single-machine run."""
+    log must equal the job's own reference run."""
 
     SEEDS = (0, 1, 2, 3)
 
     def test_every_job_matches_its_single_machine_run(self, node):
         setup, program = _loop_then_issue(node)
-        singles = _disarmed(
-            _machines(node, setup, program, self.SEEDS, backend="reference")
-        )
-        results_ref = [m.run() for m in singles]
-        slab = _disarmed(_machines(node, setup, program, self.SEEDS))
-        results = run_machines_stacked(slab, program)
-        assert results is not None
-        assert len({r.loop_iterations[1] for r in results}) > 1
-        for m_ref, r_ref, m_b, r_b in zip(singles, results_ref, slab, results):
-            assert [vars(p) for p in r_ref.pipeline_results] \
-                == [vars(p) for p in r_b.pipeline_results]
-            assert r_ref.issue_trace == r_b.issue_trace
-            assert r_ref.issue_trace[-1] == 1  # the post-loop issue
-            assert r_ref.loop_iterations == r_b.loop_iterations
-            assert r_ref.converged is r_b.converged is True
-            assert r_ref.total_cycles == r_b.total_cycles
-            assert r_ref.instructions_issued == r_b.instructions_issued
-            assert r_ref.halted == r_b.halted
-            assert _irq_stream(m_ref) == _irq_stream(m_b)
-            assert m_ref.interrupts.dropped  # the disarmed kind really drops
-            assert [(i.cycle, i.kind, i.source, i.payload)
-                    for i in m_ref.interrupts.dropped] \
-                == [(i.cycle, i.kind, i.source, i.payload)
-                    for i in m_b.interrupts.dropped]
-            assert m_ref.dma.stats == m_b.dma.stats
-            assert m_ref.dma.device_busy == m_b.dma.device_busy
-            assert m_ref.cycle == m_b.cycle
+        parity = check_parity(
+            _machines(node, setup, program, self.SEEDS), program)
+        assert len({r.loop_iterations[1] for r in parity.results}) > 1
+        # the post-loop issue runs on every row
+        index, _values, _conds, active = parity.run.log[-1]
+        assert (index, active) == (1, None)
+        for result in parity.results:
+            assert result.issue_trace[-1] == 1
+            assert result.converged is True
 
     def test_job_totals_match_per_job_metrics(self, node):
-        """The counts a machine-less slab record is built from."""
+        """The counts a machine-less slab record is built from, over
+        rows filled variable by variable."""
         setup, program = _loop_then_issue(node)
-        singles = _disarmed(_machines(node, setup, program, self.SEEDS))
+        singles = _machines(node, setup, program, self.SEEDS)
         metrics = [m.metrics(m.run()) for m in singles]
         plan = progplan.compiled_plan(program, node.params)
-        sources = _disarmed(_machines(node, setup, program, self.SEEDS))
-        armed = batchplan.machine_bindings(plan, sources[0])
+        sources = _machines(node, setup, program, self.SEEDS)
         variables = plan.variables
         storage = progplan.stacked_storage(
             variables, len(sources), plan.plane_extent, plan.cache_extent
@@ -328,30 +254,23 @@ class TestIssueLogParity:
         run.run()
         for j, expected in enumerate(metrics):
             job = run.job(j)
-            assert job.result is None  # totals only: no per-issue records
-            assert job.cycles == expected.cycles
-            assert job.instructions == expected.instructions
-            assert job.flops == expected.flops
-            assert job.active_fu_cycles == expected.active_fu_cycles
-            assert job.interrupts_delivered(armed) \
-                == expected.interrupts_delivered
+            assert job.metrics(node) == expected
             assert job.words_read + job.words_written \
                 == expected.words_moved
 
     def test_trace_truncation_unchanged(self, node, monkeypatch):
-        monkeypatch.setattr(Sequencer, "MAX_TRACE", 7)
-        monkeypatch.setattr(batchplan.BatchProgramRun, "MAX_TRACE", 7)
+        """The reference keeps at most ``Sequencer.MAX_TRACE`` trace
+        entries, the first ones; truncating the trace changes nothing
+        else a run reports, so every row still matches the slab."""
         setup, program = _loop_then_issue(node)
-        singles = _machines(node, setup, program, self.SEEDS,
-                            backend="reference")
-        results_ref = [m.run() for m in singles]
-        slab = _machines(node, setup, program, self.SEEDS)
-        results = run_machines_stacked(slab, program)
-        assert results is not None
-        for r_ref, r_b in zip(results_ref, results):
-            assert r_b.instructions_issued > 7
-            assert r_ref.issue_trace == r_b.issue_trace
-            assert len(r_b.issue_trace) == 7
+        full = [m.run().issue_trace
+                for m in _machines(node, setup, program, self.SEEDS)]
+        monkeypatch.setattr(Sequencer, "MAX_TRACE", 7)
+        parity = check_parity(
+            _machines(node, setup, program, self.SEEDS), program)
+        for result, trace in zip(parity.results, full):
+            assert result.instructions_issued == len(trace) > 7
+            assert result.issue_trace == trace[:7]
 
 
 class TestStackedStorage:
@@ -426,68 +345,41 @@ class TestBufferAlignment:
 
 
 class TestBatchDeclines:
-    def test_reference_backend_declines(self, node):
-        """The fused engine runs fast-backend machines only; the decline
-        counts one fallback and touches nothing."""
-        setup, program = _generate(node)
-        (machine,) = _machines(node, setup, program, (0,),
-                               backend="reference")
-        before = (machine.get_variable("u").copy(),
-                  copy.deepcopy(machine.dma.stats))
-        tracer = obs.Tracer()
-        with obs.use(tracer):
-            assert batchplan.try_run_fused(machine, program, 1_000) is None
-        assert tracer.counters["fusion.fallback"] == 1
-        assert tracer.telemetry().annotations["fallback_reason"] \
-            == "fused engine requires the fast backend"
-        _assert_pristine(machine, *before)
-
     def test_non_finite_declines_pristine(self, node):
         """A non-finite value anywhere in the stack declines the whole
         slab (single-machine runs own FP-exception semantics), touching
         no machine — including the finite ones."""
         setup, program = _generate(node, max_iterations=10)
         machines = _machines(node, setup, program, (0, 1, 2))
-        poisoned = machines[1].get_variable("u").copy()
-        poisoned[3] = np.inf
-        machines[1].set_variable("u", poisoned)
-        snapshots = [
-            (m.get_variable("u").copy(), copy.deepcopy(m.dma.stats))
-            for m in machines
-        ]
+        _poison(machines[1])
+        snapshots = [_snapshot(m) for m in machines]
         with np.errstate(invalid="ignore", over="ignore"):
-            assert run_machines_stacked(machines, program) is None
-        for machine, (before_u, before_stats) in zip(machines, snapshots):
-            _assert_pristine(machine, before_u, before_stats)
+            with pytest.raises(progplan.FusionUnsupported,
+                               match="non-finite"):
+                run_stacked(machines, program)
+        for machine, before in zip(machines, snapshots):
+            _assert_pristine(machine, before)
 
     def test_budget_fault_pristine_then_reproduced(self, node):
         """Budget exhaustion mid-slab declines with every machine
-        pristine; the per-job fallback then faults authoritatively, with
-        state committed to the fault point as the reference tier would."""
+        pristine; the per-job fallback then faults authoritatively."""
         setup, program = _generate(node, eps=1e-30, max_iterations=50)
         machines = _machines(node, setup, program, (0, 1))
-        snapshots = [
-            (m.get_variable("u").copy(), copy.deepcopy(m.dma.stats))
-            for m in machines
-        ]
-        assert run_machines_stacked(
-            machines, program, max_instructions=5
-        ) is None
-        for machine, (before_u, before_stats) in zip(machines, snapshots):
-            _assert_pristine(machine, before_u, before_stats)
+        snapshots = [_snapshot(m) for m in machines]
+        with pytest.raises(progplan.FusionUnsupported, match="budget"):
+            run_stacked(machines, program, max_instructions=5)
+        for machine, before in zip(machines, snapshots):
+            _assert_pristine(machine, before)
         with pytest.raises(SequencerError):
             machines[0].run(max_instructions=5)
 
     def test_mid_run_injection_pristine(self, node, monkeypatch):
         """A FusionUnsupported surfacing mid-execution (injected into the
-        shared kernel issue path) unwinds the slab with nothing
-        committed."""
+        shared kernel issue path) unwinds the slab with nothing else
+        touched."""
         setup, program = _generate(node, max_iterations=15)
         machines = _machines(node, setup, program, (0, 1, 2))
-        snapshots = [
-            (m.get_variable("u").copy(), copy.deepcopy(m.dma.stats))
-            for m in machines
-        ]
+        snapshots = [_snapshot(m) for m in machines]
         calls = {"n": 0}
         real_issue = progplan.BoundImage.issue_compute
 
@@ -500,10 +392,11 @@ class TestBatchDeclines:
         monkeypatch.setattr(
             progplan.BoundImage, "issue_compute", flaky_issue
         )
-        assert run_machines_stacked(machines, program) is None
+        with pytest.raises(progplan.FusionUnsupported, match="injected"):
+            run_stacked(machines, program)
         assert calls["n"] >= 3  # the injection really fired mid-run
-        for machine, (before_u, before_stats) in zip(machines, snapshots):
-            _assert_pristine(machine, before_u, before_stats)
+        for machine, before in zip(machines, snapshots):
+            _assert_pristine(machine, before)
 
 
 class TestCheckBatchable:
@@ -520,15 +413,6 @@ class TestCheckBatchable:
         setup, program = _generate(node)
         plan = progplan.compiled_plan(program, node.params)
         batchplan.check_batchable(plan)  # must not raise
-
-    def test_keep_outputs_plan_declines(self, node):
-        setup, program = _generate(node)
-        plan = progplan.compiled_plan(
-            program, node.params, keep_outputs=True
-        )
-        with pytest.raises(progplan.FusionUnsupported,
-                           match="keep_outputs"):
-            batchplan.check_batchable(plan)
 
     def test_halt_inside_loop_declines(self, node):
         plan = self._plan_for(node, [

@@ -1,16 +1,18 @@
 """The fast backend: single-node parity with the reference.
 
 The fast backend's contract is bit-identical observable behaviour — grids,
-cycle/flop counts, DMA statistics, exception flags, interrupts — so every
-test here runs the same program through both backends and compares whole
+cycle/flop counts, DMA statistics, condition outcomes, interrupt counts —
+so every test here runs the same program through the reference
+interpreter on a machine and through the fused engine on a stacked row
+fed the same inputs (``helpers_slab.check_parity``), and compares whole
 results, not tolerances.  Per-image cases run as a one-sweep control
-script through the fused engine (:func:`repro.sim.batchplan.try_run_fused`)
-against the reference interpreter issuing the same images.
+script.
 """
 
 import numpy as np
 import pytest
 
+from helpers_slab import check_parity
 from repro.codegen.generator import MicrocodeGenerator
 from repro.codegen.timing import instruction_cycles
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
@@ -18,38 +20,27 @@ from repro.diagram.program import CacheSwap, ExecPipeline, Halt
 from repro.sim.fastpath import BACKENDS, validate_backend
 from repro.sim.machine import NSCMachine
 from repro.sim.pipeline_exec import execute_image
-from repro.sim.batchplan import try_run_fused
 from repro.sim.progplan import compiled_plan, pad_extent, pad_window
 
 
-def _loaded_machine(node, setup, program, u0, f, backend="reference"):
-    machine = NSCMachine(node, backend=backend)
+def _loaded_machine(node, setup, program, u0, f):
+    machine = NSCMachine(node)
     machine.load_program(program)
     load_jacobi_inputs(machine, setup, u0, f)
     return machine
 
 
-def _one_sweep(node, u0, f, keep_outputs=False):
-    """(reference, fused) results of mask load + one update issue.
-
-    The reference issues the two images by hand; the fused engine runs
-    the same steps as a control script and must accept it."""
+def _one_sweep(node, u0, f):
+    """Mask load + one update issue as a control script, checked by the
+    oracle; returns its :class:`helpers_slab.Parity`."""
     setup = build_jacobi_program(node, u0.shape, eps=1e-5, loop=False)
     setup.program.control.clear()
     for op in (ExecPipeline(0), CacheSwap(caches=(0, 1)), ExecPipeline(1),
                Halt()):
         setup.program.add_control(op)
     program = MicrocodeGenerator(node).generate(setup.program)
-    ref = _loaded_machine(node, setup, program, u0, f)
-    execute_image(program.images[0], ref)
-    ref.swap_caches(0, 1)
-    r_ref = execute_image(program.images[1], ref, keep_outputs=keep_outputs)
-
-    fast = _loaded_machine(node, setup, program, u0, f, "fast")
-    result = try_run_fused(fast, program, 1_000_000,
-                           keep_outputs=keep_outputs)
-    assert result is not None, "the fused engine must accept one sweep"
-    return (ref, r_ref), (fast, result.pipeline_results[-1])
+    return check_parity([_loaded_machine(node, setup, program, u0, f)],
+                        program)
 
 
 @pytest.fixture(scope="module")
@@ -70,21 +61,17 @@ class TestBackendValidation:
         with pytest.raises(ValueError, match="turbo"):
             validate_backend("turbo")
 
-    def test_machine_rejects_unknown_backend(self, node):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            NSCMachine(node, backend="nope")
+    def test_machine_rejects_a_backend_argument(self, node):
+        """A machine runs the reference interpreter only: the fast path
+        is the slab, which binds no machine."""
+        with pytest.raises(TypeError):
+            NSCMachine(node, backend="fast")
+        assert not hasattr(NSCMachine(node), "backend")
 
-    def test_run_override_is_per_run(self, node, jacobi8):
-        setup, program = jacobi8
-        u0 = np.zeros((8, 8, 8))
-        machine = _loaded_machine(node, setup, program, u0, np.zeros((8, 8, 8)))
-        assert machine.backend == "reference"
-        machine.run(backend="fast", max_instructions=10_000)
-        # the override applies to that run only
-        assert machine.backend == "reference"
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            machine.run(backend="warp")
-        assert machine.backend == "reference"
+    def test_run_rejects_a_backend_override(self, node, jacobi8):
+        _setup, program = jacobi8
+        with pytest.raises(TypeError):
+            NSCMachine(node).run(program, backend="fast")
 
 
 def _padded_windows(x, shifts):
@@ -126,60 +113,36 @@ class TestSingleNodeParity:
         u0[0] = u0[-1] = u0[:, 0] = u0[:, -1] = 0.0
         u0[:, :, 0] = u0[:, :, -1] = 0.0
         f = rng.random(shape)
-        machines = {}
-        results = {}
-        for backend in BACKENDS:
-            machine = _loaded_machine(node, setup, program, u0, f, backend)
-            results[backend] = machine.run()
-            machines[backend] = machine
-        ref, fast = results["reference"], results["fast"]
-        assert ref.total_cycles == fast.total_cycles
-        assert ref.total_flops == fast.total_flops
-        assert ref.instructions_issued == fast.instructions_issued
-        assert ref.issue_trace == fast.issue_trace
-        assert ref.converged == fast.converged
+        parity = check_parity(
+            [_loaded_machine(node, setup, program, u0, f)], program)
+        assert parity.results[0].converged
         np.testing.assert_array_equal(
-            machines["reference"].get_variable("u"),
-            machines["fast"].get_variable("u"),
-        )
-        m_ref = machines["reference"].metrics(ref)
-        m_fast = machines["fast"].metrics(fast)
-        assert m_ref.summary() == m_fast.summary()
-        assert m_ref.interrupts_delivered == m_fast.interrupts_delivered
+            parity.machines[0].get_variable("u"), parity.row(0, "u"))
 
     def test_per_image_results_match(self, node):
         shape = (8, 8, 8)
         u0 = np.linspace(0.0, 1.0, 512).reshape(shape)
         f = np.zeros(shape)
-        (m_ref, r_ref), (m_fast, r_fast) = _one_sweep(
-            node, u0, f, keep_outputs=True
-        )
-        assert r_ref.cycles == r_fast.cycles
-        assert r_ref.compute_cycles == r_fast.compute_cycles
-        assert r_ref.dma_cycles == r_fast.dma_cycles
-        assert r_ref.condition_value == r_fast.condition_value
-        assert r_ref.condition_result == r_fast.condition_result
-        assert r_ref.exceptions == r_fast.exceptions
-        assert set(r_ref.fu_outputs) == set(r_fast.fu_outputs)
-        for fu in r_ref.fu_outputs:
-            np.testing.assert_array_equal(
-                r_ref.fu_outputs[fu], r_fast.fu_outputs[fu]
-            )
-        assert m_ref.dma.stats.words_moved == m_fast.dma.stats.words_moved
-        assert m_ref.dma.stats.transfers == m_fast.dma.stats.transfers
-        assert m_ref.dma.stats.busy_cycles == m_fast.dma.stats.busy_cycles
+        parity = _one_sweep(node, u0, f)
+        r_ref = parity.results[0].pipeline_results[-1]
+        index, values, conds, _active = parity.run.log[-1]
+        assert index == 1
+        assert values == [r_ref.condition_value]
+        assert conds == [r_ref.condition_result]
 
-    def test_exception_flags_match(self, node):
-        """Non-finite data must raise the same per-FU flags on both paths."""
+    def test_non_finite_sweep_matches(self, node):
+        """Non-finite data takes the exact path: the same rows (NaNs at
+        the same places) and charges as the reference."""
         shape = (8, 8, 8)
         u0 = np.zeros(shape)
         u0[3, 3, 3] = np.inf
         u0[4, 4, 4] = np.nan
         f = np.zeros(shape)
         with np.errstate(invalid="ignore", over="ignore"):
-            (_, r_ref), (_, r_fast) = _one_sweep(node, u0, f)
-        assert r_ref.exceptions == r_fast.exceptions
-        assert r_ref.exceptions  # the scenario does produce exceptions
+            parity = _one_sweep(node, u0, f)
+        # the scenario does produce exceptions
+        assert parity.results[0].pipeline_results[-1].exceptions
+        assert np.isnan(parity.row(0, "u")).any()
 
 
 class TestFastPlan:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
-from repro.sim import batchplan, progplan
+from repro.sim import progplan
 from repro.sim.machine import NSCMachine
 from repro.sim.multinode import MultiNodeStencil
 
@@ -51,20 +51,24 @@ class TestAllocationGuards:
 
 
 class TestObservableState:
-    def test_fused_run_materializes_only_planned_caches(self, node, rng):
+    def test_run_materializes_only_planned_caches(self, node, rng):
         setup = build_jacobi_program(node, (6, 6, 6), eps=1e-4)
         program = MicrocodeGenerator(node).generate(setup.program)
-        machine = NSCMachine(node, backend="fast")
+        machine = NSCMachine(node)
         machine.load_program(program)
         load_jacobi_inputs(
             machine, setup, rng.random((6, 6, 6)), rng.standard_normal((6, 6, 6))
         )
         assert not any(cache.materialized for cache in machine.caches)
-        assert batchplan.try_run_fused(machine, program, 1_000_000) is not None
+        machine.run()
         plan = progplan.compiled_plan(program, node.params)
         assert plan.cache_extent  # Jacobi streams its masks through caches
         touched = {c.cache_id for c in machine.caches if c.materialized}
         assert touched == set(plan.cache_extent)
+        storage = progplan.stacked_storage(plan.variables, 1,
+                                           plan.plane_extent,
+                                           plan.cache_extent)
+        assert set(storage.cache_front) == set(storage.cache_back) == touched
 
     @pytest.mark.parametrize("hypercube_dim", [0, 2])
     def test_fresh_stencil_fields_read_as_zeros(self, hypercube_dim):

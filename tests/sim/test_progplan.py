@@ -1,15 +1,19 @@
 """The whole-program compiled engine: parity with the reference sequencer.
 
 The compiled schedule's contract is bit-identical observable behaviour,
-and it covers the *control script* too: loop iteration counts, issue
-traces, relocations, cache swaps, the interrupt stream, and DMA
-statistics all have to match a step-by-step reference run exactly.
+and it covers the *control script* too: loop iteration counts, halts,
+relocations, cache swaps, interrupt counts and DMA statistics all have
+to match a step-by-step reference run exactly.  Every parity case loads
+a reference machine and runs it against a stacked row fed the same
+inputs (``helpers_slab.check_parity``).
 """
 
 import numpy as np
 import pytest
 
+from helpers_slab import check_parity, run_stacked
 from repro.arch.funcunit import Opcode
+from repro.arch.interrupts import DEFAULT_ARMED_KINDS, InterruptKind
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.builders import ConstOperand, PipelineBuilder
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
@@ -23,10 +27,12 @@ from repro.diagram.program import (
     VisualProgram,
 )
 from repro.obs import tracer as obs
-from repro.sim import batchplan, progplan
+from repro.sim import progplan
 from repro.sim.fastpath import PLAN_CACHE
 from repro.sim.machine import NSCMachine
 from repro.sim.sequencer import SequencerError
+
+FP_KINDS = {InterruptKind.FP_OVERFLOW, InterruptKind.FP_INVALID}
 
 
 def _generate(node, shape=(6, 6, 6), eps=1e-4, max_iterations=300, loop=True):
@@ -46,61 +52,24 @@ def _scripted(node, control_ops):
     return setup, MicrocodeGenerator(node).generate(prog)
 
 
-def _loaded(node, setup, program, u0, f, backend):
-    machine = NSCMachine(node, backend=backend)
+def _loaded(node, setup, program, u0, f):
+    machine = NSCMachine(node)
     machine.load_program(program)
     load_jacobi_inputs(machine, setup, u0, f)
     return machine
 
 
-def _run(node, setup, program, u0, f, backend, **kwargs):
-    machine = _loaded(node, setup, program, u0, f, backend)
-    return machine, machine.run(**kwargs)
+def _parity(node, setup, program, u0, f, **kwargs):
+    """The oracle on one machine loaded with *u0* and *f*."""
+    return check_parity([_loaded(node, setup, program, u0, f)], program,
+                        **kwargs)
 
 
-def _irq_stream(machine):
-    # repr: NaN condition payloads must compare equal
-    return [
-        repr((i.cycle, i.kind, i.source, i.payload))
-        for i in machine.interrupts.delivered
-    ]
-
-
-def _assert_runs_identical(ref, fused):
-    (m_ref, r_ref), (m_fast, r_fast) = ref, fused
-    assert r_ref.total_cycles == r_fast.total_cycles
-    assert r_ref.total_flops == r_fast.total_flops
-    assert r_ref.instructions_issued == r_fast.instructions_issued
-    assert r_ref.issue_trace == r_fast.issue_trace
-    assert r_ref.loop_iterations == r_fast.loop_iterations
-    assert r_ref.converged == r_fast.converged
-    assert r_ref.halted == r_fast.halted
-    assert len(r_ref.pipeline_results) == len(r_fast.pipeline_results)
-    for p_ref, p_fast in zip(r_ref.pipeline_results, r_fast.pipeline_results):
-        assert p_ref.cycles == p_fast.cycles
-        assert p_ref.condition_result == p_fast.condition_result
-        assert repr(p_ref.condition_value) == repr(p_fast.condition_value)
-        assert p_ref.exceptions == p_fast.exceptions
-        assert set(p_ref.fu_outputs) == set(p_fast.fu_outputs)
-        for fu in p_ref.fu_outputs:
-            np.testing.assert_array_equal(
-                p_ref.fu_outputs[fu], p_fast.fu_outputs[fu]
-            )
-    for name in m_ref.memory.variables:
-        np.testing.assert_array_equal(
-            m_ref.get_variable(name), m_fast.get_variable(name)
-        )
-    assert m_ref.metrics(r_ref).summary() == m_fast.metrics(r_fast).summary()
-    assert m_ref.cycle == m_fast.cycle
-    assert m_ref.dma.stats == m_fast.dma.stats
-    assert m_ref.dma.device_busy == m_fast.dma.device_busy
-    # Interrupt.__eq__ compares cycles only; parity means the full
-    # (cycle, kind, source, payload) stream matches, dropped ones included
-    assert _irq_stream(m_ref) == _irq_stream(m_fast)
-    assert [repr((i.cycle, i.kind, i.source)) for i in m_ref.interrupts.dropped] \
-        == [repr((i.cycle, i.kind, i.source))
-            for i in m_fast.interrupts.dropped]
-    assert m_ref.interrupts.pending() == m_fast.interrupts.pending()
+def _raised_fp(parity):
+    """Did the reference run raise FP exceptions (dropped: unarmed)?"""
+    result, machine = parity.results[0], parity.machines[0]
+    return any(p.exceptions for p in result.pipeline_results) and any(
+        i.kind in FP_KINDS for i in machine.interrupts.dropped)
 
 
 class TestFusedRunParity:
@@ -108,96 +77,35 @@ class TestFusedRunParity:
         setup, program = _generate(node)
         u0 = rng.random((6, 6, 6))
         f = rng.standard_normal((6, 6, 6))
-        ref = _run(node, setup, program, u0, f, "reference")
-        fused = _run(node, setup, program, u0, f, "fast")
-        _assert_runs_identical(ref, fused)
-        assert fused[1].converged
+        parity = _parity(node, setup, program, u0, f)
+        assert parity.results[0].converged
 
     def test_bounded_run_not_converged(self, node, rng):
         setup, program = _generate(node, eps=1e-30, max_iterations=9)
         u0 = rng.random((6, 6, 6))
         f = rng.standard_normal((6, 6, 6))
-        ref = _run(node, setup, program, u0, f, "reference")
-        fused = _run(node, setup, program, u0, f, "fast")
-        _assert_runs_identical(ref, fused)
-        assert not fused[1].converged
-        assert fused[1].loop_iterations[setup.update_pipeline] == 9
+        parity = _parity(node, setup, program, u0, f)
+        assert not parity.run.converged[0]
+        assert parity.run.loop_iterations[0][setup.update_pipeline] == 9
 
-    def test_exception_flags_and_drops_match(self, node):
+    def test_non_finite_run_matches(self, node):
         """Non-finite data must route through the exact path with the
-        reference's per-FU flags and dropped FP interrupts."""
+        reference's values, NaNs at the same places."""
         setup, program = _generate(node, max_iterations=20)
         shape = (6, 6, 6)
         u0 = np.zeros(shape)
         u0[2, 2, 2] = np.inf
         u0[3, 3, 3] = np.nan
         f = np.zeros(shape)
-        m_ref, r_ref = _run(node, setup, program, u0, f, "reference")
-        m_fast, r_fast = _run(node, setup, program, u0, f, "fast")
-        assert [p.exceptions for p in r_ref.pipeline_results] == [
-            p.exceptions for p in r_fast.pipeline_results
-        ]
-        assert any(p.exceptions for p in r_fast.pipeline_results)
-        assert [
-            (i.cycle, i.kind, i.source) for i in m_ref.interrupts.dropped
-        ] == [
-            (i.cycle, i.kind, i.source) for i in m_fast.interrupts.dropped
-        ]
-        np.testing.assert_array_equal(
-            m_ref.get_variable("u"), m_fast.get_variable("u")
-        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            parity = _parity(node, setup, program, u0, f)
+        assert _raised_fp(parity)
+        assert np.isnan(parity.row(0, "u")).any()
 
-    def test_keep_outputs_fused_bit_identical(self, node, rng):
-        """keep_outputs now runs through the fused engine: every issue's
-        per-FU output streams must match the reference bit for bit."""
-        setup, program = _generate(node, max_iterations=5)
-        u0 = rng.random((6, 6, 6))
-        f = rng.standard_normal((6, 6, 6))
-        m_ref, r_ref = _run(
-            node, setup, program, u0, f, "reference", keep_outputs=True
-        )
-        m_fast, r_fast = _run(
-            node, setup, program, u0, f, "fast", keep_outputs=True
-        )
-        assert r_ref.total_cycles == r_fast.total_cycles
-        assert _irq_stream(m_ref) == _irq_stream(m_fast)
-        assert len(r_ref.pipeline_results) == len(r_fast.pipeline_results)
-        for p_ref, p_fast in zip(r_ref.pipeline_results,
-                                 r_fast.pipeline_results):
-            assert set(p_ref.fu_outputs) == set(p_fast.fu_outputs)
-            if p_ref.active_fus:
-                assert p_ref.fu_outputs  # retention actually happened
-            for fu in p_ref.fu_outputs:
-                np.testing.assert_array_equal(
-                    p_ref.fu_outputs[fu], p_fast.fu_outputs[fu]
-                )
-        np.testing.assert_array_equal(
-            m_ref.get_variable("u"), m_fast.get_variable("u")
-        )
-
-    def test_keep_outputs_uses_fused_engine(self, node, rng):
-        """The gap this PR closes: keep_outputs must not skip fusion."""
-        setup, program = _generate(node, max_iterations=5)
-        machine = NSCMachine(node, backend="fast")
-        machine.load_program(program)
-        load_jacobi_inputs(
-            machine, setup, rng.random((6, 6, 6)),
-            rng.standard_normal((6, 6, 6)),
-        )
-        result = batchplan.try_run_fused(
-            machine, program, 1_000_000, keep_outputs=True
-        )
-        assert result is not None
-        assert all(
-            p.fu_outputs for p in result.pipeline_results if p.active_fus
-        )
-        assert any(p.fu_outputs for p in result.pipeline_results)
-
-    def test_keep_outputs_exact_path_does_not_alias_buffers(self, node, rng):
-        """Exact-path outputs of a PASS unit are the live tap/stream view
-        itself; captured fu_outputs must be copies, or the next issue's
-        tap refill silently mutates the record (rb-sor keeps real PASS
-        steps, and a NaN forces every issue down the exact path)."""
+    def test_rbsor_non_finite_exact_path_matches(self, node, rng):
+        """rb-sor keeps real PASS steps, whose exact-path outputs are
+        live stream views; a NaN forces every issue down the exact path,
+        and the rows must still match the reference."""
         from repro.compose.iterative import (
             build_rbsor_program,
             load_rbsor_inputs,
@@ -210,33 +118,22 @@ class TestFusedRunParity:
         u0 = rng.random(shape)
         u0[2, 2, 2] = np.nan
         f = rng.standard_normal(shape)
-        runs = {}
-        for backend in ("reference", "fast"):
-            machine = NSCMachine(node, backend=backend)
-            machine.load_program(program)
-            load_rbsor_inputs(machine, setup, u0, f)
-            runs[backend] = machine.run(keep_outputs=True)
-        r_ref, r_fast = runs["reference"], runs["fast"]
-        assert len(r_ref.pipeline_results) == len(r_fast.pipeline_results)
-        assert any(p.exceptions for p in r_fast.pipeline_results)
-        for p_ref, p_fast in zip(r_ref.pipeline_results,
-                                 r_fast.pipeline_results):
-            assert set(p_ref.fu_outputs) == set(p_fast.fu_outputs)
-            for fu in p_ref.fu_outputs:
-                np.testing.assert_array_equal(
-                    p_ref.fu_outputs[fu], p_fast.fu_outputs[fu]
-                )
+        machine = NSCMachine(node)
+        machine.load_program(program)
+        load_rbsor_inputs(machine, setup, u0, f)
+        with np.errstate(invalid="ignore", over="ignore"):
+            parity = check_parity([machine], program)
+        assert any(p.exceptions for p in parity.results[0].pipeline_results)
 
     def test_instruction_budget_error_matches(self, node, rng):
         setup, program = _generate(node, eps=1e-30, max_iterations=50)
         u0 = rng.random((6, 6, 6))
         f = rng.standard_normal((6, 6, 6))
-        for backend in ("reference", "fast"):
-            machine = NSCMachine(node, backend=backend)
-            machine.load_program(program)
-            load_jacobi_inputs(machine, setup, u0, f)
-            with pytest.raises(SequencerError, match="instruction budget"):
-                machine.run(max_instructions=10)
+        machine = _loaded(node, setup, program, u0, f)
+        with pytest.raises(SequencerError, match="instruction budget"):
+            run_stacked([machine], program, max_instructions=10)
+        with pytest.raises(SequencerError, match="instruction budget"):
+            machine.run(max_instructions=10)
 
     def test_negative_feedback_init_reduces_identically(self, node, rng):
         """The folded residual reduction must seed |init| exactly like
@@ -256,9 +153,22 @@ class TestFusedRunParity:
         )
         u0 = rng.random((5, 5, 5))
         f = rng.standard_normal((5, 5, 5))
-        ref = _run(node, setup, program, u0, f, "reference")
-        fused = _run(node, setup, program, u0, f, "fast")
-        _assert_runs_identical(ref, fused)
+        _parity(node, setup, program, u0, f)
+
+
+def _raised(machine):
+    """Every interrupt the last run raised, delivered or dropped, in a
+    comparable order (repr: NaN condition payloads compare equal)."""
+    irqs = machine.interrupts.delivered + machine.interrupts.dropped
+    return sorted(repr((i.cycle, i.kind.value, i.source, i.payload))
+                  for i in irqs)
+
+
+class TestInterruptConfigurations:
+    """The reference machine keeps the whole interrupt scheme (armed
+    sets, handlers, a host's queue); the engine models none of it and
+    counts the default armed set.  A machine's configuration decides how
+    raised interrupts are routed, never what the run computes."""
 
     @pytest.mark.parametrize(
         "arm, disarm",
@@ -269,104 +179,73 @@ class TestFusedRunParity:
             ((), ("CONDITION_TRUE", "CONDITION_FALSE")),
         ],
     )
-    def test_rearmed_interrupt_configs_fuse_bit_identically(
+    def test_rearmed_interrupt_configs_route_but_do_not_change_the_run(
         self, node, rng, arm, disarm
     ):
-        """Armed-set variations fold into the fused heap replay: the
-        delivered *and* dropped interrupt streams match the reference,
-        including FP exceptions raised by non-finite data."""
-        from repro.arch.interrupts import InterruptKind
-
+        """A rearmed machine delivers exactly its armed kinds and drops
+        the rest, out of the same raised interrupts (FP exceptions from
+        non-finite data included) as a default-armed run; its rows,
+        cycles and trace match the stacked run."""
         setup, program = _generate(node, max_iterations=20)
         u0 = rng.random((6, 6, 6))
         u0[2, 2, 2] = np.inf
         u0[3, 3, 3] = np.nan
         f = rng.standard_normal((6, 6, 6))
+        rearmed = _loaded(node, setup, program, u0, f)
+        for name in arm:
+            rearmed.interrupts.arm(InterruptKind[name])
+        for name in disarm:
+            rearmed.interrupts.disarm(InterruptKind[name])
+        with np.errstate(invalid="ignore", over="ignore"):
+            parity = _parity(node, setup, program, u0, f)
+            result = rearmed.run()
+        assert _raised_fp(parity)
+        np.testing.assert_array_equal(rearmed.get_variable("u"),
+                                      parity.row(0, "u"))
+        assert result.total_cycles == parity.run.job(0).cycles
+        assert result.issue_trace == parity.results[0].issue_trace
+        assert _raised(rearmed) == _raised(parity.machines[0])
+        armed = (DEFAULT_ARMED_KINDS | {InterruptKind[n] for n in arm}) \
+            - {InterruptKind[n] for n in disarm}
+        delivered = {i.kind for i in rearmed.interrupts.delivered}
+        dropped = {i.kind for i in rearmed.interrupts.dropped}
+        assert delivered <= armed and not dropped & armed
+        assert delivered | dropped \
+            == {i.kind for i in parity.machines[0].interrupts.delivered
+                + parity.machines[0].interrupts.dropped}
 
-        def configured(backend):
-            machine = NSCMachine(node, backend=backend)
-            machine.load_program(program)
-            load_jacobi_inputs(machine, setup, u0, f)
-            for name in arm:
-                machine.interrupts.arm(InterruptKind[name])
-            for name in disarm:
-                machine.interrupts.disarm(InterruptKind[name])
-            return machine
-
-        fused_probe = configured("fast")
-        assert batchplan.try_run_fused(fused_probe, program, 1_000_000) \
-            is not None, "armed-set variation must not disable fusion"
-
-        m_ref = configured("reference")
-        r_ref = m_ref.run()
-        m_fast = configured("fast")
-        r_fast = m_fast.run()
-        assert r_ref.total_cycles == r_fast.total_cycles
-
-        def streams(machine):
-            # repr: NaN condition payloads must compare equal
-            return (
-                [repr(x) for x in _irq_stream(machine)],
-                [
-                    repr((i.cycle, i.kind, i.source, i.payload))
-                    for i in machine.interrupts.dropped
-                ],
-            )
-
-        assert streams(m_ref) == streams(m_fast)
-        np.testing.assert_array_equal(
-            m_ref.get_variable("u"), m_fast.get_variable("u")
-        )
-
-    def test_registered_handler_falls_back(self, node, rng):
-        """Handlers observe mid-run delivery; the fused engine declines
-        (via the public configuration API) and the reference fallback
-        produces reference behaviour."""
-        from repro.arch.interrupts import InterruptKind
-
+    def test_registered_handler_sees_every_delivery_mid_run(self, node,
+                                                           rng):
+        """A handler runs as its kind is delivered, between issues, and
+        leaves the run equal to the stacked one."""
         setup, program = _generate(node, max_iterations=10)
-        u0 = rng.random((6, 6, 6))
-        f = rng.standard_normal((6, 6, 6))
+        machine = _loaded(node, setup, program, rng.random((6, 6, 6)),
+                          rng.standard_normal((6, 6, 6)))
         seen = []
+        machine.interrupts.on(InterruptKind.PIPELINE_COMPLETE,
+                              lambda irq: seen.append((irq, machine.cycle)))
+        parity = check_parity([machine], program)
+        result = parity.results[0]
+        assert len(seen) == result.instructions_issued > 1
+        assert [irq for irq, _cycle in seen] == [
+            i for i in machine.interrupts.delivered
+            if i.kind is InterruptKind.PIPELINE_COMPLETE]
+        assert all(irq.cycle <= cycle for irq, cycle in seen)
+        assert seen[0][1] < result.total_cycles
 
-        def make(backend):
-            machine = NSCMachine(node, backend=backend)
-            machine.load_program(program)
-            load_jacobi_inputs(machine, setup, u0, f)
-            machine.interrupts.on(
-                InterruptKind.PIPELINE_COMPLETE, seen.append
-            )
-            return machine
-
-        probe = make("fast")
-        assert batchplan.try_run_fused(probe, program, 1_000_000) is None
-
-        m_ref = make("reference")
-        r_ref = m_ref.run()
-        n_after_ref = len(seen)
-        m_fast = make("fast")
-        r_fast = m_fast.run()
-        assert r_ref.total_cycles == r_fast.total_cycles
-        assert len(seen) == 2 * n_after_ref  # handler fired on both runs
-        np.testing.assert_array_equal(
-            m_ref.get_variable("u"), m_fast.get_variable("u")
-        )
-
-    def test_pending_interrupts_fall_back(self, node, rng):
-        """A pre-queued interrupt would interleave with the replay; the
-        fused engine declines."""
-        from repro.arch.interrupts import InterruptKind
-
+    def test_pending_interrupts_are_cleared_by_a_run(self, node, rng):
+        """A run starts from a reset controller: an interrupt a host
+        queued beforehand is never delivered, and the run's delivered
+        count is the engine's."""
         setup, program = _generate(node, max_iterations=5)
-        machine = NSCMachine(node, backend="fast")
-        machine.load_program(program)
-        load_jacobi_inputs(
-            machine, setup, rng.random((6, 6, 6)),
-            rng.standard_normal((6, 6, 6)),
-        )
+        machine = _loaded(node, setup, program, rng.random((6, 6, 6)),
+                          rng.standard_normal((6, 6, 6)))
         machine.interrupts.post(InterruptKind.PIPELINE_COMPLETE, 5,
                                 source="host")
-        assert batchplan.try_run_fused(machine, program, 1_000_000) is None
+        assert machine.interrupts.pending() == 1
+        check_parity([machine], program)
+        assert machine.interrupts.delivered
+        assert all(i.source != "host" for i in machine.interrupts.delivered)
 
 
 class TestResidualSkewFusion:
@@ -398,45 +277,38 @@ class TestResidualSkewFusion:
         setup, program = self._skewed(node)
         u0 = rng.random((5, 6, 7))
         f = rng.standard_normal((5, 6, 7))
-        ref = _run(node, setup, program, u0, f, "reference")
-        fused = _run(node, setup, program, u0, f, "fast")
-        _assert_runs_identical(ref, fused)
+        _parity(node, setup, program, u0, f)
 
-    def test_skewed_exception_flags_match(self, node):
+    def test_skewed_non_finite_run_matches(self, node):
         """Skew can shift a non-finite element out of a consumer's
-        window, so propagation coverage must not be assumed — per-FU
-        flags and dropped FP interrupts still match the reference."""
+        window, so propagation coverage must not be assumed — the exact
+        path still matches the reference."""
         setup, program = self._skewed(node, max_iterations=10)
         u0 = np.zeros((5, 6, 7))
         u0[2, 3, 1] = np.inf
         u0[1, 2, 3] = np.nan
         f = np.zeros((5, 6, 7))
-        m_ref, r_ref = _run(node, setup, program, u0, f, "reference")
-        m_fast, r_fast = _run(node, setup, program, u0, f, "fast")
-        assert [p.exceptions for p in r_ref.pipeline_results] == [
-            p.exceptions for p in r_fast.pipeline_results
-        ]
-        assert [
-            (i.cycle, i.kind, i.source) for i in m_ref.interrupts.dropped
-        ] == [
-            (i.cycle, i.kind, i.source) for i in m_fast.interrupts.dropped
-        ]
-        np.testing.assert_array_equal(
-            m_ref.get_variable("u"), m_fast.get_variable("u")
-        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            parity = _parity(node, setup, program, u0, f)
+        assert _raised_fp(parity)
 
 
 class TestMidRunRejection:
-    def test_mid_run_fusion_rejection_falls_back_cleanly(self, node, rng,
+    def test_mid_run_fusion_rejection_falls_back_cleanly(self, node,
                                                          monkeypatch):
         """A FusionUnsupported surfacing after execution has begun must
-        not escape as a crash: the machine is untouched up to the commit
-        point, so the reference fallback reproduces the reference run."""
-        setup, program = _generate(node, max_iterations=15)
-        u0 = rng.random((6, 6, 6))
-        f = rng.standard_normal((6, 6, 6))
-        ref = _run(node, setup, program, u0, f, "reference")
+        not escape as a crash: a lone fast job's run touches only its own
+        storage, so the reference fallback reproduces the reference
+        job's record."""
+        import dataclasses
 
+        from repro.service.cache import ProgramCache
+        from repro.service.jobs import SimJob
+        from repro.service.results import canonical_line
+        from repro.service.runner import execute_job
+
+        job = SimJob(method="jacobi", shape=(6, 6, 6), eps=1e-4,
+                     max_sweeps=15, u0_seed=3, backend="fast")
         calls = {"n": 0}
         real_issue = progplan.BoundImage.issue_compute
 
@@ -447,42 +319,21 @@ class TestMidRunRejection:
             return real_issue(self)
 
         monkeypatch.setattr(progplan.BoundImage, "issue_compute", flaky_issue)
-        fused = _run(node, setup, program, u0, f, "fast")
+        fast = execute_job(job, cache=ProgramCache())
         assert calls["n"] >= 4  # the rejection really fired mid-run
-        _assert_runs_identical(ref, fused)
+        assert fast["tier"] == "reference"
+        assert fast["fallback_reason"] == "injected mid-run"
+        reference = execute_job(dataclasses.replace(job, backend="reference"),
+                                cache=ProgramCache())
 
-    def test_mid_run_rejection_leaves_machine_unmutated(self, node, rng,
-                                                        monkeypatch):
-        """Until the commit point nothing lands on the machine: cycle,
-        DMA statistics, interrupt queues, and memory stay pristine when a
-        fused run aborts."""
-        setup, program = _generate(node, max_iterations=15)
-        u0 = rng.random((6, 6, 6))
-        f = rng.standard_normal((6, 6, 6))
-        machine = NSCMachine(node, backend="fast")
-        machine.load_program(program)
-        load_jacobi_inputs(machine, setup, u0, f)
-        import copy
+        def computed(record):
+            return canonical_line({
+                k: v for k, v in record.items()
+                if k not in ("job_id", "label", "backend", "tier",
+                             "fallback_reason")
+            })
 
-        before_u = machine.get_variable("u").copy()
-        before_stats = copy.deepcopy(machine.dma.stats)
-
-        calls = {"n": 0}
-        real_issue = progplan.BoundImage.issue_compute
-
-        def flaky_issue(self):
-            calls["n"] += 1
-            if calls["n"] == 4:
-                raise progplan.FusionUnsupported("injected mid-run")
-            return real_issue(self)
-
-        monkeypatch.setattr(progplan.BoundImage, "issue_compute", flaky_issue)
-        assert batchplan.try_run_fused(machine, program, 1_000_000) is None
-        assert machine.cycle == 0
-        assert machine.dma.stats == before_stats
-        assert machine.interrupts.pending() == 0
-        assert not machine.interrupts.delivered
-        np.testing.assert_array_equal(machine.get_variable("u"), before_u)
+        assert computed(fast) == computed(reference)
 
 
 class TestMultiNodeSteppers:
@@ -557,10 +408,8 @@ class TestControlScriptShapes:
     def _parity(self, node, setup, program, rng):
         u0 = rng.random((5, 5, 5))
         f = rng.standard_normal((5, 5, 5))
-        ref = _run(node, setup, program, u0, f, "reference")
-        fused = _run(node, setup, program, u0, f, "fast")
-        _assert_runs_identical(ref, fused)
-        return fused
+        parity = _parity(node, setup, program, u0, f)
+        return parity.machines[0], parity.results[0]
 
     def test_nested_repeat_with_swaps(self, node, rng):
         ops = [
@@ -659,25 +508,14 @@ class TestReversedCacheStreams:
     def test_reference_matches_fused(self, node, load_stride, read_stride):
         program = self._program(node, load_stride, read_stride)
         x = np.arange(1.0, self.N + 1)
-
-        def loaded(backend):
-            machine = NSCMachine(node, backend=backend)
-            machine.load_program(program)
-            machine.set_variable("x", x)
-            return machine
-
-        assert batchplan.try_run_fused(loaded("fast"), program, 100) \
-            is not None
-        runs = []
-        for backend in ("reference", "fast"):
-            machine = loaded(backend)
-            runs.append((machine, machine.run()))
-        _assert_runs_identical(*runs)
+        machine = NSCMachine(node)
+        machine.load_program(program)
+        machine.set_variable("x", x)
+        parity = check_parity([machine], program, max_instructions=100)
         expected = 2.0 * (x if load_stride == read_stride else x[::-1])
-        np.testing.assert_array_equal(runs[0][0].get_variable("out"), expected)
-        np.testing.assert_array_equal(
-            runs[0][0].caches[3].front, runs[1][0].caches[3].front
-        )
+        np.testing.assert_array_equal(machine.get_variable("out"), expected)
+        np.testing.assert_array_equal(parity.row(0, "out"), expected)
+
 
 class TestSignedZeroConstants:
     """``0.0`` and ``-0.0`` constants in one image bind separate rows:
@@ -700,48 +538,25 @@ class TestSignedZeroConstants:
         program = MicrocodeGenerator(node).generate(prog)
         x_values = np.array([1.0, -2.0, 3.0, -4.0, 5.0, -6.0])
 
-        def loaded(backend):
-            machine = NSCMachine(node, backend=backend)
-            machine.load_program(program)
-            machine.set_variable("x", x_values)
-            return machine
-
-        ref = loaded("reference")
-        ref_result = ref.run()
-        fused = loaded("fast")
-        fused_result = batchplan.try_run_fused(fused, program, 100)
-        assert fused_result is not None
-        _assert_runs_identical((ref, ref_result), (fused, fused_result))
+        machine = NSCMachine(node)
+        machine.load_program(program)
+        machine.set_variable("x", x_values)
+        parity = check_parity([machine], program, max_instructions=100)
         for name, zero in (("r", 0.0), ("s", -0.0)):
             want = x_values * zero
-            assert ref.get_variable(name).tobytes() == want.tobytes()
-            assert fused.get_variable(name).tobytes() == want.tobytes()
+            assert machine.get_variable(name).tobytes() == want.tobytes()
+            assert parity.row(0, name).tobytes() == want.tobytes()
 
 
 class TestSlabOfOne:
-    """A single machine runs as a slab of one through the one fused
-    engine, including the cases a multi-job slab declines: each must be
-    *accepted* (``try_run_fused`` is not None) and match the reference."""
+    """A lone job runs as an exact slab of one, including the cases a
+    multi-job slab declines: each must be *accepted* (the oracle raises
+    on a decline) and match the reference."""
 
-    def _accepted(self, node, setup, program, u0, f, keep_outputs=False):
-        ref = _run(node, setup, program, u0, f, "reference",
-                   keep_outputs=keep_outputs)
-        machine = _loaded(node, setup, program, u0, f, "fast")
-        result = batchplan.try_run_fused(
-            machine, program, 1_000_000, keep_outputs=keep_outputs
-        )
-        assert result is not None
-        _assert_runs_identical(ref, (machine, result))
-        return result
-
-    def test_keep_outputs(self, node, rng):
-        setup, program = _generate(node, max_iterations=6)
-        result = self._accepted(node, setup, program, rng.random((6, 6, 6)),
-                                rng.standard_normal((6, 6, 6)),
-                                keep_outputs=True)
-        assert all(p.fu_outputs for p in result.pipeline_results
-                   if p.active_fus)
-        assert any(p.fu_outputs for p in result.pipeline_results)
+    def _accepted(self, node, setup, program, u0, f):
+        parity = _parity(node, setup, program, u0, f)
+        assert parity.run.exact
+        return parity.results[0]
 
     def test_halt_inside_loop_until(self, node, rng):
         setup, program = _scripted(node, [
@@ -905,22 +720,26 @@ def _declared_data(machine, program):
 
 
 def _fast_and_reference(node, program, load=_declared_data):
-    """Every declared variable's final bits after a fast run and after a
-    reference run of *program*; the fast run must take the fused tier."""
-    finals = []
-    for backend, tier in (("fast", "fused"), ("reference", "reference")):
-        machine = NSCMachine(node, backend=backend)
-        machine.load_program(program)
-        load(machine, program)
-        tracer = obs.Tracer()
-        with obs.use(tracer):
-            machine.run()
-        assert tracer.counters.get(f"tier.{tier}") == 1
-        finals.append({
-            name: machine.get_variable(name).view(np.uint64)
-            for name in program.declarations
-        })
-    return finals
+    """Every declared variable's final bits after a fused run over one
+    stacked row and after a reference run of *program*, both fed by
+    *load*; the fused run must not decline."""
+    machine = NSCMachine(node)
+    machine.load_program(program)
+    load(machine, program)
+    run = run_stacked([machine], program)
+    storage = run.storage
+    fast = {}
+    for name in program.declarations:
+        var = storage.variables[name]
+        row = storage.planes.get(var.plane)
+        if row is not None and row.shape[-1] >= var.end:
+            fast[name] = row[0, var.offset:var.end].view(np.uint64)
+    machine.run()
+    reference = {
+        name: machine.get_variable(name).view(np.uint64)
+        for name in program.declarations
+    }
+    return fast, reference
 
 
 class TestPlanKey:
@@ -935,7 +754,7 @@ class TestPlanKey:
         results = []
         for program in (prog_a, prog_b):
             fast, reference = _fast_and_reference(node, program, load)
-            for name in reference:
+            for name in fast:
                 assert np.array_equal(fast[name], reference[name]), name
             results.append(fast)
         return results
@@ -1083,6 +902,14 @@ class TestPlanIdentity:
         PLAN_CACHE.clear()
         gc.collect()
         assert alive() is None
+
+    def test_plan_key_is_program_and_params(self, node):
+        program = _one_pipeline(node, _scale_half)
+        PLAN_CACHE.clear()
+        progplan.compiled_plan(program, node.params)
+        assert list(PLAN_CACHE._data) == [(id(program), node.params)]
+        with pytest.raises(TypeError):
+            progplan.compiled_plan(program, node.params, keep_outputs=True)
 
     def test_plan_counters_count_every_lookup(self, node):
         prog_a, prog_b = (_one_pipeline(node, _scale_half) for _ in "ab")

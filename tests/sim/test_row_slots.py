@@ -2,22 +2,24 @@
 it is still to run (the slot scan of ``ImageKernel``'s one walk).
 
 A slot is recycled after its last reader; the rows something reads after
-the runner — screened rows, the condition row, write-back sources, and
-every row under ``keep_outputs`` — keep a slot of their own, except a
+the runner — screened rows, the condition row and write-back sources —
+keep a slot of their own, except a
 write-back source that computes straight into its write view
 (``ImageKernel.in_place``), which owns no slot.  Operands bound in place
 of a buffer are pinned here too: an unshifted shift/delay tap reads its
 feeder's stream, so only shifted taps get a pad, and a forwarded PASS
 (``ImageKernel.forwarded``) binds its readers to its stream and owns no
 slot.  A loop-invariant step (``ImageKernel.hoisted``) runs once per
-bind into a pinned slot.  These tests pin the allocation itself; the
-engines' bit-identity over random programs is
+bind into a pinned slot.  These tests pin the allocation itself, and
+run the programs against the reference through ``helpers_slab``'s
+oracle; the engines' bit-identity over random programs is
 ``tests/property/test_slot_aliasing_property.py``.
 """
 
 import numpy as np
 import pytest
 
+from helpers_slab import check_parity
 from repro.analysis import screen_coverage
 from repro.arch.funcunit import Opcode
 from repro.arch.switch import DeviceKind
@@ -26,7 +28,7 @@ from repro.compose.builders import PipelineBuilder
 from repro.compose.iterative import build_rbsor_program, load_rbsor_inputs
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
 from repro.diagram.program import ExecPipeline, Repeat, SwapVars, VisualProgram
-from repro.sim import batchplan, progplan
+from repro.sim import batchplan, progplan, sequencer
 from repro.sim.machine import NSCMachine
 from repro.sim.multinode import MultiNodeStencil
 
@@ -128,14 +130,13 @@ _PROGRAMS = {
 }
 
 
-def _kernels(node, name, keep_outputs=False):
+def _kernels(node, name):
     _setup, program = _PROGRAMS[name](node)
-    return _kernels_of(node, program, keep_outputs)
+    return _kernels_of(node, program)
 
 
-def _kernels_of(node, program, keep_outputs=False):
-    plan = progplan.compiled_plan(program, node.params,
-                                  keep_outputs=keep_outputs)
+def _kernels_of(node, program):
+    plan = progplan.compiled_plan(program, node.params)
     kernels = [k for k in plan.kernels.values() if k.steps]
     assert kernels
     return kernels
@@ -206,17 +207,7 @@ class TestSlotCounts:
                             if ("row", t) in step)
         # other units land between t's last unskewed read and the copy
         assert progplan._M_UNARY in kinds[last_unskewed + 1 : copy]
-        runs = []
-        for backend in ("reference", "fast"):
-            machine = NSCMachine(node, backend=backend)
-            machine.load_program(program)
-            machine.set_variable("x", np.linspace(-1.0, 1.0, 64))
-            if backend == "reference":
-                result = machine.run()
-            else:
-                result = batchplan.try_run_fused(machine, program, 1_000)
-            runs.append(_bits(result, machine, ("x", "r")))
-        assert runs[0] == runs[1]
+        _parity_with_x(node, program, 64)
 
 
 @pytest.mark.parametrize("name", sorted(_PROGRAMS))
@@ -254,19 +245,58 @@ class TestPinnedSlots:
                 assert kernel.writes[j][0] == ("row", fu)
                 assert bound._row(fu) == len(kernel.reads) + j
 
-    def test_keep_outputs_keeps_one_slot_per_unit(self, node, name):
-        for kernel in _kernels(node, name, keep_outputs=True):
-            units = _units(kernel)
-            assert not kernel.reduce_fus and not kernel.scratch_slot
-            assert kernel.n_slots == len(units)
-            assert sorted(kernel.slot_of.values()) == list(range(len(units)))
 
-    def test_keep_outputs_kernel_has_no_in_place_unit(self, node, name):
-        """``capture_outputs`` snapshots every unit's slot, so under
-        ``keep_outputs`` no unit computes into its write view."""
-        for kernel in _kernels(node, name, keep_outputs=True):
-            assert kernel.in_place == {}
-            assert kernel.runner_shape[2] == len(kernel.writes)
+def _loaded_program(node, name, seed):
+    """A reference machine with *name*'s program and inputs drawn from
+    *seed*."""
+    setup, program = _PROGRAMS[name](node)
+    machine = NSCMachine(node)
+    machine.load_program(program)
+    if setup is None:
+        n = machine.memory.lookup("x").length
+        machine.set_variable("x", np.linspace(-1.0, 1.0, n))
+    else:
+        load = load_rbsor_inputs if name == "rbsor" else load_jacobi_inputs
+        rng = np.random.default_rng(seed)
+        load(machine, setup, rng.random(setup.shape),
+             rng.standard_normal(setup.shape))
+    return machine, program
+
+
+@pytest.mark.parametrize("name", sorted(_PROGRAMS))
+def test_reference_keep_outputs_leaves_the_run_unchanged(node, name,
+                                                        monkeypatch):
+    """Output retention lives in the reference interpreter alone: under
+    ``keep_outputs`` each issue keeps one stream per unit, as the issue
+    computed it (later issues do not write into a kept stream), and the
+    run's rows and totals still match the stacked run."""
+    at_issue = []
+    real_execute = sequencer.execute_image
+
+    def recording(image, machine, keep_outputs=False):
+        res = real_execute(image, machine, keep_outputs=keep_outputs)
+        at_issue.append({fu: out.copy()
+                         for fu, out in res.fu_outputs.items()})
+        return res
+
+    parity = check_parity([_loaded_program(node, name, 7)[0]],
+                          _PROGRAMS[name](node)[1])
+    machine, program = _loaded_program(node, name, 7)
+    monkeypatch.setattr(sequencer, "execute_image", recording)
+    result = machine.run(program, keep_outputs=True)
+    assert result.instructions_issued == parity.run.job(0).instructions
+    assert result.total_cycles == parity.run.job(0).cycles
+    assert len(at_issue) == result.instructions_issued
+    for res, kept in zip(result.pipeline_results, at_issue):
+        image = program.images[res.number]
+        assert set(res.fu_outputs) == set(image.fu_ops)
+        for fu, out in res.fu_outputs.items():
+            assert out.shape == (image.vector_length,)
+            np.testing.assert_array_equal(out, kept[fu])
+    storage = parity.storage
+    for plane, arr in storage.planes.items():
+        np.testing.assert_array_equal(
+            arr[0], machine.memory.plane(plane).read(0, arr.shape[-1]))
 
 
 class TestInPlaceBinding:
@@ -327,43 +357,54 @@ class TestInPlaceBinding:
         assert kernel.runner_shape[0] == 0
         bound = kernel.bind(progplan._Storage(), (1,))
         assert bound._pad_centers == [] and bound._tap_views == {}
-        runs = []
-        for backend in ("reference", "fast"):
-            machine = NSCMachine(node, backend=backend)
-            machine.load_program(program)
-            machine.set_variable("x", np.linspace(-1.0, 1.0, 32))
-            if backend == "reference":
-                result = machine.run()
-            else:
-                result = batchplan.try_run_fused(machine, program, 1_000)
-            runs.append(_bits(result, machine, ("x", "r")))
-        assert runs[0] == runs[1]
+        _parity_with_x(node, program, 32)
 
 
-def _bits(result, machine, names):
-    return (
-        [(p.exceptions, repr(p.condition_value), p.condition_result,
-          p.cycles) for p in result.pipeline_results],
-        {name: machine.get_variable(name).tobytes() for name in names},
-        result.total_cycles,
-        result.loop_iterations,
-    )
+def _parity_with_x(node, program, n):
+    """The oracle on one machine holding ``x = linspace(-1, 1, n)``."""
+    machine = NSCMachine(node)
+    machine.load_program(program)
+    machine.set_variable("x", np.linspace(-1.0, 1.0, n))
+    return check_parity([machine], program, max_instructions=1_000)
+
+
+def _exact_parity(node, program, setup, load, u0, f, monkeypatch):
+    """The oracle on one loaded machine, counting the engine's exact
+    re-evaluations; returns (parity, exact issues, flagged reference
+    issues)."""
+    exact = []
+    real_exact = progplan.BoundImage.issue_exact
+
+    def counting(bound):
+        exact.append(bound.kernel.index)
+        return real_exact(bound)
+
+    monkeypatch.setattr(progplan.BoundImage, "issue_exact", counting)
+    machine = NSCMachine(node)
+    machine.load_program(program)
+    load(machine, setup, u0, f)
+    with np.errstate(all="ignore"):
+        parity = check_parity([machine], program)
+    flagged = [p.number for p in parity.results[0].pipeline_results
+               if p.exceptions]
+    return parity, exact, flagged
 
 
 class TestInPlaceNonFinite:
     """inf/nan written in place over a dying operand must still reach the
-    screen: the issue takes the exact path, and flags, residuals and grids
-    match the reference bit for bit."""
+    screen: every issue the reference flags takes the exact path, and
+    residuals and grids match the reference bit for bit."""
 
     @pytest.mark.parametrize("name", ["jacobi", "rbsor"])
-    def test_non_finite_chain_takes_the_exact_path(self, node, rng, name):
+    def test_non_finite_chain_takes_the_exact_path(self, node, rng, name,
+                                                   monkeypatch):
         shape = (6, 6, 6)
         if name == "jacobi":
             setup, program = _jacobi(node, shape, max_iterations=6)
-            load, names = load_jacobi_inputs, ("u", "u_new")
+            load = load_jacobi_inputs
         else:
             setup, program = _rbsor(node, shape)
-            load, names = load_rbsor_inputs, ("u",)
+            load = load_rbsor_inputs
         plan = progplan.compiled_plan(program, node.params)
         assert any(k.n_slots < len(_row_units(k))
                    for k in plan.kernels.values()), "no slot is shared"
@@ -371,23 +412,9 @@ class TestInPlaceNonFinite:
         u0[2, 2, 2] = np.inf
         u0[3, 3, 3] = np.nan
         f = rng.standard_normal(shape)
-        runs = []
-        with np.errstate(all="ignore"):
-            for backend in ("reference", "fast"):
-                machine = NSCMachine(node, backend=backend)
-                machine.load_program(program)
-                load(machine, setup, u0, f)
-                if backend == "reference":
-                    result = machine.run()
-                else:
-                    result = batchplan.try_run_fused(machine, program,
-                                                     1_000_000)
-                    assert result is not None
-                runs.append(_bits(result, machine, names))
-        ref, fused = runs
-        # FP flags come only from the exact re-evaluation
-        assert any(flags for flags, *_rest in fused[0])
-        assert fused == ref
+        _parity, exact, flagged = _exact_parity(
+            node, program, setup, load, u0, f, monkeypatch)
+        assert flagged and len(exact) == len(flagged)
 
 
 def _fh2_step(kernel):
@@ -549,50 +576,25 @@ class TestHoisting:
         assert kernel.row_pads == []
         (read_index,) = {r for r, *_pad in kernel.feeder_pads}
         assert kernel.forwarded[fu] == ("stream", read_index)
-        runs = []
-        for backend in ("reference", "fast"):
-            machine = NSCMachine(node, backend=backend)
-            machine.load_program(program)
-            machine.set_variable("x", np.linspace(-1.0, 1.0, 32))
-            if backend == "reference":
-                result = machine.run()
-            else:
-                result = batchplan.try_run_fused(machine, program, 1_000)
-            runs.append(_bits(result, machine, ("x", "r", "s")))
-        assert runs[0] == runs[1]
-
-    def test_keep_outputs_forwards_no_pass(self, node):
-        for kernel in _kernels(node, "rbsor", keep_outputs=True):
-            assert kernel.forwarded == {}
+        _parity_with_x(node, program, 32)
 
     @pytest.mark.parametrize("name", ["jacobi", "rbsor"])
-    def test_inf_in_f_logs_the_reference_flags(self, node, rng, name):
+    def test_inf_in_f_takes_the_exact_path_every_sweep(self, node, rng, name,
+                                                       monkeypatch):
         """The hoisted row holds f * h^2 = inf for the whole run: every
-        issue takes the exact path and logs the reference's FP flags."""
+        sweep issue raises FP flags on the reference and takes the exact
+        path on the engine."""
         shape = (6, 6, 6)
         if name == "jacobi":
             setup, program = _jacobi(node, shape, max_iterations=6)
-            load, names = load_jacobi_inputs, ("u", "u_new")
+            load = load_jacobi_inputs
         else:
             setup, program = _rbsor(node, shape)
-            load, names = load_rbsor_inputs, ("u",)
+            load = load_rbsor_inputs
         u0 = rng.random(shape)
         f = rng.standard_normal(shape)
         f[3, 2, 2] = np.inf
-        runs = []
-        with np.errstate(all="ignore"):
-            for backend in ("reference", "fast"):
-                machine = NSCMachine(node, backend=backend)
-                machine.load_program(program)
-                load(machine, setup, u0, f)
-                if backend == "reference":
-                    result = machine.run()
-                else:
-                    result = batchplan.try_run_fused(machine, program,
-                                                     1_000_000)
-                    assert result is not None
-                runs.append(_bits(result, machine, names))
-        ref, fused = runs
-        sweeps = [flags for flags, *_rest in fused[0]][1:]
-        assert sweeps and all(sweeps)
-        assert fused == ref
+        parity, exact, flagged = _exact_parity(
+            node, program, setup, load, u0, f, monkeypatch)
+        sweeps = parity.results[0].instructions_issued - 1  # the mask load
+        assert sweeps and len(flagged) == len(exact) == sweeps

@@ -97,6 +97,53 @@ class TestSolverCommands:
         ) == 1
 
 
+#: (argv, exit code, stdout) of the solver commands, identical on both
+#: backends: the numbers a user reads off ``nsc-vpe jacobi`` / ``solve``
+PINNED_SOLVER_OUTPUT = [
+    (["jacobi", "-n", "6"], 0, [
+        "converged: True in 58 sweeps",
+        "error vs analytic solution: 2.886e-02",
+        "59 instructions, 34000 cycles (1700.0 us): 95.8 MFLOPS of 640 "
+        "peak (15.0%), FU utilization 15.0%",
+    ]),
+    (["jacobi", "-n", "7", "--subset"], 0, [
+        "converged: True in 84 sweeps",
+        "error vs analytic solution: 2.316e-02",
+        "85 instructions, 70485 cycles (3524.2 us): 106.3 MFLOPS of 320 "
+        "peak (33.2%), FU utilization 33.2%",
+    ]),
+    (["jacobi", "-n", "6", "--max-sweeps", "5"], 1, [
+        "converged: False in 5 sweeps",
+        "error vs analytic solution: 2.793e-01",
+        "6 instructions, 3207 cycles (160.3 us): 87.6 MFLOPS of 640 "
+        "peak (13.7%), FU utilization 13.7%",
+    ]),
+    (["solve", "jacobi", "-n", "6"], 0, [
+        "jacobi: converged=True sweeps=58 cycles=34000 err=2.886e-02",
+    ]),
+    (["solve", "rb-gs", "-n", "6"], 0, [
+        "rb-gs: converged=True sweeps=31 cycles=37068 err=2.887e-02",
+    ]),
+    (["solve", "rb-sor", "-n", "6"], 0, [
+        "rb-sor: converged=True sweeps=21 cycles=25208 err=2.887e-02",
+    ]),
+    (["solve", "rb-sor", "-n", "6", "--max-sweeps", "3"], 1, [
+        "rb-sor: converged=False sweeps=3 cycles=3860 err=1.508e-01",
+    ]),
+]
+
+
+class TestPinnedSolverOutput:
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    @pytest.mark.parametrize(
+        "argv,code,lines", PINNED_SOLVER_OUTPUT,
+        ids=[" ".join(argv) for argv, _code, _lines in PINNED_SOLVER_OUTPUT],
+    )
+    def test_stdout_is_pinned(self, argv, code, lines, backend, capsys):
+        assert main(argv + ["--backend", backend]) == code
+        assert capsys.readouterr().out.splitlines() == lines
+
+
 class TestServiceCommands:
     def test_sweep_runs_batch_with_cache_summary(self, tmp_path, capsys):
         results = tmp_path / "results.jsonl"
