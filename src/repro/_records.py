@@ -1,4 +1,9 @@
-"""Pickle state for frozen ``slots=True`` dataclass records.
+"""Record helpers: checked NamedTuple construction, slotted pickle state.
+
+Immutable records are :class:`typing.NamedTuple` classes (see
+``docs/ARCHITECTURE.md``, *Records*).  A NamedTuple has no
+``__post_init__``, so a record whose fields must be validated or
+normalised says so with :func:`checked`.
 
 A frozen dataclass with ``slots=True`` pickles its field values as a
 sequence, and the ``__setstate__`` :mod:`dataclasses` gives it zips the
@@ -15,6 +20,23 @@ from dataclasses import fields
 from typing import Any, Tuple, Type, TypeVar
 
 T = TypeVar("T")
+
+
+def checked(cls: Type[T]) -> Type[T]:
+    """Route every construction of the NamedTuple *cls* through its
+    ``_checked`` method, the counterpart of a dataclass
+    ``__post_init__``: ``_checked`` raises on bad fields and returns the
+    record, or a normalised copy made with ``_replace``.
+
+    Calls, copies and unpickling all construct through ``__new__`` and
+    so are checked; ``_make`` and ``_replace`` are not."""
+    make = cls.__new__
+
+    def __new__(klass: Type[T], *args: Any, **kwargs: Any) -> T:
+        return make(klass, *args, **kwargs)._checked()
+
+    cls.__new__ = staticmethod(__new__)  # type: ignore[assignment]
+    return cls
 
 
 def slotted_state(cls: Type[T]) -> Type[T]:

@@ -21,8 +21,7 @@ the executor's own answers on the compiled corpus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.arch.funcunit import Opcode
 from repro.arch.switch import DeviceKind
@@ -78,8 +77,7 @@ def consumed_fus(image: PipelineImage) -> FrozenSet[int]:
     return frozenset(used)
 
 
-@dataclass(frozen=True)
-class ScreenReport:
+class ScreenReport(NamedTuple):
     """Which FU rows the fused exception screen must test directly.
 
     ``reduce_fus`` fold to a single reduction (never screened row-wise,

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
+from repro._records import checked
 from repro.arch.funcunit import FUCapability
 
 
@@ -43,8 +43,7 @@ FU_INPUT_PORTS: Tuple[str, str] = ("a", "b")
 FU_OUTPUT_PORT: str = "out"
 
 
-@dataclass(frozen=True)
-class FUSlot:
+class FUSlot(NamedTuple):
     """One functional-unit position within an ALS class."""
 
     position: int
@@ -56,8 +55,7 @@ class FUSlot:
         return FUCapability.INT_LOGICAL in self.capability
 
 
-@dataclass(frozen=True)
-class InternalEdge:
+class InternalEdge(NamedTuple):
     """A hardwired route inside an ALS: output of one slot into an input
     port of a later slot.  Usable optionally; bypassed when not selected."""
 
@@ -66,15 +64,15 @@ class InternalEdge:
     dst_port: str
 
 
-@dataclass(frozen=True)
-class ALSClass:
+@checked
+class ALSClass(NamedTuple):
     """Static description of an ALS shape shared by all instances."""
 
     kind: ALSKind
     slots: Tuple[FUSlot, ...]
     internal_edges: Tuple[InternalEdge, ...]
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> "ALSClass":
         if len(self.slots) != self.kind.n_units:
             raise ValueError(
                 f"{self.kind.value} must have {self.kind.n_units} slots, "
@@ -89,6 +87,7 @@ class ALSClass:
                 raise ValueError("internal edges must flow forward (no cycles)")
             if edge.dst_port not in FU_INPUT_PORTS:
                 raise ValueError(f"unknown input port {edge.dst_port!r}")
+        return self
 
     def internal_routes_into(self, slot: int, port: str) -> Tuple[InternalEdge, ...]:
         """Internal edges that can feed ``(slot, port)``."""
@@ -134,8 +133,7 @@ ALS_CLASSES: Dict[ALSKind, ALSClass] = {
 }
 
 
-@dataclass(frozen=True)
-class ALSInstance:
+class ALSInstance(NamedTuple):
     """A concrete ALS in a node: an id, a shape, and its global FU indices."""
 
     als_id: int

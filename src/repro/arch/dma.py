@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from repro._records import slotted_state
+from repro._records import checked, slotted_state
 from repro.arch.params import NSCParameters
 from repro.arch.switch import DeviceKind
 
@@ -33,8 +33,8 @@ class DMASpecError(Exception):
     """An ill-formed DMA specification (bad plane, stride, addressing...)."""
 
 
-@dataclass(frozen=True)
-class DMASpec:
+@checked
+class DMASpec(NamedTuple):
     """One DMA program: which device, which direction, and the address walk.
 
     Addressing is either symbolic (*variable* plus word *offset* into it) or
@@ -51,7 +51,7 @@ class DMASpec:
     stride: int = 1
     count: Optional[int] = None
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> "DMASpec":
         if self.device_kind not in (DeviceKind.MEMORY, DeviceKind.CACHE):
             raise DMASpecError(
                 f"DMA programs apply to memory planes and caches, "
@@ -65,6 +65,7 @@ class DMASpec:
             raise DMASpecError("absolute offset must be non-negative")
         if self.count is not None and self.count < 0:
             raise DMASpecError("count must be non-negative")
+        return self
 
     def validate_against(self, params: NSCParameters) -> None:
         """Device-range checks against a machine description."""

@@ -15,8 +15,7 @@ bypassing one of its units (Fig. 4).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, NamedTuple
 
 import numpy as np
 
@@ -88,8 +87,7 @@ class Opcode(enum.Enum):
     MINABS = "minabs"
 
 
-@dataclass(frozen=True)
-class OpInfo:
+class OpInfo(NamedTuple):
     """Static description of one opcode.
 
     ``flops`` counts floating-point operations per element for MFLOPS

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional
 
 
 class InterruptKind(enum.Enum):
@@ -39,32 +38,45 @@ DEFAULT_ARMED_KINDS: FrozenSet[InterruptKind] = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class InterruptConfig:
-    """Observable controller configuration, for engines that must decide
-    whether (and how) they can model a controller without stepping it."""
+class Interrupt(NamedTuple):
+    """One posted interrupt, ordered by the cycle at which it fires.
 
-    armed: FrozenSet[InterruptKind]
-    handler_kinds: Tuple[InterruptKind, ...]
-    pending: int
-
-    @property
-    def is_default(self) -> bool:
-        return (
-            self.armed == DEFAULT_ARMED_KINDS
-            and not self.handler_kinds
-            and self.pending == 0
-        )
-
-
-@dataclass(frozen=True, order=True)
-class Interrupt:
-    """One posted interrupt, ordered by the cycle at which it fires."""
+    Equality, order and hash read the cycle alone, so interrupts that
+    fire together leave the queue in the order they were posted."""
 
     cycle: int
-    kind: InterruptKind = field(compare=False)
-    source: str = field(compare=False, default="")
-    payload: float = field(compare=False, default=0.0)
+    kind: InterruptKind
+    source: str = ""
+    payload: float = 0.0
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Interrupt and self.cycle == other.cycle
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __lt__(self, other: "Interrupt") -> bool:
+        if type(other) is not Interrupt:
+            return NotImplemented
+        return self.cycle < other.cycle
+
+    def __le__(self, other: "Interrupt") -> bool:
+        if type(other) is not Interrupt:
+            return NotImplemented
+        return self.cycle <= other.cycle
+
+    def __gt__(self, other: "Interrupt") -> bool:
+        if type(other) is not Interrupt:
+            return NotImplemented
+        return self.cycle > other.cycle
+
+    def __ge__(self, other: "Interrupt") -> bool:
+        if type(other) is not Interrupt:
+            return NotImplemented
+        return self.cycle >= other.cycle
+
+    def __hash__(self) -> int:
+        return hash((self.cycle,))
 
 
 class InterruptController:
@@ -90,23 +102,6 @@ class InterruptController:
 
     def is_armed(self, kind: InterruptKind) -> bool:
         return kind in self._armed
-
-    def configuration(self) -> InterruptConfig:
-        """Snapshot of the armed set, registered handlers, and queue depth.
-
-        This is the public surface execution engines gate on (the fused
-        engine replays the post/deliver sequence analytically and must
-        know the armed set; registered handlers force the stepped path)."""
-        return InterruptConfig(
-            armed=frozenset(self._armed),
-            handler_kinds=tuple(sorted(self._handlers, key=lambda k: k.value)),
-            pending=len(self._queue),
-        )
-
-    def is_default_config(self) -> bool:
-        """True when the controller is in its construction-time state:
-        default armed set, no handlers, nothing queued."""
-        return self.configuration().is_default
 
     def on(self, kind: InterruptKind, handler: Callable[[Interrupt], None]) -> None:
         """Register *handler* to run when *kind* is delivered."""
@@ -171,7 +166,6 @@ class InterruptController:
 __all__ = [
     "InterruptKind",
     "Interrupt",
-    "InterruptConfig",
     "InterruptController",
     "DEFAULT_ARMED_KINDS",
 ]

@@ -16,8 +16,7 @@ is the job of :mod:`repro.arch.dma` and the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,8 +27,7 @@ class AllocationError(Exception):
     """A variable does not fit, overlaps, or names an unknown plane."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     """A named region of one memory plane (word granularity)."""
 
     name: str

@@ -11,8 +11,7 @@ absorbed "merely by updating the knowledge base".
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.arch.als import ALS_CLASSES, ALSInstance, ALSKind
 from repro.arch.funcunit import FUCapability
@@ -26,8 +25,7 @@ from repro.arch.switch import SwitchNetwork
 MACHINE_TABLES_SIZE = 16
 
 
-@dataclass(frozen=True)
-class FUDescriptor:
+class FUDescriptor(NamedTuple):
     """Resolved description of one functional unit within the node."""
 
     fu_index: int

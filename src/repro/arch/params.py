@@ -15,19 +15,20 @@ unit (one floating-point result per cycle once a pipeline is full).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
+
+from repro._records import checked
 
 
 MBYTE = 1 << 20
 KBYTE = 1 << 10
 
 
-@dataclass(frozen=True)
-class NSCParameters:
+@checked
+class NSCParameters(NamedTuple):
     """Complete parameterization of one NSC node.
 
-    Instances are immutable; derive variants with :meth:`subset` or
-    :func:`dataclasses.replace`.
+    Instances are immutable; derive variants with :meth:`subset`.
     """
 
     # --- functional units and ALS composition (must total n_functional_units)
@@ -74,7 +75,7 @@ class NSCParameters:
     # --- interrupt scheme
     interrupt_latency_cycles: int = 4
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> "NSCParameters":
         total = self.n_singlets + 2 * self.n_doublets + 3 * self.n_triplets
         if total != self.n_functional_units:
             raise ValueError(
@@ -101,23 +102,7 @@ class NSCParameters:
             raise ValueError("hypercube_dim must be >= 0")
         if self.clock_mhz <= 0:
             raise ValueError("clock_mhz must be positive")
-
-    def __hash__(self) -> int:
-        # every plan-cache, machine-table and job-digest lookup hashes the
-        # parameters: build the field tuple once per instance.  The memo
-        # lives in __dict__ but never travels (__getstate__), so a copy
-        # or an unpickled instance hashes afresh.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = self.__dict__["_hash"] = hash(
-                tuple(getattr(self, f.name) for f in fields(self))
-            )
-        return cached
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_hash", None)
-        return state
+        return self
 
     # ------------------------------------------------------------------
     # derived quantities
@@ -160,7 +145,7 @@ class NSCParameters:
     # ------------------------------------------------------------------
     def subset(self, **overrides: object) -> "NSCParameters":
         """Return a modified copy, used for architectural-subset studies."""
-        return replace(self, **overrides)  # type: ignore[arg-type]
+        return self._replace(**overrides)._checked()
 
 
 #: The paper's §6 suggestion: "use a simpler architectural model, perhaps a

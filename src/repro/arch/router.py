@@ -12,7 +12,7 @@ hops-plus-serialization cost model and per-link traffic accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from repro.arch.params import NSCParameters
 
@@ -70,8 +70,7 @@ class HypercubeTopology:
                     yield (node, other)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One inter-node transfer of ``words`` 64-bit words."""
 
     src: int

@@ -15,8 +15,7 @@ discarded or masked downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
@@ -27,8 +26,7 @@ class ShiftDelayError(Exception):
     """Illegal tap index or shift amount."""
 
 
-@dataclass(frozen=True)
-class TapSpec:
+class TapSpec(NamedTuple):
     """Configuration of one output tap: an element shift."""
 
     tap: int

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from repro.arch.params import NSCParameters
 
@@ -160,8 +160,7 @@ class SwitchRouteError(Exception):
     """A requested routing violates the switch network's physical limits."""
 
 
-@dataclass(frozen=True)
-class SwitchSetting:
+class SwitchSetting(NamedTuple):
     """One crosspoint: *source* drives *sink*."""
 
     source: Endpoint

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, NamedTuple
 
 
 class Severity(enum.Enum):
@@ -27,8 +27,7 @@ class Severity(enum.Enum):
         return self is Severity.ERROR
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One finding from a checker rule."""
 
     severity: Severity

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
 from typing import (
     Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
 )
@@ -58,8 +57,7 @@ class FieldError(Exception):
     """Unknown field or out-of-range value."""
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
+class Field(NamedTuple):
     """One named bit-field at a fixed offset within the word.
 
     A layout holds one handle per field, and handles compare and hash
@@ -69,7 +67,11 @@ class Field:
     offset: int
     width: int
 
-    @functools.cached_property
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    @property
     def max_value(self) -> int:
         return (1 << self.width) - 1
 
@@ -372,7 +374,7 @@ def _pack_bits(layout: MicrowordLayout,
     """The little-endian bit string of ``(field handle, value)`` pairs."""
     word = 0
     for field, value in values:
-        if not (0 <= value <= field.max_value):
+        if value < 0 or value >> field.width:  # beyond field.max_value
             raise _misfit(field, value)
         word |= value << field.offset
     return word.to_bytes((layout.total_bits + 7) // 8, "little")

@@ -11,8 +11,9 @@ of the switch network when the producing unit sits in the same ALS.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.arch.als import ALS_CLASSES, ALSInstance
 from repro.arch.dma import DMASpec, Direction
@@ -44,8 +45,7 @@ class BuilderError(Exception):
     """Resource exhaustion or inconsistent builder requests."""
 
 
-@dataclass(frozen=True)
-class MemSource:
+class MemSource(NamedTuple):
     """A stream read from a memory plane (symbolic variable addressing)."""
 
     variable: str
@@ -55,35 +55,30 @@ class MemSource:
     endpoint: Endpoint
 
 
-@dataclass(frozen=True)
-class CacheSource:
+class CacheSource(NamedTuple):
     cache: int
     offset: int
     stride: int
     endpoint: Endpoint
 
 
-@dataclass(frozen=True)
-class TapSource:
+class TapSource(NamedTuple):
     unit: int
     tap: int
     shift: int
     endpoint: Endpoint
 
 
-@dataclass(frozen=True)
-class FURef:
+class FURef(NamedTuple):
     fu: int
     endpoint: Endpoint
 
 
-@dataclass(frozen=True)
-class ConstOperand:
+class ConstOperand(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class FeedbackOperand:
+class FeedbackOperand(NamedTuple):
     init: float
 
 

@@ -26,8 +26,7 @@ terminates within one sweep of the true criterion (asserted in tests).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -46,8 +45,7 @@ from repro.diagram.program import (
 )
 
 
-@dataclass(frozen=True)
-class RBSORSetup:
+class RBSORSetup(NamedTuple):
     """Host handle for a red-black SOR program.
 
     ``program`` is ``None`` in a program cache's copy, as for

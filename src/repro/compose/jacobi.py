@@ -27,8 +27,7 @@ Mapping onto the machine (one instruction, full-grid vector):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,8 +44,7 @@ from repro.diagram.program import (
 )
 
 
-@dataclass(frozen=True)
-class JacobiSetup:
+class JacobiSetup(NamedTuple):
     """Everything a host needs to load and run the Jacobi program.
 
     ``program`` is the source diagram.  It is ``None`` in a setup that a

@@ -10,8 +10,7 @@ runner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.compose.iterative import (
     build_rbsor_program,
@@ -20,8 +19,7 @@ from repro.compose.iterative import (
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
 
 
-@dataclass(frozen=True)
-class SolverEntry:
+class SolverEntry(NamedTuple):
     """How to drive one named solver end to end."""
 
     name: str

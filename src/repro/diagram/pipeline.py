@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
+from repro._records import checked
 from repro.arch.als import ALSKind
 from repro.arch.dma import DMASpec
 from repro.arch.funcunit import OPCODES, Opcode, OpInfo
@@ -53,8 +53,7 @@ class InputModKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class InputMod:
+class InputMod(NamedTuple):
     """A non-switch source for one FU input port."""
 
     kind: InputModKind
@@ -62,8 +61,7 @@ class InputMod:
     src_slot: int = -1   # INTERNAL: which slot's output feeds this input
 
 
-@dataclass(frozen=True)
-class FUOpAssignment:
+class FUOpAssignment(NamedTuple):
     """The operation programmed into one functional unit (Fig. 10 menu)."""
 
     fu: int
@@ -71,8 +69,8 @@ class FUOpAssignment:
     constant: float = 0.0  # used by FSCALE / FADDC
 
 
-@dataclass(frozen=True)
-class ConditionSpec:
+@checked
+class ConditionSpec(NamedTuple):
     """A monitored condition: compare the *final* element of a unit's output
     stream against a threshold, raising a condition interrupt.  This is how
     the Jacobi example's "residual convergence check" terminates its loop."""
@@ -83,11 +81,12 @@ class ConditionSpec:
 
     _OPS = {"lt", "le", "gt", "ge"}
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> "ConditionSpec":
         if self.comparison not in self._OPS:
             raise DiagramError(
                 f"unknown comparison {self.comparison!r}; use one of {sorted(self._OPS)}"
             )
+        return self
 
     def evaluate(self, value: float) -> bool:
         return {
@@ -98,8 +97,7 @@ class ConditionSpec:
         }[self.comparison]
 
 
-@dataclass(frozen=True)
-class ALSUse:
+class ALSUse(NamedTuple):
     """One ALS included in a diagram, with optional bypassed slots."""
 
     als_id: int

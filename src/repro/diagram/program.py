@@ -23,9 +23,9 @@ Control operations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
+from repro._records import checked
 from repro.diagram.pipeline import PipelineDiagram
 
 
@@ -33,8 +33,8 @@ class ProgramError(Exception):
     """Structural misuse of a program (bad pipeline index, duplicate name...)."""
 
 
-@dataclass(frozen=True)
-class Declaration:
+@checked
+class Declaration(NamedTuple):
     """A variable declaration: name, memory plane, length in words, and an
     optional initializer tag interpreted by the host loading the program."""
 
@@ -43,32 +43,33 @@ class Declaration:
     length: int
     initializer: str = ""
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> "Declaration":
         if not self.name:
             raise ProgramError("variable name must be non-empty")
         if self.length <= 0:
             raise ProgramError(f"variable {self.name!r} must have positive length")
         if self.plane < 0:
             raise ProgramError(f"variable {self.name!r} names a negative plane")
+        return self
 
 
-@dataclass(frozen=True)
-class ExecPipeline:
+class ExecPipeline(NamedTuple):
     pipeline: int  # index into VisualProgram.pipelines
 
 
-@dataclass(frozen=True)
-class Repeat:
+@checked
+class Repeat(NamedTuple):
     body: Tuple["ControlOp", ...]
     times: int
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> "Repeat":
         if self.times < 0:
             raise ProgramError("Repeat.times must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class LoopUntil:
+@checked
+class LoopUntil(NamedTuple):
     """Run *body* until the condition of pipeline ``condition_pipeline``
     (typically the last one executed in the body) evaluates true."""
 
@@ -76,24 +77,22 @@ class LoopUntil:
     condition_pipeline: int
     max_iterations: int = 10_000
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> "LoopUntil":
         if self.max_iterations <= 0:
             raise ProgramError("LoopUntil.max_iterations must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class SwapVars:
+class SwapVars(NamedTuple):
     a: str
     b: str
 
 
-@dataclass(frozen=True)
-class CacheSwap:
+class CacheSwap(NamedTuple):
     caches: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Halt:
+class Halt(NamedTuple):
     pass
 
 

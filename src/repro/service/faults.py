@@ -48,10 +48,10 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Tuple
+from typing import Any, Iterator, Mapping, NamedTuple, Optional, Tuple
 
+from repro._records import checked
 from repro.obs import tracer as obs
 
 #: Named injection sites, in the order a job meets them.
@@ -91,8 +91,8 @@ class FaultConfigError(ValueError):
     """The fault plan is malformed (bad site/kind/rate/JSON)."""
 
 
-@dataclass(frozen=True)
-class FaultRule:
+@checked
+class FaultRule(NamedTuple):
     """One injection rule.
 
     ``rate`` is the firing probability, decided deterministically from
@@ -115,7 +115,7 @@ class FaultRule:
     once: bool = False
     hang_s: float = 60.0
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> "FaultRule":
         if self.site not in SITES:
             raise FaultConfigError(
                 f"unknown fault site {self.site!r}; expected one of {SITES}"
@@ -134,15 +134,14 @@ class FaultRule:
             )
         if self.hang_s <= 0:
             raise FaultConfigError("hang_s must be positive")
-        object.__setattr__(
-            self, "attempts", tuple(int(a) for a in self.attempts)
-        )
-        if any(a < 1 for a in self.attempts):
+        rule = self._replace(attempts=tuple(int(a) for a in self.attempts))
+        if any(a < 1 for a in rule.attempts):
             raise FaultConfigError("attempt numbers are 1-based")
+        return rule
 
 
-@dataclass(frozen=True)
-class FaultPlan:
+@checked
+class FaultPlan(NamedTuple):
     """A seeded, deterministic schedule of faults.
 
     Pure value semantics: :meth:`decide` is a function of the plan and
@@ -156,17 +155,17 @@ class FaultPlan:
     seed: int = 0
     latch_dir: Optional[str] = None
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> "FaultPlan":
         rules = tuple(
             rule if isinstance(rule, FaultRule) else FaultRule(**rule)
             for rule in self.rules
         )
-        object.__setattr__(self, "rules", rules)
         if any(rule.once for rule in rules) and not self.latch_dir:
             raise FaultConfigError(
                 "once=True rules need the plan's latch_dir (a directory "
                 "shared by every process the plan reaches)"
             )
+        return self._replace(rules=rules)
 
     # ------------------------------------------------------------------
     def decide(self, site: str, key: str,
@@ -199,7 +198,7 @@ class FaultPlan:
             "seed": self.seed,
             "rules": [
                 {k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in asdict(rule).items()}
+                 for k, v in rule._asdict().items()}
                 for rule in self.rules
             ],
         }

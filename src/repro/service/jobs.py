@@ -21,9 +21,9 @@ import copy
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
+from repro._records import checked
 from repro.arch.params import DEFAULT_PARAMS, NSCParameters, SUBSET_PARAMS
 from repro.choices import BACKENDS
 
@@ -51,11 +51,30 @@ def _sha256(payload: Any) -> str:
 def _params_digest(params: NSCParameters) -> str:
     """:meth:`SimJob.params_key` by value: re-parsed jobs (the runner's
     spec round trip, pool workers) hash each machine once."""
-    return _sha256(asdict(params))
+    return _sha256(params._asdict())
 
 
-@dataclass(frozen=True)
-class SimJob:
+class _SimJobFields(NamedTuple):
+    method: str = "jacobi"
+    shape: Tuple[int, int, int] = (7, 7, 7)
+    eps: float = 1e-4
+    max_sweeps: int = 10_000
+    omega: float = 1.5
+    subset: bool = False
+    hypercube_dim: int = 0
+    program_path: Optional[str] = None
+    param_overrides: Tuple[Tuple[str, Any], ...] = ()
+    backend: str = "reference"
+    run_checker: str = "auto"
+    keep_fields: bool = False
+    u0_seed: Optional[int] = None
+    max_attempts: int = 1
+    backoff_base: float = 0.0
+    label: str = ""
+
+
+@checked
+class SimJob(_SimJobFields):
     """One schedulable simulation.
 
     ``hypercube_dim > 0`` selects the multi-node SPMD path
@@ -113,26 +132,12 @@ class SimJob:
     excluded from :attr:`job_id` and from the cache keys, and they enter
     :meth:`to_dict` only when non-default so pre-existing specs hash
     exactly as they always did.
+
+    The fields live on a NamedTuple base; this subclass keeps an
+    instance ``__dict__`` for the key memos and a pinned file's bytes.
     """
 
-    method: str = "jacobi"
-    shape: Tuple[int, int, int] = (7, 7, 7)
-    eps: float = 1e-4
-    max_sweeps: int = 10_000
-    omega: float = 1.5
-    subset: bool = False
-    hypercube_dim: int = 0
-    program_path: Optional[str] = None
-    param_overrides: Tuple[Tuple[str, Any], ...] = ()
-    backend: str = "reference"
-    run_checker: str = "auto"
-    keep_fields: bool = False
-    u0_seed: Optional[int] = None
-    max_attempts: int = 1
-    backoff_base: float = 0.0
-    label: str = ""
-
-    def __post_init__(self) -> None:
+    def _checked(self) -> "SimJob":
         if self.method not in METHODS:
             raise JobSpecError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
@@ -164,7 +169,6 @@ class SimJob:
                 )
             if int(self.u0_seed) < 0:
                 raise JobSpecError("u0_seed must be a non-negative integer")
-            object.__setattr__(self, "u0_seed", int(self.u0_seed))
         if int(self.max_attempts) < 1:
             raise JobSpecError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
@@ -173,8 +177,6 @@ class SimJob:
             raise JobSpecError(
                 f"backoff_base must be >= 0, got {self.backoff_base}"
             )
-        object.__setattr__(self, "max_attempts", int(self.max_attempts))
-        object.__setattr__(self, "backoff_base", float(self.backoff_base))
         if self.method == "program" and not self.program_path:
             raise JobSpecError("method 'program' requires program_path")
         if self.method != "program" and self.program_path:
@@ -190,11 +192,14 @@ class SimJob:
             raise JobSpecError(
                 "multi-node runs (hypercube_dim > 0) support only 'jacobi'"
             )
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        object.__setattr__(
-            self,
-            "param_overrides",
-            tuple((str(k), v) for k, v in self.param_overrides),
+        return self._replace(
+            shape=tuple(int(s) for s in self.shape),
+            param_overrides=tuple(
+                (str(k), v) for k, v in self.param_overrides
+            ),
+            u0_seed=None if self.u0_seed is None else int(self.u0_seed),
+            max_attempts=int(self.max_attempts),
+            backoff_base=float(self.backoff_base),
         )
 
     # ------------------------------------------------------------------
@@ -264,8 +269,7 @@ class SimJob:
 
     def params_key(self) -> str:
         """Hash of the fully resolved machine parameters (memoized on the
-        instance and, across instances, by parameter value — the
-        ``asdict`` walk deep-copies the whole parameter dataclass)."""
+        instance and, across instances, by parameter value)."""
         cached = self.__dict__.get("_params_key")
         if cached is None:
             cached = _params_digest(self.params())
@@ -331,7 +335,7 @@ class SimJob:
     def from_dict(cls, spec: Mapping[str, Any]) -> "SimJob":
         """Build a job from a plain mapping (e.g. one entry of a JSON jobs
         file).  ``"n": 7`` is accepted as shorthand for a cubic shape."""
-        known = {f.name for f in fields(cls)}
+        known = set(cls._fields)
         data = dict(spec)
         n = data.pop("n", None)
         if n is not None and "shape" not in data:

@@ -19,8 +19,9 @@ whole point — see ``docs/RELIABILITY.md``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
+
+from repro._records import checked
 
 TRANSIENT = "transient"
 PERMANENT = "permanent"
@@ -38,8 +39,8 @@ TRANSIENT_ERROR_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+@checked
+class RetryPolicy(NamedTuple):
     """How many attempts a job gets, and how long to wait between them.
 
     ``max_attempts`` counts the first try: the default ``1`` means no
@@ -54,7 +55,7 @@ class RetryPolicy:
     max_attempts: int = 1
     backoff_base: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> "RetryPolicy":
         if int(self.max_attempts) < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
@@ -63,8 +64,8 @@ class RetryPolicy:
             raise ValueError(
                 f"backoff_base must be >= 0, got {self.backoff_base}"
             )
-        object.__setattr__(self, "max_attempts", int(self.max_attempts))
-        object.__setattr__(self, "backoff_base", float(self.backoff_base))
+        return self._replace(max_attempts=int(self.max_attempts),
+                             backoff_base=float(self.backoff_base))
 
     def delay(self, attempt: int) -> float:
         """Seconds to wait after failed attempt *attempt* (1-based)."""

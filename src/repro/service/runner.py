@@ -44,7 +44,7 @@ import contextlib
 import functools
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
 )
@@ -310,11 +310,8 @@ def _compile_single(job: SimJob, node, check: bool) -> Tuple[Any, Any]:
 def _slim(setup: Any) -> Any:
     """*setup* without its source diagram: nothing on the run path reads
     ``setup.program`` after code generation, and a program cache entry
-    would otherwise spend about half its GC-tracked objects on it.  The
-    builder's setup is the compile's own, so the diagram is dropped in
-    place (the setups are frozen dataclasses) rather than from a copy."""
-    object.__setattr__(setup, "program", None)
-    return setup
+    would otherwise spend about half its GC-tracked objects on it."""
+    return setup._replace(program=None)
 
 
 def _run_single(job: SimJob, cache: ProgramCache) -> Dict[str, Any]:
@@ -643,7 +640,7 @@ class BatchRunner:
         # records all use *their* job_ids
         eff_jobs = list(jobs)
         if self.run_checker is not None:
-            eff_jobs = [replace(job, run_checker=self.run_checker)
+            eff_jobs = [job._replace(run_checker=self.run_checker)._checked()
                         for job in jobs]
         self._frontier = 0
         final: List[Optional[Dict[str, Any]]] = [None] * len(jobs)

@@ -9,8 +9,7 @@ simulator's achieved rates against those peaks and explains the gap
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, TYPE_CHECKING
+from typing import Dict, NamedTuple, TYPE_CHECKING
 
 from repro.arch.params import NSCParameters
 from repro.sim.sequencer import SequencerResult
@@ -19,8 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import NSCMachine
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     """Summary of one program run on one node."""
 
     cycles: int

@@ -75,7 +75,6 @@ import math
 import operator
 import struct
 import sys
-from dataclasses import dataclass, field
 from math import isfinite as _isfinite
 from types import CodeType, FunctionType
 from typing import (
@@ -1750,15 +1749,27 @@ def home_variables(program: MachineProgram) -> Dict[str, _HomeVar]:
     }
 
 
-@dataclass(frozen=True)
-class _Unfusable:
+class _Unfusable(NamedTuple):
     """Cached rejection: re-attempting compilation would fail identically.
 
     Holds its program, as a :class:`ProgramPlan` does, so the id in its
-    cache key cannot be reused while the entry lives."""
+    cache key cannot be reused while the entry lives.  Equality, hash
+    and repr read the reason alone."""
 
     reason: str
-    program: MachineProgram = field(repr=False, compare=False)
+    program: MachineProgram
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is _Unfusable and self.reason == other.reason
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((self.reason,))
+
+    def __repr__(self) -> str:
+        return f"_Unfusable(reason={self.reason!r})"
 
 
 def compiled_plan(program: MachineProgram, params: Any) -> ProgramPlan:

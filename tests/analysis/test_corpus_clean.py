@@ -164,8 +164,6 @@ class TestFusionCrossCheck:
         # the diagram layer validates watches against pipeline
         # *declarations*; a body that never issues the watched pipeline
         # only appears in mutated machine code
-        import dataclasses
-
         setup = build_jacobi_program(node, (5, 5, 5), eps=1e-3)
         program = MicrocodeGenerator(node, run_checker=False).generate(
             setup.program
@@ -178,7 +176,7 @@ class TestFusionCrossCheck:
             i for i, image in enumerate(program.images)
             if image.number != key or image.condition is None
         )
-        mutated = dataclasses.replace(loop, body=(ExecPipeline(other),))
+        mutated = loop._replace(body=(ExecPipeline(other),))
         program.control = [
             mutated if op is loop else op for op in program.control
         ]

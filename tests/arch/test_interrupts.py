@@ -2,7 +2,6 @@
 
 
 from repro.arch.interrupts import (
-    DEFAULT_ARMED_KINDS,
     Interrupt,
     InterruptController,
     InterruptKind,
@@ -89,46 +88,3 @@ class TestDelivery:
         ctl.reset()
         assert ctl.pending() == 0
         assert ctl.delivered == []
-
-
-class TestConfiguration:
-    """The public configuration surface execution engines gate on."""
-
-    def test_fresh_controller_is_default(self):
-        ctl = InterruptController()
-        assert ctl.is_default_config()
-        cfg = ctl.configuration()
-        assert cfg.armed == DEFAULT_ARMED_KINDS
-        assert cfg.handler_kinds == ()
-        assert cfg.pending == 0
-        assert cfg.is_default
-
-    def test_arm_and_disarm_change_config(self):
-        ctl = InterruptController()
-        ctl.arm(InterruptKind.FP_OVERFLOW)
-        assert not ctl.is_default_config()
-        assert InterruptKind.FP_OVERFLOW in ctl.configuration().armed
-        ctl.disarm(InterruptKind.FP_OVERFLOW)
-        assert ctl.is_default_config()
-        ctl.disarm(InterruptKind.CONDITION_FALSE)
-        assert not ctl.is_default_config()
-
-    def test_handlers_and_pending_break_default(self):
-        ctl = InterruptController()
-        ctl.on(InterruptKind.PIPELINE_COMPLETE, lambda irq: None)
-        cfg = ctl.configuration()
-        assert cfg.handler_kinds == (InterruptKind.PIPELINE_COMPLETE,)
-        assert not ctl.is_default_config()
-
-        ctl = InterruptController()
-        ctl.post(InterruptKind.PIPELINE_COMPLETE, cycle=3)
-        assert ctl.configuration().pending == 1
-        assert not ctl.is_default_config()
-        ctl.drain()
-        assert ctl.is_default_config()
-
-    def test_configuration_is_a_snapshot(self):
-        ctl = InterruptController()
-        cfg = ctl.configuration()
-        ctl.arm(InterruptKind.FP_INVALID)
-        assert InterruptKind.FP_INVALID not in cfg.armed  # frozen copy

@@ -68,7 +68,7 @@ class TestHashing:
 
 class TestParamsKeyMemo:
     """``params_key`` is memoized by parameter value; the digests stay
-    byte-identical to the unmemoized ``sha256(asdict(params))``."""
+    byte-identical to the unmemoized ``sha256(params._asdict())``."""
 
     CASES = {
         "default": (
@@ -89,11 +89,10 @@ class TestParamsKeyMemo:
     def test_digest_unchanged(self, case):
         import hashlib
         import json
-        from dataclasses import asdict
 
         kwargs, digest = self.CASES[case]
         job = SimJob(**kwargs)
-        text = json.dumps(asdict(job.params()), sort_keys=True,
+        text = json.dumps(job.params()._asdict(), sort_keys=True,
                           separators=(",", ":"))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
         assert job.params_key() == digest

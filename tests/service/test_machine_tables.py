@@ -2,7 +2,6 @@
 to share: they never leak one machine's state into another's program,
 survive the disk cache, and stay at their bound."""
 
-from dataclasses import replace
 
 import pytest
 
@@ -54,7 +53,7 @@ def test_alternating_machines_match_fresh_tables_per_job():
 
 def test_node_config_is_shared_per_parameter_set():
     assert node_config() is node_config(NSCParameters())
-    assert node_config(SUBSET_PARAMS) is node_config(replace(SUBSET_PARAMS))
+    assert node_config(SUBSET_PARAMS) is node_config(SUBSET_PARAMS.subset())
     assert node_config(SUBSET_PARAMS) is not node_config()
     assert layout_for(SUBSET_PARAMS).n_fus == SUBSET_PARAMS.n_functional_units
 

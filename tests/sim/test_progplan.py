@@ -300,8 +300,6 @@ class TestMidRunRejection:
         not escape as a crash: a lone fast job's run touches only its own
         storage, so the reference fallback reproduces the reference
         job's record."""
-        import dataclasses
-
         from repro.service.cache import ProgramCache
         from repro.service.jobs import SimJob
         from repro.service.results import canonical_line
@@ -323,7 +321,7 @@ class TestMidRunRejection:
         assert calls["n"] >= 4  # the rejection really fired mid-run
         assert fast["tier"] == "reference"
         assert fast["fallback_reason"] == "injected mid-run"
-        reference = execute_job(dataclasses.replace(job, backend="reference"),
+        reference = execute_job(job._replace(backend="reference"),
                                 cache=ProgramCache())
 
         def computed(record):

@@ -10,6 +10,9 @@ import_modules    ``repro`` modules loaded by that import
 import_rss_mb     peak RSS after that import
 job_modules       ``repro`` modules loaded after one cold n = 4 job per
                   solver, run serially through ``BatchRunner``
+first_jobs_ms     wall time of those three jobs
+dataclasses       dataclasses the loaded ``repro`` modules define (a
+                  count: it repeats exactly)
 job_rss_mb        peak RSS after those jobs
 info_ms           wall time of ``nsc-vpe info`` (``python -m repro.cli info``),
                   spawn to exit
@@ -48,6 +51,15 @@ import json, resource, sys, time
 def repro_modules():
     return sum(1 for name in sys.modules if name.split(".")[0] == "repro")
 
+def repro_dataclasses():
+    import dataclasses
+    return [(name + "." + attr, value.__dataclass_params__.frozen)
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "repro"
+            for attr, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == name
+            and dataclasses.is_dataclass(value)]
+
 def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
@@ -60,11 +72,16 @@ report = {"import_ms": import_ms, "import_modules": repro_modules(),
           "import_rss_mb": peak_rss_mb()}
 cache = ProgramCache()
 failed = 0
+t0 = time.perf_counter()
 for method in ("jacobi", "rb-gs", "rb-sor"):
     job = SimJob(method=method, shape=(4, 4, 4), eps=1e-3, max_sweeps=2000,
                  backend="fast")
     failed += BatchRunner(workers=1, cache=cache).run([job])[1].failed
-report.update(job_modules=repro_modules(), job_rss_mb=peak_rss_mb(),
+first_jobs_ms = (time.perf_counter() - t0) * 1e3
+classes = repro_dataclasses()
+report.update(job_modules=repro_modules(), first_jobs_ms=first_jobs_ms,
+              dataclasses=len(classes), job_rss_mb=peak_rss_mb(),
+              frozen_dataclasses=sorted(n for n, frozen in classes if frozen),
               failed=failed)
 print(json.dumps(report))
 """
@@ -74,6 +91,8 @@ METRICS = (
     "import_modules",
     "import_rss_mb",
     "job_modules",
+    "first_jobs_ms",
+    "dataclasses",
     "job_rss_mb",
     "info_ms",
 )
@@ -84,7 +103,9 @@ def _env() -> Dict[str, str]:
     return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
 
 
-def _one_run(env: Dict[str, str]) -> Dict[str, Any]:
+def child_report(env: Dict[str, str]) -> Dict[str, Any]:
+    """One fresh interpreter's import and first-jobs report; beside the
+    metrics it names the frozen dataclasses the loaded modules define."""
     done = subprocess.run(
         [sys.executable, "-c", CHILD],
         env=env,
@@ -92,7 +113,11 @@ def _one_run(env: Dict[str, str]) -> Dict[str, Any]:
         text=True,
         check=True,
     )
-    report = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _one_run(env: Dict[str, str]) -> Dict[str, Any]:
+    report = child_report(env)
     t0 = time.perf_counter()
     subprocess.run(
         [sys.executable, "-m", "repro.cli", "info"],
