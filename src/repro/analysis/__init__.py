@@ -14,9 +14,9 @@ package proves them:
   dead-write detection;
 - :mod:`repro.analysis.hazards` — per-issue structural checks: operand
   wiring, shift/delay configuration, switch port conflicts and fan-out;
-- :mod:`repro.analysis.plansafety` — the shared non-finite-propagation
-  sets the fused engine's exception screen derives from, plus the
-  control-script fusion-eligibility mirror of ``check_batchable``;
+- :mod:`repro.analysis.plansafety` — the units the fused engine folds to
+  reductions, and the control-script fusion-eligibility rules
+  ``check_batchable`` declines by;
 - :mod:`repro.analysis.engine` — :func:`analyze_program`, the entry
   point producing an :class:`AnalysisVerdict`.
 
@@ -30,13 +30,9 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.analysis.engine import analyze_program
     from repro.analysis.plansafety import (
-        PROP_A,
-        PROP_BOTH,
-        PROP_FEEDBACK,
         REDUCIBLE_OPS,
-        ScreenReport,
         fusion_eligibility,
-        screen_coverage,
+        reduce_fus,
     )
     from repro.analysis.sites import SiteKey, Span
     from repro.analysis.verdict import (
@@ -56,12 +52,8 @@ __all__ = [
     "severity_rank",
     "Span",
     "SiteKey",
-    "PROP_BOTH",
-    "PROP_A",
-    "PROP_FEEDBACK",
     "REDUCIBLE_OPS",
-    "ScreenReport",
-    "screen_coverage",
+    "reduce_fus",
     "fusion_eligibility",
 ]
 
@@ -78,12 +70,8 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "sites": ("Span", "SiteKey"),
         "plansafety": (
-            "PROP_BOTH",
-            "PROP_A",
-            "PROP_FEEDBACK",
             "REDUCIBLE_OPS",
-            "ScreenReport",
-            "screen_coverage",
+            "reduce_fus",
             "fusion_eligibility",
         ),
     },

@@ -8,7 +8,7 @@ One call runs every analysis the package knows over a compiled
 2. the whole-program dataflow walk (:mod:`repro.analysis.dataflow`) over
    the control script;
 3. plan-safety metadata (:mod:`repro.analysis.plansafety`): batch-fusion
-   eligibility and the exception-screen coverage sets.
+   eligibility.
 
 The result is an :class:`~repro.analysis.verdict.AnalysisVerdict` —
 pure data, serializable, recordable by the program cache.  The analyzer
@@ -22,7 +22,7 @@ from repro.codegen.generator import MachineProgram
 from repro.obs import tracer as obs
 from repro.analysis.dataflow import walk_program
 from repro.analysis.hazards import check_image
-from repro.analysis.plansafety import fusion_eligibility, screen_coverage
+from repro.analysis.plansafety import fusion_eligibility
 from repro.analysis.verdict import AnalysisVerdict, FindingCollector
 
 
@@ -48,10 +48,6 @@ def analyze_program(program: MachineProgram) -> AnalysisVerdict:
             for _driver, sink, _prog in image.write_programs:
                 sites.add((sink.kind, sink.device))
 
-        checked = tuple(
-            tuple(sorted(screen_coverage(image).checked_fus))
-            for image in program.images
-        )
         verdict = AnalysisVerdict(
             program=program.name,
             fingerprint=program.fingerprint(),
@@ -60,7 +56,6 @@ def analyze_program(program: MachineProgram) -> AnalysisVerdict:
             fusion_reasons=reasons,
             issues_walked=issues_walked,
             sites_tracked=len(sites),
-            checked_fus=checked,
         )
         obs.count("analysis.run")
         for severity, n in verdict.counts().items():

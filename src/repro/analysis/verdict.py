@@ -11,7 +11,7 @@ suspicious work that still executes deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 #: Severity names, least to most severe.
@@ -127,7 +127,6 @@ class AnalysisVerdict:
     fusion_reasons: Tuple[str, ...] = ()
     issues_walked: int = 0
     sites_tracked: int = 0
-    checked_fus: Tuple[Tuple[int, ...], ...] = field(default=())
 
     @property
     def ok(self) -> bool:

@@ -441,10 +441,10 @@ def _scenario_fused_coverage(quick: bool) -> Dict[str, Any]:
     """
     from repro.apps.poisson3d import manufactured_solution
     from repro.arch.node import NodeConfig
-    from repro.codegen.generator import MicrocodeGenerator
-    from repro.compose.jacobi import build_jacobi_program
     from repro.sim import progplan
-    from repro.sim.multinode import MultiNodeStencil
+    from repro.sim.multinode import (
+        MultiNodeStencil, compile_node_program, local_shape,
+    )
 
     node = NodeConfig()
     checks: Dict[str, bool] = {}
@@ -455,11 +455,8 @@ def _scenario_fused_coverage(quick: bool) -> Dict[str, Any]:
     shape = (6, 8, 32)  # non-cubic; nz divides both node counts
     sweeps = 10 if quick else 40
     reps = 1 if quick else 2
-    local_shape = (shape[0], shape[1], shape[2] // n_nodes + 2)
-    setup = build_jacobi_program(node, local_shape, eps=1e-30, loop=False)
-    skew_program = MicrocodeGenerator(node, auto_balance=False).generate(
-        setup.program
-    )
+    setup, skew_program = compile_node_program(
+        node, local_shape(shape, n_nodes), 1e-30, auto_balance=False)
     u_star, _f, _h = manufactured_solution(shape)
 
     def make_stencil(backend: str) -> MultiNodeStencil:

@@ -416,33 +416,25 @@ def _field_shape(job: SimJob) -> Tuple[int, int, int]:
 def _compile_multinode(
     job: SimJob, local_shape: Tuple[int, int, int], check: bool
 ):
+    """``(setup, machine program)`` every node of a hypercube job runs;
+    compiled here, outside the stencil, so the program cache serves it.
+    The setup comes back without its source diagram (:func:`_slim`)."""
     from repro.arch.node import node_config
-    from repro.codegen.generator import MicrocodeGenerator
-    from repro.compose.jacobi import build_jacobi_program
+    from repro.sim.multinode import compile_node_program
 
     params = job.params().subset(hypercube_dim=job.hypercube_dim)
-    node_cfg = node_config(params)
-    setup = build_jacobi_program(
-        node_cfg, local_shape, eps=job.eps, loop=False
-    )
-    generator = MicrocodeGenerator(node_cfg, run_checker=check)
-    program = setup.program
-    return _slim(setup), generator.generate(program)
+    setup, program = compile_node_program(
+        node_config(params), local_shape, job.eps, run_checker=check)
+    return _slim(setup), program
 
 
 def _run_multinode(job: SimJob, cache: ProgramCache) -> Dict[str, Any]:
-    from repro.sim.multinode import DecompositionError, MultiNodeStencil
+    from repro.sim.multinode import MultiNodeStencil, local_shape
 
-    nx, ny, nz = job.shape
-    n_nodes = 1 << job.hypercube_dim
-    if nz % n_nodes != 0:
-        raise DecompositionError(
-            f"nz={nz} does not divide across {n_nodes} nodes"
-        )
-    local_shape = (nx, ny, nz // n_nodes + 2)
+    node_shape = local_shape(job.shape, 1 << job.hypercube_dim)
     precompiled, checker = _obtain_program(
         job, cache,
-        lambda check: _compile_multinode(job, local_shape, check),
+        lambda check: _compile_multinode(job, node_shape, check),
     )
     with obs.span("bind"):
         stencil = MultiNodeStencil(

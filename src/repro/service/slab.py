@@ -26,11 +26,12 @@ unit's two or more members through :func:`execute_slab`
 per job, ``slab.formed`` / ``slab.jobs`` per slab; the shared bind and
 execute time is split equally).
 
-A lone job runs exact — it keeps its non-finite values and raises its
-faults — so it declines only on an unfusable program, and reruns on an
-``NSCMachine``'s reference walk.  A group also declines, before anything
-shared changed, on a construct only a lone job models or a non-finite
-value mid-run; its members rerun through ``execute_job``.  Declines and
+A lone job runs exact — it raises its faults — so it declines only on
+an unfusable program, and reruns on an ``NSCMachine``'s reference walk.
+A group also declines, before anything shared changed, on a construct
+only a lone job models or a fault mid-run; its members rerun through
+``execute_job``.  Non-finite values decline neither: every row runs
+them on as values.  Declines and
 the reference backend are all that still run a service job on a
 machine.
 """

@@ -30,26 +30,22 @@ count — is per-issue-constant, so the run logs each issue once per slab
 :meth:`BatchProgramRun.job` folds one job's totals out of that log.
 Slab results are bit-identical to N single-machine reference runs.
 
-A run mutates only its local storage.  A lone job with a fallback (one
-row, ``fallback=True``) is an *exact* run with the reference's fault
-semantics: a non-finite value takes the exact per-FU path, a
-reference-visible fault (:class:`SequencerError`, a host
+A run mutates only its local storage.  Non-finite values are values:
+inf and nan run through the same kernels on every row, bit-identical to
+the reference, whose FP-exception interrupts they raise are masked under
+the default armed set, so no record counts them.  A one-row run (a lone
+job, or a one-node hypercube) is *exact*, with the reference's fault
+semantics: a reference-visible fault (:class:`SequencerError`, a host
 ``MachineError``) propagates as is, and ``Halt`` inside a ``LoopUntil``
-and nested loops all run.  The FP exceptions the exact path detects are
-not logged: their interrupt kinds are outside the default armed set, so
-no record counts them.
+and nested loops all run.
 
-Every other run — a slab of two or more, or a hypercube — declines
+A run of two or more rows — a slab, or a hypercube — declines
 statically (before touching any state) on invalid issues, ``Halt``
 inside a loop body, nested ``LoopUntil``, or a loop body that never
-issues its watched condition pipeline; a slab's reference-visible
-faults are wrapped as :class:`FusionUnsupported`, so the per-job
-fallback reproduces them.  A slab also declines on any non-finite value
-(one fused screen covers every row, so one job's overflow would be
-undetectable to per-row accounting).  A hypercube has no per-node
-fallback — its stack is the only copy of the state — so a non-finite
-issue takes the exact path instead, with values bit-identical to the
-reference, even with one node.
+issues its watched condition pipeline
+(:func:`repro.analysis.plansafety.fusion_eligibility`'s rules); its
+reference-visible faults are wrapped as :class:`FusionUnsupported`, so a
+slab's per-job fallback reproduces them.
 """
 
 from __future__ import annotations
@@ -60,13 +56,13 @@ from typing import (
     Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING,
 )
 
+from repro.analysis.plansafety import fusion_eligibility
 from repro.obs import tracer as obs
 from repro.sim.metrics import RunMetrics
 from repro.sim.progplan import (
     FusionUnsupported,
     ImageKernel,
     ProgramPlan,
-    _S_BAD_ISSUE,
     _S_CACHESWAP,
     _S_HALT,
     _S_ISSUE,
@@ -88,56 +84,20 @@ if TYPE_CHECKING:  # pragma: no cover
 # ----------------------------------------------------------------------
 # static batchability
 # ----------------------------------------------------------------------
-def _body_watches(plan: ProgramPlan, ops: Tuple[Tuple, ...], key: int) -> bool:
-    """Does this loop body issue pipeline *key* with a condition unit?"""
-    for op in ops:
-        kind = op[0]
-        if kind == _S_ISSUE:
-            kernel = plan.kernels[op[1]]
-            if kernel.consts.number == key and kernel.condition is not None:
-                return True
-        elif kind == _S_REPEAT:
-            if _body_watches(plan, op[2], key):
-                return True
-    return False
-
-
-def _scan_ops(plan: ProgramPlan, ops: Tuple[Tuple, ...],
-              in_loop: bool) -> Optional[str]:
-    for op in ops:
-        kind = op[0]
-        if kind == _S_BAD_ISSUE:
-            return "invalid pipeline issue in script"
-        if kind == _S_HALT and in_loop:
-            return "Halt inside LoopUntil body"
-        if kind == _S_REPEAT:
-            reason = _scan_ops(plan, op[2], in_loop)
-            if reason:
-                return reason
-        elif kind == _S_LOOP:
-            if in_loop:
-                return "nested LoopUntil"
-            body, key = op[1], op[2]
-            if not _body_watches(plan, body, key):
-                return f"loop watch pipeline {key} raises no condition"
-            reason = _scan_ops(plan, body, True)
-            if reason:
-                return reason
-    return None
-
-
 def check_batchable(plan: ProgramPlan) -> None:
     """Raise :class:`FusionUnsupported` unless *plan* can run as a slab.
 
-    An exact (one-job) run walks every script the sequencer walks; a
-    slab declines up front the shapes only a one-job run models — an
+    An exact (one-row) run walks every script the sequencer walks; a
+    slab declines up front the shapes only a one-row run models — an
     invalid issue, which faults mid-script, and control flow that could
-    diverge per job.  The verdict is memoized on the (cached, shared)
-    plan.
+    diverge per job.  The reason is the first
+    :func:`~repro.analysis.plansafety.fusion_eligibility` gives; the
+    verdict is memoized on the (cached, shared) plan.
     """
     verdict = plan.__dict__.get("_batchable")
     if verdict is None:
-        verdict = _scan_ops(plan, plan.ops, False) or ""
+        _eligible, reasons = fusion_eligibility(plan.program)
+        verdict = reasons[0] if reasons else ""
         plan.__dict__["_batchable"] = verdict
     if verdict:
         raise FusionUnsupported(verdict)
@@ -223,12 +183,7 @@ class BatchProgramRun:
     arrays carrying a leading ``(n_jobs,)`` axis (see
     :func:`~repro.sim.progplan.stacked_storage`).  Nothing outside it is
     touched — reading rows and folding records is the caller's job.  One
-    job with ``fallback`` runs exact; anything else declines where a slab
-    declines.
-
-    ``fallback=False`` marks rows with no per-job fallback: a
-    hypercube's nodes.  A non-finite issue runs exact instead of
-    declining, and no run of them is exact, even one node.
+    row runs exact; two or more decline where a slab declines.
 
     Accounting is one log for the whole slab, appended once per step:
     ``(kernel index, per-row condition values, per-row condition
@@ -238,11 +193,10 @@ class BatchProgramRun:
     """
 
     def __init__(self, plan: ProgramPlan, storage: _Storage, n_jobs: int,
-                 max_instructions: int, fallback: bool = True) -> None:
-        # a lone job with a fallback owns every fault the run raises, so
-        # it runs exact where a slab declines
-        self.exact = n_jobs == 1 and fallback
-        self.fallback = fallback
+                 max_instructions: int) -> None:
+        # one row owns every fault the run raises, so it runs exact where
+        # a slab declines
+        self.exact = n_jobs == 1
         if not self.exact:
             check_batchable(plan)
         self.plan = plan
@@ -308,7 +262,7 @@ class BatchProgramRun:
             elif kind == _S_HALT:
                 self.halted = True
                 return
-            else:  # _S_BAD_ISSUE (slabs decline these up front)
+            else:  # an invalid issue (slabs decline these up front)
                 self._check_budget()
                 raise SequencerError(f"no pipeline {op[1]} in this program")
 
@@ -330,12 +284,7 @@ class BatchProgramRun:
             self._check_budget()
         bound = self.bound[index]
         kernel = bound.kernel
-        if not bound.issue_compute():
-            # the finiteness screen is fused over the whole stack; only a
-            # lone job or a hypercube runs on past a non-finite value
-            if self.fallback and not self.exact:
-                raise FusionUnsupported("non-finite values in batch slab")
-            bound.issue_exact()
+        bound.issue_compute()
         # a fresh list of floats per issue (the condition row is
         # overwritten next issue), compared float by float
         vals = bound.condition_last()

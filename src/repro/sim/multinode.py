@@ -23,7 +23,7 @@ Multi-node runs are schedulable as service jobs via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -31,19 +31,52 @@ from repro.arch.node import node_config
 from repro.arch.memsys import AllocationError
 from repro.arch.params import NSCParameters
 from repro.arch.router import HyperspaceRouter, Message
-from repro.codegen.generator import MicrocodeGenerator
-from repro.compose.jacobi import build_jacobi_program, grid_shape
+from repro.codegen.generator import MachineProgram, MicrocodeGenerator
+from repro.compose.jacobi import grid_shape
 from repro.obs import tracer as obs
 from repro.sim.machine import NSCMachine
 from repro.sim.pipeline_exec import execute_image
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.arch.node import NodeConfig
     from repro.sim.batchplan import BatchProgramRun
     from repro.sim.progplan import _HomeVar, _Storage
 
 
 class DecompositionError(Exception):
     """The grid cannot be split across the requested node count."""
+
+
+def local_shape(shape: Tuple[int, int, int],
+                n_nodes: int) -> Tuple[int, int, int]:
+    """Each node's grid when ``(nx, ny, nz)`` *shape* is cut into
+    *n_nodes* z-slabs: ``(nx, ny, nz // n_nodes + 2)``, two ghost
+    z-planes included.  Raises :class:`DecompositionError` unless every
+    node gets the same whole number of z-planes, at least one."""
+    nx, ny, nz = shape
+    if nz % n_nodes != 0:
+        raise DecompositionError(
+            f"nz={nz} does not divide across {n_nodes} nodes"
+        )
+    if nz // n_nodes < 1:
+        raise DecompositionError("fewer than one z-plane per node")
+    return (nx, ny, nz // n_nodes + 2)
+
+
+def compile_node_program(
+    node_cfg: "NodeConfig", shape: Tuple[int, int, int], eps: float,
+    **generator_options: Any,
+) -> Tuple[Any, MachineProgram]:
+    """``(setup, machine program)`` of the single-sweep Jacobi program
+    every node runs on its *shape* local grid (:func:`local_shape`);
+    *generator_options* go to :class:`MicrocodeGenerator`."""
+    # looked up at call time: a tracer that wraps the builder sees it
+    from repro.compose import jacobi
+
+    setup = jacobi.build_jacobi_program(node_cfg, shape, eps=eps, loop=False)
+    program = MicrocodeGenerator(node_cfg, **generator_options).generate(
+        setup.program)
+    return setup, program
 
 
 def global_residual(values: Iterable[float]) -> float:
@@ -147,15 +180,8 @@ class MultiNodeStencil:
         self.n_nodes = 1 << dim
         self.shape = shape
         self.eps = eps
-        nx, ny, nz = shape
-        if nz % self.n_nodes != 0:
-            raise DecompositionError(
-                f"nz={nz} does not divide across {self.n_nodes} nodes"
-            )
-        self.nz_local = nz // self.n_nodes
-        if self.nz_local < 1:
-            raise DecompositionError("fewer than one z-plane per node")
-        self.local_shape = (nx, ny, self.nz_local + 2)  # with ghost planes
+        self.local_shape = local_shape(shape, self.n_nodes)
+        self.nz_local = self.local_shape[2] - 2  # less the ghost planes
         self.router = HyperspaceRouter(self.params)
         self.node_of_slab: List[int] = [gray_code(i) for i in range(self.n_nodes)]
         self._precompiled = precompiled
@@ -183,12 +209,8 @@ class MultiNodeStencil:
             self.setup = setup
             self.machine_program = machine_program
         else:
-            generator = MicrocodeGenerator(node_cfg)
-            setup = build_jacobi_program(
-                node_cfg, self.local_shape, eps=self.eps, loop=False
-            )
-            self.setup = setup
-            self.machine_program = generator.generate(setup.program)
+            self.setup, self.machine_program = compile_node_program(
+                node_cfg, self.local_shape, self.eps)
         # every node runs the same program: one row per node over its
         # variable layout (u, f and u_new read as zeros until scatter()
         # writes them)
@@ -455,6 +477,8 @@ class MultiNodeStencil:
 
 __all__ = [
     "MultiNodeStencil",
+    "compile_node_program",
+    "local_shape",
     "global_residual",
     "MultiNodeResult",
     "DecompositionError",

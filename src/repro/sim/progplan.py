@@ -17,7 +17,7 @@ trace-compilation step: it compiles an entire :class:`~repro.codegen.generator.M
   through the switch without storing them, a unit's output row lives
   only until its last reader has run and its slot is then recycled
   (in place, by the reader itself); rows read after the issue —
-  screened, condition and write-back rows — keep a slot of their own.
+  condition and write-back rows — keep a slot of their own.
   As on the machine, an unshifted tap is its feeder's stream, a PASS that only relays a read stream is that
   stream (*forwarding*), and a unit whose result one DMA takes to
   memory computes straight into its write view, so none of them costs a
@@ -27,9 +27,10 @@ trace-compilation step: it compiles an entire :class:`~repro.codegen.generator.M
   moves (no issued image writes them, no ``SwapVars`` names them) is
   *hoisted* — computed once per bound image, before its first issue,
   into a pinned slot — so a sweep stops rescaling its source term;
-- exception detection is a single fused finiteness test over the
-  screened output rows, with an exact per-stream fallback when anything
-  non-finite appears (values then match the reference bit for bit);
+- inf and nan are values like any other: they run through the same
+  kernels as finite data, which compute the reference's IEEE results bit
+  for bit.  The FP-exception interrupts the reference posts for them are
+  masked under the default armed set, so nothing here detects them;
 - ``LoopUntil`` convergence feedback is evaluated in-band every iteration
   — same exit, same iteration counts — and ``SwapVars`` relocations are
   array exchanges on the local state;
@@ -75,7 +76,6 @@ import math
 import operator
 import struct
 import sys
-from math import isfinite as _isfinite
 from types import CodeType, FunctionType
 from typing import (
     AbstractSet, Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional,
@@ -84,9 +84,7 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.plansafety import (
-    REDUCIBLE_OPS, ScreenReport, screen_coverage,
-)
+from repro.analysis.plansafety import REDUCIBLE_OPS, reduce_fus
 from repro.arch.funcunit import OPCODES, Opcode
 from repro.arch.memsys import AllocationError, stream_slice
 from repro.arch.switch import DeviceKind
@@ -102,7 +100,7 @@ from repro.diagram.program import (
 )
 from repro.obs import tracer as obs
 from repro.sim.fastpath import PLAN_CACHE
-from repro.sim.streams import _ACCUMULATING, detect_exceptions
+from repro.sim.streams import _ACCUMULATING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.multinode import MultiNodeStencil
@@ -397,8 +395,6 @@ _KIND_NAMES = {kind: kind.name for kind in DeviceKind}
 _MEMORY, _FU, _SHIFT_DELAY = (DeviceKind.MEMORY, DeviceKind.FU,
                               DeviceKind.SHIFT_DELAY)
 
-_NOTHING_SCREENED = ScreenReport(frozenset(), frozenset(), frozenset())
-
 
 def _charge_order(item: Tuple[Tuple[DeviceKind, int], int]) -> Tuple[str, str]:
     """The order ``repr`` gives ``((kind, device), cycles)`` charge items,
@@ -450,8 +446,7 @@ class ImageKernel:
     per bind (:attr:`hoisted`; *moving_planes* are the memory planes
     the whole program writes or swaps), so the runner runs only
     :attr:`runs` per issue.  Per-run buffers live in the
-    :class:`BoundImage` this produces, whose exact path re-evaluates
-    every step.
+    :class:`BoundImage` this produces.
     Residual stream skew (the ablation configuration) compiles to offset
     windows into zero-padded copies of the skewed source — streams share
     their feeder's pad, FU rows and taps get pads of their own — so a
@@ -463,8 +458,8 @@ class ImageKernel:
     constructs the fused executor does not model (mismatched stream
     lengths, zero-length vectors).
 
-    The folded and screened units come from
-    :func:`repro.analysis.plansafety.screen_coverage`.
+    The folded units come from
+    :func:`repro.analysis.plansafety.reduce_fus`.
     """
 
     __slots__ = (
@@ -472,7 +467,7 @@ class ImageKernel:
         "reduce_fus", "steps", "writes", "feeder_pads", "row_pads",
         "tap_pads", "condition", "cond_fn", "cond_threshold", "in_place",
         "forwarded", "hoisted", "runs", "live_steps", "slot_of",
-        "scratch_slot", "n_slots", "n_checked", "consts", "runner_shape",
+        "scratch_slot", "n_slots", "consts", "runner_shape",
         # the walk's lookups, unset once the kernel is built
         "_read_index", "_taps", "_stream_skews", "_row_skews", "_tap_skews",
     )
@@ -484,21 +479,18 @@ class ImageKernel:
         self.params = params
         n = self.n = image.vector_length
         reads = self.reads = list(image.read_programs.items())
-        # an image with no units (a mask load) has nothing to screen
-        report = screen_coverage(image) if image.fu_order \
-            else _NOTHING_SCREENED
-        reduce_fus = self.reduce_fus = report.reduce_fus
-        screened = report.checked_fus
+        # an image with no units (a mask load) has nothing to fold
+        self.reduce_fus = reduce_fus(image) if image.fu_order \
+            else frozenset()
         cond = image.condition
         cond_fu = cond.fu if cond is not None else None
         # PASS units whose readers bind to the PASS's own operand, a read
         # stream or unshifted tap, as {fu: that stream's ref}: as on the
         # machine, a unit that only relays a stream stores nothing, and
         # a skewed read of it is a skewed read of the stream (see _ref).
-        # A PASS qualifies unless something reads its row after the
-        # runner: it is not screened and not the condition unit.  Its step stays in ``steps`` for the exact
-        # path, which flags it as the reference does, but the runner
-        # never runs it.
+        # A PASS qualifies unless the condition reads its row after the
+        # runner.  Its step stays in ``steps``, but the runner never runs
+        # it.
         self.forwarded: Dict[int, _Ref] = {}
         # loop-invariant hoisting: a ufunc step whose operands are
         # constants, streams of memory planes nothing in the run moves
@@ -646,8 +638,7 @@ class ImageKernel:
                     forms.pop()  # the runner does not run it
             elif mode == _M_COPY:
                 emit((mode, a, fu), form, a)
-                if a[0] == "stream" and fu not in screened \
-                        and fu != cond_fu:
+                if a[0] == "stream" and fu != cond_fu:
                     self.forwarded[fu] = a
                     pass_steps.append(len(steps) - 1)
                     forms.pop()  # the runner does not run it
@@ -747,8 +738,8 @@ class ImageKernel:
         # it); its step is a ufunc with an out buffer that runs every
         # issue (not hoisted: a hoisted row is computed once, and its
         # write copies it each issue); and nothing reads its row after
-        # the runner or through a copy — it is not screened, not
-        # reduced, not the condition unit and not skew-padded.  Reads
+        # the runner or through a copy — it is not reduced, not the
+        # condition unit and not skew-padded.  Reads
         # never alias a write (touched_extents declines that), so
         # computing a write early changes no value.
         in_place: Dict[int, int] = {}
@@ -756,7 +747,6 @@ class ImageKernel:
             spec = prog.spec
             if src[0] == "row" and width == n and spec.stride == 1 \
                     and src[1] in ufunc_step and src[1] not in hoisted \
-                    and src[1] not in screened \
                     and src[1] not in copied and src[1] != cond_fu \
                     and sources[src] == 1 \
                     and fills[(spec.device_kind, spec.device)] == 1:
@@ -788,24 +778,18 @@ class ImageKernel:
         # last read, and the reading step may write its own output into
         # it (elementwise kernels are exact in place).  Rows read after
         # the runner are *pinned* to a slot of their own for the whole
-        # issue: the screened rows (a contiguous prefix, so the exception
-        # screen stays one reduction), the condition row and write-back
-        # sources.  A hoisted row is
-        # pinned for the whole run: it is computed once, at bind.  An
+        # issue: the condition row and write-back sources.  A hoisted row
+        # is pinned for the whole run: it is computed once, at bind.  An
         # in-place unit owns no slot (its row is its write view), nor
-        # does a forwarded PASS (its row is its stream).
-        # (a reduced unit is never pinned: it is neither screened nor
-        # read)
-        pinned = set(screened)
-        pinned |= hoisted
+        # does a forwarded PASS (its row is its stream), nor a reduced
+        # unit (it keeps only its final).
+        pinned = set(hoisted)
         for src, _prog, _width in writes:
             if src[0] == "row":
                 pinned.add(src[1])
-        if cond is not None and cond.fu not in reduce_fus:
+        if cond is not None and cond.fu not in self.reduce_fus:
             pinned.add(cond.fu)
         held = [f for f in image.fu_order if f in pinned and f not in in_place]
-        if screened:  # screened first, each group in unit order
-            held.sort(key=screened.__contains__, reverse=True)
         slot_of = dict(zip(held, range(len(held))))
         # the units the scan below leaves alone: pinned, in place, or
         # forwarded
@@ -830,8 +814,7 @@ class ImageKernel:
                     scratch_slot[step[5]] = slot
                     free.append(slot)
             elif mode != _M_SKEWCOPY and step[-1] not in assigned:
-                # an unread unit is never propagation-covered, so it is
-                # screened: every unpinned row here has a reader
+                # (an unread unit keeps its slot to the end of the issue)
                 if free:
                     slot_of[step[-1]] = free.pop()
                 else:
@@ -839,7 +822,6 @@ class ImageKernel:
         self.slot_of = slot_of
         self.scratch_slot = scratch_slot
         self.n_slots = n_slots
-        self.n_checked = len(screened)
 
         # analytic per-issue accounting, matching the DMA engine's:
         # controllers run in parallel and transfers on one device
@@ -1030,10 +1012,9 @@ class ImageKernel:
             if k < n_reads:
                 read_spans.append((device, lo, hi))
                 continue
-            # the fused issue streams reads as live views (and, on the
-            # exception path, re-derives exact streams after the
-            # write-back already landed), which is only sound when no
-            # write destination overlaps a read stream; cache traffic
+            # the fused issue streams reads as live views, which is only
+            # sound when no write destination overlaps a read stream;
+            # cache traffic
             # cannot alias — reads stream the front buffer, writes fill
             # the back
             for plane, rlo, rhi in read_spans:
@@ -1084,7 +1065,7 @@ _STEP_TEXT = {
     "k": ("fabo", "_f{i}(_a{i}, _b{i}, out=_o{i})"),
     "u": ("fao", "_f{i}(_a{i}, _o{i})"),
     "c": ("ao", "_copyto(_o{i}, _a{i})"),
-    "g": ("g", "_ok = _g{i}() and _ok"),
+    "g": ("g", "_g{i}()"),
 }
 
 
@@ -1141,7 +1122,7 @@ def _runner_code(shape: Tuple[int, str, int]) -> CodeType:
     """
     taps, forms, writes = shape
     params = ["_copyto"]
-    body = ["_ok = True"]
+    body = []
     for j in range(taps):
         params += (f"_td{j}", f"_ts{j}")
         body.append(f"_copyto(_td{j}, _ts{j})")
@@ -1152,7 +1133,8 @@ def _runner_code(shape: Tuple[int, str, int]) -> CodeType:
     for j in range(writes):
         params += (f"_wd{j}", f"_ws{j}")
         body.append(f"_copyto(_wd{j}, _ws{j})")
-    body.append("return _ok")
+    if not body:
+        body.append("pass")
     src_text = (
         "def _runner(" + ", ".join(f"{n}={n}" for n in params) + "):\n"
         + "".join(f"    {line}\n" for line in body)
@@ -1180,7 +1162,7 @@ class BoundImage:
         n = kernel.n
         # one contiguous block of row slots (see ImageKernel): rows that
         # die mid-issue share slots, so a sweep image's working set stays
-        # a few rows wide; the screened rows lead the block
+        # a few rows wide
         self._block = (
             aligned_empty((kernel.n_slots,) + batch_shape + (n,))
             if kernel.n_slots else None
@@ -1228,16 +1210,6 @@ class BoundImage:
         # after it re-resolves once or picks up its earlier views
         self._states: Dict[int, Tuple] = {}
         self._arrangement: Optional[int] = None
-        # screened rows hold the leading slots, so the fused exception
-        # test is one reduction over a contiguous prefix (often empty: a
-        # fully propagation-covered image needs only its reduce-final
-        # checks)
-        self._check_flat = (
-            self._block[: kernel.n_checked].reshape(-1)
-            if self._block is not None and kernel.n_checked
-            else None
-        )
-        self._exact: Optional[Dict[int, np.ndarray]] = None
         # pre-resolve every operand that does not depend on storage state;
         # the rest are int indices into the live views (read streams,
         # then write views), at the kernel's live_steps positions.  A
@@ -1402,8 +1374,7 @@ class BoundImage:
         (:attr:`ImageKernel.runs`), and the write-backs become a
         straight line of statements with all operands bound as argument
         defaults (local loads, no dispatch); non-ufunc steps (feedback,
-        reductions, exotic kernels) drop to closures that report whether
-        their result stayed finite.  The code object comes from the
+        reductions, exotic kernels) drop to closures.  The code object comes from the
         kernel's ``runner_shape`` (see :func:`_runner_code`); each issue
         only gathers its operands.
         """
@@ -1431,11 +1402,7 @@ class BoundImage:
         return FunctionType(code, {}, "_runner", tuple(defaults))
 
     def _make_closure(self, op: Tuple) -> Any:
-        """A zero-argument callable for one non-ufunc step.
-
-        Returns True when its output provably stayed finite (reductions
-        check their final; streamed rows are screened by the caller).
-        """
+        """A zero-argument callable for one non-ufunc step."""
         mode = op[0]
         finals = self._finals
         if mode == _M_REDUCE:
@@ -1444,15 +1411,13 @@ class BoundImage:
             reduce = ufunc.reduce
             if not self._one_row:
                 # the finals as a list of floats, one per row (what the
-                # condition reads): testing the list is cheaper than an
-                # isfinite array and its all()
-                def run() -> bool:
+                # condition reads)
+                def run() -> None:
                     x = a
                     if use_abs:
                         np.abs(x, out=scratch)
                         x = scratch
-                    final = finals[fu] = ufunc(reduce(x, -1), init).tolist()
-                    return all(map(_isfinite, final))
+                    finals[fu] = ufunc(reduce(x, -1), init).tolist()
                 return run
             # one stacked row reduces like one machine, to a Python float
             # folded with init as np.maximum / np.minimum fold scalars:
@@ -1460,21 +1425,20 @@ class BoundImage:
             # (a tie of signed zeros takes init's sign)
             wins = operator.gt if ufunc is np.maximum else operator.lt
 
-            def run() -> bool:
+            def run() -> None:
                 x = a
                 if use_abs:
                     np.abs(x, out=scratch)
                     x = scratch
                 last = float(reduce(x, None))
-                final = last if wins(last, init) or last != last else init
-                finals[fu] = [final]
-                return _isfinite(final)
+                finals[fu] = [last if wins(last, init) or last != last
+                              else init]
             return run
         if mode == _M_ACCUM:
             _m, ufunc, use_abs, a, init, seeded, out = op
             core = seeded[..., 1:]
 
-            def run() -> bool:
+            def run() -> None:
                 seeded[..., 0] = init
                 if use_abs:
                     np.abs(a, out=core)
@@ -1482,42 +1446,29 @@ class BoundImage:
                     core[...] = a
                 ufunc.accumulate(seeded, axis=-1, out=seeded)
                 out[...] = core
-                return True
             return run
         if mode == _M_FALLBACK:
             _m, fn, arity, constant, a, b, out = op
             if constant is not None:
-                def run() -> bool:
+                def run() -> None:
                     out[...] = fn(a, constant)
-                    return True
             elif arity == 1:
-                def run() -> bool:
+                def run() -> None:
                     out[...] = fn(a)
-                    return True
             else:
-                def run() -> bool:
+                def run() -> None:
                     out[...] = fn(a, b)
-                    return True
             return run
         # _M_FEEDBACK
         _m, fn, a, port, init, out = op
 
-        def run() -> bool:
+        def run() -> None:
             out[...] = _eval_feedback_batched(fn, a, port, init)
-            return True
         return run
 
     # ------------------------------------------------------------------
-    def issue_compute(self) -> bool:
-        """One fused issue: taps, kernels, write-back, exception screen.
-
-        Returns True when the all-finite fast path holds — then the
-        per-FU exception flags are provably empty.  The screen is a sum
-        over the screened row prefix: it is finite exactly when no row
-        holds an inf/nan (inf-inf and nan both propagate through
-        addition); a finite-overflow false alarm merely routes through
-        the exact path, which settles flags authoritatively.
-        """
+    def issue_compute(self) -> None:
+        """One fused issue: taps, kernels, write-back."""
         arrangement = self.storage.arrangement
         if arrangement != self._arrangement:
             state = self._states.get(arrangement)
@@ -1531,76 +1482,7 @@ class BoundImage:
                 (self._runner, self._streams, self._tap_live,
                  self._write_pairs) = state
             self._arrangement = arrangement
-        ok = self._runner()
-        if self._check_flat is not None \
-                and not _isfinite(np.add.reduce(self._check_flat)):
-            ok = False
-        self._exact = None
-        return ok
-
-    def issue_exact(self) -> List[str]:
-        """Exact re-evaluation (reference kernels, full streams).
-
-        Used when the fused pass saw something non-finite: re-runs the
-        kernel's own steps into fresh arrays, with no slot reuse and no
-        reduction folding — a reduced or accumulated unit yields its full
-        feedback stream — and returns the exception flags in reference
-        (``fu_order``) order.  The runner has already written back
-        bit-identical values; condition evaluation reads these exact
-        streams.
-        """
-        streams, taps = self._streams, self._tap_views
-        outputs: Dict[int, np.ndarray] = {}
-
-        def fetch(ref: _Ref) -> np.ndarray:
-            kind, key = ref
-            if kind == "row":
-                return outputs[key]
-            if kind == "tap":
-                return taps[key]
-            if kind == "stream":
-                return streams[key]
-            return self._const_array(key)
-
-        flags: List[str] = []
-        for step in self.kernel.steps:
-            mode = step[0]
-            if mode == _M_SKEWCOPY:
-                np.copyto(self._row_pad_centers[step[1]], outputs[step[1]])
-                continue
-            if mode == _M_BINARY:
-                out = step[1](fetch(step[2]), fetch(step[3]))
-            elif mode == _M_CONST:
-                out = step[1](fetch(step[2]), step[3])
-            elif mode == _M_UNARY:
-                out = step[1](fetch(step[2]))
-            elif mode == _M_COPY:
-                out = fetch(step[1])
-            elif mode == _M_FALLBACK:
-                _m, fn, arity, constant, a, b, _fu = step
-                if constant is not None:
-                    out = fn(fetch(a), constant)
-                elif arity == 1:
-                    out = fn(fetch(a))
-                else:
-                    out = fn(fetch(a), fetch(b))
-                out = np.asarray(out, dtype=np.float64)
-            elif mode == _M_FEEDBACK:
-                _m, fn, descr, port, init, _fu = step
-                out = _eval_feedback_batched(fn, fetch(descr), port, init)
-            else:  # _M_ACCUM, _M_REDUCE: the unit's whole feedback stream
-                _m, ufunc, use_abs, descr, init, _fu = step
-                x = fetch(descr)
-                seeded = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
-                seeded[..., 0] = init
-                seeded[..., 1:] = np.abs(x) if use_abs else x
-                out = ufunc.accumulate(seeded, axis=-1)[..., 1:]
-            fu = step[-1]
-            outputs[fu] = out
-            for flag in detect_exceptions(out):
-                flags.append(f"fu{fu}:{flag}")
-        self._exact = outputs
-        return flags
+        self._runner()
 
     def condition_last(self) -> Optional[List[float]]:
         """The condition unit's final stream element of each row, as a
@@ -1608,12 +1490,9 @@ class BoundImage:
         fu = self._cond_fu
         if fu is None:
             return None
-        if self._exact is not None:
-            last = self._exact[fu]
-        elif self._cond_row is None:  # a reduced unit keeps only its final
+        last = self._cond_row
+        if last is None:  # a reduced unit keeps only its final
             return self._finals[fu]
-        else:
-            last = self._cond_row
         return [last.item(-1)] if self._one_row else last[..., -1].tolist()
 
 
@@ -1861,8 +1740,8 @@ def fused_stepper(stencil: "MultiNodeStencil"):
     """(load, sweep, finish) callables running a hypercube on the slab engine.
 
     Every node runs the same single-sweep script on its own slab, so the
-    stencil's stack is a slab of ``n_nodes`` rows with no per-node
-    fallback: one :class:`~repro.sim.batchplan.BatchProgramRun` steps it
+    stencil's stack is a slab of ``n_nodes`` rows: one
+    :class:`~repro.sim.batchplan.BatchProgramRun` steps it
     — load is issue 0 then the mask cache swap, a sweep is issue 1 then
     ``SwapVars u/u_new`` — and logs every step.  The stencil's loop (the
     loop both backends share, so their accounting cannot drift) adds the
@@ -1901,7 +1780,7 @@ def fused_stepper(stencil: "MultiNodeStencil"):
                     grown[:, : arr.shape[-1]] = arr
                 arrays[key] = grown
     # the reference walk has no instruction budget
-    run = BatchProgramRun(plan, stack, n, sys.maxsize, fallback=False)
+    run = BatchProgramRun(plan, stack, n, sys.maxsize)
     if stencil.fused is not None:
         run.log = stencil.fused.log
     stencil.fused = run

@@ -7,13 +7,13 @@ failure and the finding itself is the assertion message.  Positive
 side: every seeded defect class must be flagged with its expected rule
 on every solver (zero false negatives).  In between, the shared
 plan-safety engine is pinned against the executors' own answers:
-``screen_coverage`` against the slots each :class:`ImageKernel` screens, and
+``reduce_fus`` against the units each :class:`ImageKernel` folds, and
 ``fusion_eligibility`` against :func:`check_batchable`.
 """
 
 import pytest
 
-from repro.analysis import analyze_program, fusion_eligibility, screen_coverage
+from repro.analysis import analyze_program, fusion_eligibility, reduce_fus
 from repro.analysis.seeding import SEEDED_DEFECTS
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.jacobi import build_jacobi_program
@@ -91,35 +91,22 @@ class TestSeededDefects:
         assert analyze_program(program).clean
 
 
-class TestScreenCrossCheck:
-    """screen_coverage == the fused engine's own exception-screen sets."""
+class TestReduceCrossCheck:
+    """reduce_fus == the units the fused engine folds to reductions."""
 
     def test_matches_compiled_kernels_on_corpus(self, node, corpus):
         checked_any = False
         for name, program in corpus:
             plan = progplan.compiled_plan(program, node.params)
             for index, kernel in plan.kernels.items():
-                report = screen_coverage(program.images[index])
-                # the screen reduces over the first n_checked row slots
-                screened = {fu for fu, slot in kernel.slot_of.items()
-                            if slot < kernel.n_checked}
-                assert report.checked_fus == screened, (
-                    f"{name} image {index}: checked-FU sets diverge"
-                )
-                assert len(report.checked_fus) == kernel.n_checked
                 # folded units are the kernel's reduction steps
                 reduced = {step[-1] for step in kernel.steps
                            if step[0] == progplan._M_REDUCE}
-                assert report.reduce_fus == reduced, (
+                assert reduce_fus(program.images[index]) == reduced, (
                     f"{name} image {index}: reduce-FU sets diverge"
                 )
                 checked_any = True
         assert checked_any
-
-    def test_verdict_records_checked_fus(self, corpus):
-        _name, program = corpus[0]
-        verdict = analyze_program(program)
-        assert len(verdict.checked_fus) == len(program.images)
 
 
 class TestFusionCrossCheck:

@@ -52,8 +52,7 @@ class Parity:
 
 
 def run_stacked(machines: Sequence, program,
-                max_instructions: int = 1_000_000,
-                fallback: bool = True) -> batchplan.BatchProgramRun:
+                max_instructions: int = 1_000_000) -> batchplan.BatchProgramRun:
     """Run *program* over one stacked row per loaded machine, filled from
     the machine's planes and caches; the machines are not touched.
     Raises ``FusionUnsupported`` on a decline."""
@@ -69,7 +68,7 @@ def run_stacked(machines: Sequence, program,
         for cache_id, arr in storage.cache_back.items():
             arr[j] = machine.caches[cache_id].back[: arr.shape[-1]]
     run = batchplan.BatchProgramRun(plan, storage, len(machines),
-                                    max_instructions, fallback=fallback)
+                                    max_instructions)
     run.run()
     return run
 

@@ -16,11 +16,10 @@ each issue's condition value, cycles, charges and interrupt counts.
 Three bindings skip a buffer, and the draws aim at each: an unshifted
 tap reads its feeder's stream (the tap sets mix unshifted and shifted
 taps, or hold only unshifted ones), a write-back unit may compute
-straight into its write view, which later steps then read, and an
-unscreened ``PASS`` of a stream or unshifted tap is forwarded — its
-readers read that stream.  A leading ``PASS`` off ``x``, ``y`` or an
-unshifted tap reads live storage: with a poisoned input its exact-path
-output *is* the storage view.  ``y``'s plane is read-only (nothing writes it, no
+straight into its write view, which later steps then read, and a
+``PASS`` of a stream or unshifted tap is forwarded — its readers read
+that stream.  Poisoned inputs (inf, -inf, nan) run through the same
+kernels on the lone job and on every row of the slab.  ``y``'s plane is read-only (nothing writes it, no
 ``SwapVars`` names it) while ``x``'s moves under ``Repeat`` and
 ``LoopUntil``, so the draws also lead with a chain over ``y`` — steps
 the kernel hoists, computed once per bind — beside steps over ``x``,
@@ -75,8 +74,8 @@ _EXAMPLES = (
 _SEEDS = (0, 1, 2)
 _VARIABLES = ("x", "y", "r", "s")
 
-# weighted toward the non-finite-propagating ops: a row they consume is
-# not screened, so its slot is free for reuse once they have run
+# weighted toward the elementwise ops, which recycle the slots of the
+# rows they read last
 _BINARY = (Opcode.FADD, Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FMUL,
            Opcode.MAX, Opcode.MIN, Opcode.FCMP_LT)
 _UNARY = (Opcode.FNEG, Opcode.FABS, Opcode.PASS, Opcode.FSCALE,
@@ -323,9 +322,7 @@ def test_reference_slab_of_one_and_slab_rows_agree(case, poison):
                            for p in parity.results[0].pipeline_results)
         _binding_events(program, parity.results[0].instructions_issued)
         slab = [_machine(program, n, seed, poison) for seed in _SEEDS]
-        try:
-            check_parity(slab, program)
-        except progplan.FusionUnsupported:
-            # the one legitimate decline: a non-finite value, which only
-            # a one-job run can attribute to the right job
-            assert flagged
+        # a slab never declines on a non-finite value: its rows run on
+        check_parity(slab, program)
+    if flagged:
+        event("a slab ran rows the reference flags")

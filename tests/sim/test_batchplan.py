@@ -15,6 +15,7 @@ import pytest
 
 from repro.codegen.generator import MicrocodeGenerator
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
+from repro.compose.registry import SOLVERS
 from repro.arch.interrupts import InterruptKind
 from repro.arch.memsys import AllocationError
 from repro.diagram.program import (
@@ -100,8 +101,8 @@ class TestBatchParity:
 def _stacked_run(node, setup, program, seed, poison=False, **kwargs):
     """A one-job slab over stacked ``(1, extent)`` storage built from the
     plan's layout and filled by the solver loader — the service's lone
-    fast job — with default ``fallback=True``; *poison* puts an inf in
-    ``u`` as :func:`_poison` does on a machine."""
+    fast job; *poison* puts an inf in ``u`` as :func:`_poison` does on a
+    machine."""
     plan = progplan.compiled_plan(program, node.params)
     storage = progplan.stacked_storage(
         plan.variables, 1, plan.plane_extent, plan.cache_extent
@@ -160,7 +161,7 @@ class TestStackedSlabOfOne:
         assert job.metrics(node) == machine.metrics(result)
 
     def test_non_finite_runs_exact(self, node):
-        """A non-finite value takes the exact path; the job's fold
+        """A non-finite value runs on like any other; the job's fold
         equals a reference machine's run (its FP interrupts are masked,
         so no record counts them)."""
         setup, program = _generate(node, max_iterations=10)
@@ -344,22 +345,52 @@ class TestBufferAlignment:
             assert arr.shape == shape and arr.ctypes.data % 64 == 0
 
 
-class TestBatchDeclines:
-    def test_non_finite_declines_pristine(self, node):
-        """A non-finite value anywhere in the stack declines the whole
-        slab (single-machine runs own FP-exception semantics), touching
-        no machine — including the finite ones."""
-        setup, program = _generate(node, max_iterations=10)
-        machines = _machines(node, setup, program, (0, 1, 2))
-        _poison(machines[1])
-        snapshots = [_snapshot(m) for m in machines]
-        with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(progplan.FusionUnsupported,
-                               match="non-finite"):
-                run_stacked(machines, program)
-        for machine, before in zip(machines, snapshots):
-            _assert_pristine(machine, before)
+def _solver_machines(node, method, seeds, poison=()):
+    """One loaded reference machine per seed for registry solver
+    *method* at 6^3, and its program; *poison* is ``(row, variable,
+    value)`` triples, each writing *value* into one element of that
+    row's input grid before it is loaded."""
+    entry = SOLVERS[method]
+    setup = entry.build_setup(node, (6, 6, 6), eps=1e-3, max_iterations=60,
+                              omega=1.3)
+    program = MicrocodeGenerator(node).generate(setup.program)
+    machines = []
+    for row, seed in enumerate(seeds):
+        grids = dict(zip(("u", "f"), _inputs(setup, seed)))
+        for target, name, value in poison:
+            if target == row:
+                grids[name][1 + row % 3, 2, 3] = value
+        machine = NSCMachine(node)
+        machine.load_program(program)
+        entry.load(machine, setup, grids["u"], grids["f"])
+        machines.append(machine)
+    return machines, program
 
+
+class TestNonFiniteSlabs:
+    """inf, -inf and nan are values: a slab whose rows hold them stays
+    one slab, and every row — poisoned or not — matches its own
+    reference machine bit for bit."""
+
+    @pytest.mark.parametrize("method", ["jacobi", "rb-gs", "rb-sor"])
+    @pytest.mark.parametrize("name,value", [("u", np.inf), ("u", np.nan),
+                                            ("f", -np.inf), ("f", np.nan)])
+    def test_poisoned_rows_match_their_machines(self, node, method, name,
+                                                value):
+        machines, program = _solver_machines(
+            node, method, (0, 1, 2, 3),
+            poison=((1, name, value), (3, name, value)))
+        with np.errstate(all="ignore"):
+            parity = check_parity(machines, program)
+        assert not parity.run.exact
+        for row, result in enumerate(parity.results):
+            flagged = any(r.exceptions for r in result.pipeline_results)
+            # the reference shows which rows really went non-finite
+            assert flagged == (row in (1, 3)), row
+            assert result.converged == (row not in (1, 3)), row
+
+
+class TestBatchDeclines:
     def test_budget_fault_pristine_then_reproduced(self, node):
         """Budget exhaustion mid-slab declines with every machine
         pristine; the per-job fallback then faults authoritatively."""

@@ -131,8 +131,8 @@ class TestSingleNodeParity:
         assert conds == [r_ref.condition_result]
 
     def test_non_finite_sweep_matches(self, node):
-        """Non-finite data takes the exact path: the same rows (NaNs at
-        the same places) and charges as the reference."""
+        """Non-finite data runs on: the same rows (NaNs at the same
+        places) and charges as the reference."""
         shape = (8, 8, 8)
         u0 = np.zeros(shape)
         u0[3, 3, 3] = np.inf

@@ -8,6 +8,7 @@ from repro.sim.multinode import (
     DecompositionError,
     MultiNodeStencil,
     gray_code,
+    local_shape,
 )
 
 
@@ -56,6 +57,16 @@ class TestDecomposition:
         mn = MultiNodeStencil(hypercube_dim=2, shape=(4, 4, 4))
         assert mn.nz_local == 1
         assert mn.local_shape == (4, 4, 3)
+
+    def test_local_shape_is_the_one_decomposition(self):
+        """The stencil, the service runner and the bench all split a
+        grid through ``local_shape``: the same shapes, the same errors."""
+        assert local_shape((6, 8, 32), 8) == (6, 8, 6)
+        assert local_shape((4, 4, 4), 4) == (4, 4, 3)
+        with pytest.raises(DecompositionError, match="nz=6.*4 nodes"):
+            local_shape((6, 6, 6), 4)
+        with pytest.raises(DecompositionError, match="fewer than one"):
+            local_shape((6, 6, 0), 4)
 
     def test_scatter_gather_round_trip(self, rng):
         mn = MultiNodeStencil(hypercube_dim=1, shape=(6, 6, 8))
@@ -154,6 +165,48 @@ class TestPrecompiled:
                 hypercube_dim=1, shape=(6, 6, 8),
                 precompiled=(donor.setup, donor.machine_program),
             )
+
+
+class TestNodeProgram:
+    def test_both_compiles_build_through_the_module_at_call_time(
+        self, monkeypatch
+    ):
+        """The stencil's own compile and the service's share
+        ``compile_node_program``, which looks the Jacobi builder up on
+        ``repro.compose.jacobi`` when it runs (a tracer wraps that
+        attribute); the service compiles before the stencil is built and
+        hands it the program."""
+        from repro.compose import jacobi
+        from repro.service.cache import ProgramCache
+        from repro.service.jobs import SimJob
+        from repro.service.runner import execute_job
+
+        calls = []
+        inside = []
+        real_build = jacobi.build_jacobi_program
+        real_init = MultiNodeStencil.__init__
+
+        def build(node_cfg, shape, **kwargs):
+            calls.append((tuple(shape), bool(inside)))
+            return real_build(node_cfg, shape, **kwargs)
+
+        def init(self, *args, **kwargs):
+            inside.append(True)
+            try:
+                real_init(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(jacobi, "build_jacobi_program", build)
+        monkeypatch.setattr(MultiNodeStencil, "__init__", init)
+        MultiNodeStencil(hypercube_dim=1, shape=(4, 4, 8))
+        assert calls == [((4, 4, 6), True)]
+        record = execute_job(
+            SimJob(method="jacobi", shape=(4, 4, 8), hypercube_dim=1,
+                   max_sweeps=3, backend="fast"),
+            cache=ProgramCache())
+        assert record["ok"]
+        assert calls == [((4, 4, 6), True), ((4, 4, 6), False)]
 
 
 class TestPerformanceShape:

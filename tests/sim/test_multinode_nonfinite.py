@@ -1,11 +1,9 @@
-"""Hypercube runs over non-finite data: the fast path stays exact.
+"""Hypercube runs over non-finite data: the fast path stays fused.
 
-A hypercube's stacked rows are the only copy of its state, so the fused
-run cannot decline mid-run the way a batch slab does.  An issue whose
-finiteness screen trips re-runs exact instead: grids, residuals and
-per-node DMA statistics still match the reference walk.  The one
-documented divergence is the FP exception interrupts, which the stacked
-screen cannot attribute to a node and so never logs.
+inf and nan run through the node stack's kernels as values, so grids,
+residuals and per-node DMA statistics match the reference walk.  The
+one documented divergence is the FP exception interrupts: the reference
+walk drops them, unarmed, per node, and no fused run posts them.
 """
 
 import numpy as np

@@ -89,8 +89,8 @@ class TestFusedRunParity:
         assert parity.run.loop_iterations[0][setup.update_pipeline] == 9
 
     def test_non_finite_run_matches(self, node):
-        """Non-finite data must route through the exact path with the
-        reference's values, NaNs at the same places."""
+        """Non-finite data runs on with the reference's values, NaNs at
+        the same places."""
         setup, program = _generate(node, max_iterations=20)
         shape = (6, 6, 6)
         u0 = np.zeros(shape)
@@ -102,10 +102,10 @@ class TestFusedRunParity:
         assert _raised_fp(parity)
         assert np.isnan(parity.row(0, "u")).any()
 
-    def test_rbsor_non_finite_exact_path_matches(self, node, rng):
-        """rb-sor keeps real PASS steps, whose exact-path outputs are
-        live stream views; a NaN forces every issue down the exact path,
-        and the rows must still match the reference."""
+    def test_rbsor_non_finite_matches(self, node, rng):
+        """rb-sor forwards its PASS of ``u`` (its readers read the live
+        stream); with a NaN in ``u`` every issue raises FP flags on the
+        reference, and the rows must still match it."""
         from repro.compose.iterative import (
             build_rbsor_program,
             load_rbsor_inputs,

@@ -2,8 +2,8 @@
 it is still to run (the slot scan of ``ImageKernel``'s one walk).
 
 A slot is recycled after its last reader; the rows something reads after
-the runner — screened rows, the condition row and write-back sources —
-keep a slot of their own, except a
+the runner — the condition row and write-back sources — keep a slot of
+their own, except a
 write-back source that computes straight into its write view
 (``ImageKernel.in_place``), which owns no slot.  Operands bound in place
 of a buffer are pinned here too: an unshifted shift/delay tap reads its
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from helpers_slab import check_parity
-from repro.analysis import screen_coverage
 from repro.arch.funcunit import Opcode
 from repro.arch.switch import DeviceKind
 from repro.codegen.generator import MicrocodeGenerator
@@ -28,7 +27,7 @@ from repro.compose.builders import PipelineBuilder
 from repro.compose.iterative import build_rbsor_program, load_rbsor_inputs
 from repro.compose.jacobi import build_jacobi_program, load_jacobi_inputs
 from repro.diagram.program import ExecPipeline, Repeat, SwapVars, VisualProgram
-from repro.sim import batchplan, progplan, sequencer
+from repro.sim import batchplan, pipeline_exec, progplan, sequencer
 from repro.sim.machine import NSCMachine
 from repro.sim.multinode import MultiNodeStencil
 
@@ -104,8 +103,8 @@ def _unshifted_taps(node, n=32):
 def _skewed_pass(node, n=32):
     """``r = PASS(x) + (-(-x))`` and ``s = -PASS(x)``, built without
     balancing: the PASS reaches the add ahead of the negation chain, so
-    the add reads it through residual skew, and the unskewed negation
-    covers it (a PASS with only skewed readers is screened)."""
+    the add reads it through residual skew, a window into the stream's
+    pad."""
     prog = VisualProgram(name="skewed-pass")
     prog.declare("x", plane=0, length=n)
     prog.declare("r", plane=1, length=n)
@@ -212,16 +211,6 @@ class TestSlotCounts:
 
 @pytest.mark.parametrize("name", sorted(_PROGRAMS))
 class TestPinnedSlots:
-    def test_screened_rows_hold_the_prefix_alone(self, node, name):
-        for kernel in _kernels(node, name):
-            screened = screen_coverage(kernel.image).checked_fus
-            assert {fu for fu, slot in kernel.slot_of.items()
-                    if slot < kernel.n_checked} == screened
-            assert sorted(kernel.slot_of[f] for f in screened) \
-                == list(range(kernel.n_checked))
-            for fu in screened:
-                assert _held_alone(kernel, fu)
-
     def test_condition_and_write_back_rows_are_never_reused(self, node,
                                                             name):
         """A write-back source either computes into its write view (it
@@ -302,8 +291,9 @@ def test_reference_keep_outputs_leaves_the_run_unchanged(node, name,
 class TestInPlaceBinding:
     def test_jacobi_sweep_writes_u_new_in_place(self, node, rng):
         """The sweep's write-back unit owns no slot, its write copy is
-        dropped, and after an issue the destination holds exactly what
-        the exact re-evaluation computes for it."""
+        dropped, and after an issue each row's destination holds exactly
+        the unit's output stream as the reference interpreter computes
+        it from the same inputs."""
         setup, program = _jacobi(node, (6, 6, 6))
         plan = progplan.compiled_plan(program, node.params)
         kernel = plan.kernels[1]
@@ -318,13 +308,28 @@ class TestInPlaceBinding:
         for arrays in (storage.cache_front, storage.cache_back):
             for arr in arrays.values():
                 arr[...] = rng.random(arr.shape)
+        machines = []
+        for row in range(2):  # each row's inputs on a reference machine
+            machine = NSCMachine(node)
+            machine.load_program(program)
+            for plane, arr in storage.planes.items():
+                machine.memory.plane(plane).write(0, arr[row])
+            for cache_id, arr in storage.cache_front.items():
+                machine.caches[cache_id].front[: arr.shape[-1]] = arr[row]
+            for cache_id, arr in storage.cache_back.items():
+                machine.caches[cache_id].back[: arr.shape[-1]] = arr[row]
+            machines.append(machine)
         bound = kernel.bind(storage, (2,))
-        assert bound.issue_compute()
+        bound.issue_compute()
         assert len(bound._write_pairs) == len(kernel.writes) - 1
-        bound.issue_exact()
         var = plan.variables[kernel.writes[j][1].spec.variable]
         written = storage.planes[var.plane][:, var.offset:var.end]
-        assert written.tobytes() == bound._exact[fu].tobytes()
+        for row, machine in enumerate(machines):
+            res = pipeline_exec.execute_image(program.images[1], machine,
+                                              keep_outputs=True)
+            assert written[row].tobytes() == res.fu_outputs[fu].tobytes()
+            assert written[row].tobytes() \
+                == machine.get_variable(var.name).tobytes()
 
     @pytest.mark.parametrize("name", ["jacobi", "rbsor", "hypercube"])
     def test_no_step_reads_an_unshifted_tap_through_a_pad(self, node, name):
@@ -368,18 +373,9 @@ def _parity_with_x(node, program, n):
     return check_parity([machine], program, max_instructions=1_000)
 
 
-def _exact_parity(node, program, setup, load, u0, f, monkeypatch):
-    """The oracle on one loaded machine, counting the engine's exact
-    re-evaluations; returns (parity, exact issues, flagged reference
-    issues)."""
-    exact = []
-    real_exact = progplan.BoundImage.issue_exact
-
-    def counting(bound):
-        exact.append(bound.kernel.index)
-        return real_exact(bound)
-
-    monkeypatch.setattr(progplan.BoundImage, "issue_exact", counting)
+def _flagged_parity(node, program, setup, load, u0, f):
+    """The oracle on one loaded machine; returns (parity, the numbers of
+    the issues the reference flags with FP exceptions)."""
     machine = NSCMachine(node)
     machine.load_program(program)
     load(machine, setup, u0, f)
@@ -387,17 +383,16 @@ def _exact_parity(node, program, setup, load, u0, f, monkeypatch):
         parity = check_parity([machine], program)
     flagged = [p.number for p in parity.results[0].pipeline_results
                if p.exceptions]
-    return parity, exact, flagged
+    return parity, flagged
 
 
 class TestInPlaceNonFinite:
-    """inf/nan written in place over a dying operand must still reach the
-    screen: every issue the reference flags takes the exact path, and
-    residuals and grids match the reference bit for bit."""
+    """inf/nan written in place over a dying operand run on like any
+    value: residuals and grids match the reference bit for bit, issues
+    the reference flags included."""
 
     @pytest.mark.parametrize("name", ["jacobi", "rbsor"])
-    def test_non_finite_chain_takes_the_exact_path(self, node, rng, name,
-                                                   monkeypatch):
+    def test_non_finite_chain_matches_the_reference(self, node, rng, name):
         shape = (6, 6, 6)
         if name == "jacobi":
             setup, program = _jacobi(node, shape, max_iterations=6)
@@ -412,9 +407,8 @@ class TestInPlaceNonFinite:
         u0[2, 2, 2] = np.inf
         u0[3, 3, 3] = np.nan
         f = rng.standard_normal(shape)
-        _parity, exact, flagged = _exact_parity(
-            node, program, setup, load, u0, f, monkeypatch)
-        assert flagged and len(exact) == len(flagged)
+        _parity, flagged = _flagged_parity(node, program, setup, load, u0, f)
+        assert flagged
 
 
 def _fh2_step(kernel):
@@ -579,11 +573,10 @@ class TestHoisting:
         _parity_with_x(node, program, 32)
 
     @pytest.mark.parametrize("name", ["jacobi", "rbsor"])
-    def test_inf_in_f_takes_the_exact_path_every_sweep(self, node, rng, name,
-                                                       monkeypatch):
+    def test_inf_in_f_hoists_and_matches_every_sweep(self, node, rng, name):
         """The hoisted row holds f * h^2 = inf for the whole run: every
-        sweep issue raises FP flags on the reference and takes the exact
-        path on the engine."""
+        sweep issue raises FP flags on the reference, and the engine's
+        rows still match it bit for bit."""
         shape = (6, 6, 6)
         if name == "jacobi":
             setup, program = _jacobi(node, shape, max_iterations=6)
@@ -594,7 +587,6 @@ class TestHoisting:
         u0 = rng.random(shape)
         f = rng.standard_normal(shape)
         f[3, 2, 2] = np.inf
-        parity, exact, flagged = _exact_parity(
-            node, program, setup, load, u0, f, monkeypatch)
+        parity, flagged = _flagged_parity(node, program, setup, load, u0, f)
         sweeps = parity.results[0].instructions_issued - 1  # the mask load
-        assert sweeps and len(flagged) == len(exact) == sweeps
+        assert sweeps and len(flagged) == sweeps
