@@ -11,10 +11,8 @@ Two fused-engine decisions become provable-before-execution facts here:
   reason) — control-script shapes a slab refuses up front.
 
 The engine asks this module for both, so the analyzer and the engine
-cannot disagree; the cross-check tests additionally pin
-:func:`reduce_fus` against the units compiled kernels fold and
-:func:`fusion_eligibility` against the executor's declines on the
-compiled corpus.
+cannot disagree; a cross-check test additionally pins :func:`reduce_fus`
+against the units compiled kernels fold on the compiled corpus.
 """
 
 from __future__ import annotations

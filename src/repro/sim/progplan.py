@@ -1014,9 +1014,8 @@ class ImageKernel:
                 continue
             # the fused issue streams reads as live views, which is only
             # sound when no write destination overlaps a read stream;
-            # cache traffic
-            # cannot alias — reads stream the front buffer, writes fill
-            # the back
+            # cache traffic cannot alias — reads stream the front buffer,
+            # writes fill the back
             for plane, rlo, rhi in read_spans:
                 if plane == device and lo < rhi and rlo < hi:
                     raise FusionUnsupported("write-back aliases a read stream")
@@ -1374,9 +1373,9 @@ class BoundImage:
         (:attr:`ImageKernel.runs`), and the write-backs become a
         straight line of statements with all operands bound as argument
         defaults (local loads, no dispatch); non-ufunc steps (feedback,
-        reductions, exotic kernels) drop to closures.  The code object comes from the
-        kernel's ``runner_shape`` (see :func:`_runner_code`); each issue
-        only gathers its operands.
+        reductions, exotic kernels) drop to closures.  The code object
+        comes from the kernel's ``runner_shape`` (see
+        :func:`_runner_code`); each issue only gathers its operands.
         """
         code = _runner_code(self.kernel.runner_shape)
         defaults: List[Any] = [np.copyto]
