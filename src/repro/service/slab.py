@@ -24,7 +24,9 @@ executor, and :func:`~repro.service.runner.execute_unit` runs a
 unit's two or more members through :func:`execute_slab`
 (``tier="batch_fused"``, ``slab_size``; counters ``tier.batch_fused``
 per job, ``slab.formed`` / ``slab.jobs`` per slab; the shared bind and
-execute time is split equally).
+execute time is split equally).  Every run counts its condition issues
+once, as ``condition.settled`` / ``condition.reduced`` (see
+:mod:`repro.sim.settle`).
 
 A lone job runs exact — it raises its faults — so it declines only on
 an unfusable program, and reruns on an ``NSCMachine``'s reference walk.
@@ -157,6 +159,10 @@ def run_slab(jobs: Sequence[SimJob], tracers: Sequence[obs.Tracer],
         # --- one fused execution over the whole stack -----------------
         with obs.span("execute"):
             run.run()
+    if run.settled or run.reduced:
+        # how many sweep conditions witnesses settled, how many reduced
+        obs.count("condition.settled", run.settled)
+        obs.count("condition.reduced", run.reduced)
     tier = "fused" if n_jobs == 1 else "batch_fused"
     # the final u plane may have been reference-swapped; re-resolve
     u_rows = None if uvar is None \

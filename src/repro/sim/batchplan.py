@@ -18,6 +18,13 @@ step through :meth:`BatchProgramRun.issue` and the engine's swaps (see :func:`re
 An :class:`~repro.sim.machine.NSCMachine` runs the reference
 interpreter only; nothing here commits into one.
 
+The script walk settles a sweep's reduced condition from witness
+positions when it can (:mod:`repro.sim.settle`): such an issue skips
+the steps that only feed the reduction and logs ``False`` for every row
+and no values (:attr:`BatchProgramRun.settled`, ``reduced`` count
+them).  :meth:`BatchProgramRun.issue`, the hypercube's stepped path,
+always reduces and returns exact values.
+
 Per-job divergence exists in exactly one place: ``LoopUntil`` iteration
 counts.  The condition unit's final stream element is per-row, so
 convergence becomes a boolean mask over the slab.  A job whose
@@ -187,7 +194,8 @@ class BatchProgramRun:
 
     Accounting is one log for the whole slab, appended once per step:
     ``(kernel index, per-row condition values, per-row condition
-    results, active rows)`` per issue, and the charges of each
+    results, active rows)`` per issue (no values when witnesses settled
+    the condition), and the charges of each
     ``SwapVars`` / ``CacheSwap`` with the rows they land on (``None``:
     every row).  :meth:`job` folds one job's totals out of it.
     """
@@ -215,6 +223,15 @@ class BatchProgramRun:
             {} for _ in range(n_jobs)
         ]
         self.converged: List[Optional[bool]] = [None] * n_jobs
+        # the script walk's issues of images with a condition chain:
+        # settled from witnesses, or reduced in full
+        self.settled = 0
+        self.reduced = 0
+        self._settling = frozenset(
+            index for index, kernel in plan.kernels.items()
+            if kernel.chain is not None)
+        self._rows = tuple(range(n_jobs))
+        self._unfired = [False] * n_jobs
         # per pipeline number: the last issue's per-job condition results
         # (None when that image raises no condition)
         self.last_cond: Dict[int, Optional[Sequence[Any]]] = {}
@@ -241,12 +258,16 @@ class BatchProgramRun:
     # ------------------------------------------------------------------
     def _exec_block(self, ops: Tuple[Tuple, ...],
                     active: Optional[Tuple[int, ...]]) -> None:
+        settling = self._settling
         for op in ops:
             if self.halted:
                 return
             kind = op[0]
             if kind == _S_ISSUE:
-                self.issue(op[1], active)
+                if op[1] in settling:
+                    self._settle_issue(op[1], active)
+                else:
+                    self.issue(op[1], active)
             elif kind == _S_REPEAT:
                 _k, times, body = op
                 for _ in range(times):
@@ -279,12 +300,42 @@ class BatchProgramRun:
               active: Optional[Tuple[int, ...]] = None) -> Any:
         """Issue pipeline *index* on the *active* rows (None: all) and
         log it; returns the logged per-row condition values (None when
-        the image raises no condition)."""
+        the image raises no condition), exact on every row."""
         if self.issued >= self.max_instructions:
             self._check_budget()
         bound = self.bound[index]
-        kernel = bound.kernel
         bound.issue_compute()
+        if bound.kernel.chain is not None:
+            bound.issue_condition(None)
+        return self._log_issue(index, bound, active)
+
+    def _settle_issue(self, index: int,
+                      active: Optional[Tuple[int, ...]]) -> None:
+        """:meth:`issue` on the script walk, for an image with a
+        condition chain: when witnesses settle the condition on every
+        active row (see :mod:`repro.sim.settle`), the chain does not
+        run and the issue logs ``False`` for every row and no values.
+        Only the active rows' results are ever read (:meth:`job`,
+        :meth:`_loop_until`)."""
+        if self.issued >= self.max_instructions:
+            self._check_budget()
+        bound = self.bound[index]
+        bound.issue_compute()
+        if bound.issue_condition(self._rows if active is None else active):
+            self.settled += 1
+            conds = self._unfired
+            self.last_cond[bound.kernel.consts.number] = conds
+            self.log.append((index, None, conds, active))
+            self.issued += 1
+        else:
+            self.reduced += 1
+            self._log_issue(index, bound, active)
+
+    def _log_issue(self, index: int, bound: Any,
+                   active: Optional[Tuple[int, ...]]) -> Any:
+        """Log an issue of *bound* whose condition values are computed;
+        return them."""
+        kernel = bound.kernel
         # a fresh list of floats per issue (the condition row is
         # overwritten next issue), compared float by float
         vals = bound.condition_last()
@@ -329,6 +380,8 @@ class BatchProgramRun:
 
     def _loop_until(self, op: Tuple,
                     active: Optional[Tuple[int, ...]]) -> None:
+        # the watched results are read for the running rows only: a
+        # settled issue logs False for every row
         _k, body, key, max_iterations = op
         # slabs enter loops in lockstep (divergence exists only inside a
         # loop and is healed at its exit), so *active* is the full slab
@@ -417,7 +470,9 @@ class BatchProgramRun:
 
     # ------------------------------------------------------------------
     def job(self, j: int) -> JobRun:
-        """Fold job *j*'s share of the log into its totals."""
+        """Fold job *j*'s share of the log into its totals (it reads
+        the condition results of the issues row *j* was active in,
+        never their values)."""
         kernels = self.plan.kernels
         cycles_of = {index: kernel.consts.cycles
                      for index, kernel in kernels.items()}

@@ -33,7 +33,10 @@ trace-compilation step: it compiles an entire :class:`~repro.codegen.generator.M
   masked under the default armed set, so nothing here detects them;
 - ``LoopUntil`` convergence feedback is evaluated in-band every iteration
   — same exit, same iteration counts — and ``SwapVars`` relocations are
-  array exchanges on the local state;
+  array exchanges on the local state.  The steps that only feed a
+  reduced condition (its *chain*, :mod:`repro.sim.settle`) are the
+  runner's second entry, so the script walk can settle the condition
+  from a few witness positions and skip them;
 - cycle counts, DMA statistics, and interrupt counts are derived
   analytically from the image kernels (one
   :func:`~repro.codegen.timing.instruction_cycles` formula, one DMA
@@ -444,8 +447,10 @@ class ImageKernel:
     (:attr:`in_place`), PASS units that qualify bind their readers to
     their stream (:attr:`forwarded`), and loop-invariant steps run once
     per bind (:attr:`hoisted`; *moving_planes* are the memory planes
-    the whole program writes or swaps), so the runner runs only
-    :attr:`runs` per issue.  Per-run buffers live in the
+    the whole program writes or swaps), so an issue runs only
+    :attr:`runs` (their runner operands: :attr:`runner_args`), a
+    reduced condition's :attr:`chain` last and apart, if the condition
+    has one (:mod:`repro.sim.settle`).  Per-run buffers live in the
     :class:`BoundImage` this produces.
     Residual stream skew (the ablation configuration) compiles to offset
     windows into zero-padded copies of the skewed source — streams share
@@ -467,7 +472,8 @@ class ImageKernel:
         "reduce_fus", "steps", "writes", "feeder_pads", "row_pads",
         "tap_pads", "condition", "cond_fn", "cond_threshold", "in_place",
         "forwarded", "hoisted", "runs", "live_steps", "slot_of",
-        "scratch_slot", "n_slots", "consts", "runner_shape",
+        "scratch_slot", "n_slots", "consts", "chain", "runner_args",
+        "runner_shape", "runner_code",
         # the walk's lookups, unset once the kernel is built
         "_read_index", "_taps", "_stream_skews", "_row_skews", "_tap_skews",
     )
@@ -489,8 +495,7 @@ class ImageKernel:
         # machine, a unit that only relays a stream stores nothing, and
         # a skewed read of it is a skewed read of the stream (see _ref).
         # A PASS qualifies unless the condition reads its row after the
-        # runner.  Its step stays in ``steps``, but the runner never runs
-        # it.
+        # runner; it emits no step.
         self.forwarded: Dict[int, _Ref] = {}
         # loop-invariant hoisting: a ufunc step whose operands are
         # constants, streams of memory planes nothing in the run moves
@@ -506,7 +511,6 @@ class ImageKernel:
         }
         hoisted: Set[int] = set()  # units
         hoisted_steps: List[int] = []
-        pass_steps: List[int] = []  # the forwarded PASS units' steps
         # build-time lookups, dropped once the walk is done.  Skewed
         # operands (ablation builds) are windows into padded copies:
         # streams share their feeder's pad; FU rows and taps pad their
@@ -637,11 +641,10 @@ class ImageKernel:
                     hoisted_steps.append(i)
                     forms.pop()  # the runner does not run it
             elif mode == _M_COPY:
-                emit((mode, a, fu), form, a)
                 if a[0] == "stream" and fu != cond_fu:
                     self.forwarded[fu] = a
-                    pass_steps.append(len(steps) - 1)
-                    forms.pop()  # the runner does not run it
+                else:
+                    emit((mode, a, fu), form, a)
             else:
                 emit((mode, kernel, arity,
                       constant if uses_constant else None, a, b, fu),
@@ -752,11 +755,10 @@ class ImageKernel:
                     and fills[(spec.device_kind, spec.device)] == 1:
                 in_place[src[1]] = j
         self.in_place = in_place
-        # the steps the runner runs on every issue: neither the hoisted
-        # ones nor a forwarded PASS (its readers read its stream)
+        # the steps that run on every issue: all but the hoisted ones
         self.hoisted = tuple(hoisted_steps)
         runs = list(range(len(steps)))
-        for i in sorted(hoisted_steps + pass_steps, reverse=True):
+        for i in reversed(hoisted_steps):
             del runs[i]
         self.runs = tuple(runs)
 
@@ -768,8 +770,6 @@ class ImageKernel:
         for fu in in_place:
             i = ufunc_step[fu]
             live[i] = live.get(i, ()) + (len(steps[i]) - 1,)
-        for i in pass_steps:  # a forwarded PASS binds no live view
-            del live[i]
         self.live_steps = tuple((i,) + live[i] for i in sorted(live))
 
         # row slots.  Units pass results through the switch without
@@ -791,11 +791,9 @@ class ImageKernel:
             pinned.add(cond.fu)
         held = [f for f in image.fu_order if f in pinned and f not in in_place]
         slot_of = dict(zip(held, range(len(held))))
-        # the units the scan below leaves alone: pinned, in place, or
-        # forwarded
+        # the units the scan below leaves alone: pinned or in place (a
+        # forwarded PASS has no step)
         assigned = slot_of.keys() | in_place.keys()
-        if self.forwarded:
-            assigned |= self.forwarded.keys()
         n_slots = len(slot_of)
         free: List[int] = []  # a stack: the freshest (cache-hot) slot first
         scratch_slot: Dict[int, int] = {}
@@ -835,14 +833,26 @@ class ImageKernel:
             words_written, busy,
             tuple(sorted(charges.items(), key=_charge_order)),
         )
+        text = "".join(forms)
+        self.runner_args = _runner_args(self.runs, text)
+        # the trailing steps that only feed a reduced condition, which
+        # the script walk may settle without running them
+        self.chain = None
+        if cond is not None and cond.fu in self.reduce_fus:
+            self.chain = settle.condition_chain(self, forms, pinned, copied)
+            if self.chain is not None:
+                text = text[:len(text) - len(self.chain.steps)]
         # what the runner's text depends on (see _runner_code): one tap
-        # load per feeder and tap pad, one form per step it runs, one copy
-        # per write not computed in place
-        self.runner_shape: Tuple[int, str, int] = (
+        # load per feeder and tap pad, one form per step it runs before
+        # a chain, one copy per write not computed in place, the chain
+        self.runner_shape: Tuple[Any, ...] = (
             len(self.feeder_pads) + len(self.tap_pads),
-            "".join(forms),
+            text,
             len(writes) - len(in_place),
         )
+        if self.chain is not None:
+            self.runner_shape += (self.chain.shape,)
+        self.runner_code = _runner_code(self.runner_shape)
 
     # ------------------------------------------------------------------
     def _feedback_step(self, fu: int, opcode: Opcode, descr: _Ref,
@@ -1050,13 +1060,9 @@ def _eval_feedback_batched(fn: Callable[..., Any], x: np.ndarray,
 #: Kernel shapes whose compiled runner code stays resident.
 RUNNER_CODE_SIZE = 256
 
-#: Operands an inline runner step binds, ``op[1 : 1 + k]`` of its bound
-#: op; steps of the other modes run as closures.
-_INLINE_ARGS = {_M_BINARY: 4, _M_CONST: 4, _M_UNARY: 3, _M_COPY: 2,
-                _M_SKEWCOPY: 2}
-
 #: One runner line per step form: the parameter prefixes the step binds
-#: (in ``_INLINE_ARGS`` order) and the statement that uses them.
+#: (its bound op's operands after the mode, in order) and the statement
+#: that uses them.
 _STEP_TEXT = {
     # ufuncs take ``out`` positionally (no kwarg parsing), except
     # maximum/minimum, which deprecate a positional out
@@ -1066,6 +1072,22 @@ _STEP_TEXT = {
     "c": ("ao", "_copyto(_o{i}, _a{i})"),
     "g": ("g", "_g{i}()"),
 }
+
+#: per form, the end of the operands an inline step binds from its bound
+#: op (``op[1:end]``); 0 for a closure ("g": steps of the other modes)
+_ARG_END = {form: 1 + len(prefixes) for form, (prefixes, _line)
+            in _STEP_TEXT.items()}
+_ARG_END["g"] = 0
+
+
+@functools.lru_cache(maxsize=RUNNER_CODE_SIZE)
+def _runner_args(runs: Tuple[int, ...], forms: str
+                 ) -> Tuple[Tuple[int, int], ...]:
+    """``(step, operand end)`` of each step in *runs*, whose runner
+    forms are *forms*, in the runner's parameter order
+    (:attr:`ImageKernel.runner_args`); shared by the kernels of one
+    layout."""
+    return tuple(zip(runs, [_ARG_END[form] for form in forms]))
 
 
 def _step_form(op: Tuple) -> str:
@@ -1077,7 +1099,7 @@ def _step_form(op: Tuple) -> str:
         return "k" if op[1] in _OUT_KWARG else "p"
     if mode == _M_UNARY:
         return "u"
-    return "c" if mode in _INLINE_ARGS else "g"
+    return "c" if mode == _M_COPY or mode == _M_SKEWCOPY else "g"
 
 
 def _lowering(opcode: Opcode) -> Tuple[int, Any, int, bool, str]:
@@ -1106,32 +1128,44 @@ _LOWERINGS = {opcode: _lowering(opcode) for opcode in OPCODES}
 
 
 @functools.lru_cache(maxsize=RUNNER_CODE_SIZE)
-def _runner_code(shape: Tuple[int, str, int]) -> CodeType:
+def _runner_code(shape: Tuple[Any, ...]) -> CodeType:
     """The runner code object for one kernel shape.
 
     *shape* is ``(taps, forms, writes)``: the tap-load count, one
-    ``_STEP_TEXT`` form per step, and the write-back count.  Those are
-    all the runner's text depends on (never the grid size, tolerance or
-    which ufunc a step calls), so parameter names and source are
-    formatted here, once per shape, and every kernel of the shape shares
-    the code.  The parameters are ``_copyto``, each tap's destination and
-    source, each step's operands, then each write's destination and
-    source; a bound issue passes its operands in that order as the
-    argument defaults.  Compiling without executing leaves them unbound.
+    ``_STEP_TEXT`` form per step, and the write-back count; a kernel
+    with a condition chain appends the chain's shape
+    (:attr:`repro.sim.settle.Chain.shape`).  Those are all the runner's
+    text depends on (never the grid size, tolerance or which ufunc a
+    step calls), so parameter names and source are formatted here, once
+    per shape, and every kernel of the shape shares the code.  The parameters are ``_copyto``, each tap's
+    destination and source, each step's operands (a chain's last),
+    then each write's destination and source; a bound issue passes its
+    operands in that order as the argument defaults.  Compiling without
+    executing leaves them unbound.  With a chain, ``_rows`` and ``_wit``
+    follow, then the chain's own parameters
+    (:func:`repro.sim.settle.condition_text`):
+    called bare the runner runs the issue up to the chain, and called
+    with those two it runs the chain's condition.
     """
-    taps, forms, writes = shape
+    taps, forms, writes, *chain = shape
     params = ["_copyto"]
     body = []
     for j in range(taps):
         params += (f"_td{j}", f"_ts{j}")
         body.append(f"_copyto(_td{j}, _ts{j})")
-    for i, form in enumerate(forms):
+    for i, form in enumerate(forms + chain[0][5] if chain else forms):
         prefixes, line = _STEP_TEXT[form]
         params += (f"_{p}{i}" for p in prefixes)
-        body.append(line.format(i=i))
+        if i < len(forms):  # a chain's steps run in its own entry
+            body.append(line.format(i=i))
     for j in range(writes):
         params += (f"_wd{j}", f"_ws{j}")
         body.append(f"_copyto(_wd{j}, _ws{j})")
+    if chain:
+        names, lines = settle.condition_text(chain[0], len(forms))
+        params += ["_rows", "_wit"] + names
+        body = ["if _wit is None:"] + [f"    {line}" for line in body] \
+            + ["    return None"] + lines
     if not body:
         body.append("pass")
     src_text = (
@@ -1202,6 +1236,9 @@ class BoundImage:
         self._consts: Dict[bytes, np.ndarray] = {}
         self._streams: List[np.ndarray] = []
         self._runner: Any = None
+        # each row's witness positions (see repro.sim.settle)
+        self._witnesses: List[Tuple[int, ...]] = [()] * batch_shape[0] \
+            if kernel.chain is not None else []
         self._tap_live: List[Tuple[np.ndarray, np.ndarray]] = []
         self._write_pairs: List[Tuple[np.ndarray, np.ndarray]] = []
         # resolved views and runner per storage arrangement (see
@@ -1211,12 +1248,9 @@ class BoundImage:
         self._arrangement: Optional[int] = None
         # pre-resolve every operand that does not depend on storage state;
         # the rest are int indices into the live views (read streams,
-        # then write views), at the kernel's live_steps positions.  A
-        # forwarded PASS binds nothing: no runner call reads its op
-        steps = kernel.steps
-        self._ops: List[Any] = [None] * len(steps)
-        for i in kernel.hoisted + kernel.runs:
-            self._ops[i] = self._bind_step(steps[i])
+        # then write views), at the kernel's live_steps positions
+        self._ops: List[Any] = [self._bind_step(step)
+                                for step in kernel.steps]
         # the condition read: the unit's pinned slot (a condition unit
         # never computes in place), or its reduced final
         self._one_row = batch_shape == (1,)
@@ -1373,21 +1407,25 @@ class BoundImage:
         (:attr:`ImageKernel.runs`), and the write-backs become a
         straight line of statements with all operands bound as argument
         defaults (local loads, no dispatch); non-ufunc steps (feedback,
-        reductions, exotic kernels) drop to closures.  The code object
+        reductions, exotic kernels) drop to closures.  A condition
+        chain's steps are the function's second entry
+        (:meth:`issue_condition`), which also reads the chain's own
+        operands.  The code object
         comes from the kernel's ``runner_shape`` (see
-        :func:`_runner_code`); each issue only gathers its operands.
+        :func:`_runner_code`), looked up once per kernel; each
+        arrangement only gathers its operands.
         """
-        code = _runner_code(self.kernel.runner_shape)
+        kernel = self.kernel
         defaults: List[Any] = [np.copyto]
         for pair in self._tap_live:
             defaults += pair
         static, closures = self._ops, self._closures
-        for i in self.kernel.runs:
+        for i, end in kernel.runner_args:
+            if end:
+                defaults += ops[i][1:end]
+                continue
             op = ops[i]
-            k = _INLINE_ARGS.get(op[0])
-            if k is not None:
-                defaults += op[1 : 1 + k]
-            elif op is static[i]:
+            if op is static[i]:
                 # bound to no live view: one closure serves every
                 # arrangement
                 run = closures.get(i)
@@ -1398,7 +1436,17 @@ class BoundImage:
                 defaults.append(self._make_closure(op))
         for pair in self._write_pairs:
             defaults += pair
-        return FunctionType(code, {}, "_runner", tuple(defaults))
+        chain = kernel.chain
+        if chain is not None:
+            # _rows and _wit, then the chain's own operands
+            # (repro.sim.settle.condition_text)
+            reduce = ops[chain.steps[-1]]
+            defaults += (None, None, kernel.cond_threshold, reduce[5],
+                         self._finals, reduce[6] if reduce[2] else reduce[3])
+            for i, pos in chain.operands:
+                defaults.append(ops[i][pos])
+        return FunctionType(kernel.runner_code, settle.GLOBALS, "_runner",
+                            tuple(defaults))
 
     def _make_closure(self, op: Tuple) -> Any:
         """A zero-argument callable for one non-ufunc step."""
@@ -1467,7 +1515,8 @@ class BoundImage:
 
     # ------------------------------------------------------------------
     def issue_compute(self) -> None:
-        """One fused issue: taps, kernels, write-back."""
+        """One fused issue: taps, kernels, write-back — all but a
+        condition chain, which :meth:`issue_condition` runs after."""
         arrangement = self.storage.arrangement
         if arrangement != self._arrangement:
             state = self._states.get(arrangement)
@@ -1482,6 +1531,19 @@ class BoundImage:
                  self._write_pairs) = state
             self._arrangement = arrangement
         self._runner()
+
+    def issue_condition(self, rows: Optional[Sequence[int]]) -> bool:
+        """Settle or compute the condition of a kernel with a chain
+        (:attr:`ImageKernel.chain`), after :meth:`issue_compute`.
+
+        True when every row in *rows* has a witness at which the chain's
+        value fails the exit test, so the condition fires on none of
+        them; else the chain and its reduction run, the witnesses of the
+        rows in *rows* that did not fire are refreshed, and this returns
+        False.  *rows* None runs the chain unconditionally (exact
+        values for :meth:`condition_last`).
+        """
+        return self._runner(_rows=rows, _wit=self._witnesses)
 
     def condition_last(self) -> Optional[List[float]]:
         """The condition unit's final stream element of each row, as a
@@ -1819,6 +1881,10 @@ def fused_stepper(stencil: "MultiNodeStencil"):
 
     return load, sweep, finish
 
+
+# the condition chains (repro.sim.settle imports this module, so it is
+# imported once every name it reads is defined)
+from repro.sim import settle  # noqa: E402
 
 __all__ = [
     "FusionUnsupported",

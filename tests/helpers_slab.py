@@ -12,7 +12,9 @@ stack, then runs every machine's reference walk, and asserts that the
 two agree on
 
 - every stored row (planes and both cache buffers, NaNs equal);
-- each issue's condition value, as the run logged it (NaNs equal);
+- each issue's condition result, and its condition value wherever the
+  run logged one (NaNs equal): an issue whose condition witnesses
+  settled (:mod:`repro.sim.settle`) logs its result alone;
 - the :class:`~repro.sim.batchplan.JobRun` totals (cycles, issues,
   flops, FU activity, DMA transfers, words and busy cycles, the last
   issue's device charges, cache swaps, condition outcomes);
@@ -99,12 +101,18 @@ def check_parity(machines: Sequence, program,
                     arr[j],
                     getattr(machine.caches[cache_id], side)[: arr.shape[-1]],
                     err_msg=f"row {j}, cache {cache_id} {side}")
-        logged = [None if values is None else values[j]
-                  for index, values, _conds, active in run.log
+        logged = [(values, conds) for index, values, conds, active
+                  in run.log
                   if index >= 0 and (active is None or j in active)]
-        assert [repr(v) for v in logged] == [
-            repr(r.condition_value) for r in result.pipeline_results
-        ], f"row {j}: condition values"
+        assert len(logged) == len(result.pipeline_results), \
+            f"row {j}: issues"
+        for k, ((values, conds), ref) in enumerate(
+                zip(logged, result.pipeline_results)):
+            assert (None if conds is None else conds[j]) \
+                == ref.condition_result, f"row {j}, issue {k}: condition"
+            if values is not None:  # an issue witnesses settled logs none
+                assert repr(values[j]) == repr(ref.condition_value), \
+                    f"row {j}, issue {k}: condition value"
         job = run.job(j)
         conditions = [r.condition_result for r in result.pipeline_results
                       if r.condition_result is not None]

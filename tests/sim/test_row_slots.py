@@ -175,7 +175,8 @@ class TestSlotCounts:
 
     def test_rbsor_sweeps_share_slots(self, node):
         for kernel in _kernels(node, "rbsor"):
-            assert len(_row_units(kernel)) == 13
+            # 13 row units, less the forwarded PASS, which has no step
+            assert len(_row_units(kernel)) == 12
             assert kernel.n_slots <= 4
 
     def test_a_dying_operand_slot_is_written_in_place(self, node):
@@ -542,22 +543,20 @@ class TestHoisting:
             assert run.loop_iterations == [{1: 50}, {1: 50}]
             assert calls == {"hoisted": binds, "per_issue": 50 * binds}
 
-    def test_rbsor_pass_is_forwarded_and_owns_no_slot(self, node):
+    def test_rbsor_pass_is_forwarded_and_owns_no_step_or_slot(self, node):
         for kernel in _kernels(node, "rbsor"):
-            passes = [i for i, step in enumerate(kernel.steps)
-                      if step[0] == progplan._M_COPY]
-            assert len(passes) == 1
-            (i,) = passes
-            fu = kernel.steps[i][-1]
-            assert kernel.forwarded == {fu: kernel.steps[i][1]}
+            (fu,) = kernel.forwarded
+            assert kernel.image.fu_ops[fu][0] is Opcode.PASS
             assert kernel.forwarded[fu][0] == "stream"
             assert fu not in kernel.slot_of
-            assert i not in kernel.runs and i not in kernel.hoisted
-            # its readers read its stream
+            # no step computes it, and its readers read its stream
+            assert all(step[-1] != fu for step in kernel.steps)
+            assert not [step for step in kernel.steps
+                        if step[0] == progplan._M_COPY]
             assert all(("row", fu) not in _reads(step)
                        for step in kernel.steps)
-            # two passes fewer per issue: the PASS and f * h^2
-            assert len(kernel.runs) == len(kernel.steps) - 2
+            # one pass fewer per issue than steps: f * h^2
+            assert len(kernel.runs) == len(kernel.steps) - 1
 
     def test_a_skewed_read_of_a_forwarded_pass_reads_its_stream(self,
                                                                 node):

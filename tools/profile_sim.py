@@ -9,12 +9,16 @@ cache, and splits each op's wall time into sub-stages:
 
 ================  ====================================================
 slab_kernel       ``BoundImage.issue_compute`` inside slab runs
+slab_condition    ``BoundImage.issue_condition`` inside slab runs: the
+                  witness tests of condition chains, and the chains
+                  that ran because the witnesses did not settle them
 slab_engine       the rest of ``BatchProgramRun.run``
 slab_fold         the per-job folds of a slab's issue log into records
                   (``BatchProgramRun.job``), which run after ``run``
 multinode_setup   ``MultiNodeStencil.__init__``, ``scatter`` and the
                   fused engine's bind (``progplan.fused_stepper``)
-multinode_kernel  ``BoundImage.issue_compute`` inside multi-node runs
+multinode_kernel  ``BoundImage.issue_compute`` and ``issue_condition``
+                  (which runs every chain) inside multi-node runs
 multinode_sweeps  the rest of the sweep loop (halo data moves, the
                   residual, variable swaps, dispatch)
 multinode_finish  the run's finish step (charging replayed halo traffic)
@@ -28,12 +32,15 @@ split of the simulator engines — and, per engine, the p50 of its kernel
 seconds divided by its ``issue_compute`` calls in microseconds
 (``slab_kernel_us_per_issue``, ``multinode_kernel_us_per_issue``).
 Per engine it also counts, untimed, from the bound images it issued:
-the kernel steps one issue's runner runs, each one pass over the rows
+the kernel steps one issue really runs, each one pass over the rows
 (``slab_passes_per_issue``, ``multinode_passes_per_issue``: the mean
-over the op's issues, tap loads and write copies not counted), and the
-loop-invariant steps a run's bound images hoist out of their issues
+over the op's issues, tap loads and write copies not counted; a
+condition chain's steps count when they ran), and the loop-invariant
+steps a run's bound images hoist out of their issues
 (``slab_hoisted_per_bind``, ``multinode_hoisted_per_bind``: the mean
-over the op's runs).
+over the op's runs).  ``slab_settled_frac`` is the share of the slab
+issues with a condition chain whose witnesses settled the condition
+(a count, the same on every run).
 
 Usage::
 
@@ -66,6 +73,7 @@ from repro.sim.multinode import MultiNodeStencil  # noqa: E402
 
 STAGES = (
     "slab_kernel",
+    "slab_condition",
     "slab_engine",
     "slab_fold",
     "multinode_setup",
@@ -110,8 +118,10 @@ def stage_clocks() -> Iterator[Dict[str, float]]:
     """Accumulate seconds per raw clock while patched entry points run,
     and each clock's call count under ``"<clock>_calls"``; per engine,
     the runner steps its issues ran (``"<engine>_passes"``), the runs
-    it bound (``"<engine>_binds"``) and the steps their bound images
-    hoist (``"<engine>_hoisted"``)."""
+    it bound (``"<engine>_binds"``), the steps their bound images
+    hoist (``"<engine>_hoisted"``), and the witness tests of condition
+    chains and how many settled (``"<engine>_tests"``,
+    ``"<engine>_settled"``)."""
     spent: Dict[str, float] = {}
     scope = ["other"]
     undo: List[Any] = []
@@ -125,7 +135,8 @@ def stage_clocks() -> Iterator[Dict[str, float]]:
     def count_steps(bound: Any) -> None:
         engine = scope[0]
         kernel = bound.kernel
-        count(f"{engine}_passes", len(kernel.runs))
+        count(f"{engine}_passes", len(kernel.runs) - (
+            0 if kernel.chain is None else len(kernel.chain.steps)))
         if bound not in seen:
             seen.add(bound)
             count(f"{engine}_hoisted", len(kernel.hoisted))
@@ -133,9 +144,20 @@ def stage_clocks() -> Iterator[Dict[str, float]]:
                 seen.add(bound.storage)
                 count(f"{engine}_binds", 1)
 
+    def count_condition(args: Tuple[Any, ...], settled: bool) -> None:
+        bound, rows = args
+        engine = scope[0]
+        if not settled:  # the chain ran
+            count(f"{engine}_passes", len(bound.kernel.chain.steps))
+        if rows is not None:
+            count(f"{engine}_tests", 1)
+            count(f"{engine}_settled", settled)
+
     def patch(owner: Any, attr: str, clock: Callable[..., str],
               inner: Optional[str] = None,
-              observe: Optional[Callable[[Any], None]] = None) -> None:
+              observe: Optional[Callable[[Any], None]] = None,
+              result: Optional[Callable[[Tuple[Any, ...], Any], None]]
+              = None) -> None:
         original = owner.__dict__[attr]
 
         def timed(*args: Any, **kwargs: Any) -> Any:
@@ -147,7 +169,10 @@ def stage_clocks() -> Iterator[Dict[str, float]]:
                 scope[0] = inner
             t0 = time.perf_counter()
             try:
-                return original(*args, **kwargs)
+                value = original(*args, **kwargs)
+                if result is not None:
+                    result(args, value)
+                return value
             finally:
                 spent[name] = spent.get(name, 0.0) + time.perf_counter() - t0
                 calls = f"{name}_calls"
@@ -161,6 +186,8 @@ def stage_clocks() -> Iterator[Dict[str, float]]:
     patch(batchplan.BatchProgramRun, "job", lambda: "slab_fold")
     patch(progplan.BoundImage, "issue_compute",
           lambda: f"{scope[0]}_kernel", observe=count_steps)
+    patch(progplan.BoundImage, "issue_condition",
+          lambda: f"{scope[0]}_condition", result=count_condition)
     patch(MultiNodeStencil, "__init__", lambda: "multinode_init")
     patch(MultiNodeStencil, "scatter", lambda: "multinode_scatter")
     patch(MultiNodeStencil, "run", lambda: "multinode_run", "multinode")
@@ -181,13 +208,17 @@ def split(raw: Dict[str, float], total: float) -> Dict[str, float]:
 
     stages = {
         "slab_kernel": get("slab_kernel"),
-        "slab_engine": get("slab_run") - get("slab_kernel"),
+        "slab_condition": get("slab_condition"),
+        "slab_engine": get("slab_run") - get("slab_kernel")
+        - get("slab_condition"),
         "slab_fold": get("slab_fold"),
         "multinode_setup": get("multinode_init") + get("multinode_scatter")
         + get("multinode_bind"),
-        "multinode_kernel": get("multinode_kernel"),
+        "multinode_kernel": get("multinode_kernel")
+        + get("multinode_condition"),
         "multinode_sweeps": get("multinode_run") - get("multinode_bind")
-        - get("multinode_kernel") - get("halo") - get("multinode_finish"),
+        - get("multinode_kernel") - get("multinode_condition") - get("halo")
+        - get("multinode_finish"),
         "multinode_finish": get("multinode_finish"),
         "halo": get("halo"),
     }
@@ -197,16 +228,19 @@ def split(raw: Dict[str, float], total: float) -> Dict[str, float]:
 
 def per_issue_us(raw: Dict[str, float]) -> Dict[str, float]:
     """Microseconds per ``issue_compute`` call of each kernel stage that
-    issued in one op's raw clocks."""
+    issued in one op's raw clocks (the multi-node kernel with its
+    chains)."""
+    stages = split(raw, 0.0)
     return {
-        stage: raw[stage] / raw[f"{stage}_calls"] * 1e6
+        stage: stages[stage] / raw[f"{stage}_calls"] * 1e6
         for stage in PER_ISSUE if raw.get(f"{stage}_calls")
     }
 
 
 def step_counts(raw: Dict[str, float]) -> Dict[str, float]:
-    """Per engine that issued in one op's raw clocks: runner steps per
-    issue and hoisted steps per run."""
+    """Per engine that issued in one op's raw clocks: kernel steps run
+    per issue and hoisted steps per run; for the slab, the share of its
+    witness tests that settled a condition."""
     counts = {}
     for engine in ENGINES:
         calls = raw.get(f"{engine}_kernel_calls")
@@ -215,6 +249,8 @@ def step_counts(raw: Dict[str, float]) -> Dict[str, float]:
                 raw[f"{engine}_passes"] / calls
             counts[f"{engine}_hoisted_per_bind"] = \
                 raw[f"{engine}_hoisted"] / raw[f"{engine}_binds"]
+    if raw.get("slab_tests"):
+        counts["slab_settled_frac"] = raw["slab_settled"] / raw["slab_tests"]
     return counts
 
 
@@ -277,8 +313,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"profile_sim: {args.n} ops (seed {args.seed}), p50 ms per sub-stage")
     for stage, value in p50.items():
         print(f"  {stage:<17} {value:8.3f}")
-    print("p50 us per issue_compute call, runner steps per issue and "
-          "hoisted steps per bind")
+    print("p50 us per issue_compute call, kernel steps per issue, "
+          "hoisted steps per bind and the settled share")
     for name, value in per_issue.items():
         print(f"  {name:<29} {value:8.2f}")
     return 0
