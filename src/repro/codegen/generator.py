@@ -12,16 +12,17 @@ the timing analysis and every step below read that one
 :class:`~repro.diagram.pipeline.DiagramView`.  Views are transient: no
 image, program or cache entry keeps one.
 
-Generation per pipeline:
+Generation per pipeline, into an executable :class:`PipelineImage` and
+its microword (:mod:`.microword`, through the layout's field handles):
 
-1. timing analysis and automatic delay balancing (:mod:`.timing`);
-2. vector-length resolution from the diagram, DMA counts, or variable sizes;
-3. DMA-program resolution against the deterministic variable layout;
-4. switch-setting derivation from the connection tables (the view's
-   per-port feeds and its driven non-FU sinks);
-5. microword emission (:mod:`.microword`, through the layout's
-   pre-resolved field handles) plus an executable :class:`PipelineImage`
-   for the simulator.
+1. :func:`walk_pipeline`, one pass over the units in dataflow order:
+   each input's arrival, balancing delay or residual skew
+   (:mod:`.timing`), its :class:`ResolvedInput` and switch setting from
+   the connection tables, and each unit's register-file words and fields;
+2. vector-length resolution from the diagram, DMA counts, or variable
+   sizes, then one pass over the DMA specs: their programs against the
+   deterministic variable layout, and their fields;
+3. the remaining fields: driven non-FU sinks, shift/delay taps, sequencer.
 """
 
 from __future__ import annotations
@@ -31,18 +32,20 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._records import slotted_state
-from repro.arch.dma import DMAProgram, DMASpec, Direction
+from repro.arch.dma import DMAProgram, Direction
 from repro.arch.funcunit import Opcode
 from repro.arch.node import NodeConfig
 from repro.arch.switch import DeviceKind, Endpoint
 from repro.checker.checker import Checker
 from repro.checker.diagnostics import CheckReport
 from repro.obs import tracer as obs
+from repro.checker.knowledge import MachineKnowledge
 from repro.codegen.microword import (
     CMP_CODES,
-    Field,
+    FieldError,
     Microword,
     MicrowordLayout,
+    fit,
     float_to_bits,
     layout_for,
     signed_to_bits,
@@ -50,9 +53,9 @@ from repro.codegen.microword import (
 from repro.codegen.timing import (
     TimingError,
     TimingPlan,
-    balance_pipeline,
     pipeline_cycles,
-    validate_delays_fit,
+    source_start,
+    stream_starts,
 )
 from repro.diagram.pipeline import (
     ConditionSpec,
@@ -112,9 +115,10 @@ class ResolvedInput:
     the residual element misalignment (nonzero only when balancing was
     disabled — the ablation configuration).
 
-    Read-only by convention and hashed by value, but not ``frozen``: a
-    frozen dataclass builds through one ``object.__setattr__`` per field,
-    and a compile builds dozens of these."""
+    Read-only by convention once :func:`walk_pipeline` has balanced it,
+    and hashed by value, but not ``frozen``: a frozen dataclass builds
+    through one ``object.__setattr__`` per field, and a compile builds
+    dozens of these."""
 
     kind: str
     endpoint: Optional[Endpoint] = None
@@ -192,6 +196,180 @@ class MachineProgram:
         for microword in self.microwords:
             digest.update(microword.encode())
         return digest.hexdigest()
+
+
+# enum members, looked up once (a class attribute read of a member is slow)
+_FU = DeviceKind.FU
+_READ = Direction.READ
+_INTERNAL = InputModKind.INTERNAL
+_FEEDBACK = InputModKind.FEEDBACK
+#: ResolvedInput kind of a switch source: its device kind's name
+_SOURCE_KINDS = {kind: kind.value for kind in DeviceKind}
+
+
+def walk_pipeline(
+    view: DiagramView,
+    kb: MachineKnowledge,
+    layout: MicrowordLayout,
+    auto_balance: bool = True,
+) -> TimingPlan:
+    """One pass over *view*'s units in dataflow order, deriving every
+    per-port fact of the image.
+
+    For each FU input: the element-0 arrival after explicit delays, the
+    balancing delay (or, with *auto_balance* off, the residual skew), the
+    :class:`ResolvedInput` and the port's microword fields; for each
+    unit: its start and output cycles, register-file words and opcode
+    fields.  The fields go straight into ``unit_bits``.  Raises
+    :class:`TimingError`; overflows and the first field error are left
+    in the plan, for the generator to raise in its order.
+    """
+    p = kb.params
+    hop = p.switch_latency
+    limit = kb.regfile_words
+    order = view.topological_order()
+    feeds = view.feeds
+    delays = view.delays
+    op_info = view.op_info
+    fu_ops = view.fu_ops
+    mod_words = view.mod_words
+    fu_fields = layout.fu_fields
+    source_ids = layout.source_table.ids
+    starts = stream_starts(p)
+    auto_delay: Dict[Tuple[int, str], int] = {}
+    fu_start: Dict[int, int] = {}
+    fu_output: Dict[int, int] = {}
+    inputs: Dict[Tuple[int, str], ResolvedInput] = {}
+    overfull: List[Tuple[int, str]] = []
+    bits = 0
+    field_error: Optional[Exception] = None
+
+    for fu in order:
+        info = op_info.get(fu)
+        try:
+            handles = fu_fields(fu)
+            bits |= fit(handles.opcode, OP_INDEX[fu_ops[fu].opcode])
+            port_fields = handles.ports
+        except FieldError as exc:
+            field_error = field_error or exc
+            handles, port_fields = None, (None, None)
+        words = mod_words.get(fu, 0)
+        # resolve each input and place its selector or routing flag; time
+        # the streamed ones (element-0 arrival after explicit delays)
+        ports = []
+        t_fu = None
+        for port, fields in zip(("a", "b"), port_fields):
+            key = (fu, port)
+            feed = feeds.get(key)
+            delay = delays.get(key, 0) if delays else 0
+            words += delay
+            t = flag = resolved = None
+            if feed is None:
+                pass
+            elif type(feed) is Endpoint:
+                kind = feed.kind
+                if kind is _FU:
+                    t = fu_output.get(feed.device)
+                    if t is None:
+                        raise TimingError(
+                            f"fu{feed.device} feeds fu{fu} but is not "
+                            f"scheduled before it"
+                        )
+                    t += hop
+                else:
+                    t = starts.get(kind)
+                    if t is None:
+                        t = source_start(feed, starts, view, hop)
+                resolved = ResolvedInput(
+                    _SOURCE_KINDS[kind], feed,
+                    feed.device if kind is _FU else -1, 0.0, delay)
+                sel = source_ids.get(feed)
+                if fields is None:
+                    pass
+                elif sel is not None:  # a selector fits by construction
+                    bits |= sel << fields.src.offset
+                else:
+                    try:
+                        layout.source_table.id_of(feed)
+                    except FieldError as exc:
+                        field_error = field_error or exc
+            elif feed.kind is _INTERNAL:
+                # hardwired, no switch hop
+                src_fu = view.fu_als[fu].first_fu + feed.src_slot
+                t = fu_output.get(src_fu)
+                if t is None:
+                    raise TimingError(
+                        f"internal route source fu{src_fu} not yet scheduled "
+                        f"(cycle in diagram?)"
+                    )
+                resolved = ResolvedInput("internal", None, src_fu, 0.0, delay)
+                flag = fields and fields.internal
+            elif feed.kind is _FEEDBACK:  # always available, undelayed
+                resolved = ResolvedInput("feedback", None, fu, feed.value)
+                flag = fields and fields.feedback
+            else:  # a constant: always available
+                resolved = ResolvedInput("const", None, -1, feed.value, delay)
+                flag = fields and fields.constant
+            if flag is not None:
+                bits |= 1 << flag.offset
+            if resolved is not None:
+                inputs[key] = resolved
+            if t is not None:
+                t += delay
+                if t_fu is None or t > t_fu:
+                    t_fu = t
+            ports.append((key, resolved, t, delay, fields))
+        if t_fu is None:
+            t_fu = 0
+        fu_start[fu] = t_fu
+        if info is None:
+            raise TimingError(f"fu{fu} has no operation assigned")
+        fu_output[fu] = t_fu + int(getattr(p, info.latency_key))
+        if handles is not None and info.uses_constant:
+            bits |= 1 << handles.const_sel.offset
+
+        # balance the streamed inputs (or keep their residual skew), and
+        # place each input's delay
+        for key, resolved, t, delay, fields in ports:
+            if t is not None:
+                lag = t_fu - t
+                if lag > 0 and auto_balance:
+                    auto_delay[key] = lag
+                    resolved.delay = delay = delay + lag
+                    words += lag
+                else:
+                    resolved.skew = lag
+            if delay and fields is not None:
+                try:
+                    bits |= fit(fields.delay, delay)
+                except FieldError as exc:
+                    field_error = field_error or exc
+        if words > limit:
+            overfull.append((fu, (
+                f"fu{fu}: {words} register-file words needed "
+                f"(limit {limit}); the streams are too skewed to "
+                f"balance with circular queues"
+            )))
+
+    # fill time: when element 0 lands at the final sinks
+    fill = 0
+    for src, sink in view.pad_wires:
+        if src.kind is _FU:
+            if src.device not in fu_output:
+                raise TimingError(
+                    f"{src} writes to {sink} but fu{src.device} is not "
+                    f"programmed"
+                )
+            t = fu_output[src.device] + hop
+        else:
+            t = source_start(src, starts, view, hop)
+        fill = max(fill, t)
+    if fill == 0 and fu_output:
+        fill = max(fu_output.values()) + hop
+    return TimingPlan(
+        order, auto_delay, fu_start, fu_output, fill, inputs,
+        [problem for _fu, problem in sorted(overfull)], bits, field_error,
+    )
 
 
 class MicrocodeGenerator:
@@ -272,24 +450,6 @@ class MicrocodeGenerator:
             f"(set it explicitly or give a DMA count)"
         )
 
-    def _resolve_dma(
-        self,
-        spec: DMASpec,
-        vector_length: int,
-        var_layout: Dict[str, Tuple[int, int]],
-    ) -> DMAProgram:
-        if spec.is_symbolic:
-            if spec.variable not in var_layout:
-                raise CodegenError(
-                    f"DMA references unknown variable {spec.variable!r}"
-                )
-            _plane, base = var_layout[spec.variable]
-            base_offset = base + spec.offset
-        else:
-            base_offset = spec.offset
-        count = spec.count if spec.count is not None else vector_length
-        return DMAProgram(spec=spec, base_offset=base_offset, count=count)
-
     # ------------------------------------------------------------------
     def _generate_pipeline(
         self,
@@ -299,68 +459,35 @@ class MicrocodeGenerator:
     ) -> PipelineImage:
         kb = self.checker.kb
         try:
-            plan = balance_pipeline(view, kb, auto_balance=self.auto_balance)
+            plan = walk_pipeline(view, kb, self.layout, self.auto_balance)
         except TimingError as exc:
             raise CodegenError(f"pipeline {view.number}: {exc}") from exc
-        problems = validate_delays_fit(view, plan, kb)
-        if problems:
+        if plan.overfull:
             raise CodegenError(
-                f"pipeline {view.number}: " + "; ".join(problems)
+                f"pipeline {view.number}: " + "; ".join(plan.overfull)
             )
         vector_length = self.resolve_vector_length(view, declarations)
-        order = plan.order
 
-        feeds = view.feeds
-        delays = view.delays
-        auto = plan.auto_delay
-        skews = plan.skew
-        inputs: Dict[Tuple[int, str], ResolvedInput] = {}
-        for fu in order:
-            for port in ("a", "b"):
-                key = (fu, port)
-                feed = feeds.get(key)
-                if feed is None:
-                    continue
-                delay = delays.get(key, 0) + auto.get(key, 0)
-                skew = skews.get(key, 0)
-                if type(feed) is Endpoint:
-                    if feed.kind is DeviceKind.FU:
-                        inputs[key] = ResolvedInput(
-                            kind="fu", endpoint=feed, src_fu=feed.device,
-                            delay=delay, skew=skew,
-                        )
-                    else:
-                        kind_name = (
-                            "mem" if feed.kind is DeviceKind.MEMORY
-                            else "cache" if feed.kind is DeviceKind.CACHE
-                            else "sd"
-                        )
-                        inputs[key] = ResolvedInput(
-                            kind=kind_name, endpoint=feed, delay=delay,
-                            skew=skew,
-                        )
-                elif feed.kind is InputModKind.CONSTANT:
-                    inputs[key] = ResolvedInput(
-                        kind="const", value=feed.value, delay=delay
-                    )
-                elif feed.kind is InputModKind.FEEDBACK:
-                    inputs[key] = ResolvedInput(
-                        kind="feedback", value=feed.value, src_fu=fu
-                    )
-                else:
-                    inputs[key] = ResolvedInput(
-                        kind="internal",
-                        src_fu=view.fu_als[fu].first_fu + feed.src_slot,
-                        delay=delay,
-                        skew=skew,
-                    )
-
-        # DMA programs
+        # DMA programs and their microword groups.  A field that fails
+        # its check is raised once the pipeline's other errors are ruled
+        # out, as the walk leaves its own.
+        layout = self.layout
+        bits = plan.unit_bits
+        field_error = plan.field_error
         read_programs: Dict[Endpoint, DMAProgram] = {}
         write_programs: List[Tuple[Endpoint, Endpoint, DMAProgram]] = []
         for ep, spec in view.dma.items():
-            prog = self._resolve_dma(spec, vector_length, var_layout)
-            if spec.direction is Direction.READ:
+            base_offset = spec.offset
+            if spec.variable is not None:  # symbolic
+                if spec.variable not in var_layout:
+                    raise CodegenError(
+                        f"DMA references unknown variable {spec.variable!r}"
+                    )
+                base_offset += var_layout[spec.variable][1]
+            count = spec.count if spec.count is not None else vector_length
+            prog = DMAProgram(spec, base_offset, count)
+            write = spec.direction is not _READ
+            if not write:
                 read_programs[ep] = prog
             else:
                 driver = view.driver.get(ep)
@@ -370,16 +497,49 @@ class MicrocodeGenerator:
                         f"program but nothing drives it"
                     )
                 write_programs.append((driver, ep, prog))
+            try:
+                handles = layout.dma_fields(ep)
+                # dir: 0 = read, 1 = write; symbolic addresses encode the
+                # window offset (the loader adds the variable base)
+                stride = handles.stride
+                bits |= (
+                    1 << handles.enable.offset
+                    | write << handles.dir.offset
+                    | fit(handles.addr, max(spec.offset, 0))
+                    | signed_to_bits(spec.stride, stride.width) << stride.offset
+                    | fit(handles.count, count)
+                )
+            except FieldError as exc:
+                field_error = field_error or exc
 
-        # shift/delay feeders
-        sd_feeder = view.sd_feeder
+        if field_error is not None:
+            raise field_error
+
+        # crossbar selectors of the driven non-FU sinks
+        id_of = layout.source_table.id_of
+        sink_fields = layout.sink_fields
+        for sink, drv in view.driver.items():
+            if sink.kind is not _FU and sink in sink_fields:
+                bits |= id_of(drv) << sink_fields[sink].offset
+        # shift/delay taps and their feeders (a value signed_to_bits has
+        # checked fits its field, as a flag or a selector does)
         sd_feeders: Dict[int, Endpoint] = {}
-        for (unit, _tap) in view.sd_taps:
-            feeder = sd_feeder.get(unit)
+        for (unit, tap), shift in view.sd_taps.items():
+            feeder = view.sd_feeder.get(unit)
             if feeder is not None:
                 sd_feeders[unit] = feeder
-
-        word = self._emit_microword(view, plan, vector_length)
+            enable, field = layout.tap_fields(unit, tap)
+            bits |= 1 << enable.offset
+            bits |= signed_to_bits(shift, field.width) << field.offset
+        seq = layout.seq_fields
+        cond = view.condition
+        if cond is not None:
+            bits |= 1 << seq.cond_enable.offset
+            bits |= fit(seq.cond_fu, cond.fu)
+            bits |= fit(seq.cond_cmp, CMP_CODES[cond.comparison])
+            bits |= float_to_bits(cond.threshold) << seq.cond_threshold.offset
+        bits |= fit(seq.vector_length, vector_length)
+        word = Microword.from_bits(layout, bits)
         fill = plan.fill_cycles
         total = pipeline_cycles(plan, vector_length, kb)
         flops = sum(info.flops for info in view.op_info.values())
@@ -387,11 +547,11 @@ class MicrocodeGenerator:
             number=view.number,
             label=view.label,
             vector_length=vector_length,
-            fu_order=order,
+            fu_order=plan.order,
             fu_ops={
                 fu: (a.opcode, a.constant) for fu, a in view.fu_ops.items()
             },
-            inputs=inputs,
+            inputs=plan.inputs,
             read_programs=read_programs,
             write_programs=write_programs,
             sd_feeders=sd_feeders,
@@ -403,86 +563,11 @@ class MicrocodeGenerator:
             microword=word,
         )
 
-    # ------------------------------------------------------------------
-    def _emit_microword(
-        self,
-        view: DiagramView,
-        plan: TimingPlan,
-        vector_length: int,
-    ) -> Microword:
-        layout = self.layout
-        id_of = layout.source_table.id_of
-        feeds = view.feeds
-        delays = view.delays
-        auto = plan.auto_delay
-        op_info = view.op_info
-        # field handle -> value, packed into the bits at the end
-        values: Dict[Field, int] = {}
-
-        for fu, assign in view.fu_ops.items():
-            handles = layout.fu_fields(fu)
-            values[handles.opcode] = OP_INDEX[assign.opcode]
-            if op_info[fu].uses_constant:
-                values[handles.const_sel] = 1
-            for port, fields in zip(("a", "b"), handles.ports):
-                key = (fu, port)
-                delay = delays.get(key, 0) + auto.get(key, 0)
-                if delay:
-                    values[fields.delay] = delay
-                feed = feeds.get(key)
-                if feed is None:
-                    continue
-                if type(feed) is Endpoint:
-                    values[fields.src] = id_of(feed)
-                elif feed.kind is InputModKind.INTERNAL:
-                    values[fields.internal] = 1
-                elif feed.kind is InputModKind.FEEDBACK:
-                    values[fields.feedback] = 1
-                else:
-                    values[fields.constant] = 1
-
-        # crossbar selectors for the driven non-FU sinks
-        sink_fields = layout.sink_fields
-        for sink, drv in view.driver.items():
-            if sink.kind is not DeviceKind.FU:
-                field = sink_fields.get(sink)
-                if field is not None:
-                    values[field] = id_of(drv)
-
-        # DMA groups
-        for ep, spec in view.dma.items():
-            handles = layout.dma_fields(ep)
-            values[handles.enable] = 1
-            values[handles.dir] = 0 if spec.direction is Direction.READ else 1
-            # symbolic addresses encode the window offset; the loader adds
-            # the variable base (relocation happens at load time)
-            values[handles.addr] = max(spec.offset, 0)
-            values[handles.stride] = signed_to_bits(
-                spec.stride, handles.stride.width
-            )
-            values[handles.count] = (
-                spec.count if spec.count is not None else vector_length
-            )
-
-        for (unit, tap), shift in view.sd_taps.items():
-            enable, shift_field = layout.tap_fields(unit, tap)
-            values[enable] = 1
-            values[shift_field] = signed_to_bits(shift, shift_field.width)
-
-        seq = layout.seq_fields
-        cond = view.condition
-        if cond is not None:
-            values[seq.cond_enable] = 1
-            values[seq.cond_fu] = cond.fu
-            values[seq.cond_cmp] = CMP_CODES[cond.comparison]
-            values[seq.cond_threshold] = float_to_bits(cond.threshold)
-        values[seq.vector_length] = vector_length
-        return Microword.pack(layout, values)
-
 
 __all__ = [
     "MicrocodeGenerator",
     "CodegenError",
+    "walk_pipeline",
     "MachineProgram",
     "PipelineImage",
     "ResolvedInput",

@@ -27,19 +27,17 @@ keyed by the sink endpoint), per memory plane and cache DMA group
 (:meth:`MicrowordLayout.dma_fields`), per shift/delay tap
 (:meth:`MicrowordLayout.tap_fields`) and for the sequencer
 (``seq_fields``).  The
-generator collects a word's values through them instead of formatting
-and looking up a field name per write, keyed by those handles, and
-:meth:`Microword.pack` range-checks and encodes the collected values in
-one pass.
+generator places each value straight into the word's bits through them
+(:func:`fit` range-checks it as :meth:`Microword.set_field` does), with
+no field name formatted or looked up and no ``{field: value}`` dict, and
+:meth:`Microword.from_bits` wraps the finished bits.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-from typing import (
-    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
-)
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.arch.node import MACHINE_TABLES_SIZE, node_config
 from repro.arch.params import NSCParameters
@@ -147,17 +145,18 @@ class SourceTable:
     """Enumeration of every switch source as a selector id (0 = none)."""
 
     def __init__(self, sources: List[Endpoint]) -> None:
-        self._by_ep: Dict[Endpoint, int] = {}
+        #: source endpoint -> its selector id, which fits :attr:`width`
+        self.ids: Dict[Endpoint, int] = {}
         self._by_id: Dict[int, Endpoint] = {}
         for i, ep in enumerate(sorted(sources), start=1):
-            self._by_ep[ep] = i
+            self.ids[ep] = i
             self._by_id[i] = ep
 
     def id_of(self, ep: Optional[Endpoint]) -> int:
         if ep is None:
             return 0
         try:
-            return self._by_ep[ep]
+            return self.ids[ep]
         except KeyError:
             raise FieldError(f"{ep} is not a known switch source") from None
 
@@ -172,10 +171,10 @@ class SourceTable:
     @property
     def width(self) -> int:
         """Bits needed for a selector (including the 'none' code)."""
-        return max(1, (len(self._by_ep)).bit_length())
+        return max(1, (len(self.ids)).bit_length())
 
     def __len__(self) -> int:
-        return len(self._by_ep)
+        return len(self.ids)
 
 
 class MicrowordLayout:
@@ -369,15 +368,12 @@ def layout_for(params: NSCParameters) -> MicrowordLayout:
     return MicrowordLayout(params, node.n_fus, sorted(node.switch.sources))
 
 
-def _pack_bits(layout: MicrowordLayout,
-               values: Iterable[Tuple[Field, int]]) -> bytes:
-    """The little-endian bit string of ``(field handle, value)`` pairs."""
-    word = 0
-    for field, value in values:
-        if value < 0 or value >> field.width:  # beyond field.max_value
-            raise _misfit(field, value)
-        word |= value << field.offset
-    return word.to_bytes((layout.total_bits + 7) // 8, "little")
+def fit(field: Field, value: int) -> int:
+    """*value* in *field*'s place of a word's bits, range-checked as
+    :meth:`Microword.set_field` checks it."""
+    if value < 0 or value >> field.width:  # beyond field.max_value
+        raise _misfit(field, value)
+    return value << field.offset
 
 
 def _unpack(layout: MicrowordLayout, raw: bytes) -> Dict[str, int]:
@@ -430,12 +426,20 @@ class Microword:
     def pack(cls, layout: MicrowordLayout,
              values: Dict[Field, int]) -> "Microword":
         """A finished word from ``{field handle: value}``, each value
-        range-checked as :meth:`set_field` checks it.  The word is
-        encoded at once: it holds its bits alone, like a word after
+        range-checked as :meth:`set_field` checks it."""
+        word = 0
+        for field, value in values.items():
+            word |= fit(field, value)
+        return cls.from_bits(layout, word)
+
+    @classmethod
+    def from_bits(cls, layout: MicrowordLayout, word: int) -> "Microword":
+        """The finished word whose field values :func:`fit` placed in the
+        integer *word*.  It holds its bits alone, like a word after
         :meth:`encode`."""
         packed = cls(layout)
         packed._values = None
-        packed._encoded = _pack_bits(layout, values.items())
+        packed._encoded = word.to_bytes((layout.total_bits + 7) // 8, "little")
         return packed
 
     def set_signed(self, name: str, value: int) -> None:
@@ -469,11 +473,9 @@ class Microword:
         """Pack every field into a little-endian bit string."""
         if self._encoded is None:
             fields = self.layout._fields
-            self._encoded = _pack_bits(
-                self.layout,
-                ((fields[name], value)
-                 for name, value in self._values.items()),
-            )
+            self._encoded = self.pack(self.layout, {
+                fields[name]: value for name, value in self._values.items()
+            })._encoded
             self._values = None
         return self._encoded
 
@@ -522,6 +524,7 @@ __all__ = [
     "MicrowordLayout",
     "Microword",
     "layout_for",
+    "fit",
     "CMP_CODES",
     "CMP_NAMES",
     "float_to_bits",

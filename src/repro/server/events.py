@@ -58,6 +58,8 @@ class EventBuffer:
         self._next_seq = 1
         self._dropped = 0
         self._lock = threading.Lock()
+        #: notified under ``_lock`` on every emit
+        self._emitted = threading.Condition(self._lock)
 
     # ------------------------------------------------------------------
     # sink protocol
@@ -72,6 +74,7 @@ class EventBuffer:
             if len(self._ring) == self.maxlen:
                 self._dropped += 1
             self._ring.append(event)
+            self._emitted.notify_all()
         if self.downstream is not None:
             try:
                 self.downstream.emit(event)
@@ -97,6 +100,14 @@ class EventBuffer:
             dropped = max(0, oldest - after - 1)
             events = [e for e in self._ring if e["seq"] > after][: max(0, limit)]
             return events, dropped
+
+    def wait_past(self, seq: int, timeout: float) -> int:
+        """Block until an event numbered above *seq* is emitted or
+        *timeout* seconds pass; returns :attr:`last_seq`.  ``emit`` wakes
+        the waiters, so a waiting long-poll uses no CPU."""
+        with self._emitted:
+            self._emitted.wait_for(lambda: self._next_seq - 1 > seq, timeout)
+            return self._next_seq - 1
 
     @property
     def last_seq(self) -> int:

@@ -140,10 +140,8 @@ def events(app: "ServiceApp", request: "Request") -> Reply:
         raise HistoryQueryError(f"after/limit must be integers: {exc}")
     wait = _wait_seconds(request)
     buffer = app.service.events
-    if wait > 0 and buffer.last_seq <= after:
-        deadline = time.monotonic() + wait
-        while buffer.last_seq <= after and time.monotonic() < deadline:
-            time.sleep(0.02)
+    if wait > 0:
+        buffer.wait_past(after, wait)
     items, dropped = buffer.since(after=after, limit=limit)
     return 200, {
         "events": items,

@@ -205,6 +205,8 @@ class SimService:
         self._submissions: Dict[str, Submission] = {}
         self._order: List[str] = []
         self._lock = threading.Lock()
+        #: notified under ``_lock`` each time a submission finishes
+        self._finished = threading.Condition(self._lock)
         self._queue: "queue.Queue[Any]" = queue.Queue()
         self._worker: Optional[threading.Thread] = None
         self._previous_sink: Optional[Any] = None
@@ -332,16 +334,18 @@ class SimService:
             return [self._submissions[sid] for sid in self._order]
 
     def wait(self, sub_id: str, timeout: float = 60.0) -> Optional[Submission]:
-        """Block (politely) until the submission finishes or *timeout*
-        elapses; returns the submission either way (None if unknown)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            sub = self.get(sub_id)
-            if sub is None or sub.state in ("done", "failed"):
-                return sub
-            if time.monotonic() >= deadline:
-                return sub
-            time.sleep(0.02)
+        """Block until the submission finishes or *timeout* elapses;
+        returns the submission either way (None if unknown).  The worker
+        wakes every waiter when a submission finishes, so a waiter uses
+        no CPU in between and returns as soon as its submission is done."""
+
+        def settled() -> bool:
+            sub = self._submissions.get(sub_id)
+            return sub is None or sub.state in ("done", "failed")
+
+        with self._finished:
+            self._finished.wait_for(settled, timeout)
+            return self._submissions.get(sub_id)
 
     # ------------------------------------------------------------------
     # execution (worker thread)
@@ -406,6 +410,8 @@ class SimService:
                     "counters": self.counters(),
                 }
             )
+            with self._finished:
+                self._finished.notify_all()
 
     # ------------------------------------------------------------------
     # stats

@@ -11,7 +11,6 @@ from repro.codegen.timing import (
     TimingError,
     balance_pipeline,
     pipeline_cycles,
-    validate_delays_fit,
 )
 from repro.diagram.pipeline import InputMod, InputModKind, PipelineDiagram
 
@@ -133,14 +132,12 @@ class TestBalancing:
 class TestCapacityAndCycles:
     def test_delays_fit_by_default(self, kb):
         d = _two_stage()
-        plan = balance_pipeline(d, kb)
-        assert validate_delays_fit(d, plan, kb) == []
+        assert balance_pipeline(d, kb).overfull == []
 
     def test_excessive_explicit_delay_reported(self, kb):
         d = _two_stage()
         d.delays[(5, "b")] = kb.regfile_words + 10
-        plan = balance_pipeline(d, kb)
-        problems = validate_delays_fit(d, plan, kb)
+        problems = balance_pipeline(d, kb).overfull
         assert problems and "too skewed" in problems[0]
 
     def test_pipeline_cycles_scale_with_vector(self, kb):

@@ -14,7 +14,9 @@ freeze      ``PipelineDiagram.freeze`` of every pipeline: the indexed,
 check       ``Checker.check_program`` on those views: the design-rule
             sweep
 generate    ``MicrocodeGenerator.generate`` of those views, without the
-            check
+            check: per image one walk over the units (timing, operand
+            resolution and their microword fields), then one over the
+            DMA specs
 plan        ``compiled_plan``: the whole-program execution schedule
 problem     ``grid_problem``: the grid's manufactured ``(u*, f)``, built
             once per grid and shared
@@ -42,7 +44,11 @@ service     ``batch`` minus ``total``: the job path the sub-stages leave
 First-use imports and machine tables are warmed on n = 4 programs the
 sample never contains, as a long-lived service would have them.  Prints
 the p50 of each sub-stage, of their per-job sum (``total``) and of the
-two service rows in milliseconds.
+two service rows in milliseconds.  The per-image stages (``freeze``,
+``check``, ``generate`` and ``plan`` handle each pipeline image once)
+are also reported per image: the p50 over programs of a stage's time
+divided by the program's image count, in microseconds, next to the
+mean ``images_per_job``.
 After the timed pass, a cProfile pass runs the same programs again
 (fresh builds; only the process-wide tables are warm, as in the timed
 pass) and reports ``calls_per_job``: the function calls it counted,
@@ -99,6 +105,9 @@ STAGES = (
     "record",
 )
 
+#: the sub-stages that handle each pipeline image once
+PER_IMAGE = ("freeze", "check", "generate", "plan")
+
 SIZES = (5, 6, 7, 8, 9)
 EPS_GRID = tuple(10 ** (-2.0 - 2.0 * k / 399) for k in range(400))
 
@@ -133,8 +142,9 @@ def runner_clock() -> Iterator[List[float]]:
 def profile_one(
     program: Program, params: NSCParameters, spent: List[float],
     store: ResultStore,
-) -> Dict[str, float]:
-    """Compile and run one program; seconds per sub-stage."""
+) -> Tuple[Dict[str, float], int]:
+    """Compile and run one program; seconds per sub-stage, and the
+    program's image count."""
     method, size, eps = program
     shape = (size, size, size)
     entry = SOLVERS[method]
@@ -192,7 +202,7 @@ def profile_one(
         "runner": runner,
         "execute": t9 - t8 - runner,
         "record": t10 - t9,
-    }
+    }, len(compiled.images)
 
 
 def time_batch(programs: Sequence[Program], store: ResultStore) -> List[float]:
@@ -225,13 +235,17 @@ def count_calls(
     return pstats.Stats(profiler).total_calls / len(programs)
 
 
-def profile(n: int, seed: int) -> Tuple[Dict[str, float], float]:
-    """p50 milliseconds per sub-stage (and ``total``, ``batch`` and
-    ``service``) over *n* programs, and the calls per job of a cProfile
-    pass over the same programs."""
+def profile(n: int, seed: int) -> Dict[str, object]:
+    """Over *n* programs: ``p50_ms``, the p50 milliseconds per sub-stage
+    (and ``total``, ``batch`` and ``service``); ``images_per_job``;
+    ``per_image_us``, the p50 microseconds per image of each
+    :data:`PER_IMAGE` stage; and ``calls_per_job``, from a cProfile pass
+    over the same programs."""
     params = NSCParameters()
     programs = sample(n, seed)
     per_stage: Dict[str, List[float]] = {stage: [] for stage in STAGES}
+    per_image: Dict[str, List[float]] = {stage: [] for stage in PER_IMAGE}
+    images: List[int] = []
     totals: List[float] = []
     with tempfile.TemporaryDirectory() as scratch:
         store = ResultStore(str(Path(scratch) / "records.jsonl"))
@@ -239,9 +253,12 @@ def profile(n: int, seed: int) -> Tuple[Dict[str, float], float]:
             for method in SOLVERS:
                 profile_one((method, 4, 1e-3), params, spent, store)
             for program in programs:
-                times = profile_one(program, params, spent, store)
+                times, n_images = profile_one(program, params, spent, store)
                 for stage in STAGES:
                     per_stage[stage].append(times[stage] * 1e3)
+                for stage in PER_IMAGE:
+                    per_image[stage].append(times[stage] * 1e6 / n_images)
+                images.append(n_images)
                 totals.append(sum(times.values()) * 1e3)
         warm = [(method, 4, 1e-3) for method in SOLVERS]
         time_batch(warm, store)
@@ -251,7 +268,13 @@ def profile(n: int, seed: int) -> Tuple[Dict[str, float], float]:
     p50["total"] = statistics.median(totals)
     p50["batch"] = statistics.median(batch)
     p50["service"] = p50["batch"] - p50["total"]
-    return p50, calls_per_job
+    return {
+        "p50_ms": p50,
+        "images_per_job": statistics.mean(images),
+        "per_image_us": {stage: statistics.median(v)
+                         for stage, v in per_image.items()},
+        "calls_per_job": calls_per_job,
+    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -266,20 +289,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("-n must be at least 1")
-    p50, calls_per_job = profile(args.n, args.seed)
+    report = profile(args.n, args.seed)
     if args.json:
-        report = {
-            "programs": args.n,
-            "seed": args.seed,
-            "p50_ms": p50,
-            "calls_per_job": calls_per_job,
-        }
+        report = {"programs": args.n, "seed": args.seed, **report}
         print(json.dumps(report, sort_keys=True))
         return 0
     print(f"profile_cold: {args.n} programs (seed {args.seed}), p50 ms per sub-stage")
-    for stage, value in p50.items():
+    for stage, value in report["p50_ms"].items():
         print(f"  {stage:<10} {value:8.3f}")
-    print(f"  calls per job (cProfile pass): {calls_per_job:.0f}")
+    print(f"  images per job: {report['images_per_job']:.2f}; p50 us per image:")
+    for stage, value in report["per_image_us"].items():
+        print(f"  {stage:<10} {value:8.1f}")
+    print(f"  calls per job (cProfile pass): {report['calls_per_job']:.0f}")
     return 0
 
 
