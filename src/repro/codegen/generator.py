@@ -38,8 +38,8 @@ from repro.arch.node import NodeConfig
 from repro.arch.switch import DeviceKind, Endpoint
 from repro.checker.checker import Checker
 from repro.checker.diagnostics import CheckReport
-from repro.obs import tracer as obs
 from repro.checker.knowledge import MachineKnowledge
+from repro.obs import tracer as obs
 from repro.codegen.microword import (
     CMP_CODES,
     FieldError,
@@ -236,10 +236,8 @@ def walk_pipeline(
     fu_fields = layout.fu_fields
     source_ids = layout.source_table.ids
     starts = stream_starts(p)
-    auto_delay: Dict[Tuple[int, str], int] = {}
-    fu_start: Dict[int, int] = {}
-    fu_output: Dict[int, int] = {}
-    inputs: Dict[Tuple[int, str], ResolvedInput] = {}
+    # the plan's tables (see TimingPlan), and the overflows by unit
+    auto_delay, fu_start, fu_output, inputs = {}, {}, {}, {}
     overfull: List[Tuple[int, str]] = []
     bits = 0
     field_error: Optional[Exception] = None

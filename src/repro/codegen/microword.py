@@ -51,6 +51,9 @@ from repro.arch.switch import (
 )
 
 
+_MEMORY = DeviceKind.MEMORY
+
+
 class FieldError(Exception):
     """Unknown field or out-of-range value."""
 
@@ -312,7 +315,7 @@ class MicrowordLayout:
 
     def dma_fields(self, ep: Endpoint) -> DMAFields:
         """The DMA group handles of the memory plane or cache behind *ep*."""
-        memory = ep.kind is DeviceKind.MEMORY
+        memory = ep.kind is _MEMORY
         try:
             return self._dma_fields[(memory, ep.device)]
         except KeyError:

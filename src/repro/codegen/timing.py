@@ -103,10 +103,10 @@ def balance_pipeline(
 ) -> TimingPlan:
     """Compute arrival times and (optionally) balancing delays.
 
-    Runs the generator's walk over the pipeline's frozen view (a live
-    diagram is frozen here).  With ``auto_balance=False`` the plan
-    records the residual skew at every input instead of removing it —
-    the ablation configuration.
+    Runs the generator's walk (imported here: its module imports this
+    one) over the pipeline's frozen view; a live diagram is frozen here.
+    With ``auto_balance=False`` the plan records the residual skew at
+    every input instead of removing it — the ablation configuration.
     """
     from repro.codegen.generator import walk_pipeline
     from repro.codegen.microword import layout_for

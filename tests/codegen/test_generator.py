@@ -6,13 +6,14 @@ from repro.arch.als import ALSKind
 from repro.arch.dma import DMASpec, Direction
 from repro.arch.funcunit import Opcode
 from repro.arch.node import NodeConfig
-from repro.arch.switch import DeviceKind, mem_read, mem_write
+from repro.arch.switch import DeviceKind, fu_in, mem_read, mem_write
 from repro.codegen.generator import (
     CodegenError,
     MicrocodeGenerator,
     OP_INDEX,
     layout_variables,
 )
+from repro.codegen.microword import FieldError
 from repro.compose.jacobi import build_jacobi_program
 from repro.compose.kernels import build_saxpy_program
 from repro.diagram.pipeline import PipelineDiagram
@@ -208,3 +209,32 @@ class TestMicrowordContents:
         prog.insert_pipeline(d)
         with pytest.raises(CodegenError, match="nothing drives"):
             gen.generate(prog)
+
+
+class TestErrorOrder:
+    """A microword field that fails its check is raised only once the
+    pipeline's timing and codegen errors are ruled out, as when the word
+    was packed after everything else."""
+
+    @staticmethod
+    def _program(vector_length):
+        prog = VisualProgram()
+        d = PipelineDiagram()
+        d.vector_length = vector_length
+        d.add_als(4, ALSKind.DOUBLET, first_fu=4)
+        d.set_fu_op(4, Opcode.FABS)
+        d.connect(mem_read(0), fu_in(4, "a"))
+        d.delays[(4, "a")] = -1  # fits no delay field
+        prog.insert_pipeline(d)
+        return prog
+
+    def test_codegen_error_comes_first(self, node):
+        gen = MicrocodeGenerator(node, run_checker=False)
+        with pytest.raises(CodegenError, match="vector length cannot be"):
+            gen.generate(self._program(None))
+
+    def test_then_the_field_error(self, node):
+        gen = MicrocodeGenerator(node, run_checker=False)
+        with pytest.raises(FieldError, match=(
+                r"^value -1 does not fit field fu4\.a\.delay \(7 bits\)$")):
+            gen.generate(self._program(8))

@@ -76,7 +76,10 @@ def image_state(image: PipelineImage) -> Dict[str, object]:
     }
 
 
-def image_digest(machine: str, method: str, n: int, balance: str) -> str:
+def image_digest(key: str) -> str:
+    """The digest of ``machine/method/n/balance``'s images."""
+    machine, method, n, balance = key.split("/")
+    n = int(n)
     node = node_config(PARAMS[machine])
     setup = SOLVERS[method].build_setup(
         node, (n, n, n), eps=1e-3, max_iterations=2000, omega=1.5
@@ -118,8 +121,7 @@ def test_skewed_builds_carry_residual_skew():
 
 @pytest.mark.parametrize("key", keys())
 def test_image_matches_golden(key):
-    machine, method, n, balance = key.split("/")
-    assert image_digest(machine, method, int(n), balance) == _golden()[key]
+    assert image_digest(key) == _golden()[key]
 
 
 if __name__ == "__main__":
@@ -127,7 +129,6 @@ if __name__ == "__main__":
         sys.exit("usage: test_image_golden.py --write")
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(
-        {key: image_digest(*key.split("/")[:2], int(key.split("/")[2]),
-                           key.split("/")[3]) for key in keys()},
+        {key: image_digest(key) for key in keys()},
         indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

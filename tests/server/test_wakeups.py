@@ -87,6 +87,7 @@ class TestServiceWait:
         opened = time.monotonic()
         gate.set()
         waiter.join(30)
+        assert not waiter.is_alive()
         assert waiter.result.state == "done"
         assert waiter.result.summary["succeeded"] == 1
         assert waiter.returned - opened < 10.0
@@ -127,6 +128,7 @@ class TestEventsLongPoll:
         emitted = time.monotonic()
         buffer.emit({"type": "after"})
         waiter.join(30)
+        assert not waiter.is_alive()
         status, body = waiter.result
         assert status == 200
         assert [e["type"] for e in body["events"]] == ["after"]
