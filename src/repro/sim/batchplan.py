@@ -58,7 +58,7 @@ slab's per-job fallback reproduces them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING,
 )
@@ -85,7 +85,6 @@ from repro.sim.sequencer import SequencerError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.arch.node import NodeConfig
-    from repro.sim.machine import NSCMachine
 
 
 # ----------------------------------------------------------------------
@@ -121,11 +120,8 @@ class JobRun:
     transfers: int = 0
     words_read: int = 0
     words_written: int = 0
-    busy_cycles: int = 0
     conditions_true: int = 0
     conditions_false: int = 0
-    device_busy: Optional[Tuple] = None
-    cache_swaps: Dict[int, int] = field(default_factory=dict)
 
     def charge(self, issues: Iterable[Tuple[ImageKernel, int]],
                swaps: int, swap_words: int) -> None:
@@ -145,7 +141,6 @@ class JobRun:
             self.transfers += consts.transfers * count
             self.words_read += consts.words_read * count
             self.words_written += consts.words_written * count
-            self.busy_cycles += consts.busy_cycles * count
 
     def interrupts_delivered(self) -> int:
         """Interrupts a run of this job on a fresh machine delivers.
@@ -477,7 +472,6 @@ class BatchProgramRun:
         cycles_of = {index: kernel.consts.cycles
                      for index, kernel in kernels.items()}
         out = JobRun()
-        cache_swaps = out.cache_swaps
         cycles = trues = swaps = swapped_words = 0
         trace: List[int] = []
         for index, vals, conds, active in self.log:
@@ -489,10 +483,8 @@ class BatchProgramRun:
                     cycles += cost
                     swaps += 1
                     swapped_words += words
-                else:
+                else:  # a CacheSwap
                     cycles += 1
-                    for cache_id in vals:
-                        cache_swaps[cache_id] = cache_swaps.get(cache_id, 0) + 1
                 continue
             trace.append(index)
             cycles += cycles_of[index]
@@ -506,36 +498,7 @@ class BatchProgramRun:
         )
         out.conditions_true = trues
         out.conditions_false = conditions - trues
-        if trace:
-            out.device_busy = kernels[trace[-1]].consts.device_busy
         return out
-
-
-# ----------------------------------------------------------------------
-# writing a row into a machine
-# ----------------------------------------------------------------------
-def write_back(machine: "NSCMachine", storage: _Storage, j: int,
-               job: JobRun) -> None:
-    """Write row *j* of *storage* into *machine*, replaying *job*'s cache
-    swaps and adding its DMA charges (the hypercube's on-demand node
-    machines; what each posts to the interrupt controller stays with
-    the caller)."""
-    for plane, arr in storage.planes.items():
-        machine.memory.plane(plane).write(0, arr[j])
-    for cache_id, swaps in job.cache_swaps.items():
-        for _ in range(swaps):
-            machine.caches[cache_id].swap()
-    for cache_id, arr in storage.cache_front.items():
-        machine.caches[cache_id].front[: arr.shape[-1]] = arr[j]
-    for cache_id, arr in storage.cache_back.items():
-        machine.caches[cache_id].back[: arr.shape[-1]] = arr[j]
-    stats = machine.dma.stats
-    stats.transfers += job.transfers
-    stats.words_read += job.words_read
-    stats.words_written += job.words_written
-    stats.busy_cycles += job.busy_cycles
-    if job.device_busy is not None:
-        machine.dma.device_busy = dict(job.device_busy)
 
 
 def record_decline(exc: FusionUnsupported) -> None:
@@ -553,5 +516,4 @@ __all__ = [
     "compiled_plan",
     "JobRun",
     "record_decline",
-    "write_back",
 ]

@@ -14,8 +14,10 @@ compiled program's variable homes
 (:func:`~repro.sim.progplan.stacked_storage`): a fast run never builds an
 :class:`NSCMachine`.  ``MultiNodeStencil(..., backend="fast")`` drives the
 whole sweep/halo/convergence loop from one compiled schedule over that
-stack (see ``docs/BACKENDS.md``); per-node machines exist only once
-:attr:`MultiNodeStencil.machines` is read, as the reference walk does.
+stack (see ``docs/BACKENDS.md``), which stays the only copy of node
+state.  Per-node machines belong to the reference walk: they exist only
+once :attr:`MultiNodeStencil.machines` is read, which hands them the
+stacked planes before any fused issue and raises after one.
 Multi-node runs are schedulable as service jobs via
 ``SimJob(hypercube_dim=...)`` (see ``docs/SERVICE.md``).
 """
@@ -34,12 +36,11 @@ from repro.arch.router import HyperspaceRouter, Message
 from repro.codegen.generator import MachineProgram, MicrocodeGenerator
 from repro.compose.jacobi import grid_shape
 from repro.obs import tracer as obs
-from repro.sim.machine import NSCMachine
+from repro.sim.machine import MachineError, NSCMachine
 from repro.sim.pipeline_exec import execute_image
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.arch.node import NodeConfig
-    from repro.sim.batchplan import BatchProgramRun
     from repro.sim.progplan import _HomeVar, _Storage
 
 
@@ -150,12 +151,13 @@ class MultiNodeStencil:
 
     Per-node state starts stacked — :attr:`stack`, zeroed
     ``(n_nodes, extent)`` rows over the program's variable layout, no
-    machine behind them — and the fast backend
-    runs it as a slab on :class:`~repro.sim.batchplan.BatchProgramRun`
-    (:attr:`fused` keeps the run for its log).  :attr:`machines` builds
-    the per-node :class:`NSCMachine` objects on first access; from then
-    on they own the state, and the reference walk (the reference
-    backend, or a declined fused run) drives them.
+    machine behind them — and the fast backend runs it as a slab on
+    :class:`~repro.sim.batchplan.BatchProgramRun`, leaving the result in
+    the stack (read it with :meth:`gather`).  :attr:`machines` builds the
+    per-node :class:`NSCMachine` objects for the reference walk (the
+    reference backend, or a declined fused run) on first access, and
+    they own the state from then on.  Once a fused run has issued, the
+    stack is the only copy of node state and :attr:`machines` raises.
     """
 
     def __init__(
@@ -186,9 +188,8 @@ class MultiNodeStencil:
         self.node_of_slab: List[int] = [gray_code(i) for i in range(self.n_nodes)]
         self._precompiled = precompiled
         self._machines: Optional[List[NSCMachine]] = None
-        #: the last fused run, bound images released: its log is what
-        #: the fast backend charged every node
-        self.fused: Optional["BatchProgramRun"] = None
+        #: set once a fused run binds the stack, which then owns the state
+        self._fused_ran = False
         self._setup_nodes()
 
     # ------------------------------------------------------------------
@@ -229,53 +230,33 @@ class MultiNodeStencil:
 
     @property
     def machines(self) -> List[NSCMachine]:
-        """One loaded :class:`NSCMachine` per node, built on first access
-        from the stacked state (which they own from then on)."""
+        """One loaded :class:`NSCMachine` per node for the reference walk,
+        built on first access from the stacked state (which they own from
+        then on).  Raises :class:`MachineError` once a fused run has
+        issued: its state is in :attr:`stack` alone."""
         if self._machines is None:
+            if self._fused_ran:
+                raise MachineError(
+                    "a fused run keeps the node state in the stack, not in "
+                    "machines: read it with gather() or _rows()"
+                )
             self._machines = self._build_machines()
             self.stack = None
-            self.fused = None
         return self._machines
 
     def _build_machines(self) -> List[NSCMachine]:
-        """One loaded machine per node holding its row of the stack.
-
-        Every node runs the same schedule, so one fold of the fused
-        run's log (:meth:`~repro.sim.batchplan.BatchProgramRun.job`)
-        gives every node's DMA charges, written by
-        :func:`~repro.sim.batchplan.write_back`.  Only the interrupts
-        are multi-node specific: posted in issue order with each node's
-        own condition value, as the reference walk posts them (it never
-        advances a node's cycle, so each fires at its issue's cycle
-        count), with no replay or drain.
-        """
-        from repro.arch.interrupts import InterruptKind
-        from repro.sim.batchplan import JobRun, write_back
-
+        """One loaded machine per node holding its row of the stacked
+        planes.  No fused run has issued, so the stack holds nothing
+        else: its cache buffers, if any, are the zeros a loaded
+        machine's start as, and no DMA has been charged."""
         assert self.stack is not None
-        run = self.fused
-        totals = run.job(0) if run is not None else JobRun()
-        issues = [] if run is None else [
-            (run.plan.kernels[index].consts, values, conds)
-            for index, values, conds, _active in run.log if index >= 0
-        ]
-        complete = InterruptKind.PIPELINE_COMPLETE
+        planes = self.stack.planes.items()
         machines = []
         for i in range(self.n_nodes):
             machine = NSCMachine(self._node_cfg)
             machine.load_program(self.machine_program)
-            write_back(machine, self.stack, i, totals)
-            irq = machine.interrupts
-            for consts, values, conds in issues:
-                irq.post(complete, consts.cycles, source=consts.source)
-                if conds is not None:
-                    irq.post(
-                        InterruptKind.CONDITION_TRUE if conds[i]
-                        else InterruptKind.CONDITION_FALSE,
-                        consts.cycles,
-                        source=consts.source,
-                        payload=values[i],
-                    )
+            for plane, arr in planes:
+                machine.memory.plane(plane).write(0, arr[i])
             machines.append(machine)
         return machines
 

@@ -391,20 +391,10 @@ def pad_window(padded: np.ndarray, left: int, shift: int, n: int) -> np.ndarray:
     return padded[..., left + shift : left + shift + n]
 
 
-#: DeviceKind -> its name, read without the enum's ``name`` property
-_KIND_NAMES = {kind: kind.name for kind in DeviceKind}
 #: the device kinds the compiler tests for, read once (an enum member
 #: lookup on its class costs a Python-level attribute fetch)
 _MEMORY, _FU, _SHIFT_DELAY = (DeviceKind.MEMORY, DeviceKind.FU,
                               DeviceKind.SHIFT_DELAY)
-
-
-def _charge_order(item: Tuple[Tuple[DeviceKind, int], int]) -> Tuple[str, str]:
-    """The order ``repr`` gives ``((kind, device), cycles)`` charge items,
-    without formatting enums: by kind name, then device number as text
-    (keys are unique, and no kind name prefixes another)."""
-    (kind, device), _cycles = item
-    return _KIND_NAMES[kind], str(device)
 
 
 # ----------------------------------------------------------------------
@@ -414,8 +404,7 @@ class _IssueConsts(NamedTuple):
     """Everything about one issue that never varies between iterations."""
 
     index: int                # position in program.images (issue trace)
-    number: int               # PipelineResult.number / interrupt source
-    source: str
+    number: int               # PipelineResult.number
     cycles: int
     compute_cycles: int
     dma_cycles: int
@@ -425,8 +414,6 @@ class _IssueConsts(NamedTuple):
     transfers: int
     words_read: int
     words_written: int
-    busy_cycles: int
-    device_busy: Tuple[Tuple[Any, int], ...]
 
 
 # operand references produced at compile time, resolved at bind time:
@@ -656,7 +643,7 @@ class ImageKernel:
         # one plane or cache buffer (an in-place unit's write shares
         # neither)
         charges: Dict[Tuple[DeviceKind, int], int] = {}
-        busy = words_written = 0
+        words_written = 0
         sources: Dict[_Ref, int] = {}
         fills: Dict[Tuple[DeviceKind, int], int] = {}
         writes: List[Tuple[_Ref, Any, int]] = []
@@ -682,7 +669,6 @@ class ImageKernel:
             spec = prog.spec
             array = (spec.device_kind, spec.device)
             cost = prog.cycles(params)
-            busy += cost
             charges[array] = charges.get(array, 0) + cost
             words_written += width
             sources[src] = sources.get(src, 0) + 1
@@ -697,7 +683,6 @@ class ImageKernel:
             spec = prog.spec
             array = (spec.device_kind, spec.device)
             cost = prog.cycles(params)
-            busy += cost
             charges[array] = charges.get(array, 0) + cost
             words_read += n
 
@@ -827,11 +812,9 @@ class ImageKernel:
         dma_cycles = max(charges.values(), default=0)
         cycles = instruction_cycles(image.total_cycles, dma_cycles, params)
         self.consts = _IssueConsts(
-            self.index, image.number, f"pipeline{image.number}", cycles,
-            image.total_cycles, dma_cycles, image.total_flops, n,
-            len(image.fu_ops), len(reads) + len(writes), words_read,
-            words_written, busy,
-            tuple(sorted(charges.items(), key=_charge_order)),
+            self.index, image.number, cycles, image.total_cycles,
+            dma_cycles, image.total_flops, n, len(image.fu_ops),
+            len(reads) + len(writes), words_read, words_written,
         )
         text = "".join(forms)
         self.runner_args = _runner_args(self.runs, text)
@@ -1804,14 +1787,14 @@ def fused_stepper(stencil: "MultiNodeStencil"):
     stencil's stack is a slab of ``n_nodes`` rows: one
     :class:`~repro.sim.batchplan.BatchProgramRun` steps it
     — load is issue 0 then the mask cache swap, a sweep is issue 1 then
-    ``SwapVars u/u_new`` — and logs every step.  The stencil's loop (the
-    loop both backends share, so their accounting cannot drift) adds the
-    global residual, the halo copy and the route-once halo replay, whose
-    link traffic ``finish`` settles.  The stencil keeps the run for its
-    log (a later run continues it), which its machine build folds;
-    ``finish`` releases the bound images.  The halo copy writes ``u``'s
-    plane between issues, so a plan that does not move that plane (and
-    might have hoisted a row from it) is declined.
+    ``SwapVars u/u_new``.  The stencil's loop (the loop both backends
+    share, so their accounting cannot drift) adds the global residual,
+    the halo copy and the route-once halo replay, whose link traffic
+    ``finish`` settles.  The stack is the only copy of node state: once
+    the run is bound, no machine is built for the stencil (a later run
+    continues from the stack).  The halo copy writes ``u``'s plane
+    between issues, so a plan that does not move that plane (and might
+    have hoisted a row from it) is declined.
     """
     from repro.sim.batchplan import BatchProgramRun
     from repro.sim.multinode import global_residual
@@ -1842,9 +1825,7 @@ def fused_stepper(stencil: "MultiNodeStencil"):
                 arrays[key] = grown
     # the reference walk has no instruction budget
     run = BatchProgramRun(plan, stack, n, sys.maxsize)
-    if stencil.fused is not None:
-        run.log = stencil.fused.log
-    stencil.fused = run
+    stencil._fused_ran = True
     setup = stencil.setup
     masks = (setup.mask_cache, setup.invmask_cache)
     load_cycles = plan.kernels[0].consts.cycles
@@ -1875,11 +1856,7 @@ def fused_stepper(stencil: "MultiNodeStencil"):
                 plane[1:, off + pw : off + 2 * pw]
         return sweep_consts.cycles, residual, comm, sweep_words, sweep_flops
 
-    def finish() -> None:
-        comm_plan.settle()
-        run.bound = {}  # keep the log, not the kernels' working rows
-
-    return load, sweep, finish
+    return load, sweep, comm_plan.settle
 
 
 # the condition chains (repro.sim.settle imports this module, so it is

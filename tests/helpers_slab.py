@@ -16,8 +16,7 @@ two agree on
   run logged one (NaNs equal): an issue whose condition witnesses
   settled (:mod:`repro.sim.settle`) logs its result alone;
 - the :class:`~repro.sim.batchplan.JobRun` totals (cycles, issues,
-  flops, FU activity, DMA transfers, words and busy cycles, the last
-  issue's device charges, cache swaps, condition outcomes);
+  flops, FU activity, DMA transfers and words, condition outcomes);
 - the :class:`~repro.sim.metrics.RunMetrics` (its summary and the
   delivered interrupt count);
 - ``loop_iterations``, ``converged`` and ``halted``.
@@ -85,9 +84,7 @@ def check_parity(machines: Sequence, program,
     results = []
     for j, machine in enumerate(machines):
         stats = machine.dma.stats
-        before = (stats.transfers, stats.words_read, stats.words_written,
-                  stats.busy_cycles)
-        swaps_before = [cache.swaps for cache in machine.caches]
+        before = (stats.transfers, stats.words_read, stats.words_written)
         result = machine.run(program, max_instructions=max_instructions)
         results.append(result)
         for plane, arr in storage.planes.items():
@@ -123,19 +120,11 @@ def check_parity(machines: Sequence, program,
             sum(r.active_fus * r.vector_length
                 for r in result.pipeline_results),
         ), f"row {j}: run totals"
-        assert (job.transfers, job.words_read, job.words_written,
-                job.busy_cycles) == tuple(
+        assert (job.transfers, job.words_read, job.words_written) == tuple(
             now - then for now, then in zip(
-                (stats.transfers, stats.words_read, stats.words_written,
-                 stats.busy_cycles), before)
+                (stats.transfers, stats.words_read, stats.words_written),
+                before)
         ), f"row {j}: DMA charges"
-        if job.device_busy is not None:
-            assert dict(job.device_busy) == machine.dma.device_busy
-        assert {c: n for c, n in job.cache_swaps.items() if n} == {
-            c: cache.swaps - swaps_before[c]
-            for c, cache in enumerate(machine.caches)
-            if cache.swaps != swaps_before[c]
-        }, f"row {j}: cache swaps"
         assert (job.conditions_true, job.conditions_false) == (
             conditions.count(True), conditions.count(False))
         metrics = machine.metrics(result)

@@ -4,12 +4,11 @@ Every fast job on one node — a builder solver or a saved diagram
 (``method="program"``), serial under either ``batch_fusion`` mode or in
 a process pool — binds a one-job
 :class:`~repro.sim.batchplan.BatchProgramRun` and synthesizes its record
-from the run's issue log.  No engine row is ever written into an
-``NSCMachine`` (``batchplan.write_back`` serves only a hypercube's
-on-demand node machines), and its canonical record equals the reference
-backend's, non-finite values included: a lone job runs exact, so it
-keeps running through them.  A decline (an
-unfusable plan) reruns the job once, on the reference walk.
+from the run's issue log.  No fast job, a hypercube's included, builds
+an ``NSCMachine``, so no engine row is ever written into one, and its
+canonical record equals the reference backend's, non-finite values
+included: a lone job runs exact, so it keeps running through them.  A
+decline (an unfusable plan) reruns the job once, on the reference walk.
 """
 
 import json
@@ -76,12 +75,21 @@ def _traced(monkeypatch, job):
 
 @pytest.fixture
 def no_commit(monkeypatch):
-    """Fail any job that writes a fused run into a machine (pool
-    workers fork after the patch and inherit it)."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("fused run written into a machine")
+    """Count every ``NSCMachine`` built from now on (``built``) and fail
+    the build while ``armed``, so a fast job that builds one fails its
+    record even in a pool worker, which forks after the patch and counts
+    in its own process.  A test disarms it before its reference side."""
+    guard = SimpleNamespace(built=0, armed=True)
+    real_init = NSCMachine.__init__
 
-    monkeypatch.setattr(batchplan, "write_back", forbidden)
+    def counting_init(self, *args, **kwargs):
+        guard.built += 1
+        if guard.armed:
+            raise AssertionError("a fast job built a machine")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NSCMachine, "__init__", counting_init)
+    return guard
 
 
 class TestNoMachineCommit:
@@ -94,6 +102,8 @@ class TestNoMachineCommit:
                 and multiprocessing.get_start_method() != "fork":
             pytest.skip("patched workers need the fork start method")
         [fast], _ = BatchRunner(**options).run([_job(method)])
+        assert no_commit.built == 0
+        no_commit.armed = False
         [ref], _ = BatchRunner(workers=1).run(
             [_job(method, backend="reference")]
         )
@@ -105,6 +115,23 @@ class TestNoMachineCommit:
         assert _computed(fast) == _computed(ref)
         np.testing.assert_array_equal(fast["fields"]["u"],
                                       ref["fields"]["u"])
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_hypercube_job_builds_no_machine(self, no_commit, run):
+        options = RUNS[run]
+        if options["workers"] > 1 \
+                and multiprocessing.get_start_method() != "fork":
+            pytest.skip("patched workers need the fork start method")
+        job = SimJob(method="jacobi", shape=(4, 4, 8), hypercube_dim=2,
+                     backend="fast", keep_fields=True, **FAST)
+        [fast], _ = BatchRunner(**options).run([job])
+        assert no_commit.built == 0
+        no_commit.armed = False
+        [ref], _ = BatchRunner(workers=1).run(
+            [job._replace(backend="reference")])
+        assert fast["ok"], fast.get("error")
+        assert (fast["tier"], ref["tier"]) == ("fused", "reference")
+        assert _computed(fast) == _computed(ref)
 
     def test_groups_and_lone_jobs_share_the_engine(self, no_commit):
         jobs = [_job("jacobi", u0_seed=s) for s in range(2)] \
@@ -272,6 +299,8 @@ class TestSavedPrograms:
             pytest.skip("patched workers need the fork start method")
         path = _saved(tmp_path, kind)
         [fast], _ = BatchRunner(**options).run([_program_job(path)])
+        assert no_commit.built == 0
+        no_commit.armed = False
         [ref], _ = BatchRunner(workers=1).run(
             [_program_job(path, backend="reference")]
         )
@@ -297,6 +326,7 @@ class TestSavedPrograms:
             [_program_job(path)] * 2
         )
         [lone], _ = BatchRunner(workers=1).run([_program_job(path)])
+        assert no_commit.built == 0
         assert summary.succeeded == 2
         assert [r["tier"] for r in records] == ["batch_fused"] * 2
         assert [r["slab_size"] for r in records] == [2, 2]
