@@ -34,6 +34,8 @@ REDUCIBLE_OPS: FrozenSet[Opcode] = frozenset(
 
 #: Input kinds that read another unit's output stream.
 _FU_KINDS = ("fu", "internal")
+#: the enum member, looked up once (a class attribute read is slow)
+_FU = DeviceKind.FU
 
 
 def consumed_fus(image: PipelineImage) -> FrozenSet[int]:
@@ -47,7 +49,7 @@ def consumed_fus(image: PipelineImage) -> FrozenSet[int]:
     used = {resolved.src_fu for resolved in image.inputs.values()
             if resolved.kind in _FU_KINDS}
     for driver, _sink, _prog in image.write_programs:
-        if driver.kind is DeviceKind.FU:
+        if driver.kind is _FU:
             used.add(driver.device)
     return frozenset(used)
 

@@ -40,6 +40,15 @@ from repro.diagram.pipeline import (
 )
 from repro.diagram.program import VisualProgram
 
+# enum members, looked up once (a class attribute read of a member is slow)
+_MEMORY = DeviceKind.MEMORY
+_CACHE = DeviceKind.CACHE
+_READ = Direction.READ
+_WRITE = Direction.WRITE
+_CONSTANT = InputModKind.CONSTANT
+_FEEDBACK = InputModKind.FEEDBACK
+_INTERNAL = InputModKind.INTERNAL
+
 
 class BuilderError(Exception):
     """Resource exhaustion or inconsistent builder requests."""
@@ -204,9 +213,9 @@ class PipelineBuilder:
         self.diagram.set_dma(
             ep,
             DMASpec(
-                device_kind=DeviceKind.MEMORY,
+                device_kind=_MEMORY,
                 device=plane,
-                direction=Direction.READ,
+                direction=_READ,
                 variable=name,
                 offset=offset,
                 stride=stride,
@@ -228,9 +237,9 @@ class PipelineBuilder:
             self.diagram.set_dma(
                 ep,
                 DMASpec(
-                    device_kind=DeviceKind.CACHE,
+                    device_kind=_CACHE,
                     device=cache,
-                    direction=Direction.READ,
+                    direction=_READ,
                     offset=offset,
                     stride=stride,
                     count=count,
@@ -317,18 +326,18 @@ class PipelineBuilder:
     def _wire_input(self, fu: int, port: str, operand: Operand) -> None:
         if isinstance(operand, ConstOperand):
             self.diagram.set_input_mod(
-                fu, port, InputMod(kind=InputModKind.CONSTANT, value=operand.value)
+                fu, port, InputMod(kind=_CONSTANT, value=operand.value)
             )
             return
         if isinstance(operand, FeedbackOperand):
             self.diagram.set_input_mod(
-                fu, port, InputMod(kind=InputModKind.FEEDBACK, value=operand.init)
+                fu, port, InputMod(kind=_FEEDBACK, value=operand.init)
             )
             return
         if self._internal_usable(fu, port, operand):
             src_slot = operand.fu - self._fu_table.als_of[fu].first_fu
             self.diagram.set_input_mod(
-                fu, port, InputMod(kind=InputModKind.INTERNAL, src_slot=src_slot)
+                fu, port, InputMod(kind=_INTERNAL, src_slot=src_slot)
             )
             return
         self.diagram.connect(operand.endpoint, fu_in(fu, port))
@@ -393,9 +402,9 @@ class PipelineBuilder:
         self.diagram.set_dma(
             ep,
             DMASpec(
-                device_kind=DeviceKind.MEMORY,
+                device_kind=_MEMORY,
                 device=decl.plane,
-                direction=Direction.WRITE,
+                direction=_WRITE,
                 variable=name,
                 offset=offset,
                 stride=stride,
@@ -416,9 +425,9 @@ class PipelineBuilder:
         self.diagram.set_dma(
             ep,
             DMASpec(
-                device_kind=DeviceKind.CACHE,
+                device_kind=_CACHE,
                 device=cache,
-                direction=Direction.WRITE,
+                direction=_WRITE,
                 offset=offset,
                 stride=stride,
                 count=count,
