@@ -1,5 +1,6 @@
 """Every shipped example must run cleanly (smoke, small sizes)."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,20 @@ class TestExamples:
         assert proc.returncode == 0, proc.stderr
         assert "converged: True" in proc.stdout
         assert "GFLOPS" in proc.stdout
+
+    def test_multinode_fast_prints_what_reference_prints(self):
+        """The fast stencil's only non-test reader: its results, gathered
+        grid and busiest router link print as the reference run's do,
+        apart from the backend's name and the host wall time."""
+        def printed(backend):
+            proc = _run("multinode_jacobi.py", "1", "6", backend)
+            assert proc.returncode == 0, proc.stderr
+            out = re.sub(r" \([0-9.]+s host wall\)", "", proc.stdout)
+            return out.replace(f"backend {backend}", "backend")
+
+        fast = printed("fast")
+        assert "busiest link" in fast
+        assert fast == printed("reference")
 
     def test_solver_comparison(self):
         proc = _run("solver_comparison.py", "6")
