@@ -5,8 +5,9 @@ buffers as ``(n_nodes, extent)`` rows, and after a fused run that stack
 is the only copy of node state: reading ``stencil.machines`` then
 raises.  Machines belong to the reference walk; reading them before a
 run hands them the stacked state, and the run declines to that walk.
-The stack's rows against the reference machines, over drawn hypercubes,
-grids and sweep counts, are ``tests/property/test_multinode_stack_property.py``.
+``tests/property/test_multinode_stack_property.py`` checks the stack's
+rows against the reference machines over drawn hypercubes, grids and
+sweep counts.
 """
 
 import tracemalloc
